@@ -35,6 +35,7 @@ import (
 	"minequery/internal/fault"
 	"minequery/internal/mining"
 	"minequery/internal/plan"
+	"minequery/internal/qerr"
 	"minequery/internal/storage"
 	"minequery/internal/value"
 )
@@ -117,8 +118,8 @@ func newAggPipeline(c *catalog.Catalog, chain *aggChain, opts Options) (*aggPipe
 			return nil, fmt.Errorf("exec: no model %q", pr.Model)
 		}
 		if pr.Version != 0 && me.Version != pr.Version {
-			return nil, fmt.Errorf("exec: plan invalidated: model %q is v%d, plan was optimized at v%d",
-				pr.Model, me.Version, pr.Version)
+			return nil, fmt.Errorf("exec: %w: model %q is v%d, plan was optimized at v%d",
+				qerr.ErrPlanInvalidated, pr.Model, me.Version, pr.Version)
 		}
 		b, sch, err := predictBinding(p.schema, me, pr.As)
 		if err != nil {

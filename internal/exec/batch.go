@@ -1,8 +1,6 @@
-// Batch-at-a-time execution: the NextBatch path of the iterator
-// contract. Operators that can profitably amortize per-tuple dispatch
-// (scans, filters, prediction joins, projections) implement
-// BatchIterator natively; everything else is adapted through AsBatch, so
-// tuple-at-a-time operators keep working unchanged.
+// Batch-at-a-time execution: BatchIterator is the one operator contract,
+// and every plan node — scans, index accesses, filters, prediction
+// joins, projections, limits, aggregates — implements it natively.
 package exec
 
 import (
@@ -15,6 +13,7 @@ import (
 	"minequery/internal/fault"
 	"minequery/internal/mining"
 	"minequery/internal/plan"
+	"minequery/internal/qerr"
 	"minequery/internal/storage"
 	"minequery/internal/value"
 )
@@ -104,9 +103,6 @@ func DefaultOptions() Options {
 }
 
 // BuildBatch compiles a physical plan into a batch-iterator tree.
-// Scans, filters, prediction joins, projections, and limits execute
-// batch-natively; index access paths (already bounded by the RID list)
-// run tuple-at-a-time and are adapted.
 func BuildBatch(c *catalog.Catalog, n plan.Node, opts Options) (BatchIterator, error) {
 	return BuildBatchCtx(context.Background(), c, n, opts)
 }
@@ -194,8 +190,8 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, n plan.Node, op
 			return nil, fmt.Errorf("exec: no model %q", x.Model)
 		}
 		if x.Version != 0 && me.Version != x.Version {
-			return nil, fmt.Errorf("exec: plan invalidated: model %q is v%d, plan was optimized at v%d",
-				x.Model, me.Version, x.Version)
+			return nil, fmt.Errorf("exec: %w: model %q is v%d, plan was optimized at v%d",
+				qerr.ErrPlanInvalidated, x.Model, me.Version, x.Version)
 		}
 		return newBatchPredict(child, me, x.As)
 	case *plan.Limit:
@@ -209,18 +205,39 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, n plan.Node, op
 			return nil, fmt.Errorf("exec: HashAgg(partial) cannot be built standalone; it is owned by its Final")
 		}
 		return newBatchFinalAgg(ctx, c, x, opts)
-	default:
+	case *plan.ConstScan:
+		t, ok := c.Table(x.Table)
+		if !ok {
+			return nil, fmt.Errorf("exec: no table %q", x.Table)
+		}
+		return &constScan{schema: t.Schema}, nil
+	case *plan.IndexSeek:
+		t, ok := c.Table(x.Table)
+		if !ok {
+			return nil, fmt.Errorf("exec: no table %q", x.Table)
+		}
+		// Index access paths materialize their RID lists here, at build
+		// time; don't start that work for a dead query.
 		if err := ctxErr(ctx); err != nil {
-			// Index access paths materialize their RID lists inside
-			// Build; don't start that work for a dead query.
 			return nil, err
 		}
-		it, err := buildNode(ctx, c, n, opts)
+		rids, err := seekRIDs(ctx, t, x, opts)
 		if err != nil {
 			return nil, err
 		}
-		return &ctxBatch{ctx: ctx, child: AsBatch(it, opts.BatchSize)}, nil
+		return newRIDFetch(ctx, t, rids, opts), nil
+	case *plan.IndexUnion:
+		t, ok := c.Table(x.Table)
+		if !ok {
+			return nil, fmt.Errorf("exec: no table %q", x.Table)
+		}
+		rids, err := unionRIDs(ctx, t, x, opts)
+		if err != nil {
+			return nil, err
+		}
+		return newRIDFetch(ctx, t, rids, opts), nil
 	}
+	return nil, fmt.Errorf("exec: unknown plan node %T", n)
 }
 
 // ctxErr wraps a context error so callers can both errors.Is-match the
@@ -231,25 +248,6 @@ func ctxErr(ctx context.Context) error {
 	}
 	return nil
 }
-
-// ctxBatch checks the context once per batch on behalf of adapted
-// tuple-at-a-time subtrees (index paths), bounding how long a cancelled
-// query keeps running to one batch.
-type ctxBatch struct {
-	ctx   context.Context
-	child BatchIterator
-}
-
-func (c *ctxBatch) Schema() *value.Schema { return c.child.Schema() }
-
-func (c *ctxBatch) NextBatch() (Batch, bool, error) {
-	if err := ctxErr(c.ctx); err != nil {
-		return nil, false, err
-	}
-	return c.child.NextBatch()
-}
-
-func (c *ctxBatch) Close() { c.child.Close() }
 
 // RunOpts builds and drains a plan batch-at-a-time with the given
 // options, returning all produced tuples in plan order (parallel scans
@@ -286,90 +284,6 @@ func RunCtx(ctx context.Context, c *catalog.Catalog, n plan.Node, opts Options) 
 		out = append(out, b...)
 	}
 }
-
-// AsBatch adapts an iterator to the batch contract. Iterators that are
-// already batch-native are returned unchanged.
-func AsBatch(it Iterator, batchSize int) BatchIterator {
-	if b, ok := it.(BatchIterator); ok {
-		return b
-	}
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
-	return &batcher{child: it, size: batchSize}
-}
-
-// batcher groups a tuple-at-a-time iterator's output into batches.
-type batcher struct {
-	child Iterator
-	size  int
-}
-
-func (b *batcher) Schema() *value.Schema { return b.child.Schema() }
-
-func (b *batcher) NextBatch() (Batch, bool, error) {
-	var batch Batch
-	for len(batch) < b.size {
-		t, done, err := b.child.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if done {
-			break
-		}
-		if batch == nil {
-			batch = make(Batch, 0, b.size)
-		}
-		batch = append(batch, t)
-	}
-	if len(batch) == 0 {
-		return nil, true, nil
-	}
-	return batch, false, nil
-}
-
-func (b *batcher) Close() { b.child.Close() }
-
-// Unbatch adapts a batch iterator back to the tuple contract, so
-// tuple-at-a-time consumers can sit on top of batch-native producers.
-func Unbatch(b BatchIterator) Iterator {
-	if it, ok := b.(Iterator); ok {
-		return it
-	}
-	return &unbatcher{child: b}
-}
-
-// unbatcher yields a batch iterator's tuples one at a time.
-type unbatcher struct {
-	child BatchIterator
-	buf   Batch
-	pos   int
-	done  bool
-}
-
-func (u *unbatcher) Schema() *value.Schema { return u.child.Schema() }
-
-func (u *unbatcher) Next() (value.Tuple, bool, error) {
-	for u.pos >= len(u.buf) {
-		if u.done {
-			return nil, true, nil
-		}
-		b, done, err := u.child.NextBatch()
-		if err != nil {
-			return nil, false, err
-		}
-		if done {
-			u.done = true
-			return nil, true, nil
-		}
-		u.buf, u.pos = b, 0
-	}
-	t := u.buf[u.pos]
-	u.pos++
-	return t, false, nil
-}
-
-func (u *unbatcher) Close() { u.child.Close() }
 
 // batchSeqScan streams a table heap page by page, decoding rows into
 // batches on demand (no up-front materialization). The pages come from

@@ -61,13 +61,13 @@ func TestBatchRunMatchesTupleRun(t *testing.T) {
 			Child: &plan.Predict{Child: &plan.SeqScan{Table: "t"}, Model: "catmod", As: "m.cls"},
 			Pred:  expr.Cmp{Col: "m.cls", Op: expr.OpEq, Val: value.Str("low")},
 		},
-		// Index access is adapted through AsBatch rather than batch-native.
-		&plan.IndexSeek{Table: "t", Index: "ix_cat", EqVals: []value.Value{value.Str("c5")}},
+		&plan.Limit{Child: &plan.SeqScan{Table: "t"}, N: 100},
+		&plan.ConstScan{Table: "t"},
 	}
 	for _, p := range plans {
-		want, wantSchema, err := Run(c, p)
+		want, wantSchema, err := refRun(c, p)
 		if err != nil {
-			t.Fatalf("%s: tuple run: %v", plan.Signature(p), err)
+			t.Fatalf("%s: reference run: %v", plan.Signature(p), err)
 		}
 		for _, dop := range []int{1, 4} {
 			got, gotSchema, err := RunOpts(c, p, Options{DOP: dop, BatchSize: 64})
@@ -143,50 +143,6 @@ func TestBatchLimitStopsParallelScanEarly(t *testing.T) {
 	}
 	if !sameOrderedRows(got, want) {
 		t.Fatal("limited parallel prefix differs from serial prefix")
-	}
-}
-
-func TestBatcherUnbatcherRoundTrip(t *testing.T) {
-	c, _ := testDB(t, 777)
-	it, err := Build(c, &plan.SeqScan{Table: "t"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tuple -> batch (size 10 forces many partial batches) -> tuple.
-	round := Unbatch(AsBatch(it, 10))
-	defer round.Close()
-	n := 0
-	for {
-		_, done, err := round.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-		n++
-	}
-	if n != 777 {
-		t.Fatalf("round trip yielded %d rows, want 777", n)
-	}
-}
-
-// dualIter implements both iterator contracts; the adapters must return
-// it unchanged instead of stacking wrapper layers.
-type dualIter struct{}
-
-func (dualIter) Schema() *value.Schema            { return nil }
-func (dualIter) Next() (value.Tuple, bool, error) { return nil, true, nil }
-func (dualIter) NextBatch() (Batch, bool, error)  { return nil, true, nil }
-func (dualIter) Close()                           {}
-
-func TestAdaptersAreIdentityOnDualIterators(t *testing.T) {
-	d := dualIter{}
-	if AsBatch(d, 1) != BatchIterator(d) {
-		t.Fatal("AsBatch must not wrap an iterator that is already batch-native")
-	}
-	if Unbatch(d) != Iterator(d) {
-		t.Fatal("Unbatch must not wrap a batch iterator that is already tuple-native")
 	}
 }
 

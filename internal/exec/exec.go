@@ -1,8 +1,11 @@
-// Package exec interprets physical plans as Volcano-style iterators over
-// the catalog's tables. Index accesses fetch rows by RID (counted as
-// random page reads by the storage layer), sequential scans read pages
-// in order, and PredictionJoin applies a mining model row by row — the
+// Package exec interprets physical plans as trees of batch-at-a-time
+// operators (BatchIterator, batch.go) over the catalog's tables. Index
+// accesses fetch rows by RID (counted as random page reads by the
+// storage layer), sequential scans read pages in order, and
+// PredictionJoin applies a mining model to every row of a batch — the
 // three behaviours whose relative costs the paper's experiments measure.
+// This file holds the index access paths and the helpers the operators
+// share.
 package exec
 
 import (
@@ -11,176 +14,16 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"minequery/internal/btree"
 	"minequery/internal/catalog"
-	"minequery/internal/expr"
 	"minequery/internal/fault"
 	"minequery/internal/mining"
 	"minequery/internal/plan"
 	"minequery/internal/storage"
 	"minequery/internal/value"
 )
-
-// Iterator produces tuples one at a time. After Next returns done=true
-// or an error, the iterator must not be used again.
-type Iterator interface {
-	// Schema describes the tuples the iterator produces.
-	Schema() *value.Schema
-	// Next returns the next tuple. done is true when the input is
-	// exhausted (and the tuple is nil).
-	Next() (t value.Tuple, done bool, err error)
-	// Close releases resources. It is safe to call more than once.
-	Close()
-}
-
-// Build compiles a physical plan into an iterator tree.
-func Build(c *catalog.Catalog, n plan.Node) (Iterator, error) {
-	return buildNode(context.Background(), c, n, Options{})
-}
-
-// buildNode compiles one plan node. The options carry the per-query
-// counter sink (via the Collector), the fault injector, and the retry
-// policy; ctx interrupts the RID-list materialization that index access
-// paths perform at build time.
-func buildNode(ctx context.Context, c *catalog.Catalog, n plan.Node, opts Options) (Iterator, error) {
-	switch x := n.(type) {
-	case *plan.SeqScan:
-		t, ok := c.Table(x.Table)
-		if !ok {
-			return nil, fmt.Errorf("exec: no table %q", x.Table)
-		}
-		return newSeqScan(ctx, t, x, opts), nil
-	case *plan.ConstScan:
-		t, ok := c.Table(x.Table)
-		if !ok {
-			return nil, fmt.Errorf("exec: no table %q", x.Table)
-		}
-		return &constScan{schema: t.Schema}, nil
-	case *plan.IndexSeek:
-		t, ok := c.Table(x.Table)
-		if !ok {
-			return nil, fmt.Errorf("exec: no table %q", x.Table)
-		}
-		rids, err := seekRIDs(ctx, t, x, opts)
-		if err != nil {
-			return nil, err
-		}
-		return newRIDFetch(ctx, t, rids, opts), nil
-	case *plan.IndexUnion:
-		t, ok := c.Table(x.Table)
-		if !ok {
-			return nil, fmt.Errorf("exec: no table %q", x.Table)
-		}
-		seen := make(map[storage.RID]bool)
-		var rids []storage.RID
-		for _, s := range x.Seeks {
-			// A deadline can expire mid-union: stop between arms rather
-			// than completing the remaining seeks for a dead query.
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-			sub, err := seekRIDs(ctx, t, s, opts)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range sub {
-				if !seen[r] {
-					seen[r] = true
-					rids = append(rids, r)
-				}
-			}
-		}
-		// Fetch in heap order to keep random I/O monotone.
-		sort.Slice(rids, func(i, j int) bool { return rids[i].Less(rids[j]) })
-		return newRIDFetch(ctx, t, rids, opts), nil
-	case *plan.Filter:
-		child, err := buildNode(ctx, c, x.Child, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &filter{child: child, pred: x.Pred}, nil
-	case *plan.Project:
-		child, err := buildNode(ctx, c, x.Child, opts)
-		if err != nil {
-			return nil, err
-		}
-		return newProject(child, x.Cols)
-	case *plan.Predict:
-		child, err := buildNode(ctx, c, x.Child, opts)
-		if err != nil {
-			return nil, err
-		}
-		me, ok := c.Model(x.Model)
-		if !ok {
-			return nil, fmt.Errorf("exec: no model %q", x.Model)
-		}
-		if x.Version != 0 && me.Version != x.Version {
-			return nil, fmt.Errorf("exec: plan invalidated: model %q is v%d, plan was optimized at v%d",
-				x.Model, me.Version, x.Version)
-		}
-		return newPredict(child, me, x.As)
-	case *plan.Limit:
-		child, err := buildNode(ctx, c, x.Child, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &limit{child: child, n: x.N}, nil
-	}
-	return nil, fmt.Errorf("exec: unknown plan node %T", n)
-}
-
-// Run builds and drains a plan, returning all produced tuples.
-func Run(c *catalog.Catalog, n plan.Node) ([]value.Tuple, *value.Schema, error) {
-	it, err := Build(c, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer it.Close()
-	var out []value.Tuple
-	for {
-		t, done, err := it.Next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if done {
-			return out, it.Schema(), nil
-		}
-		out = append(out, t)
-	}
-}
-
-// seqScan streams a table heap.
-type seqScan struct {
-	table *catalog.Table
-	rows  []value.Tuple
-	pos   int
-	err   error
-}
-
-func newSeqScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, opts Options) *seqScan {
-	// Materialize the scan: the heap callback API does not suspend, and
-	// decoded rows are small. Page-read accounting happens here.
-	s := &seqScan{table: t}
-	decode := func(_ storage.RID, rec []byte) bool {
-		tup, derr := value.DecodeTuple(rec)
-		if derr != nil {
-			s.err = fmt.Errorf("exec: scan %s: %w", t.Name, derr)
-			return false
-		}
-		s.rows = append(s.rows, tup)
-		return true
-	}
-	for _, r := range t.PartitionPageRanges(x.Partitions) {
-		if s.err != nil {
-			break
-		}
-		if err := scanPagesRetry(ctx, t, opts, r[0], r[1], decode); err != nil && s.err == nil {
-			s.err = fmt.Errorf("exec: scan %s: %w", t.Name, err)
-		}
-	}
-	return s
-}
 
 // scanPagesRetry scans heap pages [lo, hi) of t one page at a time,
 // checking ctx between pages and retrying each page's read under the
@@ -212,28 +55,12 @@ func scanPagesRetry(ctx context.Context, t *catalog.Table, opts Options, lo, hi 
 	return nil
 }
 
-func (s *seqScan) Schema() *value.Schema { return s.table.Schema }
-
-func (s *seqScan) Next() (value.Tuple, bool, error) {
-	if s.err != nil {
-		return nil, false, s.err
-	}
-	if s.pos >= len(s.rows) {
-		return nil, true, nil
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	return t, false, nil
-}
-
-func (s *seqScan) Close() { s.rows = nil }
-
 // constScan produces nothing.
 type constScan struct{ schema *value.Schema }
 
-func (c *constScan) Schema() *value.Schema            { return c.schema }
-func (c *constScan) Next() (value.Tuple, bool, error) { return nil, true, nil }
-func (c *constScan) Close()                           {}
+func (c *constScan) Schema() *value.Schema           { return c.schema }
+func (c *constScan) NextBatch() (Batch, bool, error) { return nil, true, nil }
+func (c *constScan) Close()                          {}
 
 // errStopSeek stops an index range scan early when composite keys run
 // past the seek prefix; it never escapes seekRIDs.
@@ -312,30 +139,11 @@ func seekRIDs(ctx context.Context, t *catalog.Table, s *plan.IndexSeek, opts Opt
 
 func findIndexByName(t *catalog.Table, name string) *catalog.Index {
 	for _, ix := range t.Indexes() {
-		if equalFold(ix.Name, name) {
+		if strings.EqualFold(ix.Name, name) {
 			return ix
 		}
 	}
 	return nil
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }
 
 // ridFetchCtxStride is how many RID lookups happen between context
@@ -343,99 +151,100 @@ func equalFold(a, b string) bool {
 // reads.
 const ridFetchCtxStride = 64
 
-// ridFetch fetches rows for a RID list. Each lookup is retried under
-// the options' policy when the random page read fails transiently, and
-// ctx is checked every ridFetchCtxStride lookups so per-query deadlines
-// interrupt long RID lists between (not just after) fetches.
+// unionRIDs evaluates every arm of an index union and returns the
+// deduplicated RIDs in heap order, which keeps the random I/O of the
+// fetch monotone.
+func unionRIDs(ctx context.Context, t *catalog.Table, x *plan.IndexUnion, opts Options) ([]storage.RID, error) {
+	seen := make(map[storage.RID]bool)
+	var rids []storage.RID
+	for _, s := range x.Seeks {
+		// A deadline can expire mid-union: stop between arms rather
+		// than completing the remaining seeks for a dead query.
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
+		sub, err := seekRIDs(ctx, t, s, opts)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range sub {
+			if !seen[r] {
+				seen[r] = true
+				rids = append(rids, r)
+			}
+		}
+	}
+	sort.Slice(rids, func(i, j int) bool { return rids[i].Less(rids[j]) })
+	return rids, nil
+}
+
+// ridFetch fetches rows for a RID list, a batch of live rows at a time.
+// Each lookup is retried under the options' policy when the random page
+// read fails transiently. ctx is checked once per batch and every
+// ridFetchCtxStride lookups, so per-query deadlines interrupt long RID
+// lists between (not just after) fetches.
 type ridFetch struct {
-	ctx     context.Context
-	table   *catalog.Table
-	io      *storage.Counters
-	rids    []storage.RID
-	pos     int
-	retry   fault.RetryPolicy
-	clock   fault.Clock
-	onRetry func(error)
+	ctx       context.Context
+	table     *catalog.Table
+	io        *storage.Counters
+	rids      []storage.RID
+	pos       int
+	batchSize int
+	retry     fault.RetryPolicy
+	clock     fault.Clock
+	onRetry   func(error)
 }
 
 func newRIDFetch(ctx context.Context, t *catalog.Table, rids []storage.RID, opts Options) *ridFetch {
-	return &ridFetch{ctx: ctx, table: t, io: ioOf(opts.Collector), rids: rids,
+	return &ridFetch{ctx: ctx, table: t, io: ioOf(opts.Collector), rids: rids, batchSize: opts.BatchSize,
 		retry: opts.Retry, clock: opts.Clock, onRetry: opts.onRetry()}
 }
 
 func (r *ridFetch) Schema() *value.Schema { return r.table.Schema }
 
-func (r *ridFetch) Next() (value.Tuple, bool, error) {
-	for r.pos < len(r.rids) {
-		rid := r.rids[r.pos]
+func (r *ridFetch) NextBatch() (Batch, bool, error) {
+	if err := ctxErr(r.ctx); err != nil {
+		return nil, false, err
+	}
+	var (
+		batch Batch
+		rid   storage.RID
+		tup   value.Tuple
+		ok    bool
+	)
+	fetch := func() error {
+		var err error
+		tup, ok, err = r.table.FetchInto(r.io, rid)
+		return err
+	}
+	for len(batch) < r.batchSize && r.pos < len(r.rids) {
+		rid = r.rids[r.pos]
 		r.pos++
 		if r.pos%ridFetchCtxStride == 0 {
 			if err := ctxErr(r.ctx); err != nil {
 				return nil, false, err
 			}
 		}
-		var tup value.Tuple
-		var ok bool
-		err := fault.Retry(r.ctx, r.clock, r.retry, func() error {
-			var ferr error
-			tup, ok, ferr = r.table.FetchInto(r.io, rid)
-			return ferr
-		}, r.onRetry)
-		if err != nil {
+		if err := fault.Retry(r.ctx, r.clock, r.retry, fetch, r.onRetry); err != nil {
 			return nil, false, err
 		}
-		if ok {
-			return tup, false, nil
+		if !ok {
+			continue // row deleted since the index was read
 		}
-		// Row deleted since the index was read: skip.
+		if batch == nil {
+			batch = make(Batch, 0, min(r.batchSize, len(r.rids)-r.pos+1))
+		}
+		batch = append(batch, tup)
 	}
-	return nil, true, nil
+	if len(batch) == 0 {
+		return nil, true, nil
+	}
+	return batch, false, nil
 }
 
 func (r *ridFetch) Close() { r.rids = nil }
 
-// filter drops tuples failing the predicate.
-type filter struct {
-	child Iterator
-	pred  expr.Expr
-}
-
-func (f *filter) Schema() *value.Schema { return f.child.Schema() }
-
-func (f *filter) Next() (value.Tuple, bool, error) {
-	for {
-		t, done, err := f.child.Next()
-		if done || err != nil {
-			return nil, done, err
-		}
-		if f.pred.Eval(f.child.Schema(), t) {
-			return t, false, nil
-		}
-	}
-}
-
-func (f *filter) Close() { f.child.Close() }
-
-// project narrows columns.
-type project struct {
-	child  Iterator
-	ords   []int
-	schema *value.Schema
-}
-
-func newProject(child Iterator, cols []string) (Iterator, error) {
-	if len(cols) == 0 {
-		return child, nil
-	}
-	ords, schema, err := projectOrds(child.Schema(), cols)
-	if err != nil {
-		return nil, err
-	}
-	return &project{child: child, ords: ords, schema: schema}, nil
-}
-
-// projectOrds resolves projection columns against the input schema,
-// shared by the tuple and batch projection operators.
+// projectOrds resolves projection columns against the input schema.
 func projectOrds(in *value.Schema, cols []string) ([]int, *value.Schema, error) {
 	ords := make([]int, len(cols))
 	outCols := make([]value.Column, len(cols))
@@ -454,46 +263,9 @@ func projectOrds(in *value.Schema, cols []string) ([]int, *value.Schema, error) 
 	return ords, schema, nil
 }
 
-func (p *project) Schema() *value.Schema { return p.schema }
-
-func (p *project) Next() (value.Tuple, bool, error) {
-	t, done, err := p.child.Next()
-	if done || err != nil {
-		return nil, done, err
-	}
-	out := make(value.Tuple, len(p.ords))
-	for i, o := range p.ords {
-		out[i] = t[o]
-	}
-	return out, false, nil
-}
-
-func (p *project) Close() { p.child.Close() }
-
-// predict appends the model's predicted class as a new column.
-type predict struct {
-	child   Iterator
-	binding mining.Binding
-	schema  *value.Schema
-	buf     value.Tuple
-}
-
-func newPredict(child Iterator, me *catalog.ModelEntry, as string) (Iterator, error) {
-	b, schema, err := predictBinding(child.Schema(), me, as)
-	if err != nil {
-		return nil, err
-	}
-	return &predict{
-		child:   child,
-		binding: b,
-		schema:  schema,
-		buf:     make(value.Tuple, len(b.Ordinals)),
-	}, nil
-}
-
 // predictBinding resolves a model against the input schema and builds
 // the output schema with the predicted column appended, shared by the
-// tuple and batch prediction-join operators.
+// prediction-join operator and the fused aggregation pipeline.
 func predictBinding(in *value.Schema, me *catalog.ModelEntry, as string) (mining.Binding, *value.Schema, error) {
 	b, ok := mining.Bind(me.Model, in)
 	if !ok {
@@ -511,42 +283,3 @@ func predictBinding(in *value.Schema, me *catalog.ModelEntry, as string) (mining
 	}
 	return b, schema, nil
 }
-
-func (p *predict) Schema() *value.Schema { return p.schema }
-
-func (p *predict) Next() (value.Tuple, bool, error) {
-	t, done, err := p.child.Next()
-	if done || err != nil {
-		return nil, done, err
-	}
-	cls := p.binding.PredictInto(t, p.buf)
-	out := make(value.Tuple, len(t)+1)
-	copy(out, t)
-	out[len(t)] = cls
-	return out, false, nil
-}
-
-func (p *predict) Close() { p.child.Close() }
-
-// limit stops after n rows.
-type limit struct {
-	child Iterator
-	n     int64
-	seen  int64
-}
-
-func (l *limit) Schema() *value.Schema { return l.child.Schema() }
-
-func (l *limit) Next() (value.Tuple, bool, error) {
-	if l.seen >= l.n {
-		return nil, true, nil
-	}
-	t, done, err := l.child.Next()
-	if done || err != nil {
-		return nil, done, err
-	}
-	l.seen++
-	return t, false, nil
-}
-
-func (l *limit) Close() { l.child.Close() }

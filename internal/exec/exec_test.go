@@ -1,14 +1,18 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"minequery/internal/agg"
 	"minequery/internal/catalog"
 	"minequery/internal/expr"
 	"minequery/internal/plan"
+	"minequery/internal/qerr"
+	"minequery/internal/storage"
 	"minequery/internal/value"
 )
 
@@ -47,11 +51,22 @@ func testDB(t *testing.T, rows int) (*catalog.Catalog, *catalog.Table) {
 	return c, tb
 }
 
+// runPlan executes a plan on the operators under test.
 func runPlan(t *testing.T, c *catalog.Catalog, n plan.Node) []value.Tuple {
 	t.Helper()
-	rows, _, err := Run(c, n)
+	rows, _, err := RunOpts(c, n, Options{})
 	if err != nil {
 		t.Fatalf("run %s: %v", plan.Signature(n), err)
+	}
+	return rows
+}
+
+// refRows evaluates a plan on the per-row reference (reference_test.go).
+func refRows(t *testing.T, c *catalog.Catalog, n plan.Node) []value.Tuple {
+	t.Helper()
+	rows, _, err := refRun(c, n)
+	if err != nil {
+		t.Fatalf("reference %s: %v", plan.Signature(n), err)
 	}
 	return rows
 }
@@ -102,7 +117,7 @@ func TestConstScanReturnsNothing(t *testing.T) {
 func TestIndexSeekEquality(t *testing.T) {
 	c, _ := testDB(t, 2000)
 	pred := expr.Cmp{Col: "cat", Op: expr.OpEq, Val: value.Str("c3")}
-	want := runPlan(t, c, &plan.Filter{Child: &plan.SeqScan{Table: "t"}, Pred: pred})
+	want := refRows(t, c, &plan.Filter{Child: &plan.SeqScan{Table: "t"}, Pred: pred})
 	got := runPlan(t, c, &plan.IndexSeek{
 		Table: "t", Index: "ix_cat", EqVals: []value.Value{value.Str("c3")},
 	})
@@ -121,7 +136,7 @@ func TestIndexSeekCompositeWithRange(t *testing.T) {
 		expr.Cmp{Col: "num", Op: expr.OpGe, Val: value.Int(20)},
 		expr.Cmp{Col: "num", Op: expr.OpLe, Val: value.Int(40)},
 	)
-	want := runPlan(t, c, &plan.Filter{Child: &plan.SeqScan{Table: "t"}, Pred: pred})
+	want := refRows(t, c, &plan.Filter{Child: &plan.SeqScan{Table: "t"}, Pred: pred})
 	seek := &plan.IndexSeek{
 		Table: "t", Index: "ix_cat_num",
 		EqVals: []value.Value{value.Str("c1")},
@@ -143,7 +158,7 @@ func TestIndexSeekExclusiveBoundsViaFilter(t *testing.T) {
 		expr.Cmp{Col: "num", Op: expr.OpGt, Val: value.Int(90)},
 		expr.Cmp{Col: "num", Op: expr.OpLt, Val: value.Int(95)},
 	)
-	want := runPlan(t, c, &plan.Filter{Child: &plan.SeqScan{Table: "t"}, Pred: pred})
+	want := refRows(t, c, &plan.Filter{Child: &plan.SeqScan{Table: "t"}, Pred: pred})
 	seek := &plan.IndexSeek{
 		Table: "t", Index: "ix_num",
 		Lo: &plan.Bound{Val: value.Int(90), Inc: false},
@@ -162,14 +177,88 @@ func TestIndexUnionDeduplicates(t *testing.T) {
 		expr.Cmp{Col: "cat", Op: expr.OpEq, Val: value.Str("c2")},
 		expr.Cmp{Col: "num", Op: expr.OpGe, Val: value.Int(95)},
 	)
-	want := runPlan(t, c, &plan.Filter{Child: &plan.SeqScan{Table: "t"}, Pred: pred})
+	want := refRows(t, c, &plan.Filter{Child: &plan.SeqScan{Table: "t"}, Pred: pred})
 	union := &plan.IndexUnion{Table: "t", Seeks: []*plan.IndexSeek{
 		{Table: "t", Index: "ix_cat", EqVals: []value.Value{value.Str("c2")}},
 		{Table: "t", Index: "ix_num", Lo: &plan.Bound{Val: value.Int(95), Inc: true}},
 	}}
+	// Exact positional equality with the heap-order reference: each row
+	// once (overlap deduplicated) and fetched in heap order.
 	got := runPlan(t, c, &plan.Filter{Child: union, Pred: pred})
-	if !sameRows(got, want) {
-		t.Fatalf("index union: %d rows, want %d", len(got), len(want))
+	if !sameOrderedRows(got, want) {
+		t.Fatalf("index union: %d rows, want %d in heap order", len(got), len(want))
+	}
+}
+
+// TestRIDFetchSkipsDeletedRows deletes rows after the seek has
+// materialized its RID list: the fetch must skip the dead RIDs and still
+// fill every batch but the last to BatchSize from live rows.
+func TestRIDFetchSkipsDeletedRows(t *testing.T) {
+	const rows, batchSize = 2000, 32
+	c, tb := testDB(t, rows)
+	it, err := BuildBatch(c, &plan.IndexSeek{Table: "t", Index: "ix_num"}, Options{BatchSize: batchSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	deleted := map[int64]bool{}
+	var victims []storage.RID
+	tb.Heap.Scan(func(rid storage.RID, rec []byte) bool {
+		row, err := value.DecodeTuple(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id := row[0].AsInt(); id%3 == 0 {
+			victims = append(victims, rid)
+			deleted[id] = true
+		}
+		return true
+	})
+	for _, rid := range victims {
+		tb.Heap.Delete(rid)
+	}
+	total, short := 0, 0
+	for {
+		b, done, err := it.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			break
+		}
+		if short > 0 {
+			t.Fatal("a short batch was followed by another batch")
+		}
+		if len(b) < batchSize {
+			short++
+		}
+		for _, row := range b {
+			if deleted[row[0].AsInt()] {
+				t.Fatalf("fetched deleted row %v", row)
+			}
+		}
+		total += len(b)
+	}
+	if want := rows - len(victims); total != want {
+		t.Fatalf("fetched %d rows, want %d live", total, want)
+	}
+}
+
+// TestLimitOverIndexSeekStopsFetching: a satisfied Limit never asks its
+// child for a second batch, so the fetch stops after one batch of RIDs.
+func TestLimitOverIndexSeekStopsFetching(t *testing.T) {
+	c, _ := testDB(t, 2000)
+	col := NewCollector()
+	p := &plan.Limit{Child: &plan.IndexSeek{Table: "t", Index: "ix_num"}, N: 5}
+	rows, _, err := RunOpts(c, p, Options{BatchSize: 16, Collector: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 5 {
+		t.Fatalf("limit returned %d rows", len(rows))
+	}
+	if io := col.IO.Snapshot(); io.RandPageReads != 16 || io.TupleReads != 16 {
+		t.Fatalf("fetched %d pages / %d tuples for LIMIT 5; want one batch of 16", io.RandPageReads, io.TupleReads)
 	}
 }
 
@@ -179,33 +268,21 @@ func TestProjectAndLimit(t *testing.T) {
 		Child: &plan.Project{Child: &plan.SeqScan{Table: "t"}, Cols: []string{"cat", "id"}},
 		N:     7,
 	}
-	it, err := Build(c, p)
+	it, err := BuildBatch(c, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer it.Close()
 	if it.Schema().Len() != 2 || it.Schema().Col(0).Name != "cat" {
 		t.Fatalf("projected schema = %v", it.Schema())
 	}
-	n := 0
-	for {
-		_, done, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-		n++
-	}
-	if n != 7 {
+	if n := len(drainBatches(t, it)); n != 7 {
 		t.Fatalf("limit returned %d rows", n)
 	}
 }
 
 func TestProjectMissingColumn(t *testing.T) {
 	c, _ := testDB(t, 10)
-	_, err := Build(c, &plan.Project{Child: &plan.SeqScan{Table: "t"}, Cols: []string{"nope"}})
+	_, err := BuildBatch(c, &plan.Project{Child: &plan.SeqScan{Table: "t"}, Cols: []string{"nope"}}, Options{})
 	if err == nil {
 		t.Error("projecting a missing column should fail")
 	}
@@ -230,7 +307,7 @@ func TestPredictAppendsColumn(t *testing.T) {
 	c, _ := testDB(t, 200)
 	c.RegisterModel(catModel{}, nil)
 	p := &plan.Predict{Child: &plan.SeqScan{Table: "t"}, Model: "catmod", As: "m.cls"}
-	rows, schema, err := Run(c, p)
+	rows, schema, err := RunOpts(c, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,12 +330,19 @@ func TestPredictVersionInvalidation(t *testing.T) {
 	c, _ := testDB(t, 10)
 	me := c.RegisterModel(catModel{}, nil)
 	p := &plan.Predict{Child: &plan.SeqScan{Table: "t"}, Model: "catmod", As: "m.cls", Version: me.Version}
-	if _, _, err := Run(c, p); err != nil {
-		t.Fatalf("current-version plan should run: %v", err)
+	// Both guard sites: the Predict operator and the fused aggregation
+	// pipeline, which binds its prediction joins itself.
+	plans := []plan.Node{p, aggPlan(p, []string{"m.cls"}, []agg.Item{{Func: agg.None, Col: "m.cls"}, {Func: agg.Count, Star: true}})}
+	for _, n := range plans {
+		if _, _, err := RunOpts(c, n, Options{}); err != nil {
+			t.Fatalf("%s: current-version plan should run: %v", plan.Signature(n), err)
+		}
 	}
 	c.RegisterModel(catModel{}, nil) // retrain bumps version
-	if _, _, err := Run(c, p); err == nil {
-		t.Error("plan pinned to a stale model version must be invalidated")
+	for _, n := range plans {
+		if _, _, err := RunOpts(c, n, Options{}); !errors.Is(err, qerr.ErrPlanInvalidated) {
+			t.Errorf("%s: err = %v, want ErrPlanInvalidated for a plan pinned to a stale model version", plan.Signature(n), err)
+		}
 	}
 }
 
@@ -279,8 +363,8 @@ func TestBuildErrors(t *testing.T) {
 		&plan.Predict{Child: &plan.SeqScan{Table: "missing"}, Model: "m", As: "x"},
 	}
 	for _, n := range cases {
-		if _, err := Build(c, n); err == nil {
-			t.Errorf("Build(%s) should fail", n.Describe())
+		if _, err := BuildBatch(c, n, Options{}); err == nil {
+			t.Errorf("BuildBatch(%s) should fail", n.Describe())
 		}
 	}
 }
@@ -288,7 +372,7 @@ func TestBuildErrors(t *testing.T) {
 func TestPredictUnboundModel(t *testing.T) {
 	c, _ := testDB(t, 10)
 	c.RegisterModel(wrongColsModel{}, nil)
-	_, err := Build(c, &plan.Predict{Child: &plan.SeqScan{Table: "t"}, Model: "wrong", As: "x"})
+	_, err := BuildBatch(c, &plan.Predict{Child: &plan.SeqScan{Table: "t"}, Model: "wrong", As: "x"}, Options{})
 	if err == nil {
 		t.Error("model with unbound input columns should fail to build")
 	}

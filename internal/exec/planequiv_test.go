@@ -28,7 +28,7 @@ func equivCheck(t *testing.T, c *catalogAndTable, pred expr.Expr, cfg opt.Config
 	t.Helper()
 	res := opt.ChooseAccessPath(c.tb, pred, cfg)
 	forced := &plan.Filter{Child: &plan.SeqScan{Table: c.tb.Name}, Pred: pred}
-	want, _, err := Run(c.cat, forced)
+	want, _, err := refRun(c.cat, forced)
 	if err != nil {
 		t.Fatalf("forced scan: %v", err)
 	}
@@ -244,7 +244,7 @@ func TestPlanEquivalenceColumnar(t *testing.T) {
 				Pred:  pred,
 			}
 			forced := &plan.Filter{Child: &plan.SeqScan{Table: db.tb.Name}, Pred: pred}
-			want, _, err := Run(db.cat, forced)
+			want, _, err := refRun(db.cat, forced)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -315,7 +315,7 @@ func TestPlanEquivalenceMiningPredicate(t *testing.T) {
 			Child: &plan.Predict{Child: &plan.SeqScan{Table: "t"}, Model: "dt", As: "dt.cls"},
 			Pred:  classPred,
 		}
-		want, _, err := Run(cc, forced)
+		want, _, err := refRun(cc, forced)
 		if err != nil {
 			t.Fatal(err)
 		}

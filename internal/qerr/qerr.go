@@ -30,6 +30,11 @@ var (
 	// next write to the table. Treating it as a wholesale failure — and
 	// e.g. re-issuing the statement — double-applies the write.
 	ErrRetrainFailed = errors.New("retrain failed after committed write")
+	// ErrPlanInvalidated marks an execution refused because a model the
+	// plan pins by version has since been retrained or replaced. The
+	// executor raises it when building the plan's operators; the engine
+	// reports it to callers as a stale plan, to be re-prepared.
+	ErrPlanInvalidated = errors.New("plan invalidated")
 	// ErrTransient marks a failure that may succeed on retry: a flaky
 	// page read, a stalled I/O completing late. The executor retries
 	// these with bounded backoff, and — when retries are exhausted on an

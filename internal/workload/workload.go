@@ -287,27 +287,29 @@ func Run(spec *dataset.Spec, kind ModelKind, cfg Config) (*Result, error) {
 	envCount := make(map[string]int64, len(classes))
 	total := int64(0)
 	buf := make(value.Tuple, len(model.InputColumns()))
-	scanIt, err := exec.Build(cat, &plan.SeqScan{Table: spec.Name})
+	scanIt, err := exec.BuildBatch(cat, &plan.SeqScan{Table: spec.Name}, exec.Options{})
 	if err != nil {
 		return nil, err
 	}
+	defer scanIt.Close()
 	for {
-		row, done, err := scanIt.Next()
+		batch, done, err := scanIt.NextBatch()
 		if err != nil {
 			return nil, err
 		}
 		if done {
 			break
 		}
-		total++
-		predCount[binding.PredictInto(row, buf).String()]++
-		for _, c := range classes {
-			if env, ok := der.Envelopes[c.String()]; ok && env.Eval(table.Schema, row) {
-				envCount[c.String()]++
+		for _, row := range batch {
+			total++
+			predCount[binding.PredictInto(row, buf).String()]++
+			for _, c := range classes {
+				if env, ok := der.Envelopes[c.String()]; ok && env.Eval(table.Schema, row) {
+					envCount[c.String()]++
+				}
 			}
 		}
 	}
-	scanIt.Close()
 
 	// Per-class measurements.
 	for _, c := range classes {

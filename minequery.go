@@ -691,7 +691,11 @@ func (e *Engine) Query(ctx context.Context, sql string, opts ...QueryOption) (*R
 	if err != nil {
 		return nil, err
 	}
-	return e.runQuery(ctx, sql, qc)
+	p, err := e.compile(sql, qc)
+	if err != nil {
+		return nil, err
+	}
+	return p.run(ctx, qc)
 }
 
 // ExplainAnalyze runs the query with envelope attribution enabled and
@@ -715,59 +719,6 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, sql string, opts ...QueryOp
 // deltas, which concurrent queries pollute — off exists for measuring
 // instrumentation overhead, not for production use.
 func (e *Engine) SetInstrumentation(on bool) { e.noInstrument.Store(!on) }
-
-func (e *Engine) runQuery(ctx context.Context, sql string, qc queryConfig) (*Result, error) {
-	em := e.metrics.Load()
-	stageStart := time.Now()
-	q, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	em.stage("parse", time.Since(stageStart))
-	t, ok := e.cat.Table(q.Table)
-	if !ok {
-		return nil, fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, q.Table)
-	}
-	if err := e.validateAggregate(q, t); err != nil {
-		return nil, err
-	}
-	if qc.partialAggs && !q.Grouped() {
-		return nil, fmt.Errorf("minequery: %w: partial-aggregate execution requires GROUP BY or aggregate select items", qerr.ErrUnsupportedQuery)
-	}
-	stageStart = time.Now()
-	var rw *core.Rewrite
-	if qc.baseline {
-		rw, err = core.BaselineRewrite(q, e.cat, e.optCfg.MaxDisjuncts)
-	} else {
-		rw, err = core.RewriteQueryCached(q, e.cat, e.optCfg.MaxDisjuncts, e.envCache)
-	}
-	if err != nil {
-		return nil, err
-	}
-	em.stage("rewrite", time.Since(stageStart))
-	stageStart = time.Now()
-	root, fallback, res := e.buildPlan(q, t, rw, qc.forcedPath == "seqscan")
-	em.stage("optimize", time.Since(stageStart))
-	if qc.noFallback {
-		fallback = nil
-	}
-	execOpts := e.execOpts
-	if qc.dop > 0 {
-		execOpts.DOP = qc.dop
-	}
-	var analyzeBase expr.Expr
-	if qc.analyze {
-		// The attribution baseline is the query's own predicate projected
-		// to data columns — what the scan-level filter would have been
-		// without envelope augmentation.
-		baseRw, err := core.BaselineRewrite(q, e.cat, e.optCfg.MaxDisjuncts)
-		if err != nil {
-			return nil, err
-		}
-		analyzeBase = baseRw.DataPred
-	}
-	return e.executePlan(ctx, t, root, fallback, res, rw, execOpts, analyzeBase, qc.partialAggs)
-}
 
 // validateAggregate checks an aggregate query's shape at plan time, so
 // unsupported forms fail with ErrUnsupportedQuery before any execution
@@ -838,28 +789,27 @@ func aggItems(q *sqlparse.Query) []agg.Item {
 	return items
 }
 
-// executePlan runs an assembled physical plan and packages the Result.
-// It is shared by the one-shot query path and prepared statements, so
-// both produce identical output for identical plans. analyzeBase, when
-// non-nil, enables envelope-vs-residual rejection attribution on the
-// scan-level filter (the WithAnalyze path).
+// executePlan runs the statement's physical plan and packages the
+// Result. analyzeBase, when non-nil, enables envelope-vs-residual
+// rejection attribution on the scan-level filter (the WithAnalyze path).
 //
 // Graceful degradation: when the optimized (index-path) plan fails with
-// a transient error that survived the retry layer, and fallbackRoot is
-// non-nil, the query is re-run once on the fallback — the always-sound
-// filtered sequential scan pipeline. The fallback returns exactly the
-// rows the optimized plan would have (index paths only overscan and
-// re-filter), so degradation can never change an answer; the switch is
-// recorded on the Result (Fallback, FallbackReason, a rewrite note) and
-// in the minequery_fallbacks_total metric. A dead context is never
-// retried: cancellation/deadline errors surface as-is.
-func (e *Engine) executePlan(ctx context.Context, t *catalog.Table, root, fallbackRoot plan.Node, res opt.Result, rw *core.Rewrite, execOpts exec.Options, analyzeBase expr.Expr, partial bool) (*Result, error) {
-	r, err := e.runPlanOnce(ctx, t, root, res, rw, execOpts, analyzeBase, partial)
-	if err == nil || fallbackRoot == nil || !errors.Is(err, qerr.ErrTransient) || ctx.Err() != nil {
+// a transient error that survived the retry layer, and the statement has
+// a fallback (and the call did not disable it), the query is re-run once
+// on the fallback — the always-sound filtered sequential scan pipeline.
+// The fallback returns exactly the rows the optimized plan would have
+// (index paths only overscan and re-filter), so degradation can never
+// change an answer; the switch is recorded on the Result (Fallback,
+// FallbackReason, a rewrite note) and in the minequery_fallbacks_total
+// metric. A dead context is never retried: cancellation/deadline errors
+// surface as-is.
+func (p *Prepared) executePlan(ctx context.Context, execOpts exec.Options, analyzeBase expr.Expr, qc queryConfig) (*Result, error) {
+	r, err := p.runPlanOnce(ctx, p.root, execOpts, analyzeBase, qc.partialAggs)
+	if err == nil || p.fallback == nil || qc.noFallback || !errors.Is(err, qerr.ErrTransient) || ctx.Err() != nil {
 		return r, err
 	}
 	reason := err.Error()
-	fr, ferr := e.runPlanOnce(ctx, t, fallbackRoot, res, rw, execOpts, analyzeBase, partial)
+	fr, ferr := p.runPlanOnce(ctx, p.fallback, execOpts, analyzeBase, qc.partialAggs)
 	if ferr != nil {
 		// The degraded path failed too; surface the original failure,
 		// which names the index path the query actually chose.
@@ -873,13 +823,15 @@ func (e *Engine) executePlan(ctx context.Context, t *catalog.Table, root, fallba
 		fr.Analyze.Fallback = true
 		fr.Analyze.FallbackReason = reason
 	}
-	e.metrics.Load().fallback()
+	p.eng.metrics.Load().fallback()
 	return fr, nil
 }
 
-// runPlanOnce executes one plan tree and packages the Result; it is the
-// single-attempt core under executePlan's degradation wrapper.
-func (e *Engine) runPlanOnce(ctx context.Context, t *catalog.Table, root plan.Node, res opt.Result, rw *core.Rewrite, execOpts exec.Options, analyzeBase expr.Expr, partial bool) (*Result, error) {
+// runPlanOnce executes one plan tree — the statement's root or its
+// fallback — and packages the Result; it is the single-attempt core
+// under executePlan's degradation wrapper.
+func (p *Prepared) runPlanOnce(ctx context.Context, root plan.Node, execOpts exec.Options, analyzeBase expr.Expr, partial bool) (*Result, error) {
+	e, t, res := p.eng, p.table, p.optRes
 	var col *exec.Collector
 	if !e.noInstrument.Load() {
 		col = exec.NewCollector()
@@ -900,13 +852,11 @@ func (e *Engine) runPlanOnce(ctx context.Context, t *catalog.Table, root plan.No
 	)
 	if partial {
 		// Partial-aggregate mode: run only the Partial producer and
-		// return its un-finalized state for a coordinator to merge.
-		part := partialAggOf(root)
-		if part == nil {
-			return nil, fmt.Errorf("minequery: %w: partial-aggregate execution requires an aggregate plan", qerr.ErrUnsupportedQuery)
-		}
+		// return its un-finalized state for a coordinator to merge. run
+		// admitted only aggregate statements, whose plans always carry
+		// the Partial/Final pair.
 		var tab *agg.Table
-		tab, err = exec.RunPartialAgg(ctx, e.cat, part, execOpts)
+		tab, err = exec.RunPartialAgg(ctx, e.cat, partialAggOf(root), execOpts)
 		if err == nil {
 			wire = tab.EncodeWire()
 			// Columns still describe the merged-and-finalized output, so a
@@ -960,7 +910,7 @@ func (e *Engine) runPlanOnce(ctx context.Context, t *catalog.Table, root plan.No
 		AccessPath:       plan.PathOf(root).String(),
 		PlanChanged:      plan.Changed(root),
 		EstSelectivity:   res.EstSelectivity,
-		RewriteNotes:     rw.Notes,
+		RewriteNotes:     p.rewrite.Notes,
 		Stats:            st,
 		Retries:          retries,
 		PartitionsTotal:  res.PartsTotal,
@@ -1143,24 +1093,16 @@ func (e *Engine) Explain(sql string) (string, error) {
 	if st.Kind != sqlparse.StmtSelect {
 		return e.explainStatement(st)
 	}
-	q := st.Select
-	t, ok := e.cat.Table(q.Table)
-	if !ok {
-		return "", fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, q.Table)
-	}
-	if err := e.validateAggregate(q, t); err != nil {
-		return "", err
-	}
-	rw, err := core.RewriteQueryCached(q, e.cat, e.optCfg.MaxDisjuncts, e.envCache)
+	p, err := e.front(sql, st.Select, false)
 	if err != nil {
 		return "", err
 	}
-	root, _, _ := e.buildPlan(q, t, rw, false)
+	root, _, _ := e.buildPlan(p.query, p.table, p.rewrite, false)
 	var b strings.Builder
 	b.WriteString(plan.Explain(root))
-	if len(rw.Notes) > 0 {
+	if len(p.rewrite.Notes) > 0 {
 		b.WriteString("rewrites:\n")
-		for _, n := range rw.Notes {
+		for _, n := range p.rewrite.Notes {
 			b.WriteString("  " + n + "\n")
 		}
 	}

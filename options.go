@@ -5,8 +5,8 @@ import "fmt"
 // QueryOption adjusts one Query, Prepare, or Execute call. Options are
 // the single per-call knob surface: the same set is accepted by
 // Engine.Query (all options), Engine.Prepare (plan-shaping options:
-// WithForcedPath), and Prepared.Execute (execution options: WithDOP,
-// WithAnalyze).
+// WithForcedPath, WithBaseline), and Prepared.Execute (execution
+// options: WithDOP, WithAnalyze, WithNoFallback, WithPartialAggs).
 type QueryOption func(*queryConfig) error
 
 // queryConfig is the resolved option set for one call.

@@ -3,7 +3,6 @@ package minequery
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"minequery/internal/agg"
 	"minequery/internal/core"
@@ -69,21 +68,11 @@ type PlanOutline struct {
 // as the planning catalog: it must hold the referenced table's schema
 // and the referenced models, but needs no rows.
 func (e *Engine) Outline(sql string) (*PlanOutline, error) {
-	epoch := e.cat.Epoch()
-	em := e.metrics.Load()
-	stageStart := time.Now()
-	q, err := sqlparse.Parse(sql)
+	p, err := e.front(sql, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	em.stage("parse", time.Since(stageStart))
-	t, ok := e.cat.Table(q.Table)
-	if !ok {
-		return nil, fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, q.Table)
-	}
-	if err := e.validateAggregate(q, t); err != nil {
-		return nil, err
-	}
+	q, t, rw := p.query, p.table, p.rewrite
 	var aggSpec *AggSpec
 	if q.Grouped() {
 		sch, err := e.postPredictSchema(q, t)
@@ -96,13 +85,6 @@ func (e *Engine) Outline(sql string) (*PlanOutline, error) {
 			return nil, fmt.Errorf("minequery: %w: %v", qerr.ErrUnsupportedQuery, err)
 		}
 	}
-	stageStart = time.Now()
-	rw, err := core.RewriteQueryCached(q, e.cat, e.optCfg.MaxDisjuncts, e.envCache)
-	if err != nil {
-		return nil, err
-	}
-	em.stage("rewrite", time.Since(stageStart))
-
 	// Mirror the optimizer's pruning input exactly: the data predicate
 	// simplified within the disjunct budget (see opt.ChooseAccessPath).
 	pred := rw.DataPred
@@ -145,7 +127,7 @@ func (e *Engine) Outline(sql string) (*PlanOutline, error) {
 		Agg:          aggSpec,
 		Models:       models,
 		Notes:        rw.Notes,
-		Epoch:        epoch,
+		Epoch:        p.epoch,
 	}, nil
 }
 

@@ -23,25 +23,6 @@ import (
 // produced.
 var ErrStalePlan = errors.New("minequery: prepared plan is stale, re-prepare")
 
-// PrepareOptions tunes statement preparation.
-//
-// Deprecated: pass WithForcedPath("seqscan") to Prepare instead.
-type PrepareOptions struct {
-	// ForceSeqScan pins the access path to a filtered sequential scan,
-	// overriding the cost-based choice (a session-level plan hint).
-	ForceSeqScan bool
-}
-
-// ExecOptions tunes one execution of a prepared statement.
-//
-// Deprecated: pass WithDOP to Prepared.Execute instead.
-type ExecOptions struct {
-	// DOP overrides the engine's degree of parallelism for this
-	// execution only (<=0: engine default). Results are identical at any
-	// DOP; only the scan fan-out changes.
-	DOP int
-}
-
 // Prepared is a parsed, rewritten, and optimized statement whose plan
 // can be executed repeatedly without re-deriving envelopes or re-running
 // the optimizer. It is immutable after Prepare and safe for concurrent
@@ -59,36 +40,55 @@ type Prepared struct {
 	fallback plan.Node
 	optRes   opt.Result
 	epoch    int64
-	forceSeq bool
 }
 
 // Prepare parses, rewrites, and optimizes a SELECT once, returning a
 // statement handle that executes the cached plan. Plan-shaping options
-// (WithForcedPath) are honored here; execution options (WithDOP,
-// WithAnalyze) belong on Execute and are ignored at prepare time.
+// (WithForcedPath, WithBaseline) are honored here; execution options
+// (WithDOP, WithAnalyze, WithNoFallback, WithPartialAggs) belong on
+// Execute and are ignored at prepare time.
 func (e *Engine) Prepare(sql string, opts ...QueryOption) (*Prepared, error) {
 	qc, err := buildQueryConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	return e.PrepareOpts(sql, PrepareOptions{ForceSeqScan: qc.forcedPath == "seqscan"})
+	return e.compile(sql, qc)
 }
 
-// PrepareOpts is Prepare with plan hints.
-//
-// Deprecated: pass WithForcedPath to Prepare instead.
-func (e *Engine) PrepareOpts(sql string, po PrepareOptions) (*Prepared, error) {
+// compile is the one read-path pipeline: front half, then access-path
+// choice and plan assembly under qc's plan-shaping options. Prepare
+// returns its result; ad-hoc Query runs it once and drops it.
+func (e *Engine) compile(sql string, qc queryConfig) (*Prepared, error) {
+	p, err := e.front(sql, nil, qc.baseline)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	p.root, p.fallback, p.optRes = e.buildPlan(p.query, p.table, p.rewrite, qc.forcedPath == "seqscan")
+	e.metrics.Load().stage("optimize", time.Since(start))
+	return p, nil
+}
+
+// front is the plan-independent front half of compile, shared with
+// Outline and Explain: epoch snapshot → parse → table lookup →
+// validateAggregate → rewrite (baseline, or envelopes through the
+// cache). The statement it returns has no physical plan yet. q, when
+// non-nil, is sql already parsed (Explain parses first to dispatch on
+// the statement kind) and the parse is skipped.
+func (e *Engine) front(sql string, q *sqlparse.Query, baseline bool) (*Prepared, error) {
 	// Snapshot the epoch before reading any catalog state: if the
 	// catalog changes while we plan, the statement is born stale rather
 	// than silently half-new.
 	epoch := e.cat.Epoch()
 	em := e.metrics.Load()
-	stageStart := time.Now()
-	q, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
+	if q == nil {
+		start := time.Now()
+		var err error
+		if q, err = sqlparse.Parse(sql); err != nil {
+			return nil, err
+		}
+		em.stage("parse", time.Since(start))
 	}
-	em.stage("parse", time.Since(stageStart))
 	t, ok := e.cat.Table(q.Table)
 	if !ok {
 		return nil, fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, q.Table)
@@ -96,27 +96,19 @@ func (e *Engine) PrepareOpts(sql string, po PrepareOptions) (*Prepared, error) {
 	if err := e.validateAggregate(q, t); err != nil {
 		return nil, err
 	}
-	stageStart = time.Now()
-	rw, err := core.RewriteQueryCached(q, e.cat, e.optCfg.MaxDisjuncts, e.envCache)
+	start := time.Now()
+	var rw *core.Rewrite
+	var err error
+	if baseline {
+		rw, err = core.BaselineRewrite(q, e.cat, e.optCfg.MaxDisjuncts)
+	} else {
+		rw, err = core.RewriteQueryCached(q, e.cat, e.optCfg.MaxDisjuncts, e.envCache)
+	}
 	if err != nil {
 		return nil, err
 	}
-	em.stage("rewrite", time.Since(stageStart))
-	stageStart = time.Now()
-	root, fallback, res := e.buildPlan(q, t, rw, po.ForceSeqScan)
-	em.stage("optimize", time.Since(stageStart))
-	return &Prepared{
-		eng:      e,
-		sql:      sql,
-		query:    q,
-		rewrite:  rw,
-		table:    t,
-		root:     root,
-		fallback: fallback,
-		optRes:   res,
-		epoch:    epoch,
-		forceSeq: po.ForceSeqScan,
-	}, nil
+	em.stage("rewrite", time.Since(start))
+	return &Prepared{eng: e, sql: sql, query: q, rewrite: rw, table: t, epoch: epoch}, nil
 }
 
 // SQL returns the statement text as prepared.
@@ -149,47 +141,48 @@ func (p *Prepared) References() (table string, models []string) {
 // catalog has changed since Prepare — re-prepare and retry. Execution
 // (not planning) is also guarded by the plan's pinned model versions,
 // so a retrain racing past the epoch check still cannot mix plans
-// across model generations. Execution options (WithDOP, WithAnalyze)
-// are honored per call; plan-shaping options are fixed at Prepare.
+// across model generations. Execution options (WithDOP, WithAnalyze,
+// WithNoFallback, WithPartialAggs) are honored per call; plan-shaping
+// options are fixed at Prepare.
 func (p *Prepared) Execute(ctx context.Context, opts ...QueryOption) (*Result, error) {
 	qc, err := buildQueryConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	return p.execute(ctx, qc)
-}
-
-// ExecuteOpts is Execute with per-call overrides.
-//
-// Deprecated: pass WithDOP to Execute instead.
-func (p *Prepared) ExecuteOpts(ctx context.Context, eo ExecOptions) (*Result, error) {
-	return p.execute(ctx, queryConfig{dop: eo.DOP})
-}
-
-func (p *Prepared) execute(ctx context.Context, qc queryConfig) (*Result, error) {
 	if !p.Valid() {
 		return nil, ErrStalePlan
 	}
-	opts := p.eng.execOpts
+	return p.run(ctx, qc)
+}
+
+// run executes the compiled plan under one call's execution options. It
+// is everything Execute and ad-hoc Query share; only Execute checks the
+// epoch first, since an ad-hoc plan was compiled for this very call.
+func (p *Prepared) run(ctx context.Context, qc queryConfig) (*Result, error) {
+	e := p.eng
+	if qc.partialAggs && !p.query.Grouped() {
+		return nil, fmt.Errorf("minequery: %w: partial-aggregate execution requires GROUP BY or aggregate select items", qerr.ErrUnsupportedQuery)
+	}
+	execOpts := e.execOpts
 	if qc.dop > 0 {
-		opts.DOP = qc.dop
+		execOpts.DOP = qc.dop
 	}
 	var analyzeBase expr.Expr
 	if qc.analyze {
-		baseRw, err := core.BaselineRewrite(p.query, p.eng.cat, p.eng.optCfg.MaxDisjuncts)
+		// The attribution baseline is the query's own predicate projected
+		// to data columns — what the scan-level filter would have been
+		// without envelope augmentation.
+		baseRw, err := core.BaselineRewrite(p.query, e.cat, e.optCfg.MaxDisjuncts)
 		if err != nil {
 			return nil, err
 		}
 		analyzeBase = baseRw.DataPred
 	}
-	fallback := p.fallback
-	if qc.noFallback {
-		fallback = nil
-	}
-	res, err := p.eng.executePlan(ctx, p.table, p.root, fallback, p.optRes, p.rewrite, opts, analyzeBase, qc.partialAggs)
-	if err != nil && strings.Contains(err.Error(), "plan invalidated") {
-		// The exec-layer version guard fired: a model changed between the
-		// epoch check and plan build-out. Surface it as staleness.
+	res, err := p.executePlan(ctx, execOpts, analyzeBase, qc)
+	if errors.Is(err, qerr.ErrPlanInvalidated) {
+		// The exec-layer version guard fired: a model changed between
+		// compilation (or the epoch check) and plan build-out. Surface it
+		// as staleness.
 		return nil, fmt.Errorf("%w (%v)", ErrStalePlan, err)
 	}
 	return res, err

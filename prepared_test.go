@@ -41,7 +41,7 @@ func TestPreparedMatchesQueryAtAnyDOP(t *testing.T) {
 		t.Fatal("freshly prepared statement must be valid")
 	}
 	for _, dop := range []int{1, 4} {
-		got, err := p.ExecuteOpts(context.Background(), ExecOptions{DOP: dop})
+		got, err := p.Execute(context.Background(), WithDOP(dop))
 		if err != nil {
 			t.Fatalf("DOP %d: %v", dop, err)
 		}
@@ -152,7 +152,7 @@ func TestPreparedForceSeqScan(t *testing.T) {
 	if free.AccessPath() == "seqscan" {
 		t.Fatal("fixture must favor an index path for the hint to matter")
 	}
-	pinned, err := e.PrepareOpts(nbQuery, PrepareOptions{ForceSeqScan: true})
+	pinned, err := e.Prepare(nbQuery, WithForcedPath("seqscan"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +169,94 @@ func TestPreparedForceSeqScan(t *testing.T) {
 	}
 	if !rowsEqual(a.Rows, b.Rows) {
 		t.Fatal("forced seqscan changed the result")
+	}
+}
+
+// TestPrepareHonoursBaseline: baseline is a plan-shaping option, so a
+// statement prepared with it must cache the black-box plan Query builds
+// under the same option, not an envelope plan.
+func TestPrepareHonoursBaseline(t *testing.T) {
+	e := seedEngine(t, 20000)
+	trainNB(t, e)
+	if err := e.CreateIndex("ix_age_income", "customers", "age", "income"); err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.Query(context.Background(), nbQuery, WithBaseline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	optimized, err := e.Prepare(nbQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if optimized.Plan() == want.Plan {
+		t.Fatal("fixture must give the envelope rewrite a different plan for the option to matter")
+	}
+	p, err := e.Prepare(nbQuery, WithBaseline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Execute(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.RewriteNotes) != 0 {
+		t.Fatalf("baseline statement carries rewrite notes: %v", got.RewriteNotes)
+	}
+	if got.Plan != want.Plan || p.Plan() != want.Plan {
+		t.Fatalf("prepared baseline plan:\n%s\nwant Query(WithBaseline()) plan:\n%s", got.Plan, want.Plan)
+	}
+	if !rowsEqual(got.Rows, want.Rows) {
+		t.Fatal("prepared baseline rows differ from Query(WithBaseline())")
+	}
+}
+
+// TestPartialAggsNeedAggregate: Query and Prepared.Execute share one
+// run, so the option fails identically on a non-aggregate statement.
+func TestPartialAggsNeedAggregate(t *testing.T) {
+	e := seedEngine(t, 2000)
+	trainNB(t, e)
+	_, queryErr := e.Query(context.Background(), nbQuery, WithPartialAggs())
+	p, err := e.Prepare(nbQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, execErr := p.Execute(context.Background(), WithPartialAggs())
+	for name, err := range map[string]error{"Query": queryErr, "Execute": execErr} {
+		if !errors.Is(err, ErrUnsupportedQuery) {
+			t.Errorf("%s: err = %v, want ErrUnsupportedQuery", name, err)
+		}
+	}
+	if queryErr != nil && execErr != nil && queryErr.Error() != execErr.Error() {
+		t.Errorf("Query said %q, Execute said %q", queryErr, execErr)
+	}
+}
+
+// TestStaleModelVersionIsStalePlan runs a compiled plan whose pinned
+// model version is behind the catalog without the epoch check in front —
+// what an ad-hoc Query sees when a retrain lands between its compile
+// and its run. Both exec-layer guards (the Predict operator and the
+// fused aggregation pipeline) must surface as ErrStalePlan.
+func TestStaleModelVersionIsStalePlan(t *testing.T) {
+	e := seedEngine(t, 2000)
+	trainNB(t, e)
+	for _, sql := range []string{
+		nbQuery,
+		`SELECT m.segment, count(*) FROM customers
+			PREDICTION JOIN segmodel AS m ON m.age = customers.age AND m.income = customers.income
+			GROUP BY m.segment`,
+	} {
+		p, err := e.compile(sql, queryConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.run(context.Background(), queryConfig{}); err != nil {
+			t.Fatalf("current-version plan: %v", err)
+		}
+		trainNB(t, e)
+		if _, err := p.run(context.Background(), queryConfig{}); !errors.Is(err, ErrStalePlan) {
+			t.Errorf("%s\nerr = %v, want ErrStalePlan", sql, err)
+		}
 	}
 }
 
