@@ -135,6 +135,10 @@ type clusterWriteResult struct {
 	RowsAffected  int64    `json:"rows_affected"`
 	ShardsWritten int      `json:"shards_written"`
 	Retrained     []string `json:"retrained"`
+	RetrainErrors []struct {
+		Shard int    `json:"shard"`
+		Error string `json:"error"`
+	} `json:"retrain_errors"`
 }
 
 func (c *clusterClient) execWrite(sql string) (*clusterWriteResult, error) {
@@ -287,6 +291,9 @@ func (c *clusterClient) repl(readLine func() (string, bool)) {
 				res.Statement, res.RowsAffected, res.ShardsWritten)
 			if len(res.Retrained) > 0 {
 				fmt.Printf("-- retrained: %s\n", strings.Join(res.Retrained, ", "))
+			}
+			for _, re := range res.RetrainErrors {
+				fmt.Printf("-- shard %d retrain failed (rows are committed, do not re-issue): %s\n", re.Shard, re.Error)
 			}
 		default:
 			res, err := c.exec(line)

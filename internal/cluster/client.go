@@ -218,6 +218,10 @@ type StatementResponse struct {
 	RowsAffected int64    `json:"rows_affected"`
 	Retrained    []string `json:"retrained"`
 	Epoch        int64    `json:"epoch"`
+	// RetrainError is set when the statement committed on the shard but
+	// the write-volume retrain it triggered failed (still a 200: the
+	// rows are applied, and re-issuing would double-apply them).
+	RetrainError string `json:"retrain_error"`
 }
 
 // ExecStatement runs one write statement on a shard via /v1/exec.

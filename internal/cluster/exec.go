@@ -39,6 +39,17 @@ type StatementResult struct {
 	// Retrained lists models retrained by shard write-volume triggers,
 	// deduplicated across shards.
 	Retrained []string `json:"retrained,omitempty"`
+	// RetrainErrors lists the shards whose triggered retrain failed after
+	// the statement committed there. The write itself succeeded —
+	// RowsAffected is authoritative and must not be re-issued — but those
+	// shards' models are stale until a later write retries the retrain.
+	RetrainErrors []ShardRetrainError `json:"retrain_errors,omitempty"`
+}
+
+// ShardRetrainError is one shard's failed write-volume retrain.
+type ShardRetrainError struct {
+	Shard int    `json:"shard"`
+	Error string `json:"error"`
 }
 
 // Exec runs one write statement across the fleet.
@@ -216,6 +227,9 @@ func (c *Coordinator) mergeWrites(res *StatementResult, shardIDs []int, resps []
 		res.RowsAffected += resps[idx].RowsAffected
 		for _, m := range resps[idx].Retrained {
 			retrained[m] = true
+		}
+		if e := resps[idx].RetrainError; e != "" {
+			res.RetrainErrors = append(res.RetrainErrors, ShardRetrainError{Shard: sh, Error: e})
 		}
 	}
 	if firstErr != nil {

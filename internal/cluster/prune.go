@@ -2,17 +2,16 @@
 // map. A range map is literally a catalog.PartitionSpec whose
 // "partitions" are nodes, so range pruning reuses opt.PruneSpec — the
 // same conservative interval intersection, the same soundness
-// argument. Hash maps get a point-based walk: only equality and IN on
+// argument. Hash maps get a point-based leaf: only equality and IN on
 // the shard column pin hash buckets; everything else keeps all shards.
+// Both are opt.PruneWalk with a different leaf.
 package cluster
 
 import (
-	"strings"
-
 	"minequery/internal/catalog"
 	"minequery/internal/expr"
 	"minequery/internal/opt"
-	"minequery/internal/stats"
+	"minequery/internal/value"
 )
 
 // PruneShards returns, per shard, whether it may hold a row satisfying
@@ -24,71 +23,17 @@ func (m *Map) PruneShards(pred expr.Expr) []bool {
 		spec := &catalog.PartitionSpec{Column: m.Column, Bounds: m.Bounds}
 		return opt.PruneSpec(spec, pred)
 	}
-	return m.hashWalk(pred)
-}
-
-// hashWalk mirrors opt's pruneWalk shapes for hash distribution: And
-// intersects, Or unions, Eq/In on the shard column pin buckets.
-func (m *Map) hashWalk(e expr.Expr) []bool {
 	n := len(m.Shards)
-	switch x := e.(type) {
-	case expr.FalseExpr:
-		return make([]bool, n)
-	case expr.And:
-		keep := allShards(n)
-		for _, k := range x.Kids {
-			kk := m.hashWalk(k)
-			for i := range keep {
-				keep[i] = keep[i] && kk[i]
-			}
-		}
-		return keep
-	case expr.Or:
-		keep := make([]bool, n)
-		for _, k := range x.Kids {
-			kk := m.hashWalk(k)
-			for i := range keep {
-				keep[i] = keep[i] || kk[i]
-			}
-		}
-		return keep
-	case expr.Cmp:
-		if x.Val.IsNull() {
-			// Comparisons against a NULL literal match no row anywhere.
-			return make([]bool, n)
-		}
-		if norm(x.Col) != m.Column || x.Op != expr.OpEq {
+	return opt.PruneWalk(n, pred, func(col string, op expr.CmpOp, vals []value.Value) []bool {
+		if col != m.Column || op != expr.OpEq {
 			// Hash placement scatters ranges across every bucket; only
 			// equality pins one.
-			return allShards(n)
+			return nil
 		}
 		keep := make([]bool, n)
-		keep[hashShard(x.Val, n)] = true
-		return keep
-	case expr.In:
-		if norm(x.Col) != m.Column {
-			return allShards(n)
-		}
-		keep := make([]bool, n)
-		for _, v := range stats.DedupeValues(x.Vals) {
-			if v.IsNull() {
-				continue
-			}
+		for _, v := range vals {
 			keep[hashShard(v, n)] = true
 		}
 		return keep
-	}
-	// TrueExpr, Not, ColCmp, unknown constructs: keep all.
-	return allShards(n)
-}
-
-// norm lowercases a column name (ASCII, matching opt's resolver).
-func norm(s string) string { return strings.ToLower(s) }
-
-func allShards(n int) []bool {
-	keep := make([]bool, n)
-	for i := range keep {
-		keep[i] = true
-	}
-	return keep
+	})
 }

@@ -7,14 +7,19 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 
+	"minequery"
 	"minequery/internal/cluster"
 	"minequery/internal/qerr"
+	"minequery/internal/server"
 )
 
 func TestClusterInsertRoutesByShardKey(t *testing.T) {
@@ -201,5 +206,55 @@ func TestClusterWriteFailurePolicy(t *testing.T) {
 	// SELECT through the write path is a typed rejection.
 	if _, err := tc.coord.Exec(ctx, "SELECT id FROM customers"); err == nil {
 		t.Fatal("SELECT through Exec should be rejected")
+	}
+}
+
+// TestClusterWriteSurfacesShardRetrainFailure pins the partial-success
+// contract through the coordinator: when a broadcast write commits on
+// every shard but the retrain it triggers on one of them fails, the
+// fleet write still succeeds — rows_affected authoritative, HTTP 200,
+// nothing that invites a re-issue — and the result names the shard
+// whose model is now stale. Shard 0 alone gets a model whose training
+// view the statement empties (the deterministic trick of the engine's
+// retrain_failure_test.go).
+func TestClusterWriteSurfacesShardRetrainFailure(t *testing.T) {
+	tc := newTestCluster(t, 3, []int64{3, 6}, 2000, cluster.Config{Retry: fastRetry})
+	ctx := context.Background()
+	if _, err := tc.engines[0].Exec(ctx,
+		"CREATE MODEL vm ON customers PREDICT segment USING dtree AS SELECT age, segment FROM customers WHERE income = 0"); err != nil {
+		t.Fatal(err)
+	}
+	tc.engines[0].SetRetrainPolicy(minequery.RetrainPolicy{WriteThreshold: 1})
+	want, err := tc.union.Exec(ctx, "DELETE FROM customers WHERE income = 0")
+	if err != nil || want.RowsAffected == 0 {
+		t.Fatalf("union delete: %+v, %v", want, err)
+	}
+
+	hs := httptest.NewServer(server.NewCoord(tc.coord, 0).Handler())
+	defer hs.Close()
+	resp, err := http.Post(hs.URL+"/v1/exec", "application/json",
+		strings.NewReader(`{"sql": "DELETE FROM customers WHERE income = 0"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200: a committed write must never look re-issuable", resp.StatusCode)
+	}
+	var res cluster.StatementResult
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+		t.Fatal(err)
+	}
+	if res.RowsAffected != want.RowsAffected || res.ShardsWritten != 3 {
+		t.Fatalf("write result %+v, want %d rows on 3 shards", res, want.RowsAffected)
+	}
+	if len(res.RetrainErrors) != 1 || res.RetrainErrors[0].Shard != 0 ||
+		!strings.Contains(res.RetrainErrors[0].Error, "retrain") {
+		t.Fatalf("retrain_errors = %+v, want shard 0's failed retrain", res.RetrainErrors)
+	}
+	// The delete really committed fleet-wide.
+	cres, err := tc.coord.Execute(ctx, cluster.Request{SQL: "SELECT id FROM customers WHERE income = 0"})
+	if err != nil || len(cres.Rows) != 0 {
+		t.Fatalf("rows survived the delete: %d, %v", len(cres.Rows), err)
 	}
 }

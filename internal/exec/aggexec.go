@@ -1,41 +1,34 @@
-// Aggregate execution: the HashAgg(Final) operator and the partial-
-// aggregate producers it pushes down into the scan.
+// Aggregate execution: the HashAgg(Final) operator and the partial
+// aggregation it pushes down into the scan.
 //
 // The Final operator never receives row batches from a Partial
-// iterator. Instead it owns a partial runner chosen from the shape of
-// the Partial's child pipeline:
+// iterator. It owns one partialAgg driver, which schedules an aggSource
+// picked from the shape of the Partial's child pipeline, gives every
+// worker a private agg.Table, and merges them. Three invariants make
+// the finalized output — and the EXPLAIN ANALYZE counters —
+// byte-identical at any DOP, on any source, to the serial run:
 //
-//   - a fused columnar runner when the leaf is a columnar SeqScan with
-//     a fresh sidecar (selection vectors feed accumulators directly,
-//     or materialize rows first when prediction joins sit above the
-//     scan);
-//   - a fused morsel runner for row-heap SeqScans at DOP > 1 (each
-//     worker claims page-range morsels and accumulates into its own
-//     state);
-//   - a generic runner that drains the ordinary batch pipeline for
-//     everything else (index paths, constant scans, DOP 1).
-//
-// Every runner produces per-worker agg.Tables merged into one. Because
-// partial states are order-independent (see internal/agg), the merged
-// result — and therefore the finalized output — is byte-identical at
-// any DOP, on any path, to the serial run.
+//   - partial states are order-independent (see internal/agg), so
+//     neither the scheduling of units nor the merge order shows;
+//   - a columnar source's warmup prefix runs serially before any unit is
+//     scheduled, so the frozen term order and the per-term counters do
+//     not depend on the DOP;
+//   - a heap page is read one page per retry attempt (scanPages), and a
+//     failed attempt delivers no record, so a retried page never
+//     double-counts into an accumulator.
 package exec
 
 import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"minequery/internal/agg"
 	"minequery/internal/catalog"
 	"minequery/internal/exec/vec"
 	"minequery/internal/expr"
-	"minequery/internal/fault"
 	"minequery/internal/mining"
 	"minequery/internal/plan"
-	"minequery/internal/qerr"
 	"minequery/internal/storage"
 	"minequery/internal/value"
 )
@@ -113,13 +106,9 @@ func newAggPipeline(c *catalog.Catalog, chain *aggChain, opts Options) (*aggPipe
 	}
 	p := &aggPipeline{chain: chain, table: t, schema: t.Schema, baseW: t.Schema.Len()}
 	for _, pr := range chain.predicts {
-		me, ok := c.Model(pr.Model)
-		if !ok {
-			return nil, fmt.Errorf("exec: no model %q", pr.Model)
-		}
-		if pr.Version != 0 && me.Version != pr.Version {
-			return nil, fmt.Errorf("exec: %w: model %q is v%d, plan was optimized at v%d",
-				qerr.ErrPlanInvalidated, pr.Model, me.Version, pr.Version)
+		me, err := lookupModel(c, pr)
+		if err != nil {
+			return nil, err
 		}
 		b, sch, err := predictBinding(p.schema, me, pr.As)
 		if err != nil {
@@ -252,361 +241,13 @@ func (w *aggWorker) finishRow() {
 	w.tab.Add(w.row)
 }
 
-// aggRunner produces the merged partial state for one execution.
-type aggRunner interface {
-	run(spec *agg.Spec) (*agg.Table, error)
-	close()
-}
-
-// ---------------------------------------------------------------------
-// Generic runner: drain the ordinary (instrumented) batch pipeline.
-
-type genericAggRun struct {
-	ctx   context.Context
-	child BatchIterator
-}
-
-func (g *genericAggRun) run(spec *agg.Spec) (*agg.Table, error) {
-	tab := agg.NewTable(spec)
-	for {
-		if err := ctxErr(g.ctx); err != nil {
-			return nil, err
-		}
-		b, done, err := g.child.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return tab, nil
-		}
-		for _, t := range b {
-			tab.Add(t)
-		}
-	}
-}
-
-func (g *genericAggRun) close() { g.child.Close() }
-
-// ---------------------------------------------------------------------
-// Morsel runner: row-heap partial aggregation at DOP > 1.
-
-type morselAggRun struct {
-	ctx  context.Context
-	p    *aggPipeline
-	opts Options
-}
-
-func (m *morselAggRun) run(spec *agg.Spec) (*agg.Table, error) {
-	t := m.p.table
-	morsels := morselRanges(t.PartitionPageRanges(m.p.chain.scan.Partitions), m.opts.MorselPages)
-	workers := m.opts.DOP
-	if workers > len(morsels) {
-		workers = len(morsels)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	claim := new(atomic.Int64)
-	cancel := new(atomic.Bool)
-	tabs := make([]*agg.Table, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		w := m.p.newWorker(spec)
-		tabs[wi] = w.tab
-		var ws *WorkerStats
-		if m.opts.Collector != nil {
-			ws = m.opts.Collector.newWorker()
-		}
-		wg.Add(1)
-		go func(wi int, w *aggWorker) {
-			defer wg.Done()
-			errs[wi] = m.worker(w, morsels, claim, cancel, ws)
-		}(wi, w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := ctxErr(m.ctx); err != nil {
-		return nil, err
-	}
-	out := tabs[0]
-	for _, tb := range tabs[1:] {
-		out.Merge(tb)
-	}
-	return out, nil
-}
-
-// worker claims morsels off the shared cursor, mirroring scanWorker's
-// fault surface: SiteMorselClaim fires per claim, and pages are read
-// one per retry attempt so a transient failure cannot double-count
-// rows into the accumulators.
-func (m *morselAggRun) worker(w *aggWorker, morsels [][2]int, claim *atomic.Int64, cancel *atomic.Bool, ws *WorkerStats) error {
-	t := m.p.table
-	io := ioOf(m.opts.Collector)
-	onRetry := m.opts.onRetry()
-	done := m.ctx.Done()
-	stopped := func() bool {
-		if cancel.Load() {
-			return true
-		}
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-	fail := func(err error) error {
-		cancel.Store(true)
-		return err
-	}
-	for {
-		mi := int(claim.Add(1) - 1)
-		if mi >= len(morsels) {
-			return nil
-		}
-		if stopped() {
-			return nil // run() re-checks the ctx after the join
-		}
-		if ferr := m.opts.Faults.Hit(fault.SiteMorselClaim); ferr != nil {
-			return fail(fmt.Errorf("exec: aggregate scan %s morsel %d: %w", t.Name, mi, ferr))
-		}
-		var start time.Time
-		if ws != nil {
-			start = time.Now()
-		}
-		var decodeErr error
-		decode := func(_ storage.RID, rec []byte) bool {
-			tup, err := value.DecodeTuple(rec)
-			if err != nil {
-				decodeErr = fmt.Errorf("exec: scan %s: %w", t.Name, err)
-				return false
-			}
-			copy(w.row, tup)
-			w.processRow()
-			return true
-		}
-		for pi := morsels[mi][0]; pi < morsels[mi][1]; pi++ {
-			if stopped() {
-				return nil
-			}
-			page := pi
-			if err := fault.Retry(m.ctx, m.opts.Clock, m.opts.Retry, func() error {
-				return t.Heap.ScanPagesInto(io, page, page+1, decode)
-			}, onRetry); err != nil {
-				return fail(fmt.Errorf("exec: scan %s: %w", t.Name, err))
-			}
-			if decodeErr != nil {
-				return fail(decodeErr)
-			}
-		}
-		if ws != nil {
-			ws.Morsels.Add(1)
-			ws.Rows.Add(w.cnt.scanRows)
-			ws.WallNanos.Add(time.Since(start).Nanoseconds())
-		}
-		m.p.flush(&w.cnt, true)
-	}
-}
-
-func (m *morselAggRun) close() {}
-
-// ---------------------------------------------------------------------
-// Columnar runner: selection vectors feed accumulators directly.
-
-type vecAggRun struct {
-	ctx    context.Context
-	p      *aggPipeline
-	core   *vecCore
-	groups []*storage.ColGroup
-	opts   Options
-}
-
-// newVecAggRun builds the fused columnar partial runner, or returns
-// nil — routing to the morsel/generic runner — when the sidecar is
-// stale or missing or the scan filter's shape defeats vectorization.
-func newVecAggRun(ctx context.Context, p *aggPipeline, opts Options) *vecAggRun {
-	t := p.table
-	cs := t.ColumnStore()
-	if cs == nil {
-		return nil
-	}
-	var vp *vec.Pred
-	if p.scanPred != nil {
-		c, ok := vec.Compile(p.scanPred, t.Schema, t.Stats())
-		if !ok {
-			return nil
-		}
-		vp = c
-	}
-	groups := cs.Groups
-	if parts := p.chain.scan.Partitions; parts != nil {
-		keep := make(map[int]bool, len(parts))
-		for _, pt := range parts {
-			keep[pt] = true
-		}
-		groups = nil
-		for _, g := range cs.Groups {
-			if keep[g.Part] {
-				groups = append(groups, g)
-			}
-		}
-	}
-	core := &vecCore{table: t, pred: vp, opts: opts, io: ioOf(opts.Collector)}
-	if col := opts.Collector; col != nil {
-		core.scanSt = col.Op(p.chain.scan)
-		if p.chain.scanFilter != nil {
-			if base := col.envBaseline(p.chain.scanFilter); base != nil {
-				core.filtSt, core.base = col.Op(p.chain.scanFilter), base
-			}
-		}
-	}
-	return &vecAggRun{ctx: ctx, p: p, core: core, groups: groups, opts: opts}
-}
-
-func (v *vecAggRun) run(spec *agg.Spec) (*agg.Table, error) {
-	// Direct accumulation needs only the spec's input ordinals; with
-	// prediction joins or a residual the whole row is materialized.
-	var need []int
-	if len(v.p.binds) == 0 && v.p.postPred == nil {
-		seen := make([]bool, v.p.baseW)
-		for _, g := range spec.GroupBy {
-			seen[g.Ord] = true
-		}
-		for _, it := range spec.Items {
-			if it.Ord >= 0 {
-				seen[it.Ord] = true
-			}
-		}
-		need = make([]int, 0, len(seen))
-		for o, s := range seen {
-			if s {
-				need = append(need, o)
-			}
-		}
-	}
-
-	// Serial warmup in measurement mode, exactly like vecScan, so the
-	// frozen term order (and the EXPLAIN ANALYZE counters) match the
-	// non-aggregated columnar scan over the same predicate.
-	w0 := v.p.newWorker(spec)
-	sc := vec.NewScratch()
-	warm := 0
-	if v.core.pred != nil {
-		warm = warmupGroups
-	}
-	gi := 0
-	for gi < len(v.groups) && gi < warm {
-		if err := ctxErr(v.ctx); err != nil {
-			return nil, err
-		}
-		v.aggGroup(w0, v.groups[gi], sc, need)
-		gi++
-	}
-	if v.core.pred != nil {
-		v.core.pred.Freeze()
-	}
-
-	rem := v.groups[gi:]
-	tab := w0.tab
-	if v.opts.DOP > 1 && len(rem) > 1 {
-		workers := v.opts.DOP
-		if workers > len(rem) {
-			workers = len(rem)
-		}
-		claim := new(atomic.Int64)
-		cancel := new(atomic.Bool)
-		tabs := make([]*agg.Table, workers)
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for wi := 0; wi < workers; wi++ {
-			w := v.p.newWorker(spec)
-			tabs[wi] = w.tab
-			var ws *WorkerStats
-			if v.opts.Collector != nil {
-				ws = v.opts.Collector.newWorker()
-			}
-			wg.Add(1)
-			go func(wi int, w *aggWorker) {
-				defer wg.Done()
-				errs[wi] = v.worker(w, rem, claim, cancel, ws, need)
-			}(wi, w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		for _, tb := range tabs {
-			tab.Merge(tb)
-		}
-	} else {
-		for ; gi < len(v.groups); gi++ {
-			if err := ctxErr(v.ctx); err != nil {
-				return nil, err
-			}
-			v.aggGroup(w0, v.groups[gi], sc, need)
-		}
-	}
-	if err := ctxErr(v.ctx); err != nil {
-		return nil, err
-	}
-	if col := v.opts.Collector; col != nil {
-		col.setVecInfo(v.p.chain.scan, v.core.info())
-	}
-	return tab, nil
-}
-
-func (v *vecAggRun) worker(w *aggWorker, groups []*storage.ColGroup, claim *atomic.Int64, cancel *atomic.Bool, ws *WorkerStats, need []int) error {
-	sc := vec.NewScratch()
-	done := v.ctx.Done()
-	stopped := func() bool {
-		if cancel.Load() {
-			return true
-		}
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-	for {
-		gi := int(claim.Add(1) - 1)
-		if gi >= len(groups) {
-			return nil
-		}
-		if stopped() {
-			return nil // run() re-checks the ctx after the join
-		}
-		if ferr := v.opts.Faults.Hit(fault.SiteMorselClaim); ferr != nil {
-			cancel.Store(true)
-			return fmt.Errorf("exec: columnar aggregate scan %s group %d: %w", v.p.table.Name, gi, ferr)
-		}
-		var start time.Time
-		if ws != nil {
-			start = time.Now()
-		}
-		v.aggGroup(w, groups[gi], sc, need)
-		if ws != nil {
-			ws.Morsels.Add(1)
-			ws.Rows.Add(int64(groups[gi].N))
-			ws.WallNanos.Add(time.Since(start).Nanoseconds())
-		}
-	}
-}
-
-// aggGroup accumulates one column group's surviving rows. need, when
-// non-nil, lists the only base ordinals the spec reads (the direct
-// path); nil materializes the whole row for predicts and the residual.
-func (v *vecAggRun) aggGroup(w *aggWorker, g *storage.ColGroup, sc *vec.Scratch, need []int) {
-	sel, n := v.core.selectGroup(g, sc)
-	p := v.p
+// aggGroup accumulates one column group's surviving rows straight from
+// the selection vector through w.row — no batch is materialized. need,
+// when non-nil, lists the only base ordinals the spec reads (the direct
+// path); nil fills the whole row for predicts and the residual.
+func (w *aggWorker) aggGroup(core *vecCore, g *storage.ColGroup, sc *vec.Scratch, need []int) {
+	sel, n := core.selectGroup(g, sc)
+	p := w.p
 	for k := 0; k < n; k++ {
 		ri := k
 		if sel != nil {
@@ -623,71 +264,263 @@ func (v *vecAggRun) aggGroup(w *aggWorker, g *storage.ColGroup, sc *vec.Scratch,
 		}
 		w.finishRow()
 	}
-	p.flush(&w.cnt, false)
+	p.flush(&w.cnt, false) // selectGroup already counted the scan and its filter
 }
 
-func (v *vecAggRun) close() {}
+// aggSource is what the driver schedules: units independent units of
+// input. The first warm of them run serially, in order, on the calling
+// goroutine; seal then runs once; the rest may run in any order on any
+// worker.
+type aggSource struct {
+	what  string // names a unit in pool errors
+	units int
+	warm  int
+	seal  func()
+	// worker returns a fresh private table and the function accumulating
+	// unit i into it (returning the rows the unit scanned).
+	worker func() (*agg.Table, func(i int) (int64, error))
+	// finish publishes source-level actuals after a successful run.
+	finish func()
+	close  func()
+}
 
-// ---------------------------------------------------------------------
-// The Final operator.
+// drainSource is the generic source: one unit that drains the ordinary
+// (instrumented) batch pipeline — index paths, constant scans, DOP 1.
+func drainSource(ctx context.Context, child BatchIterator, spec *agg.Spec) aggSource {
+	return aggSource{units: 1, close: child.Close, worker: func() (*agg.Table, func(int) (int64, error)) {
+		tab := agg.NewTable(spec)
+		return tab, func(int) (int64, error) {
+			for {
+				if err := ctxErr(ctx); err != nil {
+					return 0, err
+				}
+				b, done, err := child.NextBatch()
+				if done || err != nil {
+					return 0, err
+				}
+				for _, t := range b {
+					tab.Add(t)
+				}
+			}
+		}
+	}}
+}
 
-// newPartialRunner picks the partial producer for a Partial node's
-// pipeline and resolves the aggregation spec against its input schema.
-// Shared by the Final operator and the engine's partial-only mode (a
-// shard answering a scatter-gathered aggregate).
-func newPartialRunner(ctx context.Context, c *catalog.Catalog, part *plan.HashAgg, opts Options) (aggRunner, *agg.Spec, error) {
-	var (
-		runner   aggRunner
-		inSchema *value.Schema
-	)
+// heapSource is the row-heap source at DOP > 1: one unit per page-range
+// morsel, run through the fused per-row pipeline.
+func heapSource(ctx context.Context, p *aggPipeline, spec *agg.Spec, opts Options) aggSource {
+	t := p.table
+	morsels := morselRanges(t.PartitionPageRanges(p.chain.scan.Partitions), opts.MorselPages)
+	return aggSource{what: "aggregate scan " + t.Name + " morsel", units: len(morsels),
+		worker: func() (*agg.Table, func(int) (int64, error)) {
+			w := p.newWorker(spec)
+			row := func(_ storage.RID, tup value.Tuple) bool {
+				copy(w.row, tup)
+				w.processRow()
+				return true
+			}
+			return w.tab, func(m int) (int64, error) {
+				err := scanPages(ctx, t, opts, morsels[m][0], morsels[m][1], row)
+				rows := w.cnt.scanRows
+				p.flush(&w.cnt, true)
+				return rows, err
+			}
+		}}
+}
+
+// columnSource is the columnar source: one unit per column group,
+// selection vectors feeding the accumulators directly, with the serial
+// measurement-mode warmup of vecScan so the frozen term order (and the
+// EXPLAIN ANALYZE counters) match the non-aggregated columnar scan over
+// the same predicate.
+func columnSource(p *aggPipeline, core *vecCore, spec *agg.Spec, opts Options) aggSource {
+	// Direct accumulation needs only the spec's input ordinals; with
+	// prediction joins or a residual the whole row is filled.
+	var need []int
+	if len(p.binds) == 0 && p.postPred == nil {
+		seen := make([]bool, p.baseW)
+		for _, g := range spec.GroupBy {
+			seen[g.Ord] = true
+		}
+		for _, it := range spec.Items {
+			if it.Ord >= 0 {
+				seen[it.Ord] = true
+			}
+		}
+		need = make([]int, 0, len(seen))
+		for o, s := range seen {
+			if s {
+				need = append(need, o)
+			}
+		}
+	}
+	src := aggSource{what: "columnar aggregate scan " + p.table.Name + " group", units: len(core.groups),
+		warm: core.warm(), seal: core.freeze,
+		worker: func() (*agg.Table, func(int) (int64, error)) {
+			w, sc := p.newWorker(spec), vec.NewScratch()
+			return w.tab, func(gi int) (int64, error) {
+				g := core.groups[gi]
+				w.aggGroup(core, g, sc, need)
+				return int64(g.N), nil
+			}
+		}}
+	if col := opts.Collector; col != nil {
+		// Nothing wraps the fused scan leaf, so the core counts it even
+		// without a filter.
+		core.scanSt = col.Op(p.chain.scan)
+		src.finish = func() { col.setVecInfo(p.chain.scan, core.info()) }
+	}
+	return src
+}
+
+// partialAgg is the one partial-aggregate driver: it produces the merged
+// partial state of one execution of a Partial node, for the Final
+// operator above it or — partial-only — for a shard answering a
+// scatter-gathered aggregate.
+type partialAgg struct {
+	ctx  context.Context
+	opts Options
+	part *plan.HashAgg
+	spec *agg.Spec
+	src  aggSource
+}
+
+// newPartialAgg resolves the aggregation spec against the Partial's
+// input schema and picks the source from what it observes: a columnar
+// SeqScan leaf with a fresh sidecar and a vectorizable scan filter runs
+// over column groups; any other SeqScan pipeline of the pushdown shape
+// runs over heap morsels at DOP > 1; everything else drains the child.
+func newPartialAgg(ctx context.Context, c *catalog.Catalog, part *plan.HashAgg, opts Options) (*partialAgg, error) {
+	a := &partialAgg{ctx: ctx, opts: opts, part: part}
+	resolve := func(in *value.Schema) (err error) {
+		if a.spec, err = agg.Resolve(in, part.GroupBy, part.Aggs); err != nil {
+			err = fmt.Errorf("exec: %w", err)
+		}
+		return err
+	}
 	if chain := extractAggChain(part.Child); chain != nil {
 		p, err := newAggPipeline(c, chain, opts)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
+		var core *vecCore
 		if chain.scan.Columnar {
-			if v := newVecAggRun(ctx, p, opts); v != nil {
-				runner, inSchema = v, p.schema
+			core = newVecCore(p.table, chain.scan, chain.scanFilter, opts)
+		}
+		if core != nil || opts.DOP > 1 {
+			if err := resolve(p.schema); err != nil {
+				return nil, err
+			}
+			if core != nil {
+				a.src = columnSource(p, core, a.spec, opts)
+			} else {
+				a.src = heapSource(ctx, p, a.spec, opts)
+			}
+			return a, nil
+		}
+	}
+	child, err := buildBatchNode(ctx, c, part.Child, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := resolve(child.Schema()); err != nil {
+		child.Close()
+		return nil, err
+	}
+	a.src = drainSource(ctx, child, a.spec)
+	return a, nil
+}
+
+// run executes the partial aggregation: the serial prefix, then the rest
+// of the units on the morsel pool (DOP > 1 and more than one unit left)
+// or serially, then the merge.
+func (a *partialAgg) run() (*agg.Table, error) {
+	src := a.src
+	tab, unit := src.worker()
+	next := 0
+	serial := func(end int) error {
+		for ; next < end; next++ {
+			if err := ctxErr(a.ctx); err != nil {
+				return err
+			}
+			if _, err := unit(next); err != nil {
+				return err
 			}
 		}
-		if runner == nil && opts.DOP > 1 {
-			runner, inSchema = &morselAggRun{ctx: ctx, p: p, opts: opts}, p.schema
-		}
+		return nil
 	}
-	if runner == nil {
-		child, err := buildBatchNode(ctx, c, part.Child, opts)
+	if err := serial(src.warm); err != nil {
+		return nil, err
+	}
+	if src.seal != nil {
+		src.seal()
+	}
+	if rest := src.units - next; a.opts.DOP > 1 && rest > 1 {
+		// The prefix's state goes on as the first worker's; a failed unit
+		// stops the pool and the first failure wins.
+		first := next
+		pool := newMorselPool(a.ctx, a.opts, src.what, rest)
+		var (
+			others []*agg.Table
+			once   sync.Once
+			err    error
+		)
+		post := func(_ int, uerr error) {
+			if uerr != nil {
+				once.Do(func() { err = uerr })
+				pool.stop()
+			}
+		}
+		for wi := 0; wi < pool.workers(); wi++ {
+			wunit := unit
+			if wi > 0 {
+				var wtab *agg.Table
+				wtab, wunit = src.worker()
+				others = append(others, wtab)
+			}
+			pool.start(func(i int) (int64, error) { return wunit(first + i) }, post)
+		}
+		pool.wg.Wait()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		runner, inSchema = &genericAggRun{ctx: ctx, child: child}, child.Schema()
+		for _, tb := range others {
+			tab.Merge(tb)
+		}
+	} else if err := serial(src.units); err != nil {
+		return nil, err
 	}
-	spec, err := agg.Resolve(inSchema, part.GroupBy, part.Aggs)
-	if err != nil {
-		runner.close()
-		return nil, nil, fmt.Errorf("exec: %w", err)
+	// Column-group units never look at the context, and the serial loop
+	// only does before a unit: catch a cancellation during the last ones.
+	if err := ctxErr(a.ctx); err != nil {
+		return nil, err
 	}
-	return runner, spec, nil
+	if src.finish != nil {
+		src.finish()
+	}
+	reportPartial(a.opts.Collector, a.part, tab)
+	return tab, nil
+}
+
+func (a *partialAgg) close() {
+	if a.src.close != nil {
+		a.src.close()
+	}
 }
 
 // RunPartialAgg executes just the Partial half of a split aggregation
 // and returns the merged partial state — what a shard sends back for
 // the coordinator to merge.
 func RunPartialAgg(ctx context.Context, c *catalog.Catalog, part *plan.HashAgg, opts Options) (*agg.Table, error) {
-	opts = opts.fill()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	runner, spec, err := newPartialRunner(ctx, c, part, opts)
+	a, err := newPartialAgg(ctx, c, part, opts.fill())
 	if err != nil {
 		return nil, err
 	}
-	defer runner.close()
-	tab, err := runner.run(spec)
-	if err != nil {
-		return nil, err
-	}
-	reportPartial(opts.Collector, part, tab)
-	return tab, nil
+	defer a.close()
+	return a.run()
 }
 
 // reportPartial feeds the Partial node's stats (it never runs as a
@@ -707,16 +540,13 @@ func reportPartial(col *Collector, part *plan.HashAgg, tab *agg.Table) {
 // finalized rows. It is a full pipeline breaker: the first NextBatch
 // runs the entire partial aggregation.
 type batchFinalAgg struct {
-	runner aggRunner
-	part   *plan.HashAgg
-	spec   *agg.Spec
-	out    *value.Schema
-	col    *Collector
-	size   int
-	rows   []value.Tuple
-	pos    int
-	ran    bool
-	err    error
+	partial *partialAgg
+	out     *value.Schema
+	size    int
+	rows    []value.Tuple
+	pos     int
+	ran     bool
+	err     error
 }
 
 func newBatchFinalAgg(ctx context.Context, c *catalog.Catalog, final *plan.HashAgg, opts Options) (BatchIterator, error) {
@@ -724,19 +554,16 @@ func newBatchFinalAgg(ctx context.Context, c *catalog.Catalog, final *plan.HashA
 	if !ok || part.Phase != plan.AggPartial {
 		return nil, fmt.Errorf("exec: HashAgg(final) requires a HashAgg(partial) child, got %T", final.Child)
 	}
-	runner, spec, err := newPartialRunner(ctx, c, part, opts)
+	partial, err := newPartialAgg(ctx, c, part, opts)
 	if err != nil {
 		return nil, err
 	}
-	out, err := spec.OutSchema()
+	out, err := partial.spec.OutSchema()
 	if err != nil {
-		runner.close()
+		partial.close()
 		return nil, fmt.Errorf("exec: %w", err)
 	}
-	return &batchFinalAgg{
-		runner: runner, part: part, spec: spec, out: out,
-		col: opts.Collector, size: opts.BatchSize,
-	}, nil
+	return &batchFinalAgg{partial: partial, out: out, size: opts.BatchSize}, nil
 }
 
 func (f *batchFinalAgg) Schema() *value.Schema { return f.out }
@@ -747,12 +574,11 @@ func (f *batchFinalAgg) NextBatch() (Batch, bool, error) {
 	}
 	if !f.ran {
 		f.ran = true
-		tab, err := f.runner.run(f.spec)
+		tab, err := f.partial.run()
 		if err != nil {
 			f.err = err
 			return nil, false, err
 		}
-		reportPartial(f.col, f.part, tab)
 		f.rows = tab.Finalize()
 	}
 	if f.pos >= len(f.rows) {
@@ -768,6 +594,6 @@ func (f *batchFinalAgg) NextBatch() (Batch, bool, error) {
 }
 
 func (f *batchFinalAgg) Close() {
-	f.runner.close()
+	f.partial.close()
 	f.pos = len(f.rows)
 }

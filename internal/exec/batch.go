@@ -13,7 +13,6 @@ import (
 	"minequery/internal/fault"
 	"minequery/internal/mining"
 	"minequery/internal/plan"
-	"minequery/internal/qerr"
 	"minequery/internal/storage"
 	"minequery/internal/value"
 )
@@ -141,7 +140,7 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, n plan.Node, op
 			return nil, fmt.Errorf("exec: no table %q", x.Table)
 		}
 		if x.Columnar {
-			if vs := newVecScan(ctx, t, x, nil, nil, opts); vs != nil {
+			if vs := newVecScan(ctx, t, x, nil, opts); vs != nil {
 				return vs, nil
 			}
 			// Sidecar stale or missing: the flag is only a hint, run the
@@ -158,7 +157,7 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, n plan.Node, op
 				// predicate runs over selection vectors, not tuples. Falls
 				// through to the row operators when the sidecar is stale or
 				// the predicate shape is unsupported.
-				if vs := newVecScan(ctx, t, scan, n, x.Pred, opts); vs != nil {
+				if vs := newVecScan(ctx, t, scan, x, opts); vs != nil {
 					return vs, nil
 				}
 			}
@@ -185,13 +184,9 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, n plan.Node, op
 		if err != nil {
 			return nil, err
 		}
-		me, ok := c.Model(x.Model)
-		if !ok {
-			return nil, fmt.Errorf("exec: no model %q", x.Model)
-		}
-		if x.Version != 0 && me.Version != x.Version {
-			return nil, fmt.Errorf("exec: %w: model %q is v%d, plan was optimized at v%d",
-				qerr.ErrPlanInvalidated, x.Model, me.Version, x.Version)
+		me, err := lookupModel(c, x)
+		if err != nil {
+			return nil, err
 		}
 		return newBatchPredict(child, me, x.As)
 	case *plan.Limit:
@@ -290,21 +285,17 @@ func RunCtx(ctx context.Context, c *catalog.Catalog, n plan.Node, opts Options) 
 // a list of page ranges — the whole heap for ordinary tables, the
 // surviving partitions' global ranges for pruned partitioned scans.
 type batchSeqScan struct {
-	ctx       context.Context
-	table     *catalog.Table
-	io        *storage.Counters
-	opts      Options
-	onRetry   func(error)
-	batchSize int
-	ranges    [][2]int
-	ri        int // current range
-	nextPage  int // next page within ranges[ri]
-	err       error
+	ctx      context.Context
+	table    *catalog.Table
+	opts     Options
+	ranges   [][2]int
+	ri       int // current range
+	nextPage int // next page within ranges[ri]
+	err      error
 }
 
 func newBatchSeqScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, opts Options) *batchSeqScan {
-	s := &batchSeqScan{ctx: ctx, table: t, io: ioOf(opts.Collector), opts: opts,
-		onRetry: opts.onRetry(), batchSize: opts.BatchSize, ranges: t.PartitionPageRanges(x.Partitions)}
+	s := &batchSeqScan{ctx: ctx, table: t, opts: opts, ranges: t.PartitionPageRanges(x.Partitions)}
 	if len(s.ranges) > 0 {
 		s.nextPage = s.ranges[0][0]
 	}
@@ -322,7 +313,14 @@ func (s *batchSeqScan) NextBatch() (Batch, bool, error) {
 		return nil, false, s.err
 	}
 	var batch Batch
-	for len(batch) < s.batchSize && s.ri < len(s.ranges) {
+	collect := func(_ storage.RID, tup value.Tuple) bool {
+		if batch == nil {
+			batch = make(Batch, 0, s.opts.BatchSize)
+		}
+		batch = append(batch, tup)
+		return true
+	}
+	for len(batch) < s.opts.BatchSize && s.ri < len(s.ranges) {
 		if s.nextPage >= s.ranges[s.ri][1] {
 			s.ri++
 			if s.ri < len(s.ranges) {
@@ -330,33 +328,10 @@ func (s *batchSeqScan) NextBatch() (Batch, bool, error) {
 			}
 			continue
 		}
-		if s.err = ctxErr(s.ctx); s.err != nil {
-			return nil, false, s.err
-		}
-		// One page per attempt: a page-read failure fires before any of
-		// the page's records are decoded, so retrying it cannot
-		// double-deliver rows into the batch.
-		page := s.nextPage
-		rerr := fault.Retry(s.ctx, s.opts.Clock, s.opts.Retry, func() error {
-			return s.table.Heap.ScanPagesInto(s.io, page, page+1, func(_ storage.RID, rec []byte) bool {
-				tup, err := value.DecodeTuple(rec)
-				if err != nil {
-					s.err = fmt.Errorf("exec: scan %s: %w", s.table.Name, err)
-					return false
-				}
-				if batch == nil {
-					batch = make(Batch, 0, s.batchSize)
-				}
-				batch = append(batch, tup)
-				return true
-			})
-		}, s.onRetry)
+		// Whole pages only, so the scan position stays a page number.
+		s.err = scanPages(s.ctx, s.table, s.opts, s.nextPage, s.nextPage+1, collect)
 		s.nextPage++
 		if s.err != nil {
-			return nil, false, s.err
-		}
-		if rerr != nil {
-			s.err = fmt.Errorf("exec: scan %s: %w", s.table.Name, rerr)
 			return nil, false, s.err
 		}
 	}

@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"minequery/internal/agg"
 	"minequery/internal/catalog"
 	"minequery/internal/expr"
+	"minequery/internal/fault"
 	"minequery/internal/plan"
 	"minequery/internal/value"
 )
@@ -20,26 +24,67 @@ func cancelFixture(t *testing.T, rows int) (*catalog.Catalog, *catalog.Table) {
 	tb, err := cat.CreateTable("big", value.MustSchema(
 		value.Column{Name: "id", Kind: value.KindInt},
 		value.Column{Name: "payload", Kind: value.KindString},
+		value.Column{Name: "grp", Kind: value.KindInt},
 	))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < rows; i++ {
-		if _, err := tb.Insert(value.Tuple{value.Int(int64(i)), value.Str(fmt.Sprintf("row-%06d", i))}); err != nil {
+		if _, err := tb.Insert(value.Tuple{value.Int(int64(i)), value.Str(fmt.Sprintf("row-%06d", i)), value.Int(int64(i % 7))}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return cat, tb
 }
 
+// groupedAgg is a grouped aggregate over a filtered scan of the fixture
+// — the pushdown shape, so at DOP > 1 it runs over heap morsels or, with
+// columnar set, over column groups (the filter gives those a warmup).
+func groupedAgg(columnar bool) plan.Node {
+	return aggPlan(&plan.Filter{
+		Child: &plan.SeqScan{Table: "big", Columnar: columnar},
+		Pred:  expr.Cmp{Col: "id", Op: expr.OpGe, Val: value.Int(0)},
+	}, []string{"grp"}, []agg.Item{
+		{Func: agg.None, Col: "grp"}, {Func: agg.Count, Star: true}, {Func: agg.Sum, Col: "id"},
+	})
+}
+
+// aggScan is a fused aggregate scan and the number of units (pages or
+// column groups, which is also what its IO counter counts) it is
+// scheduled over.
+type aggScan struct {
+	name  string
+	root  plan.Node
+	units int64
+}
+
+// aggScans builds tb's columnar sidecar and returns the heap and the
+// columnar aggregate scan of it.
+func aggScans(t *testing.T, tb *catalog.Table) []aggScan {
+	t.Helper()
+	if err := tb.EnableColumnar(); err != nil {
+		t.Fatal(err)
+	}
+	return []aggScan{
+		{"agg-heap", groupedAgg(false), int64(tb.Heap.PageCount())},
+		{"agg-columnar", groupedAgg(true), int64(len(tb.ColumnStore().Groups))},
+	}
+}
+
 func TestRunCtxPreCancelled(t *testing.T) {
-	cat, _ := cancelFixture(t, 2000)
+	cat, tb := cancelFixture(t, 2000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, dop := range []int{1, 4} {
-		_, _, err := RunCtx(ctx, cat, &plan.SeqScan{Table: "big"}, Options{DOP: dop})
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("DOP %d: err = %v, want context.Canceled", dop, err)
+	roots := map[string]plan.Node{"seqscan": &plan.SeqScan{Table: "big"}}
+	for _, a := range aggScans(t, tb) {
+		roots[a.name] = a.root
+	}
+	for name, root := range roots {
+		for _, dop := range []int{1, 4} {
+			_, _, err := RunCtx(ctx, cat, root, Options{DOP: dop})
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s DOP %d: err = %v, want context.Canceled", name, dop, err)
+			}
 		}
 	}
 }
@@ -203,5 +248,117 @@ func TestCancelStopsWorkers(t *testing.T) {
 	read := tb.Heap.Stats().SeqPageReads
 	if read >= int64(pages) {
 		t.Errorf("workers read %d of %d pages after cancellation; expected an early stop", read, pages)
+	}
+}
+
+// hookClock is an injector clock whose injected latency is a callback,
+// so a Delay rule runs test code at an exact hit of its site.
+type hookClock struct {
+	fault.Clock
+	sleep func()
+}
+
+func (c hookClock) Sleep(time.Duration) { c.sleep() }
+
+// TestCancelFlagStopsDecodingWithinOneBatch pins the mid-morsel stop: once
+// the consumer closes a parallel scan (LIMIT satisfied), a worker inside
+// a multi-page morsel may finish the batch it is filling but must not
+// decode on, page after page. Every worker's second claim is held at
+// the claim site — past its stop check — until the scan is closed, so
+// each then enters a whole morsel with the stop already raised.
+func TestCancelFlagStopsDecodingWithinOneBatch(t *testing.T) {
+	const workers, batchSize = 4, 4
+	cat, tb := cancelFixture(t, 30000)
+	var claims atomic.Int64
+	closed := make(chan struct{})
+	in := fault.NewInjector(1, fault.Rule{Site: fault.SiteMorselClaim, EveryN: 1, Delay: time.Nanosecond}).
+		WithClock(hookClock{fault.RealClock(), func() {
+			if claims.Add(1) > workers {
+				<-closed
+			}
+		}})
+	root := &plan.Limit{N: 1, Child: &plan.SeqScan{Table: "big"}}
+	it, err := BuildBatchCtx(context.Background(), cat, root, Options{DOP: workers, MorselPages: 8, BatchSize: batchSize, Faults: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, done, err := it.NextBatch(); done || err != nil {
+		t.Fatalf("first batch: done=%v err=%v", done, err)
+	}
+	it.Close()
+	atClose := tb.Heap.Stats().TupleReads
+	close(closed)
+	it.(*batchLimit).child.(*parallelScan).pool.wg.Wait()
+	if extra := tb.Heap.Stats().TupleReads - atClose; extra > workers*batchSize {
+		t.Errorf("workers decoded %d tuples after Close, want at most %d (one batch each)", extra, workers*batchSize)
+	}
+}
+
+// TestCancelAndFaultsInAggregateScan covers the failure surface of the
+// fused aggregate scans at DOP 4: a cancellation or an injected failure
+// at the second unit claim fails the query with the typed error, stops
+// the sibling workers well short of the table, and leaves none running.
+func TestCancelAndFaultsInAggregateScan(t *testing.T) {
+	cat, tb := cancelFixture(t, 150000)
+	for _, a := range aggScans(t, tb) {
+		for _, fc := range []struct {
+			name string
+			rule fault.Rule
+			want error
+		}{
+			{"cancel-mid-run", fault.Rule{Site: fault.SiteMorselClaim, OnHit: 2, Delay: time.Nanosecond}, context.Canceled},
+			{"claim-fault", fault.Rule{Site: fault.SiteMorselClaim, OnHit: 2, Err: fault.ErrInjected}, fault.ErrInjected},
+		} {
+			t.Run(a.name+"/"+fc.name, func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				in := fault.NewInjector(1, fc.rule).WithClock(hookClock{fault.RealClock(), cancel})
+				col := NewCollector()
+				_, _, err := RunCtx(ctx, cat, a.root, Options{DOP: 4, MorselPages: 1, Collector: col, Faults: in})
+				if !errors.Is(err, fc.want) {
+					t.Fatalf("err = %v, want %v", err, fc.want)
+				}
+				if fc.want == context.Canceled && !strings.Contains(err.Error(), "query interrupted") {
+					t.Errorf("cancellation not wrapped as an interrupted query: %v", err)
+				}
+				read := col.IO.SeqPageReads.Load()
+				if read >= a.units {
+					t.Errorf("workers read %d of %d units after the failure; expected an early stop", read, a.units)
+				}
+				// Same settling check as TestCancelStopsWorkers: the driver
+				// joins its workers, so nothing may still be reading.
+				time.Sleep(20 * time.Millisecond)
+				if later := col.IO.SeqPageReads.Load(); later != read {
+					t.Errorf("a worker outlived the query: reads went %d -> %d after it returned", read, later)
+				}
+			})
+		}
+	}
+}
+
+// TestRetryInAggregateScanNeverDoubleCounts: transient page-read
+// failures under a retry policy are absorbed by the heap aggregate scan
+// — retries are counted and the finalized rows are byte-identical to
+// the fault-free run, so no retried page reached an accumulator twice.
+func TestRetryInAggregateScanNeverDoubleCounts(t *testing.T) {
+	cat, _ := cancelFixture(t, 20000)
+	root := groupedAgg(false)
+	opts := Options{DOP: 4, MorselPages: 2, Retry: fault.RetryPolicy{MaxAttempts: 3}}
+	want, _, err := RunOpts(cat, root, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.SetFaults(fault.NewInjector(1, fault.Rule{Site: fault.SitePageReadSeq, EveryN: 3, Err: fault.ErrInjected}))
+	defer cat.SetFaults(nil)
+	opts.Collector = NewCollector()
+	got, _, err := RunOpts(cat, root, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.Collector.Retries.Load() == 0 {
+		t.Fatal("no retries counted: the fault never fired")
+	}
+	if fmt.Sprint(rowsToStrings(got)) != fmt.Sprint(rowsToStrings(want)) {
+		t.Fatalf("aggregate differs after retried page reads\n got %v\nwant %v", got, want)
 	}
 }

@@ -22,28 +22,18 @@ type MatchedRow struct {
 // matches everything), in heap order. It is the read side of
 // UPDATE/DELETE: the engine collects the victim set first, then applies
 // the mutations, so a statement never observes its own writes. The scan
-// goes through the same retry-wrapped page reader as queries, so
+// goes through the same page reader as queries (scanPages), so
 // injected transient page faults are retried, not surfaced.
 func CollectMatches(ctx context.Context, t *catalog.Table, pred expr.Expr, opts Options) ([]MatchedRow, error) {
 	var out []MatchedRow
-	var decodeErr error
-	fn := func(rid storage.RID, rec []byte) bool {
-		tup, err := value.DecodeTuple(rec)
-		if err != nil {
-			decodeErr = fmt.Errorf("exec: dml scan %s: corrupt row at %s: %w", t.Name, rid, err)
-			return false
+	err := scanPages(ctx, t, opts, 0, t.Heap.PageCount(), func(rid storage.RID, tup value.Tuple) bool {
+		if pred == nil || pred.Eval(t.Schema, tup) {
+			out = append(out, MatchedRow{RID: rid, Row: tup})
 		}
-		if pred != nil && !pred.Eval(t.Schema, tup) {
-			return true
-		}
-		out = append(out, MatchedRow{RID: rid, Row: tup})
 		return true
-	}
-	if err := scanPagesRetry(ctx, t, opts, 0, t.Heap.PageCount(), fn); err != nil {
-		return nil, fmt.Errorf("exec: dml scan %s: %w", t.Name, err)
-	}
-	if decodeErr != nil {
-		return nil, decodeErr
+	})
+	if err != nil {
+		return nil, fmt.Errorf("exec: dml: %w", err)
 	}
 	return out, nil
 }

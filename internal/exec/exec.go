@@ -21,35 +21,49 @@ import (
 	"minequery/internal/fault"
 	"minequery/internal/mining"
 	"minequery/internal/plan"
+	"minequery/internal/qerr"
 	"minequery/internal/storage"
 	"minequery/internal/value"
 )
 
-// scanPagesRetry scans heap pages [lo, hi) of t one page at a time,
-// checking ctx between pages and retrying each page's read under the
-// options' retry policy. Storage errors fire at page granularity before
-// any record of the failing page is delivered, so a retried page never
-// double-delivers rows to fn. With retrying disabled and no injector the
-// whole range goes through a single ScanPagesInto call — the production
-// fast path is unchanged.
-func scanPagesRetry(ctx context.Context, t *catalog.Table, opts Options, lo, hi int, fn func(storage.RID, []byte) bool) error {
+// scanPages is the one heap page reader: it feeds every live row of
+// heap pages [lo, hi) of t to fn, decoded, in heap order. fn returning
+// false ends the scan early with a nil error. ctx is checked between
+// pages and each page's read is retried under the options' policy, one
+// page per attempt: storage errors fire at page granularity before any
+// record of the failing page is delivered, so a retried page never
+// double-delivers rows to fn. With retrying disabled and no injector
+// there is nothing to retry page-wise, and the whole range goes through
+// a single ScanPagesInto call.
+func scanPages(ctx context.Context, t *catalog.Table, opts Options, lo, hi int, fn func(storage.RID, value.Tuple) bool) error {
 	io := ioOf(opts.Collector)
-	if !opts.Retry.Enabled() && opts.Faults == nil {
-		if err := ctxErr(ctx); err != nil {
-			return err
-		}
-		return t.Heap.ScanPagesInto(io, lo, hi, fn)
-	}
 	onRetry := opts.onRetry()
-	for pi := lo; pi < hi; pi++ {
+	var decodeErr error
+	halted := false
+	deliver := func(rid storage.RID, rec []byte) bool {
+		tup, err := value.DecodeTuple(rec)
+		if err != nil {
+			decodeErr = fmt.Errorf("exec: scan %s: corrupt row at %s: %w", t.Name, rid, err)
+			return false
+		}
+		halted = !fn(rid, tup)
+		return !halted
+	}
+	step := 1
+	if !opts.Retry.Enabled() && opts.Faults == nil {
+		step = hi - lo
+	}
+	for page := lo; page < hi && !halted; page += step {
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		page := pi
 		if err := fault.Retry(ctx, opts.Clock, opts.Retry, func() error {
-			return t.Heap.ScanPagesInto(io, page, page+1, fn)
+			return t.Heap.ScanPagesInto(io, page, page+step, deliver)
 		}, onRetry); err != nil {
-			return err
+			return fmt.Errorf("exec: scan %s: %w", t.Name, err)
+		}
+		if decodeErr != nil {
+			return decodeErr
 		}
 	}
 	return nil
@@ -261,6 +275,21 @@ func projectOrds(in *value.Schema, cols []string) ([]int, *value.Schema, error) 
 		return nil, nil, fmt.Errorf("exec: project: %w", err)
 	}
 	return ords, schema, nil
+}
+
+// lookupModel resolves a prediction join's model and enforces the plan's
+// version pin: a plan optimized against one model version must not run
+// against another (its envelopes were derived from the old model).
+func lookupModel(c *catalog.Catalog, pr *plan.Predict) (*catalog.ModelEntry, error) {
+	me, ok := c.Model(pr.Model)
+	if !ok {
+		return nil, fmt.Errorf("exec: no model %q", pr.Model)
+	}
+	if pr.Version != 0 && me.Version != pr.Version {
+		return nil, fmt.Errorf("exec: %w: model %q is v%d, plan was optimized at v%d",
+			qerr.ErrPlanInvalidated, pr.Model, me.Version, pr.Version)
+	}
+	return me, nil
 }
 
 // predictBinding resolves a model against the input schema and builds

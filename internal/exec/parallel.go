@@ -1,14 +1,18 @@
-// Morsel-driven parallel sequential scan: the heap is split into
-// fixed-size page-range morsels claimed by a pool of workers off a
-// shared atomic cursor (the scheduling scheme of Leis et al.'s
-// "Morsel-Driven Parallelism"). Workers decode rows into batches; the
-// consumer reassembles morsels in heap order, so the scan's output is
-// deterministic and identical to the serial scan at any DOP.
+// Morsel-driven parallelism: a scan is split into independent units —
+// fixed-size page-range morsels of a heap, or column groups of a sidecar
+// — claimed by a pool of workers off a shared atomic cursor (the
+// scheduling scheme of Leis et al.'s "Morsel-Driven Parallelism").
+// morselPool is the one scheduler; orderedScan is the consumer end for
+// non-aggregate scans, which reassembles the units in heap order so the
+// scan's output is deterministic and identical to the serial scan at
+// any DOP. (The aggregate driver in aggexec.go consumes the pool
+// unordered: its merge is order-independent.)
 package exec
 
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,30 +23,162 @@ import (
 	"minequery/internal/value"
 )
 
-// morselResult is one decoded morsel: the batches of its page range, in
-// heap order.
+// morselPool schedules n units over worker goroutines. It owns the claim
+// cursor, the stop flag, the SiteMorselClaim fault site and the
+// per-worker accounting; what a unit is and where its outcome goes are
+// the caller's.
+type morselPool struct {
+	ctx    context.Context
+	opts   Options
+	what   string // names a unit in claim-fault errors: "scan t morsel"
+	n      int
+	claim  atomic.Int64
+	cancel atomic.Bool
+	wg     sync.WaitGroup
+}
+
+func newMorselPool(ctx context.Context, opts Options, what string, n int) *morselPool {
+	return &morselPool{ctx: ctx, opts: opts, what: what, n: n}
+}
+
+// workers is the number of goroutines worth starting: one per unit up to
+// the DOP.
+func (p *morselPool) workers() int { return min(p.opts.DOP, p.n) }
+
+// stop makes every worker skip the units it has yet to claim.
+func (p *morselPool) stop() { p.cancel.Store(true) }
+
+// stopped reports whether the pool was stopped or the query context is
+// done.
+func (p *morselPool) stopped() bool {
+	if p.cancel.Load() {
+		return true
+	}
+	select {
+	case <-p.ctx.Done():
+		return true
+	default:
+		return false
+	}
+}
+
+// start launches one worker. It claims units until the cursor runs off
+// the end and calls post exactly once for every unit it claimed, with
+// that unit's outcome: do's error; or, do not having run, the claim
+// fault or — once the pool has stopped — the context's error (nil when
+// only stop was called). Workers keep claiming after a stop so that
+// every unit is posted and an ordered consumer can never block on one.
+//
+// Two fault sites are reachable from here: SiteMorselClaim fires right
+// after a unit is claimed (a delay-only rule stalls this worker while
+// the others drain the remaining units; an error rule fails the unit),
+// and the storage layer's sequential-read site fires per page inside
+// do, absorbed by scanPages' per-page retry when a policy is configured.
+func (p *morselPool) start(do func(i int) (rows int64, err error), post func(i int, err error)) {
+	var ws *WorkerStats
+	if p.opts.Collector != nil {
+		ws = p.opts.Collector.newWorker()
+	}
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		for {
+			i := int(p.claim.Add(1) - 1)
+			if i >= p.n {
+				return
+			}
+			if p.stopped() {
+				post(i, ctxErr(p.ctx))
+				continue
+			}
+			if ferr := p.opts.Faults.Hit(fault.SiteMorselClaim); ferr != nil {
+				post(i, fmt.Errorf("exec: %s %d: %w", p.what, i, ferr))
+				continue
+			}
+			var start time.Time
+			if ws != nil {
+				start = time.Now()
+			}
+			rows, err := do(i)
+			if ws != nil {
+				ws.Morsels.Add(1)
+				ws.Rows.Add(rows)
+				ws.WallNanos.Add(time.Since(start).Nanoseconds())
+			}
+			post(i, err)
+		}
+	}()
+}
+
+// morselResult is one unit's batches, in heap order.
 type morselResult struct {
 	batches []Batch
 	err     error
 }
 
-// parallelScan is the consumer end of the worker pool. NextBatch must be
-// called from a single goroutine (the usual iterator contract); the
-// workers it feeds from run concurrently.
-type parallelScan struct {
-	ctx   context.Context
-	table *catalog.Table
-
-	// results has one single-use buffered channel per morsel; worker i
-	// writes exactly one morselResult to results[m] for each morsel m it
-	// claims, so no send ever blocks and Close never needs to drain.
+// orderedScan is the consumer end of a pool whose units produce
+// batches. nextBatch must be called from a single goroutine (the usual
+// iterator contract); the workers it feeds from run concurrently and
+// deliberately hold no reference to it, so an abandoned scan can be
+// collected while stragglers finish.
+type orderedScan struct {
+	pool *morselPool
+	// results has one single-use buffered channel per unit; the worker
+	// that claims unit i sends exactly one morselResult to results[i],
+	// so no send ever blocks and close never needs to drain or join.
 	results []chan morselResult
-	claim   *atomic.Int64
-	cancel  *atomic.Bool
+	next    int
+	pending []Batch
+	err     error
+}
 
-	nextMorsel int
-	pending    []Batch
-	err        error
+// startOrdered starts the pool's workers, each over its own producer
+// (which owns that worker's scratch state).
+func startOrdered(pool *morselPool, newProducer func() func(i int) ([]Batch, int64, error)) *orderedScan {
+	results := make([]chan morselResult, pool.n)
+	for i := range results {
+		results[i] = make(chan morselResult, 1)
+	}
+	for w := pool.workers(); w > 0; w-- {
+		produce := newProducer()
+		var res morselResult
+		pool.start(func(i int) (rows int64, err error) {
+			res.batches, rows, err = produce(i)
+			return rows, err
+		}, func(i int, err error) {
+			res.err = err
+			results[i] <- res
+			res = morselResult{}
+		})
+	}
+	return &orderedScan{pool: pool, results: results}
+}
+
+func (o *orderedScan) nextBatch() (Batch, bool, error) {
+	for o.err == nil {
+		if o.err = ctxErr(o.pool.ctx); o.err != nil {
+			break
+		}
+		if len(o.pending) > 0 {
+			b := o.pending[0]
+			o.pending = o.pending[1:]
+			return b, false, nil
+		}
+		if o.next >= len(o.results) {
+			return nil, true, nil
+		}
+		r := <-o.results[o.next]
+		o.next++
+		o.pending, o.err = r.batches, r.err
+	}
+	o.pool.stop()
+	return nil, false, o.err
+}
+
+func (o *orderedScan) close() {
+	o.pool.stop()
+	o.pending = nil
+	o.next = len(o.results)
 }
 
 // morselRanges chunks each page range into morsels of at most
@@ -64,166 +200,46 @@ func morselRanges(ranges [][2]int, morselPages int) [][2]int {
 	return out
 }
 
-func newParallelScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, opts Options) *parallelScan {
-	morsels := morselRanges(t.PartitionPageRanges(x.Partitions), opts.MorselPages)
-	ps := &parallelScan{
-		ctx:     ctx,
-		table:   t,
-		results: make([]chan morselResult, len(morsels)),
-		claim:   new(atomic.Int64),
-		cancel:  new(atomic.Bool),
-	}
-	for i := range ps.results {
-		ps.results[i] = make(chan morselResult, 1)
-	}
-	workers := opts.DOP
-	if workers > len(morsels) {
-		workers = len(morsels)
-	}
-	for w := 0; w < workers; w++ {
-		var ws *WorkerStats
-		if opts.Collector != nil {
-			ws = opts.Collector.newWorker()
-		}
-		go scanWorker(ctx, t, ps.results, ps.claim, ps.cancel, opts, morsels, ws)
-	}
-	return ps
+// parallelScan is the row-heap sequential scan at DOP > 1.
+type parallelScan struct {
+	*orderedScan
+	table *catalog.Table
 }
 
-// scanWorker claims morsels until the cursor runs off the end, decoding
-// each into batches. It deliberately holds no reference to the
-// parallelScan so an abandoned scan can be collected while stragglers
-// finish. Cancellation — the consumer's cancel flag or the query
-// context — is observed at each morsel claim and at each batch flush
-// inside a morsel, so a dead query stops decoding within one batch.
-//
-// Two fault sites live here: SiteMorselClaim fires right after a morsel
-// is claimed (a delay-only rule stalls this worker while the others
-// drain the remaining morsels; an error rule fails the morsel), and the
-// storage layer's sequential-read site fires per page, absorbed by the
-// per-page retry below when a policy is configured.
-func scanWorker(ctx context.Context, t *catalog.Table, results []chan morselResult, claim *atomic.Int64, cancel *atomic.Bool, opts Options, morsels [][2]int, ws *WorkerStats) {
-	io := ioOf(opts.Collector)
-	onRetry := opts.onRetry()
-	done := ctx.Done()
-	stopped := func() bool {
-		if cancel.Load() {
-			return true
-		}
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-	for {
-		m := int(claim.Add(1) - 1)
-		if m >= len(results) {
-			return
-		}
-		if stopped() {
-			results[m] <- morselResult{err: ctx.Err()}
-			continue
-		}
-		if ferr := opts.Faults.Hit(fault.SiteMorselClaim); ferr != nil {
-			results[m] <- morselResult{err: fmt.Errorf("exec: scan %s morsel %d: %w", t.Name, m, ferr)}
-			continue
-		}
-		lo, hi := morsels[m][0], morsels[m][1]
-		var start time.Time
-		if ws != nil {
-			start = time.Now()
-		}
-		res := morselResult{}
-		rows := int64(0)
+func newParallelScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, opts Options) *parallelScan {
+	morsels := morselRanges(t.PartitionPageRanges(x.Partitions), opts.MorselPages)
+	pool := newMorselPool(ctx, opts, "scan "+t.Name+" morsel", len(morsels))
+	// decode turns one morsel into batches. A stop is observed at each
+	// batch flush, so a dead or abandoned query stops decoding within one
+	// batch: the morsel ends there.
+	decode := func(m int) (batches []Batch, rows int64, err error) {
 		batch := make(Batch, 0, opts.BatchSize)
-		decode := func(_ storage.RID, rec []byte) bool {
-			tup, err := value.DecodeTuple(rec)
-			if err != nil {
-				res.err = fmt.Errorf("exec: scan %s: %w", t.Name, err)
-				return false
-			}
+		err = scanPages(ctx, t, opts, morsels[m][0], morsels[m][1], func(_ storage.RID, tup value.Tuple) bool {
 			batch = append(batch, tup)
 			rows++
-			if len(batch) >= opts.BatchSize {
-				res.batches = append(res.batches, batch)
-				batch = make(Batch, 0, opts.BatchSize)
-				if stopped() {
-					res.err = ctx.Err()
-					return false
-				}
+			if len(batch) < opts.BatchSize {
+				return true
 			}
-			return true
+			batches = append(batches, batch)
+			batch = make(Batch, 0, opts.BatchSize)
+			return !pool.stopped()
+		})
+		if err == nil && pool.stopped() {
+			err = ctxErr(ctx) // cut short: never pass for a whole morsel
 		}
-		// Page at a time so a transient page-read failure retries just
-		// that page; the fault fires before any of the page's records
-		// reach decode, so the retry cannot duplicate rows.
-		for pi := lo; pi < hi && res.err == nil; pi++ {
-			page := pi
-			if err := fault.Retry(ctx, opts.Clock, opts.Retry, func() error {
-				return t.Heap.ScanPagesInto(io, page, page+1, decode)
-			}, onRetry); err != nil && res.err == nil {
-				res.err = fmt.Errorf("exec: scan %s: %w", t.Name, err)
-			}
+		if len(batch) > 0 && err == nil {
+			batches = append(batches, batch)
 		}
-		if len(batch) > 0 && res.err == nil {
-			res.batches = append(res.batches, batch)
-		}
-		if ws != nil {
-			ws.Morsels.Add(1)
-			ws.Rows.Add(rows)
-			ws.WallNanos.Add(time.Since(start).Nanoseconds())
-		}
-		results[m] <- res
+		return batches, rows, err
+	}
+	return &parallelScan{
+		orderedScan: startOrdered(pool, func() func(int) ([]Batch, int64, error) { return decode }),
+		table:       t,
 	}
 }
 
 func (ps *parallelScan) Schema() *value.Schema { return ps.table.Schema }
 
-func (ps *parallelScan) NextBatch() (Batch, bool, error) {
-	if ps.err != nil {
-		return nil, false, ps.err
-	}
-	for {
-		if err := ctxErr(ps.ctx); err != nil {
-			ps.fail(err)
-			return nil, false, ps.err
-		}
-		if len(ps.pending) > 0 {
-			b := ps.pending[0]
-			ps.pending = ps.pending[1:]
-			return b, false, nil
-		}
-		if ps.nextMorsel >= len(ps.results) {
-			return nil, true, nil
-		}
-		r := <-ps.results[ps.nextMorsel]
-		ps.nextMorsel++
-		if r.err != nil {
-			// A worker aborted this morsel: a decode error, or it saw the
-			// context die mid-morsel (err is then the raw ctx error).
-			ps.fail(r.err)
-			return nil, false, ps.err
-		}
-		ps.pending = r.batches
-	}
-}
+func (ps *parallelScan) NextBatch() (Batch, bool, error) { return ps.nextBatch() }
 
-// fail records the scan error and stops the workers.
-func (ps *parallelScan) fail(err error) {
-	if ctxCause := ps.ctx.Err(); ctxCause != nil && err == ctxCause {
-		err = fmt.Errorf("exec: query interrupted: %w", err)
-	}
-	ps.err = err
-	ps.cancel.Store(true)
-}
-
-// Close tells the workers to stop claiming real work. Workers never
-// block (each morsel channel is buffered for its single send), so there
-// is nothing to drain or join.
-func (ps *parallelScan) Close() {
-	ps.cancel.Store(true)
-	ps.pending = nil
-	ps.nextMorsel = len(ps.results)
-}
+func (ps *parallelScan) Close() { ps.close() }

@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"minequery/internal/catalog"
 	"minequery/internal/exec/vec"
@@ -40,10 +39,11 @@ const warmupGroups = 2
 // by the serial consumer and the worker pool, which deliberately get no
 // reference to the consumer state.
 type vecCore struct {
-	table *catalog.Table
-	pred  *vec.Pred // nil for an unfiltered scan
-	opts  Options
-	io    *storage.Counters
+	table  *catalog.Table
+	groups []*storage.ColGroup // the scan's groups: the surviving partitions', in heap order
+	pred   *vec.Pred           // nil for an unfiltered scan
+	opts   Options
+	io     *storage.Counters
 	// scanSt is the scan leaf's stats slot when the operator also plays
 	// the Filter role (the instrumented wrapper then only sees
 	// post-filter output); nil for a bare scan, whose wrapper already
@@ -133,26 +133,77 @@ func (c *vecCore) processGroup(g *storage.ColGroup, sc *vec.Scratch) []Batch {
 	return batches
 }
 
+// newVecCore resolves a columnar-flagged scan (and the filter fused
+// onto it, or nil) against the table's sidecar. It returns nil —
+// routing the caller to the row path — when the sidecar is stale or
+// missing, or when the predicate has a shape the vectorized evaluator
+// refuses.
+func newVecCore(t *catalog.Table, x *plan.SeqScan, filter *plan.Filter, opts Options) *vecCore {
+	cs := t.ColumnStore()
+	if cs == nil {
+		return nil
+	}
+	c := &vecCore{table: t, opts: opts, io: ioOf(opts.Collector), groups: cs.Groups}
+	if filter != nil {
+		vp, ok := vec.Compile(filter.Pred, t.Schema, t.Stats())
+		if !ok {
+			return nil
+		}
+		c.pred = vp
+	}
+	if x.Partitions != nil {
+		keep := make(map[int]bool, len(x.Partitions))
+		for _, p := range x.Partitions {
+			keep[p] = true
+		}
+		c.groups = nil
+		for _, g := range cs.Groups {
+			if keep[g.Part] {
+				c.groups = append(c.groups, g)
+			}
+		}
+	}
+	if col := opts.Collector; col != nil && filter != nil {
+		c.scanSt = col.Op(x)
+		if base := col.envBaseline(filter); base != nil {
+			c.filtSt, c.base = col.Op(filter), base
+		}
+	}
+	return c
+}
+
+// warm is how many leading groups are evaluated serially, in
+// measurement mode, before freeze; the rest may then be scheduled in any
+// order.
+func (c *vecCore) warm() int {
+	if c.pred == nil {
+		return 0
+	}
+	return min(warmupGroups, len(c.groups))
+}
+
+// freeze ends measurement mode: the term order is picked and
+// short-circuiting enabled.
+func (c *vecCore) freeze() {
+	if c.pred != nil {
+		c.pred.Freeze()
+	}
+}
+
 // vecScan is the consumer end. NextBatch runs on a single goroutine;
-// after the warmup it may fan out a worker pool feeding per-group
-// result channels, reassembled in group order like parallelScan.
+// after the warmup it may fan the remaining groups out to the morsel
+// pool, one group per claim, reassembled in group order like
+// parallelScan.
 type vecScan struct {
 	*vecCore
 	ctx      context.Context
 	scanNode plan.Node
 	col      *Collector
-	groups   []*storage.ColGroup
 
-	sc       *vec.Scratch
-	gi       int
-	warmLeft int
-	frozen   bool
-
-	// Worker-pool state; nil while (and if never) running parallel.
-	results []chan morselResult
-	claim   *atomic.Int64
-	cancelF *atomic.Bool
-	nextRes int
+	sc     *vec.Scratch
+	gi     int
+	frozen bool
+	rest   *orderedScan // non-nil once the remaining groups run on the pool
 
 	pending  []Batch
 	err      error
@@ -160,55 +211,13 @@ type vecScan struct {
 }
 
 // newVecScan builds the fused operator for a columnar-flagged scan (and
-// optional filter directly above it). It returns nil — routing the
-// caller to the row path — when the table's sidecar is stale or missing,
-// or when the predicate has a shape the vectorized evaluator refuses.
-func newVecScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, filterNode plan.Node, pred expr.Expr, opts Options) *vecScan {
-	cs := t.ColumnStore()
-	if cs == nil {
+// optional filter directly above it), or nil when newVecCore refuses.
+func newVecScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, filter *plan.Filter, opts Options) *vecScan {
+	core := newVecCore(t, x, filter, opts)
+	if core == nil {
 		return nil
 	}
-	var vp *vec.Pred
-	if pred != nil {
-		p, ok := vec.Compile(pred, t.Schema, t.Stats())
-		if !ok {
-			return nil
-		}
-		vp = p
-	}
-	groups := cs.Groups
-	if x.Partitions != nil {
-		keep := make(map[int]bool, len(x.Partitions))
-		for _, p := range x.Partitions {
-			keep[p] = true
-		}
-		groups = nil
-		for _, g := range cs.Groups {
-			if keep[g.Part] {
-				groups = append(groups, g)
-			}
-		}
-	}
-	core := &vecCore{table: t, pred: vp, opts: opts, io: ioOf(opts.Collector)}
-	if col := opts.Collector; col != nil && filterNode != nil {
-		core.scanSt = col.Op(x)
-		if base := col.envBaseline(filterNode); base != nil {
-			core.filtSt, core.base = col.Op(filterNode), base
-		}
-	}
-	warm := 0
-	if vp != nil {
-		warm = warmupGroups
-	}
-	return &vecScan{
-		vecCore:  core,
-		ctx:      ctx,
-		scanNode: x,
-		col:      opts.Collector,
-		groups:   groups,
-		sc:       vec.NewScratch(),
-		warmLeft: warm,
-	}
+	return &vecScan{vecCore: core, ctx: ctx, scanNode: x, col: opts.Collector, sc: vec.NewScratch()}
 }
 
 func (s *vecScan) Schema() *value.Schema { return s.table.Schema }
@@ -221,9 +230,8 @@ func (s *vecScan) NextBatch() (Batch, bool, error) {
 		s.err = fmt.Errorf("exec: columnar scan %s: %w", s.table.Name, ferr)
 		return nil, false, s.err
 	}
-	for {
-		if err := ctxErr(s.ctx); err != nil {
-			s.fail(err)
+	for s.rest == nil {
+		if s.err = ctxErr(s.ctx); s.err != nil {
 			return nil, false, s.err
 		}
 		if len(s.pending) > 0 {
@@ -231,119 +239,35 @@ func (s *vecScan) NextBatch() (Batch, bool, error) {
 			s.pending = s.pending[1:]
 			return b, false, nil
 		}
-		if s.results != nil {
-			if s.nextRes >= len(s.results) {
-				s.reportInfo()
-				return nil, true, nil
-			}
-			r := <-s.results[s.nextRes]
-			s.nextRes++
-			if r.err != nil {
-				s.fail(r.err)
-				return nil, false, s.err
-			}
-			s.pending = r.batches
-			continue
-		}
-		if !s.frozen && (s.warmLeft == 0 || s.gi >= len(s.groups)) {
-			if s.pred != nil {
-				s.pred.Freeze()
-			}
+		if !s.frozen && s.gi >= s.warm() {
+			s.freeze()
 			s.frozen = true
-			if rem := len(s.groups) - s.gi; s.opts.DOP > 1 && rem > 1 {
-				s.startWorkers()
-				continue
+			if first := s.gi; s.opts.DOP > 1 && len(s.groups)-first > 1 {
+				core, groups := s.vecCore, s.groups[first:]
+				s.gi = len(s.groups)
+				pool := newMorselPool(s.ctx, s.opts, "columnar scan "+s.table.Name+" group", len(groups))
+				s.rest = startOrdered(pool, func() func(int) ([]Batch, int64, error) {
+					sc := vec.NewScratch()
+					return func(i int) ([]Batch, int64, error) {
+						return core.processGroup(groups[i], sc), int64(groups[i].N), nil
+					}
+				})
+				break
 			}
 		}
 		if s.gi >= len(s.groups) {
 			s.reportInfo()
 			return nil, true, nil
 		}
-		g := s.groups[s.gi]
+		s.pending = s.processGroup(s.groups[s.gi], s.sc)
 		s.gi++
-		if s.warmLeft > 0 {
-			s.warmLeft--
-		}
-		s.pending = s.processGroup(g, s.sc)
 	}
-}
-
-// startWorkers fans the remaining groups out to a claim-based pool, one
-// group per claim, results reassembled in group order.
-func (s *vecScan) startWorkers() {
-	rem := s.groups[s.gi:]
-	s.gi = len(s.groups)
-	s.results = make([]chan morselResult, len(rem))
-	for i := range s.results {
-		s.results[i] = make(chan morselResult, 1)
-	}
-	s.claim = new(atomic.Int64)
-	s.cancelF = new(atomic.Bool)
-	workers := s.opts.DOP
-	if workers > len(rem) {
-		workers = len(rem)
-	}
-	for w := 0; w < workers; w++ {
-		var ws *WorkerStats
-		if s.col != nil {
-			ws = s.col.newWorker()
-		}
-		go vecScanWorker(s.ctx, s.vecCore, rem, s.results, s.claim, s.cancelF, ws)
-	}
-}
-
-// vecScanWorker claims groups until the cursor runs off the end. Like
-// scanWorker it holds no consumer reference, observes SiteMorselClaim
-// per claim, and stops within one group of cancellation.
-func vecScanWorker(ctx context.Context, core *vecCore, groups []*storage.ColGroup, results []chan morselResult, claim *atomic.Int64, cancel *atomic.Bool, ws *WorkerStats) {
-	sc := vec.NewScratch()
-	done := ctx.Done()
-	stopped := func() bool {
-		if cancel.Load() {
-			return true
-		}
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-	for {
-		m := int(claim.Add(1) - 1)
-		if m >= len(results) {
-			return
-		}
-		if stopped() {
-			results[m] <- morselResult{err: ctx.Err()}
-			continue
-		}
-		if ferr := core.opts.Faults.Hit(fault.SiteMorselClaim); ferr != nil {
-			results[m] <- morselResult{err: fmt.Errorf("exec: columnar scan %s group %d: %w", core.table.Name, m, ferr)}
-			continue
-		}
-		var start time.Time
-		if ws != nil {
-			start = time.Now()
-		}
-		batches := core.processGroup(groups[m], sc)
-		if ws != nil {
-			ws.Morsels.Add(1)
-			ws.Rows.Add(int64(groups[m].N))
-			ws.WallNanos.Add(time.Since(start).Nanoseconds())
-		}
-		results[m] <- morselResult{batches: batches}
-	}
-}
-
-func (s *vecScan) fail(err error) {
-	if cause := s.ctx.Err(); cause != nil && err == cause {
-		err = fmt.Errorf("exec: query interrupted: %w", err)
+	b, done, err := s.rest.nextBatch()
+	if done {
+		s.reportInfo()
 	}
 	s.err = err
-	if s.cancelF != nil {
-		s.cancelF.Store(true)
-	}
+	return b, done, err
 }
 
 // reportInfo publishes the columnar-scan actuals (groups processed,
@@ -376,17 +300,13 @@ func (c *vecCore) info() *VecScanInfo {
 	return info
 }
 
-// Close stops the workers (none ever block: per-group channels are
-// buffered for their single send) and publishes the scan info so a
-// truncated query (LIMIT) still reports its columnar actuals.
+// Close stops the workers and publishes the scan info so a truncated
+// query (LIMIT) still reports its columnar actuals.
 func (s *vecScan) Close() {
-	if s.cancelF != nil {
-		s.cancelF.Store(true)
+	if s.rest != nil {
+		s.rest.close()
 	}
 	s.pending = nil
 	s.gi = len(s.groups)
-	if s.results != nil {
-		s.nextRes = len(s.results)
-	}
 	s.reportInfo()
 }

@@ -15,7 +15,6 @@ package opt
 import (
 	"minequery/internal/catalog"
 	"minequery/internal/expr"
-	"minequery/internal/stats"
 	"minequery/internal/value"
 )
 
@@ -26,7 +25,7 @@ func PrunePartitions(t *catalog.Table, pred expr.Expr) (parts []int, total int) 
 	if t.Part == nil {
 		return nil, 0
 	}
-	keep := pruneWalk(t.Part, pred)
+	keep := PruneSpec(t.Part, pred)
 	out := make([]int, 0, len(keep))
 	for p, ok := range keep {
 		if ok {
@@ -37,83 +36,90 @@ func PrunePartitions(t *catalog.Table, pred expr.Expr) (parts []int, total int) 
 }
 
 // PruneSpec returns, per partition of spec, whether it may hold a row
-// satisfying pred. The cluster coordinator reuses this to prune whole
-// shards: a range shard map is just a PartitionSpec whose "partitions"
-// are nodes, and the same interval intersection that skips a partition's
+// satisfying pred: PruneWalk with the range leaf, which intersects a
+// comparison on the partition column with each partition's boundary
+// interval. The cluster coordinator reuses this to prune whole shards:
+// a range shard map is just a PartitionSpec whose "partitions" are
+// nodes, and the same interval intersection that skips a partition's
 // pages skips a shard's network round-trip.
 func PruneSpec(spec *catalog.PartitionSpec, pred expr.Expr) []bool {
-	return pruneWalk(spec, pred)
+	n, col := spec.NumPartitions(), norm(spec.Column)
+	return PruneWalk(n, pred, func(c string, op expr.CmpOp, vals []value.Value) []bool {
+		if c != col {
+			return nil
+		}
+		switch op {
+		case expr.OpEq:
+			keep := make([]bool, n)
+			for _, v := range vals {
+				keep[spec.PartitionFor(v)] = true
+			}
+			return keep
+		case expr.OpLt:
+			return overlapParts(spec, nil, false, &vals[0], false)
+		case expr.OpLe:
+			return overlapParts(spec, nil, false, &vals[0], true)
+		case expr.OpGt:
+			return overlapParts(spec, &vals[0], false, nil, false)
+		case expr.OpGe:
+			return overlapParts(spec, &vals[0], true, nil, false)
+		}
+		// OpNe constrains almost nothing at partition granularity.
+		return nil
+	})
 }
 
-// pruneWalk returns, per partition, whether it may hold a satisfying
-// row. And intersects, Or unions; leaves constrain only when they test
-// the partition column.
-func pruneWalk(spec *catalog.PartitionSpec, e expr.Expr) []bool {
-	n := spec.NumPartitions()
+// PruneWalk returns, per bucket 0..n-1 of some placement of rows
+// (partitions, shards), whether the bucket may hold a row satisfying e.
+// And intersects, Or unions, and a comparison is decided by leaf, which
+// knows the placement: it gets the lowercased column, the operator and
+// the literals — one for a Cmp; an In arrives as OpEq over its list, any
+// of which may match — and returns the buckets that may hold a match,
+// or nil when the comparison does not constrain the placement (another
+// column, an operator it cannot use). NULL literals never reach leaf:
+// a comparison against NULL is false for every row (see expr.Cmp.Eval).
+func PruneWalk(n int, e expr.Expr, leaf func(col string, op expr.CmpOp, vals []value.Value) []bool) []bool {
+	var keep []bool
 	switch x := e.(type) {
 	case expr.FalseExpr:
 		return make([]bool, n)
 	case expr.And:
-		keep := allParts(n)
+		keep = allParts(n)
 		for _, k := range x.Kids {
-			kk := pruneWalk(spec, k)
+			kk := PruneWalk(n, k, leaf)
 			for i := range keep {
 				keep[i] = keep[i] && kk[i]
 			}
 		}
-		return keep
 	case expr.Or:
-		keep := make([]bool, n)
+		keep = make([]bool, n)
 		for _, k := range x.Kids {
-			kk := pruneWalk(spec, k)
+			kk := PruneWalk(n, k, leaf)
 			for i := range keep {
 				keep[i] = keep[i] || kk[i]
 			}
 		}
-		return keep
 	case expr.Cmp:
 		if x.Val.IsNull() {
-			// Any comparison against a NULL literal is false for every
-			// row (see expr.Cmp.Eval), so nothing qualifies anywhere.
 			return make([]bool, n)
 		}
-		if norm(x.Col) != norm(spec.Column) {
-			return allParts(n)
-		}
-		switch x.Op {
-		case expr.OpEq:
-			keep := make([]bool, n)
-			keep[spec.PartitionFor(x.Val)] = true
-			return keep
-		case expr.OpLt:
-			return overlapParts(spec, nil, false, &x.Val, false)
-		case expr.OpLe:
-			return overlapParts(spec, nil, false, &x.Val, true)
-		case expr.OpGt:
-			return overlapParts(spec, &x.Val, false, nil, false)
-		case expr.OpGe:
-			return overlapParts(spec, &x.Val, true, nil, false)
-		}
-		// OpNe constrains almost nothing at partition granularity.
-		return allParts(n)
+		keep = leaf(norm(x.Col), x.Op, []value.Value{x.Val})
 	case expr.In:
-		if norm(x.Col) != norm(spec.Column) {
-			return allParts(n)
-		}
-		keep := make([]bool, n)
-		// Dedupe first (mirrors TableStats.Selectivity's IN handling);
-		// NULL literals never match any row.
-		for _, v := range stats.DedupeValues(x.Vals) {
-			if v.IsNull() {
-				continue
+		vals := make([]value.Value, 0, len(x.Vals))
+		for _, v := range x.Vals {
+			if !v.IsNull() {
+				vals = append(vals, v)
 			}
-			keep[spec.PartitionFor(v)] = true
 		}
-		return keep
+		keep = leaf(norm(x.Col), expr.OpEq, vals)
 	}
-	// TrueExpr, Not (NULL semantics make negation non-invertible at
-	// interval granularity), ColCmp, and anything unknown: keep all.
-	return allParts(n)
+	if keep == nil {
+		// An unconstraining leaf, TrueExpr, Not (NULL semantics make
+		// negation non-invertible at interval granularity), ColCmp, and
+		// anything unknown: keep all.
+		return allParts(n)
+	}
+	return keep
 }
 
 func allParts(n int) []bool {
