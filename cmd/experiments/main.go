@@ -9,11 +9,8 @@
 //	fig7       — scatter of original vs envelope selectivity (NB + clustering)
 //	overhead   — envelope precompute time vs training time; optimize vs lookup
 //	scan       — morsel-driven parallel scan sweep: wall time at DOP 1..N
-//	server     — minequeryd end-to-end latency: prepared vs ad-hoc (BENCH_server.json)
 //	partition  — partition pruning: pages read with vs without pruning per predicate width
-//	cluster    — coordinator scatter-gather at 1/2/4 shards, pruned vs unpruned (BENCH_cluster.json)
-//	standing   — standing-query engine: shared compiled set vs naive per-subscription evaluation (BENCH_standing.json)
-//	all        — everything above (except scan, server, partition, cluster, and standing, which are standalone)
+//	all        — everything above (except scan and partition, which are standalone)
 //
 // Shapes, not absolute numbers, are the comparison target: the engine is
 // a simulator, not the paper's SQL Server testbed. See EXPERIMENTS.md.
@@ -40,35 +37,18 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table2|runtime|planchange|fig3|fig4|fig5|fig6|fig7|overhead|scan|server|partition|cluster|all")
+	exp := flag.String("exp", "all", "experiment: table2|runtime|planchange|fig3|fig4|fig5|fig6|fig7|overhead|scan|partition|all")
 	rows := flag.Int("rows", 40000, "test-table rows per data set (paper: >1M; selectivities are scale-invariant)")
 	only := flag.String("dataset", "", "restrict to one data set (by name)")
 	dop := flag.Int("dop", 1, "scan degree of parallelism for execution and costing (rerun any experiment at DOP 1 vs N)")
-	benchN := flag.Int("bench-n", 400, "server bench: requests per workload")
-	benchConc := flag.Int("bench-conc", 8, "server bench: concurrent clients")
-	benchOut := flag.String("bench-out", "BENCH_server.json", "server bench: output JSON path (empty: stdout only)")
-	clusterOut := flag.String("cluster-out", "BENCH_cluster.json", "cluster bench: output JSON path (empty: stdout only)")
-	standingOut := flag.String("standing-out", "BENCH_standing.json", "standing bench: output JSON path (empty: stdout only)")
 	flag.Parse()
 
 	if *exp == "scan" {
 		scanSweep(*rows)
 		return
 	}
-	if *exp == "server" {
-		serverBench(*rows, *benchN, *benchConc, *benchOut)
-		return
-	}
 	if *exp == "partition" {
 		partitionBench(*rows)
-		return
-	}
-	if *exp == "cluster" {
-		clusterBench(*rows, *benchN, *benchConc, *clusterOut)
-		return
-	}
-	if *exp == "standing" {
-		standingBench(*standingOut)
 		return
 	}
 

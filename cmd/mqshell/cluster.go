@@ -9,13 +9,14 @@ package main
 // coordinator observed there.
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
+
+	"minequery/internal/wire"
 )
 
 type clusterClient struct {
@@ -30,145 +31,39 @@ func newClusterClient(base string) *clusterClient {
 	}
 }
 
-type clusterErrorEnvelope struct {
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
-}
-
-type clusterExecResult struct {
-	Columns []string `json:"columns"`
-	Schema  []struct {
-		Name   string `json:"name"`
-		Kind   string `json:"kind"`
-		Source string `json:"source"`
-	} `json:"schema"`
-	Rows      [][]any `json:"rows"`
-	RowCount  int     `json:"row_count"`
-	AggMerges int64   `json:"agg_partial_merges"`
-	Shards    struct {
-		Planned  int `json:"planned"`
-		Pruned   int `json:"pruned"`
-		Queried  int `json:"queried"`
-		Degraded int `json:"degraded"`
-	} `json:"shards"`
-	Degraded      bool     `json:"degraded"`
-	MissingShards []int    `json:"missing_shards"`
-	Notes         []string `json:"notes"`
-	Retries       int64    `json:"retries"`
-	Epoch         int64    `json:"epoch"`
-}
-
-type clusterShardStatus struct {
-	ID        int    `json:"id"`
-	Addr      string `json:"addr"`
-	Breaker   string `json:"breaker"`
-	LastEpoch int64  `json:"last_epoch"`
-	Models    int    `json:"models"`
-	Range     string `json:"range"`
-}
-
-type clusterInfo struct {
-	Table    string               `json:"table"`
-	Column   string               `json:"column"`
-	Mode     string               `json:"mode"`
-	Shards   []clusterShardStatus `json:"shards"`
-	Prepared []struct {
-		StatementID    string `json:"statement_id"`
-		Cached         bool   `json:"cached"`
-		Norm           string `json:"norm"`
-		ShardsPrepared int    `json:"shards_prepared"`
-	} `json:"prepared"`
-}
-
-// call POSTs (or GETs, when body is nil) and decodes into out,
-// surfacing the coordinator's error envelope as a plain error.
-func (c *clusterClient) call(method, path string, body, out any) error {
-	var rd io.Reader
-	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(raw)
-	}
-	req, err := http.NewRequest(method, c.base+path, rd)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return fmt.Errorf("coordinator unreachable: %w", err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		var env clusterErrorEnvelope
-		if json.Unmarshal(raw, &env) == nil && env.Error.Code != "" {
-			return fmt.Errorf("%s: %s", env.Error.Code, env.Error.Message)
-		}
-		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(raw)))
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	return dec.Decode(out)
-}
-
-func (c *clusterClient) exec(sql string) (*clusterExecResult, error) {
-	var res clusterExecResult
-	if err := c.call("POST", "/v1/execute", map[string]string{"sql": sql}, &res); err != nil {
+// call runs one round trip against the coordinator, decoding a 200
+// answer into a fresh T; a non-200 answer comes back as the *wire.Error
+// its envelope described.
+func call[T any](c *clusterClient, method, path string, body any) (*T, error) {
+	out := new(T)
+	if err := wire.Call(context.Background(), c.http, method, c.base+path, body, out); err != nil {
 		return nil, err
 	}
-	return &res, nil
+	return out, nil
 }
 
-type clusterWriteResult struct {
-	Statement     string   `json:"statement"`
-	Table         string   `json:"table"`
-	RowsAffected  int64    `json:"rows_affected"`
-	ShardsWritten int      `json:"shards_written"`
-	Retrained     []string `json:"retrained"`
-	RetrainErrors []struct {
-		Shard int    `json:"shard"`
-		Error string `json:"error"`
-	} `json:"retrain_errors"`
+func (c *clusterClient) exec(sql string) (*wire.CoordExecuteResponse, error) {
+	return call[wire.CoordExecuteResponse](c, "POST", "/v1/execute", wire.ExecuteRequest{SQL: sql})
 }
 
-func (c *clusterClient) execWrite(sql string) (*clusterWriteResult, error) {
-	var res clusterWriteResult
-	if err := c.call("POST", "/v1/exec", map[string]string{"sql": sql}, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+func (c *clusterClient) execWrite(sql string) (*wire.StatementResult, error) {
+	return call[wire.StatementResult](c, "POST", "/v1/exec", wire.ExecRequest{SQL: sql})
 }
 
 func (c *clusterClient) explainAnalyze(sql string) (string, error) {
-	var res struct {
-		Analyze string `json:"analyze"`
-	}
-	if err := c.call("POST", "/v1/explain-analyze", map[string]string{"sql": sql}, &res); err != nil {
+	res, err := call[wire.CoordExplainResponse](c, "POST", "/v1/explain-analyze", wire.ExplainAnalyzeRequest{SQL: sql})
+	if err != nil {
 		return "", err
 	}
 	return res.Analyze, nil
 }
 
-func (c *clusterClient) info() (*clusterInfo, error) {
-	var res clusterInfo
-	if err := c.call("GET", "/v1/cluster", nil, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+func (c *clusterClient) info() (*wire.ClusterResponse, error) {
+	return call[wire.ClusterResponse](c, "GET", "/v1/cluster", nil)
 }
 
 // printShards renders the \shards table.
-func printShards(ci *clusterInfo) {
+func printShards(ci *wire.ClusterResponse) {
 	fmt.Printf("cluster: table=%s mode=%s column=%s shards=%d\n",
 		ci.Table, ci.Mode, ci.Column, len(ci.Shards))
 	fmt.Println("  id  addr                                  range              breaker    last-epoch  models")
@@ -203,7 +98,7 @@ func truncate(s string, n int) string {
 // self-describing schema marks aggregate columns, each name carries
 // its kind (count(*):INT) so grouped answers read unambiguously;
 // plain selects keep the bare name header the shell always had.
-func clusterHeader(res *clusterExecResult) string {
+func clusterHeader(res *wire.CoordExecuteResponse) string {
 	hasAgg := false
 	for _, c := range res.Schema {
 		if c.Source == "aggregate" {
@@ -294,6 +189,9 @@ func (c *clusterClient) repl(readLine func() (string, bool)) {
 			}
 			for _, re := range res.RetrainErrors {
 				fmt.Printf("-- shard %d retrain failed (rows are committed, do not re-issue): %s\n", re.Shard, re.Error)
+			}
+			for _, m := range res.Models {
+				fmt.Printf("-- shard %d trained %s: %d classes, version %d\n", m.Shard, m.Name, m.Classes, m.Version)
 			}
 		default:
 			res, err := c.exec(line)

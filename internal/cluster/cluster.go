@@ -194,7 +194,7 @@ func (e *ShardError) Is(target error) bool { return target == ErrShardUnavailabl
 type RemoteError struct {
 	// Status is the HTTP status the shard returned.
 	Status int
-	// Code is the wire error code (e.g. "parse_error", "stale_plan").
+	// Code is the wire error code (e.g. wire.CodeParse, wire.CodeStalePlan).
 	Code string
 	// Message is the shard's error text.
 	Message string

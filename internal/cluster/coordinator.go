@@ -18,6 +18,7 @@ import (
 	"minequery/internal/qerr"
 	"minequery/internal/sqlparse"
 	"minequery/internal/value"
+	"minequery/internal/wire"
 )
 
 // Config tunes a Coordinator. Zero values take the documented defaults.
@@ -72,7 +73,7 @@ type shardState struct {
 	epoch int64
 	// models maps lowercased model name to the shard's registration
 	// info; nil when unknown or invalidated by an epoch change.
-	models map[string]ModelInfo
+	models map[string]wire.ModelInfo
 }
 
 // coordStmt is one coordinator-prepared statement: the SQL plus the
@@ -111,30 +112,6 @@ type Counters struct {
 	Replans int64 `json:"replans"`
 }
 
-// ShardStatus is the \shards / GET /v1/cluster view of one node.
-type ShardStatus struct {
-	ID        int    `json:"id"`
-	Addr      string `json:"addr"`
-	Breaker   string `json:"breaker"`
-	LastEpoch int64  `json:"last_epoch"`
-	Models    int    `json:"models"`
-	Range     string `json:"range,omitempty"`
-}
-
-// ShardStats summarizes one query's fan-out for EXPLAIN ANALYZE and
-// the executeResponse shards line.
-type ShardStats struct {
-	Planned  int `json:"planned"`
-	Pruned   int `json:"pruned"`
-	Queried  int `json:"queried"`
-	Degraded int `json:"degraded"`
-}
-
-func (s ShardStats) String() string {
-	return fmt.Sprintf("shards: planned=%d pruned=%d queried=%d degraded=%d",
-		s.Planned, s.Pruned, s.Queried, s.Degraded)
-}
-
 // Request is one coordinator execution: exactly one of SQL or
 // StatementID, plus per-call knobs.
 type Request struct {
@@ -151,14 +128,14 @@ type Result struct {
 	// Schema self-describes each output column (name, value kind, and
 	// projected-vs-aggregate provenance), taken from the first answering
 	// shard (every shard plans the same statement, so they agree).
-	Schema []ColumnMeta
+	Schema []wire.ColumnMeta
 	// Rows preserve each shard's literal JSON numbers (json.Number), so
 	// re-encoding is byte-identical to a single node over the union.
 	// Aggregate statements instead carry rows finalized once at the
 	// coordinator from the merged per-shard partial states, rendered
 	// with the same value conversion a single-node daemon uses.
 	Rows       [][]any
-	ShardStats ShardStats
+	ShardStats wire.ShardStats
 	// AggMerges counts the per-shard partial aggregate states folded
 	// into the finalized answer (aggregate statements only).
 	AggMerges int64
@@ -245,12 +222,12 @@ func (c *Coordinator) BreakerOpen() int { return c.breaker.OpenCount() }
 func (c *Coordinator) BreakerTrips() int64 { return c.breaker.Trips() }
 
 // ShardStatuses reports per-node status for \shards and /v1/cluster.
-func (c *Coordinator) ShardStatuses() []ShardStatus {
+func (c *Coordinator) ShardStatuses() []wire.ShardStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]ShardStatus, c.shards.NumShards())
+	out := make([]wire.ShardStatus, c.shards.NumShards())
 	for i, sh := range c.shards.Shards {
-		out[i] = ShardStatus{
+		out[i] = wire.ShardStatus{
 			ID:        sh.ID,
 			Addr:      sh.Addr,
 			Breaker:   c.breaker.StateOf(sh.Addr),
@@ -285,7 +262,7 @@ func (c *Coordinator) SyncShard(ctx context.Context, i int) error {
 	if err != nil {
 		return &ShardError{Shard: i, Addr: c.shards.Shards[i].Addr, Err: err}
 	}
-	models := make(map[string]ModelInfo, len(info.Models))
+	models := make(map[string]wire.ModelInfo, len(info.Models))
 	for _, m := range info.Models {
 		models[strings.ToLower(m.Name)] = m
 	}
@@ -411,7 +388,7 @@ func (c *Coordinator) fingerprintsMatch(ctx context.Context, i int, o *minequery
 
 // shardOutcome is one shard's terminal result for a query.
 type shardOutcome struct {
-	resp *ExecResponse
+	resp *wire.ShardExecResponse
 	err  error
 }
 
@@ -427,7 +404,7 @@ func (c *Coordinator) Execute(ctx context.Context, req Request) (*Result, error)
 		stmt = c.stmts[req.StatementID]
 		c.mu.Unlock()
 		if stmt == nil {
-			return nil, &RemoteError{Status: http.StatusNotFound, Code: "not_found", Message: "no statement " + req.StatementID}
+			return nil, &RemoteError{Status: http.StatusNotFound, Code: wire.CodeNotFound, Message: "no statement " + req.StatementID}
 		}
 		sql = stmt.sql
 	}
@@ -586,7 +563,7 @@ func (c *Coordinator) merge(o *minequery.PlanOutline, d pruneDecision, outcomes 
 			return nil, err
 		}
 		res.Columns = local.ColumnNames()
-		res.Schema = schemaFromMeta(local.Columns)
+		res.Schema = WireSchema(local.Columns)
 	}
 	if tab != nil {
 		// Finalize once over every shard's merged state; the canonical
@@ -609,11 +586,11 @@ func (c *Coordinator) merge(o *minequery.PlanOutline, d pruneDecision, outcomes 
 	return res, nil
 }
 
-// schemaFromMeta converts engine column metadata to the wire form.
-func schemaFromMeta(cols []minequery.ColumnMeta) []ColumnMeta {
-	out := make([]ColumnMeta, len(cols))
+// WireSchema converts a result's column metadata to the wire form.
+func WireSchema(cols []minequery.ColumnMeta) []wire.ColumnMeta {
+	out := make([]wire.ColumnMeta, len(cols))
 	for i, c := range cols {
-		out[i] = ColumnMeta{Name: c.Name, Kind: c.Kind.String(), Source: c.Source}
+		out[i] = wire.ColumnMeta{Name: c.Name, Kind: c.Kind.String(), Source: c.Source}
 	}
 	return out
 }
@@ -657,10 +634,10 @@ func (c *Coordinator) execOnShard(ctx context.Context, i int, o *minequery.PlanO
 	}
 
 	guarded := len(o.Models) > 0
-	var resp *ExecResponse
+	var resp *wire.ShardExecResponse
 	var lastErr error
 	for round := 0; round <= maxReplans; round++ {
-		ereq := ExecRequest{TimeoutMS: c.cfg.ShardTimeout.Milliseconds(), DOP: req.DOP, AggPartial: o.Agg != nil}
+		ereq := wire.ShardExecRequest{TimeoutMS: c.cfg.ShardTimeout.Milliseconds(), DOP: req.DOP, AggPartial: o.Agg != nil}
 		if stmt != nil {
 			ereq.StatementID = c.shardStmtID(ctx, i, stmt)
 			if ereq.StatementID == "" {
@@ -700,7 +677,7 @@ func (c *Coordinator) execOnShard(ctx context.Context, i int, o *minequery.PlanO
 		var re *RemoteError
 		if errors.As(lastErr, &re) {
 			switch re.Code {
-			case "epoch_mismatch":
+			case wire.CodeEpochMismatch:
 				// The shard's catalog moved: refresh our view (new epoch +
 				// fingerprints) and replan the guard.
 				c.replans.Add(1)
@@ -709,12 +686,12 @@ func (c *Coordinator) execOnShard(ctx context.Context, i int, o *minequery.PlanO
 					break
 				}
 				continue
-			case "stale_plan":
+			case wire.CodeStalePlan:
 				// The shard's own lazy re-prepare lost a churn race; one
 				// more round gives it a fresh epoch to plan at.
 				c.replans.Add(1)
 				continue
-			case "not_found":
+			case wire.CodeNotFound:
 				if stmt != nil {
 					// The remote statement id vanished (shard restarted or
 					// evicted it): re-propagate the statement and retry.
@@ -790,21 +767,11 @@ func (c *Coordinator) forgetShardStmt(i int, stmt *coordStmt) {
 	c.mu.Unlock()
 }
 
-// PreparedInfo describes a coordinator-prepared statement.
-type PreparedInfo struct {
-	StatementID string `json:"statement_id"`
-	Cached      bool   `json:"cached"`
-	Norm        string `json:"norm"`
-	// ShardsPrepared counts nodes holding the plan after this call;
-	// unreachable nodes are propagated to lazily at execute time.
-	ShardsPrepared int `json:"shards_prepared"`
-}
-
 // Prepare plans a statement once on the coordinator and propagates it
 // to every reachable shard. The fleet shares plans by normalized
 // statement text: each shard's registry dedupes on it, so N
 // coordinators preparing the same query converge on one plan per node.
-func (c *Coordinator) Prepare(ctx context.Context, sql string) (*PreparedInfo, error) {
+func (c *Coordinator) Prepare(ctx context.Context, sql string) (*wire.PreparedInfo, error) {
 	o, err := c.outline(sql)
 	if err != nil {
 		return nil, err
@@ -812,7 +779,7 @@ func (c *Coordinator) Prepare(ctx context.Context, sql string) (*PreparedInfo, e
 	c.mu.Lock()
 	if st, ok := c.byNorm[o.Norm]; ok {
 		c.mu.Unlock()
-		return &PreparedInfo{StatementID: st.id, Cached: true, Norm: o.Norm, ShardsPrepared: c.countPrepared(st)}, nil
+		return &wire.PreparedInfo{StatementID: st.id, Cached: true, Norm: o.Norm, ShardsPrepared: c.countPrepared(st)}, nil
 	}
 	c.nextStmt++
 	st := &coordStmt{id: fmt.Sprintf("cq%d", c.nextStmt), sql: sql, norm: o.Norm, shardIDs: map[int]string{}}
@@ -829,7 +796,7 @@ func (c *Coordinator) Prepare(ctx context.Context, sql string) (*PreparedInfo, e
 		}(i)
 	}
 	wg.Wait()
-	return &PreparedInfo{StatementID: st.id, Norm: o.Norm, ShardsPrepared: c.countPrepared(st)}, nil
+	return &wire.PreparedInfo{StatementID: st.id, Norm: o.Norm, ShardsPrepared: c.countPrepared(st)}, nil
 }
 
 func (c *Coordinator) countPrepared(st *coordStmt) int {
@@ -854,7 +821,7 @@ func (c *Coordinator) ExplainAnalyze(ctx context.Context, sql string) (string, e
 	}
 	d := c.decide(ctx, o)
 	n := c.shards.NumShards()
-	stats := ShardStats{Planned: n}
+	stats := wire.ShardStats{Planned: n}
 	reports := make([]string, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -905,7 +872,7 @@ func (c *Coordinator) ExplainAnalyze(ctx context.Context, sql string) (string, e
 }
 
 // Statements lists the coordinator's prepared statements sorted by id.
-func (c *Coordinator) Statements() []PreparedInfo {
+func (c *Coordinator) Statements() []wire.PreparedInfo {
 	c.mu.Lock()
 	stmts := make([]*coordStmt, 0, len(c.stmts))
 	for _, st := range c.stmts {
@@ -913,9 +880,9 @@ func (c *Coordinator) Statements() []PreparedInfo {
 	}
 	c.mu.Unlock()
 	sort.Slice(stmts, func(a, b int) bool { return stmts[a].id < stmts[b].id })
-	out := make([]PreparedInfo, len(stmts))
+	out := make([]wire.PreparedInfo, len(stmts))
 	for i, st := range stmts {
-		out[i] = PreparedInfo{StatementID: st.id, Norm: st.norm, ShardsPrepared: c.countPrepared(st)}
+		out[i] = wire.PreparedInfo{StatementID: st.id, Norm: st.norm, ShardsPrepared: c.countPrepared(st)}
 	}
 	return out
 }

@@ -26,34 +26,11 @@ import (
 	"minequery/internal/qerr"
 	"minequery/internal/sqlparse"
 	"minequery/internal/value"
+	"minequery/internal/wire"
 )
 
-// StatementResult is the merged outcome of one fleet write.
-type StatementResult struct {
-	Statement    string `json:"statement"`
-	Table        string `json:"table"`
-	RowsAffected int64  `json:"rows_affected"`
-	// ShardsWritten counts shards that applied the statement (routed
-	// inserts touch only the owning shards; broadcasts touch all).
-	ShardsWritten int `json:"shards_written"`
-	// Retrained lists models retrained by shard write-volume triggers,
-	// deduplicated across shards.
-	Retrained []string `json:"retrained,omitempty"`
-	// RetrainErrors lists the shards whose triggered retrain failed after
-	// the statement committed there. The write itself succeeded —
-	// RowsAffected is authoritative and must not be re-issued — but those
-	// shards' models are stale until a later write retries the retrain.
-	RetrainErrors []ShardRetrainError `json:"retrain_errors,omitempty"`
-}
-
-// ShardRetrainError is one shard's failed write-volume retrain.
-type ShardRetrainError struct {
-	Shard int    `json:"shard"`
-	Error string `json:"error"`
-}
-
 // Exec runs one write statement across the fleet.
-func (c *Coordinator) Exec(ctx context.Context, sql string) (*StatementResult, error) {
+func (c *Coordinator) Exec(ctx context.Context, sql string) (*wire.StatementResult, error) {
 	st, err := sqlparse.ParseStatement(sql)
 	if err != nil {
 		return nil, err
@@ -71,7 +48,7 @@ func (c *Coordinator) Exec(ctx context.Context, sql string) (*StatementResult, e
 
 // execInsert routes each row to its owning shard and sends per-shard
 // INSERT statements concurrently.
-func (c *Coordinator) execInsert(ctx context.Context, st *sqlparse.InsertStmt) (*StatementResult, error) {
+func (c *Coordinator) execInsert(ctx context.Context, st *sqlparse.InsertStmt) (*wire.StatementResult, error) {
 	if !strings.EqualFold(st.Table, c.shards.Table) {
 		return nil, fmt.Errorf("%w: cluster writes support only the sharded table %q", qerr.ErrUnsupportedQuery, c.shards.Table)
 	}
@@ -93,13 +70,13 @@ func (c *Coordinator) execInsert(ctx context.Context, st *sqlparse.InsertStmt) (
 		byShard[sh] = append(byShard[sh], row)
 	}
 
-	res := &StatementResult{Statement: "insert", Table: strings.ToLower(st.Table)}
+	res := &wire.StatementResult{Statement: "insert", Table: strings.ToLower(st.Table)}
 	shardIDs := make([]int, 0, len(byShard))
 	for sh := range byShard {
 		shardIDs = append(shardIDs, sh)
 	}
 	sort.Ints(shardIDs)
-	resps := make([]*StatementResponse, len(shardIDs))
+	resps := make([]*wire.ExecResponse, len(shardIDs))
 	errs := make([]error, len(shardIDs))
 	var wg sync.WaitGroup
 	for idx, sh := range shardIDs {
@@ -140,8 +117,8 @@ func insertKeyPosition(arity int, st *sqlparse.InsertStmt, keyCol string, keyOrd
 }
 
 // broadcast sends the statement verbatim to every shard.
-func (c *Coordinator) broadcast(ctx context.Context, sql string, st *sqlparse.Statement) (*StatementResult, error) {
-	res := &StatementResult{}
+func (c *Coordinator) broadcast(ctx context.Context, sql string, st *sqlparse.Statement) (*wire.StatementResult, error) {
+	res := &wire.StatementResult{}
 	switch st.Kind {
 	case sqlparse.StmtUpdate:
 		// An UPDATE that assigns the shard key would mutate rows in place
@@ -165,7 +142,7 @@ func (c *Coordinator) broadcast(ctx context.Context, sql string, st *sqlparse.St
 	}
 	n := c.shards.NumShards()
 	shardIDs := make([]int, n)
-	resps := make([]*StatementResponse, n)
+	resps := make([]*wire.ExecResponse, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -182,7 +159,7 @@ func (c *Coordinator) broadcast(ctx context.Context, sql string, st *sqlparse.St
 
 // execStatementOnShard runs one write on shard i with the same breaker
 // admission the read path uses.
-func (c *Coordinator) execStatementOnShard(ctx context.Context, i int, sql string) (*StatementResponse, error) {
+func (c *Coordinator) execStatementOnShard(ctx context.Context, i int, sql string) (*wire.ExecResponse, error) {
 	addr := c.shards.Shards[i].Addr
 	shed, probe := c.breaker.Allow(addr)
 	if shed {
@@ -211,7 +188,7 @@ func (c *Coordinator) execStatementOnShard(ctx context.Context, i int, sql strin
 
 // mergeWrites folds per-shard write outcomes, failing on the first
 // error but naming every shard that already applied the statement.
-func (c *Coordinator) mergeWrites(res *StatementResult, shardIDs []int, resps []*StatementResponse, errs []error) (*StatementResult, error) {
+func (c *Coordinator) mergeWrites(res *wire.StatementResult, shardIDs []int, resps []*wire.ExecResponse, errs []error) (*wire.StatementResult, error) {
 	retrained := map[string]bool{}
 	var applied []int
 	var firstErr error
@@ -229,7 +206,10 @@ func (c *Coordinator) mergeWrites(res *StatementResult, shardIDs []int, resps []
 			retrained[m] = true
 		}
 		if e := resps[idx].RetrainError; e != "" {
-			res.RetrainErrors = append(res.RetrainErrors, ShardRetrainError{Shard: sh, Error: e})
+			res.RetrainErrors = append(res.RetrainErrors, wire.ShardRetrainError{Shard: sh, Error: e})
+		}
+		if m := resps[idx].Model; m != nil {
+			res.Models = append(res.Models, wire.ShardModel{Shard: sh, ModelBody: *m})
 		}
 	}
 	if firstErr != nil {

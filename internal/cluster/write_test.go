@@ -163,6 +163,16 @@ func TestClusterCreateModelBroadcast(t *testing.T) {
 	if res.Statement != "create model" || res.ShardsWritten != 3 {
 		t.Fatalf("create model result: %+v", res)
 	}
+	// Each shard reports the model it trained over its own rows; the
+	// coordinator lists them per shard rather than pretending to one.
+	if len(res.Models) != 3 {
+		t.Fatalf("create model reported %d shard models, want 3: %+v", len(res.Models), res)
+	}
+	for s, m := range res.Models {
+		if m.Shard != s || m.Name != "local_seg" || m.Classes == 0 || m.Version == 0 {
+			t.Fatalf("shard %d model body: %+v", s, m)
+		}
+	}
 	// Every shard can serve a PREDICTION JOIN on its local model.
 	for s, eng := range tc.engines {
 		r, err := eng.Query(ctx, `SELECT id FROM customers

@@ -8,6 +8,7 @@ import (
 
 	"minequery"
 	"minequery/internal/cluster"
+	"minequery/internal/wire"
 )
 
 // CoordServer is minequeryd's coordinator mode: the same HTTP/JSON
@@ -86,60 +87,8 @@ func (cs *CoordServer) beginRequest() (func(), error) {
 	return cs.wg.Done, nil
 }
 
-func (cs *CoordServer) writeError(w http.ResponseWriter, err error) {
-	code, status := classify(err)
-	writeJSON(w, status, map[string]errorBody{"error": {Code: code, Message: err.Error()}})
-}
-
-// ---- wire types ----
-
-type coordExecuteRequest struct {
-	SQL         string `json:"sql"`
-	StatementID string `json:"statement_id"`
-	TimeoutMS   int64  `json:"timeout_ms"`
-	DOP         int    `json:"dop"`
-}
-
-type coordShardStatsBody struct {
-	Planned  int `json:"planned"`
-	Pruned   int `json:"pruned"`
-	Queried  int `json:"queried"`
-	Degraded int `json:"degraded"`
-}
-
-type coordExecuteResponse struct {
-	StatementID string   `json:"statement_id,omitempty"`
-	Columns     []string `json:"columns"`
-	// Schema self-describes the output columns exactly as the
-	// single-node daemon's "schema" field does; old clients ignore it.
-	Schema   []cluster.ColumnMeta `json:"schema"`
-	Rows     [][]any              `json:"rows"`
-	RowCount int                  `json:"row_count"`
-	Shards   coordShardStatsBody  `json:"shards"`
-	// AggMerges counts per-shard partial aggregate states merged at the
-	// coordinator (0 for non-aggregate statements).
-	AggMerges int64 `json:"agg_partial_merges,omitempty"`
-	// Degraded: AllowPartial accepted missing shards; the rows are a
-	// sound subset and MissingShards + Notes say exactly what is absent.
-	Degraded      bool     `json:"degraded"`
-	MissingShards []int    `json:"missing_shards,omitempty"`
-	Notes         []string `json:"notes,omitempty"`
-	Retries       int64    `json:"retries"`
-	Epoch         int64    `json:"epoch"`
-}
-
-type coordExplainResponse struct {
-	Analyze string `json:"analyze"`
-}
-
-type coordClusterResponse struct {
-	Table    string                 `json:"table"`
-	Column   string                 `json:"column"`
-	Mode     string                 `json:"mode"`
-	Shards   []cluster.ShardStatus  `json:"shards"`
-	Prepared []cluster.PreparedInfo `json:"prepared,omitempty"`
-}
-
+// coordStatsResponse is GET /v1/stats in coordinator mode; no in-repo
+// client decodes it, so it stays beside its only producer.
 type coordStatsResponse struct {
 	UptimeMS    int64            `json:"uptime_ms"`
 	Counters    cluster.Counters `json:"counters"`
@@ -149,55 +98,76 @@ type coordStatsResponse struct {
 
 // ---- handlers ----
 
-func (cs *CoordServer) handleExecute(w http.ResponseWriter, r *http.Request) {
+// serve is the coordinator's request prologue: drain guard, decode into
+// req, the endpoint's own check (which also names the session and the
+// request's timeout_ms), the no-sessions rule, and the deadline
+// bounding the whole fan-out. run's value is the 200 body.
+func (cs *CoordServer) serve(w http.ResponseWriter, r *http.Request, req any,
+	check func() (sessionID string, timeoutMS int64, err error),
+	run func(context.Context) (any, error)) {
 	done, err := cs.beginRequest()
 	if err != nil {
-		cs.writeError(w, err)
+		writeEnvelope(w, err)
 		return
 	}
 	defer done()
-	var req coordExecuteRequest
-	if err := decodeBody(r, &req); err != nil {
-		cs.writeError(w, err)
+	if err := decodeBody(r, req); err != nil {
+		writeEnvelope(w, err)
 		return
 	}
-	if (req.SQL == "") == (req.StatementID == "") {
-		cs.writeError(w, errBadRequest("exactly one of sql or statement_id is required"))
+	sessionID, timeoutMS, err := check()
+	if err == nil && sessionID != "" {
+		// The request bodies are the single-node ones, but sessions (and
+		// the dop/force_path/timeout_ms settings they carry) live on a
+		// node; silently ignoring one would run the statement with
+		// settings the client did not ask for.
+		err = errBadRequest("coordinator mode has no sessions")
+	}
+	if err != nil {
+		writeEnvelope(w, err)
 		return
 	}
 	timeout := cs.timeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	if timeoutMS > 0 {
+		timeout = time.Duration(timeoutMS) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	res, err := cs.coord.Execute(ctx, cluster.Request{
-		SQL:         req.SQL,
-		StatementID: req.StatementID,
-		DOP:         req.DOP,
-	})
+	body, err := run(ctx)
 	if err != nil {
-		cs.writeError(w, err)
+		writeEnvelope(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, coordExecuteResponse{
-		StatementID: res.StatementID,
-		Columns:     res.Columns,
-		Schema:      res.Schema,
-		Rows:        res.Rows,
-		RowCount:    len(res.Rows),
-		AggMerges:   res.AggMerges,
-		Shards: coordShardStatsBody{
-			Planned:  res.ShardStats.Planned,
-			Pruned:   res.ShardStats.Pruned,
-			Queried:  res.ShardStats.Queried,
-			Degraded: res.ShardStats.Degraded,
-		},
-		Degraded:      res.Degraded,
-		MissingShards: res.MissingShards,
-		Notes:         res.Notes,
-		Retries:       res.Retries,
-		Epoch:         res.Epoch,
+	writeJSON(w, http.StatusOK, body)
+}
+
+func (cs *CoordServer) handleExecute(w http.ResponseWriter, r *http.Request) {
+	var req wire.ExecuteRequest
+	cs.serve(w, r, &req, func() (string, int64, error) {
+		return req.SessionID, req.TimeoutMS, exactlyOne(req.SQL, req.StatementID)
+	}, func(ctx context.Context) (any, error) {
+		res, err := cs.coord.Execute(ctx, cluster.Request{
+			SQL:         req.SQL,
+			StatementID: req.StatementID,
+			DOP:         req.DOP,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return wire.CoordExecuteResponse{
+			StatementID:   res.StatementID,
+			Columns:       res.Columns,
+			Schema:        res.Schema,
+			Rows:          res.Rows,
+			RowCount:      len(res.Rows),
+			AggMerges:     res.AggMerges,
+			Shards:        res.ShardStats,
+			Degraded:      res.Degraded,
+			MissingShards: res.MissingShards,
+			Notes:         res.Notes,
+			Retries:       res.Retries,
+			Epoch:         res.Epoch,
+		}, nil
 	})
 }
 
@@ -205,94 +175,36 @@ func (cs *CoordServer) handleExecute(w http.ResponseWriter, r *http.Request) {
 // to their owning shards by the shard map, UPDATE/DELETE/CREATE MODEL
 // broadcast to every shard.
 func (cs *CoordServer) handleExec(w http.ResponseWriter, r *http.Request) {
-	done, err := cs.beginRequest()
-	if err != nil {
-		cs.writeError(w, err)
-		return
-	}
-	defer done()
-	var req execRequest
-	if err := decodeBody(r, &req); err != nil {
-		cs.writeError(w, err)
-		return
-	}
-	if req.SQL == "" {
-		cs.writeError(w, errBadRequest("sql is required"))
-		return
-	}
-	timeout := cs.timeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	res, err := cs.coord.Exec(ctx, req.SQL)
-	if err != nil {
-		cs.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	var req wire.ExecRequest
+	cs.serve(w, r, &req, func() (string, int64, error) {
+		return req.SessionID, req.TimeoutMS, requireSQL(req.SQL)
+	}, func(ctx context.Context) (any, error) {
+		return cs.coord.Exec(ctx, req.SQL)
+	})
 }
 
 func (cs *CoordServer) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	done, err := cs.beginRequest()
-	if err != nil {
-		cs.writeError(w, err)
-		return
-	}
-	defer done()
-	var req prepareRequest
-	if err := decodeBody(r, &req); err != nil {
-		cs.writeError(w, err)
-		return
-	}
-	if req.SQL == "" {
-		cs.writeError(w, errBadRequest("sql is required"))
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), cs.timeout)
-	defer cancel()
-	info, err := cs.coord.Prepare(ctx, req.SQL)
-	if err != nil {
-		cs.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
+	var req wire.PrepareRequest
+	cs.serve(w, r, &req, func() (string, int64, error) {
+		return req.SessionID, 0, requireSQL(req.SQL)
+	}, func(ctx context.Context) (any, error) {
+		return cs.coord.Prepare(ctx, req.SQL)
+	})
 }
 
 func (cs *CoordServer) handleExplainAnalyze(w http.ResponseWriter, r *http.Request) {
-	done, err := cs.beginRequest()
-	if err != nil {
-		cs.writeError(w, err)
-		return
-	}
-	defer done()
-	var req explainAnalyzeRequest
-	if err := decodeBody(r, &req); err != nil {
-		cs.writeError(w, err)
-		return
-	}
-	if req.SQL == "" {
-		cs.writeError(w, errBadRequest("sql is required"))
-		return
-	}
-	timeout := cs.timeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	report, err := cs.coord.ExplainAnalyze(ctx, req.SQL)
-	if err != nil {
-		cs.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, coordExplainResponse{Analyze: report})
+	var req wire.ExplainAnalyzeRequest
+	cs.serve(w, r, &req, func() (string, int64, error) {
+		return req.SessionID, req.TimeoutMS, requireSQL(req.SQL)
+	}, func(ctx context.Context) (any, error) {
+		report, err := cs.coord.ExplainAnalyze(ctx, req.SQL)
+		return wire.CoordExplainResponse{Analyze: report}, err
+	})
 }
 
 func (cs *CoordServer) handleCluster(w http.ResponseWriter, r *http.Request) {
 	m := cs.coord.Map()
-	writeJSON(w, http.StatusOK, coordClusterResponse{
+	writeJSON(w, http.StatusOK, wire.ClusterResponse{
 		Table:    m.Table,
 		Column:   m.Column,
 		Mode:     string(m.Mode),

@@ -3,40 +3,11 @@ package server
 import (
 	"context"
 	"errors"
-	"net/http"
 
 	"minequery"
 	"minequery/internal/cluster"
+	"minequery/internal/wire"
 )
-
-// Error codes returned in the JSON error envelope. Each maps to one
-// HTTP status; clients branch on Code, not on message text.
-const (
-	CodeBadRequest   = "bad_request"   // 400: malformed request or SQL error
-	CodeNotFound     = "not_found"     // 404: unknown session/statement
-	CodeRejected     = "rejected"      // 429: admission queue full
-	CodeShuttingDown = "shutting_down" // 503: server is draining
-	CodeInternal     = "internal"      // 500: unexpected failure
-	CodeTimeout      = "timeout"       // 504: per-query deadline exceeded
-	CodeCancelled    = "cancelled"     // 499: client went away mid-query
-	CodeStalePlan    = "stale_plan"    // 409: catalog churned faster than re-prepare retries
-	CodeParse        = "parse_error"   // 400: SQL failed to lex or parse
-	CodeUnknownTable = "unknown_table" // 404: query names a table the catalog lacks
-	CodeUnknownModel = "unknown_model" // 404: query names a model the catalog lacks
-	CodeTransient    = "transient"     // 503: transient failure survived retries and fallback; safe to retry
-
-	// CodeUnsupportedQuery is a 400: the SQL parsed but the engine
-	// cannot execute its shape (e.g. a rejected aggregate form).
-	CodeUnsupportedQuery = "unsupported_query"
-
-	// Cluster codes (coordinator mode and the shard-exec endpoint).
-	CodeEpochMismatch    = "epoch_mismatch"    // 409: shard catalog epoch differs from the coordinator's expectation
-	CodeShardUnavailable = "shard_unavailable" // 502: a shard could not be reached and the query cannot be answered soundly
-)
-
-// statusClientClosedRequest is nginx's non-standard 499: the client
-// disconnected before the response was produced.
-const statusClientClosedRequest = 499
 
 // apiError is a typed server error carrying its wire code.
 type apiError struct {
@@ -46,74 +17,58 @@ type apiError struct {
 
 func (e *apiError) Error() string { return e.msg }
 
-func errBadRequest(msg string) error { return &apiError{code: CodeBadRequest, msg: msg} }
-func errNotFound(msg string) error   { return &apiError{code: CodeNotFound, msg: msg} }
+func errBadRequest(msg string) error { return &apiError{code: wire.CodeBadRequest, msg: msg} }
+func errNotFound(msg string) error   { return &apiError{code: wire.CodeNotFound, msg: msg} }
 
 // errRejected is returned by the admission controller when the wait
 // queue is at capacity.
-var errRejected = &apiError{code: CodeRejected, msg: "server busy: admission queue full"}
+var errRejected = &apiError{code: wire.CodeRejected, msg: "server busy: admission queue full"}
 
 // errShuttingDown is returned once Shutdown has begun.
-var errShuttingDown = &apiError{code: CodeShuttingDown, msg: "server is shutting down"}
+var errShuttingDown = &apiError{code: wire.CodeShuttingDown, msg: "server is shutting down"}
 
-// classify maps an error to (code, http status). Context errors from
-// query execution become timeout/cancelled; apiErrors keep their code;
-// anything else is a bad request if it happened before execution (the
-// caller decides) or internal.
+// classify maps an error to its wire code and HTTP status. Context
+// errors from query execution become timeout/cancelled; apiErrors keep
+// their code; typed engine and cluster errors map by sentinel; anything
+// else is a bad request.
 func classify(err error) (string, int) {
+	var re *cluster.RemoteError
+	var ae *apiError
+	code := wire.CodeBadRequest
+	switch {
 	// A RemoteError is a shard's own typed answer relayed by the
 	// coordinator: pass the original code and status through so cluster
 	// clients see exactly what a single node would have returned.
-	var re *cluster.RemoteError
-	if errors.As(err, &re) {
+	case errors.As(err, &re):
 		return re.Code, re.Status
-	}
-	var ae *apiError
-	if errors.As(err, &ae) {
-		switch ae.code {
-		case CodeRejected:
-			return CodeRejected, http.StatusTooManyRequests
-		case CodeShuttingDown:
-			return CodeShuttingDown, http.StatusServiceUnavailable
-		case CodeNotFound:
-			return CodeNotFound, http.StatusNotFound
-		case CodeBadRequest:
-			return CodeBadRequest, http.StatusBadRequest
-		case CodeEpochMismatch:
-			return CodeEpochMismatch, http.StatusConflict
-		case CodeShardUnavailable:
-			return CodeShardUnavailable, http.StatusBadGateway
-		default:
-			return CodeInternal, http.StatusInternalServerError
-		}
-	}
-	switch {
+	case errors.As(err, &ae):
+		code = ae.code
 	// Shard availability must outrank the transient check: a ShardError
 	// usually wraps ErrTransient (that is what made it retryable), but
 	// "a named shard is down" is the actionable fact — 502 with the
 	// shard id beats a generic 503.
 	case errors.Is(err, cluster.ErrShardUnavailable):
-		return CodeShardUnavailable, http.StatusBadGateway
+		code = wire.CodeShardUnavailable
 	case errors.Is(err, cluster.ErrEpochMismatch):
-		return CodeEpochMismatch, http.StatusConflict
+		code = wire.CodeEpochMismatch
 	case errors.Is(err, context.DeadlineExceeded):
-		return CodeTimeout, http.StatusGatewayTimeout
+		code = wire.CodeTimeout
 	case errors.Is(err, context.Canceled):
-		return CodeCancelled, statusClientClosedRequest
+		code = wire.CodeCancelled
 	case errors.Is(err, minequery.ErrStalePlan):
-		return CodeStalePlan, http.StatusConflict
+		code = wire.CodeStalePlan
 	case errors.Is(err, minequery.ErrParse):
-		return CodeParse, http.StatusBadRequest
+		code = wire.CodeParse
 	case errors.Is(err, minequery.ErrUnsupportedQuery):
-		return CodeUnsupportedQuery, http.StatusBadRequest
+		code = wire.CodeUnsupportedQuery
 	case errors.Is(err, minequery.ErrUnknownTable):
-		return CodeUnknownTable, http.StatusNotFound
+		code = wire.CodeUnknownTable
 	case errors.Is(err, minequery.ErrUnknownModel):
-		return CodeUnknownModel, http.StatusNotFound
+		code = wire.CodeUnknownModel
 	case errors.Is(err, minequery.ErrUnknownSubscription):
-		return CodeNotFound, http.StatusNotFound
+		code = wire.CodeNotFound
 	case errors.Is(err, minequery.ErrTransient):
-		return CodeTransient, http.StatusServiceUnavailable
+		code = wire.CodeTransient
 	}
-	return CodeBadRequest, http.StatusBadRequest
+	return code, wire.Status(code)
 }

@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"minequery"
+	"minequery/internal/cluster"
 	"minequery/internal/sqlparse"
+	"minequery/internal/wire"
 )
 
 // Config tunes a Server. Zero values take the documented defaults.
@@ -205,12 +207,8 @@ func (s *Server) beginRequest() (func(), error) {
 	return s.wg.Done, nil
 }
 
-// ---- request/response wire types ----
-
-type errorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
+// ---- bodies only this package knows (everything a client of ours
+// decodes is declared in internal/wire) ----
 
 type sessionResponse struct {
 	SessionID string `json:"session_id"`
@@ -220,111 +218,6 @@ type settingsRequest struct {
 	DOP       *int    `json:"dop"`
 	ForcePath *string `json:"force_path"`
 	TimeoutMS *int64  `json:"timeout_ms"`
-}
-
-type prepareRequest struct {
-	SQL       string `json:"sql"`
-	SessionID string `json:"session_id"`
-}
-
-type prepareResponse struct {
-	StatementID string `json:"statement_id"`
-	Cached      bool   `json:"cached"`
-	Plan        string `json:"plan"`
-	AccessPath  string `json:"access_path"`
-}
-
-type executeRequest struct {
-	SQL         string `json:"sql"`
-	StatementID string `json:"statement_id"`
-	SessionID   string `json:"session_id"`
-	TimeoutMS   int64  `json:"timeout_ms"`
-}
-
-type execStatsBody struct {
-	DurationUS    int64   `json:"duration_us"`
-	SeqPageReads  int64   `json:"seq_page_reads"`
-	RandPageReads int64   `json:"rand_page_reads"`
-	TupleReads    int64   `json:"tuple_reads"`
-	CostUnits     float64 `json:"cost_units"`
-}
-
-// columnMetaBody is the wire form of one output column's
-// self-description. It rides in the response's "schema" field, which
-// predates-this-field clients simply ignore; "columns" (names only)
-// stays as-is for them.
-type columnMetaBody struct {
-	Name   string `json:"name"`
-	Kind   string `json:"kind"`
-	Source string `json:"source"`
-}
-
-type executeResponse struct {
-	StatementID       string   `json:"statement_id"`
-	StatementCacheHit bool     `json:"statement_cache_hit"`
-	Columns           []string `json:"columns"`
-	// Schema self-describes each output column (name, value kind, and
-	// whether it is projected from the input or computed by an
-	// aggregate), so clients never re-derive types from the query text.
-	Schema         []columnMetaBody `json:"schema"`
-	Rows           [][]any          `json:"rows"`
-	RowCount       int              `json:"row_count"`
-	Plan           string           `json:"plan"`
-	AccessPath     string           `json:"access_path"`
-	PlanChanged    bool             `json:"plan_changed"`
-	EstSelectivity float64          `json:"est_selectivity"`
-	// Degraded: the table's circuit breaker shed this query to the
-	// force-seqscan plan. Fallback: the engine itself re-ran the query
-	// on the baseline scan after a transient index-path failure. Both
-	// return exactly the rows the optimized plan would have.
-	Degraded bool          `json:"degraded"`
-	Fallback bool          `json:"fallback"`
-	Retries  int64         `json:"retries"`
-	Stats    execStatsBody `json:"stats"`
-}
-
-type execRequest struct {
-	SQL       string `json:"sql"`
-	SessionID string `json:"session_id"`
-	TimeoutMS int64  `json:"timeout_ms"`
-}
-
-type execResponse struct {
-	Statement    string   `json:"statement"`
-	Table        string   `json:"table"`
-	RowsAffected int64    `json:"rows_affected"`
-	Retrained    []string `json:"retrained,omitempty"`
-	Epoch        int64    `json:"epoch"`
-	// Model summarizes the trained model (CREATE MODEL only).
-	Model *execModelBody `json:"model,omitempty"`
-	// RetrainError reports a write-volume retrain that failed AFTER the
-	// statement's rows committed durably. The statement succeeded —
-	// rows_affected is authoritative, the response is a 200 — and the
-	// retrain retries on the next write. Clients must not re-issue the
-	// statement.
-	RetrainError string `json:"retrain_error,omitempty"`
-}
-
-type execModelBody struct {
-	Name    string `json:"name"`
-	Classes int    `json:"classes"`
-	Version int64  `json:"version"`
-}
-
-type explainAnalyzeRequest struct {
-	SQL       string `json:"sql"`
-	SessionID string `json:"session_id"`
-	TimeoutMS int64  `json:"timeout_ms"`
-}
-
-type explainAnalyzeResponse struct {
-	Plan           string        `json:"plan"`
-	AccessPath     string        `json:"access_path"`
-	RowCount       int           `json:"row_count"`
-	EstSelectivity float64       `json:"est_selectivity"`
-	RewriteNotes   []string      `json:"rewrite_notes"`
-	Analyze        string        `json:"analyze"`
-	Stats          execStatsBody `json:"stats"`
 }
 
 type slowlogResponse struct {
@@ -353,15 +246,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) writeError(w http.ResponseWriter, err error) {
+// writeEnvelope answers err as the wire error envelope and returns the
+// code it was classified as.
+func writeEnvelope(w http.ResponseWriter, err error) string {
 	code, status := classify(err)
-	switch code {
-	case CodeTimeout:
+	writeJSON(w, status, wire.ErrorEnvelope{Error: wire.ErrorBody{Code: code, Message: err.Error()}})
+	return code
+}
+
+func (s *Server) writeError(w http.ResponseWriter, err error) {
+	switch writeEnvelope(w, err) {
+	case wire.CodeTimeout:
 		s.timeouts.Add(1)
-	case CodeCancelled:
+	case wire.CodeCancelled:
 		s.cancelled.Add(1)
 	}
-	writeJSON(w, status, map[string]errorBody{"error": {Code: code, Message: err.Error()}})
 }
 
 func decodeBody(r *http.Request, v any) error {
@@ -373,13 +272,14 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
-// schemaToJSON converts a result's column metadata to the wire form.
-func schemaToJSON(cols []minequery.ColumnMeta) []columnMetaBody {
-	out := make([]columnMetaBody, len(cols))
-	for i, c := range cols {
-		out[i] = columnMetaBody{Name: c.Name, Kind: c.Kind.String(), Source: c.Source}
+func wireStats(st minequery.ExecStats) wire.ExecStats {
+	return wire.ExecStats{
+		DurationUS:    st.Duration.Microseconds(),
+		SeqPageReads:  st.SeqPageReads,
+		RandPageReads: st.RandPageReads,
+		TupleReads:    st.TupleReads,
+		CostUnits:     st.CostUnits,
 	}
-	return out
 }
 
 // rowsToJSON converts tuples to JSON-friendly values.
@@ -493,13 +393,13 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer done()
-	var req prepareRequest
+	var req wire.PrepareRequest
 	if err := decodeBody(r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if req.SQL == "" {
-		s.writeError(w, errBadRequest("sql is required"))
+	if err := requireSQL(req.SQL); err != nil {
+		s.writeError(w, err)
 		return
 	}
 	settings, err := s.resolveSettings(req.SessionID)
@@ -515,7 +415,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	ent.mu.Lock()
 	planStr, path := ent.prepared.Plan(), ent.prepared.AccessPath()
 	ent.mu.Unlock()
-	writeJSON(w, http.StatusOK, prepareResponse{
+	writeJSON(w, http.StatusOK, wire.PrepareResponse{
 		StatementID: ent.id,
 		Cached:      cached,
 		Plan:        planStr,
@@ -523,23 +423,46 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
+func requireSQL(sql string) error {
+	if sql == "" {
+		return errBadRequest("sql is required")
+	}
+	return nil
+}
+
+func exactlyOne(sql, statementID string) error {
+	if (sql == "") == (statementID == "") {
+		return errBadRequest("exactly one of sql or statement_id is required")
+	}
+	return nil
+}
+
+// serve is the one prologue of the statement endpoints (/v1/execute,
+// /v1/shard-exec, /v1/exec, /v1/explain-analyze): drain guard, decode
+// into req, the endpoint's own check (which also names the session and
+// the request's timeout_ms), the deadline — request over session over
+// server default — an admission slot held until the answer is written,
+// the test hook and the admission fault site. run's value is the 200
+// body.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, req any,
+	check func() (sessionID string, timeoutMS int64, err error),
+	run func(context.Context, sessionSettings) (any, error)) {
 	done, err := s.beginRequest()
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	defer done()
-	var req executeRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(r, req); err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if (req.SQL == "") == (req.StatementID == "") {
-		s.writeError(w, errBadRequest("exactly one of sql or statement_id is required"))
+	sessionID, timeoutMS, err := check()
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
-	settings, err := s.resolveSettings(req.SessionID)
+	settings, err := s.resolveSettings(sessionID)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -548,15 +471,17 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	if settings.Timeout > 0 {
 		timeout = settings.Timeout
 	}
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	if timeoutMS > 0 {
+		timeout = time.Duration(timeoutMS) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
 	// Admission: a worker slot or a bounded wait for one. The wait is
 	// itself under the query deadline, so a queued query times out
-	// rather than waiting forever.
+	// rather than waiting forever. Writes take the same slots as reads —
+	// a burst of inserts queues behind the pool rather than starving
+	// readers.
 	if err := s.adm.acquire(ctx); err != nil {
 		s.writeError(w, err)
 		return
@@ -569,130 +494,135 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-
-	var ent *stmtEntry
-	if req.StatementID != "" {
-		var ok bool
-		if ent, ok = s.reg.byStatementID(req.StatementID); !ok {
-			s.writeError(w, errNotFound("no statement "+req.StatementID))
-			return
-		}
-	} else {
-		if ent, _, err = s.reg.lookup(req.SQL, settings.ForcePath == "seqscan"); err != nil {
-			s.writeError(w, err)
-			return
-		}
-	}
-	res, reused, degraded, err := s.executeGuarded(ctx, ent, settingsExecOpts(settings))
+	body, err := run(ctx, settings)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	s.queries.Add(1)
-	s.maybeRecordSlow(ent.norm, res)
-	writeJSON(w, http.StatusOK, executeResponse{
-		StatementID:       ent.id,
-		StatementCacheHit: reused,
-		Columns:           res.ColumnNames(),
-		Schema:            schemaToJSON(res.Columns),
-		Rows:              rowsToJSON(res.Rows),
-		RowCount:          len(res.Rows),
-		Plan:              res.Plan,
-		AccessPath:        res.AccessPath,
-		PlanChanged:       res.PlanChanged,
-		EstSelectivity:    res.EstSelectivity,
-		Degraded:          degraded,
-		Fallback:          res.Fallback,
-		Retries:           res.Retries,
-		Stats: execStatsBody{
-			DurationUS:    res.Stats.Duration.Microseconds(),
-			SeqPageReads:  res.Stats.SeqPageReads,
-			RandPageReads: res.Stats.RandPageReads,
-			TupleReads:    res.Stats.TupleReads,
-			CostUnits:     res.Stats.CostUnits,
-		},
+	writeJSON(w, http.StatusOK, body)
+}
+
+func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
+	var req wire.ExecuteRequest
+	s.serve(w, r, &req, func() (string, int64, error) {
+		if req.DOP != 0 {
+			return "", 0, errBadRequest("dop is a session setting on a node, a request field only on a coordinator")
+		}
+		return req.SessionID, req.TimeoutMS, exactlyOne(req.SQL, req.StatementID)
+	}, func(ctx context.Context, settings sessionSettings) (any, error) {
+		resp, err := s.execute(ctx, req.SQL, req.StatementID, settings.ForcePath == "seqscan", nil, settingsExecOpts(settings))
+		if err != nil {
+			return nil, err
+		}
+		return &resp.ExecuteResponse, nil
 	})
 }
 
+// handleShardExec is the endpoint a cluster coordinator drives:
+// /v1/execute minus sessions plus an optional catalog epoch guard and
+// partial-aggregate mode.
+func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
+	var req wire.ShardExecRequest
+	s.serve(w, r, &req, func() (string, int64, error) {
+		return "", req.TimeoutMS, exactlyOne(req.SQL, req.StatementID)
+	}, func(ctx context.Context, _ sessionSettings) (any, error) {
+		opts := settingsExecOpts(sessionSettings{DOP: req.DOP})
+		if req.AggPartial {
+			opts = append(opts, minequery.WithPartialAggs())
+		}
+		return s.execute(ctx, req.SQL, req.StatementID, false, req.ExpectedEpoch, opts)
+	})
+}
+
+// execute runs one read statement — by id, or by SQL through the
+// statement cache — and builds its answer. /v1/execute and
+// /v1/shard-exec differ only in what their request carries: session
+// settings (forceSeq, opts) on the former; an epoch guard, a DOP and
+// partial-aggregate mode on the latter. /v1/execute answers with the
+// embedded ExecuteResponse, /v1/shard-exec with the whole value.
+func (s *Server) execute(ctx context.Context, sql, statementID string, forceSeq bool, expectedEpoch *int64, opts []minequery.QueryOption) (*wire.ShardExecResponse, error) {
+	epoch := s.eng.CatalogEpoch()
+	if expectedEpoch != nil && *expectedEpoch != epoch {
+		return nil, &apiError{code: wire.CodeEpochMismatch, msg: "catalog epoch moved since the coordinator planned"}
+	}
+	var ent *stmtEntry
+	if statementID != "" {
+		var ok bool
+		if ent, ok = s.reg.byStatementID(statementID); !ok {
+			return nil, errNotFound("no statement " + statementID)
+		}
+	} else {
+		var err error
+		if ent, _, err = s.reg.lookup(sql, forceSeq); err != nil {
+			return nil, err
+		}
+	}
+	res, reused, degraded, err := s.executeGuarded(ctx, ent, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.maybeRecordSlow(ent.norm, res)
+	return &wire.ShardExecResponse{
+		ExecuteResponse: wire.ExecuteResponse{
+			StatementID:       ent.id,
+			StatementCacheHit: reused,
+			Columns:           res.ColumnNames(),
+			Schema:            cluster.WireSchema(res.Columns),
+			Rows:              rowsToJSON(res.Rows),
+			RowCount:          len(res.Rows),
+			Plan:              res.Plan,
+			AccessPath:        res.AccessPath,
+			PlanChanged:       res.PlanChanged,
+			EstSelectivity:    res.EstSelectivity,
+			Degraded:          degraded,
+			Fallback:          res.Fallback,
+			Retries:           res.Retries,
+			Stats:             wireStats(res.Stats),
+		},
+		Epoch:      epoch,
+		AggPartial: res.PartialAgg,
+	}, nil
+}
+
 // handleExec runs one write statement (INSERT/UPDATE/DELETE or CREATE
-// MODEL) through the engine's durable write path. Writes go through the
-// same admission control as queries — a burst of inserts queues behind
-// the worker pool rather than starving readers — and through the same
-// error taxonomy, so clients see parse_error/unsupported_query for bad
-// statements and transient for injected write-path failures.
+// MODEL) through the engine's durable write path, under the same
+// admission control and error taxonomy as queries: clients see
+// parse_error/unsupported_query for bad statements and transient for
+// injected write-path failures.
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
-	done, err := s.beginRequest()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer done()
-	var req execRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if req.SQL == "" {
-		s.writeError(w, errBadRequest("sql is required"))
-		return
-	}
-	settings, err := s.resolveSettings(req.SessionID)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	timeout := s.cfg.DefaultTimeout
-	if settings.Timeout > 0 {
-		timeout = settings.Timeout
-	}
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	if err := s.adm.acquire(ctx); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer s.adm.release()
-	if s.execHook != nil {
-		s.execHook()
-	}
-	if err := s.cfg.Faults.Hit(minequery.FaultSiteAdmission); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	res, err := s.eng.Exec(ctx, req.SQL)
-	if err != nil {
+	var req wire.ExecRequest
+	s.serve(w, r, &req, func() (string, int64, error) {
+		return req.SessionID, req.TimeoutMS, requireSQL(req.SQL)
+	}, func(ctx context.Context, _ sessionSettings) (any, error) {
+		res, err := s.eng.Exec(ctx, req.SQL)
 		// A failed retrain after a durably committed write is partial
 		// success, not statement failure: the rows are applied and logged,
 		// so a 5xx here would invite the client to re-issue (and
 		// double-apply) the statement. Report 200 with the populated
 		// result and the retrain error alongside.
-		if res == nil || !errors.Is(err, minequery.ErrRetrainFailed) {
-			s.writeError(w, err)
-			return
+		if err != nil && (res == nil || !errors.Is(err, minequery.ErrRetrainFailed)) {
+			return nil, err
 		}
-	}
-	s.queries.Add(1)
-	body := execResponse{
-		Statement:    res.Statement,
-		Table:        res.Table,
-		RowsAffected: res.RowsAffected,
-		Retrained:    res.Retrained,
-		Epoch:        res.Epoch,
-	}
-	if err != nil {
-		body.RetrainError = err.Error()
-	}
-	if res.Model != nil {
-		body.Model = &execModelBody{
-			Name:    res.Model.Name,
-			Classes: len(res.Model.Classes),
-			Version: res.Model.Version,
+		body := wire.ExecResponse{
+			Statement:    res.Statement,
+			Table:        res.Table,
+			RowsAffected: res.RowsAffected,
+			Retrained:    res.Retrained,
+			Epoch:        res.Epoch,
 		}
-	}
-	writeJSON(w, http.StatusOK, body)
+		if err != nil {
+			body.RetrainError = err.Error()
+		}
+		if res.Model != nil {
+			body.Model = &wire.ModelBody{
+				Name:    res.Model.Name,
+				Classes: len(res.Model.Classes),
+				Version: res.Model.Version,
+			}
+		}
+		return body, nil
+	})
 }
 
 // executeGuarded runs the entry's plan behind the per-table circuit
@@ -759,16 +689,12 @@ func (s *Server) maybeRecordSlow(normSQL string, res *minequery.Result) {
 		return
 	}
 	e := slowLogEntry{
-		Time:          time.Now(),
-		SQL:           normSQL,
-		AccessPath:    res.AccessPath,
-		DurationUS:    res.Stats.Duration.Microseconds(),
-		Rows:          len(res.Rows),
-		SeqPageReads:  res.Stats.SeqPageReads,
-		RandPageReads: res.Stats.RandPageReads,
-		TupleReads:    res.Stats.TupleReads,
-		CostUnits:     res.Stats.CostUnits,
-		Plan:          res.Plan,
+		Time:       time.Now(),
+		SQL:        normSQL,
+		AccessPath: res.AccessPath,
+		Rows:       len(res.Rows),
+		ExecStats:  wireStats(res.Stats),
+		Plan:       res.Plan,
 	}
 	if res.Analyze != nil {
 		e.Analyze = res.Analyze.Render(false)
@@ -783,79 +709,33 @@ func (s *Server) maybeRecordSlow(normSQL string, res *minequery.Result) {
 // cached plans, but session settings (DOP, force_path) and admission
 // control still apply — the query really executes.
 func (s *Server) handleExplainAnalyze(w http.ResponseWriter, r *http.Request) {
-	done, err := s.beginRequest()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer done()
-	var req explainAnalyzeRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if req.SQL == "" {
-		s.writeError(w, errBadRequest("sql is required"))
-		return
-	}
-	settings, err := s.resolveSettings(req.SessionID)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	timeout := s.cfg.DefaultTimeout
-	if settings.Timeout > 0 {
-		timeout = settings.Timeout
-	}
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	if err := s.adm.acquire(ctx); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer s.adm.release()
-	if s.execHook != nil {
-		s.execHook()
-	}
-	if err := s.cfg.Faults.Hit(minequery.FaultSiteAdmission); err != nil {
-		s.writeError(w, err)
-		return
-	}
-
-	opts := append(settingsExecOpts(settings), minequery.WithAnalyze())
-	if settings.ForcePath != "" {
-		opts = append(opts, minequery.WithForcedPath(settings.ForcePath))
-	}
-	res, err := s.eng.Query(ctx, req.SQL, opts...)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if res.Analyze == nil {
-		s.writeError(w, &apiError{code: CodeInternal, msg: "engine instrumentation is disabled"})
-		return
-	}
-	s.queries.Add(1)
-	if norm, nerr := sqlparse.Normalize(req.SQL); nerr == nil {
-		s.maybeRecordSlow(norm, res)
-	}
-	writeJSON(w, http.StatusOK, explainAnalyzeResponse{
-		Plan:           res.Plan,
-		AccessPath:     res.AccessPath,
-		RowCount:       len(res.Rows),
-		EstSelectivity: res.EstSelectivity,
-		RewriteNotes:   res.RewriteNotes,
-		Analyze:        res.Analyze.Render(false),
-		Stats: execStatsBody{
-			DurationUS:    res.Stats.Duration.Microseconds(),
-			SeqPageReads:  res.Stats.SeqPageReads,
-			RandPageReads: res.Stats.RandPageReads,
-			TupleReads:    res.Stats.TupleReads,
-			CostUnits:     res.Stats.CostUnits,
-		},
+	var req wire.ExplainAnalyzeRequest
+	s.serve(w, r, &req, func() (string, int64, error) {
+		return req.SessionID, req.TimeoutMS, requireSQL(req.SQL)
+	}, func(ctx context.Context, settings sessionSettings) (any, error) {
+		opts := append(settingsExecOpts(settings), minequery.WithAnalyze())
+		if settings.ForcePath != "" {
+			opts = append(opts, minequery.WithForcedPath(settings.ForcePath))
+		}
+		res, err := s.eng.Query(ctx, req.SQL, opts...)
+		if err != nil {
+			return nil, err
+		}
+		if res.Analyze == nil {
+			return nil, &apiError{code: wire.CodeInternal, msg: "engine instrumentation is disabled"}
+		}
+		if norm, nerr := sqlparse.Normalize(req.SQL); nerr == nil {
+			s.maybeRecordSlow(norm, res)
+		}
+		return wire.ExplainAnalyzeResponse{
+			Plan:           res.Plan,
+			AccessPath:     res.AccessPath,
+			RowCount:       len(res.Rows),
+			EstSelectivity: res.EstSelectivity,
+			RewriteNotes:   res.RewriteNotes,
+			Analyze:        res.Analyze.Render(false),
+			Stats:          wireStats(res.Stats),
+		}, nil
 	})
 }
 

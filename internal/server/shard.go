@@ -1,158 +1,14 @@
 package server
 
 import (
-	"context"
 	"net/http"
-	"time"
 
-	"minequery"
+	"minequery/internal/wire"
 )
 
-// Shard endpoints: the daemon surface a cluster coordinator drives.
-// /v1/shard-exec is /v1/execute minus sessions plus an optional catalog
-// epoch guard; /v1/shard-info summarizes the catalog (epoch, tables,
-// model fingerprints) so a coordinator can prove its envelope-driven
-// shard pruning still sound against this node's models.
-
-type shardExecRequest struct {
-	SQL         string `json:"sql"`
-	StatementID string `json:"statement_id"`
-	// ExpectedEpoch, when present, guards the execution: if this node's
-	// catalog epoch differs, the request is rejected with code
-	// "epoch_mismatch" (409) before running, signalling the coordinator
-	// to resync this node's model fingerprints. Absent means unguarded.
-	ExpectedEpoch *int64 `json:"expected_epoch"`
-	TimeoutMS     int64  `json:"timeout_ms"`
-	DOP           int    `json:"dop"`
-	// AggPartial asks for partial-aggregate execution: instead of
-	// finalized rows, the response carries the un-finalized per-group
-	// accumulator state (agg_partial), which the coordinator merges
-	// across shards — in any order — and finalizes once. Only valid for
-	// GROUP BY / aggregate statements.
-	AggPartial bool `json:"agg_partial,omitempty"`
-}
-
-type shardExecResponse struct {
-	executeResponse
-	// Epoch is this node's catalog epoch observed at admission; the
-	// coordinator folds it into its per-shard state.
-	Epoch int64 `json:"epoch"`
-	// AggPartial is this shard's partial aggregate state (requests with
-	// agg_partial set; rows is then empty and row_count 0).
-	AggPartial *minequery.AggWire `json:"agg_partial,omitempty"`
-}
-
-type shardModelBody struct {
-	Name          string   `json:"name"`
-	Version       int64    `json:"version"`
-	Fingerprint   string   `json:"fingerprint"`
-	PredictColumn string   `json:"predict_column"`
-	Classes       []string `json:"classes"`
-}
-
-type shardInfoResponse struct {
-	Epoch  int64            `json:"epoch"`
-	Tables []string         `json:"tables"`
-	Models []shardModelBody `json:"models"`
-}
-
-func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
-	done, err := s.beginRequest()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer done()
-	var req shardExecRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if (req.SQL == "") == (req.StatementID == "") {
-		s.writeError(w, errBadRequest("exactly one of sql or statement_id is required"))
-		return
-	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	if err := s.adm.acquire(ctx); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer s.adm.release()
-	if s.execHook != nil {
-		s.execHook()
-	}
-	if err := s.cfg.Faults.Hit(minequery.FaultSiteAdmission); err != nil {
-		s.writeError(w, err)
-		return
-	}
-
-	epoch := s.eng.CatalogEpoch()
-	if req.ExpectedEpoch != nil && *req.ExpectedEpoch != epoch {
-		s.writeError(w, &apiError{code: CodeEpochMismatch,
-			msg: "catalog epoch moved since the coordinator planned"})
-		return
-	}
-
-	var ent *stmtEntry
-	if req.StatementID != "" {
-		var ok bool
-		if ent, ok = s.reg.byStatementID(req.StatementID); !ok {
-			s.writeError(w, errNotFound("no statement "+req.StatementID))
-			return
-		}
-	} else {
-		if ent, _, err = s.reg.lookup(req.SQL, false); err != nil {
-			s.writeError(w, err)
-			return
-		}
-	}
-	var opts []minequery.QueryOption
-	if req.DOP > 0 {
-		opts = append(opts, minequery.WithDOP(req.DOP))
-	}
-	if req.AggPartial {
-		opts = append(opts, minequery.WithPartialAggs())
-	}
-	res, reused, degraded, err := s.executeGuarded(ctx, ent, opts)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.queries.Add(1)
-	s.maybeRecordSlow(ent.norm, res)
-	writeJSON(w, http.StatusOK, shardExecResponse{
-		executeResponse: executeResponse{
-			StatementID:       ent.id,
-			StatementCacheHit: reused,
-			Columns:           res.ColumnNames(),
-			Schema:            schemaToJSON(res.Columns),
-			Rows:              rowsToJSON(res.Rows),
-			RowCount:          len(res.Rows),
-			Plan:              res.Plan,
-			AccessPath:        res.AccessPath,
-			PlanChanged:       res.PlanChanged,
-			EstSelectivity:    res.EstSelectivity,
-			Degraded:          degraded,
-			Fallback:          res.Fallback,
-			Retries:           res.Retries,
-			Stats: execStatsBody{
-				DurationUS:    res.Stats.Duration.Microseconds(),
-				SeqPageReads:  res.Stats.SeqPageReads,
-				RandPageReads: res.Stats.RandPageReads,
-				TupleReads:    res.Stats.TupleReads,
-				CostUnits:     res.Stats.CostUnits,
-			},
-		},
-		Epoch:      epoch,
-		AggPartial: res.PartialAgg,
-	})
-}
-
+// handleShardInfo summarizes the catalog (epoch, tables, model
+// fingerprints) so a coordinator can prove its envelope-driven shard
+// pruning still sound against this node's models.
 func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	done, err := s.beginRequest()
 	if err != nil {
@@ -161,9 +17,9 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	}
 	defer done()
 	summaries := s.eng.ModelSummaries()
-	models := make([]shardModelBody, len(summaries))
+	models := make([]wire.ModelInfo, len(summaries))
 	for i, m := range summaries {
-		models[i] = shardModelBody{
+		models[i] = wire.ModelInfo{
 			Name:          m.Name,
 			Version:       m.Version,
 			Fingerprint:   m.Fingerprint,
@@ -171,7 +27,7 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 			Classes:       m.Classes,
 		}
 	}
-	writeJSON(w, http.StatusOK, shardInfoResponse{
+	writeJSON(w, http.StatusOK, wire.ShardInfoResponse{
 		Epoch:  s.eng.CatalogEpoch(),
 		Tables: s.eng.TableNames(),
 		Models: models,

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"minequery/internal/wire"
 )
 
 // slowLogEntry is one recorded slow query. SQL is the normalized form
@@ -11,17 +13,13 @@ import (
 // only), and Analyze carries the per-operator actuals rendered from the
 // query's AnalyzeReport when instrumentation produced one.
 type slowLogEntry struct {
-	Time          time.Time `json:"time"`
-	SQL           string    `json:"sql"`
-	AccessPath    string    `json:"access_path"`
-	DurationUS    int64     `json:"duration_us"`
-	Rows          int       `json:"rows"`
-	SeqPageReads  int64     `json:"seq_page_reads"`
-	RandPageReads int64     `json:"rand_page_reads"`
-	TupleReads    int64     `json:"tuple_reads"`
-	CostUnits     float64   `json:"cost_units"`
-	Plan          string    `json:"plan"`
-	Analyze       string    `json:"analyze,omitempty"`
+	Time       time.Time `json:"time"`
+	SQL        string    `json:"sql"`
+	AccessPath string    `json:"access_path"`
+	Rows       int       `json:"rows"`
+	wire.ExecStats
+	Plan    string `json:"plan"`
+	Analyze string `json:"analyze,omitempty"`
 }
 
 // slowLog is a fixed-size ring of the most recent slow queries. Writes

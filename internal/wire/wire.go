@@ -1,0 +1,304 @@
+// Package wire is the single declaration of the HTTP/JSON protocol the
+// daemon, the cluster coordinator and their in-repo clients
+// (internal/cluster, cmd/mqshell) exchange: every request and response
+// body two of our packages share, the {"error":{code,message}}
+// envelope, the error codes with their HTTP statuses, and the one
+// client-side call. Both ends build and decode the same struct, so a
+// field added here reaches every reader — there is no mirror to forget.
+//
+// The package holds declarations only (stdlib + internal/agg): handlers
+// live in internal/server, fan-out in internal/cluster. Tags are the
+// bytes on the wire — names, order and omitempty are pinned by the
+// goldens in testdata/.
+package wire
+
+import (
+	"fmt"
+
+	"minequery/internal/agg"
+)
+
+// ---- statements: /v1/prepare, /v1/execute, /v1/shard-exec, /v1/explain-analyze ----
+
+// PrepareRequest is the body of POST /v1/prepare.
+type PrepareRequest struct {
+	SQL       string `json:"sql"`
+	SessionID string `json:"session_id,omitempty"`
+}
+
+// PrepareResponse is a node's /v1/prepare answer (a coordinator answers
+// PreparedInfo).
+type PrepareResponse struct {
+	StatementID string `json:"statement_id"`
+	Cached      bool   `json:"cached"`
+	Plan        string `json:"plan"`
+	AccessPath  string `json:"access_path"`
+}
+
+// ExecuteRequest is the body of POST /v1/execute on a node and on a
+// coordinator: exactly one of SQL or StatementID. A node takes its
+// parallelism and forced path from the session and rejects DOP; a
+// coordinator has no sessions and rejects SessionID.
+type ExecuteRequest struct {
+	SQL         string `json:"sql,omitempty"`
+	StatementID string `json:"statement_id,omitempty"`
+	SessionID   string `json:"session_id,omitempty"`
+	TimeoutMS   int64  `json:"timeout_ms,omitempty"`
+	DOP         int    `json:"dop,omitempty"`
+}
+
+// ShardExecRequest is the body of POST /v1/shard-exec, the endpoint a
+// coordinator drives: /v1/execute minus sessions plus an epoch guard
+// and partial-aggregate mode.
+type ShardExecRequest struct {
+	// SQL and StatementID: exactly one must be set.
+	SQL         string `json:"sql,omitempty"`
+	StatementID string `json:"statement_id,omitempty"`
+	// ExpectedEpoch, when non-nil, guards the execution: the shard
+	// rejects with CodeEpochMismatch before running if its catalog epoch
+	// differs, signalling the coordinator to resync this shard's model
+	// fingerprints before trusting prune decisions involving it.
+	ExpectedEpoch *int64 `json:"expected_epoch,omitempty"`
+	// TimeoutMS is the per-shard execution deadline.
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	// DOP overrides the shard's scan parallelism for this call.
+	DOP int `json:"dop,omitempty"`
+	// AggPartial asks for the un-finalized per-group accumulator state
+	// instead of finalized rows (aggregate statements only); the
+	// coordinator merges the states — in any order — and finalizes once.
+	AggPartial bool `json:"agg_partial,omitempty"`
+}
+
+// ExecStats is the measured execution cost of one statement.
+type ExecStats struct {
+	DurationUS    int64   `json:"duration_us"`
+	SeqPageReads  int64   `json:"seq_page_reads"`
+	RandPageReads int64   `json:"rand_page_reads"`
+	TupleReads    int64   `json:"tuple_reads"`
+	CostUnits     float64 `json:"cost_units"`
+}
+
+// ColumnMeta self-describes one output column: its name, value kind,
+// and whether it is "projected" from the input or computed by an
+// "aggregate", so clients never re-derive types from the query text.
+type ColumnMeta struct {
+	Name   string `json:"name"`
+	Kind   string `json:"kind"`
+	Source string `json:"source"`
+}
+
+// ExecuteResponse is a node's /v1/execute answer. Clients decode it
+// through Call (json.Decoder.UseNumber), so every numeric cell of Rows
+// is a json.Number holding the node's literal bytes — re-encoding
+// merged rows reproduces exactly what a single node would have written.
+type ExecuteResponse struct {
+	StatementID       string       `json:"statement_id"`
+	StatementCacheHit bool         `json:"statement_cache_hit"`
+	Columns           []string     `json:"columns"`
+	Schema            []ColumnMeta `json:"schema"`
+	Rows              [][]any      `json:"rows"`
+	RowCount          int          `json:"row_count"`
+	Plan              string       `json:"plan"`
+	AccessPath        string       `json:"access_path"`
+	PlanChanged       bool         `json:"plan_changed"`
+	EstSelectivity    float64      `json:"est_selectivity"`
+	// Degraded: the table's circuit breaker shed this query to the
+	// force-seqscan plan. Fallback: the engine itself re-ran the query
+	// on the baseline scan after a transient index-path failure. Both
+	// return exactly the rows the optimized plan would have.
+	Degraded bool      `json:"degraded"`
+	Fallback bool      `json:"fallback"`
+	Retries  int64     `json:"retries"`
+	Stats    ExecStats `json:"stats"`
+}
+
+// ShardExecResponse is a node's /v1/shard-exec answer.
+type ShardExecResponse struct {
+	ExecuteResponse
+	// Epoch is the node's catalog epoch observed at admission; the
+	// coordinator folds it into its per-shard state.
+	Epoch int64 `json:"epoch"`
+	// AggPartial is the shard's partial aggregate state (requests with
+	// AggPartial set; Rows is then empty and RowCount 0).
+	AggPartial *agg.Wire `json:"agg_partial,omitempty"`
+}
+
+// ExplainAnalyzeRequest is the body of POST /v1/explain-analyze.
+type ExplainAnalyzeRequest struct {
+	SQL       string `json:"sql"`
+	SessionID string `json:"session_id,omitempty"`
+	TimeoutMS int64  `json:"timeout_ms,omitempty"`
+}
+
+// ExplainAnalyzeResponse is a node's /v1/explain-analyze answer (a
+// coordinator answers CoordExplainResponse).
+type ExplainAnalyzeResponse struct {
+	Plan           string    `json:"plan"`
+	AccessPath     string    `json:"access_path"`
+	RowCount       int       `json:"row_count"`
+	EstSelectivity float64   `json:"est_selectivity"`
+	RewriteNotes   []string  `json:"rewrite_notes"`
+	Analyze        string    `json:"analyze"`
+	Stats          ExecStats `json:"stats"`
+}
+
+// ---- writes: /v1/exec ----
+
+// ExecRequest is the body of POST /v1/exec (INSERT/UPDATE/DELETE and
+// CREATE MODEL).
+type ExecRequest struct {
+	SQL       string `json:"sql"`
+	SessionID string `json:"session_id,omitempty"`
+	TimeoutMS int64  `json:"timeout_ms"`
+}
+
+// ModelBody summarizes a model trained by CREATE MODEL.
+type ModelBody struct {
+	Name    string `json:"name"`
+	Classes int    `json:"classes"`
+	Version int64  `json:"version"`
+}
+
+// ExecResponse is a node's /v1/exec answer (a coordinator answers
+// StatementResult).
+type ExecResponse struct {
+	Statement    string     `json:"statement"`
+	Table        string     `json:"table"`
+	RowsAffected int64      `json:"rows_affected"`
+	Retrained    []string   `json:"retrained,omitempty"`
+	Epoch        int64      `json:"epoch"`
+	Model        *ModelBody `json:"model,omitempty"`
+	// RetrainError reports a write-volume retrain that failed AFTER the
+	// statement's rows committed durably. The statement succeeded —
+	// RowsAffected is authoritative, the response is a 200 — and the
+	// retrain retries on the next write. Clients must not re-issue the
+	// statement.
+	RetrainError string `json:"retrain_error,omitempty"`
+}
+
+// ---- catalog summary: /v1/shard-info ----
+
+// ModelInfo describes one model registered on a node.
+type ModelInfo struct {
+	Name          string   `json:"name"`
+	Version       int64    `json:"version"`
+	Fingerprint   string   `json:"fingerprint"`
+	PredictColumn string   `json:"predict_column"`
+	Classes       []string `json:"classes"`
+}
+
+// ShardInfoResponse is a node's catalog summary: what a coordinator
+// needs to prove its envelope-driven shard pruning still sound against
+// the node's models, nothing more.
+type ShardInfoResponse struct {
+	Epoch  int64       `json:"epoch"`
+	Tables []string    `json:"tables"`
+	Models []ModelInfo `json:"models"`
+}
+
+// ---- coordinator answers ----
+
+// ShardStats summarizes one query's fan-out.
+type ShardStats struct {
+	Planned  int `json:"planned"`
+	Pruned   int `json:"pruned"`
+	Queried  int `json:"queried"`
+	Degraded int `json:"degraded"`
+}
+
+// String renders the EXPLAIN ANALYZE shards line.
+func (s ShardStats) String() string {
+	return fmt.Sprintf("shards: planned=%d pruned=%d queried=%d degraded=%d",
+		s.Planned, s.Pruned, s.Queried, s.Degraded)
+}
+
+// CoordExecuteResponse is a coordinator's /v1/execute answer.
+type CoordExecuteResponse struct {
+	StatementID string       `json:"statement_id,omitempty"`
+	Columns     []string     `json:"columns"`
+	Schema      []ColumnMeta `json:"schema"`
+	Rows        [][]any      `json:"rows"`
+	RowCount    int          `json:"row_count"`
+	Shards      ShardStats   `json:"shards"`
+	// AggMerges counts per-shard partial aggregate states merged at the
+	// coordinator (0 for non-aggregate statements).
+	AggMerges int64 `json:"agg_partial_merges,omitempty"`
+	// Degraded: AllowPartial accepted missing shards; the rows are a
+	// sound subset and MissingShards + Notes say exactly what is absent.
+	Degraded      bool     `json:"degraded"`
+	MissingShards []int    `json:"missing_shards,omitempty"`
+	Notes         []string `json:"notes,omitempty"`
+	Retries       int64    `json:"retries"`
+	Epoch         int64    `json:"epoch"`
+}
+
+// PreparedInfo describes a coordinator-prepared statement: the
+// coordinator's /v1/prepare answer and the /v1/cluster listing.
+type PreparedInfo struct {
+	StatementID string `json:"statement_id"`
+	Cached      bool   `json:"cached"`
+	Norm        string `json:"norm"`
+	// ShardsPrepared counts nodes holding the plan after this call;
+	// unreachable nodes are propagated to lazily at execute time.
+	ShardsPrepared int `json:"shards_prepared"`
+}
+
+// CoordExplainResponse is a coordinator's /v1/explain-analyze answer.
+type CoordExplainResponse struct {
+	Analyze string `json:"analyze"`
+}
+
+// StatementResult is a coordinator's /v1/exec answer: the merged
+// outcome of one fleet write.
+type StatementResult struct {
+	Statement    string `json:"statement"`
+	Table        string `json:"table"`
+	RowsAffected int64  `json:"rows_affected"`
+	// ShardsWritten counts shards that applied the statement (routed
+	// inserts touch only the owning shards; broadcasts touch all).
+	ShardsWritten int `json:"shards_written"`
+	// Retrained lists models retrained by shard write-volume triggers,
+	// deduplicated across shards.
+	Retrained []string `json:"retrained,omitempty"`
+	// RetrainErrors lists the shards whose triggered retrain failed after
+	// the statement committed there. The write itself succeeded —
+	// RowsAffected is authoritative and must not be re-issued — but those
+	// shards' models are stale until a later write retries the retrain.
+	RetrainErrors []ShardRetrainError `json:"retrain_errors,omitempty"`
+	// Models lists what CREATE MODEL trained, one entry per shard:
+	// models train over each shard's local rows and may legitimately
+	// differ, so there is no single fleet-wide summary.
+	Models []ShardModel `json:"models,omitempty"`
+}
+
+// ShardRetrainError is one shard's failed write-volume retrain.
+type ShardRetrainError struct {
+	Shard int    `json:"shard"`
+	Error string `json:"error"`
+}
+
+// ShardModel is the model one shard trained for a CREATE MODEL.
+type ShardModel struct {
+	Shard int `json:"shard"`
+	ModelBody
+}
+
+// ShardStatus is the \shards / GET /v1/cluster view of one node.
+type ShardStatus struct {
+	ID        int    `json:"id"`
+	Addr      string `json:"addr"`
+	Breaker   string `json:"breaker"`
+	LastEpoch int64  `json:"last_epoch"`
+	Models    int    `json:"models"`
+	Range     string `json:"range,omitempty"`
+}
+
+// ClusterResponse is a coordinator's GET /v1/cluster answer: the shard
+// map, per-shard breaker state and last-observed epochs.
+type ClusterResponse struct {
+	Table    string         `json:"table"`
+	Column   string         `json:"column"`
+	Mode     string         `json:"mode"`
+	Shards   []ShardStatus  `json:"shards"`
+	Prepared []PreparedInfo `json:"prepared,omitempty"`
+}
