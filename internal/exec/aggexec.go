@@ -308,19 +308,21 @@ func drainSource(ctx context.Context, child BatchIterator, spec *agg.Spec) aggSo
 
 // heapSource is the row-heap source at DOP > 1: one unit per page-range
 // morsel, run through the fused per-row pipeline.
-func heapSource(ctx context.Context, p *aggPipeline, spec *agg.Spec, opts Options) aggSource {
+func heapSource(ctx context.Context, c *catalog.Catalog, p *aggPipeline, part *plan.HashAgg, spec *agg.Spec, opts Options) aggSource {
 	t := p.table
 	morsels := morselRanges(t.PartitionPageRanges(p.chain.scan.Partitions), opts.MorselPages)
+	need := decodeMask(c, part, opts.Collector)
 	return aggSource{what: "aggregate scan " + t.Name + " morsel", units: len(morsels),
 		worker: func() (*agg.Table, func(int) (int64, error)) {
 			w := p.newWorker(spec)
-			row := func(_ storage.RID, tup value.Tuple) bool {
-				copy(w.row, tup)
+			// Every record is decoded straight into the worker's row buffer.
+			dst := func() value.Tuple { return w.row[:0:p.baseW] }
+			row := func(storage.RID, []byte, value.Tuple) bool {
 				w.processRow()
 				return true
 			}
 			return w.tab, func(m int) (int64, error) {
-				err := scanPages(ctx, t, opts, morsels[m][0], morsels[m][1], row)
+				err := scanPages(ctx, t, opts, need, morsels[m][0], morsels[m][1], dst, row)
 				rows := w.cnt.scanRows
 				p.flush(&w.cnt, true)
 				return rows, err
@@ -414,12 +416,12 @@ func newPartialAgg(ctx context.Context, c *catalog.Catalog, part *plan.HashAgg, 
 			if core != nil {
 				a.src = columnSource(p, core, a.spec, opts)
 			} else {
-				a.src = heapSource(ctx, p, a.spec, opts)
+				a.src = heapSource(ctx, c, p, part, a.spec, opts)
 			}
 			return a, nil
 		}
 	}
-	child, err := buildBatchNode(ctx, c, part.Child, opts)
+	child, err := buildBatchNode(ctx, c, part, part.Child, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -18,8 +18,25 @@ import (
 )
 
 // Batch is an ordered group of tuples handed from a BatchIterator to its
-// consumer. Ownership transfers with the batch: the consumer may mutate
-// or retain it, and the producer must not reuse the backing array.
+// consumer. A batch and the tuples in it are valid until the next
+// NextBatch or Close on the iterator that returned them, and no longer:
+// the producer may decode the next batch over the same memory. Until
+// then they are the consumer's to mutate — filter compacts the slice in
+// place, predict repoints its elements — and the producer reads nothing
+// back from them. A consumer that keeps a row past that point copies it.
+//
+// The rule is what lets a row an envelope rejects cost no heap: the heap
+// scans decode into storage they reuse (batchSeqScan one arena for its
+// lifetime, parallelScan one allocation per batch because its batches
+// change goroutines, the aggregate workers and CollectMatches a single
+// row), batchFilter and batchLimit work in place, and batchPredict widens
+// into one backing array it keeps. Rows are copied out once, at final
+// width and for survivors only, by the operators that materialize:
+// batchProject (a fresh narrowed backing per batch — it is the copy-out),
+// agg.Table.Add (copies what it keeps, so HashAgg emits fresh rows), and
+// RunCtx's sink, which copies only when the plan's root is neither of
+// those. ridFetch, vecScan and constScan hand out fresh rows every time,
+// which satisfies the rule trivially.
 type Batch = []value.Tuple
 
 // BatchIterator produces tuples a batch at a time. Batches are never
@@ -28,7 +45,8 @@ type Batch = []value.Tuple
 type BatchIterator interface {
 	// Schema describes the tuples the iterator produces.
 	Schema() *value.Schema
-	// NextBatch returns the next batch of tuples.
+	// NextBatch returns the next batch of tuples and invalidates the
+	// previous one (see Batch).
 	NextBatch() (Batch, bool, error)
 	// Close releases resources. It is safe to call more than once.
 	Close()
@@ -116,13 +134,15 @@ func BuildBatchCtx(ctx context.Context, c *catalog.Catalog, n plan.Node, opts Op
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return buildBatchNode(ctx, c, n, opts)
+	return buildBatchNode(ctx, c, n, n, opts)
 }
 
 // buildBatchNode builds one plan node (recursing for children) and, when
 // a Collector is attached, wraps it with the per-node accounting shim.
-func buildBatchNode(ctx context.Context, c *catalog.Catalog, n plan.Node, opts Options) (BatchIterator, error) {
-	it, err := buildBareBatchNode(ctx, c, n, opts)
+// root is the plan n belongs to: a heap scan leaf reads from it which
+// columns anything above it uses (decodeMask).
+func buildBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.Node, opts Options) (BatchIterator, error) {
+	it, err := buildBareBatchNode(ctx, c, root, n, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +152,7 @@ func buildBatchNode(ctx context.Context, c *catalog.Catalog, n plan.Node, opts O
 	return it, nil
 }
 
-func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, n plan.Node, opts Options) (BatchIterator, error) {
+func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.Node, opts Options) (BatchIterator, error) {
 	switch x := n.(type) {
 	case *plan.SeqScan:
 		t, ok := c.Table(x.Table)
@@ -146,10 +166,11 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, n plan.Node, op
 			// Sidecar stale or missing: the flag is only a hint, run the
 			// row path with identical results.
 		}
+		need := decodeMask(c, root, opts.Collector)
 		if opts.DOP > 1 {
-			return newParallelScan(ctx, t, x, opts), nil
+			return newParallelScan(ctx, t, x, need, opts), nil
 		}
-		return newBatchSeqScan(ctx, t, x, opts), nil
+		return newBatchSeqScan(ctx, t, x, need, opts), nil
 	case *plan.Filter:
 		if scan, isScan := x.Child.(*plan.SeqScan); isScan && scan.Columnar {
 			if t, ok := c.Table(scan.Table); ok {
@@ -162,7 +183,7 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, n plan.Node, op
 				}
 			}
 		}
-		child, err := buildBatchNode(ctx, c, x.Child, opts)
+		child, err := buildBatchNode(ctx, c, root, x.Child, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -174,13 +195,13 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, n plan.Node, op
 		}
 		return f, nil
 	case *plan.Project:
-		child, err := buildBatchNode(ctx, c, x.Child, opts)
+		child, err := buildBatchNode(ctx, c, root, x.Child, opts)
 		if err != nil {
 			return nil, err
 		}
 		return newBatchProject(child, x.Cols)
 	case *plan.Predict:
-		child, err := buildBatchNode(ctx, c, x.Child, opts)
+		child, err := buildBatchNode(ctx, c, root, x.Child, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +211,7 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, n plan.Node, op
 		}
 		return newBatchPredict(child, me, x.As)
 	case *plan.Limit:
-		child, err := buildBatchNode(ctx, c, x.Child, opts)
+		child, err := buildBatchNode(ctx, c, root, x.Child, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -255,6 +276,11 @@ func RunOpts(c *catalog.Catalog, n plan.Node, opts Options) ([]value.Tuple, *val
 // RunCtx is RunOpts under a cancellation context: execution stops (and
 // the ctx error is returned) as soon as cancellation is observed, which
 // is at worst one batch after it fires.
+//
+// RunCtx is the sink that keeps rows past the next NextBatch, so it owes
+// them a copy — unless the plan's root already made one (materializes),
+// in which case a second would only double what every returned row
+// costs.
 func RunCtx(ctx context.Context, c *catalog.Catalog, n plan.Node, opts Options) ([]value.Tuple, *value.Schema, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -267,6 +293,7 @@ func RunCtx(ctx context.Context, c *catalog.Catalog, n plan.Node, opts Options) 
 		return nil, nil, err
 	}
 	defer it.Close()
+	fresh := materializes(n)
 	var out []value.Tuple
 	for {
 		b, done, err := it.NextBatch()
@@ -276,7 +303,44 @@ func RunCtx(ctx context.Context, c *catalog.Catalog, n plan.Node, opts Options) 
 		if done {
 			return out, it.Schema(), nil
 		}
+		if !fresh {
+			copyRows(b)
+		}
 		out = append(out, b...)
+	}
+}
+
+// materializes reports whether the rows a plan's root hands out are
+// fresh: the root, under any Limits, is a Project or a HashAgg.
+func materializes(n plan.Node) bool {
+	for {
+		switch x := n.(type) {
+		case *plan.Limit:
+			n = x.Child
+		case *plan.Project:
+			if len(x.Cols) > 0 {
+				return true
+			}
+			n = x.Child // an empty list builds no operator
+		case *plan.HashAgg:
+			return true
+		default:
+			return false
+		}
+	}
+}
+
+// copyRows repoints every element of b at a copy of its tuple, all in
+// one backing allocation.
+func copyRows(b Batch) {
+	n := 0
+	for _, t := range b {
+		n += len(t)
+	}
+	backing := make(value.Tuple, n)
+	for i, t := range b {
+		k := copy(backing, t)
+		b[i], backing = backing[:k:k], backing[k:]
 	}
 }
 
@@ -284,18 +348,24 @@ func RunCtx(ctx context.Context, c *catalog.Catalog, n plan.Node, opts Options) 
 // batches on demand (no up-front materialization). The pages come from
 // a list of page ranges — the whole heap for ordinary tables, the
 // surviving partitions' global ranges for pruned partitioned scans.
+// Every batch is decoded into the same arena and the same slice, so the
+// scan's allocation is that of its largest batch, not of the table.
 type batchSeqScan struct {
 	ctx      context.Context
 	table    *catalog.Table
 	opts     Options
+	need     []bool // decodeMask
 	ranges   [][2]int
 	ri       int // current range
 	nextPage int // next page within ranges[ri]
+	arena    rowArena
+	batch    Batch
 	err      error
 }
 
-func newBatchSeqScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, opts Options) *batchSeqScan {
-	s := &batchSeqScan{ctx: ctx, table: t, opts: opts, ranges: t.PartitionPageRanges(x.Partitions)}
+func newBatchSeqScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, need []bool, opts Options) *batchSeqScan {
+	s := &batchSeqScan{ctx: ctx, table: t, opts: opts, need: need, ranges: t.PartitionPageRanges(x.Partitions),
+		arena: rowArena{width: t.Schema.Len(), rows: arenaChunkRows}, batch: make(Batch, 0, opts.BatchSize)}
 	if len(s.ranges) > 0 {
 		s.nextPage = s.ranges[0][0]
 	}
@@ -312,15 +382,14 @@ func (s *batchSeqScan) NextBatch() (Batch, bool, error) {
 		s.err = fmt.Errorf("exec: scan %s: %w", s.table.Name, ferr)
 		return nil, false, s.err
 	}
-	var batch Batch
-	collect := func(_ storage.RID, tup value.Tuple) bool {
-		if batch == nil {
-			batch = make(Batch, 0, s.opts.BatchSize)
-		}
-		batch = append(batch, tup)
+	s.arena.reset()
+	s.batch = s.batch[:0]
+	next := s.arena.next
+	collect := func(_ storage.RID, _ []byte, tup value.Tuple) bool {
+		s.batch = append(s.batch, tup)
 		return true
 	}
-	for len(batch) < s.opts.BatchSize && s.ri < len(s.ranges) {
+	for len(s.batch) < s.opts.BatchSize && s.ri < len(s.ranges) {
 		if s.nextPage >= s.ranges[s.ri][1] {
 			s.ri++
 			if s.ri < len(s.ranges) {
@@ -329,22 +398,22 @@ func (s *batchSeqScan) NextBatch() (Batch, bool, error) {
 			continue
 		}
 		// Whole pages only, so the scan position stays a page number.
-		s.err = scanPages(s.ctx, s.table, s.opts, s.nextPage, s.nextPage+1, collect)
+		s.err = scanPages(s.ctx, s.table, s.opts, s.need, s.nextPage, s.nextPage+1, next, collect)
 		s.nextPage++
 		if s.err != nil {
 			return nil, false, s.err
 		}
 	}
-	if len(batch) == 0 {
+	if len(s.batch) == 0 {
 		return nil, true, nil
 	}
-	return batch, false, nil
+	return s.batch, false, nil
 }
 
 func (s *batchSeqScan) Close() { s.ri = len(s.ranges) }
 
 // batchFilter drops tuples failing the predicate, in place: the batch's
-// backing array is reused for the survivors (ownership transferred).
+// backing array is reused for the survivors.
 // When envelope attribution is on (EXPLAIN ANALYZE), each rejected row
 // is re-checked against the un-augmented baseline predicate to decide
 // whether the added envelope or the query's own predicate pruned it.
@@ -384,7 +453,9 @@ func (f *batchFilter) NextBatch() (Batch, bool, error) {
 
 func (f *batchFilter) Close() { f.child.Close() }
 
-// batchProject narrows columns for a whole batch at a time.
+// batchProject narrows columns for a whole batch at a time. It is where
+// a projecting plan's rows are materialized: the narrowed tuples get a
+// fresh backing every batch, so what it hands out stays valid for good.
 type batchProject struct {
 	child  BatchIterator
 	ords   []int
@@ -424,12 +495,14 @@ func (p *batchProject) NextBatch() (Batch, bool, error) {
 func (p *batchProject) Close() { p.child.Close() }
 
 // batchPredict appends the model's predicted class to every tuple of a
-// batch (the batch-at-a-time PredictionJoin).
+// batch (the batch-at-a-time PredictionJoin). The widened rows live in
+// one backing array kept across batches and grown to the largest.
 type batchPredict struct {
 	child   BatchIterator
 	binding mining.Binding
 	schema  *value.Schema
 	buf     value.Tuple
+	backing value.Tuple
 }
 
 func newBatchPredict(child BatchIterator, me *catalog.ModelEntry, as string) (BatchIterator, error) {
@@ -453,9 +526,11 @@ func (p *batchPredict) NextBatch() (Batch, bool, error) {
 		return nil, done, err
 	}
 	width := p.schema.Len()
-	backing := make(value.Tuple, len(b)*width)
+	if n := len(b) * width; len(p.backing) < n {
+		p.backing = make(value.Tuple, n)
+	}
 	for i, t := range b {
-		out := backing[i*width : (i+1)*width : (i+1)*width]
+		out := p.backing[i*width : (i+1)*width : (i+1)*width]
 		copy(out, t)
 		out[width-1] = p.binding.PredictInto(t, p.buf)
 		b[i] = out

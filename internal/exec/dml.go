@@ -23,12 +23,21 @@ type MatchedRow struct {
 // UPDATE/DELETE: the engine collects the victim set first, then applies
 // the mutations, so a statement never observes its own writes. The scan
 // goes through the same page reader as queries (scanPages), so
-// injected transient page faults are retried, not surfaced.
+// injected transient page faults are retried, not surfaced. To find the
+// victims only the columns pred reads are decoded, every row into one
+// scratch tuple; a victim's record is then decoded whole, into the fresh
+// row the engine rebuilds the updated row and the index keys from.
 func CollectMatches(ctx context.Context, t *catalog.Table, pred expr.Expr, opts Options) ([]MatchedRow, error) {
 	var out []MatchedRow
-	err := scanPages(ctx, t, opts, 0, t.Heap.PageCount(), func(rid storage.RID, tup value.Tuple) bool {
+	need := columnMask(t.Schema, expr.Columns(pred))
+	scratch := make(value.Tuple, 0, t.Schema.Len())
+	dst := func() value.Tuple { return scratch }
+	err := scanPages(ctx, t, opts, need, 0, t.Heap.PageCount(), dst, func(rid storage.RID, rec []byte, tup value.Tuple) bool {
 		if pred == nil || pred.Eval(t.Schema, tup) {
-			out = append(out, MatchedRow{RID: rid, Row: tup})
+			// rec has just been decoded under the mask, which validates
+			// every field of it: decoding it again cannot fail.
+			row, _ := value.DecodeTuple(rec)
+			out = append(out, MatchedRow{RID: rid, Row: row})
 		}
 		return true
 	})

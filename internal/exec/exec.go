@@ -18,6 +18,7 @@ import (
 
 	"minequery/internal/btree"
 	"minequery/internal/catalog"
+	"minequery/internal/expr"
 	"minequery/internal/fault"
 	"minequery/internal/mining"
 	"minequery/internal/plan"
@@ -27,26 +28,31 @@ import (
 )
 
 // scanPages is the one heap page reader: it feeds every live row of
-// heap pages [lo, hi) of t to fn, decoded, in heap order. fn returning
-// false ends the scan early with a nil error. ctx is checked between
-// pages and each page's read is retried under the options' policy, one
-// page per attempt: storage errors fire at page granularity before any
-// record of the failing page is delivered, so a retried page never
-// double-delivers rows to fn. With retrying disabled and no injector
-// there is nothing to retry page-wise, and the whole range goes through
-// a single ScanPagesInto call.
-func scanPages(ctx context.Context, t *catalog.Table, opts Options, lo, hi int, fn func(storage.RID, value.Tuple) bool) error {
+// heap pages [lo, hi) of t to fn, as stored and decoded, in heap order.
+// Each record is decoded into the tuple dst returns for it
+// (value.DecodeTupleInto), so where rows live, and for how long, is the
+// caller's choice: the same scratch tuple every time, or the next slot
+// of an arena. need says which columns to decode (columnMask; nil for
+// all). fn returning false ends the scan early with a nil error. ctx is
+// checked between pages and each page's read is retried under the
+// options' policy, one page per attempt: storage errors fire at page
+// granularity before any record of the failing page is delivered, so a
+// retried page never double-delivers rows to fn. With retrying disabled
+// and no injector there is nothing to retry page-wise, and the whole
+// range goes through a single ScanPagesInto call.
+func scanPages(ctx context.Context, t *catalog.Table, opts Options, need []bool, lo, hi int,
+	dst func() value.Tuple, fn func(rid storage.RID, rec []byte, tup value.Tuple) bool) error {
 	io := ioOf(opts.Collector)
 	onRetry := opts.onRetry()
 	var decodeErr error
 	halted := false
 	deliver := func(rid storage.RID, rec []byte) bool {
-		tup, err := value.DecodeTuple(rec)
+		tup, err := value.DecodeTupleInto(dst(), rec, need)
 		if err != nil {
 			decodeErr = fmt.Errorf("exec: scan %s: corrupt row at %s: %w", t.Name, rid, err)
 			return false
 		}
-		halted = !fn(rid, tup)
+		halted = !fn(rid, rec, tup)
 		return !halted
 	}
 	step := 1
@@ -67,6 +73,106 @@ func scanPages(ctx context.Context, t *catalog.Table, opts Options, lo, hi int, 
 		}
 	}
 	return nil
+}
+
+// arenaChunkRows is the rows per chunk of a serial scan's arena: small
+// enough that a tiny table costs little, and a batch of any size wastes
+// less than one chunk.
+const arenaChunkRows = 64
+
+// rowArena carves tuple slots of a fixed width out of chunks of rows
+// slots each. next hands out the following slot, allocating a chunk only
+// when every one it has is full; reset makes all of them available
+// again, and whatever was decoded into them garbage.
+type rowArena struct {
+	width, rows int
+	chunks      []value.Tuple
+	ci, used    int // current chunk and the slots taken from it
+}
+
+func (a *rowArena) next() value.Tuple {
+	if a.ci == len(a.chunks) {
+		a.chunks = append(a.chunks, make(value.Tuple, a.rows*a.width))
+	}
+	lo := a.used * a.width
+	slot := a.chunks[a.ci][lo : lo : lo+a.width]
+	if a.used++; a.used == a.rows {
+		a.ci, a.used = a.ci+1, 0
+	}
+	return slot
+}
+
+func (a *rowArena) reset() { a.ci, a.used = 0, 0 }
+
+// decodeMask reports which columns of its heap scan a plan reads, as
+// value.DecodeTupleInto's need: root is walked down to the SeqScan leaf
+// collecting the columns of every Filter (and of the baseline predicate
+// EXPLAIN ANALYZE re-checks its rejects against), every Predict's model
+// inputs, the Project list and the HashAgg spec. Names the table does
+// not have are columns a Predict adds above the scan. nil means every
+// column: the plan hands whole rows to its caller (no Project or HashAgg
+// above the scan), or it does not end in a scan of a table the catalog
+// knows.
+func decodeMask(c *catalog.Catalog, root plan.Node, col *Collector) []bool {
+	all := true
+	var names []string
+	for n := root; ; {
+		switch x := n.(type) {
+		case *plan.Limit:
+			n = x.Child
+		case *plan.Project:
+			if len(x.Cols) > 0 {
+				all, names = false, append(names[:0], x.Cols...)
+			}
+			n = x.Child
+		case *plan.HashAgg:
+			all, names = false, append(names[:0], x.GroupBy...)
+			for _, it := range x.Aggs {
+				if !it.Star {
+					names = append(names, it.Col)
+				}
+			}
+			n = x.Child
+		case *plan.Filter:
+			if !all {
+				names = append(names, expr.Columns(x.Pred)...)
+				if col != nil {
+					if base := col.envBaseline(x); base != nil {
+						names = append(names, expr.Columns(base)...)
+					}
+				}
+			}
+			n = x.Child
+		case *plan.Predict:
+			if !all {
+				me, ok := c.Model(x.Model)
+				if !ok {
+					return nil
+				}
+				names = append(names, me.Model.InputColumns()...)
+			}
+			n = x.Child
+		case *plan.SeqScan:
+			t, ok := c.Table(x.Table)
+			if all || !ok {
+				return nil
+			}
+			return columnMask(t.Schema, names)
+		default:
+			return nil
+		}
+	}
+}
+
+// columnMask marks the ordinals of the named columns that s has.
+func columnMask(s *value.Schema, names []string) []bool {
+	need := make([]bool, s.Len())
+	for _, name := range names {
+		if o := s.Ordinal(name); o >= 0 {
+			need[o] = true
+		}
+	}
+	return need
 }
 
 // constScan produces nothing.

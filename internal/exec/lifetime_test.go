@@ -1,0 +1,417 @@
+package exec
+
+// Tests of the batch lifetime rule (see Batch): a batch and its tuples
+// are valid until the next NextBatch on the iterator that returned them,
+// and the consumer may do what it likes with them until then.
+//
+//   - the aliasing sweep scribbles over every batch before asking for the
+//     next, so an operator that re-serves or reads back a transient row
+//     returns sentinels where the oracle has data;
+//   - the allocation-shape tests pin what the rule buys: what a scan
+//     allocates follows the rows that survive, not the rows it reads;
+//   - the decode-mask tests pin that every operator still sees every
+//     column it reads when the scan decodes only those.
+
+import (
+	"context"
+	"runtime"
+	"strings"
+	"testing"
+
+	"minequery/internal/agg"
+	"minequery/internal/catalog"
+	"minequery/internal/expr"
+	"minequery/internal/plan"
+	"minequery/internal/storage"
+	"minequery/internal/value"
+)
+
+// raceEnabled is set by race_test.go: the race detector allocates on the
+// program's behalf, so byte-count assertions skip under it.
+var raceEnabled bool
+
+var poison = value.Str("\x00scribbled")
+
+// runScribbled drains n the way a hostile but law-abiding consumer
+// would: it copies each batch out, then overwrites every value of every
+// tuple it was handed, and every element of the batch slice, before
+// calling NextBatch again.
+func runScribbled(t *testing.T, c *catalog.Catalog, n plan.Node, opts Options) []value.Tuple {
+	t.Helper()
+	it, err := BuildBatch(c, n, opts)
+	if err != nil {
+		t.Fatalf("build %s: %v", plan.Signature(n), err)
+	}
+	defer it.Close()
+	poisoned := value.Tuple{poison}
+	var out []value.Tuple
+	for {
+		b, done, err := it.NextBatch()
+		if err != nil {
+			t.Fatalf("run %s: %v", plan.Signature(n), err)
+		}
+		if done {
+			return out
+		}
+		for i, row := range b {
+			out = append(out, row.Clone())
+			for j := range row {
+				row[j] = poison
+			}
+			b[i] = poisoned
+		}
+	}
+}
+
+// checkAliased runs n through RunOpts and through runScribbled and
+// demands the same rows in the same order from both, and none of the
+// sentinel's: RunOpts is the sink that decides whether to copy, the
+// scribbling drain the proof that no operator depends on it. It returns
+// RunOpts' rows.
+func checkAliased(t *testing.T, c *catalog.Catalog, n plan.Node, opts Options) []value.Tuple {
+	t.Helper()
+	got, _, err := RunOpts(c, n, opts)
+	if err != nil {
+		t.Fatalf("run %s: %v", plan.Signature(n), err)
+	}
+	scribbled := runScribbled(t, c, n, opts)
+	if !sameOrderedRows(scribbled, got) {
+		t.Fatalf("%s dop=%d: scribbling over served batches changed the answer (%d rows, RunOpts %d)",
+			plan.Signature(n), opts.DOP, len(scribbled), len(got))
+	}
+	for _, row := range got {
+		for _, v := range row {
+			if value.Equal(v, poison) {
+				t.Fatalf("%s dop=%d: a served row was handed out again: %v", plan.Signature(n), opts.DOP, row)
+			}
+		}
+	}
+	return got
+}
+
+// TestAliasSweepOperators covers the operator shapes the optimizer's
+// plans in planequiv_test.go do not produce — Project, Limit, chained
+// prediction joins, aggregates, index paths under a Predict — against
+// the per-row oracle at DOP 1 and 4. (equivCheck and the other harnesses
+// of planequiv_test.go go through checkAliased too, so every access-path
+// shape there is part of the sweep.)
+func TestAliasSweepOperators(t *testing.T) {
+	c, _ := testDB(t, 3000)
+	c.RegisterModel(catModel{}, nil)
+	scan := func() plan.Node { return &plan.SeqScan{Table: "t"} }
+	predict := func(child plan.Node) plan.Node {
+		return &plan.Predict{Child: child, Model: "catmod", As: "m.cls"}
+	}
+	low := expr.Cmp{Col: "m.cls", Op: expr.OpEq, Val: value.Str("low")}
+	numGe := expr.Cmp{Col: "num", Op: expr.OpGe, Val: value.Int(30)}
+	plans := []plan.Node{
+		scan(),
+		&plan.Filter{Child: scan(), Pred: numGe},
+		&plan.Project{Child: scan(), Cols: []string{"num", "cat"}},
+		&plan.Project{Child: &plan.Filter{Child: scan(), Pred: numGe}, Cols: []string{"id"}},
+		predict(scan()),
+		&plan.Filter{Child: predict(&plan.Filter{Child: scan(), Pred: numGe}), Pred: low},
+		&plan.Project{Child: &plan.Filter{Child: predict(&plan.Filter{Child: scan(), Pred: numGe}), Pred: low},
+			Cols: []string{"id", "m.cls"}},
+		&plan.Limit{Child: &plan.Filter{Child: predict(scan()), Pred: low}, N: 700},
+		&plan.Limit{Child: &plan.Project{Child: scan(), Cols: []string{"cat"}}, N: 300},
+		&plan.ConstScan{Table: "t"},
+	}
+	for _, p := range plans {
+		want := refRows(t, c, p)
+		for _, dop := range []int{1, 4} {
+			if got := checkAliased(t, c, p, Options{DOP: dop, BatchSize: 64}); !sameOrderedRows(got, want) {
+				t.Fatalf("%s dop=%d: %d rows, oracle %d (or order differs)", plan.Signature(p), dop, len(got), len(want))
+			}
+		}
+	}
+	// A full index seek under the widening Predict: the oracle's rows are
+	// the scan's, in key order instead of heap order.
+	viaIndex := &plan.Filter{Child: predict(&plan.IndexSeek{Table: "t", Index: "ix_num"}), Pred: low}
+	want := refRows(t, c, &plan.Filter{Child: predict(scan()), Pred: low})
+	if got := checkAliased(t, c, viaIndex, Options{BatchSize: 64}); !sameRows(got, want) {
+		t.Fatalf("%s: %d rows, oracle %d", plan.Signature(viaIndex), len(got), len(want))
+	}
+
+	// Aggregates have no per-row oracle; their groups are recomputed here
+	// from the oracle's rows.
+	aggChild := &plan.Filter{Child: predict(&plan.Filter{Child: scan(), Pred: numGe}), Pred: low}
+	p := aggPlan(aggChild, []string{"cat"}, []agg.Item{
+		{Func: agg.None, Col: "cat"}, {Func: agg.Count, Star: true}, {Func: agg.Sum, Col: "num"}})
+	count, sum := map[string]int64{}, map[string]int64{}
+	for _, row := range refRows(t, c, aggChild) {
+		count[row[1].AsString()]++
+		sum[row[1].AsString()] += row[2].AsInt()
+	}
+	for _, dop := range []int{1, 4} {
+		got := checkAliased(t, c, p, Options{DOP: dop, BatchSize: 64})
+		if len(got) != len(count) {
+			t.Fatalf("aggregate dop=%d: %d groups, oracle %d", dop, len(got), len(count))
+		}
+		for _, row := range got {
+			if g := row[0].AsString(); row[1].AsInt() != count[g] || row[2].AsInt() != sum[g] {
+				t.Fatalf("aggregate dop=%d: group %s = %v, oracle count %d sum %d", dop, g, row, count[g], sum[g])
+			}
+		}
+	}
+}
+
+// allocatedBy reports the bytes fn allocates, after one unmeasured call
+// that pays for whatever is set up once.
+func allocatedBy(t *testing.T, fn func()) uint64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// allocTables builds the same table at two sizes; the rows with id < 100
+// are the same in both.
+func allocTables(t *testing.T) (small, large *catalog.Catalog) {
+	small, _ = testDB(t, 4000)
+	large, _ = testDB(t, 16000)
+	return small, large
+}
+
+// checkAllocFlat fails when work over the large table allocates 1.5x
+// what the same work over the small one does.
+func checkAllocFlat(t *testing.T, what string, run func(c *catalog.Catalog)) {
+	t.Helper()
+	small, large := allocTables(t)
+	a := allocatedBy(t, func() { run(small) })
+	b := allocatedBy(t, func() { run(large) })
+	t.Logf("%s: %d B over 4000 rows, %d B over 16000", what, a, b)
+	if float64(b) >= 1.5*float64(a) {
+		t.Fatalf("%s allocates with the rows scanned, not the rows kept: %d B over 4000 rows, %d B over 16000", what, a, b)
+	}
+}
+
+var firstHundred = expr.Cmp{Col: "id", Op: expr.OpLt, Val: value.Int(100)}
+
+// TestAllocScanFollowsSurvivors: a filtered sequential scan that keeps
+// the same 100 rows of a table four times the size allocates the same.
+func TestAllocScanFollowsSurvivors(t *testing.T) {
+	for _, tc := range []struct {
+		what string
+		p    plan.Node
+	}{
+		// No Project: every column is decoded and the sink copies. The
+		// strings of cat are per scanned row, and all of what grows.
+		{"filtered scan", &plan.Filter{Child: &plan.SeqScan{Table: "t"}, Pred: firstHundred}},
+		// Project: cat is never built, nothing is per scanned row.
+		{"projected filtered scan", &plan.Project{Cols: []string{"id", "num"},
+			Child: &plan.Filter{Child: &plan.SeqScan{Table: "t"}, Pred: firstHundred}}},
+	} {
+		checkAllocFlat(t, tc.what, func(c *catalog.Catalog) {
+			rows, _, err := RunOpts(c, tc.p, Options{DOP: 1})
+			if err != nil || len(rows) != 100 {
+				t.Fatalf("%s: %d rows, err %v", tc.what, len(rows), err)
+			}
+		})
+	}
+}
+
+// TestAllocAggregateDrainFollowsSurvivors is the same statement about
+// the aggregate's drain of its child pipeline.
+func TestAllocAggregateDrainFollowsSurvivors(t *testing.T) {
+	p := aggPlan(&plan.Filter{Child: &plan.SeqScan{Table: "t"}, Pred: firstHundred},
+		nil, []agg.Item{{Func: agg.Count, Star: true}, {Func: agg.Sum, Col: "num"}})
+	checkAllocFlat(t, "aggregate drain", func(c *catalog.Catalog) {
+		rows, _, err := RunOpts(c, p, Options{DOP: 1})
+		if err != nil || len(rows) != 1 || rows[0][0].AsInt() != 100 {
+			t.Fatalf("rows %v, err %v", rows, err)
+		}
+	})
+}
+
+// TestAllocCollectMatchesFollowsMatches: the DML victim scan copies the
+// rows that match and nothing per row that does not.
+func TestAllocCollectMatchesFollowsMatches(t *testing.T) {
+	checkAllocFlat(t, "CollectMatches", func(c *catalog.Catalog) {
+		tb, _ := c.Table("t")
+		m, err := CollectMatches(context.Background(), tb, firstHundred, Options{})
+		if err != nil || len(m) != 100 {
+			t.Fatalf("%d matches, err %v", len(m), err)
+		}
+	})
+}
+
+// TestCollectMatchesRowsAreCopies: the matches outlive the scan's
+// scratch tuple.
+func TestCollectMatchesRowsAreCopies(t *testing.T) {
+	c, tb := testDB(t, 500)
+	pred := expr.Cmp{Col: "num", Op: expr.OpLt, Val: value.Int(40)}
+	got, err := CollectMatches(context.Background(), tb, pred, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refRows(t, c, &plan.Filter{Child: &plan.SeqScan{Table: "t"}, Pred: pred})
+	if len(got) != len(want) || len(got) == 0 {
+		t.Fatalf("%d matches, oracle %d", len(got), len(want))
+	}
+	for i, m := range got {
+		if !m.Row.Equal(want[i]) {
+			t.Fatalf("match %d (%s) = %v, oracle %v", i, m.RID, m.Row, want[i])
+		}
+	}
+}
+
+// TestDecodeMaskColumns pins which columns each plan shape decodes.
+func TestDecodeMaskColumns(t *testing.T) {
+	c, _ := testDB(t, 10)
+	c.RegisterModel(catModel{}, nil) // reads num
+	scan := &plan.SeqScan{Table: "t"}
+	onCat := &plan.Filter{Child: scan, Pred: expr.Cmp{Col: "cat", Op: expr.OpEq, Val: value.Str("c2")}}
+	predicted := &plan.Filter{Child: &plan.Predict{Child: scan, Model: "catmod", As: "m.cls"},
+		Pred: expr.Cmp{Col: "m.cls", Op: expr.OpEq, Val: value.Str("low")}}
+	baseline := &plan.Filter{Child: scan, Pred: expr.Cmp{Col: "id", Op: expr.OpLt, Val: value.Int(5)}}
+	col := NewCollector()
+	col.SetEnvelopeBaseline(baseline, expr.Cmp{Col: "cat", Op: expr.OpEq, Val: value.Str("c2")})
+	for _, tc := range []struct {
+		name string
+		root plan.Node
+		col  *Collector
+		want string // id, cat, num; "all" for a nil mask
+	}{
+		{"bare scan", scan, nil, "all"},
+		{"filter, no project", onCat, nil, "all"},
+		{"limit over predict, no project", &plan.Limit{Child: predicted, N: 3}, nil, "all"},
+		{"empty project list", &plan.Project{Child: onCat}, nil, "all"},
+		{"project", &plan.Project{Child: scan, Cols: []string{"ID"}}, nil, "id"},
+		{"project over filter", &plan.Project{Child: onCat, Cols: []string{"id"}}, nil, "id cat"},
+		{"project over post-predict filter", &plan.Project{Child: predicted, Cols: []string{"id", "m.cls"}}, nil, "id num"},
+		{"limit over project", &plan.Limit{Child: &plan.Project{Child: scan, Cols: []string{"num"}}, N: 1}, nil, "num"},
+		{"baseline off", &plan.Project{Child: baseline, Cols: []string{"id"}}, nil, "id"},
+		{"baseline re-evaluation", &plan.Project{Child: baseline, Cols: []string{"id"}}, col, "id cat"},
+		{"count(*)", aggPlan(scan, nil, []agg.Item{{Func: agg.Count, Star: true}}), nil, ""},
+		{"aggregate", aggPlan(onCat, []string{"cat"}, []agg.Item{{Func: agg.None, Col: "cat"}, {Func: agg.Sum, Col: "num"}}), nil, "cat num"},
+		{"aggregate under project", &plan.Project{Cols: []string{"sum(num)"},
+			Child: aggPlan(scan, nil, []agg.Item{{Func: agg.Sum, Col: "num"}})}, nil, "num"},
+		{"index path", &plan.Project{Child: &plan.IndexSeek{Table: "t", Index: "ix_num"}, Cols: []string{"id"}}, nil, "all"},
+	} {
+		got := "all"
+		if need := decodeMask(c, tc.root, tc.col); need != nil {
+			var names []string
+			for o, on := range need {
+				if on {
+					names = append(names, []string{"id", "cat", "num"}[o])
+				}
+			}
+			got = strings.Join(names, " ")
+		}
+		if got != tc.want {
+			t.Errorf("%s: decodes %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestDecodeMaskOperatorsSeeWhatTheyRead runs plans whose operators read
+// columns the plan does not return, at DOP 1 and 4: the projected answer
+// must be the oracle's, and the EXPLAIN ANALYZE attribution — which
+// re-evaluates a baseline predicate over a column the plan's own filter
+// never touches — must split the rejects as the oracle does.
+func TestDecodeMaskOperatorsSeeWhatTheyRead(t *testing.T) {
+	c, _ := testDB(t, 3000)
+	c.RegisterModel(catModel{}, nil)
+	scan := func() plan.Node { return &plan.SeqScan{Table: "t"} }
+	onCat := expr.Cmp{Col: "cat", Op: expr.OpEq, Val: value.Str("c2")}
+	low := expr.Cmp{Col: "m.cls", Op: expr.OpEq, Val: value.Str("low")}
+	for _, p := range []plan.Node{
+		&plan.Project{Cols: []string{"id"}, Child: &plan.Filter{Child: scan(), Pred: onCat}},
+		&plan.Project{Cols: []string{"id"}, Child: &plan.Filter{Pred: low,
+			Child: &plan.Predict{Child: &plan.Filter{Child: scan(), Pred: onCat}, Model: "catmod", As: "m.cls"}}},
+		&plan.Limit{N: 40, Child: &plan.Project{Cols: []string{"cat", "m.cls"}, Child: &plan.Filter{Pred: low,
+			Child: &plan.Predict{Child: scan(), Model: "catmod", As: "m.cls"}}}},
+	} {
+		want := refRows(t, c, p)
+		if len(want) == 0 {
+			t.Fatalf("%s: the oracle returns nothing; the fixture is degenerate", plan.Signature(p))
+		}
+		for _, dop := range []int{1, 4} {
+			if got := checkAliased(t, c, p, Options{DOP: dop, BatchSize: 64}); !sameOrderedRows(got, want) {
+				t.Fatalf("%s dop=%d: %d rows, oracle %d (or content differs)", plan.Signature(p), dop, len(got), len(want))
+			}
+		}
+	}
+
+	// The rewritten predicate reads id and num; the baseline reads cat.
+	filter := &plan.Filter{Child: scan(), Pred: expr.NewAnd(
+		expr.Cmp{Col: "id", Op: expr.OpLt, Val: value.Int(2000)},
+		expr.Cmp{Col: "num", Op: expr.OpGe, Val: value.Int(50)})}
+	var wantEnv, wantResid int64
+	for _, row := range refRows(t, c, scan()) {
+		if !filter.Pred.Eval(mustTable(t, c).Schema, row) {
+			if onCat.Eval(mustTable(t, c).Schema, row) {
+				wantEnv++
+			} else {
+				wantResid++
+			}
+		}
+	}
+	if wantEnv == 0 || wantResid == 0 {
+		t.Fatalf("degenerate fixture: %d envelope rejects, %d residual", wantEnv, wantResid)
+	}
+	for name, root := range map[string]plan.Node{
+		"project":   &plan.Project{Child: filter, Cols: []string{"id"}},
+		"aggregate": aggPlan(filter, nil, []agg.Item{{Func: agg.Count, Star: true}}),
+	} {
+		for _, dop := range []int{1, 4} {
+			col := NewCollector()
+			col.SetEnvelopeBaseline(filter, onCat)
+			if _, _, err := RunOpts(c, root, Options{DOP: dop, Collector: col}); err != nil {
+				t.Fatal(err)
+			}
+			st := col.Op(filter)
+			if env, resid := st.EnvRejected.Load(), st.ResidRejected.Load(); env != wantEnv || resid != wantResid {
+				t.Errorf("%s dop=%d: %d envelope / %d residual rejects, oracle %d / %d", name, dop, env, resid, wantEnv, wantResid)
+			}
+		}
+	}
+}
+
+func mustTable(t *testing.T, c *catalog.Catalog) *catalog.Table {
+	t.Helper()
+	tb, ok := c.Table("t")
+	if !ok {
+		t.Fatal("no table t")
+	}
+	return tb
+}
+
+// TestDecodeMaskCorruptSkippedColumn: a record whose damage lies in a
+// column the plan does not read still fails the scan, at its RID, on
+// every path through the one reader.
+func TestDecodeMaskCorruptSkippedColumn(t *testing.T) {
+	c, tb := testDB(t, 700)
+	// Arity 3, a sound INT id, then a TEXT cat claiming 200 bytes of
+	// which the record holds 2.
+	rec := value.Int(99).Encode([]byte{3})
+	rec = append(rec, byte(value.KindString), 200, 'c', '2')
+	rid, err := tb.Heap.(*storage.Heap).Insert(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "corrupt row at " + rid.String()
+	project := &plan.Project{Child: &plan.SeqScan{Table: "t"}, Cols: []string{"id"}}
+	count := aggPlan(&plan.SeqScan{Table: "t"}, nil, []agg.Item{{Func: agg.Count, Star: true}})
+	for _, p := range []plan.Node{project, count} {
+		for _, dop := range []int{1, 4} {
+			if need := decodeMask(c, p, nil); need == nil || need[1] {
+				t.Fatalf("%s: cat is decoded (%v); the test is vacuous", plan.Signature(p), need)
+			}
+			_, _, err := RunOpts(c, p, Options{DOP: dop, MorselPages: 1})
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s dop=%d: err = %v, want %q", plan.Signature(p), dop, err, want)
+			}
+		}
+	}
+	if _, err := CollectMatches(context.Background(), tb, firstHundred, Options{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("CollectMatches: err = %v, want %q", err, want)
+	}
+}

@@ -206,15 +206,18 @@ type parallelScan struct {
 	table *catalog.Table
 }
 
-func newParallelScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, opts Options) *parallelScan {
+func newParallelScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, need []bool, opts Options) *parallelScan {
 	morsels := morselRanges(t.PartitionPageRanges(x.Partitions), opts.MorselPages)
 	pool := newMorselPool(ctx, opts, "scan "+t.Name+" morsel", len(morsels))
 	// decode turns one morsel into batches. A stop is observed at each
 	// batch flush, so a dead or abandoned query stops decoding within one
-	// batch: the morsel ends there.
+	// batch: the morsel ends there. The batches go to another goroutine
+	// and wait there for the consumer, so nothing is reused across them:
+	// the arena is the morsel's own, its chunks one per batch.
 	decode := func(m int) (batches []Batch, rows int64, err error) {
+		arena := rowArena{width: t.Schema.Len(), rows: opts.BatchSize}
 		batch := make(Batch, 0, opts.BatchSize)
-		err = scanPages(ctx, t, opts, morsels[m][0], morsels[m][1], func(_ storage.RID, tup value.Tuple) bool {
+		err = scanPages(ctx, t, opts, need, morsels[m][0], morsels[m][1], arena.next, func(_ storage.RID, _ []byte, tup value.Tuple) bool {
 			batch = append(batch, tup)
 			rows++
 			if len(batch) < opts.BatchSize {

@@ -23,7 +23,10 @@ import (
 // and the envelope machinery (a wrong *plan* would lose rows).
 
 // equivCheck runs the optimizer's plan and the forced-scan plan and
-// compares multisets at DOP 1 and DOP 4.
+// compares multisets at DOP 1 and DOP 4. Every run goes through
+// checkAliased (lifetime_test.go), which also drains the plan while
+// scribbling over each batch it is handed: these harnesses are the
+// aliasing sweep over the optimizer's access-path shapes.
 func equivCheck(t *testing.T, c *catalogAndTable, pred expr.Expr, cfg opt.Config) plan.AccessPath {
 	t.Helper()
 	res := opt.ChooseAccessPath(c.tb, pred, cfg)
@@ -33,10 +36,7 @@ func equivCheck(t *testing.T, c *catalogAndTable, pred expr.Expr, cfg opt.Config
 		t.Fatalf("forced scan: %v", err)
 	}
 	for _, dop := range []int{1, 4} {
-		got, _, err := RunOpts(c.cat, res.Plan, Options{DOP: dop, BatchSize: 64})
-		if err != nil {
-			t.Fatalf("optimized plan (%s, dop=%d): %v", plan.Signature(res.Plan), dop, err)
-		}
+		got := checkAliased(t, c.cat, res.Plan, Options{DOP: dop, BatchSize: 64})
 		if !sameRows(got, want) {
 			t.Fatalf("plan %s at dop=%d returned %d rows, forced scan %d",
 				plan.Signature(res.Plan), dop, len(got), len(want))
@@ -249,10 +249,7 @@ func TestPlanEquivalenceColumnar(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, dop := range []int{1, 4} {
-				got, _, err := RunOpts(db.cat, columnar, Options{DOP: dop, BatchSize: 64})
-				if err != nil {
-					t.Fatalf("columnar dop=%d: %v", dop, err)
-				}
+				got := checkAliased(t, db.cat, columnar, Options{DOP: dop, BatchSize: 64})
 				if !sameRows(got, want) {
 					t.Fatalf("columnar scan at dop=%d returned %d rows, forced row scan %d",
 						dop, len(got), len(want))
@@ -323,10 +320,7 @@ func TestPlanEquivalenceMiningPredicate(t *testing.T) {
 			t.Fatalf("class %s matches no rows; test data is degenerate", cls)
 		}
 		for _, dop := range []int{1, 4} {
-			got, _, err := RunOpts(cc, optimized, Options{DOP: dop, BatchSize: 64})
-			if err != nil {
-				t.Fatalf("class %s dop=%d: %v", cls, dop, err)
-			}
+			got := checkAliased(t, cc, optimized, Options{DOP: dop, BatchSize: 64})
 			if !sameRows(got, want) {
 				t.Fatalf("class %s dop=%d: envelope plan %s returned %d rows, want %d",
 					cls, dop, plan.Signature(res.Plan), len(got), len(want))

@@ -88,13 +88,14 @@ func Train(name, predCol string, ts *mining.TrainSet, opts Options) (*Model, err
 		return nil, fmt.Errorf("dtree: %w", err)
 	}
 	opts.fill()
-	classes := ts.ClassSet()
+	ids, classes := ts.ClassIDs()
+	b := &builder{ts: ts, opts: opts, ids: ids,
+		trueCounts: make([]int, len(classes)), falseCounts: make([]int, len(classes))}
 	sort.Slice(classes, func(i, j int) bool { return value.Compare(classes[i], classes[j]) < 0 })
 	idx := make([]int, len(ts.Rows))
 	for i := range idx {
 		idx[i] = i
 	}
-	b := &builder{ts: ts, opts: opts}
 	root := b.grow(idx, 0)
 	return &Model{
 		name:    name,
@@ -108,32 +109,39 @@ func Train(name, predCol string, ts *mining.TrainSet, opts Options) (*Model, err
 type builder struct {
 	ts   *mining.TrainSet
 	opts Options
+	// ids is the dense class id of every row's label (TrainSet.ClassIDs):
+	// label counts are slices indexed by it, and entropy sums in id order.
+	ids []int
+	// trueCounts and falseCounts are gain's scratch, one slot per class.
+	trueCounts, falseCounts []int
 }
 
-// classCounts tallies labels for the given row subset.
-func (b *builder) classCounts(idx []int) map[string]int {
-	m := map[string]int{}
+// classCounts tallies labels for the given row subset and reports how
+// many classes occur in it.
+func (b *builder) classCounts(idx []int) (counts []int, distinct int) {
+	counts = make([]int, len(b.trueCounts))
 	for _, i := range idx {
-		m[b.ts.Labels[i].String()]++
+		if counts[b.ids[i]]++; counts[b.ids[i]] == 1 {
+			distinct++
+		}
 	}
-	return m
+	return counts, distinct
 }
 
 func (b *builder) majority(idx []int) value.Value {
-	counts := map[string]int{}
+	counts := make([]int, len(b.trueCounts))
 	var best value.Value
 	bestN := -1
 	for _, i := range idx {
-		l := b.ts.Labels[i]
-		counts[l.String()]++
-		if n := counts[l.String()]; n > bestN {
-			best, bestN = l, n
+		counts[b.ids[i]]++
+		if n := counts[b.ids[i]]; n > bestN {
+			best, bestN = b.ts.Labels[i], n
 		}
 	}
 	return best
 }
 
-func entropyOf(counts map[string]int, total int) float64 {
+func entropyOf(counts []int, total int) float64 {
 	if total == 0 {
 		return 0
 	}
@@ -150,8 +158,8 @@ func entropyOf(counts map[string]int, total int) float64 {
 
 // grow builds the subtree for the row subset idx.
 func (b *builder) grow(idx []int, depth int) *Node {
-	counts := b.classCounts(idx)
-	if len(counts) == 1 || depth >= b.opts.MaxDepth || len(idx) < 2*b.opts.MinLeaf {
+	counts, distinct := b.classCounts(idx)
+	if distinct == 1 || depth >= b.opts.MaxDepth || len(idx) < 2*b.opts.MinLeaf {
 		return &Node{Leaf: true, Class: b.majority(idx)}
 	}
 	base := entropyOf(counts, len(idx))
@@ -260,14 +268,16 @@ func (b *builder) categoricalCandidates(idx []int, d int) []*Node {
 }
 
 func (b *builder) gain(idx []int, split *Node, base float64) float64 {
-	tc, fc := map[string]int{}, map[string]int{}
+	tc, fc := b.trueCounts, b.falseCounts
+	clear(tc)
+	clear(fc)
 	tn, fn := 0, 0
 	for _, i := range idx {
 		if split.Test(b.ts.Rows[i]) {
-			tc[b.ts.Labels[i].String()]++
+			tc[b.ids[i]]++
 			tn++
 		} else {
-			fc[b.ts.Labels[i].String()]++
+			fc[b.ids[i]]++
 			fn++
 		}
 	}

@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"math"
 	"testing"
 
 	"minequery/internal/value"
@@ -93,5 +94,36 @@ func TestClassSetAndColumnNames(t *testing.T) {
 	names := ts.ColumnNames()
 	if len(names) != 2 || names[0] != "x" || names[1] != "y" {
 		t.Errorf("ColumnNames = %v", names)
+	}
+}
+
+// TestClassIDs pins the interning against what it replaces: two labels
+// are one class exactly when Value.String renders them alike, whatever
+// their kinds, and ids follow first-seen order.
+func TestClassIDs(t *testing.T) {
+	nan := math.NaN()
+	labels := []value.Value{
+		value.Str("a"), value.Int(2), value.Float(2), value.Str("2"), value.Null(), value.Str("NULL"),
+		value.Float(nan), value.Float(nan), value.Float(0), value.Float(math.Copysign(0, -1)), value.Int(0),
+		value.Bool(true), value.Str("TRUE"), value.Str("a"), value.Int(2), value.Null(), value.Bool(true),
+	}
+	ts := &TrainSet{Labels: labels}
+	ids, classes := ts.ClassIDs()
+	byText := map[string]int{}
+	for i, l := range labels {
+		want, ok := byText[l.String()]
+		if !ok {
+			want = len(byText)
+			byText[l.String()] = want
+			if c := classes[want]; c.String() != l.String() || c.Kind() != l.Kind() {
+				t.Errorf("class %d is %v, want the first label seen of it, %v", want, c, l)
+			}
+		}
+		if ids[i] != want {
+			t.Errorf("label %d (%v): class %d, want %d", i, l, ids[i], want)
+		}
+	}
+	if len(classes) != len(byText) {
+		t.Errorf("%d classes, want %d", len(classes), len(byText))
 	}
 }

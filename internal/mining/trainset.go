@@ -38,16 +38,43 @@ func (ts *TrainSet) Validate() error {
 
 // ClassSet returns the distinct labels in first-seen order.
 func (ts *TrainSet) ClassSet() []value.Value {
-	var out []value.Value
-	seen := map[string]bool{}
-	for _, l := range ts.Labels {
-		k := l.String()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, l)
+	_, classes := ts.ClassIDs()
+	return classes
+}
+
+// ClassIDs interns the labels to dense class ids: ids[i] is the class of
+// Labels[i] and classes[id] the first label seen of class id, so classes
+// is in first-seen order. Two labels are one class when they render the
+// same (Value.String) — an INT 2 and a FLOAT 2 are — which is how the
+// inducers have always keyed their counts; interning renders each
+// distinct label once where they rendered every row's on every count.
+func (ts *TrainSet) ClassIDs() (ids []int, classes []value.Value) {
+	ids = make([]int, len(ts.Labels))
+	byText := map[string]int{}
+	// Labels of every kind but FLOAT render alike exactly when they are
+	// equal, so those are recognized without rendering. (NaN is not equal
+	// to itself and -0 equals 0, yet one renders alike and the other not.)
+	seen := map[value.Value]int{}
+	for i, l := range ts.Labels {
+		exact := l.Kind() != value.KindFloat
+		id, ok := -1, false
+		if exact {
+			id, ok = seen[l]
 		}
+		if !ok {
+			text := l.String()
+			if id, ok = byText[text]; !ok {
+				id = len(classes)
+				byText[text] = id
+				classes = append(classes, l)
+			}
+			if exact {
+				seen[l] = id
+			}
+		}
+		ids[i] = id
 	}
-	return out
+	return ids, classes
 }
 
 // ColumnNames returns the schema's column names in order.

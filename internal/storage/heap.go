@@ -325,7 +325,10 @@ func (h *Heap) ScanPagesInto(c *Counters, lo, hi int, fn func(RID, []byte) bool)
 	if n := h.PageCount(); hi > n {
 		hi = n
 	}
-	var slots []slotRef // reused per page
+	// The snapshot is the directory's own bytes, copied into a fixed
+	// array that does not escape: scanning allocates nothing however
+	// many times, or for however few pages, it is called.
+	var dir [PageSize]byte
 	for pi := lo; pi < hi; pi++ {
 		if err := h.faults.Load().Hit(fault.SitePageReadSeq); err != nil {
 			return fmt.Errorf("storage: sequential read page %d: %w", pi, err)
@@ -344,21 +347,20 @@ func (h *Heap) ScanPagesInto(c *Counters, lo, hi int, fn func(RID, []byte) bool)
 			h.mu.RUnlock()
 			continue
 		}
-		slots = slots[:0]
-		for s, n := 0, p.slotCount(); s < n; s++ {
-			off, length := p.slotAt(s)
-			slots = append(slots, slotRef{off: off, length: length})
-		}
+		n := p.slotCount()
+		copy(dir[:], p.data[pageHeaderSize:pageHeaderSize+n*slotSize])
 		h.mu.RUnlock()
 		h.stats.seqPageReads.Add(1)
 		if c != nil {
 			c.SeqPageReads.Add(1)
 		}
-		for s, sr := range slots {
-			if sr.length == 0 {
+		for s := 0; s < n; s++ {
+			off := int(binary.LittleEndian.Uint16(dir[s*slotSize:]))
+			length := int(binary.LittleEndian.Uint16(dir[s*slotSize+2:]))
+			if length == 0 {
 				continue // deleted
 			}
-			rec := p.data[sr.off : sr.off+sr.length]
+			rec := p.data[off : off+length]
 			h.stats.tupleReads.Add(1)
 			if c != nil {
 				c.TupleReads.Add(1)
@@ -369,11 +371,6 @@ func (h *Heap) ScanPagesInto(c *Counters, lo, hi int, fn func(RID, []byte) bool)
 		}
 	}
 	return nil
-}
-
-// slotRef is one snapshotted slot-directory entry.
-type slotRef struct {
-	off, length int
 }
 
 // Len returns the number of live records.

@@ -250,3 +250,42 @@ func TestScanPastNilPage(t *testing.T) {
 		t.Fatal("no records from pages past the hole")
 	}
 }
+
+// raceEnabled is set by race_test.go; allocation counts skip under it.
+var raceEnabled bool
+
+// TestScanPagesIntoAllocs: the per-page slot snapshot lives on the
+// scanner's stack, so a scan allocates nothing — not per record, not per
+// page, and not per call, which is what a caller reading one page at a
+// time (the executor, to retry page-wise) pays.
+func TestScanPagesIntoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	h := NewHeap()
+	for i := 0; i < 3000; i++ {
+		if _, err := h.Insert([]byte(fmt.Sprintf("record-%04d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pages := h.PageCount()
+	if pages < 3 {
+		t.Fatalf("fixture too small: %d pages", pages)
+	}
+	var c Counters
+	seen := 0
+	count := func(RID, []byte) bool { seen++; return true }
+	got := testing.AllocsPerRun(20, func() {
+		for p := 0; p < pages; p++ {
+			if err := h.ScanPagesInto(&c, p, p+1, count); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if got != 0 {
+		t.Errorf("%v allocations per page-at-a-time scan of %d pages, want 0", got, pages)
+	}
+	if seen != 21*3000 {
+		t.Errorf("scans delivered %d records, want %d", seen, 21*3000)
+	}
+}

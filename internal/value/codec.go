@@ -39,38 +39,54 @@ func (v Value) Encode(dst []byte) []byte {
 // DecodeValue reads one value from b, returning the value and the number
 // of bytes consumed.
 func DecodeValue(b []byte) (Value, int, error) {
+	return decodeValue(b, true)
+}
+
+// decodeValue is DecodeValue; with keep false the encoding is validated
+// and measured the same way but the value is not built (no string is
+// allocated) and NULL is returned in its place.
+func decodeValue(b []byte, keep bool) (Value, int, error) {
 	if len(b) == 0 {
 		return Value{}, 0, fmt.Errorf("value: decode: empty buffer")
 	}
 	k := Kind(b[0])
 	rest := b[1:]
+	var v Value
+	var used int
 	switch k {
 	case KindNull:
-		return Null(), 1, nil
+		used = 1
 	case KindInt:
 		if len(rest) < 8 {
 			return Value{}, 0, fmt.Errorf("value: decode INT: short buffer")
 		}
-		return Int(int64(binary.LittleEndian.Uint64(rest))), 9, nil
+		v, used = Int(int64(binary.LittleEndian.Uint64(rest))), 9
 	case KindFloat:
 		if len(rest) < 8 {
 			return Value{}, 0, fmt.Errorf("value: decode FLOAT: short buffer")
 		}
-		return Float(math.Float64frombits(binary.LittleEndian.Uint64(rest))), 9, nil
+		v, used = Float(math.Float64frombits(binary.LittleEndian.Uint64(rest))), 9
 	case KindBool:
 		if len(rest) < 1 {
 			return Value{}, 0, fmt.Errorf("value: decode BOOL: short buffer")
 		}
-		return Bool(rest[0] != 0), 2, nil
+		v, used = Bool(rest[0] != 0), 2
 	case KindString:
 		n, sz := binary.Uvarint(rest)
 		if sz <= 0 || uint64(len(rest)-sz) < n {
 			return Value{}, 0, fmt.Errorf("value: decode TEXT: short buffer")
 		}
-		return Str(string(rest[sz : sz+int(n)])), 1 + sz + int(n), nil
+		used = 1 + sz + int(n)
+		if keep {
+			v = Str(string(rest[sz : sz+int(n)]))
+		}
 	default:
 		return Value{}, 0, fmt.Errorf("value: decode: bad kind tag %d", b[0])
 	}
+	if !keep {
+		v = Value{}
+	}
+	return v, used, nil
 }
 
 // EncodeTuple appends the binary encoding of t to dst.
@@ -82,23 +98,43 @@ func EncodeTuple(dst []byte, t Tuple) []byte {
 	return dst
 }
 
-// DecodeTuple parses a tuple encoded by EncodeTuple.
+// DecodeTuple parses a tuple encoded by EncodeTuple into a fresh Tuple.
 func DecodeTuple(b []byte) (Tuple, error) {
+	return DecodeTupleInto(nil, b, nil)
+}
+
+// DecodeTupleInto is DecodeTuple into caller-owned storage: the fields
+// are appended to dst[:0], which is reallocated only when the record's
+// arity exceeds cap(dst), and the (possibly moved) tuple is returned. A
+// scan that decodes every record into the same dst allocates nothing
+// per row but the strings it keeps.
+//
+// need, when non-nil, marks by ordinal the fields the caller reads; the
+// others (and any ordinal past len(need)) are validated exactly like
+// the rest — a corrupt record fails whichever field it is corrupt in —
+// but not built, and their slots are set to NULL.
+func DecodeTupleInto(dst Tuple, b []byte, need []bool) (Tuple, error) {
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 {
 		return nil, fmt.Errorf("value: decode tuple: bad arity")
 	}
 	b = b[sz:]
-	t := make(Tuple, 0, n)
+	if n > uint64(len(b)) { // every field takes a byte at least
+		return nil, fmt.Errorf("value: decode tuple: arity %d exceeds the record", n)
+	}
+	if uint64(cap(dst)) < n {
+		dst = make(Tuple, 0, n)
+	}
+	dst = dst[:0]
 	for i := uint64(0); i < n; i++ {
-		v, used, err := DecodeValue(b)
+		v, used, err := decodeValue(b, need == nil || (i < uint64(len(need)) && need[i]))
 		if err != nil {
 			return nil, fmt.Errorf("value: decode tuple field %d: %w", i, err)
 		}
-		t = append(t, v)
+		dst = append(dst, v)
 		b = b[used:]
 	}
-	return t, nil
+	return dst, nil
 }
 
 // SortKey appends an order-preserving binary encoding of v: for values a,

@@ -176,6 +176,93 @@ func TestTupleRoundTrip(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go; allocation counts skip under it.
+var raceEnabled bool
+
+// TestDecodeTupleInto pins the caller-owned decode: same values as
+// DecodeTuple, into dst's own storage whenever it is large enough; a
+// masked-out field comes back NULL, and is validated all the same.
+func TestDecodeTupleInto(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	dst := make(Tuple, 0, 8)
+	for i := 0; i < 500; i++ {
+		tup := make(Tuple, r.Intn(12))
+		need := make([]bool, r.Intn(14)) // shorter than the tuple, or longer
+		for j := range tup {
+			tup[j] = randomValue(r)
+		}
+		for j := range need {
+			need[j] = r.Intn(2) == 0
+		}
+		enc := EncodeTuple(nil, tup)
+		got, err := DecodeTupleInto(dst, enc, nil)
+		if err != nil || !got.Equal(tup) {
+			t.Fatalf("decode %v into dst = %v, %v", tup, got, err)
+		}
+		if inPlace := len(got) == 0 || &got[0] == &dst[:1][0]; inPlace != (len(tup) <= cap(dst)) {
+			t.Fatalf("arity %d, cap(dst) %d: decoded in place = %v", len(tup), cap(dst), inPlace)
+		}
+		if got, err = DecodeTupleInto(dst, enc, need); err != nil || len(got) != len(tup) {
+			t.Fatalf("masked decode of %v = %v, %v", tup, got, err)
+		}
+		for j, v := range got {
+			want := Null()
+			if j < len(need) && need[j] {
+				want = tup[j]
+			}
+			// Equal, not ==: NaN round-trips.
+			if !Equal(v, want) || v.Kind() != want.Kind() {
+				t.Fatalf("masked decode of %v under %v: field %d = %v, want %v", tup, need, j, v, want)
+			}
+		}
+	}
+
+	// Damage in a field the mask skips is still damage.
+	good := EncodeTuple(nil, Tuple{Int(1), Str("text"), Int(2)})
+	skipText := []bool{true, false, true}
+	for name, bad := range map[string][]byte{
+		"truncated TEXT":  good[:len(good)-11],
+		"bad kind tag":    append(append([]byte{}, good[:10]...), 0xEE),
+		"arity past data": {200, byte(KindNull)},
+		"no arity":        nil,
+	} {
+		if _, err := DecodeTupleInto(dst, bad, skipText); err == nil {
+			t.Errorf("%s: masked decode should fail", name)
+		}
+		if _, err := DecodeTuple(bad); err == nil {
+			t.Errorf("%s: decode should fail", name)
+		}
+	}
+}
+
+// TestDecodeTupleIntoAllocs: decoding into a reused tuple allocates the
+// strings it keeps and nothing else — nothing at all once they are
+// masked out.
+func TestDecodeTupleIntoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	enc := EncodeTuple(nil, Tuple{Int(1), Str("a string long enough to need its own allocation"), Float(2), Bool(true), Null()})
+	dst := make(Tuple, 0, 5)
+	for _, tc := range []struct {
+		name string
+		need []bool
+		want float64
+	}{
+		{"every column", nil, 1},
+		{"TEXT masked out", []bool{true, false, true, true, true}, 0},
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := DecodeTupleInto(dst, enc, tc.need); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != tc.want {
+			t.Errorf("%s: %v allocations per decode, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestSortKeyOrderPreserving(t *testing.T) {
 	// Property: for same-comparable-kind values, byte order of SortKey
 	// equals Compare order.

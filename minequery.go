@@ -52,7 +52,6 @@ import (
 	"minequery/internal/qerr"
 	"minequery/internal/sqlparse"
 	"minequery/internal/standing"
-	"minequery/internal/storage"
 	"minequery/internal/value"
 	"minequery/internal/wal"
 )
@@ -390,61 +389,55 @@ func (e *Engine) buildTrainSet(table string, inputCols []string, labelCol string
 
 // buildTrainSetWhere is buildTrainSet over a relational view: rows
 // failing where (when non-nil) are excluded from training. This is the
-// CREATE MODEL ... AS SELECT path.
+// CREATE MODEL ... AS SELECT path. The view is run as the plan it is —
+// Project(inputs, label) over Filter(where) over a sequential scan — so
+// the executor's one page reader decodes the columns those name and no
+// others, and each training row is copied out once, already narrowed.
 func (e *Engine) buildTrainSetWhere(table string, inputCols []string, labelCol string, where expr.Expr) (*mining.TrainSet, error) {
 	t, ok := e.cat.Table(table)
 	if !ok {
 		return nil, fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, table)
 	}
-	ords := make([]int, len(inputCols))
 	cols := make([]Column, len(inputCols))
+	project := append(make([]string, 0, len(inputCols)+1), inputCols...)
+	labelOrd, labelAt := -1, -1 // the label's place in the table, and in a projected row
+	if labelCol != "" {
+		labelOrd = t.Schema.Ordinal(labelCol)
+	}
 	for i, c := range inputCols {
 		o := t.Schema.Ordinal(c)
 		if o < 0 {
 			return nil, fmt.Errorf("minequery: no column %q in %s", c, table)
 		}
-		ords[i] = o
 		cols[i] = t.Schema.Col(o)
+		if o == labelOrd {
+			labelAt = i
+		}
 	}
-	labelOrd := -1
-	if labelCol != "" {
-		labelOrd = t.Schema.Ordinal(labelCol)
+	if labelCol != "" && labelAt < 0 {
 		if labelOrd < 0 {
 			return nil, fmt.Errorf("minequery: no label column %q in %s", labelCol, table)
 		}
+		labelAt, project = len(project), append(project, labelCol)
 	}
 	schema, err := value.NewSchema(cols...)
 	if err != nil {
 		return nil, err
 	}
-	ts := &mining.TrainSet{Schema: schema}
-	var scanErr error
-	readErr := t.Heap.Scan(func(_ storage.RID, rec []byte) bool {
-		row, err := value.DecodeTuple(rec)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if where != nil && !where.Eval(t.Schema, row) {
-			return true
-		}
-		in := make(Tuple, len(ords))
-		for i, o := range ords {
-			in[i] = row[o]
-		}
-		ts.Rows = append(ts.Rows, in)
-		if labelOrd >= 0 {
-			ts.Labels = append(ts.Labels, row[labelOrd])
-		} else {
-			ts.Labels = append(ts.Labels, value.Null())
-		}
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
+	var root plan.Node = &plan.SeqScan{Table: t.Name}
+	if where != nil {
+		root = &plan.Filter{Child: root, Pred: where}
 	}
-	if readErr != nil {
-		return nil, fmt.Errorf("minequery: train scan of %s: %w", table, readErr)
+	rows, _, err := exec.RunOpts(e.cat, &plan.Project{Child: root, Cols: project}, exec.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("minequery: train scan of %s: %w", table, err)
+	}
+	ts := &mining.TrainSet{Schema: schema, Rows: rows, Labels: make([]value.Value, len(rows))}
+	for i, row := range rows {
+		if labelAt >= 0 {
+			ts.Labels[i] = row[labelAt]
+		}
+		ts.Rows[i] = row[:len(cols):len(cols)]
 	}
 	return ts, nil
 }

@@ -83,6 +83,59 @@ func TestConcurrentRetrainPreparedReaders(t *testing.T) {
 	var writerWG, readerWG sync.WaitGroup
 	errCh := make(chan error, writers+3)
 	stop := make(chan struct{})
+	// Every reader prepares before the first write and makes one last
+	// call after the last, so whatever the scheduler does each of them
+	// holds a plan across a retrain: that the invalidation is observed
+	// does not depend on how long training takes.
+	var prepared sync.WaitGroup
+	for rd := 0; rd < 3; rd++ {
+		rd := rd
+		readerWG.Add(1)
+		prepared.Add(1)
+		go func() {
+			defer readerWG.Done()
+			p, err := eng.Prepare(retrainPredQuery)
+			prepared.Done()
+			if err != nil {
+				errCh <- fmt.Errorf("reader %d prepare: %w", rd, err)
+				return
+			}
+			for last := false; !last; {
+				select {
+				case <-stop:
+					last = true
+				default:
+				}
+				c0 := redAcked.Load()
+				res, err := p.Execute(ctx)
+				if errors.Is(err, ErrStalePlan) {
+					staleSeen.Add(1)
+					if p, err = eng.Prepare(retrainPredQuery); err != nil {
+						errCh <- fmt.Errorf("reader %d re-prepare: %w", rd, err)
+						return
+					}
+					continue
+				}
+				if err != nil {
+					errCh <- fmt.Errorf("reader %d: only ErrStalePlan is an acceptable failure, got: %w", rd, err)
+					return
+				}
+				if int64(len(res.Rows)) < c0 {
+					errCh <- fmt.Errorf("reader %d: stale result — %d red rows returned, %d were acked before the call",
+						rd, len(res.Rows), c0)
+					return
+				}
+				for _, row := range res.Rows {
+					if b := row[1].AsInt(); b < 50 {
+						errCh <- fmt.Errorf("reader %d: row id=%d b=%d predicted red; no consistent model does that",
+							rd, row[0].AsInt(), b)
+						return
+					}
+				}
+			}
+		}()
+	}
+	prepared.Wait()
 	for w := 0; w < writers; w++ {
 		w := w
 		writerWG.Add(1)
@@ -113,51 +166,6 @@ func TestConcurrentRetrainPreparedReaders(t *testing.T) {
 					retrainSeen.Add(1)
 				}
 				redAcked.Add(red)
-			}
-		}()
-	}
-	for rd := 0; rd < 3; rd++ {
-		rd := rd
-		readerWG.Add(1)
-		go func() {
-			defer readerWG.Done()
-			p, err := eng.Prepare(retrainPredQuery)
-			if err != nil {
-				errCh <- fmt.Errorf("reader %d prepare: %w", rd, err)
-				return
-			}
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				c0 := redAcked.Load()
-				res, err := p.Execute(ctx)
-				if errors.Is(err, ErrStalePlan) {
-					staleSeen.Add(1)
-					if p, err = eng.Prepare(retrainPredQuery); err != nil {
-						errCh <- fmt.Errorf("reader %d re-prepare: %w", rd, err)
-						return
-					}
-					continue
-				}
-				if err != nil {
-					errCh <- fmt.Errorf("reader %d: only ErrStalePlan is an acceptable failure, got: %w", rd, err)
-					return
-				}
-				if int64(len(res.Rows)) < c0 {
-					errCh <- fmt.Errorf("reader %d: stale result — %d red rows returned, %d were acked before the call",
-						rd, len(res.Rows), c0)
-					return
-				}
-				for _, row := range res.Rows {
-					if b := row[1].AsInt(); b < 50 {
-						errCh <- fmt.Errorf("reader %d: row id=%d b=%d predicted red; no consistent model does that",
-							rd, row[0].AsInt(), b)
-						return
-					}
-				}
 			}
 		}()
 	}
