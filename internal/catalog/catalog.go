@@ -233,12 +233,14 @@ func (t *Table) Update(rid storage.RID, newRow value.Tuple) (storage.RID, error)
 
 // Fetch decodes the row at rid.
 func (t *Table) Fetch(rid storage.RID) (value.Tuple, bool, error) {
-	return t.FetchInto(nil, rid)
+	return t.FetchInto(nil, rid, nil)
 }
 
 // FetchInto is Fetch with per-query I/O accounting attributed to c
-// (when non-nil) alongside the heap's global counters.
-func (t *Table) FetchInto(c *storage.Counters, rid storage.RID) (value.Tuple, bool, error) {
+// (when non-nil) alongside the heap's global counters, decoding into
+// dst (value.DecodeTupleInto: reallocated only when the row does not
+// fit cap(dst)).
+func (t *Table) FetchInto(c *storage.Counters, rid storage.RID, dst value.Tuple) (value.Tuple, bool, error) {
 	rec, ok, err := t.Heap.GetInto(c, rid)
 	if err != nil {
 		return nil, false, fmt.Errorf("catalog: table %s: fetch %s: %w", t.Name, rid, err)
@@ -246,7 +248,7 @@ func (t *Table) FetchInto(c *storage.Counters, rid storage.RID) (value.Tuple, bo
 	if !ok {
 		return nil, false, nil
 	}
-	tup, err := value.DecodeTuple(rec)
+	tup, err := value.DecodeTupleInto(dst, rec, nil)
 	if err != nil {
 		return nil, false, fmt.Errorf("catalog: table %s: corrupt row at %s: %w", t.Name, rid, err)
 	}

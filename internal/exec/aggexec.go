@@ -356,15 +356,26 @@ func columnSource(p *aggPipeline, core *vecCore, spec *agg.Spec, opts Options) a
 			}
 		}
 	}
+	// The workers' scratches go back when the partial aggregate closes:
+	// run has joined its pool by then. (worker is only ever called from
+	// the driver's goroutine.)
+	var scratches []*vec.Scratch
 	src := aggSource{what: "columnar aggregate scan " + p.table.Name + " group", units: len(core.groups),
 		warm: core.warm(), seal: core.freeze,
 		worker: func() (*agg.Table, func(int) (int64, error)) {
 			w, sc := p.newWorker(spec), vec.NewScratch()
+			scratches = append(scratches, sc)
 			return w.tab, func(gi int) (int64, error) {
 				g := core.groups[gi]
 				w.aggGroup(core, g, sc, need)
 				return int64(g.N), nil
 			}
+		},
+		close: func() {
+			for _, sc := range scratches {
+				sc.Release()
+			}
+			scratches = nil
 		}}
 	if col := opts.Collector; col != nil {
 		// Nothing wraps the fused scan leaf, so the core counts it even
@@ -480,7 +491,7 @@ func (a *partialAgg) run() (*agg.Table, error) {
 				wtab, wunit = src.worker()
 				others = append(others, wtab)
 			}
-			pool.start(func(i int) (int64, error) { return wunit(first + i) }, post)
+			pool.start(func(i int) (int64, error) { return wunit(first + i) }, post, nil)
 		}
 		pool.wg.Wait()
 		if err != nil {

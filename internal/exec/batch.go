@@ -25,18 +25,22 @@ import (
 // place, predict repoints its elements — and the producer reads nothing
 // back from them. A consumer that keeps a row past that point copies it.
 //
-// The rule is what lets a row an envelope rejects cost no heap: the heap
-// scans decode into storage they reuse (batchSeqScan one arena for its
-// lifetime, parallelScan one allocation per batch because its batches
-// change goroutines, the aggregate workers and CollectMatches a single
-// row), batchFilter and batchLimit work in place, and batchPredict widens
-// into one backing array it keeps. Rows are copied out once, at final
-// width and for survivors only, by the operators that materialize:
+// The rule is what lets a row an envelope rejects cost no heap, and a
+// row that survives cost what the plan reads of it. The leaves build
+// rows, in the columns decodeMask marks, in storage they reuse:
+// batchSeqScan one arena for its lifetime; vecScan one arena reset per
+// column group; parallelScan one allocation per batch and the post-freeze
+// vecScan one per group, because their batches change goroutines; the
+// aggregate workers and CollectMatches a single row. ridFetch alone
+// allocates per row (an index path fetches few). batchFilter and
+// batchLimit work in place, and so does batchPredict: every leaf gives
+// its tuples predictRoom spare capacity, so the predicted class is
+// appended where the row lies. Rows are copied out once, at final width
+// and for survivors only, by the operators that materialize:
 // batchProject (a fresh narrowed backing per batch — it is the copy-out),
 // agg.Table.Add (copies what it keeps, so HashAgg emits fresh rows), and
 // RunCtx's sink, which copies only when the plan's root is neither of
-// those. ridFetch, vecScan and constScan hand out fresh rows every time,
-// which satisfies the rule trivially.
+// those.
 type Batch = []value.Tuple
 
 // BatchIterator produces tuples a batch at a time. Batches are never
@@ -139,8 +143,9 @@ func BuildBatchCtx(ctx context.Context, c *catalog.Catalog, n plan.Node, opts Op
 
 // buildBatchNode builds one plan node (recursing for children) and, when
 // a Collector is attached, wraps it with the per-node accounting shim.
-// root is the plan n belongs to: a heap scan leaf reads from it which
-// columns anything above it uses (decodeMask).
+// root is the plan n belongs to: a leaf reads from it which columns
+// anything above it uses (decodeMask) and how many values the prediction
+// joins above it append to a row (predictRoom).
 func buildBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.Node, opts Options) (BatchIterator, error) {
 	it, err := buildBareBatchNode(ctx, c, root, n, opts)
 	if err != nil {
@@ -159,18 +164,18 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.No
 		if !ok {
 			return nil, fmt.Errorf("exec: no table %q", x.Table)
 		}
+		need, slot := decodeMask(c, root, opts.Collector), tupleSlot(t, root)
 		if x.Columnar {
-			if vs := newVecScan(ctx, t, x, nil, opts); vs != nil {
+			if vs := newVecScan(ctx, t, x, nil, need, slot, opts); vs != nil {
 				return vs, nil
 			}
 			// Sidecar stale or missing: the flag is only a hint, run the
 			// row path with identical results.
 		}
-		need := decodeMask(c, root, opts.Collector)
 		if opts.DOP > 1 {
-			return newParallelScan(ctx, t, x, need, opts), nil
+			return newParallelScan(ctx, t, x, need, slot, opts), nil
 		}
-		return newBatchSeqScan(ctx, t, x, need, opts), nil
+		return newBatchSeqScan(ctx, t, x, need, slot, opts), nil
 	case *plan.Filter:
 		if scan, isScan := x.Child.(*plan.SeqScan); isScan && scan.Columnar {
 			if t, ok := c.Table(scan.Table); ok {
@@ -178,7 +183,8 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.No
 				// predicate runs over selection vectors, not tuples. Falls
 				// through to the row operators when the sidecar is stale or
 				// the predicate shape is unsupported.
-				if vs := newVecScan(ctx, t, scan, x, opts); vs != nil {
+				need, slot := decodeMask(c, root, opts.Collector), tupleSlot(t, root)
+				if vs := newVecScan(ctx, t, scan, x, need, slot, opts); vs != nil {
 					return vs, nil
 				}
 			}
@@ -241,7 +247,7 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.No
 		if err != nil {
 			return nil, err
 		}
-		return newRIDFetch(ctx, t, rids, opts), nil
+		return newRIDFetch(ctx, t, rids, tupleSlot(t, root), opts), nil
 	case *plan.IndexUnion:
 		t, ok := c.Table(x.Table)
 		if !ok {
@@ -251,7 +257,7 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.No
 		if err != nil {
 			return nil, err
 		}
-		return newRIDFetch(ctx, t, rids, opts), nil
+		return newRIDFetch(ctx, t, rids, tupleSlot(t, root), opts), nil
 	}
 	return nil, fmt.Errorf("exec: unknown plan node %T", n)
 }
@@ -363,9 +369,9 @@ type batchSeqScan struct {
 	err      error
 }
 
-func newBatchSeqScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, need []bool, opts Options) *batchSeqScan {
+func newBatchSeqScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, need []bool, slot int, opts Options) *batchSeqScan {
 	s := &batchSeqScan{ctx: ctx, table: t, opts: opts, need: need, ranges: t.PartitionPageRanges(x.Partitions),
-		arena: rowArena{width: t.Schema.Len(), rows: arenaChunkRows}, batch: make(Batch, 0, opts.BatchSize)}
+		arena: rowArena{width: slot, rows: arenaChunkRows}, batch: make(Batch, 0, opts.BatchSize)}
 	if len(s.ranges) > 0 {
 		s.nextPage = s.ranges[0][0]
 	}
@@ -495,14 +501,15 @@ func (p *batchProject) NextBatch() (Batch, bool, error) {
 func (p *batchProject) Close() { p.child.Close() }
 
 // batchPredict appends the model's predicted class to every tuple of a
-// batch (the batch-at-a-time PredictionJoin). The widened rows live in
-// one backing array kept across batches and grown to the largest.
+// batch (the batch-at-a-time PredictionJoin), in place: the batch is the
+// consumer's to mutate, and every leaf left predictRoom spare capacity
+// in its tuples. A row that has none (one from above a Project, say) is
+// moved by append instead.
 type batchPredict struct {
 	child   BatchIterator
 	binding mining.Binding
 	schema  *value.Schema
 	buf     value.Tuple
-	backing value.Tuple
 }
 
 func newBatchPredict(child BatchIterator, me *catalog.ModelEntry, as string) (BatchIterator, error) {
@@ -525,15 +532,8 @@ func (p *batchPredict) NextBatch() (Batch, bool, error) {
 	if done || err != nil {
 		return nil, done, err
 	}
-	width := p.schema.Len()
-	if n := len(b) * width; len(p.backing) < n {
-		p.backing = make(value.Tuple, n)
-	}
 	for i, t := range b {
-		out := p.backing[i*width : (i+1)*width : (i+1)*width]
-		copy(out, t)
-		out[width-1] = p.binding.PredictInto(t, p.buf)
-		b[i] = out
+		b[i] = append(t, p.binding.PredictInto(t, p.buf))
 	}
 	return b, false, nil
 }

@@ -103,9 +103,9 @@ func TestParallelScanMatchesSerialAfterDeletes(t *testing.T) {
 	for _, rid := range victims {
 		tb.Heap.Delete(rid)
 	}
-	want := drainBatches(t, newBatchSeqScan(context.Background(), tb, &plan.SeqScan{Table: tb.Name}, nil, Options{}.fill()))
+	want := drainBatches(t, newBatchSeqScan(context.Background(), tb, &plan.SeqScan{Table: tb.Name}, nil, tb.Schema.Len(), Options{}.fill()))
 	for _, dop := range []int{2, 4, 8} {
-		got := drainBatches(t, newParallelScan(context.Background(), tb, &plan.SeqScan{Table: tb.Name}, nil, Options{DOP: dop, MorselPages: 3}.fill()))
+		got := drainBatches(t, newParallelScan(context.Background(), tb, &plan.SeqScan{Table: tb.Name}, nil, tb.Schema.Len(), Options{DOP: dop, MorselPages: 3}.fill()))
 		if len(got) != int(tb.Heap.Len()) {
 			t.Fatalf("dop=%d: %d rows, heap has %d live", dop, len(got), tb.Heap.Len())
 		}
@@ -167,7 +167,7 @@ func TestParallelScanCloseWithoutDrain(t *testing.T) {
 	c, tb := testDB(t, 5000)
 	_ = c
 	for i := 0; i < 20; i++ {
-		it := newParallelScan(context.Background(), tb, &plan.SeqScan{Table: tb.Name}, nil, Options{DOP: 4, MorselPages: 1}.fill())
+		it := newParallelScan(context.Background(), tb, &plan.SeqScan{Table: tb.Name}, nil, tb.Schema.Len(), Options{DOP: 4, MorselPages: 1}.fill())
 		if _, done, err := it.NextBatch(); err != nil || done {
 			t.Fatalf("iter %d: first batch: done=%v err=%v", i, done, err)
 		}

@@ -81,9 +81,11 @@ func scanPages(ctx context.Context, t *catalog.Table, opts Options, need []bool,
 const arenaChunkRows = 64
 
 // rowArena carves tuple slots of a fixed width out of chunks of rows
-// slots each. next hands out the following slot, allocating a chunk only
-// when every one it has is full; reset makes all of them available
-// again, and whatever was decoded into them garbage.
+// slots each. next hands out the following slot — empty, of capacity
+// width — allocating a chunk only when every one it has is full; reset
+// makes all of them available again, and whatever was decoded into them
+// garbage. A leaf makes width its table's plus predictRoom, so that a
+// row is widened where it lies.
 type rowArena struct {
 	width, rows int
 	chunks      []value.Tuple
@@ -104,8 +106,9 @@ func (a *rowArena) next() value.Tuple {
 
 func (a *rowArena) reset() { a.ci, a.used = 0, 0 }
 
-// decodeMask reports which columns of its heap scan a plan reads, as
-// value.DecodeTupleInto's need: root is walked down to the SeqScan leaf
+// decodeMask reports which columns of its scan a plan reads — what the
+// heap scans decode (value.DecodeTupleInto's need) and the columnar scan
+// reconstructs: root is walked down to the SeqScan leaf
 // collecting the columns of every Filter (and of the baseline predicate
 // EXPLAIN ANALYZE re-checks its rejects against), every Predict's model
 // inputs, the Project list and the HashAgg spec. Names the table does
@@ -163,6 +166,36 @@ func decodeMask(c *catalog.Catalog, root plan.Node, col *Collector) []bool {
 		}
 	}
 }
+
+// predictRoom is how many values the operators above a leaf append to
+// each of its rows in place: one per Predict between root and the leaf,
+// not counting those above a Project or HashAgg, which get that
+// operator's fresh rows instead. Every leaf gives its tuples that much
+// spare capacity (batchPredict).
+func predictRoom(root plan.Node) int {
+	room := 0
+	for n := root; ; {
+		switch x := n.(type) {
+		case *plan.Predict:
+			room++
+		case *plan.Project:
+			if len(x.Cols) > 0 {
+				room = 0
+			}
+		case *plan.HashAgg:
+			room = 0
+		}
+		kids := n.Children()
+		if len(kids) != 1 {
+			return room
+		}
+		n = kids[0]
+	}
+}
+
+// tupleSlot is the capacity a leaf over t gives each tuple it builds for
+// the plan root: the row, and room for what is appended to it.
+func tupleSlot(t *catalog.Table, root plan.Node) int { return t.Schema.Len() + predictRoom(root) }
 
 // columnMask marks the ordinals of the named columns that s has.
 func columnMask(s *value.Schema, names []string) []bool {
@@ -298,25 +331,27 @@ func unionRIDs(ctx context.Context, t *catalog.Table, x *plan.IndexUnion, opts O
 	return rids, nil
 }
 
-// ridFetch fetches rows for a RID list, a batch of live rows at a time.
-// Each lookup is retried under the options' policy when the random page
-// read fails transiently. ctx is checked once per batch and every
-// ridFetchCtxStride lookups, so per-query deadlines interrupt long RID
-// lists between (not just after) fetches.
+// ridFetch fetches rows for a RID list, a batch of live rows at a time,
+// each into a fresh tuple of slot capacity. Each lookup is retried under
+// the options' policy when the random page read fails transiently. ctx
+// is checked once per batch and every ridFetchCtxStride lookups, so
+// per-query deadlines interrupt long RID lists between (not just after)
+// fetches.
 type ridFetch struct {
 	ctx       context.Context
 	table     *catalog.Table
 	io        *storage.Counters
 	rids      []storage.RID
 	pos       int
+	slot      int
 	batchSize int
 	retry     fault.RetryPolicy
 	clock     fault.Clock
 	onRetry   func(error)
 }
 
-func newRIDFetch(ctx context.Context, t *catalog.Table, rids []storage.RID, opts Options) *ridFetch {
-	return &ridFetch{ctx: ctx, table: t, io: ioOf(opts.Collector), rids: rids, batchSize: opts.BatchSize,
+func newRIDFetch(ctx context.Context, t *catalog.Table, rids []storage.RID, slot int, opts Options) *ridFetch {
+	return &ridFetch{ctx: ctx, table: t, io: ioOf(opts.Collector), rids: rids, slot: slot, batchSize: opts.BatchSize,
 		retry: opts.Retry, clock: opts.Clock, onRetry: opts.onRetry()}
 }
 
@@ -334,7 +369,7 @@ func (r *ridFetch) NextBatch() (Batch, bool, error) {
 	)
 	fetch := func() error {
 		var err error
-		tup, ok, err = r.table.FetchInto(r.io, rid)
+		tup, ok, err = r.table.FetchInto(r.io, rid, make(value.Tuple, 0, r.slot))
 		return err
 	}
 	for len(batch) < r.batchSize && r.pos < len(r.rids) {

@@ -14,8 +14,11 @@ package exec
 
 import (
 	"context"
+	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 
 	"minequery/internal/agg"
@@ -131,6 +134,45 @@ func TestAliasSweepOperators(t *testing.T) {
 	want := refRows(t, c, &plan.Filter{Child: predict(scan()), Pred: low})
 	if got := checkAliased(t, c, viaIndex, Options{BatchSize: 64}); !sameRows(got, want) {
 		t.Fatalf("%s: %d rows, oracle %d", plan.Signature(viaIndex), len(got), len(want))
+	}
+
+	// Prediction joins widen a leaf's rows where they lie: the scribbling
+	// drain overwrites the widened rows of every leaf that leaves room —
+	// the index fetch, and the columnar scan both while it reuses its arena
+	// (the warm-up groups, all of them at DOP 1) and once its groups come
+	// off the pool — under two chained joins and a filter between them.
+	cc, ctb := columnarDB(t, 5*storage.ColGroupRows-900)
+	cc.RegisterModel(catModel{}, nil)
+	low2 := expr.Cmp{Col: "m2.cls", Op: expr.OpEq, Val: value.Str("low")}
+	chained := func(leaf plan.Node) plan.Node {
+		return &plan.Filter{Pred: low2, Child: &plan.Predict{Model: "catmod", As: "m2.cls",
+			Child: &plan.Filter{Pred: low, Child: predict(leaf)}}}
+	}
+	colScan := func() plan.Node { return &plan.SeqScan{Table: ctb.Name, Columnar: true} }
+	wantChained := refRows(t, cc, chained(scan()))
+	if len(wantChained) == 0 {
+		t.Fatal("the chained prediction joins keep nothing; the fixture is degenerate")
+	}
+	for _, tc := range []struct {
+		p       plan.Node
+		ordered bool
+	}{
+		{chained(colScan()), true},
+		{chained(&plan.Filter{Child: colScan(), Pred: numGe}), true},
+		{&plan.Project{Child: chained(colScan()), Cols: []string{"id", "m.cls", "m2.cls"}}, true},
+		{&plan.Limit{Child: chained(colScan()), N: 3000}, true},
+		{chained(&plan.IndexSeek{Table: "t", Index: "ix_num"}), false},
+	} {
+		want := wantChained // an index path's oracle is the scan's, in key order
+		if tc.ordered {
+			want = refRows(t, cc, tc.p)
+		}
+		for _, dop := range []int{1, 4} {
+			got := checkAliased(t, cc, tc.p, Options{DOP: dop, BatchSize: 64})
+			if ok := sameOrderedRows(got, want); !ok && (tc.ordered || !sameRows(got, want)) {
+				t.Fatalf("%s dop=%d: %d rows, oracle %d (or content differs)", plan.Signature(tc.p), dop, len(got), len(want))
+			}
+		}
 	}
 
 	// Aggregates have no per-row oracle; their groups are recomputed here
@@ -260,6 +302,255 @@ func TestCollectMatchesRowsAreCopies(t *testing.T) {
 			t.Fatalf("match %d (%s) = %v, oracle %v", i, m.RID, m.Row, want[i])
 		}
 	}
+}
+
+// columnarDB is testDB with a fresh column-group sidecar.
+func columnarDB(t *testing.T, rows int) (*catalog.Catalog, *catalog.Table) {
+	t.Helper()
+	c, tb := testDB(t, rows)
+	if err := tb.EnableColumnar(); err != nil {
+		t.Fatal(err)
+	}
+	if !tb.ColumnarReady() {
+		t.Fatal("columnar sidecar not fresh after EnableColumnar")
+	}
+	return c, tb
+}
+
+// TestAllocColumnarScanFollowsSurvivors: a columnar scan that keeps the
+// same 100 rows out of four times the groups allocates the same — rows
+// are reconstructed for survivors, into an arena the groups share — and
+// executing the statement again costs less than the first time did,
+// because the selection buffers the first bought are picked up by the
+// second.
+func TestAllocColumnarScanFollowsSurvivors(t *testing.T) {
+	// A disjunction, so that evaluating it takes several buffers at once.
+	pred := expr.NewOr(
+		expr.Cmp{Col: "id", Op: expr.OpLt, Val: value.Int(40)},
+		expr.NewAnd(expr.Cmp{Col: "id", Op: expr.OpGe, Val: value.Int(40)}, firstHundred),
+		expr.Cmp{Col: "num", Op: expr.OpLt, Val: value.Int(0)})
+	p := &plan.Project{Cols: []string{"id", "num"},
+		Child: &plan.Filter{Child: &plan.SeqScan{Table: "t", Columnar: true}, Pred: pred}}
+	run := func(c *catalog.Catalog) {
+		rows, _, err := RunOpts(c, p, Options{DOP: 1})
+		if err != nil || len(rows) != 100 {
+			t.Fatalf("columnar scan: %d rows, err %v", len(rows), err)
+		}
+	}
+	small, _ := columnarDB(t, 3*storage.ColGroupRows)
+	large, _ := columnarDB(t, 12*storage.ColGroupRows)
+	a := allocatedBy(t, func() { run(small) })
+	b := allocatedBy(t, func() { run(large) })
+	t.Logf("columnar scan: %d B over 3 groups, %d B over 12", a, b)
+	if float64(b) >= 1.5*float64(a) {
+		t.Fatalf("columnar scan allocates with the groups scanned, not the rows kept: %d B over 3 groups, %d B over 12", a, b)
+	}
+
+	// Two collections empty the pool of parked scratches; none may run
+	// between the two executions.
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	measure := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(large)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first, second := measure(), measure()
+	t.Logf("columnar scan: first execution %d B, second %d B", first, second)
+	if second >= first {
+		t.Fatalf("the second execution allocated %d B, the first %d B: the selection scratch was not recycled", second, first)
+	}
+}
+
+// TestDecodeMaskColumnar: the columnar scan reconstructs the columns the
+// plan reads and only those, on the serial path and on the pool's.
+func TestDecodeMaskColumnar(t *testing.T) {
+	c, tb := columnarDB(t, 5*storage.ColGroupRows-900) // two warm-up groups, three for the pool
+	c.RegisterModel(catModel{}, nil)
+	scan := func() *plan.SeqScan { return &plan.SeqScan{Table: "t", Columnar: true} }
+	onCat := expr.Cmp{Col: "cat", Op: expr.OpEq, Val: value.Str("c2")}
+	low := expr.Cmp{Col: "m.cls", Op: expr.OpEq, Val: value.Str("low")}
+	dops := []int{1, 4}
+
+	// SELECT * and roots without a Project hand out whole rows; operators
+	// above the scan that read what the plan does not return — the model's
+	// input, a filter on the predicted class — see what they read.
+	for _, p := range []plan.Node{
+		scan(),
+		&plan.Filter{Child: scan(), Pred: onCat},
+		&plan.Limit{N: 5000, Child: &plan.Filter{Child: scan(), Pred: onCat}},
+		&plan.Filter{Pred: low, Child: &plan.Predict{Child: &plan.Filter{Child: scan(), Pred: onCat}, Model: "catmod", As: "m.cls"}},
+		&plan.Project{Cols: []string{"id", "m.cls"}, Child: &plan.Filter{Pred: low,
+			Child: &plan.Predict{Child: &plan.Filter{Child: scan(), Pred: onCat}, Model: "catmod", As: "m.cls"}}},
+		&plan.Project{Cols: []string{"cat"}, Child: &plan.Filter{Pred: low,
+			Child: &plan.Predict{Child: scan(), Model: "catmod", As: "m.cls"}}},
+	} {
+		want := refRows(t, c, p)
+		if len(want) == 0 {
+			t.Fatalf("%s: the oracle returns nothing; the fixture is degenerate", plan.Signature(p))
+		}
+		for _, dop := range dops {
+			if got := checkAliased(t, c, p, Options{DOP: dop, BatchSize: 64}); !sameOrderedRows(got, want) {
+				t.Fatalf("%s dop=%d: %d rows, oracle %d (or content differs)", plan.Signature(p), dop, len(got), len(want))
+			}
+		}
+	}
+
+	// Under a projecting root the leaf's rows carry the read columns (id
+	// returned, cat filtered on) and NULL in the other (num).
+	filter := &plan.Filter{Child: scan(), Pred: onCat}
+	root := &plan.Project{Child: filter, Cols: []string{"id"}}
+	want := refRows(t, c, filter)
+	for _, dop := range dops {
+		// The operator built for the filter as a node of root: what the
+		// Project is handed.
+		leaf, err := buildBatchNode(context.Background(), c, root, filter, Options{DOP: dop, BatchSize: 64}.fill())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drainBatches(t, leaf)
+		if len(got) != len(want) {
+			t.Fatalf("masked leaf dop=%d: %d rows, oracle %d", dop, len(got), len(want))
+		}
+		for i, row := range got {
+			if !value.Equal(row[0], want[i][0]) || !value.Equal(row[1], want[i][1]) || !row[2].IsNull() {
+				t.Fatalf("masked leaf dop=%d row %d = %v, want id and cat of %v and a NULL num", dop, i, row, want[i])
+			}
+		}
+	}
+
+	// The EXPLAIN ANALYZE re-check reads a column (cat) that neither the
+	// fused predicate nor the answer does.
+	fused := &plan.Filter{Child: scan(), Pred: expr.NewAnd(
+		expr.Cmp{Col: "id", Op: expr.OpLt, Val: value.Int(7000)},
+		expr.Cmp{Col: "num", Op: expr.OpGe, Val: value.Int(50)})}
+	var wantEnv, wantResid int64
+	for _, row := range refRows(t, c, scan()) {
+		if !fused.Pred.Eval(tb.Schema, row) {
+			if onCat.Eval(tb.Schema, row) {
+				wantEnv++
+			} else {
+				wantResid++
+			}
+		}
+	}
+	if wantEnv == 0 || wantResid == 0 {
+		t.Fatalf("degenerate fixture: %d envelope rejects, %d residual", wantEnv, wantResid)
+	}
+	for name, root := range map[string]plan.Node{
+		"project":   &plan.Project{Child: fused, Cols: []string{"id"}},
+		"aggregate": aggPlan(fused, nil, []agg.Item{{Func: agg.Count, Star: true}}),
+	} {
+		for _, dop := range dops {
+			col := NewCollector()
+			col.SetEnvelopeBaseline(fused, onCat)
+			if _, _, err := RunOpts(c, root, Options{DOP: dop, Collector: col}); err != nil {
+				t.Fatal(err)
+			}
+			if col.VecInfo(fused.Child) == nil {
+				t.Fatalf("%s dop=%d: the scan did not run columnar; the test is vacuous", name, dop)
+			}
+			st := col.Op(fused)
+			if env, resid := st.EnvRejected.Load(), st.ResidRejected.Load(); env != wantEnv || resid != wantResid {
+				t.Errorf("%s dop=%d: %d envelope / %d residual rejects, oracle %d / %d", name, dop, env, resid, wantEnv, wantResid)
+			}
+		}
+	}
+}
+
+// TestColumnarScratchConcurrent runs columnar scans and columnar
+// aggregates from eight goroutines at once, at DOP 1 and 4, some cut
+// short by a LIMIT: every scan, and every worker of every scan, takes a
+// selection scratch another has just handed back. One handed back while
+// something still evaluates through it is a data race, which the race
+// detector reports here, or a wrong answer. The recycling must not show
+// in the term order or the per-term counters either: they are those of
+// one undisturbed serial run.
+func TestColumnarScratchConcurrent(t *testing.T) {
+	c, _ := columnarDB(t, 6*storage.ColGroupRows-500)
+	wide := make([]expr.Expr, 0, 16)
+	for k := 0; k < 16; k++ {
+		wide = append(wide, expr.NewAnd(
+			expr.Cmp{Col: "num", Op: expr.OpEq, Val: value.Int(int64(6 * k))},
+			expr.Cmp{Col: "cat", Op: expr.OpEq, Val: value.Str("c" + string(rune('0'+k%8)))}))
+	}
+	preds := []expr.Expr{
+		expr.NewOr(wide...),
+		expr.NewAnd(expr.Cmp{Col: "num", Op: expr.OpGe, Val: value.Int(90)},
+			expr.In{Col: "cat", Vals: []value.Value{value.Str("c1"), value.Str("c5")}}),
+		expr.Cmp{Col: "id", Op: expr.OpLt, Val: value.Int(300)},
+	}
+	type query struct {
+		root    plan.Node
+		scan    plan.Node // the columnar leaf, for its actuals; nil where a LIMIT truncates them
+		want    []value.Tuple
+		ordered bool
+		info    *VecScanInfo
+	}
+	var queries []*query
+	for _, pred := range preds {
+		leaf := &plan.SeqScan{Table: "t", Columnar: true}
+		filter := &plan.Filter{Child: leaf, Pred: pred}
+		rowFilter := &plan.Filter{Child: &plan.SeqScan{Table: "t"}, Pred: pred}
+		project := &plan.Project{Child: filter, Cols: []string{"id", "num"}}
+		aggLeaf := &plan.SeqScan{Table: "t", Columnar: true}
+		items := []agg.Item{{Func: agg.None, Col: "cat"}, {Func: agg.Count, Star: true}, {Func: agg.Sum, Col: "num"}}
+		queries = append(queries,
+			&query{root: project, scan: leaf, ordered: true,
+				want: refRows(t, c, &plan.Project{Child: rowFilter, Cols: []string{"id", "num"}})},
+			&query{root: &plan.Limit{Child: filter, N: 20}, ordered: true,
+				want: refRows(t, c, &plan.Limit{Child: rowFilter, N: 20})},
+			&query{root: aggPlan(&plan.Filter{Child: aggLeaf, Pred: pred}, []string{"cat"}, items), scan: aggLeaf,
+				want: runPlan(t, c, aggPlan(rowFilter, []string{"cat"}, items))})
+	}
+	run := func(q *query, dop int) ([]value.Tuple, *VecScanInfo, error) {
+		col := NewCollector()
+		rows, _, err := RunOpts(c, q.root, Options{DOP: dop, BatchSize: 64, Collector: col})
+		return rows, col.VecInfo(q.scan), err
+	}
+	for _, q := range queries {
+		if len(q.want) == 0 {
+			t.Fatalf("%s: the row path returns nothing; the fixture is degenerate", plan.Signature(q.root))
+		}
+		if q.scan == nil {
+			continue
+		}
+		var err error
+		if _, q.info, err = run(q, 1); err != nil || q.info == nil {
+			t.Fatalf("%s: err %v, columnar actuals %v", plan.Signature(q.root), err, q.info)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i := range queries {
+					q := queries[(i+g)%len(queries)]
+					dop := []int{1, 4}[(g+round+i)%2]
+					got, info, err := run(q, dop)
+					if err != nil {
+						t.Errorf("%s dop=%d: %v", plan.Signature(q.root), dop, err)
+						return
+					}
+					if ok := sameOrderedRows(got, q.want); !ok && (q.ordered || !sameRows(got, append([]value.Tuple(nil), q.want...))) {
+						t.Errorf("%s dop=%d: %d rows, the row path %d (or content differs)", plan.Signature(q.root), dop, len(got), len(q.want))
+						return
+					}
+					if q.scan != nil && !reflect.DeepEqual(info, q.info) {
+						t.Errorf("%s dop=%d: columnar actuals %+v, a lone serial run %+v", plan.Signature(q.root), dop, info, q.info)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestDecodeMaskColumns pins which columns each plan shape decodes.

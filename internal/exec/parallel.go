@@ -68,13 +68,15 @@ func (p *morselPool) stopped() bool {
 // fault or — once the pool has stopped — the context's error (nil when
 // only stop was called). Workers keep claiming after a stop so that
 // every unit is posted and an ordered consumer can never block on one.
+// exit, when non-nil, runs on the worker's goroutine after its last unit
+// is posted: where a worker gives up what it held across units.
 //
 // Two fault sites are reachable from here: SiteMorselClaim fires right
 // after a unit is claimed (a delay-only rule stalls this worker while
 // the others drain the remaining units; an error rule fails the unit),
 // and the storage layer's sequential-read site fires per page inside
 // do, absorbed by scanPages' per-page retry when a policy is configured.
-func (p *morselPool) start(do func(i int) (rows int64, err error), post func(i int, err error)) {
+func (p *morselPool) start(do func(i int) (rows int64, err error), post func(i int, err error), exit func()) {
 	var ws *WorkerStats
 	if p.opts.Collector != nil {
 		ws = p.opts.Collector.newWorker()
@@ -82,6 +84,9 @@ func (p *morselPool) start(do func(i int) (rows int64, err error), post func(i i
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
+		if exit != nil {
+			defer exit()
+		}
 		for {
 			i := int(p.claim.Add(1) - 1)
 			if i >= p.n {
@@ -133,14 +138,15 @@ type orderedScan struct {
 }
 
 // startOrdered starts the pool's workers, each over its own producer
-// (which owns that worker's scratch state).
-func startOrdered(pool *morselPool, newProducer func() func(i int) ([]Batch, int64, error)) *orderedScan {
+// (which owns that worker's scratch state) and the function, or nil,
+// that releases that state when the worker exits.
+func startOrdered(pool *morselPool, newProducer func() (produce func(i int) ([]Batch, int64, error), exit func())) *orderedScan {
 	results := make([]chan morselResult, pool.n)
 	for i := range results {
 		results[i] = make(chan morselResult, 1)
 	}
 	for w := pool.workers(); w > 0; w-- {
-		produce := newProducer()
+		produce, exit := newProducer()
 		var res morselResult
 		pool.start(func(i int) (rows int64, err error) {
 			res.batches, rows, err = produce(i)
@@ -149,7 +155,7 @@ func startOrdered(pool *morselPool, newProducer func() func(i int) ([]Batch, int
 			res.err = err
 			results[i] <- res
 			res = morselResult{}
-		})
+		}, exit)
 	}
 	return &orderedScan{pool: pool, results: results}
 }
@@ -206,7 +212,7 @@ type parallelScan struct {
 	table *catalog.Table
 }
 
-func newParallelScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, need []bool, opts Options) *parallelScan {
+func newParallelScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, need []bool, slot int, opts Options) *parallelScan {
 	morsels := morselRanges(t.PartitionPageRanges(x.Partitions), opts.MorselPages)
 	pool := newMorselPool(ctx, opts, "scan "+t.Name+" morsel", len(morsels))
 	// decode turns one morsel into batches. A stop is observed at each
@@ -215,7 +221,7 @@ func newParallelScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, nee
 	// and wait there for the consumer, so nothing is reused across them:
 	// the arena is the morsel's own, its chunks one per batch.
 	decode := func(m int) (batches []Batch, rows int64, err error) {
-		arena := rowArena{width: t.Schema.Len(), rows: opts.BatchSize}
+		arena := rowArena{width: slot, rows: opts.BatchSize}
 		batch := make(Batch, 0, opts.BatchSize)
 		err = scanPages(ctx, t, opts, need, morsels[m][0], morsels[m][1], arena.next, func(_ storage.RID, _ []byte, tup value.Tuple) bool {
 			batch = append(batch, tup)
@@ -236,7 +242,7 @@ func newParallelScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, nee
 		return batches, rows, err
 	}
 	return &parallelScan{
-		orderedScan: startOrdered(pool, func() func(int) ([]Batch, int64, error) { return decode }),
+		orderedScan: startOrdered(pool, func() (func(int) ([]Batch, int64, error), func()) { return decode, nil }),
 		table:       t,
 	}
 }

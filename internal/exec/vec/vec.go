@@ -26,6 +26,7 @@ package vec
 import (
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"minequery/internal/expr"
@@ -44,27 +45,50 @@ type node interface {
 	cost() float64
 }
 
-// Scratch is the per-evaluator buffer pool. Each concurrent consumer of
-// a Pred (each scan worker) must use its own Scratch; the Pred itself is
-// shared.
+// Scratch is one evaluator's working memory: the selection buffers its
+// nodes fill and the small slices the combiners keep per call. Each
+// concurrent consumer of a Pred (the scan's consumer, each scan or
+// aggregate worker) holds its own; the Pred itself is shared.
+//
+// A Scratch outlives the scan that used it. NewScratch hands out one a
+// finished scan gave back, warm with that scan's buffers, before making
+// an empty one, and whoever took it calls Release once nothing — no
+// goroutine, no selection still being read — uses it any more. A scan
+// that never releases (an abandoned iterator) only forgoes the reuse.
+//
+// Every buffer has at least group capacity (storage.ColGroupRows)
+// whatever was asked for, so a buffer one predicate filled serves any
+// request of the next.
 type Scratch struct {
 	free [][]int32
-	iota []int32
-	last []int32
+	last []int32   // the selection FilterGroup returned last
+	outs [][]int32 // orNode's term outputs: a stack, one frame per nested call
+	idx  []int     // mergeUnion's cursors
 }
 
-// NewScratch returns an empty scratch pool.
-func NewScratch() *Scratch { return &Scratch{} }
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
+// NewScratch returns a scratch nobody else holds: a released one when
+// there is one, its buffers kept.
+func NewScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+
+// Release gives the scratch up for the next NewScratch. The caller must
+// be done with it, and with the last selection FilterGroup returned
+// through it.
+func (sc *Scratch) Release() {
+	sc.put(sc.last)
+	sc.last = nil
+	scratchPool.Put(sc)
+}
+
+// get returns an empty buffer of capacity max(n, storage.ColGroupRows).
 func (sc *Scratch) get(n int) []int32 {
-	if len(sc.free) > 0 {
-		b := sc.free[len(sc.free)-1]
-		sc.free = sc.free[:len(sc.free)-1]
-		if cap(b) >= n {
-			return b[:0]
-		}
+	if k := len(sc.free); k > 0 && cap(sc.free[k-1]) >= n {
+		b := sc.free[k-1]
+		sc.free = sc.free[:k-1]
+		return b[:0]
 	}
-	return make([]int32, 0, n)
+	return make([]int32, 0, max(n, storage.ColGroupRows))
 }
 
 func (sc *Scratch) put(b []int32) {
@@ -74,12 +98,27 @@ func (sc *Scratch) put(b []int32) {
 	sc.free = append(sc.free, b)
 }
 
-// identity returns the full selection [0, n): every row of the group.
-func (sc *Scratch) identity(n int) []int32 {
-	for len(sc.iota) < n {
-		sc.iota = append(sc.iota, int32(len(sc.iota)))
+// identity is the full selection of a whole group, [0, ColGroupRows):
+// never written, so every evaluator reads the same one.
+var identity = func() []int32 {
+	sel := make([]int32, storage.ColGroupRows)
+	for i := range sel {
+		sel[i] = int32(i)
 	}
-	return sc.iota[:n]
+	return sel
+}()
+
+// identitySel returns the full selection [0, n): every row of a group.
+func identitySel(n int) []int32 {
+	if n <= len(identity) {
+		return identity[:n:n]
+	}
+	// Wider than any group the catalog builds.
+	sel := make([]int32, n)
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	return sel
 }
 
 // TermStat is one top-level term's measured counters: how many
@@ -107,7 +146,8 @@ type Report struct {
 // Pred is a compiled, adaptively-ordered predicate over column groups.
 // The lifecycle is: Compile → FilterGroup over the warmup groups
 // (single-threaded) → Freeze → FilterGroup from any number of
-// goroutines, each with its own Scratch.
+// goroutines, each with its own Scratch. A Scratch is not tied to the
+// Pred it last served: it may come from, and go on to, any other.
 type Pred struct {
 	root     node
 	terms    []string // top-level term renderings for Report
@@ -116,11 +156,11 @@ type Pred struct {
 
 // FilterGroup returns the row indices of g satisfying the predicate, in
 // ascending order. The returned slice is owned by sc and valid only
-// until the next FilterGroup call with the same Scratch.
+// until the next FilterGroup call with the same Scratch, or its Release.
 func (p *Pred) FilterGroup(g *storage.ColGroup, sc *Scratch) []int32 {
 	sc.put(sc.last)
 	sc.last = nil
-	out := p.root.filter(g, sc.identity(g.N), sc)
+	out := p.root.filter(g, identitySel(g.N), sc)
 	sc.last = out
 	return out
 }
@@ -270,7 +310,9 @@ type orNode struct {
 }
 
 func (n *orNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
-	outs := make([][]int32, 0, len(n.kids))
+	// The term outputs go on sc.outs above whatever an enclosing OR has
+	// there; a nested OR does the same above these and pops its own.
+	base := len(sc.outs)
 	if n.frozen {
 		rem := sel
 		remOwned := false
@@ -281,7 +323,7 @@ func (n *orNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
 			n.stats[k].eval.Add(int64(len(rem)))
 			out := n.kids[k].filter(g, rem, sc)
 			n.stats[k].pass.Add(int64(len(out)))
-			outs = append(outs, out)
+			sc.outs = append(sc.outs, out)
 			next := diff(sc, rem, out)
 			if remOwned {
 				sc.put(rem)
@@ -298,13 +340,15 @@ func (n *orNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
 			n.stats[i].eval.Add(int64(len(sel)))
 			out := kid.filter(g, sel, sc)
 			n.stats[i].pass.Add(int64(len(out)))
-			outs = append(outs, out)
+			sc.outs = append(sc.outs, out)
 		}
 	}
+	outs := sc.outs[base:]
 	res := mergeUnion(sc, outs, len(sel))
 	for _, o := range outs {
 		sc.put(o)
 	}
+	sc.outs = sc.outs[:base]
 	return res
 }
 
@@ -409,7 +453,11 @@ func mergeUnion(sc *Scratch, outs [][]int32, capHint int) []int32 {
 	case 1:
 		return append(res, outs[0]...)
 	}
-	idx := make([]int, len(outs))
+	if cap(sc.idx) < len(outs) {
+		sc.idx = make([]int, len(outs))
+	}
+	idx := sc.idx[:len(outs)]
+	clear(idx)
 	for {
 		best := int32(math.MaxInt32)
 		found := false

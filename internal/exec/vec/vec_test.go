@@ -25,6 +25,10 @@ import (
 	"minequery/internal/value"
 )
 
+// raceEnabled is set by race_test.go: under the race detector sync.Pool
+// drops a share of what it is given.
+var raceEnabled bool
+
 // fixture is a columnar table plus envelope predicates from all five
 // model families trained on its data.
 type fixture struct {
@@ -325,5 +329,130 @@ func TestVecScratchReuse(t *testing.T) {
 	want := oracleSel(fx, g, pred)
 	if !selEqual(first, want) {
 		t.Fatalf("selection disagrees with oracle: got %d want %d rows", len(first), len(want))
+	}
+}
+
+// TestVecScratchRecycled pins what a scratch may assume of its past: one
+// released after a wide OR over a full group — parked holding that
+// predicate's buffers, its stack of term outputs and its merge cursors —
+// and picked up by a different predicate over the short last group must
+// still select exactly what the oracle does, and whatever was parked in
+// it, get never hands out a buffer shorter than asked for.
+func TestVecScratchRecycled(t *testing.T) {
+	fx := buildFixture(t, 11, 2*storage.ColGroupRows+700)
+	full, short := fx.cs.Groups[0], fx.cs.Groups[len(fx.cs.Groups)-1]
+	if full.N != storage.ColGroupRows || short.N >= full.N {
+		t.Fatalf("fixture groups have %d and %d rows", full.N, short.N)
+	}
+	var terms []expr.Expr
+	for k := 0; k < 16; k++ {
+		terms = append(terms, expr.And{Kids: []expr.Expr{
+			expr.Cmp{Col: "age", Op: expr.OpEq, Val: value.Int(int64(k % 10))},
+			expr.Cmp{Col: "income", Op: expr.OpEq, Val: value.Int(int64(k % 8))},
+		}})
+	}
+	wide := expr.Or{Kids: terms}
+	others := []expr.Expr{
+		expr.Not{Kid: expr.Or{Kids: []expr.Expr{
+			expr.Cmp{Col: "city", Op: expr.OpEq, Val: value.Str("c1")},
+			expr.And{Kids: []expr.Expr{
+				expr.Cmp{Col: "score", Op: expr.OpLt, Val: value.Float(20)},
+				expr.Or{Kids: []expr.Expr{
+					expr.Cmp{Col: "flag", Op: expr.OpEq, Val: value.Bool(true)},
+					expr.In{Col: "seg", Vals: []value.Value{value.Str("vip")}},
+				}},
+			}},
+		}}},
+		expr.Cmp{Col: "age", Op: expr.OpGe, Val: value.Int(5)},
+		fx.envelopes[0],
+	}
+	compile := func(e expr.Expr, freeze bool) *vec.Pred {
+		p, ok := vec.Compile(e, fx.table.Schema, nil)
+		if !ok {
+			t.Fatalf("compile refused %s", e)
+		}
+		if freeze {
+			p.Freeze()
+		}
+		return p
+	}
+	reused := 0
+	for round := 0; round < 16; round++ {
+		sc := vec.NewScratch()
+		wp := compile(wide, round%2 == 0)
+		if got, want := wp.FilterGroup(full, sc), oracleSel(fx, full, wide); !selEqual(got, want) {
+			t.Fatalf("round %d: wide OR selects %d rows of the full group, oracle %d", round, len(got), len(want))
+		}
+		sc.Release()
+
+		next := vec.NewScratch()
+		if next == sc {
+			reused++
+		}
+		other := others[round%len(others)]
+		op := compile(other, round%4 < 2)
+		if got, want := op.FilterGroup(short, next), oracleSel(fx, short, other); !selEqual(got, want) {
+			t.Fatalf("round %d: %s selects %d rows of the short group through a recycled scratch, oracle %d",
+				round, other, len(got), len(want))
+		}
+		for _, n := range []int{0, 1, short.N, storage.ColGroupRows, storage.ColGroupRows + 1, 3 * storage.ColGroupRows, 5} {
+			b := next.Get(n)
+			if len(b) != 0 || cap(b) < n || cap(b) < storage.ColGroupRows {
+				t.Fatalf("round %d: get(%d) returned len %d cap %d", round, n, len(b), cap(b))
+			}
+			next.Put(b)
+		}
+		next.Release()
+	}
+	// sync.Pool keeps no promise, and under the race detector drops a
+	// share of what it is given on purpose.
+	t.Logf("%d of 16 scratches came back from the pool", reused)
+	if reused == 0 && !raceEnabled {
+		t.Fatal("no released scratch was ever handed out again")
+	}
+}
+
+// TestAllocFilterGroupSteadyState: once a scratch has served a predicate
+// over one group, serving it again allocates nothing — the selection
+// buffers, the OR's term outputs, the union's cursors and the full
+// selection are all reused — and that survives the scratch being
+// released and taken up again.
+func TestAllocFilterGroupSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	fx := buildFixture(t, 3, storage.ColGroupRows+300)
+	var terms []expr.Expr
+	for k := 0; k < 16; k++ {
+		terms = append(terms, expr.Or{Kids: []expr.Expr{
+			expr.And{Kids: []expr.Expr{
+				expr.Cmp{Col: "age", Op: expr.OpEq, Val: value.Int(int64(k % 10))},
+				expr.Cmp{Col: "income", Op: expr.OpEq, Val: value.Int(int64(k % 8))},
+			}},
+			expr.Cmp{Col: "score", Op: expr.OpGt, Val: value.Float(49)},
+		}})
+	}
+	for _, frozen := range []bool{false, true} {
+		p, ok := vec.Compile(expr.Or{Kids: terms}, fx.table.Schema, nil)
+		if !ok {
+			t.Fatal("compile refused predicate")
+		}
+		if frozen {
+			p.Freeze()
+		}
+		sc := vec.NewScratch()
+		for _, g := range fx.cs.Groups {
+			p.FilterGroup(g, sc)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			for _, g := range fx.cs.Groups {
+				p.FilterGroup(g, sc)
+			}
+			sc.Release()
+			sc = vec.NewScratch()
+		}); n != 0 {
+			t.Errorf("frozen=%v: a warm scratch still allocates %.0f times per pass over the groups", frozen, n)
+		}
+		sc.Release()
 	}
 }

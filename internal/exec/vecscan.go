@@ -1,9 +1,10 @@
 // Fused vectorized scan-filter over the column-group sidecar. The
 // operator pulls whole column groups, evaluates the (adaptively
 // ordered) predicate over selection vectors in internal/exec/vec, and
-// reconstructs only the surviving rows as tuples — the Predict and
-// residual-filter operators above it therefore run on envelope
-// survivors only.
+// reconstructs only the surviving rows as tuples, late and only in the
+// columns the plan reads (decodeMask) — the Predict and residual-filter
+// operators above it therefore run on envelope survivors only, and a
+// survivor costs what the plan uses of it.
 //
 // Execution proceeds in two phases. The first warmupGroups groups are
 // processed serially by the consumer with term ordering in measurement
@@ -51,8 +52,16 @@ type vecCore struct {
 	scanSt *OpStats
 	// filtSt/base drive envelope-vs-residual attribution of rejected
 	// rows, mirroring batchFilter.
-	filtSt *OpStats
-	base   expr.Expr
+	filtSt   *OpStats
+	base     expr.Expr
+	baseCols []bool // columnMask of base: all the re-check reads
+
+	// need (decodeMask; nil for every column) and slot (the capacity of a
+	// reconstructed tuple: the table's width plus predictRoom) shape the
+	// rows processGroup emits. Set by newVecScan; the fused aggregate
+	// reconstructs into its own row buffer and leaves them zero.
+	need []bool
+	slot int
 
 	processed atomic.Int64
 }
@@ -82,14 +91,21 @@ func (c *vecCore) selectGroup(g *storage.ColGroup, sc *vec.Scratch) ([]int32, in
 	c.processed.Add(1)
 	if c.pred != nil && c.base != nil && c.filtSt != nil {
 		// Re-check each rejected row against the un-augmented baseline to
-		// attribute the rejection to the envelope or the residual.
+		// attribute the rejection to the envelope or the residual, through
+		// one tuple holding just the baseline's columns.
+		row := make(value.Tuple, len(g.Cols))
 		j := 0
 		for i := 0; i < g.N; i++ {
 			if j < len(sel) && int(sel[j]) == i {
 				j++
 				continue
 			}
-			if c.base.Eval(c.table.Schema, g.TupleAt(i)) {
+			for ci, on := range c.baseCols {
+				if on {
+					row[ci] = g.Cols[ci].Value(i)
+				}
+			}
+			if c.base.Eval(c.table.Schema, row) {
 				c.filtSt.EnvRejected.Add(1)
 			} else {
 				c.filtSt.ResidRejected.Add(1)
@@ -99,37 +115,54 @@ func (c *vecCore) selectGroup(g *storage.ColGroup, sc *vec.Scratch) ([]int32, in
 	return sel, n
 }
 
-// processGroup filters one column group and materializes the surviving
-// rows into output batches. Safe for concurrent use with per-caller
-// scratch.
-func (c *vecCore) processGroup(g *storage.ColGroup, sc *vec.Scratch) []Batch {
+// groupRows is where one column group's survivors are reconstructed:
+// the tuples in arena, the batches cut from rows.
+type groupRows struct {
+	arena   rowArena
+	rows    Batch
+	batches []Batch
+}
+
+// processGroup filters one column group and reconstructs the surviving
+// rows, cut into batches of BatchSize in group order: the columns need
+// marks, NULL in the rest, each tuple with slot capacity. The rows go
+// into reuse, over whatever it held — the serial consumer's, whose
+// batches are all consumed before it selects the next group. The pool's
+// workers pass nil: their batches wait on another goroutine, so each
+// group gets storage of its own, sized to its survivors. Safe for
+// concurrent use with per-caller scratch and storage.
+func (c *vecCore) processGroup(g *storage.ColGroup, sc *vec.Scratch, reuse *groupRows) []Batch {
 	sel, n := c.selectGroup(g, sc)
 	if n == 0 {
 		return nil
 	}
-	width := len(g.Cols)
-	backing := make(value.Tuple, n*width)
-	var batches []Batch
-	size := c.opts.BatchSize
-	for start := 0; start < n; start += size {
-		end := start + size
-		if end > n {
-			end = n
-		}
-		batch := make(Batch, 0, end-start)
-		for k := start; k < end; k++ {
-			ri := k
-			if sel != nil {
-				ri = int(sel[k])
-			}
-			row := backing[k*width : (k+1)*width : (k+1)*width]
-			for ci := 0; ci < width; ci++ {
-				row[ci] = g.Cols[ci].Value(ri)
-			}
-			batch = append(batch, row)
-		}
-		batches = append(batches, batch)
+	out := reuse
+	if out == nil {
+		out = &groupRows{arena: rowArena{width: c.slot, rows: n}, rows: make(Batch, 0, n)}
 	}
+	out.arena.reset()
+	rows := out.rows[:0]
+	for k := 0; k < n; k++ {
+		ri := k
+		if sel != nil {
+			ri = int(sel[k])
+		}
+		row := out.arena.next()[:len(g.Cols)]
+		for ci := range row {
+			if c.need == nil || c.need[ci] {
+				row[ci] = g.Cols[ci].Value(ri)
+			} else {
+				row[ci] = value.Null()
+			}
+		}
+		rows = append(rows, row)
+	}
+	batches := out.batches[:0]
+	for start, size := 0, c.opts.BatchSize; start < n; start += size {
+		end := min(start+size, n)
+		batches = append(batches, rows[start:end:end])
+	}
+	out.rows, out.batches = rows, batches
 	return batches
 }
 
@@ -166,7 +199,7 @@ func newVecCore(t *catalog.Table, x *plan.SeqScan, filter *plan.Filter, opts Opt
 	if col := opts.Collector; col != nil && filter != nil {
 		c.scanSt = col.Op(x)
 		if base := col.envBaseline(filter); base != nil {
-			c.filtSt, c.base = col.Op(filter), base
+			c.filtSt, c.base, c.baseCols = col.Op(filter), base, columnMask(t.Schema, expr.Columns(base))
 		}
 	}
 	return c
@@ -200,7 +233,8 @@ type vecScan struct {
 	scanNode plan.Node
 	col      *Collector
 
-	sc     *vec.Scratch
+	sc     *vec.Scratch // nil once Close has handed it back
+	out    groupRows    // the current group's rows, reused for the next
 	gi     int
 	frozen bool
 	rest   *orderedScan // non-nil once the remaining groups run on the pool
@@ -212,12 +246,15 @@ type vecScan struct {
 
 // newVecScan builds the fused operator for a columnar-flagged scan (and
 // optional filter directly above it), or nil when newVecCore refuses.
-func newVecScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, filter *plan.Filter, opts Options) *vecScan {
+// need and slot are the leaf's decodeMask and tuple capacity.
+func newVecScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, filter *plan.Filter, need []bool, slot int, opts Options) *vecScan {
 	core := newVecCore(t, x, filter, opts)
 	if core == nil {
 		return nil
 	}
-	return &vecScan{vecCore: core, ctx: ctx, scanNode: x, col: opts.Collector, sc: vec.NewScratch()}
+	core.need, core.slot = need, slot
+	return &vecScan{vecCore: core, ctx: ctx, scanNode: x, col: opts.Collector, sc: vec.NewScratch(),
+		out: groupRows{arena: rowArena{width: slot, rows: arenaChunkRows}}}
 }
 
 func (s *vecScan) Schema() *value.Schema { return s.table.Schema }
@@ -246,11 +283,11 @@ func (s *vecScan) NextBatch() (Batch, bool, error) {
 				core, groups := s.vecCore, s.groups[first:]
 				s.gi = len(s.groups)
 				pool := newMorselPool(s.ctx, s.opts, "columnar scan "+s.table.Name+" group", len(groups))
-				s.rest = startOrdered(pool, func() func(int) ([]Batch, int64, error) {
+				s.rest = startOrdered(pool, func() (func(int) ([]Batch, int64, error), func()) {
 					sc := vec.NewScratch()
 					return func(i int) ([]Batch, int64, error) {
-						return core.processGroup(groups[i], sc), int64(groups[i].N), nil
-					}
+						return core.processGroup(groups[i], sc, nil), int64(groups[i].N), nil
+					}, sc.Release
 				})
 				break
 			}
@@ -259,7 +296,7 @@ func (s *vecScan) NextBatch() (Batch, bool, error) {
 			s.reportInfo()
 			return nil, true, nil
 		}
-		s.pending = s.processGroup(s.groups[s.gi], s.sc)
+		s.pending = s.processGroup(s.groups[s.gi], s.sc, &s.out)
 		s.gi++
 	}
 	b, done, err := s.rest.nextBatch()
@@ -300,8 +337,10 @@ func (c *vecCore) info() *VecScanInfo {
 	return info
 }
 
-// Close stops the workers and publishes the scan info so a truncated
-// query (LIMIT) still reports its columnar actuals.
+// Close stops the workers, publishes the scan info so a truncated query
+// (LIMIT) still reports its columnar actuals, and hands the consumer's
+// scratch back. The workers hold scratches of their own, which each
+// returns when it exits.
 func (s *vecScan) Close() {
 	if s.rest != nil {
 		s.rest.close()
@@ -309,4 +348,8 @@ func (s *vecScan) Close() {
 	s.pending = nil
 	s.gi = len(s.groups)
 	s.reportInfo()
+	if s.sc != nil {
+		s.sc.Release()
+		s.sc = nil
+	}
 }
