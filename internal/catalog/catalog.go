@@ -318,6 +318,26 @@ func (me *ModelEntry) Envelope(class value.Value) (e expr.Expr, version int64, o
 // Classes proxies the model's class enumeration.
 func (me *ModelEntry) Classes() []value.Value { return me.Model.Classes() }
 
+// PredictionKind is the kind of the value a prediction join of this
+// model appends to a row: the kind of its class labels (string for a
+// model without classes).
+func (me *ModelEntry) PredictionKind() value.Kind {
+	if cls := me.Model.Classes(); len(cls) > 0 {
+		return cls[0].Kind()
+	}
+	return value.KindString
+}
+
+// PredictionColumn is the column `PREDICTION JOIN model AS alias` adds
+// to a row: "alias.predcol", lowercased. Everything that names, types
+// or resolves a predicted column asks here.
+func (me *ModelEntry) PredictionColumn(alias string) value.Column {
+	return value.Column{
+		Name: strings.ToLower(alias + "." + me.Model.PredictColumn()),
+		Kind: me.PredictionKind(),
+	}
+}
+
 // InvalidationEvent describes a catalog change that can stale cached
 // plans or envelope compositions: model registration/retraining or
 // removal, index creation or removal, and statistics refresh. Epoch is

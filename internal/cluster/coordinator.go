@@ -17,7 +17,6 @@ import (
 	"minequery/internal/fault"
 	"minequery/internal/qerr"
 	"minequery/internal/sqlparse"
-	"minequery/internal/value"
 	"minequery/internal/wire"
 )
 
@@ -576,7 +575,7 @@ func (c *Coordinator) merge(o *minequery.PlanOutline, d pruneDecision, outcomes 
 			rows = rows[:o.Limit]
 		}
 		res.AggMerges = tab.Merges()
-		res.Rows = tuplesToJSON(rows)
+		res.Rows = wire.Rows(rows)
 		return res, nil
 	}
 	res.Rows = exec.MergeOrdered(parts, o.Limit)
@@ -591,32 +590,6 @@ func WireSchema(cols []minequery.ColumnMeta) []wire.ColumnMeta {
 	out := make([]wire.ColumnMeta, len(cols))
 	for i, c := range cols {
 		out[i] = wire.ColumnMeta{Name: c.Name, Kind: c.Kind.String(), Source: c.Source}
-	}
-	return out
-}
-
-// tuplesToJSON renders finalized aggregate tuples with the same value
-// conversion a single-node daemon applies to its result rows, so the
-// coordinator's JSON answer is byte-identical to the union node's.
-func tuplesToJSON(rows []value.Tuple) [][]any {
-	out := make([][]any, len(rows))
-	for i, row := range rows {
-		vals := make([]any, len(row))
-		for j, v := range row {
-			switch v.Kind() {
-			case value.KindNull:
-				vals[j] = nil
-			case value.KindInt:
-				vals[j] = v.AsInt()
-			case value.KindFloat:
-				vals[j] = v.AsFloat()
-			case value.KindBool:
-				vals[j] = v.AsBool()
-			default:
-				vals[j] = v.AsString()
-			}
-		}
-		out[i] = vals
 	}
 	return out
 }

@@ -12,6 +12,7 @@ import (
 	"minequery"
 	"minequery/internal/cluster"
 	"minequery/internal/server"
+	"minequery/internal/wire"
 )
 
 // postJSON posts body to url+path and returns (status, raw response).
@@ -220,7 +221,7 @@ func TestCoordinatorPreparedStatements(t *testing.T) {
 	if st != http.StatusOK {
 		t.Fatalf("prepare: %d %s", st, raw)
 	}
-	var prep cluster.PreparedInfo
+	var prep wire.PreparedInfo
 	if err := json.Unmarshal(raw, &prep); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestCoordinatorPreparedStatements(t *testing.T) {
 	}
 	// Re-preparing the same text is a coordinator cache hit.
 	_, raw2 := postJSON(t, ch.URL, "/v1/prepare", map[string]any{"sql": vipQuery})
-	var prep2 cluster.PreparedInfo
+	var prep2 wire.PreparedInfo
 	if err := json.Unmarshal(raw2, &prep2); err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +395,7 @@ func TestCrossNodePlanInvalidation(t *testing.T) {
 	assertSameRows(t, coordStrings(res.Rows), directConcat(t, tc, vipQuery), "post-retrain vip query")
 
 	// The per-shard epoch view must have moved past the retrain.
-	var st0 cluster.ShardStatus
+	var st0 wire.ShardStatus
 	for _, st := range tc.coord.ShardStatuses() {
 		if st.ID == 0 {
 			st0 = st
@@ -442,9 +443,9 @@ func TestCoordinatorClusterEndpointAndMetrics(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var cl struct {
-		Table  string                `json:"table"`
-		Mode   string                `json:"mode"`
-		Shards []cluster.ShardStatus `json:"shards"`
+		Table  string             `json:"table"`
+		Mode   string             `json:"mode"`
+		Shards []wire.ShardStatus `json:"shards"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&cl); err != nil {
 		t.Fatal(err)

@@ -20,6 +20,7 @@ import (
 	"minequery/internal/cluster"
 	"minequery/internal/qerr"
 	"minequery/internal/server"
+	"minequery/internal/wire"
 )
 
 func TestClusterInsertRoutesByShardKey(t *testing.T) {
@@ -251,7 +252,7 @@ func TestClusterWriteSurfacesShardRetrainFailure(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200: a committed write must never look re-issuable", resp.StatusCode)
 	}
-	var res cluster.StatementResult
+	var res wire.StatementResult
 	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
 		t.Fatal(err)
 	}

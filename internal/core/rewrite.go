@@ -2,23 +2,21 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"minequery/internal/catalog"
 	"minequery/internal/expr"
 	"minequery/internal/qerr"
 	"minequery/internal/sqlparse"
-	"minequery/internal/value"
 )
 
 // CachedEnvelope is one memoized envelope derivation: the assembled
-// predicate for a (model, class-set) pair plus the rewrite notes its
-// construction emitted, so a cache hit replays the exact explain output
-// of the original derivation.
+// predicate for a (shape, model, class-set) key plus the notes its
+// construction emitted, so a cache hit explains itself exactly as the
+// original derivation would have for the statement at hand.
 type CachedEnvelope struct {
 	Pred  expr.Expr
-	Notes []string
+	Notes []Note
 }
 
 // EnvelopeCache memoizes envelope derivations across queries. Keys
@@ -33,10 +31,8 @@ type EnvelopeCache interface {
 }
 
 // Rewrite is the Section 4 optimization of a parsed query: every mining
-// predicate f is replaced by f ∧ u_f, where u_f is assembled from the
-// cached per-class atomic envelopes, covering the four predicate shapes
-// of Section 4.1 (equality, IN, prediction-prediction joins,
-// prediction-data joins). DataPred is the part of the augmented
+// predicate f is replaced by f ∧ u_f, where u_f comes from the Section
+// 4.1 rule table (atoms.go). DataPred is the part of the augmented
 // predicate that references only base-table columns — the predicate the
 // access-path selector sees.
 type Rewrite struct {
@@ -56,29 +52,11 @@ type Rewrite struct {
 	cache EnvelopeCache
 }
 
-// predCols maps a query's prediction-column names ("alias.predcol",
-// lowercased) to the model entries producing them.
-type predCols map[string]*catalog.ModelEntry
-
-// collectPredCols resolves each PREDICTION JOIN to its output column.
-func collectPredCols(q *sqlparse.Query, cat *catalog.Catalog) (predCols, error) {
-	pc := predCols{}
-	for _, j := range q.Joins {
-		me, ok := cat.Model(j.Model)
-		if !ok {
-			return nil, fmt.Errorf("core: %w %q", qerr.ErrUnknownModel, j.Model)
-		}
-		col := strings.ToLower(j.Alias + "." + me.Model.PredictColumn())
-		pc[col] = me
-	}
-	return pc, nil
-}
-
 // validateColumns rejects references that name neither a base column of
 // the query's table nor a predicted column. A predicate over an unknown
 // name would otherwise evaluate to false on every row — a silently
 // empty result instead of an error.
-func validateColumns(q *sqlparse.Query, cat *catalog.Catalog, pc predCols) error {
+func validateColumns(q *sqlparse.Query, cat *catalog.Catalog, pc PredCols) error {
 	t, ok := cat.Table(q.Table)
 	if !ok {
 		return fmt.Errorf("core: %w %q", qerr.ErrUnknownTable, q.Table)
@@ -87,7 +65,7 @@ func validateColumns(q *sqlparse.Query, cat *catalog.Catalog, pc predCols) error
 		if t.Schema.Ordinal(col) >= 0 {
 			return nil
 		}
-		if _, ok := pc[strings.ToLower(col)]; ok {
+		if _, ok := pc.Model(col); ok {
 			return nil
 		}
 		return fmt.Errorf("core: unknown column %q (table %q)", col, q.Table)
@@ -123,7 +101,7 @@ func validateColumns(q *sqlparse.Query, cat *catalog.Catalog, pc predCols) error
 // RewriteQuery applies the Section 4.2 optimization pipeline to a
 // parsed query. maxDisjuncts caps normalization work (<=0: default 64).
 func RewriteQuery(q *sqlparse.Query, cat *catalog.Catalog, maxDisjuncts int) (*Rewrite, error) {
-	return RewriteQueryCached(q, cat, maxDisjuncts, nil)
+	return rewrite(q, cat, maxDisjuncts, nil, true)
 }
 
 // RewriteQueryCached is RewriteQuery with an optional envelope cache:
@@ -131,33 +109,7 @@ func RewriteQuery(q *sqlparse.Query, cat *catalog.Catalog, maxDisjuncts int) (*R
 // keys, so repeated queries against the same models skip re-derivation.
 // A nil cache disables memoization.
 func RewriteQueryCached(q *sqlparse.Query, cat *catalog.Catalog, maxDisjuncts int, cache EnvelopeCache) (*Rewrite, error) {
-	if maxDisjuncts <= 0 {
-		maxDisjuncts = 64
-	}
-	pc, err := collectPredCols(q, cat)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateColumns(q, cat, pc); err != nil {
-		return nil, err
-	}
-	rw := &Rewrite{ModelVersions: map[string]int64{}, cache: cache}
-	// Step 2: augment each mining predicate with its upper envelope.
-	augmented := rw.augment(q.Where, pc)
-	// Step 3: normalization and transitivity. Simplification prunes
-	// disjuncts made contradictory by the added envelopes (the
-	// transitivity effect of Section 4.1's last example).
-	if s, ok := expr.Simplify(augmented, maxDisjuncts); ok {
-		augmented = s
-	}
-	rw.FullPred = augmented
-	rw.DataPred = projectToData(augmented, pc, maxDisjuncts)
-	for _, j := range q.Joins {
-		if me, ok := cat.Model(j.Model); ok {
-			rw.ModelVersions[strings.ToLower(j.Model)] = me.Version
-		}
-	}
-	return rw, nil
+	return rewrite(q, cat, maxDisjuncts, cache, true)
 }
 
 // BaselineRewrite prepares a query for the unoptimized execution path:
@@ -166,235 +118,105 @@ func RewriteQueryCached(q *sqlparse.Query, cat *catalog.Catalog, maxDisjuncts in
 // predicates. This is the "extract and mine" evaluation the paper's
 // technique improves on.
 func BaselineRewrite(q *sqlparse.Query, cat *catalog.Catalog, maxDisjuncts int) (*Rewrite, error) {
+	return rewrite(q, cat, maxDisjuncts, nil, false)
+}
+
+// rewrite resolves the prediction columns, rejects unknown references,
+// pins the model versions and — with envelopes set — augments the
+// predicate before weakening it to the data columns.
+func rewrite(q *sqlparse.Query, cat *catalog.Catalog, maxDisjuncts int, cache EnvelopeCache, envelopes bool) (*Rewrite, error) {
 	if maxDisjuncts <= 0 {
 		maxDisjuncts = 64
 	}
-	pc, err := collectPredCols(q, cat)
+	pc, err := ResolvePredCols(q, cat)
 	if err != nil {
 		return nil, err
 	}
 	if err := validateColumns(q, cat, pc); err != nil {
 		return nil, err
 	}
-	rw := &Rewrite{ModelVersions: map[string]int64{}}
-	rw.FullPred = q.Where
-	rw.DataPred = projectToData(q.Where, pc, maxDisjuncts)
+	rw := &Rewrite{ModelVersions: map[string]int64{}, cache: cache}
 	for _, j := range q.Joins {
 		if me, ok := cat.Model(j.Model); ok {
 			rw.ModelVersions[strings.ToLower(j.Model)] = me.Version
 		}
 	}
+	rw.FullPred = q.Where
+	if envelopes {
+		// Step 2: augment each mining predicate with its upper envelope.
+		rw.FullPred = rw.augment(q.Where, pc)
+		// Step 3: normalization and transitivity. Simplification prunes
+		// disjuncts made contradictory by the added envelopes (the
+		// transitivity effect of Section 4.1's last example).
+		if s, ok := expr.Simplify(rw.FullPred, maxDisjuncts); ok {
+			rw.FullPred = s
+		}
+	}
+	rw.DataPred = projectToData(rw.FullPred, pc, maxDisjuncts)
 	return rw, nil
 }
 
-// augment walks the predicate tree, ANDing envelopes onto mining
-// predicate atoms.
-func (rw *Rewrite) augment(e expr.Expr, pc predCols) expr.Expr {
+// augment walks the predicate tree, ANDing its envelope onto every
+// mining atom the rule table has one for.
+func (rw *Rewrite) augment(e expr.Expr, pc PredCols) expr.Expr {
 	switch x := e.(type) {
 	case expr.And:
-		kids := make([]expr.Expr, len(x.Kids))
-		for i, k := range x.Kids {
-			kids[i] = rw.augment(k, pc)
-		}
-		return expr.NewAnd(kids...)
+		return expr.NewAnd(rw.augmentAll(x.Kids, pc)...)
 	case expr.Or:
-		kids := make([]expr.Expr, len(x.Kids))
-		for i, k := range x.Kids {
-			kids[i] = rw.augment(k, pc)
-		}
-		return expr.NewOr(kids...)
+		return expr.NewOr(rw.augmentAll(x.Kids, pc)...)
 	case expr.Not:
 		// Negation flips predicate polarity; envelopes added below a NOT
 		// would be unsound, so leave the subtree unaugmented.
 		return x
-	case expr.Cmp:
-		me, ok := pc[strings.ToLower(x.Col)]
-		if !ok {
-			return x
-		}
-		switch x.Op {
-		case expr.OpEq:
-			u := rw.memoized(classSetKey("eq", me, []value.Value{x.Val}), func() expr.Expr {
-				return rw.classEnvelope(me, x.Val, x.Col)
-			})
-			return expr.NewAnd(x, u)
-		case expr.OpNe:
-			// pred <> c is an IN over the remaining classes.
-			var restClasses []value.Value
-			for _, c := range me.Classes() {
-				if !value.Equal(c, x.Val) {
-					restClasses = append(restClasses, c)
-				}
-			}
-			u := rw.memoized(classSetKey("ne:"+valueKey(x.Val), me, restClasses), func() expr.Expr {
-				rest := make([]expr.Expr, 0, len(restClasses))
-				for _, c := range restClasses {
-					rest = append(rest, rw.classEnvelope(me, c, x.Col))
-				}
-				rw.note("%s <> %s: envelope disjunction over %d remaining classes", x.Col, x.Val, len(rest))
-				return expr.NewOr(rest...)
-			})
-			return expr.NewAnd(x, u)
-		default:
-			return x
-		}
-	case expr.In:
-		me, ok := pc[strings.ToLower(x.Col)]
-		if !ok {
-			return x
-		}
-		u := rw.memoized(classSetKey("in", me, x.Vals), func() expr.Expr {
-			kids := make([]expr.Expr, 0, len(x.Vals))
-			for _, v := range x.Vals {
-				kids = append(kids, rw.classEnvelope(me, v, x.Col))
-			}
-			rw.note("%s IN (...): envelope disjunction over %d classes", x.Col, len(x.Vals))
-			return expr.NewOr(kids...)
-		})
-		return expr.NewAnd(x, u)
-	case expr.ColCmp:
-		if x.Op != expr.OpEq {
-			return x
-		}
-		meA, okA := pc[strings.ToLower(x.ColA)]
-		meB, okB := pc[strings.ToLower(x.ColB)]
-		switch {
-		case okA && okB:
-			// Join between two predicted columns: disjunction over the
-			// common class labels of both envelope conjunctions.
-			common := commonClasses(meA, meB)
-			u := rw.memoized(classSetKey("mm:"+meB.Fingerprint, meA, common), func() expr.Expr {
-				kids := make([]expr.Expr, 0, len(common))
-				for _, c := range common {
-					kids = append(kids, expr.NewAnd(
-						rw.classEnvelope(meA, c, x.ColA),
-						rw.classEnvelope(meB, c, x.ColB),
-					))
-				}
-				rw.note("%s = %s: model-model join over %d common classes", x.ColA, x.ColB, len(common))
-				return expr.NewOr(kids...)
-			})
-			return expr.NewAnd(x, u)
-		case okA != okB:
-			// Join between a predicted column and a data column:
-			// enumerate the model's classes.
-			me, predCol, dataCol := meA, x.ColA, x.ColB
-			if okB {
-				me, predCol, dataCol = meB, x.ColB, x.ColA
-			}
-			classes := me.Classes()
-			u := rw.memoized(classSetKey("md:"+strings.ToLower(dataCol), me, classes), func() expr.Expr {
-				kids := make([]expr.Expr, 0, len(classes))
-				for _, c := range classes {
-					kids = append(kids, expr.NewAnd(
-						rw.classEnvelope(me, c, predCol),
-						expr.Cmp{Col: dataCol, Op: expr.OpEq, Val: c},
-					))
-				}
-				rw.note("%s = %s: model-data join over %d classes", predCol, dataCol, len(classes))
-				return expr.NewOr(kids...)
-			})
-			return expr.NewAnd(x, u)
-		default:
-			return x
-		}
-	default:
-		return e
 	}
-}
-
-// classEnvelope looks up the cached atomic envelope for one class. A
-// class outside the model's label set yields FALSE (the predicate can
-// never hold); a class without a cached envelope yields TRUE (no
-// information, still sound).
-func (rw *Rewrite) classEnvelope(me *catalog.ModelEntry, class value.Value, col string) expr.Expr {
-	known := false
-	for _, c := range me.Classes() {
-		if value.Equal(c, class) {
-			known = true
-			break
-		}
-	}
-	if !known {
-		rw.note("%s = %s: label outside model's class set, predicate is unsatisfiable", col, class)
-		return expr.FalseExpr{}
-	}
-	if u, _, ok := me.Envelope(class); ok {
-		rw.note("%s = %s: added atomic envelope", col, class)
-		return u
-	}
-	rw.note("%s = %s: no cached envelope, left unaugmented", col, class)
-	return expr.TrueExpr{}
-}
-
-func (rw *Rewrite) note(format string, args ...any) {
-	rw.Notes = append(rw.Notes, fmt.Sprintf(format, args...))
-}
-
-// memoized returns the cached envelope for key, or runs build and
-// caches the result. The notes build emits are stored with the
-// predicate and replayed verbatim on a hit, so cached and uncached
-// rewrites of the same query are indistinguishable to callers.
-func (rw *Rewrite) memoized(key string, build func() expr.Expr) expr.Expr {
-	if rw.cache != nil {
-		if ce, ok := rw.cache.Get(key); ok {
-			rw.Notes = append(rw.Notes, ce.Notes...)
-			return ce.Pred
-		}
-	}
-	mark := len(rw.Notes)
-	e := build()
-	if rw.cache != nil {
-		notes := make([]string, len(rw.Notes)-mark)
-		copy(notes, rw.Notes[mark:])
-		rw.cache.Put(key, CachedEnvelope{Pred: e, Notes: notes})
+	if env, ok := pc.Envelope(e); ok {
+		return expr.NewAnd(e, rw.memoized(env))
 	}
 	return e
 }
 
-// classSetKey builds a cache key from the predicate shape, the model's
-// content fingerprint, and the (sorted) class labels involved. The
-// fingerprint folds in the envelope set, so any retrain or envelope
-// change yields fresh keys and old entries simply rot unused.
-func classSetKey(shape string, me *catalog.ModelEntry, classes []value.Value) string {
-	keys := make([]string, len(classes))
-	for i, c := range classes {
-		keys[i] = valueKey(c)
-	}
-	sort.Strings(keys)
-	return shape + "|" + me.Fingerprint + "|" + strings.Join(keys, ",")
-}
-
-// valueKey encodes a class label unambiguously (kind-tagged, so
-// Int(1) and Str("1") never collide).
-func valueKey(v value.Value) string {
-	return fmt.Sprintf("%d:%s", v.Kind(), v.String())
-}
-
-func commonClasses(a, b *catalog.ModelEntry) []value.Value {
-	var out []value.Value
-	for _, ca := range a.Classes() {
-		for _, cb := range b.Classes() {
-			if value.Equal(ca, cb) {
-				out = append(out, ca)
-				break
-			}
-		}
+func (rw *Rewrite) augmentAll(es []expr.Expr, pc PredCols) []expr.Expr {
+	out := make([]expr.Expr, len(es))
+	for i, e := range es {
+		out[i] = rw.augment(e, pc)
 	}
 	return out
+}
+
+// memoized returns the atom's envelope, from the cache when it holds
+// one. Notes are stored free of column spelling and rendered against
+// this statement's atom on a hit and a miss alike, so cached and
+// uncached rewrites of the same query are indistinguishable to callers
+// whichever statement filled the entry.
+func (rw *Rewrite) memoized(env AtomEnvelope) expr.Expr {
+	var ce CachedEnvelope
+	hit := false
+	if rw.cache != nil {
+		ce, hit = rw.cache.Get(env.Key)
+	}
+	if !hit {
+		ce.Pred = env.Build(&ce.Notes)
+		if rw.cache != nil {
+			rw.cache.Put(env.Key, ce)
+		}
+	}
+	for _, n := range ce.Notes {
+		rw.Notes = append(rw.Notes, env.Render(n))
+	}
+	return ce.Pred
 }
 
 // projectToData weakens the predicate to base-table columns: in each
 // DNF disjunct, atoms referencing prediction columns are dropped
 // (weakening a conjunction is sound). The result selects a superset of
 // the query's rows and is safe to drive access-path selection.
-func projectToData(e expr.Expr, pc predCols, maxDisjuncts int) expr.Expr {
+func projectToData(e expr.Expr, pc PredCols, maxDisjuncts int) expr.Expr {
 	d, ok := expr.ToDNF(e, maxDisjuncts)
 	if !ok {
 		return expr.TrueExpr{}
 	}
 	isData := func(col string) bool {
-		_, isPred := pc[strings.ToLower(col)]
+		_, isPred := pc.Model(col)
 		return !isPred
 	}
 	var disjuncts []expr.Expr

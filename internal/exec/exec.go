@@ -442,11 +442,7 @@ func predictBinding(in *value.Schema, me *catalog.ModelEntry, as string) (mining
 		return mining.Binding{}, nil, fmt.Errorf("exec: model %q input columns %v not all present in %s",
 			me.Model.Name(), me.Model.InputColumns(), in)
 	}
-	kind := value.KindString
-	if cls := me.Model.Classes(); len(cls) > 0 {
-		kind = cls[0].Kind()
-	}
-	cols := append(append([]value.Column(nil), in.Columns...), value.Column{Name: as, Kind: kind})
+	cols := append(append([]value.Column(nil), in.Columns...), value.Column{Name: as, Kind: me.PredictionKind()})
 	schema, err := value.NewSchema(cols...)
 	if err != nil {
 		return mining.Binding{}, nil, fmt.Errorf("exec: prediction join: %w", err)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"minequery"
+	"minequery/internal/wire"
 )
 
 // gateServer builds a server whose executions block at the execHook
@@ -40,17 +41,17 @@ func TestAdmissionQueueFullRejects(t *testing.T) {
 	}
 	firstDone := make(chan outcome, 1)
 	go func() {
-		st, raw := call(t, "POST", url+"/v1/execute", executeRequest{SQL: vipQuery})
+		st, raw := call(t, "POST", url+"/v1/execute", wire.ExecuteRequest{SQL: vipQuery})
 		firstDone <- outcome{st, raw}
 	}()
 	<-entered // first request holds the only worker slot
 
-	st, raw := call(t, "POST", url+"/v1/execute", executeRequest{SQL: vipQuery})
+	st, raw := call(t, "POST", url+"/v1/execute", wire.ExecuteRequest{SQL: vipQuery})
 	if st != http.StatusTooManyRequests {
 		t.Fatalf("second query: %d %s, want 429", st, raw)
 	}
-	if got := errCode(t, raw); got != CodeRejected {
-		t.Fatalf("second query code %q, want %q", got, CodeRejected)
+	if got := errCode(t, raw); got != wire.CodeRejected {
+		t.Fatalf("second query code %q, want %q", got, wire.CodeRejected)
 	}
 
 	close(gate)
@@ -76,7 +77,7 @@ func TestAdmissionQueuedRequestRuns(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st, _ := call(t, "POST", url+"/v1/execute", executeRequest{SQL: vipQuery})
+			st, _ := call(t, "POST", url+"/v1/execute", wire.ExecuteRequest{SQL: vipQuery})
 			results <- st
 		}()
 	}
@@ -103,18 +104,18 @@ func TestQueuedRequestHonoursDeadline(t *testing.T) {
 
 	blocked := make(chan struct{})
 	go func() {
-		call(t, "POST", url+"/v1/execute", executeRequest{SQL: vipQuery})
+		call(t, "POST", url+"/v1/execute", wire.ExecuteRequest{SQL: vipQuery})
 		close(blocked)
 	}()
 	<-entered
 
 	st, raw := call(t, "POST", url+"/v1/execute",
-		executeRequest{SQL: vipQuery, TimeoutMS: 20})
+		wire.ExecuteRequest{SQL: vipQuery, TimeoutMS: 20})
 	if st != http.StatusGatewayTimeout {
 		t.Fatalf("queued query: %d %s, want 504", st, raw)
 	}
-	if got := errCode(t, raw); got != CodeTimeout {
-		t.Fatalf("queued query code %q, want %q", got, CodeTimeout)
+	if got := errCode(t, raw); got != wire.CodeTimeout {
+		t.Fatalf("queued query code %q, want %q", got, wire.CodeTimeout)
 	}
 	close(gate)
 	<-blocked
@@ -133,7 +134,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 	inflight := make(chan outcome, 1)
 	go func() {
-		st, raw := call(t, "POST", url+"/v1/execute", executeRequest{SQL: vipQuery})
+		st, raw := call(t, "POST", url+"/v1/execute", wire.ExecuteRequest{SQL: vipQuery})
 		inflight <- outcome{st, raw}
 	}()
 	<-entered
@@ -156,12 +157,12 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	st, raw := call(t, "POST", url+"/v1/execute", executeRequest{SQL: vipQuery})
+	st, raw := call(t, "POST", url+"/v1/execute", wire.ExecuteRequest{SQL: vipQuery})
 	if st != http.StatusServiceUnavailable {
 		t.Fatalf("execute during drain: %d %s, want 503", st, raw)
 	}
-	if got := errCode(t, raw); got != CodeShuttingDown {
-		t.Fatalf("execute during drain code %q, want %q", got, CodeShuttingDown)
+	if got := errCode(t, raw); got != wire.CodeShuttingDown {
+		t.Fatalf("execute during drain code %q, want %q", got, wire.CodeShuttingDown)
 	}
 	select {
 	case err := <-shutdownErr:
@@ -186,7 +187,7 @@ func TestShutdownDeadlineExpires(t *testing.T) {
 
 	done := make(chan struct{})
 	go func() {
-		call(t, "POST", url+"/v1/execute", executeRequest{SQL: vipQuery})
+		call(t, "POST", url+"/v1/execute", wire.ExecuteRequest{SQL: vipQuery})
 		close(done)
 	}()
 	<-entered

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"minequery"
+	"minequery/internal/wire"
 )
 
 // chaosWire extends executeWire with the resilience fields.
@@ -174,8 +175,8 @@ func TestAdmissionFaultInjection(t *testing.T) {
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("injected admission fault: status %d %s, want 503", status, raw)
 	}
-	if code := errCode(t, raw); code != CodeTransient {
-		t.Fatalf("error code = %q, want %q", code, CodeTransient)
+	if code := errCode(t, raw); code != wire.CodeTransient {
+		t.Fatalf("error code = %q, want %q", code, wire.CodeTransient)
 	}
 
 	// The rule's Limit is spent; the server recovers on the next query.

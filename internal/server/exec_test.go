@@ -3,6 +3,8 @@ package server
 import (
 	"net/http"
 	"testing"
+
+	"minequery/internal/wire"
 )
 
 type execWire struct {
@@ -99,11 +101,11 @@ func TestExecEndpointErrors(t *testing.T) {
 		status int
 		code   string
 	}{
-		{"INSERT INTO customers VALUES (", http.StatusBadRequest, CodeParse},
-		{"DROP TABLE customers", http.StatusBadRequest, CodeUnsupportedQuery},
-		{"SELECT id FROM customers", http.StatusBadRequest, CodeUnsupportedQuery},
-		{"DELETE FROM nope", http.StatusNotFound, CodeUnknownTable},
-		{"CREATE MODEL m ON customers PREDICT segment USING svm", http.StatusBadRequest, CodeUnsupportedQuery},
+		{"INSERT INTO customers VALUES (", http.StatusBadRequest, wire.CodeParse},
+		{"DROP TABLE customers", http.StatusBadRequest, wire.CodeUnsupportedQuery},
+		{"SELECT id FROM customers", http.StatusBadRequest, wire.CodeUnsupportedQuery},
+		{"DELETE FROM nope", http.StatusNotFound, wire.CodeUnknownTable},
+		{"CREATE MODEL m ON customers PREDICT segment USING svm", http.StatusBadRequest, wire.CodeUnsupportedQuery},
 	} {
 		status, raw := call(t, "POST", ts.URL+"/v1/exec", map[string]any{"sql": tc.sql})
 		if status != tc.status || errCode(t, raw) != tc.code {

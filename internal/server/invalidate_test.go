@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"minequery"
+	"minequery/internal/wire"
 )
 
 func serverStats(t testing.TB, ts string) statsResponse {
@@ -37,12 +38,12 @@ func TestInvalidationReprepares(t *testing.T) {
 	eng := testEngine(t, 4000)
 	_, ts := testServer(t, eng, Config{})
 
-	st, raw := call(t, "POST", ts.URL+"/v1/prepare", prepareRequest{SQL: vipQuery})
+	st, raw := call(t, "POST", ts.URL+"/v1/prepare", wire.PrepareRequest{SQL: vipQuery})
 	if st != http.StatusOK {
 		t.Fatalf("prepare: %d %s", st, raw)
 	}
-	stmt := decode[prepareResponse](t, raw)
-	if st, raw := call(t, "POST", ts.URL+"/v1/execute", executeRequest{StatementID: stmt.StatementID}); st != http.StatusOK {
+	stmt := decode[wire.PrepareResponse](t, raw)
+	if st, raw := call(t, "POST", ts.URL+"/v1/execute", wire.ExecuteRequest{StatementID: stmt.StatementID}); st != http.StatusOK {
 		t.Fatalf("warm execute: %d %s", st, raw)
 	}
 
@@ -85,12 +86,12 @@ func TestInvalidationReprepares(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantRows, err := json.Marshal(rowsToJSON(want.Rows))
+			wantRows, err := json.Marshal(wire.Rows(want.Rows))
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			st, raw := call(t, "POST", ts.URL+"/v1/execute", executeRequest{StatementID: stmt.StatementID})
+			st, raw := call(t, "POST", ts.URL+"/v1/execute", wire.ExecuteRequest{StatementID: stmt.StatementID})
 			if st != http.StatusOK {
 				t.Fatalf("execute after %s: %d %s", m.name, st, raw)
 			}
@@ -110,7 +111,7 @@ func TestInvalidationReprepares(t *testing.T) {
 			}
 
 			// Steady state again: the re-prepared plan is a cache hit.
-			if st, raw := call(t, "POST", ts.URL+"/v1/execute", executeRequest{StatementID: stmt.StatementID}); st != http.StatusOK {
+			if st, raw := call(t, "POST", ts.URL+"/v1/execute", wire.ExecuteRequest{StatementID: stmt.StatementID}); st != http.StatusOK {
 				t.Fatalf("re-execute: %d %s", st, raw)
 			} else if !decode[executeWire](t, raw).StatementCacheHit {
 				t.Fatal("second execute after re-prepare missed the statement cache")
@@ -125,7 +126,7 @@ func TestInvalidationReprepares(t *testing.T) {
 func TestModelEventPurgesEnvelopeCache(t *testing.T) {
 	eng := testEngine(t, 2000)
 	_, ts := testServer(t, eng, Config{})
-	if st, raw := call(t, "POST", ts.URL+"/v1/execute", executeRequest{SQL: vipQuery}); st != http.StatusOK {
+	if st, raw := call(t, "POST", ts.URL+"/v1/execute", wire.ExecuteRequest{SQL: vipQuery}); st != http.StatusOK {
 		t.Fatalf("execute: %d %s", st, raw)
 	}
 	before := serverStats(t, ts.URL)
@@ -188,7 +189,7 @@ func TestConcurrentPrepareExecuteInvalidate(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				st, raw := call(t, "POST", ts.URL+"/v1/execute", executeRequest{SQL: vipQuery})
+				st, raw := call(t, "POST", ts.URL+"/v1/execute", wire.ExecuteRequest{SQL: vipQuery})
 				switch st {
 				case http.StatusOK, http.StatusConflict:
 				default:
@@ -202,7 +203,7 @@ func TestConcurrentPrepareExecuteInvalidate(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			if st, raw := call(t, "POST", ts.URL+"/v1/prepare", prepareRequest{SQL: vipQuery}); st != http.StatusOK {
+			if st, raw := call(t, "POST", ts.URL+"/v1/prepare", wire.PrepareRequest{SQL: vipQuery}); st != http.StatusOK {
 				fail <- string(raw)
 				return
 			}
@@ -220,11 +221,11 @@ func TestConcurrentPrepareExecuteInvalidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows, err := json.Marshal(rowsToJSON(want.Rows))
+	wantRows, err := json.Marshal(wire.Rows(want.Rows))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, raw := call(t, "POST", ts.URL+"/v1/execute", executeRequest{SQL: vipQuery})
+	st, raw := call(t, "POST", ts.URL+"/v1/execute", wire.ExecuteRequest{SQL: vipQuery})
 	if st != http.StatusOK {
 		t.Fatalf("final execute: %d %s", st, raw)
 	}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"minequery/internal/wire"
 )
 
 // TestMetricsEndpoint scrapes /metrics and checks the exposition
@@ -37,7 +39,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// Run a query, then confirm the server counter moved.
-	status, raw = call(t, http.MethodPost, ts.URL+"/v1/execute", executeRequest{SQL: vipQuery})
+	status, raw = call(t, http.MethodPost, ts.URL+"/v1/execute", wire.ExecuteRequest{SQL: vipQuery})
 	if status != http.StatusOK {
 		t.Fatalf("execute: status %d: %s", status, raw)
 	}
@@ -68,11 +70,11 @@ func TestExplainAnalyzeEndpoint(t *testing.T) {
 		PREDICTION JOIN segmodel AS m ON m.age = customers.age AND m.income = customers.income
 		WHERE m.segment = 'budget' AND customers.age <= 5`
 	status, raw := call(t, http.MethodPost, ts.URL+"/v1/explain-analyze",
-		explainAnalyzeRequest{SQL: budgetQuery})
+		wire.ExplainAnalyzeRequest{SQL: budgetQuery})
 	if status != http.StatusOK {
 		t.Fatalf("explain-analyze: status %d: %s", status, raw)
 	}
-	resp := decode[explainAnalyzeResponse](t, raw)
+	resp := decode[wire.ExplainAnalyzeResponse](t, raw)
 	if resp.Analyze == "" {
 		t.Fatal("analyze report is empty")
 	}
@@ -90,13 +92,13 @@ func TestExplainAnalyzeEndpoint(t *testing.T) {
 
 	// Bad SQL gets the typed parse code; unknown table the 404 code.
 	status, raw = call(t, http.MethodPost, ts.URL+"/v1/explain-analyze",
-		explainAnalyzeRequest{SQL: "SELEC nope"})
-	if status != http.StatusBadRequest || errCode(t, raw) != CodeParse {
+		wire.ExplainAnalyzeRequest{SQL: "SELEC nope"})
+	if status != http.StatusBadRequest || errCode(t, raw) != wire.CodeParse {
 		t.Errorf("parse error: status %d code %s", status, errCode(t, raw))
 	}
 	status, raw = call(t, http.MethodPost, ts.URL+"/v1/explain-analyze",
-		explainAnalyzeRequest{SQL: "SELECT id FROM nope"})
-	if status != http.StatusNotFound || errCode(t, raw) != CodeUnknownTable {
+		wire.ExplainAnalyzeRequest{SQL: "SELECT id FROM nope"})
+	if status != http.StatusNotFound || errCode(t, raw) != wire.CodeUnknownTable {
 		t.Errorf("unknown table: status %d code %s", status, errCode(t, raw))
 	}
 }
@@ -114,7 +116,7 @@ func TestSlowlog(t *testing.T) {
 		"SELECT id FROM customers WHERE age = 2",
 		"SELECT   ID from customers where AGE = 3",
 	} {
-		if status, raw := call(t, http.MethodPost, ts.URL+"/v1/execute", executeRequest{SQL: sql}); status != http.StatusOK {
+		if status, raw := call(t, http.MethodPost, ts.URL+"/v1/execute", wire.ExecuteRequest{SQL: sql}); status != http.StatusOK {
 			t.Fatalf("execute %q: status %d: %s", sql, status, raw)
 		}
 	}
@@ -152,7 +154,7 @@ func TestSlowlogDisabled(t *testing.T) {
 	eng := testEngine(t, 400)
 	_, ts := testServer(t, eng, Config{SlowQueryThreshold: -1})
 
-	if status, raw := call(t, http.MethodPost, ts.URL+"/v1/execute", executeRequest{SQL: vipQuery}); status != http.StatusOK {
+	if status, raw := call(t, http.MethodPost, ts.URL+"/v1/execute", wire.ExecuteRequest{SQL: vipQuery}); status != http.StatusOK {
 		t.Fatalf("execute: status %d: %s", status, raw)
 	}
 	_, raw := call(t, http.MethodGet, ts.URL+"/v1/slowlog", nil)

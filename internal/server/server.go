@@ -282,30 +282,6 @@ func wireStats(st minequery.ExecStats) wire.ExecStats {
 	}
 }
 
-// rowsToJSON converts tuples to JSON-friendly values.
-func rowsToJSON(rows []minequery.Tuple) [][]any {
-	out := make([][]any, len(rows))
-	for i, row := range rows {
-		vals := make([]any, len(row))
-		for j, v := range row {
-			switch v.Kind() {
-			case minequery.KindNull:
-				vals[j] = nil
-			case minequery.KindInt:
-				vals[j] = v.AsInt()
-			case minequery.KindFloat:
-				vals[j] = v.AsFloat()
-			case minequery.KindBool:
-				vals[j] = v.AsBool()
-			default:
-				vals[j] = v.AsString()
-			}
-		}
-		out[i] = vals
-	}
-	return out
-}
-
 // ---- handlers ----
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
@@ -569,7 +545,7 @@ func (s *Server) execute(ctx context.Context, sql, statementID string, forceSeq 
 			StatementCacheHit: reused,
 			Columns:           res.ColumnNames(),
 			Schema:            cluster.WireSchema(res.Columns),
-			Rows:              rowsToJSON(res.Rows),
+			Rows:              wire.Rows(res.Rows),
 			RowCount:          len(res.Rows),
 			Plan:              res.Plan,
 			AccessPath:        res.AccessPath,
@@ -695,9 +671,7 @@ func (s *Server) maybeRecordSlow(normSQL string, res *minequery.Result) {
 		Rows:       len(res.Rows),
 		ExecStats:  wireStats(res.Stats),
 		Plan:       res.Plan,
-	}
-	if res.Analyze != nil {
-		e.Analyze = res.Analyze.Render(false)
+		Analyze:    res.Analyze.Render(false),
 	}
 	s.slow.record(e)
 }
@@ -720,9 +694,6 @@ func (s *Server) handleExplainAnalyze(w http.ResponseWriter, r *http.Request) {
 		res, err := s.eng.Query(ctx, req.SQL, opts...)
 		if err != nil {
 			return nil, err
-		}
-		if res.Analyze == nil {
-			return nil, &apiError{code: wire.CodeInternal, msg: "engine instrumentation is disabled"}
 		}
 		if norm, nerr := sqlparse.Normalize(req.SQL); nerr == nil {
 			s.maybeRecordSlow(norm, res)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"minequery"
+	"minequery/internal/wire"
 )
 
 // testEngine builds a customers fixture with a rare "vip" segment and
@@ -127,7 +128,7 @@ type executeWire struct {
 
 func errCode(t testing.TB, raw []byte) string {
 	t.Helper()
-	v := decode[map[string]errorBody](t, raw)
+	v := decode[map[string]wire.ErrorBody](t, raw)
 	return v["error"].Code
 }
 
@@ -136,7 +137,7 @@ func TestPrepareExecuteRoundTrip(t *testing.T) {
 	_, ts := testServer(t, eng, Config{})
 
 	// Engine-side reference result, computed before the server touches
-	// anything. rowsToJSON + Marshal is byte-for-byte what the server
+	// anything. wire.Rows + Marshal is byte-for-byte what the server
 	// sends in "rows".
 	want, err := eng.Query(context.Background(), vipQuery)
 	if err != nil {
@@ -145,16 +146,16 @@ func TestPrepareExecuteRoundTrip(t *testing.T) {
 	if len(want.Rows) == 0 {
 		t.Fatal("fixture must return rows")
 	}
-	wantRows, err := json.Marshal(rowsToJSON(want.Rows))
+	wantRows, err := json.Marshal(wire.Rows(want.Rows))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	st, raw := call(t, "POST", ts.URL+"/v1/prepare", prepareRequest{SQL: vipQuery})
+	st, raw := call(t, "POST", ts.URL+"/v1/prepare", wire.PrepareRequest{SQL: vipQuery})
 	if st != http.StatusOK {
 		t.Fatalf("prepare: %d %s", st, raw)
 	}
-	prep := decode[prepareResponse](t, raw)
+	prep := decode[wire.PrepareResponse](t, raw)
 	if prep.Cached {
 		t.Fatal("first prepare must not be cached")
 	}
@@ -164,11 +165,11 @@ func TestPrepareExecuteRoundTrip(t *testing.T) {
 
 	// Same SQL with different spelling hits the normalized key.
 	respelled := strings.ToLower(strings.Join(strings.Fields(vipQuery), " "))
-	st, raw = call(t, "POST", ts.URL+"/v1/prepare", prepareRequest{SQL: respelled})
+	st, raw = call(t, "POST", ts.URL+"/v1/prepare", wire.PrepareRequest{SQL: respelled})
 	if st != http.StatusOK {
 		t.Fatalf("re-prepare: %d %s", st, raw)
 	}
-	prep2 := decode[prepareResponse](t, raw)
+	prep2 := decode[wire.PrepareResponse](t, raw)
 	if !prep2.Cached || prep2.StatementID != prep.StatementID {
 		t.Fatalf("respelled prepare: cached=%v id=%s, want cached reuse of %s",
 			prep2.Cached, prep2.StatementID, prep.StatementID)
@@ -185,7 +186,7 @@ func TestPrepareExecuteRoundTrip(t *testing.T) {
 			t.Fatalf("settings: %d %s", st, raw)
 		}
 		st, raw = call(t, "POST", ts.URL+"/v1/execute",
-			executeRequest{StatementID: prep.StatementID, SessionID: sess.SessionID})
+			wire.ExecuteRequest{StatementID: prep.StatementID, SessionID: sess.SessionID})
 		if st != http.StatusOK {
 			t.Fatalf("execute dop=%d: %d %s", dop, st, raw)
 		}
@@ -202,7 +203,7 @@ func TestPrepareExecuteRoundTrip(t *testing.T) {
 	}
 
 	// Execute-by-SQL auto-registers and, on repeat, reuses the plan.
-	st, raw = call(t, "POST", ts.URL+"/v1/execute", executeRequest{SQL: vipQuery})
+	st, raw = call(t, "POST", ts.URL+"/v1/execute", wire.ExecuteRequest{SQL: vipQuery})
 	if st != http.StatusOK {
 		t.Fatalf("execute by sql: %d %s", st, raw)
 	}
@@ -215,17 +216,17 @@ func TestRepeatedExecuteSkipsReplanning(t *testing.T) {
 	eng := testEngine(t, 4000)
 	s, ts := testServer(t, eng, Config{})
 
-	st, raw := call(t, "POST", ts.URL+"/v1/prepare", prepareRequest{SQL: vipQuery})
+	st, raw := call(t, "POST", ts.URL+"/v1/prepare", wire.PrepareRequest{SQL: vipQuery})
 	if st != http.StatusOK {
 		t.Fatalf("prepare: %d %s", st, raw)
 	}
-	prep := decode[prepareResponse](t, raw)
+	prep := decode[wire.PrepareResponse](t, raw)
 	base := s.reg.stats()
 	envBase := s.env.stats()
 
 	const n = 5
 	for i := 0; i < n; i++ {
-		st, raw = call(t, "POST", ts.URL+"/v1/execute", executeRequest{StatementID: prep.StatementID})
+		st, raw = call(t, "POST", ts.URL+"/v1/execute", wire.ExecuteRequest{StatementID: prep.StatementID})
 		if st != http.StatusOK {
 			t.Fatalf("execute %d: %d %s", i, st, raw)
 		}
@@ -252,7 +253,7 @@ func TestEnvelopeCacheSharedAcrossStatements(t *testing.T) {
 	eng := testEngine(t, 4000)
 	s, ts := testServer(t, eng, Config{})
 
-	if st, raw := call(t, "POST", ts.URL+"/v1/prepare", prepareRequest{SQL: vipQuery}); st != http.StatusOK {
+	if st, raw := call(t, "POST", ts.URL+"/v1/prepare", wire.PrepareRequest{SQL: vipQuery}); st != http.StatusOK {
 		t.Fatalf("prepare: %d %s", st, raw)
 	}
 	after1 := s.env.stats()
@@ -264,7 +265,7 @@ func TestEnvelopeCacheSharedAcrossStatements(t *testing.T) {
 	other := `SELECT id FROM customers
 		PREDICTION JOIN segmodel AS m ON m.age = customers.age AND m.income = customers.income
 		WHERE m.segment = 'vip' AND income > 3`
-	if st, raw := call(t, "POST", ts.URL+"/v1/prepare", prepareRequest{SQL: other}); st != http.StatusOK {
+	if st, raw := call(t, "POST", ts.URL+"/v1/prepare", wire.PrepareRequest{SQL: other}); st != http.StatusOK {
 		t.Fatalf("prepare other: %d %s", st, raw)
 	}
 	after2 := s.env.stats()
@@ -289,7 +290,7 @@ func TestSessionForceSeqScan(t *testing.T) {
 	}
 
 	st, raw := call(t, "POST", ts.URL+"/v1/execute",
-		executeRequest{SQL: vipQuery, SessionID: sess.SessionID})
+		wire.ExecuteRequest{SQL: vipQuery, SessionID: sess.SessionID})
 	if st != http.StatusOK {
 		t.Fatalf("execute: %d %s", st, raw)
 	}
@@ -300,7 +301,7 @@ func TestSessionForceSeqScan(t *testing.T) {
 
 	// Unforced execution of the same SQL picks the index and returns
 	// the same rows: the hint changes the plan, never the answer.
-	st, raw = call(t, "POST", ts.URL+"/v1/execute", executeRequest{SQL: vipQuery})
+	st, raw = call(t, "POST", ts.URL+"/v1/execute", wire.ExecuteRequest{SQL: vipQuery})
 	if st != http.StatusOK {
 		t.Fatalf("execute unforced: %d %s", st, raw)
 	}
@@ -319,7 +320,7 @@ func TestSessionForceSeqScan(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	eng := testEngine(t, 2000)
 	_, ts := testServer(t, eng, Config{})
-	if st, raw := call(t, "POST", ts.URL+"/v1/execute", executeRequest{SQL: vipQuery}); st != http.StatusOK {
+	if st, raw := call(t, "POST", ts.URL+"/v1/execute", wire.ExecuteRequest{SQL: vipQuery}); st != http.StatusOK {
 		t.Fatalf("execute: %d %s", st, raw)
 	}
 	st, raw := call(t, "GET", ts.URL+"/v1/stats", nil)
@@ -346,15 +347,15 @@ func TestBadRequests(t *testing.T) {
 	_, ts := testServer(t, eng, Config{})
 	cases := []struct {
 		name string
-		body executeRequest
+		body wire.ExecuteRequest
 		code string
 	}{
-		{"neither sql nor id", executeRequest{}, CodeBadRequest},
-		{"both sql and id", executeRequest{SQL: "SELECT id FROM customers", StatementID: "q1"}, CodeBadRequest},
-		{"unknown statement", executeRequest{StatementID: "q999"}, CodeNotFound},
-		{"unknown session", executeRequest{SQL: "SELECT id FROM customers", SessionID: "s999"}, CodeNotFound},
-		{"sql parse error", executeRequest{SQL: "SELEC id"}, CodeParse},
-		{"unknown table", executeRequest{SQL: "SELECT id FROM nope"}, CodeUnknownTable},
+		{"neither sql nor id", wire.ExecuteRequest{}, wire.CodeBadRequest},
+		{"both sql and id", wire.ExecuteRequest{SQL: "SELECT id FROM customers", StatementID: "q1"}, wire.CodeBadRequest},
+		{"unknown statement", wire.ExecuteRequest{StatementID: "q999"}, wire.CodeNotFound},
+		{"unknown session", wire.ExecuteRequest{SQL: "SELECT id FROM customers", SessionID: "s999"}, wire.CodeNotFound},
+		{"sql parse error", wire.ExecuteRequest{SQL: "SELEC id"}, wire.CodeParse},
+		{"unknown table", wire.ExecuteRequest{SQL: "SELECT id FROM nope"}, wire.CodeUnknownTable},
 	}
 	for _, tc := range cases {
 		st, raw := call(t, "POST", ts.URL+"/v1/execute", tc.body)
@@ -402,11 +403,11 @@ func TestSessionTimeoutApplies(t *testing.T) {
 		t.Fatalf("settings: %d %s", st, raw)
 	}
 	st, raw := call(t, "POST", ts.URL+"/v1/execute",
-		executeRequest{SQL: vipQuery, SessionID: sess.SessionID})
+		wire.ExecuteRequest{SQL: vipQuery, SessionID: sess.SessionID})
 	if st != http.StatusGatewayTimeout {
 		t.Fatalf("status %d %s, want 504", st, raw)
 	}
-	if got := errCode(t, raw); got != CodeTimeout {
-		t.Fatalf("code %q, want %q", got, CodeTimeout)
+	if got := errCode(t, raw); got != wire.CodeTimeout {
+		t.Fatalf("code %q, want %q", got, wire.CodeTimeout)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // slowLogEntry is one recorded slow query. SQL is the normalized form
 // (never the raw request text, which may differ in literals' spelling
 // only), and Analyze carries the per-operator actuals rendered from the
-// query's AnalyzeReport when instrumentation produced one.
+// query's AnalyzeReport.
 type slowLogEntry struct {
 	Time       time.Time `json:"time"`
 	SQL        string    `json:"sql"`

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"minequery"
+	"minequery/internal/wire"
 )
 
 type subscribeRequest struct {
@@ -184,7 +185,7 @@ func (s *Server) handleNotifications(w http.ResponseWriter, r *http.Request) {
 	}
 	body := notificationsResponse{Notifications: make([]notificationBody, len(ns)), Count: len(ns)}
 	for i, n := range ns {
-		row := rowsToJSON([]minequery.Tuple{n.Row})[0]
+		row := wire.Rows([]minequery.Tuple{n.Row})[0]
 		body.Notifications[i] = notificationBody{
 			Seq:            n.Seq,
 			SubscriptionID: n.SubID,

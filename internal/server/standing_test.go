@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"minequery"
+	"minequery/internal/wire"
 )
 
 type subscribeWire struct {
@@ -107,7 +108,7 @@ func TestStandingEndpoints(t *testing.T) {
 		t.Fatalf("unsubscribe: status %d: %s", status, raw)
 	}
 	status, raw = call(t, "DELETE", fmt.Sprintf("%s/v1/subscribe/%d", ts.URL, sub.SubscriptionID), nil)
-	if status != http.StatusNotFound || errCode(t, raw) != CodeNotFound {
+	if status != http.StatusNotFound || errCode(t, raw) != wire.CodeNotFound {
 		t.Fatalf("unknown unsubscribe: status %d code %s: %s", status, errCode(t, raw), raw)
 	}
 }
@@ -124,10 +125,10 @@ func TestStandingEndpointErrors(t *testing.T) {
 		status int
 		code   string
 	}{
-		{"empty sql", map[string]any{"sql": ""}, http.StatusBadRequest, CodeBadRequest},
-		{"parse error", map[string]any{"sql": "SELECT FROM WHERE"}, http.StatusBadRequest, CodeParse},
-		{"unknown table", map[string]any{"sql": "SELECT * FROM nope WHERE id = 1"}, http.StatusNotFound, CodeUnknownTable},
-		{"not a select", map[string]any{"sql": "DELETE FROM customers WHERE id = 1"}, http.StatusBadRequest, CodeParse},
+		{"empty sql", map[string]any{"sql": ""}, http.StatusBadRequest, wire.CodeBadRequest},
+		{"parse error", map[string]any{"sql": "SELECT FROM WHERE"}, http.StatusBadRequest, wire.CodeParse},
+		{"unknown table", map[string]any{"sql": "SELECT * FROM nope WHERE id = 1"}, http.StatusNotFound, wire.CodeUnknownTable},
+		{"not a select", map[string]any{"sql": "DELETE FROM customers WHERE id = 1"}, http.StatusBadRequest, wire.CodeParse},
 	} {
 		status, raw := call(t, "POST", ts.URL+"/v1/subscribe", tc.body)
 		if status != tc.status || errCode(t, raw) != tc.code {

@@ -6,8 +6,9 @@ package standing
 // list (predictions memoized per row) and an index into the table's
 // deduplicated envelope-region list (regions evaluated at most once per
 // row, shared across every subscription whose predicate induces the
-// same region). The region shapes and cache keys mirror the query
-// rewriter's four mining-predicate forms exactly — envelope false
+// same region). Which atoms have a region, what it is and what it is
+// keyed by is the query rewriter's Section 4.1 rule table
+// (core.PredCols.Envelope), asked, not restated — envelope false
 // implies the mining atom is false in ANY polarity, because the atom
 // itself is still evaluated exactly; the region is purely a sound
 // short-circuit.
@@ -28,7 +29,6 @@ import (
 // modelSlot is one deduplicated model binding for a compiled table.
 type modelSlot struct {
 	name    string // lower model name
-	entry   *catalog.ModelEntry
 	binding mining.Binding
 }
 
@@ -324,35 +324,37 @@ func newTableBuilder(cat *catalog.Catalog, table string, cache core.EnvelopeCach
 }
 
 // modelSlot interns one model binding (deduplicated by lower name).
-func (b *tableBuilder) modelSlot(name string) (int, error) {
-	key := strings.ToLower(name)
+func (b *tableBuilder) modelSlot(me *catalog.ModelEntry) (int, error) {
+	key := strings.ToLower(me.Model.Name())
 	if i, ok := b.modelIdx[key]; ok {
 		return i, nil
-	}
-	me, ok := b.cat.Model(name)
-	if !ok {
-		return 0, fmt.Errorf("standing: %w %q", qerr.ErrUnknownModel, name)
 	}
 	bind, ok := mining.Bind(me.Model, b.schema)
 	if !ok {
 		return 0, fmt.Errorf("standing: %w: model %q inputs %v not all present in table %q",
-			qerr.ErrUnsupportedQuery, name, me.Model.InputColumns(), b.name)
+			qerr.ErrUnsupportedQuery, me.Model.Name(), me.Model.InputColumns(), b.name)
 	}
-	b.models = append(b.models, &modelSlot{name: key, entry: me, binding: bind})
+	b.models = append(b.models, &modelSlot{name: key, binding: bind})
 	i := len(b.models) - 1
 	b.modelIdx[key] = i
 	return i, nil
 }
 
-// region interns one envelope region under its fingerprint-derived key.
-// TrueExpr regions (no information) return -1: no gate. The key is
-// namespaced apart from the query rewriter's entries so the two paths
-// can share one cache without mixing notes, while staying equally
-// immune to retrains (the fingerprint is in the key).
-func (b *tableBuilder) region(key string, build func() expr.Expr) int {
-	key = "standing|" + key
+// region interns the envelope region gating one mining atom, under the
+// rule table's fingerprint-derived key, and returns its index with its
+// predicate (the atom's share of the guard). Atoms the table has no
+// envelope for, and TrueExpr regions (no information), get -1: no gate.
+// The key is namespaced apart from the query rewriter's entries so the
+// two paths can share one cache without mixing notes, while staying
+// equally immune to retrains (the fingerprint is in the key).
+func (b *tableBuilder) region(atom expr.Expr, pc core.PredCols) (int, expr.Expr) {
+	env, ok := pc.Envelope(atom)
+	if !ok {
+		return -1, expr.TrueExpr{}
+	}
+	key := "standing|" + env.Key
 	if i, ok := b.regionIdx[key]; ok {
-		return i
+		return i, b.regions[i]
 	}
 	var pred expr.Expr
 	if b.cache != nil {
@@ -361,27 +363,18 @@ func (b *tableBuilder) region(key string, build func() expr.Expr) int {
 		}
 	}
 	if pred == nil {
-		pred = build()
+		pred = env.Build(nil)
 		if b.cache != nil {
 			b.cache.Put(key, core.CachedEnvelope{Pred: pred})
 		}
 	}
 	if _, isTrue := pred.(expr.TrueExpr); isTrue {
-		return -1
+		return -1, pred
 	}
 	b.regions = append(b.regions, pred)
 	i := len(b.regions) - 1
 	b.regionIdx[key] = i
-	return i
-}
-
-// regionExpr returns region r's predicate (TrueExpr for -1), for guard
-// construction.
-func (b *tableBuilder) regionExpr(r int) expr.Expr {
-	if r < 0 {
-		return expr.TrueExpr{}
-	}
-	return b.regions[r]
+	return i, pred
 }
 
 // compileSub compiles one subscription against the shared structure.
@@ -389,14 +382,9 @@ func (b *tableBuilder) regionExpr(r int) expr.Expr {
 // for validation only; recompileLocked keeps the result).
 func (b *tableBuilder) compileSub(sub *rawSub) (*compiledSub, error) {
 	q := sub.q
-	// Resolve prediction columns ("alias.predcol" -> model).
-	pc := map[string]string{}
-	for _, j := range q.Joins {
-		me, ok := b.cat.Model(j.Model)
-		if !ok {
-			return nil, fmt.Errorf("standing: %w %q", qerr.ErrUnknownModel, j.Model)
-		}
-		pc[strings.ToLower(j.Alias+"."+me.Model.PredictColumn())] = j.Model
+	pc, err := core.ResolvePredCols(q, b.cat)
+	if err != nil {
+		return nil, err
 	}
 	// Validate every referenced column before compiling, so a typo is an
 	// error instead of a never-matching subscription.
@@ -404,7 +392,7 @@ func (b *tableBuilder) compileSub(sub *rawSub) (*compiledSub, error) {
 		if b.schema.Ordinal(col) >= 0 {
 			return nil
 		}
-		if _, ok := pc[strings.ToLower(col)]; ok {
+		if _, ok := pc.Model(col); ok {
 			return nil
 		}
 		return fmt.Errorf("standing: %w: unknown column %q (table %q)", qerr.ErrUnsupportedQuery, col, b.name)
@@ -435,8 +423,8 @@ func (b *tableBuilder) compileSub(sub *rawSub) (*compiledSub, error) {
 		return cs, nil
 	}
 	for _, c := range q.Select {
-		if m, ok := pc[strings.ToLower(c)]; ok {
-			slot, err := b.modelSlot(m)
+		if me, ok := pc.Model(c); ok {
+			slot, err := b.modelSlot(me)
 			if err != nil {
 				return nil, err
 			}
@@ -451,39 +439,37 @@ func (b *tableBuilder) compileSub(sub *rawSub) (*compiledSub, error) {
 	return cs, nil
 }
 
+// compileAll compiles the operands of an AND or OR.
+func (b *tableBuilder) compileAll(es []expr.Expr, pc core.PredCols) ([]node, []expr.Expr, error) {
+	kids := make([]node, len(es))
+	guards := make([]expr.Expr, len(es))
+	for i, e := range es {
+		n, g, err := b.compile(e, pc)
+		if err != nil {
+			return nil, nil, err
+		}
+		kids[i], guards[i] = n, g
+	}
+	return kids, guards, nil
+}
+
 // compile turns one predicate subtree into (node, guard): the exact
 // evaluator and its pure-data sound weakening. The guard drops NOT
 // subtrees entirely (weakening a conjunction is sound; the pruning walk
 // would ignore them anyway) and replaces mining atoms by their envelope
 // regions.
-func (b *tableBuilder) compile(e expr.Expr, pc map[string]string) (node, expr.Expr, error) {
+func (b *tableBuilder) compile(e expr.Expr, pc core.PredCols) (node, expr.Expr, error) {
 	switch x := e.(type) {
 	case expr.TrueExpr:
 		return constNode{true}, expr.TrueExpr{}, nil
 	case expr.FalseExpr:
 		return constNode{false}, expr.FalseExpr{}, nil
 	case expr.And:
-		kids := make([]node, len(x.Kids))
-		guards := make([]expr.Expr, len(x.Kids))
-		for i, k := range x.Kids {
-			n, g, err := b.compile(k, pc)
-			if err != nil {
-				return nil, nil, err
-			}
-			kids[i], guards[i] = n, g
-		}
-		return andNode{kids}, expr.NewAnd(guards...), nil
+		kids, guards, err := b.compileAll(x.Kids, pc)
+		return andNode{kids}, expr.NewAnd(guards...), err
 	case expr.Or:
-		kids := make([]node, len(x.Kids))
-		guards := make([]expr.Expr, len(x.Kids))
-		for i, k := range x.Kids {
-			n, g, err := b.compile(k, pc)
-			if err != nil {
-				return nil, nil, err
-			}
-			kids[i], guards[i] = n, g
-		}
-		return orNode{kids}, expr.NewOr(guards...), nil
+		kids, guards, err := b.compileAll(x.Kids, pc)
+		return orNode{kids}, expr.NewOr(guards...), err
 	case expr.Not:
 		kid, _, err := b.compile(x.Kid, pc)
 		if err != nil {
@@ -491,114 +477,53 @@ func (b *tableBuilder) compile(e expr.Expr, pc map[string]string) (node, expr.Ex
 		}
 		return notNode{kid}, expr.TrueExpr{}, nil
 	case expr.Cmp:
-		model, ok := pc[strings.ToLower(x.Col)]
+		me, ok := pc.Model(x.Col)
 		if !ok {
 			return leaf{x}, x, nil
 		}
-		slot, err := b.modelSlot(model)
+		slot, err := b.modelSlot(me)
 		if err != nil {
 			return nil, nil, err
 		}
-		me := b.models[slot].entry
-		region := -1
-		switch x.Op {
-		case expr.OpEq:
-			region = b.region(core.ClassSetKey("eq", me, []value.Value{x.Val}), func() expr.Expr {
-				return core.AtomicEnvelope(me, x.Val)
-			})
-		case expr.OpNe:
-			var rest []value.Value
-			for _, c := range me.Classes() {
-				if !value.Equal(c, x.Val) {
-					rest = append(rest, c)
-				}
-			}
-			region = b.region(core.ClassSetKey("ne:"+core.ValueKey(x.Val), me, rest), func() expr.Expr {
-				kids := make([]expr.Expr, 0, len(rest))
-				for _, c := range rest {
-					kids = append(kids, core.AtomicEnvelope(me, c))
-				}
-				return expr.NewOr(kids...)
-			})
-		}
-		n := predCmp{model: slot, op: x.Op, val: x.Val, region: region}
-		return n, b.regionExpr(region), nil
+		region, guard := b.region(x, pc)
+		return predCmp{model: slot, op: x.Op, val: x.Val, region: region}, guard, nil
 	case expr.In:
-		model, ok := pc[strings.ToLower(x.Col)]
+		me, ok := pc.Model(x.Col)
 		if !ok {
 			return leaf{x}, x, nil
 		}
-		slot, err := b.modelSlot(model)
+		slot, err := b.modelSlot(me)
 		if err != nil {
 			return nil, nil, err
 		}
-		me := b.models[slot].entry
-		region := b.region(core.ClassSetKey("in", me, x.Vals), func() expr.Expr {
-			kids := make([]expr.Expr, 0, len(x.Vals))
-			for _, v := range x.Vals {
-				kids = append(kids, core.AtomicEnvelope(me, v))
-			}
-			return expr.NewOr(kids...)
-		})
-		n := predIn{model: slot, vals: x.Vals, region: region}
-		return n, b.regionExpr(region), nil
+		region, guard := b.region(x, pc)
+		return predIn{model: slot, vals: x.Vals, region: region}, guard, nil
 	case expr.ColCmp:
-		mA, okA := pc[strings.ToLower(x.ColA)]
-		mB, okB := pc[strings.ToLower(x.ColB)]
+		meA, okA := pc.Model(x.ColA)
+		meB, okB := pc.Model(x.ColB)
 		switch {
 		case okA && okB:
-			slotA, err := b.modelSlot(mA)
+			slotA, err := b.modelSlot(meA)
 			if err != nil {
 				return nil, nil, err
 			}
-			slotB, err := b.modelSlot(mB)
+			slotB, err := b.modelSlot(meB)
 			if err != nil {
 				return nil, nil, err
 			}
-			meA, meB := b.models[slotA].entry, b.models[slotB].entry
-			region := -1
-			if x.Op == expr.OpEq {
-				common := commonClasses(meA, meB)
-				region = b.region(core.ClassSetKey("mm:"+meB.Fingerprint, meA, common), func() expr.Expr {
-					kids := make([]expr.Expr, 0, len(common))
-					for _, c := range common {
-						kids = append(kids, expr.NewAnd(
-							core.AtomicEnvelope(meA, c),
-							core.AtomicEnvelope(meB, c),
-						))
-					}
-					return expr.NewOr(kids...)
-				})
-			}
-			n := predPredCmp{modelA: slotA, modelB: slotB, op: x.Op, region: region}
-			return n, b.regionExpr(region), nil
+			region, guard := b.region(x, pc)
+			return predPredCmp{modelA: slotA, modelB: slotB, op: x.Op, region: region}, guard, nil
 		case okA != okB:
-			model, dataCol, flip := mA, x.ColB, false
+			me, dataCol, flip := meA, x.ColB, false
 			if okB {
-				model, dataCol, flip = mB, x.ColA, true
+				me, dataCol, flip = meB, x.ColA, true
 			}
-			slot, err := b.modelSlot(model)
+			slot, err := b.modelSlot(me)
 			if err != nil {
 				return nil, nil, err
 			}
-			ord := b.schema.Ordinal(dataCol)
-			me := b.models[slot].entry
-			region := -1
-			if x.Op == expr.OpEq {
-				classes := me.Classes()
-				region = b.region(core.ClassSetKey("md:"+strings.ToLower(dataCol), me, classes), func() expr.Expr {
-					kids := make([]expr.Expr, 0, len(classes))
-					for _, c := range classes {
-						kids = append(kids, expr.NewAnd(
-							core.AtomicEnvelope(me, c),
-							expr.Cmp{Col: dataCol, Op: expr.OpEq, Val: c},
-						))
-					}
-					return expr.NewOr(kids...)
-				})
-			}
-			n := predDataCmp{model: slot, op: x.Op, dataOrd: ord, flip: flip, region: region}
-			return n, b.regionExpr(region), nil
+			region, guard := b.region(x, pc)
+			return predDataCmp{model: slot, op: x.Op, dataOrd: b.schema.Ordinal(dataCol), flip: flip, region: region}, guard, nil
 		default:
 			return leaf{x}, x, nil
 		}
@@ -607,17 +532,4 @@ func (b *tableBuilder) compile(e expr.Expr, pc map[string]string) (node, expr.Ex
 		// guard (sound: TrueExpr never prunes).
 		return leaf{e}, expr.TrueExpr{}, nil
 	}
-}
-
-func commonClasses(a, b *catalog.ModelEntry) []value.Value {
-	var out []value.Value
-	for _, ca := range a.Classes() {
-		for _, cb := range b.Classes() {
-			if value.Equal(ca, cb) {
-				out = append(out, ca)
-				break
-			}
-		}
-	}
-	return out
 }

@@ -43,7 +43,7 @@ type indexedCol struct {
 // buildIndex constructs the interval index over the builder's compiled
 // subscriptions. Columns whose guards use more than maxSegments
 // distinct constants stay unindexed (sound — just less pruning).
-func (b *tableBuilder) buildIndex(maxSegments int) {
+func (b *tableBuilder) buildIndex() {
 	n := len(b.subs)
 	ix := &intervalIndex{nsubs: n, words: (n + 63) / 64}
 	ix.full = make([]uint64, ix.words)

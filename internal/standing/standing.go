@@ -106,15 +106,12 @@ type SubscriptionInfo struct {
 type Options struct {
 	// Queue is the notification queue capacity (default 1024).
 	Queue int
-	// Cache, when non-nil, memoizes envelope-region assembly across
-	// recompiles (and may be shared with the query path's cache — keys
-	// are namespaced and fingerprint-derived).
-	Cache core.EnvelopeCache
-	// MaxSegments caps the per-column interval index: a column whose
-	// registered predicates use more distinct constants is left
-	// unindexed (sound — just less pruning). Default 256.
-	MaxSegments int
 }
+
+// maxSegments caps the per-column interval index: a column whose
+// registered predicates use more distinct constants is left unindexed
+// (sound — just less pruning).
+const maxSegments = 256
 
 // rawSub is one registered subscription in source form; compilation to
 // the shared structure happens lazily (see recompileLocked).
@@ -138,13 +135,12 @@ type rawSub struct {
 type Set struct {
 	cat *catalog.Catalog
 
-	mu          sync.Mutex
-	cache       core.EnvelopeCache
-	subs        map[int64]*rawSub
-	order       []int64 // registration order, for deterministic compilation
-	dirty       bool
-	comp        map[string]*compiledTable // by lower table name
-	maxSegments int
+	mu    sync.Mutex
+	cache core.EnvelopeCache
+	subs  map[int64]*rawSub
+	order []int64 // registration order, for deterministic compilation
+	dirty bool
+	comp  map[string]*compiledTable // by lower table name
 
 	nextID atomic.Int64
 	seq    atomic.Int64
@@ -163,20 +159,17 @@ func NewSet(cat *catalog.Catalog, opts Options) *Set {
 	if opts.Queue <= 0 {
 		opts.Queue = 1024
 	}
-	if opts.MaxSegments <= 0 {
-		opts.MaxSegments = 256
-	}
 	return &Set{
-		cat:         cat,
-		cache:       opts.Cache,
-		subs:        make(map[int64]*rawSub),
-		comp:        make(map[string]*compiledTable),
-		maxSegments: opts.MaxSegments,
-		queue:       make(chan Notification, opts.Queue),
+		cat:   cat,
+		subs:  make(map[int64]*rawSub),
+		comp:  make(map[string]*compiledTable),
+		queue: make(chan Notification, opts.Queue),
 	}
 }
 
-// SetCache installs (or removes, with nil) the envelope-region cache.
+// SetCache installs (or removes, with nil) the cache memoizing
+// envelope-region assembly across recompiles. It may be the query
+// path's cache: keys are namespaced and fingerprint-derived.
 func (s *Set) SetCache(c core.EnvelopeCache) {
 	s.mu.Lock()
 	s.cache = c
@@ -348,7 +341,7 @@ func (s *Set) recompileLocked() {
 		if len(b.subs) == 0 {
 			continue
 		}
-		b.buildIndex(s.maxSegments)
+		b.buildIndex()
 		s.comp[key] = b.compiledTable
 	}
 }

@@ -348,6 +348,37 @@ func TestModelCallSharingAndEnvelopeGating(t *testing.T) {
 	}
 }
 
+// TestRegionInternedAcrossAliases: a region is keyed by what it
+// selects (shape, model fingerprint, class set), never by how a
+// subscription spells its prediction column, so the same mining atom
+// under different aliases and different case is still ONE region — one
+// evaluation per row however many subscriptions carry it.
+func TestRegionInternedAcrossAliases(t *testing.T) {
+	cat := newTestCatalog(t)
+	trainThreshold(t, cat, "dt", 50)
+	s := NewSet(cat, Options{})
+	for _, sql := range []string{
+		"SELECT * FROM events PREDICTION JOIN dt AS m ON m.num = events.num WHERE m.cls = 'high'",
+		"SELECT * FROM events PREDICTION JOIN DT AS zz ON zz.num = events.num WHERE ZZ.CLS = 'high' AND id >= 0",
+		"SELECT * FROM events PREDICTION JOIN dt AS m ON m.num = events.num WHERE m.cls = cat",
+		"SELECT * FROM events PREDICTION JOIN dt AS q ON q.num = events.num WHERE CAT = q.cls",
+		"SELECT * FROM events PREDICTION JOIN dt AS m ON m.num = events.num WHERE m.cls <> 'low'",
+	} {
+		if _, err := s.Subscribe(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ct := s.snapshot("events")
+	if len(ct.subs) != 5 || len(ct.models) != 1 {
+		t.Fatalf("compiled %d subscriptions over %d models, want 5 over 1", len(ct.subs), len(ct.models))
+	}
+	// eq{high}, md:cat and ne:low — the last selects the same rows as
+	// the first but is a different shape, so a different key.
+	if len(ct.regions) != 3 {
+		t.Fatalf("interned %d regions, want 3: %v", len(ct.regions), ct.regions)
+	}
+}
+
 func TestModelDataAndModelModelJoins(t *testing.T) {
 	cat := newTestCatalog(t)
 	trainThreshold(t, cat, "dt", 50)

@@ -6,8 +6,9 @@
 // client-side call. Both ends build and decode the same struct, so a
 // field added here reaches every reader — there is no mirror to forget.
 //
-// The package holds declarations only (stdlib + internal/agg): handlers
-// live in internal/server, fan-out in internal/cluster. Tags are the
+// The package holds declarations and the one row encoder (stdlib +
+// internal/agg + internal/value): handlers live in internal/server,
+// fan-out in internal/cluster. Tags are the
 // bytes on the wire — names, order and omitempty are pinned by the
 // goldens in testdata/.
 package wire
@@ -16,6 +17,7 @@ import (
 	"fmt"
 
 	"minequery/internal/agg"
+	"minequery/internal/value"
 )
 
 // ---- statements: /v1/prepare, /v1/execute, /v1/shard-exec, /v1/explain-analyze ----
@@ -110,6 +112,32 @@ type ExecuteResponse struct {
 	Fallback bool      `json:"fallback"`
 	Retries  int64     `json:"retries"`
 	Stats    ExecStats `json:"stats"`
+}
+
+// Rows converts result tuples to the cells of an ExecuteResponse. A
+// node encodes its result through it and a coordinator the aggregates
+// it finalized, which is what makes the two answers byte-identical.
+func Rows(rows []value.Tuple) [][]any {
+	out := make([][]any, len(rows))
+	for i, row := range rows {
+		vals := make([]any, len(row))
+		for j, v := range row {
+			switch v.Kind() {
+			case value.KindNull:
+				vals[j] = nil
+			case value.KindInt:
+				vals[j] = v.AsInt()
+			case value.KindFloat:
+				vals[j] = v.AsFloat()
+			case value.KindBool:
+				vals[j] = v.AsBool()
+			default:
+				vals[j] = v.AsString()
+			}
+		}
+		out[i] = vals
+	}
+	return out
 }
 
 // ShardExecResponse is a node's /v1/shard-exec answer.

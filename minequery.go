@@ -140,9 +140,6 @@ type Engine struct {
 	execOpts exec.Options
 	envCache core.EnvelopeCache
 
-	// noInstrument inverts the default-on per-query runtime collection
-	// (zero value = instrumentation on); see SetInstrumentation.
-	noInstrument atomic.Bool
 	// metrics is the installed engine-metrics sink, nil until
 	// RegisterMetrics.
 	metrics atomic.Pointer[engineMetrics]
@@ -623,9 +620,8 @@ type Result struct {
 	// Stats is the measured execution cost.
 	Stats ExecStats
 	// Analyze is the per-operator runtime report (estimated vs actual
-	// rows, wall time, leaf I/O, envelope-pruning attribution). It is
-	// populated on every query while instrumentation is on (the
-	// default); nil after SetInstrumentation(false).
+	// rows, wall time, leaf I/O, envelope-pruning attribution),
+	// populated on every query.
 	Analyze *AnalyzeReport
 	// Fallback reports that the optimized index path failed with a
 	// transient error and the query was re-run on the always-sound
@@ -636,8 +632,7 @@ type Result struct {
 	// fallback ("" when Fallback is false).
 	FallbackReason string
 	// Retries counts transient storage/seek failures absorbed by the
-	// retry layer during this execution (zero when instrumentation is
-	// off).
+	// retry layer during this execution.
 	Retries int64
 	// PartitionsTotal is the queried table's partition count (0 for
 	// unpartitioned tables); PartitionsPruned is how many of them the
@@ -647,9 +642,8 @@ type Result struct {
 	PartitionsPruned int
 	// StorageFormat reports how the base table was actually read:
 	// "columnar" when the scan ran on the column-group sidecar, "row"
-	// for the heap path. Empty when instrumentation is off (the executed
-	// format is then unknown — a columnar-flagged plan silently falls
-	// back to the row path whenever the sidecar is stale).
+	// for the heap path (a columnar-flagged plan silently falls back to
+	// the row path whenever the sidecar is stale).
 	StorageFormat string
 	// PartialAgg carries the un-finalized aggregate state when the query
 	// ran in partial-aggregate mode (WithPartialAggs): Rows is nil, and
@@ -705,14 +699,6 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, sql string, opts ...QueryOp
 	return res.Analyze.Render(false), res, nil
 }
 
-// SetInstrumentation toggles per-query runtime collection (on by
-// default): operator actuals, per-query I/O attribution, and the
-// Analyze report on every Result. With instrumentation off the bare
-// operator tree runs and ExecStats falls back to heap-global counter
-// deltas, which concurrent queries pollute — off exists for measuring
-// instrumentation overhead, not for production use.
-func (e *Engine) SetInstrumentation(on bool) { e.noInstrument.Store(!on) }
-
 // validateAggregate checks an aggregate query's shape at plan time, so
 // unsupported forms fail with ErrUnsupportedQuery before any execution
 // state is built. Non-aggregate queries pass through untouched.
@@ -758,14 +744,7 @@ func (e *Engine) postPredictSchema(q *sqlparse.Query, t *catalog.Table) (*value.
 		if !ok {
 			continue // caught earlier by the rewriter
 		}
-		kind := value.KindString
-		if cls := me.Model.Classes(); len(cls) > 0 {
-			kind = cls[0].Kind()
-		}
-		cols = append(cols, value.Column{
-			Name: strings.ToLower(j.Alias + "." + me.Model.PredictColumn()),
-			Kind: kind,
-		})
+		cols = append(cols, me.PredictionColumn(j.Alias))
 	}
 	return value.NewSchema(cols...)
 }
@@ -812,10 +791,8 @@ func (p *Prepared) executePlan(ctx context.Context, execOpts exec.Options, analy
 	fr.FallbackReason = reason
 	fr.RewriteNotes = append(fr.RewriteNotes[:len(fr.RewriteNotes):len(fr.RewriteNotes)],
 		"fallback: index path failed transiently; re-ran baseline sequential scan")
-	if fr.Analyze != nil {
-		fr.Analyze.Fallback = true
-		fr.Analyze.FallbackReason = reason
-	}
+	fr.Analyze.Fallback = true
+	fr.Analyze.FallbackReason = reason
 	p.eng.metrics.Load().fallback()
 	return fr, nil
 }
@@ -825,17 +802,13 @@ func (p *Prepared) executePlan(ctx context.Context, execOpts exec.Options, analy
 // under executePlan's degradation wrapper.
 func (p *Prepared) runPlanOnce(ctx context.Context, root plan.Node, execOpts exec.Options, analyzeBase expr.Expr, partial bool) (*Result, error) {
 	e, t, res := p.eng, p.table, p.optRes
-	var col *exec.Collector
-	if !e.noInstrument.Load() {
-		col = exec.NewCollector()
-		execOpts.Collector = col
-		if analyzeBase != nil {
-			if lf := scanLevelFilter(root); lf != nil {
-				col.SetEnvelopeBaseline(lf, analyzeBase)
-			}
+	col := exec.NewCollector()
+	execOpts.Collector = col
+	if analyzeBase != nil {
+		if lf := scanLevelFilter(root); lf != nil {
+			col.SetEnvelopeBaseline(lf, analyzeBase)
 		}
 	}
-	before := t.Heap.Stats()
 	start := time.Now()
 	var (
 		rows   []value.Tuple
@@ -860,29 +833,19 @@ func (p *Prepared) runPlanOnce(ctx context.Context, root plan.Node, execOpts exe
 		rows, schema, err = exec.RunCtx(ctx, e.cat, root, execOpts)
 	}
 	elapsed := time.Since(start)
-	var retries int64
-	if col != nil {
-		// Count retries even when the attempt ultimately failed: the
-		// metric tracks transient-failure pressure, not just survivals.
-		retries = col.Retries.Load()
-		e.metrics.Load().retries(retries)
-	}
+	// Count retries even when the attempt ultimately failed: the
+	// metric tracks transient-failure pressure, not just survivals.
+	retries := col.Retries.Load()
+	e.metrics.Load().retries(retries)
 	if err != nil {
 		return nil, err
 	}
-	st := ExecStats{Duration: elapsed}
-	if col != nil {
-		io := col.IO.Snapshot()
-		st.SeqPageReads = io.SeqPageReads
-		st.RandPageReads = io.RandPageReads
-		st.TupleReads = io.TupleReads
-	} else {
-		// Uninstrumented fallback: heap-global counter deltas, which
-		// overlapping queries pollute.
-		after := t.Heap.Stats()
-		st.SeqPageReads = after.SeqPageReads - before.SeqPageReads
-		st.RandPageReads = after.RandPageReads - before.RandPageReads
-		st.TupleReads = after.TupleReads - before.TupleReads
+	io := col.IO.Snapshot()
+	st := ExecStats{
+		Duration:      elapsed,
+		SeqPageReads:  io.SeqPageReads,
+		RandPageReads: io.RandPageReads,
+		TupleReads:    io.TupleReads,
 	}
 	st.CostUnits = float64(st.SeqPageReads)*e.optCfg.SeqPageCost +
 		float64(st.RandPageReads)*e.optCfg.RandomPageCost +
@@ -909,29 +872,21 @@ func (p *Prepared) runPlanOnce(ctx context.Context, root plan.Node, execOpts exe
 		PartitionsTotal:  res.PartsTotal,
 		PartitionsPruned: res.PartsPruned,
 		PartialAgg:       wire,
+		StorageFormat:    "row",
 	}
-	if col != nil {
-		r.StorageFormat = "row"
-		if info := columnarScanInfo(root, col); info != nil {
-			r.StorageFormat = "columnar"
-			e.metrics.Load().columnar(info)
-		}
-		r.Analyze = buildAnalyzeReport(root, col, t, res.EstSelectivity, execOpts.DOP, st, analyzeBase != nil)
-		if r.Analyze != nil {
-			r.Analyze.Retries = retries
-			r.Analyze.PartitionsTotal = res.PartsTotal
-			r.Analyze.PartitionsPruned = res.PartsPruned
-		}
+	if info := columnarScanInfo(root, col); info != nil {
+		r.StorageFormat = "columnar"
+		e.metrics.Load().columnar(info)
 	}
+	r.Analyze = buildAnalyzeReport(root, col, t, res.EstSelectivity, execOpts.DOP, st, analyzeBase != nil)
+	r.Analyze.Retries = retries
+	r.Analyze.PartitionsTotal = res.PartsTotal
+	r.Analyze.PartitionsPruned = res.PartsPruned
 	em := e.metrics.Load()
 	em.stage("execute", elapsed)
 	em.query(r.AccessPath, st.TupleReads, int64(len(rows)))
 	em.partitions(res.PartsTotal, res.PartsPruned)
-	var merges int64
-	if col != nil {
-		merges = col.AggMerges.Load()
-	}
-	em.agg(fin != nil, merges)
+	em.agg(fin != nil, col.AggMerges.Load())
 	return r, nil
 }
 
@@ -1042,7 +997,7 @@ func (e *Engine) finishPlan(q *sqlparse.Query, rw *core.Rewrite, root plan.Node)
 		root = &plan.Predict{
 			Child:   root,
 			Model:   j.Model,
-			As:      strings.ToLower(j.Alias + "." + me.Model.PredictColumn()),
+			As:      me.PredictionColumn(j.Alias).Name,
 			Version: rw.ModelVersions[strings.ToLower(j.Model)],
 		}
 	}

@@ -3,6 +3,7 @@ package minequery
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -298,6 +299,27 @@ func TestEngineEnvelopeCacheSharedAcrossStatements(t *testing.T) {
 	}
 	if cache.misses != misses {
 		t.Fatalf("second statement re-derived envelopes (%d new misses)", cache.misses-misses)
+	}
+	// A cache entry is shared across spellings of the prediction column,
+	// so the notes a hit reports must name this statement's column, not
+	// the column of whichever statement filled the entry.
+	aliased := `SELECT id FROM customers
+		PREDICTION JOIN segmodel AS zz ON zz.age = customers.age AND zz.income = customers.income
+		WHERE zz.segment = 'vip'`
+	cached, err := e.Query(context.Background(), aliased)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cache.misses != misses {
+		t.Fatalf("aliased statement re-derived envelopes (%d new misses)", cache.misses-misses)
+	}
+	e.SetEnvelopeCache(nil)
+	uncached, err := e.Query(context.Background(), aliased)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(cached.RewriteNotes, "\n"), strings.Join(uncached.RewriteNotes, "\n"); got != want {
+		t.Fatalf("notes through the cache:\n%s\nwithout it:\n%s", got, want)
 	}
 }
 
