@@ -490,7 +490,7 @@ func (c *Coordinator) merge(o *minequery.PlanOutline, d pruneDecision, outcomes 
 					return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 				}
 			} else {
-				parts = append(parts, out.resp.Rows)
+				parts = append(parts, out.resp.Rows.Cells)
 			}
 			if res.Columns == nil {
 				res.Columns = out.resp.Columns

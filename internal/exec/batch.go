@@ -35,12 +35,11 @@ import (
 // allocates per row (an index path fetches few). batchFilter and
 // batchLimit work in place, and so does batchPredict: every leaf gives
 // its tuples predictRoom spare capacity, so the predicted class is
-// appended where the row lies. Rows are copied out once, at final width
-// and for survivors only, by the operators that materialize:
-// batchProject (a fresh narrowed backing per batch — it is the copy-out),
-// agg.Table.Add (copies what it keeps, so HashAgg emits fresh rows), and
-// RunCtx's sink, which copies only when the plan's root is neither of
-// those.
+// appended where the row lies. batchProject narrows each batch into one
+// buffer it keeps. Only agg.Table.Add copies what it keeps, so HashAgg
+// alone emits rows that are fresh; every other root hands the plan's
+// consumer (RowSink) rows that are gone at the next NextBatch, and a
+// consumer that keeps rows — RowBuffer — copies them.
 type Batch = []value.Tuple
 
 // BatchIterator produces tuples a batch at a time. Batches are never
@@ -271,6 +270,81 @@ func ctxErr(ctx context.Context) error {
 	return nil
 }
 
+// RowSink consumes the rows a plan execution produces, a batch at a time.
+// It is the other end of the Batch contract, stated once:
+//
+//   - Begin opens an attempt. Whoever runs a statement may run it again
+//     after rows were delivered — the engine re-runs a failed index path
+//     on its fallback scan, the server re-prepares a plan that went stale
+//     and sheds to a degraded one — so a sink discards at Begin whatever
+//     it holds: the answer is what arrives after the last Begin.
+//   - Batch hands over the next rows of the answer, in plan order. They
+//     are the sink's to read and to mutate until it returns, and invalid
+//     afterwards; a sink that keeps a row copies it. An error ends the
+//     execution and is returned by whoever ran it.
+//
+// Nothing reaches the sink's caller unless the execution returns nil: a
+// failure or a deadline between batches leaves a sink holding part of an
+// answer, which its owner drops.
+type RowSink interface {
+	Begin()
+	Batch(b Batch) error
+}
+
+// Drain is one attempt at a plan: it builds n and hands every batch it
+// produces to sink, returning the schema of the rows delivered. It is
+// the only loop that takes rows off a plan's root. Execution stops (and
+// the ctx error is returned) as soon as cancellation is observed, which
+// is at worst one batch after it fires.
+func Drain(ctx context.Context, c *catalog.Catalog, n plan.Node, opts Options, sink RowSink) (*value.Schema, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	sink.Begin()
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	it, err := BuildBatchCtx(ctx, c, n, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	for {
+		b, done, err := it.NextBatch()
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			return it.Schema(), nil
+		}
+		if err := sink.Batch(b); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// RowBuffer is the RowSink that keeps the answer: every row copied out
+// of its batch, a batch to an allocation, in plan order. A caller that
+// knows how many rows to expect gives Rows that capacity.
+type RowBuffer struct{ Rows []value.Tuple }
+
+func (r *RowBuffer) Begin() { r.Rows = r.Rows[:0] }
+
+func (r *RowBuffer) Batch(b Batch) error {
+	copyRows(b)
+	r.Rows = append(r.Rows, b...)
+	return nil
+}
+
+// Discard is the RowSink of a caller that wants a plan run — its cost,
+// its statistics, its row count — and none of its rows.
+var Discard RowSink = discard{}
+
+type discard struct{}
+
+func (discard) Begin()            {}
+func (discard) Batch(Batch) error { return nil }
+
 // RunOpts builds and drains a plan batch-at-a-time with the given
 // options, returning all produced tuples in plan order (parallel scans
 // reassemble morsels in heap order, so results are deterministic at any
@@ -279,61 +353,14 @@ func RunOpts(c *catalog.Catalog, n plan.Node, opts Options) ([]value.Tuple, *val
 	return RunCtx(context.Background(), c, n, opts)
 }
 
-// RunCtx is RunOpts under a cancellation context: execution stops (and
-// the ctx error is returned) as soon as cancellation is observed, which
-// is at worst one batch after it fires.
-//
-// RunCtx is the sink that keeps rows past the next NextBatch, so it owes
-// them a copy — unless the plan's root already made one (materializes),
-// in which case a second would only double what every returned row
-// costs.
+// RunCtx is RunOpts under a cancellation context: Drain into a RowBuffer.
 func RunCtx(ctx context.Context, c *catalog.Catalog, n plan.Node, opts Options) ([]value.Tuple, *value.Schema, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctxErr(ctx); err != nil {
-		return nil, nil, err
-	}
-	it, err := BuildBatchCtx(ctx, c, n, opts)
+	var out RowBuffer
+	schema, err := Drain(ctx, c, n, opts, &out)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer it.Close()
-	fresh := materializes(n)
-	var out []value.Tuple
-	for {
-		b, done, err := it.NextBatch()
-		if err != nil {
-			return nil, nil, err
-		}
-		if done {
-			return out, it.Schema(), nil
-		}
-		if !fresh {
-			copyRows(b)
-		}
-		out = append(out, b...)
-	}
-}
-
-// materializes reports whether the rows a plan's root hands out are
-// fresh: the root, under any Limits, is a Project or a HashAgg.
-func materializes(n plan.Node) bool {
-	for {
-		switch x := n.(type) {
-		case *plan.Limit:
-			n = x.Child
-		case *plan.Project:
-			if len(x.Cols) > 0 {
-				return true
-			}
-			n = x.Child // an empty list builds no operator
-		case *plan.HashAgg:
-			return true
-		default:
-			return false
-		}
-	}
+	return out.Rows, schema, nil
 }
 
 // copyRows repoints every element of b at a copy of its tuple, all in
@@ -459,13 +486,15 @@ func (f *batchFilter) NextBatch() (Batch, bool, error) {
 
 func (f *batchFilter) Close() { f.child.Close() }
 
-// batchProject narrows columns for a whole batch at a time. It is where
-// a projecting plan's rows are materialized: the narrowed tuples get a
-// fresh backing every batch, so what it hands out stays valid for good.
+// batchProject narrows columns for a whole batch at a time, into one
+// buffer it reuses: like every operator's, its rows last until the next
+// NextBatch. Each row is cut to its own capacity, so that a Predict above
+// moves it by append and cannot write into its neighbour.
 type batchProject struct {
 	child  BatchIterator
 	ords   []int
 	schema *value.Schema
+	buf    value.Tuple
 }
 
 func newBatchProject(child BatchIterator, cols []string) (BatchIterator, error) {
@@ -486,10 +515,12 @@ func (p *batchProject) NextBatch() (Batch, bool, error) {
 	if done || err != nil {
 		return nil, done, err
 	}
-	// One backing allocation for the whole batch's narrowed tuples.
-	backing := make(value.Tuple, len(b)*len(p.ords))
+	w := len(p.ords)
+	if cap(p.buf) < len(b)*w {
+		p.buf = make(value.Tuple, len(b)*w)
+	}
 	for i, t := range b {
-		out := backing[i*len(p.ords) : (i+1)*len(p.ords) : (i+1)*len(p.ords)]
+		out := p.buf[i*w : (i+1)*w : (i+1)*w]
 		for j, o := range p.ords {
 			out[j] = t[o]
 		}

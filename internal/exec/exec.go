@@ -170,8 +170,9 @@ func decodeMask(c *catalog.Catalog, root plan.Node, col *Collector) []bool {
 // predictRoom is how many values the operators above a leaf append to
 // each of its rows in place: one per Predict between root and the leaf,
 // not counting those above a Project or HashAgg, which get that
-// operator's fresh rows instead. Every leaf gives its tuples that much
-// spare capacity (batchPredict).
+// operator's rows — cut to their own length, so moved by append —
+// instead. Every leaf gives its tuples that much spare capacity
+// (batchPredict).
 func predictRoom(root plan.Node) int {
 	room := 0
 	for n := root; ; {

@@ -68,9 +68,11 @@ func runScribbled(t *testing.T, c *catalog.Catalog, n plan.Node, opts Options) [
 
 // checkAliased runs n through RunOpts and through runScribbled and
 // demands the same rows in the same order from both, and none of the
-// sentinel's: RunOpts is the sink that decides whether to copy, the
-// scribbling drain the proof that no operator depends on it. It returns
-// RunOpts' rows.
+// sentinel's: RunOpts is Drain into the RowSink that keeps rows, and so
+// owes each a copy (no root but an aggregate hands out rows that last —
+// a Project narrows every batch into the same buffer); the scribbling
+// drain is the proof that no operator depends on its consumer being
+// gentle. It returns RunOpts' rows.
 func checkAliased(t *testing.T, c *catalog.Catalog, n plan.Node, opts Options) []value.Tuple {
 	t.Helper()
 	got, _, err := RunOpts(c, n, opts)
@@ -118,6 +120,12 @@ func TestAliasSweepOperators(t *testing.T) {
 			Cols: []string{"id", "m.cls"}},
 		&plan.Limit{Child: &plan.Filter{Child: predict(scan()), Pred: low}, N: 700},
 		&plan.Limit{Child: &plan.Project{Child: scan(), Cols: []string{"cat"}}, N: 300},
+		// A Predict above a Project gets rows cut to their own capacity out
+		// of the Project's buffer: it must move each by append, not widen it
+		// over its neighbour's first column.
+		predict(&plan.Project{Child: scan(), Cols: []string{"num", "id"}}),
+		&plan.Limit{N: 900, Child: &plan.Filter{Pred: low,
+			Child: predict(&plan.Project{Child: &plan.Filter{Child: scan(), Pred: numGe}, Cols: []string{"id", "num"}})}},
 		&plan.ConstScan{Table: "t"},
 	}
 	for _, p := range plans {
@@ -162,10 +170,17 @@ func TestAliasSweepOperators(t *testing.T) {
 		{&plan.Project{Child: chained(colScan()), Cols: []string{"id", "m.cls", "m2.cls"}}, true},
 		{&plan.Limit{Child: chained(colScan()), N: 3000}, true},
 		{chained(&plan.IndexSeek{Table: "t", Index: "ix_num"}), false},
+		// Project-rooted: over a fused columnar filter, under a Predict and
+		// a Limit, and over an index fetch.
+		{&plan.Project{Child: &plan.Filter{Child: colScan(), Pred: numGe}, Cols: []string{"num", "id"}}, true},
+		{&plan.Limit{N: 2500, Child: predict(&plan.Project{Child: &plan.Filter{Child: colScan(), Pred: numGe}, Cols: []string{"num"}})}, true},
+		{&plan.Project{Child: chained(&plan.IndexSeek{Table: "t", Index: "ix_num"}), Cols: []string{"id", "m2.cls"}}, false},
 	} {
 		want := wantChained // an index path's oracle is the scan's, in key order
 		if tc.ordered {
 			want = refRows(t, cc, tc.p)
+		} else if pr, ok := tc.p.(*plan.Project); ok {
+			want = refRows(t, cc, &plan.Project{Child: chained(scan()), Cols: pr.Cols})
 		}
 		for _, dop := range []int{1, 4} {
 			got := checkAliased(t, cc, tc.p, Options{DOP: dop, BatchSize: 64})

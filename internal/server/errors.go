@@ -19,6 +19,7 @@ func (e *apiError) Error() string { return e.msg }
 
 func errBadRequest(msg string) error { return &apiError{code: wire.CodeBadRequest, msg: msg} }
 func errNotFound(msg string) error   { return &apiError{code: wire.CodeNotFound, msg: msg} }
+func errInternal(msg string) error   { return &apiError{code: wire.CodeInternal, msg: msg} }
 
 // errRejected is returned by the admission controller when the wait
 // queue is at capacity.

@@ -162,8 +162,9 @@ const maxExecuteRetries = 5
 // execute runs the entry's plan, lazily (re)preparing when the plan is
 // missing or stale. planReused reports whether this call executed a
 // plan built by an earlier call — the signal that the prepared path
-// skipped parse, envelope derivation, and optimization entirely.
-func (r *registry) execute(ctx context.Context, ent *stmtEntry, execOpts []minequery.QueryOption) (res *minequery.Result, planReused bool, err error) {
+// skipped parse, envelope derivation, and optimization entirely. The
+// rows go to sink; a re-prepared plan's execution is a new attempt.
+func (r *registry) execute(ctx context.Context, ent *stmtEntry, sink minequery.RowSink, execOpts []minequery.QueryOption) (res *minequery.Result, planReused bool, err error) {
 	for attempt := 0; attempt <= maxExecuteRetries; attempt++ {
 		ent.mu.Lock()
 		p := ent.prepared
@@ -182,14 +183,14 @@ func (r *registry) execute(ctx context.Context, ent *stmtEntry, execOpts []mineq
 			p = np
 			reused := false
 			ent.mu.Unlock()
-			res, err = p.Execute(ctx, execOpts...)
+			res, err = p.ExecuteInto(ctx, sink, execOpts...)
 			if err == nil {
 				return res, reused, nil
 			}
 		} else {
 			r.hits.Add(1)
 			ent.mu.Unlock()
-			res, err = p.Execute(ctx, execOpts...)
+			res, err = p.ExecuteInto(ctx, sink, execOpts...)
 			if err == nil {
 				return res, true, nil
 			}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -240,10 +241,24 @@ type statsResponse struct {
 	Breaker            breakerStats   `json:"breaker"`
 }
 
+// bodies recycles response buffers. A body is encoded whole before the
+// status line is committed, so a value encoding/json refuses answers an
+// error envelope and never a 200 with nothing after it.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer bodies.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		// A non-finite float is the only value our bodies can hold that
+		// JSON cannot; the envelope itself always encodes.
+		writeEnvelope(w, errInternal("encode response: "+err.Error()))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes()) // a client that went away has no one to tell
 }
 
 // writeEnvelope answers err as the wire error envelope and returns the
@@ -481,13 +496,15 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, req any,
 
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	var req wire.ExecuteRequest
+	rows := rowEncoders.Get().(*rowEncoder)
+	defer rowEncoders.Put(rows) // after serve has written the body that aliases it
 	s.serve(w, r, &req, func() (string, int64, error) {
 		if req.DOP != 0 {
 			return "", 0, errBadRequest("dop is a session setting on a node, a request field only on a coordinator")
 		}
 		return req.SessionID, req.TimeoutMS, exactlyOne(req.SQL, req.StatementID)
 	}, func(ctx context.Context, settings sessionSettings) (any, error) {
-		resp, err := s.execute(ctx, req.SQL, req.StatementID, settings.ForcePath == "seqscan", nil, settingsExecOpts(settings))
+		resp, err := s.execute(ctx, req.SQL, req.StatementID, settings.ForcePath == "seqscan", nil, settingsExecOpts(settings), rows)
 		if err != nil {
 			return nil, err
 		}
@@ -500,6 +517,8 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 // partial-aggregate mode.
 func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 	var req wire.ShardExecRequest
+	rows := rowEncoders.Get().(*rowEncoder)
+	defer rowEncoders.Put(rows)
 	s.serve(w, r, &req, func() (string, int64, error) {
 		return "", req.TimeoutMS, exactlyOne(req.SQL, req.StatementID)
 	}, func(ctx context.Context, _ sessionSettings) (any, error) {
@@ -507,8 +526,48 @@ func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 		if req.AggPartial {
 			opts = append(opts, minequery.WithPartialAggs())
 		}
-		return s.execute(ctx, req.SQL, req.StatementID, false, req.ExpectedEpoch, opts)
+		return s.execute(ctx, req.SQL, req.StatementID, false, req.ExpectedEpoch, opts, rows)
 	})
+}
+
+// rowEncoder is the RowSink of /v1/execute and /v1/shard-exec: it
+// appends each batch's rows to the answer's "rows" array as JSON while
+// the batch is valid, so a request holds one batch and the encoded
+// array, never the result as tuples or cells. The array goes to a
+// buffer and not to the ResponseWriter because an execution can still
+// fail, time out or start over after rows were delivered: the body is
+// written once, by serve, after the statement returned without error.
+type rowEncoder struct {
+	// buf is the rows so far, each preceded by one byte: a comma, which
+	// array turns into the opening bracket for the first.
+	buf []byte
+}
+
+var rowEncoders = sync.Pool{New: func() any { return new(rowEncoder) }}
+
+func (e *rowEncoder) Begin() { e.buf = e.buf[:0] }
+
+func (e *rowEncoder) Batch(rows []minequery.Tuple) error {
+	for _, row := range rows {
+		var err error
+		if e.buf, err = wire.AppendRow(append(e.buf, ','), row); err != nil {
+			return errInternal(err.Error())
+		}
+	}
+	return nil
+}
+
+// array closes and returns the encoded array. It aliases the encoder,
+// which must not begin again or go back to its pool before the body is
+// written.
+func (e *rowEncoder) array() []byte {
+	if len(e.buf) == 0 {
+		e.buf = append(e.buf, "[]"...)
+	} else {
+		e.buf[0] = '['
+		e.buf = append(e.buf, ']')
+	}
+	return e.buf
 }
 
 // execute runs one read statement — by id, or by SQL through the
@@ -516,8 +575,9 @@ func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 // /v1/shard-exec differ only in what their request carries: session
 // settings (forceSeq, opts) on the former; an epoch guard, a DOP and
 // partial-aggregate mode on the latter. /v1/execute answers with the
-// embedded ExecuteResponse, /v1/shard-exec with the whole value.
-func (s *Server) execute(ctx context.Context, sql, statementID string, forceSeq bool, expectedEpoch *int64, opts []minequery.QueryOption) (*wire.ShardExecResponse, error) {
+// embedded ExecuteResponse, /v1/shard-exec with the whole value. The
+// rows are in the answer as rows encoded them, and nowhere else.
+func (s *Server) execute(ctx context.Context, sql, statementID string, forceSeq bool, expectedEpoch *int64, opts []minequery.QueryOption, rows *rowEncoder) (*wire.ShardExecResponse, error) {
 	epoch := s.eng.CatalogEpoch()
 	if expectedEpoch != nil && *expectedEpoch != epoch {
 		return nil, &apiError{code: wire.CodeEpochMismatch, msg: "catalog epoch moved since the coordinator planned"}
@@ -534,7 +594,7 @@ func (s *Server) execute(ctx context.Context, sql, statementID string, forceSeq 
 			return nil, err
 		}
 	}
-	res, reused, degraded, err := s.executeGuarded(ctx, ent, opts)
+	res, reused, degraded, err := s.executeGuarded(ctx, ent, rows, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -545,8 +605,8 @@ func (s *Server) execute(ctx context.Context, sql, statementID string, forceSeq 
 			StatementCacheHit: reused,
 			Columns:           res.ColumnNames(),
 			Schema:            cluster.WireSchema(res.Columns),
-			Rows:              wire.Rows(res.Rows),
-			RowCount:          len(res.Rows),
+			Rows:              wire.RowSet{Encoded: rows.array()},
+			RowCount:          res.RowCount,
 			Plan:              res.Plan,
 			AccessPath:        res.AccessPath,
 			PlanChanged:       res.PlanChanged,
@@ -609,7 +669,8 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 // an engine-level fallback or a surfaced transient error counts as an
 // index-path failure; clean completions count as success; anything else
 // (timeouts, parse errors) carries no signal about the index path.
-func (s *Server) executeGuarded(ctx context.Context, ent *stmtEntry, opts []minequery.QueryOption) (res *minequery.Result, planReused, degraded bool, err error) {
+// The rows go to sink, which every attempt begins anew.
+func (s *Server) executeGuarded(ctx context.Context, ent *stmtEntry, sink minequery.RowSink, opts []minequery.QueryOption) (res *minequery.Result, planReused, degraded bool, err error) {
 	table := ent.tableName()
 	probe := false
 	if !ent.force {
@@ -618,7 +679,7 @@ func (s *Server) executeGuarded(ctx context.Context, ent *stmtEntry, opts []mine
 	if degraded {
 		dent, _, derr := s.reg.lookup(ent.sql, true)
 		if derr == nil {
-			res, planReused, err = s.reg.execute(ctx, dent, opts)
+			res, planReused, err = s.reg.execute(ctx, dent, sink, opts)
 			if err == nil {
 				s.breaker.degraded.Add(1)
 				return res, planReused, true, nil
@@ -627,7 +688,7 @@ func (s *Server) executeGuarded(ctx context.Context, ent *stmtEntry, opts []mine
 		}
 		degraded = false // degraded lookup failed; run the optimized plan
 	}
-	res, planReused, err = s.reg.execute(ctx, ent, opts)
+	res, planReused, err = s.reg.execute(ctx, ent, sink, opts)
 	if table == "" {
 		// First execution of this entry prepared the plan just now; the
 		// breaker can attribute the outcome from here on.
@@ -668,7 +729,7 @@ func (s *Server) maybeRecordSlow(normSQL string, res *minequery.Result) {
 		Time:       time.Now(),
 		SQL:        normSQL,
 		AccessPath: res.AccessPath,
-		Rows:       len(res.Rows),
+		Rows:       res.RowCount,
 		ExecStats:  wireStats(res.Stats),
 		Plan:       res.Plan,
 		Analyze:    res.Analyze.Render(false),
@@ -678,7 +739,8 @@ func (s *Server) maybeRecordSlow(normSQL string, res *minequery.Result) {
 
 // handleExplainAnalyze runs the statement once with per-operator
 // instrumentation and envelope attribution, returning the rendered
-// report instead of the result rows. It is a one-shot diagnostic: the
+// report instead of the result rows, which are counted and dropped as
+// they leave the plan. It is a one-shot diagnostic: the
 // statement registry is bypassed so the profiled run never perturbs
 // cached plans, but session settings (DOP, force_path) and admission
 // control still apply — the query really executes.
@@ -691,7 +753,11 @@ func (s *Server) handleExplainAnalyze(w http.ResponseWriter, r *http.Request) {
 		if settings.ForcePath != "" {
 			opts = append(opts, minequery.WithForcedPath(settings.ForcePath))
 		}
-		res, err := s.eng.Query(ctx, req.SQL, opts...)
+		p, err := s.eng.Prepare(req.SQL, opts...)
+		if err != nil {
+			return nil, err
+		}
+		res, err := p.ExecuteInto(ctx, minequery.DiscardRows, opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -701,7 +767,7 @@ func (s *Server) handleExplainAnalyze(w http.ResponseWriter, r *http.Request) {
 		return wire.ExplainAnalyzeResponse{
 			Plan:           res.Plan,
 			AccessPath:     res.AccessPath,
-			RowCount:       len(res.Rows),
+			RowCount:       res.RowCount,
 			EstSelectivity: res.EstSelectivity,
 			RewriteNotes:   res.RewriteNotes,
 			Analyze:        res.Analyze.Render(false),

@@ -404,7 +404,9 @@ func (s *Set) Poll(ctx context.Context, max int) ([]Notification, error) {
 	var out []Notification
 	select {
 	case n := <-s.queue:
-		out = append(out, n)
+		// Sized once, for what is pending now: the drain below never waits,
+		// so it takes little more than this even while writers keep sending.
+		out = append(make([]Notification, 0, min(max, 1+len(s.queue))), n)
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}

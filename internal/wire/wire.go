@@ -14,7 +14,11 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 
 	"minequery/internal/agg"
 	"minequery/internal/value"
@@ -90,15 +94,16 @@ type ColumnMeta struct {
 }
 
 // ExecuteResponse is a node's /v1/execute answer. Clients decode it
-// through Call (json.Decoder.UseNumber), so every numeric cell of Rows
-// is a json.Number holding the node's literal bytes — re-encoding
-// merged rows reproduces exactly what a single node would have written.
+// through Call (json.Decoder.UseNumber), so every numeric cell of
+// Rows.Cells is a json.Number holding the node's literal bytes —
+// re-encoding merged rows reproduces exactly what a single node would
+// have written.
 type ExecuteResponse struct {
 	StatementID       string       `json:"statement_id"`
 	StatementCacheHit bool         `json:"statement_cache_hit"`
 	Columns           []string     `json:"columns"`
 	Schema            []ColumnMeta `json:"schema"`
-	Rows              [][]any      `json:"rows"`
+	Rows              RowSet       `json:"rows"`
 	RowCount          int          `json:"row_count"`
 	Plan              string       `json:"plan"`
 	AccessPath        string       `json:"access_path"`
@@ -114,9 +119,92 @@ type ExecuteResponse struct {
 	Stats    ExecStats `json:"stats"`
 }
 
-// Rows converts result tuples to the cells of an ExecuteResponse. A
-// node encodes its result through it and a coordinator the aggregates
-// it finalized, which is what makes the two answers byte-identical.
+// RowSet is the "rows" member of a node's answer, in the form its holder
+// has it. A node sets Encoded: the JSON array it built row by row with
+// AppendRow while each batch was still valid, so it never holds the
+// result as cells. A reader gets Cells (every number a json.Number, as
+// under Call's UseNumber). Encoded wins when both are set; with neither
+// the member is null.
+type RowSet struct {
+	Cells   [][]any
+	Encoded []byte
+}
+
+func (r RowSet) MarshalJSON() ([]byte, error) {
+	if r.Encoded != nil {
+		return r.Encoded, nil
+	}
+	return json.Marshal(r.Cells)
+}
+
+func (r *RowSet) UnmarshalJSON(b []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	r.Encoded = nil
+	return dec.Decode(&r.Cells)
+}
+
+// AppendRow appends row to dst as a JSON array of cells: the bytes
+// encoding/json writes (HTML escaping on, as the server's encoder has
+// it) for the same row taken through Rows, which stays the definition —
+// TestAppendRow and FuzzAppendRow hold the two equal. Integers, booleans,
+// NULL, plain ASCII strings and floats in fixed notation are appended
+// directly; any other cell is handed to encoding/json itself. A
+// non-finite float is the one cell JSON cannot carry, and the error.
+func AppendRow(dst []byte, row value.Tuple) ([]byte, error) {
+	dst = append(dst, '[')
+	for i, v := range row {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var other any // the cell, when it is encoding/json's to write
+		switch v.Kind() {
+		case value.KindNull:
+			dst = append(dst, "null"...)
+		case value.KindInt:
+			dst = strconv.AppendInt(dst, v.AsInt(), 10)
+		case value.KindFloat:
+			f := v.AsFloat()
+			if abs := math.Abs(f); abs == 0 || (abs >= 1e-6 && abs < 1e21) {
+				dst = strconv.AppendFloat(dst, f, 'f', -1, 64)
+			} else {
+				other = f
+			}
+		case value.KindBool:
+			dst = strconv.AppendBool(dst, v.AsBool())
+		default:
+			if s := v.AsString(); plainASCII(s) {
+				dst = append(append(append(dst, '"'), s...), '"')
+			} else {
+				other = s
+			}
+		}
+		if other != nil {
+			cell, err := json.Marshal(other)
+			if err != nil {
+				return dst, fmt.Errorf("wire: row cell %d: %w", i, err)
+			}
+			dst = append(dst, cell...)
+		}
+	}
+	return append(dst, ']'), nil
+}
+
+// plainASCII reports whether encoding/json writes s between quotes
+// unchanged: printable ASCII with nothing it escapes.
+func plainASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
+}
+
+// Rows converts result tuples to cells: what a coordinator does with the
+// aggregates it finalized and a node with the one row of a notification,
+// and the definition AppendRow is held to.
 func Rows(rows []value.Tuple) [][]any {
 	out := make([][]any, len(rows))
 	for i, row := range rows {

@@ -38,7 +38,7 @@ func bodies() []body {
 		StatementCacheHit: true,
 		Columns:           []string{"id", "count(*)"},
 		Schema:            schema,
-		Rows:              [][]any{{int64(1), "a<b", 2.5, true, nil}, {int64(2), "x", 0.25, false, nil}},
+		Rows:              RowSet{Cells: [][]any{{int64(1), "a<b", 2.5, true, nil}, {int64(2), "x", 0.25, false, nil}}},
 		RowCount:          2,
 		Plan:              "SeqScan(customers)",
 		AccessPath:        "seqscan",

@@ -9,6 +9,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -287,19 +288,7 @@ func Run(spec *dataset.Spec, kind ModelKind, cfg Config) (*Result, error) {
 	envCount := make(map[string]int64, len(classes))
 	total := int64(0)
 	buf := make(value.Tuple, len(model.InputColumns()))
-	scanIt, err := exec.BuildBatch(cat, &plan.SeqScan{Table: spec.Name}, exec.Options{})
-	if err != nil {
-		return nil, err
-	}
-	defer scanIt.Close()
-	for {
-		batch, done, err := scanIt.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			break
-		}
+	if _, err := exec.Drain(context.Background(), cat, &plan.SeqScan{Table: spec.Name}, exec.Options{}, eachBatch(func(batch exec.Batch) {
 		for _, row := range batch {
 			total++
 			predCount[binding.PredictInto(row, buf).String()]++
@@ -309,6 +298,8 @@ func Run(spec *dataset.Spec, kind ModelKind, cfg Config) (*Result, error) {
 				}
 			}
 		}
+	})); err != nil {
+		return nil, err
 	}
 
 	// Per-class measurements.
@@ -374,22 +365,22 @@ func measure(cat *catalog.Catalog, table *catalog.Table, env expr.Expr, cfg opt.
 	}, nil
 }
 
+// eachBatch is the exec.RowSink of a scan that is run once and read in
+// place: there is no earlier attempt whose rows Begin would have to void.
+type eachBatch func(exec.Batch)
+
+func (eachBatch) Begin() {}
+
+func (f eachBatch) Batch(b exec.Batch) error {
+	f(b)
+	return nil
+}
+
 func runAndCost(cat *catalog.Catalog, table *catalog.Table, root plan.Node, cfg opt.Config) (float64, time.Duration, error) {
 	before := table.Heap.Stats()
 	start := time.Now()
-	it, err := exec.BuildBatch(cat, root, exec.Options{DOP: cfg.DOP})
-	if err != nil {
+	if _, err := exec.Drain(context.Background(), cat, root, exec.Options{DOP: cfg.DOP}, exec.Discard); err != nil {
 		return 0, 0, err
-	}
-	defer it.Close()
-	for {
-		_, done, err := it.NextBatch()
-		if err != nil {
-			return 0, 0, err
-		}
-		if done {
-			break
-		}
 	}
 	elapsed := time.Since(start)
 	after := table.Heap.Stats()

@@ -83,6 +83,9 @@ type (
 	// InvalidationEvent describes a catalog change that invalidates
 	// cached plans; see OnInvalidate.
 	InvalidationEvent = catalog.InvalidationEvent
+	// RowSink consumes a statement's rows as the plan produces them; see
+	// (*Prepared).ExecuteInto.
+	RowSink = exec.RowSink
 )
 
 // Value kind constants.
@@ -110,6 +113,9 @@ var (
 	MustSchema = value.MustSchema
 	// NewSchema builds a schema.
 	NewSchema = value.NewSchema
+	// DiscardRows is the RowSink that keeps nothing: the statement runs
+	// and its Result reports RowCount, statistics and the analyze report.
+	DiscardRows = exec.Discard
 )
 
 // Model option re-exports.
@@ -425,12 +431,14 @@ func (e *Engine) buildTrainSetWhere(table string, inputCols []string, labelCol s
 	if where != nil {
 		root = &plan.Filter{Child: root, Pred: where}
 	}
-	rows, _, err := exec.RunOpts(e.cat, &plan.Project{Child: root, Cols: project}, exec.Options{})
-	if err != nil {
+	// The rows go straight into the slice the train set keeps, sized from
+	// the table's row count.
+	rows := exec.RowBuffer{Rows: make([]value.Tuple, 0, t.Heap.Len())}
+	if _, err := exec.Drain(context.Background(), e.cat, &plan.Project{Child: root, Cols: project}, exec.Options{}, &rows); err != nil {
 		return nil, fmt.Errorf("minequery: train scan of %s: %w", table, err)
 	}
-	ts := &mining.TrainSet{Schema: schema, Rows: rows, Labels: make([]value.Value, len(rows))}
-	for i, row := range rows {
+	ts := &mining.TrainSet{Schema: schema, Rows: rows.Rows, Labels: make([]value.Value, len(rows.Rows))}
+	for i, row := range ts.Rows {
 		if labelAt >= 0 {
 			ts.Labels[i] = row[labelAt]
 		}
@@ -602,8 +610,12 @@ type Result struct {
 	// Columns describes the output columns in order; see ColumnNames for
 	// just the names.
 	Columns []ColumnMeta
-	// Rows holds the output tuples.
+	// Rows holds the output tuples. It is nil when the caller supplied
+	// its own RowSink (ExecuteInto): the rows went there, and only there.
 	Rows []Tuple
+	// RowCount is the number of rows the statement returned, whoever
+	// consumed them (0 in partial-aggregate mode, which returns state).
+	RowCount int
 	// Plan is the executed physical plan (Explain form).
 	Plan string
 	// AccessPath classifies how the base table was read.
@@ -682,7 +694,7 @@ func (e *Engine) Query(ctx context.Context, sql string, opts ...QueryOption) (*R
 	if err != nil {
 		return nil, err
 	}
-	return p.run(ctx, qc)
+	return p.collect(ctx, qc)
 }
 
 // ExplainAnalyze runs the query with envelope attribution enabled and
@@ -774,14 +786,16 @@ func aggItems(q *sqlparse.Query) []agg.Item {
 // change an answer; the switch is recorded on the Result (Fallback,
 // FallbackReason, a rewrite note) and in the minequery_fallbacks_total
 // metric. A dead context is never retried: cancellation/deadline errors
-// surface as-is.
-func (p *Prepared) executePlan(ctx context.Context, execOpts exec.Options, analyzeBase expr.Expr, qc queryConfig) (*Result, error) {
-	r, err := p.runPlanOnce(ctx, p.root, execOpts, analyzeBase, qc.partialAggs)
+// surface as-is. The failed attempt may have delivered rows to sink
+// before it failed (an index path fails one fetch at a time); the re-run
+// is a new attempt, whose Begin voids them.
+func (p *Prepared) executePlan(ctx context.Context, execOpts exec.Options, analyzeBase expr.Expr, qc queryConfig, sink RowSink) (*Result, error) {
+	r, err := p.runPlanOnce(ctx, p.root, execOpts, analyzeBase, qc.partialAggs, sink)
 	if err == nil || p.fallback == nil || qc.noFallback || !errors.Is(err, qerr.ErrTransient) || ctx.Err() != nil {
 		return r, err
 	}
 	reason := err.Error()
-	fr, ferr := p.runPlanOnce(ctx, p.fallback, execOpts, analyzeBase, qc.partialAggs)
+	fr, ferr := p.runPlanOnce(ctx, p.fallback, execOpts, analyzeBase, qc.partialAggs, sink)
 	if ferr != nil {
 		// The degraded path failed too; surface the original failure,
 		// which names the index path the query actually chose.
@@ -797,10 +811,30 @@ func (p *Prepared) executePlan(ctx context.Context, execOpts exec.Options, analy
 	return fr, nil
 }
 
+// meteredSink is what runPlanOnce puts between the plan and the caller's
+// sink: it counts the attempt's rows, and the time the sink spends on
+// them — the caller's time, not the plan's.
+type meteredSink struct {
+	sink  RowSink
+	rows  int
+	spent time.Duration
+}
+
+func (m *meteredSink) Begin() { m.sink.Begin() }
+
+func (m *meteredSink) Batch(b exec.Batch) error {
+	start := time.Now()
+	err := m.sink.Batch(b)
+	m.spent += time.Since(start)
+	m.rows += len(b)
+	return err
+}
+
 // runPlanOnce executes one plan tree — the statement's root or its
-// fallback — and packages the Result; it is the single-attempt core
-// under executePlan's degradation wrapper.
-func (p *Prepared) runPlanOnce(ctx context.Context, root plan.Node, execOpts exec.Options, analyzeBase expr.Expr, partial bool) (*Result, error) {
+// fallback — into sink and packages the Result; it is the single-attempt
+// core under executePlan's degradation wrapper. Stats.Duration is the
+// plan's: what the sink took to consume the rows is left out of it.
+func (p *Prepared) runPlanOnce(ctx context.Context, root plan.Node, execOpts exec.Options, analyzeBase expr.Expr, partial bool, sink RowSink) (*Result, error) {
 	e, t, res := p.eng, p.table, p.optRes
 	col := exec.NewCollector()
 	execOpts.Collector = col
@@ -811,17 +845,18 @@ func (p *Prepared) runPlanOnce(ctx context.Context, root plan.Node, execOpts exe
 	}
 	start := time.Now()
 	var (
-		rows   []value.Tuple
 		schema *value.Schema
 		wire   *agg.Wire
 		err    error
 	)
+	out := meteredSink{sink: sink}
 	if partial {
 		// Partial-aggregate mode: run only the Partial producer and
 		// return its un-finalized state for a coordinator to merge. run
 		// admitted only aggregate statements, whose plans always carry
 		// the Partial/Final pair.
 		var tab *agg.Table
+		sink.Begin() // an attempt like any other, though no rows will follow
 		tab, err = exec.RunPartialAgg(ctx, e.cat, partialAggOf(root), execOpts)
 		if err == nil {
 			wire = tab.EncodeWire()
@@ -830,9 +865,9 @@ func (p *Prepared) runPlanOnce(ctx context.Context, root plan.Node, execOpts exe
 			schema, err = tab.Spec.OutSchema()
 		}
 	} else {
-		rows, schema, err = exec.RunCtx(ctx, e.cat, root, execOpts)
+		schema, err = exec.Drain(ctx, e.cat, root, execOpts, &out)
 	}
-	elapsed := time.Since(start)
+	elapsed := time.Since(start) - out.spent
 	// Count retries even when the attempt ultimately failed: the
 	// metric tracks transient-failure pressure, not just survivals.
 	retries := col.Retries.Load()
@@ -861,7 +896,7 @@ func (p *Prepared) runPlanOnce(ctx context.Context, root plan.Node, execOpts exe
 	}
 	r := &Result{
 		Columns:          cols,
-		Rows:             rows,
+		RowCount:         out.rows,
 		Plan:             plan.Explain(root),
 		AccessPath:       plan.PathOf(root).String(),
 		PlanChanged:      plan.Changed(root),
@@ -884,7 +919,7 @@ func (p *Prepared) runPlanOnce(ctx context.Context, root plan.Node, execOpts exe
 	r.Analyze.PartitionsPruned = res.PartsPruned
 	em := e.metrics.Load()
 	em.stage("execute", elapsed)
-	em.query(r.AccessPath, st.TupleReads, int64(len(rows)))
+	em.query(r.AccessPath, st.TupleReads, int64(out.rows))
 	em.partitions(res.PartsTotal, res.PartsPruned)
 	em.agg(fin != nil, col.AggMerges.Load())
 	return r, nil

@@ -9,6 +9,7 @@ import (
 
 	"minequery/internal/catalog"
 	"minequery/internal/core"
+	"minequery/internal/exec"
 	"minequery/internal/expr"
 	"minequery/internal/opt"
 	"minequery/internal/plan"
@@ -152,13 +153,44 @@ func (p *Prepared) Execute(ctx context.Context, opts ...QueryOption) (*Result, e
 	if !p.Valid() {
 		return nil, ErrStalePlan
 	}
-	return p.run(ctx, qc)
+	return p.collect(ctx, qc)
 }
 
-// run executes the compiled plan under one call's execution options. It
-// is everything Execute and ad-hoc Query share; only Execute checks the
-// epoch first, since an ad-hoc plan was compiled for this very call.
-func (p *Prepared) run(ctx context.Context, qc queryConfig) (*Result, error) {
+// ExecuteInto is Execute for a caller that consumes the rows as the plan
+// produces them instead of receiving them in Result.Rows, which stays
+// nil: each batch goes to sink while it is still valid, so the answer is
+// never held as tuples. See RowSink for what a sink owes — above all
+// that an attempt can begin again (the engine's fallback re-run) after
+// rows were delivered, and that nothing delivered counts unless
+// ExecuteInto returns a nil error.
+func (p *Prepared) ExecuteInto(ctx context.Context, sink RowSink, opts ...QueryOption) (*Result, error) {
+	qc, err := buildQueryConfig(opts)
+	if err != nil {
+		return nil, err
+	}
+	if !p.Valid() {
+		return nil, ErrStalePlan
+	}
+	return p.run(ctx, qc, sink)
+}
+
+// collect runs the plan into a row buffer and returns the rows on the
+// Result: what Execute and ad-hoc Query answer with.
+func (p *Prepared) collect(ctx context.Context, qc queryConfig) (*Result, error) {
+	var rows exec.RowBuffer
+	res, err := p.run(ctx, qc, &rows)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = rows.Rows
+	return res, nil
+}
+
+// run executes the compiled plan into sink under one call's execution
+// options. It is everything Execute, ExecuteInto and ad-hoc Query share;
+// only the first two check the epoch first, since an ad-hoc plan was
+// compiled for this very call.
+func (p *Prepared) run(ctx context.Context, qc queryConfig, sink RowSink) (*Result, error) {
 	e := p.eng
 	if qc.partialAggs && !p.query.Grouped() {
 		return nil, fmt.Errorf("minequery: %w: partial-aggregate execution requires GROUP BY or aggregate select items", qerr.ErrUnsupportedQuery)
@@ -178,7 +210,7 @@ func (p *Prepared) run(ctx context.Context, qc queryConfig) (*Result, error) {
 		}
 		analyzeBase = baseRw.DataPred
 	}
-	res, err := p.executePlan(ctx, execOpts, analyzeBase, qc)
+	res, err := p.executePlan(ctx, execOpts, analyzeBase, qc, sink)
 	if errors.Is(err, qerr.ErrPlanInvalidated) {
 		// The exec-layer version guard fired: a model changed between
 		// compilation (or the epoch check) and plan build-out. Surface it

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 // rowsEqual demands positional equality: prepared execution must be
@@ -251,11 +252,11 @@ func TestStaleModelVersionIsStalePlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.run(context.Background(), queryConfig{}); err != nil {
+		if _, err := p.collect(context.Background(), queryConfig{}); err != nil {
 			t.Fatalf("current-version plan: %v", err)
 		}
 		trainNB(t, e)
-		if _, err := p.run(context.Background(), queryConfig{}); !errors.Is(err, ErrStalePlan) {
+		if _, err := p.collect(context.Background(), queryConfig{}); !errors.Is(err, ErrStalePlan) {
 			t.Errorf("%s\nerr = %v, want ErrStalePlan", sql, err)
 		}
 	}
@@ -339,3 +340,99 @@ func (c *countingCache) Get(key string) (CachedEnvelope, bool) {
 }
 
 func (c *countingCache) Put(key string, ce CachedEnvelope) { c.m[key] = ce }
+
+// tapeSink is a RowSink that records what it is told: every Begin, and
+// the rows (copied, as the contract demands of a sink that keeps them)
+// delivered since the last one. Each Batch takes stall.
+type tapeSink struct {
+	begins int
+	rows   []Tuple
+	stall  time.Duration
+}
+
+func (s *tapeSink) Begin() { s.begins++; s.rows = nil }
+
+func (s *tapeSink) Batch(b []Tuple) error {
+	for _, row := range b {
+		s.rows = append(s.rows, row.Clone())
+		for i := range row {
+			row[i] = Str("scribbled") // the batch is the sink's until it returns
+		}
+	}
+	time.Sleep(s.stall)
+	return nil
+}
+
+// TestExecuteIntoSink: ExecuteInto hands the sink exactly the rows
+// Execute returns and keeps none itself; an index path that fails after
+// its first batch starts the sink over, so the fallback's rows arrive
+// once; a sink's own time is not the plan's.
+func TestExecuteIntoSink(t *testing.T) {
+	e := seedEngine(t, 40000)
+	if err := e.CreateIndex("ix_age_income", "customers", "age", "income"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Analyze("customers"); err != nil {
+		t.Fatal(err)
+	}
+	e.SetRetryPolicy(RetryPolicy{MaxAttempts: 1})
+	p, err := e.Prepare(`SELECT id, segment FROM customers WHERE age = 3 AND income >= 2 AND income <= 3`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.Execute(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(want.AccessPath, "index") || len(want.Rows) < 600 || want.RowCount != len(want.Rows) {
+		t.Fatalf("fixture: access %q, %d rows (RowCount %d), want an index path over several batches",
+			want.AccessPath, len(want.Rows), want.RowCount)
+	}
+	check := func(what string, res *Result, sink *tapeSink, begins int) {
+		t.Helper()
+		if res.Rows != nil || res.RowCount != len(want.Rows) {
+			t.Fatalf("%s: Result.Rows has %d rows, RowCount %d; want nil and %d", what, len(res.Rows), res.RowCount, len(want.Rows))
+		}
+		if sink.begins != begins || len(sink.rows) != len(want.Rows) {
+			t.Fatalf("%s: %d attempts, %d rows since the last began; want %d and %d", what, sink.begins, len(sink.rows), begins, len(want.Rows))
+		}
+		for i, row := range sink.rows {
+			if !row.Equal(want.Rows[i]) {
+				t.Fatalf("%s: row %d = %v, Execute returned %v", what, i, row, want.Rows[i])
+			}
+		}
+	}
+
+	clean := &tapeSink{}
+	res, err := p.ExecuteInto(context.Background(), clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("clean run", res, clean, 1)
+
+	// The 300th fetch fails, after a first batch of 256 went to the sink.
+	faults := NewFaultInjector(1, FaultRule{Site: FaultSitePageReadRand, OnHit: 300, Err: ErrInjected})
+	e.SetFaults(faults)
+	restarted := &tapeSink{}
+	res, err = p.ExecuteInto(context.Background(), restarted)
+	e.SetFaults(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Fallback || faults.Fired(FaultSitePageReadRand) != 1 {
+		t.Fatalf("fallback=%v after %d injected failures: the test is vacuous", res.Fallback, faults.Fired(FaultSitePageReadRand))
+	}
+	check("restarted run", res, restarted, 2)
+
+	// Three batches or more, 30ms each in the sink: none of it is the plan's.
+	slow := &tapeSink{stall: 30 * time.Millisecond}
+	start := time.Now()
+	res, err = p.ExecuteInto(context.Background(), slow)
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wall < 90*time.Millisecond || res.Stats.Duration > wall-80*time.Millisecond {
+		t.Fatalf("Stats.Duration = %v of a %v call that spent at least 90ms in its sink", res.Stats.Duration, wall)
+	}
+}
