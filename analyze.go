@@ -103,13 +103,16 @@ type AnalyzeReport struct {
 }
 
 // TermActuals is one predicate term's measured counters in a columnar
-// scan-filter: how many candidate rows reached it and how many it
-// rejected. Terms later in the frozen order see fewer candidates
-// (short-circuiting), which is exactly the effect the ordering buys.
+// scan-filter: Evaluated + Skipped candidate rows reached it — Skipped
+// those in column groups whose dictionaries answered the term without a
+// loop over rows — and it rejected Rejected of them. Terms later in the
+// frozen order see fewer candidates (short-circuiting), which is exactly
+// the effect the ordering buys.
 type TermActuals struct {
 	Index     int
 	Term      string
 	Evaluated int64
+	Skipped   int64
 	Rejected  int64
 }
 
@@ -161,12 +164,16 @@ func buildAnalyzeReport(root plan.Node, col *exec.Collector, t *catalog.Table, s
 				rep.ColumnGroups = info.Groups
 				rep.TermCombiner = info.Combiner
 				rep.TermOrder = append([]int(nil), info.Order...)
+				if len(info.Terms) > 0 {
+					rep.Terms = make([]TermActuals, 0, len(info.Terms))
+				}
 				for _, tm := range info.Terms {
 					rep.Terms = append(rep.Terms, TermActuals{
 						Index:     tm.Index,
 						Term:      tm.Term,
 						Evaluated: tm.Evaluated,
-						Rejected:  tm.Evaluated - tm.Passed,
+						Skipped:   tm.Skipped,
+						Rejected:  tm.Evaluated + tm.Skipped - tm.Passed,
 					})
 				}
 			}
@@ -262,8 +269,11 @@ func (r *AnalyzeReport) Render(elideTimings bool) string {
 		if r.TermCombiner != "" {
 			fmt.Fprintf(&b, "term order (%s): %v\n", r.TermCombiner, r.TermOrder)
 			for _, t := range r.Terms {
-				fmt.Fprintf(&b, "  term %d: %s evaluated=%d rejected=%d\n",
-					t.Index, t.Term, t.Evaluated, t.Rejected)
+				fmt.Fprintf(&b, "  term %d: %s evaluated=%d", t.Index, t.Term, t.Evaluated)
+				if t.Skipped > 0 {
+					fmt.Fprintf(&b, " skipped=%d", t.Skipped)
+				}
+				fmt.Fprintf(&b, " rejected=%d\n", t.Rejected)
 			}
 		}
 	}

@@ -87,25 +87,30 @@ func (t *Table) Stats() *stats.TableStats {
 }
 
 // Analyze recomputes table statistics from the heap. On a page-read
-// failure the partial statistics are discarded and the previous ones
-// kept, so the optimizer never costs plans from a truncated sample.
-// Partitioned tables are analyzed partition by partition: the
-// per-partition statistics are retained (see PartitionStats) and their
-// merge becomes the table-level statistics.
+// failure, or a record that does not decode, the partial statistics are
+// discarded and the previous ones kept, so the optimizer never costs
+// plans from a truncated sample. Partitioned tables are analyzed
+// partition by partition: the per-partition statistics are retained (see
+// PartitionStats) and their merge becomes the table-level statistics.
 func (t *Table) Analyze() (*stats.TableStats, error) {
 	buildOver := func(h storage.Store) (*stats.TableStats, error) {
-		var scanErr error
+		var err error
 		ts := stats.Build(t.Schema, func(emit func(value.Tuple)) {
-			scanErr = h.Scan(func(_ storage.RID, rec []byte) bool {
-				tup, err := value.DecodeTuple(rec)
-				if err == nil {
-					emit(tup)
+			scanErr := h.Scan(func(rid storage.RID, rec []byte) bool {
+				var tup value.Tuple
+				if tup, err = value.DecodeTuple(rec); err != nil {
+					err = fmt.Errorf("corrupt row at %s: %w", rid, err)
+					return false
 				}
+				emit(tup)
 				return true
 			})
+			if err == nil {
+				err = scanErr
+			}
 		})
-		if scanErr != nil {
-			return nil, fmt.Errorf("catalog: analyze %s: %w", t.Name, scanErr)
+		if err != nil {
+			return nil, fmt.Errorf("catalog: analyze %s: %w", t.Name, err)
 		}
 		return ts, nil
 	}

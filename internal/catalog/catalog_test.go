@@ -2,9 +2,11 @@ package catalog
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"minequery/internal/expr"
+	"minequery/internal/storage"
 	"minequery/internal/value"
 )
 
@@ -157,6 +159,55 @@ func TestAnalyzeAndStats(t *testing.T) {
 	}
 	if tb.Stats() != ts {
 		t.Error("Stats should return the analyzed result")
+	}
+}
+
+// TestCorruptRecordFailsAnalyzeAndColumnarBuild: a record that does not
+// decode is an error to both readers of the whole heap — the statistics
+// keep their previous value instead of silently counting one row fewer,
+// the column store is not built — on a plain and on a partitioned table.
+func TestCorruptRecordFailsAnalyzeAndColumnarBuild(t *testing.T) {
+	good := value.EncodeTuple(nil, value.Tuple{value.Int(1), value.Str("x"), value.Float(0)})
+	corrupt := good[:len(good)-3] // the FLOAT is cut short
+	for _, name := range []string{"plain", "partitioned"} {
+		c := New()
+		tb, err := c.CreateTable("t", demoSchema())
+		if name == "partitioned" {
+			tb, err = c.CreatePartitionedTable("p", demoSchema(), "id", []value.Value{value.Int(25)})
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := 0; i < 50; i++ {
+			if _, err := tb.Insert(value.Tuple{value.Int(int64(i)), value.Str("x"), value.Float(0)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before, err := tb.Analyze()
+		if err != nil {
+			t.Fatalf("%s: Analyze of a sound heap: %v", name, err)
+		}
+		var rid storage.RID
+		if ph, ok := tb.Heap.(*storage.PartitionedHeap); ok {
+			rid, err = ph.InsertPart(1, corrupt)
+		} else {
+			rid, err = tb.Heap.(*storage.Heap).Insert(corrupt)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tb.Analyze(); err == nil || !strings.Contains(err.Error(), "corrupt row") {
+			t.Errorf("%s: Analyze over a corrupt record (%s) returned %v", name, rid, err)
+		}
+		if tb.Stats() != before {
+			t.Errorf("%s: a failed Analyze replaced the statistics", name)
+		}
+		if err := tb.EnableColumnar(); err == nil {
+			t.Errorf("%s: the column store was built over a corrupt record", name)
+		}
+		if tb.ColumnStore() != nil {
+			t.Errorf("%s: a failed build left a column store behind", name)
+		}
 	}
 }
 

@@ -1,10 +1,11 @@
 // Columnar opt-in: a table may carry a column-group sidecar derived
 // from its row heap (see storage.BuildColumnStore). The heap remains
 // the source of truth; the sidecar is versioned against the table's
-// write counter and silently bypassed once any insert lands after the
-// build, so a columnar plan can never observe rows the row path would
-// not. Analyze rebuilds the sidecar, the natural "refresh statistics
-// and derived structures" point.
+// write counter and silently bypassed once any write — insert, delete
+// or update — lands after the build, so a columnar plan can never
+// observe rows the row path would not, nor miss or keep any it would.
+// Analyze rebuilds the sidecar, the natural "refresh statistics and
+// derived structures" point.
 package catalog
 
 import (
@@ -16,7 +17,7 @@ import (
 
 // EnableColumnar builds (or rebuilds) the table's column-group sidecar
 // and keeps it maintained across future Analyze calls. Scans of the
-// table become eligible for the vectorized columnar path; inserts after
+// table become eligible for the vectorized columnar path; writes after
 // the build make the sidecar stale, falling scans back to the row heap
 // until the next Analyze or EnableColumnar.
 func (t *Table) EnableColumnar() error {
@@ -54,7 +55,7 @@ func (t *Table) ColumnStore() *storage.ColumnStore {
 func (t *Table) ColumnarReady() bool { return t.ColumnStore() != nil }
 
 // rebuildColumnStore derives the sidecar from the heap. The write
-// version is pinned before the scan: an insert racing the build makes
+// version is pinned before the scan: a write racing the build makes
 // the result immediately stale rather than silently incomplete.
 func (t *Table) rebuildColumnStore() error {
 	ver := t.writeVer.Load()

@@ -74,12 +74,14 @@ type Collector struct {
 }
 
 // VecTermActual is one top-level predicate term's measured counters from
-// a columnar scan: candidate rows it was evaluated on and rows that
-// passed (Evaluated - Passed were rejected by this term).
+// a columnar scan: candidate rows it ran a loop over (Evaluated), rows in
+// groups whose dictionaries answered it without one (Skipped), and rows
+// that passed (Evaluated + Skipped - Passed were rejected by this term).
 type VecTermActual struct {
 	Index     int
 	Term      string
 	Evaluated int64
+	Skipped   int64
 	Passed    int64
 }
 

@@ -8,6 +8,20 @@ import (
 	"minequery/internal/value"
 )
 
+// The leaves evaluate `col op literal` and `col IN (...)` on a group's
+// dictionary codes (storage.ColVec): the literals are ranked against the
+// sorted dictionary once per filter call, which turns the predicate into
+// a set of codes — nearly always one interval — and then at most one
+// loop compares each candidate row's code with it. When the dictionary
+// alone decides (no entry qualifies, or every entry does and the group
+// holds no NULL) there is no loop: the term is answered for the whole
+// group by two binary searches. Either way the selection is exactly the
+// one row-wise value.Compare would produce, so a dictionary can save
+// work but never change an answer.
+//
+// The translation keeps its state on the stack and on the Scratch; the
+// nodes stay immutable and shared.
+
 // leaf supplies the no-op freeze and static cost shared by all leaf
 // operators. Costs are relative per-row weights used only to break
 // near-ties in the adaptive ordering.
@@ -36,49 +50,57 @@ func opHolds(op expr.CmpOp, cmp int) bool {
 	return false
 }
 
-// compileCmp lowers `col op literal` to a kind-specialized leaf. Every
-// case of value.Compare's kind matrix is covered statically, so no
-// per-row interface dispatch remains.
+// compareKinds reports how a literal of kind lit compares with the
+// non-NULL values of a column of kind col: ranked (value.Compare looks
+// at the values), or else with the same outcome cmp for every row,
+// because Compare then orders by kind tag.
+func compareKinds(col, lit value.Kind) (ranked bool, cmp int) {
+	numeric := func(k value.Kind) bool { return k == value.KindInt || k == value.KindFloat }
+	if col == lit || (numeric(col) && numeric(lit)) {
+		return true, 0
+	}
+	if col > lit {
+		return false, 1
+	}
+	return false, -1
+}
+
+// isNaN reports a FLOAT NaN literal, which value.Compare holds equal to
+// every number.
+func isNaN(v value.Value) bool { return v.Kind() == value.KindFloat && math.IsNaN(v.AsFloat()) }
+
+// constLeaf is the lowering of a comparison whose outcome is the same
+// for every non-NULL value of the column.
+func constLeaf(ord int, holds bool) node {
+	if holds {
+		return &notNullNode{leaf: leaf{0.5}, ord: ord}
+	}
+	return falseNode{}
+}
+
+// compileCmp lowers `col op literal` to a leaf over the column's codes.
 func compileCmp(x expr.Cmp, s *value.Schema) node {
 	ord := s.Ordinal(x.Col)
 	if ord < 0 || x.Val.IsNull() {
 		return falseNode{}
 	}
 	colKind := s.Col(ord).Kind
-	valKind := x.Val.Kind()
-	colNum := colKind == value.KindInt || colKind == value.KindFloat
-	valNum := valKind == value.KindInt || valKind == value.KindFloat
-	switch {
-	case colKind == value.KindNull:
+	if colKind == value.KindNull {
 		// Every stored value is NULL; comparisons are uniformly false.
 		return falseNode{}
-	case colKind == value.KindInt && valKind == value.KindInt:
-		return &intCmpNode{leaf: leaf{1}, ord: ord, op: x.Op, v: x.Val.AsInt()}
-	case colNum && valNum:
-		// Mixed numeric kinds compare as float64, exactly like
-		// value.Compare (including its NaN-compares-equal behaviour,
-		// which the float loops reproduce by deriving the result from
-		// (a<b, a>b) rather than ==).
-		if colKind == value.KindInt {
-			return &intAsFloatCmpNode{leaf: leaf{1}, ord: ord, op: x.Op, v: x.Val.AsFloat()}
-		}
-		return &floatCmpNode{leaf: leaf{1}, ord: ord, op: x.Op, v: x.Val.AsFloat()}
-	case colKind == value.KindString && valKind == value.KindString:
-		return &strCmpNode{leaf: leaf{1.2}, ord: ord, op: x.Op, v: x.Val.AsString()}
-	case colKind == value.KindBool && valKind == value.KindBool:
-		return &boolCmpNode{leaf: leaf{1}, ord: ord, op: x.Op, v: x.Val.AsBool()}
-	default:
-		// Cross-kind, not both numeric: value.Compare orders by kind
-		// tag, so the result is the same for every non-NULL row.
-		cmp := -1
-		if colKind > valKind {
-			cmp = 1
-		}
-		if opHolds(x.Op, cmp) {
-			return &notNullNode{leaf: leaf{0.5}, ord: ord}
-		}
-		return falseNode{}
 	}
+	ranked, cmp := compareKinds(colKind, x.Val.Kind())
+	switch {
+	case !ranked:
+		return constLeaf(ord, opHolds(x.Op, cmp))
+	case isNaN(x.Val):
+		return constLeaf(ord, opHolds(x.Op, 0))
+	}
+	c := 1.0
+	if colKind == value.KindString {
+		c = 1.2
+	}
+	return &cmpNode{leaf: leaf{c}, ord: ord, op: x.Op, v: x.Val}
 }
 
 // compileIn lowers `col IN (...)` to a set-membership leaf. List
@@ -90,63 +112,31 @@ func compileIn(x expr.In, s *value.Schema) node {
 		return falseNode{}
 	}
 	colKind := s.Col(ord).Kind
-	switch colKind {
-	case value.KindInt, value.KindFloat:
-		// Exact-int matches stay in an int64 set (value.Compare compares
-		// INT/INT exactly); everything else numeric goes through the
-		// float64 set, matching Compare's widening. A NaN list element
-		// compares equal to every number under Compare, making the
-		// predicate "IS NOT NULL".
-		ints := make(map[int64]struct{})
-		floats := make(map[float64]struct{})
-		for _, w := range x.Vals {
-			switch {
-			case w.Kind() == value.KindInt && colKind == value.KindInt:
-				ints[w.AsInt()] = struct{}{}
-			case w.Kind() == value.KindInt || w.Kind() == value.KindFloat:
-				f := w.AsFloat()
-				if math.IsNaN(f) {
-					return &notNullNode{leaf: leaf{0.5}, ord: ord}
-				}
-				floats[f] = struct{}{}
-			}
-		}
-		if len(ints) == 0 && len(floats) == 0 {
-			return falseNode{}
-		}
-		if colKind == value.KindInt {
-			return &intInNode{leaf: leaf{1.3}, ord: ord, ints: ints, floats: floats}
-		}
-		return &floatInNode{leaf: leaf{1.3}, ord: ord, floats: floats}
-	case value.KindString:
-		set := make(map[string]struct{})
-		for _, w := range x.Vals {
-			if w.Kind() == value.KindString {
-				set[w.AsString()] = struct{}{}
-			}
-		}
-		if len(set) == 0 {
-			return falseNode{}
-		}
-		return &strInNode{leaf: leaf{1.3}, ord: ord, set: set}
-	case value.KindBool:
-		var hasTrue, hasFalse bool
-		for _, w := range x.Vals {
-			if w.Kind() == value.KindBool {
-				if w.AsBool() {
-					hasTrue = true
-				} else {
-					hasFalse = true
-				}
-			}
-		}
-		if !hasTrue && !hasFalse {
-			return falseNode{}
-		}
-		return &boolInNode{leaf: leaf{1}, ord: ord, hasTrue: hasTrue, hasFalse: hasFalse}
-	default: // KindNull column: every value NULL, IN is false.
+	if colKind == value.KindNull {
 		return falseNode{}
 	}
+	var vals []value.Value
+	for _, w := range x.Vals {
+		if w.IsNull() {
+			continue
+		}
+		if ranked, _ := compareKinds(colKind, w.Kind()); !ranked {
+			continue
+		}
+		if isNaN(w) {
+			// Equal to every number: the list holds for every non-NULL row.
+			return constLeaf(ord, true)
+		}
+		vals = append(vals, w)
+	}
+	if len(vals) == 0 {
+		return falseNode{}
+	}
+	c := 1.3
+	if colKind == value.KindBool {
+		c = 1
+	}
+	return &inNode{leaf: leaf{c}, ord: ord, vals: vals}
 }
 
 // compileColCmp lowers a column-to-column comparison. Kept generic —
@@ -159,6 +149,138 @@ func compileColCmp(x expr.ColCmp, s *value.Schema) node {
 	return &colCmpNode{leaf: leaf{2}, a: a, b: b, op: x.Op}
 }
 
+// codeSel is the translation of one leaf for one group: the dictionary
+// codes whose rows pass. It is one interval [lo, hi) for as long as the
+// runs added to it touch, and a table over the codes (on the Scratch)
+// once they do not.
+type codeSel struct {
+	col    *storage.ColVec
+	sc     *Scratch
+	lo, hi int
+	set    []bool // nil while [lo, hi) says it all
+}
+
+// add includes the codes [lo, hi).
+func (s *codeSel) add(lo, hi int) {
+	switch {
+	case lo >= hi:
+	case s.set != nil:
+		fill(s.set[lo:hi])
+	case s.lo == s.hi:
+		s.lo, s.hi = lo, hi
+	case lo <= s.hi && s.lo <= hi:
+		s.lo, s.hi = min(s.lo, lo), max(s.hi, hi)
+	default:
+		s.set = s.sc.codeSet(s.col.DictLen())
+		fill(s.set[s.lo:s.hi])
+		fill(s.set[lo:hi])
+	}
+}
+
+func fill(b []bool) {
+	for i := range b {
+		b[i] = true
+	}
+}
+
+// addNaNs includes the NaN entries of the dictionary. A stored NaN
+// compares equal to any number, so it passes whatever cmp == 0 passes.
+func (s *codeSel) addNaNs() { s.add(s.col.Ordered(), s.col.DictLen()) }
+
+// filter returns the rows of sel whose code was added.
+func (s *codeSel) filter(sel []int32) []int32 {
+	col, sc := s.col, s.sc
+	if s.set == nil {
+		switch {
+		case s.lo == s.hi:
+			// The group holds no value that passes.
+			return sc.get(0)
+		case s.lo == 0 && s.hi == col.DictLen():
+			// Every value the group holds passes.
+			return notNull(col, sel, sc)
+		}
+	}
+	sc.work++
+	out := sc.get(len(sel))
+	c8, c16 := col.Codes()
+	switch {
+	case s.set != nil && c8 != nil:
+		return setLoop(out, sel, c8, col.Nulls, s.set)
+	case s.set != nil:
+		return setLoop(out, sel, c16, col.Nulls, s.set)
+	case c8 != nil:
+		return rangeLoop(out, sel, c8, col.Nulls, s.lo, s.hi)
+	default:
+		return rangeLoop(out, sel, c16, col.Nulls, s.lo, s.hi)
+	}
+}
+
+// rangeLoop keeps the rows of sel that are not NULL and whose code is in
+// [lo, hi). out has room for all of sel; a row is stored before it is
+// known to stay, so the loop carries no data-dependent branch.
+func rangeLoop[C uint8 | uint16](out, sel []int32, codes []C, nulls []bool, lo, hi int) []int32 {
+	out = out[:len(sel)]
+	base, width := uint(lo), uint(hi-lo)
+	k := 0
+	if nulls == nil {
+		for _, i := range sel {
+			out[k] = i
+			if uint(codes[i])-base < width {
+				k++
+			}
+		}
+		return out[:k]
+	}
+	for _, i := range sel {
+		out[k] = i
+		if uint(codes[i])-base < width && !nulls[i] {
+			k++
+		}
+	}
+	return out[:k]
+}
+
+// setLoop is rangeLoop for codes marked in a table.
+func setLoop[C uint8 | uint16](out, sel []int32, codes []C, nulls []bool, set []bool) []int32 {
+	out = out[:len(sel)]
+	k := 0
+	if nulls == nil {
+		for _, i := range sel {
+			out[k] = i
+			if set[codes[i]] {
+				k++
+			}
+		}
+		return out[:k]
+	}
+	for _, i := range sel {
+		out[k] = i
+		if set[codes[i]] && !nulls[i] {
+			k++
+		}
+	}
+	return out[:k]
+}
+
+// notNull returns the non-NULL rows of sel: none or all of them, without
+// looking, when the group holds only NULLs or no NULL.
+func notNull(col *storage.ColVec, sel []int32, sc *Scratch) []int32 {
+	switch {
+	case col.DictLen() == 0:
+		return sc.get(0)
+	case col.Nulls == nil:
+		return append(sc.get(len(sel)), sel...)
+	}
+	sc.work++
+	out := sc.get(len(sel))
+	for _, i := range sel {
+		if !col.Nulls[i] {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // notNullNode passes rows whose column value is non-NULL; the lowering
 // of comparisons whose outcome is constant for any non-NULL value.
 type notNullNode struct {
@@ -167,331 +289,49 @@ type notNullNode struct {
 }
 
 func (n *notNullNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
-	out := sc.get(len(sel))
-	nulls := g.Cols[n.ord].Nulls
-	for _, i := range sel {
-		if !nulls[i] {
-			out = append(out, i)
-		}
-	}
-	return out
+	return notNull(&g.Cols[n.ord], sel, sc)
 }
 
-type intCmpNode struct {
+// cmpNode is `col op v` for a literal the column's values rank against.
+type cmpNode struct {
 	leaf
 	ord int
 	op  expr.CmpOp
-	v   int64
+	v   value.Value
 }
 
-func (n *intCmpNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
-	out := sc.get(len(sel))
+func (n *cmpNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
 	col := &g.Cols[n.ord]
-	xs, nulls, v := col.Ints, col.Nulls, n.v
-	switch n.op {
-	case expr.OpEq:
-		for _, i := range sel {
-			if !nulls[i] && xs[i] == v {
-				out = append(out, i)
-			}
-		}
-	case expr.OpNe:
-		for _, i := range sel {
-			if !nulls[i] && xs[i] != v {
-				out = append(out, i)
-			}
-		}
-	case expr.OpLt:
-		for _, i := range sel {
-			if !nulls[i] && xs[i] < v {
-				out = append(out, i)
-			}
-		}
-	case expr.OpLe:
-		for _, i := range sel {
-			if !nulls[i] && xs[i] <= v {
-				out = append(out, i)
-			}
-		}
-	case expr.OpGt:
-		for _, i := range sel {
-			if !nulls[i] && xs[i] > v {
-				out = append(out, i)
-			}
-		}
-	case expr.OpGe:
-		for _, i := range sel {
-			if !nulls[i] && xs[i] >= v {
-				out = append(out, i)
-			}
-		}
+	s := codeSel{col: col, sc: sc}
+	lt, le := col.Rank(n.v)
+	if opHolds(n.op, -1) {
+		s.add(0, lt)
 	}
-	return out
-}
-
-// floatOpLoop runs one comparison loop over float64 payloads. The
-// operators are expressed through (a<v, a>v) so NaN operands produce
-// cmp==0 exactly as value.Compare does.
-func floatOpLoop(out []int32, sel []int32, nulls []bool, at func(int32) float64, op expr.CmpOp, v float64) []int32 {
-	switch op {
-	case expr.OpEq:
-		for _, i := range sel {
-			if !nulls[i] {
-				a := at(i)
-				if !(a < v) && !(a > v) {
-					out = append(out, i)
-				}
-			}
-		}
-	case expr.OpNe:
-		for _, i := range sel {
-			if !nulls[i] {
-				a := at(i)
-				if a < v || a > v {
-					out = append(out, i)
-				}
-			}
-		}
-	case expr.OpLt:
-		for _, i := range sel {
-			if !nulls[i] && at(i) < v {
-				out = append(out, i)
-			}
-		}
-	case expr.OpLe:
-		for _, i := range sel {
-			if !nulls[i] && !(at(i) > v) {
-				out = append(out, i)
-			}
-		}
-	case expr.OpGt:
-		for _, i := range sel {
-			if !nulls[i] && at(i) > v {
-				out = append(out, i)
-			}
-		}
-	case expr.OpGe:
-		for _, i := range sel {
-			if !nulls[i] && !(at(i) < v) {
-				out = append(out, i)
-			}
-		}
+	if opHolds(n.op, 0) {
+		s.add(lt, le)
+		s.addNaNs()
 	}
-	return out
-}
-
-type floatCmpNode struct {
-	leaf
-	ord int
-	op  expr.CmpOp
-	v   float64
-}
-
-func (n *floatCmpNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
-	col := &g.Cols[n.ord]
-	xs := col.Floats
-	return floatOpLoop(sc.get(len(sel)), sel, col.Nulls, func(i int32) float64 { return xs[i] }, n.op, n.v)
-}
-
-// intAsFloatCmpNode compares an INT column against a FLOAT literal the
-// way value.Compare does: both widened to float64.
-type intAsFloatCmpNode struct {
-	leaf
-	ord int
-	op  expr.CmpOp
-	v   float64
-}
-
-func (n *intAsFloatCmpNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
-	col := &g.Cols[n.ord]
-	xs := col.Ints
-	return floatOpLoop(sc.get(len(sel)), sel, col.Nulls, func(i int32) float64 { return float64(xs[i]) }, n.op, n.v)
-}
-
-type strCmpNode struct {
-	leaf
-	ord int
-	op  expr.CmpOp
-	v   string
-}
-
-func (n *strCmpNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
-	out := sc.get(len(sel))
-	col := &g.Cols[n.ord]
-	xs, nulls, v := col.Strs, col.Nulls, n.v
-	switch n.op {
-	case expr.OpEq:
-		for _, i := range sel {
-			if !nulls[i] && xs[i] == v {
-				out = append(out, i)
-			}
-		}
-	case expr.OpNe:
-		for _, i := range sel {
-			if !nulls[i] && xs[i] != v {
-				out = append(out, i)
-			}
-		}
-	case expr.OpLt:
-		for _, i := range sel {
-			if !nulls[i] && xs[i] < v {
-				out = append(out, i)
-			}
-		}
-	case expr.OpLe:
-		for _, i := range sel {
-			if !nulls[i] && xs[i] <= v {
-				out = append(out, i)
-			}
-		}
-	case expr.OpGt:
-		for _, i := range sel {
-			if !nulls[i] && xs[i] > v {
-				out = append(out, i)
-			}
-		}
-	case expr.OpGe:
-		for _, i := range sel {
-			if !nulls[i] && xs[i] >= v {
-				out = append(out, i)
-			}
-		}
+	if opHolds(n.op, 1) {
+		s.add(le, col.Ordered())
 	}
-	return out
+	return s.filter(sel)
 }
 
-type boolCmpNode struct {
+// inNode is `col IN (vals)`, every element ranking against the column.
+type inNode struct {
 	leaf
-	ord int
-	op  expr.CmpOp
-	v   bool
+	ord  int
+	vals []value.Value
 }
 
-func (n *boolCmpNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
-	out := sc.get(len(sel))
+func (n *inNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
 	col := &g.Cols[n.ord]
-	xs, nulls, v := col.Bools, col.Nulls, n.v
-	// value.Compare orders false < true; each operator reduces to a
-	// boolean formula over (x, v).
-	for _, i := range sel {
-		if nulls[i] {
-			continue
-		}
-		x := xs[i]
-		var keep bool
-		switch n.op {
-		case expr.OpEq:
-			keep = x == v
-		case expr.OpNe:
-			keep = x != v
-		case expr.OpLt:
-			keep = !x && v
-		case expr.OpLe:
-			keep = !x || v
-		case expr.OpGt:
-			keep = x && !v
-		case expr.OpGe:
-			keep = x || !v
-		}
-		if keep {
-			out = append(out, i)
-		}
+	s := codeSel{col: col, sc: sc}
+	for _, v := range n.vals {
+		s.add(col.Rank(v))
 	}
-	return out
-}
-
-type intInNode struct {
-	leaf
-	ord    int
-	ints   map[int64]struct{}
-	floats map[float64]struct{}
-}
-
-func (n *intInNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
-	out := sc.get(len(sel))
-	col := &g.Cols[n.ord]
-	xs, nulls := col.Ints, col.Nulls
-	for _, i := range sel {
-		if nulls[i] {
-			continue
-		}
-		if _, ok := n.ints[xs[i]]; ok {
-			out = append(out, i)
-			continue
-		}
-		if len(n.floats) > 0 {
-			if _, ok := n.floats[float64(xs[i])]; ok {
-				out = append(out, i)
-			}
-		}
-	}
-	return out
-}
-
-type floatInNode struct {
-	leaf
-	ord    int
-	floats map[float64]struct{}
-}
-
-func (n *floatInNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
-	out := sc.get(len(sel))
-	col := &g.Cols[n.ord]
-	xs, nulls := col.Floats, col.Nulls
-	for _, i := range sel {
-		if nulls[i] {
-			continue
-		}
-		x := xs[i]
-		// A stored NaN compares equal to every number under
-		// value.Compare, so it matches any non-empty list.
-		if _, ok := n.floats[x]; ok || x != x {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-type strInNode struct {
-	leaf
-	ord int
-	set map[string]struct{}
-}
-
-func (n *strInNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
-	out := sc.get(len(sel))
-	col := &g.Cols[n.ord]
-	xs, nulls := col.Strs, col.Nulls
-	for _, i := range sel {
-		if nulls[i] {
-			continue
-		}
-		if _, ok := n.set[xs[i]]; ok {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-type boolInNode struct {
-	leaf
-	ord               int
-	hasTrue, hasFalse bool
-}
-
-func (n *boolInNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
-	out := sc.get(len(sel))
-	col := &g.Cols[n.ord]
-	xs, nulls := col.Bools, col.Nulls
-	for _, i := range sel {
-		if nulls[i] {
-			continue
-		}
-		if (xs[i] && n.hasTrue) || (!xs[i] && n.hasFalse) {
-			out = append(out, i)
-		}
-	}
-	return out
+	s.addNaNs()
+	return s.filter(sel)
 }
 
 type colCmpNode struct {
@@ -501,13 +341,12 @@ type colCmpNode struct {
 }
 
 func (n *colCmpNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
+	sc.work++
 	out := sc.get(len(sel))
 	ca, cb := &g.Cols[n.a], &g.Cols[n.b]
 	for _, i := range sel {
-		if ca.Nulls[i] || cb.Nulls[i] {
-			continue
-		}
-		if opHolds(n.op, value.Compare(ca.Value(int(i)), cb.Value(int(i)))) {
+		a, b := ca.Value(int(i)), cb.Value(int(i))
+		if !a.IsNull() && !b.IsNull() && opHolds(n.op, value.Compare(a, b)) {
 			out = append(out, i)
 		}
 	}

@@ -1,8 +1,9 @@
 // Package vec evaluates predicate expressions over column groups with
 // selection vectors: each operator consumes an ascending list of
 // candidate row indices and returns the sublist that satisfies it,
-// using tight typed loops per column kind instead of per-tuple decode
-// and interface dispatch (the MonetDB/X100 execution style).
+// using tight loops over each column's dictionary codes instead of
+// per-tuple decode and interface dispatch (the MonetDB/X100 execution
+// style) — and no loop where a group's dictionary decides the term.
 //
 // On top of the vectorized evaluators sits BestD-style adaptive term
 // ordering: every AND/OR node measures its children's observed pass
@@ -64,6 +65,11 @@ type Scratch struct {
 	last []int32   // the selection FilterGroup returned last
 	outs [][]int32 // orNode's term outputs: a stack, one frame per nested call
 	idx  []int     // mergeUnion's cursors
+	set  []bool    // a leaf's code table, for the length of its filter call
+	// work counts the leaf evaluations that ran a loop over rows. A term
+	// that returns with work where it was has been answered for the whole
+	// group by what the dictionaries hold.
+	work int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -98,6 +104,16 @@ func (sc *Scratch) put(b []int32) {
 	sc.free = append(sc.free, b)
 }
 
+// codeSet returns an all-false table over n dictionary codes.
+func (sc *Scratch) codeSet(n int) []bool {
+	if cap(sc.set) < n {
+		sc.set = make([]bool, max(n, storage.ColGroupRows))
+	}
+	set := sc.set[:n]
+	clear(set)
+	return set
+}
+
 // identity is the full selection of a whole group, [0, ColGroupRows):
 // never written, so every evaluator reads the same one.
 var identity = func() []int32 {
@@ -121,14 +137,17 @@ func identitySel(n int) []int32 {
 	return sel
 }
 
-// TermStat is one top-level term's measured counters: how many
-// candidate rows it was evaluated on and how many passed. Rejected is
-// Evaluated - Passed. Counters cover both the warmup and frozen phases
-// and are deterministic at any DOP.
+// TermStat is one top-level term's measured counters. The term was
+// asked about Evaluated + Skipped candidate rows: Evaluated those some
+// leaf of it ran a loop over, Skipped those in groups whose dictionaries
+// answered it without one. Passed of them passed, so the term rejected
+// Evaluated + Skipped - Passed. Counters cover both the warmup and
+// frozen phases and are deterministic at any DOP.
 type TermStat struct {
 	Index     int
 	Term      string
 	Evaluated int64
+	Skipped   int64
 	Passed    int64
 }
 
@@ -176,46 +195,61 @@ func (p *Pred) Freeze() { p.root.freeze() }
 // top-level combiner.
 func (p *Pred) Report() Report {
 	r := Report{Combiner: p.combiner}
+	var order []int
+	var stats []termStats
 	switch x := p.root.(type) {
 	case *andNode:
-		r.Order = append([]int(nil), x.order...)
-		for i := range x.kids {
-			r.Terms = append(r.Terms, TermStat{
-				Index: i, Term: p.terms[i],
-				Evaluated: x.stats[i].eval.Load(), Passed: x.stats[i].pass.Load(),
-			})
-		}
+		order, stats = x.order, x.stats
 	case *orNode:
-		r.Order = append([]int(nil), x.order...)
-		for i := range x.kids {
-			r.Terms = append(r.Terms, TermStat{
-				Index: i, Term: p.terms[i],
-				Evaluated: x.stats[i].eval.Load(), Passed: x.stats[i].pass.Load(),
-			})
-		}
+		order, stats = x.order, x.stats
 	default:
 		// Single-term predicate: no ordering decision to report.
+	}
+	r.Order = append([]int(nil), order...)
+	if len(stats) > 0 {
+		r.Terms = make([]TermStat, 0, len(stats))
+	}
+	for i := range stats {
+		r.Terms = append(r.Terms, TermStat{
+			Index: i, Term: p.terms[i],
+			Evaluated: stats[i].eval.Load(), Skipped: stats[i].skip.Load(), Passed: stats[i].pass.Load(),
+		})
 	}
 	return r
 }
 
 // termStats is one child's online counters plus its static seed.
 type termStats struct {
-	eval atomic.Int64
+	eval atomic.Int64 // rows asked about, in calls that ran a loop over rows
+	skip atomic.Int64 // rows asked about, in calls that ran none
 	pass atomic.Int64
 	// seedSel is the histogram-estimated selectivity used when warmup
 	// produced no measurements for this term.
 	seedSel float64
 }
 
-// passRate returns the observed pass fraction, or the seed estimate
-// when the term was never evaluated.
+// run filters sel through kid and accounts the call to the term.
+func (ts *termStats) run(kid node, g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
+	before := sc.work
+	out := kid.filter(g, sel, sc)
+	if sc.work != before {
+		ts.eval.Add(int64(len(sel)))
+	} else {
+		ts.skip.Add(int64(len(sel)))
+	}
+	ts.pass.Add(int64(len(out)))
+	return out
+}
+
+// passRate returns the observed pass fraction — passed over asked,
+// however the asking was answered — or the seed estimate when the term
+// was never asked.
 func (ts *termStats) passRate() float64 {
-	e := ts.eval.Load()
-	if e == 0 {
+	asked := ts.eval.Load() + ts.skip.Load()
+	if asked == 0 {
 		return ts.seedSel
 	}
-	return float64(ts.pass.Load()) / float64(e)
+	return float64(ts.pass.Load()) / float64(asked)
 }
 
 // rankOrder sorts term indices by score descending (stable; ties keep
@@ -248,9 +282,7 @@ func (n *andNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 
 			if len(cur) == 0 {
 				break
 			}
-			n.stats[k].eval.Add(int64(len(cur)))
-			next := n.kids[k].filter(g, cur, sc)
-			n.stats[k].pass.Add(int64(len(next)))
+			next := n.stats[k].run(n.kids[k], g, cur, sc)
 			if owned {
 				sc.put(cur)
 			}
@@ -269,9 +301,7 @@ func (n *andNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 
 	// is order-insensitive); only the work done differs.
 	cur := append(sc.get(len(sel)), sel...)
 	for i, kid := range n.kids {
-		n.stats[i].eval.Add(int64(len(sel)))
-		out := kid.filter(g, sel, sc)
-		n.stats[i].pass.Add(int64(len(out)))
+		out := n.stats[i].run(kid, g, sel, sc)
 		inter := intersect(sc, cur, out)
 		sc.put(cur)
 		sc.put(out)
@@ -320,9 +350,12 @@ func (n *orNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
 			if len(rem) == 0 {
 				break
 			}
-			n.stats[k].eval.Add(int64(len(rem)))
-			out := n.kids[k].filter(g, rem, sc)
-			n.stats[k].pass.Add(int64(len(out)))
+			out := n.stats[k].run(n.kids[k], g, rem, sc)
+			if len(out) == 0 {
+				// Nothing accepted: the remainder stands as it is.
+				sc.put(out)
+				continue
+			}
 			sc.outs = append(sc.outs, out)
 			next := diff(sc, rem, out)
 			if remOwned {
@@ -337,10 +370,7 @@ func (n *orNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
 		// Warmup: every term over the full selection (measured on
 		// identical input); the union dedups overlaps.
 		for i, kid := range n.kids {
-			n.stats[i].eval.Add(int64(len(sel)))
-			out := kid.filter(g, sel, sc)
-			n.stats[i].pass.Add(int64(len(out)))
-			sc.outs = append(sc.outs, out)
+			sc.outs = append(sc.outs, n.stats[i].run(kid, g, sel, sc))
 		}
 	}
 	outs := sc.outs[base:]

@@ -5,10 +5,13 @@
 // SQL NULL semantics, cross-kind comparisons, IN lists with mixed
 // kinds, and NOT over NULL-comparisons. Both evaluation phases
 // (warmup/measure and frozen/short-circuit) are held to the contract.
+// The oracle reads the rows the HEAP holds, decoded from its records:
+// nothing it expects has been through a column group's dictionary.
 package vec_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -30,12 +33,18 @@ import (
 var raceEnabled bool
 
 // fixture is a columnar table plus envelope predicates from all five
-// model families trained on its data.
+// model families trained on its data. rows[gi] are the heap's rows of
+// column group gi.
 type fixture struct {
 	table     *catalog.Table
 	cs        *storage.ColumnStore
+	rows      [][]value.Tuple
 	envelopes []expr.Expr
 }
+
+// Floats the score column deals besides its quarter steps: both zeros,
+// NaN (equal to every number under value.Compare) and the infinities.
+var oddFloats = []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
 
 func buildFixture(t *testing.T, seed int64, rows int) *fixture {
 	t.Helper()
@@ -47,6 +56,9 @@ func buildFixture(t *testing.T, seed int64, rows int) *fixture {
 		value.Column{Name: "city", Kind: value.KindString},
 		value.Column{Name: "flag", Kind: value.KindBool},
 		value.Column{Name: "seg", Kind: value.KindString},
+		value.Column{Name: "serial", Kind: value.KindInt}, // distinct per row: 16-bit codes
+		value.Column{Name: "hole", Kind: value.KindInt},   // NULL throughout the second group
+		value.Column{Name: "konst", Kind: value.KindInt},  // one value
 	)
 	c := catalog.New()
 	tb, err := c.CreateTable("t", schema)
@@ -73,13 +85,28 @@ func buildFixture(t *testing.T, seed int64, rows int) *fixture {
 		case income <= 1:
 			seg = "budget"
 		}
+		score := float64(rng.Intn(200)) / 4
+		if rng.Intn(10) == 0 {
+			score = oddFloats[rng.Intn(len(oddFloats))]
+		}
+		city := fmt.Sprintf("c%d", rng.Intn(6))
+		if rng.Intn(15) == 0 {
+			city = ""
+		}
+		hole := value.Int(int64(rng.Intn(40)))
+		if i/storage.ColGroupRows == 1 {
+			hole = value.Null()
+		}
 		row := value.Tuple{
 			maybeNull(value.Int(age)),
 			maybeNull(value.Int(income)),
-			maybeNull(value.Float(float64(rng.Intn(200)) / 4)),
-			maybeNull(value.Str(fmt.Sprintf("c%d", rng.Intn(6)))),
+			maybeNull(value.Float(score)),
+			maybeNull(value.Str(city)),
 			maybeNull(value.Bool(rng.Intn(2) == 0)),
 			value.Str(seg),
+			value.Int(int64(i) * 2),
+			hole,
+			value.Int(3),
 		}
 		if _, err := tb.Insert(row); err != nil {
 			t.Fatal(err)
@@ -101,6 +128,24 @@ func buildFixture(t *testing.T, seed int64, rows int) *fixture {
 	}
 
 	fx := &fixture{table: tb, cs: cs}
+	var heap []value.Tuple
+	if err := tb.Heap.Scan(func(_ storage.RID, rec []byte) bool {
+		tup, err := value.DecodeTuple(rec)
+		if err != nil {
+			t.Fatalf("heap record does not decode: %v", err)
+		}
+		heap = append(heap, tup)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range cs.Groups {
+		fx.rows = append(fx.rows, heap[:g.N])
+		heap = heap[g.N:]
+	}
+	if len(heap) != 0 {
+		t.Fatalf("%d heap rows beyond the last column group", len(heap))
+	}
 	var models []mining.Model
 	if m, err := dtree.Train("dt", "seg", ts, dtree.Options{}); err == nil {
 		models = append(models, m)
@@ -145,9 +190,11 @@ func buildFixture(t *testing.T, seed int64, rows int) *fixture {
 }
 
 // randValue draws a literal of a random kind — deliberately including
-// kinds that mismatch any column, plus NULL.
+// kinds that mismatch any column, FLOATs that equal INTs a column holds
+// and FLOATs between them, both zeros, NaN, the empty string, values no
+// group holds, plus NULL.
 func randValue(rng *rand.Rand) value.Value {
-	switch rng.Intn(6) {
+	switch rng.Intn(9) {
 	case 0:
 		return value.Int(int64(rng.Intn(12) - 1))
 	case 1:
@@ -158,12 +205,18 @@ func randValue(rng *rand.Rand) value.Value {
 		return value.Bool(rng.Intn(2) == 0)
 	case 4:
 		return value.Null()
+	case 5:
+		return value.Float(oddFloats[rng.Intn(len(oddFloats))])
+	case 6:
+		return value.Int(int64(rng.Intn(12000) - 1000)) // serial holds the even ones up to 2*rows
+	case 7:
+		return value.Str([]string{"", "c", "c10", "regular", "vip"}[rng.Intn(5)])
 	default:
 		return value.Int(int64(rng.Intn(10)))
 	}
 }
 
-var predCols = []string{"age", "income", "score", "city", "flag", "seg", "nosuchcol"}
+var predCols = []string{"age", "income", "score", "city", "flag", "seg", "serial", "hole", "konst", "nosuchcol"}
 
 func randCol(rng *rand.Rand) string { return predCols[rng.Intn(len(predCols))] }
 
@@ -225,15 +278,105 @@ func randKids(rng *rand.Rand, fx *fixture, depth int) []expr.Expr {
 }
 
 // oracleSel returns the selection the row-at-a-time evaluator produces
-// for one group.
-func oracleSel(fx *fixture, g *storage.ColGroup, pred expr.Expr) []int32 {
+// for column group gi, over the heap's rows.
+func oracleSel(fx *fixture, gi int, pred expr.Expr) []int32 {
 	var out []int32
-	for i := 0; i < g.N; i++ {
-		if pred.Eval(fx.table.Schema, g.TupleAt(i)) {
+	for i, row := range fx.rows[gi] {
+		if pred.Eval(fx.table.Schema, row) {
 			out = append(out, int32(i))
 		}
 	}
 	return out
+}
+
+// topTerms returns the terms vec.Report counts for pred: the kids of its
+// top-level AND or OR once single-kid wrappers are stripped, none for a
+// single-term predicate.
+func topTerms(pred expr.Expr) (kids []expr.Expr, and bool) {
+	for {
+		switch x := pred.(type) {
+		case expr.And:
+			if len(x.Kids) == 1 {
+				pred = x.Kids[0]
+				continue
+			}
+			if len(x.Kids) > 1 {
+				return x.Kids, true
+			}
+		case expr.Or:
+			if len(x.Kids) == 1 {
+				pred = x.Kids[0]
+				continue
+			}
+			if len(x.Kids) > 1 {
+				return x.Kids, false
+			}
+		}
+		return nil, false
+	}
+}
+
+// blindCounts is what an evaluator that knows nothing of dictionaries
+// asks of each top-level term and gets back, computed row by row from
+// the heap: every term over every row of the first warm groups, then the
+// frozen order with short-circuiting — an OR term sees the rows no
+// earlier term accepted, an AND term those every earlier term kept.
+//
+// For a term that is one `col op literal` or IN leaf the heap also says
+// how it must have been answered: without a loop (mustSkip) in the
+// groups none of whose rows pass it, since then no value the group holds
+// does; by a loop (mustLoop) in the groups where some rows pass and some
+// do not. A group whose rows all pass may be answered either way.
+func blindCounts(fx *fixture, kids []expr.Expr, and bool, order []int, warm int) (asked, passed, mustSkip, mustLoop []int64) {
+	asked, passed = make([]int64, len(kids)), make([]int64, len(kids))
+	mustSkip, mustLoop = make([]int64, len(kids)), make([]int64, len(kids))
+	ask := func(k, gi, n int) {
+		asked[k] += int64(n)
+		switch kids[k].(type) {
+		case expr.Cmp, expr.In:
+		default:
+			return
+		}
+		pass := len(oracleSel(fx, gi, kids[k]))
+		switch {
+		case pass == 0:
+			mustSkip[k] += int64(n)
+		case pass < len(fx.rows[gi]):
+			mustLoop[k] += int64(n)
+		}
+	}
+	for gi, rows := range fx.rows {
+		if gi < warm {
+			for k, kid := range kids {
+				ask(k, gi, len(rows))
+				for _, row := range rows {
+					if kid.Eval(fx.table.Schema, row) {
+						passed[k]++
+					}
+				}
+			}
+			continue
+		}
+		rem := rows
+		for _, k := range order {
+			if len(rem) == 0 {
+				break
+			}
+			ask(k, gi, len(rem))
+			var next []value.Tuple
+			for _, row := range rem {
+				ok := kids[k].Eval(fx.table.Schema, row)
+				if ok {
+					passed[k]++
+				}
+				if ok == and {
+					next = append(next, row)
+				}
+			}
+			rem = next
+		}
+	}
+	return asked, passed, mustSkip, mustLoop
 }
 
 func selEqual(a, b []int32) bool {
@@ -249,15 +392,19 @@ func selEqual(a, b []int32) bool {
 }
 
 // TestVecMatchesRowOracle is the core equivalence property: vectorized
-// == row-at-a-time, exactly, for both the warmup and frozen phases.
+// == row-at-a-time, exactly, for both the warmup and frozen phases — and
+// the per-term counters are those of an evaluator without dictionaries,
+// with the rows a dictionary answered moved from Evaluated to Skipped.
 func TestVecMatchesRowOracle(t *testing.T) {
-	fx := buildFixture(t, 20250807, 5000)
+	fx := buildFixture(t, 20250807, 3*storage.ColGroupRows+900)
 	rng := rand.New(rand.NewSource(99))
 	iters := 400
 	if testing.Short() {
 		iters = 120
 	}
+	const warm = 2
 	stats := fx.table.Stats()
+	var evaluated, skipped int64
 	for it := 0; it < iters; it++ {
 		var pred expr.Expr
 		if it%7 == 3 {
@@ -276,28 +423,46 @@ func TestVecMatchesRowOracle(t *testing.T) {
 		}
 		sc := vec.NewScratch()
 		for gi, g := range fx.cs.Groups {
-			want := oracleSel(fx, g, pred)
-			got := p.FilterGroup(g, sc)
-			if !selEqual(got, want) {
-				t.Fatalf("iter %d group %d (warmup phase): pred %s\n got %d rows, want %d rows",
-					it, gi, pred, len(got), len(want))
-			}
-			if gi == 1 {
+			if gi == warm {
 				// Freeze mid-stream: remaining groups run the
 				// short-circuiting frozen order and must agree too.
 				p.Freeze()
 			}
-		}
-		rep := p.Report()
-		for _, term := range rep.Terms {
-			if term.Passed > term.Evaluated {
-				t.Fatalf("iter %d: term %d passed %d > evaluated %d", it, term.Index, term.Passed, term.Evaluated)
+			want := oracleSel(fx, gi, pred)
+			got := p.FilterGroup(g, sc)
+			if !selEqual(got, want) {
+				t.Fatalf("iter %d group %d (frozen %v): pred %s\n got %d rows, want %d rows",
+					it, gi, gi >= warm, pred, len(got), len(want))
 			}
 		}
-		if len(rep.Order) != len(rep.Terms) {
-			t.Fatalf("iter %d: order has %d entries for %d terms", it, len(rep.Order), len(rep.Terms))
+		sc.Release()
+		rep := p.Report()
+		kids, and := topTerms(pred)
+		if len(rep.Order) != len(rep.Terms) || len(rep.Terms) != len(kids) {
+			t.Fatalf("iter %d: order has %d entries, %d terms reported for %d in %s", it, len(rep.Order), len(rep.Terms), len(kids), pred)
+		}
+		asked, passed, mustSkip, mustLoop := blindCounts(fx, kids, and, rep.Order, warm)
+		for k, term := range rep.Terms {
+			if term.Passed > term.Evaluated+term.Skipped {
+				t.Fatalf("iter %d: term %d passed %d > evaluated %d + skipped %d", it, term.Index, term.Passed, term.Evaluated, term.Skipped)
+			}
+			if term.Evaluated+term.Skipped != asked[k] || term.Passed != passed[k] {
+				t.Fatalf("iter %d: term %d (%s) of %s: evaluated %d + skipped %d, passed %d; row by row it is asked %d, passes %d",
+					it, term.Index, term.Term, pred, term.Evaluated, term.Skipped, term.Passed, asked[k], passed[k])
+			}
+			if term.Skipped < mustSkip[k] || term.Evaluated < mustLoop[k] {
+				t.Fatalf("iter %d: term %d (%s) of %s: evaluated %d, skipped %d; the heap says at least %d need a loop and at least %d need none",
+					it, term.Index, term.Term, pred, term.Evaluated, term.Skipped, mustLoop[k], mustSkip[k])
+			}
+			evaluated += term.Evaluated
+			skipped += term.Skipped
 		}
 	}
+	// Both ways of answering a term were exercised.
+	if evaluated == 0 || skipped == 0 {
+		t.Fatalf("terms evaluated %d rows and skipped %d: one of the two paths never ran", evaluated, skipped)
+	}
+	t.Logf("terms ran loops over %d rows and were answered by dictionaries for %d", evaluated, skipped)
 }
 
 // TestVecScratchReuse pins the buffer-recycling contract: re-filtering
@@ -326,7 +491,7 @@ func TestVecScratchReuse(t *testing.T) {
 			t.Fatalf("round %d: selection changed under scratch reuse", i)
 		}
 	}
-	want := oracleSel(fx, g, pred)
+	want := oracleSel(fx, 0, pred)
 	if !selEqual(first, want) {
 		t.Fatalf("selection disagrees with oracle: got %d want %d rows", len(first), len(want))
 	}
@@ -340,7 +505,8 @@ func TestVecScratchReuse(t *testing.T) {
 // it, get never hands out a buffer shorter than asked for.
 func TestVecScratchRecycled(t *testing.T) {
 	fx := buildFixture(t, 11, 2*storage.ColGroupRows+700)
-	full, short := fx.cs.Groups[0], fx.cs.Groups[len(fx.cs.Groups)-1]
+	last := len(fx.cs.Groups) - 1
+	full, short := fx.cs.Groups[0], fx.cs.Groups[last]
 	if full.N != storage.ColGroupRows || short.N >= full.N {
 		t.Fatalf("fixture groups have %d and %d rows", full.N, short.N)
 	}
@@ -380,7 +546,7 @@ func TestVecScratchRecycled(t *testing.T) {
 	for round := 0; round < 16; round++ {
 		sc := vec.NewScratch()
 		wp := compile(wide, round%2 == 0)
-		if got, want := wp.FilterGroup(full, sc), oracleSel(fx, full, wide); !selEqual(got, want) {
+		if got, want := wp.FilterGroup(full, sc), oracleSel(fx, 0, wide); !selEqual(got, want) {
 			t.Fatalf("round %d: wide OR selects %d rows of the full group, oracle %d", round, len(got), len(want))
 		}
 		sc.Release()
@@ -391,7 +557,7 @@ func TestVecScratchRecycled(t *testing.T) {
 		}
 		other := others[round%len(others)]
 		op := compile(other, round%4 < 2)
-		if got, want := op.FilterGroup(short, next), oracleSel(fx, short, other); !selEqual(got, want) {
+		if got, want := op.FilterGroup(short, next), oracleSel(fx, last, other); !selEqual(got, want) {
 			t.Fatalf("round %d: %s selects %d rows of the short group through a recycled scratch, oracle %d",
 				round, other, len(got), len(want))
 		}
@@ -414,8 +580,9 @@ func TestVecScratchRecycled(t *testing.T) {
 
 // TestAllocFilterGroupSteadyState: once a scratch has served a predicate
 // over one group, serving it again allocates nothing — the selection
-// buffers, the OR's term outputs, the union's cursors and the full
-// selection are all reused — and that survives the scratch being
+// buffers, the OR's term outputs, the union's cursors, the full
+// selection and the leaves' translation of their literals into codes are
+// all reused or on the stack — and that survives the scratch being
 // released and taken up again.
 func TestAllocFilterGroupSteadyState(t *testing.T) {
 	if raceEnabled {
@@ -430,6 +597,13 @@ func TestAllocFilterGroupSteadyState(t *testing.T) {
 				expr.Cmp{Col: "income", Op: expr.OpEq, Val: value.Int(int64(k % 8))},
 			}},
 			expr.Cmp{Col: "score", Op: expr.OpGt, Val: value.Float(49)},
+			// Codes that are not one interval: the leaf's table of codes is
+			// the scratch's too.
+			expr.And{Kids: []expr.Expr{
+				expr.In{Col: "city", Vals: []value.Value{value.Str("c1"), value.Str("c4"), value.Str("nowhere")}},
+				expr.In{Col: "serial", Vals: []value.Value{value.Int(int64(40 * k)), value.Float(float64(900 + 2*k)), value.Int(7)}},
+				expr.Cmp{Col: "hole", Op: expr.OpNe, Val: value.Int(int64(k))},
+			}},
 		}})
 	}
 	for _, frozen := range []bool{false, true} {

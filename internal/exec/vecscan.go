@@ -328,9 +328,12 @@ func (c *vecCore) info() *VecScanInfo {
 		r := c.pred.Report()
 		info.Combiner = r.Combiner
 		info.Order = append([]int(nil), r.Order...)
+		if len(r.Terms) > 0 {
+			info.Terms = make([]VecTermActual, 0, len(r.Terms))
+		}
 		for _, t := range r.Terms {
 			info.Terms = append(info.Terms, VecTermActual{
-				Index: t.Index, Term: t.Term, Evaluated: t.Evaluated, Passed: t.Passed,
+				Index: t.Index, Term: t.Term, Evaluated: t.Evaluated, Skipped: t.Skipped, Passed: t.Passed,
 			})
 		}
 	}

@@ -1,14 +1,20 @@
 // Column-group storage: a columnar sidecar to the row heap. Rows are
-// decoded once, at build time, into fixed-size groups of per-column
-// typed vectors (the MonetDB/X100 layout), so scan-filter pipelines can
-// evaluate predicates with tight typed loops over selection vectors
-// instead of per-tuple decode + interface dispatch. The row heap stays
-// the source of truth — the column store is derived, rebuilt on demand,
-// and silently bypassed when stale (see catalog.Table.ColumnStore).
+// decoded once, at build time, into fixed-size groups, and each group
+// seals every column into a sorted dictionary of the values it holds
+// plus one small code per row. Scan-filter pipelines then evaluate a
+// predicate by translating its constants against the dictionary once
+// per group and running tight loops over the codes — or no loop at all
+// when the dictionary already answers. The row heap stays the source of
+// truth — the column store is derived, rebuilt on demand, and silently
+// bypassed when stale (see catalog.Table.ColumnStore).
 package storage
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
+	"sort"
 
 	"minequery/internal/value"
 )
@@ -19,89 +25,118 @@ import (
 // results are deterministic at any DOP.
 const ColGroupRows = 2048
 
-// ColVec is one column's values within a group: a typed payload slice
-// plus a parallel null bitmap. Exactly one payload slice is populated,
-// chosen by Kind; NULL rows hold the zero payload value and are marked
-// in Nulls.
+// maxGroupRows bounds a group so that a code always fits in 16 bits.
+const maxGroupRows = 1 << 16
+
+// ColVec is one column's values within a group, sealed at build time
+// into the same shape for every kind: the group's distinct non-NULL
+// values, sorted, and for each row the position of its value in that
+// dictionary. Every slice is exactly as long as its content; nothing is
+// written after the build.
+//
+// The dictionary is ordered by value.Compare. Where Compare ties values
+// that are not the same value — 0.0 and -0.0 — both are entries, next to
+// each other, so a row reconstructs to the bits it was stored with and a
+// constant still translates to one contiguous run of codes. A NaN
+// compares equal to every number, which no sorted position expresses:
+// NaNs are the entries from Ordered() on.
 type ColVec struct {
-	Kind  value.Kind
+	Kind value.Kind
+	// Nulls marks the NULL rows; nil when the group holds none. A NULL
+	// row's code is 0 and means nothing.
 	Nulls []bool
-	// Payload slices, one active per Kind (KindNull columns carry only
-	// the null bitmap).
-	Ints   []int64
-	Floats []float64
-	Strs   []string
-	Bools  []bool
+
+	// The dictionary, in the slice of the column's kind (BOOL as 0/1 in
+	// ints). Empty for a KindNull column and for a group whose rows are
+	// all NULL.
+	ints   []int64
+	floats []float64
+	strs   []string
+	// ordered is how many leading entries are not NaN.
+	ordered int
+
+	// The codes: codes8 when the dictionary has at most 256 entries,
+	// else codes16; neither when it is empty.
+	codes8  []uint8
+	codes16 []uint16
 }
 
-// appendVal adds one value to the vector. The value must be NULL or
-// match the vector's kind (the catalog's insert path enforces this for
-// every stored row, widening INT into FLOAT columns).
-func (v *ColVec) appendVal(val value.Value) error {
-	isNull := val.IsNull()
-	v.Nulls = append(v.Nulls, isNull)
+// IsNull reports whether row i is NULL.
+func (v *ColVec) IsNull(i int) bool { return v.Nulls != nil && v.Nulls[i] }
+
+// DictLen is the number of distinct non-NULL values the group holds.
+func (v *ColVec) DictLen() int { return len(v.ints) + len(v.floats) + len(v.strs) }
+
+// Ordered is the number of leading dictionary entries value.Compare
+// orders: all of them, but for the NaNs at the end of a FLOAT
+// dictionary.
+func (v *ColVec) Ordered() int { return v.ordered }
+
+// Codes returns the per-row dictionary positions, in whichever width the
+// group was sealed with; both are nil when the dictionary is empty.
+func (v *ColVec) Codes() ([]uint8, []uint16) { return v.codes8, v.codes16 }
+
+// Rank places lit among the ordered dictionary entries exactly as
+// value.Compare would: lt entries compare below it and le-lt equal to
+// it, so codes [lt, le) are the rows `col = lit` holds for, [0, lt)
+// those below, [le, Ordered()) those above. lit must be comparable with
+// the column — numeric and not NaN for an INT or FLOAT column, else of
+// the column's kind. It allocates nothing.
+func (v *ColVec) Rank(lit value.Value) (lt, le int) {
 	switch v.Kind {
 	case value.KindInt:
-		var p int64
-		if !isNull {
-			if val.Kind() != value.KindInt {
-				return fmt.Errorf("storage: column store: %s value in INT column", val.Kind())
-			}
-			p = val.AsInt()
+		if lit.Kind() == value.KindInt {
+			return rank(v.ints, lit.AsInt())
 		}
-		v.Ints = append(v.Ints, p)
+		// Against a FLOAT, Compare widens the column's side too. Widening
+		// is monotone, so the entries stay sorted under it.
+		d, f := v.ints, lit.AsFloat()
+		lt = sort.Search(len(d), func(i int) bool { return !(float64(d[i]) < f) })
+		le = lt + sort.Search(len(d)-lt, func(i int) bool { return float64(d[lt+i]) > f })
+		return lt, le
 	case value.KindFloat:
-		var p float64
-		if !isNull {
-			if val.Kind() != value.KindFloat && val.Kind() != value.KindInt {
-				return fmt.Errorf("storage: column store: %s value in FLOAT column", val.Kind())
-			}
-			p = val.AsFloat()
-		}
-		v.Floats = append(v.Floats, p)
+		return rank(v.floats[:v.ordered], lit.AsFloat())
 	case value.KindString:
-		var p string
-		if !isNull {
-			if val.Kind() != value.KindString {
-				return fmt.Errorf("storage: column store: %s value in TEXT column", val.Kind())
-			}
-			p = val.AsString()
-		}
-		v.Strs = append(v.Strs, p)
+		return rank(v.strs, lit.AsString())
 	case value.KindBool:
-		var p bool
-		if !isNull {
-			if val.Kind() != value.KindBool {
-				return fmt.Errorf("storage: column store: %s value in BOOL column", val.Kind())
-			}
-			p = val.AsBool()
+		var b int64
+		if lit.AsBool() {
+			b = 1
 		}
-		v.Bools = append(v.Bools, p)
-	case value.KindNull:
-		if !isNull {
-			return fmt.Errorf("storage: column store: %s value in NULL column", val.Kind())
-		}
-	default:
-		return fmt.Errorf("storage: column store: unsupported column kind %s", v.Kind)
+		return rank(v.ints, b)
 	}
-	return nil
+	return 0, 0
+}
+
+// rank is Rank over one kind's entries; -0.0 and 0.0 both fall in
+// [lt, le) of either.
+func rank[T cmp.Ordered](d []T, x T) (lt, le int) {
+	lt = sort.Search(len(d), func(i int) bool { return !(d[i] < x) })
+	le = lt + sort.Search(len(d)-lt, func(i int) bool { return d[lt+i] > x })
+	return lt, le
 }
 
 // Value reconstructs row i's value, exactly equal to what decoding the
 // heap record would produce.
 func (v *ColVec) Value(i int) value.Value {
-	if v.Nulls[i] {
+	if v.IsNull(i) {
 		return value.Null()
+	}
+	var c int
+	if v.codes8 != nil {
+		c = int(v.codes8[i])
+	} else {
+		c = int(v.codes16[i])
 	}
 	switch v.Kind {
 	case value.KindInt:
-		return value.Int(v.Ints[i])
+		return value.Int(v.ints[c])
 	case value.KindFloat:
-		return value.Float(v.Floats[i])
+		return value.Float(v.floats[c])
 	case value.KindString:
-		return value.Str(v.Strs[i])
+		return value.Str(v.strs[c])
 	case value.KindBool:
-		return value.Bool(v.Bools[i])
+		return value.Bool(v.ints[c] != 0)
 	}
 	return value.Null()
 }
@@ -116,15 +151,6 @@ type ColGroup struct {
 	N int
 	// Cols holds one vector per schema column.
 	Cols []ColVec
-}
-
-// TupleAt reconstructs row i as a full tuple.
-func (g *ColGroup) TupleAt(i int) value.Tuple {
-	out := make(value.Tuple, len(g.Cols))
-	for c := range g.Cols {
-		out[c] = g.Cols[c].Value(i)
-	}
-	return out
 }
 
 // ColumnStore is a table's columnar sidecar: all groups in heap-scan
@@ -142,40 +168,45 @@ type ColumnStore struct {
 // groups carry their partition tag. Build reads through the heap's
 // ordinary Scan path, so it is accounted as sequential page reads on
 // the heap's global counters.
+//
+// What the store keeps is only what the sealed groups hold: every record
+// is decoded into one reused tuple and buffered in one reused group
+// builder, and of a group's strings only the distinct ones survive it.
 func BuildColumnStore(s Store, kinds []value.Kind, groupRows int) (*ColumnStore, error) {
 	if groupRows <= 0 {
 		groupRows = ColGroupRows
 	}
+	if groupRows > maxGroupRows {
+		return nil, fmt.Errorf("storage: column store: %d rows per group, at most %d", groupRows, maxGroupRows)
+	}
+	for _, k := range kinds {
+		if k > value.KindBool {
+			return nil, fmt.Errorf("storage: column store: unsupported column kind %s", k)
+		}
+	}
 	cs := &ColumnStore{}
+	b := &groupBuilder{kinds: kinds, cols: make([]colBuffer, len(kinds))}
+	var tup value.Tuple
 	appendFrom := func(h Store, part int) error {
-		var cur *ColGroup
 		var buildErr error
 		scanErr := h.Scan(func(_ RID, rec []byte) bool {
-			tup, err := value.DecodeTuple(rec)
-			if err != nil {
-				buildErr = err
+			if tup, buildErr = value.DecodeTupleInto(tup, rec, nil); buildErr != nil {
 				return false
 			}
-			if len(tup) != len(kinds) {
-				buildErr = fmt.Errorf("storage: column store: row arity %d, schema arity %d", len(tup), len(kinds))
+			if buildErr = b.add(tup); buildErr != nil {
 				return false
 			}
-			if cur == nil || cur.N >= groupRows {
-				cur = newColGroup(part, kinds)
-				cs.Groups = append(cs.Groups, cur)
+			if b.n == groupRows {
+				cs.Groups = append(cs.Groups, b.seal(part))
 			}
-			for c, v := range tup {
-				if err := cur.Cols[c].appendVal(v); err != nil {
-					buildErr = err
-					return false
-				}
-			}
-			cur.N++
 			cs.NumRows++
 			return true
 		})
 		if buildErr != nil {
 			return buildErr
+		}
+		if b.n > 0 {
+			cs.Groups = append(cs.Groups, b.seal(part))
 		}
 		return scanErr
 	}
@@ -193,10 +224,152 @@ func BuildColumnStore(s Store, kinds []value.Kind, groupRows int) (*ColumnStore,
 	return cs, nil
 }
 
-func newColGroup(part int, kinds []value.Kind) *ColGroup {
-	g := &ColGroup{Part: part, Cols: make([]ColVec, len(kinds))}
-	for i, k := range kinds {
-		g.Cols[i].Kind = k
+// groupBuilder buffers the rows of the group being built, column by
+// column, and seals them into a ColGroup. One builder serves a whole
+// build: seal empties the buffers and keeps their storage.
+type groupBuilder struct {
+	kinds []value.Kind
+	n     int
+	cols  []colBuffer
+	codes []uint16 // seal's working codes, before they are cut to width
+}
+
+// colBuffer is one column of the group being built: which rows are NULL,
+// and the others' values, each with its row, in the slice of the
+// column's kind (BOOL as 0/1 in ints).
+type colBuffer struct {
+	nulls   []bool
+	anyNull bool
+	ints    []rowValue[int64]
+	floats  []rowValue[float64]
+	strs    []rowValue[string]
+}
+
+// rowValue is one non-NULL value and the row of the group that holds it.
+type rowValue[T any] struct {
+	v   T
+	row int32
+}
+
+// add buffers one row. Each value must be NULL or match its column's
+// kind (the catalog's insert path enforces this for every stored row,
+// widening INT into FLOAT columns).
+func (b *groupBuilder) add(tup value.Tuple) error {
+	if len(tup) != len(b.kinds) {
+		return fmt.Errorf("storage: column store: row arity %d, schema arity %d", len(tup), len(b.kinds))
 	}
+	row := int32(b.n)
+	for c, val := range tup {
+		col, kind := &b.cols[c], b.kinds[c]
+		isNull := val.IsNull()
+		col.nulls = append(col.nulls, isNull)
+		if isNull {
+			col.anyNull = true
+			continue
+		}
+		if val.Kind() != kind && !(kind == value.KindFloat && val.Kind() == value.KindInt) {
+			return fmt.Errorf("storage: column store: %s value in %s column", val.Kind(), kind)
+		}
+		switch kind {
+		case value.KindInt:
+			col.ints = append(col.ints, rowValue[int64]{val.AsInt(), row})
+		case value.KindFloat:
+			col.floats = append(col.floats, rowValue[float64]{val.AsFloat(), row})
+		case value.KindString:
+			col.strs = append(col.strs, rowValue[string]{val.AsString(), row})
+		case value.KindBool:
+			var p int64
+			if val.AsBool() {
+				p = 1
+			}
+			col.ints = append(col.ints, rowValue[int64]{p, row})
+		}
+	}
+	b.n++
+	return nil
+}
+
+// seal turns the buffered rows into a group and empties the builder.
+func (b *groupBuilder) seal(part int) *ColGroup {
+	g := &ColGroup{Part: part, N: b.n, Cols: make([]ColVec, len(b.kinds))}
+	if cap(b.codes) < b.n {
+		b.codes = make([]uint16, b.n)
+	}
+	for c, kind := range b.kinds {
+		v, col := &g.Cols[c], &b.cols[c]
+		v.Kind = kind
+		if col.anyNull {
+			v.Nulls = make([]bool, b.n)
+			copy(v.Nulls, col.nulls)
+		}
+		codes := b.codes[:b.n]
+		switch kind {
+		case value.KindInt, value.KindBool:
+			v.ints = sealDict(v, col.ints, codes, func(a, b rowValue[int64]) int { return cmp.Compare(a.v, b.v) })
+			v.ordered = len(v.ints)
+		case value.KindFloat:
+			v.floats = sealDict(v, col.floats, codes, func(a, b rowValue[float64]) int { return compareFloatBits(a.v, b.v) })
+			v.ordered = sort.Search(len(v.floats), func(i int) bool { return v.floats[i] != v.floats[i] })
+		case value.KindString:
+			v.strs = sealDict(v, col.strs, codes, func(a, b rowValue[string]) int { return cmp.Compare(a.v, b.v) })
+			v.ordered = len(v.strs)
+		}
+		col.nulls, col.anyNull = col.nulls[:0], false
+		col.ints, col.floats, col.strs = col.ints[:0], col.floats[:0], col.strs[:0]
+	}
+	b.n = 0
 	return g
+}
+
+// compareFloatBits is the dictionary order of a FLOAT column: numeric
+// where value.Compare decides, then — for the pairs it ties — NaNs after
+// every number and equal-comparing values by their bits, so that two
+// entries are the same entry only when they are the same float.
+func compareFloatBits(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	if an, bn := a != a, b != b; an != bn {
+		if an {
+			return 1
+		}
+		return -1
+	}
+	return cmp.Compare(math.Float64bits(a), math.Float64bits(b))
+}
+
+// sealDict sorts a column's non-NULL values by order — a total order in
+// which only identical values are equal — returns the distinct ones and
+// stores every row's position among them as v's codes, exactly sized.
+// codes is working space, one per row of the group.
+func sealDict[T any](v *ColVec, vals []rowValue[T], codes []uint16, order func(a, b rowValue[T]) int) []T {
+	if len(vals) == 0 {
+		return nil
+	}
+	slices.SortFunc(vals, order)
+	clear(codes) // a NULL row's code
+	last := 0
+	for j, e := range vals {
+		if j > 0 && order(vals[j-1], e) != 0 {
+			last++
+		}
+		codes[e.row] = uint16(last)
+	}
+	dict := make([]T, last+1)
+	for _, e := range vals {
+		dict[codes[e.row]] = e.v
+	}
+	if len(dict) <= 1<<8 {
+		v.codes8 = make([]uint8, len(codes))
+		for i, c := range codes {
+			v.codes8[i] = uint8(c)
+		}
+	} else {
+		v.codes16 = make([]uint16, len(codes))
+		copy(v.codes16, codes)
+	}
+	return dict
 }

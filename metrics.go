@@ -203,7 +203,7 @@ func (em *engineMetrics) columnar(info *exec.VecScanInfo) {
 	}
 	em.columnarScans.Inc()
 	for _, t := range info.Terms {
-		em.termRejected.With(strconv.Itoa(t.Index)).Add(t.Evaluated - t.Passed)
+		em.termRejected.With(strconv.Itoa(t.Index)).Add(t.Evaluated + t.Skipped - t.Passed)
 	}
 }
 
