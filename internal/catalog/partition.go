@@ -2,7 +2,9 @@ package catalog
 
 import (
 	"fmt"
+	"math"
 
+	"minequery/internal/interval"
 	"minequery/internal/stats"
 	"minequery/internal/storage"
 	"minequery/internal/value"
@@ -19,41 +21,11 @@ import (
 type PartitionSpec struct {
 	Column  string
 	Ordinal int
-	Bounds  []value.Value
+	Bounds  interval.Cuts
 }
 
 // NumPartitions returns the partition count implied by the bounds.
-func (ps *PartitionSpec) NumPartitions() int { return len(ps.Bounds) + 1 }
-
-// PartitionFor returns the partition index holding column value v.
-func (ps *PartitionSpec) PartitionFor(v value.Value) int {
-	if v.IsNull() {
-		return 0
-	}
-	lo, hi := 0, len(ps.Bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if value.Compare(v, ps.Bounds[mid]) < 0 {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// Interval returns partition p's covering interval as [lo, hi) bounds;
-// a nil bound is unbounded on that side. The lower bound is inclusive,
-// the upper exclusive — matching PartitionFor's routing.
-func (ps *PartitionSpec) Interval(p int) (lo, hi *value.Value) {
-	if p > 0 {
-		lo = &ps.Bounds[p-1]
-	}
-	if p < len(ps.Bounds) {
-		hi = &ps.Bounds[p]
-	}
-	return lo, hi
-}
+func (ps *PartitionSpec) NumPartitions() int { return ps.Bounds.Segments() }
 
 // CreatePartitionedTable registers a new empty range-partitioned table.
 // Bounds must be non-null, strictly increasing, and of a kind
@@ -76,6 +48,9 @@ func (c *Catalog) CreatePartitionedTable(name string, schema *value.Schema, part
 	for i, b := range bounds {
 		if b.IsNull() {
 			return nil, fmt.Errorf("catalog: create table %q: partition bound %d is NULL", name, i)
+		}
+		if b.Kind() == value.KindFloat && math.IsNaN(b.AsFloat()) {
+			return nil, fmt.Errorf("catalog: create table %q: partition bound %d is NaN", name, i)
 		}
 		bNumeric := b.Kind() == value.KindInt || b.Kind() == value.KindFloat
 		if bNumeric != colNumeric {
@@ -125,7 +100,7 @@ func (t *Table) insertRecord(row value.Tuple) (storage.RID, error) {
 	t.writeVer.Add(1)
 	rec := value.EncodeTuple(nil, row)
 	if ph := t.partHeap(); ph != nil {
-		return ph.InsertPart(t.Part.PartitionFor(row[t.Part.Ordinal]), rec)
+		return ph.InsertPart(t.Part.Bounds.Stab(row[t.Part.Ordinal]), rec)
 	}
 	h, ok := t.Heap.(*storage.Heap)
 	if !ok {

@@ -1,9 +1,11 @@
 package catalog
 
 import (
+	"math"
 	"testing"
 
 	"minequery/internal/btree"
+	"minequery/internal/interval"
 	"minequery/internal/storage"
 	"minequery/internal/value"
 )
@@ -80,20 +82,20 @@ func TestPartitionForAndInterval(t *testing.T) {
 		{value.Float(10.0), 1},
 	}
 	for _, tc := range cases {
-		if got := ps.PartitionFor(tc.v); got != tc.want {
-			t.Errorf("PartitionFor(%v) = %d, want %d", tc.v, got, tc.want)
+		if got := ps.Bounds.Stab(tc.v); got != tc.want {
+			t.Errorf("Stab(%v) = %d, want %d", tc.v, got, tc.want)
 		}
 	}
-	for p := 0; p < ps.NumPartitions(); p++ {
-		lo, hi := ps.Interval(p)
-		if p == 0 && lo != nil {
-			t.Error("partition 0 must be unbounded below")
-		}
-		if p == ps.NumPartitions()-1 && hi != nil {
-			t.Error("last partition must be unbounded above")
-		}
-		if lo != nil && ps.PartitionFor(*lo) != p {
-			t.Errorf("partition %d lower bound %v routes to %d", p, *lo, ps.PartitionFor(*lo))
+	last := ps.NumPartitions() - 1
+	if f, l := ps.Bounds.Span(interval.Below(value.Int(math.MinInt64), true)); f != 0 || l != 0 {
+		t.Errorf("partition 0 must be unbounded below: span %d..%d", f, l)
+	}
+	if f, l := ps.Bounds.Span(interval.Above(value.Int(math.MaxInt64), true)); f != last || l != last {
+		t.Errorf("last partition must be unbounded above: span %d..%d", f, l)
+	}
+	for p := 1; p <= last; p++ {
+		if lo := ps.Bounds[p-1]; ps.Bounds.Stab(lo) != p {
+			t.Errorf("partition %d lower bound %v routes to %d", p, lo, ps.Bounds.Stab(lo))
 		}
 	}
 }

@@ -18,9 +18,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 
+	"minequery/internal/interval"
 	"minequery/internal/value"
 )
 
@@ -29,8 +29,8 @@ type Mode string
 
 const (
 	// ModeRange splits the shard column's domain at explicit bounds:
-	// shard i covers [Bounds[i-1], Bounds[i]), exactly a
-	// catalog.PartitionSpec with nodes for partitions. Range sharding
+	// shard i covers [Bounds[i-1], Bounds[i]), the segments of
+	// interval.Cuts with nodes for partitions. Range sharding
 	// preserves the single-node partitioned scan order, so merged
 	// results are byte-identical to one node holding the union.
 	ModeRange Mode = "range"
@@ -60,7 +60,7 @@ type Map struct {
 	// Bounds are the range split points (ModeRange only):
 	// len(Shards)-1 ascending values; shard i covers
 	// [Bounds[i-1], Bounds[i]), NULLs route to shard 0.
-	Bounds []value.Value `json:"-"`
+	Bounds interval.Cuts `json:"-"`
 	// Shards lists the nodes in shard-index order.
 	Shards []Shard `json:"shards"`
 }
@@ -131,14 +131,7 @@ func (m *Map) ShardFor(v value.Value) int {
 	if m.Mode == ModeHash {
 		return hashShard(v, len(m.Shards))
 	}
-	if v.IsNull() {
-		return 0
-	}
-	// First bound strictly greater than v — identical to
-	// catalog.PartitionSpec.PartitionFor's routing.
-	return sort.Search(len(m.Bounds), func(i int) bool {
-		return value.Compare(v, m.Bounds[i]) < 0
-	})
+	return m.Bounds.Stab(v)
 }
 
 // hashShard routes v to a hash shard: NULLs to shard 0, everything

@@ -1,14 +1,12 @@
-// Shard pruning: the PR 5 partition-pruning walk applied to a shard
-// map. A range map is literally a catalog.PartitionSpec whose
-// "partitions" are nodes, so range pruning reuses opt.PruneSpec — the
-// same conservative interval intersection, the same soundness
+// Shard pruning: the partition-pruning walk applied to a shard map. A
+// range map's bounds are interval.Cuts whose segments are nodes, so
+// range pruning is opt.PruneSpec — the same stabs, the same soundness
 // argument. Hash maps get a point-based leaf: only equality and IN on
 // the shard column pin hash buckets; everything else keeps all shards.
 // Both are opt.PruneWalk with a different leaf.
 package cluster
 
 import (
-	"minequery/internal/catalog"
 	"minequery/internal/expr"
 	"minequery/internal/opt"
 	"minequery/internal/value"
@@ -20,8 +18,7 @@ import (
 // pruning never changes results, only fan-out.
 func (m *Map) PruneShards(pred expr.Expr) []bool {
 	if m.Mode == ModeRange {
-		spec := &catalog.PartitionSpec{Column: m.Column, Bounds: m.Bounds}
-		return opt.PruneSpec(spec, pred)
+		return opt.PruneSpec(m.Column, m.Bounds, pred)
 	}
 	n := len(m.Shards)
 	return opt.PruneWalk(n, pred, func(col string, op expr.CmpOp, vals []value.Value) []bool {

@@ -13,6 +13,7 @@ import (
 	"minequery/internal/catalog"
 	"minequery/internal/expr"
 	"minequery/internal/fault"
+	"minequery/internal/interval"
 	"minequery/internal/plan"
 	"minequery/internal/value"
 )
@@ -213,8 +214,8 @@ func TestDeadlineMidIndexUnion(t *testing.T) {
 	// The union checks the context between arms and inside each seek's
 	// stride, so an expired deadline must surface before any fetching.
 	union := &plan.IndexUnion{Table: "big", Seeks: []*plan.IndexSeek{
-		{Table: "big", Index: "ix_id", Lo: &plan.Bound{Val: value.Int(0)}, Hi: &plan.Bound{Val: value.Int(5000)}},
-		{Table: "big", Index: "ix_id", Lo: &plan.Bound{Val: value.Int(10000)}, Hi: &plan.Bound{Val: value.Int(15000)}},
+		{Table: "big", Index: "ix_id", Range: interval.Above(value.Int(0), false).Intersect(interval.Below(value.Int(5000), false))},
+		{Table: "big", Index: "ix_id", Range: interval.Above(value.Int(10000), false).Intersect(interval.Below(value.Int(15000), false))},
 	}}
 	_, _, err := RunCtx(ctx, cat, union, Options{})
 	if !errors.Is(err, context.DeadlineExceeded) {

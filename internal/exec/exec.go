@@ -244,18 +244,19 @@ func seekRIDs(ctx context.Context, t *catalog.Table, s *plan.IndexSeek, opts Opt
 		prefix = v.SortKey(prefix)
 	}
 	lo := prefix
-	if s.Lo != nil {
-		lo = s.Lo.Val.SortKey(append([]byte(nil), prefix...))
+	if v, _, ok := s.Range.Lo(); ok {
+		lo = v.SortKey(append([]byte(nil), prefix...))
 	}
 	var hi []byte
+	hiVal, _, hasHi := s.Range.Hi()
 	switch {
-	case s.Hi != nil:
+	case hasHi:
 		// Inclusive-by-construction upper bound: trailing index columns
 		// make composite keys extend past the bound value, so append a
 		// 0xFF sentinel (no SortKey encoding starts with 0xFF). Rows
 		// matching an exclusive bound exactly are dropped by the
 		// residual filter — a safe overscan.
-		hi = s.Hi.Val.SortKey(append([]byte(nil), prefix...))
+		hi = hiVal.SortKey(append([]byte(nil), prefix...))
 		hi = append(hi, 0xFF)
 	case len(prefix) > 0:
 		hi = append(append([]byte(nil), prefix...), 0xFF)

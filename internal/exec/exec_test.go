@@ -10,6 +10,7 @@ import (
 	"minequery/internal/agg"
 	"minequery/internal/catalog"
 	"minequery/internal/expr"
+	"minequery/internal/interval"
 	"minequery/internal/plan"
 	"minequery/internal/qerr"
 	"minequery/internal/storage"
@@ -140,8 +141,7 @@ func TestIndexSeekCompositeWithRange(t *testing.T) {
 	seek := &plan.IndexSeek{
 		Table: "t", Index: "ix_cat_num",
 		EqVals: []value.Value{value.Str("c1")},
-		Lo:     &plan.Bound{Val: value.Int(20), Inc: true},
-		Hi:     &plan.Bound{Val: value.Int(40), Inc: true},
+		Range:  interval.Above(value.Int(20), true).Intersect(interval.Below(value.Int(40), true)),
 	}
 	got := runPlan(t, c, &plan.Filter{Child: seek, Pred: pred})
 	if len(want) == 0 {
@@ -161,8 +161,7 @@ func TestIndexSeekExclusiveBoundsViaFilter(t *testing.T) {
 	want := refRows(t, c, &plan.Filter{Child: &plan.SeqScan{Table: "t"}, Pred: pred})
 	seek := &plan.IndexSeek{
 		Table: "t", Index: "ix_num",
-		Lo: &plan.Bound{Val: value.Int(90), Inc: false},
-		Hi: &plan.Bound{Val: value.Int(95), Inc: false},
+		Range: interval.Above(value.Int(90), false).Intersect(interval.Below(value.Int(95), false)),
 	}
 	got := runPlan(t, c, &plan.Filter{Child: seek, Pred: pred})
 	if !sameRows(got, want) {
@@ -180,7 +179,7 @@ func TestIndexUnionDeduplicates(t *testing.T) {
 	want := refRows(t, c, &plan.Filter{Child: &plan.SeqScan{Table: "t"}, Pred: pred})
 	union := &plan.IndexUnion{Table: "t", Seeks: []*plan.IndexSeek{
 		{Table: "t", Index: "ix_cat", EqVals: []value.Value{value.Str("c2")}},
-		{Table: "t", Index: "ix_num", Lo: &plan.Bound{Val: value.Int(95), Inc: true}},
+		{Table: "t", Index: "ix_num", Range: interval.Above(value.Int(95), true)},
 	}}
 	// Exact positional equality with the heap-order reference: each row
 	// once (overlap deduplicated) and fetched in heap order.

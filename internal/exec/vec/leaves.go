@@ -30,26 +30,6 @@ type leaf struct{ c float64 }
 func (leaf) freeze()         {}
 func (l leaf) cost() float64 { return l.c }
 
-// opHolds reports whether a three-way comparison result satisfies op —
-// the same switch expr.Cmp.Eval runs on value.Compare's result.
-func opHolds(op expr.CmpOp, cmp int) bool {
-	switch op {
-	case expr.OpEq:
-		return cmp == 0
-	case expr.OpNe:
-		return cmp != 0
-	case expr.OpLt:
-		return cmp < 0
-	case expr.OpLe:
-		return cmp <= 0
-	case expr.OpGt:
-		return cmp > 0
-	case expr.OpGe:
-		return cmp >= 0
-	}
-	return false
-}
-
 // compareKinds reports how a literal of kind lit compares with the
 // non-NULL values of a column of kind col: ranked (value.Compare looks
 // at the values), or else with the same outcome cmp for every row,
@@ -92,9 +72,9 @@ func compileCmp(x expr.Cmp, s *value.Schema) node {
 	ranked, cmp := compareKinds(colKind, x.Val.Kind())
 	switch {
 	case !ranked:
-		return constLeaf(ord, opHolds(x.Op, cmp))
+		return constLeaf(ord, x.Op.Holds(cmp))
 	case isNaN(x.Val):
-		return constLeaf(ord, opHolds(x.Op, 0))
+		return constLeaf(ord, x.Op.Holds(0))
 	}
 	c := 1.0
 	if colKind == value.KindString {
@@ -304,14 +284,14 @@ func (n *cmpNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 
 	col := &g.Cols[n.ord]
 	s := codeSel{col: col, sc: sc}
 	lt, le := col.Rank(n.v)
-	if opHolds(n.op, -1) {
+	if n.op.Holds(-1) {
 		s.add(0, lt)
 	}
-	if opHolds(n.op, 0) {
+	if n.op.Holds(0) {
 		s.add(lt, le)
 		s.addNaNs()
 	}
-	if opHolds(n.op, 1) {
+	if n.op.Holds(1) {
 		s.add(le, col.Ordered())
 	}
 	return s.filter(sel)
@@ -346,7 +326,7 @@ func (n *colCmpNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int
 	ca, cb := &g.Cols[n.a], &g.Cols[n.b]
 	for _, i := range sel {
 		a, b := ca.Value(int(i)), cb.Value(int(i))
-		if !a.IsNull() && !b.IsNull() && opHolds(n.op, value.Compare(a, b)) {
+		if !a.IsNull() && !b.IsNull() && n.op.Holds(value.Compare(a, b)) {
 			out = append(out, i)
 		}
 	}

@@ -29,22 +29,7 @@ func (c ColCmp) Eval(s *value.Schema, t value.Tuple) bool {
 	if a.IsNull() || b.IsNull() {
 		return false
 	}
-	cmp := value.Compare(a, b)
-	switch c.Op {
-	case OpEq:
-		return cmp == 0
-	case OpNe:
-		return cmp != 0
-	case OpLt:
-		return cmp < 0
-	case OpLe:
-		return cmp <= 0
-	case OpGt:
-		return cmp > 0
-	case OpGe:
-		return cmp >= 0
-	}
-	return false
+	return c.Op.Holds(value.Compare(a, b))
 }
 
 // String implements Expr.

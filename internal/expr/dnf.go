@@ -1,8 +1,7 @@
 package expr
 
 import (
-	"sort"
-
+	"minequery/internal/interval"
 	"minequery/internal/value"
 )
 
@@ -161,16 +160,10 @@ func distribute(e Expr, max int) ([][]Expr, bool) {
 
 // colState accumulates all constraints on one column within a conjunct.
 type colState struct {
-	hasEq  bool
-	eq     []value.Value // intersection of = / IN constraints
-	lo     value.Value
-	loSet  bool
-	loInc  bool
-	hi     value.Value
-	hiSet  bool
-	hiInc  bool
-	ne     []value.Value
-	broken bool // contradiction detected
+	hasEq bool
+	eq    []value.Value // intersection of = / IN constraints
+	rng   interval.Interval
+	ne    []value.Value
 }
 
 func (cs *colState) intersectEq(vals []value.Value) {
@@ -181,36 +174,20 @@ func (cs *colState) intersectEq(vals []value.Value) {
 	}
 	var keep []value.Value
 	for _, v := range cs.eq {
-		for _, w := range vals {
-			if value.Equal(v, w) {
-				keep = append(keep, v)
-				break
-			}
+		if hasValue(vals, v) {
+			keep = append(keep, v)
 		}
 	}
 	cs.eq = keep
 }
 
-func (cs *colState) addLo(v value.Value, inclusive bool) {
-	if !cs.loSet {
-		cs.lo, cs.loSet, cs.loInc = v, true, inclusive
-		return
+func hasValue(vals []value.Value, v value.Value) bool {
+	for _, w := range vals {
+		if value.Equal(v, w) {
+			return true
+		}
 	}
-	c := value.Compare(v, cs.lo)
-	if c > 0 || (c == 0 && !inclusive) {
-		cs.lo, cs.loInc = v, inclusive
-	}
-}
-
-func (cs *colState) addHi(v value.Value, inclusive bool) {
-	if !cs.hiSet {
-		cs.hi, cs.hiSet, cs.hiInc = v, true, inclusive
-		return
-	}
-	c := value.Compare(v, cs.hi)
-	if c < 0 || (c == 0 && !inclusive) {
-		cs.hi, cs.hiInc = v, inclusive
-	}
+	return false
 }
 
 // SimplifyConjunct canonicalizes the atomic conditions of one conjunct:
@@ -243,14 +220,9 @@ func SimplifyConjunct(conds []Expr) ([]Expr, bool) {
 				st.intersectEq([]value.Value{x.Val})
 			case OpNe:
 				st.ne = append(st.ne, x.Val)
-			case OpLt:
-				st.addHi(x.Val, false)
-			case OpLe:
-				st.addHi(x.Val, true)
-			case OpGt:
-				st.addLo(x.Val, false)
-			case OpGe:
-				st.addLo(x.Val, true)
+			default:
+				iv, _ := x.Interval()
+				st.rng = st.rng.Intersect(iv)
 			}
 		case In:
 			if len(x.Vals) == 0 {
@@ -279,34 +251,14 @@ func SimplifyConjunct(conds []Expr) ([]Expr, bool) {
 
 // emit produces the canonical conditions for one column's state.
 func (cs *colState) emit(col string) ([]Expr, bool) {
-	inRange := func(v value.Value) bool {
-		if cs.loSet {
-			c := value.Compare(v, cs.lo)
-			if c < 0 || (c == 0 && !cs.loInc) {
-				return false
-			}
-		}
-		if cs.hiSet {
-			c := value.Compare(v, cs.hi)
-			if c > 0 || (c == 0 && !cs.hiInc) {
-				return false
-			}
-		}
-		for _, n := range cs.ne {
-			if value.Equal(v, n) {
-				return false
-			}
-		}
-		return true
-	}
 	if cs.hasEq {
 		var keep []value.Value
 		for _, v := range cs.eq {
-			if inRange(v) {
+			if cs.rng.Contains(v) && !hasValue(cs.ne, v) {
 				keep = append(keep, v)
 			}
 		}
-		keep = dedupeValues(keep)
+		keep = interval.NewCuts(keep)
 		switch len(keep) {
 		case 0:
 			return nil, false
@@ -316,69 +268,25 @@ func (cs *colState) emit(col string) ([]Expr, bool) {
 			return []Expr{In{Col: col, Vals: keep}}, true
 		}
 	}
-	if cs.loSet && cs.hiSet {
-		c := value.Compare(cs.lo, cs.hi)
-		if c > 0 || (c == 0 && !(cs.loInc && cs.hiInc)) {
+	if cs.rng.Empty() {
+		return nil, false
+	}
+	if cs.rng.IsPoint() {
+		v, _, _ := cs.rng.Lo()
+		if hasValue(cs.ne, v) {
 			return nil, false
 		}
-		if c == 0 {
-			// lo == hi with both inclusive: the range is a point.
-			v := cs.lo
-			for _, n := range cs.ne {
-				if value.Equal(v, n) {
-					return nil, false
-				}
-			}
-			return []Expr{Cmp{Col: col, Op: OpEq, Val: v}}, true
-		}
+		return []Expr{Cmp{Col: col, Op: OpEq, Val: v}}, true
 	}
-	var out []Expr
-	if cs.loSet {
-		op := OpGt
-		if cs.loInc {
-			op = OpGe
-		}
-		out = append(out, Cmp{Col: col, Op: op, Val: cs.lo})
-	}
-	if cs.hiSet {
-		op := OpLt
-		if cs.hiInc {
-			op = OpLe
-		}
-		out = append(out, Cmp{Col: col, Op: op, Val: cs.hi})
-	}
-	for _, n := range dedupeValues(cs.ne) {
+	out := RangeConds(col, cs.rng)
+	for _, n := range interval.NewCuts(cs.ne) {
 		// Keep only <> values that are inside the range; others are
 		// implied by the range itself.
-		relevant := true
-		if cs.loSet {
-			c := value.Compare(n, cs.lo)
-			if c < 0 || (c == 0 && !cs.loInc) {
-				relevant = false
-			}
-		}
-		if cs.hiSet {
-			c := value.Compare(n, cs.hi)
-			if c > 0 || (c == 0 && !cs.hiInc) {
-				relevant = false
-			}
-		}
-		if relevant {
+		if cs.rng.Contains(n) {
 			out = append(out, Cmp{Col: col, Op: OpNe, Val: n})
 		}
 	}
 	return out, true
-}
-
-func dedupeValues(vals []value.Value) []value.Value {
-	sort.Slice(vals, func(i, j int) bool { return value.Compare(vals[i], vals[j]) < 0 })
-	var out []value.Value
-	for _, v := range vals {
-		if len(out) == 0 || !value.Equal(out[len(out)-1], v) {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // Simplify normalizes e: converts to DNF (bounded by maxDisjuncts, <=0

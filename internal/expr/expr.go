@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 
+	"minequery/internal/interval"
 	"minequery/internal/value"
 )
 
@@ -43,6 +44,26 @@ func (op CmpOp) String() string {
 		return ">="
 	}
 	return "?"
+}
+
+// Holds reports whether the operator is satisfied by c, the three-way
+// result of comparing the left operand with the right (value.Compare).
+func (op CmpOp) Holds(c int) bool {
+	switch op {
+	case OpEq:
+		return c == 0
+	case OpNe:
+		return c != 0
+	case OpLt:
+		return c < 0
+	case OpLe:
+		return c <= 0
+	case OpGt:
+		return c > 0
+	case OpGe:
+		return c >= 0
+	}
+	return false
 }
 
 // Negate returns the complementary operator (e.g. < becomes >=).
@@ -119,22 +140,51 @@ func (c Cmp) Eval(s *value.Schema, t value.Tuple) bool {
 	if v.IsNull() || c.Val.IsNull() {
 		return false
 	}
-	cmp := value.Compare(v, c.Val)
+	return c.Op.Holds(value.Compare(v, c.Val))
+}
+
+// Interval returns the values of c.Col that satisfy c, when they form
+// one: ok is false for <> (two intervals) and for a NULL literal (no
+// row satisfies it). It is the one op → bound switch; RangeConds is the
+// way back.
+func (c Cmp) Interval() (iv interval.Interval, ok bool) {
+	if c.Val.IsNull() {
+		return iv, false
+	}
 	switch c.Op {
 	case OpEq:
-		return cmp == 0
-	case OpNe:
-		return cmp != 0
+		return interval.Point(c.Val), true
 	case OpLt:
-		return cmp < 0
+		return interval.Below(c.Val, false), true
 	case OpLe:
-		return cmp <= 0
+		return interval.Below(c.Val, true), true
 	case OpGt:
-		return cmp > 0
+		return interval.Above(c.Val, false), true
 	case OpGe:
-		return cmp >= 0
+		return interval.Above(c.Val, true), true
 	}
-	return false
+	return iv, false
+}
+
+// RangeConds renders iv as conditions on col: its lower bound, then its
+// upper, each only where iv is bounded.
+func RangeConds(col string, iv interval.Interval) []Expr {
+	out := make([]Expr, 0, 2)
+	if v, inc, ok := iv.Lo(); ok {
+		op := OpGt
+		if inc {
+			op = OpGe
+		}
+		out = append(out, Cmp{Col: col, Op: op, Val: v})
+	}
+	if v, inc, ok := iv.Hi(); ok {
+		op := OpLt
+		if inc {
+			op = OpLe
+		}
+		out = append(out, Cmp{Col: col, Op: op, Val: v})
+	}
+	return out
 }
 
 // Eval implements Expr.

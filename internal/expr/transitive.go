@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"minequery/internal/interval"
 	"minequery/internal/value"
 )
 
@@ -47,7 +48,7 @@ func ImpliedDomain(e Expr, col string) ([]value.Value, bool) {
 			return nil, false
 		}
 	}
-	return dedupeValues(union), true
+	return interval.NewCuts(union), true
 }
 
 func equalFold(a, b string) bool {

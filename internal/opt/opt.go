@@ -12,6 +12,7 @@ import (
 
 	"minequery/internal/catalog"
 	"minequery/internal/expr"
+	"minequery/internal/interval"
 	"minequery/internal/plan"
 	"minequery/internal/stats"
 	"minequery/internal/value"
@@ -320,85 +321,64 @@ func rangeToIn(ts *stats.TableStats, c expr.Conjunct, cfg Config) expr.Conjunct 
 	if !sat {
 		return c
 	}
-	type rng struct{ lo, hi *expr.Cmp }
-	ranges := map[string]*rng{}
+	type colRange struct {
+		col string
+		iv  interval.Interval
+	}
+	ranges := map[string]*colRange{}
 	var order []string
 	var passthrough []expr.Expr
-	for i := range simplified {
-		cmp, ok := simplified[i].(expr.Cmp)
-		if !ok {
-			passthrough = append(passthrough, simplified[i])
-			continue
-		}
-		var isRange bool
-		switch cmp.Op {
-		case expr.OpGt, expr.OpGe, expr.OpLt, expr.OpLe:
-			isRange = true
-		}
-		if !isRange {
-			passthrough = append(passthrough, cmp)
+	for _, cond := range simplified {
+		cmp, ok := cond.(expr.Cmp)
+		iv, bounded := cmp.Interval()
+		if !ok || !bounded || cmp.Op == expr.OpEq {
+			passthrough = append(passthrough, cond)
 			continue
 		}
 		key := norm(cmp.Col)
 		r := ranges[key]
 		if r == nil {
-			r = &rng{}
+			r = &colRange{col: cmp.Col}
 			ranges[key] = r
 			order = append(order, key)
 		}
-		cc := cmp
-		switch cmp.Op {
-		case expr.OpGt, expr.OpGe:
-			r.lo = &cc
-		default:
-			r.hi = &cc
-		}
+		r.iv = r.iv.Intersect(iv)
 	}
 	out := append([]expr.Expr(nil), passthrough...)
 	for _, key := range order {
 		r := ranges[key]
-		vals, ok := enumerateIntRange(r.lo, r.hi, cfg.MaxInExpansion)
+		vals, ok := enumerateIntRange(r.iv, cfg.MaxInExpansion)
 		switch {
 		case ok && len(vals) == 0:
 			out = append(out, expr.FalseExpr{})
 		case ok && len(vals) == 1:
-			out = append(out, expr.Cmp{Col: rangeCol(r.lo, r.hi), Op: expr.OpEq, Val: vals[0]})
+			out = append(out, expr.Cmp{Col: r.col, Op: expr.OpEq, Val: vals[0]})
 		case ok:
-			out = append(out, expr.In{Col: rangeCol(r.lo, r.hi), Vals: vals})
+			out = append(out, expr.In{Col: r.col, Vals: vals})
 		default:
-			if r.lo != nil {
-				out = append(out, *r.lo)
-			}
-			if r.hi != nil {
-				out = append(out, *r.hi)
-			}
+			out = append(out, expr.RangeConds(r.col, r.iv)...)
 		}
 	}
 	_ = ts
 	return expr.Conjunct{Conds: out}
 }
 
-func rangeCol(lo, hi *expr.Cmp) string {
-	if lo != nil {
-		return lo.Col
-	}
-	return hi.Col
-}
-
-// enumerateIntRange lists the integers satisfying both bounds, when both
-// bounds are INT values and the count is within max.
-func enumerateIntRange(lo, hi *expr.Cmp, max int) ([]value.Value, bool) {
-	if lo == nil || hi == nil {
+// enumerateIntRange lists the integers in iv, when both its bounds are
+// INT values and the count is within max.
+func enumerateIntRange(iv interval.Interval, max int) ([]value.Value, bool) {
+	lo, loInc, hasLo := iv.Lo()
+	hi, hiInc, hasHi := iv.Hi()
+	if !hasLo || !hasHi {
 		return nil, false
 	}
-	if lo.Val.Kind() != value.KindInt || hi.Val.Kind() != value.KindInt {
+	if lo.Kind() != value.KindInt || hi.Kind() != value.KindInt {
 		return nil, false
 	}
-	a, b := lo.Val.AsInt(), hi.Val.AsInt()
-	if lo.Op == expr.OpGt {
+	a, b := lo.AsInt(), hi.AsInt()
+	if !loInc {
 		a++
 	}
-	if hi.Op == expr.OpLt {
+	if !hiInc {
 		b--
 	}
 	if b < a {
@@ -426,8 +406,7 @@ func bestSeeks(t *catalog.Table, ts *stats.TableStats, c expr.Conjunct, cfg Conf
 	// Bucket the conjunct's conditions per column.
 	eq := map[string]value.Value{}
 	in := map[string][]value.Value{}
-	lo := map[string]*plan.Bound{}
-	hi := map[string]*plan.Bound{}
+	rng := map[string]interval.Interval{}
 	var consumedExpr = map[string][]expr.Expr{}
 	for _, cond := range c.Conds {
 		switch x := cond.(type) {
@@ -437,17 +416,9 @@ func bestSeeks(t *catalog.Table, ts *stats.TableStats, c expr.Conjunct, cfg Conf
 			case expr.OpEq:
 				eq[col] = x.Val
 				consumedExpr[col] = append(consumedExpr[col], x)
-			case expr.OpLt, expr.OpLe:
-				b := &plan.Bound{Val: x.Val, Inc: x.Op == expr.OpLe}
-				if cur := hi[col]; cur == nil || value.Compare(b.Val, cur.Val) < 0 {
-					hi[col] = b
-				}
-				consumedExpr[col] = append(consumedExpr[col], x)
-			case expr.OpGt, expr.OpGe:
-				b := &plan.Bound{Val: x.Val, Inc: x.Op == expr.OpGe}
-				if cur := lo[col]; cur == nil || value.Compare(b.Val, cur.Val) > 0 {
-					lo[col] = b
-				}
+			case expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe:
+				iv, _ := x.Interval()
+				rng[col] = rng[col].Intersect(iv)
 				consumedExpr[col] = append(consumedExpr[col], x)
 			}
 		case expr.In:
@@ -462,7 +433,7 @@ func bestSeeks(t *catalog.Table, ts *stats.TableStats, c expr.Conjunct, cfg Conf
 	var best *candidate
 	bestCost := inf
 	for _, ix := range t.Indexes() {
-		cand := matchIndex(t, ts, ix, eq, in, lo, hi, consumedExpr, cfg)
+		cand := matchIndex(t, ts, ix, eq, in, rng, consumedExpr, cfg)
 		if cand == nil {
 			continue
 		}
@@ -479,14 +450,14 @@ func bestSeeks(t *catalog.Table, ts *stats.TableStats, c expr.Conjunct, cfg Conf
 // followed by one range column.
 func matchIndex(t *catalog.Table, ts *stats.TableStats, ix *catalog.Index,
 	eq map[string]value.Value, in map[string][]value.Value,
-	lo, hi map[string]*plan.Bound, consumed map[string][]expr.Expr, cfg Config) *candidate {
+	rng map[string]interval.Interval, consumed map[string][]expr.Expr, cfg Config) *candidate {
 
 	type prefixAlt struct {
 		vals []value.Value
 	}
 	alts := []prefixAlt{{}}
 	var sargable []expr.Expr
-	var rangeLo, rangeHi *plan.Bound
+	var seekRange interval.Interval
 	matchedAny := false
 
 	for _, col := range ix.Columns {
@@ -516,10 +487,8 @@ func matchIndex(t *catalog.Table, ts *stats.TableStats, ix *catalog.Index,
 			matchedAny = true
 			continue
 		}
-		l, hasLo := lo[cn]
-		h, hasHi := hi[cn]
-		if hasLo || hasHi {
-			rangeLo, rangeHi = l, h
+		if iv, ok := rng[cn]; ok {
+			seekRange = iv
 			sargable = append(sargable, consumed[cn]...)
 			matchedAny = true
 		}
@@ -534,8 +503,7 @@ func matchIndex(t *catalog.Table, ts *stats.TableStats, ix *catalog.Index,
 			Table:  t.Name,
 			Index:  ix.Name,
 			EqVals: a.vals,
-			Lo:     rangeLo,
-			Hi:     rangeHi,
+			Range:  seekRange,
 		})
 	}
 	selPart := ts.Selectivity(expr.NewAnd(sargable...))

@@ -195,7 +195,9 @@ func TestCompositePrefixSeek(t *testing.T) {
 		t.Fatalf("narrow budget should give one range seek, got %s\n%s", res.Path, plan.Explain(res.Plan))
 	}
 	seek := res.Plan.(*plan.Filter).Child.(*plan.IndexSeek)
-	if len(seek.EqVals) != 1 || seek.Lo == nil || seek.Hi == nil {
+	_, _, hasLo := seek.Range.Lo()
+	_, _, hasHi := seek.Range.Hi()
+	if len(seek.EqVals) != 1 || !hasLo || !hasHi {
 		t.Errorf("seek should have 1 eq val and both range bounds: %s", seek.Describe())
 	}
 }

@@ -15,6 +15,7 @@ package opt
 import (
 	"minequery/internal/catalog"
 	"minequery/internal/expr"
+	"minequery/internal/interval"
 	"minequery/internal/value"
 )
 
@@ -25,7 +26,7 @@ func PrunePartitions(t *catalog.Table, pred expr.Expr) (parts []int, total int) 
 	if t.Part == nil {
 		return nil, 0
 	}
-	keep := PruneSpec(t.Part, pred)
+	keep := PruneSpec(t.Part.Column, t.Part.Bounds, pred)
 	out := make([]int, 0, len(keep))
 	for p, ok := range keep {
 		if ok {
@@ -35,37 +36,34 @@ func PrunePartitions(t *catalog.Table, pred expr.Expr) (parts []int, total int) 
 	return out, t.Part.NumPartitions()
 }
 
-// PruneSpec returns, per partition of spec, whether it may hold a row
-// satisfying pred: PruneWalk with the range leaf, which intersects a
-// comparison on the partition column with each partition's boundary
-// interval. The cluster coordinator reuses this to prune whole shards:
-// a range shard map is just a PartitionSpec whose "partitions" are
-// nodes, and the same interval intersection that skips a partition's
-// pages skips a shard's network round-trip.
-func PruneSpec(spec *catalog.PartitionSpec, pred expr.Expr) []bool {
-	n, col := spec.NumPartitions(), norm(spec.Column)
+// PruneSpec returns, per segment of cuts over column, whether it may
+// hold a row satisfying pred: PruneWalk with the range leaf, which asks
+// cuts for the segments a comparison on column can touch. Partitions,
+// range shards and the standing index's constant segments are all cuts,
+// so the stab that skips a partition's pages is the one that skips a
+// shard's round-trip or a subscription's evaluation.
+func PruneSpec(column string, cuts interval.Cuts, pred expr.Expr) []bool {
+	n, col := cuts.Segments(), norm(column)
 	return PruneWalk(n, pred, func(c string, op expr.CmpOp, vals []value.Value) []bool {
 		if c != col {
 			return nil
 		}
-		switch op {
-		case expr.OpEq:
-			keep := make([]bool, n)
+		keep := make([]bool, n)
+		if op == expr.OpEq {
 			for _, v := range vals {
-				keep[spec.PartitionFor(v)] = true
+				keep[cuts.Stab(v)] = true
 			}
 			return keep
-		case expr.OpLt:
-			return overlapParts(spec, nil, false, &vals[0], false)
-		case expr.OpLe:
-			return overlapParts(spec, nil, false, &vals[0], true)
-		case expr.OpGt:
-			return overlapParts(spec, &vals[0], false, nil, false)
-		case expr.OpGe:
-			return overlapParts(spec, &vals[0], true, nil, false)
 		}
-		// OpNe constrains almost nothing at partition granularity.
-		return nil
+		iv, ok := expr.Cmp{Op: op, Val: vals[0]}.Interval()
+		if !ok {
+			// OpNe constrains almost nothing at segment granularity.
+			return nil
+		}
+		for p, last := cuts.Span(iv); p <= last; p++ {
+			keep[p] = true
+		}
+		return keep
 	})
 }
 
@@ -128,37 +126,4 @@ func allParts(n int) []bool {
 		keep[i] = true
 	}
 	return keep
-}
-
-// overlapParts marks the partitions whose boundary interval [plo, phi)
-// intersects the predicate interval (ilo, ihi) with the given bound
-// inclusivities (nil bound = unbounded).
-func overlapParts(spec *catalog.PartitionSpec, ilo *value.Value, iloInc bool, ihi *value.Value, ihiInc bool) []bool {
-	n := spec.NumPartitions()
-	keep := make([]bool, n)
-	for p := 0; p < n; p++ {
-		plo, phi := spec.Interval(p)
-		keep[p] = intervalOverlaps(ilo, iloInc, ihi, ihiInc, plo, phi)
-	}
-	return keep
-}
-
-// intervalOverlaps reports whether the predicate interval and a
-// partition interval [plo, phi) — lower inclusive, upper exclusive —
-// can share a point. value.Compare handles cross-kind numerics, so
-// float envelope cut points test correctly against integer bounds.
-func intervalOverlaps(ilo *value.Value, iloInc bool, ihi *value.Value, ihiInc bool, plo, phi *value.Value) bool {
-	if ihi != nil && plo != nil {
-		c := value.Compare(*ihi, *plo)
-		if c < 0 || (c == 0 && !ihiInc) {
-			return false
-		}
-	}
-	if ilo != nil && phi != nil {
-		// phi is exclusive: a predicate starting at or beyond it misses.
-		if value.Compare(*ilo, *phi) >= 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -7,6 +7,7 @@ import (
 
 	"minequery/internal/catalog"
 	"minequery/internal/expr"
+	"minequery/internal/interval"
 	"minequery/internal/plan"
 	"minequery/internal/value"
 )
@@ -100,12 +101,9 @@ func TestPrunePartitionsUnpartitioned(t *testing.T) {
 
 // TestPruneSpecStandalone exercises the exported spec-level entry point
 // (the cluster coordinator prunes shards through it, with no Table in
-// hand — a shard map is just a PartitionSpec over nodes).
+// hand — a shard map is just cuts over nodes).
 func TestPruneSpecStandalone(t *testing.T) {
-	spec := &catalog.PartitionSpec{
-		Column: "num",
-		Bounds: []value.Value{value.Int(25), value.Int(50), value.Int(75)},
-	}
+	cuts := interval.Cuts{value.Int(25), value.Int(50), value.Int(75)}
 	cases := []struct {
 		name string
 		pred expr.Expr
@@ -119,14 +117,14 @@ func TestPruneSpecStandalone(t *testing.T) {
 		{"other-col", cmp("id", expr.OpEq, 7), []bool{true, true, true, true}},
 	}
 	for _, tc := range cases {
-		if got := PruneSpec(spec, tc.pred); !reflect.DeepEqual(got, tc.want) {
+		if got := PruneSpec("num", cuts, tc.pred); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: PruneSpec = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 	// Parity with the Table-level pruner on an identical spec.
 	_, tb := buildPartDB(t)
 	for _, tc := range cases {
-		keep := PruneSpec(tb.Part, tc.pred)
+		keep := PruneSpec(tb.Part.Column, tb.Part.Bounds, tc.pred)
 		parts, _ := PrunePartitions(tb, tc.pred)
 		var fromKeep []int
 		for p, ok := range keep {
@@ -161,9 +159,9 @@ func TestPruningSoundness(t *testing.T) {
 		}
 		for v := int64(0); v < 100; v++ {
 			row := value.Tuple{value.Int(0), value.Int(v)}
-			if pred.Eval(tb.Schema, row) && !keep[tb.Part.PartitionFor(value.Int(v))] {
+			if pred.Eval(tb.Schema, row) && !keep[tb.Part.Bounds.Stab(value.Int(v))] {
 				t.Errorf("%s: qualifying value %d lives in pruned partition %d",
-					pred, v, tb.Part.PartitionFor(value.Int(v)))
+					pred, v, tb.Part.Bounds.Stab(value.Int(v)))
 			}
 		}
 	}

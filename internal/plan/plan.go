@@ -10,6 +10,7 @@ import (
 
 	"minequery/internal/agg"
 	"minequery/internal/expr"
+	"minequery/internal/interval"
 	"minequery/internal/value"
 )
 
@@ -39,12 +40,6 @@ type SeqScan struct {
 	Columnar bool
 }
 
-// Bound is one end of an index key range.
-type Bound struct {
-	Val value.Value
-	Inc bool
-}
-
 // IndexSeek probes one index with an equality prefix and an optional
 // range on the following column.
 type IndexSeek struct {
@@ -52,9 +47,9 @@ type IndexSeek struct {
 	Index string
 	// EqVals are equality values for the leading index columns.
 	EqVals []value.Value
-	// Lo/Hi optionally bound the next index column after the equality
-	// prefix. Nil means unbounded.
-	Lo, Hi *Bound
+	// Range bounds the next index column after the equality prefix; the
+	// zero Interval is unbounded.
+	Range interval.Interval
 }
 
 // IndexUnion fetches the union of several index seeks (for OR
@@ -184,21 +179,11 @@ func (s *IndexSeek) Describe() string {
 	for _, v := range s.EqVals {
 		fmt.Fprintf(&b, " =%s", v)
 	}
-	if s.Lo != nil || s.Hi != nil {
+	if conds := expr.RangeConds("", s.Range); len(conds) > 0 {
 		b.WriteString(" range")
-		if s.Lo != nil {
-			op := ">"
-			if s.Lo.Inc {
-				op = ">="
-			}
-			fmt.Fprintf(&b, " %s%s", op, s.Lo.Val)
-		}
-		if s.Hi != nil {
-			op := "<"
-			if s.Hi.Inc {
-				op = "<="
-			}
-			fmt.Fprintf(&b, " %s%s", op, s.Hi.Val)
+		for _, c := range conds {
+			cmp := c.(expr.Cmp)
+			fmt.Fprintf(&b, " %s%s", cmp.Op, cmp.Val)
 		}
 	}
 	b.WriteString(")")

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"minequery/internal/expr"
+	"minequery/internal/interval"
 	"minequery/internal/value"
 )
 
@@ -66,8 +67,7 @@ func TestDescribeRendering(t *testing.T) {
 	seek := &IndexSeek{
 		Table: "t", Index: "ix",
 		EqVals: []value.Value{value.Int(1)},
-		Lo:     &Bound{Val: value.Int(5), Inc: true},
-		Hi:     &Bound{Val: value.Int(9), Inc: false},
+		Range:  interval.Above(value.Int(5), true).Intersect(interval.Below(value.Int(9), false)),
 	}
 	d := seek.Describe()
 	for _, want := range []string{"t.ix", "=1", ">=5", "<9"} {

@@ -208,7 +208,7 @@ func (n predCmp) eval(rc *rowCtx) bool {
 	if v.IsNull() || n.val.IsNull() {
 		return false
 	}
-	return cmpHolds(n.op, value.Compare(v, n.val))
+	return n.op.Holds(value.Compare(v, n.val))
 }
 
 // predIn is `predict(model) IN (vals)` with its envelope-union gate.
@@ -258,7 +258,7 @@ func (n predDataCmp) eval(rc *rowCtx) bool {
 	if n.flip {
 		c = -c
 	}
-	return cmpHolds(n.op, c)
+	return n.op.Holds(c)
 }
 
 // predPredCmp is `predict(modelA) op predict(modelB)` (the paper's
@@ -278,25 +278,7 @@ func (n predPredCmp) eval(rc *rowCtx) bool {
 	if a.IsNull() || b.IsNull() {
 		return false
 	}
-	return cmpHolds(n.op, value.Compare(a, b))
-}
-
-func cmpHolds(op expr.CmpOp, c int) bool {
-	switch op {
-	case expr.OpEq:
-		return c == 0
-	case expr.OpNe:
-		return c != 0
-	case expr.OpLt:
-		return c < 0
-	case expr.OpLe:
-		return c <= 0
-	case expr.OpGt:
-		return c > 0
-	case expr.OpGe:
-		return c >= 0
-	}
-	return false
+	return n.op.Holds(value.Compare(a, b))
 }
 
 // tableBuilder accumulates the shared structure while subscriptions

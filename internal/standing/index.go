@@ -2,13 +2,11 @@ package standing
 
 // The (column, interval) subscription index. The distinct constants
 // that the registered set's guards compare each data column against
-// become the bounds of a synthetic catalog.PartitionSpec — the same
-// interval math that prunes partitions and shards (PR 5/7) — and each
-// subscription keeps, per column, the segments its guard can intersect
-// (opt.PruneSpec). Classifying a row is then one binary search per
-// indexed column (PartitionFor) plus a bitset intersection; the
-// surviving candidates are the only subscriptions whose predicate is
-// evaluated.
+// become interval.Cuts — the cuts that prune partitions and shards —
+// and each subscription keeps, per column, the segments its guard can
+// touch (opt.PruneSpec). Classifying a row is then one stab per indexed
+// column plus a bitset intersection; the surviving candidates are the
+// only subscriptions whose predicate is evaluated.
 //
 // Soundness is inherited from the pruning walk: a guard is a sound
 // weakening of its subscription's predicate, PruneSpec keeps every
@@ -17,8 +15,8 @@ package standing
 // is skipped for a row only when its predicate provably fails on it.
 
 import (
-	"minequery/internal/catalog"
 	"minequery/internal/expr"
+	"minequery/internal/interval"
 	"minequery/internal/opt"
 	"minequery/internal/value"
 )
@@ -32,11 +30,11 @@ type intervalIndex struct {
 	cols []indexedCol
 }
 
-// indexedCol is one column's segment index: the synthetic spec and, per
-// segment, the bitset of subscriptions that may match within it.
+// indexedCol is one column's segment index: the cuts and, per segment,
+// the bitset of subscriptions that may match within it.
 type indexedCol struct {
 	ord  int
-	spec *catalog.PartitionSpec
+	cuts interval.Cuts
 	segs [][]uint64
 }
 
@@ -57,23 +55,17 @@ func (b *tableBuilder) buildIndex() {
 		collectConstants(cs.guard, b.schema, consts)
 	}
 	for ord, vals := range consts {
-		vals = sortValues(vals)
-		if len(vals) == 0 || len(vals) > maxSegments {
+		cuts := interval.NewCuts(vals)
+		if len(cuts) == 0 || len(cuts) > maxSegments {
 			continue
 		}
-		spec := &catalog.PartitionSpec{
-			Column:  b.schema.Col(ord).Name,
-			Ordinal: ord,
-			Bounds:  vals,
-		}
-		nSegs := spec.NumPartitions()
-		segs := make([][]uint64, nSegs)
+		segs := make([][]uint64, cuts.Segments())
 		for s := range segs {
 			segs[s] = make([]uint64, ix.words)
 		}
 		discriminates := false
 		for i, cs := range b.subs {
-			keep := opt.PruneSpec(spec, cs.guard)
+			keep := opt.PruneSpec(b.schema.Col(ord).Name, cuts, cs.guard)
 			for s, ok := range keep {
 				if ok {
 					segs[s][i/64] |= 1 << (i % 64)
@@ -87,7 +79,7 @@ func (b *tableBuilder) buildIndex() {
 		if !discriminates {
 			continue
 		}
-		ix.cols = append(ix.cols, indexedCol{ord: ord, spec: spec, segs: segs})
+		ix.cols = append(ix.cols, indexedCol{ord: ord, cuts: cuts, segs: segs})
 	}
 	b.index = ix
 }
@@ -97,7 +89,7 @@ func (b *tableBuilder) buildIndex() {
 func (ix *intervalIndex) candidates(row value.Tuple, out []uint64) {
 	copy(out, ix.full)
 	for _, c := range ix.cols {
-		seg := c.segs[c.spec.PartitionFor(row[c.ord])]
+		seg := c.segs[c.cuts.Stab(row[c.ord])]
 		for w := range out {
 			out[w] &= seg[w]
 		}

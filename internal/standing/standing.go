@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -419,16 +418,4 @@ func (s *Set) Poll(ctx context.Context, max int) ([]Notification, error) {
 		}
 	}
 	return out, nil
-}
-
-// sortValues sorts and dedupes by the value total order.
-func sortValues(vals []value.Value) []value.Value {
-	sort.Slice(vals, func(i, j int) bool { return value.Compare(vals[i], vals[j]) < 0 })
-	out := vals[:0]
-	for i, v := range vals {
-		if i == 0 || value.Compare(out[len(out)-1], v) != 0 {
-			out = append(out, v)
-		}
-	}
-	return out
 }

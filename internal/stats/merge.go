@@ -9,7 +9,9 @@ import (
 // DedupeValues returns vals with duplicates (by value.Equal) removed,
 // preserving first-occurrence order. IN-list estimation and partition
 // pruning both sum or union per-value contributions, so a literal like
-// IN (1, 1, 1) must collapse to one value first.
+// IN (1, 1, 1) must collapse to one value first. It is not
+// interval.NewCuts, which sorts: Selectivity sums float fractions in this
+// order, and another order could move a cost estimate in its last digit.
 func DedupeValues(vals []value.Value) []value.Value {
 	if len(vals) < 2 {
 		return vals

@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"minequery/internal/expr"
+	"minequery/internal/interval"
 	"minequery/internal/value"
 )
 
@@ -200,56 +201,43 @@ func (cs *ColumnStats) eqFraction(v value.Value, rows int64) float64 {
 	return 0
 }
 
-// rangeFraction estimates the fraction of rows with lo <(=) col <(=) hi.
-// Nil bounds are unbounded.
-func (cs *ColumnStats) rangeFraction(lo, hi *value.Value, loInc, hiInc bool, rows int64) float64 {
+// rangeFraction estimates the fraction of rows whose column value lies
+// in iv.
+func (cs *ColumnStats) rangeFraction(iv interval.Interval, rows int64) float64 {
 	if rows == 0 || cs == nil || cs.Count == 0 {
 		return 0
-	}
-	inRange := func(v value.Value) bool {
-		if lo != nil {
-			c := value.Compare(v, *lo)
-			if c < 0 || (c == 0 && !loInc) {
-				return false
-			}
-		}
-		if hi != nil {
-			c := value.Compare(v, *hi)
-			if c > 0 || (c == 0 && !hiInc) {
-				return false
-			}
-		}
-		return true
 	}
 	if cs.Exact != nil {
 		var n int64
 		for _, vc := range cs.Exact {
-			if inRange(vc.Val) {
+			if iv.Contains(vc.Val) {
 				n += vc.Count
 			}
 		}
 		return float64(n) / float64(rows)
 	}
+	lo, _, hasLo := iv.Lo()
+	hi, _, hasHi := iv.Hi()
 	var n float64
 	for _, bk := range cs.Hist {
-		loIn, hiIn := inRange(bk.Lo), inRange(bk.Hi)
+		loIn, hiIn := iv.Contains(bk.Lo), iv.Contains(bk.Hi)
 		switch {
 		case loIn && hiIn:
 			n += float64(bk.Count)
 		case !loIn && !hiIn:
 			// Bucket may still straddle the range interior.
-			if lo != nil && hi != nil &&
-				value.Compare(bk.Lo, *lo) < 0 && value.Compare(bk.Hi, *hi) > 0 {
-				n += float64(bk.Count) * interp(*lo, *hi, bk)
+			if hasLo && hasHi &&
+				value.Compare(bk.Lo, lo) < 0 && value.Compare(bk.Hi, hi) > 0 {
+				n += float64(bk.Count) * interp(lo, hi, bk)
 			}
 		default:
 			// Partial overlap: linear interpolation over the bucket span.
 			l, h := bk.Lo, bk.Hi
-			if lo != nil && value.Compare(*lo, l) > 0 {
-				l = *lo
+			if hasLo && value.Compare(lo, l) > 0 {
+				l = lo
 			}
-			if hi != nil && value.Compare(*hi, h) < 0 {
-				h = *hi
+			if hasHi && value.Compare(hi, h) < 0 {
+				h = hi
 			}
 			n += float64(bk.Count) * interp(l, h, bk)
 		}
@@ -308,16 +296,13 @@ func (ts *TableStats) Selectivity(e expr.Expr) float64 {
 			return cs.eqFraction(x.Val, ts.RowCount)
 		case expr.OpNe:
 			return clamp(nonNull(cs, ts.RowCount) - cs.eqFraction(x.Val, ts.RowCount))
-		case expr.OpLt:
-			return cs.rangeFraction(nil, &x.Val, false, false, ts.RowCount)
-		case expr.OpLe:
-			return cs.rangeFraction(nil, &x.Val, false, true, ts.RowCount)
-		case expr.OpGt:
-			return cs.rangeFraction(&x.Val, nil, false, false, ts.RowCount)
-		case expr.OpGe:
-			return cs.rangeFraction(&x.Val, nil, true, false, ts.RowCount)
 		}
-		return defaultSel
+		iv, ok := x.Interval()
+		if !ok {
+			// A NULL literal: the comparison is false for every row.
+			return 0
+		}
+		return cs.rangeFraction(iv, ts.RowCount)
 	case expr.In:
 		cs := ts.Col(x.Col)
 		if cs == nil {
@@ -343,78 +328,35 @@ func (ts *TableStats) Selectivity(e expr.Expr) float64 {
 	return defaultSel
 }
 
-// rangeConj accumulates the interval implied by several range conditions
-// on the same column within a conjunction.
-type rangeConj struct {
-	lo, hi     *value.Value
-	loInc      bool
-	hiInc      bool
-	col        string
-	nonRange   []expr.Expr // same-column conditions that are not ranges
-	contradict bool
-}
-
-func (rc *rangeConj) addLo(v value.Value, inc bool) {
-	if rc.lo == nil || value.Compare(v, *rc.lo) > 0 || (value.Equal(v, *rc.lo) && !inc) {
-		rc.lo, rc.loInc = &v, inc
-	}
-}
-
-func (rc *rangeConj) addHi(v value.Value, inc bool) {
-	if rc.hi == nil || value.Compare(v, *rc.hi) < 0 || (value.Equal(v, *rc.hi) && !inc) {
-		rc.hi, rc.hiInc = &v, inc
-	}
-}
-
 // andSelectivity estimates a conjunction, intersecting range conditions
 // that constrain the same column before applying the independence
 // assumption across columns and residual conditions.
 func (ts *TableStats) andSelectivity(kids []expr.Expr) float64 {
-	ranges := map[string]*rangeConj{}
+	ranges := map[string]interval.Interval{}
 	var order []string
 	var residual []expr.Expr
 	for _, k := range kids {
 		c, ok := k.(expr.Cmp)
-		if !ok || c.Val.IsNull() {
-			residual = append(residual, k)
-			continue
-		}
-		var isRange bool
-		switch c.Op {
-		case expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe:
-			isRange = true
-		}
-		if !isRange {
+		iv, bounded := c.Interval()
+		if !ok || !bounded || c.Op == expr.OpEq {
 			residual = append(residual, k)
 			continue
 		}
 		col := normalize(c.Col)
-		rc := ranges[col]
-		if rc == nil {
-			rc = &rangeConj{col: c.Col}
-			ranges[col] = rc
+		cur, seen := ranges[col]
+		if !seen {
 			order = append(order, col)
 		}
-		switch c.Op {
-		case expr.OpLt:
-			rc.addHi(c.Val, false)
-		case expr.OpLe:
-			rc.addHi(c.Val, true)
-		case expr.OpGt:
-			rc.addLo(c.Val, false)
-		case expr.OpGe:
-			rc.addLo(c.Val, true)
-		}
+		ranges[col] = cur.Intersect(iv)
 	}
 	s := 1.0
 	for _, col := range order {
-		rc := ranges[col]
-		cs := ts.Col(rc.col)
+		cs := ts.Cols[col]
 		if cs == nil {
 			s *= 1.0 / 3.0
 			continue
 		}
-		s *= cs.rangeFraction(rc.lo, rc.hi, rc.loInc, rc.hiInc, ts.RowCount)
+		s *= cs.rangeFraction(ranges[col], ts.RowCount)
 	}
 	for _, k := range residual {
 		s *= ts.Selectivity(k)

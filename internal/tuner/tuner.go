@@ -13,6 +13,7 @@ import (
 
 	"minequery/internal/catalog"
 	"minequery/internal/expr"
+	"minequery/internal/interval"
 	"minequery/internal/stats"
 )
 
@@ -188,8 +189,7 @@ func sargableColumns(ts *stats.TableStats, c expr.Conjunct) ([]string, float64) 
 	type rangeInfo struct {
 		col      string
 		sel      float64
-		hasLo    bool
-		hasHi    bool
+		iv       interval.Interval
 		selKnown bool
 	}
 	ranges := map[string]*rangeInfo{}
@@ -211,11 +211,8 @@ func sargableColumns(ts *stats.TableStats, c expr.Conjunct) ([]string, float64) 
 					ranges[key] = ri
 					rangeOrder = append(rangeOrder, key)
 				}
-				if x.Op == expr.OpGt || x.Op == expr.OpGe {
-					ri.hasLo = true
-				} else {
-					ri.hasHi = true
-				}
+				iv, _ := x.Interval()
+				ri.iv = ri.iv.Intersect(iv)
 				if s := ts.Selectivity(x); !ri.selKnown || s < ri.sel {
 					ri.sel, ri.selKnown = s, true
 				}
@@ -237,7 +234,9 @@ func sargableColumns(ts *stats.TableStats, c expr.Conjunct) ([]string, float64) 
 		if seenEq[key] {
 			continue
 		}
-		if ri.hasLo && ri.hasHi {
+		_, _, hasLo := ri.iv.Lo()
+		_, _, hasHi := ri.iv.Hi()
+		if hasLo && hasHi {
 			eqCols = append(eqCols, colSel{ri.col, ri.sel})
 		} else {
 			open = append(open, colSel{ri.col, ri.sel})

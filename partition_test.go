@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -298,6 +299,51 @@ func TestPartitionPruningAcceptance(t *testing.T) {
 	}
 }
 
+// TestPartitionNaNNeverPruned: value.Compare ties NaN with every number,
+// so a comparison accepts a NaN row, while routing files it in one
+// partition that pruning then skips. A partitioned table must answer
+// like its unpartitioned twin over every row both accepted — which it
+// does by refusing NaN in the partition column.
+func TestPartitionNaNNeverPruned(t *testing.T) {
+	eng := New()
+	sch := MustSchema(Column{Name: "id", Kind: KindInt}, Column{Name: "x", Kind: KindFloat})
+	if err := eng.CreatePartitionedTable("part", sch, "x", []Value{Int(10), Int(20)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.CreateTable("twin", sch); err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range []float64{1, 15, 25, math.NaN()} {
+		row := Tuple{Int(int64(i + 1)), Float(x)}
+		if err := eng.Insert("part", row); err != nil {
+			if !math.IsNaN(x) || !strings.Contains(err.Error(), "NaN") {
+				t.Fatalf("insert x=%v: %v", x, err)
+			}
+			continue
+		}
+		if err := eng.Insert("twin", row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := func(table, where string) string {
+		res, err := eng.Query(context.Background(), "SELECT id FROM "+table+" WHERE "+where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, r := range res.Rows {
+			out = append(out, r[0].String())
+		}
+		sort.Strings(out)
+		return strings.Join(out, ",")
+	}
+	for _, where := range []string{"x <= 5", "x >= 5 AND x <= 12", "x = 3"} {
+		if part, twin := ids("part", where), ids("twin", where); part != twin {
+			t.Errorf("WHERE %s: partitioned ids {%s}, unpartitioned twin {%s}", where, part, twin)
+		}
+	}
+}
+
 // TestCreatePartitionedTableValidation pins the public-API error paths.
 func TestCreatePartitionedTableValidation(t *testing.T) {
 	eng := New()
@@ -315,6 +361,7 @@ func TestCreatePartitionedTableValidation(t *testing.T) {
 		{"duplicate", "a", []Value{Int(5), Int(5)}, true},
 		{"null-bound", "a", []Value{Null()}, true},
 		{"kind-mismatch", "a", []Value{Str("x")}, true},
+		{"nan-bound", "a", []Value{Float(math.NaN())}, true},
 	}
 	for i, tc := range cases {
 		err := eng.CreatePartitionedTable(fmt.Sprintf("t%d", i), sch, tc.col, tc.bounds)
