@@ -10,7 +10,8 @@
 //
 // Order independence is trivial for COUNT (int addition), SUM over INT
 // (two's-complement wraparound addition is associative and
-// commutative), and MIN/MAX (commutative under value.Compare). SUM and
+// commutative), and MIN/MAX (commutative under value.Compare, a total
+// order, with the values it ties stored in one canonical form). SUM and
 // AVG over FLOAT would not be order-independent under IEEE addition
 // (rounding makes it non-associative), so those accumulate EXACTLY: a
 // finite float64 is an integer multiple of 2^-1074, so sums are kept as
@@ -239,11 +240,11 @@ func (a *acc) merge(o *acc, is ItemSpec) {
 	if o.hasMV {
 		switch {
 		case !a.hasMV:
-			a.mv, a.hasMV = o.mv, true
+			a.mv, a.hasMV = canonVal(o.mv), true
 		case is.Func == Min && value.Compare(o.mv, a.mv) < 0:
-			a.mv = o.mv
+			a.mv = canonVal(o.mv)
 		case is.Func == Max && value.Compare(o.mv, a.mv) > 0:
-			a.mv = o.mv
+			a.mv = canonVal(o.mv)
 		}
 	}
 }
@@ -344,7 +345,7 @@ func (t *Table) Add(tup value.Tuple) {
 				break
 			}
 			if !a.hasMV || value.Compare(v, a.mv) < 0 {
-				a.mv, a.hasMV = v, true
+				a.mv, a.hasMV = canonVal(v), true
 			}
 		case Max:
 			v := tup[is.Ord]
@@ -352,7 +353,7 @@ func (t *Table) Add(tup value.Tuple) {
 				break
 			}
 			if !a.hasMV || value.Compare(v, a.mv) > 0 {
-				a.mv, a.hasMV = v, true
+				a.mv, a.hasMV = canonVal(v), true
 			}
 		}
 	}
@@ -480,9 +481,10 @@ func floatUnitsInto(dst *big.Int, f float64) *big.Int {
 	return dst
 }
 
-// canonVal canonicalizes a value for use as a stored group key so that
-// values the key encoding identifies also render identically: -0.0
-// becomes +0.0 and every NaN bit pattern becomes the canonical NaN.
+// canonVal canonicalizes a value stored as a group key or a MIN/MAX so
+// that values the order ties also render identically — whichever row or
+// worker came first: -0.0 becomes +0.0 and every NaN bit pattern
+// becomes the canonical NaN.
 func canonVal(v value.Value) value.Value {
 	if v.Kind() == value.KindFloat {
 		f := v.AsFloat()
@@ -500,7 +502,7 @@ func canonVal(v value.Value) value.Value {
 // v. Unlike value.SortKey it never converts INT to float (so int64s
 // beyond 2^53 stay distinct); within one column all values share a
 // kind, so byte order of concatenated keys gives a deterministic
-// canonical group order.
+// canonical group order — value.Compare's within each column.
 func appendKey(dst []byte, v value.Value) []byte {
 	switch v.Kind() {
 	case value.KindNull:
@@ -509,12 +511,10 @@ func appendKey(dst []byte, v value.Value) []byte {
 		dst = append(dst, 0x01)
 		return binary.BigEndian.AppendUint64(dst, uint64(v.AsInt())^(1<<63))
 	case value.KindFloat:
-		f := v.AsFloat()
-		if f == 0 {
-			f = 0 // collapse -0.0 into +0.0
-		}
+		dst = append(dst, 0x02)
+		f := canonVal(v).AsFloat() // one key for the values Compare ties
 		if math.IsNaN(f) {
-			f = math.NaN() // collapse NaN payloads
+			return binary.BigEndian.AppendUint64(dst, 0) // below every number
 		}
 		bits := math.Float64bits(f)
 		if bits&(1<<63) != 0 {
@@ -522,7 +522,6 @@ func appendKey(dst []byte, v value.Value) []byte {
 		} else {
 			bits |= 1 << 63
 		}
-		dst = append(dst, 0x02)
 		return binary.BigEndian.AppendUint64(dst, bits)
 	case value.KindBool:
 		b := byte(0)

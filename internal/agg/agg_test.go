@@ -156,6 +156,49 @@ func TestFloatSpecials(t *testing.T) {
 	}
 }
 
+// TestMinMaxOrderFree: MIN and MAX over the floats value.Compare orders
+// least (NaN) or ties (−0.0 and 0.0) finalize to the same bytes for
+// every order of the rows and every split into two merged tables — the
+// row or worker that came first cannot show.
+func TestMinMaxOrderFree(t *testing.T) {
+	schema := value.MustSchema(value.Column{Name: "f", Kind: value.KindFloat})
+	spec, err := Resolve(schema, nil, []Item{{Func: Min, Col: "f"}, {Func: Max, Col: "f"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := []float64{math.NaN(), math.Copysign(0, -1), 0, 1}
+	var want []byte
+	var permute func(k int)
+	permute = func(k int) {
+		if k < len(in) {
+			for i := k; i < len(in); i++ {
+				in[k], in[i] = in[i], in[k]
+				permute(k + 1)
+				in[k], in[i] = in[i], in[k]
+			}
+			return
+		}
+		for cut := 0; cut <= len(in); cut++ {
+			a, b := NewTable(spec), NewTable(spec)
+			for i, f := range in {
+				if i < cut {
+					a.Add(value.Tuple{value.Float(f)})
+				} else {
+					b.Add(value.Tuple{value.Float(f)})
+				}
+			}
+			a.Merge(b)
+			got := value.EncodeTuple(nil, a.Finalize()[0])
+			if want == nil {
+				want = got
+			} else if string(got) != string(want) {
+				t.Fatalf("rows %v split at %d finalize to %v, the first order to %x", in, cut, a.Finalize()[0], want)
+			}
+		}
+	}
+	permute(0)
+}
+
 func TestNullSemantics(t *testing.T) {
 	schema := testSchema(t)
 	spec, err := Resolve(schema, nil, allItems()[1:]) // drop the group-by item

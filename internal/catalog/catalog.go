@@ -9,7 +9,6 @@ package catalog
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -175,14 +174,6 @@ func (t *Table) NormalizeRow(row value.Tuple) (value.Tuple, error) {
 		if got != want {
 			return nil, fmt.Errorf("catalog: table %s column %s: value kind %s, want %s",
 				t.Name, t.Schema.Col(i).Name, got, want)
-		}
-	}
-	// value.Compare ties NaN with every number, so a comparison accepts
-	// a NaN row that routing files in one partition only: pruning would
-	// drop it. The interval domain excludes NaN; this is its edge.
-	if t.Part != nil {
-		if v := row[t.Part.Ordinal]; v.Kind() == value.KindFloat && math.IsNaN(v.AsFloat()) {
-			return nil, fmt.Errorf("catalog: table %s column %s: NaN in the partition column", t.Name, t.Part.Column)
 		}
 	}
 	return row, nil

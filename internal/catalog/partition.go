@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"fmt"
-	"math"
 
 	"minequery/internal/interval"
 	"minequery/internal/stats"
@@ -48,9 +47,6 @@ func (c *Catalog) CreatePartitionedTable(name string, schema *value.Schema, part
 	for i, b := range bounds {
 		if b.IsNull() {
 			return nil, fmt.Errorf("catalog: create table %q: partition bound %d is NULL", name, i)
-		}
-		if b.Kind() == value.KindFloat && math.IsNaN(b.AsFloat()) {
-			return nil, fmt.Errorf("catalog: create table %q: partition bound %d is NaN", name, i)
 		}
 		bNumeric := b.Kind() == value.KindInt || b.Kind() == value.KindFloat
 		if bNumeric != colNumeric {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -307,13 +308,24 @@ func TestCancelAndFaultsInAggregateScan(t *testing.T) {
 			rule fault.Rule
 			want error
 		}{
-			{"cancel-mid-run", fault.Rule{Site: fault.SiteMorselClaim, OnHit: 2, Delay: time.Nanosecond}, context.Canceled},
+			{"cancel-mid-run", fault.Rule{Site: fault.SiteMorselClaim, EveryN: 1, Delay: time.Nanosecond}, context.Canceled},
 			{"claim-fault", fault.Rule{Site: fault.SiteMorselClaim, OnHit: 2, Err: fault.ErrInjected}, fault.ErrInjected},
 		} {
 			t.Run(a.name+"/"+fc.name, func(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				in := fault.NewInjector(1, fc.rule).WithClock(hookClock{fault.RealClock(), cancel})
+				// Every claim passes the hook, one at a time, and the second
+				// cancels: a worker preempted on its way to cancelling cannot
+				// let the others drain the table first.
+				var mu sync.Mutex
+				claims := 0
+				in := fault.NewInjector(1, fc.rule).WithClock(hookClock{fault.RealClock(), func() {
+					mu.Lock()
+					defer mu.Unlock()
+					if claims++; claims == 2 {
+						cancel()
+					}
+				}})
 				col := NewCollector()
 				_, _, err := RunCtx(ctx, cat, a.root, Options{DOP: 4, MorselPages: 1, Collector: col, Faults: in})
 				if !errors.Is(err, fc.want) {

@@ -1,8 +1,6 @@
 package vec
 
 import (
-	"math"
-
 	"minequery/internal/expr"
 	"minequery/internal/storage"
 	"minequery/internal/value"
@@ -45,10 +43,6 @@ func compareKinds(col, lit value.Kind) (ranked bool, cmp int) {
 	return false, -1
 }
 
-// isNaN reports a FLOAT NaN literal, which value.Compare holds equal to
-// every number.
-func isNaN(v value.Value) bool { return v.Kind() == value.KindFloat && math.IsNaN(v.AsFloat()) }
-
 // constLeaf is the lowering of a comparison whose outcome is the same
 // for every non-NULL value of the column.
 func constLeaf(ord int, holds bool) node {
@@ -69,12 +63,8 @@ func compileCmp(x expr.Cmp, s *value.Schema) node {
 		// Every stored value is NULL; comparisons are uniformly false.
 		return falseNode{}
 	}
-	ranked, cmp := compareKinds(colKind, x.Val.Kind())
-	switch {
-	case !ranked:
+	if ranked, cmp := compareKinds(colKind, x.Val.Kind()); !ranked {
 		return constLeaf(ord, x.Op.Holds(cmp))
-	case isNaN(x.Val):
-		return constLeaf(ord, x.Op.Holds(0))
 	}
 	c := 1.0
 	if colKind == value.KindString {
@@ -100,14 +90,9 @@ func compileIn(x expr.In, s *value.Schema) node {
 		if w.IsNull() {
 			continue
 		}
-		if ranked, _ := compareKinds(colKind, w.Kind()); !ranked {
-			continue
+		if ranked, _ := compareKinds(colKind, w.Kind()); ranked {
+			vals = append(vals, w)
 		}
-		if isNaN(w) {
-			// Equal to every number: the list holds for every non-NULL row.
-			return constLeaf(ord, true)
-		}
-		vals = append(vals, w)
 	}
 	if len(vals) == 0 {
 		return falseNode{}
@@ -162,10 +147,6 @@ func fill(b []bool) {
 		b[i] = true
 	}
 }
-
-// addNaNs includes the NaN entries of the dictionary. A stored NaN
-// compares equal to any number, so it passes whatever cmp == 0 passes.
-func (s *codeSel) addNaNs() { s.add(s.col.Ordered(), s.col.DictLen()) }
 
 // filter returns the rows of sel whose code was added.
 func (s *codeSel) filter(sel []int32) []int32 {
@@ -289,10 +270,9 @@ func (n *cmpNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 
 	}
 	if n.op.Holds(0) {
 		s.add(lt, le)
-		s.addNaNs()
 	}
 	if n.op.Holds(1) {
-		s.add(le, col.Ordered())
+		s.add(le, col.DictLen())
 	}
 	return s.filter(sel)
 }
@@ -310,7 +290,6 @@ func (n *inNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
 	for _, v := range n.vals {
 		s.add(col.Rank(v))
 	}
-	s.addNaNs()
 	return s.filter(sel)
 }
 

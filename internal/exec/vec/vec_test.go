@@ -43,7 +43,7 @@ type fixture struct {
 }
 
 // Floats the score column deals besides its quarter steps: both zeros,
-// NaN (equal to every number under value.Compare) and the infinities.
+// NaN (below every number under value.Compare) and the infinities.
 var oddFloats = []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
 
 func buildFixture(t *testing.T, seed int64, rows int) *fixture {

@@ -17,13 +17,11 @@ import (
 // is unbounded on both sides, and building or tightening one allocates
 // nothing.
 //
-// Domain: non-NULL, non-NaN values, with cross-kind numerics ordered as
-// value.Compare orders them (Int(5) and Float(5) are the same point). A
-// NULL satisfies no comparison, so it is no bound — Above and Below
-// given one leave that side unbounded — and asking Contains about one
-// means nothing. value.Compare ties NaN with every number, which is no
-// order at all: callers keep NaN out (see catalog.NormalizeRow for
-// partition columns).
+// Domain: non-NULL values, with cross-kind numerics ordered as
+// value.Compare orders them (Int(5) and Float(5) are the same point, NaN
+// is below every number). A NULL satisfies no comparison, so it is no
+// bound — Above and Below given one leave that side unbounded — and
+// asking Contains about one means nothing.
 //
 // Tie rule: when Intersect meets two bounds of equal value on one side,
 // the exclusive one wins — `x >= 5 AND x > 5` is `x > 5`.

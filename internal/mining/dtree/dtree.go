@@ -7,6 +7,7 @@
 package dtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -41,7 +42,9 @@ type Node struct {
 	False     *Node
 }
 
-// Test evaluates the node's condition on an input tuple.
+// Test evaluates the node's condition on an input tuple. A numeric test
+// orders as value.Compare does, like the envelope's `attr <= Threshold`,
+// so a NaN input takes the branch its envelope admits it to.
 func (n *Node) Test(in value.Tuple) bool {
 	v := in[n.AttrIdx]
 	if v.IsNull() {
@@ -49,7 +52,7 @@ func (n *Node) Test(in value.Tuple) bool {
 	}
 	switch n.Kind {
 	case SplitNumeric:
-		return v.AsFloat() <= n.Threshold
+		return cmp.Compare(v.AsFloat(), n.Threshold) <= 0
 	case SplitCategorical:
 		return value.Equal(v, n.CatVal)
 	}

@@ -3,7 +3,7 @@ package standing
 // The standing-query differential sweep: seeded random subscription
 // sets — mining predicates over all five model families mixed with data
 // predicates under AND/OR/NOT — evaluated over random committed batches
-// by the shared compiled Set and, independently, by the NaiveMatcher
+// by the shared compiled Set and, independently, by the naiveMatcher
 // oracle (fresh per-subscription per-row prediction, direct expression
 // evaluation over the extended schema, no shared code). Every
 // notification stream must be byte-identical to the oracle's: same
@@ -250,7 +250,7 @@ func TestDifferentialStandingSweep(t *testing.T) {
 	nextID := int64(0)
 	for iter := 0; iter < iterations; iter++ {
 		s := NewSet(cat, Options{Queue: 1 << 14})
-		naive := NewNaiveMatcher(cat)
+		naive := newNaiveMatcher(cat)
 		nSubs := 1 + r.Intn(8)
 		for i := 0; i < nSubs; i++ {
 			sql := genSubscription(r, models)

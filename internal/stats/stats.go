@@ -265,13 +265,14 @@ func interp(l, h value.Value, bk Bucket) float64 {
 		return 0
 	}
 	f := (h.AsFloat() - l.AsFloat()) / span
-	if f < 0 {
-		return 0
-	}
-	if f > 1 {
+	switch {
+	case f > 1:
 		return 1
+	case f >= 0:
+		return f
 	}
-	return f
+	// Negative, or NaN: a NaN or infinite bound spans no measurable part.
+	return 0
 }
 
 // Selectivity estimates the fraction of rows satisfying e. Unknown

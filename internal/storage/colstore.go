@@ -35,11 +35,10 @@ const maxGroupRows = 1 << 16
 // written after the build.
 //
 // The dictionary is ordered by value.Compare. Where Compare ties values
-// that are not the same value — 0.0 and -0.0 — both are entries, next to
-// each other, so a row reconstructs to the bits it was stored with and a
-// constant still translates to one contiguous run of codes. A NaN
-// compares equal to every number, which no sorted position expresses:
-// NaNs are the entries from Ordered() on.
+// that are not the same value — 0.0 and -0.0, NaN payloads — each is an
+// entry, next to the others, so a row reconstructs to the bits it was
+// stored with and a constant still translates to one contiguous run of
+// codes.
 type ColVec struct {
 	Kind value.Kind
 	// Nulls marks the NULL rows; nil when the group holds none. A NULL
@@ -52,8 +51,6 @@ type ColVec struct {
 	ints   []int64
 	floats []float64
 	strs   []string
-	// ordered is how many leading entries are not NaN.
-	ordered int
 
 	// The codes: codes8 when the dictionary has at most 256 entries,
 	// else codes16; neither when it is empty.
@@ -67,21 +64,16 @@ func (v *ColVec) IsNull(i int) bool { return v.Nulls != nil && v.Nulls[i] }
 // DictLen is the number of distinct non-NULL values the group holds.
 func (v *ColVec) DictLen() int { return len(v.ints) + len(v.floats) + len(v.strs) }
 
-// Ordered is the number of leading dictionary entries value.Compare
-// orders: all of them, but for the NaNs at the end of a FLOAT
-// dictionary.
-func (v *ColVec) Ordered() int { return v.ordered }
-
 // Codes returns the per-row dictionary positions, in whichever width the
 // group was sealed with; both are nil when the dictionary is empty.
 func (v *ColVec) Codes() ([]uint8, []uint16) { return v.codes8, v.codes16 }
 
-// Rank places lit among the ordered dictionary entries exactly as
-// value.Compare would: lt entries compare below it and le-lt equal to
-// it, so codes [lt, le) are the rows `col = lit` holds for, [0, lt)
-// those below, [le, Ordered()) those above. lit must be comparable with
-// the column — numeric and not NaN for an INT or FLOAT column, else of
-// the column's kind. It allocates nothing.
+// Rank places lit among the dictionary entries exactly as value.Compare
+// would: lt entries compare below it and le-lt equal to it, so codes
+// [lt, le) are the rows `col = lit` holds for, [0, lt) those below,
+// [le, DictLen()) those above. lit must be comparable with the column —
+// numeric for an INT or FLOAT column, else of the column's kind. It
+// allocates nothing.
 func (v *ColVec) Rank(lit value.Value) (lt, le int) {
 	switch v.Kind {
 	case value.KindInt:
@@ -91,11 +83,11 @@ func (v *ColVec) Rank(lit value.Value) (lt, le int) {
 		// Against a FLOAT, Compare widens the column's side too. Widening
 		// is monotone, so the entries stay sorted under it.
 		d, f := v.ints, lit.AsFloat()
-		lt = sort.Search(len(d), func(i int) bool { return !(float64(d[i]) < f) })
-		le = lt + sort.Search(len(d)-lt, func(i int) bool { return float64(d[lt+i]) > f })
+		lt = sort.Search(len(d), func(i int) bool { return !cmp.Less(float64(d[i]), f) })
+		le = lt + sort.Search(len(d)-lt, func(i int) bool { return cmp.Less(f, float64(d[lt+i])) })
 		return lt, le
 	case value.KindFloat:
-		return rank(v.floats[:v.ordered], lit.AsFloat())
+		return rank(v.floats, lit.AsFloat())
 	case value.KindString:
 		return rank(v.strs, lit.AsString())
 	case value.KindBool:
@@ -108,11 +100,11 @@ func (v *ColVec) Rank(lit value.Value) (lt, le int) {
 	return 0, 0
 }
 
-// rank is Rank over one kind's entries; -0.0 and 0.0 both fall in
-// [lt, le) of either.
+// rank is Rank over one kind's entries, in cmp.Compare's order: -0.0
+// and 0.0 both fall in [lt, le) of either, and so do two NaNs.
 func rank[T cmp.Ordered](d []T, x T) (lt, le int) {
-	lt = sort.Search(len(d), func(i int) bool { return !(d[i] < x) })
-	le = lt + sort.Search(len(d)-lt, func(i int) bool { return d[lt+i] > x })
+	lt = sort.Search(len(d), func(i int) bool { return !cmp.Less(d[i], x) })
+	le = lt + sort.Search(len(d)-lt, func(i int) bool { return cmp.Less(x, d[lt+i]) })
 	return lt, le
 }
 
@@ -306,13 +298,10 @@ func (b *groupBuilder) seal(part int) *ColGroup {
 		switch kind {
 		case value.KindInt, value.KindBool:
 			v.ints = sealDict(v, col.ints, codes, func(a, b rowValue[int64]) int { return cmp.Compare(a.v, b.v) })
-			v.ordered = len(v.ints)
 		case value.KindFloat:
 			v.floats = sealDict(v, col.floats, codes, func(a, b rowValue[float64]) int { return compareFloatBits(a.v, b.v) })
-			v.ordered = sort.Search(len(v.floats), func(i int) bool { return v.floats[i] != v.floats[i] })
 		case value.KindString:
 			v.strs = sealDict(v, col.strs, codes, func(a, b rowValue[string]) int { return cmp.Compare(a.v, b.v) })
-			v.ordered = len(v.strs)
 		}
 		col.nulls, col.anyNull = col.nulls[:0], false
 		col.ints, col.floats, col.strs = col.ints[:0], col.floats[:0], col.strs[:0]
@@ -321,22 +310,13 @@ func (b *groupBuilder) seal(part int) *ColGroup {
 	return g
 }
 
-// compareFloatBits is the dictionary order of a FLOAT column: numeric
-// where value.Compare decides, then — for the pairs it ties — NaNs after
-// every number and equal-comparing values by their bits, so that two
-// entries are the same entry only when they are the same float.
+// compareFloatBits is the dictionary order of a FLOAT column:
+// value.Compare's, then — for the pairs it ties, ±0 and NaN payloads —
+// the bits, so that two entries are the same entry only when they are
+// the same float.
 func compareFloatBits(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	if an, bn := a != a, b != b; an != bn {
-		if an {
-			return 1
-		}
-		return -1
+	if c := cmp.Compare(a, b); c != 0 {
+		return c
 	}
 	return cmp.Compare(math.Float64bits(a), math.Float64bits(b))
 }

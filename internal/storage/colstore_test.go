@@ -162,27 +162,22 @@ func checkSealed(t *testing.T, where string, v *ColVec, want []value.Value) {
 			t.Errorf("%s: %s has len %d, cap %d", where, name, lenCap[0], lenCap[1])
 		}
 	}
-	// Sorted: ascending under Compare up to Ordered(), NaN from there on.
-	for c := 0; c < v.DictLen(); c++ {
-		e := dictValue(v, c)
-		nan := e.Kind() == value.KindFloat && math.IsNaN(e.AsFloat())
-		if nan != (c >= v.Ordered()) {
-			t.Fatalf("%s: entry %d is %v with %d ordered entries", where, c, e, v.Ordered())
-		}
-		if c > 0 && c < v.Ordered() && value.Compare(dictValue(v, c-1), e) > 0 {
-			t.Fatalf("%s: entries %d, %d out of order: %v, %v", where, c-1, c, dictValue(v, c-1), e)
+	// Sorted: ascending under Compare, NaNs first.
+	for c := 1; c < v.DictLen(); c++ {
+		if value.Compare(dictValue(v, c-1), dictValue(v, c)) > 0 {
+			t.Fatalf("%s: entries %d, %d out of order: %v, %v", where, c-1, c, dictValue(v, c-1), dictValue(v, c))
 		}
 	}
 }
 
-// checkRank holds Rank to value.Compare over every ordered entry.
+// checkRank holds Rank to value.Compare over every entry.
 func checkRank(t *testing.T, where string, v *ColVec, lit value.Value) {
 	t.Helper()
 	lt, le := v.Rank(lit)
-	if lt < 0 || lt > le || le > v.Ordered() {
-		t.Fatalf("%s: Rank(%v) = %d, %d with %d ordered entries", where, lit, lt, le, v.Ordered())
+	if lt < 0 || lt > le || le > v.DictLen() {
+		t.Fatalf("%s: Rank(%v) = %d, %d with %d entries", where, lit, lt, le, v.DictLen())
 	}
-	for c := 0; c < v.Ordered(); c++ {
+	for c := 0; c < v.DictLen(); c++ {
 		want := 0
 		switch {
 		case c < lt:
@@ -200,7 +195,7 @@ func checkRank(t *testing.T, where string, v *ColVec, lit value.Value) {
 // this group, their neighbours, and the other numeric kind.
 func probes(v *ColVec) []value.Value {
 	var out []value.Value
-	for c := 0; c < v.Ordered(); c++ {
+	for c := 0; c < v.DictLen(); c++ {
 		e := dictValue(v, c)
 		out = append(out, e)
 		switch e.Kind() {
@@ -285,8 +280,8 @@ func TestColumnStoreRoundTrip(t *testing.T) {
 		t.Errorf("NULL-kind column: %d entries, %d Nulls", v.DictLen(), len(v.Nulls))
 	}
 	f := &g0.Cols[cFloat]
-	if f.DictLen()-f.Ordered() != 3 {
-		t.Errorf("float column keeps %d NaN entries, the fixture deals 3 payloads", f.DictLen()-f.Ordered())
+	if lt, le := f.Rank(value.Float(math.NaN())); lt != 0 || le != 3 {
+		t.Errorf("NaN ranks equal to entries [%d, %d), want the 3 payloads the fixture deals, first", lt, le)
 	}
 	if lt, le := f.Rank(value.Float(0)); le-lt != 2 {
 		t.Errorf("0.0 ranks equal to %d entries, want both zeros", le-lt)

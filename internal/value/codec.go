@@ -137,16 +137,24 @@ func DecodeTupleInto(dst Tuple, b []byte, need []bool) (Tuple, error) {
 	return dst, nil
 }
 
-// SortKey appends an order-preserving binary encoding of v: for values a,
-// b of kinds comparable under Compare, bytes.Compare(SortKey(a),
-// SortKey(b)) == Compare(a, b). Used as B+-tree key material.
+// SortKey appends an order-preserving binary encoding of v, used as
+// B+-tree key material: for values a, b of kinds comparable under
+// Compare, bytes.Compare(SortKey(a), SortKey(b)) has Compare(a, b)'s
+// sign, or is 0. It may merge values Compare distinguishes — INTs past
+// 2^53 share their float's key, so a seek overscans and the filter
+// re-checks — but never splits values Compare ties, nor inverts an order.
 func (v Value) SortKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
 		return append(dst, 0x00)
 	case KindInt, KindFloat:
 		dst = append(dst, 0x01)
-		bits := math.Float64bits(v.AsFloat())
+		f := canonFloat(v.AsFloat())
+		if math.IsNaN(f) {
+			// NaN sorts below every number, -Inf included.
+			return binary.BigEndian.AppendUint64(dst, 0)
+		}
+		bits := math.Float64bits(f)
 		// Flip for order preservation: positive floats get the sign bit
 		// set; negative floats are fully complemented.
 		if bits&(1<<63) != 0 {

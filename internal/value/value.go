@@ -9,6 +9,7 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -122,8 +123,9 @@ func (v Value) numeric() bool { return v.kind == KindInt || v.kind == KindFloat 
 // Compare orders a against b. NULL sorts before every non-NULL value and
 // equal to NULL (total order suitable for index keys; predicate evaluation
 // handles NULL separately). INT and FLOAT compare numerically across
-// kinds. Comparing incompatible non-numeric kinds orders by Kind so the
-// order stays total.
+// kinds, floats as cmp.Compare orders them: NaN equals NaN and sorts
+// below every number, and -0.0 equals 0.0. Comparing incompatible
+// non-numeric kinds orders by Kind so the order stays total.
 func Compare(a, b Value) int {
 	if a.kind == KindNull || b.kind == KindNull {
 		switch {
@@ -137,22 +139,9 @@ func Compare(a, b Value) int {
 	}
 	if a.numeric() && b.numeric() {
 		if a.kind == KindInt && b.kind == KindInt {
-			switch {
-			case a.i < b.i:
-				return -1
-			case a.i > b.i:
-				return 1
-			}
-			return 0
+			return cmp.Compare(a.i, b.i)
 		}
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.AsFloat(), b.AsFloat())
 	}
 	if a.kind != b.kind {
 		switch {
@@ -193,15 +182,10 @@ func (v Value) Hash() uint64 {
 	switch v.kind {
 	case KindNull:
 		h.Write([]byte{0})
-	case KindInt:
+	case KindInt, KindFloat:
 		var buf [9]byte
-		buf[0] = 1
-		putU64(buf[1:], math.Float64bits(float64(v.i)))
-		h.Write(buf[:])
-	case KindFloat:
-		var buf [9]byte
-		buf[0] = 1 // same tag as INT so 2 == 2.0 hash alike
-		putU64(buf[1:], math.Float64bits(v.f))
+		buf[0] = 1 // one tag for both kinds, so 2 == 2.0 hash alike
+		putU64(buf[1:], math.Float64bits(canonFloat(v.AsFloat())))
 		h.Write(buf[:])
 	case KindString:
 		h.Write([]byte{3})
@@ -210,6 +194,18 @@ func (v Value) Hash() uint64 {
 		h.Write([]byte{4, byte(v.i)})
 	}
 	return h.Sum64()
+}
+
+// canonFloat maps the floats Compare ties to one of them: -0.0 to 0.0,
+// and every NaN payload to math.NaN().
+func canonFloat(f float64) float64 {
+	switch {
+	case f == 0:
+		return 0
+	case math.IsNaN(f):
+		return math.NaN()
+	}
+	return f
 }
 
 func putU64(b []byte, v uint64) {

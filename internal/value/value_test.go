@@ -2,6 +2,7 @@ package value
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -291,6 +292,36 @@ func TestSortKeyOrderPreserving(t *testing.T) {
 	}
 	if !sort.SliceIsSorted(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 }) {
 		t.Error("SortKey does not preserve mixed ordering")
+	}
+}
+
+// TestSortKeyKeepsCompareOrder pins the one rule an index lives by, over
+// the numbers where it is easy to break: SortKey may merge values
+// Compare tells apart (INTs past 2^53 share a float key; the filter above
+// a seek re-checks), but must never split values Compare ties — −0.0 and
+// 0.0, NaN payloads — nor invert two it orders; and values Compare ties
+// hash alike.
+func TestSortKeyKeepsCompareOrder(t *testing.T) {
+	vals := []Value{
+		Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000bad)), Float(math.Float64frombits(0xfff8000000000001)),
+		Float(math.Inf(-1)), Float(-1e308), Int(-3), Float(-2.5), Float(-math.SmallestNonzeroFloat64),
+		Float(math.Copysign(0, -1)), Float(0), Int(0), Float(math.SmallestNonzeroFloat64), Float(5), Int(5),
+		Int(1 << 53), Int(1<<53 + 1), Float(1 << 53), Float(1e308), Float(math.Inf(1)),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			c := Compare(a, b)
+			k := bytes.Compare(a.SortKey(nil), b.SortKey(nil))
+			if (c == 0 && k != 0) || c*k < 0 {
+				t.Errorf("Compare(%v, %v) = %d but their sort keys compare %d", a, b, c, k)
+			}
+			if c == 0 && a.Hash() != b.Hash() {
+				t.Errorf("Compare(%v, %v) = 0 but they hash apart", a, b)
+			}
+		}
+	}
+	if nan, inf := Float(math.NaN()), Float(math.Inf(-1)); Compare(nan, inf) >= 0 {
+		t.Errorf("NaN must sort below -Inf, Compare = %d", Compare(nan, inf))
 	}
 }
 

@@ -1,13 +1,11 @@
 package minequery
 
-// Partitioned-table coverage at the public API: a differential sweep
-// re-running the random query generator over range-partitioned tables
-// with uniform, skewed, and empty partitions (pruned execution vs the
-// forced unpruned scan oracle at DOP 1 and 4, with a chaos slice
-// injecting page-read faults into the pruned scans), plus the
-// 16-partition acceptance check — a selective mining predicate must
-// prune at least half the partitions and cut sequential page reads
-// against an identical unpartitioned table.
+// Partitioned tables and odd floats at the public API: the 16-partition
+// acceptance check — a selective mining predicate must prune at least
+// half the partitions and cut sequential page reads against an identical
+// unpartitioned table — NaN routing, the error paths, and an index over
+// −0.0 and NaN. Pruned and indexed execution against the reference, over
+// random bounds and empty partitions, is TestModelCheck's.
 
 import (
 	"bytes"
@@ -19,177 +17,6 @@ import (
 	"strings"
 	"testing"
 )
-
-// buildPartDiffEngine mirrors buildDiffEngine over a range-partitioned
-// table: "t" is partitioned on num by the given bounds, with the same
-// indexes and three trained models (two on num — whose envelopes can
-// drive pruning — one on cat).
-func buildPartDiffEngine(t *testing.T, seed int64, rows int, bounds []Value) (*Engine, []diffModel) {
-	t.Helper()
-	eng := New()
-	if err := eng.CreatePartitionedTable("t", MustSchema(
-		Column{Name: "id", Kind: KindInt},
-		Column{Name: "cat", Kind: KindString},
-		Column{Name: "num", Kind: KindInt},
-	), "num", bounds); err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(seed))
-	labelsCls := make([]string, rows)
-	batch := make([]Tuple, 0, rows)
-	for i := 0; i < rows; i++ {
-		cat := fmt.Sprintf("c%d", r.Intn(8))
-		num := r.Intn(100)
-		batch = append(batch, Tuple{Int(int64(i)), Str(cat), Int(int64(num))})
-		if num >= 85 {
-			labelsCls[i] = "high"
-		} else {
-			labelsCls[i] = "low"
-		}
-	}
-	if err := eng.InsertBatch("t", batch); err != nil {
-		t.Fatal(err)
-	}
-	for _, ix := range [][]string{{"cat"}, {"num"}} {
-		if err := eng.CreateIndex("ix_"+strings.Join(ix, "_"), "t", ix...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.Analyze("t"); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := eng.CreateTable("t_lbl", MustSchema(
-		Column{Name: "cat", Kind: KindString},
-		Column{Name: "num", Kind: KindInt},
-		Column{Name: "cls", Kind: KindString},
-		Column{Name: "grp", Kind: KindString},
-	)); err != nil {
-		t.Fatal(err)
-	}
-	lb := make([]Tuple, 0, rows)
-	for i, row := range batch {
-		grp := "a"
-		if row[1].AsString() >= "c4" {
-			grp = "b"
-		}
-		lb = append(lb, Tuple{row[1], row[2], Str(labelsCls[i]), Str(grp)})
-	}
-	if err := eng.InsertBatch("t_lbl", lb); err != nil {
-		t.Fatal(err)
-	}
-
-	var models []diffModel
-	add := func(mi *ModelInfo, err error, alias, predCol string, onCols ...string) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("train %s: %v", alias, err)
-		}
-		models = append(models, diffModel{
-			name: mi.Name, alias: alias, predCol: predCol, onCols: onCols, classes: mi.Classes,
-		})
-	}
-	mi, err := eng.TrainDecisionTree("pdt", "cls", "t_lbl", []string{"num"}, "cls", TreeOptions{})
-	add(mi, err, "m_dt", "cls", "num")
-	mi, err = eng.TrainNaiveBayes("pnb", "grp", "t_lbl", []string{"cat"}, "grp", BayesOptions{})
-	add(mi, err, "m_nb", "grp", "cat")
-	mi, err = eng.TrainKMeans("pkm", "cluster", "t_lbl", []string{"num"}, ClusterOptions{K: 3, Seed: 7})
-	add(mi, err, "m_km", "cluster", "num")
-	return eng, models
-}
-
-// TestDifferentialPartitionedRandomQueries sweeps the random query
-// generator over three partitioning shapes — uniform, skewed with
-// tiny edge partitions, and 16 random boundaries (several partitions
-// empty, one boundary past the data range) — checking pruned execution
-// against the forced unpruned scan oracle at DOP 1 and 4. Every 6th
-// iteration runs under a seeded page-read injector with retries on, so
-// pruned partition scans absorb transient faults mid-sweep; the row
-// sets must still match exactly.
-func TestDifferentialPartitionedRandomQueries(t *testing.T) {
-	const seed = 20260805
-	perShape := 167 // 3 shapes ≈ 500 iterations
-	if testing.Short() {
-		perShape = 40
-	}
-	boundSets := [][]Value{
-		{Int(25), Int(50), Int(75)},
-		// Skewed: tiny partitions at both edges, two huge ones in the
-		// middle, and [97,∞) nearly empty.
-		{Int(2), Int(4), Int(50), Int(95), Int(97)},
-		// 16 partitions from random boundaries; 120 and 140 lie past the
-		// data range (num < 100), so the last partitions stay empty.
-		randomBounds(seed, 13, 120),
-	}
-	ctx := context.Background()
-	pruningSeen := 0
-	for shape, bounds := range boundSets {
-		eng, models := buildPartDiffEngine(t, seed+int64(shape), 900, bounds)
-		pageFaults := NewFaultInjector(seed, FaultRule{Site: FaultSitePageReadSeq, EveryN: 7, Err: ErrInjected})
-		r := rand.New(rand.NewSource(seed + int64(shape)))
-		for i := 0; i < perShape; i++ {
-			sql := genQuery(r, models)
-			faulty := i%6 == 5
-
-			base, err := eng.Query(ctx, sql, WithForcedPath("seqscan"), WithDOP(1))
-			if err != nil {
-				t.Fatalf("shape %d iter %d: oracle failed for %q: %v", shape, i, sql, err)
-			}
-			want := sortedKeys(base.Rows)
-
-			if faulty {
-				eng.SetFaults(pageFaults)
-			}
-			for _, dop := range []int{1, 4} {
-				res, err := eng.Query(ctx, sql, WithDOP(dop))
-				if err != nil {
-					t.Fatalf("shape %d iter %d (faulty=%v, dop=%d): %q: %v", shape, i, faulty, dop, sql, err)
-				}
-				if got := sortedKeys(res.Rows); !sameRowSets(got, want) {
-					t.Fatalf("shape %d iter %d (faulty=%v, dop=%d, path=%s, pruned=%d/%d): %q returned %d rows, oracle %d\nseed=%d",
-						shape, i, faulty, dop, res.AccessPath, res.PartitionsPruned, res.PartitionsTotal,
-						sql, len(res.Rows), len(base.Rows), seed)
-				}
-				if res.PartitionsTotal != len(bounds)+1 {
-					t.Fatalf("shape %d iter %d: PartitionsTotal = %d, want %d",
-						shape, i, res.PartitionsTotal, len(bounds)+1)
-				}
-				if res.PartitionsPruned > 0 {
-					pruningSeen++
-				}
-			}
-			if faulty {
-				eng.SetFaults(nil)
-			}
-		}
-	}
-	if pruningSeen == 0 {
-		t.Fatal("no iteration pruned a partition; generator or pruner drifted")
-	}
-	t.Logf("%d executions pruned at least one partition", pruningSeen)
-}
-
-// randomBounds returns n strictly increasing int bounds seeded off the
-// run seed, with the last one forced past the data range so the final
-// partitions are empty.
-func randomBounds(seed int64, n int, beyond int64) []Value {
-	r := rand.New(rand.NewSource(seed * 31))
-	set := map[int64]bool{}
-	for len(set) < n {
-		set[int64(r.Intn(100))] = true
-	}
-	vals := make([]int64, 0, n+2)
-	for v := range set {
-		vals = append(vals, v)
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	vals = append(vals, beyond, beyond+20)
-	out := make([]Value, len(vals))
-	for i, v := range vals {
-		out[i] = Int(v)
-	}
-	return out
-}
 
 // TestPartitionPruningAcceptance is the headline check: on a
 // 16-partition table with no indexes, a selective mining predicate must
@@ -279,8 +106,7 @@ func TestPartitionPruningAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) == 0 || !sameRowSets(sortedKeys(res.Rows), sortedKeys(oracle.Rows)) ||
-		!sameRowSets(sortedKeys(res.Rows), sortedKeys(base.Rows)) {
+	if len(res.Rows) == 0 || idsOf(res) != idsOf(oracle) || idsOf(res) != idsOf(base) {
 		t.Fatalf("row sets diverge: pruned=%d oracle=%d unpartitioned=%d",
 			len(res.Rows), len(oracle.Rows), len(base.Rows))
 	}
@@ -299,11 +125,10 @@ func TestPartitionPruningAcceptance(t *testing.T) {
 	}
 }
 
-// TestPartitionNaNNeverPruned: value.Compare ties NaN with every number,
-// so a comparison accepts a NaN row, while routing files it in one
-// partition that pruning then skips. A partitioned table must answer
-// like its unpartitioned twin over every row both accepted — which it
-// does by refusing NaN in the partition column.
+// TestPartitionNaNNeverPruned: a NaN in the partition column is routed
+// by the one order every comparison uses — below every number, into
+// partition 0 — so pruning keeps every row a comparison accepts and the
+// partitioned table answers like its unpartitioned twin.
 func TestPartitionNaNNeverPruned(t *testing.T) {
 	eng := New()
 	sch := MustSchema(Column{Name: "id", Kind: KindInt}, Column{Name: "x", Kind: KindFloat})
@@ -361,7 +186,6 @@ func TestCreatePartitionedTableValidation(t *testing.T) {
 		{"duplicate", "a", []Value{Int(5), Int(5)}, true},
 		{"null-bound", "a", []Value{Null()}, true},
 		{"kind-mismatch", "a", []Value{Str("x")}, true},
-		{"nan-bound", "a", []Value{Float(math.NaN())}, true},
 	}
 	for i, tc := range cases {
 		err := eng.CreatePartitionedTable(fmt.Sprintf("t%d", i), sch, tc.col, tc.bounds)
@@ -395,4 +219,64 @@ func TestCreatePartitionedTableValidation(t *testing.T) {
 	if res.PartitionsTotal != 0 || res.PartitionsPruned != 0 {
 		t.Errorf("plain table: partitions %d/%d, want 0/0", res.PartitionsPruned, res.PartitionsTotal)
 	}
+}
+
+// TestIndexSeekMatchesScanOverOddFloats: floats have one order, so an
+// index on a FLOAT column answers exactly as the forced sequential scan
+// does once it stores a −0.0 (0 to both), and again once it also stores
+// a NaN (below every number, equal to none of them).
+func TestIndexSeekMatchesScanOverOddFloats(t *testing.T) {
+	eng := New()
+	if err := eng.CreateTable("f", MustSchema(Column{Name: "id", Kind: KindInt}, Column{Name: "x", Kind: KindFloat})); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]Tuple, 20000)
+	for i := range rows {
+		rows[i] = Tuple{Int(int64(i)), Float(float64(i % 1000))}
+	}
+	rows[0][1] = Float(math.Copysign(0, -1))
+	if err := eng.InsertBatch("f", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.CreateIndex("ix_x", "f", "x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Analyze("f"); err != nil {
+		t.Fatal(err)
+	}
+	check := func(wheres ...string) {
+		for _, where := range wheres {
+			sql := "SELECT id FROM f WHERE " + where
+			idx, err := eng.Query(context.Background(), sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, err := eng.Query(context.Background(), sql, WithForcedPath("seqscan"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(idx.AccessPath, "index") {
+				t.Fatalf("WHERE %s ran %s; the test needs the index path", where, idx.AccessPath)
+			}
+			if got, want := idsOf(idx), idsOf(seq); got != want {
+				t.Errorf("WHERE %s: the index returns %s, the scan %s", where, got, want)
+			}
+		}
+	}
+	check("x = 0", "x >= 0 AND x <= 0.5")
+	if err := eng.Insert("f", Tuple{Int(20000), Float(math.NaN())}); err != nil {
+		t.Fatal(err)
+	}
+	check("x = 5", "x = 0", "x >= 0 AND x <= 0.5")
+}
+
+// idsOf renders a result's first column — the rows' ids — as a sorted
+// list with its length.
+func idsOf(res *Result) string {
+	out := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		out[i] = r[0].String()
+	}
+	sort.Strings(out)
+	return fmt.Sprintf("%d rows {%s}", len(out), strings.Join(out, ","))
 }

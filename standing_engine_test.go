@@ -1,25 +1,54 @@
 package minequery
 
 // Engine-level standing-query tests: the subscribe → committed write →
-// notification round trip through the public Engine surface, a seeded
-// differential sweep of random subscription sets against the naive
-// per-subscription oracle under concurrent writers and a mid-sweep
-// retrain, replay isolation (WAL recovery must not re-notify), and the
-// frozen standing metrics series.
+// notification round trip through the public Engine surface, replay
+// isolation (WAL recovery must not re-notify), and the frozen standing
+// metrics series. Random subscription sets against the reference, across
+// retrains and restarts, are TestModelCheck's.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
-
-	"minequery/internal/standing"
 )
+
+// standingEngine seeds table t(id, cat, num) with rows random rows and
+// trains decision tree dt, which predicts cls = 'high' exactly for
+// num >= 85, from a label table staged beside it.
+func standingEngine(t *testing.T, seed int64, rows int) *Engine {
+	t.Helper()
+	eng := New()
+	if err := eng.CreateTable("t", MustSchema(
+		Column{Name: "id", Kind: KindInt}, Column{Name: "cat", Kind: KindString}, Column{Name: "num", Kind: KindInt},
+	)); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.CreateTable("t_lbl", MustSchema(Column{Name: "num", Kind: KindInt}, Column{Name: "cls", Kind: KindString})); err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(seed))
+	for i := 0; i < rows; i++ {
+		num := int64(r.Intn(100))
+		cls := "low"
+		if num >= 85 {
+			cls = "high"
+		}
+		if err := eng.Insert("t", Tuple{Int(int64(i)), Str(fmt.Sprintf("c%d", r.Intn(8))), Int(num)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Insert("t_lbl", Tuple{Int(num), Str(cls)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.TrainDecisionTree("dt", "cls", "t_lbl", []string{"num"}, "cls", TreeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
 
 // drainNotifications empties the engine's delivery queue, polling until
 // a short deadline lapses with nothing left. Standing evaluation is
@@ -43,23 +72,11 @@ func drainNotifications(t *testing.T, eng *Engine) []Notification {
 	}
 }
 
-// notificationKey canonicalizes a delivered notification for multiset
-// comparison against the oracle (sub id, projected columns, projected
-// values — everything but the delivery sequence number).
-func notificationKey(subID int64, cols []string, row Tuple) string {
-	parts := make([]string, 0, len(row)+2)
-	parts = append(parts, fmt.Sprintf("sub=%d", subID), strings.Join(cols, ","))
-	for _, v := range row {
-		parts = append(parts, fmt.Sprintf("%d:%s", v.Kind(), v.String()))
-	}
-	return strings.Join(parts, "|")
-}
-
 // TestStandingRoundTrip drives the full public path: subscribe, write
 // through Exec, receive the matches — including a mining subscription
 // whose projection carries the predicted column.
 func TestStandingRoundTrip(t *testing.T) {
-	eng, _ := buildDiffEngine(t, 4242, 200)
+	eng := standingEngine(t, 4242, 200)
 	ctx := context.Background()
 
 	dataID, err := eng.Subscribe("SELECT id, num FROM t WHERE num >= 90")
@@ -76,7 +93,7 @@ func TestStandingRoundTrip(t *testing.T) {
 	}
 
 	// One row above both thresholds, one below: num >= 85 predicts
-	// "high" in the buildDiffEngine fixture.
+	// "high" in the standingEngine fixture.
 	res, err := eng.Exec(ctx, "INSERT INTO t (id, cat, num) VALUES (9001, 'c1', 97), (9002, 'c2', 10)")
 	if err != nil {
 		t.Fatal(err)
@@ -120,128 +137,6 @@ func TestStandingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStandingDifferentialSweep is the engine-level differential run:
-// seeded random subscription sets registered in both the engine and the
-// naive oracle, random INSERT batches committed by concurrent writers,
-// and every delivered notification compared (as a canonical multiset —
-// writer interleaving is the only permitted nondeterminism) against the
-// oracle applied to the same rows. A mid-sweep retrain forces shared-set
-// recompilation; DOP alternates to interleave standing evaluation with
-// parallel reads.
-func TestStandingDifferentialSweep(t *testing.T) {
-	const seed = 880808
-	iterations := 300
-	if testing.Short() {
-		iterations = 60
-	}
-	eng, models := buildDiffEngine(t, seed, 300)
-	ctx := context.Background()
-	r := rand.New(rand.NewSource(seed))
-
-	nextID := int64(100000)
-	recompilesBefore := eng.StandingStats().Recompiles
-	for iter := 0; iter < iterations; iter++ {
-		eng.SetDOP(1 + 3*(iter%2))
-		if iter == iterations/2 {
-			// Re-train one family in place: epoch bump → standing set
-			// recompiles. Same training data, so predictions are unchanged
-			// and the oracle (which reads the catalog fresh) stays aligned.
-			if _, err := eng.TrainDecisionTree("dt", "cls", "t_lbl", []string{"num"}, "cls", TreeOptions{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		naive := standing.NewNaiveMatcher(eng.cat)
-		nSubs := 1 + r.Intn(6)
-		subIDs := make([]int64, 0, nSubs)
-		for i := 0; i < nSubs; i++ {
-			sql := genQuery(r, models)
-			id, err := eng.Subscribe(sql)
-			if err != nil {
-				t.Fatalf("iter %d: subscribe %q: %v", iter, sql, err)
-			}
-			if err := naive.Register(id, sql); err != nil {
-				t.Fatalf("iter %d: naive register %q: %v", iter, sql, err)
-			}
-			subIDs = append(subIDs, id)
-		}
-
-		// Two writers commit disjoint batches concurrently; the oracle is
-		// applied to the union of their rows after both land.
-		type batch struct {
-			sql  string
-			rows []Tuple
-		}
-		batches := make([]batch, 2)
-		for w := range batches {
-			n := 5 + r.Intn(10)
-			var b strings.Builder
-			b.WriteString("INSERT INTO t (id, cat, num) VALUES ")
-			for i := 0; i < n; i++ {
-				nextID++
-				c := fmt.Sprintf("c%d", r.Intn(8))
-				num := int64(r.Intn(100))
-				if i > 0 {
-					b.WriteString(", ")
-				}
-				fmt.Fprintf(&b, "(%d, '%s', %d)", nextID, c, num)
-				batches[w].rows = append(batches[w].rows, Tuple{Int(nextID), Str(c), Int(num)})
-			}
-			batches[w].sql = b.String()
-		}
-		var wg sync.WaitGroup
-		for w := range batches {
-			wg.Add(1)
-			go func(sql string) {
-				defer wg.Done()
-				if _, err := eng.Exec(ctx, sql); err != nil {
-					t.Errorf("iter %d: exec: %v", iter, err)
-				}
-			}(batches[w].sql)
-		}
-		wg.Wait()
-		if t.Failed() {
-			t.FailNow()
-		}
-
-		var want []string
-		for _, b := range batches {
-			for _, row := range b.rows {
-				for _, m := range naive.Matches("t", row) {
-					want = append(want, notificationKey(m.SubID, m.Columns, m.Row))
-				}
-			}
-		}
-		var got []string
-		for _, n := range drainNotifications(t, eng) {
-			got = append(got, notificationKey(n.SubID, n.Columns, n.Row))
-		}
-		sort.Strings(want)
-		sort.Strings(got)
-		if len(got) != len(want) {
-			t.Fatalf("iter %d: %d notifications, oracle %d (seed=%d)\ngot:  %v\nwant: %v",
-				iter, len(got), len(want), seed, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("iter %d diverges at %d (seed=%d)\n got: %s\nwant: %s",
-					iter, i, seed, got[i], want[i])
-			}
-		}
-		for _, id := range subIDs {
-			if err := eng.Unsubscribe(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if eng.StandingStats().Recompiles <= recompilesBefore {
-		t.Fatal("mid-sweep retrain never forced a shared-set recompile")
-	}
-	if dropped := eng.StandingStats().Dropped; dropped != 0 {
-		t.Fatalf("sweep dropped %d notifications; the drain should have kept the queue empty", dropped)
-	}
-}
-
 // TestStandingReplayDoesNotNotify pins the replay/live split: WAL
 // recovery re-applies committed rows but must not re-deliver them to
 // standing queries — notifications are a live-write phenomenon, and
@@ -249,7 +144,7 @@ func TestStandingDifferentialSweep(t *testing.T) {
 // match ever made.
 func TestStandingReplayDoesNotNotify(t *testing.T) {
 	ctx := context.Background()
-	eng := newCrashEngine(t, 0)
+	eng := newCrashEngine(t)
 	dev := NewMemWALDevice()
 	if _, err := eng.EnableWAL(dev); err != nil {
 		t.Fatal(err)
@@ -266,7 +161,7 @@ func TestStandingReplayDoesNotNotify(t *testing.T) {
 
 	// Recover the log into a fresh engine that already has a (matching)
 	// subscription registered: replay must stay silent.
-	rec := newCrashEngine(t, 0)
+	rec := newCrashEngine(t)
 	if _, err := rec.Subscribe("SELECT id FROM t WHERE a >= 0"); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +187,7 @@ func TestStandingReplayDoesNotNotify(t *testing.T) {
 // TestStandingMetricsSeries pins the frozen standing metric names and
 // checks they move with real activity.
 func TestStandingMetricsSeries(t *testing.T) {
-	eng, _ := buildDiffEngine(t, 77, 100)
+	eng := standingEngine(t, 77, 100)
 	reg := NewMetricsRegistry()
 	eng.RegisterMetrics(reg)
 	if _, err := eng.Subscribe("SELECT id FROM t WHERE num >= 0"); err != nil {

@@ -1,37 +1,21 @@
 package minequery
 
-// Crash-recovery property test for the write-ahead log.
-//
-// Each iteration runs a random DML/CREATE MODEL workload against an
-// engine whose WAL sits on an in-memory device, with a deterministic
-// fault rule armed to kill the log at a random append or fsync
-// boundary. A parallel "acked oracle" engine (no WAL) receives each
-// statement only after the WAL-ed engine acknowledges it, so the oracle
-// always holds exactly the acked prefix. After the crash the test takes
-// a crash image holding the durable bytes plus a random prefix of the
-// un-synced tail — the torn-write model — and recovers a fresh engine
-// from it.
-//
-// The invariant: the recovered state equals the acked prefix, or the
-// acked prefix plus the single unacked statement that was in flight
-// when the crash hit (its frame may have fully reached the disk before
-// the fsync ack was lost). Nothing else is admissible — no torn rows,
-// no lost acked commits, no reordering. Recovery itself must never
-// error: a torn tail frame is dropped by the CRC check, not surfaced.
+// CREATE MODEL's log-then-apply ordering under a dead WAL, and the
+// fixtures the standing replay test shares. Crash recovery itself — a
+// kill at a random append or fsync, a torn tail, the acked state or
+// acked + the statement in flight, then a second cycle on the recovered
+// engine — is TestModelCheck's.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 )
 
-const crashIterations = 300
-
-func newCrashEngine(t *testing.T, threshold int64) *Engine {
+func newCrashEngine(t *testing.T) *Engine {
 	t.Helper()
 	eng := New()
 	if err := eng.CreateTable("t", MustSchema(
@@ -42,7 +26,6 @@ func newCrashEngine(t *testing.T, threshold int64) *Engine {
 	)); err != nil {
 		t.Fatal(err)
 	}
-	eng.SetRetrainPolicy(RetrainPolicy{WriteThreshold: threshold})
 	return eng
 }
 
@@ -67,48 +50,12 @@ func crashState(t *testing.T, e *Engine) string {
 	return "models:" + strings.Join(models, ",") + "\n" + strings.Join(rows, "\n")
 }
 
-// genCrashStatement produces one random write statement. IDs are
-// monotonic so inserted rows are distinguishable; CREATE MODEL waits
-// for enough rows to make training meaningful.
-func genCrashStatement(rng *rand.Rand, nextID *int64, models *int) string {
-	labels := [...]string{"red", "green", "blue"}
-	k := rng.Intn(10)
-	if k == 9 && *nextID < 12 {
-		k = 0 // too early for CREATE MODEL; insert instead
-	}
-	switch {
-	case k <= 5:
-		n := 1 + rng.Intn(3)
-		var b strings.Builder
-		b.WriteString("INSERT INTO t (id, a, b, label) VALUES ")
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(&b, "(%d, %d, %d, '%s')",
-				*nextID, rng.Intn(8), rng.Intn(100), labels[rng.Intn(len(labels))])
-			*nextID++
-		}
-		return b.String()
-	case k == 6:
-		return fmt.Sprintf("UPDATE t SET b = %d WHERE a = %d", rng.Intn(100), rng.Intn(8))
-	case k == 7:
-		return fmt.Sprintf("UPDATE t SET label = '%s' WHERE b >= %d",
-			labels[rng.Intn(len(labels))], 40+rng.Intn(60))
-	case k == 8:
-		return fmt.Sprintf("DELETE FROM t WHERE b < %d AND a = %d", rng.Intn(30), rng.Intn(8))
-	default:
-		*models++
-		return fmt.Sprintf("CREATE MODEL m%d ON t PREDICT label USING dtree", *models)
-	}
-}
-
 // TestCreateModelWALFailureNotRegistered pins CREATE MODEL's
 // log-then-apply ordering: when the statement's own WAL append fails,
 // it must error WITHOUT registering the model. A model served live but
 // absent from the durable log would vanish on the next restart.
 func TestCreateModelWALFailureNotRegistered(t *testing.T) {
-	eng := newCrashEngine(t, 0)
+	eng := newCrashEngine(t)
 	dev := NewMemWALDevice()
 	if _, err := eng.EnableWAL(dev); err != nil {
 		t.Fatal(err)
@@ -141,117 +88,11 @@ func TestCreateModelWALFailureNotRegistered(t *testing.T) {
 	}
 
 	// The durable log replays to the same model-free state.
-	rec := newCrashEngine(t, 0)
+	rec := newCrashEngine(t)
 	if _, err := rec.EnableWAL(NewMemWALDeviceFrom(dev.CrashImage(0))); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := crashState(t, rec), crashState(t, eng); got != want {
 		t.Fatalf("replayed state diverges after failed CREATE MODEL:\nreplayed:\n%s\nlive:\n%s", got, want)
-	}
-}
-
-func TestWALCrashRecovery(t *testing.T) {
-	for it := 0; it < crashIterations; it++ {
-		it := it
-		t.Run(fmt.Sprintf("seed=%d", it), func(t *testing.T) {
-			t.Parallel()
-			seed := int64(it)
-			rng := rand.New(rand.NewSource(seed))
-
-			// A third of the iterations run with the write-volume retrain
-			// trigger armed, so replay also reproduces the retrain timeline.
-			var threshold int64
-			if it%3 == 0 {
-				threshold = 20
-			}
-
-			dev := NewMemWALDevice()
-			eng := newCrashEngine(t, threshold)
-			if _, err := eng.EnableWAL(dev); err != nil {
-				t.Fatal(err)
-			}
-
-			// Arm exactly one kill, at a random durability boundary.
-			site := FaultSiteWALSync
-			if rng.Intn(2) == 0 {
-				site = FaultSiteWALAppend
-			}
-			hit := int64(1 + rng.Intn(14))
-			eng.SetFaults(NewFaultInjector(seed, FaultRule{Site: site, OnHit: hit, Err: ErrWALCrash}))
-
-			oracle := newCrashEngine(t, threshold) // acked prefix, no WAL
-
-			ctx := context.Background()
-			var nextID int64
-			var modelSeq int
-			var pending string // the statement in flight when the crash hit
-			steps := 18 + rng.Intn(12)
-			for s := 0; s < steps; s++ {
-				sql := genCrashStatement(rng, &nextID, &modelSeq)
-				_, err := eng.Exec(ctx, sql)
-				if errors.Is(err, ErrWALCrash) {
-					pending = sql
-					break
-				}
-				// A non-crash failure (e.g. training over a state the
-				// generator emptied) must fail identically on the oracle;
-				// both sides applied the same DML before the failure.
-				_, oerr := oracle.Exec(ctx, sql)
-				if (err == nil) != (oerr == nil) {
-					t.Fatalf("step %d %q: engine err=%v, oracle err=%v", s, sql, err, oerr)
-				}
-			}
-
-			// The disk after the crash: durable bytes plus a random prefix
-			// of the un-synced tail (possibly a torn frame).
-			keep := 0
-			if p := dev.PendingLen(); p > 0 {
-				keep = rng.Intn(p + 1)
-			}
-			img := dev.CrashImage(keep)
-
-			dev2 := NewMemWALDeviceFrom(img)
-			rec := newCrashEngine(t, threshold)
-			if _, err := rec.EnableWAL(dev2); err != nil {
-				t.Fatalf("recovery must drop torn tails, not fail: %v", err)
-			}
-
-			got := crashState(t, rec)
-			want := crashState(t, oracle)
-			if got != want {
-				// The only other admissible state: the unacked trailing
-				// statement's frame survived intact and was replayed.
-				if pending == "" {
-					t.Fatalf("recovered state diverges from acked prefix with no statement in flight:\nrecovered:\n%s\nacked:\n%s", got, want)
-				}
-				if _, err := oracle.Exec(ctx, pending); err != nil {
-					t.Fatalf("replaying pending %q on oracle: %v", pending, err)
-				}
-				if wantPlus := crashState(t, oracle); got != wantPlus {
-					t.Fatalf("recovered state is neither the acked prefix nor acked+pending (%q):\nrecovered:\n%s\nacked:\n%s\nacked+pending:\n%s",
-						pending, got, want, wantPlus)
-				}
-			}
-
-			// Second crash/restart cycle: run more statements on the
-			// recovered engine (no faults armed — every one that logs is
-			// acked and fsynced), then restart from the durable image
-			// alone. If the first recovery left the dropped torn tail on
-			// the device, these commits would sit after garbage bytes and
-			// the second replay would silently discard them. Statement
-			// errors are fine (e.g. deterministic retrain failures) —
-			// live semantics keep the DML applied, and replay must match.
-			for s := 0; s < 6; s++ {
-				sql := genCrashStatement(rng, &nextID, &modelSeq)
-				_, _ = rec.Exec(ctx, sql)
-			}
-			rec2 := newCrashEngine(t, threshold)
-			if _, err := rec2.EnableWAL(NewMemWALDeviceFrom(dev2.CrashImage(0))); err != nil {
-				t.Fatalf("second recovery: %v", err)
-			}
-			if got2, want2 := crashState(t, rec2), crashState(t, rec); got2 != want2 {
-				t.Fatalf("second recovery lost acked post-recovery commits:\nrecovered:\n%s\nlive:\n%s", got2, want2)
-			}
-		})
 	}
 }
