@@ -69,6 +69,55 @@ type Table struct {
 	colEnabled bool
 	colStore   *storage.ColumnStore
 	colVer     int64
+
+	// narrowed caches NarrowSchema's schemas, keyed by mask.
+	narrowMu sync.RWMutex
+	narrowed map[string]*value.Schema
+}
+
+// NarrowSchema is the schema of the rows a scan decodes under need
+// (value.DecodeTupleInto's mask): the table's columns need marks, in
+// table order, or the whole schema for a nil need. Each mask's schema is
+// built once, and every later call for it allocates nothing.
+func (t *Table) NarrowSchema(need []bool) *value.Schema {
+	if need == nil {
+		return t.Schema
+	}
+	// The key is the mask as bytes, on the stack for any table of up to
+	// 64 columns; indexing a map by string(key) does not copy it.
+	var buf [64]byte
+	key := buf[:0]
+	for _, on := range need {
+		b := byte(0)
+		if on {
+			b = 1
+		}
+		key = append(key, b)
+	}
+	t.narrowMu.RLock()
+	s, ok := t.narrowed[string(key)]
+	t.narrowMu.RUnlock()
+	if ok {
+		return s
+	}
+	cols := make([]value.Column, 0, len(need))
+	for o, on := range need {
+		if on {
+			cols = append(cols, t.Schema.Col(o))
+		}
+	}
+	// A subset of a valid schema's columns cannot hold a duplicate.
+	s = value.MustSchema(cols...)
+	t.narrowMu.Lock()
+	defer t.narrowMu.Unlock()
+	if prev, ok := t.narrowed[string(key)]; ok {
+		return prev
+	}
+	if t.narrowed == nil {
+		t.narrowed = map[string]*value.Schema{}
+	}
+	t.narrowed[string(key)] = s
+	return s
 }
 
 // Indexes returns a snapshot of the table's secondary indexes.
@@ -238,14 +287,15 @@ func (t *Table) Update(rid storage.RID, newRow value.Tuple) (storage.RID, error)
 
 // Fetch decodes the row at rid.
 func (t *Table) Fetch(rid storage.RID) (value.Tuple, bool, error) {
-	return t.FetchInto(nil, rid, nil)
+	return t.FetchInto(nil, rid, nil, nil)
 }
 
 // FetchInto is Fetch with per-query I/O accounting attributed to c
-// (when non-nil) alongside the heap's global counters, decoding into
-// dst (value.DecodeTupleInto: reallocated only when the row does not
+// (when non-nil) alongside the heap's global counters, decoding the
+// columns need marks (nil for all; the row then has NarrowSchema(need))
+// into dst (value.DecodeTupleInto: reallocated only when they do not
 // fit cap(dst)).
-func (t *Table) FetchInto(c *storage.Counters, rid storage.RID, dst value.Tuple) (value.Tuple, bool, error) {
+func (t *Table) FetchInto(c *storage.Counters, rid storage.RID, dst value.Tuple, need []bool) (value.Tuple, bool, error) {
 	rec, ok, err := t.Heap.GetInto(c, rid)
 	if err != nil {
 		return nil, false, fmt.Errorf("catalog: table %s: fetch %s: %w", t.Name, rid, err)
@@ -253,7 +303,7 @@ func (t *Table) FetchInto(c *storage.Counters, rid storage.RID, dst value.Tuple)
 	if !ok {
 		return nil, false, nil
 	}
-	tup, err := value.DecodeTupleInto(dst, rec, nil)
+	tup, err := value.DecodeTupleInto(dst, rec, need)
 	if err != nil {
 		return nil, false, fmt.Errorf("catalog: table %s: corrupt row at %s: %w", t.Name, rid, err)
 	}

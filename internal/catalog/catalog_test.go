@@ -78,6 +78,51 @@ func TestFetchRoundTrip(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go; allocation counts skip under it.
+var raceEnabled bool
+
+// TestAllocNarrowSchemaCached: NarrowSchema is the table's columns a mask
+// marks, in table order, and once a mask has been seen its schema comes
+// back — the same one — without allocating.
+func TestAllocNarrowSchemaCached(t *testing.T) {
+	c := New()
+	tb, _ := c.CreateTable("t", demoSchema())
+	if tb.NarrowSchema(nil) != tb.Schema {
+		t.Fatal("a nil mask must give the table's own schema")
+	}
+	rid, err := tb.Insert(value.Tuple{value.Int(42), value.Str("hello"), value.Float(3.25)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		need []bool
+		want string
+		row  value.Tuple
+	}{
+		{[]bool{true, false, true}, "(id INT, score FLOAT)", value.Tuple{value.Int(42), value.Float(3.25)}},
+		{[]bool{false, true, false}, "(cat TEXT)", value.Tuple{value.Str("hello")}},
+		{[]bool{false, false, false}, "()", value.Tuple{}},
+	} {
+		s := tb.NarrowSchema(tc.need)
+		if s.String() != tc.want {
+			t.Errorf("%v: schema %s, want %s", tc.need, s, tc.want)
+		}
+		row, ok, err := tb.FetchInto(nil, rid, nil, tc.need)
+		if !ok || err != nil || !row.Equal(tc.row) {
+			t.Errorf("%v: fetched %v (%v, %v), want %v", tc.need, row, ok, err, tc.row)
+		}
+		if again := tb.NarrowSchema(append([]bool(nil), tc.need...)); again != s {
+			t.Errorf("%v: a second call built a second schema", tc.need)
+		}
+		if raceEnabled {
+			continue
+		}
+		if n := testing.AllocsPerRun(100, func() { tb.NarrowSchema(tc.need) }); n != 0 {
+			t.Errorf("%v: %v allocations per cached lookup, want 0", tc.need, n)
+		}
+	}
+}
+
 func TestIndexMaintenance(t *testing.T) {
 	c := New()
 	tb, _ := c.CreateTable("t", demoSchema())

@@ -84,8 +84,9 @@ func extractAggChain(n plan.Node) *aggChain {
 type aggPipeline struct {
 	chain  *aggChain
 	table  *catalog.Table
+	base   *value.Schema // the scan's rows: the table's, narrowed on the heap path
 	schema *value.Schema // input schema of the partial (post-predict)
-	baseW  int           // table schema width
+	baseW  int           // base's width
 	binds  []mining.Binding
 
 	scanPred expr.Expr // chain.scanFilter's predicate, or nil
@@ -99,42 +100,52 @@ type aggPipeline struct {
 	postBase   expr.Expr
 }
 
-func newAggPipeline(c *catalog.Catalog, chain *aggChain, opts Options) (*aggPipeline, error) {
-	t, ok := c.Table(chain.scan.Table)
-	if !ok {
-		return nil, fmt.Errorf("exec: no table %q", chain.scan.Table)
+// newAggPipeline resolves chain over rows of the table t with schema
+// base.
+func newAggPipeline(c *catalog.Catalog, chain *aggChain, t *catalog.Table, base *value.Schema, opts Options) (*aggPipeline, error) {
+	p := &aggPipeline{chain: chain, table: t, base: base, schema: base, baseW: base.Len()}
+	if f := chain.scanFilter; f != nil {
+		if err := predNotDecoded(base, f, f.Pred); err != nil {
+			return nil, err
+		}
+		p.scanPred = f.Pred
 	}
-	p := &aggPipeline{chain: chain, table: t, schema: t.Schema, baseW: t.Schema.Len()}
 	for _, pr := range chain.predicts {
 		me, err := lookupModel(c, pr)
 		if err != nil {
 			return nil, err
 		}
-		b, sch, err := predictBinding(p.schema, me, pr.As)
+		b, sch, err := predictBinding(p.schema, pr, me)
 		if err != nil {
 			return nil, err
 		}
 		p.binds = append(p.binds, b)
 		p.schema = sch
 	}
-	if chain.scanFilter != nil {
-		p.scanPred = chain.scanFilter.Pred
-	}
-	if chain.postFilter != nil {
-		p.postPred = chain.postFilter.Pred
+	if f := chain.postFilter; f != nil {
+		if err := predNotDecoded(p.schema, f, f.Pred); err != nil {
+			return nil, err
+		}
+		p.postPred = f.Pred
 	}
 	if col := opts.Collector; col != nil {
 		p.scanSt = col.Op(chain.scan)
-		if chain.scanFilter != nil {
-			p.scanFiltSt = col.Op(chain.scanFilter)
-			p.scanBase = col.envBaseline(chain.scanFilter)
+		if f := chain.scanFilter; f != nil {
+			p.scanFiltSt = col.Op(f)
+			p.scanBase = col.envBaseline(f)
+			if err := predNotDecoded(base, f, p.scanBase); err != nil {
+				return nil, err
+			}
 		}
 		for _, pr := range chain.predicts {
 			p.predSts = append(p.predSts, col.Op(pr))
 		}
-		if chain.postFilter != nil {
-			p.postSt = col.Op(chain.postFilter)
-			p.postBase = col.envBaseline(chain.postFilter)
+		if f := chain.postFilter; f != nil {
+			p.postSt = col.Op(f)
+			p.postBase = col.envBaseline(f)
+			if err := predNotDecoded(p.schema, f, p.postBase); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return p, nil
@@ -178,7 +189,7 @@ func (p *aggPipeline) flush(c *aggCounts, countScan bool) {
 type aggWorker struct {
 	p    *aggPipeline
 	tab  *agg.Table
-	row  value.Tuple   // full-width (post-predict) row buffer
+	row  value.Tuple   // post-predict row buffer
 	bufs []value.Tuple // per-binding PredictInto scratch
 	cnt  aggCounts
 }
@@ -200,9 +211,9 @@ func (w *aggWorker) processRow() {
 	w.cnt.scanRows++
 	if p.scanPred != nil {
 		base := w.row[:p.baseW]
-		if !p.scanPred.Eval(p.table.Schema, base) {
+		if !p.scanPred.Eval(p.base, base) {
 			if p.scanBase != nil && p.scanFiltSt != nil {
-				if p.scanBase.Eval(p.table.Schema, base) {
+				if p.scanBase.Eval(p.base, base) {
 					w.cnt.envRej++
 				} else {
 					w.cnt.residRej++
@@ -307,11 +318,11 @@ func drainSource(ctx context.Context, child BatchIterator, spec *agg.Spec) aggSo
 }
 
 // heapSource is the row-heap source at DOP > 1: one unit per page-range
-// morsel, run through the fused per-row pipeline.
-func heapSource(ctx context.Context, c *catalog.Catalog, p *aggPipeline, part *plan.HashAgg, spec *agg.Spec, opts Options) aggSource {
+// morsel, run through the fused per-row pipeline, its records decoded
+// under need (p.base's columns).
+func heapSource(ctx context.Context, p *aggPipeline, need []bool, spec *agg.Spec, opts Options) aggSource {
 	t := p.table
 	morsels := morselRanges(t.PartitionPageRanges(p.chain.scan.Partitions), opts.MorselPages)
-	need := decodeMask(c, part, opts.Collector)
 	return aggSource{what: "aggregate scan " + t.Name + " morsel", units: len(morsels),
 		worker: func() (*agg.Table, func(int) (int64, error)) {
 			w := p.newWorker(spec)
@@ -322,7 +333,7 @@ func heapSource(ctx context.Context, c *catalog.Catalog, p *aggPipeline, part *p
 				return true
 			}
 			return w.tab, func(m int) (int64, error) {
-				err := scanPages(ctx, t, opts, need, morsels[m][0], morsels[m][1], dst, row)
+				err := scanPages(ctx, t, opts, need, morsels[m][0], morsels[m][1], nil, dst, row)
 				rows := w.cnt.scanRows
 				p.flush(&w.cnt, true)
 				return rows, err
@@ -406,28 +417,48 @@ type partialAgg struct {
 func newPartialAgg(ctx context.Context, c *catalog.Catalog, part *plan.HashAgg, opts Options) (*partialAgg, error) {
 	a := &partialAgg{ctx: ctx, opts: opts, part: part}
 	resolve := func(in *value.Schema) (err error) {
+		if err := notDecoded(in, part, part.GroupBy...); err != nil {
+			return err
+		}
+		for _, it := range part.Aggs {
+			if !it.Star {
+				if err := notDecoded(in, part, it.Col); err != nil {
+					return err
+				}
+			}
+		}
 		if a.spec, err = agg.Resolve(in, part.GroupBy, part.Aggs); err != nil {
 			err = fmt.Errorf("exec: %w", err)
 		}
 		return err
 	}
 	if chain := extractAggChain(part.Child); chain != nil {
-		p, err := newAggPipeline(c, chain, opts)
-		if err != nil {
-			return nil, err
+		t, ok := c.Table(chain.scan.Table)
+		if !ok {
+			return nil, fmt.Errorf("exec: no table %q", chain.scan.Table)
 		}
 		var core *vecCore
 		if chain.scan.Columnar {
-			core = newVecCore(p.table, chain.scan, chain.scanFilter, opts)
+			core = newVecCore(t, chain.scan, chain.scanFilter, opts)
 		}
 		if core != nil || opts.DOP > 1 {
+			// Column groups fill whole-width rows by table ordinal; the heap
+			// decodes the columns the partial reads.
+			cols := scanCols{schema: t.Schema}
+			if core == nil {
+				cols = leafCols(c, t, part, opts.Collector)
+			}
+			p, err := newAggPipeline(c, chain, t, cols.schema, opts)
+			if err != nil {
+				return nil, err
+			}
 			if err := resolve(p.schema); err != nil {
 				return nil, err
 			}
 			if core != nil {
 				a.src = columnSource(p, core, a.spec, opts)
 			} else {
-				a.src = heapSource(ctx, c, p, part, a.spec, opts)
+				a.src = heapSource(ctx, p, cols.need, a.spec, opts)
 			}
 			return a, nil
 		}

@@ -27,12 +27,13 @@ import (
 //
 // The rule is what lets a row an envelope rejects cost no heap, and a
 // row that survives cost what the plan reads of it. The leaves build
-// rows, in the columns decodeMask marks, in storage they reuse:
-// batchSeqScan one arena for its lifetime; vecScan one arena reset per
-// column group; parallelScan one allocation per batch and the post-freeze
-// vecScan one per group, because their batches change goroutines; the
-// aggregate workers and CollectMatches a single row. ridFetch alone
-// allocates per row (an index path fetches few). batchFilter and
+// rows of the columns decodeMask marks and no others, under a schema
+// narrowed to them (scanCols), in storage they reuse: batchSeqScan one
+// arena for its lifetime; vecScan one arena reset per column group;
+// parallelScan one allocation per batch and the post-freeze vecScan one
+// per group, because their batches change goroutines; the aggregate
+// workers and CollectMatches a single row. ridFetch alone allocates per
+// row (an index path fetches few). batchFilter and
 // batchLimit work in place, and so does batchPredict: every leaf gives
 // its tuples predictRoom spare capacity, so the predicted class is
 // appended where the row lies. batchProject narrows each batch into one
@@ -144,7 +145,8 @@ func BuildBatchCtx(ctx context.Context, c *catalog.Catalog, n plan.Node, opts Op
 // a Collector is attached, wraps it with the per-node accounting shim.
 // root is the plan n belongs to: a leaf reads from it which columns
 // anything above it uses (decodeMask) and how many values the prediction
-// joins above it append to a row (predictRoom).
+// joins above it append to a row (predictRoom), and every operator checks
+// that its child holds what it reads (notDecoded).
 func buildBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.Node, opts Options) (BatchIterator, error) {
 	it, err := buildBareBatchNode(ctx, c, root, n, opts)
 	if err != nil {
@@ -163,18 +165,18 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.No
 		if !ok {
 			return nil, fmt.Errorf("exec: no table %q", x.Table)
 		}
-		need, slot := decodeMask(c, root, opts.Collector), tupleSlot(t, root)
+		cols := leafCols(c, t, root, opts.Collector)
 		if x.Columnar {
-			if vs := newVecScan(ctx, t, x, nil, need, slot, opts); vs != nil {
+			if vs := newVecScan(ctx, t, x, nil, cols, opts); vs != nil {
 				return vs, nil
 			}
 			// Sidecar stale or missing: the flag is only a hint, run the
 			// row path with identical results.
 		}
 		if opts.DOP > 1 {
-			return newParallelScan(ctx, t, x, need, slot, opts), nil
+			return newParallelScan(ctx, t, x, cols, opts), nil
 		}
-		return newBatchSeqScan(ctx, t, x, need, slot, opts), nil
+		return newBatchSeqScan(ctx, t, x, cols, opts), nil
 	case *plan.Filter:
 		if scan, isScan := x.Child.(*plan.SeqScan); isScan && scan.Columnar {
 			if t, ok := c.Table(scan.Table); ok {
@@ -182,8 +184,7 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.No
 				// predicate runs over selection vectors, not tuples. Falls
 				// through to the row operators when the sidecar is stale or
 				// the predicate shape is unsupported.
-				need, slot := decodeMask(c, root, opts.Collector), tupleSlot(t, root)
-				if vs := newVecScan(ctx, t, scan, x, need, slot, opts); vs != nil {
+				if vs := newVecScan(ctx, t, scan, x, leafCols(c, t, root, opts.Collector), opts); vs != nil {
 					return vs, nil
 				}
 			}
@@ -198,13 +199,19 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.No
 				f.st, f.base = col.Op(n), base
 			}
 		}
+		for _, pred := range []expr.Expr{f.pred, f.base} {
+			if err := predNotDecoded(child.Schema(), n, pred); err != nil {
+				child.Close()
+				return nil, err
+			}
+		}
 		return f, nil
 	case *plan.Project:
 		child, err := buildBatchNode(ctx, c, root, x.Child, opts)
 		if err != nil {
 			return nil, err
 		}
-		return newBatchProject(child, x.Cols)
+		return newBatchProject(child, x)
 	case *plan.Predict:
 		child, err := buildBatchNode(ctx, c, root, x.Child, opts)
 		if err != nil {
@@ -214,7 +221,7 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.No
 		if err != nil {
 			return nil, err
 		}
-		return newBatchPredict(child, me, x.As)
+		return newBatchPredict(child, x, me)
 	case *plan.Limit:
 		child, err := buildBatchNode(ctx, c, root, x.Child, opts)
 		if err != nil {
@@ -246,7 +253,7 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.No
 		if err != nil {
 			return nil, err
 		}
-		return newRIDFetch(ctx, t, rids, tupleSlot(t, root), opts), nil
+		return newRIDFetch(ctx, t, rids, leafCols(c, t, root, opts.Collector), opts), nil
 	case *plan.IndexUnion:
 		t, ok := c.Table(x.Table)
 		if !ok {
@@ -256,7 +263,7 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.No
 		if err != nil {
 			return nil, err
 		}
-		return newRIDFetch(ctx, t, rids, tupleSlot(t, root), opts), nil
+		return newRIDFetch(ctx, t, rids, leafCols(c, t, root, opts.Collector), opts), nil
 	}
 	return nil, fmt.Errorf("exec: unknown plan node %T", n)
 }
@@ -382,30 +389,40 @@ func copyRows(b Batch) {
 // a list of page ranges — the whole heap for ordinary tables, the
 // surviving partitions' global ranges for pruned partitioned scans.
 // Every batch is decoded into the same arena and the same slice, so the
-// scan's allocation is that of its largest batch, not of the table.
+// scan's allocation is that of its largest batch, not of the table. A
+// batch is whole pages, as many as fit in BatchSize rows (one at least),
+// so that neither ever grows.
 type batchSeqScan struct {
 	ctx      context.Context
 	table    *catalog.Table
 	opts     Options
-	need     []bool // decodeMask
+	cols     scanCols
 	ranges   [][2]int
 	ri       int // current range
 	nextPage int // next page within ranges[ri]
 	arena    rowArena
 	batch    Batch
+	full     bool // the last page offered did not fit in the batch
 	err      error
 }
 
-func newBatchSeqScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, need []bool, slot int, opts Options) *batchSeqScan {
-	s := &batchSeqScan{ctx: ctx, table: t, opts: opts, need: need, ranges: t.PartitionPageRanges(x.Partitions),
-		arena: rowArena{width: slot, rows: arenaChunkRows}, batch: make(Batch, 0, opts.BatchSize)}
+func newBatchSeqScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, cols scanCols, opts Options) *batchSeqScan {
+	s := &batchSeqScan{ctx: ctx, table: t, opts: opts, cols: cols, ranges: t.PartitionPageRanges(x.Partitions),
+		arena: rowArena{width: cols.slot, rows: arenaChunkRows}, batch: make(Batch, 0, opts.BatchSize)}
 	if len(s.ranges) > 0 {
 		s.nextPage = s.ranges[0][0]
 	}
 	return s
 }
 
-func (s *batchSeqScan) Schema() *value.Schema { return s.table.Schema }
+func (s *batchSeqScan) Schema() *value.Schema { return s.cols.schema }
+
+// fit admits a page into the batch when its live rows fit, or when the
+// batch is empty.
+func (s *batchSeqScan) fit(live int) bool {
+	s.full = len(s.batch) > 0 && len(s.batch)+live > s.opts.BatchSize
+	return !s.full
+}
 
 func (s *batchSeqScan) NextBatch() (Batch, bool, error) {
 	if s.err != nil {
@@ -422,7 +439,8 @@ func (s *batchSeqScan) NextBatch() (Batch, bool, error) {
 		s.batch = append(s.batch, tup)
 		return true
 	}
-	for len(s.batch) < s.opts.BatchSize && s.ri < len(s.ranges) {
+	s.full = false
+	for !s.full && len(s.batch) < s.opts.BatchSize && s.ri < len(s.ranges) {
 		if s.nextPage >= s.ranges[s.ri][1] {
 			s.ri++
 			if s.ri < len(s.ranges) {
@@ -430,11 +448,14 @@ func (s *batchSeqScan) NextBatch() (Batch, bool, error) {
 			}
 			continue
 		}
-		// Whole pages only, so the scan position stays a page number.
-		s.err = scanPages(s.ctx, s.table, s.opts, s.need, s.nextPage, s.nextPage+1, next, collect)
-		s.nextPage++
+		// Whole pages only, so the scan position stays a page number; a
+		// page fit refuses is the next batch's first.
+		s.err = scanPages(s.ctx, s.table, s.opts, s.cols.need, s.nextPage, s.nextPage+1, s.fit, next, collect)
 		if s.err != nil {
 			return nil, false, s.err
+		}
+		if !s.full {
+			s.nextPage++
 		}
 	}
 	if len(s.batch) == 0 {
@@ -497,12 +518,13 @@ type batchProject struct {
 	buf    value.Tuple
 }
 
-func newBatchProject(child BatchIterator, cols []string) (BatchIterator, error) {
-	if len(cols) == 0 {
+func newBatchProject(child BatchIterator, x *plan.Project) (BatchIterator, error) {
+	if len(x.Cols) == 0 {
 		return child, nil
 	}
-	ords, schema, err := projectOrds(child.Schema(), cols)
+	ords, schema, err := projectOrds(child.Schema(), x, x.Cols)
 	if err != nil {
+		child.Close()
 		return nil, err
 	}
 	return &batchProject{child: child, ords: ords, schema: schema}, nil
@@ -543,9 +565,10 @@ type batchPredict struct {
 	buf     value.Tuple
 }
 
-func newBatchPredict(child BatchIterator, me *catalog.ModelEntry, as string) (BatchIterator, error) {
-	b, schema, err := predictBinding(child.Schema(), me, as)
+func newBatchPredict(child BatchIterator, pr *plan.Predict, me *catalog.ModelEntry) (BatchIterator, error) {
+	b, schema, err := predictBinding(child.Schema(), pr, me)
 	if err != nil {
+		child.Close()
 		return nil, err
 	}
 	return &batchPredict{

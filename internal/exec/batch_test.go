@@ -87,6 +87,50 @@ func TestBatchRunMatchesTupleRun(t *testing.T) {
 	}
 }
 
+// TestSeqScanBatchWithinBatchSize: the serial heap scan cuts its batches
+// at page boundaries without ever passing BatchSize — a page that would
+// overflow the batch starts the next one — so its batch slice never
+// regrows, while every page is still read once and every row returned.
+func TestSeqScanBatchWithinBatchSize(t *testing.T) {
+	_, tb := testDB(t, 6000)
+	var victims []storage.RID
+	tb.Heap.Scan(func(rid storage.RID, _ []byte) bool {
+		if int(rid.Slot)%(int(rid.Page)%7+2) == 0 { // pages of uneven live counts
+			victims = append(victims, rid)
+		}
+		return true
+	})
+	for _, rid := range victims {
+		tb.Heap.Delete(rid)
+	}
+	deleted := len(victims)
+	const size = 1000
+	col := NewCollector()
+	s := newBatchSeqScan(context.Background(), tb, &plan.SeqScan{Table: tb.Name},
+		scanCols{schema: tb.Schema, slot: tb.Schema.Len()}, Options{BatchSize: size, Collector: col}.fill())
+	rows, batches := 0, 0
+	for {
+		b, done, err := s.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			break
+		}
+		if len(b) > size || cap(b) != size {
+			t.Fatalf("batch %d: %d rows in a slice of cap %d, BatchSize %d", batches, len(b), cap(b), size)
+		}
+		rows += len(b)
+		batches++
+	}
+	if rows != 6000-deleted {
+		t.Errorf("%d rows, heap has %d live", rows, 6000-deleted)
+	}
+	if pages := col.IO.SeqPageReads.Load(); int(pages) != tb.Heap.PageCount() || batches >= int(pages) {
+		t.Errorf("%d pages read in %d batches, heap has %d pages", pages, batches, tb.Heap.PageCount())
+	}
+}
+
 func TestParallelScanMatchesSerialAfterDeletes(t *testing.T) {
 	_, tb := testDB(t, 5000)
 	// Punch holes so some pages are sparse and slot iteration must skip
@@ -103,9 +147,10 @@ func TestParallelScanMatchesSerialAfterDeletes(t *testing.T) {
 	for _, rid := range victims {
 		tb.Heap.Delete(rid)
 	}
-	want := drainBatches(t, newBatchSeqScan(context.Background(), tb, &plan.SeqScan{Table: tb.Name}, nil, tb.Schema.Len(), Options{}.fill()))
+	whole := scanCols{schema: tb.Schema, slot: tb.Schema.Len()}
+	want := drainBatches(t, newBatchSeqScan(context.Background(), tb, &plan.SeqScan{Table: tb.Name}, whole, Options{}.fill()))
 	for _, dop := range []int{2, 4, 8} {
-		got := drainBatches(t, newParallelScan(context.Background(), tb, &plan.SeqScan{Table: tb.Name}, nil, tb.Schema.Len(), Options{DOP: dop, MorselPages: 3}.fill()))
+		got := drainBatches(t, newParallelScan(context.Background(), tb, &plan.SeqScan{Table: tb.Name}, whole, Options{DOP: dop, MorselPages: 3}.fill()))
 		if len(got) != int(tb.Heap.Len()) {
 			t.Fatalf("dop=%d: %d rows, heap has %d live", dop, len(got), tb.Heap.Len())
 		}
@@ -167,7 +212,8 @@ func TestParallelScanCloseWithoutDrain(t *testing.T) {
 	c, tb := testDB(t, 5000)
 	_ = c
 	for i := 0; i < 20; i++ {
-		it := newParallelScan(context.Background(), tb, &plan.SeqScan{Table: tb.Name}, nil, tb.Schema.Len(), Options{DOP: 4, MorselPages: 1}.fill())
+		it := newParallelScan(context.Background(), tb, &plan.SeqScan{Table: tb.Name},
+			scanCols{schema: tb.Schema, slot: tb.Schema.Len()}, Options{DOP: 4, MorselPages: 1}.fill())
 		if _, done, err := it.NextBatch(); err != nil || done {
 			t.Fatalf("iter %d: first batch: done=%v err=%v", i, done, err)
 		}

@@ -25,15 +25,17 @@ type MatchedRow struct {
 // goes through the same page reader as queries (scanPages), so
 // injected transient page faults are retried, not surfaced. To find the
 // victims only the columns pred reads are decoded, every row into one
-// scratch tuple; a victim's record is then decoded whole, into the fresh
-// row the engine rebuilds the updated row and the index keys from.
+// scratch tuple under the schema narrowed to them; a victim's record is
+// then decoded whole, into the fresh row the engine rebuilds the updated
+// row and the index keys from.
 func CollectMatches(ctx context.Context, t *catalog.Table, pred expr.Expr, opts Options) ([]MatchedRow, error) {
 	var out []MatchedRow
 	need := columnMask(t.Schema, expr.Columns(pred))
-	scratch := make(value.Tuple, 0, t.Schema.Len())
+	schema := t.NarrowSchema(need)
+	scratch := make(value.Tuple, 0, schema.Len())
 	dst := func() value.Tuple { return scratch }
-	err := scanPages(ctx, t, opts, need, 0, t.Heap.PageCount(), dst, func(rid storage.RID, rec []byte, tup value.Tuple) bool {
-		if pred == nil || pred.Eval(t.Schema, tup) {
+	err := scanPages(ctx, t, opts, need, 0, t.Heap.PageCount(), nil, dst, func(rid storage.RID, rec []byte, tup value.Tuple) bool {
+		if pred == nil || pred.Eval(schema, tup) {
 			// rec has just been decoded under the mask, which validates
 			// every field of it: decoding it again cannot fail.
 			row, _ := value.DecodeTuple(rec)

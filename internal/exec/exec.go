@@ -33,19 +33,28 @@ import (
 // (value.DecodeTupleInto), so where rows live, and for how long, is the
 // caller's choice: the same scratch tuple every time, or the next slot
 // of an arena. need says which columns to decode (columnMask; nil for
-// all). fn returning false ends the scan early with a nil error. ctx is
+// all), and the tuples hold those alone. fit, when non-nil, may refuse a
+// page before it is read (storage.Heap.ScanPagesInto), which ends the
+// scan like fn returning false: early, with a nil error. ctx is
 // checked between pages and each page's read is retried under the
 // options' policy, one page per attempt: storage errors fire at page
 // granularity before any record of the failing page is delivered, so a
 // retried page never double-delivers rows to fn. With retrying disabled
 // and no injector there is nothing to retry page-wise, and the whole
 // range goes through a single ScanPagesInto call.
-func scanPages(ctx context.Context, t *catalog.Table, opts Options, need []bool, lo, hi int,
+func scanPages(ctx context.Context, t *catalog.Table, opts Options, need []bool, lo, hi int, fit func(live int) bool,
 	dst func() value.Tuple, fn func(rid storage.RID, rec []byte, tup value.Tuple) bool) error {
 	io := ioOf(opts.Collector)
 	onRetry := opts.onRetry()
 	var decodeErr error
 	halted := false
+	pageFit := fit
+	if fit != nil {
+		pageFit = func(live int) bool {
+			halted = !fit(live)
+			return !halted
+		}
+	}
 	deliver := func(rid storage.RID, rec []byte) bool {
 		tup, err := value.DecodeTupleInto(dst(), rec, need)
 		if err != nil {
@@ -64,7 +73,7 @@ func scanPages(ctx context.Context, t *catalog.Table, opts Options, need []bool,
 			return err
 		}
 		if err := fault.Retry(ctx, opts.Clock, opts.Retry, func() error {
-			return t.Heap.ScanPagesInto(io, page, page+step, deliver)
+			return t.Heap.ScanPagesInto(io, page, page+step, pageFit, deliver)
 		}, onRetry); err != nil {
 			return fmt.Errorf("exec: scan %s: %w", t.Name, err)
 		}
@@ -84,8 +93,8 @@ const arenaChunkRows = 64
 // slots each. next hands out the following slot — empty, of capacity
 // width — allocating a chunk only when every one it has is full; reset
 // makes all of them available again, and whatever was decoded into them
-// garbage. A leaf makes width its table's plus predictRoom, so that a
-// row is widened where it lies.
+// garbage. A leaf makes width its scanCols' slot, so that a row is
+// widened where it lies.
 type rowArena struct {
 	width, rows int
 	chunks      []value.Tuple
@@ -106,16 +115,36 @@ func (a *rowArena) next() value.Tuple {
 
 func (a *rowArena) reset() { a.ci, a.used = 0, 0 }
 
+// scanCols is the shape of the rows a scan leaf builds for the plan
+// above it: the columns it decodes (need, decodeMask's; nil for all),
+// their schema — the table's narrowed to them, in table order — and the
+// capacity of each row (slot: those columns plus predictRoom). The
+// operators above resolve every column by name through their child's
+// Schema, so a narrowed row needs no ordinal remapping anywhere.
+type scanCols struct {
+	need   []bool
+	schema *value.Schema
+	slot   int
+}
+
+// leafCols is the scanCols of a leaf over t in the plan root.
+func leafCols(c *catalog.Catalog, t *catalog.Table, root plan.Node, col *Collector) scanCols {
+	need := decodeMask(c, root, col)
+	schema := t.NarrowSchema(need)
+	return scanCols{need: need, schema: schema, slot: schema.Len() + predictRoom(root)}
+}
+
 // decodeMask reports which columns of its scan a plan reads — what the
-// heap scans decode (value.DecodeTupleInto's need) and the columnar scan
-// reconstructs: root is walked down to the SeqScan leaf
+// heap scans and index fetches decode (value.DecodeTupleInto's need) and
+// the columnar scan reconstructs: root is walked down to the leaf
 // collecting the columns of every Filter (and of the baseline predicate
 // EXPLAIN ANALYZE re-checks its rejects against), every Predict's model
 // inputs, the Project list and the HashAgg spec. Names the table does
 // not have are columns a Predict adds above the scan. nil means every
 // column: the plan hands whole rows to its caller (no Project or HashAgg
 // above the scan), or it does not end in a scan of a table the catalog
-// knows.
+// knows. An operator that reads a column the mask missed fails the build
+// (notDecoded), never a row.
 func decodeMask(c *catalog.Catalog, root plan.Node, col *Collector) []bool {
 	all := true
 	var names []string
@@ -155,8 +184,8 @@ func decodeMask(c *catalog.Catalog, root plan.Node, col *Collector) []bool {
 				names = append(names, me.Model.InputColumns()...)
 			}
 			n = x.Child
-		case *plan.SeqScan:
-			t, ok := c.Table(x.Table)
+		case *plan.SeqScan, *plan.IndexSeek, *plan.IndexUnion:
+			t, ok := c.Table(scanTable(x))
 			if all || !ok {
 				return nil
 			}
@@ -165,6 +194,49 @@ func decodeMask(c *catalog.Catalog, root plan.Node, col *Collector) []bool {
 			return nil
 		}
 	}
+}
+
+// scanTable names the table the leaf under n reads, or "" when n's
+// single-child chain ends in no scan.
+func scanTable(n plan.Node) string {
+	for {
+		switch x := n.(type) {
+		case *plan.SeqScan:
+			return x.Table
+		case *plan.IndexSeek:
+			return x.Table
+		case *plan.IndexUnion:
+			return x.Table
+		case *plan.ConstScan:
+			return x.Table
+		}
+		kids := n.Children()
+		if len(kids) != 1 {
+			return ""
+		}
+		n = kids[0]
+	}
+}
+
+// notDecoded is the build error of the operator n when it reads col and
+// its input, in, does not hold it: the scan under n did not decode it.
+// A row would otherwise read the column as absent — a filter dropping
+// it, silently.
+func notDecoded(in *value.Schema, n plan.Node, cols ...string) error {
+	for _, col := range cols {
+		if in.Ordinal(col) < 0 {
+			return fmt.Errorf("exec: column %q not decoded by scan of %s", col, scanTable(n))
+		}
+	}
+	return nil
+}
+
+// predNotDecoded is notDecoded for the columns of a predicate.
+func predNotDecoded(in *value.Schema, n plan.Node, pred expr.Expr) error {
+	if col := expr.Unresolved(pred, in); col != "" {
+		return notDecoded(in, n, col)
+	}
+	return nil
 }
 
 // predictRoom is how many values the operators above a leaf append to
@@ -193,10 +265,6 @@ func predictRoom(root plan.Node) int {
 		n = kids[0]
 	}
 }
-
-// tupleSlot is the capacity a leaf over t gives each tuple it builds for
-// the plan root: the row, and room for what is appended to it.
-func tupleSlot(t *catalog.Table, root plan.Node) int { return t.Schema.Len() + predictRoom(root) }
 
 // columnMask marks the ordinals of the named columns that s has.
 func columnMask(s *value.Schema, names []string) []bool {
@@ -334,7 +402,7 @@ func unionRIDs(ctx context.Context, t *catalog.Table, x *plan.IndexUnion, opts O
 }
 
 // ridFetch fetches rows for a RID list, a batch of live rows at a time,
-// each into a fresh tuple of slot capacity. Each lookup is retried under
+// each into a fresh tuple of its scanCols' shape. Each lookup is retried under
 // the options' policy when the random page read fails transiently. ctx
 // is checked once per batch and every ridFetchCtxStride lookups, so
 // per-query deadlines interrupt long RID lists between (not just after)
@@ -345,19 +413,19 @@ type ridFetch struct {
 	io        *storage.Counters
 	rids      []storage.RID
 	pos       int
-	slot      int
+	cols      scanCols
 	batchSize int
 	retry     fault.RetryPolicy
 	clock     fault.Clock
 	onRetry   func(error)
 }
 
-func newRIDFetch(ctx context.Context, t *catalog.Table, rids []storage.RID, slot int, opts Options) *ridFetch {
-	return &ridFetch{ctx: ctx, table: t, io: ioOf(opts.Collector), rids: rids, slot: slot, batchSize: opts.BatchSize,
+func newRIDFetch(ctx context.Context, t *catalog.Table, rids []storage.RID, cols scanCols, opts Options) *ridFetch {
+	return &ridFetch{ctx: ctx, table: t, io: ioOf(opts.Collector), rids: rids, cols: cols, batchSize: opts.BatchSize,
 		retry: opts.Retry, clock: opts.Clock, onRetry: opts.onRetry()}
 }
 
-func (r *ridFetch) Schema() *value.Schema { return r.table.Schema }
+func (r *ridFetch) Schema() *value.Schema { return r.cols.schema }
 
 func (r *ridFetch) NextBatch() (Batch, bool, error) {
 	if err := ctxErr(r.ctx); err != nil {
@@ -371,7 +439,7 @@ func (r *ridFetch) NextBatch() (Batch, bool, error) {
 	)
 	fetch := func() error {
 		var err error
-		tup, ok, err = r.table.FetchInto(r.io, rid, make(value.Tuple, 0, r.slot))
+		tup, ok, err = r.table.FetchInto(r.io, rid, make(value.Tuple, 0, r.cols.slot), r.cols.need)
 		return err
 	}
 	for len(batch) < r.batchSize && r.pos < len(r.rids) {
@@ -401,14 +469,15 @@ func (r *ridFetch) NextBatch() (Batch, bool, error) {
 
 func (r *ridFetch) Close() { r.rids = nil }
 
-// projectOrds resolves projection columns against the input schema.
-func projectOrds(in *value.Schema, cols []string) ([]int, *value.Schema, error) {
+// projectOrds resolves the projection n's columns against the input
+// schema.
+func projectOrds(in *value.Schema, n plan.Node, cols []string) ([]int, *value.Schema, error) {
 	ords := make([]int, len(cols))
 	outCols := make([]value.Column, len(cols))
 	for i, c := range cols {
 		o := in.Ordinal(c)
 		if o < 0 {
-			return nil, nil, fmt.Errorf("exec: project: no column %q", c)
+			return nil, nil, notDecoded(in, n, c)
 		}
 		ords[i] = o
 		outCols[i] = in.Col(o)
@@ -435,16 +504,16 @@ func lookupModel(c *catalog.Catalog, pr *plan.Predict) (*catalog.ModelEntry, err
 	return me, nil
 }
 
-// predictBinding resolves a model against the input schema and builds
-// the output schema with the predicted column appended, shared by the
-// prediction-join operator and the fused aggregation pipeline.
-func predictBinding(in *value.Schema, me *catalog.ModelEntry, as string) (mining.Binding, *value.Schema, error) {
+// predictBinding resolves the prediction join pr's model against the
+// input schema and builds the output schema with the predicted column
+// appended, shared by the prediction-join operator and the fused
+// aggregation pipeline.
+func predictBinding(in *value.Schema, pr *plan.Predict, me *catalog.ModelEntry) (mining.Binding, *value.Schema, error) {
 	b, ok := mining.Bind(me.Model, in)
 	if !ok {
-		return mining.Binding{}, nil, fmt.Errorf("exec: model %q input columns %v not all present in %s",
-			me.Model.Name(), me.Model.InputColumns(), in)
+		return mining.Binding{}, nil, notDecoded(in, pr, me.Model.InputColumns()...)
 	}
-	cols := append(append([]value.Column(nil), in.Columns...), value.Column{Name: as, Kind: me.PredictionKind()})
+	cols := append(append([]value.Column(nil), in.Columns...), value.Column{Name: pr.As, Kind: me.PredictionKind()})
 	schema, err := value.NewSchema(cols...)
 	if err != nil {
 		return mining.Binding{}, nil, fmt.Errorf("exec: prediction join: %w", err)

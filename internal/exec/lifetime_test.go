@@ -414,8 +414,9 @@ func TestDecodeMaskColumnar(t *testing.T) {
 		}
 	}
 
-	// Under a projecting root the leaf's rows carry the read columns (id
-	// returned, cat filtered on) and NULL in the other (num).
+	// Under a projecting root the leaf's rows are the read columns (id
+	// returned, cat filtered on) and nothing else, under a schema of just
+	// those two.
 	filter := &plan.Filter{Child: scan(), Pred: onCat}
 	root := &plan.Project{Child: filter, Cols: []string{"id"}}
 	want := refRows(t, c, filter)
@@ -426,13 +427,16 @@ func TestDecodeMaskColumnar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got := schemaNames(leaf.Schema()); got != "id cat" {
+			t.Fatalf("masked leaf dop=%d: schema %q, want \"id cat\"", dop, got)
+		}
 		got := drainBatches(t, leaf)
 		if len(got) != len(want) {
 			t.Fatalf("masked leaf dop=%d: %d rows, oracle %d", dop, len(got), len(want))
 		}
 		for i, row := range got {
-			if !value.Equal(row[0], want[i][0]) || !value.Equal(row[1], want[i][1]) || !row[2].IsNull() {
-				t.Fatalf("masked leaf dop=%d row %d = %v, want id and cat of %v and a NULL num", dop, i, row, want[i])
+			if len(row) != 2 || !value.Equal(row[0], want[i][0]) || !value.Equal(row[1], want[i][1]) {
+				t.Fatalf("masked leaf dop=%d row %d = %v, want id and cat of %v alone", dop, i, row, want[i])
 			}
 		}
 	}
@@ -568,7 +572,18 @@ func TestColumnarScratchConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDecodeMaskColumns pins which columns each plan shape decodes.
+// schemaNames renders a schema's column names, space-separated.
+func schemaNames(s *value.Schema) string {
+	names := make([]string, s.Len())
+	for i, col := range s.Columns {
+		names[i] = col.Name
+	}
+	return strings.Join(names, " ")
+}
+
+// TestDecodeMaskColumns pins which columns each plan shape decodes, and
+// that the leaf built for the plan — serial, parallel or index fetch —
+// reports exactly those as its schema.
 func TestDecodeMaskColumns(t *testing.T) {
 	c, _ := testDB(t, 10)
 	c.RegisterModel(catModel{}, nil) // reads num
@@ -599,7 +614,10 @@ func TestDecodeMaskColumns(t *testing.T) {
 		{"aggregate", aggPlan(onCat, []string{"cat"}, []agg.Item{{Func: agg.None, Col: "cat"}, {Func: agg.Sum, Col: "num"}}), nil, "cat num"},
 		{"aggregate under project", &plan.Project{Cols: []string{"sum(num)"},
 			Child: aggPlan(scan, nil, []agg.Item{{Func: agg.Sum, Col: "num"}})}, nil, "num"},
-		{"index path", &plan.Project{Child: &plan.IndexSeek{Table: "t", Index: "ix_num"}, Cols: []string{"id"}}, nil, "all"},
+		{"index path", &plan.Project{Child: &plan.IndexSeek{Table: "t", Index: "ix_num"}, Cols: []string{"id"}}, nil, "id"},
+		{"index path, no project", &plan.Filter{Child: &plan.IndexSeek{Table: "t", Index: "ix_num"}, Pred: onCat.Pred}, nil, "all"},
+		{"index union", &plan.Project{Cols: []string{"num"}, Child: &plan.IndexUnion{Table: "t", Seeks: []*plan.IndexSeek{
+			{Table: "t", Index: "ix_num"}, {Table: "t", Index: "ix_cat"}}}}, nil, "num"},
 	} {
 		got := "all"
 		if need := decodeMask(c, tc.root, tc.col); need != nil {
@@ -614,6 +632,132 @@ func TestDecodeMaskColumns(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: decodes %q, want %q", tc.name, got, tc.want)
 		}
+		leaf := tc.root
+		for kids := leaf.Children(); len(kids) == 1; kids = leaf.Children() {
+			leaf = kids[0]
+		}
+		wantSchema := tc.want
+		if wantSchema == "all" {
+			wantSchema = "id cat num"
+		}
+		for _, dop := range []int{1, 4} {
+			it, err := buildBatchNode(context.Background(), c, tc.root, leaf, Options{DOP: dop, Collector: tc.col}.fill())
+			if err != nil {
+				t.Fatalf("%s: build leaf: %v", tc.name, err)
+			}
+			if got := schemaNames(it.Schema()); got != wantSchema {
+				t.Errorf("%s dop=%d: leaf schema %q, want %q", tc.name, dop, got, wantSchema)
+			}
+			it.Close()
+		}
+	}
+}
+
+// TestNotDecodedColumnFailsBuild: an operator reading a column its scan
+// did not decode fails the build, naming the column and the table, rather
+// than reading it as absent on every row. The plans are hand-built so that
+// the root the leaf takes its mask from omits what the operator reads.
+func TestNotDecodedColumnFailsBuild(t *testing.T) {
+	c, _ := testDB(t, 50)
+	c.RegisterModel(catModel{}, nil) // reads num
+	idOnly := func(child plan.Node) plan.Node { return &plan.Project{Child: child, Cols: []string{"id"}} }
+	onCat := expr.Cmp{Col: "cat", Op: expr.OpEq, Val: value.Str("c2")}
+	scan := &plan.SeqScan{Table: "t"}
+	baseline := &plan.Filter{Child: scan, Pred: expr.Cmp{Col: "id", Op: expr.OpLt, Val: value.Int(5)}}
+	col := NewCollector()
+	col.SetEnvelopeBaseline(baseline, onCat)
+	for _, tc := range []struct {
+		name    string
+		root, n plan.Node // the leaf under n takes its mask from root
+		col     *Collector
+		missing string
+	}{
+		{"filter", idOnly(scan), &plan.Filter{Child: scan, Pred: onCat}, nil, "cat"},
+		{"filter baseline", idOnly(&plan.Filter{Child: scan, Pred: baseline.Pred}), baseline, col, "cat"},
+		{"predict input", idOnly(scan), &plan.Predict{Child: scan, Model: "catmod", As: "m.cls"}, nil, "num"},
+		{"project", idOnly(scan), &plan.Project{Child: scan, Cols: []string{"id", "cat"}}, nil, "cat"},
+		{"aggregate", idOnly(scan), aggPlan(scan, []string{"cat"}, []agg.Item{{Func: agg.None, Col: "cat"}}).Child, nil, "cat"},
+		{"index path", idOnly(&plan.IndexSeek{Table: "t", Index: "ix_num"}),
+			&plan.Filter{Child: &plan.IndexSeek{Table: "t", Index: "ix_num"}, Pred: onCat}, nil, "cat"},
+	} {
+		want := `exec: column "` + tc.missing + `" not decoded by scan of t`
+		for _, dop := range []int{1, 4} {
+			n := tc.n
+			if part, ok := n.(*plan.HashAgg); ok {
+				// A partial runs under its final; build it the way the final
+				// does, with the mask of the wrong root.
+				_, err := newPartialAgg(context.Background(), c, &plan.HashAgg{Phase: plan.AggPartial,
+					Child: tc.root, GroupBy: part.GroupBy, Aggs: part.Aggs}, Options{DOP: dop, Collector: tc.col}.fill())
+				if err == nil || err.Error() != want {
+					t.Errorf("%s dop=%d: err = %v, want %q", tc.name, dop, err, want)
+				}
+				continue
+			}
+			it, err := buildBatchNode(context.Background(), c, tc.root, n, Options{DOP: dop, Collector: tc.col}.fill())
+			if err == nil {
+				it.Close()
+			}
+			if err == nil || err.Error() != want {
+				t.Errorf("%s dop=%d: err = %v, want %q", tc.name, dop, err, want)
+			}
+		}
+	}
+}
+
+// TestScanAllocFollowsMask: a scan leaf's rows cost the columns the plan
+// reads. One execution of a heap scan under a root projecting 2 of 8
+// columns allocates at most (2+room)/(8+room) of what the same leaf under
+// SELECT * does (room, the Predict slots, is 0 here), plus 10 points for
+// what both pay whatever their width — the batch slice, the operator, the
+// page reads. The batches are large, so that the rows dominate.
+func TestScanAllocFollowsMask(t *testing.T) {
+	c := catalog.New()
+	cols := make([]value.Column, 8)
+	for i := range cols {
+		cols[i] = value.Column{Name: string(rune('a' + i)), Kind: value.KindInt}
+	}
+	tb, err := c.CreateTable("w", value.MustSchema(cols...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4000; i++ {
+		row := make(value.Tuple, len(cols))
+		for j := range row {
+			row[j] = value.Int(int64(i * j))
+		}
+		if _, err := tb.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := &plan.SeqScan{Table: "w"}
+	leafBytes := func(root plan.Node) uint64 {
+		return allocatedBy(t, func() {
+			it, err := buildBatchNode(context.Background(), c, root, scan, Options{DOP: 1, BatchSize: 1024}.fill())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer it.Close()
+			rows := 0
+			for {
+				b, done, err := it.NextBatch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if done {
+					break
+				}
+				rows += len(b)
+			}
+			if rows != 4000 {
+				t.Fatalf("leaf returned %d rows, want 4000", rows)
+			}
+		})
+	}
+	whole := leafBytes(scan)
+	narrow := leafBytes(&plan.Project{Child: scan, Cols: []string{"b", "g"}})
+	t.Logf("heap scan leaf: SELECT * %d B, 2 of 8 columns %d B", whole, narrow)
+	if limit := (2.0/8 + 0.10) * float64(whole); float64(narrow) > limit {
+		t.Fatalf("a leaf decoding 2 of 8 columns allocated %d B, over %.0f B (SELECT *: %d B)", narrow, limit, whole)
 	}
 }
 

@@ -209,10 +209,10 @@ func morselRanges(ranges [][2]int, morselPages int) [][2]int {
 // parallelScan is the row-heap sequential scan at DOP > 1.
 type parallelScan struct {
 	*orderedScan
-	table *catalog.Table
+	schema *value.Schema
 }
 
-func newParallelScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, need []bool, slot int, opts Options) *parallelScan {
+func newParallelScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, cols scanCols, opts Options) *parallelScan {
 	morsels := morselRanges(t.PartitionPageRanges(x.Partitions), opts.MorselPages)
 	pool := newMorselPool(ctx, opts, "scan "+t.Name+" morsel", len(morsels))
 	// decode turns one morsel into batches. A stop is observed at each
@@ -221,9 +221,9 @@ func newParallelScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, nee
 	// and wait there for the consumer, so nothing is reused across them:
 	// the arena is the morsel's own, its chunks one per batch.
 	decode := func(m int) (batches []Batch, rows int64, err error) {
-		arena := rowArena{width: slot, rows: opts.BatchSize}
+		arena := rowArena{width: cols.slot, rows: opts.BatchSize}
 		batch := make(Batch, 0, opts.BatchSize)
-		err = scanPages(ctx, t, opts, need, morsels[m][0], morsels[m][1], arena.next, func(_ storage.RID, _ []byte, tup value.Tuple) bool {
+		err = scanPages(ctx, t, opts, cols.need, morsels[m][0], morsels[m][1], nil, arena.next, func(_ storage.RID, _ []byte, tup value.Tuple) bool {
 			batch = append(batch, tup)
 			rows++
 			if len(batch) < opts.BatchSize {
@@ -243,11 +243,11 @@ func newParallelScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, nee
 	}
 	return &parallelScan{
 		orderedScan: startOrdered(pool, func() (func(int) ([]Batch, int64, error), func()) { return decode, nil }),
-		table:       t,
+		schema:      cols.schema,
 	}
 }
 
-func (ps *parallelScan) Schema() *value.Schema { return ps.table.Schema }
+func (ps *parallelScan) Schema() *value.Schema { return ps.schema }
 
 func (ps *parallelScan) NextBatch() (Batch, bool, error) { return ps.nextBatch() }
 

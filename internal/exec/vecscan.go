@@ -56,11 +56,11 @@ type vecCore struct {
 	base     expr.Expr
 	baseCols []bool // columnMask of base: all the re-check reads
 
-	// need (decodeMask; nil for every column) and slot (the capacity of a
-	// reconstructed tuple: the table's width plus predictRoom) shape the
-	// rows processGroup emits. Set by newVecScan; the fused aggregate
-	// reconstructs into its own row buffer and leaves them zero.
-	need []bool
+	// ords (the ordinals decodeMask marks, in table order) and slot (the
+	// capacity of a reconstructed tuple: those columns plus predictRoom)
+	// shape the rows processGroup emits. Set by newVecScan; the fused
+	// aggregate reconstructs into its own row buffer and leaves them zero.
+	ords []int
 	slot int
 
 	processed atomic.Int64
@@ -124,8 +124,8 @@ type groupRows struct {
 }
 
 // processGroup filters one column group and reconstructs the surviving
-// rows, cut into batches of BatchSize in group order: the columns need
-// marks, NULL in the rest, each tuple with slot capacity. The rows go
+// rows, cut into batches of BatchSize in group order: the columns ords
+// names and only those, each tuple with slot capacity. The rows go
 // into reuse, over whatever it held — the serial consumer's, whose
 // batches are all consumed before it selects the next group. The pool's
 // workers pass nil: their batches wait on another goroutine, so each
@@ -147,13 +147,9 @@ func (c *vecCore) processGroup(g *storage.ColGroup, sc *vec.Scratch, reuse *grou
 		if sel != nil {
 			ri = int(sel[k])
 		}
-		row := out.arena.next()[:len(g.Cols)]
-		for ci := range row {
-			if c.need == nil || c.need[ci] {
-				row[ci] = g.Cols[ci].Value(ri)
-			} else {
-				row[ci] = value.Null()
-			}
+		row := out.arena.next()[:len(c.ords)]
+		for j, ci := range c.ords {
+			row[j] = g.Cols[ci].Value(ri)
 		}
 		rows = append(rows, row)
 	}
@@ -232,6 +228,7 @@ type vecScan struct {
 	ctx      context.Context
 	scanNode plan.Node
 	col      *Collector
+	schema   *value.Schema
 
 	sc     *vec.Scratch // nil once Close has handed it back
 	out    groupRows    // the current group's rows, reused for the next
@@ -246,18 +243,23 @@ type vecScan struct {
 
 // newVecScan builds the fused operator for a columnar-flagged scan (and
 // optional filter directly above it), or nil when newVecCore refuses.
-// need and slot are the leaf's decodeMask and tuple capacity.
-func newVecScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, filter *plan.Filter, need []bool, slot int, opts Options) *vecScan {
+// cols is the shape of the rows it reconstructs.
+func newVecScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, filter *plan.Filter, cols scanCols, opts Options) *vecScan {
 	core := newVecCore(t, x, filter, opts)
 	if core == nil {
 		return nil
 	}
-	core.need, core.slot = need, slot
-	return &vecScan{vecCore: core, ctx: ctx, scanNode: x, col: opts.Collector, sc: vec.NewScratch(),
-		out: groupRows{arena: rowArena{width: slot, rows: arenaChunkRows}}}
+	core.slot = cols.slot
+	for ci := 0; ci < t.Schema.Len(); ci++ {
+		if cols.need == nil || cols.need[ci] {
+			core.ords = append(core.ords, ci)
+		}
+	}
+	return &vecScan{vecCore: core, ctx: ctx, scanNode: x, col: opts.Collector, schema: cols.schema, sc: vec.NewScratch(),
+		out: groupRows{arena: rowArena{width: cols.slot, rows: arenaChunkRows}}}
 }
 
-func (s *vecScan) Schema() *value.Schema { return s.table.Schema }
+func (s *vecScan) Schema() *value.Schema { return s.schema }
 
 func (s *vecScan) NextBatch() (Batch, bool, error) {
 	if s.err != nil {

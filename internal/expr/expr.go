@@ -357,7 +357,10 @@ func MapColumns(e Expr, f func(string) string) Expr {
 // Columns returns the sorted set of column names referenced by e.
 func Columns(e Expr) []string {
 	set := map[string]bool{}
-	collectColumns(e, set)
+	eachColumn(e, func(c string) bool {
+		set[c] = true
+		return true
+	})
 	out := make([]string, 0, len(set))
 	for c := range set {
 		out = append(out, c)
@@ -366,24 +369,43 @@ func Columns(e Expr) []string {
 	return out
 }
 
-func collectColumns(e Expr, set map[string]bool) {
+// Unresolved returns a column e references that s does not have — one
+// every Eval of e over s would read as absent — or "" when s
+// holds them all.
+func Unresolved(e Expr, s *value.Schema) (col string) {
+	eachColumn(e, func(c string) bool {
+		if s.Ordinal(c) < 0 {
+			col = c
+		}
+		return col == ""
+	})
+	return col
+}
+
+// eachColumn calls fn on every column reference of e, in tree order,
+// until fn returns false; it reports whether the walk ran to the end.
+func eachColumn(e Expr, fn func(string) bool) bool {
 	switch x := e.(type) {
 	case Cmp:
-		set[x.Col] = true
+		return fn(x.Col)
 	case In:
-		set[x.Col] = true
+		return fn(x.Col)
 	case ColCmp:
-		set[x.ColA] = true
-		set[x.ColB] = true
+		return fn(x.ColA) && fn(x.ColB)
 	case And:
 		for _, k := range x.Kids {
-			collectColumns(k, set)
+			if !eachColumn(k, fn) {
+				return false
+			}
 		}
 	case Or:
 		for _, k := range x.Kids {
-			collectColumns(k, set)
+			if !eachColumn(k, fn) {
+				return false
+			}
 		}
 	case Not:
-		collectColumns(x.Kid, set)
+		return eachColumn(x.Kid, fn)
 	}
+	return true
 }

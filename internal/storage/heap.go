@@ -306,7 +306,7 @@ func (h *Heap) Scan(fn func(RID, []byte) bool) error {
 // callback stops this morsel early. ScanPages is safe to call from many
 // goroutines at once over disjoint (or even overlapping) ranges.
 func (h *Heap) ScanPages(lo, hi int, fn func(RID, []byte) bool) error {
-	return h.ScanPagesInto(nil, lo, hi, fn)
+	return h.ScanPagesInto(nil, lo, hi, nil, fn)
 }
 
 // ScanPagesInto is ScanPages with per-query accounting: page and tuple
@@ -317,8 +317,11 @@ func (h *Heap) ScanPages(lo, hi int, fn func(RID, []byte) bool) error {
 // Each page's slot directory is snapshotted under the read lock, then
 // records are delivered lock-free: the scan observes every page at one
 // instant even while writers interleave, and the payload bytes behind a
-// snapshotted slot are immutable.
-func (h *Heap) ScanPagesInto(c *Counters, lo, hi int, fn func(RID, []byte) bool) error {
+// snapshotted slot are immutable. fit, when non-nil, is shown the number
+// of live records in each page's snapshot — exactly what the page will
+// deliver — before the page is read; returning false ends the scan
+// there, that page neither read nor counted.
+func (h *Heap) ScanPagesInto(c *Counters, lo, hi int, fit func(live int) bool, fn func(RID, []byte) bool) error {
 	if lo < 0 {
 		lo = 0
 	}
@@ -330,9 +333,6 @@ func (h *Heap) ScanPagesInto(c *Counters, lo, hi int, fn func(RID, []byte) bool)
 	// many times, or for however few pages, it is called.
 	var dir [PageSize]byte
 	for pi := lo; pi < hi; pi++ {
-		if err := h.faults.Load().Hit(fault.SitePageReadSeq); err != nil {
-			return fmt.Errorf("storage: sequential read page %d: %w", pi, err)
-		}
 		h.mu.RLock()
 		var p *page
 		if pi < len(h.pages) {
@@ -350,6 +350,12 @@ func (h *Heap) ScanPagesInto(c *Counters, lo, hi int, fn func(RID, []byte) bool)
 		n := p.slotCount()
 		copy(dir[:], p.data[pageHeaderSize:pageHeaderSize+n*slotSize])
 		h.mu.RUnlock()
+		if fit != nil && !fit(liveSlots(dir[:n*slotSize])) {
+			return nil
+		}
+		if err := h.faults.Load().Hit(fault.SitePageReadSeq); err != nil {
+			return fmt.Errorf("storage: sequential read page %d: %w", pi, err)
+		}
 		h.stats.seqPageReads.Add(1)
 		if c != nil {
 			c.SeqPageReads.Add(1)
@@ -371,6 +377,17 @@ func (h *Heap) ScanPagesInto(c *Counters, lo, hi int, fn func(RID, []byte) bool)
 		}
 	}
 	return nil
+}
+
+// liveSlots counts the slots of a directory snapshot that hold a record.
+func liveSlots(dir []byte) int {
+	live := 0
+	for s := 0; s < len(dir); s += slotSize {
+		if binary.LittleEndian.Uint16(dir[s+2:]) != 0 {
+			live++
+		}
+	}
+	return live
 }
 
 // Len returns the number of live records.

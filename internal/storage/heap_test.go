@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -251,6 +252,52 @@ func TestScanPastNilPage(t *testing.T) {
 	}
 }
 
+// TestScanPagesIntoFit: fit sees each page's live records before the
+// page is read, and refusing one ends the scan there with the page
+// neither delivered nor counted.
+func TestScanPagesIntoFit(t *testing.T) {
+	h := NewHeap()
+	rec := make([]byte, 1000) // 8 records a page
+	var rids []RID
+	for h.PageCount() < 4 {
+		rid, err := h.Insert(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	h.Delete(rids[0]) // page 0 holds one record fewer
+	perPage := make([]int, h.PageCount())
+	for _, rid := range rids[1:] {
+		perPage[rid.Page]++
+	}
+	var c Counters
+	var offered []int
+	delivered := 0
+	err := h.ScanPagesInto(&c, 0, h.PageCount(), func(live int) bool {
+		offered = append(offered, live)
+		return delivered+live <= perPage[0]+perPage[1]
+	}, func(RID, []byte) bool {
+		delivered++
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := perPage[:3]; !reflect.DeepEqual(offered, want) {
+		t.Errorf("fit was offered %v live records, want %v", offered, want)
+	}
+	if want := perPage[0] + perPage[1]; delivered != want {
+		t.Errorf("delivered %d records, want %d", delivered, want)
+	}
+	if got := c.SeqPageReads.Load(); got != 2 {
+		t.Errorf("%d pages counted, want 2: the refused page is not read", got)
+	}
+	if got := c.TupleReads.Load(); got != int64(delivered) {
+		t.Errorf("%d tuples counted, %d delivered", got, delivered)
+	}
+}
+
 // raceEnabled is set by race_test.go; allocation counts skip under it.
 var raceEnabled bool
 
@@ -277,7 +324,7 @@ func TestScanPagesIntoAllocs(t *testing.T) {
 	count := func(RID, []byte) bool { seen++; return true }
 	got := testing.AllocsPerRun(20, func() {
 		for p := 0; p < pages; p++ {
-			if err := h.ScanPagesInto(&c, p, p+1, count); err != nil {
+			if err := h.ScanPagesInto(&c, p, p+1, nil, count); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -33,8 +33,9 @@ type Store interface {
 	Scan(fn func(RID, []byte) bool) error
 	// ScanPages visits the live records of global pages [lo, hi).
 	ScanPages(lo, hi int, fn func(RID, []byte) bool) error
-	// ScanPagesInto is ScanPages with per-query accounting.
-	ScanPagesInto(c *Counters, lo, hi int, fn func(RID, []byte) bool) error
+	// ScanPagesInto is ScanPages with per-query accounting, and a fit
+	// that may refuse a page before it is read (see Heap.ScanPagesInto).
+	ScanPagesInto(c *Counters, lo, hi int, fit func(live int) bool, fn func(RID, []byte) bool) error
 	// Len returns the number of live records.
 	Len() int64
 	// PageCount returns the number of allocated pages (global).
@@ -151,12 +152,12 @@ func (ph *PartitionedHeap) Delete(rid RID) bool {
 // Scan implements Store: partitions are visited in order, so heap order
 // is (partition, page, slot).
 func (ph *PartitionedHeap) Scan(fn func(RID, []byte) bool) error {
-	return ph.ScanPagesInto(nil, 0, ph.PageCount(), fn)
+	return ph.ScanPagesInto(nil, 0, ph.PageCount(), nil, fn)
 }
 
 // ScanPages implements Store.
 func (ph *PartitionedHeap) ScanPages(lo, hi int, fn func(RID, []byte) bool) error {
-	return ph.ScanPagesInto(nil, lo, hi, fn)
+	return ph.ScanPagesInto(nil, lo, hi, nil, fn)
 }
 
 // ScanPagesInto implements Store over the global page-index space: page
@@ -165,11 +166,18 @@ func (ph *PartitionedHeap) ScanPages(lo, hi int, fn func(RID, []byte) bool) erro
 // heap with RIDs re-addressed into the shared space. As with Heap,
 // interleaving writers with an in-flight scan is not supported; a range
 // computed against an older snapshot clamps, it never fails.
-func (ph *PartitionedHeap) ScanPagesInto(c *Counters, lo, hi int, fn func(RID, []byte) bool) error {
+func (ph *PartitionedHeap) ScanPagesInto(c *Counters, lo, hi int, fit func(live int) bool, fn func(RID, []byte) bool) error {
 	if lo < 0 {
 		lo = 0
 	}
 	stop := false
+	partFit := fit
+	if fit != nil {
+		partFit = func(live int) bool {
+			stop = !fit(live)
+			return !stop
+		}
+	}
 	off := 0
 	for p, h := range ph.parts {
 		n := h.PageCount()
@@ -188,7 +196,7 @@ func (ph *PartitionedHeap) ScanPagesInto(c *Counters, lo, hi int, fn func(RID, [
 			phi = n
 		}
 		part := p
-		err := h.ScanPagesInto(c, plo, phi, func(rid RID, rec []byte) bool {
+		err := h.ScanPagesInto(c, plo, phi, partFit, func(rid RID, rec []byte) bool {
 			if !fn(PartRID(part, rid), rec) {
 				stop = true
 				return false

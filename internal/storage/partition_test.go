@@ -197,7 +197,7 @@ func TestPartitionedHeapStats(t *testing.T) {
 	}
 	ph.ResetStats()
 	var c Counters
-	if err := ph.ScanPagesInto(&c, 0, ph.PageCount(), func(RID, []byte) bool { return true }); err != nil {
+	if err := ph.ScanPagesInto(&c, 0, ph.PageCount(), nil, func(RID, []byte) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	if got := ph.Stats().SeqPageReads; int(got) != ph.PageCount() {

@@ -104,15 +104,16 @@ func DecodeTuple(b []byte) (Tuple, error) {
 }
 
 // DecodeTupleInto is DecodeTuple into caller-owned storage: the fields
-// are appended to dst[:0], which is reallocated only when the record's
-// arity exceeds cap(dst), and the (possibly moved) tuple is returned. A
-// scan that decodes every record into the same dst allocates nothing
-// per row but the strings it keeps.
+// are appended to dst[:0], which is reallocated only when they do not
+// fit in cap(dst), and the (possibly moved) tuple is returned. A scan
+// that decodes every record into the same dst allocates nothing per row
+// but the strings it keeps.
 //
-// need, when non-nil, marks by ordinal the fields the caller reads; the
-// others (and any ordinal past len(need)) are validated exactly like
-// the rest — a corrupt record fails whichever field it is corrupt in —
-// but not built, and their slots are set to NULL.
+// need, when non-nil, marks by ordinal the fields the caller reads, and
+// only those are appended, in record order: the tuple is the record
+// narrowed to them. The others (and any ordinal past len(need)) are
+// validated exactly like the rest — a corrupt record fails whichever
+// field it is corrupt in — but not built.
 func DecodeTupleInto(dst Tuple, b []byte, need []bool) (Tuple, error) {
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 {
@@ -122,16 +123,19 @@ func DecodeTupleInto(dst Tuple, b []byte, need []bool) (Tuple, error) {
 	if n > uint64(len(b)) { // every field takes a byte at least
 		return nil, fmt.Errorf("value: decode tuple: arity %d exceeds the record", n)
 	}
-	if uint64(cap(dst)) < n {
+	if need == nil && uint64(cap(dst)) < n {
 		dst = make(Tuple, 0, n)
 	}
 	dst = dst[:0]
 	for i := uint64(0); i < n; i++ {
-		v, used, err := decodeValue(b, need == nil || (i < uint64(len(need)) && need[i]))
+		keep := need == nil || (i < uint64(len(need)) && need[i])
+		v, used, err := decodeValue(b, keep)
 		if err != nil {
 			return nil, fmt.Errorf("value: decode tuple field %d: %w", i, err)
 		}
-		dst = append(dst, v)
+		if keep {
+			dst = append(dst, v)
+		}
 		b = b[used:]
 	}
 	return dst, nil
