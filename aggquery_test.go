@@ -130,8 +130,8 @@ func TestAggregateByteIdentityAcrossConfigs(t *testing.T) {
 		check("forced dop4", WithForcedPath("seqscan"), WithDOP(4))
 	}
 
-	// Same sweep on the columnar sidecar (the fused vectorized aggregate
-	// path); the row-path oracle above remains the reference.
+	// Same sweep on the columnar sidecar (the aggregate cut into column
+	// groups); the row-path oracle above remains the reference.
 	if err := e.EnableColumnar("customers"); err != nil {
 		t.Fatal(err)
 	}
@@ -434,6 +434,15 @@ func TestAggregateEnvelopeAttribution(t *testing.T) {
 	}
 }
 
+// The aggregate golden queries: a grouped data filter, and a GROUP BY on
+// a predicted class under its envelope.
+const (
+	aggGroupQuery = "SELECT segment, count(*), sum(visits), avg(income) FROM customers WHERE age >= 3 GROUP BY segment"
+	aggPredQuery  = `SELECT m.segment, count(*), avg(visits) FROM customers
+			PREDICTION JOIN segmodel AS m ON m.age = customers.age AND m.income = customers.income
+			WHERE m.segment = 'budget' GROUP BY m.segment`
+)
+
 // TestAggregateExplainAnalyzeGolden locks the rendered EXPLAIN ANALYZE
 // output of aggregate plans — the HashAgg partial/final pair, the
 // partial-merge counter, and (for the mining query) rejection
@@ -444,10 +453,8 @@ func TestAggregateExplainAnalyzeGolden(t *testing.T) {
 		name string
 		sql  string
 	}{
-		{"agg_group", "SELECT segment, count(*), sum(visits), avg(income) FROM customers WHERE age >= 3 GROUP BY segment"},
-		{"agg_pred", `SELECT m.segment, count(*), avg(visits) FROM customers
-			PREDICTION JOIN segmodel AS m ON m.age = customers.age AND m.income = customers.income
-			WHERE m.segment = 'budget' GROUP BY m.segment`},
+		{"agg_group", aggGroupQuery},
+		{"agg_pred", aggPredQuery},
 	}
 	for _, tc := range cases {
 		for _, dop := range []int{1, 4} {

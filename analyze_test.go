@@ -112,6 +112,12 @@ func TestExplainAnalyzeColumnarGolden(t *testing.T) {
 		{"col_disjuncts", `SELECT id FROM customers WHERE age >= 8 OR income <= 1 OR visits >= 90 OR age = 5`},
 		// Conjunction: adaptive AND ordering, most-rejecting term first.
 		{"col_conjuncts", `SELECT id FROM customers WHERE age >= 2 AND income <= 6 AND visits >= 10`},
+		// The aggregate goldens' queries on the sidecar: the grouped filter
+		// feeds the accumulators straight from the selection vector, and
+		// the mining query runs col_seqscan's operators under the
+		// aggregate, with col_seqscan's counters.
+		{"col_agg_group", aggGroupQuery},
+		{"col_agg_pred", aggPredQuery},
 	}
 	for _, tc := range cases {
 		for _, dop := range []int{1, 4} {
@@ -146,6 +152,36 @@ func TestExplainAnalyzeColumnarGolden(t *testing.T) {
 					t.Errorf("report drifted from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
 				}
 			})
+		}
+	}
+}
+
+// TestExplainAnalyzeDOPInvariant holds every golden pair to the claim
+// that the operator counters do not depend on the DOP: X_dop1.golden and
+// X_dop4.golden must be equal once the lines only a parallel run prints —
+// the worker count and the partial-merge count — are dropped.
+func TestExplainAnalyzeDOPInvariant(t *testing.T) {
+	serial, err := filepath.Glob(filepath.Join("testdata", "analyze", "*_dop1.golden"))
+	if err != nil || len(serial) == 0 {
+		t.Fatalf("no DOP-1 goldens: %v", err)
+	}
+	strip := func(path string) string {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b2 strings.Builder
+		for _, line := range strings.SplitAfter(string(b), "\n") {
+			if !strings.HasPrefix(line, "workers:") && !strings.HasPrefix(line, "aggregate: partial_merges=") {
+				b2.WriteString(line)
+			}
+		}
+		return b2.String()
+	}
+	for _, one := range serial {
+		four := strings.TrimSuffix(one, "_dop1.golden") + "_dop4.golden"
+		if a, b := strip(one), strip(four); a != b {
+			t.Errorf("%s and %s differ beyond the parallel-only lines:\n--- dop 1 ---\n%s--- dop 4 ---\n%s", one, four, a, b)
 		}
 	}
 }

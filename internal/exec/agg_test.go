@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -34,11 +35,10 @@ func rowsToStrings(rows []value.Tuple) []string {
 	return out
 }
 
-// TestAggPathEquivalence pins the tentpole invariant at the exec layer:
-// the fused morsel runner (row heap, DOP>1), the fused columnar runner
-// (DOP 1 and >1), and the generic runner (DOP 1) finalize byte-identical
-// rows in identical order for grouped and ungrouped aggregates, with and
-// without a filter.
+// TestAggPathEquivalence: every unit a partial aggregate is cut into —
+// heap morsels (DOP>1), column groups (DOP 1 and >1), the whole input
+// (DOP 1) — finalizes byte-identical rows in identical order, for grouped
+// and ungrouped aggregates, with and without a filter.
 func TestAggPathEquivalence(t *testing.T) {
 	cc, tb := testDB(t, 4000)
 	if err := tb.EnableColumnar(); err != nil {
@@ -117,7 +117,7 @@ func TestAggPathEquivalence(t *testing.T) {
 
 // TestAggOverPredictedColumn runs the paper's pipeline under an
 // aggregate: GROUP BY a model's predicted class with a residual class
-// filter, checking the fused paths against a hand-computed oracle.
+// filter, over heap morsels and column groups against the serial run.
 func TestAggOverPredictedColumn(t *testing.T) {
 	cc, tb := testDB(t, 3000)
 	if err := tb.EnableColumnar(); err != nil {
@@ -259,28 +259,119 @@ func TestRunPartialAggWire(t *testing.T) {
 	}
 }
 
-// TestAggCollectorStats checks the manually-fed stats of the fused
-// paths: the scan leaf's rows, the partial's group count, and the
-// merge counter all surface through the Collector.
+// TestAggCollectorStats checks the operator counters under a partial
+// aggregate, whose workers run the Partial's own pipeline: on the heap
+// and on the sidecar, with and without a prediction join, every
+// operator's Rows and Batches and every filter's envelope/residual split
+// are the same at DOP 4 as at DOP 1; and the scan's rows, the partial's
+// group count and the merge counter surface through the Collector.
 func TestAggCollectorStats(t *testing.T) {
-	cc, _ := testDB(t, 1000)
-	p := aggPlan(&plan.SeqScan{Table: "t"}, []string{"cat"}, []agg.Item{
-		{Func: agg.None, Col: "cat"}, {Func: agg.Count, Star: true},
+	cc, tb := testDB(t, 5*storage.ColGroupRows-900) // two warm-up groups, three for the pool
+	if err := tb.EnableColumnar(); err != nil {
+		t.Fatal(err)
+	}
+	cc.RegisterModel(catModel{}, nil)
+	for _, columnar := range []bool{false, true} {
+		for _, predict := range []bool{false, true} {
+			scan := &plan.SeqScan{Table: "t", Columnar: columnar}
+			child := &plan.Filter{Child: scan, Pred: expr.Cmp{Col: "num", Op: expr.OpGe, Val: value.Int(20)}}
+			// Baselines that split each filter's rejects both ways.
+			baselines := map[*plan.Filter]expr.Expr{child: expr.Cmp{Col: "id", Op: expr.OpLt, Val: value.Int(4000)}}
+			group := "cat"
+			if predict {
+				child = &plan.Filter{Child: &plan.Predict{Child: child, Model: "catmod", As: "m.cls"},
+					Pred: expr.Cmp{Col: "m.cls", Op: expr.OpEq, Val: value.Str("low")}}
+				baselines[child] = expr.Cmp{Col: "cat", Op: expr.OpNe, Val: value.Str("c3")}
+				group = "m.cls"
+			}
+			p := aggPlan(child, []string{group}, []agg.Item{{Func: agg.None, Col: group}, {Func: agg.Count, Star: true}})
+			part := p.Child.(*plan.HashAgg)
+			name := fmt.Sprintf("columnar=%v predict=%v", columnar, predict)
+			counters := func(dop int) (string, *Collector) {
+				col := NewCollector()
+				for f, base := range baselines {
+					col.SetEnvelopeBaseline(f, base)
+				}
+				if _, _, err := RunOpts(cc, p, Options{DOP: dop, BatchSize: 64, MorselPages: 1, Collector: col}); err != nil {
+					t.Fatalf("%s dop=%d: %v", name, dop, err)
+				}
+				var b strings.Builder
+				for n := part.Child; n != nil; {
+					st := col.Op(n)
+					fmt.Fprintf(&b, "%s rows=%d batches=%d env=%d resid=%d\n", n.Describe(),
+						st.Rows.Load(), st.Batches.Load(), st.EnvRejected.Load(), st.ResidRejected.Load())
+					if kids := n.Children(); len(kids) == 1 {
+						n = kids[0]
+					} else {
+						n = nil
+					}
+				}
+				return b.String(), col
+			}
+			one, _ := counters(1)
+			four, col := counters(4)
+			if one != four {
+				t.Errorf("%s: counters at DOP 4 differ from DOP 1\n--- dop 1 ---\n%s--- dop 4 ---\n%s", name, one, four)
+			}
+			if st := col.Op(child); st.EnvRejected.Load() == 0 || st.ResidRejected.Load() == 0 {
+				t.Errorf("%s: the top filter's rejects do not split both ways; the test is vacuous\n%s", name, four)
+			}
+			if got := col.Op(scan).Rows.Load(); got != tb.Heap.Len() {
+				t.Errorf("%s: scan rows = %d, want %d", name, got, tb.Heap.Len())
+			}
+			if got, want := col.Op(part).Rows.Load(), map[bool]int64{false: 8, true: 1}[predict]; got != want {
+				t.Errorf("%s: partial groups = %d, want %d", name, got, want)
+			}
+			if col.AggMerges.Load() == 0 {
+				t.Errorf("%s: no partial merges recorded at DOP 4", name)
+			}
+		}
+	}
+}
+
+// TestWorkerPipelineReadsThroughUnitLeaf: an aggregate worker's pipeline
+// reads its scan through the unit leaf it is built over, even when the
+// scan is flagged columnar and the sidecar is fresh at the build — as
+// when a rebuild lands between the choice of heap units and the workers'
+// builds. A filter fused onto the sidecar there would read the whole
+// table in every worker.
+func TestWorkerPipelineReadsThroughUnitLeaf(t *testing.T) {
+	c, tb := columnarDB(t, 4000)
+	scan := &plan.SeqScan{Table: "t", Columnar: true}
+	pred := expr.Cmp{Col: "num", Op: expr.OpGe, Val: value.Int(20)}
+	filter := &plan.Filter{Child: scan, Pred: pred}
+	part := aggPlan(filter, nil, []agg.Item{{Func: agg.Count, Star: true}}).Child
+	want := 0
+	tb.Heap.Scan(func(rid storage.RID, rec []byte) bool {
+		row, err := value.DecodeTuple(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rid.Page == 0 && pred.Eval(tb.Schema, row) {
+			want++
+		}
+		return true
 	})
-	col := NewCollector()
-	_, _, err := RunOpts(cc, p, Options{DOP: 4, BatchSize: 64, MorselPages: 1, Collector: col})
+	ctx, opts := context.Background(), Options{DOP: 4, MorselPages: 1}.fill()
+	leaf := newBatchSeqScan(ctx, tb, scan, leafCols(c, tb, part, nil), opts)
+	leaf.seek([][2]int{{0, 1}})
+	it, err := buildBatchNode(ctx, c, part, filter, opts, &unitLeaf{node: scan, it: leaf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	part := p.Child.(*plan.HashAgg)
-	scan := part.Child.(*plan.SeqScan)
-	if got := col.Op(scan).Rows.Load(); got != 1000 {
-		t.Fatalf("scan rows = %d, want 1000", got)
+	defer it.Close()
+	got := 0
+	for {
+		b, done, err := it.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			break
+		}
+		got += len(b)
 	}
-	if got := col.Op(part).Rows.Load(); got != 8 {
-		t.Fatalf("partial groups = %d, want 8", got)
-	}
-	if col.AggMerges.Load() == 0 {
-		t.Fatal("no partial merges recorded at DOP 4")
+	if want == 0 || got != want {
+		t.Fatalf("the pipeline over a one-page unit leaf returned %d rows, want %d (those of page 0)", got, want)
 	}
 }

@@ -2,512 +2,338 @@
 // aggregation it pushes down into the scan.
 //
 // The Final operator never receives row batches from a Partial
-// iterator. It owns one partialAgg driver, which schedules an aggSource
-// picked from the shape of the Partial's child pipeline, gives every
-// worker a private agg.Table, and merges them. Three invariants make
-// the finalized output — and the EXPLAIN ANALYZE counters —
-// byte-identical at any DOP, on any source, to the serial run:
+// iterator. It owns one partialAgg driver, which cuts the Partial's
+// input into units — heap morsels, column groups, or the whole input —
+// and gives every worker a private agg.Table and the Partial's own child
+// pipeline, built once by buildBatchNode over a scan leaf the worker
+// re-points at each unit it claims. A unit drains the pipeline into the
+// table; the driver merges the tables. Three invariants make the
+// finalized output — and the EXPLAIN ANALYZE counters — the serial
+// run's at any DOP, on either storage format:
 //
 //   - partial states are order-independent (see internal/agg), so
 //     neither the scheduling of units nor the merge order shows;
-//   - a columnar source's warmup prefix runs serially before any unit is
-//     scheduled, so the frozen term order and the per-term counters do
-//     not depend on the DOP;
+//   - every unit runs the serial run's operators, counting into the same
+//     collector slots, and a columnar source's warmup prefix runs
+//     serially before any unit is scheduled, so the frozen term order
+//     and the per-term counters do not depend on the DOP;
 //   - a heap page is read one page per retry attempt (scanPages), and a
 //     failed attempt delivers no record, so a retried page never
 //     double-counts into an accumulator.
+//
+// One shape runs no pipeline: a Partial directly over a columnar leaf
+// (a bare scan, or one with its filter fused in) takes each group's
+// survivors from the selection vector into the accumulators without
+// reconstructing rows, and counts for the leaf what its instrumented
+// wrapper would have. (A groupScan worker in its place gives the same
+// answers and counters at about 1.8 times the allocation per statement
+// on the columnar benchmark; DESIGN §14 has the numbers.)
 package exec
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
+	"time"
 
 	"minequery/internal/agg"
 	"minequery/internal/catalog"
 	"minequery/internal/exec/vec"
-	"minequery/internal/expr"
-	"minequery/internal/mining"
 	"minequery/internal/plan"
-	"minequery/internal/storage"
 	"minequery/internal/value"
 )
 
-// aggChain is a partial aggregate's input pipeline when it has the
-// canonical pushdown shape: [post-filter] over [prediction joins] over
-// [scan filter] over a SeqScan.
-type aggChain struct {
-	scan       *plan.SeqScan
-	scanFilter *plan.Filter
-	predicts   []*plan.Predict // bottom-up (application) order
-	postFilter *plan.Filter
-}
-
-// extractAggChain recognizes the pushdown shape, or returns nil to
-// route the partial to the generic runner.
-func extractAggChain(n plan.Node) *aggChain {
-	c := &aggChain{}
-	if f, ok := n.(*plan.Filter); ok {
-		c.postFilter = f
-		n = f.Child
-	}
-	for {
-		p, ok := n.(*plan.Predict)
-		if !ok {
-			break
-		}
-		c.predicts = append([]*plan.Predict{p}, c.predicts...)
-		n = p.Child
-	}
-	if f, ok := n.(*plan.Filter); ok {
-		c.scanFilter = f
-		n = f.Child
-	}
-	s, ok := n.(*plan.SeqScan)
-	if !ok {
-		return nil
-	}
-	c.scan = s
-	// With no prediction joins a single filter sits directly on the
-	// scan: treat it as the scan filter (it evaluates over the base
-	// schema, so the columnar runner can fuse it).
-	if len(c.predicts) == 0 && c.scanFilter == nil && c.postFilter != nil {
-		c.scanFilter, c.postFilter = c.postFilter, nil
-	}
-	return c
-}
-
-// aggPipeline is the shared, worker-independent state of a fused
-// partial runner: resolved schemas and model bindings plus the
-// collector slots the fused path must feed manually (the fused
-// operators replace the instrumented row operators).
-type aggPipeline struct {
-	chain  *aggChain
-	table  *catalog.Table
-	base   *value.Schema // the scan's rows: the table's, narrowed on the heap path
-	schema *value.Schema // input schema of the partial (post-predict)
-	baseW  int           // base's width
-	binds  []mining.Binding
-
-	scanPred expr.Expr // chain.scanFilter's predicate, or nil
-	postPred expr.Expr // chain.postFilter's predicate, or nil
-
-	scanSt     *OpStats
-	scanFiltSt *OpStats
-	scanBase   expr.Expr
-	predSts    []*OpStats
-	postSt     *OpStats
-	postBase   expr.Expr
-}
-
-// newAggPipeline resolves chain over rows of the table t with schema
-// base.
-func newAggPipeline(c *catalog.Catalog, chain *aggChain, t *catalog.Table, base *value.Schema, opts Options) (*aggPipeline, error) {
-	p := &aggPipeline{chain: chain, table: t, base: base, schema: base, baseW: base.Len()}
-	if f := chain.scanFilter; f != nil {
-		if err := predNotDecoded(base, f, f.Pred); err != nil {
-			return nil, err
-		}
-		p.scanPred = f.Pred
-	}
-	for _, pr := range chain.predicts {
-		me, err := lookupModel(c, pr)
-		if err != nil {
-			return nil, err
-		}
-		b, sch, err := predictBinding(p.schema, pr, me)
-		if err != nil {
-			return nil, err
-		}
-		p.binds = append(p.binds, b)
-		p.schema = sch
-	}
-	if f := chain.postFilter; f != nil {
-		if err := predNotDecoded(p.schema, f, f.Pred); err != nil {
-			return nil, err
-		}
-		p.postPred = f.Pred
-	}
-	if col := opts.Collector; col != nil {
-		p.scanSt = col.Op(chain.scan)
-		if f := chain.scanFilter; f != nil {
-			p.scanFiltSt = col.Op(f)
-			p.scanBase = col.envBaseline(f)
-			if err := predNotDecoded(base, f, p.scanBase); err != nil {
-				return nil, err
-			}
-		}
-		for _, pr := range chain.predicts {
-			p.predSts = append(p.predSts, col.Op(pr))
-		}
-		if f := chain.postFilter; f != nil {
-			p.postSt = col.Op(f)
-			p.postBase = col.envBaseline(f)
-			if err := predNotDecoded(p.schema, f, p.postBase); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return p, nil
-}
-
-// aggCounts is one worker's operator counters, flushed to the shared
-// atomic OpStats once per morsel or column group.
-type aggCounts struct {
-	scanRows               int64
-	filtKept               int64
-	envRej, residRej       int64
-	predicted              int64
-	postKept               int64
-	postEnvRej, postResRej int64
-}
-
-// flush publishes the counters. countScan is false on the columnar
-// path, whose selectGroup already accounts the scan and scan filter.
-func (p *aggPipeline) flush(c *aggCounts, countScan bool) {
-	if countScan && p.scanSt != nil {
-		p.scanSt.Rows.Add(c.scanRows)
-		p.scanSt.Batches.Add(1)
-	}
-	if countScan && p.scanFiltSt != nil {
-		p.scanFiltSt.Rows.Add(c.filtKept)
-		p.scanFiltSt.EnvRejected.Add(c.envRej)
-		p.scanFiltSt.ResidRejected.Add(c.residRej)
-	}
-	for _, st := range p.predSts {
-		st.Rows.Add(c.predicted)
-	}
-	if p.postSt != nil {
-		p.postSt.Rows.Add(c.postKept)
-		p.postSt.EnvRejected.Add(c.postEnvRej)
-		p.postSt.ResidRejected.Add(c.postResRej)
-	}
-	*c = aggCounts{}
-}
-
-// aggWorker is one producer's private accumulation state.
+// aggWorker is one worker of a partial aggregation: the table it
+// accumulates into, the pipeline that feeds it (nil on the direct
+// columnar path), and unit, which runs unit i into the table and returns
+// the rows the unit scanned.
 type aggWorker struct {
-	p    *aggPipeline
-	tab  *agg.Table
-	row  value.Tuple   // post-predict row buffer
-	bufs []value.Tuple // per-binding PredictInto scratch
-	cnt  aggCounts
+	tab   *agg.Table
+	it    BatchIterator
+	unit  func(i int) (int64, error)
+	close func()
 }
 
-func (p *aggPipeline) newWorker(spec *agg.Spec) *aggWorker {
-	w := &aggWorker{p: p, tab: agg.NewTable(spec), row: make(value.Tuple, p.schema.Len())}
-	for _, b := range p.binds {
-		w.bufs = append(w.bufs, make(value.Tuple, len(b.Ordinals)))
-	}
-	return w
-}
-
-// processRow runs the full per-row pipeline over the base row already
-// in w.row[:baseW]: scan filter, prediction joins, post filter,
-// accumulate. (agg.Table.Add copies what it keeps, so the buffer is
-// reusable immediately.)
-func (w *aggWorker) processRow() {
-	p := w.p
-	w.cnt.scanRows++
-	if p.scanPred != nil {
-		base := w.row[:p.baseW]
-		if !p.scanPred.Eval(p.base, base) {
-			if p.scanBase != nil && p.scanFiltSt != nil {
-				if p.scanBase.Eval(p.base, base) {
-					w.cnt.envRej++
-				} else {
-					w.cnt.residRej++
-				}
-			}
-			return
+// drain runs the worker's pipeline dry into its table.
+func (w *aggWorker) drain(ctx context.Context) error {
+	for {
+		if err := ctxErr(ctx); err != nil {
+			return err
 		}
-		w.cnt.filtKept++
-	}
-	w.finishRow()
-}
-
-// finishRow is processRow after the scan filter — the entry point for
-// the columnar path, whose selection vector already applied it.
-func (w *aggWorker) finishRow() {
-	p := w.p
-	for i, b := range p.binds {
-		w.row[p.baseW+i] = b.PredictInto(w.row[:p.baseW+i], w.bufs[i])
-	}
-	if len(p.binds) > 0 {
-		w.cnt.predicted++
-	}
-	if p.postPred != nil {
-		if !p.postPred.Eval(p.schema, w.row) {
-			if p.postBase != nil && p.postSt != nil {
-				if p.postBase.Eval(p.schema, w.row) {
-					w.cnt.postEnvRej++
-				} else {
-					w.cnt.postResRej++
-				}
-			}
-			return
+		b, done, err := w.it.NextBatch()
+		if done || err != nil {
+			return err
 		}
-		w.cnt.postKept++
-	}
-	w.tab.Add(w.row)
-}
-
-// aggGroup accumulates one column group's surviving rows straight from
-// the selection vector through w.row — no batch is materialized. need,
-// when non-nil, lists the only base ordinals the spec reads (the direct
-// path); nil fills the whole row for predicts and the residual.
-func (w *aggWorker) aggGroup(core *vecCore, g *storage.ColGroup, sc *vec.Scratch, need []int) {
-	sel, n := core.selectGroup(g, sc)
-	p := w.p
-	for k := 0; k < n; k++ {
-		ri := k
-		if sel != nil {
-			ri = int(sel[k])
-		}
-		if need != nil {
-			for _, ci := range need {
-				w.row[ci] = g.Cols[ci].Value(ri)
-			}
-		} else {
-			for ci := 0; ci < p.baseW; ci++ {
-				w.row[ci] = g.Cols[ci].Value(ri)
-			}
-		}
-		w.finishRow()
-	}
-	p.flush(&w.cnt, false) // selectGroup already counted the scan and its filter
-}
-
-// aggSource is what the driver schedules: units independent units of
-// input. The first warm of them run serially, in order, on the calling
-// goroutine; seal then runs once; the rest may run in any order on any
-// worker.
-type aggSource struct {
-	what  string // names a unit in pool errors
-	units int
-	warm  int
-	seal  func()
-	// worker returns a fresh private table and the function accumulating
-	// unit i into it (returning the rows the unit scanned).
-	worker func() (*agg.Table, func(i int) (int64, error))
-	// finish publishes source-level actuals after a successful run.
-	finish func()
-	close  func()
-}
-
-// drainSource is the generic source: one unit that drains the ordinary
-// (instrumented) batch pipeline — index paths, constant scans, DOP 1.
-func drainSource(ctx context.Context, child BatchIterator, spec *agg.Spec) aggSource {
-	return aggSource{units: 1, close: child.Close, worker: func() (*agg.Table, func(int) (int64, error)) {
-		tab := agg.NewTable(spec)
-		return tab, func(int) (int64, error) {
-			for {
-				if err := ctxErr(ctx); err != nil {
-					return 0, err
-				}
-				b, done, err := child.NextBatch()
-				if done || err != nil {
-					return 0, err
-				}
-				for _, t := range b {
-					tab.Add(t)
-				}
-			}
-		}
-	}}
-}
-
-// heapSource is the row-heap source at DOP > 1: one unit per page-range
-// morsel, run through the fused per-row pipeline, its records decoded
-// under need (p.base's columns).
-func heapSource(ctx context.Context, p *aggPipeline, need []bool, spec *agg.Spec, opts Options) aggSource {
-	t := p.table
-	morsels := morselRanges(t.PartitionPageRanges(p.chain.scan.Partitions), opts.MorselPages)
-	return aggSource{what: "aggregate scan " + t.Name + " morsel", units: len(morsels),
-		worker: func() (*agg.Table, func(int) (int64, error)) {
-			w := p.newWorker(spec)
-			// Every record is decoded straight into the worker's row buffer.
-			dst := func() value.Tuple { return w.row[:0:p.baseW] }
-			row := func(storage.RID, []byte, value.Tuple) bool {
-				w.processRow()
-				return true
-			}
-			return w.tab, func(m int) (int64, error) {
-				err := scanPages(ctx, t, opts, need, morsels[m][0], morsels[m][1], nil, dst, row)
-				rows := w.cnt.scanRows
-				p.flush(&w.cnt, true)
-				return rows, err
-			}
-		}}
-}
-
-// columnSource is the columnar source: one unit per column group,
-// selection vectors feeding the accumulators directly, with the serial
-// measurement-mode warmup of vecScan so the frozen term order (and the
-// EXPLAIN ANALYZE counters) match the non-aggregated columnar scan over
-// the same predicate.
-func columnSource(p *aggPipeline, core *vecCore, spec *agg.Spec, opts Options) aggSource {
-	// Direct accumulation needs only the spec's input ordinals; with
-	// prediction joins or a residual the whole row is filled.
-	var need []int
-	if len(p.binds) == 0 && p.postPred == nil {
-		seen := make([]bool, p.baseW)
-		for _, g := range spec.GroupBy {
-			seen[g.Ord] = true
-		}
-		for _, it := range spec.Items {
-			if it.Ord >= 0 {
-				seen[it.Ord] = true
-			}
-		}
-		need = make([]int, 0, len(seen))
-		for o, s := range seen {
-			if s {
-				need = append(need, o)
-			}
+		for _, t := range b {
+			w.tab.Add(t)
 		}
 	}
-	// The workers' scratches go back when the partial aggregate closes:
-	// run has joined its pool by then. (worker is only ever called from
-	// the driver's goroutine.)
-	var scratches []*vec.Scratch
-	src := aggSource{what: "columnar aggregate scan " + p.table.Name + " group", units: len(core.groups),
-		warm: core.warm(), seal: core.freeze,
-		worker: func() (*agg.Table, func(int) (int64, error)) {
-			w, sc := p.newWorker(spec), vec.NewScratch()
-			scratches = append(scratches, sc)
-			return w.tab, func(gi int) (int64, error) {
-				g := core.groups[gi]
-				w.aggGroup(core, g, sc, need)
-				return int64(g.N), nil
-			}
-		},
-		close: func() {
-			for _, sc := range scratches {
-				sc.Release()
-			}
-			scratches = nil
-		}}
-	if col := opts.Collector; col != nil {
-		// Nothing wraps the fused scan leaf, so the core counts it even
-		// without a filter.
-		core.scanSt = col.Op(p.chain.scan)
-		src.finish = func() { col.setVecInfo(p.chain.scan, core.info()) }
-	}
-	return src
 }
 
 // partialAgg is the one partial-aggregate driver: it produces the merged
 // partial state of one execution of a Partial node, for the Final
 // operator above it or — partial-only — for a shard answering a
-// scatter-gathered aggregate.
+// scatter-gathered aggregate. Of its units, the first warm run serially,
+// in order, on the calling goroutine; seal then runs once; the rest may
+// run in any order on any worker.
 type partialAgg struct {
-	ctx  context.Context
-	opts Options
-	part *plan.HashAgg
-	spec *agg.Spec
-	src  aggSource
+	ctx     context.Context
+	opts    Options
+	part    *plan.HashAgg
+	spec    *agg.Spec
+	what    string // names a unit in pool errors
+	units   int
+	warm    int
+	seal    func()
+	finish  func() // publishes source-level actuals after a successful run
+	workers []*aggWorker
 }
 
-// newPartialAgg resolves the aggregation spec against the Partial's
-// input schema and picks the source from what it observes: a columnar
-// SeqScan leaf with a fresh sidecar and a vectorizable scan filter runs
-// over column groups; any other SeqScan pipeline of the pushdown shape
-// runs over heap morsels at DOP > 1; everything else drains the child.
+// newPartialAgg picks the units from the plan's shape and the sidecar's
+// freshness, and builds the workers: one, or one per pool goroutine when
+// DOP > 1 and more than one unit follows the serial prefix. A SeqScan
+// under nothing but Filters, Predicts and Projects is cut into column
+// groups when it runs columnar, and into heap morsels at DOP > 1; any
+// other input — the heap at DOP 1, index paths, constant scans — is one
+// unit.
 func newPartialAgg(ctx context.Context, c *catalog.Catalog, part *plan.HashAgg, opts Options) (*partialAgg, error) {
-	a := &partialAgg{ctx: ctx, opts: opts, part: part}
-	resolve := func(in *value.Schema) (err error) {
-		if err := notDecoded(in, part, part.GroupBy...); err != nil {
-			return err
+	a := &partialAgg{ctx: ctx, opts: opts, part: part, units: 1}
+	newWorker := func() (*aggWorker, error) {
+		w, err := a.pipeline(c, nil)
+		if err == nil {
+			w.unit = func(int) (int64, error) { return 0, w.drain(ctx) }
 		}
-		for _, it := range part.Aggs {
-			if !it.Star {
-				if err := notDecoded(in, part, it.Col); err != nil {
-					return err
-				}
-			}
-		}
-		if a.spec, err = agg.Resolve(in, part.GroupBy, part.Aggs); err != nil {
-			err = fmt.Errorf("exec: %w", err)
-		}
-		return err
+		return w, err
 	}
-	if chain := extractAggChain(part.Child); chain != nil {
-		t, ok := c.Table(chain.scan.Table)
-		if !ok {
-			return nil, fmt.Errorf("exec: no table %q", chain.scan.Table)
-		}
-		var core *vecCore
-		if chain.scan.Columnar {
-			core = newVecCore(t, chain.scan, chain.scanFilter, opts)
-		}
-		if core != nil || opts.DOP > 1 {
-			// Column groups fill whole-width rows by table ordinal; the heap
-			// decodes the columns the partial reads.
-			cols := scanCols{schema: t.Schema}
-			if core == nil {
-				cols = leafCols(c, t, part, opts.Collector)
+	if scan, above := unitScan(part.Child); scan != nil {
+		if t, ok := c.Table(scan.Table); ok {
+			cols := leafCols(c, t, part, opts.Collector)
+			if core, node := columnarLeaf(t, scan, above, cols, opts); core != nil {
+				newWorker = a.columnGroups(c, scan, core, node, cols)
+			} else if opts.DOP > 1 {
+				newWorker = a.heapMorsels(c, t, scan, cols)
 			}
-			p, err := newAggPipeline(c, chain, t, cols.schema, opts)
-			if err != nil {
-				return nil, err
-			}
-			if err := resolve(p.schema); err != nil {
-				return nil, err
-			}
-			if core != nil {
-				a.src = columnSource(p, core, a.spec, opts)
-			} else {
-				a.src = heapSource(ctx, p, cols.need, a.spec, opts)
-			}
-			return a, nil
 		}
 	}
-	child, err := buildBatchNode(ctx, c, part, part.Child, opts)
-	if err != nil {
-		return nil, err
+	n := 1
+	if rest := a.units - a.warm; opts.DOP > 1 && rest > 1 {
+		n = min(opts.DOP, rest)
 	}
-	if err := resolve(child.Schema()); err != nil {
-		child.Close()
-		return nil, err
+	for len(a.workers) < n {
+		w, err := newWorker()
+		if err != nil {
+			a.close()
+			return nil, err
+		}
+		a.workers = append(a.workers, w)
 	}
-	a.src = drainSource(ctx, child, a.spec)
 	return a, nil
 }
 
+// unitScan returns the SeqScan under n when only row-at-a-time operators
+// (Filter, Predict, Project) lie between, so that its input can be cut
+// into units, and the operator directly above it (nil when n is the
+// scan).
+func unitScan(n plan.Node) (scan *plan.SeqScan, above plan.Node) {
+	for {
+		switch x := n.(type) {
+		case *plan.SeqScan:
+			return x, above
+		case *plan.Filter, *plan.Predict, *plan.Project:
+			above, n = n, n.Children()[0]
+		default:
+			return nil, nil
+		}
+	}
+}
+
+// columnarLeaf is the core of the columnar leaf the build makes for scan
+// under above, and the node that leaf stands for: the filter above, when
+// the vectorized evaluator takes its predicate, else the scan. The core
+// is nil when the scan is not columnar or its sidecar is stale.
+func columnarLeaf(t *catalog.Table, scan *plan.SeqScan, above plan.Node, cols scanCols, opts Options) (*vecCore, plan.Node) {
+	if !scan.Columnar {
+		return nil, nil
+	}
+	if f, ok := above.(*plan.Filter); ok {
+		if core := newVecCore(t, scan, f, cols, opts); core != nil {
+			return core, f
+		}
+	}
+	return newVecCore(t, scan, nil, cols, opts), scan
+}
+
+// resolve binds the aggregation spec to the Partial's input schema, in:
+// the first worker's (every worker's is the same).
+func (a *partialAgg) resolve(in *value.Schema) (err error) {
+	if a.spec != nil {
+		return nil
+	}
+	part := a.part
+	if err := notDecoded(in, part, part.GroupBy...); err != nil {
+		return err
+	}
+	for _, it := range part.Aggs {
+		if !it.Star {
+			if err := notDecoded(in, part, it.Col); err != nil {
+				return err
+			}
+		}
+	}
+	if a.spec, err = agg.Resolve(in, part.GroupBy, part.Aggs); err != nil {
+		err = fmt.Errorf("exec: %w", err)
+	}
+	return err
+}
+
+// pipeline builds a worker around one build of the Partial's child, over
+// leaf (nil: the plan's own leaf). The caller sets its unit.
+func (a *partialAgg) pipeline(c *catalog.Catalog, leaf *unitLeaf) (*aggWorker, error) {
+	it, err := buildBatchNode(a.ctx, c, a.part, a.part.Child, a.opts, leaf)
+	if err == nil {
+		if err = a.resolve(it.Schema()); err != nil {
+			it.Close()
+		}
+	}
+	if err != nil {
+		if leaf != nil {
+			leaf.it.Close()
+		}
+		return nil, err
+	}
+	return &aggWorker{tab: agg.NewTable(a.spec), it: it, close: it.Close}, nil
+}
+
+// heapMorsels cuts the scan's pages into morsels, one unit each; a
+// worker's leaf is a batchSeqScan it seeks to each morsel it claims.
+func (a *partialAgg) heapMorsels(c *catalog.Catalog, t *catalog.Table, scan *plan.SeqScan, cols scanCols) func() (*aggWorker, error) {
+	morsels := morselRanges(t.PartitionPageRanges(scan.Partitions), a.opts.MorselPages)
+	a.what, a.units = "aggregate scan "+t.Name+" morsel", len(morsels)
+	return func() (*aggWorker, error) {
+		leaf := newBatchSeqScan(a.ctx, t, scan, cols, a.opts)
+		w, err := a.pipeline(c, &unitLeaf{node: scan, it: leaf})
+		if err == nil {
+			w.unit = func(m int) (int64, error) {
+				leaf.seek(morsels[m : m+1])
+				err := w.drain(a.ctx)
+				return leaf.read, err
+			}
+		}
+		return w, err
+	}
+}
+
+// columnGroups makes each column group of core a unit, after the core's
+// serial warmup. A worker's leaf, standing for node, is a groupScan it
+// points at each group it claims — or, when node is the Partial's child,
+// there is no leaf and no pipeline (direct).
+func (a *partialAgg) columnGroups(c *catalog.Catalog, scan *plan.SeqScan, core *vecCore, node plan.Node, cols scanCols) func() (*aggWorker, error) {
+	a.what = "columnar aggregate scan " + core.table.Name + " group"
+	a.units, a.warm, a.seal = len(core.groups), core.warm(), core.freeze
+	if col := a.opts.Collector; col != nil {
+		a.finish = func() { col.setVecInfo(scan, core.info()) }
+	}
+	if node == a.part.Child {
+		return func() (*aggWorker, error) { return a.direct(core, node, cols) }
+	}
+	return func() (*aggWorker, error) {
+		leaf := newGroupScan(core, cols.schema)
+		w, err := a.pipeline(c, &unitLeaf{node: node, it: &leaf})
+		if err == nil {
+			w.unit = func(gi int) (int64, error) {
+				g := core.groups[gi]
+				leaf.g = g
+				err := w.drain(a.ctx)
+				return int64(g.N), err
+			}
+		}
+		return w, err
+	}
+}
+
+// direct is the worker of a Partial directly over a columnar leaf, which
+// node stands for: a group's survivors go from the selection vector into
+// the accumulators through one row holding the columns the spec reads,
+// and node is counted as its instrumented wrapper would count the leaf —
+// the survivors, in one batch per BatchSize of them per group.
+func (a *partialAgg) direct(core *vecCore, node plan.Node, cols scanCols) (*aggWorker, error) {
+	if err := a.resolve(cols.schema); err != nil {
+		return nil, err
+	}
+	var read []int // the row's ordinals the spec reads
+	for _, g := range a.spec.GroupBy {
+		read = append(read, g.Ord)
+	}
+	for _, it := range a.spec.Items {
+		if it.Ord >= 0 {
+			read = append(read, it.Ord)
+		}
+	}
+	slices.Sort(read)
+	read = slices.Compact(read)
+	var st *OpStats
+	if col := a.opts.Collector; col != nil {
+		st = col.Op(node)
+	}
+	tab, row, sc := agg.NewTable(a.spec), make(value.Tuple, cols.schema.Len()), vec.NewScratch()
+	return &aggWorker{tab: tab, close: sc.Release, unit: func(gi int) (int64, error) {
+		if err := core.hitBatch(); err != nil {
+			return 0, err
+		}
+		start := time.Now()
+		g := core.groups[gi]
+		sel, n := core.selectGroup(g, sc)
+		for k := 0; k < n; k++ {
+			ri := k
+			if sel != nil {
+				ri = int(sel[k])
+			}
+			for _, o := range read {
+				row[o] = g.Cols[core.ords[o]].Value(ri)
+			}
+			tab.Add(row)
+		}
+		if st != nil {
+			st.Rows.Add(int64(n))
+			st.Batches.Add(int64((n + a.opts.BatchSize - 1) / a.opts.BatchSize))
+			st.WallNanos.Add(time.Since(start).Nanoseconds())
+		}
+		return int64(g.N), nil
+	}}, nil
+}
+
 // run executes the partial aggregation: the serial prefix, then the rest
-// of the units on the morsel pool (DOP > 1 and more than one unit left)
-// or serially, then the merge.
+// of the units on the morsel pool (more than one worker) or serially,
+// then the merge.
 func (a *partialAgg) run() (*agg.Table, error) {
-	src := a.src
-	tab, unit := src.worker()
+	first := a.workers[0]
 	next := 0
 	serial := func(end int) error {
 		for ; next < end; next++ {
 			if err := ctxErr(a.ctx); err != nil {
 				return err
 			}
-			if _, err := unit(next); err != nil {
+			if _, err := first.unit(next); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := serial(src.warm); err != nil {
+	if err := serial(a.warm); err != nil {
 		return nil, err
 	}
-	if src.seal != nil {
-		src.seal()
+	if a.seal != nil {
+		a.seal()
 	}
-	if rest := src.units - next; a.opts.DOP > 1 && rest > 1 {
-		// The prefix's state goes on as the first worker's; a failed unit
+	if len(a.workers) > 1 {
+		// The prefix's table goes on as the first worker's; a failed unit
 		// stops the pool and the first failure wins.
-		first := next
-		pool := newMorselPool(a.ctx, a.opts, src.what, rest)
+		from := next
+		pool := newMorselPool(a.ctx, a.opts, a.what, a.units-from)
 		var (
-			others []*agg.Table
-			once   sync.Once
-			err    error
+			once sync.Once
+			err  error
 		)
 		post := func(_ int, uerr error) {
 			if uerr != nil {
@@ -515,41 +341,38 @@ func (a *partialAgg) run() (*agg.Table, error) {
 				pool.stop()
 			}
 		}
-		for wi := 0; wi < pool.workers(); wi++ {
-			wunit := unit
-			if wi > 0 {
-				var wtab *agg.Table
-				wtab, wunit = src.worker()
-				others = append(others, wtab)
-			}
-			pool.start(func(i int) (int64, error) { return wunit(first + i) }, post, nil)
+		for _, w := range a.workers {
+			pool.start(func(i int) (int64, error) { return w.unit(from + i) }, post, nil)
 		}
 		pool.wg.Wait()
 		if err != nil {
 			return nil, err
 		}
-		for _, tb := range others {
-			tab.Merge(tb)
+		for _, w := range a.workers[1:] {
+			first.tab.Merge(w.tab)
 		}
-	} else if err := serial(src.units); err != nil {
+	} else if err := serial(a.units); err != nil {
 		return nil, err
 	}
-	// Column-group units never look at the context, and the serial loop
-	// only does before a unit: catch a cancellation during the last ones.
+	// The direct path's units never look at the context, and the serial
+	// loop only does before a unit: catch a cancellation during the last
+	// ones.
 	if err := ctxErr(a.ctx); err != nil {
 		return nil, err
 	}
-	if src.finish != nil {
-		src.finish()
+	if a.finish != nil {
+		a.finish()
 	}
-	reportPartial(a.opts.Collector, a.part, tab)
-	return tab, nil
+	reportPartial(a.opts.Collector, a.part, first.tab)
+	return first.tab, nil
 }
 
+// close releases every worker, once.
 func (a *partialAgg) close() {
-	if a.src.close != nil {
-		a.src.close()
+	for _, w := range a.workers {
+		w.close()
 	}
+	a.workers = nil
 }
 
 // RunPartialAgg executes just the Partial half of a split aggregation

@@ -31,9 +31,12 @@ import (
 // narrowed to them (scanCols), in storage they reuse: batchSeqScan one
 // arena for its lifetime; vecScan one arena reset per column group;
 // parallelScan one allocation per batch and the post-freeze vecScan one
-// per group, because their batches change goroutines; the aggregate
-// workers and CollectMatches a single row. ridFetch alone allocates per
-// row (an index path fetches few). batchFilter and
+// per group, because their batches change goroutines. An aggregate
+// worker's leaf — a batchSeqScan it seeks to each morsel, a groupScan it
+// points at each group — keeps its storage across the units it claims,
+// since the worker consumes its own batches; the direct columnar
+// aggregate and CollectMatches fill a single row. ridFetch alone
+// allocates per row (an index path fetches few). batchFilter and
 // batchLimit work in place, and so does batchPredict: every leaf gives
 // its tuples predictRoom spare capacity, so the predicted class is
 // appended where the row lies. batchProject narrows each batch into one
@@ -138,7 +141,16 @@ func BuildBatchCtx(ctx context.Context, c *catalog.Catalog, n plan.Node, opts Op
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return buildBatchNode(ctx, c, n, n, opts)
+	return buildBatchNode(ctx, c, n, n, opts, nil)
+}
+
+// unitLeaf is a scan leaf built before the plan above it: an aggregate
+// worker's, which the worker re-points at every unit it claims
+// (aggexec.go). The build uses it for node — the SeqScan, or the Filter
+// fused onto a columnar one — instead of building that node.
+type unitLeaf struct {
+	node plan.Node
+	it   BatchIterator
 }
 
 // buildBatchNode builds one plan node (recursing for children) and, when
@@ -146,9 +158,10 @@ func BuildBatchCtx(ctx context.Context, c *catalog.Catalog, n plan.Node, opts Op
 // root is the plan n belongs to: a leaf reads from it which columns
 // anything above it uses (decodeMask) and how many values the prediction
 // joins above it append to a row (predictRoom), and every operator checks
-// that its child holds what it reads (notDecoded).
-func buildBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.Node, opts Options) (BatchIterator, error) {
-	it, err := buildBareBatchNode(ctx, c, root, n, opts)
+// that its child holds what it reads (notDecoded). leaf, when non-nil,
+// stands in for its node.
+func buildBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.Node, opts Options, leaf *unitLeaf) (BatchIterator, error) {
+	it, err := buildBareBatchNode(ctx, c, root, n, opts, leaf)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +171,10 @@ func buildBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.Node, 
 	return it, nil
 }
 
-func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.Node, opts Options) (BatchIterator, error) {
+func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.Node, opts Options, leaf *unitLeaf) (BatchIterator, error) {
+	if leaf != nil && n == leaf.node {
+		return leaf.it, nil
+	}
 	switch x := n.(type) {
 	case *plan.SeqScan:
 		t, ok := c.Table(x.Table)
@@ -178,7 +194,9 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.No
 		}
 		return newBatchSeqScan(ctx, t, x, cols, opts), nil
 	case *plan.Filter:
-		if scan, isScan := x.Child.(*plan.SeqScan); isScan && scan.Columnar {
+		// A unit leaf stands for the one scan under an aggregate worker's
+		// pipeline, whatever the sidecar's freshness now: never fuse past it.
+		if scan, isScan := x.Child.(*plan.SeqScan); isScan && scan.Columnar && leaf == nil {
 			if t, ok := c.Table(scan.Table); ok {
 				// Fuse filter and scan into one vectorized operator so the
 				// predicate runs over selection vectors, not tuples. Falls
@@ -189,7 +207,7 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.No
 				}
 			}
 		}
-		child, err := buildBatchNode(ctx, c, root, x.Child, opts)
+		child, err := buildBatchNode(ctx, c, root, x.Child, opts, leaf)
 		if err != nil {
 			return nil, err
 		}
@@ -207,13 +225,13 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.No
 		}
 		return f, nil
 	case *plan.Project:
-		child, err := buildBatchNode(ctx, c, root, x.Child, opts)
+		child, err := buildBatchNode(ctx, c, root, x.Child, opts, leaf)
 		if err != nil {
 			return nil, err
 		}
 		return newBatchProject(child, x)
 	case *plan.Predict:
-		child, err := buildBatchNode(ctx, c, root, x.Child, opts)
+		child, err := buildBatchNode(ctx, c, root, x.Child, opts, leaf)
 		if err != nil {
 			return nil, err
 		}
@@ -223,7 +241,7 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.No
 		}
 		return newBatchPredict(child, x, me)
 	case *plan.Limit:
-		child, err := buildBatchNode(ctx, c, root, x.Child, opts)
+		child, err := buildBatchNode(ctx, c, root, x.Child, opts, leaf)
 		if err != nil {
 			return nil, err
 		}
@@ -402,17 +420,26 @@ type batchSeqScan struct {
 	nextPage int // next page within ranges[ri]
 	arena    rowArena
 	batch    Batch
-	full     bool // the last page offered did not fit in the batch
+	full     bool  // the last page offered did not fit in the batch
+	read     int64 // rows returned since the last seek
 	err      error
 }
 
 func newBatchSeqScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, cols scanCols, opts Options) *batchSeqScan {
-	s := &batchSeqScan{ctx: ctx, table: t, opts: opts, cols: cols, ranges: t.PartitionPageRanges(x.Partitions),
+	s := &batchSeqScan{ctx: ctx, table: t, opts: opts, cols: cols,
 		arena: rowArena{width: cols.slot, rows: arenaChunkRows}, batch: make(Batch, 0, opts.BatchSize)}
-	if len(s.ranges) > 0 {
-		s.nextPage = s.ranges[0][0]
-	}
+	s.seek(t.PartitionPageRanges(x.Partitions))
 	return s
+}
+
+// seek points the scan at the first page of ranges: an aggregate worker
+// moves its leaf to each morsel it claims, keeping the arena and the
+// batch.
+func (s *batchSeqScan) seek(ranges [][2]int) {
+	s.ranges, s.ri, s.read = ranges, 0, 0
+	if len(ranges) > 0 {
+		s.nextPage = ranges[0][0]
+	}
 }
 
 func (s *batchSeqScan) Schema() *value.Schema { return s.cols.schema }
@@ -461,6 +488,7 @@ func (s *batchSeqScan) NextBatch() (Batch, bool, error) {
 	if len(s.batch) == 0 {
 		return nil, true, nil
 	}
+	s.read += int64(len(s.batch))
 	return s.batch, false, nil
 }
 
@@ -565,11 +593,19 @@ type batchPredict struct {
 	buf     value.Tuple
 }
 
+// newBatchPredict binds pr's model to the child's schema, which gains
+// the predicted column.
 func newBatchPredict(child BatchIterator, pr *plan.Predict, me *catalog.ModelEntry) (BatchIterator, error) {
-	b, schema, err := predictBinding(child.Schema(), pr, me)
+	in := child.Schema()
+	b, ok := mining.Bind(me.Model, in)
+	if !ok {
+		child.Close()
+		return nil, notDecoded(in, pr, me.Model.InputColumns()...)
+	}
+	schema, err := value.NewSchema(append(append([]value.Column(nil), in.Columns...), value.Column{Name: pr.As, Kind: me.PredictionKind()})...)
 	if err != nil {
 		child.Close()
-		return nil, err
+		return nil, fmt.Errorf("exec: prediction join: %w", err)
 	}
 	return &batchPredict{
 		child:   child,

@@ -39,9 +39,10 @@ func cancelFixture(t *testing.T, rows int) (*catalog.Catalog, *catalog.Table) {
 	return cat, tb
 }
 
-// groupedAgg is a grouped aggregate over a filtered scan of the fixture
-// — the pushdown shape, so at DOP > 1 it runs over heap morsels or, with
-// columnar set, over column groups (the filter gives those a warmup).
+// groupedAgg is a grouped aggregate over a filtered scan of the fixture,
+// so at DOP > 1 it runs over heap morsels or, with columnar set, over
+// column groups (the filter gives those a warmup), straight from the
+// selection vector into the accumulators.
 func groupedAgg(columnar bool) plan.Node {
 	return aggPlan(&plan.Filter{
 		Child: &plan.SeqScan{Table: "big", Columnar: columnar},
@@ -51,7 +52,7 @@ func groupedAgg(columnar bool) plan.Node {
 	})
 }
 
-// aggScan is a fused aggregate scan and the number of units (pages or
+// aggScan is an aggregate over a scan and the number of units (pages or
 // column groups, which is also what its IO counter counts) it is
 // scheduled over.
 type aggScan struct {
@@ -264,10 +265,11 @@ func (c hookClock) Sleep(time.Duration) { c.sleep() }
 
 // TestCancelFlagStopsDecodingWithinOneBatch pins the mid-morsel stop: once
 // the consumer closes a parallel scan (LIMIT satisfied), a worker inside
-// a multi-page morsel may finish the batch it is filling but must not
-// decode on, page after page. Every worker's second claim is held at
-// the claim site — past its stop check — until the scan is closed, so
-// each then enters a whole morsel with the stop already raised.
+// a multi-page morsel may decode up to BatchSize rows more, stopping
+// mid-page if it must, but must not decode on, page after page. Every worker's second claim
+// is held at the claim site — past its stop check — until the scan is
+// closed, so each then enters a whole morsel with the stop already
+// raised, and must refuse its first page.
 func TestCancelFlagStopsDecodingWithinOneBatch(t *testing.T) {
 	const workers, batchSize = 4, 4
 	cat, tb := cancelFixture(t, 30000)
@@ -297,9 +299,11 @@ func TestCancelFlagStopsDecodingWithinOneBatch(t *testing.T) {
 }
 
 // TestCancelAndFaultsInAggregateScan covers the failure surface of the
-// fused aggregate scans at DOP 4: a cancellation or an injected failure
-// at the second unit claim fails the query with the typed error, stops
-// the sibling workers well short of the table, and leaves none running.
+// partial aggregate's units at DOP 4: a cancellation, an injected failure
+// at the second unit claim, or one at the second pass through a scan
+// leaf's batch site — which every unit, the direct columnar one included,
+// passes at least once — fails the query with the typed error, stops the
+// sibling workers well short of the table, and leaves none running.
 func TestCancelAndFaultsInAggregateScan(t *testing.T) {
 	cat, tb := cancelFixture(t, 150000)
 	for _, a := range aggScans(t, tb) {
@@ -310,6 +314,7 @@ func TestCancelAndFaultsInAggregateScan(t *testing.T) {
 		}{
 			{"cancel-mid-run", fault.Rule{Site: fault.SiteMorselClaim, EveryN: 1, Delay: time.Nanosecond}, context.Canceled},
 			{"claim-fault", fault.Rule{Site: fault.SiteMorselClaim, OnHit: 2, Err: fault.ErrInjected}, fault.ErrInjected},
+			{"batch-fault", fault.Rule{Site: fault.SiteBatch, OnHit: 2, Err: fault.ErrInjected}, fault.ErrInjected},
 		} {
 			t.Run(a.name+"/"+fc.name, func(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())

@@ -20,7 +20,6 @@ import (
 	"minequery/internal/catalog"
 	"minequery/internal/expr"
 	"minequery/internal/fault"
-	"minequery/internal/mining"
 	"minequery/internal/plan"
 	"minequery/internal/qerr"
 	"minequery/internal/storage"
@@ -502,21 +501,4 @@ func lookupModel(c *catalog.Catalog, pr *plan.Predict) (*catalog.ModelEntry, err
 			qerr.ErrPlanInvalidated, pr.Model, me.Version, pr.Version)
 	}
 	return me, nil
-}
-
-// predictBinding resolves the prediction join pr's model against the
-// input schema and builds the output schema with the predicted column
-// appended, shared by the prediction-join operator and the fused
-// aggregation pipeline.
-func predictBinding(in *value.Schema, pr *plan.Predict, me *catalog.ModelEntry) (mining.Binding, *value.Schema, error) {
-	b, ok := mining.Bind(me.Model, in)
-	if !ok {
-		return mining.Binding{}, nil, notDecoded(in, pr, me.Model.InputColumns()...)
-	}
-	cols := append(append([]value.Column(nil), in.Columns...), value.Column{Name: pr.As, Kind: me.PredictionKind()})
-	schema, err := value.NewSchema(cols...)
-	if err != nil {
-		return mining.Binding{}, nil, fmt.Errorf("exec: prediction join: %w", err)
-	}
-	return b, schema, nil
 }

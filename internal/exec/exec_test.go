@@ -329,8 +329,8 @@ func TestPredictVersionInvalidation(t *testing.T) {
 	c, _ := testDB(t, 10)
 	me := c.RegisterModel(catModel{}, nil)
 	p := &plan.Predict{Child: &plan.SeqScan{Table: "t"}, Model: "catmod", As: "m.cls", Version: me.Version}
-	// Both guard sites: the Predict operator and the fused aggregation
-	// pipeline, which binds its prediction joins itself.
+	// The Predict operator guards alone and under an aggregate, whose
+	// workers build it the same way.
 	plans := []plan.Node{p, aggPlan(p, []string{"m.cls"}, []agg.Item{{Func: agg.None, Col: "m.cls"}, {Func: agg.Count, Star: true}})}
 	for _, n := range plans {
 		if _, _, err := RunOpts(c, n, Options{}); err != nil {

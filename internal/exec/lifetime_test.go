@@ -228,24 +228,23 @@ func allocatedBy(t *testing.T, fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// allocTables builds the same table at two sizes; the rows with id < 100
-// are the same in both.
-func allocTables(t *testing.T) (small, large *catalog.Catalog) {
-	small, _ = testDB(t, 4000)
-	large, _ = testDB(t, 16000)
-	return small, large
-}
-
-// checkAllocFlat fails when work over the large table allocates 1.5x
-// what the same work over the small one does.
-func checkAllocFlat(t *testing.T, what string, run func(c *catalog.Catalog)) {
+// checkAllocFlat fails when work over a table of 4×rows rows allocates
+// 1.5x what the same work over one of rows rows does. Both tables have a
+// fresh sidecar, and the rows with id < 100 are the same in both. The
+// runs share one P and no collection: how many of a pool's workers get a
+// unit, and so warm a leaf's arena or a selection scratch, and what the
+// scratch pool holds, are then the same from run to run.
+func checkAllocFlat(t *testing.T, what string, rows int, run func(c *catalog.Catalog)) {
 	t.Helper()
-	small, large := allocTables(t)
+	small, _ := columnarDB(t, rows)
+	large, _ := columnarDB(t, 4*rows)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	a := allocatedBy(t, func() { run(small) })
 	b := allocatedBy(t, func() { run(large) })
-	t.Logf("%s: %d B over 4000 rows, %d B over 16000", what, a, b)
+	t.Logf("%s: %d B over %d rows, %d B over %d", what, a, rows, b, 4*rows)
 	if float64(b) >= 1.5*float64(a) {
-		t.Fatalf("%s allocates with the rows scanned, not the rows kept: %d B over 4000 rows, %d B over 16000", what, a, b)
+		t.Fatalf("%s allocates with the rows scanned, not the rows kept: %d B over %d rows, %d B over %d", what, a, rows, b, 4*rows)
 	}
 }
 
@@ -265,7 +264,7 @@ func TestAllocScanFollowsSurvivors(t *testing.T) {
 		{"projected filtered scan", &plan.Project{Cols: []string{"id", "num"},
 			Child: &plan.Filter{Child: &plan.SeqScan{Table: "t"}, Pred: firstHundred}}},
 	} {
-		checkAllocFlat(t, tc.what, func(c *catalog.Catalog) {
+		checkAllocFlat(t, tc.what, 4000, func(c *catalog.Catalog) {
 			rows, _, err := RunOpts(c, tc.p, Options{DOP: 1})
 			if err != nil || len(rows) != 100 {
 				t.Fatalf("%s: %d rows, err %v", tc.what, len(rows), err)
@@ -275,22 +274,39 @@ func TestAllocScanFollowsSurvivors(t *testing.T) {
 }
 
 // TestAllocAggregateDrainFollowsSurvivors is the same statement about
-// the aggregate's drain of its child pipeline.
+// the aggregate's drain of its child pipeline, over every kind of unit:
+// the whole heap, one-page morsels, column groups. A worker that rebuilt
+// its pipeline per unit, or took an arena per morsel, would allocate with
+// the units.
 func TestAllocAggregateDrainFollowsSurvivors(t *testing.T) {
-	p := aggPlan(&plan.Filter{Child: &plan.SeqScan{Table: "t"}, Pred: firstHundred},
-		nil, []agg.Item{{Func: agg.Count, Star: true}, {Func: agg.Sum, Col: "num"}})
-	checkAllocFlat(t, "aggregate drain", func(c *catalog.Catalog) {
-		rows, _, err := RunOpts(c, p, Options{DOP: 1})
-		if err != nil || len(rows) != 1 || rows[0][0].AsInt() != 100 {
-			t.Fatalf("rows %v, err %v", rows, err)
-		}
-	})
+	for _, tc := range []struct {
+		what     string
+		columnar bool
+		opts     Options
+		rows     int
+	}{
+		{"aggregate drain", false, Options{DOP: 1}, 4000},
+		{"aggregate over morsels", false, Options{DOP: 4, MorselPages: 1}, 4000},
+		{"columnar aggregate", true, Options{DOP: 1}, 4000},
+		// Enough groups that the small table, too, runs four workers after
+		// the warm-up.
+		{"columnar aggregate over the pool", true, Options{DOP: 4}, 6 * storage.ColGroupRows},
+	} {
+		p := aggPlan(&plan.Filter{Child: &plan.SeqScan{Table: "t", Columnar: tc.columnar}, Pred: firstHundred},
+			nil, []agg.Item{{Func: agg.Count, Star: true}, {Func: agg.Sum, Col: "num"}})
+		checkAllocFlat(t, tc.what, tc.rows, func(c *catalog.Catalog) {
+			rows, _, err := RunOpts(c, p, tc.opts)
+			if err != nil || len(rows) != 1 || rows[0][0].AsInt() != 100 {
+				t.Fatalf("%s: rows %v, err %v", tc.what, rows, err)
+			}
+		})
+	}
 }
 
 // TestAllocCollectMatchesFollowsMatches: the DML victim scan copies the
 // rows that match and nothing per row that does not.
 func TestAllocCollectMatchesFollowsMatches(t *testing.T) {
-	checkAllocFlat(t, "CollectMatches", func(c *catalog.Catalog) {
+	checkAllocFlat(t, "CollectMatches", 4000, func(c *catalog.Catalog) {
 		tb, _ := c.Table("t")
 		m, err := CollectMatches(context.Background(), tb, firstHundred, Options{})
 		if err != nil || len(m) != 100 {
@@ -423,7 +439,7 @@ func TestDecodeMaskColumnar(t *testing.T) {
 	for _, dop := range dops {
 		// The operator built for the filter as a node of root: what the
 		// Project is handed.
-		leaf, err := buildBatchNode(context.Background(), c, root, filter, Options{DOP: dop, BatchSize: 64}.fill())
+		leaf, err := buildBatchNode(context.Background(), c, root, filter, Options{DOP: dop, BatchSize: 64}.fill(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -641,7 +657,7 @@ func TestDecodeMaskColumns(t *testing.T) {
 			wantSchema = "id cat num"
 		}
 		for _, dop := range []int{1, 4} {
-			it, err := buildBatchNode(context.Background(), c, tc.root, leaf, Options{DOP: dop, Collector: tc.col}.fill())
+			it, err := buildBatchNode(context.Background(), c, tc.root, leaf, Options{DOP: dop, Collector: tc.col}.fill(), nil)
 			if err != nil {
 				t.Fatalf("%s: build leaf: %v", tc.name, err)
 			}
@@ -693,7 +709,7 @@ func TestNotDecodedColumnFailsBuild(t *testing.T) {
 				}
 				continue
 			}
-			it, err := buildBatchNode(context.Background(), c, tc.root, n, Options{DOP: dop, Collector: tc.col}.fill())
+			it, err := buildBatchNode(context.Background(), c, tc.root, n, Options{DOP: dop, Collector: tc.col}.fill(), nil)
 			if err == nil {
 				it.Close()
 			}
@@ -732,7 +748,7 @@ func TestScanAllocFollowsMask(t *testing.T) {
 	scan := &plan.SeqScan{Table: "w"}
 	leafBytes := func(root plan.Node) uint64 {
 		return allocatedBy(t, func() {
-			it, err := buildBatchNode(context.Background(), c, root, scan, Options{DOP: 1, BatchSize: 1024}.fill())
+			it, err := buildBatchNode(context.Background(), c, root, scan, Options{DOP: 1, BatchSize: 1024}.fill(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

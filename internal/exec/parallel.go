@@ -5,8 +5,10 @@
 // morselPool is the one scheduler; orderedScan is the consumer end for
 // non-aggregate scans, which reassembles the units in heap order so the
 // scan's output is deterministic and identical to the serial scan at
-// any DOP. (The aggregate driver in aggexec.go consumes the pool
-// unordered: its merge is order-independent.)
+// any DOP. A morsel's batches are cut as the serial scan cuts them, at
+// whole pages. (The aggregate driver in aggexec.go consumes the pool
+// unordered, each worker running the plan's own operators over the
+// units it claims: its merge is order-independent.)
 package exec
 
 import (
@@ -215,23 +217,27 @@ type parallelScan struct {
 func newParallelScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, cols scanCols, opts Options) *parallelScan {
 	morsels := morselRanges(t.PartitionPageRanges(x.Partitions), opts.MorselPages)
 	pool := newMorselPool(ctx, opts, "scan "+t.Name+" morsel", len(morsels))
-	// decode turns one morsel into batches. A stop is observed at each
-	// batch flush, so a dead or abandoned query stops decoding within one
-	// batch: the morsel ends there. The batches go to another goroutine
-	// and wait there for the consumer, so nothing is reused across them:
-	// the arena is the morsel's own, its chunks one per batch.
+	// decode turns one morsel into batches, cut the way batchSeqScan cuts
+	// them: whole pages, as many as fit in BatchSize rows (one at least).
+	// A stop is observed before every page and every BatchSize rows, so a
+	// dead or abandoned query decodes fewer than BatchSize rows more, and
+	// none in a morsel claimed after it: the morsel ends there. The
+	// batches go to another goroutine and wait there for the consumer, so
+	// nothing is reused across them: the arena is the morsel's own.
 	decode := func(m int) (batches []Batch, rows int64, err error) {
 		arena := rowArena{width: cols.slot, rows: opts.BatchSize}
 		batch := make(Batch, 0, opts.BatchSize)
-		err = scanPages(ctx, t, opts, cols.need, morsels[m][0], morsels[m][1], nil, arena.next, func(_ storage.RID, _ []byte, tup value.Tuple) bool {
+		fit := func(live int) bool {
+			if len(batch) > 0 && len(batch)+live > opts.BatchSize {
+				batches = append(batches, batch)
+				batch = make(Batch, 0, opts.BatchSize)
+			}
+			return !pool.stopped()
+		}
+		err = scanPages(ctx, t, opts, cols.need, morsels[m][0], morsels[m][1], fit, arena.next, func(_ storage.RID, _ []byte, tup value.Tuple) bool {
 			batch = append(batch, tup)
 			rows++
-			if len(batch) < opts.BatchSize {
-				return true
-			}
-			batches = append(batches, batch)
-			batch = make(Batch, 0, opts.BatchSize)
-			return !pool.stopped()
+			return rows%int64(opts.BatchSize) != 0 || !pool.stopped()
 		})
 		if err == nil && pool.stopped() {
 			err = ctxErr(ctx) // cut short: never pass for a whole morsel

@@ -16,6 +16,10 @@
 // scheduling, output AND per-term counters are deterministic at any
 // DOP, and the output row order matches the row-path scan exactly
 // (groups are built in heap order and reassembled in group order).
+//
+// The state the phases share is a vecCore; a partial aggregate runs the
+// same two phases over one (aggexec.go), with a groupScan — the serial
+// consumer's one-group-at-a-time reader — as each worker's leaf.
 package exec
 
 import (
@@ -38,7 +42,7 @@ const warmupGroups = 2
 
 // vecCore is the scheduling-independent part of a columnar scan: shared
 // by the serial consumer and the worker pool, which deliberately get no
-// reference to the consumer state.
+// reference to the consumer state, and by a partial aggregate's workers.
 type vecCore struct {
 	table  *catalog.Table
 	groups []*storage.ColGroup // the scan's groups: the surviving partitions', in heap order
@@ -58,8 +62,7 @@ type vecCore struct {
 
 	// ords (the ordinals decodeMask marks, in table order) and slot (the
 	// capacity of a reconstructed tuple: those columns plus predictRoom)
-	// shape the rows processGroup emits. Set by newVecScan; the fused
-	// aggregate reconstructs into its own row buffer and leaves them zero.
+	// shape the rows processGroup emits.
 	ords []int
 	slot int
 
@@ -163,16 +166,21 @@ func (c *vecCore) processGroup(g *storage.ColGroup, sc *vec.Scratch, reuse *grou
 }
 
 // newVecCore resolves a columnar-flagged scan (and the filter fused
-// onto it, or nil) against the table's sidecar. It returns nil —
-// routing the caller to the row path — when the sidecar is stale or
-// missing, or when the predicate has a shape the vectorized evaluator
-// refuses.
-func newVecCore(t *catalog.Table, x *plan.SeqScan, filter *plan.Filter, opts Options) *vecCore {
+// onto it, or nil) against the table's sidecar, to reconstruct rows of
+// the shape cols. It returns nil — routing the caller to the row path —
+// when the sidecar is stale or missing, or when the predicate has a
+// shape the vectorized evaluator refuses.
+func newVecCore(t *catalog.Table, x *plan.SeqScan, filter *plan.Filter, cols scanCols, opts Options) *vecCore {
 	cs := t.ColumnStore()
 	if cs == nil {
 		return nil
 	}
-	c := &vecCore{table: t, opts: opts, io: ioOf(opts.Collector), groups: cs.Groups}
+	c := &vecCore{table: t, opts: opts, io: ioOf(opts.Collector), groups: cs.Groups, slot: cols.slot}
+	for ci := 0; ci < t.Schema.Len(); ci++ {
+		if cols.need == nil || cols.need[ci] {
+			c.ords = append(c.ords, ci)
+		}
+	}
 	if filter != nil {
 		vp, ok := vec.Compile(filter.Pred, t.Schema, t.Stats())
 		if !ok {
@@ -219,24 +227,80 @@ func (c *vecCore) freeze() {
 	}
 }
 
+// groupScan reads one column group of a vecCore at a time: the group's
+// survivors, in batches of BatchSize, reconstructed into storage it
+// reuses for the next group. It is the serial half of vecScan, and on its
+// own the columnar leaf of an aggregate worker, which points it at each
+// group it claims (g) and drains it before claiming the next.
+type groupScan struct {
+	*vecCore
+	schema  *value.Schema
+	sc      *vec.Scratch      // nil once Close has handed it back
+	out     groupRows         // the current group's rows, reused for the next
+	g       *storage.ColGroup // filtered at the next NextBatch, when non-nil
+	pending []Batch
+}
+
+func newGroupScan(core *vecCore, schema *value.Schema) groupScan {
+	return groupScan{vecCore: core, schema: schema, sc: vec.NewScratch(),
+		out: groupRows{arena: rowArena{width: core.slot, rows: arenaChunkRows}}}
+}
+
+func (s *groupScan) Schema() *value.Schema { return s.schema }
+
+// take returns the current group's next batch, filtering the group
+// first if it was just pointed at; false once the group is spent.
+func (s *groupScan) take() (Batch, bool) {
+	if s.g != nil {
+		s.pending, s.g = s.processGroup(s.g, s.sc, &s.out), nil
+	}
+	if len(s.pending) == 0 {
+		return nil, false
+	}
+	b := s.pending[0]
+	s.pending = s.pending[1:]
+	return b, true
+}
+
+func (s *groupScan) NextBatch() (Batch, bool, error) {
+	if err := s.hitBatch(); err != nil {
+		return nil, false, err
+	}
+	b, ok := s.take()
+	return b, !ok, nil
+}
+
+// Close hands the scratch back.
+func (s *groupScan) Close() {
+	s.g, s.pending = nil, nil
+	if s.sc != nil {
+		s.sc.Release()
+		s.sc = nil
+	}
+}
+
+// hitBatch passes a columnar leaf's fault.SiteBatch.
+func (c *vecCore) hitBatch() error {
+	if ferr := c.opts.Faults.Hit(fault.SiteBatch); ferr != nil {
+		return fmt.Errorf("exec: columnar scan %s: %w", c.table.Name, ferr)
+	}
+	return nil
+}
+
 // vecScan is the consumer end. NextBatch runs on a single goroutine;
 // after the warmup it may fan the remaining groups out to the morsel
 // pool, one group per claim, reassembled in group order like
 // parallelScan.
 type vecScan struct {
-	*vecCore
-	ctx      context.Context
-	scanNode plan.Node
-	col      *Collector
-	schema   *value.Schema
+	groupScan // the consumer's own: the warm-up groups, every group at DOP 1
+	ctx       context.Context
+	scanNode  plan.Node
+	col       *Collector
 
-	sc     *vec.Scratch // nil once Close has handed it back
-	out    groupRows    // the current group's rows, reused for the next
 	gi     int
 	frozen bool
 	rest   *orderedScan // non-nil once the remaining groups run on the pool
 
-	pending  []Batch
 	err      error
 	reported bool
 }
@@ -245,37 +309,25 @@ type vecScan struct {
 // optional filter directly above it), or nil when newVecCore refuses.
 // cols is the shape of the rows it reconstructs.
 func newVecScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, filter *plan.Filter, cols scanCols, opts Options) *vecScan {
-	core := newVecCore(t, x, filter, opts)
+	core := newVecCore(t, x, filter, cols, opts)
 	if core == nil {
 		return nil
 	}
-	core.slot = cols.slot
-	for ci := 0; ci < t.Schema.Len(); ci++ {
-		if cols.need == nil || cols.need[ci] {
-			core.ords = append(core.ords, ci)
-		}
-	}
-	return &vecScan{vecCore: core, ctx: ctx, scanNode: x, col: opts.Collector, schema: cols.schema, sc: vec.NewScratch(),
-		out: groupRows{arena: rowArena{width: cols.slot, rows: arenaChunkRows}}}
+	return &vecScan{groupScan: newGroupScan(core, cols.schema), ctx: ctx, scanNode: x, col: opts.Collector}
 }
-
-func (s *vecScan) Schema() *value.Schema { return s.schema }
 
 func (s *vecScan) NextBatch() (Batch, bool, error) {
 	if s.err != nil {
 		return nil, false, s.err
 	}
-	if ferr := s.opts.Faults.Hit(fault.SiteBatch); ferr != nil {
-		s.err = fmt.Errorf("exec: columnar scan %s: %w", s.table.Name, ferr)
+	if s.err = s.hitBatch(); s.err != nil {
 		return nil, false, s.err
 	}
 	for s.rest == nil {
 		if s.err = ctxErr(s.ctx); s.err != nil {
 			return nil, false, s.err
 		}
-		if len(s.pending) > 0 {
-			b := s.pending[0]
-			s.pending = s.pending[1:]
+		if b, ok := s.take(); ok {
 			return b, false, nil
 		}
 		if !s.frozen && s.gi >= s.warm() {
@@ -298,7 +350,7 @@ func (s *vecScan) NextBatch() (Batch, bool, error) {
 			s.reportInfo()
 			return nil, true, nil
 		}
-		s.pending = s.processGroup(s.groups[s.gi], s.sc, &s.out)
+		s.g = s.groups[s.gi]
 		s.gi++
 	}
 	b, done, err := s.rest.nextBatch()
@@ -322,8 +374,8 @@ func (s *vecScan) reportInfo() {
 	s.col.setVecInfo(s.scanNode, s.info())
 }
 
-// info snapshots the columnar actuals (shared with the fused aggregate
-// scan, which reports the same way for its scan leaf).
+// info snapshots the columnar actuals (shared with the partial
+// aggregate, which reports the same way for its scan leaf).
 func (c *vecCore) info() *VecScanInfo {
 	info := &VecScanInfo{Groups: c.processed.Load()}
 	if c.pred != nil {
@@ -350,11 +402,7 @@ func (s *vecScan) Close() {
 	if s.rest != nil {
 		s.rest.close()
 	}
-	s.pending = nil
 	s.gi = len(s.groups)
 	s.reportInfo()
-	if s.sc != nil {
-		s.sc.Release()
-		s.sc = nil
-	}
+	s.groupScan.Close()
 }

@@ -237,8 +237,9 @@ func TestPartialAggsNeedAggregate(t *testing.T) {
 // TestStaleModelVersionIsStalePlan runs a compiled plan whose pinned
 // model version is behind the catalog without the epoch check in front —
 // what an ad-hoc Query sees when a retrain lands between its compile
-// and its run. Both exec-layer guards (the Predict operator and the
-// fused aggregation pipeline) must surface as ErrStalePlan.
+// and its run. The Predict operator's guard must surface as ErrStalePlan,
+// on its own and under an aggregate, whose workers build the same
+// operator.
 func TestStaleModelVersionIsStalePlan(t *testing.T) {
 	e := seedEngine(t, 2000)
 	trainNB(t, e)
