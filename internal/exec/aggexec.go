@@ -17,7 +17,7 @@
 //     collector slots, and a columnar source's warmup prefix runs
 //     serially before any unit is scheduled, so the frozen term order
 //     and the per-term counters do not depend on the DOP;
-//   - a heap page is read one page per retry attempt (scanPages), and a
+//   - a heap page is read one page per retry attempt (pageReader), and a
 //     failed attempt delivers no record, so a retried page never
 //     double-counts into an accumulator.
 //
@@ -26,8 +26,9 @@
 // survivors from the selection vector into the accumulators without
 // reconstructing rows, and counts for the leaf what its instrumented
 // wrapper would have. (A groupScan worker in its place gives the same
-// answers and counters at about 1.8 times the allocation per statement
-// on the columnar benchmark; DESIGN §14 has the numbers.)
+// answers and counters; since its storage is pooled, at about the same
+// allocation per statement on the columnar benchmark. DESIGN §14 has the
+// numbers.)
 package exec
 
 import (

@@ -28,22 +28,25 @@ import (
 // The rule is what lets a row an envelope rejects cost no heap, and a
 // row that survives cost what the plan reads of it. The leaves build
 // rows of the columns decodeMask marks and no others, under a schema
-// narrowed to them (scanCols), in storage they reuse: batchSeqScan one
-// arena for its lifetime; vecScan one arena reset per column group;
-// parallelScan one allocation per batch and the post-freeze vecScan one
-// per group, because their batches change goroutines. An aggregate
-// worker's leaf — a batchSeqScan it seeks to each morsel, a groupScan it
-// points at each group — keeps its storage across the units it claims,
-// since the worker consumes its own batches; the direct columnar
-// aggregate and CollectMatches fill a single row. ridFetch alone
-// allocates per row (an index path fetches few). batchFilter and
-// batchLimit work in place, and so does batchPredict: every leaf gives
-// its tuples predictRoom spare capacity, so the predicted class is
-// appended where the row lies. batchProject narrows each batch into one
-// buffer it keeps. Only agg.Table.Add copies what it keeps, so HashAgg
-// alone emits rows that are fresh; every other root hands the plan's
-// consumer (RowSink) rows that are gone at the next NextBatch, and a
-// consumer that keeps rows — RowBuffer — copies them.
+// narrowed to them (scanCols), in storage they reuse. The serial leaves
+// — batchSeqScan, ridFetch, and groupScan (vecScan's serial half) — take
+// their arena's chunks and their batch slice from the package's pools
+// (arenaChunks, batchPool), reuse them for every batch, and give them
+// back at Close: their storage is valid until Close and then belongs to
+// the next execution, so a prepared statement's second run decodes into
+// the first one's memory. parallelScan makes one allocation per batch
+// and the post-freeze vecScan one per group, because their batches
+// change goroutines. An aggregate worker's leaf — a batchSeqScan it seeks
+// to each morsel, a groupScan it points at each group — keeps its
+// storage across the units it claims, since the worker consumes its own
+// batches; the direct columnar aggregate and CollectMatches fill a single
+// row. batchFilter and batchLimit work in place, and so does
+// batchPredict: every leaf gives its tuples predictRoom spare capacity,
+// so the predicted class is appended where the row lies. batchProject
+// narrows each row in place too. Only agg.Table.Add copies what it keeps,
+// so HashAgg alone emits rows that are fresh; every other root hands the
+// plan's consumer (RowSink) rows that are gone at the next NextBatch, and
+// a consumer that keeps rows — RowBuffer — copies them.
 type Batch = []value.Tuple
 
 // BatchIterator produces tuples a batch at a time. Batches are never
@@ -406,28 +409,29 @@ func copyRows(b Batch) {
 // batches on demand (no up-front materialization). The pages come from
 // a list of page ranges — the whole heap for ordinary tables, the
 // surviving partitions' global ranges for pruned partitioned scans.
-// Every batch is decoded into the same arena and the same slice, so the
-// scan's allocation is that of its largest batch, not of the table. A
+// Every batch is decoded into the same pooled arena and listed in the
+// same pooled slice, both given back at Close, so the scan allocates
+// nothing per row, per page or per batch once the pools are warm. A
 // batch is whole pages, as many as fit in BatchSize rows (one at least),
-// so that neither ever grows.
+// read by one call to the scan's pageReader, which stops at the page
+// that does not fit.
 type batchSeqScan struct {
-	ctx      context.Context
 	table    *catalog.Table
 	opts     Options
 	cols     scanCols
 	ranges   [][2]int
 	ri       int // current range
 	nextPage int // next page within ranges[ri]
+	pages    *pageReader
 	arena    rowArena
-	batch    Batch
-	full     bool  // the last page offered did not fit in the batch
-	read     int64 // rows returned since the last seek
+	batch    *Batch // nil once Close has handed it back
+	read     int64  // rows returned since the last seek
 	err      error
 }
 
 func newBatchSeqScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, cols scanCols, opts Options) *batchSeqScan {
-	s := &batchSeqScan{ctx: ctx, table: t, opts: opts, cols: cols,
-		arena: rowArena{width: cols.slot, rows: arenaChunkRows}, batch: make(Batch, 0, opts.BatchSize)}
+	s := &batchSeqScan{table: t, opts: opts, cols: cols, arena: pooledArena(cols.slot, opts.BatchSize), batch: pooledBatch(opts.BatchSize)}
+	s.pages = newPageReader(ctx, t, opts, cols.need, s.fit, s.arena.next, s.collect)
 	s.seek(t.PartitionPageRanges(x.Partitions))
 	return s
 }
@@ -444,11 +448,16 @@ func (s *batchSeqScan) seek(ranges [][2]int) {
 
 func (s *batchSeqScan) Schema() *value.Schema { return s.cols.schema }
 
-// fit admits a page into the batch when its live rows fit, or when the
-// batch is empty.
+// fit admits a page into the batch when the batch is empty, or when it
+// has room left and the page's live rows fit in it.
 func (s *batchSeqScan) fit(live int) bool {
-	s.full = len(s.batch) > 0 && len(s.batch)+live > s.opts.BatchSize
-	return !s.full
+	n := len(*s.batch)
+	return n == 0 || n < s.opts.BatchSize && n+live <= s.opts.BatchSize
+}
+
+func (s *batchSeqScan) collect(_ storage.RID, _ []byte, tup value.Tuple) bool {
+	*s.batch = append(*s.batch, tup)
+	return true
 }
 
 func (s *batchSeqScan) NextBatch() (Batch, bool, error) {
@@ -459,40 +468,40 @@ func (s *batchSeqScan) NextBatch() (Batch, bool, error) {
 		s.err = fmt.Errorf("exec: scan %s: %w", s.table.Name, ferr)
 		return nil, false, s.err
 	}
-	s.arena.reset()
-	s.batch = s.batch[:0]
-	next := s.arena.next
-	collect := func(_ storage.RID, _ []byte, tup value.Tuple) bool {
-		s.batch = append(s.batch, tup)
-		return true
+	if s.ri >= len(s.ranges) {
+		return nil, true, nil // exhausted, or closed and its storage given back
 	}
-	s.full = false
-	for !s.full && len(s.batch) < s.opts.BatchSize && s.ri < len(s.ranges) {
-		if s.nextPage >= s.ranges[s.ri][1] {
-			s.ri++
-			if s.ri < len(s.ranges) {
-				s.nextPage = s.ranges[s.ri][0]
-			}
-			continue
-		}
-		// Whole pages only, so the scan position stays a page number; a
-		// page fit refuses is the next batch's first.
-		s.err = scanPages(s.ctx, s.table, s.opts, s.cols.need, s.nextPage, s.nextPage+1, s.fit, next, collect)
-		if s.err != nil {
+	s.arena.reset()
+	*s.batch = (*s.batch)[:0]
+	// Whole pages only, so the scan position stays a page number; a page
+	// fit refuses is the next batch's first.
+	for s.ri < len(s.ranges) {
+		end := s.ranges[s.ri][1]
+		if s.nextPage, s.err = s.pages.read(s.nextPage, end); s.err != nil {
 			return nil, false, s.err
 		}
-		if !s.full {
-			s.nextPage++
+		if s.nextPage < end {
+			break
+		}
+		if s.ri++; s.ri < len(s.ranges) {
+			s.nextPage = s.ranges[s.ri][0]
 		}
 	}
-	if len(s.batch) == 0 {
+	b := *s.batch
+	if len(b) == 0 {
 		return nil, true, nil
 	}
-	s.read += int64(len(s.batch))
-	return s.batch, false, nil
+	s.read += int64(len(b))
+	return b, false, nil
 }
 
-func (s *batchSeqScan) Close() { s.ri = len(s.ranges) }
+// Close hands the arena and the batch slice back.
+func (s *batchSeqScan) Close() {
+	s.ri = len(s.ranges)
+	s.arena.release()
+	putBatch(s.batch)
+	s.batch = nil
+}
 
 // batchFilter drops tuples failing the predicate, in place: the batch's
 // backing array is reused for the survivors.
@@ -535,15 +544,17 @@ func (f *batchFilter) NextBatch() (Batch, bool, error) {
 
 func (f *batchFilter) Close() { f.child.Close() }
 
-// batchProject narrows columns for a whole batch at a time, into one
-// buffer it reuses: like every operator's, its rows last until the next
-// NextBatch. Each row is cut to its own capacity, so that a Predict above
-// moves it by append and cannot write into its neighbour.
+// batchProject narrows columns for a whole batch at a time, in place:
+// the rows are its to mutate (see Batch), and a projection keeps no more
+// columns than its child's rows hold, since a schema names a column once.
+// Each row's projected values are gathered, written back over its head
+// and the row cut there, to its own capacity, so that a Predict above
+// moves it by append instead of writing over what the row held.
 type batchProject struct {
 	child  BatchIterator
 	ords   []int
 	schema *value.Schema
-	buf    value.Tuple
+	vals   value.Tuple // the row being narrowed's projected values
 }
 
 func newBatchProject(child BatchIterator, x *plan.Project) (BatchIterator, error) {
@@ -555,7 +566,7 @@ func newBatchProject(child BatchIterator, x *plan.Project) (BatchIterator, error
 		child.Close()
 		return nil, err
 	}
-	return &batchProject{child: child, ords: ords, schema: schema}, nil
+	return &batchProject{child: child, ords: ords, schema: schema, vals: make(value.Tuple, len(ords))}, nil
 }
 
 func (p *batchProject) Schema() *value.Schema { return p.schema }
@@ -566,15 +577,12 @@ func (p *batchProject) NextBatch() (Batch, bool, error) {
 		return nil, done, err
 	}
 	w := len(p.ords)
-	if cap(p.buf) < len(b)*w {
-		p.buf = make(value.Tuple, len(b)*w)
-	}
 	for i, t := range b {
-		out := p.buf[i*w : (i+1)*w : (i+1)*w]
 		for j, o := range p.ords {
-			out[j] = t[o]
+			p.vals[j] = t[o]
 		}
-		b[i] = out
+		b[i] = t[:w:w]
+		copy(b[i], p.vals)
 	}
 	return b, false, nil
 }

@@ -22,7 +22,7 @@ type MatchedRow struct {
 // matches everything), in heap order. It is the read side of
 // UPDATE/DELETE: the engine collects the victim set first, then applies
 // the mutations, so a statement never observes its own writes. The scan
-// goes through the same page reader as queries (scanPages), so
+// goes through the same page reader as queries (pageReader), so
 // injected transient page faults are retried, not surfaced. To find the
 // victims only the columns pred reads are decoded, every row into one
 // scratch tuple under the schema narrowed to them; a victim's record is
@@ -34,7 +34,7 @@ func CollectMatches(ctx context.Context, t *catalog.Table, pred expr.Expr, opts 
 	schema := t.NarrowSchema(need)
 	scratch := make(value.Tuple, 0, schema.Len())
 	dst := func() value.Tuple { return scratch }
-	err := scanPages(ctx, t, opts, need, 0, t.Heap.PageCount(), nil, dst, func(rid storage.RID, rec []byte, tup value.Tuple) bool {
+	pages := newPageReader(ctx, t, opts, need, nil, dst, func(rid storage.RID, rec []byte, tup value.Tuple) bool {
 		if pred == nil || pred.Eval(schema, tup) {
 			// rec has just been decoded under the mask, which validates
 			// every field of it: decoding it again cannot fail.
@@ -43,7 +43,7 @@ func CollectMatches(ctx context.Context, t *catalog.Table, pred expr.Expr, opts 
 		}
 		return true
 	})
-	if err != nil {
+	if _, err := pages.read(0, t.Heap.PageCount()); err != nil {
 		return nil, fmt.Errorf("exec: dml: %w", err)
 	}
 	return out, nil

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"minequery/internal/btree"
 	"minequery/internal/catalog"
@@ -26,83 +27,135 @@ import (
 	"minequery/internal/value"
 )
 
-// scanPages is the one heap page reader: it feeds every live row of
-// heap pages [lo, hi) of t to fn, as stored and decoded, in heap order.
+// pageReader is the one heap page reader: read feeds every live row of
+// a range of t's heap pages to fn, as stored and decoded, in heap order.
 // Each record is decoded into the tuple dst returns for it
 // (value.DecodeTupleInto), so where rows live, and for how long, is the
 // caller's choice: the same scratch tuple every time, or the next slot
 // of an arena. need says which columns to decode (columnMask; nil for
 // all), and the tuples hold those alone. fit, when non-nil, may refuse a
 // page before it is read (storage.Heap.ScanPagesInto), which ends the
-// scan like fn returning false: early, with a nil error. ctx is
-// checked between pages and each page's read is retried under the
-// options' policy, one page per attempt: storage errors fire at page
-// granularity before any record of the failing page is delivered, so a
-// retried page never double-delivers rows to fn. With retrying disabled
-// and no injector there is nothing to retry page-wise, and the whole
-// range goes through a single ScanPagesInto call.
-func scanPages(ctx context.Context, t *catalog.Table, opts Options, need []bool, lo, hi int, fit func(live int) bool,
-	dst func() value.Tuple, fn func(rid storage.RID, rec []byte, tup value.Tuple) bool) error {
-	io := ioOf(opts.Collector)
-	onRetry := opts.onRetry()
-	var decodeErr error
-	halted := false
-	pageFit := fit
+// read like fn returning false: early, with a nil error.
+//
+// A reader is built once per scan and its callbacks with it, so a read
+// allocates nothing, however many pages it covers. It reads one page per
+// storage call and retries each under the options' policy, one page per
+// attempt: storage errors fire at page granularity before any record of
+// the failing page is delivered, so a retried page never double-delivers
+// rows to fn, and fit, shown the page again, must answer as it did. ctx
+// is checked before every page.
+type pageReader struct {
+	ctx     context.Context
+	table   *catalog.Table
+	opts    Options
+	onRetry func(error)
+
+	// attempt reads page through the storage callbacks built with the
+	// reader, which note how the read of it ended.
+	attempt   func() error
+	page      int
+	halted    bool
+	decodeErr error
+}
+
+func newPageReader(ctx context.Context, t *catalog.Table, opts Options, need []bool, fit func(live int) bool,
+	dst func() value.Tuple, fn func(rid storage.RID, rec []byte, tup value.Tuple) bool) *pageReader {
+	r := &pageReader{ctx: ctx, table: t, opts: opts, onRetry: opts.onRetry()}
+	var pageFit func(live int) bool
 	if fit != nil {
 		pageFit = func(live int) bool {
-			halted = !fit(live)
-			return !halted
+			r.halted = !fit(live)
+			return !r.halted
 		}
 	}
 	deliver := func(rid storage.RID, rec []byte) bool {
 		tup, err := value.DecodeTupleInto(dst(), rec, need)
 		if err != nil {
-			decodeErr = fmt.Errorf("exec: scan %s: corrupt row at %s: %w", t.Name, rid, err)
+			r.decodeErr = fmt.Errorf("exec: scan %s: corrupt row at %s: %w", t.Name, rid, err)
 			return false
 		}
-		halted = !fn(rid, rec, tup)
-		return !halted
+		r.halted = !fn(rid, rec, tup)
+		return !r.halted
 	}
-	step := 1
-	if !opts.Retry.Enabled() && opts.Faults == nil {
-		step = hi - lo
-	}
-	for page := lo; page < hi && !halted; page += step {
-		if err := ctxErr(ctx); err != nil {
-			return err
-		}
-		if err := fault.Retry(ctx, opts.Clock, opts.Retry, func() error {
-			return t.Heap.ScanPagesInto(io, page, page+step, pageFit, deliver)
-		}, onRetry); err != nil {
-			return fmt.Errorf("exec: scan %s: %w", t.Name, err)
-		}
-		if decodeErr != nil {
-			return decodeErr
-		}
-	}
-	return nil
+	io := ioOf(opts.Collector)
+	r.attempt = func() error { return t.Heap.ScanPagesInto(io, r.page, r.page+1, pageFit, deliver) }
+	return r
 }
 
-// arenaChunkRows is the rows per chunk of a serial scan's arena: small
-// enough that a tiny table costs little, and a batch of any size wastes
-// less than one chunk.
-const arenaChunkRows = 64
+// read reads pages [lo, hi) and returns the page it stopped at: the one
+// fit refused or fn stopped in, or hi.
+func (r *pageReader) read(lo, hi int) (int, error) {
+	r.halted = false
+	for r.page = lo; r.page < hi; r.page++ {
+		if err := ctxErr(r.ctx); err != nil {
+			return r.page, err
+		}
+		if err := fault.Retry(r.ctx, r.opts.Clock, r.opts.Retry, r.attempt, r.onRetry); err != nil {
+			return r.page, fmt.Errorf("exec: scan %s: %w", r.table.Name, err)
+		}
+		if r.decodeErr != nil {
+			return r.page, r.decodeErr
+		}
+		if r.halted {
+			return r.page, nil
+		}
+	}
+	return hi, nil
+}
 
-// rowArena carves tuple slots of a fixed width out of chunks of rows
-// slots each. next hands out the following slot — empty, of capacity
-// width — allocating a chunk only when every one it has is full; reset
-// makes all of them available again, and whatever was decoded into them
-// garbage. A leaf makes width its scanCols' slot, so that a row is
-// widened where it lies.
+// arenaChunkLen is the values in one chunk of a pooled arena: a chunk
+// holds arenaChunkLen/width rows, so a batch wastes less than one chunk
+// and a tiny table takes one. Small chunks keep what the pool holds close
+// to what an execution uses: sync.Pool keeps it alive across one
+// collection.
+const arenaChunkLen = 128
+
+// arenaChunks recycles the chunks of the serial leaves' arenas, as
+// vec.Scratch recycles selection buffers: a leaf takes chunks as its
+// batches need them and hands them all back at Close, so a prepared
+// statement's second execution decodes into the first one's memory.
+var arenaChunks = sync.Pool{New: func() any { return new([arenaChunkLen]value.Value) }}
+
+// rowArena carves tuple slots of a fixed width out of chunks. next hands
+// out the following slot — empty, non-nil, of capacity width — taking a
+// chunk only when every one it has is full; reset makes all of them
+// available again, and whatever was decoded into them garbage. A leaf
+// makes width its scanCols' slot, so that a row is widened where it
+// lies.
+//
+// A serial leaf's arena (pooledArena) takes its chunks from arenaChunks
+// and must be released at Close; parallel workers, whose batches wait on
+// another goroutine, make private ones (privateArena) and drop them.
 type rowArena struct {
-	width, rows int
-	chunks      []value.Tuple
-	ci, used    int // current chunk and the slots taken from it
+	width    int
+	rows     int  // slots per chunk
+	pooled   bool // chunks come from arenaChunks and go back at release
+	chunks   []value.Tuple
+	ci, used int // current chunk and the slots taken from it
 }
+
+// pooledArena is an arena of rows of width values over arenaChunks,
+// with room in its chunk list for a batch of batchRows. Rows wider than a
+// chunk get chunks of their own, from the heap.
+func pooledArena(width, batchRows int) rowArena {
+	if width > arenaChunkLen {
+		return privateArena(width, batchRows)
+	}
+	rows := arenaChunkLen / max(width, 1)
+	return rowArena{width: width, rows: rows, pooled: true, chunks: make([]value.Tuple, 0, (batchRows+rows-1)/rows)}
+}
+
+// privateArena is an arena whose chunks, of rows slots each, it makes
+// itself.
+func privateArena(width, rows int) rowArena { return rowArena{width: width, rows: rows} }
 
 func (a *rowArena) next() value.Tuple {
 	if a.ci == len(a.chunks) {
-		a.chunks = append(a.chunks, make(value.Tuple, a.rows*a.width))
+		if a.pooled {
+			a.chunks = append(a.chunks, arenaChunks.Get().(*[arenaChunkLen]value.Value)[:])
+		} else {
+			a.chunks = append(a.chunks, make(value.Tuple, a.rows*a.width))
+		}
 	}
 	lo := a.used * a.width
 	slot := a.chunks[a.ci][lo : lo : lo+a.width]
@@ -113,6 +166,45 @@ func (a *rowArena) next() value.Tuple {
 }
 
 func (a *rowArena) reset() { a.ci, a.used = 0, 0 }
+
+// release gives a pooled arena's chunks back, cleared so that they pin
+// no string, and forgets them, so that a second release gives nothing.
+func (a *rowArena) release() {
+	if a.pooled {
+		for _, c := range a.chunks {
+			clear(c)
+			arenaChunks.Put((*[arenaChunkLen]value.Value)(c))
+		}
+	}
+	a.chunks, a.ci, a.used = nil, 0, 0
+}
+
+// batchPool recycles the batch slices of the serial leaves, as
+// arenaChunks their rows. It holds pointers, so that a Put allocates
+// nothing.
+var batchPool = sync.Pool{New: func() any { return new(Batch) }}
+
+// pooledBatch takes an empty batch slice with room for n rows from
+// batchPool; the leaf gives it back with putBatch at Close.
+func pooledBatch(n int) *Batch {
+	b := batchPool.Get().(*Batch)
+	if cap(*b) < n {
+		*b = make(Batch, 0, n)
+	}
+	return b
+}
+
+// putBatch hands b back to batchPool, cleared so that it pins no row; a
+// nil b, what a leaf holds once it has handed its slice back, is nothing
+// to give.
+func putBatch(b *Batch) {
+	if b == nil {
+		return
+	}
+	clear((*b)[:cap(*b)])
+	*b = (*b)[:0]
+	batchPool.Put(b)
+}
 
 // scanCols is the shape of the rows a scan leaf builds for the plan
 // above it: the columns it decodes (need, decodeMask's; nil for all),
@@ -401,15 +493,16 @@ func unionRIDs(ctx context.Context, t *catalog.Table, x *plan.IndexUnion, opts O
 }
 
 // ridFetch fetches rows for a RID list, a batch of live rows at a time,
-// each into a fresh tuple of its scanCols' shape. Each lookup is retried under
-// the options' policy when the random page read fails transiently. ctx
-// is checked once per batch and every ridFetchCtxStride lookups, so
-// per-query deadlines interrupt long RID lists between (not just after)
-// fetches.
+// decoded into a pooled arena of its scanCols' shape and listed in a
+// pooled batch slice, both reused by every batch and given back at
+// Close. A RID whose row was deleted since the index was read costs a
+// lookup and nothing else: the slot it was offered goes to the next live
+// row. Each lookup is retried under the options' policy when the random
+// page read fails transiently. ctx is checked once per batch and every
+// ridFetchCtxStride lookups, so per-query deadlines interrupt long RID
+// lists between (not just after) fetches.
 type ridFetch struct {
 	ctx       context.Context
-	table     *catalog.Table
-	io        *storage.Counters
 	rids      []storage.RID
 	pos       int
 	cols      scanCols
@@ -417,11 +510,28 @@ type ridFetch struct {
 	retry     fault.RetryPolicy
 	clock     fault.Clock
 	onRetry   func(error)
+	arena     rowArena
+	batch     *Batch // nil once Close has handed it back
+
+	// fetch is the lookup fault.Retry runs, built once: it decodes the
+	// row at rid into slot, reporting it in tup and ok.
+	fetch     func() error
+	rid       storage.RID
+	slot, tup value.Tuple
+	ok        bool
 }
 
 func newRIDFetch(ctx context.Context, t *catalog.Table, rids []storage.RID, cols scanCols, opts Options) *ridFetch {
-	return &ridFetch{ctx: ctx, table: t, io: ioOf(opts.Collector), rids: rids, cols: cols, batchSize: opts.BatchSize,
-		retry: opts.Retry, clock: opts.Clock, onRetry: opts.onRetry()}
+	r := &ridFetch{ctx: ctx, rids: rids, cols: cols, batchSize: opts.BatchSize,
+		retry: opts.Retry, clock: opts.Clock, onRetry: opts.onRetry(),
+		arena: pooledArena(cols.slot, min(opts.BatchSize, len(rids))), batch: pooledBatch(min(opts.BatchSize, len(rids)))}
+	io := ioOf(opts.Collector)
+	r.fetch = func() error {
+		var err error
+		r.tup, r.ok, err = t.FetchInto(io, r.rid, r.slot, r.cols.need)
+		return err
+	}
+	return r
 }
 
 func (r *ridFetch) Schema() *value.Schema { return r.cols.schema }
@@ -430,43 +540,46 @@ func (r *ridFetch) NextBatch() (Batch, bool, error) {
 	if err := ctxErr(r.ctx); err != nil {
 		return nil, false, err
 	}
-	var (
-		batch Batch
-		rid   storage.RID
-		tup   value.Tuple
-		ok    bool
-	)
-	fetch := func() error {
-		var err error
-		tup, ok, err = r.table.FetchInto(r.io, rid, make(value.Tuple, 0, r.cols.slot), r.cols.need)
-		return err
+	if r.pos >= len(r.rids) {
+		return nil, true, nil
 	}
+	r.arena.reset()
+	batch := (*r.batch)[:0]
+	r.slot = nil
 	for len(batch) < r.batchSize && r.pos < len(r.rids) {
-		rid = r.rids[r.pos]
+		r.rid = r.rids[r.pos]
 		r.pos++
 		if r.pos%ridFetchCtxStride == 0 {
 			if err := ctxErr(r.ctx); err != nil {
 				return nil, false, err
 			}
 		}
-		if err := fault.Retry(r.ctx, r.clock, r.retry, fetch, r.onRetry); err != nil {
+		if r.slot == nil {
+			r.slot = r.arena.next()
+		}
+		if err := fault.Retry(r.ctx, r.clock, r.retry, r.fetch, r.onRetry); err != nil {
 			return nil, false, err
 		}
-		if !ok {
+		if !r.ok {
 			continue // row deleted since the index was read
 		}
-		if batch == nil {
-			batch = make(Batch, 0, min(r.batchSize, len(r.rids)-r.pos+1))
-		}
-		batch = append(batch, tup)
+		batch = append(batch, r.tup)
+		r.slot = nil
 	}
+	*r.batch = batch
 	if len(batch) == 0 {
 		return nil, true, nil
 	}
 	return batch, false, nil
 }
 
-func (r *ridFetch) Close() { r.rids = nil }
+// Close hands the arena and the batch slice back.
+func (r *ridFetch) Close() {
+	r.rids, r.slot, r.tup = nil, nil, nil
+	r.arena.release()
+	putBatch(r.batch)
+	r.batch = nil
+}
 
 // projectOrds resolves the projection n's columns against the input
 // schema.

@@ -77,7 +77,8 @@ func (p *morselPool) stopped() bool {
 // after a unit is claimed (a delay-only rule stalls this worker while
 // the others drain the remaining units; an error rule fails the unit),
 // and the storage layer's sequential-read site fires per page inside
-// do, absorbed by scanPages' per-page retry when a policy is configured.
+// do, absorbed by pageReader's per-page retry when a policy is
+// configured.
 func (p *morselPool) start(do func(i int) (rows int64, err error), post func(i int, err error), exit func()) {
 	var ws *WorkerStats
 	if p.opts.Collector != nil {
@@ -217,16 +218,21 @@ type parallelScan struct {
 func newParallelScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, cols scanCols, opts Options) *parallelScan {
 	morsels := morselRanges(t.PartitionPageRanges(x.Partitions), opts.MorselPages)
 	pool := newMorselPool(ctx, opts, "scan "+t.Name+" morsel", len(morsels))
-	// decode turns one morsel into batches, cut the way batchSeqScan cuts
-	// them: whole pages, as many as fit in BatchSize rows (one at least).
-	// A stop is observed before every page and every BatchSize rows, so a
-	// dead or abandoned query decodes fewer than BatchSize rows more, and
-	// none in a morsel claimed after it: the morsel ends there. The
-	// batches go to another goroutine and wait there for the consumer, so
-	// nothing is reused across them: the arena is the morsel's own.
-	decode := func(m int) (batches []Batch, rows int64, err error) {
-		arena := rowArena{width: cols.slot, rows: opts.BatchSize}
-		batch := make(Batch, 0, opts.BatchSize)
+	// A worker's decode turns one morsel into batches, cut the way
+	// batchSeqScan cuts them: whole pages, as many as fit in BatchSize
+	// rows (one at least). A stop is observed before every page and every
+	// BatchSize rows, so a dead or abandoned query decodes fewer than
+	// BatchSize rows more, and none in a morsel claimed after it: the
+	// morsel ends there. The batches go to another goroutine and wait
+	// there for the consumer, so nothing is reused across them: the arena
+	// is the morsel's own. The page reader is the worker's, built once.
+	worker := func() (func(int) ([]Batch, int64, error), func()) {
+		var (
+			batches []Batch
+			batch   Batch
+			rows    int64
+			arena   rowArena
+		)
 		fit := func(live int) bool {
 			if len(batch) > 0 && len(batch)+live > opts.BatchSize {
 				batches = append(batches, batch)
@@ -234,23 +240,27 @@ func newParallelScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, col
 			}
 			return !pool.stopped()
 		}
-		err = scanPages(ctx, t, opts, cols.need, morsels[m][0], morsels[m][1], fit, arena.next, func(_ storage.RID, _ []byte, tup value.Tuple) bool {
+		collect := func(_ storage.RID, _ []byte, tup value.Tuple) bool {
 			batch = append(batch, tup)
 			rows++
 			return rows%int64(opts.BatchSize) != 0 || !pool.stopped()
-		})
-		if err == nil && pool.stopped() {
-			err = ctxErr(ctx) // cut short: never pass for a whole morsel
 		}
-		if len(batch) > 0 && err == nil {
-			batches = append(batches, batch)
+		pages := newPageReader(ctx, t, opts, cols.need, fit, func() value.Tuple { return arena.next() }, collect)
+		decode := func(m int) ([]Batch, int64, error) {
+			batches, rows = nil, 0
+			arena, batch = privateArena(cols.slot, opts.BatchSize), make(Batch, 0, opts.BatchSize)
+			_, err := pages.read(morsels[m][0], morsels[m][1])
+			if err == nil && pool.stopped() {
+				err = ctxErr(ctx) // cut short: never pass for a whole morsel
+			}
+			if len(batch) > 0 && err == nil {
+				batches = append(batches, batch)
+			}
+			return batches, rows, err
 		}
-		return batches, rows, err
+		return decode, nil
 	}
-	return &parallelScan{
-		orderedScan: startOrdered(pool, func() (func(int) ([]Batch, int64, error), func()) { return decode, nil }),
-		schema:      cols.schema,
-	}
+	return &parallelScan{orderedScan: startOrdered(pool, worker), schema: cols.schema}
 }
 
 func (ps *parallelScan) Schema() *value.Schema { return ps.schema }

@@ -122,7 +122,7 @@ func (c *vecCore) selectGroup(g *storage.ColGroup, sc *vec.Scratch) ([]int32, in
 // the tuples in arena, the batches cut from rows.
 type groupRows struct {
 	arena   rowArena
-	rows    Batch
+	rows    *Batch
 	batches []Batch
 }
 
@@ -141,10 +141,11 @@ func (c *vecCore) processGroup(g *storage.ColGroup, sc *vec.Scratch, reuse *grou
 	}
 	out := reuse
 	if out == nil {
-		out = &groupRows{arena: rowArena{width: c.slot, rows: n}, rows: make(Batch, 0, n)}
+		rows := make(Batch, 0, n)
+		out = &groupRows{arena: privateArena(c.slot, n), rows: &rows}
 	}
 	out.arena.reset()
-	rows := out.rows[:0]
+	rows := (*out.rows)[:0]
 	for k := 0; k < n; k++ {
 		ri := k
 		if sel != nil {
@@ -161,7 +162,7 @@ func (c *vecCore) processGroup(g *storage.ColGroup, sc *vec.Scratch, reuse *grou
 		end := min(start+size, n)
 		batches = append(batches, rows[start:end:end])
 	}
-	out.rows, out.batches = rows, batches
+	*out.rows, out.batches = rows, batches
 	return batches
 }
 
@@ -228,10 +229,11 @@ func (c *vecCore) freeze() {
 }
 
 // groupScan reads one column group of a vecCore at a time: the group's
-// survivors, in batches of BatchSize, reconstructed into storage it
-// reuses for the next group. It is the serial half of vecScan, and on its
-// own the columnar leaf of an aggregate worker, which points it at each
-// group it claims (g) and drains it before claiming the next.
+// survivors, in batches of BatchSize, reconstructed into pooled storage
+// it reuses for the next group and gives back at Close. It is the serial
+// half of vecScan, and on its own the columnar leaf of an aggregate
+// worker, which points it at each group it claims (g) and drains it
+// before claiming the next.
 type groupScan struct {
 	*vecCore
 	schema  *value.Schema
@@ -243,7 +245,7 @@ type groupScan struct {
 
 func newGroupScan(core *vecCore, schema *value.Schema) groupScan {
 	return groupScan{vecCore: core, schema: schema, sc: vec.NewScratch(),
-		out: groupRows{arena: rowArena{width: core.slot, rows: arenaChunkRows}}}
+		out: groupRows{arena: pooledArena(core.slot, core.opts.BatchSize), rows: pooledBatch(0)}}
 }
 
 func (s *groupScan) Schema() *value.Schema { return s.schema }
@@ -270,13 +272,16 @@ func (s *groupScan) NextBatch() (Batch, bool, error) {
 	return b, !ok, nil
 }
 
-// Close hands the scratch back.
+// Close hands the scratch, the arena and the row slice back.
 func (s *groupScan) Close() {
 	s.g, s.pending = nil, nil
 	if s.sc != nil {
 		s.sc.Release()
 		s.sc = nil
 	}
+	s.out.arena.release()
+	putBatch(s.out.rows)
+	s.out.rows = nil
 }
 
 // hitBatch passes a columnar leaf's fault.SiteBatch.

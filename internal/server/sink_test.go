@@ -204,18 +204,21 @@ func (w *discardWriter) WriteHeader(status int)      { w.status = status }
 func (w *discardWriter) Write(b []byte) (int, error) { w.n += len(b); return len(b), nil }
 
 // maxExecuteBytes bounds what one /v1/execute of a prepared statement
-// may allocate once the buffer pools are warm, whatever it returns. What
-// is left is the plan's: the serial scan's arena (76 KiB for this table)
-// and the Project's buffer (one batch, 48 KiB), the operators, the
-// collector and the analyze report, the response's strings — 158 KiB
-// measured for 400 rows, 161 for 3,200. Holding the answer as tuples, a
-// doubling slice of them and boxed cells made that 197 KiB for 400 rows
-// and 964 KiB for 3,200.
-const maxExecuteBytes = 192 << 10
+// may allocate once the pools are warm, whatever it returns. The scan's
+// arena comes from the executor's pools too and the Project narrows rows
+// in place, so what is left is the operators, the collector and the
+// analyze report, the response's strings — 11.2 KiB measured for 400
+// rows and for 3,200.
+// A fresh arena and Project buffer per request made that 158 KiB; holding
+// the answer as tuples, a doubling slice of them and boxed cells, 197 KiB
+// for 400 rows and 964 KiB for 3,200.
+const maxExecuteBytes = 32 << 10
 
 // TestAllocExecuteFollowsBody: with warm pools, a request's allocation
 // does not hold its result in any form — eight times the rows cost the
-// same, under a constant.
+// same, under a constant. The requests run on one P: a sync.Pool keeps an
+// item per P that only that P's Get finds, so a request that moved P
+// would miss it and allocate its buffer afresh.
 func TestAllocExecuteFollowsBody(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector, whose sync.Pool drops what it is given")
@@ -253,6 +256,7 @@ func TestAllocExecuteFollowsBody(t *testing.T) {
 	}
 	// A collection between requests would empty the pools.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	small, large := perRequest(400), perRequest(3200)
 	t.Logf("%d B per request of 400 rows, %d B of 3200", small, large)
 	if large > maxExecuteBytes {
