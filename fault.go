@@ -40,7 +40,8 @@ const (
 	FaultSiteIndexSeek = fault.SiteIndexSeek
 	// FaultSiteMorselClaim fires when a scan worker claims a morsel.
 	FaultSiteMorselClaim = fault.SiteMorselClaim
-	// FaultSiteBatch fires at batch boundaries in the scan iterator.
+	// FaultSiteBatch fires once per batch of a sequential scan leaf, on
+	// whichever goroutine runs it: serial, or a parallel worker's.
 	FaultSiteBatch = fault.SiteBatch
 	// FaultSiteAdmission fires in the server's admission path.
 	FaultSiteAdmission = fault.SiteAdmission

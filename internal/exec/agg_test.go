@@ -353,7 +353,7 @@ func TestWorkerPipelineReadsThroughUnitLeaf(t *testing.T) {
 		return true
 	})
 	ctx, opts := context.Background(), Options{DOP: 4, MorselPages: 1}.fill()
-	leaf := newBatchSeqScan(ctx, tb, scan, leafCols(c, tb, part, nil), opts)
+	leaf := newBatchSeqScan(ctx, tb, leafCols(c, tb, part, nil), opts, false)
 	leaf.seek([][2]int{{0, 1}})
 	it, err := buildBatchNode(ctx, c, part, filter, opts, &unitLeaf{node: scan, it: leaf})
 	if err != nil {

@@ -28,19 +28,20 @@ import (
 // The rule is what lets a row an envelope rejects cost no heap, and a
 // row that survives cost what the plan reads of it. The leaves build
 // rows of the columns decodeMask marks and no others, under a schema
-// narrowed to them (scanCols), in storage they reuse. The serial leaves
-// — batchSeqScan, ridFetch, and groupScan (vecScan's serial half) — take
-// their arena's chunks and their batch slice from the package's pools
-// (arenaChunks, batchPool), reuse them for every batch, and give them
-// back at Close: their storage is valid until Close and then belongs to
-// the next execution, so a prepared statement's second run decodes into
-// the first one's memory. parallelScan makes one allocation per batch
-// and the post-freeze vecScan one per group, because their batches
-// change goroutines. An aggregate worker's leaf — a batchSeqScan it seeks
-// to each morsel, a groupScan it points at each group — keeps its
-// storage across the units it claims, since the worker consumes its own
-// batches; the direct columnar aggregate and CollectMatches fill a single
-// row. batchFilter and batchLimit work in place, and so does
+// narrowed to them (scanCols), in storage they reuse. There are three
+// scan leaves — batchSeqScan over heap pages, groupScan over column
+// groups, ridFetch over an index's RIDs — and every scan, serial or
+// parallel, reads through them. A leaf takes its arena's chunks and its
+// batch slice from the package's pools (arenaChunks, batchPool), reuses
+// them for every batch, and gives them back at Close: its storage is
+// valid until Close and then belongs to the next execution, so a
+// prepared statement's second run decodes into the first one's memory.
+// That holds for an aggregate worker's leaf too, which keeps its storage
+// across the units it claims, since the worker consumes its own batches.
+// An ordered worker's leaf alone hands each batch's storage off and
+// starts the next batch in fresh storage (batchStore), because its
+// batches change goroutines; CollectMatches fills a single row.
+// batchFilter and batchLimit work in place, and so does
 // batchPredict: every leaf gives its tuples predictRoom spare capacity,
 // so the predicted class is appended where the row lies. batchProject
 // narrows each row in place too. Only agg.Table.Add copies what it keeps,
@@ -185,17 +186,12 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.No
 			return nil, fmt.Errorf("exec: no table %q", x.Table)
 		}
 		cols := leafCols(c, t, root, opts.Collector)
-		if x.Columnar {
-			if vs := newVecScan(ctx, t, x, nil, cols, opts); vs != nil {
-				return vs, nil
-			}
-			// Sidecar stale or missing: the flag is only a hint, run the
-			// row path with identical results.
+		if u := newScanUnits(t, x, nil, cols, opts); u.cut() {
+			return newOrderedScan(ctx, u), nil
 		}
-		if opts.DOP > 1 {
-			return newParallelScan(ctx, t, x, cols, opts), nil
-		}
-		return newBatchSeqScan(ctx, t, x, cols, opts), nil
+		s := newBatchSeqScan(ctx, t, cols, opts, false)
+		s.seek(t.PartitionPageRanges(x.Partitions))
+		return s, nil
 	case *plan.Filter:
 		// A unit leaf stands for the one scan under an aggregate worker's
 		// pipeline, whatever the sidecar's freshness now: never fuse past it.
@@ -205,8 +201,8 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.No
 				// predicate runs over selection vectors, not tuples. Falls
 				// through to the row operators when the sidecar is stale or
 				// the predicate shape is unsupported.
-				if vs := newVecScan(ctx, t, scan, x, leafCols(c, t, root, opts.Collector), opts); vs != nil {
-					return vs, nil
+				if u := newScanUnits(t, scan, x, leafCols(c, t, root, opts.Collector), opts); u.filter == x {
+					return newOrderedScan(ctx, u), nil
 				}
 			}
 		}
@@ -408,37 +404,36 @@ func copyRows(b Batch) {
 // batchSeqScan streams a table heap page by page, decoding rows into
 // batches on demand (no up-front materialization). The pages come from
 // a list of page ranges — the whole heap for ordinary tables, the
-// surviving partitions' global ranges for pruned partitioned scans.
-// Every batch is decoded into the same pooled arena and listed in the
-// same pooled slice, both given back at Close, so the scan allocates
-// nothing per row, per page or per batch once the pools are warm. A
-// batch is whole pages, as many as fit in BatchSize rows (one at least),
-// read by one call to the scan's pageReader, which stops at the page
-// that does not fit.
+// surviving partitions' global ranges for pruned partitioned scans, one
+// morsel for a worker's leaf. Every batch is decoded into the scan's
+// batchStore, so a pooled scan allocates nothing per row, per page or per
+// batch once the pools are warm. A batch is whole pages, as many as fit
+// in BatchSize rows (one at least), read by one call to the scan's
+// pageReader, which stops at the page that does not fit.
 type batchSeqScan struct {
 	table    *catalog.Table
 	opts     Options
-	cols     scanCols
+	schema   *value.Schema
+	morsels  [][2]int // the units point picks from, for a worker's leaf
 	ranges   [][2]int
 	ri       int // current range
 	nextPage int // next page within ranges[ri]
 	pages    *pageReader
-	arena    rowArena
-	batch    *Batch // nil once Close has handed it back
-	read     int64  // rows returned since the last seek
+	store    batchStore
+	read     int64 // rows returned since the last seek
 	err      error
 }
 
-func newBatchSeqScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, cols scanCols, opts Options) *batchSeqScan {
-	s := &batchSeqScan{table: t, opts: opts, cols: cols, arena: pooledArena(cols.slot, opts.BatchSize), batch: pooledBatch(opts.BatchSize)}
-	s.pages = newPageReader(ctx, t, opts, cols.need, s.fit, s.arena.next, s.collect)
-	s.seek(t.PartitionPageRanges(x.Partitions))
+// newBatchSeqScan builds a heap scan leaf over nothing yet: seek or point
+// gives it its pages.
+func newBatchSeqScan(ctx context.Context, t *catalog.Table, cols scanCols, opts Options, handOff bool) *batchSeqScan {
+	s := &batchSeqScan{table: t, opts: opts, schema: cols.schema,
+		store: newBatchStore(cols.slot, opts.BatchSize, opts.BatchSize, handOff)}
+	s.pages = newPageReader(ctx, t, opts, cols.need, s.fit, s.store.arena.next, s.collect)
 	return s
 }
 
-// seek points the scan at the first page of ranges: an aggregate worker
-// moves its leaf to each morsel it claims, keeping the arena and the
-// batch.
+// seek points the scan at the first page of ranges, keeping its storage.
 func (s *batchSeqScan) seek(ranges [][2]int) {
 	s.ranges, s.ri, s.read = ranges, 0, 0
 	if len(ranges) > 0 {
@@ -446,17 +441,22 @@ func (s *batchSeqScan) seek(ranges [][2]int) {
 	}
 }
 
-func (s *batchSeqScan) Schema() *value.Schema { return s.cols.schema }
+// point seeks the scan to morsel i.
+func (s *batchSeqScan) point(i int) { s.seek(s.morsels[i : i+1]) }
+
+func (s *batchSeqScan) scanned() int64 { return s.read }
+
+func (s *batchSeqScan) Schema() *value.Schema { return s.schema }
 
 // fit admits a page into the batch when the batch is empty, or when it
 // has room left and the page's live rows fit in it.
 func (s *batchSeqScan) fit(live int) bool {
-	n := len(*s.batch)
+	n := len(*s.store.rows)
 	return n == 0 || n < s.opts.BatchSize && n+live <= s.opts.BatchSize
 }
 
 func (s *batchSeqScan) collect(_ storage.RID, _ []byte, tup value.Tuple) bool {
-	*s.batch = append(*s.batch, tup)
+	*s.store.rows = append(*s.store.rows, tup)
 	return true
 }
 
@@ -471,8 +471,7 @@ func (s *batchSeqScan) NextBatch() (Batch, bool, error) {
 	if s.ri >= len(s.ranges) {
 		return nil, true, nil // exhausted, or closed and its storage given back
 	}
-	s.arena.reset()
-	*s.batch = (*s.batch)[:0]
+	s.store.reset(s.opts.BatchSize)
 	// Whole pages only, so the scan position stays a page number; a page
 	// fit refuses is the next batch's first.
 	for s.ri < len(s.ranges) {
@@ -487,7 +486,7 @@ func (s *batchSeqScan) NextBatch() (Batch, bool, error) {
 			s.nextPage = s.ranges[s.ri][0]
 		}
 	}
-	b := *s.batch
+	b := *s.store.rows
 	if len(b) == 0 {
 		return nil, true, nil
 	}
@@ -495,12 +494,10 @@ func (s *batchSeqScan) NextBatch() (Batch, bool, error) {
 	return b, false, nil
 }
 
-// Close hands the arena and the batch slice back.
+// Close hands the store back.
 func (s *batchSeqScan) Close() {
 	s.ri = len(s.ranges)
-	s.arena.release()
-	putBatch(s.batch)
-	s.batch = nil
+	s.store.release()
 }
 
 // batchFilter drops tuples failing the predicate, in place: the batch's

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"minequery/internal/catalog"
 	"minequery/internal/expr"
 	"minequery/internal/plan"
 	"minequery/internal/storage"
@@ -106,8 +107,9 @@ func TestSeqScanBatchWithinBatchSize(t *testing.T) {
 	deleted := len(victims)
 	const size = 1000
 	col := NewCollector()
-	s := newBatchSeqScan(context.Background(), tb, &plan.SeqScan{Table: tb.Name},
-		scanCols{schema: tb.Schema, slot: tb.Schema.Len()}, Options{BatchSize: size, Collector: col}.fill())
+	s := newBatchSeqScan(context.Background(), tb,
+		scanCols{schema: tb.Schema, slot: tb.Schema.Len()}, Options{BatchSize: size, Collector: col}.fill(), false)
+	s.seek(tb.PartitionPageRanges(nil))
 	rows, batches := 0, 0
 	for {
 		b, done, err := s.NextBatch()
@@ -131,8 +133,19 @@ func TestSeqScanBatchWithinBatchSize(t *testing.T) {
 	}
 }
 
+// buildScan builds the leaf a plan gets for a SeqScan of table t.
+func buildScan(t *testing.T, c *catalog.Catalog, opts Options) BatchIterator {
+	t.Helper()
+	scan := &plan.SeqScan{Table: "t"}
+	it, err := buildBatchNode(context.Background(), c, scan, scan, opts.fill(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return it
+}
+
 func TestParallelScanMatchesSerialAfterDeletes(t *testing.T) {
-	_, tb := testDB(t, 5000)
+	c, tb := testDB(t, 5000)
 	// Punch holes so some pages are sparse and slot iteration must skip
 	// deleted records inside morsels.
 	var victims []storage.RID
@@ -147,10 +160,9 @@ func TestParallelScanMatchesSerialAfterDeletes(t *testing.T) {
 	for _, rid := range victims {
 		tb.Heap.Delete(rid)
 	}
-	whole := scanCols{schema: tb.Schema, slot: tb.Schema.Len()}
-	want := drainBatches(t, newBatchSeqScan(context.Background(), tb, &plan.SeqScan{Table: tb.Name}, whole, Options{}.fill()))
+	want := drainBatches(t, buildScan(t, c, Options{}))
 	for _, dop := range []int{2, 4, 8} {
-		got := drainBatches(t, newParallelScan(context.Background(), tb, &plan.SeqScan{Table: tb.Name}, whole, Options{DOP: dop, MorselPages: 3}.fill()))
+		got := drainBatches(t, buildScan(t, c, Options{DOP: dop, MorselPages: 3}))
 		if len(got) != int(tb.Heap.Len()) {
 			t.Fatalf("dop=%d: %d rows, heap has %d live", dop, len(got), tb.Heap.Len())
 		}
@@ -209,11 +221,9 @@ func TestBatchFilterSkipsEmptyBatches(t *testing.T) {
 }
 
 func TestParallelScanCloseWithoutDrain(t *testing.T) {
-	c, tb := testDB(t, 5000)
-	_ = c
+	c, _ := testDB(t, 5000)
 	for i := 0; i < 20; i++ {
-		it := newParallelScan(context.Background(), tb, &plan.SeqScan{Table: tb.Name},
-			scanCols{schema: tb.Schema, slot: tb.Schema.Len()}, Options{DOP: 4, MorselPages: 1}.fill())
+		it := buildScan(t, c, Options{DOP: 4, MorselPages: 1})
 		if _, done, err := it.NextBatch(); err != nil || done {
 			t.Fatalf("iter %d: first batch: done=%v err=%v", i, done, err)
 		}

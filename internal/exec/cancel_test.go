@@ -41,8 +41,8 @@ func cancelFixture(t *testing.T, rows int) (*catalog.Catalog, *catalog.Table) {
 
 // groupedAgg is a grouped aggregate over a filtered scan of the fixture,
 // so at DOP > 1 it runs over heap morsels or, with columnar set, over
-// column groups (the filter gives those a warmup), straight from the
-// selection vector into the accumulators.
+// column groups (the filter, fused into the groups' leaf, gives those a
+// warmup).
 func groupedAgg(columnar bool) plan.Node {
 	return aggPlan(&plan.Filter{
 		Child: &plan.SeqScan{Table: "big", Columnar: columnar},
@@ -263,47 +263,115 @@ type hookClock struct {
 
 func (c hookClock) Sleep(time.Duration) { c.sleep() }
 
-// TestCancelFlagStopsDecodingWithinOneBatch pins the mid-morsel stop: once
-// the consumer closes a parallel scan (LIMIT satisfied), a worker inside
-// a multi-page morsel may decode up to BatchSize rows more, stopping
-// mid-page if it must, but must not decode on, page after page. Every worker's second claim
-// is held at the claim site — past its stop check — until the scan is
-// closed, so each then enters a whole morsel with the stop already
-// raised, and must refuse its first page.
+// park holds a worker at a fault site until release is closed — or, so
+// that a worker parked before the consumer's first unit is done cannot
+// hang the test, for ten seconds.
+func park(release <-chan struct{}) {
+	select {
+	case <-release:
+	case <-time.After(10 * time.Second):
+	}
+}
+
+// TestCancelFlagStopsDecodingWithinOneBatch pins how far a worker reads
+// once the consumer closes a parallel scan (LIMIT satisfied) and the
+// pool's stop cancels the context its leaves read under.
+//
+//   - heap: every page read after the workers' first is held — past the
+//     page reader's check before the page — until the scan is closed;
+//     each worker then reads a page of far more than BatchSize rows with
+//     the stop already raised, and may decode up to BatchSize rows more,
+//     stopping mid-page, but must not decode on: the page reader checks
+//     its context every BatchSize rows.
+//   - columnar: every worker's second claim is held until the scan is
+//     closed; each then enters its group with the stop raised, and must
+//     reconstruct neither it nor any group it claims after: the worker
+//     checks its context before every batch, so a worker reconstructs at
+//     most the group it is in at the close.
 func TestCancelFlagStopsDecodingWithinOneBatch(t *testing.T) {
 	const workers, batchSize = 4, 4
-	cat, tb := cancelFixture(t, 30000)
-	var claims atomic.Int64
-	closed := make(chan struct{})
-	in := fault.NewInjector(1, fault.Rule{Site: fault.SiteMorselClaim, EveryN: 1, Delay: time.Nanosecond}).
-		WithClock(hookClock{fault.RealClock(), func() {
-			if claims.Add(1) > workers {
-				<-closed
+	scanOf := func(it BatchIterator) *orderedScan { return it.(*batchLimit).child.(*orderedScan) }
+	firstBatch := func(t *testing.T, it BatchIterator) {
+		t.Helper()
+		if _, done, err := it.NextBatch(); done || err != nil {
+			t.Fatalf("first batch: done=%v err=%v", done, err)
+		}
+	}
+	t.Run("heap", func(t *testing.T) {
+		cat, tb := cancelFixture(t, 30000)
+		var reads atomic.Int64
+		held, closed := make(chan struct{}, workers), make(chan struct{})
+		cat.SetFaults(fault.NewInjector(1, fault.Rule{Site: fault.SitePageReadSeq, EveryN: 1, Delay: time.Nanosecond}).
+			WithClock(hookClock{fault.RealClock(), func() {
+				if reads.Add(1) > workers {
+					select {
+					case held <- struct{}{}:
+					default: // a worker parked again after its timeout
+					}
+					park(closed)
+				}
+			}}))
+		defer cat.SetFaults(nil)
+		root := &plan.Limit{N: 1, Child: &plan.SeqScan{Table: "big"}}
+		it, err := BuildBatchCtx(context.Background(), cat, root, Options{DOP: workers, MorselPages: 1, BatchSize: batchSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		firstBatch(t, it)
+		for w := 0; w < workers; w++ {
+			select {
+			case <-held:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%d of %d workers reached a held page read; the test is vacuous", w, workers)
 			}
-		}})
-	root := &plan.Limit{N: 1, Child: &plan.SeqScan{Table: "big"}}
-	it, err := BuildBatchCtx(context.Background(), cat, root, Options{DOP: workers, MorselPages: 8, BatchSize: batchSize, Faults: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, done, err := it.NextBatch(); done || err != nil {
-		t.Fatalf("first batch: done=%v err=%v", done, err)
-	}
-	it.Close()
-	atClose := tb.Heap.Stats().TupleReads
-	close(closed)
-	it.(*batchLimit).child.(*parallelScan).pool.wg.Wait()
-	if extra := tb.Heap.Stats().TupleReads - atClose; extra > workers*batchSize {
-		t.Errorf("workers decoded %d tuples after Close, want at most %d (one batch each)", extra, workers*batchSize)
-	}
+		}
+		it.Close()
+		atClose := tb.Heap.Stats().TupleReads
+		close(closed)
+		scanOf(it).pool.wg.Wait()
+		if extra := tb.Heap.Stats().TupleReads - atClose; extra > workers*batchSize {
+			t.Errorf("workers decoded %d tuples after Close, want at most %d (one batch each)", extra, workers*batchSize)
+		}
+	})
+	t.Run("columnar", func(t *testing.T) {
+		cat, tb := cancelFixture(t, 30000)
+		if err := tb.EnableColumnar(); err != nil {
+			t.Fatal(err)
+		}
+		var claims atomic.Int64
+		closed := make(chan struct{})
+		in := fault.NewInjector(1, fault.Rule{Site: fault.SiteMorselClaim, EveryN: 1, Delay: time.Nanosecond}).
+			WithClock(hookClock{fault.RealClock(), func() {
+				if claims.Add(1) > workers {
+					park(closed)
+				}
+			}})
+		root := &plan.Limit{N: 1, Child: &plan.SeqScan{Table: "big", Columnar: true}}
+		it, err := BuildBatchCtx(context.Background(), cat, root, Options{DOP: workers, BatchSize: batchSize, Faults: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		firstBatch(t, it)
+		scan := scanOf(it)
+		if groups := len(scan.core.groups); groups < 3*workers {
+			t.Fatalf("%d column groups; the test needs more than the workers can hold", groups)
+		}
+		it.Close()
+		atClose := scan.core.processed.Load()
+		close(closed)
+		scan.pool.wg.Wait()
+		if extra := scan.core.processed.Load() - atClose; extra > workers {
+			t.Errorf("workers reconstructed %d groups after Close, want at most %d (one each)", extra, workers)
+		}
+	})
 }
 
 // TestCancelAndFaultsInAggregateScan covers the failure surface of the
 // partial aggregate's units at DOP 4: a cancellation, an injected failure
 // at the second unit claim, or one at the second pass through a scan
-// leaf's batch site — which every unit, the direct columnar one included,
-// passes at least once — fails the query with the typed error, stops the
-// sibling workers well short of the table, and leaves none running.
+// leaf's batch site — which every unit passes at least once — fails the
+// query with the typed error, stops the sibling workers well short of the
+// table, and leaves none running.
 func TestCancelAndFaultsInAggregateScan(t *testing.T) {
 	cat, tb := cancelFixture(t, 150000)
 	for _, a := range aggScans(t, tb) {

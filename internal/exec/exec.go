@@ -43,7 +43,9 @@ import (
 // attempt: storage errors fire at page granularity before any record of
 // the failing page is delivered, so a retried page never double-delivers
 // rows to fn, and fit, shown the page again, must answer as it did. ctx
-// is checked before every page.
+// is checked before every page and every BatchSize rows delivered, so a
+// read stopped mid-page — a cancelled query, a morsel pool's stop —
+// decodes fewer than BatchSize rows more, however many the page holds.
 type pageReader struct {
 	ctx     context.Context
 	table   *catalog.Table
@@ -51,16 +53,18 @@ type pageReader struct {
 	onRetry func(error)
 
 	// attempt reads page through the storage callbacks built with the
-	// reader, which note how the read of it ended.
+	// reader, which note how the read of it ended: halted, or err — a
+	// corrupt record, or the context done.
 	attempt   func() error
 	page      int
 	halted    bool
-	decodeErr error
+	err       error
+	delivered int
 }
 
 func newPageReader(ctx context.Context, t *catalog.Table, opts Options, need []bool, fit func(live int) bool,
 	dst func() value.Tuple, fn func(rid storage.RID, rec []byte, tup value.Tuple) bool) *pageReader {
-	r := &pageReader{ctx: ctx, table: t, opts: opts, onRetry: opts.onRetry()}
+	r := &pageReader{ctx: ctx, table: t, opts: opts.fill(), onRetry: opts.onRetry()}
 	var pageFit func(live int) bool
 	if fit != nil {
 		pageFit = func(live int) bool {
@@ -71,10 +75,14 @@ func newPageReader(ctx context.Context, t *catalog.Table, opts Options, need []b
 	deliver := func(rid storage.RID, rec []byte) bool {
 		tup, err := value.DecodeTupleInto(dst(), rec, need)
 		if err != nil {
-			r.decodeErr = fmt.Errorf("exec: scan %s: corrupt row at %s: %w", t.Name, rid, err)
+			r.err = fmt.Errorf("exec: scan %s: corrupt row at %s: %w", t.Name, rid, err)
 			return false
 		}
 		r.halted = !fn(rid, rec, tup)
+		if r.delivered++; r.delivered%r.opts.BatchSize == 0 && !r.halted {
+			r.err = ctxErr(r.ctx)
+			return r.err == nil
+		}
 		return !r.halted
 	}
 	io := ioOf(opts.Collector)
@@ -93,8 +101,8 @@ func (r *pageReader) read(lo, hi int) (int, error) {
 		if err := fault.Retry(r.ctx, r.opts.Clock, r.opts.Retry, r.attempt, r.onRetry); err != nil {
 			return r.page, fmt.Errorf("exec: scan %s: %w", r.table.Name, err)
 		}
-		if r.decodeErr != nil {
-			return r.page, r.decodeErr
+		if r.err != nil {
+			return r.page, r.err
 		}
 		if r.halted {
 			return r.page, nil
@@ -123,9 +131,8 @@ var arenaChunks = sync.Pool{New: func() any { return new([arenaChunkLen]value.Va
 // makes width its scanCols' slot, so that a row is widened where it
 // lies.
 //
-// A serial leaf's arena (pooledArena) takes its chunks from arenaChunks
-// and must be released at Close; parallel workers, whose batches wait on
-// another goroutine, make private ones (privateArena) and drop them.
+// A pooled arena (pooledArena) takes its chunks from arenaChunks and must
+// be released; a private one (privateArena) makes its own.
 type rowArena struct {
 	width    int
 	rows     int  // slots per chunk
@@ -183,6 +190,52 @@ func (a *rowArena) release() {
 // arenaChunks their rows. It holds pointers, so that a Put allocates
 // nothing.
 var batchPool = sync.Pool{New: func() any { return new(Batch) }}
+
+// batchStore is where a scan leaf builds its batches: the rows in an
+// arena, listed in one slice. A pooled store takes both from the pools
+// (arenaChunks, batchPool), reuses them for every batch and gives them
+// back at release: the leaf's consumer is done with a batch when it asks
+// for the next. An ordered worker's store hands every batch off instead —
+// the batch crosses to the consumer's goroutine and waits there — and
+// starts the next in fresh private storage, so nothing it handed off is
+// ever written again or pooled.
+type batchStore struct {
+	arena   rowArena
+	rows    *Batch // nil once released
+	handOff bool
+}
+
+// newBatchStore is a leaf's store for rows of width values: a pooled one
+// with room for batches of arenaRows rows and a slice of sliceRows, or a
+// handing-off one.
+func newBatchStore(width, arenaRows, sliceRows int, handOff bool) batchStore {
+	if handOff {
+		return batchStore{arena: privateArena(width, 0), rows: new(Batch), handOff: true}
+	}
+	return batchStore{arena: pooledArena(width, arenaRows), rows: pooledBatch(sliceRows)}
+}
+
+// reset starts the next batch, of n rows at most (more only for a page
+// that holds more): over the last one's storage, or in fresh storage
+// sized to n when the last was handed off.
+func (s *batchStore) reset(n int) {
+	if s.handOff {
+		s.arena = privateArena(s.arena.width, n)
+		*s.rows = make(Batch, 0, n)
+		return
+	}
+	s.arena.reset()
+	*s.rows = (*s.rows)[:0]
+}
+
+// release gives a pooled store's storage back, once.
+func (s *batchStore) release() {
+	if !s.handOff {
+		s.arena.release()
+		putBatch(s.rows)
+	}
+	s.rows = nil
+}
 
 // pooledBatch takes an empty batch slice with room for n rows from
 // batchPool; the leaf gives it back with putBatch at Close.
@@ -493,11 +546,10 @@ func unionRIDs(ctx context.Context, t *catalog.Table, x *plan.IndexUnion, opts O
 }
 
 // ridFetch fetches rows for a RID list, a batch of live rows at a time,
-// decoded into a pooled arena of its scanCols' shape and listed in a
-// pooled batch slice, both reused by every batch and given back at
-// Close. A RID whose row was deleted since the index was read costs a
-// lookup and nothing else: the slot it was offered goes to the next live
-// row. Each lookup is retried under the options' policy when the random
+// decoded into a pooled store of its scanCols' shape, reused by every
+// batch and given back at Close. A RID whose row was deleted since the
+// index was read costs a lookup and nothing else: the slot it was offered
+// goes to the next live row. Each lookup is retried under the options' policy when the random
 // page read fails transiently. ctx is checked once per batch and every
 // ridFetchCtxStride lookups, so per-query deadlines interrupt long RID
 // lists between (not just after) fetches.
@@ -510,8 +562,7 @@ type ridFetch struct {
 	retry     fault.RetryPolicy
 	clock     fault.Clock
 	onRetry   func(error)
-	arena     rowArena
-	batch     *Batch // nil once Close has handed it back
+	store     batchStore
 
 	// fetch is the lookup fault.Retry runs, built once: it decodes the
 	// row at rid into slot, reporting it in tup and ok.
@@ -522,9 +573,10 @@ type ridFetch struct {
 }
 
 func newRIDFetch(ctx context.Context, t *catalog.Table, rids []storage.RID, cols scanCols, opts Options) *ridFetch {
+	n := min(opts.BatchSize, len(rids))
 	r := &ridFetch{ctx: ctx, rids: rids, cols: cols, batchSize: opts.BatchSize,
 		retry: opts.Retry, clock: opts.Clock, onRetry: opts.onRetry(),
-		arena: pooledArena(cols.slot, min(opts.BatchSize, len(rids))), batch: pooledBatch(min(opts.BatchSize, len(rids)))}
+		store: newBatchStore(cols.slot, n, n, false)}
 	io := ioOf(opts.Collector)
 	r.fetch = func() error {
 		var err error
@@ -543,8 +595,8 @@ func (r *ridFetch) NextBatch() (Batch, bool, error) {
 	if r.pos >= len(r.rids) {
 		return nil, true, nil
 	}
-	r.arena.reset()
-	batch := (*r.batch)[:0]
+	r.store.reset(r.batchSize)
+	batch := *r.store.rows
 	r.slot = nil
 	for len(batch) < r.batchSize && r.pos < len(r.rids) {
 		r.rid = r.rids[r.pos]
@@ -555,7 +607,7 @@ func (r *ridFetch) NextBatch() (Batch, bool, error) {
 			}
 		}
 		if r.slot == nil {
-			r.slot = r.arena.next()
+			r.slot = r.store.arena.next()
 		}
 		if err := fault.Retry(r.ctx, r.clock, r.retry, r.fetch, r.onRetry); err != nil {
 			return nil, false, err
@@ -566,19 +618,17 @@ func (r *ridFetch) NextBatch() (Batch, bool, error) {
 		batch = append(batch, r.tup)
 		r.slot = nil
 	}
-	*r.batch = batch
+	*r.store.rows = batch
 	if len(batch) == 0 {
 		return nil, true, nil
 	}
 	return batch, false, nil
 }
 
-// Close hands the arena and the batch slice back.
+// Close hands the store back.
 func (r *ridFetch) Close() {
 	r.rids, r.slot, r.tup = nil, nil, nil
-	r.arena.release()
-	putBatch(r.batch)
-	r.batch = nil
+	r.store.release()
 }
 
 // projectOrds resolves the projection n's columns against the input

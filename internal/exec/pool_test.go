@@ -20,6 +20,7 @@ import (
 	"minequery/internal/catalog"
 	"minequery/internal/expr"
 	"minequery/internal/plan"
+	"minequery/internal/storage"
 	"minequery/internal/value"
 )
 
@@ -71,7 +72,7 @@ func storageCases(t *testing.T) []storageCase {
 			}},
 		{kind: "columnar scan", c: cc, root: idNum(&plan.Filter{Child: &plan.SeqScan{Table: "t", Columnar: true}, Pred: all}),
 			opts: Options{DOP: 1},
-			runs: func(it BatchIterator) bool { _, ok := under(it).(*vecScan); return ok }},
+			runs: func(it BatchIterator) bool { _, ok := under(it).(*orderedScan); return ok }},
 		// Batches of 1024 rows, so that no page overflows a worker's batch
 		// slice: which of the four a page lands in is the scheduler's.
 		{kind: "heap aggregate worker", c: cc, opts: Options{DOP: 4, MorselPages: 1, BatchSize: 1024},
@@ -170,7 +171,10 @@ func TestAllocScanStorageRecycled(t *testing.T) {
 // batches that share no row slot and no batch slice: scribbling over
 // everything one was handed, spare capacity included, leaves the other's
 // rows as they were. (An aggregate's leaves hand their batches to no
-// one outside it; its kinds are left out.)
+// one outside it; its kinds are left out.) And an ordered worker's leaf,
+// whose batches wait on the consumer's goroutine, hands them off: no row
+// slot or batch slice it served ever reaches the pools, even once the
+// scan is closed mid-run and its workers have exited.
 func TestAliasScanStorageReleasedOnce(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, tc := range storageCases(t) {
@@ -211,6 +215,55 @@ func TestAliasScanStorageReleasedOnce(t *testing.T) {
 		}
 		x.Close()
 		y.Close()
+	}
+
+	c, _ := columnarDB(t, 6*storage.ColGroupRows)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // whatever a worker gives back is on this P
+	for _, tc := range []struct {
+		kind string
+		scan *plan.SeqScan
+		opts Options
+	}{
+		{"heap", &plan.SeqScan{Table: "t"}, Options{DOP: 4, MorselPages: 1, BatchSize: 64}},
+		{"columnar", &plan.SeqScan{Table: "t", Columnar: true}, Options{DOP: 4, BatchSize: 64}},
+	} {
+		runtime.GC()
+		runtime.GC() // the pools hold nothing
+		it, err := BuildBatch(c, tc.scan, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, ok := it.(*orderedScan)
+		if !ok || o.warm() != 0 || !o.parallel() {
+			t.Fatalf("%s: built %T, not a scan whose every unit is a worker's", tc.kind, it)
+		}
+		var served []unsafe.Pointer // the first row slot and the slice of every batch served
+		for len(served) < 20 {
+			b, done, err := it.NextBatch()
+			if err != nil || done {
+				t.Fatalf("%s: batch %d: done=%v err=%v", tc.kind, len(served)/2, done, err)
+			}
+			served = append(served, unsafe.Pointer(unsafe.SliceData(b[0])), unsafe.Pointer(unsafe.SliceData(b)))
+		}
+		it.Close()
+		o.pool.wg.Wait()
+		within := func(lo unsafe.Pointer, size uintptr) bool {
+			for _, p := range served {
+				if uintptr(p) >= uintptr(lo) && uintptr(p) < uintptr(lo)+size {
+					return true
+				}
+			}
+			return false
+		}
+		for k := 0; k < 512; k++ {
+			chunk := arenaChunks.Get().(*[arenaChunkLen]value.Value)
+			b := batchPool.Get().(*Batch)
+			if within(unsafe.Pointer(chunk), uintptr(chunkBytes)) ||
+				cap(*b) > 0 && within(unsafe.Pointer(unsafe.SliceData(*b)), uintptr(cap(*b))*unsafe.Sizeof(value.Tuple{})) {
+				t.Fatalf("%s: storage an ordered worker handed off reached the pools", tc.kind)
+			}
+		}
+		runtime.KeepAlive(served)
 	}
 }
 

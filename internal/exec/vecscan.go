@@ -7,23 +7,21 @@
 // survivor costs what the plan uses of it.
 //
 // Execution proceeds in two phases. The first warmupGroups groups are
-// processed serially by the consumer with term ordering in measurement
-// mode (every term evaluated, pass rates recorded). The predicate is
-// then frozen — orders picked, short-circuiting enabled — and the
-// remaining groups either continue serially (DOP 1) or fan out to a
-// morsel-style worker pool with one group per claim. Because the warmup
-// is serial and the frozen per-group evaluation is independent of
-// scheduling, output AND per-term counters are deterministic at any
-// DOP, and the output row order matches the row-path scan exactly
-// (groups are built in heap order and reassembled in group order).
-//
-// The state the phases share is a vecCore; a partial aggregate runs the
-// same two phases over one (aggexec.go), with a groupScan — the serial
-// consumer's one-group-at-a-time reader — as each worker's leaf.
+// processed serially with term ordering in measurement mode (every term
+// evaluated, pass rates recorded). The predicate is then frozen — orders
+// picked, short-circuiting enabled — and the remaining groups may be
+// processed in any order. The column groups are the units of the scan
+// (scanUnits, parallel.go), those first groups its warm prefix and the
+// freeze its seal; groupScan, which reads one group at a time, is the
+// leaf that reads a unit, for the ordered scan and for a partial
+// aggregate alike. Because the warmup is serial and the frozen per-group
+// evaluation is independent of scheduling, output AND per-term counters
+// are deterministic at any DOP, and the output row order matches the
+// row-path scan exactly (groups are built in heap order and reassembled
+// in group order).
 package exec
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 
@@ -40,9 +38,8 @@ import (
 // mode before the term order freezes.
 const warmupGroups = 2
 
-// vecCore is the scheduling-independent part of a columnar scan: shared
-// by the serial consumer and the worker pool, which deliberately get no
-// reference to the consumer state, and by a partial aggregate's workers.
+// vecCore is the scheduling-independent part of a columnar scan, shared
+// by every groupScan reading its groups.
 type vecCore struct {
 	table  *catalog.Table
 	groups []*storage.ColGroup // the scan's groups: the surviving partitions', in heap order
@@ -62,7 +59,7 @@ type vecCore struct {
 
 	// ords (the ordinals decodeMask marks, in table order) and slot (the
 	// capacity of a reconstructed tuple: those columns plus predictRoom)
-	// shape the rows processGroup emits.
+	// shape the rows a groupScan reconstructs.
 	ords []int
 	slot int
 
@@ -118,54 +115,6 @@ func (c *vecCore) selectGroup(g *storage.ColGroup, sc *vec.Scratch) ([]int32, in
 	return sel, n
 }
 
-// groupRows is where one column group's survivors are reconstructed:
-// the tuples in arena, the batches cut from rows.
-type groupRows struct {
-	arena   rowArena
-	rows    *Batch
-	batches []Batch
-}
-
-// processGroup filters one column group and reconstructs the surviving
-// rows, cut into batches of BatchSize in group order: the columns ords
-// names and only those, each tuple with slot capacity. The rows go
-// into reuse, over whatever it held — the serial consumer's, whose
-// batches are all consumed before it selects the next group. The pool's
-// workers pass nil: their batches wait on another goroutine, so each
-// group gets storage of its own, sized to its survivors. Safe for
-// concurrent use with per-caller scratch and storage.
-func (c *vecCore) processGroup(g *storage.ColGroup, sc *vec.Scratch, reuse *groupRows) []Batch {
-	sel, n := c.selectGroup(g, sc)
-	if n == 0 {
-		return nil
-	}
-	out := reuse
-	if out == nil {
-		rows := make(Batch, 0, n)
-		out = &groupRows{arena: privateArena(c.slot, n), rows: &rows}
-	}
-	out.arena.reset()
-	rows := (*out.rows)[:0]
-	for k := 0; k < n; k++ {
-		ri := k
-		if sel != nil {
-			ri = int(sel[k])
-		}
-		row := out.arena.next()[:len(c.ords)]
-		for j, ci := range c.ords {
-			row[j] = g.Cols[ci].Value(ri)
-		}
-		rows = append(rows, row)
-	}
-	batches := out.batches[:0]
-	for start, size := 0, c.opts.BatchSize; start < n; start += size {
-		end := min(start+size, n)
-		batches = append(batches, rows[start:end:end])
-	}
-	*out.rows, out.batches = rows, batches
-	return batches
-}
-
 // newVecCore resolves a columnar-flagged scan (and the filter fused
 // onto it, or nil) against the table's sidecar, to reconstruct rows of
 // the shape cols. It returns nil — routing the caller to the row path —
@@ -210,177 +159,97 @@ func newVecCore(t *catalog.Table, x *plan.SeqScan, filter *plan.Filter, cols sca
 	return c
 }
 
-// warm is how many leading groups are evaluated serially, in
-// measurement mode, before freeze; the rest may then be scheduled in any
-// order.
-func (c *vecCore) warm() int {
-	if c.pred == nil {
-		return 0
-	}
-	return min(warmupGroups, len(c.groups))
-}
-
-// freeze ends measurement mode: the term order is picked and
-// short-circuiting enabled.
-func (c *vecCore) freeze() {
-	if c.pred != nil {
-		c.pred.Freeze()
-	}
-}
-
-// groupScan reads one column group of a vecCore at a time: the group's
-// survivors, in batches of BatchSize, reconstructed into pooled storage
-// it reuses for the next group and gives back at Close. It is the serial
-// half of vecScan, and on its own the columnar leaf of an aggregate
-// worker, which points it at each group it claims (g) and drains it
-// before claiming the next.
+// groupScan reads one column group of a vecCore at a time: the group
+// point gives it, its survivors in batches of BatchSize, reconstructed
+// into its batchStore. It is the leaf that reads a unit of a columnar
+// scan, wherever that unit runs.
 type groupScan struct {
 	*vecCore
 	schema  *value.Schema
 	sc      *vec.Scratch      // nil once Close has handed it back
-	out     groupRows         // the current group's rows, reused for the next
+	store   batchStore        // the current group's rows
+	batches []Batch           // cut from them
 	g       *storage.ColGroup // filtered at the next NextBatch, when non-nil
-	pending []Batch
+	read    int64             // the rows of the group last pointed at
+	next    int               // the next of batches to return
 }
 
-func newGroupScan(core *vecCore, schema *value.Schema) groupScan {
+func newGroupScan(core *vecCore, schema *value.Schema, handOff bool) groupScan {
 	return groupScan{vecCore: core, schema: schema, sc: vec.NewScratch(),
-		out: groupRows{arena: pooledArena(core.slot, core.opts.BatchSize), rows: pooledBatch(0)}}
+		store: newBatchStore(core.slot, core.opts.BatchSize, 0, handOff)}
 }
+
+// point makes group i the one the next NextBatch filters.
+func (s *groupScan) point(i int) {
+	s.g = s.groups[i]
+	s.read = int64(s.g.N)
+}
+
+func (s *groupScan) scanned() int64 { return s.read }
 
 func (s *groupScan) Schema() *value.Schema { return s.schema }
 
-// take returns the current group's next batch, filtering the group
-// first if it was just pointed at; false once the group is spent.
-func (s *groupScan) take() (Batch, bool) {
-	if s.g != nil {
-		s.pending, s.g = s.processGroup(s.g, s.sc, &s.out), nil
-	}
-	if len(s.pending) == 0 {
-		return nil, false
-	}
-	b := s.pending[0]
-	s.pending = s.pending[1:]
-	return b, true
-}
-
+// NextBatch returns the current group's next batch, filtering the group
+// first if it was just pointed at; done once the group is spent.
 func (s *groupScan) NextBatch() (Batch, bool, error) {
-	if err := s.hitBatch(); err != nil {
-		return nil, false, err
+	if ferr := s.opts.Faults.Hit(fault.SiteBatch); ferr != nil {
+		return nil, false, fmt.Errorf("exec: columnar scan %s: %w", s.table.Name, ferr)
 	}
-	b, ok := s.take()
-	return b, !ok, nil
+	if s.g != nil {
+		s.reconstruct(s.g)
+		s.g, s.next = nil, 0
+	}
+	if s.next == len(s.batches) {
+		return nil, true, nil
+	}
+	s.next++
+	return s.batches[s.next-1], false, nil
 }
 
-// Close hands the scratch, the arena and the row slice back.
+// reconstruct filters group g and rebuilds its surviving rows, cut into
+// batches of BatchSize in group order: the columns ords names and only
+// those, each tuple with slot capacity. A pooled store's rows go over the
+// last group's, whose batches are all consumed before the next group is
+// selected; a handing-off one's go into fresh storage sized to the
+// survivors.
+func (s *groupScan) reconstruct(g *storage.ColGroup) {
+	s.batches = s.batches[:0]
+	sel, n := s.selectGroup(g, s.sc)
+	if n == 0 {
+		return
+	}
+	s.store.reset(n)
+	rows := *s.store.rows
+	for k := 0; k < n; k++ {
+		ri := k
+		if sel != nil {
+			ri = int(sel[k])
+		}
+		row := s.store.arena.next()[:len(s.ords)]
+		for j, ci := range s.ords {
+			row[j] = g.Cols[ci].Value(ri)
+		}
+		rows = append(rows, row)
+	}
+	for start, size := 0, s.opts.BatchSize; start < n; start += size {
+		end := min(start+size, n)
+		s.batches = append(s.batches, rows[start:end:end])
+	}
+	*s.store.rows = rows
+}
+
+// Close hands the scratch and the store back.
 func (s *groupScan) Close() {
-	s.g, s.pending = nil, nil
+	s.g, s.batches = nil, nil
 	if s.sc != nil {
 		s.sc.Release()
 		s.sc = nil
 	}
-	s.out.arena.release()
-	putBatch(s.out.rows)
-	s.out.rows = nil
+	s.store.release()
 }
 
-// hitBatch passes a columnar leaf's fault.SiteBatch.
-func (c *vecCore) hitBatch() error {
-	if ferr := c.opts.Faults.Hit(fault.SiteBatch); ferr != nil {
-		return fmt.Errorf("exec: columnar scan %s: %w", c.table.Name, ferr)
-	}
-	return nil
-}
-
-// vecScan is the consumer end. NextBatch runs on a single goroutine;
-// after the warmup it may fan the remaining groups out to the morsel
-// pool, one group per claim, reassembled in group order like
-// parallelScan.
-type vecScan struct {
-	groupScan // the consumer's own: the warm-up groups, every group at DOP 1
-	ctx       context.Context
-	scanNode  plan.Node
-	col       *Collector
-
-	gi     int
-	frozen bool
-	rest   *orderedScan // non-nil once the remaining groups run on the pool
-
-	err      error
-	reported bool
-}
-
-// newVecScan builds the fused operator for a columnar-flagged scan (and
-// optional filter directly above it), or nil when newVecCore refuses.
-// cols is the shape of the rows it reconstructs.
-func newVecScan(ctx context.Context, t *catalog.Table, x *plan.SeqScan, filter *plan.Filter, cols scanCols, opts Options) *vecScan {
-	core := newVecCore(t, x, filter, cols, opts)
-	if core == nil {
-		return nil
-	}
-	return &vecScan{groupScan: newGroupScan(core, cols.schema), ctx: ctx, scanNode: x, col: opts.Collector}
-}
-
-func (s *vecScan) NextBatch() (Batch, bool, error) {
-	if s.err != nil {
-		return nil, false, s.err
-	}
-	if s.err = s.hitBatch(); s.err != nil {
-		return nil, false, s.err
-	}
-	for s.rest == nil {
-		if s.err = ctxErr(s.ctx); s.err != nil {
-			return nil, false, s.err
-		}
-		if b, ok := s.take(); ok {
-			return b, false, nil
-		}
-		if !s.frozen && s.gi >= s.warm() {
-			s.freeze()
-			s.frozen = true
-			if first := s.gi; s.opts.DOP > 1 && len(s.groups)-first > 1 {
-				core, groups := s.vecCore, s.groups[first:]
-				s.gi = len(s.groups)
-				pool := newMorselPool(s.ctx, s.opts, "columnar scan "+s.table.Name+" group", len(groups))
-				s.rest = startOrdered(pool, func() (func(int) ([]Batch, int64, error), func()) {
-					sc := vec.NewScratch()
-					return func(i int) ([]Batch, int64, error) {
-						return core.processGroup(groups[i], sc, nil), int64(groups[i].N), nil
-					}, sc.Release
-				})
-				break
-			}
-		}
-		if s.gi >= len(s.groups) {
-			s.reportInfo()
-			return nil, true, nil
-		}
-		s.g = s.groups[s.gi]
-		s.gi++
-	}
-	b, done, err := s.rest.nextBatch()
-	if done {
-		s.reportInfo()
-	}
-	s.err = err
-	return b, done, err
-}
-
-// reportInfo publishes the columnar-scan actuals (groups processed,
-// frozen term order, per-term counters) to the collector, once.
-func (s *vecScan) reportInfo() {
-	if s.reported {
-		return
-	}
-	s.reported = true
-	if s.col == nil {
-		return
-	}
-	s.col.setVecInfo(s.scanNode, s.info())
-}
-
-// info snapshots the columnar actuals (shared with the partial
-// aggregate, which reports the same way for its scan leaf).
+// info snapshots the columnar actuals: groups processed, the frozen term
+// order, the per-term counters.
 func (c *vecCore) info() *VecScanInfo {
 	info := &VecScanInfo{Groups: c.processed.Load()}
 	if c.pred != nil {
@@ -397,17 +266,4 @@ func (c *vecCore) info() *VecScanInfo {
 		}
 	}
 	return info
-}
-
-// Close stops the workers, publishes the scan info so a truncated query
-// (LIMIT) still reports its columnar actuals, and hands the consumer's
-// scratch back. The workers hold scratches of their own, which each
-// returns when it exits.
-func (s *vecScan) Close() {
-	if s.rest != nil {
-		s.rest.close()
-	}
-	s.gi = len(s.groups)
-	s.reportInfo()
-	s.groupScan.Close()
 }

@@ -44,14 +44,13 @@ const (
 	SiteIndexSeek = "exec.index_seek"
 	// SiteMorselClaim fires each time a worker of the executor's morsel
 	// pool claims a unit — a heap morsel or a column group, of a parallel
-	// scan or of a partial aggregate — after the claim, before the unit
-	// runs: the stall point for worker-hang scenarios.
+	// scan or of a partial aggregate — after the claim, before the unit's
+	// leaf reads it: the stall point for worker-hang scenarios.
 	SiteMorselClaim = "exec.morsel_claim"
-	// SiteBatch fires once per NextBatch call of a scan leaf that runs on
-	// its caller's goroutine — the serial heap scan, the columnar scan, an
-	// aggregate worker's leaf — and once per column group where a partial
-	// aggregate accumulates straight from the selection vector: mid-query,
-	// between batches of one operator, in every unit of an aggregate.
+	// SiteBatch fires once per NextBatch call of a sequential scan leaf —
+	// the heap scan or the columnar one — on whichever goroutine runs it:
+	// the query's own, or a parallel scan's or partial aggregate's worker.
+	// Mid-query, between batches of one operator, in every unit.
 	SiteBatch = "exec.batch"
 	// SiteAdmission fires after a server worker slot is acquired and
 	// before query execution, holding the slot for the injected delay —

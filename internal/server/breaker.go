@@ -1,93 +1,15 @@
 package server
 
-import (
-	"sync/atomic"
-	"time"
-
-	"minequery/internal/fault"
-)
-
-// breakerSet is the server's per-table circuit breaker: the generic
-// keyed state machine in internal/fault, plus the server's policy for
-// what "degraded" means. A table's circuit trips open after threshold
-// consecutive index-path failures (transient errors surfacing from an
-// optimized plan, or engine-level fallbacks); while open, the server
-// sheds that table's queries to the degraded force-seqscan plan — which
-// returns identical rows, so shedding is a latency trade, never a
-// correctness one. After cooldown the circuit goes half-open: a single
-// probe runs the optimized plan, and its outcome closes or re-opens the
-// circuit.
-type breakerSet struct {
-	set      *fault.BreakerSet
-	degraded atomic.Int64 // queries served on the degraded plan
-}
-
-// newBreakerSet builds the breaker. threshold <= 0 disables it (allow
-// always says "optimized"); cooldown <= 0 takes the 5s default.
-func newBreakerSet(threshold int, cooldown time.Duration) *breakerSet {
-	return &breakerSet{set: fault.NewBreakerSet(threshold, cooldown)}
-}
-
-func (b *breakerSet) enabled() bool { return b != nil && b.set.Enabled() }
-
-// allow decides how the next query on table runs. degraded means "use
-// the force-seqscan plan"; probe means "this query is the half-open
-// probe — report its outcome with probe=true".
-func (b *breakerSet) allow(table string) (degraded, probe bool) {
-	if b == nil {
-		return false, false
-	}
-	return b.set.Allow(table)
-}
-
-// report records a query outcome on table. failed means the optimized
-// plan failed transiently or fell back to the sequential scan; probe
-// echoes allow's probe flag.
-func (b *breakerSet) report(table string, probe, failed bool) {
-	if b == nil {
-		return
-	}
-	b.set.Report(table, probe, failed)
-}
-
-// probeInconclusive returns a half-open circuit to open without
-// counting a trip: the probe died for reasons unrelated to the index
-// path (timeout, cancellation, parse), so it proved nothing.
-func (b *breakerSet) probeInconclusive(table string) {
-	if b == nil {
-		return
-	}
-	b.set.ProbeInconclusive(table)
-}
-
-// openCount returns how many tables currently have a non-closed
-// circuit (the minequeryd_breaker_open gauge).
-func (b *breakerSet) openCount() int {
-	if b == nil {
-		return 0
-	}
-	return b.set.OpenCount()
-}
-
-// trips returns the cumulative trip count.
-func (b *breakerSet) trips() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.set.Trips()
-}
-
-// stateOf reports a table's circuit state (for /v1/stats and tests).
-func (b *breakerSet) stateOf(table string) string {
-	if b == nil {
-		return fault.BreakerClosed.String()
-	}
-	return b.set.StateOf(table)
-}
-
-// setNow replaces the breaker's clock (tests advance time without
-// sleeping).
-func (b *breakerSet) setNow(fn func() time.Time) { b.set.SetNow(fn) }
+// The server's per-table circuit breaker is a fault.BreakerSet keyed by
+// table name, plus the server's policy for what "degraded" means. A
+// table's circuit trips open after BreakerThreshold consecutive
+// index-path failures (transient errors surfacing from an optimized
+// plan, or engine-level fallbacks); while open, the server sheds that
+// table's queries to the degraded force-seqscan plan — which returns
+// identical rows, so shedding is a latency trade, never a correctness
+// one. After cooldown the circuit goes half-open: a single probe runs the
+// optimized plan, and its outcome closes or re-opens the circuit
+// (executeGuarded).
 
 // breakerStats is the /v1/stats view of the circuit breaker.
 type breakerStats struct {
@@ -98,16 +20,18 @@ type breakerStats struct {
 	States     map[string]string `json:"states,omitempty"`
 }
 
-func (b *breakerSet) stats() breakerStats {
-	if !b.enabled() {
+// breakerStatus reports the breaker for /v1/stats: the zero view when it
+// is disabled.
+func (s *Server) breakerStatus() breakerStats {
+	if !s.breaker.Enabled() {
 		return breakerStats{}
 	}
-	states := b.set.States()
+	states := s.breaker.States()
 	return breakerStats{
 		Enabled:    true,
 		OpenTables: len(states),
-		Trips:      b.set.Trips(),
-		Degraded:   b.degraded.Load(),
+		Trips:      s.breaker.Trips(),
+		Degraded:   s.degraded.Load(),
 		States:     states,
 	}
 }

@@ -71,7 +71,7 @@ func TestBreakerTripsToDegradedMode(t *testing.T) {
 			t.Fatalf("execute %d: fallback rows differ from reference", i)
 		}
 	}
-	if got := s.breaker.stateOf("customers"); got != "open" {
+	if got := s.breaker.StateOf("customers"); got != "open" {
 		t.Fatalf("breaker state after %d fallbacks = %q, want open", 3, got)
 	}
 
@@ -94,7 +94,7 @@ func TestBreakerTripsToDegradedMode(t *testing.T) {
 		}
 	}
 
-	st := s.breaker.stats()
+	st := s.breakerStatus()
 	if st.Trips < 1 || st.Degraded < 2 || st.OpenTables != 1 {
 		t.Fatalf("breaker stats = %+v, want >=1 trip, >=2 degraded, 1 open table", st)
 	}
@@ -111,7 +111,7 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 			t.Fatalf("tripping execute: %d %s", status, raw)
 		}
 	}
-	if got := s.breaker.stateOf("customers"); got != "open" {
+	if got := s.breaker.StateOf("customers"); got != "open" {
 		t.Fatalf("breaker = %q, want open", got)
 	}
 
@@ -119,7 +119,7 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 	// the half-open probe, succeeds on the optimized plan, and closes
 	// the circuit.
 	eng.SetFaults(nil)
-	s.breaker.setNow(func() time.Time { return time.Now().Add(2 * time.Minute) })
+	s.breaker.SetNow(func() time.Time { return time.Now().Add(2 * time.Minute) })
 
 	status, raw := call(t, http.MethodPost, ts.URL+"/v1/execute", map[string]any{"sql": vipQuery})
 	if status != http.StatusOK {
@@ -129,7 +129,7 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 	if probe.Degraded || probe.Fallback {
 		t.Fatalf("probe ran degraded=%v fallback=%v, want the optimized plan", probe.Degraded, probe.Fallback)
 	}
-	if got := s.breaker.stateOf("customers"); got != "closed" {
+	if got := s.breaker.StateOf("customers"); got != "closed" {
 		t.Fatalf("breaker after successful probe = %q, want closed", got)
 	}
 	res := decode[chaosWire](t, raw)
@@ -148,19 +148,19 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		call(t, http.MethodPost, ts.URL+"/v1/execute", map[string]any{"sql": vipQuery})
 	}
-	trips := s.breaker.stats().Trips
+	trips := s.breakerStatus().Trips
 
 	// Past cooldown with the fault still armed: the probe fails and the
 	// circuit re-opens, counting another trip.
-	s.breaker.setNow(func() time.Time { return time.Now().Add(2 * time.Minute) })
+	s.breaker.SetNow(func() time.Time { return time.Now().Add(2 * time.Minute) })
 	status, raw := call(t, http.MethodPost, ts.URL+"/v1/execute", map[string]any{"sql": vipQuery})
 	if status != http.StatusOK {
 		t.Fatalf("probe execute: %d %s", status, raw)
 	}
-	if got := s.breaker.stateOf("customers"); got != "open" {
+	if got := s.breaker.StateOf("customers"); got != "open" {
 		t.Fatalf("breaker after failed probe = %q, want open", got)
 	}
-	if got := s.breaker.stats().Trips; got != trips+1 {
+	if got := s.breakerStatus().Trips; got != trips+1 {
 		t.Fatalf("trips after failed probe = %d, want %d", got, trips+1)
 	}
 }

@@ -75,23 +75,13 @@ func (s *Server) buildMetrics() *minequery.MetricsRegistry {
 
 	reg.GaugeFunc("minequeryd_breaker_open",
 		"Tables whose circuit breaker is currently open or half-open.",
-		func() float64 { return float64(s.breaker.openCount()) })
+		func() float64 { return float64(s.breaker.OpenCount()) })
 	reg.CounterFunc("minequeryd_breaker_trips_total",
 		"Circuit-breaker trips (closed->open, and failed probes re-opening).",
-		func() float64 {
-			if s.breaker == nil {
-				return 0
-			}
-			return counter(s.breaker.trips())
-		})
+		func() float64 { return counter(s.breaker.Trips()) })
 	reg.CounterFunc("minequeryd_degraded_queries_total",
 		"Queries shed to the degraded force-seqscan plan by an open breaker.",
-		func() float64 {
-			if s.breaker == nil {
-				return 0
-			}
-			return counter(s.breaker.degraded.Load())
-		})
+		func() float64 { return counter(s.degraded.Load()) })
 
 	reg.CounterFunc("minequeryd_slowlog_entries_total",
 		"Queries recorded in the slow-query log since start.",

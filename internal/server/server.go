@@ -14,6 +14,7 @@ import (
 
 	"minequery"
 	"minequery/internal/cluster"
+	"minequery/internal/fault"
 	"minequery/internal/sqlparse"
 	"minequery/internal/wire"
 )
@@ -105,7 +106,7 @@ type Server struct {
 	env      *envCache
 	sessions *sessionStore
 	slow     *slowLog
-	breaker  *breakerSet
+	breaker  *fault.BreakerSet // per-table circuits (breaker.go)
 	metrics  *minequery.MetricsRegistry
 	started  time.Time
 
@@ -117,6 +118,7 @@ type Server struct {
 	timeouts      atomic.Int64
 	cancelled     atomic.Int64
 	invalidations atomic.Int64
+	degraded      atomic.Int64 // queries served on the degraded plan
 
 	// execHook, when set, runs after admission but before execution —
 	// a test seam for holding a worker slot at a known point.
@@ -139,7 +141,7 @@ func New(eng *minequery.Engine, cfg Config) *Server {
 		env:      newEnvCache(cfg.EnvelopeCacheSize),
 		sessions: newSessionStore(),
 		slow:     newSlowLog(cfg.SlowLogSize),
-		breaker:  newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		breaker:  fault.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		started:  time.Now(),
 	}
 	s.metrics = s.buildMetrics()
@@ -674,14 +676,14 @@ func (s *Server) executeGuarded(ctx context.Context, ent *stmtEntry, sink minequ
 	table := ent.tableName()
 	probe := false
 	if !ent.force {
-		degraded, probe = s.breaker.allow(table)
+		degraded, probe = s.breaker.Allow(table)
 	}
 	if degraded {
 		dent, _, derr := s.reg.lookup(ent.sql, true)
 		if derr == nil {
 			res, planReused, err = s.reg.execute(ctx, dent, sink, opts)
 			if err == nil {
-				s.breaker.degraded.Add(1)
+				s.degraded.Add(1)
 				return res, planReused, true, nil
 			}
 			return nil, false, true, err
@@ -699,11 +701,11 @@ func (s *Server) executeGuarded(ctx context.Context, ent *stmtEntry, sink minequ
 			(err == nil && res.Fallback)
 		switch {
 		case failed:
-			s.breaker.report(table, probe, true)
+			s.breaker.Report(table, probe, true)
 		case err == nil:
-			s.breaker.report(table, probe, false)
+			s.breaker.Report(table, probe, false)
 		case probe:
-			s.breaker.probeInconclusive(table)
+			s.breaker.ProbeInconclusive(table)
 		}
 	}
 	return res, planReused, false, err
@@ -797,7 +799,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Admission:          s.adm.stats(),
 		Prepared:           s.reg.stats(),
 		EnvelopeCache:      s.env.stats(),
-		Breaker:            s.breaker.stats(),
+		Breaker:            s.breakerStatus(),
 	})
 }
 
