@@ -499,8 +499,9 @@ func defaultClusterOptions() cluster.Options {
 	return cluster.Options{K: 3, Seed: 1}
 }
 
-func (e *Engine) execCreateModel(st *sqlparse.CreateModelStmt, sql string) (*ExecResult, error) {
-	d := &modelDef{
+// newModelDef records a parsed CREATE MODEL as its definition.
+func newModelDef(st *sqlparse.CreateModelStmt, sql string) *modelDef {
+	return &modelDef{
 		name:    st.Name,
 		table:   st.Table,
 		family:  st.Family,
@@ -510,6 +511,10 @@ func (e *Engine) execCreateModel(st *sqlparse.CreateModelStmt, sql string) (*Exe
 		where:   st.Where,
 		sql:     sql,
 	}
+}
+
+func (e *Engine) execCreateModel(st *sqlparse.CreateModelStmt, sql string) (*ExecResult, error) {
+	d := newModelDef(st, sql)
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	// Train first (no side effects on failure), log the statement, then
@@ -559,16 +564,37 @@ func (e *Engine) explainStatement(st *sqlparse.Statement) (string, error) {
 		}
 		root = &plan.Mutation{Op: "delete", Table: t.Name, Child: dmlScanPlan(t.Name, st.Delete.Where)}
 	case sqlparse.StmtCreateModel:
-		cm := st.CreateModel
-		if _, ok := e.cat.Table(cm.Table); !ok {
-			return "", fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, cm.Table)
+		d := newModelDef(st.CreateModel, "")
+		t, ok := e.cat.Table(d.table)
+		if !ok {
+			return "", fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, d.table)
 		}
-		return fmt.Sprintf("CreateModel(%s family=%s predict=%s over %s)\n  SeqScan(%s)\n",
-			cm.Name, cm.Family, cm.Predict, cm.Table, cm.Table), nil
+		feats, label, err := resolveDefFeatures(t, d)
+		if err != nil {
+			return "", err
+		}
+		view, _, _, err := trainView(t, feats, label, d.where)
+		if err != nil {
+			return "", err
+		}
+		root = createModelNode{d: d, view: view}
 	default:
 		return "", fmt.Errorf("minequery: %w: cannot explain statement", qerr.ErrUnsupportedQuery)
 	}
 	return plan.Explain(root), nil
+}
+
+// createModelNode roots EXPLAIN CREATE MODEL: the model over the view
+// its training drains.
+type createModelNode struct {
+	d    *modelDef
+	view plan.Node
+}
+
+func (n createModelNode) Children() []plan.Node { return []plan.Node{n.view} }
+
+func (n createModelNode) Describe() string {
+	return fmt.Sprintf("CreateModel(%s family=%s predict=%s over %s)", n.d.name, n.d.family, n.d.predict, n.d.table)
 }
 
 func dmlScanPlan(table string, where expr.Expr) plan.Node {

@@ -4,8 +4,9 @@ package core
 // have an upper envelope u_f (f ⇒ u_f, over data columns only), how it
 // is assembled from the catalog's per-class envelopes U_c, and what it
 // is memoized under. The query rewriter ANDs u_f onto f and the
-// standing compiler gates f's evaluator with it; both ask
-// PredCols.Envelope. Soundness and the key scheme: DESIGN §4b item 9.
+// standing compiler puts u_f in place of f in a subscription's guard;
+// both ask PredCols.Envelope. Soundness and the key scheme: DESIGN §4b
+// item 9.
 //
 //	atom              u_f                                 key: shape|fingerprint|sorted labels
 //	pred = c          U_c                                 eq|fp|c
@@ -45,6 +46,22 @@ func ResolvePredCols(q *sqlparse.Query, cat *catalog.Catalog) (PredCols, error) 
 		pc[me.PredictionColumn(j.Alias).Name] = me
 	}
 	return pc, nil
+}
+
+// PostPredictSchema is the schema of a row of q's table after its
+// prediction joins: base's columns plus one predicted column per
+// PREDICTION JOIN, in join order, exactly as the Predict operators
+// append them at execution.
+func PostPredictSchema(q *sqlparse.Query, cat *catalog.Catalog, base *value.Schema) (*value.Schema, error) {
+	cols := append(make([]value.Column, 0, base.Len()+len(q.Joins)), base.Columns...)
+	for _, j := range q.Joins {
+		me, ok := cat.Model(j.Model)
+		if !ok {
+			return nil, fmt.Errorf("core: %w %q", qerr.ErrUnknownModel, j.Model)
+		}
+		cols = append(cols, me.PredictionColumn(j.Alias))
+	}
+	return value.NewSchema(cols...)
 }
 
 // Model returns the model predicting col, if col is a prediction

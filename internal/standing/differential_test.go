@@ -5,7 +5,7 @@ package standing
 // predicates under AND/OR/NOT — evaluated over random committed batches
 // by the shared compiled Set and, independently, by the naiveMatcher
 // oracle (fresh per-subscription per-row prediction, direct expression
-// evaluation over the extended schema, no shared code). Every
+// evaluation over the extended schema, no index, memo or guard). Every
 // notification stream must be byte-identical to the oracle's: same
 // matches, same order, same projected values. The run is a pure
 // function of the seed; any divergence is a compilation or sharing bug,

@@ -5,9 +5,12 @@ package standing
 // way the engine's own post-prediction filter would — the row is
 // extended with one predicted column per PREDICTION JOIN (a fresh model
 // call each, no memoization, no envelopes, no index) and the parsed
-// WHERE tree is evaluated directly over the extended schema. It shares
-// no evaluation code with the compiled set, so agreement between the
-// two is evidence, not tautology.
+// WHERE tree is evaluated directly over the extended schema. The
+// compiled set decides a candidate with the same expr.Eval, so what
+// agreement between the two proves is everything the set adds around
+// it: the interval index's pruning, the guard's gating of model calls,
+// the per-row prediction memo and the extended-row buffer it shares
+// across candidates, and the projection.
 
 import (
 	"fmt"

@@ -1,26 +1,32 @@
 // Package standing is the standing-query engine over the write stream:
 // clients register ordinary SELECT statements (including PREDICTION
 // JOINs and mining predicates) as subscriptions, and the whole
-// registered set is compiled into one shared discrimination structure
-// that the write path evaluates once per committed batch.
+// registered set is compiled into one shared structure that the write
+// path evaluates once per committed batch.
 //
-// Sharing happens at three levels, mirroring the paper's amortization
+// A subscription is the query it was written as. It matches a row when
+// its WHERE, evaluated by expr.Eval over the row extended with one
+// prediction per PREDICTION JOIN, holds, which is how the query path's
+// post-prediction filter decides it. Its guard plays the upper
+// envelope's part in the paper's f ∧ u_f: the WHERE weakened to the
+// data columns, each mining atom replaced by its envelope region
+// (interned across the set under the query rewriter's
+// fingerprint-derived keys) and each NOT subtree by TRUE. Guard false
+// implies WHERE false.
+//
+// The set shares work in two layers, mirroring the paper's amortization
 // argument for continuously re-evaluated mining predicates:
 //
-//   - Envelope regions — the sound data-column weakenings of each
-//     mining predicate shape — are deduplicated across subscriptions by
-//     the same fingerprint-keyed scheme as the query rewriter's
-//     envelope cache, so N subscriptions over one model share one
-//     region evaluation per row.
-//   - Model predictions are memoized per (row, model): a row touching
-//     twenty subscriptions on the same model costs one Predict call,
-//     and envelope-rejected rows cost zero.
 //   - Subscriptions are indexed by (column, interval): the distinct
-//     constants of the registered set's data predicates form a
-//     synthetic partition spec per column, each subscription keeps the
-//     segments its predicate can intersect (the PR 5 pruning walk), and
-//     a row stabs each index to skip subscriptions whose guard interval
-//     it cannot satisfy.
+//     constants of the guards form a synthetic partition spec per
+//     column, each subscription keeps the segments its guard can
+//     intersect (opt.PruneSpec, the partition pruning walk), and a row
+//     stabs each index to skip subscriptions whose guard it cannot
+//     satisfy.
+//   - Model predictions are memoized per (row, model), and a candidate's
+//     models are called only once its whole guard holds: a row touching
+//     twenty subscriptions on the same model costs one Predict call, and
+//     a guard-rejected row costs zero.
 //
 // Matches are delivered through a bounded queue that never blocks the
 // write path: when the queue is full the notification is dropped and
@@ -77,7 +83,7 @@ type Stats struct {
 	// the work the interval index could not prune.
 	Evals int64
 	// ModelCalls counts actual model Predict invocations (memoization
-	// and envelope gating make this far smaller than Evals).
+	// and guard gating make this far smaller than Evals).
 	ModelCalls int64
 	// Dropped counts notifications discarded because the queue was full.
 	Dropped int64
@@ -336,6 +342,7 @@ func (s *Set) recompileLocked() {
 			}
 			sub.err = ""
 			b.subs = append(b.subs, cs)
+			b.width = max(b.width, cs.schema.Len())
 		}
 		if len(b.subs) == 0 {
 			continue
@@ -369,7 +376,7 @@ func (s *Set) EvalBatch(table string, rows []value.Tuple, epoch int64) {
 				word &= word - 1
 				cs := ct.subs[i]
 				s.evals.Add(1)
-				if !cs.root.eval(rc) {
+				if !cs.match(rc) {
 					continue
 				}
 				s.matches.Add(1)
@@ -379,7 +386,7 @@ func (s *Set) EvalBatch(table string, rows []value.Tuple, epoch int64) {
 					SubID:   cs.src.id,
 					Table:   ct.name,
 					Columns: cs.cols,
-					Row:     cs.project(rc),
+					Row:     cs.project(rc.ext),
 					Epoch:   epoch,
 				}
 				select {

@@ -103,6 +103,29 @@ func TestSubscribeValidation(t *testing.T) {
 	}
 }
 
+// TestSubscribeBindsEveryJoin: a join is bound at Subscribe even when
+// neither WHERE nor SELECT reads its prediction, as a query's Predict
+// operators bind it, so a model whose inputs the table lacks is refused
+// there.
+func TestSubscribeBindsEveryJoin(t *testing.T) {
+	cat := newTestCatalog(t)
+	ts := &mining.TrainSet{Schema: value.MustSchema(value.Column{Name: "elsewhere", Kind: value.KindInt})}
+	for i := int64(0); i < 10; i++ {
+		ts.Rows = append(ts.Rows, value.Tuple{value.Int(i)})
+		ts.Labels = append(ts.Labels, value.Str([]string{"low", "high"}[i%2]))
+	}
+	m, err := dtree.Train("foreign", "cls", ts, dtree.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.RegisterModel(m, nil)
+	s := NewSet(cat, Options{})
+	sql := "SELECT id FROM events PREDICTION JOIN foreign AS f ON f.elsewhere = events.num WHERE num >= 0"
+	if _, err := s.Subscribe(sql); !errors.Is(err, qerr.ErrUnsupportedQuery) {
+		t.Fatalf("Subscribe(%q) = %v, want ErrUnsupportedQuery", sql, err)
+	}
+}
+
 func TestDataOnlyMatching(t *testing.T) {
 	cat := newTestCatalog(t)
 	s := NewSet(cat, Options{})
@@ -323,10 +346,12 @@ func TestModelCallSharingAndEnvelopeGating(t *testing.T) {
 	cat := newTestCatalog(t)
 	trainThreshold(t, cat, "dt", 50)
 	s := NewSet(cat, Options{})
-	// Twenty subscriptions over the same mining predicate shape.
+	// Twenty subscriptions over the same mining predicate shape. The OR
+	// keeps the interval index from pruning on id, so a row with a low id
+	// reaches every subscription's guard.
 	for i := 0; i < 20; i++ {
 		sql := fmt.Sprintf(
-			"SELECT * FROM events PREDICTION JOIN dt AS m ON m.num = events.num WHERE m.cls = 'high' AND id >= %d", -i)
+			"SELECT * FROM events PREDICTION JOIN dt AS m ON m.num = events.num WHERE m.cls = 'high' AND (id >= %d OR cat = 'none')", -i)
 		if _, err := s.Subscribe(sql); err != nil {
 			t.Fatal(err)
 		}
@@ -346,13 +371,21 @@ func TestModelCallSharingAndEnvelopeGating(t *testing.T) {
 	if st.Matches != 20 {
 		t.Fatalf("matches = %d, want 20", st.Matches)
 	}
+	// A high row that every subscription's id conjunct rejects: the 'high'
+	// envelope admits it, but the whole guard gates the model, not only
+	// the atom's region, so it costs no call.
+	s.EvalBatch("events", []value.Tuple{eventRow(-100, 95, "a")}, 1)
+	after := s.Stats()
+	if calls, matches := after.ModelCalls-st.ModelCalls, after.Matches-st.Matches; calls != 0 || matches != 0 {
+		t.Fatalf("guard-rejected row: %d model calls and %d matches, want 0 and 0", calls, matches)
+	}
 }
 
 // TestRegionInternedAcrossAliases: a region is keyed by what it
 // selects (shape, model fingerprint, class set), never by how a
 // subscription spells its prediction column, so the same mining atom
-// under different aliases and different case is still ONE region — one
-// evaluation per row however many subscriptions carry it.
+// under different aliases and different case is still ONE region —
+// derived once per recompile however many subscriptions carry it.
 func TestRegionInternedAcrossAliases(t *testing.T) {
 	cat := newTestCatalog(t)
 	trainThreshold(t, cat, "dt", 50)

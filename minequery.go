@@ -13,19 +13,9 @@
 // optimizer exploit indexes or even prove the query empty, exactly the
 // optimization the paper proposes.
 //
-// Quick start:
-//
-//	eng := minequery.New()
-//	eng.CreateTable("customers", minequery.MustSchema(
-//		minequery.Column{Name: "age", Kind: minequery.KindInt},
-//		minequery.Column{Name: "income", Kind: minequery.KindInt},
-//	))
-//	// ... Insert rows, then:
-//	eng.TrainDecisionTree("risk", "risk", "customers",
-//		[]string{"age", "income"}, labels, minequery.TreeOptions{})
-//	res, err := eng.Query(`SELECT * FROM customers
-//		PREDICTION JOIN risk AS m ON m.age = customers.age AND m.income = customers.income
-//		WHERE m.risk = 'high'`)
+// The quick start is ExampleEngine (example_test.go), which go test
+// compiles and runs: it creates a table, trains a decision tree on it
+// and runs a query with a mining predicate.
 package minequery
 
 import (
@@ -392,15 +382,41 @@ func (e *Engine) buildTrainSet(table string, inputCols []string, labelCol string
 
 // buildTrainSetWhere is buildTrainSet over a relational view: rows
 // failing where (when non-nil) are excluded from training. This is the
-// CREATE MODEL ... AS SELECT path. The view is run as the plan it is —
-// Project(inputs, label) over Filter(where) over a sequential scan — so
-// the executor's one page reader decodes the columns those name and no
-// others, and each training row is copied out once, already narrowed.
+// CREATE MODEL ... AS SELECT path. The view is run as the plan trainView
+// builds, and each training row is copied out once, already narrowed.
 func (e *Engine) buildTrainSetWhere(table string, inputCols []string, labelCol string, where expr.Expr) (*mining.TrainSet, error) {
 	t, ok := e.cat.Table(table)
 	if !ok {
 		return nil, fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, table)
 	}
+	view, schema, labelAt, err := trainView(t, inputCols, labelCol, where)
+	if err != nil {
+		return nil, err
+	}
+	// The rows go straight into the slice the train set keeps, sized from
+	// the table's row count.
+	rows := exec.RowBuffer{Rows: make([]value.Tuple, 0, t.Heap.Len())}
+	if _, err := exec.Drain(context.Background(), e.cat, view, exec.Options{}, &rows); err != nil {
+		return nil, fmt.Errorf("minequery: train scan of %s: %w", table, err)
+	}
+	n := schema.Len()
+	ts := &mining.TrainSet{Schema: schema, Rows: rows.Rows, Labels: make([]value.Value, len(rows.Rows))}
+	for i, row := range ts.Rows {
+		if labelAt >= 0 {
+			ts.Labels[i] = row[labelAt]
+		}
+		ts.Rows[i] = row[:n:n]
+	}
+	return ts, nil
+}
+
+// trainView is the plan a relational view for training runs, and the
+// one EXPLAIN CREATE MODEL shows: Project(inputs, label) over
+// Filter(where) over a sequential scan of t, so the executor's one page
+// reader decodes the columns those name and no others. It also returns
+// the inputs' schema and where the label sits in a projected row (-1
+// without one).
+func trainView(t *catalog.Table, inputCols []string, labelCol string, where expr.Expr) (plan.Node, *value.Schema, int, error) {
 	cols := make([]Column, len(inputCols))
 	project := append(make([]string, 0, len(inputCols)+1), inputCols...)
 	labelOrd, labelAt := -1, -1 // the label's place in the table, and in a projected row
@@ -410,7 +426,7 @@ func (e *Engine) buildTrainSetWhere(table string, inputCols []string, labelCol s
 	for i, c := range inputCols {
 		o := t.Schema.Ordinal(c)
 		if o < 0 {
-			return nil, fmt.Errorf("minequery: no column %q in %s", c, table)
+			return nil, nil, 0, fmt.Errorf("minequery: no column %q in %s", c, t.Name)
 		}
 		cols[i] = t.Schema.Col(o)
 		if o == labelOrd {
@@ -419,32 +435,19 @@ func (e *Engine) buildTrainSetWhere(table string, inputCols []string, labelCol s
 	}
 	if labelCol != "" && labelAt < 0 {
 		if labelOrd < 0 {
-			return nil, fmt.Errorf("minequery: no label column %q in %s", labelCol, table)
+			return nil, nil, 0, fmt.Errorf("minequery: no label column %q in %s", labelCol, t.Name)
 		}
 		labelAt, project = len(project), append(project, labelCol)
 	}
 	schema, err := value.NewSchema(cols...)
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
 	var root plan.Node = &plan.SeqScan{Table: t.Name}
 	if where != nil {
 		root = &plan.Filter{Child: root, Pred: where}
 	}
-	// The rows go straight into the slice the train set keeps, sized from
-	// the table's row count.
-	rows := exec.RowBuffer{Rows: make([]value.Tuple, 0, t.Heap.Len())}
-	if _, err := exec.Drain(context.Background(), e.cat, &plan.Project{Child: root, Cols: project}, exec.Options{}, &rows); err != nil {
-		return nil, fmt.Errorf("minequery: train scan of %s: %w", table, err)
-	}
-	ts := &mining.TrainSet{Schema: schema, Rows: rows.Rows, Labels: make([]value.Value, len(rows.Rows))}
-	for i, row := range ts.Rows {
-		if labelAt >= 0 {
-			ts.Labels[i] = row[labelAt]
-		}
-		ts.Rows[i] = row[:len(cols):len(cols)]
-	}
-	return ts, nil
+	return &plan.Project{Child: root, Cols: project}, schema, labelAt, nil
 }
 
 // registerWithEnvelopes derives envelopes and registers the model.
@@ -729,7 +732,7 @@ func (e *Engine) validateAggregate(q *sqlparse.Query, t *catalog.Table) error {
 			return fmt.Errorf("minequery: %w: unknown aggregate function %q", qerr.ErrUnsupportedQuery, it.Agg)
 		}
 	}
-	sch, err := e.postPredictSchema(q, t)
+	sch, err := core.PostPredictSchema(q, e.cat, t.Schema)
 	if err != nil {
 		return err
 	}
@@ -744,21 +747,6 @@ func (e *Engine) validateAggregate(q *sqlparse.Query, t *catalog.Table) error {
 		return fmt.Errorf("minequery: %w: %v", qerr.ErrUnsupportedQuery, err)
 	}
 	return nil
-}
-
-// postPredictSchema is the schema flowing into the aggregation: the base
-// table's columns plus one predicted column per PREDICTION JOIN, exactly
-// as the Predict operators will append them at execution.
-func (e *Engine) postPredictSchema(q *sqlparse.Query, t *catalog.Table) (*value.Schema, error) {
-	cols := append([]value.Column(nil), t.Schema.Columns...)
-	for _, j := range q.Joins {
-		me, ok := e.cat.Model(j.Model)
-		if !ok {
-			continue // caught earlier by the rewriter
-		}
-		cols = append(cols, me.PredictionColumn(j.Alias))
-	}
-	return value.NewSchema(cols...)
 }
 
 // aggItems converts the parsed select list to agg items. Function names

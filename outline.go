@@ -75,7 +75,7 @@ func (e *Engine) Outline(sql string) (*PlanOutline, error) {
 	q, t, rw := p.query, p.table, p.rewrite
 	var aggSpec *AggSpec
 	if q.Grouped() {
-		sch, err := e.postPredictSchema(q, t)
+		sch, err := core.PostPredictSchema(q, e.cat, t.Schema)
 		if err != nil {
 			return nil, err
 		}

@@ -32,8 +32,9 @@ type (
 // subscription id. The statement must be a SELECT over one table —
 // PREDICTION JOINs and mining predicates welcome — without GROUP BY,
 // aggregates, or LIMIT. From then on, every row committed by an Exec
-// write statement is classified against the query (envelope regions
-// first, model calls only for rows the envelopes cannot reject) and
+// write statement is classified against the query (its guard first,
+// the data predicates with envelope regions in place of the mining
+// ones, and model calls only for rows the guard cannot reject) and
 // matches are queued for Notifications.
 func (e *Engine) Subscribe(sql string) (int64, error) {
 	return e.standing.Subscribe(sql)

@@ -74,6 +74,24 @@ func TestBuildTrainSetWhere(t *testing.T) {
 	}
 }
 
+// TestExplainCreateModelShowsTrainView: EXPLAIN CREATE MODEL prints the
+// plan training drains — the view's WHERE as a Filter and its columns
+// as a Project over the scan — not a bare scan.
+func TestExplainCreateModelShowsTrainView(t *testing.T) {
+	eng := trainSetFixture(t, 10)
+	got, err := eng.Explain("CREATE MODEL m ON t PREDICT label USING dtree AS SELECT a, label FROM t WHERE a > 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "CreateModel(m family=dtree predict=label over t)\n" +
+		"  Project(a, label)\n" +
+		"    Filter(a > 5)\n" +
+		"      SeqScan(t)\n"
+	if got != want {
+		t.Fatalf("EXPLAIN CREATE MODEL =\n%s\nwant\n%s", got, want)
+	}
+}
+
 // TestAllocTrainSetReadsOnlyItsColumns: the train scan decodes the
 // inputs, the label and the WHERE's columns; the half-KiB note of every
 // row is never built.

@@ -102,17 +102,7 @@ func (e *Engine) replayRecord(rec *wal.Record) error {
 		if st.Kind != sqlparse.StmtCreateModel {
 			return fmt.Errorf("logged DDL is not CREATE MODEL: %q", rec.DDL)
 		}
-		cm := st.CreateModel
-		_, err = e.createModelLocked(&modelDef{
-			name:    cm.Name,
-			table:   cm.Table,
-			family:  cm.Family,
-			predict: cm.Predict,
-			feats:   cm.Feats,
-			star:    cm.Star,
-			where:   cm.Where,
-			sql:     rec.DDL,
-		})
+		_, err = e.createModelLocked(newModelDef(st.CreateModel, rec.DDL))
 		return err
 	}
 	return fmt.Errorf("unknown WAL record kind %d", rec.Kind)
