@@ -51,12 +51,8 @@ func Train(name, predCol string, ts *mining.TrainSet, opts Options) (*Model, err
 	if opts.Laplace <= 0 {
 		opts.Laplace = 1
 	}
-	classes := ts.ClassSet()
-	sort.Slice(classes, func(i, j int) bool { return value.Compare(classes[i], classes[j]) < 0 })
-	classIdx := map[string]int{}
-	for k, c := range classes {
-		classIdx[c.String()] = k
-	}
+	ids, seen := ts.ClassIDs()
+	classes, rank := sortedByCompare(seen)
 	n := ts.Schema.Len()
 	m := &Model{
 		name:    name,
@@ -68,46 +64,39 @@ func Train(name, predCol string, ts *mining.TrainSet, opts Options) (*Model, err
 		Cond:    make([][][]float64, n),
 		Floor:   make([][]float64, n),
 	}
-	// Enumerate domains.
-	memberIdx := make([]map[string]int, n)
-	for d := 0; d < n; d++ {
-		seen := map[string]value.Value{}
-		for _, r := range ts.Rows {
-			if !r[d].IsNull() {
-				seen[r[d].String()] = r[d]
-			}
-		}
-		dom := make([]value.Value, 0, len(seen))
-		for _, v := range seen {
-			dom = append(dom, v)
-		}
-		sort.Slice(dom, func(i, j int) bool { return value.Compare(dom[i], dom[j]) < 0 })
-		if len(dom) == 0 {
-			return nil, fmt.Errorf("nbayes: attribute %s has no non-null values", m.cols[d])
-		}
-		m.Domains[d] = dom
-		memberIdx[d] = make(map[string]int, len(dom))
-		for l, v := range dom {
-			memberIdx[d][v.String()] = l
-		}
-	}
-	// Count.
+	// Count, numbering each attribute's members as they are met. Members
+	// are keyed like classes (mining.Interner); of two values that render
+	// the same, the last one seen stands for the member.
 	classCount := make([]float64, len(classes))
-	counts := make([][][]float64, n)
-	for d := 0; d < n; d++ {
-		counts[d] = make([][]float64, len(m.Domains[d]))
-		for l := range counts[d] {
-			counts[d][l] = make([]float64, len(classes))
-		}
-	}
+	members := make([]mining.Interner, n)
+	seenDom := make([][]value.Value, n)
+	seenCounts := make([][][]float64, n)
 	for i, r := range ts.Rows {
-		k := classIdx[ts.Labels[i].String()]
+		k := rank[ids[i]]
 		classCount[k]++
-		for d := 0; d < n; d++ {
-			if r[d].IsNull() {
+		for d, v := range r {
+			if v.IsNull() {
 				continue
 			}
-			counts[d][memberIdx[d][r[d].String()]][k]++
+			l := members[d].ID(v)
+			if l == len(seenDom[d]) {
+				seenDom[d] = append(seenDom[d], v)
+				seenCounts[d] = append(seenCounts[d], make([]float64, len(classes)))
+			}
+			seenDom[d][l] = v
+			seenCounts[d][l][k]++
+		}
+	}
+	counts := make([][][]float64, n)
+	for d := 0; d < n; d++ {
+		if len(seenDom[d]) == 0 {
+			return nil, fmt.Errorf("nbayes: attribute %s has no non-null values", m.cols[d])
+		}
+		var memberRank []int
+		m.Domains[d], memberRank = sortedByCompare(seenDom[d])
+		counts[d] = make([][]float64, len(memberRank))
+		for l, c := range seenCounts[d] {
+			counts[d][memberRank[l]] = c
 		}
 	}
 	total := float64(len(ts.Rows))
@@ -145,6 +134,21 @@ func Train(name, predCol string, ts *mining.TrainSet, opts Options) (*Model, err
 		}
 	}
 	return m, nil
+}
+
+// sortedByCompare returns vs sorted by value.Compare, and the position
+// rank[i] that vs[i] takes there.
+func sortedByCompare(vs []value.Value) (sorted []value.Value, rank []int) {
+	order := make([]int, len(vs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool { return value.Compare(vs[order[i]], vs[order[j]]) < 0 })
+	sorted, rank = make([]value.Value, len(vs)), make([]int, len(vs))
+	for p, i := range order {
+		sorted[p], rank[i] = vs[i], p
+	}
+	return sorted, rank
 }
 
 // Name implements mining.Model.

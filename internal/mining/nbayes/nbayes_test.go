@@ -2,7 +2,10 @@ package nbayes
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"minequery/internal/mining"
@@ -257,6 +260,128 @@ func TestTrainErrors(t *testing.T) {
 	}
 	if _, err := Train("m", "c", bad, Options{}); err == nil {
 		t.Error("all-null attribute should error")
+	}
+}
+
+// trainByRendering is Train as it was when every count keyed its member
+// and its class by Value.String: the oracle for the interned counts.
+func trainByRendering(ts *mining.TrainSet, laplace float64) *Model {
+	classes := ts.ClassSet()
+	sort.Slice(classes, func(i, j int) bool { return value.Compare(classes[i], classes[j]) < 0 })
+	classIdx := map[string]int{}
+	for k, c := range classes {
+		classIdx[c.String()] = k
+	}
+	n := ts.Schema.Len()
+	m := &Model{classes: classes, Domains: make([][]value.Value, n), Priors: make([]float64, len(classes)),
+		Cond: make([][][]float64, n), Floor: make([][]float64, n)}
+	memberIdx := make([]map[string]int, n)
+	for d := 0; d < n; d++ {
+		seen := map[string]value.Value{}
+		for _, r := range ts.Rows {
+			if !r[d].IsNull() {
+				seen[r[d].String()] = r[d]
+			}
+		}
+		for _, v := range seen {
+			m.Domains[d] = append(m.Domains[d], v)
+		}
+		sort.Slice(m.Domains[d], func(i, j int) bool { return value.Compare(m.Domains[d][i], m.Domains[d][j]) < 0 })
+		memberIdx[d] = map[string]int{}
+		for l, v := range m.Domains[d] {
+			memberIdx[d][v.String()] = l
+		}
+	}
+	classCount := make([]float64, len(classes))
+	counts := make([][][]float64, n)
+	for d := 0; d < n; d++ {
+		counts[d] = make([][]float64, len(m.Domains[d]))
+		for l := range counts[d] {
+			counts[d][l] = make([]float64, len(classes))
+		}
+	}
+	for i, r := range ts.Rows {
+		k := classIdx[ts.Labels[i].String()]
+		classCount[k]++
+		for d := 0; d < n; d++ {
+			if !r[d].IsNull() {
+				counts[d][memberIdx[d][r[d].String()]][k]++
+			}
+		}
+	}
+	minCount := classCount[0]
+	for k := range classes {
+		m.Priors[k] = classCount[k] / float64(len(ts.Rows))
+		minCount = math.Min(minCount, classCount[k])
+	}
+	for d := 0; d < n; d++ {
+		nd := float64(len(m.Domains[d]))
+		floor := laplace / (minCount + laplace*nd)
+		m.Floor[d] = make([]float64, len(classes))
+		m.Cond[d] = make([][]float64, len(m.Domains[d]))
+		for k := range classes {
+			m.Floor[d][k] = floor
+		}
+		for l := range m.Domains[d] {
+			m.Cond[d][l] = make([]float64, len(classes))
+			for k := range classes {
+				m.Cond[d][l][k] = math.Max(floor, (counts[d][l][k]+laplace)/(classCount[k]+laplace*nd))
+			}
+		}
+	}
+	return m
+}
+
+// TestTrainMatchesRenderKeyedCounts: interning members and classes by ==
+// before rendering trains the model counting by rendering did, over the
+// values where == and rendering part ways — INT 2 and FLOAT 2 (one
+// member, the last seen standing for it), -0 and 0 (two), NaN payloads
+// (one), and NULL. Members Compare ties (-0 and 0) may sit in either
+// order, the render-keyed loop's map order having never fixed it, so
+// each attribute's members are matched by rendering.
+func TestTrainMatchesRenderKeyedCounts(t *testing.T) {
+	nan2 := math.Float64frombits(0x7ff8000000000bad)
+	pools := [][]value.Value{
+		{value.Int(2), value.Float(2), value.Float(0), value.Float(math.Copysign(0, -1)), value.Float(math.NaN()), value.Float(nan2), value.Null(), value.Int(-1)},
+		{value.Str("2"), value.Int(2), value.Float(2.5), value.Bool(true), value.Str("TRUE"), value.Null(), value.Str("")},
+		{value.Str("a"), value.Int(2), value.Float(2), value.Float(0), value.Float(math.Copysign(0, -1)), value.Float(math.NaN()), value.Float(nan2), value.Null()},
+	}
+	schema := value.MustSchema(value.Column{Name: "x", Kind: value.KindFloat}, value.Column{Name: "y", Kind: value.KindString})
+	for seed := int64(0); seed < 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		ts := &mining.TrainSet{Schema: schema}
+		for i := 0; i < 10+r.Intn(200); i++ {
+			ts.Rows = append(ts.Rows, value.Tuple{pools[0][r.Intn(len(pools[0]))], pools[1][r.Intn(len(pools[1]))]})
+			ts.Labels = append(ts.Labels, pools[2][r.Intn(len(pools[2]))])
+		}
+		got, err := Train("nb", "cls", ts, Options{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		// == on Values compares a FLOAT's bits: slices.Equal is identity.
+		want := trainByRendering(ts, 1)
+		if !slices.Equal(got.classes, want.classes) || !slices.Equal(got.Priors, want.Priors) {
+			t.Fatalf("seed %d: classes %v priors %v, want %v %v", seed, got.classes, got.Priors, want.classes, want.Priors)
+		}
+		for d := range want.Domains {
+			if !slices.Equal(got.Floor[d], want.Floor[d]) {
+				t.Fatalf("seed %d attribute %d: floor %v, want %v", seed, d, got.Floor[d], want.Floor[d])
+			}
+			if !slices.IsSortedFunc(got.Domains[d], value.Compare) || len(got.Domains[d]) != len(want.Domains[d]) {
+				t.Fatalf("seed %d attribute %d: domain %v, want %v sorted by Compare", seed, d, got.Domains[d], want.Domains[d])
+			}
+			byText := map[string]int{}
+			for l, v := range want.Domains[d] {
+				byText[v.String()] = l
+			}
+			for l, v := range got.Domains[d] {
+				wl, ok := byText[v.String()]
+				if !ok || v != want.Domains[d][wl] || !slices.Equal(got.Cond[d][l], want.Cond[d][wl]) {
+					t.Fatalf("seed %d attribute %d: member %v (%v) cond %v, want %v (%v) cond %v",
+						seed, d, v, v.Kind(), got.Cond[d][l], want.Domains[d][wl], want.Domains[d][wl].Kind(), want.Cond[d][wl])
+				}
+			}
+		}
 	}
 }
 

@@ -45,36 +45,51 @@ func (ts *TrainSet) ClassSet() []value.Value {
 // ClassIDs interns the labels to dense class ids: ids[i] is the class of
 // Labels[i] and classes[id] the first label seen of class id, so classes
 // is in first-seen order. Two labels are one class when they render the
-// same (Value.String) — an INT 2 and a FLOAT 2 are — which is how the
-// inducers have always keyed their counts; interning renders each
-// distinct label once where they rendered every row's on every count.
+// same (see Interner).
 func (ts *TrainSet) ClassIDs() (ids []int, classes []value.Value) {
 	ids = make([]int, len(ts.Labels))
-	byText := map[string]int{}
-	// Labels of every kind but FLOAT render alike exactly when they are
-	// equal, so those are recognized without rendering. (NaN is not equal
-	// to itself and -0 equals 0, yet one renders alike and the other not.)
-	seen := map[value.Value]int{}
+	var in Interner
 	for i, l := range ts.Labels {
-		exact := l.Kind() != value.KindFloat
-		id, ok := -1, false
-		if exact {
-			id, ok = seen[l]
-		}
-		if !ok {
-			text := l.String()
-			if id, ok = byText[text]; !ok {
-				id = len(classes)
-				byText[text] = id
-				classes = append(classes, l)
-			}
-			if exact {
-				seen[l] = id
-			}
+		id := in.ID(l)
+		if id == len(classes) {
+			classes = append(classes, l)
 		}
 		ids[i] = id
 	}
 	return ids, classes
+}
+
+// Interner numbers values by their rendering (Value.String): two values
+// get one id when they render the same — an INT 2 and a FLOAT 2 do, -0
+// and 0 do not — which is how the inducers have always keyed their
+// counts. Ids are dense and in first-seen order, so a value whose id
+// equals the number of ids handed out before it is the first of its id.
+// The zero Interner is ready to use.
+//
+// A value met before is recognized by == without being rendered, so each
+// distinct value is rendered once: == implies the same rendering, a
+// FLOAT's == comparing its bits.
+type Interner struct {
+	exact  map[value.Value]int
+	byText map[string]int
+}
+
+// ID returns v's id.
+func (in *Interner) ID(v value.Value) int {
+	if id, ok := in.exact[v]; ok {
+		return id
+	}
+	if in.exact == nil {
+		in.exact, in.byText = map[value.Value]int{}, map[string]int{}
+	}
+	text := v.String()
+	id, ok := in.byText[text]
+	if !ok {
+		id = len(in.byText)
+		in.byText[text] = id
+	}
+	in.exact[v] = id
+	return id
 }
 
 // ColumnNames returns the schema's column names in order.

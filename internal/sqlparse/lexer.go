@@ -37,7 +37,7 @@ type lexer struct {
 // lex splits src into tokens. Keywords are returned as tokIdent; the
 // parser matches them case-insensitively.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	l := &lexer{src: src, toks: make([]token, 0, countTokens(src))}
 	for {
 		l.skipSpace()
 		if l.pos >= len(l.src) {
@@ -80,6 +80,47 @@ func lex(src string) ([]token, error) {
 	}
 }
 
+// countTokens estimates, in one pass over the bytes, how many tokens lex
+// finds in src, to size its slice: it counts the bytes that start one —
+// a symbol byte, the quote opening a literal, any other byte after a
+// space, a symbol or a literal — and the EOF token. Quoted text is
+// skipped, so one long literal or identifier counts once. Two-byte
+// symbols and the dot of a number count twice; tokens that abut with
+// nothing between them (x-1) and Unicode spaces count short, and append
+// absorbs those.
+func countTokens(src string) int {
+	n := 1
+	inQuote, sep := false, true
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		if c == '\'' {
+			// A quote right after a closing one is a doubled quote inside
+			// the same literal.
+			if !inQuote && (i == 0 || src[i-1] != '\'') {
+				n++
+			}
+			inQuote, sep = !inQuote, true
+			continue
+		}
+		if inQuote {
+			continue
+		}
+		switch c {
+		case ' ', '\t', '\n', '\r', '\f', '\v':
+			sep = true
+		case '<', '>', '=', '!', '(', ')', ',', '.', '*', '[', ']':
+			n++
+			sep = true
+		default:
+			if sep {
+				n++
+			}
+			sep = false
+		}
+	}
+	return n
+}
+
 func (l *lexer) skipSpace() {
 	for l.pos < len(l.src) {
 		r, w := utf8.DecodeRuneInString(l.src[l.pos:])
@@ -117,6 +158,8 @@ func (l *lexer) lexNumber(start int) {
 func (l *lexer) lexString(start int) error {
 	l.pos++ // opening quote
 	var b strings.Builder
+	// The text up to the next quote is the literal's, or its first piece.
+	b.Grow(max(strings.IndexByte(l.src[l.pos:], '\''), 0))
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		if c == '\'' {

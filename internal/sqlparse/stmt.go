@@ -183,7 +183,11 @@ func (p *parser) parseInsert() (*InsertStmt, error) {
 		if err := p.expectSymbol("("); err != nil {
 			return nil, err
 		}
-		var row []value.Value
+		arity := len(st.Columns)
+		if len(st.Rows) > 0 {
+			arity = len(st.Rows[0])
+		}
+		row := make([]value.Value, 0, arity)
 		for {
 			v, err := p.literal()
 			if err != nil {

@@ -23,10 +23,8 @@ func (v Value) Encode(dst []byte) []byte {
 	dst = append(dst, byte(v.kind))
 	switch v.kind {
 	case KindNull:
-	case KindInt:
+	case KindInt, KindFloat: // a FLOAT's word is its Float64bits
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.i))
-	case KindFloat:
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.f))
 	case KindBool:
 		dst = append(dst, byte(v.i))
 	case KindString:

@@ -1,0 +1,147 @@
+package value
+
+import (
+	"bytes"
+	"encoding/hex"
+	"math"
+	"testing"
+	"unsafe"
+)
+
+// TestValueLayout: a Value is one kind byte, one payload word and a
+// string header. Every tuple, arena chunk and batch is sized by it.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+}
+
+// TestValueFormsUnchanged pins the bytes WAL records, B+-tree keys and
+// statistics sketches store, and the rendering the SQL dialect prints,
+// to what the 40-byte layout (a separate float64 field) produced: the
+// payload word holding a FLOAT's bits moves none of them.
+func TestValueFormsUnchanged(t *testing.T) {
+	for _, c := range []struct {
+		name            string
+		v               Value
+		encode, sortKey string
+		hash            uint64
+		str             string
+	}{
+		{"null", Null(), "00", "00", 0xaf63bd4c8601b7df, "NULL"},
+		{"int", Int(42), "012a00000000000000", "01c045000000000000", 0x51b63adc8f335331, "42"},
+		{"int min", Int(math.MinInt64), "010000000000000080", "013c1fffffffffffff", 0x5079afdc8e25f8e5, "-9223372036854775808"},
+		{"int max", Int(math.MaxInt64), "01ffffffffffffff7f", "01c3e0000000000000", 0x507a2fdc8e26d265, "9223372036854775807"},
+		{"float", Float(2.5), "020000000000000440", "01c004000000000000", 0x528c54dc8fe93a48, "2.5"},
+		{"float 0", Float(0), "020000000000000000", "018000000000000000", 0x529a2cdc8ff533ac, "0"},
+		{"float -0", Float(math.Copysign(0, -1)), "020000000000000080", "018000000000000000", 0x529a2cdc8ff533ac, "-0"},
+		{"float NaN payload", Float(math.Float64frombits(0x7ff8000000000bad)), "02ad0b00000000f87f", "010000000000000000", 0x74df74e59db00748, "NaN"},
+		{"float negative NaN", Float(math.Float64frombits(0xfff8000000000001)), "02010000000000f8ff", "010000000000000000", 0x74df74e59db00748, "NaN"},
+		{"float +Inf", Float(math.Inf(1)), "02000000000000f07f", "01fff0000000000000", 0x50b063dc8e54ba31, "+Inf"},
+		{"float -Inf", Float(math.Inf(-1)), "02000000000000f0ff", "01000fffffffffffff", 0x50afe3dc8e53e0b1, "-Inf"},
+		{"float smallest subnormal", Float(math.SmallestNonzeroFloat64), "020100000000000000", "018000000000000001", 0x7194f3e59ae47dcd, "5e-324"},
+		{"text", Str("abc"), "0303616263", "036162630000", 0x34186a89cedc1e56, `"abc"`},
+		{"text empty", Str(""), "0300", "030000", 0xaf63be4c8601b992, `""`},
+		{"text NUL", Str("a\x00b"), "0303610062", "036100ff620000", 0x35575b89cfeaa8cb, `"a\x00b"`},
+		{"text multi-byte", Str("日本€"), "0309e697a5e69cace282ac", "03e697a5e69cace282ac0000", 0x8de7fd8bf090ae1a, `"日本€"`},
+		{"bool true", Bool(true), "0401", "0201", 0x0824ef07b4dfe196, "TRUE"},
+		{"bool false", Bool(false), "0400", "0200", 0x0824f007b4dfe349, "FALSE"},
+	} {
+		if got := hex.EncodeToString(c.v.Encode(nil)); got != c.encode {
+			t.Errorf("%s: Encode = %s, want %s", c.name, got, c.encode)
+		}
+		if got := hex.EncodeToString(c.v.SortKey(nil)); got != c.sortKey {
+			t.Errorf("%s: SortKey = %s, want %s", c.name, got, c.sortKey)
+		}
+		if got := c.v.Hash(); got != c.hash {
+			t.Errorf("%s: Hash = %#016x, want %#016x", c.name, got, c.hash)
+		}
+		if got := c.v.String(); got != c.str {
+			t.Errorf("%s: String = %s, want %s", c.name, got, c.str)
+		}
+	}
+}
+
+// fuzzValue builds a Value of any kind from a kind byte, a payload word
+// (an INT's value, a FLOAT's bits, a BOOL's low bit) and a string.
+func fuzzValue(kind byte, payload uint64, s string) Value {
+	switch Kind(kind % 5) {
+	case KindInt:
+		return Int(int64(payload))
+	case KindFloat:
+		return Float(math.Float64frombits(payload))
+	case KindString:
+		return Str(s)
+	case KindBool:
+		return Bool(payload&1 != 0)
+	}
+	return Null()
+}
+
+// FuzzValueCodec: every value round-trips through Encode and DecodeValue
+// bit for bit; and for two values, SortKey never orders them against
+// Compare, nor splits, or hashes apart, values Compare ties.
+func FuzzValueCodec(f *testing.F) {
+	bits := math.Float64bits
+	for _, seed := range []struct {
+		k1 byte
+		p1 uint64
+		s1 string
+		k2 byte
+		p2 uint64
+		s2 string
+	}{
+		{0, 0, "", 1, 0, ""},
+		{1, 42, "", 2, bits(42), ""},
+		{2, 0x7ff8000000000bad, "", 2, 0xfff8000000000001, ""},
+		{2, bits(math.Copysign(0, -1)), "", 1, 0, ""},
+		{2, bits(math.Inf(-1)), "", 2, 0x7ff8000000000001, ""},
+		{2, 1, "", 2, bits(math.Inf(1)), ""},
+		{1, 1<<53 + 1, "", 2, bits(1 << 53), ""},
+		{1, 1 << 63, "", 1, 1<<63 - 1, ""},
+		{3, 0, "a\x00b", 3, 0, "a"},
+		{3, 0, "", 3, 0, "日本€"},
+		{4, 1, "", 4, 0, ""},
+	} {
+		f.Add(seed.k1, seed.p1, seed.s1, seed.k2, seed.p2, seed.s2)
+	}
+	f.Fuzz(func(t *testing.T, k1 byte, p1 uint64, s1 string, k2 byte, p2 uint64, s2 string) {
+		a, b := fuzzValue(k1, p1, s1), fuzzValue(k2, p2, s2)
+		for _, v := range []Value{a, b} {
+			enc := v.Encode(nil)
+			got, n, err := DecodeValue(enc)
+			if err != nil || n != len(enc) {
+				t.Fatalf("decode of %v: %v, %d of %d bytes", v, err, n, len(enc))
+			}
+			same := got.Kind() == v.Kind()
+			switch v.Kind() {
+			case KindFloat:
+				same = same && bits(got.AsFloat()) == bits(v.AsFloat())
+			case KindString:
+				same = same && got.AsString() == v.AsString()
+			case KindInt:
+				same = same && got.AsInt() == v.AsInt()
+			case KindBool:
+				same = same && got.AsBool() == v.AsBool()
+			}
+			if !same {
+				t.Fatalf("round trip %v (%v) -> %v (%v)", v, v.Kind(), got, got.Kind())
+			}
+		}
+		c := Compare(a, b)
+		if c == 0 && a.Hash() != b.Hash() {
+			t.Fatalf("Compare(%v, %v) = 0 but they hash apart", a, b)
+		}
+		// SortKey keys one index column, which holds one kind (NULL
+		// aside), or numbers of both kinds; across other kinds it orders
+		// by its own tags.
+		numeric := a.numeric() && b.numeric()
+		if !numeric && a.Kind() != b.Kind() && !a.IsNull() && !b.IsNull() {
+			return
+		}
+		k := bytes.Compare(a.SortKey(nil), b.SortKey(nil))
+		if (c == 0 && k != 0) || c*k < 0 {
+			t.Fatalf("Compare(%v, %v) = %d but their sort keys compare %d", a, b, c, k)
+		}
+	})
+}

@@ -47,11 +47,15 @@ func (k Kind) String() string {
 }
 
 // Value is a single typed scalar. The zero Value is NULL.
+//
+// It is 32 bytes: one payload word shared by the numeric kinds, and a
+// string header. == on two FLOATs therefore compares their bits (-0.0 and
+// 0.0 differ, a NaN equals itself); Compare and Equal are the SQL
+// comparisons.
 type Value struct {
 	kind Kind
-	i    int64   // KindInt, KindBool (0/1)
-	f    float64 // KindFloat
-	s    string  // KindString
+	i    int64  // KindInt; KindBool (0/1); KindFloat as math.Float64bits
+	s    string // KindString
 }
 
 // Null returns the NULL value.
@@ -61,7 +65,7 @@ func Null() Value { return Value{} }
 func Int(v int64) Value { return Value{kind: KindInt, i: v} }
 
 // Float returns a float value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(v))} }
 
 // Str returns a string value.
 func Str(v string) Value { return Value{kind: KindString, s: v} }
@@ -94,7 +98,7 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return math.Float64frombits(uint64(v.i))
 	case KindInt:
 		return float64(v.i)
 	}
@@ -222,7 +226,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
 	case KindString:
 		return strconv.Quote(v.s)
 	case KindBool:
