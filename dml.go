@@ -129,6 +129,7 @@ func (e *Engine) execInsert(st *sqlparse.InsertStmt) (*ExecResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each row is encoded once, for the log: apply stores these bytes.
 	muts := make([]wal.Mutation, len(rows))
 	for i, r := range rows {
 		muts[i] = wal.Mutation{Op: wal.OpInsert, Rec: value.EncodeTuple(nil, r)}
@@ -138,7 +139,7 @@ func (e *Engine) execInsert(st *sqlparse.InsertStmt) (*ExecResult, error) {
 	if err := e.walAppend(wal.Record{Kind: wal.RecordDML, Table: t.Name, Muts: muts}); err != nil {
 		return nil, err
 	}
-	n, err := e.applyDML(t, muts)
+	n, err := e.applyDML(t, muts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -224,35 +225,43 @@ func (e *Engine) execUpdate(ctx context.Context, st *sqlparse.UpdateStmt) (*Exec
 	}
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	matches, err := exec.CollectMatches(ctx, t, st.Where, e.execOpts)
+	rids, rows, err := exec.CollectMatches(ctx, t, st.Where, nil, e.execOpts)
 	if err != nil {
 		return nil, fmt.Errorf("minequery: update %s: %w", t.Name, err)
 	}
-	muts := make([]wal.Mutation, 0, len(matches))
-	newRows := make([]value.Tuple, 0, len(matches))
-	for _, m := range matches {
-		newRow := m.Row.Clone()
-		for i, a := range st.Sets {
-			newRow[setOrds[i]] = a.Val
+	// Each victim's row is decoded afresh, so the SET is applied to it in
+	// place. A table with indexes keeps a copy of it first, the pre-image
+	// apply takes the old index keys from.
+	var old []value.Tuple
+	if len(t.Indexes()) > 0 {
+		old = make([]value.Tuple, len(rows))
+	}
+	muts := make([]wal.Mutation, len(rids))
+	for i, row := range rows {
+		if old != nil {
+			old[i] = row.Clone()
 		}
-		norm, err := t.NormalizeRow(newRow)
+		for j, a := range st.Sets {
+			row[setOrds[j]] = a.Val
+		}
+		norm, err := t.NormalizeRow(row)
 		if err != nil {
-			return nil, fmt.Errorf("minequery: update %s at %s: %w", t.Name, m.RID, err)
+			return nil, fmt.Errorf("minequery: update %s at %s: %w", t.Name, rids[i], err)
 		}
-		muts = append(muts, wal.Mutation{Op: wal.OpUpdate, RID: m.RID, Rec: value.EncodeTuple(nil, norm)})
-		newRows = append(newRows, norm)
+		muts[i] = wal.Mutation{Op: wal.OpUpdate, RID: rids[i], Rec: value.EncodeTuple(nil, norm)}
+		rows[i] = norm
 	}
 	res := &ExecResult{Statement: "update", Table: t.Name}
 	if len(muts) > 0 {
 		if err := e.walAppend(wal.Record{Kind: wal.RecordDML, Table: t.Name, Muts: muts}); err != nil {
 			return nil, err
 		}
-		if res.RowsAffected, err = e.applyDML(t, muts); err != nil {
+		if res.RowsAffected, err = e.applyDML(t, muts, old); err != nil {
 			return nil, err
 		}
 	}
 	e.metrics.Load().dml("update", res.RowsAffected)
-	e.notifyStanding(t, newRows)
+	e.notifyStanding(t, rows)
 	// Committed rows with a failed retrain: return the populated result
 	// alongside the ErrRetrainFailed-wrapped error (see execInsert).
 	res.Retrained, err = e.noteWrites(t.Name, res.RowsAffected)
@@ -273,20 +282,27 @@ func (e *Engine) execDelete(ctx context.Context, st *sqlparse.DeleteStmt) (*Exec
 	}
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	matches, err := exec.CollectMatches(ctx, t, st.Where, e.execOpts)
+	// A DELETE reads no column of its victims, unless the table has
+	// indexes: apply takes their old keys from each victim's pre-image,
+	// read here, before the log holds the statement.
+	need := []bool{}
+	if len(t.Indexes()) > 0 {
+		need = nil
+	}
+	rids, old, err := exec.CollectMatches(ctx, t, st.Where, need, e.execOpts)
 	if err != nil {
 		return nil, fmt.Errorf("minequery: delete %s: %w", t.Name, err)
 	}
-	muts := make([]wal.Mutation, len(matches))
-	for i, m := range matches {
-		muts[i] = wal.Mutation{Op: wal.OpDelete, RID: m.RID}
+	muts := make([]wal.Mutation, len(rids))
+	for i, rid := range rids {
+		muts[i] = wal.Mutation{Op: wal.OpDelete, RID: rid}
 	}
 	res := &ExecResult{Statement: "delete", Table: t.Name}
 	if len(muts) > 0 {
 		if err := e.walAppend(wal.Record{Kind: wal.RecordDML, Table: t.Name, Muts: muts}); err != nil {
 			return nil, err
 		}
-		if res.RowsAffected, err = e.applyDML(t, muts); err != nil {
+		if res.RowsAffected, err = e.applyDML(t, muts, old); err != nil {
 			return nil, err
 		}
 	}
@@ -307,21 +323,33 @@ func (e *Engine) execDelete(ctx context.Context, st *sqlparse.DeleteStmt) (*Exec
 // update re-inserts) always append at the heap tail, RID assignment is
 // a pure function of the mutation sequence, making replayed RIDs line
 // up with the RIDs captured in later log records.
-func (e *Engine) applyDML(t *catalog.Table, muts []wal.Mutation) (int64, error) {
+//
+// A logged row is the stored row: the heap stores each mutation's Rec
+// bytes as they are, and the row they are decoded into, to be checked,
+// to route a partition and to key the indexes, is one scratch tuple for
+// the whole record. old, when non-nil, holds the pre-image of each
+// delete or update victim, by position in muts, which the live path read
+// in its victim scan before the log append: apply then reads nothing
+// from the heap, so no failed read can stop it halfway through a
+// statement the log already holds. Replay passes nil, and a table with
+// indexes fetches its pre-images.
+func (e *Engine) applyDML(t *catalog.Table, muts []wal.Mutation, old []value.Tuple) (int64, error) {
 	var n int64
-	for _, m := range muts {
+	var row value.Tuple
+	for i, m := range muts {
+		var pre value.Tuple
+		if old != nil {
+			pre = old[i]
+		}
+		var err error
 		switch m.Op {
 		case wal.OpInsert:
-			row, err := value.DecodeTuple(m.Rec)
-			if err != nil {
-				return n, fmt.Errorf("minequery: apply insert to %s: %w", t.Name, err)
-			}
-			if _, err := t.Insert(row); err != nil {
+			if _, row, err = t.InsertRecord(m.Rec, row); err != nil {
 				return n, fmt.Errorf("minequery: apply insert to %s: %w", t.Name, err)
 			}
 			n++
 		case wal.OpDelete:
-			removed, err := t.Delete(m.RID)
+			removed, err := t.DeleteRecord(m.RID, pre)
 			if err != nil {
 				return n, fmt.Errorf("minequery: apply delete to %s: %w", t.Name, err)
 			}
@@ -329,11 +357,7 @@ func (e *Engine) applyDML(t *catalog.Table, muts []wal.Mutation) (int64, error) 
 				n++
 			}
 		case wal.OpUpdate:
-			row, err := value.DecodeTuple(m.Rec)
-			if err != nil {
-				return n, fmt.Errorf("minequery: apply update to %s: %w", t.Name, err)
-			}
-			if _, err := t.Update(m.RID, row); err != nil {
+			if _, row, err = t.UpdateRecord(m.RID, pre, m.Rec, row); err != nil {
 				return n, fmt.Errorf("minequery: apply update to %s: %w", t.Name, err)
 			}
 			n++

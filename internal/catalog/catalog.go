@@ -205,9 +205,17 @@ func (t *Table) Analyze() (*stats.TableStats, error) {
 // mutated). The write path normalizes before logging so the WAL holds
 // exactly the bytes the heap will store.
 func (t *Table) NormalizeRow(row value.Tuple) (value.Tuple, error) {
+	row, _, err := t.normalize(row)
+	return row, err
+}
+
+// normalize is NormalizeRow, reporting whether the storable form differs
+// from row (an INT widened into a FLOAT column).
+func (t *Table) normalize(row value.Tuple) (value.Tuple, bool, error) {
 	if len(row) != t.Schema.Len() {
-		return nil, fmt.Errorf("catalog: table %s: row arity %d, schema arity %d", t.Name, len(row), t.Schema.Len())
+		return nil, false, fmt.Errorf("catalog: table %s: row arity %d, schema arity %d", t.Name, len(row), t.Schema.Len())
 	}
+	widened := false
 	for i, v := range row {
 		if v.IsNull() {
 			continue
@@ -216,73 +224,119 @@ func (t *Table) NormalizeRow(row value.Tuple) (value.Tuple, error) {
 		got := v.Kind()
 		// INT widens into FLOAT columns.
 		if got == value.KindInt && want == value.KindFloat {
-			row = row.Clone()
+			if !widened {
+				row, widened = row.Clone(), true
+			}
 			row[i] = value.Float(v.AsFloat())
 			continue
 		}
 		if got != want {
-			return nil, fmt.Errorf("catalog: table %s column %s: value kind %s, want %s",
+			return nil, false, fmt.Errorf("catalog: table %s column %s: value kind %s, want %s",
 				t.Name, t.Schema.Col(i).Name, got, want)
 		}
 	}
-	return row, nil
+	return row, widened, nil
 }
 
-// Insert appends a row, maintaining all indexes.
+// Insert appends a row, maintaining all indexes. The row is encoded once,
+// into the bytes the heap stores.
 func (t *Table) Insert(row value.Tuple) (storage.RID, error) {
 	row, err := t.NormalizeRow(row)
 	if err != nil {
 		return storage.RID{}, err
 	}
-	rid, err := t.insertRecord(row)
+	return t.insertRecord(row, value.EncodeTuple(nil, row))
+}
+
+// InsertRecord appends the row rec encodes (value.EncodeTuple bytes, as a
+// WAL mutation logs them), maintaining all indexes, and is how a logged
+// insert is applied. rec is decoded into scratch (value.DecodeTupleInto:
+// reallocated only when the row does not fit), which validates every
+// field, and the row is type-checked as Insert's is; the heap then stores
+// rec itself, re-encoded only if normalization changed the row. The row
+// is returned for the caller to decode the next record into.
+func (t *Table) InsertRecord(rec []byte, scratch value.Tuple) (storage.RID, value.Tuple, error) {
+	row, rec, err := t.decodeRecord(rec, scratch)
 	if err != nil {
-		return storage.RID{}, err
+		return storage.RID{}, nil, err
 	}
-	for _, ix := range t.Indexes() {
-		ix.Tree.Insert(ix.KeyFor(row), rid)
+	rid, err := t.insertRecord(row, rec)
+	return rid, row, err
+}
+
+// decodeRecord decodes rec into scratch and normalizes the row, returning
+// it with the bytes the heap is to store: rec, or the normalized row's
+// encoding when normalization changed it. A logged row was normalized
+// before it was logged, so it does not change; a replayed log is not
+// trusted to hold only such rows.
+func (t *Table) decodeRecord(rec []byte, scratch value.Tuple) (value.Tuple, []byte, error) {
+	row, err := value.DecodeTupleInto(scratch, rec, nil)
+	if err != nil {
+		return nil, nil, fmt.Errorf("catalog: table %s: corrupt record: %w", t.Name, err)
 	}
-	return rid, nil
+	norm, widened, err := t.normalize(row)
+	if err != nil {
+		return nil, nil, err
+	}
+	if widened {
+		rec = value.EncodeTuple(nil, norm)
+	}
+	return norm, rec, nil
 }
 
 // Delete removes the row at rid, maintaining all indexes, and reports
-// whether a live row was removed. Like Insert it bumps the table's
-// write version, so columnar sidecars built before the delete go stale.
+// whether a live row was removed: DeleteRecord with no pre-image.
 func (t *Table) Delete(rid storage.RID) (bool, error) {
-	row, ok, err := t.Fetch(rid)
-	if err != nil {
-		return false, err
-	}
-	if !ok {
-		return false, nil
+	return t.DeleteRecord(rid, nil)
+}
+
+// DeleteRecord removes the row at rid, maintaining all indexes, and
+// reports whether a live row was removed. Like Insert it bumps the
+// table's write version, so columnar sidecars built before the delete go
+// stale. old, when non-nil, is the row at rid as stored, and the old
+// index keys are taken from it; with old nil a table with indexes fetches
+// the row for them, and one without reads nothing.
+func (t *Table) DeleteRecord(rid storage.RID, old value.Tuple) (bool, error) {
+	ixs := t.Indexes()
+	if old == nil && len(ixs) > 0 {
+		row, ok, err := t.Fetch(rid)
+		if err != nil || !ok {
+			return false, err
+		}
+		old = row
 	}
 	if !t.Heap.Delete(rid) {
 		return false, nil
 	}
 	t.writeVer.Add(1)
-	for _, ix := range t.Indexes() {
-		ix.Tree.Delete(ix.KeyFor(row), rid)
+	for _, ix := range ixs {
+		ix.Tree.Delete(ix.KeyFor(old), rid)
 	}
 	return true, nil
 }
 
-// Update replaces the row at rid with newRow: the old row is deleted
-// and the new one appended at the end of the heap (possibly in a
-// different partition), returning the new RID. Update-moves-to-end
-// keeps RID assignment a pure function of the operation sequence, which
-// the WAL replay path depends on.
-func (t *Table) Update(rid storage.RID, newRow value.Tuple) (storage.RID, error) {
-	newRow, err := t.NormalizeRow(newRow)
+// UpdateRecord replaces the row at rid, whose pre-image is old (as
+// DeleteRecord's), with the row rec encodes (as InsertRecord's, decoded
+// into scratch): the old row is deleted and the new one appended at the
+// end of the heap (possibly in a different partition), returning the new
+// RID and the decoded row. The new row is decoded and checked before the
+// old one is touched. Update-moves-to-end keeps RID assignment a pure
+// function of the operation sequence, which the WAL replay path depends
+// on.
+func (t *Table) UpdateRecord(rid storage.RID, old value.Tuple, rec []byte, scratch value.Tuple) (storage.RID, value.Tuple, error) {
+	row, rec, err := t.decodeRecord(rec, scratch)
 	if err != nil {
-		return storage.RID{}, err
+		return storage.RID{}, nil, err
 	}
-	removed, err := t.Delete(rid)
+	removed, err := t.DeleteRecord(rid, old)
 	if err != nil {
-		return storage.RID{}, err
+		return storage.RID{}, nil, err
 	}
 	if !removed {
-		return storage.RID{}, fmt.Errorf("catalog: table %s: update of missing row %s", t.Name, rid)
+		return storage.RID{}, nil, fmt.Errorf("catalog: table %s: update of missing row %s", t.Name, rid)
 	}
-	return t.Insert(newRow)
+	rid, err = t.insertRecord(row, rec)
+	return rid, row, err
 }
 
 // Fetch decodes the row at rid.

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"minequery/internal/btree"
 	"minequery/internal/expr"
+	"minequery/internal/fault"
 	"minequery/internal/storage"
 	"minequery/internal/value"
 )
@@ -75,6 +77,73 @@ func TestFetchRoundTrip(t *testing.T) {
 	}
 	if !got.Equal(row) {
 		t.Errorf("fetched %v, want %v", got, row)
+	}
+}
+
+// TestInsertRecordStoresLoggedBytes: the apply path stores a logged
+// record's bytes as they are, re-encodes one only when normalization
+// changed its row, refuses a corrupt or ill-kinded one without storing
+// it, and, handed a victim's pre-image, keys the old index entries from
+// it without reading the heap.
+func TestInsertRecordStoresLoggedBytes(t *testing.T) {
+	c := New()
+	tb, _ := c.CreateTable("t", demoSchema())
+	ix, err := c.CreateIndex("ix_cat", "t", "cat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := func(rid storage.RID) []byte {
+		rec, ok, err := tb.Heap.Get(rid)
+		if err != nil || !ok {
+			t.Fatalf("get %s: ok %v, err %v", rid, ok, err)
+		}
+		return rec
+	}
+	row := value.Tuple{value.Int(1), value.Str("a"), value.Float(0.5)}
+	rec := value.EncodeTuple(nil, row)
+	rid, got, err := tb.InsertRecord(rec, nil)
+	if err != nil || !got.Equal(row) || string(stored(rid)) != string(rec) {
+		t.Fatalf("InsertRecord: row %v, err %v; stored %x, logged %x", got, err, stored(rid), rec)
+	}
+	// An INT in the FLOAT column is widened, and the widened row stored.
+	widened := value.Tuple{value.Int(2), value.Str("b"), value.Float(7)}
+	rid2, got, err := tb.InsertRecord(value.EncodeTuple(nil, value.Tuple{value.Int(2), value.Str("b"), value.Int(7)}), got)
+	if err != nil || !got.Equal(widened) || string(stored(rid2)) != string(value.EncodeTuple(nil, widened)) {
+		t.Fatalf("widening InsertRecord: row %v, err %v, stored %x", got, err, stored(rid2))
+	}
+	for what, bad := range map[string][]byte{
+		"corrupt":    rec[:len(rec)-1],
+		"ill-kinded": value.EncodeTuple(nil, value.Tuple{value.Str("x"), value.Str("a"), value.Float(1)}),
+	} {
+		if _, _, err := tb.InsertRecord(bad, nil); err == nil {
+			t.Errorf("%s record stored", what)
+		}
+	}
+	if n := tb.Heap.Len(); n != 2 || ix.Tree.Len() != 2 {
+		t.Fatalf("%d rows, %d index entries after two good records, want 2 and 2", n, ix.Tree.Len())
+	}
+	// With every random read failing, a pre-image is all an update or a
+	// delete of an indexed row may use.
+	tb.Heap.SetFaults(fault.NewInjector(1, fault.Rule{Site: fault.SitePageReadRand, EveryN: 1, Err: fault.ErrInjected}))
+	if _, err := tb.Delete(rid2); err == nil {
+		t.Fatal("Delete without a pre-image did not read the heap")
+	}
+	moved := value.Tuple{value.Int(1), value.Str("z"), value.Float(0.5)}
+	rid, _, err = tb.UpdateRecord(rid, row, value.EncodeTuple(nil, moved), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := tb.DeleteRecord(rid2, widened); !ok || err != nil {
+		t.Fatalf("DeleteRecord with a pre-image: %v, %v", ok, err)
+	}
+	tb.Heap.SetFaults(nil)
+	var keys []string
+	ix.Tree.AscendRange(nil, nil, true, true, func(e btree.Entry) bool {
+		keys = append(keys, fmt.Sprintf("%x->%s", e.Key, e.RID))
+		return true
+	})
+	if want := fmt.Sprintf("%x->%s", value.Str("z").SortKey(nil), rid); strings.Join(keys, " ") != want || tb.Heap.Len() != 1 {
+		t.Fatalf("index %v, %d rows; want [%s] and 1", keys, tb.Heap.Len(), want)
 	}
 }
 

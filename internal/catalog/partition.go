@@ -89,20 +89,29 @@ func (t *Table) partHeap() *storage.PartitionedHeap {
 	return ph
 }
 
-// insertRecord appends an (already type-checked) row's encoding to the
-// table's store, routing by partition bound for partitioned tables.
-func (t *Table) insertRecord(row value.Tuple) (storage.RID, error) {
+// insertRecord stores rec, the encoding of an (already type-checked) row,
+// in the table's store, routing by partition bound for partitioned
+// tables, and adds the row to every index. The heap copies rec into its
+// page: the caller's bytes are not kept.
+func (t *Table) insertRecord(row value.Tuple, rec []byte) (storage.RID, error) {
 	// Any insert stales the columnar sidecar until the next rebuild.
 	t.writeVer.Add(1)
-	rec := value.EncodeTuple(nil, row)
+	var rid storage.RID
+	var err error
 	if ph := t.partHeap(); ph != nil {
-		return ph.InsertPart(t.Part.Bounds.Stab(row[t.Part.Ordinal]), rec)
+		rid, err = ph.InsertPart(t.Part.Bounds.Stab(row[t.Part.Ordinal]), rec)
+	} else if h, ok := t.Heap.(*storage.Heap); ok {
+		rid, err = h.Insert(rec)
+	} else {
+		err = fmt.Errorf("catalog: table %s: unsupported store %T", t.Name, t.Heap)
 	}
-	h, ok := t.Heap.(*storage.Heap)
-	if !ok {
-		return storage.RID{}, fmt.Errorf("catalog: table %s: unsupported store %T", t.Name, t.Heap)
+	if err != nil {
+		return storage.RID{}, err
 	}
-	return h.Insert(rec)
+	for _, ix := range t.Indexes() {
+		ix.Tree.Insert(ix.KeyFor(row), rid)
+	}
+	return rid, nil
 }
 
 // NumPartitions returns the table's partition count (1 for ordinary

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"minequery/internal/btree"
 	"minequery/internal/catalog"
@@ -23,6 +22,7 @@ import (
 	"minequery/internal/fault"
 	"minequery/internal/plan"
 	"minequery/internal/qerr"
+	"minequery/internal/recycle"
 	"minequery/internal/storage"
 	"minequery/internal/value"
 )
@@ -114,15 +114,17 @@ func (r *pageReader) read(lo, hi int) (int, error) {
 // arenaChunkLen is the values in one chunk of a pooled arena: a chunk
 // holds arenaChunkLen/width rows, so a batch wastes less than one chunk
 // and a tiny table takes one. Small chunks keep what the pool holds close
-// to what an execution uses: sync.Pool keeps it alive across one
+// to what an execution uses: the pool keeps it alive across one
 // collection.
 const arenaChunkLen = 128
 
 // arenaChunks recycles the chunks of the serial leaves' arenas, as
 // vec.Scratch recycles selection buffers: a leaf takes chunks as its
 // batches need them and hands them all back at Close, so a prepared
-// statement's second execution decodes into the first one's memory.
-var arenaChunks = sync.Pool{New: func() any { return new([arenaChunkLen]value.Value) }}
+// statement's second execution decodes into the first one's memory —
+// on whichever P it runs, since a recycle.Pool parks one chunk where
+// every P finds it.
+var arenaChunks recycle.Pool[[arenaChunkLen]value.Value]
 
 // rowArena carves tuple slots of a fixed width out of chunks. next hands
 // out the following slot — empty, non-nil, of capacity width — taking a
@@ -159,7 +161,7 @@ func privateArena(width, rows int) rowArena { return rowArena{width: width, rows
 func (a *rowArena) next() value.Tuple {
 	if a.ci == len(a.chunks) {
 		if a.pooled {
-			a.chunks = append(a.chunks, arenaChunks.Get().(*[arenaChunkLen]value.Value)[:])
+			a.chunks = append(a.chunks, arenaChunks.Get()[:])
 		} else {
 			a.chunks = append(a.chunks, make(value.Tuple, a.rows*a.width))
 		}
@@ -189,7 +191,7 @@ func (a *rowArena) release() {
 // batchPool recycles the batch slices of the serial leaves, as
 // arenaChunks their rows. It holds pointers, so that a Put allocates
 // nothing.
-var batchPool = sync.Pool{New: func() any { return new(Batch) }}
+var batchPool recycle.Pool[Batch]
 
 // batchStore is where a scan leaf builds its batches: the rows in an
 // arena, listed in one slice. A pooled store takes both from the pools
@@ -240,7 +242,7 @@ func (s *batchStore) release() {
 // pooledBatch takes an empty batch slice with room for n rows from
 // batchPool; the leaf gives it back with putBatch at Close.
 func pooledBatch(n int) *Batch {
-	b := batchPool.Get().(*Batch)
+	b := batchPool.Get()
 	if cap(*b) < n {
 		*b = make(Batch, 0, n)
 	}

@@ -347,33 +347,69 @@ func TestAllocAggregateDrainFollowsSurvivors(t *testing.T) {
 }
 
 // TestAllocCollectMatchesFollowsMatches: the DML victim scan copies the
-// rows that match and nothing per row that does not.
+// rows that match and nothing per row that does not; a caller that reads
+// no column of a victim gets its RID alone, one per match.
 func TestAllocCollectMatchesFollowsMatches(t *testing.T) {
-	checkAllocFlat(t, "CollectMatches", 4000, maskedRowBytes, func(c *catalog.Catalog) {
-		tb, _ := c.Table("t")
-		m, err := CollectMatches(context.Background(), tb, firstHundred, Options{})
-		if err != nil || len(m) != 100 {
-			t.Fatalf("%d matches, err %v", len(m), err)
-		}
-	})
+	for _, tc := range []struct {
+		what string
+		need []bool
+	}{
+		{"CollectMatches", nil},
+		{"CollectMatches reading no column", []bool{}},
+	} {
+		checkAllocFlat(t, tc.what, 4000, maskedRowBytes, func(c *catalog.Catalog) {
+			tb, _ := c.Table("t")
+			rids, rows, err := CollectMatches(context.Background(), tb, firstHundred, tc.need, Options{})
+			if err != nil || len(rids) != 100 || (len(rows) == 100) != (tc.need == nil) {
+				t.Fatalf("%s: %d matches, %d rows, err %v", tc.what, len(rids), len(rows), err)
+			}
+		})
+	}
+	// Per match: 1,000 and 4,000 victims of one table, no column read.
+	// The bound is a RID, and the eighth of it the allocator may round a
+	// slice of them up by.
+	_, tb := testDB(t, 8000)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	victimsUnder := func(n int64) uint64 {
+		pred := expr.Cmp{Col: "id", Op: expr.OpLt, Val: value.Int(n)}
+		return allocatedBy(t, func() {
+			if rids, rows, err := CollectMatches(context.Background(), tb, pred, []bool{}, Options{}); err != nil || len(rids) != int(n) || rows != nil {
+				t.Fatalf("%d matches, %d rows, err %v", len(rids), len(rows), err)
+			}
+		})
+	}
+	a, b := victimsUnder(1000), victimsUnder(4000)
+	perMatch := (float64(b) - float64(a)) / 3000
+	bound := float64(unsafe.Sizeof(storage.RID{})) * 9 / 8
+	t.Logf("no column read: %d B for 1000 matches, %d B for 4000: %.2f B per extra match", a, b, perMatch)
+	if perMatch > bound {
+		t.Fatalf("a victim read for its RID alone costs %.2f B, more than a RID (%.0f B)", perMatch, bound)
+	}
 }
 
 // TestCollectMatchesRowsAreCopies: the matches outlive the scan's
-// scratch tuple.
+// scratch tuple, and a caller's need narrows them as it does a fetch.
 func TestCollectMatchesRowsAreCopies(t *testing.T) {
 	c, tb := testDB(t, 500)
 	pred := expr.Cmp{Col: "num", Op: expr.OpLt, Val: value.Int(40)}
-	got, err := CollectMatches(context.Background(), tb, pred, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := refRows(t, c, &plan.Filter{Child: &plan.SeqScan{Table: "t"}, Pred: pred})
-	if len(got) != len(want) || len(got) == 0 {
-		t.Fatalf("%d matches, oracle %d", len(got), len(want))
-	}
-	for i, m := range got {
-		if !m.Row.Equal(want[i]) {
-			t.Fatalf("match %d (%s) = %v, oracle %v", i, m.RID, m.Row, want[i])
+	for _, need := range [][]bool{nil, {true, false, true}} {
+		rids, got, err := CollectMatches(context.Background(), tb, pred, need, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || len(rids) != len(got) || len(got) == 0 {
+			t.Fatalf("need %v: %d matches, %d rows, oracle %d", need, len(rids), len(got), len(want))
+		}
+		for i, row := range got {
+			fetched, ok, err := tb.FetchInto(nil, rids[i], nil, need)
+			if err != nil || !ok || !row.Equal(fetched) {
+				t.Fatalf("need %v: match %d (%s) = %v, fetched %v (ok %v, err %v)", need, i, rids[i], row, fetched, ok, err)
+			}
+			if need == nil && !row.Equal(want[i]) {
+				t.Fatalf("match %d (%s) = %v, oracle %v", i, rids[i], row, want[i])
+			}
 		}
 	}
 }
@@ -926,7 +962,9 @@ func TestDecodeMaskCorruptSkippedColumn(t *testing.T) {
 			}
 		}
 	}
-	if _, err := CollectMatches(context.Background(), tb, firstHundred, Options{}); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("CollectMatches: err = %v, want %q", err, want)
+	for _, need := range [][]bool{nil, {}} {
+		if _, _, err := CollectMatches(context.Background(), tb, firstHundred, need, Options{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("CollectMatches need %v: err = %v, want %q", need, err, want)
+		}
 	}
 }

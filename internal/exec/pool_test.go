@@ -6,8 +6,8 @@ package exec
 // never handed to two live leaves, however often a leaf is closed; and
 // the pools keep no more than an execution's storage across a
 // collection. The allocation tests run on one P with no collection, as
-// checkAllocFlat does: a sync.Pool keeps an item per P, and a collection
-// empties it.
+// checkAllocFlat does: what a recycle.Pool holds beyond its one shared
+// slot stays on the P that put it, and two collections empty it.
 
 import (
 	"context"
@@ -256,8 +256,8 @@ func TestAliasScanStorageReleasedOnce(t *testing.T) {
 			return false
 		}
 		for k := 0; k < 512; k++ {
-			chunk := arenaChunks.Get().(*[arenaChunkLen]value.Value)
-			b := batchPool.Get().(*Batch)
+			chunk := arenaChunks.Get()
+			b := batchPool.Get()
 			if within(unsafe.Pointer(chunk), uintptr(chunkBytes)) ||
 				cap(*b) > 0 && within(unsafe.Pointer(unsafe.SliceData(*b)), uintptr(cap(*b))*unsafe.Sizeof(value.Tuple{})) {
 				t.Fatalf("%s: storage an ordered worker handed off reached the pools", tc.kind)

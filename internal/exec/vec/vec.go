@@ -27,10 +27,10 @@ package vec
 import (
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"minequery/internal/expr"
+	"minequery/internal/recycle"
 	"minequery/internal/stats"
 	"minequery/internal/storage"
 	"minequery/internal/value"
@@ -72,11 +72,11 @@ type Scratch struct {
 	work int
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+var scratchPool recycle.Pool[Scratch]
 
 // NewScratch returns a scratch nobody else holds: a released one when
 // there is one, its buffers kept.
-func NewScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+func NewScratch() *Scratch { return scratchPool.Get() }
 
 // Release gives the scratch up for the next NewScratch. The caller must
 // be done with it, and with the last selection FilterGroup returned

@@ -15,6 +15,7 @@ import (
 	"minequery"
 	"minequery/internal/cluster"
 	"minequery/internal/fault"
+	"minequery/internal/recycle"
 	"minequery/internal/sqlparse"
 	"minequery/internal/wire"
 )
@@ -246,10 +247,10 @@ type statsResponse struct {
 // bodies recycles response buffers. A body is encoded whole before the
 // status line is committed, so a value encoding/json refuses answers an
 // error envelope and never a 200 with nothing after it.
-var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var bodies recycle.Pool[bytes.Buffer]
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := bodies.Get().(*bytes.Buffer)
+	buf := bodies.Get()
 	defer bodies.Put(buf)
 	buf.Reset()
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
@@ -498,7 +499,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, req any,
 
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	var req wire.ExecuteRequest
-	rows := rowEncoders.Get().(*rowEncoder)
+	rows := rowEncoders.Get()
 	defer rowEncoders.Put(rows) // after serve has written the body that aliases it
 	s.serve(w, r, &req, func() (string, int64, error) {
 		if req.DOP != 0 {
@@ -519,7 +520,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 // partial-aggregate mode.
 func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 	var req wire.ShardExecRequest
-	rows := rowEncoders.Get().(*rowEncoder)
+	rows := rowEncoders.Get()
 	defer rowEncoders.Put(rows)
 	s.serve(w, r, &req, func() (string, int64, error) {
 		return "", req.TimeoutMS, exactlyOne(req.SQL, req.StatementID)
@@ -545,7 +546,7 @@ type rowEncoder struct {
 	buf []byte
 }
 
-var rowEncoders = sync.Pool{New: func() any { return new(rowEncoder) }}
+var rowEncoders recycle.Pool[rowEncoder]
 
 func (e *rowEncoder) Begin() { e.buf = e.buf[:0] }
 

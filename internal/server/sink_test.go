@@ -216,9 +216,10 @@ const maxExecuteBytes = 32 << 10
 
 // TestAllocExecuteFollowsBody: with warm pools, a request's allocation
 // does not hold its result in any form — eight times the rows cost the
-// same, under a constant. The requests run on one P: a sync.Pool keeps an
-// item per P that only that P's Get finds, so a request that moved P
-// would miss it and allocate its buffer afresh.
+// same, under a constant. The requests run on one P: a recycle.Pool
+// hands its last item to any P, but what it holds beyond that (an arena's
+// other chunks) only the P that put it finds, so a request that moved P
+// would allocate those afresh.
 func TestAllocExecuteFollowsBody(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector, whose sync.Pool drops what it is given")

@@ -1,0 +1,91 @@
+package wal
+
+import (
+	"bytes"
+	"encoding/hex"
+	"reflect"
+	"testing"
+
+	"minequery/internal/storage"
+	"minequery/internal/value"
+)
+
+// raceEnabled is set by race_test.go; allocation counts skip under it.
+var raceEnabled bool
+
+// pinnedDDL and pinnedDML are the two records whose frames
+// TestFrameBytesPinned pins.
+var (
+	pinnedDDL = Record{Kind: RecordDDL, DDL: "CREATE MODEL m ON t PREDICT c USING dtree AS SELECT a, c FROM t"}
+	pinnedDML = Record{Kind: RecordDML, Table: "events", Muts: []Mutation{
+		{Op: OpInsert, Rec: value.EncodeTuple(nil, value.Tuple{value.Int(7), value.Str("c3"), value.Float(2.5), value.Null(), value.Bool(true)})},
+		{Op: OpDelete, RID: storage.RID{Page: 300, Slot: 17}},
+		{Op: OpUpdate, RID: storage.RID{Page: 2, Slot: 65535},
+			Rec: value.EncodeTuple(nil, value.Tuple{value.Int(-1), value.Str(""), value.Float(0), value.Int(1 << 40), value.Bool(false)})},
+	}}
+)
+
+// TestFrameBytesPinned: the log format does not move. A DDL record and a
+// DML record holding an insert, a delete and an update encode to the
+// bytes every earlier log holds; a change here is a change to the format
+// on disk, and to the rows the heap stores (they are the same bytes).
+func TestFrameBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		what string
+		rec  Record
+		want string
+	}{
+		{"DDL", pinnedDDL, "40000000f63a595e02435245415445204d4f44454c206d204f4e207420505245444943542063205553494e472064747265652041532053454c45435420612c20632046524f4d2074"},
+		{"DML", pinnedDML, "540000004f6cc0a301066576656e747303011a0501070000000000000003026333020000000000000440000401022c01000011000302000000ffff200501ffffffffffffffff03000200000000000000000100000000000100000400"},
+	} {
+		frame := encodeFrame(tc.rec)
+		if got := hex.EncodeToString(frame); got != tc.want {
+			t.Errorf("%s frame =\n%s\nwant\n%s", tc.what, got, tc.want)
+		}
+		if len(frame) != cap(frame) {
+			t.Errorf("%s frame: len %d, cap %d: the buffer is not sized to the frame", tc.what, len(frame), cap(frame))
+		}
+		got, n, ok := decodeFrame(frame)
+		if !ok || n != len(frame) || !reflect.DeepEqual(got, tc.rec) {
+			t.Errorf("%s: decodeFrame = %+v, %d, %v; want %+v, %d, true", tc.what, got, n, ok, tc.rec, len(frame))
+		}
+	}
+}
+
+// TestAllocEncodeFrameOnce: a frame is built in one allocation, header
+// and payload together.
+func TestAllocEncodeFrameOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, rec := range []Record{pinnedDDL, pinnedDML} {
+		if n := testing.AllocsPerRun(100, func() { encodeFrame(rec) }); n != 1 {
+			t.Errorf("encodeFrame(%v record) allocates %v times, want 1", rec.Kind, n)
+		}
+	}
+}
+
+// FuzzWALFrame: decodeFrame never panics on arbitrary bytes, and a frame
+// it accepts re-encodes to a frame that decodes to the same record,
+// consuming exactly the encoded length.
+func FuzzWALFrame(f *testing.F) {
+	f.Add(encodeFrame(pinnedDDL))
+	f.Add(encodeFrame(pinnedDML))
+	f.Add(encodeFrame(Record{Kind: RecordDML, Table: "t"}))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, frameHeader+4))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, n, ok := decodeFrame(b)
+		if !ok {
+			return
+		}
+		if n < frameHeader || n > len(b) {
+			t.Fatalf("decodeFrame consumed %d of %d bytes", n, len(b))
+		}
+		frame := encodeFrame(r)
+		got, m, ok := decodeFrame(frame)
+		if !ok || m != len(frame) || !reflect.DeepEqual(got, r) {
+			t.Fatalf("re-encoded %+v: decodeFrame = %+v, %d, %v; want the record, %d, true", r, got, m, ok, len(frame))
+		}
+	})
+}

@@ -35,7 +35,10 @@ const (
 type Mutation struct {
 	Op  MutOp
 	RID storage.RID // delete/update target; unused for insert
-	Rec []byte      // value.EncodeTuple bytes; unused for delete
+	// Rec is the row's value.EncodeTuple bytes (unused for delete). The
+	// heap stores them verbatim, so a change to the encoding is a change
+	// to both the log and the heap.
+	Rec []byte
 }
 
 // Record is one logged commit: either a batch of row mutations against
@@ -175,36 +178,70 @@ func (l *Log) Append(rec Record) error {
 //            | update: page u32le | slot u16le | uvarint len(rec) | rec
 // DDL body := statement text (rest of payload)
 
-const frameHeader = 8
+const (
+	frameHeader = 8
+	ridLen      = 6 // page u32le | slot u16le
+)
 
+// encodeFrame writes rec's frame into one buffer, sized up front: the
+// payload goes in after a blank header, which is filled in last.
 func encodeFrame(rec Record) []byte {
-	payload := []byte{byte(rec.Kind)}
+	frame := make([]byte, frameHeader, frameHeader+payloadLen(rec))
+	frame = append(frame, byte(rec.Kind))
 	switch rec.Kind {
 	case RecordDDL:
-		payload = append(payload, rec.DDL...)
+		frame = append(frame, rec.DDL...)
 	case RecordDML:
-		payload = binary.AppendUvarint(payload, uint64(len(rec.Table)))
-		payload = append(payload, rec.Table...)
-		payload = binary.AppendUvarint(payload, uint64(len(rec.Muts)))
+		frame = binary.AppendUvarint(frame, uint64(len(rec.Table)))
+		frame = append(frame, rec.Table...)
+		frame = binary.AppendUvarint(frame, uint64(len(rec.Muts)))
 		for _, m := range rec.Muts {
-			payload = append(payload, byte(m.Op))
+			frame = append(frame, byte(m.Op))
 			switch m.Op {
 			case OpInsert:
-				payload = binary.AppendUvarint(payload, uint64(len(m.Rec)))
-				payload = append(payload, m.Rec...)
+				frame = binary.AppendUvarint(frame, uint64(len(m.Rec)))
+				frame = append(frame, m.Rec...)
 			case OpDelete:
-				payload = appendRID(payload, m.RID)
+				frame = appendRID(frame, m.RID)
 			case OpUpdate:
-				payload = appendRID(payload, m.RID)
-				payload = binary.AppendUvarint(payload, uint64(len(m.Rec)))
-				payload = append(payload, m.Rec...)
+				frame = appendRID(frame, m.RID)
+				frame = binary.AppendUvarint(frame, uint64(len(m.Rec)))
+				frame = append(frame, m.Rec...)
 			}
 		}
 	}
-	frame := make([]byte, frameHeader, frameHeader+len(payload))
+	payload := frame[frameHeader:]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	return append(frame, payload...)
+	return frame
+}
+
+// payloadLen is the length of the payload encodeFrame writes for rec.
+func payloadLen(rec Record) int {
+	n := 1
+	switch rec.Kind {
+	case RecordDDL:
+		n += len(rec.DDL)
+	case RecordDML:
+		n += uvarintLen(len(rec.Table)) + len(rec.Table) + uvarintLen(len(rec.Muts))
+		for _, m := range rec.Muts {
+			n++
+			switch m.Op {
+			case OpInsert:
+				n += uvarintLen(len(m.Rec)) + len(m.Rec)
+			case OpDelete:
+				n += ridLen
+			case OpUpdate:
+				n += ridLen + uvarintLen(len(m.Rec)) + len(m.Rec)
+			}
+		}
+	}
+	return n
+}
+
+func uvarintLen(x int) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], uint64(x))
 }
 
 func appendRID(b []byte, rid storage.RID) []byte {
@@ -300,12 +337,12 @@ func takeBytes(b []byte) ([]byte, []byte, bool) {
 }
 
 func takeRID(b []byte) (storage.RID, []byte, bool) {
-	if len(b) < 6 {
+	if len(b) < ridLen {
 		return storage.RID{}, nil, false
 	}
 	rid := storage.RID{
 		Page: binary.LittleEndian.Uint32(b[0:4]),
 		Slot: binary.LittleEndian.Uint16(b[4:6]),
 	}
-	return rid, b[6:], true
+	return rid, b[ridLen:], true
 }

@@ -81,7 +81,7 @@ func (e *Engine) replayRecord(rec *wal.Record) error {
 		if !ok {
 			return fmt.Errorf("%w %q (schema must be loaded before EnableWAL)", qerr.ErrUnknownTable, rec.Table)
 		}
-		n, err := e.applyDML(t, rec.Muts)
+		n, err := e.applyDML(t, rec.Muts, nil)
 		if err != nil {
 			return err
 		}
