@@ -489,30 +489,45 @@ func (e *Engine) trainModelFromDef(d *modelDef) (mining.Model, time.Duration, er
 	if err != nil {
 		return nil, 0, err
 	}
-	ts, err := e.buildTrainSetWhere(d.table, feats, label, d.where)
-	if err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	var m mining.Model
-	switch d.family {
-	case "dtree":
-		m, err = dtree.Train(d.name, d.predict, ts, dtree.Options{})
-	case "nbayes":
-		m, err = nbayes.Train(d.name, d.predict, ts, nbayes.Options{})
-	case "rules":
-		m, err = rules.Train(d.name, d.predict, ts, rules.Options{})
-	case "kmeans":
-		m, err = cluster.TrainKMeans(d.name, d.predict, ts, defaultClusterOptions())
-	case "gmm":
-		m, err = cluster.TrainGMM(d.name, d.predict, ts, defaultClusterOptions())
-	default:
-		return nil, 0, fmt.Errorf("minequery: %w: unknown model family %q", qerr.ErrUnsupportedQuery, d.family)
+	var (
+		m     mining.Model
+		start time.Time
+	)
+	if d.family == "nbayes" {
+		// Naive Bayes counts while its view drains: the time is the scan's.
+		start = time.Now()
+		var s bayesSink
+		if err := e.drainTrainView(d.table, feats, label, d.where, &s); err != nil {
+			return nil, 0, err
+		}
+		m, err = s.model(d.name, d.predict, nbayes.Options{})
+	} else {
+		var ts *mining.TrainSet
+		if ts, err = e.buildTrainSetWhere(d.table, feats, label, d.where); err != nil {
+			return nil, 0, err
+		}
+		start = time.Now()
+		m, err = trainFamily(d, ts)
 	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("minequery: train %s (%s): %w", d.name, d.family, err)
 	}
 	return m, time.Since(start), nil
+}
+
+// trainFamily fits d's model family, naive Bayes aside, over ts.
+func trainFamily(d *modelDef, ts *mining.TrainSet) (mining.Model, error) {
+	switch d.family {
+	case "dtree":
+		return dtree.Train(d.name, d.predict, ts, dtree.Options{})
+	case "rules":
+		return rules.Train(d.name, d.predict, ts, rules.Options{})
+	case "kmeans":
+		return cluster.TrainKMeans(d.name, d.predict, ts, defaultClusterOptions())
+	case "gmm":
+		return cluster.TrainGMM(d.name, d.predict, ts, defaultClusterOptions())
+	}
+	return nil, fmt.Errorf("%w: unknown model family %q", qerr.ErrUnsupportedQuery, d.family)
 }
 
 // defaultClusterOptions are the CREATE MODEL clustering defaults: a

@@ -10,7 +10,9 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"minequery/internal/mining"
 	"minequery/internal/value"
@@ -90,14 +92,18 @@ func Train(name, predCol string, ts *mining.TrainSet, opts Options) (*Model, err
 	if err := ts.Validate(); err != nil {
 		return nil, fmt.Errorf("dtree: %w", err)
 	}
+	if len(ts.Rows) > math.MaxInt32 {
+		return nil, fmt.Errorf("dtree: %d rows, at most %d", len(ts.Rows), math.MaxInt32)
+	}
 	opts.fill()
 	ids, classes := ts.ClassIDs()
-	b := &builder{ts: ts, opts: opts, ids: ids,
-		trueCounts: make([]int, len(classes)), falseCounts: make([]int, len(classes))}
+	b := &builder{ts: ts, opts: opts, ids: ids, members: make([]mining.Interner, ts.Schema.Len()),
+		counts: make([]int, len(classes)), trueCounts: make([]int, len(classes)), falseCounts: make([]int, len(classes))}
 	sort.Slice(classes, func(i, j int) bool { return value.Compare(classes[i], classes[j]) < 0 })
-	idx := make([]int, len(ts.Rows))
+	// int32 rows: the index and its spill cost one word a row together.
+	idx := make([]int32, len(ts.Rows))
 	for i := range idx {
-		idx[i] = i
+		idx[i] = int32(i)
 	}
 	root := b.grow(idx, 0)
 	return &Model{
@@ -109,35 +115,52 @@ func Train(name, predCol string, ts *mining.TrainSet, opts Options) (*Model, err
 	}, nil
 }
 
+// builder grows a tree over one index of the train set's rows, which
+// each split partitions in place. Its scratch is sized once, at the
+// root, where every row is in play.
 type builder struct {
 	ts   *mining.TrainSet
 	opts Options
 	// ids is the dense class id of every row's label (TrainSet.ClassIDs):
 	// label counts are slices indexed by it, and entropy sums in id order.
 	ids []int
-	// trueCounts and falseCounts are gain's scratch, one slot per class.
-	trueCounts, falseCounts []int
+	// members keys each categorical attribute's values by rendering.
+	members []mining.Interner
+	// counts, trueCounts and falseCounts are per-class scratch: counts
+	// for a node's rows, the other two for gain.
+	counts, trueCounts, falseCounts []int
+	// spill holds the false side of a partition while the true side is
+	// packed to the front of the index.
+	spill []int32
+	// vals holds numericCandidates' values, then its cuts.
+	vals []float64
+	// last[id] is the last value of member id a categoricalCandidates
+	// call met (NULL: not met); present and cands are its other scratch.
+	last    []value.Value
+	present []int
+	cands   []value.Value
 }
 
-// classCounts tallies labels for the given row subset and reports how
-// many classes occur in it.
-func (b *builder) classCounts(idx []int) (counts []int, distinct int) {
-	counts = make([]int, len(b.trueCounts))
+// classCounts tallies labels for the given row subset into b.counts and
+// reports how many classes occur in it.
+func (b *builder) classCounts(idx []int32) (distinct int) {
+	clear(b.counts)
 	for _, i := range idx {
-		if counts[b.ids[i]]++; counts[b.ids[i]] == 1 {
+		if b.counts[b.ids[i]]++; b.counts[b.ids[i]] == 1 {
 			distinct++
 		}
 	}
-	return counts, distinct
+	return distinct
 }
 
-func (b *builder) majority(idx []int) value.Value {
-	counts := make([]int, len(b.trueCounts))
+// majority is the label first to reach the largest count, in idx order.
+func (b *builder) majority(idx []int32) value.Value {
+	clear(b.counts)
 	var best value.Value
 	bestN := -1
 	for _, i := range idx {
-		counts[b.ids[i]]++
-		if n := counts[b.ids[i]]; n > bestN {
+		b.counts[b.ids[i]]++
+		if n := b.counts[b.ids[i]]; n > bestN {
 			best, bestN = b.ts.Labels[i], n
 		}
 	}
@@ -159,60 +182,96 @@ func entropyOf(counts []int, total int) float64 {
 	return h
 }
 
-// grow builds the subtree for the row subset idx.
-func (b *builder) grow(idx []int, depth int) *Node {
-	counts, distinct := b.classCounts(idx)
+// grow builds the subtree for the rows idx lists. A split reorders idx:
+// the rows it sends true come first, then the rest, each side in the
+// order it had. A refused split leaves idx as it was.
+func (b *builder) grow(idx []int32, depth int) *Node {
+	distinct := b.classCounts(idx)
 	if distinct == 1 || depth >= b.opts.MaxDepth || len(idx) < 2*b.opts.MinLeaf {
 		return &Node{Leaf: true, Class: b.majority(idx)}
 	}
-	base := entropyOf(counts, len(idx))
+	base := entropyOf(b.counts, len(idx))
 	best := b.bestSplit(idx, base)
 	if best == nil {
 		return &Node{Leaf: true, Class: b.majority(idx)}
 	}
-	var trueIdx, falseIdx []int
+	t := 0
 	for _, i := range idx {
 		if best.Test(b.ts.Rows[i]) {
-			trueIdx = append(trueIdx, i)
-		} else {
-			falseIdx = append(falseIdx, i)
+			t++
 		}
 	}
-	if len(trueIdx) < b.opts.MinLeaf || len(falseIdx) < b.opts.MinLeaf {
+	if t < b.opts.MinLeaf || len(idx)-t < b.opts.MinLeaf {
 		return &Node{Leaf: true, Class: b.majority(idx)}
 	}
-	best.True = b.grow(trueIdx, depth+1)
-	best.False = b.grow(falseIdx, depth+1)
+	b.partition(idx, best)
+	best.True = b.grow(idx[:t], depth+1)
+	best.False = b.grow(idx[t:], depth+1)
 	return best
 }
 
-// bestSplit searches all attributes for the highest-gain binary split.
-func (b *builder) bestSplit(idx []int, base float64) *Node {
-	var best *Node
-	bestGain := 1e-9 // require strictly positive gain
-	for d := 0; d < b.ts.Schema.Len(); d++ {
-		kind := b.ts.Schema.Col(d).Kind
-		var cands []*Node
-		if kind == value.KindInt || kind == value.KindFloat {
-			cands = b.numericCandidates(idx, d)
+// partition moves the rows of idx that split sends true to its front,
+// stably on both sides.
+func (b *builder) partition(idx []int32, split *Node) {
+	if b.spill == nil {
+		b.spill = make([]int32, len(idx))
+	}
+	t, f := 0, 0
+	for _, i := range idx {
+		if split.Test(b.ts.Rows[i]) {
+			idx[t], t = i, t+1
 		} else {
-			cands = b.categoricalCandidates(idx, d)
+			b.spill[f], f = i, f+1
 		}
-		for _, c := range cands {
-			gain := b.gain(idx, c, base)
-			if gain > bestGain {
-				best, bestGain = c, gain
+	}
+	copy(idx[t:], b.spill[:f])
+}
+
+// bestSplit searches all attributes for the highest-gain binary split;
+// the first of equal gains wins.
+func (b *builder) bestSplit(idx []int32, base float64) *Node {
+	const minGain = 1e-9 // a split must gain strictly more
+	var best Node
+	bestGain := minGain
+	for d := 0; d < b.ts.Schema.Len(); d++ {
+		col := b.ts.Schema.Col(d)
+		c := Node{Attr: col.Name, AttrIdx: d}
+		if col.Kind == value.KindInt || col.Kind == value.KindFloat {
+			c.Kind = SplitNumeric
+			for _, cut := range b.numericCandidates(idx, d) {
+				c.Threshold = cut
+				if gain := b.gain(idx, &c, base); gain > bestGain {
+					best, bestGain = c, gain
+				}
+			}
+		} else {
+			c.Kind = SplitCategorical
+			for _, v := range b.categoricalCandidates(idx, d) {
+				c.CatVal = v
+				if gain := b.gain(idx, &c, base); gain > bestGain {
+					best, bestGain = c, gain
+				}
 			}
 		}
 	}
-	return best
+	if bestGain == minGain {
+		return nil
+	}
+	n := best
+	return &n
 }
 
 // maxNumericCandidates caps threshold candidates per attribute.
 const maxNumericCandidates = 32
 
-func (b *builder) numericCandidates(idx []int, d int) []*Node {
-	vals := make([]float64, 0, len(idx))
+// numericCandidates returns the thresholds to try on numeric attribute
+// d: the midpoints between neighbouring distinct values, thinned to
+// about maxNumericCandidates. They live in b.vals until the next call.
+func (b *builder) numericCandidates(idx []int32, d int) []float64 {
+	if cap(b.vals) < len(idx) {
+		b.vals = make([]float64, 0, len(idx))
+	}
+	vals := b.vals[:0]
 	for _, i := range idx {
 		v := b.ts.Rows[i][d]
 		if !v.IsNull() {
@@ -223,54 +282,57 @@ func (b *builder) numericCandidates(idx []int, d int) []*Node {
 		return nil
 	}
 	sort.Float64s(vals)
-	var cuts []float64
+	// Cut j overwrites vals[j], which no later cut reads: j < i.
+	cuts := vals[:0]
 	for i := 1; i < len(vals); i++ {
 		if vals[i] != vals[i-1] {
 			cuts = append(cuts, (vals[i]+vals[i-1])/2)
 		}
 	}
-	if len(cuts) == 0 {
-		return nil
-	}
 	if len(cuts) > maxNumericCandidates {
-		step := len(cuts) / maxNumericCandidates
-		var sampled []float64
+		step, k := len(cuts)/maxNumericCandidates, 0
 		for i := 0; i < len(cuts); i += step {
-			sampled = append(sampled, cuts[i])
+			cuts[k], k = cuts[i], k+1
 		}
-		cuts = sampled
+		cuts = cuts[:k]
 	}
-	out := make([]*Node, len(cuts))
-	for i, c := range cuts {
-		out[i] = &Node{Attr: b.ts.Schema.Col(d).Name, AttrIdx: d, Kind: SplitNumeric, Threshold: c}
-	}
-	return out
+	return cuts
 }
 
-func (b *builder) categoricalCandidates(idx []int, d int) []*Node {
-	seen := map[string]value.Value{}
+// categoricalCandidates returns the members of attribute d among idx's
+// rows, sorted by rendering, each the last value seen that renders so.
+// They live in b.cands until the next call.
+func (b *builder) categoricalCandidates(idx []int32, d int) []value.Value {
+	in := &b.members[d]
+	present := b.present[:0]
 	for _, i := range idx {
 		v := b.ts.Rows[i][d]
-		if !v.IsNull() {
-			seen[v.String()] = v
+		if v.IsNull() {
+			continue
 		}
+		id := in.ID(v)
+		if id >= len(b.last) {
+			b.last = append(b.last, make([]value.Value, id+1-len(b.last))...)
+		}
+		if b.last[id].IsNull() {
+			present = append(present, id)
+		}
+		b.last[id] = v
 	}
-	if len(seen) < 2 {
+	slices.SortFunc(present, func(x, y int) int { return strings.Compare(in.Text(x), in.Text(y)) })
+	cands := b.cands[:0]
+	for _, id := range present {
+		cands = append(cands, b.last[id])
+		b.last[id] = value.Value{}
+	}
+	b.present, b.cands = present, cands
+	if len(cands) < 2 {
 		return nil
 	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*Node, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, &Node{Attr: b.ts.Schema.Col(d).Name, AttrIdx: d, Kind: SplitCategorical, CatVal: seen[k]})
-	}
-	return out
+	return cands
 }
 
-func (b *builder) gain(idx []int, split *Node, base float64) float64 {
+func (b *builder) gain(idx []int32, split *Node, base float64) float64 {
 	tc, fc := b.trueCounts, b.falseCounts
 	clear(tc)
 	clear(fc)

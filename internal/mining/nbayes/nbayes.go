@@ -48,58 +48,115 @@ func Train(name, predCol string, ts *mining.TrainSet, opts Options) (*Model, err
 	if err := ts.Validate(); err != nil {
 		return nil, fmt.Errorf("nbayes: %w", err)
 	}
+	c := NewCounts(ts.Schema.Len())
+	for i, r := range ts.Rows {
+		c.Add(r, ts.Labels[i])
+	}
+	return c.Model(name, predCol, ts.ColumnNames(), opts)
+}
+
+// Counts is naive Bayes training as one counting pass: Add each training
+// row, then Model turns the counts into the parameter tables. A model is
+// a contingency table of (attribute, member, class) counts, so the rows
+// need not be kept; Add keeps no reference to its input tuple.
+//
+// Classes and members are keyed by mining.Interner, in first-seen order.
+// A class is represented by the first label seen of it, a member by the
+// last value seen of it; Model ranks both by value.Compare.
+type Counts struct {
+	rows       int
+	classes    mining.Interner
+	labels     []value.Value // labels[id]: the first label of class id
+	classCount []float64     // classCount[id]: rows of class id
+	attrs      []attrCounts
+}
+
+// attrCounts is one attribute's share of Counts.
+type attrCounts struct {
+	members mining.Interner
+	dom     []value.Value // dom[l]: the last value seen of member l
+	// counts[l][id] is how many rows of class id have member l; it holds
+	// no slot for a class id met after member l's last row.
+	counts [][]float64
+}
+
+// NewCounts returns an empty accumulator over attrs input attributes.
+func NewCounts(attrs int) *Counts {
+	return &Counts{attrs: make([]attrCounts, attrs)}
+}
+
+// Add counts one training row: in holds its attributes, NULLs skipped.
+func (c *Counts) Add(in value.Tuple, label value.Value) {
+	id := c.classes.ID(label)
+	if id == len(c.labels) {
+		c.labels = append(c.labels, label)
+		c.classCount = append(c.classCount, 0)
+	}
+	c.rows++
+	c.classCount[id]++
+	for d, v := range in {
+		if v.IsNull() {
+			continue
+		}
+		a := &c.attrs[d]
+		l := a.members.ID(v)
+		if l == len(a.dom) {
+			a.dom = append(a.dom, v)
+			a.counts = append(a.counts, nil)
+		}
+		a.dom[l] = v
+		if n := id + 1 - len(a.counts[l]); n > 0 {
+			a.counts[l] = append(a.counts[l], make([]float64, n)...)
+		}
+		a.counts[l][id]++
+	}
+}
+
+// Model fits the model the counted rows train; cols names the
+// attributes. It fails on no rows, or on an attribute with no non-null
+// value.
+func (c *Counts) Model(name, predCol string, cols []string, opts Options) (*Model, error) {
+	if c.rows == 0 {
+		return nil, fmt.Errorf("nbayes: %w", mining.ErrEmptyTrainSet)
+	}
 	if opts.Laplace <= 0 {
 		opts.Laplace = 1
 	}
-	ids, seen := ts.ClassIDs()
-	classes, rank := sortedByCompare(seen)
-	n := ts.Schema.Len()
+	classes, rank := sortedByCompare(c.labels)
+	n := len(c.attrs)
 	m := &Model{
 		name:    name,
 		predCol: predCol,
-		cols:    ts.ColumnNames(),
+		cols:    cols,
 		classes: classes,
 		Domains: make([][]value.Value, n),
 		Priors:  make([]float64, len(classes)),
 		Cond:    make([][][]float64, n),
 		Floor:   make([][]float64, n),
 	}
-	// Count, numbering each attribute's members as they are met. Members
-	// are keyed like classes (mining.Interner); of two values that render
-	// the same, the last one seen stands for the member.
+	// Renumber the counts from first-seen ids to Compare ranks.
 	classCount := make([]float64, len(classes))
-	members := make([]mining.Interner, n)
-	seenDom := make([][]value.Value, n)
-	seenCounts := make([][][]float64, n)
-	for i, r := range ts.Rows {
-		k := rank[ids[i]]
-		classCount[k]++
-		for d, v := range r {
-			if v.IsNull() {
-				continue
-			}
-			l := members[d].ID(v)
-			if l == len(seenDom[d]) {
-				seenDom[d] = append(seenDom[d], v)
-				seenCounts[d] = append(seenCounts[d], make([]float64, len(classes)))
-			}
-			seenDom[d][l] = v
-			seenCounts[d][l][k]++
-		}
+	for id, k := range rank {
+		classCount[k] = c.classCount[id]
 	}
 	counts := make([][][]float64, n)
-	for d := 0; d < n; d++ {
-		if len(seenDom[d]) == 0 {
-			return nil, fmt.Errorf("nbayes: attribute %s has no non-null values", m.cols[d])
+	for d := range c.attrs {
+		a := &c.attrs[d]
+		if len(a.dom) == 0 {
+			return nil, fmt.Errorf("nbayes: attribute %s has no non-null values", cols[d])
 		}
 		var memberRank []int
-		m.Domains[d], memberRank = sortedByCompare(seenDom[d])
+		m.Domains[d], memberRank = sortedByCompare(a.dom)
 		counts[d] = make([][]float64, len(memberRank))
-		for l, c := range seenCounts[d] {
-			counts[d][memberRank[l]] = c
+		for l, byID := range a.counts {
+			byRank := make([]float64, len(classes))
+			for id, x := range byID {
+				byRank[rank[id]] = x
+			}
+			counts[d][memberRank[l]] = byRank
 		}
 	}
-	total := float64(len(ts.Rows))
+	total := float64(c.rows)
 	minCount := classCount[0]
 	for k := range classes {
 		m.Priors[k] = classCount[k] / total

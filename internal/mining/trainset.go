@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"errors"
 	"fmt"
 
 	"minequery/internal/value"
@@ -17,6 +18,9 @@ type TrainSet struct {
 	Labels []value.Value
 }
 
+// ErrEmptyTrainSet is the error of training over no rows.
+var ErrEmptyTrainSet = errors.New("mining: empty train set")
+
 // Validate checks arity consistency.
 func (ts *TrainSet) Validate() error {
 	if ts.Schema == nil {
@@ -26,7 +30,7 @@ func (ts *TrainSet) Validate() error {
 		return fmt.Errorf("mining: %d rows but %d labels", len(ts.Rows), len(ts.Labels))
 	}
 	if len(ts.Rows) == 0 {
-		return fmt.Errorf("mining: empty train set")
+		return ErrEmptyTrainSet
 	}
 	for i, r := range ts.Rows {
 		if len(r) != ts.Schema.Len() {
@@ -72,6 +76,7 @@ func (ts *TrainSet) ClassIDs() (ids []int, classes []value.Value) {
 type Interner struct {
 	exact  map[value.Value]int
 	byText map[string]int
+	texts  []string // texts[id]: the rendering of id
 }
 
 // ID returns v's id.
@@ -85,12 +90,16 @@ func (in *Interner) ID(v value.Value) int {
 	text := v.String()
 	id, ok := in.byText[text]
 	if !ok {
-		id = len(in.byText)
+		id = len(in.texts)
 		in.byText[text] = id
+		in.texts = append(in.texts, text)
 	}
 	in.exact[v] = id
 	return id
 }
+
+// Text returns the rendering of an id ID has handed out.
+func (in *Interner) Text(id int) string { return in.texts[id] }
 
 // ColumnNames returns the schema's column names in order.
 func (ts *TrainSet) ColumnNames() []string {

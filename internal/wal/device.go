@@ -42,12 +42,20 @@ type Device interface {
 // pending into durable. CrashImage exposes what a real disk could hold
 // after a crash — the durable bytes plus an arbitrary prefix of the
 // un-synced tail (the torn-write model).
+//
+// The bytes, durable and pending alike, are one stream held in
+// fixed-size chunks: a Write copies its bytes once, a full chunk is
+// never copied again, and a Sync only moves the durable mark.
 type MemDevice struct {
 	mu      sync.Mutex
-	durable []byte
-	pending []byte
+	chunks  [][]byte // each of capacity memChunk; all but the last full
+	size    int      // bytes held
+	durable int      // bytes before the last Sync
 	failed  bool
 }
+
+// memChunk is the capacity of one MemDevice chunk.
+const memChunk = 64 << 10
 
 // NewMemDevice returns an empty in-memory device.
 func NewMemDevice() *MemDevice { return &MemDevice{} }
@@ -55,7 +63,37 @@ func NewMemDevice() *MemDevice { return &MemDevice{} }
 // NewMemDeviceFrom returns a device whose durable image is a copy of b
 // — the "disk after reboot" for recovery tests.
 func NewMemDeviceFrom(b []byte) *MemDevice {
-	return &MemDevice{durable: append([]byte(nil), b...)}
+	d := &MemDevice{}
+	d.append(b)
+	d.durable = d.size
+	return d
+}
+
+// append copies p onto the end of the stream.
+func (d *MemDevice) append(p []byte) {
+	for len(p) > 0 {
+		last := len(d.chunks) - 1
+		if last < 0 || len(d.chunks[last]) == memChunk {
+			d.chunks = append(d.chunks, make([]byte, 0, memChunk))
+			last++
+		}
+		c := d.chunks[last]
+		k := min(len(p), memChunk-len(c))
+		d.chunks[last], p = append(c, p[:k]...), p[k:]
+		d.size += k
+	}
+}
+
+// prefix returns a copy of the first n bytes of the stream.
+func (d *MemDevice) prefix(n int) []byte {
+	out := make([]byte, 0, n)
+	for _, c := range d.chunks {
+		if len(out)+len(c) >= n {
+			return append(out, c[:n-len(out)]...)
+		}
+		out = append(out, c...)
+	}
+	return out
 }
 
 // Contents returns a copy of the durable image plus any pending bytes.
@@ -67,9 +105,7 @@ func (d *MemDevice) Contents() ([]byte, error) {
 	if d.failed {
 		return nil, ErrDeviceFailed
 	}
-	out := make([]byte, 0, len(d.durable)+len(d.pending))
-	out = append(out, d.durable...)
-	return append(out, d.pending...), nil
+	return d.prefix(d.size), nil
 }
 
 // Write appends p to the pending (un-synced) tail.
@@ -79,7 +115,7 @@ func (d *MemDevice) Write(p []byte) error {
 	if d.failed {
 		return ErrDeviceFailed
 	}
-	d.pending = append(d.pending, p...)
+	d.append(p)
 	return nil
 }
 
@@ -90,30 +126,30 @@ func (d *MemDevice) Sync() error {
 	if d.failed {
 		return ErrDeviceFailed
 	}
-	d.durable = append(d.durable, d.pending...)
-	d.pending = d.pending[:0]
+	d.durable = d.size
 	return nil
 }
 
 // Truncate cuts the device's contents (durable image plus pending
-// tail, as Contents serves them) to the first n bytes.
+// tail, as Contents serves them) to the first n bytes. A cut into the
+// durable image is durable at once.
 func (d *MemDevice) Truncate(n int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.failed {
 		return ErrDeviceFailed
 	}
-	if n < 0 {
-		n = 0
-	}
-	if n <= len(d.durable) {
-		d.durable = d.durable[:n]
-		d.pending = d.pending[:0]
+	n = max(n, 0)
+	if n >= d.size {
 		return nil
 	}
-	if k := n - len(d.durable); k < len(d.pending) {
-		d.pending = d.pending[:k]
+	keep := (n + memChunk - 1) / memChunk
+	clear(d.chunks[keep:])
+	d.chunks = d.chunks[:keep]
+	if keep > 0 {
+		d.chunks[keep-1] = d.chunks[keep-1][:n-(keep-1)*memChunk]
 	}
+	d.size, d.durable = n, min(d.durable, n)
 	return nil
 }
 
@@ -130,7 +166,7 @@ func (d *MemDevice) Fail() {
 func (d *MemDevice) PendingLen() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.pending)
+	return d.size - d.durable
 }
 
 // CrashImage returns the bytes a disk could plausibly hold after a
@@ -140,15 +176,8 @@ func (d *MemDevice) PendingLen() int {
 func (d *MemDevice) CrashImage(keep int) []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if keep < 0 {
-		keep = 0
-	}
-	if keep > len(d.pending) {
-		keep = len(d.pending)
-	}
-	out := make([]byte, 0, len(d.durable)+keep)
-	out = append(out, d.durable...)
-	return append(out, d.pending[:keep]...)
+	keep = min(max(keep, 0), d.size-d.durable)
+	return d.prefix(d.durable + keep)
 }
 
 // FileDevice is the production Device: an append-only file whose Sync

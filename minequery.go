@@ -363,7 +363,9 @@ type ModelInfo struct {
 	Name string
 	// Classes enumerates the model's class labels.
 	Classes []Value
-	// TrainTime is the inducer's wall time.
+	// TrainTime is the inducer's wall time. Naive Bayes counts its rows
+	// while the training scan runs, so its TrainTime includes the scan;
+	// every other family's starts when the scan has ended.
 	TrainTime time.Duration
 	// EnvelopeTime is the upper-envelope precomputation wall time (the
 	// Section 5 overhead metric: it should be a small fraction of
@@ -382,32 +384,109 @@ func (e *Engine) buildTrainSet(table string, inputCols []string, labelCol string
 
 // buildTrainSetWhere is buildTrainSet over a relational view: rows
 // failing where (when non-nil) are excluded from training. This is the
-// CREATE MODEL ... AS SELECT path. The view is run as the plan trainView
-// builds, and each training row is copied out once, already narrowed.
+// CREATE MODEL ... AS SELECT path.
 func (e *Engine) buildTrainSetWhere(table string, inputCols []string, labelCol string, where expr.Expr) (*mining.TrainSet, error) {
+	var s trainSetSink
+	if err := e.drainTrainView(table, inputCols, labelCol, where, &s); err != nil {
+		return nil, err
+	}
+	return &s.ts, nil
+}
+
+// drainTrainView runs the relational view training reads — table's
+// inputCols and labelCol over the rows passing where — as the plan
+// trainView builds, into sink.
+func (e *Engine) drainTrainView(table string, inputCols []string, labelCol string, where expr.Expr, sink trainSink) error {
 	t, ok := e.cat.Table(table)
 	if !ok {
-		return nil, fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, table)
+		return fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, table)
 	}
 	view, schema, labelAt, err := trainView(t, inputCols, labelCol, where)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// The rows go straight into the slice the train set keeps, sized from
-	// the table's row count.
-	rows := exec.RowBuffer{Rows: make([]value.Tuple, 0, t.Heap.Len())}
-	if _, err := exec.Drain(context.Background(), e.cat, view, exec.Options{}, &rows); err != nil {
-		return nil, fmt.Errorf("minequery: train scan of %s: %w", table, err)
+	sink.open(schema, labelAt, t.Heap.Len())
+	if _, err := exec.Drain(context.Background(), e.cat, view, exec.Options{}, sink); err != nil {
+		return fmt.Errorf("minequery: train scan of %s: %w", table, err)
 	}
-	n := schema.Len()
-	ts := &mining.TrainSet{Schema: schema, Rows: rows.Rows, Labels: make([]value.Value, len(rows.Rows))}
-	for i, row := range ts.Rows {
-		if labelAt >= 0 {
-			ts.Labels[i] = row[labelAt]
-		}
-		ts.Rows[i] = row[:n:n]
+	return nil
+}
+
+// trainSink is where a training view's rows go: told the view's input
+// schema, where the label sits in a row (-1 without one) and how many
+// rows the table holds before the scan starts. A row's first
+// schema.Len() values are its inputs.
+type trainSink interface {
+	exec.RowSink
+	open(schema *value.Schema, labelAt int, tableRows int64)
+}
+
+// trainRows is the shape of a training view's rows.
+type trainRows struct{ n, labelAt int }
+
+func (r trainRows) label(row value.Tuple) value.Value {
+	if r.labelAt < 0 {
+		return value.Null()
 	}
-	return ts, nil
+	return row[r.labelAt]
+}
+
+// trainSetSink keeps a view's rows as a TrainSet, sized from the table's
+// row count: each row's inputs copied once, into one backing per batch,
+// and its label once, into Labels.
+type trainSetSink struct {
+	trainRows
+	ts mining.TrainSet
+}
+
+func (s *trainSetSink) open(schema *value.Schema, labelAt int, tableRows int64) {
+	s.trainRows = trainRows{n: schema.Len(), labelAt: labelAt}
+	s.ts = mining.TrainSet{Schema: schema,
+		Rows: make([]value.Tuple, 0, tableRows), Labels: make([]value.Value, 0, tableRows)}
+}
+
+func (s *trainSetSink) Begin() { s.ts.Rows, s.ts.Labels = s.ts.Rows[:0], s.ts.Labels[:0] }
+
+func (s *trainSetSink) Batch(b exec.Batch) error {
+	backing := make(value.Tuple, len(b)*s.n)
+	for _, row := range b {
+		in := backing[:s.n:s.n]
+		backing = backing[s.n:]
+		copy(in, row)
+		s.ts.Rows = append(s.ts.Rows, in)
+		s.ts.Labels = append(s.ts.Labels, s.label(row))
+	}
+	return nil
+}
+
+// bayesSink trains naive Bayes as the view drains: the model is a table
+// of counts, so no row is kept.
+type bayesSink struct {
+	trainRows
+	cols   []string
+	counts *nbayes.Counts
+}
+
+func (s *bayesSink) open(schema *value.Schema, labelAt int, _ int64) {
+	s.trainRows = trainRows{n: schema.Len(), labelAt: labelAt}
+	s.cols = make([]string, s.n)
+	for i := range s.cols {
+		s.cols[i] = schema.Col(i).Name
+	}
+}
+
+func (s *bayesSink) Begin() { s.counts = nbayes.NewCounts(s.n) }
+
+func (s *bayesSink) Batch(b exec.Batch) error {
+	for _, row := range b {
+		s.counts.Add(row[:s.n], s.label(row))
+	}
+	return nil
+}
+
+// model fits the model the drained rows train.
+func (s *bayesSink) model(name, predCol string, opts nbayes.Options) (*nbayes.Model, error) {
+	return s.counts.Model(name, predCol, s.cols, opts)
 }
 
 // trainView is the plan a relational view for training runs, and the
@@ -492,12 +571,12 @@ func (e *Engine) TrainDecisionTree(name, predCol, table string, inputCols []stri
 // TrainNaiveBayes trains a discrete naive Bayes model over table data
 // and precomputes its envelopes with the top-down algorithm.
 func (e *Engine) TrainNaiveBayes(name, predCol, table string, inputCols []string, labelCol string, opts BayesOptions) (*ModelInfo, error) {
-	ts, err := e.buildTrainSet(table, inputCols, labelCol)
-	if err != nil {
+	start := time.Now()
+	var s bayesSink
+	if err := e.drainTrainView(table, inputCols, labelCol, nil, &s); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	m, err := nbayes.Train(name, predCol, ts, opts)
+	m, err := s.model(name, predCol, opts)
 	if err != nil {
 		return nil, err
 	}

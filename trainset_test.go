@@ -1,11 +1,19 @@
 package minequery
 
 import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
 	"minequery/internal/expr"
+	"minequery/internal/mining/nbayes"
+	"minequery/internal/sqlparse"
 )
 
 // raceEnabled is set by race_test.go; allocation counts skip under it.
@@ -113,5 +121,197 @@ func TestAllocTrainSetReadsOnlyItsColumns(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > rows*512/2 {
 		t.Fatalf("building a train set over (a, label) allocated %d B; the notes alone are %d B", got, rows*512)
+	}
+}
+
+// bayesFixture is a seeded table over the values where naive Bayes'
+// keying is subtle: FLOAT -0, 0 and NaN payloads, INT and FLOAT columns
+// holding equal numbers, NULL inputs and labels, a label column that is
+// also an input, a column z that is NULL in every row and a column w
+// that is NULL in the first 50.
+func bayesFixture(t *testing.T, seed int64, rows int) *Engine {
+	t.Helper()
+	eng := New()
+	if err := eng.CreateTable("t", MustSchema(
+		Column{Name: "id", Kind: KindInt},
+		Column{Name: "x", Kind: KindFloat},
+		Column{Name: "n", Kind: KindInt},
+		Column{Name: "s", Kind: KindString},
+		Column{Name: "c", Kind: KindString},
+		Column{Name: "f", Kind: KindFloat},
+		Column{Name: "z", Kind: KindInt},
+		Column{Name: "w", Kind: KindInt},
+	)); err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(seed))
+	nan2 := math.Float64frombits(0x7ff8000000000bad)
+	xs := []Value{Float(0), Float(math.Copysign(0, -1)), Float(math.NaN()), Float(nan2), Float(2), Float(2.5), Float(-1), Null()}
+	ns := []Value{Int(0), Int(2), Int(3), Null()}
+	ss := []Value{Str("a"), Str("b"), Str("2"), Str(""), Null()}
+	cs := []Value{Str("hi"), Str("lo"), Str("mid"), Null()}
+	fs := []Value{Float(0), Float(math.Copysign(0, -1)), Float(1), Float(math.NaN())}
+	batch := make([]Tuple, rows)
+	for i := range batch {
+		batch[i] = Tuple{Int(int64(i)), xs[r.Intn(len(xs))], ns[r.Intn(len(ns))], ss[r.Intn(len(ss))],
+			cs[r.Intn(len(cs))], fs[r.Intn(len(fs))], Null(), Null()}
+		if i >= 50 {
+			batch[i][7] = Int(int64(r.Intn(3)))
+		}
+	}
+	if err := eng.InsertBatch("t", batch); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// sameBayes reports where two naive Bayes models first differ, "" when
+// they are bit-identical: Values compare by == (a FLOAT's bits), and
+// probabilities by their bits.
+func sameBayes(got, want *nbayes.Model) string {
+	bits := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	switch {
+	case got.Name() != want.Name() || got.PredictColumn() != want.PredictColumn() ||
+		!slices.Equal(got.InputColumns(), want.InputColumns()):
+		return fmt.Sprintf("metadata %s %s %v, want %s %s %v", got.Name(), got.PredictColumn(), got.InputColumns(),
+			want.Name(), want.PredictColumn(), want.InputColumns())
+	case !slices.Equal(got.Classes(), want.Classes()) || !bits(got.Priors, want.Priors):
+		return fmt.Sprintf("classes %v priors %v, want %v %v", got.Classes(), got.Priors, want.Classes(), want.Priors)
+	case len(got.Domains) != len(want.Domains):
+		return "attribute count"
+	}
+	for d := range want.Domains {
+		if !slices.Equal(got.Domains[d], want.Domains[d]) || !bits(got.Floor[d], want.Floor[d]) ||
+			!slices.EqualFunc(got.Cond[d], want.Cond[d], bits) {
+			return fmt.Sprintf("attribute %d: domain %v floor %v cond %v, want %v %v %v", d,
+				got.Domains[d], got.Floor[d], got.Cond[d], want.Domains[d], want.Floor[d], want.Cond[d])
+		}
+	}
+	return ""
+}
+
+// TestNaiveBayesStreamMatchesTrainSet: naive Bayes counted while its
+// view drains — CREATE MODEL, its retrain and Engine.TrainNaiveBayes —
+// is bit for bit the model nbayes.Train fits over buildTrainSetWhere's
+// set, and fails with the same error where that does: an empty view, an
+// attribute NULL in every row, an attribute NULL in every row the view
+// keeps.
+func TestNaiveBayesStreamMatchesTrainSet(t *testing.T) {
+	type view struct {
+		inputs []string
+		label  string
+		where  string
+	}
+	views := []view{
+		{[]string{"x", "n", "s"}, "c", ""},
+		{[]string{"x", "s"}, "f", "id >= 37"},
+		{[]string{"n", "c"}, "c", "x > 0"},
+		{[]string{"x", "n"}, "s", "n <> 2 OR s = 'a'"},
+		{[]string{"x", "s"}, "c", "id < 0"},  // empty view
+		{[]string{"x", "z"}, "c", ""},        // z is NULL everywhere
+		{[]string{"s", "w"}, "c", "id < 50"}, // w is NULL in every row kept
+		{[]string{"s", "w"}, "c", "id < 51"},
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		eng := bayesFixture(t, seed, 150+int(seed)*97)
+		for vi, v := range views {
+			name := fmt.Sprintf("nb%d", vi)
+			sql := fmt.Sprintf("CREATE MODEL %s ON t PREDICT %s USING nbayes AS SELECT %s, %s FROM t",
+				name, v.label, strings.Join(v.inputs, ", "), v.label)
+			if v.where != "" {
+				sql += " WHERE " + v.where
+			}
+			st, err := sqlparse.ParseStatement(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb, _ := eng.cat.Table("t")
+			def := newModelDef(st.CreateModel, sql)
+			feats, label, err := resolveDefFeatures(tb, def)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts, err := eng.buildTrainSetWhere("t", feats, label, def.where)
+			if err != nil {
+				t.Fatalf("seed %d view %d: %v", seed, vi, err)
+			}
+			want, wantErr := nbayes.Train(name, v.label, ts, nbayes.Options{})
+
+			_, err = eng.Exec(context.Background(), sql)
+			if wantErr != nil {
+				wantMsg := fmt.Sprintf("minequery: train %s (nbayes): %v", name, wantErr)
+				if err == nil || err.Error() != wantMsg {
+					t.Fatalf("seed %d view %d: CREATE MODEL err = %v, want %s", seed, vi, err, wantMsg)
+				}
+			} else if err != nil {
+				t.Fatalf("seed %d view %d: CREATE MODEL: %v", seed, vi, err)
+			} else {
+				me, _ := eng.cat.Model(name)
+				if d := sameBayes(me.Model.(*nbayes.Model), want); d != "" {
+					t.Fatalf("seed %d view %d: CREATE MODEL: %s", seed, vi, d)
+				}
+				// The write-volume retrain trains through the same definition.
+				m, _, err := eng.trainModelFromDef(eng.modelDefs[name])
+				if err != nil {
+					t.Fatalf("seed %d view %d: retrain: %v", seed, vi, err)
+				}
+				if d := sameBayes(m.(*nbayes.Model), want); d != "" {
+					t.Fatalf("seed %d view %d: retrain: %s", seed, vi, d)
+				}
+			}
+			if def.where != nil {
+				continue
+			}
+			if ts, err = eng.buildTrainSet("t", v.inputs, v.label); err != nil {
+				t.Fatal(err)
+			}
+			want, wantErr = nbayes.Train(name+"_api", v.label, ts, nbayes.Options{})
+			_, err = eng.TrainNaiveBayes(name+"_api", v.label, "t", v.inputs, v.label, nbayes.Options{})
+			if wantErr != nil {
+				if err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("seed %d view %d: TrainNaiveBayes err = %v, want %v", seed, vi, err, wantErr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("seed %d view %d: TrainNaiveBayes: %v", seed, vi, err)
+			}
+			me, _ := eng.cat.Model(name + "_api")
+			if d := sameBayes(me.Model.(*nbayes.Model), want); d != "" {
+				t.Fatalf("seed %d view %d: TrainNaiveBayes: %s", seed, vi, d)
+			}
+		}
+	}
+}
+
+// TestAllocNaiveBayesTrainIsRowFree: naive Bayes trained as its view
+// drains keeps no row — over 2,000 and 20,000 rows of one table shape,
+// training allocates within 1 B a row of the same, the scan's own
+// storage coming from its pools. On one P with GC off.
+func TestAllocNaiveBayesTrainIsRowFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	train := func(rows int) uint64 {
+		eng := trainSetFixture(t, rows)
+		d := &modelDef{name: "nb", table: "t", family: "nbayes", predict: "label", feats: []string{"a", "label"}}
+		if _, _, err := eng.trainModelFromDef(d); err != nil { // warms the scan's pools
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := eng.trainModelFromDef(d); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := train(2000), train(20000)
+	if perRow := (float64(large) - float64(small)) / 18000; perRow >= 1 {
+		t.Fatalf("streamed naive Bayes allocated %d B over 2,000 rows and %d B over 20,000: %.2f B a row", small, large, perRow)
 	}
 }
