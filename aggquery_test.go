@@ -412,17 +412,17 @@ func TestAggregateEnvelopeAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Analyze == nil || !res.Analyze.IsAggregate {
+	if res.Report() == nil || !res.Report().IsAggregate {
 		t.Fatal("no aggregate analyze report")
 	}
 	var attributed bool
-	for _, op := range res.Analyze.Ops {
+	for _, op := range res.Report().Ops {
 		if op.HasAttribution && op.EnvRejected+op.ResidRejected > 0 {
 			attributed = true
 		}
 	}
 	if !attributed {
-		t.Fatalf("no envelope-vs-residual attribution under the aggregate:\n%s", res.Analyze.Render(false))
+		t.Fatalf("no envelope-vs-residual attribution under the aggregate:\n%s", res.Report().Render(false))
 	}
 	// The attribution run must not change the answer.
 	plain, err := e.Query(ctx, sql, WithForcedPath("seqscan"))
@@ -464,10 +464,10 @@ func TestAggregateExplainAnalyzeGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Analyze == nil {
+				if res.Report() == nil {
 					t.Fatal("no analyze report")
 				}
-				got := res.Analyze.Render(true)
+				got := res.Report().Render(true)
 				path := filepath.Join("testdata", "analyze", name+".golden")
 				if *updateGolden {
 					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"minequery/internal/catalog"
-	"minequery/internal/exec"
 	"minequery/internal/plan"
 )
 
@@ -116,14 +114,21 @@ type TermActuals struct {
 	Rejected  int64
 }
 
-// buildAnalyzeReport assembles the report from the executed plan and
-// its collector.
-func buildAnalyzeReport(root plan.Node, col *exec.Collector, t *catalog.Table, sel float64, dop int, st ExecStats, attribution bool) *AnalyzeReport {
+// buildAnalyzeReport assembles r's report from the plan it executed,
+// that execution's collector, and what the Result itself records.
+func buildAnalyzeReport(r *Result) *AnalyzeReport {
+	a := r.actuals
+	root, col := a.root, a.col
 	rep := &AnalyzeReport{
-		DOP:         dop,
-		AccessPath:  plan.PathOf(root).String(),
-		Stats:       st,
-		Attribution: attribution,
+		DOP:              a.dop,
+		AccessPath:       r.AccessPath,
+		Stats:            r.Stats,
+		Attribution:      a.attribution,
+		Fallback:         r.Fallback,
+		FallbackReason:   r.FallbackReason,
+		Retries:          r.Retries,
+		PartitionsTotal:  r.PartitionsTotal,
+		PartitionsPruned: r.PartitionsPruned,
 	}
 	for _, w := range col.Workers() {
 		rep.Workers = append(rep.Workers, WorkerActuals{
@@ -132,9 +137,8 @@ func buildAnalyzeReport(root plan.Node, col *exec.Collector, t *catalog.Table, s
 			Time:    time.Duration(w.WallNanos.Load()),
 		})
 	}
-	rowCount := t.Heap.Len()
 	attrFilter := plan.Node(nil)
-	if attribution {
+	if a.attribution {
 		if f := scanLevelFilter(root); f != nil {
 			attrFilter = f
 		}
@@ -146,7 +150,7 @@ func buildAnalyzeReport(root plan.Node, col *exec.Collector, t *catalog.Table, s
 		oa := OpActuals{
 			Op:      n.Describe(),
 			Depth:   depth,
-			EstRows: estimateRows(n, rowCount, sel),
+			EstRows: estimateRows(n, a.rowCount, r.EstSelectivity),
 			Rows:    op.Rows.Load(),
 			Batches: op.Batches.Load(),
 			Time:    time.Duration(op.WallNanos.Load()),

@@ -61,10 +61,10 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 				if res.AccessPath != tc.wantPath {
 					t.Fatalf("access path = %s, want %s\n%s", res.AccessPath, tc.wantPath, res.Plan)
 				}
-				if res.Analyze == nil {
+				if res.Report() == nil {
 					t.Fatal("no analyze report")
 				}
-				got := res.Analyze.Render(true)
+				got := res.Report().Render(true)
 				path := filepath.Join("testdata", "analyze", name+".golden")
 				if *updateGolden {
 					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -130,10 +130,10 @@ func TestExplainAnalyzeColumnarGolden(t *testing.T) {
 				if res.StorageFormat != "columnar" {
 					t.Fatalf("storage format = %q, want columnar\n%s", res.StorageFormat, res.Plan)
 				}
-				if res.Analyze == nil {
+				if res.Report() == nil {
 					t.Fatal("no analyze report")
 				}
-				got := res.Analyze.Render(true)
+				got := res.Report().Render(true)
 				path := filepath.Join("testdata", "analyze", name+".golden")
 				if *updateGolden {
 					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -200,7 +200,7 @@ func TestExplainAnalyzeGoldenStable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := res.Analyze.Render(true)
+			got := res.Report().Render(true)
 			if i == 0 {
 				first = got
 			} else if got != first {

@@ -601,7 +601,9 @@ func (s *Server) execute(ctx context.Context, sql, statementID string, forceSeq 
 	if err != nil {
 		return nil, err
 	}
-	s.maybeRecordSlow(ent.norm, res)
+	if s.isSlow(res) {
+		s.recordSlow(ent.norm, res)
+	}
 	return &wire.ShardExecResponse{
 		ExecuteResponse: wire.ExecuteResponse{
 			StatementID:       ent.id,
@@ -722,12 +724,16 @@ func settingsExecOpts(settings sessionSettings) []minequery.QueryOption {
 	return opts
 }
 
-// maybeRecordSlow logs the completed query when it met the slow-query
-// threshold. normSQL is the normalized statement text.
-func (s *Server) maybeRecordSlow(normSQL string, res *minequery.Result) {
-	if s.cfg.SlowQueryThreshold < 0 || res.Stats.Duration < s.cfg.SlowQueryThreshold {
-		return
-	}
+// isSlow reports whether the completed query met the slow-query
+// threshold.
+func (s *Server) isSlow(res *minequery.Result) bool {
+	return s.cfg.SlowQueryThreshold >= 0 && res.Stats.Duration >= s.cfg.SlowQueryThreshold
+}
+
+// recordSlow logs a query that met the slow-query threshold, with its
+// report — the one read of a served query's report outside EXPLAIN
+// ANALYZE. normSQL is the normalized statement text.
+func (s *Server) recordSlow(normSQL string, res *minequery.Result) {
 	e := slowLogEntry{
 		Time:       time.Now(),
 		SQL:        normSQL,
@@ -735,7 +741,7 @@ func (s *Server) maybeRecordSlow(normSQL string, res *minequery.Result) {
 		Rows:       res.RowCount,
 		ExecStats:  wireStats(res.Stats),
 		Plan:       res.Plan,
-		Analyze:    res.Analyze.Render(false),
+		Analyze:    res.Report().Render(false),
 	}
 	s.slow.record(e)
 }
@@ -764,8 +770,11 @@ func (s *Server) handleExplainAnalyze(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		if norm, nerr := sqlparse.Normalize(req.SQL); nerr == nil {
-			s.maybeRecordSlow(norm, res)
+		if s.isSlow(res) {
+			// Normalized only when an entry will be recorded.
+			if norm, nerr := sqlparse.Normalize(req.SQL); nerr == nil {
+				s.recordSlow(norm, res)
+			}
 		}
 		return wire.ExplainAnalyzeResponse{
 			Plan:           res.Plan,
@@ -773,7 +782,7 @@ func (s *Server) handleExplainAnalyze(w http.ResponseWriter, r *http.Request) {
 			RowCount:       res.RowCount,
 			EstSelectivity: res.EstSelectivity,
 			RewriteNotes:   res.RewriteNotes,
-			Analyze:        res.Analyze.Render(false),
+			Analyze:        res.Report().Render(false),
 			Stats:          wireStats(res.Stats),
 		}, nil
 	})

@@ -6,12 +6,18 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"minequery/internal/agg"
 )
@@ -220,5 +226,88 @@ func TestCallNonEnvelope(t *testing.T) {
 	var we *Error
 	if !errors.As(err, &we) || we.Status != http.StatusBadGateway || we.Code != "" || len(we.Message) != 203 {
 		t.Fatalf("Call returned %#v", err)
+	}
+}
+
+// TestCallDecodesStreamedBody: a 200 is decoded from the body as it
+// arrives — the encoder's trailing newline included — and a body that
+// breaks off or is not JSON fails naming the step that failed.
+func TestCallDecodesStreamedBody(t *testing.T) {
+	for _, tc := range []struct {
+		name, body string
+		length     int // Content-Length to announce; 0 announces len(body)
+		want       string
+	}{
+		{"trailing newline", `{"statement_id":"q7","cached":true}` + "\n", 0, ""},
+		{"trailing blank lines", `{"statement_id":"q7","cached":true}` + "\n\n\n", 0, ""},
+		{"short read", `{"statement_id":"q7",`, 100, "read response: "},
+		{"not json", `{"statement_id":q7}`, 0, "decode response: "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				n := tc.length
+				if n == 0 {
+					n = len(tc.body)
+				}
+				w.Header().Set("Content-Length", strconv.Itoa(n))
+				_, _ = io.WriteString(w, tc.body)
+			}))
+			defer srv.Close()
+			var out PrepareResponse
+			err := Call(context.Background(), srv.Client(), http.MethodGet, srv.URL, nil, &out)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("Call: %v", err)
+			case tc.want == "" && (out.StatementID != "q7" || !out.Cached):
+				t.Fatalf("decoded %+v", out)
+			case tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.want)):
+				t.Fatalf("Call returned %v, want an error starting %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestCallErrorEnvelope: a non-200 envelope comes back as *Error
+// carrying the envelope's code and message.
+func TestCallErrorEnvelope(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusConflict)
+		_ = json.NewEncoder(w).Encode(ErrorEnvelope{Error: ErrorBody{Code: CodeStalePlan, Message: "re-prepare"}})
+	}))
+	defer srv.Close()
+	err := Call(context.Background(), srv.Client(), http.MethodGet, srv.URL, nil, &PrepareResponse{})
+	var we *Error
+	if !errors.As(err, &we) || *we != (Error{Status: http.StatusConflict, Code: CodeStalePlan, Message: "re-prepare"}) {
+		t.Fatalf("Call returned %#v", err)
+	}
+}
+
+// TestCallReusesConnection: two sequential Calls to one server open one
+// connection. The handler flushes the value and ends the body only
+// later, as a large chunked answer does: the decoder stops after the
+// value, and Call must read on to the body's end, or the client closes
+// the connection and dials again.
+func TestCallReusesConnection(t *testing.T) {
+	var opened atomic.Int32
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(PrepareResponse{StatementID: "q1"})
+		w.(http.Flusher).Flush()
+		time.Sleep(20 * time.Millisecond)
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	for i := 0; i < 2; i++ {
+		var out PrepareResponse
+		if err := Call(context.Background(), srv.Client(), http.MethodPost, srv.URL, PrepareRequest{SQL: "x"}, &out); err != nil || out.StatementID != "q1" {
+			t.Fatalf("call %d: %+v, %v", i, out, err)
+		}
+	}
+	if n := opened.Load(); n != 1 {
+		t.Fatalf("two sequential calls opened %d connections, want 1", n)
 	}
 }

@@ -713,9 +713,10 @@ type Result struct {
 	RewriteNotes []string
 	// Stats is the measured execution cost.
 	Stats ExecStats
-	// Analyze is the per-operator runtime report (estimated vs actual
-	// rows, wall time, leaf I/O, envelope-pruning attribution),
-	// populated on every query.
+	// Analyze is the per-operator runtime report as Execute and Query
+	// return it: Report(), taken before they return. ExecuteInto leaves
+	// it nil; a caller that streams the rows calls Report() if it wants
+	// the report.
 	Analyze *AnalyzeReport
 	// Fallback reports that the optimized index path failed with a
 	// transient error and the query was re-run on the always-sound
@@ -744,6 +745,42 @@ type Result struct {
 	// this payload is what a coordinator merges across shards before
 	// finalizing once. Nil in normal executions.
 	PartialAgg *AggWire
+
+	// actuals is what Report builds the report from; nil on a Result
+	// that no execution made.
+	actuals *runActuals
+}
+
+// runActuals is what one execution keeps for its report: the executed
+// tree, the collector that measured it, and the inputs of the estimates
+// the report prints next to the actuals.
+type runActuals struct {
+	root        plan.Node
+	col         *exec.Collector
+	rowCount    int64 // the table's rows when the execution ended
+	dop         int
+	attribution bool
+
+	once   sync.Once
+	report *AnalyzeReport
+}
+
+// Report returns the per-operator runtime report: estimated vs actual
+// rows, wall time, leaf I/O and envelope-pruning attribution. It is
+// built from the execution's own collector on the first call and kept,
+// so an execution whose report nobody reads renders no operator text.
+// At DOP > 1 under a LIMIT, the worker lines read the workers' counters
+// at that first call: a parallel scan stopped early does not wait for
+// its workers (orderedScan.Close does not join them), so a worker may
+// still be counting the morsel it was reading. Report returns nil on a
+// Result that no execution made.
+func (r *Result) Report() *AnalyzeReport {
+	a := r.actuals
+	if a == nil {
+		return nil
+	}
+	a.once.Do(func() { a.report = buildAnalyzeReport(r) })
+	return a.report
 }
 
 // ColumnNames returns the output column names, in order.
@@ -784,13 +821,13 @@ func (e *Engine) Query(ctx context.Context, sql string, opts ...QueryOption) (*R
 // batches, wall time, leaf I/O, and — for filters — how many rejected
 // rows the added envelope pruned vs the query's own (residual)
 // predicate. The query's full Result (rows included) is returned
-// alongside; its Analyze field carries the structured report.
+// alongside; its Report method returns the structured report.
 func (e *Engine) ExplainAnalyze(ctx context.Context, sql string, opts ...QueryOption) (string, *Result, error) {
 	res, err := e.Query(ctx, sql, append(opts, WithAnalyze())...)
 	if err != nil {
 		return "", nil, err
 	}
-	return res.Analyze.Render(false), res, nil
+	return res.Report().Render(false), res, nil
 }
 
 // validateAggregate checks an aggregate query's shape at plan time, so
@@ -872,8 +909,6 @@ func (p *Prepared) executePlan(ctx context.Context, execOpts exec.Options, analy
 	fr.FallbackReason = reason
 	fr.RewriteNotes = append(fr.RewriteNotes[:len(fr.RewriteNotes):len(fr.RewriteNotes)],
 		"fallback: index path failed transiently; re-ran baseline sequential scan")
-	fr.Analyze.Fallback = true
-	fr.Analyze.FallbackReason = reason
 	p.eng.metrics.Load().fallback()
 	return fr, nil
 }
@@ -902,7 +937,7 @@ func (m *meteredSink) Batch(b exec.Batch) error {
 // core under executePlan's degradation wrapper. Stats.Duration is the
 // plan's: what the sink took to consume the rows is left out of it.
 func (p *Prepared) runPlanOnce(ctx context.Context, root plan.Node, execOpts exec.Options, analyzeBase expr.Expr, partial bool, sink RowSink) (*Result, error) {
-	e, t, res := p.eng, p.table, p.optRes
+	e, res := p.eng, p.optRes
 	col := exec.NewCollector()
 	execOpts.Collector = col
 	if analyzeBase != nil {
@@ -964,7 +999,7 @@ func (p *Prepared) runPlanOnce(ctx context.Context, root plan.Node, execOpts exe
 	r := &Result{
 		Columns:          cols,
 		RowCount:         out.rows,
-		Plan:             plan.Explain(root),
+		Plan:             p.planTextOf(root),
 		AccessPath:       plan.PathOf(root).String(),
 		PlanChanged:      plan.Changed(root),
 		EstSelectivity:   res.EstSelectivity,
@@ -975,15 +1010,18 @@ func (p *Prepared) runPlanOnce(ctx context.Context, root plan.Node, execOpts exe
 		PartitionsPruned: res.PartsPruned,
 		PartialAgg:       wire,
 		StorageFormat:    "row",
+		actuals: &runActuals{
+			root:        root,
+			col:         col,
+			rowCount:    p.table.Heap.Len(),
+			dop:         execOpts.DOP,
+			attribution: analyzeBase != nil,
+		},
 	}
 	if info := columnarScanInfo(root, col); info != nil {
 		r.StorageFormat = "columnar"
 		e.metrics.Load().columnar(info)
 	}
-	r.Analyze = buildAnalyzeReport(root, col, t, res.EstSelectivity, execOpts.DOP, st, analyzeBase != nil)
-	r.Analyze.Retries = retries
-	r.Analyze.PartitionsTotal = res.PartsTotal
-	r.Analyze.PartitionsPruned = res.PartsPruned
 	em := e.metrics.Load()
 	em.stage("execute", elapsed)
 	em.query(r.AccessPath, st.TupleReads, int64(out.rows))

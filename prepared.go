@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"minequery/internal/catalog"
@@ -26,8 +27,9 @@ var ErrStalePlan = errors.New("minequery: prepared plan is stale, re-prepare")
 
 // Prepared is a parsed, rewritten, and optimized statement whose plan
 // can be executed repeatedly without re-deriving envelopes or re-running
-// the optimizer. It is immutable after Prepare and safe for concurrent
-// Execute calls (subject to the Engine's own concurrency caveats).
+// the optimizer. Its plan trees are immutable after Prepare, and it is
+// safe for concurrent Execute calls (subject to the Engine's own
+// concurrency caveats).
 type Prepared struct {
 	eng     *Engine
 	sql     string
@@ -41,6 +43,41 @@ type Prepared struct {
 	fallback plan.Node
 	optRes   opt.Result
 	epoch    int64
+	// rootText and fallbackText hold the two trees' Explain text once
+	// it is asked for a second time.
+	rootText, fallbackText planText
+}
+
+// planText is one immutable plan tree's Explain text, rendered afresh
+// on the tree's first request and kept from its second on: a statement
+// that runs once retains nothing, one that runs again renders no more.
+type planText struct {
+	requests atomic.Int32
+	text     atomic.Pointer[string]
+}
+
+// of returns root's Explain text; root is always the tree this slot
+// belongs to.
+func (pt *planText) of(root plan.Node) string {
+	if s := pt.text.Load(); s != nil {
+		return *s
+	}
+	s := plan.Explain(root)
+	if pt.requests.Add(1) < 2 {
+		return s
+	}
+	// Concurrent second requests agree on one kept string.
+	pt.text.CompareAndSwap(nil, &s)
+	return *pt.text.Load()
+}
+
+// planTextOf returns the Explain text of one of the statement's trees:
+// its root or its fallback.
+func (p *Prepared) planTextOf(root plan.Node) string {
+	if root == p.fallback {
+		return p.fallbackText.of(root)
+	}
+	return p.rootText.of(root)
 }
 
 // Prepare parses, rewrites, and optimizes a SELECT once, returning a
@@ -116,7 +153,7 @@ func (e *Engine) front(sql string, q *sqlparse.Query, baseline bool) (*Prepared,
 func (p *Prepared) SQL() string { return p.sql }
 
 // Plan returns the cached physical plan in Explain form.
-func (p *Prepared) Plan() string { return plan.Explain(p.root) }
+func (p *Prepared) Plan() string { return p.rootText.of(p.root) }
 
 // AccessPath reports how the cached plan reads the base table.
 func (p *Prepared) AccessPath() string { return plan.PathOf(p.root).String() }
@@ -174,8 +211,9 @@ func (p *Prepared) ExecuteInto(ctx context.Context, sink RowSink, opts ...QueryO
 	return p.run(ctx, qc, sink)
 }
 
-// collect runs the plan into a row buffer and returns the rows on the
-// Result: what Execute and ad-hoc Query answer with.
+// collect runs the plan into a row buffer and returns the rows, and the
+// report in Analyze, on the Result: what Execute and ad-hoc Query answer
+// with.
 func (p *Prepared) collect(ctx context.Context, qc queryConfig) (*Result, error) {
 	var rows exec.RowBuffer
 	res, err := p.run(ctx, qc, &rows)
@@ -183,6 +221,7 @@ func (p *Prepared) collect(ctx context.Context, qc queryConfig) (*Result, error)
 		return nil, err
 	}
 	res.Rows = rows.Rows
+	res.Analyze = res.Report()
 	return res, nil
 }
 
