@@ -199,10 +199,15 @@ func (c *clusterClient) repl(readLine func() (string, bool)) {
 				fmt.Println("error:", err)
 				break
 			}
+			rows, err := res.Rows.Cells()
+			if err != nil {
+				fmt.Println("error:", err)
+				break
+			}
 			fmt.Println(clusterHeader(res))
-			for i, row := range res.Rows {
+			for i, row := range rows {
 				if i >= 20 {
-					fmt.Printf("... (%d rows total)\n", len(res.Rows))
+					fmt.Printf("... (%d rows total)\n", len(rows))
 					break
 				}
 				fmt.Println(formatClusterRow(row))

@@ -101,7 +101,7 @@ func TestShardKillPartialResult(t *testing.T) {
 		}
 		want = append(want, rowStrings(r.Rows)...)
 	}
-	assertSameRows(t, coordStrings(res.Rows), want, "degraded partial result")
+	assertSameRows(t, coordStrings(t, res.Rows), want, "degraded partial result")
 
 	// When every contacted shard is dead, "partial" would mean zero
 	// sound rows — that must fail instead of succeeding emptily.
@@ -163,7 +163,7 @@ func TestBreakerTripShedAndRecover(t *testing.T) {
 		t.Fatalf("breaker still open after successful probe")
 	}
 	want := rowStrings(tc.unionRows(spanAllQuery, 0).Rows)
-	assertSameRows(t, coordStrings(res.Rows), want, "post-recovery full scan")
+	assertSameRows(t, coordStrings(t, res.Rows), want, "post-recovery full scan")
 }
 
 func TestChaosFlappingShardNeverWrongRows(t *testing.T) {
@@ -201,7 +201,7 @@ func TestChaosFlappingShardNeverWrongRows(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: AllowPartial errored: %v", i, err)
 		}
-		got := coordStrings(res.Rows)
+		got := coordStrings(t, res.Rows)
 		if res.Degraded {
 			if len(res.MissingShards) != 1 || res.MissingShards[0] != 1 {
 				t.Fatalf("iter %d: degraded with missing=%v", i, res.MissingShards)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"minequery"
 	"minequery/internal/expr"
 	"minequery/internal/value"
 )
@@ -198,5 +199,37 @@ func TestShardErrorTyping(t *testing.T) {
 	var se *ShardError
 	if !errors.As(err, &se) || se.Shard != 2 {
 		t.Fatal("ShardError lost its shard id")
+	}
+}
+
+// TestOutlineCacheBounded: ad-hoc statements through a coordinator keep
+// at most maxOutlines outlines, the oldest evicted first, and the newest
+// still served from the cache.
+func TestOutlineCacheBounded(t *testing.T) {
+	planner := minequery.New()
+	if err := planner.CreateTable("t", minequery.MustSchema(minequery.Column{Name: "k", Kind: minequery.KindInt})); err != nil {
+		t.Fatal(err)
+	}
+	c := New(planner, mustRangeMap(t, []int64{5}, 2), Config{})
+	sql := func(i int) string { return fmt.Sprintf("SELECT k FROM t WHERE k = %d", i) }
+	var newest *minequery.PlanOutline
+	for i := 0; i < 300; i++ {
+		o, err := c.outline(sql(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		newest = o
+	}
+	if n := len(c.outlines); n > maxOutlines || len(c.outOrder) != n {
+		t.Fatalf("300 statements left %d outlines (%d in eviction order), want at most %d", n, len(c.outOrder), maxOutlines)
+	}
+	if o, err := c.outline(sql(299)); err != nil || o != newest {
+		t.Fatalf("the newest statement missed the cache: %p, %v", o, err)
+	}
+	if _, ok := c.outlines[newest.Norm]; !ok {
+		t.Fatal("the newest outline is not cached")
+	}
+	if _, ok := c.outlines["select k from t where k = 0"]; ok {
+		t.Fatal("the oldest outline survived 299 newer ones")
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"minequery"
 	"minequery/internal/agg"
-	"minequery/internal/exec"
 	"minequery/internal/fault"
 	"minequery/internal/qerr"
 	"minequery/internal/sqlparse"
@@ -86,6 +85,10 @@ type coordStmt struct {
 	shardIDs map[int]string
 }
 
+// maxOutlines bounds the outline cache, evicted oldest first: the size
+// of a node's statement registry.
+const maxOutlines = 256
+
 // outlineEntry caches a planner outline against the planner epoch.
 type outlineEntry struct {
 	outline *minequery.PlanOutline
@@ -128,12 +131,12 @@ type Result struct {
 	// projected-vs-aggregate provenance), taken from the first answering
 	// shard (every shard plans the same statement, so they agree).
 	Schema []wire.ColumnMeta
-	// Rows preserve each shard's literal JSON numbers (json.Number), so
-	// re-encoding is byte-identical to a single node over the union.
-	// Aggregate statements instead carry rows finalized once at the
-	// coordinator from the merged per-shard partial states, rendered
-	// with the same value conversion a single-node daemon uses.
-	Rows       [][]any
+	// Rows are the shards' encoded arrays concatenated in shard order,
+	// never decoded, so they are byte-identical to a single node over the
+	// union. Aggregate statements instead carry rows finalized once at the
+	// coordinator from the merged per-shard partial states, appended by
+	// the row encoder a single-node daemon uses.
+	Rows       wire.RowSet
 	ShardStats wire.ShardStats
 	// AggMerges counts the per-shard partial aggregate states folded
 	// into the finalized answer (aggregate statements only).
@@ -166,6 +169,7 @@ type Coordinator struct {
 	mu       sync.Mutex
 	states   []shardState
 	outlines map[string]*outlineEntry
+	outOrder []string // outline keys in insertion order, for FIFO eviction
 	stmts    map[string]*coordStmt
 	byNorm   map[string]*coordStmt
 	nextStmt int
@@ -293,7 +297,9 @@ func (c *Coordinator) Sync(ctx context.Context) error {
 }
 
 // outline plans sql once against the planner, caching by normalized
-// text until the planner's catalog epoch moves.
+// text until the planner's catalog epoch moves. The cache keeps the
+// maxOutlines newest statements, so ad-hoc traffic cannot grow it
+// without bound.
 func (c *Coordinator) outline(sql string) (*minequery.PlanOutline, error) {
 	norm, err := sqlparse.Normalize(sql)
 	if err != nil {
@@ -311,6 +317,13 @@ func (c *Coordinator) outline(sql string) (*minequery.PlanOutline, error) {
 		return nil, err
 	}
 	c.mu.Lock()
+	if _, ok := c.outlines[norm]; !ok {
+		for len(c.outlines) >= maxOutlines && len(c.outOrder) > 0 {
+			delete(c.outlines, c.outOrder[0])
+			c.outOrder = c.outOrder[1:]
+		}
+		c.outOrder = append(c.outOrder, norm)
+	}
 	c.outlines[norm] = &outlineEntry{outline: o, epoch: o.Epoch}
 	c.mu.Unlock()
 	return o, nil
@@ -474,7 +487,7 @@ func (c *Coordinator) merge(o *minequery.PlanOutline, d pruneDecision, outcomes 
 	if o.Agg != nil {
 		tab = agg.NewTable(o.Agg)
 	}
-	parts := make([][][]any, 0, n)
+	parts := make([]wire.RowSet, 0, n)
 	var missing []int
 	var firstShardErr, firstRemoteErr error
 	for i := 0; i < n; i++ {
@@ -490,7 +503,7 @@ func (c *Coordinator) merge(o *minequery.PlanOutline, d pruneDecision, outcomes 
 					return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 				}
 			} else {
-				parts = append(parts, out.resp.Rows.Cells)
+				parts = append(parts, out.resp.Rows)
 			}
 			if res.Columns == nil {
 				res.Columns = out.resp.Columns
@@ -575,13 +588,13 @@ func (c *Coordinator) merge(o *minequery.PlanOutline, d pruneDecision, outcomes 
 			rows = rows[:o.Limit]
 		}
 		res.AggMerges = tab.Merges()
-		res.Rows = wire.Rows(rows)
+		var err error
+		if res.Rows, err = wire.EncodeRows(rows); err != nil {
+			return nil, err
+		}
 		return res, nil
 	}
-	res.Rows = exec.MergeOrdered(parts, o.Limit)
-	if res.Rows == nil {
-		res.Rows = [][]any{}
-	}
+	res.Rows = wire.ConcatRows(parts, o.Limit)
 	return res, nil
 }
 

@@ -293,8 +293,20 @@ func directConcat(t *testing.T, tc *testCluster, sql string) [][]string {
 	return out
 }
 
-// coordStrings canonicalizes the coordinator's decoded JSON rows.
-func coordStrings(rows [][]any) [][]string {
+// cells decodes a coordinator's rows for a test that looks inside them.
+func cells(t *testing.T, rows wire.RowSet) [][]any {
+	t.Helper()
+	c, err := rows.Cells()
+	if err != nil {
+		t.Fatalf("rows %.200s: %v", rows.Encoded, err)
+	}
+	return c
+}
+
+// coordStrings canonicalizes the coordinator's JSON rows.
+func coordStrings(t *testing.T, set wire.RowSet) [][]string {
+	t.Helper()
+	rows := cells(t, set)
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		cells := make([]string, len(r))
@@ -392,7 +404,7 @@ func TestCrossNodePlanInvalidation(t *testing.T) {
 	if tc.coord.Counters().Replans == replansBefore {
 		t.Fatal("no replan recorded for the fingerprint divergence")
 	}
-	assertSameRows(t, coordStrings(res.Rows), directConcat(t, tc, vipQuery), "post-retrain vip query")
+	assertSameRows(t, coordStrings(t, res.Rows), directConcat(t, tc, vipQuery), "post-retrain vip query")
 
 	// The per-shard epoch view must have moved past the retrain.
 	var st0 wire.ShardStatus
@@ -429,7 +441,7 @@ func TestEpochGuardOnQueriedShard(t *testing.T) {
 	if tc.coord.Counters().Replans == replansBefore {
 		t.Fatal("guarded execution did not record the epoch-mismatch replan")
 	}
-	assertSameRows(t, coordStrings(res.Rows), directConcat(t, tc, vipQuery), "post-retrain guarded query")
+	assertSameRows(t, coordStrings(t, res.Rows), directConcat(t, tc, vipQuery), "post-retrain guarded query")
 }
 
 func TestCoordinatorClusterEndpointAndMetrics(t *testing.T) {

@@ -65,8 +65,8 @@ func TestClusterInsertRoutesByShardKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cres.Rows) != 4 {
-		t.Fatalf("coordinator sees %d new rows, want 4", len(cres.Rows))
+	if cres.Rows.N != 4 {
+		t.Fatalf("coordinator sees %d new rows, want 4", cres.Rows.N)
 	}
 }
 
@@ -113,10 +113,10 @@ func TestClusterUpdateDeleteBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	urows := tc.unionRows("SELECT COUNT(*) FROM customers", 0)
-	if len(crows.Rows) != 1 || len(urows.Rows) != 1 {
-		t.Fatalf("count shapes: cluster %d rows, union %d rows", len(crows.Rows), len(urows.Rows))
+	if crows.Rows.N != 1 || len(urows.Rows) != 1 {
+		t.Fatalf("count shapes: cluster %d rows, union %d rows", crows.Rows.N, len(urows.Rows))
 	}
-	cc, uc := fmt.Sprint(crows.Rows[0][0]), fmt.Sprint(urows.Rows[0][0].AsInt())
+	cc, uc := fmt.Sprint(cells(t, crows.Rows)[0][0]), fmt.Sprint(urows.Rows[0][0].AsInt())
 	if cc != uc {
 		t.Fatalf("fleet count %s != union count %s", cc, uc)
 	}
@@ -141,9 +141,9 @@ func TestClusterUpdateShardKeyRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	urows := tc.unionRows("SELECT COUNT(*) FROM customers WHERE income = 4", 0)
-	if fmt.Sprint(crows.Rows[0][0]) != fmt.Sprint(urows.Rows[0][0].AsInt()) {
+	if cc := cells(t, crows.Rows)[0][0]; fmt.Sprint(cc) != fmt.Sprint(urows.Rows[0][0].AsInt()) {
 		t.Fatalf("fleet count %v != union count %v after rejected update",
-			crows.Rows[0][0], urows.Rows[0][0].AsInt())
+			cc, urows.Rows[0][0].AsInt())
 	}
 
 	// A non-key UPDATE on the same table still broadcasts fine.
@@ -265,7 +265,7 @@ func TestClusterWriteSurfacesShardRetrainFailure(t *testing.T) {
 	}
 	// The delete really committed fleet-wide.
 	cres, err := tc.coord.Execute(ctx, cluster.Request{SQL: "SELECT id FROM customers WHERE income = 0"})
-	if err != nil || len(cres.Rows) != 0 {
-		t.Fatalf("rows survived the delete: %d, %v", len(cres.Rows), err)
+	if err != nil || cres.Rows.N != 0 {
+		t.Fatalf("rows survived the delete: %d, %v", cres.Rows.N, err)
 	}
 }

@@ -159,7 +159,7 @@ func (cs *CoordServer) handleExecute(w http.ResponseWriter, r *http.Request) {
 			Columns:       res.Columns,
 			Schema:        res.Schema,
 			Rows:          res.Rows,
-			RowCount:      len(res.Rows),
+			RowCount:      res.Rows.N,
 			AggMerges:     res.AggMerges,
 			Shards:        res.ShardStats,
 			Degraded:      res.Degraded,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 
 	"minequery"
@@ -52,6 +53,10 @@ func classify(err error) (string, int) {
 		code = wire.CodeShardUnavailable
 	case errors.Is(err, cluster.ErrEpochMismatch):
 		code = wire.CodeEpochMismatch
+	// A value JSON cannot carry — a non-finite aggregate a coordinator
+	// finalized — is the server's failure, not the request's.
+	case errors.As(err, new(*json.UnsupportedValueError)):
+		code = wire.CodeInternal
 	case errors.Is(err, context.DeadlineExceeded):
 		code = wire.CodeTimeout
 	case errors.Is(err, context.Canceled):

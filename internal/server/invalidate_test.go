@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"sync"
 	"testing"
@@ -86,7 +85,7 @@ func TestInvalidationReprepares(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantRows, err := json.Marshal(wire.Rows(want.Rows))
+			wantRows, err := wire.EncodeRows(want.Rows)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,9 +98,9 @@ func TestInvalidationReprepares(t *testing.T) {
 			if got.StatementCacheHit {
 				t.Fatalf("execute after %s reported a statement cache hit; want re-prepare", m.name)
 			}
-			if !bytes.Equal(bytes.TrimSpace(got.Rows), wantRows) {
+			if !bytes.Equal(bytes.TrimSpace(got.Rows), wantRows.Encoded) {
 				t.Fatalf("rows after %s diverge from fresh query:\n got %s\nwant %s",
-					m.name, got.Rows, wantRows)
+					m.name, got.Rows, wantRows.Encoded)
 			}
 
 			after := serverStats(t, ts.URL)
@@ -221,7 +220,7 @@ func TestConcurrentPrepareExecuteInvalidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows, err := json.Marshal(wire.Rows(want.Rows))
+	wantRows, err := wire.EncodeRows(want.Rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +228,8 @@ func TestConcurrentPrepareExecuteInvalidate(t *testing.T) {
 	if st != http.StatusOK {
 		t.Fatalf("final execute: %d %s", st, raw)
 	}
-	if got := decode[executeWire](t, raw); !bytes.Equal(bytes.TrimSpace(got.Rows), wantRows) {
-		t.Fatalf("post-churn rows diverge:\n got %s\nwant %s", got.Rows, wantRows)
+	if got := decode[executeWire](t, raw); !bytes.Equal(bytes.TrimSpace(got.Rows), wantRows.Encoded) {
+		t.Fatalf("post-churn rows diverge:\n got %s\nwant %s", got.Rows, wantRows.Encoded)
 	}
 	stats := serverStats(t, ts.URL)
 	if stats.Queries == 0 || stats.Prepared.Misses == 0 {

@@ -87,8 +87,20 @@ func cacheKey(sql string, force bool) (key, norm string, err error) {
 }
 
 // lookup finds or creates the entry for (sql, force) without preparing
-// it. The bool reports whether the entry already existed.
+// it. The bool reports whether the entry already existed. Unhinted text
+// that is already some entry's key — what a coordinator sends, having
+// normalized it — is that entry without being normalized again: sound
+// because Normalize is idempotent. A forced entry's key is hint-prefixed
+// text, which an unhinted request must not reach.
 func (r *registry) lookup(sql string, force bool) (*stmtEntry, bool, error) {
+	if !force {
+		r.mu.Lock()
+		ent, ok := r.byKey[sql]
+		r.mu.Unlock()
+		if ok && !ent.force {
+			return ent, true, nil
+		}
+	}
 	key, norm, err := cacheKey(sql, force)
 	if err != nil {
 		// Pass the error through untouched: it wraps minequery.ErrParse,

@@ -1,0 +1,48 @@
+package server
+
+import (
+	"net/http"
+	"testing"
+
+	"minequery/internal/wire"
+)
+
+// TestRegistryExactTextHit: the normalized text a coordinator sends is
+// the entry its spelled original made, found without normalizing it
+// again — so without allocating.
+func TestRegistryExactTextHit(t *testing.T) {
+	s, _ := testServer(t, testEngine(t, 200), Config{})
+	spelled, _, err := s.reg.lookup("SELECT  ID FROM Customers WHERE age = 3.0", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm := spelled.norm
+	if norm != "select id from customers where age = 3" {
+		t.Fatalf("normalized text %q", norm)
+	}
+	ent, existed, err := s.reg.lookup(norm, false)
+	if err != nil || !existed || ent != spelled {
+		t.Fatalf("normalized text found %p (existed %v, %v), want the spelled text's entry %p", ent, existed, err, spelled)
+	}
+	if raceEnabled {
+		return // the race detector allocates on the program's behalf
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _, _ = s.reg.lookup(norm, false) }); n != 0 {
+		t.Fatalf("an exact-text hit allocates %v times: it normalized the text again", n)
+	}
+}
+
+// TestRegistryHintedTextUnreachable: a forced entry's key is the
+// hint-prefixed text; sent as plain SQL, that text is still a parse
+// error, not the forced plan.
+func TestRegistryHintedTextUnreachable(t *testing.T) {
+	s, ts := testServer(t, testEngine(t, 200), Config{})
+	forced, _, err := s.reg.lookup(vipQuery, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, raw := call(t, http.MethodPost, ts.URL+"/v1/execute", wire.ExecuteRequest{SQL: forced.key})
+	if status != http.StatusBadRequest || errCode(t, raw) != wire.CodeParse {
+		t.Fatalf("%q answered %d %s, want %s", forced.key, status, raw, wire.CodeParse)
+	}
+}

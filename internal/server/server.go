@@ -542,13 +542,14 @@ func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 // written once, by serve, after the statement returned without error.
 type rowEncoder struct {
 	// buf is the rows so far, each preceded by one byte: a comma, which
-	// array turns into the opening bracket for the first.
+	// rows turns into the opening bracket for the first.
 	buf []byte
+	n   int // rows in buf
 }
 
 var rowEncoders recycle.Pool[rowEncoder]
 
-func (e *rowEncoder) Begin() { e.buf = e.buf[:0] }
+func (e *rowEncoder) Begin() { e.buf, e.n = e.buf[:0], 0 }
 
 func (e *rowEncoder) Batch(rows []minequery.Tuple) error {
 	for _, row := range rows {
@@ -557,20 +558,21 @@ func (e *rowEncoder) Batch(rows []minequery.Tuple) error {
 			return errInternal(err.Error())
 		}
 	}
+	e.n += len(rows)
 	return nil
 }
 
-// array closes and returns the encoded array. It aliases the encoder,
-// which must not begin again or go back to its pool before the body is
-// written.
-func (e *rowEncoder) array() []byte {
+// rows closes the encoded array and returns it with its row count. It
+// aliases the encoder, which must not begin again or go back to its pool
+// before the body is written.
+func (e *rowEncoder) rows() wire.RowSet {
 	if len(e.buf) == 0 {
 		e.buf = append(e.buf, "[]"...)
 	} else {
 		e.buf[0] = '['
 		e.buf = append(e.buf, ']')
 	}
-	return e.buf
+	return wire.RowSet{Encoded: e.buf, N: e.n}
 }
 
 // execute runs one read statement — by id, or by SQL through the
@@ -610,7 +612,7 @@ func (s *Server) execute(ctx context.Context, sql, statementID string, forceSeq 
 			StatementCacheHit: reused,
 			Columns:           res.ColumnNames(),
 			Schema:            cluster.WireSchema(res.Columns),
-			Rows:              wire.RowSet{Encoded: rows.array()},
+			Rows:              rows.rows(),
 			RowCount:          res.RowCount,
 			Plan:              res.Plan,
 			AccessPath:        res.AccessPath,

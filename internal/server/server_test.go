@@ -137,8 +137,7 @@ func TestPrepareExecuteRoundTrip(t *testing.T) {
 	_, ts := testServer(t, eng, Config{})
 
 	// Engine-side reference result, computed before the server touches
-	// anything. wire.Rows + Marshal is byte-for-byte what the server
-	// sends in "rows".
+	// anything, encoded as the server sends it in "rows".
 	want, err := eng.Query(context.Background(), vipQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +145,7 @@ func TestPrepareExecuteRoundTrip(t *testing.T) {
 	if len(want.Rows) == 0 {
 		t.Fatal("fixture must return rows")
 	}
-	wantRows, err := json.Marshal(wire.Rows(want.Rows))
+	wantRows, err := wire.EncodeRows(want.Rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +193,7 @@ func TestPrepareExecuteRoundTrip(t *testing.T) {
 		if !got.StatementCacheHit {
 			t.Fatalf("dop=%d: executed prepared statement did not reuse the plan", dop)
 		}
-		if !bytes.Equal(bytes.TrimSpace(got.Rows), wantRows) {
+		if !bytes.Equal(bytes.TrimSpace(got.Rows), wantRows.Encoded) {
 			t.Fatalf("dop=%d: rows differ from engine result", dop)
 		}
 		if got.RowCount != len(want.Rows) {

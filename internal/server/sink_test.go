@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"minequery"
+	"minequery/internal/cluster"
 	"minequery/internal/wire"
 )
 
@@ -55,10 +56,51 @@ func TestNonFiniteResultAnswersInternal(t *testing.T) {
 		t.Fatalf("MAX answered %d %s", status, raw)
 	}
 
-	// The bodies that are still encoded from cells (a coordinator's, a
-	// notification's) take the same exit.
+	// A fleet whose shards each sum to a finite 1.7e308: the coordinator
+	// finalizes the merged SUM to +Inf, and answers the same.
+	planner := minequery.New()
+	if err := planner.CreateTable("t", minequery.MustSchema(
+		minequery.Column{Name: "k", Kind: minequery.KindInt}, minequery.Column{Name: "x", Kind: minequery.KindFloat})); err != nil {
+		t.Fatal(err)
+	}
+	var addrs []string
+	for _, k := range []int64{1, 20} {
+		shard := minequery.New()
+		if err := shard.CreateTable("t", minequery.MustSchema(
+			minequery.Column{Name: "k", Kind: minequery.KindInt}, minequery.Column{Name: "x", Kind: minequery.KindFloat})); err != nil {
+			t.Fatal(err)
+		}
+		if err := shard.Insert("t", minequery.Tuple{minequery.Int(k), minequery.Float(1.7e308)}); err != nil {
+			t.Fatal(err)
+		}
+		_, sts := testServer(t, shard, Config{})
+		addrs = append(addrs, sts.URL)
+	}
+	m, err := cluster.NewRangeMap("t", "k", []minequery.Value{minequery.Int(10)}, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(NewCoord(cluster.New(planner, m, cluster.Config{}), 0).Handler())
+	defer cts.Close()
+	status, raw = call(t, http.MethodPost, cts.URL+"/v1/execute", map[string]any{"sql": "SELECT SUM(x) FROM t"})
+	if status != http.StatusInternalServerError || errCode(t, raw) != wire.CodeInternal {
+		t.Fatalf("fleet SUM = +Inf answered %d %q, want 500 with code %q", status, raw, wire.CodeInternal)
+	}
+	status, raw = call(t, http.MethodPost, cts.URL+"/v1/execute", map[string]any{"sql": "SELECT MAX(x) FROM t"})
+	if status != http.StatusOK || !strings.Contains(string(raw), `"rows":[[1.7e+308]]`) {
+		t.Fatalf("fleet MAX answered %d %s", status, raw)
+	}
+
+	// A notification's row goes through the same encoder.
+	if _, err := notificationsBody([]minequery.Notification{{Row: minequery.Tuple{minequery.Float(math.Inf(1))}}}); err == nil {
+		t.Fatal("a notification of +Inf encoded")
+	} else if code, _ := classify(err); code != wire.CodeInternal {
+		t.Fatalf("a notification of +Inf is %q, want %q", code, wire.CodeInternal)
+	}
+
+	// A body whose other fields JSON cannot carry takes the same exit.
 	rec := httptest.NewRecorder()
-	writeJSON(rec, http.StatusOK, wire.CoordExecuteResponse{Rows: [][]any{{math.Inf(1)}}})
+	writeJSON(rec, http.StatusOK, wire.ExecuteResponse{EstSelectivity: math.Inf(1)})
 	if rec.Code != http.StatusInternalServerError || errCode(t, rec.Body.Bytes()) != wire.CodeInternal {
 		t.Fatalf("writeJSON of an unencodable body answered %d %q", rec.Code, rec.Body)
 	}
@@ -174,6 +216,7 @@ func TestStalePlanMidFlightSameBytes(t *testing.T) {
 	}}
 	// What an attempt that got further would have left behind.
 	sink.rowEncoder.buf = append(sink.rowEncoder.buf, `,[-1,-1,-1],[-2,-2,-2]`...)
+	sink.rowEncoder.n += 2
 	res, reused, err := s.reg.execute(context.Background(), ent, sink, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -182,9 +225,9 @@ func TestStalePlanMidFlightSameBytes(t *testing.T) {
 		t.Fatalf("%d attempts, reused=%v, %d re-prepares: the statement did not go stale mid-flight",
 			sink.begun, reused, s.reg.stats().Reprepares-before)
 	}
-	if got := sink.array(); res.RowCount != clean.RowCount || !bytes.Equal(got, clean.Rows) {
-		t.Fatalf("re-prepared answer: %d rows, clean %d (or bytes differ)\n got %.200s\nwant %.200s",
-			res.RowCount, clean.RowCount, got, clean.Rows)
+	if got := sink.rows(); res.RowCount != clean.RowCount || got.N != clean.RowCount || !bytes.Equal(got.Encoded, clean.Rows) {
+		t.Fatalf("re-prepared answer: %d rows (%d encoded), clean %d (or bytes differ)\n got %.200s\nwant %.200s",
+			res.RowCount, got.N, clean.RowCount, got.Encoded, clean.Rows)
 	}
 	if res.Rows != nil {
 		t.Fatalf("Result.Rows holds %d rows beside the sink's", len(res.Rows))

@@ -14,6 +14,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"strconv"
 	"time"
@@ -31,15 +32,15 @@ type subscribeResponse struct {
 	Table          string `json:"table"`
 }
 
-// notificationBody is the wire form of one standing-query match. Row
-// values use the same JSON mapping as query result rows.
+// notificationBody is the wire form of one standing-query match. Row is
+// the matched row as AppendRow encodes a query result's rows.
 type notificationBody struct {
-	Seq            int64    `json:"seq"`
-	SubscriptionID int64    `json:"subscription_id"`
-	Table          string   `json:"table"`
-	Columns        []string `json:"columns"`
-	Row            []any    `json:"row"`
-	Epoch          int64    `json:"epoch"`
+	Seq            int64           `json:"seq"`
+	SubscriptionID int64           `json:"subscription_id"`
+	Table          string          `json:"table"`
+	Columns        []string        `json:"columns"`
+	Row            json.RawMessage `json:"row"`
+	Epoch          int64           `json:"epoch"`
 }
 
 type notificationsResponse struct {
@@ -183,9 +184,23 @@ func (s *Server) handleNotifications(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
+	body, err := notificationsBody(ns)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, body)
+}
+
+// notificationsBody encodes delivered matches; a row JSON cannot carry
+// is an internal error.
+func notificationsBody(ns []minequery.Notification) (notificationsResponse, error) {
 	body := notificationsResponse{Notifications: make([]notificationBody, len(ns)), Count: len(ns)}
 	for i, n := range ns {
-		row := wire.Rows([]minequery.Tuple{n.Row})[0]
+		row, err := wire.AppendRow(nil, n.Row)
+		if err != nil {
+			return notificationsResponse{}, errInternal(err.Error())
+		}
 		body.Notifications[i] = notificationBody{
 			Seq:            n.Seq,
 			SubscriptionID: n.SubID,
@@ -195,5 +210,5 @@ func (s *Server) handleNotifications(w http.ResponseWriter, r *http.Request) {
 			Epoch:          n.Epoch,
 		}
 	}
-	writeJSON(w, http.StatusOK, body)
+	return body, nil
 }

@@ -307,3 +307,22 @@ func FuzzParser(f *testing.F) {
 		}
 	})
 }
+
+// FuzzNormalizeIdempotent: normalized text normalizes to itself, which
+// is what lets a node take a coordinator's normalized text as its own
+// cache key without normalizing it again.
+func FuzzNormalizeIdempotent(f *testing.F) {
+	for _, q := range seedQueries {
+		f.Add(q)
+	}
+	f.Add("-0.")
+	f.Fuzz(func(t *testing.T, src string) {
+		once, err := Normalize(src)
+		if err != nil {
+			return
+		}
+		if twice, err := Normalize(once); err != nil || twice != once {
+			t.Fatalf("Normalize(%q) = %q, normalized again %q (%v)", src, once, twice, err)
+		}
+	})
+}

@@ -52,15 +52,16 @@ func Normalize(src string) (string, error) {
 
 // canonicalNumber collapses equivalent numeric spellings ("1.50",
 // "1.5", "15e-1") to one form. Integers keep base-10 form; everything
-// else goes through float formatting. A token the lexer accepted but
-// strconv cannot parse is left verbatim — the parser will reject it
-// later with a proper error.
+// else goes through float formatting, which gives a float zero of
+// either sign the integer's "0", so that Normalize is idempotent. A
+// token the lexer accepted but strconv cannot parse is left verbatim —
+// the parser will reject it later with a proper error.
 func canonicalNumber(text string) string {
 	if n, err := strconv.ParseInt(text, 10, 64); err == nil {
 		return strconv.FormatInt(n, 10)
 	}
 	if f, err := strconv.ParseFloat(text, 64); err == nil {
-		return strconv.FormatFloat(f, 'g', -1, 64)
+		return strconv.FormatFloat(f+0, 'g', -1, 64) // f+0: -0 renders as "0", as 1.0 renders as "1"
 	}
 	return text
 }

@@ -10,6 +10,12 @@ func TestNormalizeCollapsesEquivalentSpellings(t *testing.T) {
 			"Select Id From T Where x = 15e-1",
 		},
 		{
+			// A float zero of either sign is the integer zero it equals.
+			"SELECT id FROM t WHERE x = 0",
+			"SELECT id FROM t WHERE x = -0.",
+			"SELECT id FROM t WHERE x = 0.0e5",
+		},
+		{
 			"SELECT * FROM c WHERE name = 'o''brien'",
 			"select * from C WHERE name='o''brien'",
 		},

@@ -7,14 +7,18 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+
+	"minequery/internal/recycle"
 )
 
 // Call performs one protocol round trip: POST in as JSON (or a bodiless
-// request when in is nil), and decode a 200 answer into out with
-// UseNumber so numeric cells keep the sender's literal bytes. A 200 body
-// is decoded as it arrives, never copied whole, and read to its end so
-// the connection goes back to the client's pool. A non-200 answer comes
-// back as *Error; anything else — transport failure, short read,
+// request when in is nil), and decode a 200 answer into out. The body is
+// read to its end — which also hands the connection back to the
+// client's pool — into a buffer recycled across calls, and decoded from
+// there with json.Unmarshal, which copies what out keeps. No decoded
+// value holds an interface-typed number: the only cells on the wire are
+// rows, and a RowSet keeps them as the sender's bytes. A non-200 answer
+// comes back as *Error; anything else — transport failure, short read,
 // undecodable body — as a plain error naming the step.
 func Call(ctx context.Context, hc *http.Client, method, url string, in, out any) error {
 	var body io.Reader
@@ -37,11 +41,14 @@ func Call(ctx context.Context, hc *http.Client, method, url string, in, out any)
 		return err
 	}
 	defer resp.Body.Close()
+	buf := answers.Get()
+	defer answers.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return fmt.Errorf("read response: %w", err)
+	}
+	raw := buf.Bytes()
 	if resp.StatusCode != http.StatusOK {
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return fmt.Errorf("read response: %w", err)
-		}
 		var env ErrorEnvelope
 		if json.Unmarshal(raw, &env) != nil || env.Error.Code == "" {
 			const max = 200
@@ -52,35 +59,11 @@ func Call(ctx context.Context, hc *http.Client, method, url string, in, out any)
 		}
 		return &Error{Status: resp.StatusCode, Code: env.Error.Code, Message: env.Error.Message}
 	}
-	rd := readErr{r: resp.Body}
-	dec := json.NewDecoder(&rd)
-	dec.UseNumber()
-	err = dec.Decode(out)
-	if err == nil {
-		// The encoder's trailing newline, at least, is still unread.
-		_, err = io.Copy(io.Discard, &rd)
-	}
-	if rd.err != nil {
-		return fmt.Errorf("read response: %w", rd.err)
-	}
-	if err != nil {
+	if err := json.Unmarshal(raw, out); err != nil {
 		return fmt.Errorf("decode response: %w", err)
 	}
 	return nil
 }
 
-// readErr passes reads through and keeps the first error other than
-// io.EOF: what tells a body that could not be read from one that could
-// not be decoded.
-type readErr struct {
-	r   io.Reader
-	err error
-}
-
-func (e *readErr) Read(p []byte) (int, error) {
-	n, err := e.r.Read(p)
-	if err != nil && err != io.EOF && e.err == nil {
-		e.err = err
-	}
-	return n, err
-}
+// answers recycles the buffers answers are read into.
+var answers recycle.Pool[bytes.Buffer]

@@ -2,46 +2,64 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"minequery/internal/value"
 )
 
-// encodeRows is the definition AppendRow is held to: the server's
-// encoder (json.Encoder, HTML escaping on) over Rows' cells.
-func encodeRows(rows []value.Tuple) ([]byte, error) {
+// cellsOf converts result tuples to Go values, the cells encoding/json
+// is given: AppendRow's definition.
+func cellsOf(rows []value.Tuple) [][]any {
+	out := make([][]any, len(rows))
+	for i, row := range rows {
+		vals := make([]any, len(row))
+		for j, v := range row {
+			switch v.Kind() {
+			case value.KindNull:
+				vals[j] = nil
+			case value.KindInt:
+				vals[j] = v.AsInt()
+			case value.KindFloat:
+				vals[j] = v.AsFloat()
+			case value.KindBool:
+				vals[j] = v.AsBool()
+			default:
+				vals[j] = v.AsString()
+			}
+		}
+		out[i] = vals
+	}
+	return out
+}
+
+// jsonRows is the definition AppendRow is held to: the server's
+// encoder (json.Encoder, HTML escaping on) over the rows' cells.
+func jsonRows(rows []value.Tuple) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(Rows(rows)); err != nil {
+	if err := json.NewEncoder(&buf).Encode(cellsOf(rows)); err != nil {
 		return nil, err
 	}
 	return bytes.TrimSuffix(buf.Bytes(), []byte("\n")), nil
 }
 
-// appendRows builds the array the way the server's sink does.
-func appendRows(rows []value.Tuple) ([]byte, error) {
-	out := []byte{'['}
-	for i, row := range rows {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		var err error
-		if out, err = AppendRow(out, row); err != nil {
-			return nil, err
-		}
-	}
-	return append(out, ']'), nil
-}
-
 // checkSameBytes demands of AppendRow what encoding/json does with the
 // same rows: the same bytes, or an error where it has one. It also puts
-// the appended array through RowSet, as the server's body does, where
-// encoding/json re-validates and compacts it: that must change nothing.
+// the appended array through RowSet both ways, as a node's body and a
+// coordinator's decode do, where encoding/json re-validates and compacts
+// it: that must change nothing, and the decode must count every row.
 func checkSameBytes(t *testing.T, rows []value.Tuple) {
 	t.Helper()
-	want, wantErr := encodeRows(rows)
-	got, gotErr := appendRows(rows)
+	want, wantErr := jsonRows(rows)
+	set, gotErr := EncodeRows(rows)
+	got := set.Encoded
 	if (wantErr != nil) != (gotErr != nil) {
 		t.Fatalf("rows %v: AppendRow err %v, encoding/json err %v", rows, gotErr, wantErr)
 	}
@@ -53,12 +71,18 @@ func checkSameBytes(t *testing.T, rows []value.Tuple) {
 	}
 	viaBody, err := json.Marshal(struct {
 		Rows RowSet `json:"rows"`
-	}{RowSet{Encoded: got}})
+	}{set})
 	if err != nil {
 		t.Fatalf("rows %v: the appended array is not valid JSON: %v", rows, err)
 	}
 	if wantBody := append(append([]byte(`{"rows":`), want...), '}'); !bytes.Equal(viaBody, wantBody) {
 		t.Fatalf("rows %v: through RowSet %s, want %s", rows, viaBody, wantBody)
+	}
+	var back struct {
+		Rows RowSet `json:"rows"`
+	}
+	if err := json.Unmarshal(viaBody, &back); err != nil || !bytes.Equal(back.Rows.Encoded, want) || back.Rows.N != len(rows) || set.N != len(rows) {
+		t.Fatalf("rows %v: decoded as %s (%d rows), %v", rows, back.Rows.Encoded, back.Rows.N, err)
 	}
 }
 
@@ -122,5 +146,146 @@ func TestAllocAppendRowPlain(t *testing.T) {
 	buf := make([]byte, 0, 128)
 	if n := testing.AllocsPerRun(100, func() { buf, _ = AppendRow(buf[:0], row) }); n != 0 {
 		t.Fatalf("AppendRow of a plain row allocates %v times", n)
+	}
+}
+
+// concatOracle is what ConcatRows must produce: AppendRow over the
+// first limit rows of the parts' rows in order.
+func concatOracle(t *testing.T, parts [][]value.Tuple, limit int64) RowSet {
+	t.Helper()
+	var all []value.Tuple
+	for _, p := range parts {
+		all = append(all, p...)
+	}
+	if limit >= 0 && int64(len(all)) > limit {
+		all = all[:limit]
+	}
+	want, err := EncodeRows(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// encodeParts encodes each part as a node does.
+func encodeParts(t *testing.T, parts [][]value.Tuple) []RowSet {
+	t.Helper()
+	out := make([]RowSet, len(parts))
+	for i, p := range parts {
+		var err error
+		if out[i], err = EncodeRows(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+func checkConcat(t *testing.T, parts [][]value.Tuple, limit int64) {
+	t.Helper()
+	want := concatOracle(t, parts, limit)
+	got := ConcatRows(encodeParts(t, parts), limit)
+	if got.N != want.N || !bytes.Equal(got.Encoded, want.Encoded) {
+		t.Fatalf("limit %d: ConcatRows = %s (%d rows), want %s (%d rows)", limit, got.Encoded, got.N, want.Encoded, want.N)
+	}
+}
+
+// TestMergeOrdered: the coordinator's merge is the shards' rows in shard
+// order, cut where a single node's LIMIT would have stopped.
+func TestMergeOrdered(t *testing.T) {
+	row := func(i int64) value.Tuple { return value.Tuple{value.Int(i), value.Str("]\",[")} }
+	parts := [][]value.Tuple{{row(1), row(2)}, nil, {row(3)}, {}, {row(4), row(5), row(6)}}
+	for _, tc := range []struct {
+		name  string
+		limit int64
+	}{
+		{"no-limit", -1},
+		{"limit-zero", 0},
+		{"limit-mid-source", 4},
+		{"limit-on-boundary", 3},
+		{"limit-over", 99},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkConcat(t, parts, tc.limit) })
+	}
+	if got := ConcatRows(nil, -1); string(got.Encoded) != "[]" || got.N != 0 {
+		t.Errorf("nil parts: got %s (%d rows)", got.Encoded, got.N)
+	}
+	// A part decoded from a body with white space in it cuts the same.
+	var spaced RowSet
+	if err := json.Unmarshal([]byte(` [ [1, "a ] b"] , [2,{"k": [3]}] ,[3] ] `), &spaced); err != nil {
+		t.Fatal(err)
+	}
+	if got := ConcatRows([]RowSet{spaced, spaced}, 4); string(got.Encoded) != `[[1,"a ] b"],[2,{"k":[3]}],[3],[1,"a ] b"]]` || got.N != 4 {
+		t.Errorf("spaced parts: got %s (%d rows)", got.Encoded, got.N)
+	}
+}
+
+// FuzzConcatRows: random rows, strings full of brackets, quotes,
+// backslashes and non-ASCII, split into random parts, cut at a random
+// limit, must concatenate to AppendRow's bytes over the rows kept.
+func FuzzConcatRows(f *testing.F) {
+	f.Add(int64(1), int64(-1))
+	f.Add(int64(2), int64(0))
+	f.Add(int64(3), int64(5))
+	f.Add(int64(4), int64(1000))
+	f.Fuzz(func(t *testing.T, seed, limit int64) {
+		if limit < -1 {
+			limit = -1
+		}
+		r := rand.New(rand.NewSource(seed))
+		const alphabet = "ab[]\",\\{}: é日\x00<"
+		str := func() value.Value {
+			runes := []rune(alphabet)
+			b := make([]rune, r.Intn(8))
+			for i := range b {
+				b[i] = runes[r.Intn(len(runes))]
+			}
+			return value.Str(string(b))
+		}
+		cell := func() value.Value {
+			switch r.Intn(5) {
+			case 0:
+				return value.Null()
+			case 1:
+				return value.Int(r.Int63n(2000) - 1000)
+			case 2:
+				return value.Float(r.NormFloat64() * 1e3)
+			case 3:
+				return value.Bool(r.Intn(2) == 0)
+			}
+			return str()
+		}
+		parts := make([][]value.Tuple, r.Intn(5))
+		for i := range parts {
+			parts[i] = make([]value.Tuple, r.Intn(6))
+			for j := range parts[i] {
+				parts[i][j] = make(value.Tuple, r.Intn(4))
+				for k := range parts[i][j] {
+					parts[i][j][k] = cell()
+				}
+			}
+		}
+		checkConcat(t, parts, limit)
+	})
+}
+
+// TestRowSetRejectsNonRows: rows that are not an array of arrays fail
+// the answer's decode, as a decode into cells did.
+func TestRowSetRejectsNonRows(t *testing.T) {
+	for name, rows := range map[string]string{
+		"object":         `{"a":[1]}`,
+		"scalar element": `[[1],2]`,
+		"string element": `[[1],"[2]"]`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				_, _ = io.WriteString(w, `{"statement_id":"q1","rows":`+rows+`,"row_count":1}`)
+			}))
+			defer srv.Close()
+			var out ExecuteResponse
+			err := Call(context.Background(), srv.Client(), http.MethodGet, srv.URL, nil, &out)
+			if err == nil || !strings.HasPrefix(err.Error(), "decode response: ") {
+				t.Fatalf("rows %s: Call returned %v, want a decode error", rows, err)
+			}
+		})
 	}
 }

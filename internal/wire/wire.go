@@ -6,16 +6,19 @@
 // client-side call. Both ends build and decode the same struct, so a
 // field added here reaches every reader — there is no mirror to forget.
 //
-// The package holds declarations and the one row encoder (stdlib +
-// internal/agg + internal/value): handlers live in internal/server,
-// fan-out in internal/cluster. Tags are the
-// bytes on the wire — names, order and omitempty are pinned by the
-// goldens in testdata/.
+// The package holds declarations, the one row encoder (AppendRow) and
+// the one row merge (ConcatRows) (stdlib + internal/agg +
+// internal/value + internal/recycle): handlers live in internal/server,
+// fan-out in internal/cluster. Rows cross every hop as bytes: a RowSet
+// is the encoded array and its row count, never decoded cells. Tags
+// are the bytes on the wire — names, order and omitempty are pinned by
+// the goldens in testdata/.
 package wire
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -93,11 +96,9 @@ type ColumnMeta struct {
 	Source string `json:"source"`
 }
 
-// ExecuteResponse is a node's /v1/execute answer. Clients decode it
-// through Call (json.Decoder.UseNumber), so every numeric cell of
-// Rows.Cells is a json.Number holding the node's literal bytes —
-// re-encoding merged rows reproduces exactly what a single node would
-// have written.
+// ExecuteResponse is a node's /v1/execute answer. Its rows stay the
+// bytes the node wrote (RowSet), so a coordinator that merges them
+// writes exactly what a single node would have.
 type ExecuteResponse struct {
 	StatementID       string       `json:"statement_id"`
 	StatementCacheHit bool         `json:"statement_cache_hit"`
@@ -119,38 +120,182 @@ type ExecuteResponse struct {
 	Stats    ExecStats `json:"stats"`
 }
 
-// RowSet is the "rows" member of a node's answer, in the form its holder
-// has it. A node sets Encoded: the JSON array it built row by row with
-// AppendRow while each batch was still valid, so it never holds the
-// result as cells. A reader gets Cells (every number a json.Number, as
-// under Call's UseNumber). Encoded wins when both are set; with neither
-// the member is null.
+// RowSet is the "rows" member of an answer, kept as the bytes it is on
+// the wire: Encoded is the JSON array of rows as AppendRow built them, N
+// how many rows it holds. A node builds the array row by row while each
+// batch is still valid; a coordinator concatenates its shards' arrays
+// (ConcatRows) and writes them on unread, so no hop between the node
+// that encoded a row and the client decodes it. A reader that looks
+// inside a row asks Cells. A nil Encoded is the member null.
 type RowSet struct {
-	Cells   [][]any
 	Encoded []byte
+	N       int
 }
 
 func (r RowSet) MarshalJSON() ([]byte, error) {
-	if r.Encoded != nil {
-		return r.Encoded, nil
+	if r.Encoded == nil {
+		return []byte("null"), nil
 	}
-	return json.Marshal(r.Cells)
+	return r.Encoded, nil
 }
 
+// UnmarshalJSON keeps b, one JSON value as encoding/json hands it, if it
+// is null or an array whose every element is an array, and counts the
+// rows. It copies b without the white space between tokens, since b
+// belongs to the caller's buffer: ConcatRows can then cut at a row's
+// closing bracket without looking for spaces.
 func (r *RowSet) UnmarshalJSON(b []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
+	if string(b) == "null" {
+		*r = RowSet{}
+		return nil
+	}
+	if len(b) == 0 || b[0] != '[' {
+		return errNotRows
+	}
+	enc := make([]byte, 0, len(b))
+	n, depth := 0, 0
+	inStr, esc := false, false
+	for _, c := range b {
+		switch {
+		case inStr:
+			switch {
+			case esc:
+				esc = false
+			case c == '\\':
+				esc = true
+			case c == '"':
+				inStr = false
+			}
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			continue
+		case depth == 1 && c != '[' && c != ',' && c != ']':
+			return errNotRows // an element that is not a row
+		case c == '"':
+			inStr = true
+		case c == '[' || c == '{':
+			if depth == 1 {
+				n++
+			}
+			depth++
+		case c == ']' || c == '}':
+			depth--
+		}
+		enc = append(enc, c)
+	}
+	r.Encoded, r.N = enc, n
+	return nil
+}
+
+var errNotRows = errors.New("wire: rows must be null or an array of arrays")
+
+// Cells decodes the rows for a reader that looks inside them: every
+// number is a json.Number holding the sender's literal.
+func (r RowSet) Cells() ([][]any, error) {
+	if r.Encoded == nil {
+		return nil, nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(r.Encoded))
 	dec.UseNumber()
-	r.Encoded = nil
-	return dec.Decode(&r.Cells)
+	var cells [][]any
+	if err := dec.Decode(&cells); err != nil {
+		return nil, err
+	}
+	return cells, nil
+}
+
+// ConcatRows is the coordinator's row merge: the rows of parts in order,
+// cut after the first limit (< 0: no limit), as one array sized up front.
+// Range shards hold the single-node scan order shard by shard, so this
+// concatenation is what one node over the union of the rows would have
+// written, byte for byte. Each part must be an array AppendRow built or
+// UnmarshalJSON kept; the cut walks row boundaries and decodes nothing.
+func ConcatRows(parts []RowSet, limit int64) RowSet {
+	size, total := 2, 0
+	for _, p := range parts {
+		size += len(p.Encoded)
+		total += p.N
+	}
+	if limit >= 0 && int64(total) > limit {
+		total = int(limit)
+	}
+	out := append(make([]byte, 0, size), '[')
+	left := total
+	for _, p := range parts {
+		if left == 0 {
+			break
+		}
+		if p.N == 0 {
+			continue
+		}
+		if len(out) > 1 {
+			out = append(out, ',')
+		}
+		out = append(out, rowsPrefix(p, left)...)
+		left -= min(p.N, left)
+	}
+	return RowSet{Encoded: append(out, ']'), N: total}
+}
+
+// EncodeRows encodes rows as one array, as a node answers them.
+func EncodeRows(rows []value.Tuple) (RowSet, error) {
+	enc := []byte{'['}
+	for i, row := range rows {
+		if i > 0 {
+			enc = append(enc, ',')
+		}
+		var err error
+		if enc, err = AppendRow(enc, row); err != nil {
+			return RowSet{}, err
+		}
+	}
+	return RowSet{Encoded: append(enc, ']'), N: len(rows)}, nil
+}
+
+// rowsPrefix returns the first k rows of p (all of them when it holds no
+// more), without the array's brackets. A row ends where its closing
+// bracket brings the depth back to zero, outside any string.
+func rowsPrefix(p RowSet, k int) []byte {
+	rows := p.Encoded[1 : len(p.Encoded)-1]
+	if p.N <= k {
+		return rows
+	}
+	depth := 0
+	inStr, esc := false, false
+	for i, c := range rows {
+		switch {
+		case inStr:
+			switch {
+			case esc:
+				esc = false
+			case c == '\\':
+				esc = true
+			case c == '"':
+				inStr = false
+			}
+		case c == '"':
+			inStr = true
+		case c == '[' || c == '{':
+			depth++
+		case c == ']' || c == '}':
+			if depth--; depth == 0 {
+				if k--; k == 0 {
+					return rows[:i+1]
+				}
+			}
+		}
+	}
+	return rows
 }
 
 // AppendRow appends row to dst as a JSON array of cells: the bytes
 // encoding/json writes (HTML escaping on, as the server's encoder has
-// it) for the same row taken through Rows, which stays the definition —
-// TestAppendRow and FuzzAppendRow hold the two equal. Integers, booleans,
-// NULL, plain ASCII strings and floats in fixed notation are appended
-// directly; any other cell is handed to encoding/json itself. A
-// non-finite float is the one cell JSON cannot carry, and the error.
+// it) for the same row as Go values — TestAppendRow and FuzzAppendRow
+// hold the two equal. Integers, booleans, NULL, plain ASCII strings and
+// floats in fixed notation are appended directly; any other cell is
+// handed to encoding/json itself. A non-finite float is the one cell
+// JSON cannot carry, and the error. It is the one row encoder: a node's
+// answer, a coordinator's finalized aggregates and a notification's row
+// are all appended here.
 func AppendRow(dst []byte, row value.Tuple) ([]byte, error) {
 	dst = append(dst, '[')
 	for i, v := range row {
@@ -200,32 +345,6 @@ func plainASCII(s string) bool {
 		}
 	}
 	return true
-}
-
-// Rows converts result tuples to cells: what a coordinator does with the
-// aggregates it finalized and a node with the one row of a notification,
-// and the definition AppendRow is held to.
-func Rows(rows []value.Tuple) [][]any {
-	out := make([][]any, len(rows))
-	for i, row := range rows {
-		vals := make([]any, len(row))
-		for j, v := range row {
-			switch v.Kind() {
-			case value.KindNull:
-				vals[j] = nil
-			case value.KindInt:
-				vals[j] = v.AsInt()
-			case value.KindFloat:
-				vals[j] = v.AsFloat()
-			case value.KindBool:
-				vals[j] = v.AsBool()
-			default:
-				vals[j] = v.AsString()
-			}
-		}
-		out[i] = vals
-	}
-	return out
 }
 
 // ShardExecResponse is a node's /v1/shard-exec answer.
@@ -333,7 +452,7 @@ type CoordExecuteResponse struct {
 	StatementID string       `json:"statement_id,omitempty"`
 	Columns     []string     `json:"columns"`
 	Schema      []ColumnMeta `json:"schema"`
-	Rows        [][]any      `json:"rows"`
+	Rows        RowSet       `json:"rows"`
 	RowCount    int          `json:"row_count"`
 	Shards      ShardStats   `json:"shards"`
 	// AggMerges counts per-shard partial aggregate states merged at the

@@ -44,7 +44,7 @@ func bodies() []body {
 		StatementCacheHit: true,
 		Columns:           []string{"id", "count(*)"},
 		Schema:            schema,
-		Rows:              RowSet{Cells: [][]any{{int64(1), "a<b", 2.5, true, nil}, {int64(2), "x", 0.25, false, nil}}},
+		Rows:              RowSet{Encoded: []byte(`[[1,"a<b",2.5,true,null],[2,"x",0.25,false,null]]`), N: 2},
 		RowCount:          2,
 		Plan:              "SeqScan(customers)",
 		AccessPath:        "seqscan",
@@ -87,7 +87,7 @@ func bodies() []body {
 			StatementID: "cq1",
 			Columns:     []string{"id", "count(*)"},
 			Schema:      schema,
-			Rows:        [][]any{{json.Number("1"), "a<b", json.Number("2.5"), true, nil}},
+			Rows:        RowSet{Encoded: []byte(`[[1,"a<b",2.5,true,null]]`), N: 1},
 			RowCount:    1,
 			Shards:      ShardStats{Planned: 3, Pruned: 1, Queried: 1, Degraded: 1},
 			AggMerges:   2,
@@ -149,7 +149,7 @@ func TestGoldenBodies(t *testing.T) {
 
 // TestRoundTrip sends every fully-populated body through the path the
 // two ends really use — the server's json.Encoder on one side, Call's
-// UseNumber decode into the same type on the other — and requires the
+// decode into the same type on the other — and requires the
 // decoded value to re-encode to the golden bytes: no field is dropped
 // or altered between what a node writes and what a coordinator or shell
 // reads. (Before this package the decoding side was a hand-kept subset
@@ -229,9 +229,9 @@ func TestCallNonEnvelope(t *testing.T) {
 	}
 }
 
-// TestCallDecodesStreamedBody: a 200 is decoded from the body as it
-// arrives — the encoder's trailing newline included — and a body that
-// breaks off or is not JSON fails naming the step that failed.
+// TestCallDecodesStreamedBody: a 200 is read whole and decoded — the
+// encoder's trailing newline included — and a body that breaks off or
+// is not JSON fails naming the step that failed.
 func TestCallDecodesStreamedBody(t *testing.T) {
 	for _, tc := range []struct {
 		name, body string
@@ -284,9 +284,8 @@ func TestCallErrorEnvelope(t *testing.T) {
 
 // TestCallReusesConnection: two sequential Calls to one server open one
 // connection. The handler flushes the value and ends the body only
-// later, as a large chunked answer does: the decoder stops after the
-// value, and Call must read on to the body's end, or the client closes
-// the connection and dials again.
+// later, as a large chunked answer does: Call must read on to the body's
+// end, or the client closes the connection and dials again.
 func TestCallReusesConnection(t *testing.T) {
 	var opened atomic.Int32
 	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -1195,7 +1195,7 @@ func (c *check) run(q query, mode int, p *mq.Prepared) {
 		}
 	case overWire:
 		got, res = c.overWire(q.sql)
-		wantKeys = jsonKeys(wire.Rows(want))
+		wantKeys = wireKeys(want)
 	}
 	if err != nil {
 		c.fatalf("%s via %s: %v", q.sql, modeNames[mode], err)
@@ -1235,14 +1235,23 @@ func (c *check) overWire(sql string) ([]string, *mq.Result) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil {
 		c.fatalf("/v1/execute %s: %d %s", sql, rec.Code, rec.Body)
 	}
-	return jsonKeys(resp.Rows.Cells), &mq.Result{Fallback: resp.Fallback, AccessPath: resp.AccessPath}
-}
-
-// jsonKeys is rows as JSON arrays, as /v1/execute encodes them.
-func jsonKeys(cells [][]any) []string {
+	cells, err := resp.Rows.Cells()
+	if err != nil {
+		c.fatalf("/v1/execute %s: rows %s: %v", sql, resp.Rows.Encoded, err)
+	}
 	out := make([]string, len(cells))
 	for i, row := range cells {
 		b, _ := json.Marshal(row)
+		out[i] = string(b)
+	}
+	return out, &mq.Result{Fallback: resp.Fallback, AccessPath: resp.AccessPath}
+}
+
+// wireKeys is rows as JSON arrays, as /v1/execute encodes them.
+func wireKeys(rows []mq.Tuple) []string {
+	out := make([]string, len(rows))
+	for i, row := range rows {
+		b, _ := wire.AppendRow(nil, row)
 		out[i] = string(b)
 	}
 	return out
