@@ -7,7 +7,7 @@
 package interval
 
 import (
-	"sort"
+	"slices"
 
 	"minequery/internal/value"
 )
@@ -97,9 +97,10 @@ func (a Interval) Contains(v value.Value) bool {
 // per-column constants are all Cuts.
 type Cuts []value.Value
 
-// NewCuts sorts vals by value.Compare and drops ties, in place.
+// NewCuts sorts vals by value.Compare and drops ties, in place, keeping
+// the first of each tie in sorted order. It allocates nothing.
 func NewCuts(vals []value.Value) Cuts {
-	sort.Slice(vals, func(i, j int) bool { return value.Compare(vals[i], vals[j]) < 0 })
+	slices.SortFunc(vals, value.Compare)
 	out := vals[:0]
 	for _, v := range vals {
 		if len(out) == 0 || value.Compare(out[len(out)-1], v) != 0 {

@@ -2,6 +2,7 @@ package interval
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"minequery/internal/value"
@@ -270,13 +271,61 @@ func TestStab(t *testing.T) {
 	}
 }
 
+// TestNewCutsTieRepresentative: of values that tie under value.Compare,
+// as Int(5) and Float(5) do, NewCuts keeps the one a sort.Slice by
+// value.Compare puts first, as it always has: short inputs keep the first
+// in input order, and longer ones what the pattern-defeating quicksort
+// leaves first.
+func TestNewCutsTieRepresentative(t *testing.T) {
+	kinds := func(c Cuts) string {
+		out := make([]byte, len(c))
+		for i, v := range c {
+			out[i] = 'F'
+			if v.Kind() == value.KindInt {
+				out[i] = 'I'
+			}
+		}
+		return string(out)
+	}
+	if got := kinds(NewCuts([]value.Value{value.Float(5), value.Int(3), value.Int(5)})); got != "IF" {
+		t.Fatalf("NewCuts(5.0, 3, 5) keeps kinds %s, want IF", got)
+	}
+	if got := kinds(NewCuts([]value.Value{value.Int(5), value.Float(5)})); got != "I" {
+		t.Fatalf("NewCuts(5, 5.0) keeps kinds %s, want I", got)
+	}
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		vals := make([]value.Value, 1+r.Intn(300))
+		for i := range vals {
+			if k := int64(r.Intn(40)); r.Intn(2) == 0 {
+				vals[i] = value.Int(k)
+			} else {
+				vals[i] = value.Float(float64(k))
+			}
+		}
+		ref := append([]value.Value(nil), vals...)
+		sort.Slice(ref, func(i, j int) bool { return value.Compare(ref[i], ref[j]) < 0 })
+		want := Cuts{}
+		for _, v := range ref {
+			if len(want) == 0 || value.Compare(want[len(want)-1], v) != 0 {
+				want = append(want, v)
+			}
+		}
+		if got := NewCuts(vals); kinds(got) != kinds(want) {
+			t.Fatalf("trial %d: NewCuts keeps kinds %s, sort.Slice order %s", trial, kinds(got), kinds(want))
+		}
+	}
+}
+
 // TestIntervalAlloc: an Interval is a value and Cuts a slice someone else
-// owns — tightening, testing and stabbing allocate nothing.
+// owns — tightening, testing, stabbing and building cuts in place
+// allocate nothing.
 func TestIntervalAlloc(t *testing.T) {
 	cuts := Cuts{value.Int(10), value.Float(20.5), value.Int(30)}
 	text := Cuts{value.Str("f"), value.Str("p")}
 	a, b := Above(value.Int(5), true), Below(value.Float(25), false)
 	s := Above(value.Str("c"), false).Intersect(Below(value.Str("x"), true))
+	vals := make([]value.Value, 0, 4)
 	sink := 0
 	for name, fn := range map[string]func(){
 		"Intersect": func() {
@@ -290,6 +339,10 @@ func TestIntervalAlloc(t *testing.T) {
 			}
 		},
 		"Stab": func() { sink += cuts.Stab(value.Int(20)) + text.Stab(value.Str("g")) },
+		"NewCuts": func() {
+			vals = append(vals[:0], value.Int(30), value.Float(10), value.Int(20), value.Int(10))
+			sink += len(NewCuts(vals))
+		},
 		"Span": func() {
 			f, l := cuts.Span(a.Intersect(b))
 			tf, tl := text.Span(s)

@@ -148,17 +148,10 @@ func (s *Server) handleNotifications(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer done()
-	wait := 10 * time.Second
-	if v := r.URL.Query().Get("timeout_ms"); v != "" {
-		ms, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || ms < 0 {
-			s.writeError(w, errBadRequest("timeout_ms must be a non-negative integer"))
-			return
-		}
-		wait = time.Duration(ms) * time.Millisecond
-		if wait > time.Minute {
-			wait = time.Minute
-		}
+	wait, err := pollWait(r.URL.Query().Get("timeout_ms"))
+	if err != nil {
+		s.writeError(w, err)
+		return
 	}
 	max := 0
 	if v := r.URL.Query().Get("max"); v != "" {
@@ -190,6 +183,21 @@ func (s *Server) handleNotifications(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, body)
+}
+
+// pollWait parses a long poll's timeout_ms: 10s when absent, at most a
+// minute. The milliseconds are capped before they become a Duration, so
+// a huge value cannot overflow into a negative wait that answers at
+// once.
+func pollWait(v string) (time.Duration, error) {
+	if v == "" {
+		return 10 * time.Second, nil
+	}
+	ms, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || ms < 0 {
+		return 0, errBadRequest("timeout_ms must be a non-negative integer")
+	}
+	return time.Duration(min(ms, time.Minute.Milliseconds())) * time.Millisecond, nil
 }
 
 // notificationsBody encodes delivered matches; a row JSON cannot carry

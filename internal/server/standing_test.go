@@ -1,9 +1,13 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"strconv"
 	"testing"
+	"time"
 
 	"minequery"
 	"minequery/internal/wire"
@@ -196,5 +200,34 @@ func TestExecRetrainErrorPartialSuccess(t *testing.T) {
 	}
 	if sel := decode[executeWire](t, raw); sel.RowCount != 0 {
 		t.Fatalf("rows survived the committed delete: %d", sel.RowCount)
+	}
+}
+
+// TestPollWaitClamped: a long poll waits 10s by default and at most a
+// minute, however large timeout_ms is. Past about 9.2e12 ms the
+// Duration overflowed to a negative wait, and the poll answered an
+// empty 200 at once.
+func TestPollWaitClamped(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want time.Duration
+	}{
+		{"", 10 * time.Second},
+		{"0", 0},
+		{"250", 250 * time.Millisecond},
+		{"60000", time.Minute},
+		{"60001", time.Minute},
+		{"10000000000000", time.Minute},
+		{strconv.FormatInt(math.MaxInt64, 10), time.Minute},
+	} {
+		if got, err := pollWait(tc.in); err != nil || got != tc.want {
+			t.Errorf("pollWait(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	for _, in := range []string{"-1", "1.5", "soon", "9223372036854775808"} {
+		var api *apiError
+		if _, err := pollWait(in); !errors.As(err, &api) || api.code != wire.CodeBadRequest {
+			t.Errorf("pollWait(%q) = %v, want a bad request", in, err)
+		}
 	}
 }

@@ -16,9 +16,14 @@ package standing
 //   - its post-prediction schema, core.PostPredictSchema: the table's
 //     columns, then one predicted column per PREDICTION JOIN. A row is
 //     extended to it with predictions memoized per (row, model).
+//
+// Its select list is interned across the table's subscriptions as a
+// projection slot, and what every notification of it shares (id, table,
+// column names) is built once, as its Source.
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -41,21 +46,26 @@ type compiledSub struct {
 	schema *value.Schema
 	// joins are the model slots of the prediction joins, in join order.
 	joins []int
-	cols  []string
-	// proj holds each projected column's ordinal in schema.
-	proj []int
+	// proj is the select list's projection slot.
+	proj   int
+	source *Source
 }
 
 // compiledTable is the shared structure for one table: the compiled
-// subscriptions, the deduplicated model bindings and interned envelope
-// regions they share, and the interval index over their guards.
+// subscriptions, the deduplicated model bindings, select lists and
+// interned envelope regions they share, and the interval index over
+// their guards.
 type compiledTable struct {
 	name    string // catalog-case table name
 	schema  *value.Schema
 	subs    []*compiledSub
 	models  []mining.Binding
 	regions map[string]expr.Expr
-	index   *intervalIndex
+	// projs are the projection slots: per select list, each column's
+	// table ordinal, or the table's width plus the model slot of a
+	// predicted column.
+	projs [][]int
+	index *intervalIndex
 	// width is the widest post-prediction schema among subs.
 	width int
 }
@@ -75,19 +85,9 @@ func (cs *compiledSub) match(rc *rowCtx) bool {
 	return cs.where.Eval(cs.schema, rc.ext[:cs.schema.Len()])
 }
 
-// project materializes the subscription's select list from the row
-// match extended.
-func (cs *compiledSub) project(ext value.Tuple) value.Tuple {
-	out := make(value.Tuple, len(cs.proj))
-	for i, ord := range cs.proj {
-		out[i] = ext[ord]
-	}
-	return out
-}
-
-// rowCtx carries one row's evaluation state: the extended-row buffer
-// and the model predictions memoized across every candidate
-// subscription.
+// rowCtx carries one row's evaluation state: the extended-row buffer,
+// and the model predictions and projections memoized across every
+// candidate subscription.
 type rowCtx struct {
 	ct  *compiledTable
 	row value.Tuple
@@ -96,6 +96,7 @@ type rowCtx struct {
 	ext        value.Tuple
 	predMemo   []value.Value
 	predDone   []bool
+	projMemo   []value.Tuple
 	buf        value.Tuple
 	modelCalls *atomic.Int64 // counter sink (may be nil)
 }
@@ -110,6 +111,7 @@ func newRowCtx(ct *compiledTable, modelCalls *atomic.Int64) *rowCtx {
 		ext:        make(value.Tuple, ct.width),
 		predMemo:   make([]value.Value, len(ct.models)),
 		predDone:   make([]bool, len(ct.models)),
+		projMemo:   make([]value.Tuple, len(ct.projs)),
 		buf:        make(value.Tuple, maxIn),
 		modelCalls: modelCalls,
 	}
@@ -119,6 +121,7 @@ func (rc *rowCtx) reset(row value.Tuple) {
 	rc.row = row
 	copy(rc.ext, row)
 	clear(rc.predDone)
+	clear(rc.projMemo)
 }
 
 // predict returns model slot m's prediction for the row, memoized.
@@ -135,6 +138,26 @@ func (rc *rowCtx) predict(m int) value.Value {
 	return v
 }
 
+// project returns projection slot p's values for the row, built on its
+// first match and shared, read-only, by every later one. A predicted
+// column reads the memo, which the match that asks has filled.
+func (rc *rowCtx) project(p int) value.Tuple {
+	if out := rc.projMemo[p]; out != nil {
+		return out
+	}
+	spec, n := rc.ct.projs[p], rc.ct.schema.Len()
+	out := make(value.Tuple, len(spec))
+	for i, o := range spec {
+		if o < n {
+			out[i] = rc.row[o]
+		} else {
+			out[i] = rc.predict(o - n)
+		}
+	}
+	rc.projMemo[p] = out
+	return out
+}
+
 // tableBuilder accumulates the shared structure while subscriptions
 // compile against one table.
 type tableBuilder struct {
@@ -142,6 +165,8 @@ type tableBuilder struct {
 	cat      *catalog.Catalog
 	cache    core.EnvelopeCache
 	modelIdx map[string]int
+	// projIdx finds a projection slot by its spec's hash.
+	projIdx map[uint64]int
 }
 
 func newTableBuilder(cat *catalog.Catalog, table string, cache core.EnvelopeCache) (*tableBuilder, error) {
@@ -154,6 +179,7 @@ func newTableBuilder(cat *catalog.Catalog, table string, cache core.EnvelopeCach
 		cat:           cat,
 		cache:         cache,
 		modelIdx:      map[string]int{},
+		projIdx:       map[uint64]int{},
 	}, nil
 }
 
@@ -176,6 +202,25 @@ func (b *tableBuilder) modelSlot(name string) (int, error) {
 	b.models = append(b.models, bind)
 	b.modelIdx[key] = len(b.models) - 1
 	return len(b.models) - 1, nil
+}
+
+// projSlot interns a select list's spec. Two specs that collide on the
+// hash keep separate slots: sharing a slot saves work, never decides a
+// value.
+func (b *tableBuilder) projSlot(spec []int) int {
+	h := uint64(len(spec))
+	for _, o := range spec {
+		h = h*1_000_003 ^ uint64(o)
+	}
+	p, ok := b.projIdx[h]
+	if ok && slices.Equal(b.projs[p], spec) {
+		return p
+	}
+	if !ok {
+		b.projIdx[h] = len(b.projs)
+	}
+	b.projs = append(b.projs, spec)
+	return len(b.projs) - 1
 }
 
 // region is the envelope region standing in for one mining atom in a
@@ -275,25 +320,34 @@ func (b *tableBuilder) compileSub(sub *rawSub) (*compiledSub, error) {
 		return fmt.Errorf("standing: %w: unknown column %q (table %q)", qerr.ErrUnsupportedQuery, col, b.name)
 	}
 	// Projection: the explicit select list, or every base column for *.
-	cs.proj = make([]int, len(q.Select))
-	for i, c := range q.Select {
-		if cs.proj[i] = cs.schema.Ordinal(c); cs.proj[i] < 0 {
-			return nil, unknown(c)
+	// A predicted column is filed under its model slot, not its join
+	// position, so one select list shares a slot whatever the join order.
+	n := b.schema.Len()
+	var spec []int
+	var cols []string
+	if len(q.Select) == 0 {
+		spec, cols = make([]int, n), make([]string, n)
+		for i := range spec {
+			spec[i], cols[i] = i, b.schema.Col(i).Name
+		}
+	} else {
+		spec, cols = make([]int, len(q.Select)), make([]string, len(q.Select))
+		for i, c := range q.Select {
+			ord := cs.schema.Ordinal(c)
+			if ord < 0 {
+				return nil, unknown(c)
+			}
+			spec[i], cols[i] = ord, cs.schema.Col(ord).Name
+			if ord >= n {
+				spec[i] = n + cs.joins[ord-n]
+			}
 		}
 	}
 	if c := expr.Unresolved(q.Where, cs.schema); c != "" {
 		return nil, unknown(c)
 	}
-	if len(q.Select) == 0 {
-		cs.proj = make([]int, b.schema.Len())
-		for i := range cs.proj {
-			cs.proj[i] = i
-		}
-	}
 	cs.guard = b.guard(q.Where, pc)
-	cs.cols = make([]string, len(cs.proj))
-	for i, ord := range cs.proj {
-		cs.cols[i] = cs.schema.Col(ord).Name
-	}
+	cs.proj = b.projSlot(spec)
+	cs.source = &Source{SubID: sub.id, Table: b.name, Columns: cols}
 	return cs, nil
 }

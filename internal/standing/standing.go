@@ -17,22 +17,28 @@
 // The set shares work in two layers, mirroring the paper's amortization
 // argument for continuously re-evaluated mining predicates:
 //
-//   - Subscriptions are indexed by (column, interval): the distinct
-//     constants of the guards form a synthetic partition spec per
-//     column, each subscription keeps the segments its guard can
-//     intersect (opt.PruneSpec, the partition pruning walk), and a row
-//     stabs each index to skip subscriptions whose guard it cannot
-//     satisfy.
+//   - Subscriptions are indexed by (column, interval), every column the
+//     guards compare with a constant, however many constants: the
+//     distinct constants cut the column into segments, each subscription
+//     keeps the segments its guard can hold in (opt.PruneSpec, the
+//     partition pruning walk, asked over the subscription's own cuts),
+//     kept as runs in a static segment tree whose size is linear in the
+//     set, and a row stabs each column to skip the subscriptions whose
+//     guard it cannot satisfy (see index.go).
 //   - Model predictions are memoized per (row, model), and a candidate's
 //     models are called only once its whole guard holds: a row touching
 //     twenty subscriptions on the same model costs one Predict call, and
 //     a guard-rejected row costs zero.
 //
-// Matches are delivered through a bounded queue that never blocks the
-// write path: when the queue is full the notification is dropped and
-// counted, per subscription and in total. Model retrains invalidate the
-// compiled set (epoch-style), and the next batch recompiles against the
-// current catalog.
+// Delivery costs what the subscriber reads. A select list is interned
+// across the table's subscriptions, and a row's projection through it is
+// built on its first match and shared by every later one; what every
+// match of one subscription carries is one Source, built per compile.
+// Matches go through a bounded queue that never blocks the write path:
+// when the queue is full the notification is dropped and counted, per
+// subscription and in total. Model retrains invalidate the compiled set
+// (epoch-style), and the next batch recompiles against the current
+// catalog.
 package standing
 
 import (
@@ -56,21 +62,34 @@ import (
 var ErrUnknownSubscription = errors.New("unknown subscription")
 
 // Notification is one delivered match: a committed row that satisfied a
-// subscription's predicate, projected through its select list.
+// subscription's predicate, projected through its select list. It is 48
+// bytes: what every match of one subscription shares is one Source.
+//
+// Source and Row are shared and read-only. Every notification of a
+// subscription points at the same Source, and the notifications of one
+// row under the same select list hold the same Row; a consumer that
+// wants to change either copies it first.
 type Notification struct {
 	// Seq is the set-wide monotonically increasing delivery sequence.
 	Seq int64 `json:"seq"`
+	*Source
+	// Row holds the projected values (data columns and, for selected
+	// prediction columns, the model's prediction at commit time).
+	Row value.Tuple `json:"-"`
+	// Epoch is the catalog epoch the match was evaluated at.
+	Epoch int64 `json:"epoch"`
+}
+
+// Source is what every notification of one subscription carries: it is
+// built once per compile of the set and shared, read-only, by all of
+// them.
+type Source struct {
 	// SubID identifies the matched subscription.
 	SubID int64 `json:"subscription_id"`
 	// Table is the written table.
 	Table string `json:"table"`
 	// Columns names the projected values, in order.
 	Columns []string `json:"columns"`
-	// Row holds the projected values (data columns and, for selected
-	// prediction columns, the model's prediction at commit time).
-	Row value.Tuple `json:"-"`
-	// Epoch is the catalog epoch the match was evaluated at.
-	Epoch int64 `json:"epoch"`
 }
 
 // Stats is a point-in-time snapshot of the set's counters.
@@ -112,11 +131,6 @@ type Options struct {
 	// Queue is the notification queue capacity (default 1024).
 	Queue int
 }
-
-// maxSegments caps the per-column interval index: a column whose
-// registered predicates use more distinct constants is left unindexed
-// (sound — just less pruning).
-const maxSegments = 256
 
 // rawSub is one registered subscription in source form; compilation to
 // the shared structure happens lazily (see recompileLocked).
@@ -366,29 +380,25 @@ func (s *Set) EvalBatch(table string, rows []value.Tuple, epoch int64) {
 		return
 	}
 	rc := newRowCtx(ct, &s.modelCalls)
-	cand := make([]uint64, ct.index.words)
+	words := ct.index.words
+	cand := make([]uint64, 2*words)
+	cand, scratch := cand[:words], cand[words:]
+	evals := 0
 	for _, row := range rows {
 		rc.reset(row)
-		ct.index.candidates(row, cand)
+		ct.index.candidates(row, cand, scratch)
 		for w, word := range cand {
 			for word != 0 {
 				i := w*64 + bits.TrailingZeros64(word)
 				word &= word - 1
 				cs := ct.subs[i]
-				s.evals.Add(1)
+				evals++
 				if !cs.match(rc) {
 					continue
 				}
 				s.matches.Add(1)
 				cs.src.matches.Add(1)
-				n := Notification{
-					Seq:     s.seq.Add(1),
-					SubID:   cs.src.id,
-					Table:   ct.name,
-					Columns: cs.cols,
-					Row:     cs.project(rc.ext),
-					Epoch:   epoch,
-				}
+				n := Notification{Seq: s.seq.Add(1), Source: cs.source, Row: rc.project(cs.proj), Epoch: epoch}
 				select {
 				case s.queue <- n:
 				default:
@@ -398,6 +408,7 @@ func (s *Set) EvalBatch(table string, rows []value.Tuple, epoch int64) {
 			}
 		}
 	}
+	s.evals.Add(int64(evals))
 }
 
 // Poll returns up to max pending notifications, waiting for at least

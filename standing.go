@@ -55,6 +55,12 @@ func (e *Engine) Unsubscribe(id int64) error {
 // consumer the overflow is dropped and counted (StandingStats.Dropped,
 // per-subscription in Subscriptions) rather than ever blocking the
 // write path.
+//
+// A Notification's Source (subscription id, table, column names) and
+// its Row are shared and read-only: every notification of a
+// subscription points at one Source, and the notifications of one
+// committed row under the same select list hold one Row. Copy either
+// before changing it.
 func (e *Engine) Notifications(ctx context.Context, max int) ([]Notification, error) {
 	return e.standing.Poll(ctx, max)
 }
