@@ -84,9 +84,11 @@ func main() {
 	}
 
 	// WAL and retrain policy attach after demo seeding on purpose: the
-	// bulk-loaded seed is the recovery baseline, and the log holds only
-	// the statement history on top of it. Replay requires the same
-	// -demo/-retrain-threshold configuration across restarts.
+	// bulk-loaded seed and the demo models (both refused once a log is
+	// attached) are the recovery baseline, and the log holds only the
+	// statement history on top. -retrain-threshold refreshes the demo
+	// models too; replay requires the same -demo/-retrain-threshold
+	// configuration across restarts.
 	eng.SetRetrainPolicy(minequery.RetrainPolicy{WriteThreshold: *retrain})
 	if *walPath != "" {
 		dev, err := minequery.OpenWALFile(*walPath)

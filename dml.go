@@ -22,6 +22,7 @@ package minequery
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -43,15 +44,15 @@ import (
 
 // RetrainPolicy configures automatic in-engine retraining.
 type RetrainPolicy struct {
-	// WriteThreshold retrains every model defined (via CREATE MODEL) on
-	// a table once that many rows have been written to it since the
-	// last retrain. 0 disables automatic retraining.
+	// WriteThreshold retrains every model trained on a table (by CREATE
+	// MODEL or a Train* call) once that many rows have been written to
+	// it since the last retrain. 0 disables automatic retraining.
 	WriteThreshold int64
 }
 
 // SetRetrainPolicy installs the write-volume retrain trigger. Each
-// retrain re-runs the model's CREATE MODEL training over current data
-// and re-registers it, bumping the model version and catalog epoch —
+// retrain re-runs the model's definition over current data and
+// re-registers it, bumping the model version and catalog epoch —
 // prepared statements go stale (ErrStalePlan) and envelope caches
 // refresh, exactly as for an explicit retrain.
 func (e *Engine) SetRetrainPolicy(p RetrainPolicy) {
@@ -76,16 +77,19 @@ type ExecResult struct {
 	Epoch int64
 }
 
-// modelDef is the recorded CREATE MODEL definition, re-run on retrain.
+// modelDef is how a model is made, by CREATE MODEL or a Train* call, and
+// re-made on retrain: the relational view it trains on and its options.
 type modelDef struct {
 	name    string // original-case model name
 	table   string
 	family  string
-	predict string
-	feats   []string // explicit feature list; nil with star=true
+	predict string   // the column the model predicts
+	label   string   // the column training reads labels from; "" without one
+	feats   []string // input columns; nil with star=true
 	star    bool
 	where   expr.Expr
-	sql     string // original statement text (WAL replay form)
+	opts    any    // the family's options: dtree, nbayes, rules or cluster Options
+	sql     string // CREATE MODEL text (WAL replay form); "" for a Go-API def
 }
 
 // classificationFamily reports whether the family trains with labels
@@ -394,18 +398,18 @@ func (e *Engine) noteWrites(table string, rows int64) ([]string, error) {
 	return names, err
 }
 
-// retrainTable re-runs training for every CREATE MODEL definition on
-// table, in definition order. Caller holds writeMu. Each successful
+// retrainTable re-runs training for every model definition on table,
+// in definition order. Caller holds writeMu. Each successful
 // retrain re-registers the model: version++, catalog epoch bump,
 // envelope caches and prepared plans invalidated.
 func (e *Engine) retrainTable(table string) ([]string, error) {
 	var names []string
 	for _, key := range e.defOrder {
 		d := e.modelDefs[key]
-		if d == nil || !strings.EqualFold(d.table, table) {
+		if !strings.EqualFold(d.table, table) {
 			continue
 		}
-		if _, err := e.trainFromDef(d); err != nil {
+		if _, err := e.createModelLocked(d, false); err != nil {
 			return names, fmt.Errorf("minequery: %w: retrain %s after writes to %s: %w", qerr.ErrRetrainFailed, d.name, table, err)
 		}
 		names = append(names, d.name)
@@ -414,34 +418,23 @@ func (e *Engine) retrainTable(table string) ([]string, error) {
 	return names, nil
 }
 
-// resolveDefFeatures expands a definition's training view: the feature
-// columns and (for classification families) the label column.
-func resolveDefFeatures(t *catalog.Table, d *modelDef) ([]string, string, error) {
-	label := ""
-	if classificationFamily(d.family) {
-		if t.Schema.Ordinal(d.predict) < 0 {
-			return nil, "", fmt.Errorf("minequery: %w: PREDICT column %q not in %s (required for family %s)",
-				qerr.ErrUnsupportedQuery, d.predict, t.Name, d.family)
-		}
-		label = d.predict
+// resolveDefFeatures expands a definition's training view to its
+// feature columns, checking that they and the label are in t.
+func resolveDefFeatures(t *catalog.Table, d *modelDef) ([]string, error) {
+	if d.label != "" && t.Schema.Ordinal(d.label) < 0 {
+		return nil, fmt.Errorf("minequery: %w: label column %q not in %s (required for family %s)",
+			qerr.ErrUnsupportedQuery, d.label, t.Name, d.family)
 	}
 	if !d.star {
-		// The predicted column may appear in the view (it is the label);
-		// it is never a feature.
-		feats := make([]string, 0, len(d.feats))
 		for _, c := range d.feats {
 			if t.Schema.Ordinal(c) < 0 {
-				return nil, "", fmt.Errorf("minequery: %w: feature column %q not in %s", qerr.ErrUnsupportedQuery, c, t.Name)
+				return nil, fmt.Errorf("minequery: %w: feature column %q not in %s", qerr.ErrUnsupportedQuery, c, t.Name)
 			}
-			if strings.EqualFold(c, d.predict) {
-				continue
-			}
-			feats = append(feats, c)
 		}
-		if len(feats) == 0 {
-			return nil, "", fmt.Errorf("minequery: %w: CREATE MODEL view has no feature columns", qerr.ErrUnsupportedQuery)
+		if len(d.feats) == 0 {
+			return nil, fmt.Errorf("minequery: %w: training view has no feature columns", qerr.ErrUnsupportedQuery)
 		}
-		return feats, label, nil
+		return d.feats, nil
 	}
 	// Star view: every column except the predicted one; clustering
 	// families additionally keep only numeric columns, since their
@@ -459,22 +452,10 @@ func resolveDefFeatures(t *catalog.Table, d *modelDef) ([]string, string, error)
 		feats = append(feats, col.Name)
 	}
 	if len(feats) == 0 {
-		return nil, "", fmt.Errorf("minequery: %w: no usable feature columns in %s for family %s",
+		return nil, fmt.Errorf("minequery: %w: no usable feature columns in %s for family %s",
 			qerr.ErrUnsupportedQuery, t.Name, d.family)
 	}
-	return feats, label, nil
-}
-
-// trainFromDef runs one definition's training over current table data
-// and registers the result (deriving envelopes). Caller holds writeMu.
-// It is the retrain path; live CREATE MODEL uses trainModelFromDef so
-// registration can wait until after the WAL append.
-func (e *Engine) trainFromDef(d *modelDef) (*ModelInfo, error) {
-	m, elapsed, err := e.trainModelFromDef(d)
-	if err != nil {
-		return nil, err
-	}
-	return e.registerWithEnvelopes(m, elapsed)
+	return feats, nil
 }
 
 // trainModelFromDef runs one definition's training over current table
@@ -485,7 +466,7 @@ func (e *Engine) trainModelFromDef(d *modelDef) (mining.Model, time.Duration, er
 	if !ok {
 		return nil, 0, fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, d.table)
 	}
-	feats, label, err := resolveDefFeatures(t, d)
+	feats, err := resolveDefFeatures(t, d)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -497,13 +478,13 @@ func (e *Engine) trainModelFromDef(d *modelDef) (mining.Model, time.Duration, er
 		// Naive Bayes counts while its view drains: the time is the scan's.
 		start = time.Now()
 		var s bayesSink
-		if err := e.drainTrainView(d.table, feats, label, d.where, &s); err != nil {
+		if err := e.drainTrainView(d.table, feats, d.label, d.where, &s); err != nil {
 			return nil, 0, err
 		}
-		m, err = s.model(d.name, d.predict, nbayes.Options{})
+		m, err = s.counts.Model(d.name, d.predict, s.cols, d.opts.(nbayes.Options))
 	} else {
 		var ts *mining.TrainSet
-		if ts, err = e.buildTrainSetWhere(d.table, feats, label, d.where); err != nil {
+		if ts, err = e.buildTrainSetWhere(d.table, feats, d.label, d.where); err != nil {
 			return nil, 0, err
 		}
 		start = time.Now()
@@ -519,37 +500,50 @@ func (e *Engine) trainModelFromDef(d *modelDef) (mining.Model, time.Duration, er
 func trainFamily(d *modelDef, ts *mining.TrainSet) (mining.Model, error) {
 	switch d.family {
 	case "dtree":
-		return dtree.Train(d.name, d.predict, ts, dtree.Options{})
+		return dtree.Train(d.name, d.predict, ts, d.opts.(dtree.Options))
 	case "rules":
-		return rules.Train(d.name, d.predict, ts, rules.Options{})
+		return rules.Train(d.name, d.predict, ts, d.opts.(rules.Options))
 	case "kmeans":
-		return cluster.TrainKMeans(d.name, d.predict, ts, defaultClusterOptions())
+		return cluster.TrainKMeans(d.name, d.predict, ts, d.opts.(cluster.Options))
 	case "gmm":
-		return cluster.TrainGMM(d.name, d.predict, ts, defaultClusterOptions())
+		return cluster.TrainGMM(d.name, d.predict, ts, d.opts.(cluster.Options))
 	}
 	return nil, fmt.Errorf("%w: unknown model family %q", qerr.ErrUnsupportedQuery, d.family)
 }
 
-// defaultClusterOptions are the CREATE MODEL clustering defaults: a
-// small fixed K and a fixed seed, so retrains over identical data
-// reproduce identical models (WAL replay depends on training being a
-// deterministic function of the data).
-func defaultClusterOptions() cluster.Options {
-	return cluster.Options{K: 3, Seed: 1}
+// createModelOptions are the options CREATE MODEL trains each family
+// with: the inducer's defaults, and for clustering a small fixed K and
+// a fixed seed, so retrains over identical data reproduce identical
+// models (WAL replay depends on training being a deterministic function
+// of the data).
+var createModelOptions = map[string]any{
+	"dtree": dtree.Options{}, "nbayes": nbayes.Options{}, "rules": rules.Options{},
+	"kmeans": cluster.Options{K: 3, Seed: 1}, "gmm": cluster.Options{K: 3, Seed: 1},
 }
 
-// newModelDef records a parsed CREATE MODEL as its definition.
+// newModelDef records a parsed CREATE MODEL as its definition. A
+// classification family's label is its PREDICT column, which the view
+// may list; the PREDICT column is never a feature.
 func newModelDef(st *sqlparse.CreateModelStmt, sql string) *modelDef {
-	return &modelDef{
+	d := &modelDef{
 		name:    st.Name,
 		table:   st.Table,
 		family:  st.Family,
 		predict: st.Predict,
-		feats:   st.Feats,
 		star:    st.Star,
 		where:   st.Where,
+		opts:    createModelOptions[st.Family],
 		sql:     sql,
 	}
+	if classificationFamily(st.Family) {
+		d.label = st.Predict
+	}
+	for _, c := range st.Feats {
+		if !strings.EqualFold(c, st.Predict) {
+			d.feats = append(d.feats, c)
+		}
+	}
+	return d
 }
 
 func (e *Engine) execCreateModel(st *sqlparse.CreateModelStmt, sql string) (*ExecResult, error) {
@@ -559,7 +553,7 @@ func (e *Engine) execCreateModel(st *sqlparse.CreateModelStmt, sql string) (*Exe
 	// Train first (no side effects on failure), log the statement, then
 	// register: a crash after the log entry replays the whole training
 	// deterministically over the recovered data.
-	info, err := e.createModelLocked(d)
+	info, err := e.createModelLocked(d, true)
 	if err != nil {
 		return nil, err
 	}
@@ -608,11 +602,11 @@ func (e *Engine) explainStatement(st *sqlparse.Statement) (string, error) {
 		if !ok {
 			return "", fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, d.table)
 		}
-		feats, label, err := resolveDefFeatures(t, d)
+		feats, err := resolveDefFeatures(t, d)
 		if err != nil {
 			return "", err
 		}
-		view, _, _, err := trainView(t, feats, label, d.where)
+		view, _, _, err := trainView(t, feats, d.label, d.where)
 		if err != nil {
 			return "", err
 		}
@@ -644,9 +638,12 @@ func dmlScanPlan(table string, where expr.Expr) plan.Node {
 	return n
 }
 
-// createModelLocked trains, logs, registers, and records the
-// definition. Caller holds writeMu. It is the shared path between live
-// CREATE MODEL and WAL replay of logged DDL.
+// createModelLocked is the one way a model is made: it trains d,
+// derives its envelopes, logs the statement when logged is set,
+// registers the model and records d for the threshold retrain. Caller
+// holds writeMu. Live CREATE MODEL and its WAL replay log; the Go-API
+// Train* calls (refused once a log is attached) and the threshold
+// retrain (which replay re-runs from the logged writes) do not.
 //
 // Ordering is log-then-apply, same as DML: training and envelope
 // derivation run first (both are side-effect-free — a failure leaves
@@ -655,7 +652,7 @@ func dmlScanPlan(table string, where expr.Expr) plan.Node {
 // The post-log steps cannot fail, so a logged CREATE MODEL is always
 // also a registered one and a failed append never leaves the engine
 // serving a model absent from the durable log.
-func (e *Engine) createModelLocked(d *modelDef) (*ModelInfo, error) {
+func (e *Engine) createModelLocked(d *modelDef, logged bool) (*ModelInfo, error) {
 	m, elapsed, err := e.trainModelFromDef(d)
 	if err != nil {
 		return nil, err
@@ -664,8 +661,10 @@ func (e *Engine) createModelLocked(d *modelDef) (*ModelInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e.walAppend(wal.Record{Kind: wal.RecordDDL, DDL: d.sql}); err != nil {
-		return nil, err
+	if logged {
+		if err := e.walAppend(wal.Record{Kind: wal.RecordDDL, DDL: d.sql}); err != nil {
+			return nil, err
+		}
 	}
 	info := e.registerDerived(m, der, elapsed)
 	key := strings.ToLower(d.name)
@@ -674,4 +673,22 @@ func (e *Engine) createModelLocked(d *modelDef) (*ModelInfo, error) {
 	}
 	e.modelDefs[key] = d
 	return info, nil
+}
+
+// forgetModelDef removes name's definition, so no retrain makes the
+// model again. Caller holds writeMu.
+func (e *Engine) forgetModelDef(name string) {
+	key := strings.ToLower(name)
+	delete(e.modelDefs, key)
+	e.defOrder = slices.DeleteFunc(e.defOrder, func(k string) bool { return k == key })
+}
+
+// refuseUnlogged errors once a log is attached: recovery would lose
+// call's unlogged change, and lost rows shift the RIDs later logged
+// statements name. route says what to do instead. Caller holds writeMu.
+func (e *Engine) refuseUnlogged(call, route string) error {
+	if e.wlog.Load() == nil {
+		return nil
+	}
+	return fmt.Errorf("minequery: %w: %s is not logged and a WAL is attached; %s", qerr.ErrUnsupportedQuery, call, route)
 }

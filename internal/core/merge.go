@@ -30,7 +30,10 @@ func mergeAlongDim(g *Grid, regions []*region, d int) ([]*region, bool) {
 	if len(regions) < 2 {
 		return regions, false
 	}
+	// Buckets are visited in first-seen order: a derivation must not
+	// hang on map order, or two trainings of one model render apart.
 	buckets := make(map[string][]*region, len(regions))
+	var keys []string
 	var keyBuf []byte
 	for _, r := range regions {
 		keyBuf = keyBuf[:0]
@@ -45,6 +48,9 @@ func mergeAlongDim(g *Grid, regions []*region, d int) ([]*region, bool) {
 			keyBuf = append(keyBuf, '|')
 		}
 		k := string(keyBuf)
+		if _, ok := buckets[k]; !ok {
+			keys = append(keys, k)
+		}
 		buckets[k] = append(buckets[k], r)
 	}
 	if len(buckets) == len(regions) {
@@ -52,7 +58,8 @@ func mergeAlongDim(g *Grid, regions []*region, d int) ([]*region, bool) {
 	}
 	var out []*region
 	merged := false
-	for _, group := range buckets {
+	for _, k := range keys {
+		group := buckets[k]
 		if len(group) == 1 {
 			out = append(out, group[0])
 			continue

@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -154,8 +155,8 @@ type Engine struct {
 	// retrainThreshold is the write-volume retrain trigger (rows per
 	// table); 0 disables automatic retraining.
 	retrainThreshold atomic.Int64
-	// modelDefs records every CREATE MODEL definition so retrains can
-	// re-run training; defOrder keeps registration order deterministic.
+	// modelDefs records every model's definition so retrains can re-run
+	// it; defOrder keeps registration order deterministic.
 	// writesSince counts rows written per table since its last retrain.
 	// All three are guarded by writeMu.
 	modelDefs   map[string]*modelDef
@@ -174,14 +175,10 @@ type Config struct {
 	// Envelopes tunes envelope derivation (zero value: core defaults).
 	Envelopes core.Options
 	// Exec tunes batch execution: scan parallelism (DOP), batch size,
-	// morsel size. Zero value: exec defaults (one scan worker per CPU).
-	// Parallel scans reassemble morsels in heap order, so results are
-	// identical at any DOP.
+	// morsel size, retries. Zero value: exec defaults (one scan worker
+	// per CPU). Parallel scans reassemble morsels in heap order, so
+	// results are identical at any DOP.
 	Exec exec.Options
-	// Retry bounds retries of transient storage/seek failures. Zero
-	// value: DefaultRetryPolicy() (3 attempts). Set MaxAttempts to 1
-	// for explicit no-retry.
-	Retry RetryPolicy
 	// Faults, when non-nil, installs a fault injector at construction
 	// (equivalent to calling SetFaults immediately after).
 	Faults *FaultInjector
@@ -208,14 +205,10 @@ func NewWithConfig(cfg Config) *Engine {
 		cfg.Exec = exec.DefaultOptions()
 	}
 	// Retry is on by default: the engine absorbs transient storage/seek
-	// failures up to the default budget. Config.Retry overrides; a
-	// policy with MaxAttempts 1 means explicit no-retry.
+	// failures up to the default budget. Exec.Retry overrides; a policy
+	// with MaxAttempts 1 means explicit no-retry.
 	if cfg.Exec.Retry.MaxAttempts == 0 {
-		if cfg.Retry.MaxAttempts != 0 {
-			cfg.Exec.Retry = cfg.Retry
-		} else {
-			cfg.Exec.Retry = DefaultRetryPolicy()
-		}
+		cfg.Exec.Retry = DefaultRetryPolicy()
 	}
 	e := &Engine{
 		cat: catalog.New(), optCfg: cfg.Optimizer, envOpts: cfg.Envelopes, execOpts: cfg.Exec,
@@ -289,18 +282,18 @@ func (e *Engine) CreatePartitionedTable(name string, schema *Schema, partCol str
 	return err
 }
 
-// Insert appends one row.
-func (e *Engine) Insert(table string, row Tuple) error {
-	t, ok := e.cat.Table(table)
-	if !ok {
-		return fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, table)
-	}
-	_, err := t.Insert(row)
-	return err
-}
+// Insert appends one row, as InsertBatch does.
+func (e *Engine) Insert(table string, row Tuple) error { return e.InsertBatch(table, []Tuple{row}) }
 
-// InsertBatch appends many rows.
+// InsertBatch appends many rows. It is a bulk load, unlogged: once
+// EnableWAL has attached a log it is refused, and rows go in through
+// Exec INSERT.
 func (e *Engine) InsertBatch(table string, rows []Tuple) error {
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
+	if err := e.refuseUnlogged("a bulk load (Insert, InsertBatch)", "use Exec INSERT, or load rows before EnableWAL"); err != nil {
+		return err
+	}
 	t, ok := e.cat.Table(table)
 	if !ok {
 		return fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, table)
@@ -344,10 +337,22 @@ func (e *Engine) EnableColumnar(table string) error {
 	return nil
 }
 
-// DropModel removes a model from the catalog. Prepared statements that
-// reference it go stale; in-flight queries finish against the model
-// snapshot they captured at build time.
-func (e *Engine) DropModel(name string) error { return e.cat.DropModel(name) }
+// DropModel removes a model and its definition, so no threshold retrain
+// makes it again. Prepared statements that reference it go stale;
+// in-flight queries finish against the model snapshot they captured.
+// Refused once EnableWAL has attached a log: no log record carries a drop.
+func (e *Engine) DropModel(name string) error {
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
+	if err := e.refuseUnlogged("DropModel", "drop models before EnableWAL"); err != nil {
+		return err
+	}
+	if err := e.cat.DropModel(name); err != nil {
+		return err
+	}
+	e.forgetModelDef(name)
+	return nil
+}
 
 // RowCount returns a table's live row count.
 func (e *Engine) RowCount(table string) (int64, error) {
@@ -377,14 +382,9 @@ type ModelInfo struct {
 	Version int64
 }
 
-// buildTrainSet extracts (inputs, labels) from a stored table.
-func (e *Engine) buildTrainSet(table string, inputCols []string, labelCol string) (*mining.TrainSet, error) {
-	return e.buildTrainSetWhere(table, inputCols, labelCol, nil)
-}
-
-// buildTrainSetWhere is buildTrainSet over a relational view: rows
-// failing where (when non-nil) are excluded from training. This is the
-// CREATE MODEL ... AS SELECT path.
+// buildTrainSetWhere extracts (inputs, labels) from a relational view
+// of a stored table: rows failing where (when non-nil) are excluded
+// from training.
 func (e *Engine) buildTrainSetWhere(table string, inputCols []string, labelCol string, where expr.Expr) (*mining.TrainSet, error) {
 	var s trainSetSink
 	if err := e.drainTrainView(table, inputCols, labelCol, where, &s); err != nil {
@@ -484,11 +484,6 @@ func (s *bayesSink) Batch(b exec.Batch) error {
 	return nil
 }
 
-// model fits the model the drained rows train.
-func (s *bayesSink) model(name, predCol string, opts nbayes.Options) (*nbayes.Model, error) {
-	return s.counts.Model(name, predCol, s.cols, opts)
-}
-
 // trainView is the plan a relational view for training runs, and the
 // one EXPLAIN CREATE MODEL shows: Project(inputs, label) over
 // Filter(where) over a sequential scan of t, so the executor's one page
@@ -529,18 +524,8 @@ func trainView(t *catalog.Table, inputCols []string, labelCol string, where expr
 	return &plan.Project{Child: root, Cols: project}, schema, labelAt, nil
 }
 
-// registerWithEnvelopes derives envelopes and registers the model.
-func (e *Engine) registerWithEnvelopes(m mining.Model, trainTime time.Duration) (*ModelInfo, error) {
-	der, err := core.UpperEnvelopes(m, e.envOpts)
-	if err != nil {
-		return nil, err
-	}
-	return e.registerDerived(m, der, trainTime), nil
-}
-
 // registerDerived installs a model whose envelopes were already derived.
-// It cannot fail, so the WAL path can sequence it strictly after the log
-// append — a logged CREATE MODEL is always also a registered one.
+// It cannot fail (see createModelLocked).
 func (e *Engine) registerDerived(m mining.Model, der *core.Derivation, trainTime time.Duration) *ModelInfo {
 	me := e.cat.RegisterModel(m, der.Envelopes)
 	return &ModelInfo{
@@ -554,81 +539,68 @@ func (e *Engine) registerDerived(m mining.Model, der *core.Derivation, trainTime
 }
 
 // TrainDecisionTree trains a decision tree over table data and
-// precomputes its (exact) envelopes.
+// precomputes its (exact) envelopes. Every Train* call records the
+// model's definition, as CREATE MODEL does, which a threshold retrain
+// (SetRetrainPolicy) re-runs over current data. Once EnableWAL has
+// attached a log, Train* is refused: use Exec CREATE MODEL.
 func (e *Engine) TrainDecisionTree(name, predCol, table string, inputCols []string, labelCol string, opts TreeOptions) (*ModelInfo, error) {
-	ts, err := e.buildTrainSet(table, inputCols, labelCol)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	m, err := dtree.Train(name, predCol, ts, opts)
-	if err != nil {
-		return nil, err
-	}
-	return e.registerWithEnvelopes(m, time.Since(start))
+	return e.train("TrainDecisionTree", &modelDef{name: name, table: table, family: "dtree", predict: predCol, label: labelCol, feats: inputCols, opts: opts})
 }
 
 // TrainNaiveBayes trains a discrete naive Bayes model over table data
-// and precomputes its envelopes with the top-down algorithm.
+// and precomputes its envelopes with the top-down algorithm. See
+// TrainDecisionTree for retrains and the WAL.
 func (e *Engine) TrainNaiveBayes(name, predCol, table string, inputCols []string, labelCol string, opts BayesOptions) (*ModelInfo, error) {
-	start := time.Now()
-	var s bayesSink
-	if err := e.drainTrainView(table, inputCols, labelCol, nil, &s); err != nil {
-		return nil, err
-	}
-	m, err := s.model(name, predCol, opts)
-	if err != nil {
-		return nil, err
-	}
-	return e.registerWithEnvelopes(m, time.Since(start))
+	return e.train("TrainNaiveBayes", &modelDef{name: name, table: table, family: "nbayes", predict: predCol, label: labelCol, feats: inputCols, opts: opts})
 }
 
 // TrainRules trains a sequential-covering rule list over table data.
+// See TrainDecisionTree for retrains and the WAL.
 func (e *Engine) TrainRules(name, predCol, table string, inputCols []string, labelCol string, opts RuleOptions) (*ModelInfo, error) {
-	ts, err := e.buildTrainSet(table, inputCols, labelCol)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	m, err := rules.Train(name, predCol, ts, opts)
-	if err != nil {
-		return nil, err
-	}
-	return e.registerWithEnvelopes(m, time.Since(start))
+	return e.train("TrainRules", &modelDef{name: name, table: table, family: "rules", predict: predCol, label: labelCol, feats: inputCols, opts: opts})
 }
 
 // TrainKMeans trains a k-means clustering over numeric table columns.
+// See TrainDecisionTree for retrains and the WAL.
 func (e *Engine) TrainKMeans(name, predCol, table string, inputCols []string, opts ClusterOptions) (*ModelInfo, error) {
-	ts, err := e.buildTrainSet(table, inputCols, "")
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	m, err := cluster.TrainKMeans(name, predCol, ts, opts)
-	if err != nil {
-		return nil, err
-	}
-	return e.registerWithEnvelopes(m, time.Since(start))
+	return e.train("TrainKMeans", &modelDef{name: name, table: table, family: "kmeans", predict: predCol, feats: inputCols, opts: opts})
 }
 
-// TrainGMM trains a diagonal-Gaussian mixture clustering.
+// TrainGMM trains a diagonal-Gaussian mixture clustering. See
+// TrainDecisionTree for retrains and the WAL.
 func (e *Engine) TrainGMM(name, predCol, table string, inputCols []string, opts ClusterOptions) (*ModelInfo, error) {
-	ts, err := e.buildTrainSet(table, inputCols, "")
-	if err != nil {
+	return e.train("TrainGMM", &modelDef{name: name, table: table, family: "gmm", predict: predCol, feats: inputCols, opts: opts})
+}
+
+// train makes the model d defines through the door CREATE MODEL uses,
+// less the log record.
+func (e *Engine) train(call string, d *modelDef) (*ModelInfo, error) {
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
+	if err := e.refuseUnlogged(call, "use Exec CREATE MODEL, or train before EnableWAL"); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	m, err := cluster.TrainGMM(name, predCol, ts, opts)
-	if err != nil {
-		return nil, err
-	}
-	return e.registerWithEnvelopes(m, time.Since(start))
+	d.feats = slices.Clone(d.feats) // a retrain must not see the caller's later edits
+	return e.createModelLocked(d, false)
 }
 
 // RegisterModel registers an externally built model (e.g. assembled
 // via nbayes.FromParameters or dtree.FromParts), deriving envelopes.
+// It replaces, and forgets the definition of, any model of that name:
+// no threshold retrain overwrites an external model. Once EnableWAL
+// has attached a log, RegisterModel is refused.
 func (e *Engine) RegisterModel(m Model) (*ModelInfo, error) {
-	return e.registerWithEnvelopes(m, 0)
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
+	if err := e.refuseUnlogged("RegisterModel", "register models before EnableWAL"); err != nil {
+		return nil, err
+	}
+	der, err := core.UpperEnvelopes(m, e.envOpts)
+	if err != nil {
+		return nil, err
+	}
+	e.forgetModelDef(m.Name())
+	return e.registerDerived(m, der, 0), nil
 }
 
 // Envelope returns the cached upper-envelope predicate for a model

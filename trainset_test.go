@@ -110,7 +110,7 @@ func TestAllocTrainSetReadsOnlyItsColumns(t *testing.T) {
 	const rows = 2000
 	eng := trainSetFixture(t, rows)
 	build := func() {
-		if ts, err := eng.buildTrainSet("t", []string{"a"}, "label"); err != nil || len(ts.Rows) != rows {
+		if ts, err := eng.buildTrainSetWhere("t", []string{"a"}, "label", nil); err != nil || len(ts.Rows) != rows {
 			t.Fatalf("%v", err)
 		}
 	}
@@ -229,11 +229,11 @@ func TestNaiveBayesStreamMatchesTrainSet(t *testing.T) {
 			}
 			tb, _ := eng.cat.Table("t")
 			def := newModelDef(st.CreateModel, sql)
-			feats, label, err := resolveDefFeatures(tb, def)
+			feats, err := resolveDefFeatures(tb, def)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ts, err := eng.buildTrainSetWhere("t", feats, label, def.where)
+			ts, err := eng.buildTrainSetWhere("t", feats, def.label, def.where)
 			if err != nil {
 				t.Fatalf("seed %d view %d: %v", seed, vi, err)
 			}
@@ -264,14 +264,15 @@ func TestNaiveBayesStreamMatchesTrainSet(t *testing.T) {
 			if def.where != nil {
 				continue
 			}
-			if ts, err = eng.buildTrainSet("t", v.inputs, v.label); err != nil {
+			if ts, err = eng.buildTrainSetWhere("t", v.inputs, v.label, nil); err != nil {
 				t.Fatal(err)
 			}
 			want, wantErr = nbayes.Train(name+"_api", v.label, ts, nbayes.Options{})
 			_, err = eng.TrainNaiveBayes(name+"_api", v.label, "t", v.inputs, v.label, nbayes.Options{})
 			if wantErr != nil {
-				if err == nil || err.Error() != wantErr.Error() {
-					t.Fatalf("seed %d view %d: TrainNaiveBayes err = %v, want %v", seed, vi, err, wantErr)
+				wantMsg := fmt.Sprintf("minequery: train %s_api (nbayes): %v", name, wantErr)
+				if err == nil || err.Error() != wantMsg {
+					t.Fatalf("seed %d view %d: TrainNaiveBayes err = %v, want %s", seed, vi, err, wantMsg)
 				}
 				continue
 			}
@@ -298,7 +299,7 @@ func TestAllocNaiveBayesTrainIsRowFree(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	train := func(rows int) uint64 {
 		eng := trainSetFixture(t, rows)
-		d := &modelDef{name: "nb", table: "t", family: "nbayes", predict: "label", feats: []string{"a", "label"}}
+		d := &modelDef{name: "nb", table: "t", family: "nbayes", predict: "label", label: "label", feats: []string{"a"}, opts: nbayes.Options{}}
 		if _, _, err := eng.trainModelFromDef(d); err != nil { // warms the scan's pools
 			t.Fatal(err)
 		}
@@ -313,5 +314,94 @@ func TestAllocNaiveBayesTrainIsRowFree(t *testing.T) {
 	small, large := train(2000), train(20000)
 	if perRow := (float64(large) - float64(small)) / 18000; perRow >= 1 {
 		t.Fatalf("streamed naive Bayes allocated %d B over 2,000 rows and %d B over 20,000: %.2f B a row", small, large, perRow)
+	}
+}
+
+// TestModelDoorAPIMatchesCreateModel: a Train* call given CREATE
+// MODEL's options makes CREATE MODEL's model, for every family — the
+// same prediction on every row and the same rendered envelopes — and
+// fails with CREATE MODEL's error where that fails.
+func TestModelDoorAPIMatchesCreateModel(t *testing.T) {
+	type view struct {
+		family string
+		inputs []string
+		label  string // the PREDICT column, and for classification the label
+	}
+	var views []view
+	for _, f := range []string{"dtree", "nbayes", "rules"} {
+		views = append(views,
+			view{f, []string{"x", "n", "s"}, "c"},
+			view{f, []string{"n", "s"}, "f"},
+			view{f, []string{"x", "z"}, "c"}, // z is NULL everywhere
+			view{f, []string{"s", "w"}, "c"}) // w is NULL in the first 50 rows
+	}
+	for _, f := range []string{"kmeans", "gmm"} {
+		views = append(views,
+			view{f, []string{"n", "w"}, "seg"},
+			view{f, []string{"n", "f"}, "seg"},
+			view{f, []string{"x", "n"}, "seg"})
+	}
+	api := func(eng *Engine, name string, v view) (*ModelInfo, error) {
+		switch opts := createModelOptions[v.family]; v.family {
+		case "dtree":
+			return eng.TrainDecisionTree(name, v.label, "t", v.inputs, v.label, opts.(TreeOptions))
+		case "nbayes":
+			return eng.TrainNaiveBayes(name, v.label, "t", v.inputs, v.label, opts.(BayesOptions))
+		case "rules":
+			return eng.TrainRules(name, v.label, "t", v.inputs, v.label, opts.(RuleOptions))
+		case "kmeans":
+			return eng.TrainKMeans(name, v.label, "t", v.inputs, opts.(ClusterOptions))
+		default:
+			return eng.TrainGMM(name, v.label, "t", v.inputs, opts.(ClusterOptions))
+		}
+	}
+	// made renders what the model registered as name answers: its
+	// prediction for every row of t and its envelope for every class.
+	made := func(eng *Engine, name string) string {
+		me, _ := eng.cat.Model(name)
+		tb, _ := eng.cat.Table("t")
+		res, err := eng.Query(context.Background(), "SELECT * FROM t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		in := make(Tuple, len(me.Model.InputColumns()))
+		for _, row := range res.Rows {
+			for i, c := range me.Model.InputColumns() {
+				in[i] = row[tb.Schema.Ordinal(c)]
+			}
+			fmt.Fprintf(&b, "%v ", me.Model.Predict(in))
+		}
+		for _, class := range me.Model.Classes() {
+			env, _ := eng.Envelope(name, class)
+			fmt.Fprintf(&b, "\n%v: %v", class, env)
+		}
+		return b.String()
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		eng := bayesFixture(t, seed, 150+int(seed)*97)
+		for vi, v := range views {
+			name := fmt.Sprintf("m%d", vi)
+			sql := fmt.Sprintf("CREATE MODEL %s ON t PREDICT %s USING %s AS SELECT %s FROM t",
+				name, v.label, v.family, strings.Join(v.inputs, ", "))
+			_, wantErr := eng.Exec(context.Background(), sql)
+			var want string
+			if wantErr == nil {
+				want = made(eng, name)
+			}
+			_, err := api(eng, name, v)
+			switch {
+			case wantErr != nil:
+				if err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("seed %d %s: Train* err = %v, want CREATE MODEL's %v", seed, sql, err, wantErr)
+				}
+			case err != nil:
+				t.Fatalf("seed %d %s: Train*: %v", seed, sql, err)
+			default:
+				if got := made(eng, name); got != want {
+					t.Fatalf("seed %d %s: Train* made\n%s\nCREATE MODEL made\n%s", seed, sql, got, want)
+				}
+			}
+		}
 	}
 }

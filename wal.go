@@ -10,7 +10,7 @@ package minequery
 // timeline (same versions, same epochs relative to the log) that the
 // pre-crash engine passed through. For that to hold, callers must
 // configure the engine identically before EnableWAL (same schema loads,
-// same SetRetrainPolicy) as on the original run.
+// Train* models and SetRetrainPolicy) as on the original run.
 
 import (
 	"fmt"
@@ -43,8 +43,9 @@ func OpenWALFile(path string) (*wal.FileDevice, error) { return wal.OpenFileDevi
 // existing contents are replayed first (recovering from a crash of a
 // previous incarnation); afterwards every write statement is appended
 // and fsynced before it is applied. Returns the number of replayed
-// records. Bulk-load Insert/InsertBatch remain unlogged — load seed
-// data first, then enable the WAL for the statement write path.
+// records. Load seed data and make Go-API models first: no log record
+// carries Insert, InsertBatch, Train*, RegisterModel or DropModel, so
+// once a log is attached they are refused (ErrUnsupportedQuery).
 func (e *Engine) EnableWAL(dev wal.Device) (int, error) {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
@@ -102,7 +103,7 @@ func (e *Engine) replayRecord(rec *wal.Record) error {
 		if st.Kind != sqlparse.StmtCreateModel {
 			return fmt.Errorf("logged DDL is not CREATE MODEL: %q", rec.DDL)
 		}
-		_, err = e.createModelLocked(newModelDef(st.CreateModel, rec.DDL))
+		_, err = e.createModelLocked(newModelDef(st.CreateModel, rec.DDL), true)
 		return err
 	}
 	return fmt.Errorf("unknown WAL record kind %d", rec.Kind)
