@@ -222,7 +222,7 @@ func BenchmarkOptimizeOverhead(b *testing.B) {
 func ablationGrid(b *testing.B) *core.Grid {
 	b.Helper()
 	spec := dataset.ByName("Balance-Scale")
-	m, err := nbayes.Train("m", "p", spec.TrainSet(), nbayes.Options{})
+	m, err := nbayes.TrainColumns("m", "p", spec.TrainColumns(), nbayes.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func ablationGrid(b *testing.B) *core.Grid {
 // the top-down algorithm never visits individual cells).
 func BenchmarkTopDownVsEnumeration(b *testing.B) {
 	spec := dataset.ByName("Diabetes")
-	m, err := nbayes.Train("m", "p", spec.TrainSet(), nbayes.Options{})
+	m, err := nbayes.TrainColumns("m", "p", spec.TrainColumns(), nbayes.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func BenchmarkTopDownVsEnumeration(b *testing.B) {
 // Lemma 3.2 ratio bounds on a two-class model.
 func BenchmarkK2ExactBounds(b *testing.B) {
 	spec := dataset.ByName("Diabetes")
-	m, err := nbayes.Train("m", "p", spec.TrainSet(), nbayes.Options{})
+	m, err := nbayes.TrainColumns("m", "p", spec.TrainColumns(), nbayes.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

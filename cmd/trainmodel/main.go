@@ -7,9 +7,11 @@
 //
 //	trainmodel -csv data.csv -label class -kind tree
 //
-// The CSV must have a header row. Columns parseable as integers become
-// INT attributes; everything else is TEXT. -kind is one of tree, bayes,
-// rules, kmeans, gmm (clustering kinds ignore -label).
+// The CSV must have a header row. A column is an INT attribute when the
+// non-empty cell of every data row parses as an integer, and its empty
+// cells are NULL; every other column is TEXT, empty cells included.
+// -kind is one of tree, bayes, rules, kmeans, gmm (clustering kinds
+// ignore -label).
 package main
 
 import (
@@ -38,7 +40,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: trainmodel -csv data.csv -label class -kind tree")
 		os.Exit(1)
 	}
-	ts, err := loadCSV(*csvPath, *label)
+	cs, err := loadCSV(*csvPath, *label)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "load:", err)
 		os.Exit(1)
@@ -46,15 +48,15 @@ func main() {
 	var model mining.Model
 	switch *kind {
 	case "tree":
-		model, err = dtree.Train("model", "pred", ts, dtree.Options{})
+		model, err = dtree.TrainColumns("model", "pred", cs, dtree.Options{})
 	case "bayes":
-		model, err = nbayes.Train("model", "pred", ts, nbayes.Options{})
+		model, err = nbayes.TrainColumns("model", "pred", cs, nbayes.Options{})
 	case "rules":
-		model, err = rules.Train("model", "pred", ts, rules.Options{})
+		model, err = rules.TrainColumns("model", "pred", cs, rules.Options{})
 	case "kmeans":
-		model, err = cluster.TrainKMeans("model", "pred", ts, cluster.Options{K: *k, Seed: 1})
+		model, err = cluster.TrainKMeansColumns("model", "pred", cs, cluster.Options{K: *k, Seed: 1})
 	case "gmm":
-		model, err = cluster.TrainGMM("model", "pred", ts, cluster.Options{K: *k, Seed: 1})
+		model, err = cluster.TrainGMMColumns("model", "pred", cs, cluster.Options{K: *k, Seed: 1})
 	default:
 		err = fmt.Errorf("unknown kind %q", *kind)
 	}
@@ -75,9 +77,9 @@ func main() {
 	}
 }
 
-// loadCSV reads a CSV into a train set; the label column (if named) is
+// loadCSV reads a CSV into train columns; the label column (if named) is
 // split out as the class label.
-func loadCSV(path, label string) (*mining.TrainSet, error) {
+func loadCSV(path, label string) (*mining.Columns, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -101,11 +103,16 @@ func loadCSV(path, label string) (*mining.TrainSet, error) {
 	if label != "" && labelIdx < 0 {
 		return nil, fmt.Errorf("no column %q in header", label)
 	}
-	// Infer kinds from the first data row.
+	// A column is INT when every data row's non-empty cell parses.
 	isInt := make([]bool, len(header))
-	for i, cell := range recs[1] {
-		_, err := strconv.ParseInt(cell, 10, 64)
-		isInt[i] = err == nil
+	for i := range isInt {
+		isInt[i] = true
+		for _, rec := range recs[1:] {
+			if _, err := strconv.ParseInt(rec[i], 10, 64); err != nil && rec[i] != "" {
+				isInt[i] = false
+				break
+			}
+		}
 	}
 	var cols []value.Column
 	for i, h := range header {
@@ -122,27 +129,27 @@ func loadCSV(path, label string) (*mining.TrainSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	ts := &mining.TrainSet{Schema: schema}
+	cs := mining.NewColumns(schema, len(recs)-1)
+	row := make(value.Tuple, 0, len(cols))
 	for _, rec := range recs[1:] {
-		var row value.Tuple
+		row = row[:0]
 		lbl := value.Null()
 		for i, cell := range rec {
-			if i == labelIdx {
+			switch {
+			case i == labelIdx:
 				lbl = value.Str(cell)
-				continue
-			}
-			if isInt[i] {
-				n, err := strconv.ParseInt(cell, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("bad int %q in column %s", cell, header[i])
-				}
-				row = append(row, value.Int(n))
-			} else {
+			case !isInt[i]:
 				row = append(row, value.Str(cell))
+			case cell == "":
+				row = append(row, value.Null())
+			default:
+				n, _ := strconv.ParseInt(cell, 10, 64) // parsed when the kind was inferred
+				row = append(row, value.Int(n))
 			}
 		}
-		ts.Rows = append(ts.Rows, row)
-		ts.Labels = append(ts.Labels, lbl)
+		if err := cs.Append(row, lbl); err != nil {
+			return nil, err
+		}
 	}
-	return ts, nil
+	return cs, nil
 }

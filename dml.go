@@ -483,12 +483,12 @@ func (e *Engine) trainModelFromDef(d *modelDef) (mining.Model, time.Duration, er
 		}
 		m, err = s.counts.Model(d.name, d.predict, s.cols, d.opts.(nbayes.Options))
 	} else {
-		var ts *mining.TrainSet
-		if ts, err = e.buildTrainSetWhere(d.table, feats, d.label, d.where); err != nil {
+		var cs *mining.Columns
+		if cs, err = e.buildTrainColumns(d.table, feats, d.label, d.where); err != nil {
 			return nil, 0, err
 		}
 		start = time.Now()
-		m, err = trainFamily(d, ts)
+		m, err = trainFamily(d, cs)
 	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("minequery: train %s (%s): %w", d.name, d.family, err)
@@ -496,17 +496,17 @@ func (e *Engine) trainModelFromDef(d *modelDef) (mining.Model, time.Duration, er
 	return m, time.Since(start), nil
 }
 
-// trainFamily fits d's model family, naive Bayes aside, over ts.
-func trainFamily(d *modelDef, ts *mining.TrainSet) (mining.Model, error) {
+// trainFamily fits d's model family, naive Bayes aside, over cs.
+func trainFamily(d *modelDef, cs *mining.Columns) (mining.Model, error) {
 	switch d.family {
 	case "dtree":
-		return dtree.Train(d.name, d.predict, ts, d.opts.(dtree.Options))
+		return dtree.TrainColumns(d.name, d.predict, cs, d.opts.(dtree.Options))
 	case "rules":
-		return rules.Train(d.name, d.predict, ts, d.opts.(rules.Options))
+		return rules.TrainColumns(d.name, d.predict, cs, d.opts.(rules.Options))
 	case "kmeans":
-		return cluster.TrainKMeans(d.name, d.predict, ts, d.opts.(cluster.Options))
+		return cluster.TrainKMeansColumns(d.name, d.predict, cs, d.opts.(cluster.Options))
 	case "gmm":
-		return cluster.TrainGMM(d.name, d.predict, ts, d.opts.(cluster.Options))
+		return cluster.TrainGMMColumns(d.name, d.predict, cs, d.opts.(cluster.Options))
 	}
 	return nil, fmt.Errorf("%w: unknown model family %q", qerr.ErrUnsupportedQuery, d.family)
 }

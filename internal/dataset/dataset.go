@@ -298,18 +298,19 @@ func (s *Spec) generate(n int, seed int64, emit func(value.Tuple, value.Value)) 
 	}
 }
 
-// TrainSet materializes the training partition.
-func (s *Spec) TrainSet() *mining.TrainSet {
+// TrainColumns materializes the training partition as train columns.
+func (s *Spec) TrainColumns() *mining.Columns {
 	cols := make([]value.Column, len(s.Attrs))
 	for i, a := range s.Attrs {
 		cols[i] = value.Column{Name: a.Name, Kind: value.KindInt}
 	}
-	ts := &mining.TrainSet{Schema: value.MustSchema(cols...)}
+	cs := mining.NewColumns(value.MustSchema(cols...), s.TrainRows)
 	s.generate(s.TrainRows, 1000, func(row value.Tuple, label value.Value) {
-		ts.Rows = append(ts.Rows, row)
-		ts.Labels = append(ts.Labels, label)
+		if err := cs.Append(row, label); err != nil {
+			panic(err) // every attribute is INT, and so is every value
+		}
 	})
-	return ts
+	return cs
 }
 
 // TestRows streams n test rows (attributes plus the true label column)

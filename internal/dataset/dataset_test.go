@@ -53,19 +53,24 @@ func TestByName(t *testing.T) {
 
 func TestGenerationDeterministicAndInDomain(t *testing.T) {
 	s := ByName("Shuttle")
-	ts1 := s.TrainSet()
-	ts2 := s.TrainSet()
-	if len(ts1.Rows) != s.TrainRows {
-		t.Fatalf("train rows = %d, want %d", len(ts1.Rows), s.TrainRows)
+	ts1 := s.TrainColumns()
+	ts2 := s.TrainColumns()
+	if ts1.Len() != s.TrainRows {
+		t.Fatalf("train rows = %d, want %d", ts1.Len(), s.TrainRows)
 	}
-	for i := range ts1.Rows {
-		if !ts1.Rows[i].Equal(ts2.Rows[i]) || !value.Equal(ts1.Labels[i], ts2.Labels[i]) {
+	for i := 0; i < ts1.Len(); i++ {
+		for a := range ts1.Cols {
+			if ts1.Cols[a].Value(i) != ts2.Cols[a].Value(i) {
+				t.Fatal("generation must be deterministic")
+			}
+		}
+		if ts1.Classes[ts1.Labels[i]] != ts2.Classes[ts2.Labels[i]] {
 			t.Fatal("generation must be deterministic")
 		}
 	}
-	for i, r := range ts1.Rows {
-		for a, v := range r {
-			x := v.AsInt()
+	for i := 0; i < ts1.Len(); i++ {
+		for a := range ts1.Cols {
+			x := ts1.Cols[a].Value(i).AsInt()
 			if x < 0 || x >= int64(s.Attrs[a].Card) {
 				t.Fatalf("row %d attr %d value %d outside domain [0, %d)", i, a, x, s.Attrs[a].Card)
 			}
@@ -123,11 +128,11 @@ func TestLabelsCorrelateWithAttributes(t *testing.T) {
 	// predictable than the prior for at least the majority classes.
 	// (Model-specific accuracy is tested in the mining packages.)
 	s := ByName("Balance-Scale")
-	ts := s.TrainSet()
+	ts := s.TrainColumns()
 	// Majority-class frequency.
 	counts := map[string]int{}
-	for _, l := range ts.Labels {
-		counts[l.String()]++
+	for _, id := range ts.Labels {
+		counts[ts.Classes[id].String()]++
 	}
 	max := 0
 	for _, c := range counts {

@@ -31,25 +31,35 @@ type GMM struct {
 // near-zero variances produce unusably extreme score bounds.
 const minVar = 0.25
 
-// TrainGMM fits a diagonal-covariance Gaussian mixture by EM,
-// initialized from a k-means run.
+// TrainGMM fits a Gaussian mixture over a literal train set, converted
+// to its columns.
 func TrainGMM(name, predCol string, ts *mining.TrainSet, opts Options) (*GMM, error) {
+	cs, err := ts.Columns()
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	return TrainGMMColumns(name, predCol, cs, opts)
+}
+
+// TrainGMMColumns fits a diagonal-covariance Gaussian mixture by EM,
+// initialized from a k-means run.
+func TrainGMMColumns(name, predCol string, cs *mining.Columns, opts Options) (*GMM, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	km, err := TrainKMeans(name, predCol, ts, opts)
+	km, err := TrainKMeansColumns(name, predCol, cs, opts)
 	if err != nil {
 		return nil, err
 	}
-	pts, err := numericRows(ts)
+	cols, err := numericColumns(cs)
 	if err != nil {
 		return nil, err
 	}
-	k, dims := opts.K, len(km.Centroids[0])
+	n, k, dims := cs.Len(), opts.K, len(km.Centroids[0])
 	g := &GMM{
 		name:    name,
 		predCol: predCol,
-		cols:    ts.ColumnNames(),
+		cols:    cs.ColumnNames(),
 		classes: clusterClasses(k),
 		Mix:     make([]float64, k),
 		Means:   km.Centroids,
@@ -63,13 +73,15 @@ func TrainGMM(name, predCol string, ts *mining.TrainSet, opts Options) (*GMM, er
 			g.Vars[j][d] = 1 + r.Float64()*0.01
 		}
 	}
-	resp := make([][]float64, len(pts))
+	resp := make([][]float64, n)
 	for i := range resp {
 		resp[i] = make([]float64, k)
 	}
+	x := make([]float64, dims)
 	for iter := 0; iter < opts.MaxIters; iter++ {
 		// E step.
-		for i, p := range pts {
+		for i := range resp {
+			p := point(cols, i, x)
 			var max float64 = math.Inf(-1)
 			for j := 0; j < k; j++ {
 				resp[i][j] = g.LogScore(p, j)
@@ -89,22 +101,22 @@ func TrainGMM(name, predCol string, ts *mining.TrainSet, opts Options) (*GMM, er
 		// M step.
 		for j := 0; j < k; j++ {
 			var nj float64
-			for i := range pts {
+			for i := range resp {
 				nj += resp[i][j]
 			}
 			if nj < 1e-9 {
 				continue
 			}
-			g.Mix[j] = nj / float64(len(pts))
-			for d := 0; d < dims; d++ {
+			g.Mix[j] = nj / float64(n)
+			for d, c := range cols {
 				var mean float64
-				for i, p := range pts {
-					mean += resp[i][j] * p[d]
+				for i := range resp {
+					mean += resp[i][j] * c[i]
 				}
 				mean /= nj
 				var v float64
-				for i, p := range pts {
-					diff := p[d] - mean
+				for i := range resp {
+					diff := c[i] - mean
 					v += resp[i][j] * diff * diff
 				}
 				g.Means[j][d] = mean

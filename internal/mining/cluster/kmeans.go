@@ -54,29 +54,26 @@ func (o *Options) fill() error {
 	return nil
 }
 
-// numericRows converts a train set's rows to float matrices, rejecting
-// non-numeric attributes.
-func numericRows(ts *mining.TrainSet) ([][]float64, error) {
-	for d := 0; d < ts.Schema.Len(); d++ {
-		k := ts.Schema.Col(d).Kind
-		if k != value.KindInt && k != value.KindFloat {
+// numericColumns returns a train set's columns as floats, NULL as 0,
+// rejecting non-numeric attributes.
+func numericColumns(cs *mining.Columns) ([][]float64, error) {
+	cols := make([][]float64, len(cs.Cols))
+	for d := range cs.Cols {
+		if !cs.Cols[d].Numeric {
 			return nil, fmt.Errorf("cluster: attribute %s has kind %s; clustering needs numeric attributes",
-				ts.Schema.Col(d).Name, k)
+				cs.Schema.Col(d).Name, cs.Schema.Col(d).Kind)
 		}
+		cols[d] = cs.Cols[d].Num
 	}
-	out := make([][]float64, len(ts.Rows))
-	for i, r := range ts.Rows {
-		row := make([]float64, len(r))
-		for d, v := range r {
-			if v.IsNull() {
-				row[d] = 0
-			} else {
-				row[d] = v.AsFloat()
-			}
-		}
-		out[i] = row
+	return cols, nil
+}
+
+// point copies row i of cols into x and returns it.
+func point(cols [][]float64, i int, x []float64) []float64 {
+	for d, c := range cols {
+		x[d] = c[i]
 	}
-	return out, nil
+	return x
 }
 
 func clusterClasses(k int) []value.Value {
@@ -87,32 +84,45 @@ func clusterClasses(k int) []value.Value {
 	return out
 }
 
-// TrainKMeans fits k-means with Lloyd's algorithm. Labels in the train
-// set are ignored (clustering is unsupervised).
+// TrainKMeans fits k-means over a literal train set, converted to its
+// columns.
 func TrainKMeans(name, predCol string, ts *mining.TrainSet, opts Options) (*KMeans, error) {
+	cs, err := ts.Columns()
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	return TrainKMeansColumns(name, predCol, cs, opts)
+}
+
+// TrainKMeansColumns fits k-means with Lloyd's algorithm. Labels in the
+// train set are ignored (clustering is unsupervised).
+func TrainKMeansColumns(name, predCol string, cs *mining.Columns, opts Options) (*KMeans, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	if ts.Schema == nil || len(ts.Rows) == 0 {
+	n := cs.Len()
+	if n == 0 {
 		return nil, fmt.Errorf("cluster: empty train set")
 	}
-	pts, err := numericRows(ts)
+	cols, err := numericColumns(cs)
 	if err != nil {
 		return nil, err
 	}
-	if opts.K > len(pts) {
-		return nil, fmt.Errorf("cluster: K=%d exceeds %d points", opts.K, len(pts))
+	if opts.K > n {
+		return nil, fmt.Errorf("cluster: K=%d exceeds %d points", opts.K, n)
 	}
-	dims := len(pts[0])
+	dims := len(cols)
+	buf := make([]float64, dims)
 	r := rand.New(rand.NewSource(opts.Seed))
 	// k-means++-style seeding: first centroid random, the rest biased
 	// toward far points.
 	cents := make([][]float64, 0, opts.K)
-	cents = append(cents, append([]float64(nil), pts[r.Intn(len(pts))]...))
+	cents = append(cents, point(cols, r.Intn(n), make([]float64, dims)))
 	for len(cents) < opts.K {
-		dist := make([]float64, len(pts))
+		dist := make([]float64, n)
 		var sum float64
-		for i, p := range pts {
+		for i := range dist {
+			p := point(cols, i, buf)
 			best := math.Inf(1)
 			for _, c := range cents {
 				if d := sqDist(p, c); d < best {
@@ -124,7 +134,7 @@ func TrainKMeans(name, predCol string, ts *mining.TrainSet, opts Options) (*KMea
 		}
 		var pick int
 		if sum == 0 {
-			pick = r.Intn(len(pts))
+			pick = r.Intn(n)
 		} else {
 			x := r.Float64() * sum
 			for i, d := range dist {
@@ -135,12 +145,13 @@ func TrainKMeans(name, predCol string, ts *mining.TrainSet, opts Options) (*KMea
 				}
 			}
 		}
-		cents = append(cents, append([]float64(nil), pts[pick]...))
+		cents = append(cents, point(cols, pick, make([]float64, dims)))
 	}
-	assign := make([]int, len(pts))
+	assign := make([]int, n)
 	for iter := 0; iter < opts.MaxIters; iter++ {
 		changed := false
-		for i, p := range pts {
+		for i := range assign {
+			p := point(cols, i, buf)
 			best, bestD := 0, math.Inf(1)
 			for k, c := range cents {
 				if d := sqDist(p, c); d < bestD {
@@ -160,16 +171,16 @@ func TrainKMeans(name, predCol string, ts *mining.TrainSet, opts Options) (*KMea
 		for k := range sums {
 			sums[k] = make([]float64, dims)
 		}
-		for i, p := range pts {
-			counts[assign[i]]++
-			for d, x := range p {
-				sums[assign[i]][d] += x
+		for i, k := range assign {
+			counts[k]++
+			for d, c := range cols {
+				sums[k][d] += c[i]
 			}
 		}
 		for k := range cents {
 			if counts[k] == 0 {
 				// Re-seed an empty cluster at a random point.
-				cents[k] = append([]float64(nil), pts[r.Intn(len(pts))]...)
+				cents[k] = point(cols, r.Intn(n), make([]float64, dims))
 				continue
 			}
 			for d := range cents[k] {
@@ -187,7 +198,7 @@ func TrainKMeans(name, predCol string, ts *mining.TrainSet, opts Options) (*KMea
 	return &KMeans{
 		name:      name,
 		predCol:   predCol,
-		cols:      ts.ColumnNames(),
+		cols:      cs.ColumnNames(),
 		classes:   clusterClasses(opts.K),
 		Centroids: cents,
 		Weights:   weights,

@@ -87,21 +87,32 @@ func (o *Options) fill() {
 	}
 }
 
-// Train fits a decision tree.
+// Train fits a decision tree over a literal train set, converted to its
+// columns.
 func Train(name, predCol string, ts *mining.TrainSet, opts Options) (*Model, error) {
-	if err := ts.Validate(); err != nil {
+	cs, err := ts.Columns()
+	if err != nil {
 		return nil, fmt.Errorf("dtree: %w", err)
 	}
-	if len(ts.Rows) > math.MaxInt32 {
-		return nil, fmt.Errorf("dtree: %d rows, at most %d", len(ts.Rows), math.MaxInt32)
+	return TrainColumns(name, predCol, cs, opts)
+}
+
+// TrainColumns fits a decision tree.
+func TrainColumns(name, predCol string, cs *mining.Columns, opts Options) (*Model, error) {
+	if cs.Len() == 0 {
+		return nil, fmt.Errorf("dtree: %w", mining.ErrEmptyTrainSet)
+	}
+	if cs.Len() > math.MaxInt32 {
+		return nil, fmt.Errorf("dtree: %d rows, at most %d", cs.Len(), math.MaxInt32)
 	}
 	opts.fill()
-	ids, classes := ts.ClassIDs()
-	b := &builder{ts: ts, opts: opts, ids: ids, members: make([]mining.Interner, ts.Schema.Len()),
-		counts: make([]int, len(classes)), trueCounts: make([]int, len(classes)), falseCounts: make([]int, len(classes))}
+	k := len(cs.Classes)
+	b := &builder{cs: cs, opts: opts, members: cs.Members(),
+		counts: make([]int, k), trueCounts: make([]int, k), falseCounts: make([]int, k)}
+	classes := slices.Clone(cs.Classes)
 	sort.Slice(classes, func(i, j int) bool { return value.Compare(classes[i], classes[j]) < 0 })
 	// int32 rows: the index and its spill cost one word a row together.
-	idx := make([]int32, len(ts.Rows))
+	idx := make([]int32, cs.Len())
 	for i := range idx {
 		idx[i] = int32(i)
 	}
@@ -109,7 +120,7 @@ func Train(name, predCol string, ts *mining.TrainSet, opts Options) (*Model, err
 	return &Model{
 		name:    name,
 		predCol: predCol,
-		cols:    ts.ColumnNames(),
+		cols:    cs.ColumnNames(),
 		classes: classes,
 		Root:    root,
 	}, nil
@@ -119,13 +130,10 @@ func Train(name, predCol string, ts *mining.TrainSet, opts Options) (*Model, err
 // each split partitions in place. Its scratch is sized once, at the
 // root, where every row is in play.
 type builder struct {
-	ts   *mining.TrainSet
+	cs   *mining.Columns
 	opts Options
-	// ids is the dense class id of every row's label (TrainSet.ClassIDs):
-	// label counts are slices indexed by it, and entropy sums in id order.
-	ids []int
-	// members keys each categorical attribute's values by rendering.
-	members []mining.Interner
+	// members[d] numbers categorical attribute d's members.
+	members []mining.Members
 	// counts, trueCounts and falseCounts are per-class scratch: counts
 	// for a node's rows, the other two for gain.
 	counts, trueCounts, falseCounts []int
@@ -134,11 +142,28 @@ type builder struct {
 	spill []int32
 	// vals holds numericCandidates' values, then its cuts.
 	vals []float64
-	// last[id] is the last value of member id a categoricalCandidates
-	// call met (NULL: not met); present and cands are its other scratch.
-	last    []value.Value
-	present []int
-	cands   []value.Value
+	// last[m] is the last member of rendering m a categoricalCandidates
+	// call met (NullCode: not met); present and cands are its other
+	// scratch.
+	last, present, cands []int32
+}
+
+// split is a candidate test: the node it becomes, and for a categorical
+// test the Equal id of CatVal's member.
+type split struct {
+	Node
+	eq int32
+}
+
+// sends reports whether s sends row i to its true side: Node.Test over
+// the row's column cells.
+func (b *builder) sends(s *split, i int32) bool {
+	c := &b.cs.Cols[s.AttrIdx]
+	if s.Kind == SplitNumeric {
+		return !c.IsNull(int(i)) && cmp.Compare(c.Num[i], s.Threshold) <= 0
+	}
+	code := c.Codes[i]
+	return code != mining.NullCode && b.members[s.AttrIdx].Equal[code] == s.eq
 }
 
 // classCounts tallies labels for the given row subset into b.counts and
@@ -146,25 +171,27 @@ type builder struct {
 func (b *builder) classCounts(idx []int32) (distinct int) {
 	clear(b.counts)
 	for _, i := range idx {
-		if b.counts[b.ids[i]]++; b.counts[b.ids[i]] == 1 {
+		if b.counts[b.cs.Labels[i]]++; b.counts[b.cs.Labels[i]] == 1 {
 			distinct++
 		}
 	}
 	return distinct
 }
 
-// majority is the label first to reach the largest count, in idx order.
+// majority is the class first to reach the largest count, in idx order,
+// as the first label seen of it.
 func (b *builder) majority(idx []int32) value.Value {
 	clear(b.counts)
-	var best value.Value
+	var best int32
 	bestN := -1
 	for _, i := range idx {
-		b.counts[b.ids[i]]++
-		if n := b.counts[b.ids[i]]; n > bestN {
-			best, bestN = b.ts.Labels[i], n
+		id := b.cs.Labels[i]
+		b.counts[id]++
+		if n := b.counts[id]; n > bestN {
+			best, bestN = id, n
 		}
 	}
-	return best
+	return b.cs.Classes[best]
 }
 
 func entropyOf(counts []int, total int) float64 {
@@ -191,34 +218,35 @@ func (b *builder) grow(idx []int32, depth int) *Node {
 		return &Node{Leaf: true, Class: b.majority(idx)}
 	}
 	base := entropyOf(b.counts, len(idx))
-	best := b.bestSplit(idx, base)
-	if best == nil {
+	best, ok := b.bestSplit(idx, base)
+	if !ok {
 		return &Node{Leaf: true, Class: b.majority(idx)}
 	}
 	t := 0
 	for _, i := range idx {
-		if best.Test(b.ts.Rows[i]) {
+		if b.sends(&best, i) {
 			t++
 		}
 	}
 	if t < b.opts.MinLeaf || len(idx)-t < b.opts.MinLeaf {
 		return &Node{Leaf: true, Class: b.majority(idx)}
 	}
-	b.partition(idx, best)
-	best.True = b.grow(idx[:t], depth+1)
-	best.False = b.grow(idx[t:], depth+1)
-	return best
+	b.partition(idx, &best)
+	n := best.Node
+	n.True = b.grow(idx[:t], depth+1)
+	n.False = b.grow(idx[t:], depth+1)
+	return &n
 }
 
-// partition moves the rows of idx that split sends true to its front,
+// partition moves the rows of idx that s sends true to its front,
 // stably on both sides.
-func (b *builder) partition(idx []int32, split *Node) {
+func (b *builder) partition(idx []int32, s *split) {
 	if b.spill == nil {
 		b.spill = make([]int32, len(idx))
 	}
 	t, f := 0, 0
 	for _, i := range idx {
-		if split.Test(b.ts.Rows[i]) {
+		if b.sends(s, i) {
 			idx[t], t = i, t+1
 		} else {
 			b.spill[f], f = i, f+1
@@ -229,14 +257,13 @@ func (b *builder) partition(idx []int32, split *Node) {
 
 // bestSplit searches all attributes for the highest-gain binary split;
 // the first of equal gains wins.
-func (b *builder) bestSplit(idx []int32, base float64) *Node {
+func (b *builder) bestSplit(idx []int32, base float64) (split, bool) {
 	const minGain = 1e-9 // a split must gain strictly more
-	var best Node
+	var best split
 	bestGain := minGain
-	for d := 0; d < b.ts.Schema.Len(); d++ {
-		col := b.ts.Schema.Col(d)
-		c := Node{Attr: col.Name, AttrIdx: d}
-		if col.Kind == value.KindInt || col.Kind == value.KindFloat {
+	for d := 0; d < b.cs.Schema.Len(); d++ {
+		c := split{Node: Node{Attr: b.cs.Schema.Col(d).Name, AttrIdx: d}}
+		if b.cs.Cols[d].Numeric {
 			c.Kind = SplitNumeric
 			for _, cut := range b.numericCandidates(idx, d) {
 				c.Threshold = cut
@@ -246,19 +273,15 @@ func (b *builder) bestSplit(idx []int32, base float64) *Node {
 			}
 		} else {
 			c.Kind = SplitCategorical
-			for _, v := range b.categoricalCandidates(idx, d) {
-				c.CatVal = v
+			for _, code := range b.categoricalCandidates(idx, d) {
+				c.CatVal, c.eq = b.cs.Cols[d].Dict[code], b.members[d].Equal[code]
 				if gain := b.gain(idx, &c, base); gain > bestGain {
 					best, bestGain = c, gain
 				}
 			}
 		}
 	}
-	if bestGain == minGain {
-		return nil
-	}
-	n := best
-	return &n
+	return best, bestGain != minGain
 }
 
 // maxNumericCandidates caps threshold candidates per attribute.
@@ -271,11 +294,11 @@ func (b *builder) numericCandidates(idx []int32, d int) []float64 {
 	if cap(b.vals) < len(idx) {
 		b.vals = make([]float64, 0, len(idx))
 	}
+	c := &b.cs.Cols[d]
 	vals := b.vals[:0]
 	for _, i := range idx {
-		v := b.ts.Rows[i][d]
-		if !v.IsNull() {
-			vals = append(vals, v.AsFloat())
+		if !c.IsNull(int(i)) {
+			vals = append(vals, c.Num[i])
 		}
 	}
 	if len(vals) < 2 {
@@ -300,30 +323,30 @@ func (b *builder) numericCandidates(idx []int32, d int) []float64 {
 }
 
 // categoricalCandidates returns the members of attribute d among idx's
-// rows, sorted by rendering, each the last value seen that renders so.
+// rows, sorted by rendering, each the last member seen that renders so.
 // They live in b.cands until the next call.
-func (b *builder) categoricalCandidates(idx []int32, d int) []value.Value {
-	in := &b.members[d]
+func (b *builder) categoricalCandidates(idx []int32, d int) []int32 {
+	codes, rendering, texts := b.cs.Cols[d].Codes, b.members[d].Rendering, b.members[d].Text
+	for len(b.last) < len(texts) {
+		b.last = append(b.last, mining.NullCode)
+	}
 	present := b.present[:0]
 	for _, i := range idx {
-		v := b.ts.Rows[i][d]
-		if v.IsNull() {
+		code := codes[i]
+		if code == mining.NullCode {
 			continue
 		}
-		id := in.ID(v)
-		if id >= len(b.last) {
-			b.last = append(b.last, make([]value.Value, id+1-len(b.last))...)
+		m := rendering[code]
+		if b.last[m] == mining.NullCode {
+			present = append(present, m)
 		}
-		if b.last[id].IsNull() {
-			present = append(present, id)
-		}
-		b.last[id] = v
+		b.last[m] = code
 	}
-	slices.SortFunc(present, func(x, y int) int { return strings.Compare(in.Text(x), in.Text(y)) })
+	slices.SortFunc(present, func(x, y int32) int { return strings.Compare(texts[x], texts[y]) })
 	cands := b.cands[:0]
-	for _, id := range present {
-		cands = append(cands, b.last[id])
-		b.last[id] = value.Value{}
+	for _, m := range present {
+		cands = append(cands, b.last[m])
+		b.last[m] = mining.NullCode
 	}
 	b.present, b.cands = present, cands
 	if len(cands) < 2 {
@@ -332,17 +355,17 @@ func (b *builder) categoricalCandidates(idx []int32, d int) []value.Value {
 	return cands
 }
 
-func (b *builder) gain(idx []int32, split *Node, base float64) float64 {
+func (b *builder) gain(idx []int32, s *split, base float64) float64 {
 	tc, fc := b.trueCounts, b.falseCounts
 	clear(tc)
 	clear(fc)
 	tn, fn := 0, 0
 	for _, i := range idx {
-		if split.Test(b.ts.Rows[i]) {
-			tc[b.ids[i]]++
+		if b.sends(s, i) {
+			tc[b.cs.Labels[i]]++
 			tn++
 		} else {
-			fc[b.ids[i]]++
+			fc[b.cs.Labels[i]]++
 			fn++
 		}
 	}

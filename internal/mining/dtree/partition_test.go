@@ -19,19 +19,41 @@ var raceEnabled bool
 // refBuilder is the inducer as it was before the index was partitioned
 // in place: every node appends its rows to fresh true and false slices,
 // every candidate is a *Node, and categorical members are keyed by
-// Value.String. It is the oracle TestTrainMatchesAppendPartition holds
+// Value.String. It reads the rows of a literal TrainSet. It is the oracle
+// TestTrainMatchesAppendPartition and TestTrainColumnsMatchesRows hold
 // Train to.
+//
+// One thing differs from the builder as it was: a leaf's class is the
+// first label seen of its class in the train set, not the label of the
+// row whose vote first reached the majority. The two differ only between
+// labels that render alike but differ as values (an INT 1 and a FLOAT 1,
+// or two NaN payloads), and the first label seen is the value Classes()
+// lists.
 type refBuilder struct {
 	ts                      *mining.TrainSet
 	opts                    Options
 	ids                     []int
+	classes                 []value.Value
 	trueCounts, falseCounts []int
+}
+
+// classIDs interns labels by rendering: ids[i] is label i's class and
+// classes[id] the first label seen of class id.
+func classIDs(labels []value.Value) (ids []int, classes []value.Value) {
+	var in mining.Interner
+	ids = make([]int, len(labels))
+	for i, l := range labels {
+		if ids[i] = in.ID(l); ids[i] == len(classes) {
+			classes = append(classes, l)
+		}
+	}
+	return ids, classes
 }
 
 func refTrain(ts *mining.TrainSet, opts Options) *Node {
 	opts.fill()
-	ids, classes := ts.ClassIDs()
-	b := &refBuilder{ts: ts, opts: opts, ids: ids,
+	ids, classes := classIDs(ts.Labels)
+	b := &refBuilder{ts: ts, opts: opts, ids: ids, classes: classes,
 		trueCounts: make([]int, len(classes)), falseCounts: make([]int, len(classes))}
 	idx := make([]int, len(ts.Rows))
 	for i := range idx {
@@ -57,7 +79,7 @@ func (b *refBuilder) majority(idx []int) value.Value {
 	for _, i := range idx {
 		counts[b.ids[i]]++
 		if n := counts[b.ids[i]]; n > bestN {
-			best, bestN = b.ts.Labels[i], n
+			best, bestN = b.classes[b.ids[i]], n
 		}
 	}
 	return best
@@ -282,31 +304,35 @@ func TestTrainMatchesAppendPartition(t *testing.T) {
 	}
 }
 
-// TestAllocTreeTrainPartitionsInPlace: Train allocates three words a row
-// — the class ids, the index and its partition scratch (4 bytes each),
-// the numeric values buffer — plus two nodes per tree node (a node, and
-// at a leaf the split MinLeaf refused), on one P with GC off.
+// TestAllocTreeTrainPartitionsInPlace: training over a set's columns
+// allocates two words a row — the index and its partition scratch (4
+// bytes each), the numeric values buffer — plus a node per tree node, on
+// one P with GC off. The columns themselves are the caller's.
 func TestAllocTreeTrainPartitionsInPlace(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const perNode = 2 * unsafe.Sizeof(Node{})
-	const fixed = 16 << 10 // interners, class lists, column names
+	const perNode = unsafe.Sizeof(Node{})
+	const fixed = 16 << 10 // member numberings, class lists, column names
 	for _, rows := range []int{2000, 20000} {
-		ts := mixedTrainSet(rand.New(rand.NewSource(1)), rows)
+		cs, err := mixedTrainSet(rand.New(rand.NewSource(1)), rows).Columns()
+		if err != nil {
+			t.Fatal(err)
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		m, err := Train("m", "c", ts, Options{})
+		m, err := TrainColumns("m", "c", cs, Options{})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
 		nodes := uint64(2*m.LeafCount() - 1)
 		got := after.TotalAlloc - before.TotalAlloc
-		if bound := uint64(rows)*3*8 + nodes*uint64(perNode) + fixed; got > bound {
-			t.Errorf("%d rows, %d nodes: Train allocated %d B, bound %d (%.1f B a row beyond the nodes)",
+		t.Logf("%d rows, %d nodes: %d B, %.1f B a row beyond the nodes", rows, nodes, got, float64(got-nodes*uint64(perNode))/float64(rows))
+		if bound := uint64(rows)*2*8 + nodes*uint64(perNode) + fixed; got > bound {
+			t.Errorf("%d rows, %d nodes: TrainColumns allocated %d B, bound %d (%.1f B a row beyond the nodes)",
 				rows, nodes, got, bound, float64(got-nodes*uint64(perNode))/float64(rows))
 		}
 	}

@@ -3,6 +3,12 @@
 // discrete classes. Concrete model families (decision trees, naive
 // Bayes, rule sets, clustering) live in subpackages; the envelope
 // derivation algorithms of the paper live in internal/core.
+//
+// The families train over Columns: a train set stored by attribute, a
+// []float64 per numeric input and dictionary codes per categorical one,
+// with one int32 class id per row. The engine drains a relational view
+// straight into it; TrainSet, rows of tuples with their labels, is the
+// literal form a caller may build, which TrainSet.Columns converts.
 package mining
 
 import (

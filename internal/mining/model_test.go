@@ -77,6 +77,8 @@ func TestTrainSetValidate(t *testing.T) {
 	}
 }
 
+// TestClassSetAndColumnNames: a train set's columns list its classes in
+// first-seen order and its attributes by name.
 func TestClassSetAndColumnNames(t *testing.T) {
 	s := value.MustSchema(
 		value.Column{Name: "x", Kind: value.KindInt},
@@ -87,13 +89,20 @@ func TestClassSetAndColumnNames(t *testing.T) {
 		Rows:   []value.Tuple{{value.Int(1), value.Float(1)}, {value.Int(2), value.Float(2)}, {value.Int(3), value.Float(3)}},
 		Labels: []value.Value{value.Str("b"), value.Str("a"), value.Str("b")},
 	}
-	cs := ts.ClassSet()
-	if len(cs) != 2 || cs[0].AsString() != "b" || cs[1].AsString() != "a" {
-		t.Errorf("ClassSet = %v (want first-seen order)", cs)
+	cs, err := ts.Columns()
+	if err != nil {
+		t.Fatal(err)
 	}
-	names := ts.ColumnNames()
-	if len(names) != 2 || names[0] != "x" || names[1] != "y" {
-		t.Errorf("ColumnNames = %v", names)
+	if c := cs.Classes; len(c) != 2 || c[0].AsString() != "b" || c[1].AsString() != "a" {
+		t.Errorf("Classes = %v (want first-seen order)", c)
+	}
+	if ids := cs.Labels; len(ids) != 3 || ids[0] != 0 || ids[1] != 1 || ids[2] != 0 {
+		t.Errorf("Labels = %v, want [0 1 0]", ids)
+	}
+	for _, names := range [][]string{ts.ColumnNames(), cs.ColumnNames()} {
+		if len(names) != 2 || names[0] != "x" || names[1] != "y" {
+			t.Errorf("ColumnNames = %v", names)
+		}
 	}
 }
 
@@ -107,8 +116,13 @@ func TestClassIDs(t *testing.T) {
 		value.Float(nan), value.Float(nan), value.Float(0), value.Float(math.Copysign(0, -1)), value.Int(0),
 		value.Bool(true), value.Str("TRUE"), value.Str("a"), value.Int(2), value.Null(), value.Bool(true),
 	}
-	ts := &TrainSet{Labels: labels}
-	ids, classes := ts.ClassIDs()
+	cs := NewColumns(value.MustSchema(value.Column{Name: "x", Kind: value.KindInt}), 0)
+	for _, l := range labels {
+		if err := cs.Append(value.Tuple{value.Int(1)}, l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids, classes := cs.Labels, cs.Classes
 	byText := map[string]int{}
 	for i, l := range labels {
 		want, ok := byText[l.String()]
@@ -119,11 +133,26 @@ func TestClassIDs(t *testing.T) {
 				t.Errorf("class %d is %v, want the first label seen of it, %v", want, c, l)
 			}
 		}
-		if ids[i] != want {
+		if int(ids[i]) != want {
 			t.Errorf("label %d (%v): class %d, want %d", i, l, ids[i], want)
 		}
 	}
 	if len(classes) != len(byText) {
 		t.Errorf("%d classes, want %d", len(classes), len(byText))
+	}
+}
+
+// TestColumnsRefuseForeignKinds: a numeric attribute holds INT, FLOAT or
+// NULL cells; any other cell fails the conversion, naming the attribute
+// and the row.
+func TestColumnsRefuseForeignKinds(t *testing.T) {
+	ts := &TrainSet{
+		Schema: value.MustSchema(value.Column{Name: "x", Kind: value.KindInt}),
+		Rows:   []value.Tuple{{value.Float(1.5)}, {value.Null()}, {value.Str("3")}},
+		Labels: []value.Value{value.Str("a"), value.Str("a"), value.Str("b")},
+	}
+	_, err := ts.Columns()
+	if err == nil || err.Error() != "mining: attribute x: TEXT value in a INT column (row 2)" {
+		t.Fatalf("err = %v", err)
 	}
 }

@@ -55,6 +55,20 @@ func Train(name, predCol string, ts *mining.TrainSet, opts Options) (*Model, err
 	return c.Model(name, predCol, ts.ColumnNames(), opts)
 }
 
+// TrainColumns fits a naive Bayes model over a train set's columns,
+// feeding Counts each row as Column.Value reads it back.
+func TrainColumns(name, predCol string, cs *mining.Columns, opts Options) (*Model, error) {
+	c := NewCounts(len(cs.Cols))
+	in := make(value.Tuple, len(cs.Cols))
+	for i, id := range cs.Labels {
+		for d := range cs.Cols {
+			in[d] = cs.Cols[d].Value(i)
+		}
+		c.Add(in, cs.Classes[id])
+	}
+	return c.Model(name, predCol, cs.ColumnNames(), opts)
+}
+
 // Counts is naive Bayes training as one counting pass: Add each training
 // row, then Model turns the counts into the parameter tables. A model is
 // a contingency table of (attribute, member, class) counts, so the rows

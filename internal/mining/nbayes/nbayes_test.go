@@ -266,7 +266,14 @@ func TestTrainErrors(t *testing.T) {
 // trainByRendering is Train as it was when every count keyed its member
 // and its class by Value.String: the oracle for the interned counts.
 func trainByRendering(ts *mining.TrainSet, laplace float64) *Model {
-	classes := ts.ClassSet()
+	var classes []value.Value // first-seen order, one per rendering
+	seenClass := map[string]bool{}
+	for _, l := range ts.Labels {
+		if !seenClass[l.String()] {
+			seenClass[l.String()] = true
+			classes = append(classes, l)
+		}
+	}
 	sort.Slice(classes, func(i, j int) bool { return value.Compare(classes[i], classes[j]) < 0 })
 	classIdx := map[string]int{}
 	for k, c := range classes {

@@ -8,6 +8,7 @@
 package rules
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -59,44 +60,62 @@ func (o *Options) fill() {
 	}
 }
 
-// Train learns an ordered rule list by sequential covering: classes are
-// processed from rarest to most common; the most common class becomes
-// the default.
+// Train learns an ordered rule list over a literal train set, converted
+// to its columns.
 func Train(name, predCol string, ts *mining.TrainSet, opts Options) (*Model, error) {
-	if err := ts.Validate(); err != nil {
+	cs, err := ts.Columns()
+	if err != nil {
 		return nil, fmt.Errorf("rules: %w", err)
 	}
-	opts.fill()
-	classes := ts.ClassSet()
-	counts := map[string]int{}
-	for _, l := range ts.Labels {
-		counts[l.String()]++
+	return TrainColumns(name, predCol, cs, opts)
+}
+
+// TrainColumns learns an ordered rule list by sequential covering:
+// classes are processed from rarest to most common; the most common
+// class becomes the default.
+func TrainColumns(name, predCol string, cs *mining.Columns, opts Options) (*Model, error) {
+	if cs.Len() == 0 {
+		return nil, fmt.Errorf("rules: %w", mining.ErrEmptyTrainSet)
 	}
-	sort.Slice(classes, func(i, j int) bool {
-		ci, cj := counts[classes[i].String()], counts[classes[j].String()]
+	opts.fill()
+	counts := make([]int, len(cs.Classes))
+	for _, id := range cs.Labels {
+		counts[id]++
+	}
+	// order lists the class ids from rarest to most common.
+	order := make([]int32, len(cs.Classes))
+	for id := range order {
+		order[id] = int32(id)
+	}
+	sort.Slice(order, func(i, j int) bool {
+		ci, cj := counts[order[i]], counts[order[j]]
 		if ci != cj {
 			return ci < cj
 		}
-		return value.Compare(classes[i], classes[j]) < 0
+		return value.Compare(cs.Classes[order[i]], cs.Classes[order[j]]) < 0
 	})
 	m := &Model{
 		name:    name,
 		predCol: predCol,
-		cols:    ts.ColumnNames(),
-		schema:  ts.Schema,
-		Default: classes[len(classes)-1], // most common class
+		cols:    cs.ColumnNames(),
+		schema:  cs.Schema,
+		Default: cs.Classes[order[len(order)-1]], // most common class
 	}
 	// Stable class order for Classes(): sorted by value.
-	m.classes = append([]value.Value(nil), classes...)
+	for _, id := range order {
+		m.classes = append(m.classes, cs.Classes[id])
+	}
 	sort.Slice(m.classes, func(i, j int) bool { return value.Compare(m.classes[i], m.classes[j]) < 0 })
 
-	active := make([]bool, len(ts.Rows))
+	g := newGrower(cs)
+	active := make([]bool, cs.Len())
 	for i := range active {
 		active[i] = true
 	}
-	for _, cls := range classes[:len(classes)-1] {
+	for _, cls := range order[:len(order)-1] {
+		g.target(cls)
 		for {
-			rule, covered := growRule(ts, active, cls, opts)
+			rule, covered := g.growRule(active, opts)
 			if rule == nil {
 				break
 			}
@@ -109,46 +128,73 @@ func Train(name, predCol string, ts *mining.TrainSet, opts Options) (*Model, err
 	return m, nil
 }
 
+// grower grows the rules of one class at a time over a train set's
+// columns.
+type grower struct {
+	cs *mining.Columns
+	// members[d] numbers categorical attribute d's members.
+	members []mining.Members
+	// cls is the class a rule is grown for, and positive[id] reports
+	// whether class id's label equals it under value.Equal.
+	cls      value.Value
+	positive []bool
+}
+
+func newGrower(cs *mining.Columns) *grower {
+	return &grower{cs: cs, members: cs.Members(), positive: make([]bool, len(cs.Classes))}
+}
+
+// target makes class id the class rules are grown for. A row counts as
+// positive when its label equals that class's under value.Equal, which
+// is decided per class: labels of one class render alike, so they are
+// numerically equal or identical, and Equal answers alike for each.
+func (g *grower) target(id int32) {
+	g.cls = g.cs.Classes[id]
+	for k, l := range g.cs.Classes {
+		g.positive[k] = value.Equal(l, g.cls)
+	}
+}
+
 // growRule greedily adds the condition that maximizes precision (ties
 // broken by coverage) until precision is high enough or MaxConds is
 // reached. It returns nil when no useful rule remains.
-func growRule(ts *mining.TrainSet, active []bool, cls value.Value, opts Options) (*Rule, []int) {
+func (g *grower) growRule(active []bool, opts Options) (*Rule, []int) {
 	var body []expr.Expr
-	covered := make([]int, 0, len(ts.Rows))
+	covered := make([]int, 0, len(active))
 	for i, a := range active {
 		if a {
 			covered = append(covered, i)
 		}
 	}
 	for len(body) < opts.MaxConds {
-		prec, pos := precision(ts, covered, cls)
+		prec, pos := g.precision(covered)
 		if pos < opts.MinCoverage {
 			return nil, nil
 		}
 		if prec >= opts.MinPrecision {
 			break
 		}
-		cond, newCovered := bestCondition(ts, covered, cls, prec)
+		cond, newCovered := g.bestCondition(covered, prec)
 		if cond == nil {
 			break
 		}
 		body = append(body, cond)
 		covered = newCovered
 	}
-	prec, pos := precision(ts, covered, cls)
+	prec, pos := g.precision(covered)
 	if len(body) == 0 || pos < opts.MinCoverage || prec <= 0.5 {
 		return nil, nil
 	}
-	return &Rule{Body: body, Class: cls}, covered
+	return &Rule{Body: body, Class: g.cls}, covered
 }
 
-func precision(ts *mining.TrainSet, covered []int, cls value.Value) (float64, int) {
+func (g *grower) precision(covered []int) (float64, int) {
 	if len(covered) == 0 {
 		return 0, 0
 	}
 	pos := 0
 	for _, i := range covered {
-		if value.Equal(ts.Labels[i], cls) {
+		if g.positive[g.cs.Labels[i]] {
 			pos++
 		}
 	}
@@ -158,19 +204,20 @@ func precision(ts *mining.TrainSet, covered []int, cls value.Value) (float64, in
 // maxThresholdCandidates caps numeric threshold candidates per grow step.
 const maxThresholdCandidates = 16
 
-func bestCondition(ts *mining.TrainSet, covered []int, cls value.Value, basePrec float64) (expr.Expr, []int) {
+func (g *grower) bestCondition(covered []int, basePrec float64) (expr.Expr, []int) {
 	var best expr.Expr
 	var bestCovered []int
 	bestScore := basePrec
 	bestPos := 0
-	try := func(cond expr.Expr) {
+	// try scores cond, which holds on row i when holds(i) does.
+	try := func(cond expr.Expr, holds func(i int) bool) {
 		var sub []int
 		for _, i := range covered {
-			if cond.Eval(ts.Schema, ts.Rows[i]) {
+			if holds(i) {
 				sub = append(sub, i)
 			}
 		}
-		prec, pos := precision(ts, sub, cls)
+		prec, pos := g.precision(sub)
 		if pos == 0 || len(sub) == len(covered) {
 			return
 		}
@@ -178,14 +225,14 @@ func bestCondition(ts *mining.TrainSet, covered []int, cls value.Value, basePrec
 			best, bestCovered, bestScore, bestPos = cond, sub, prec, pos
 		}
 	}
-	for d := 0; d < ts.Schema.Len(); d++ {
-		col := ts.Schema.Col(d).Name
-		kind := ts.Schema.Col(d).Kind
-		if kind == value.KindInt || kind == value.KindFloat {
+	for d := 0; d < g.cs.Schema.Len(); d++ {
+		col := g.cs.Schema.Col(d).Name
+		c := &g.cs.Cols[d]
+		if c.Numeric {
 			vals := make([]float64, 0, len(covered))
 			for _, i := range covered {
-				if v := ts.Rows[i][d]; !v.IsNull() {
-					vals = append(vals, v.AsFloat())
+				if !c.IsNull(i) {
+					vals = append(vals, c.Num[i])
 				}
 			}
 			sort.Float64s(vals)
@@ -197,24 +244,33 @@ func bestCondition(ts *mining.TrainSet, covered []int, cls value.Value, basePrec
 				if vals[i] == vals[i-1] {
 					continue
 				}
+				// Cmp.Eval over the row: NULL fails, and an INT compares
+				// with the FLOAT threshold in float64.
 				t := (vals[i] + vals[i-1]) / 2
-				try(expr.Cmp{Col: col, Op: expr.OpLe, Val: value.Float(t)})
-				try(expr.Cmp{Col: col, Op: expr.OpGt, Val: value.Float(t)})
+				try(expr.Cmp{Col: col, Op: expr.OpLe, Val: value.Float(t)},
+					func(i int) bool { return !c.IsNull(i) && cmp.Compare(c.Num[i], t) <= 0 })
+				try(expr.Cmp{Col: col, Op: expr.OpGt, Val: value.Float(t)},
+					func(i int) bool { return !c.IsNull(i) && cmp.Compare(c.Num[i], t) > 0 })
 			}
 		} else {
-			seen := map[string]value.Value{}
+			// The members among covered by rendering, each the last seen.
+			ms := &g.members[d]
+			last := map[int32]int32{}
 			for _, i := range covered {
-				if v := ts.Rows[i][d]; !v.IsNull() {
-					seen[v.String()] = v
+				if code := c.Codes[i]; code != mining.NullCode {
+					last[ms.Rendering[code]] = code
 				}
 			}
-			keys := make([]string, 0, len(seen))
-			for k := range seen {
-				keys = append(keys, k)
+			renderings := make([]int32, 0, len(last))
+			for m := range last {
+				renderings = append(renderings, m)
 			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				try(expr.Cmp{Col: col, Op: expr.OpEq, Val: seen[k]})
+			sort.Slice(renderings, func(i, j int) bool { return ms.Text[renderings[i]] < ms.Text[renderings[j]] })
+			for _, m := range renderings {
+				code := last[m]
+				eq := ms.Equal[code]
+				try(expr.Cmp{Col: col, Op: expr.OpEq, Val: c.Dict[code]},
+					func(i int) bool { k := c.Codes[i]; return k != mining.NullCode && ms.Equal[k] == eq })
 			}
 		}
 	}

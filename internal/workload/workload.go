@@ -152,33 +152,33 @@ func (r *Result) AvgReduction() float64 {
 
 // train fits the requested model family on the spec's training set.
 func train(spec *dataset.Spec, kind ModelKind) (mining.Model, error) {
-	ts := spec.TrainSet()
+	cs := spec.TrainColumns()
 	switch kind {
 	case KindDecisionTree:
 		// Bound leaf size like C4.5's pruning would: huge trees produce
 		// envelope DNFs past the optimizer's disjunct threshold.
-		minLeaf := len(ts.Rows) / 200
+		minLeaf := cs.Len() / 200
 		if minLeaf < 2 {
 			minLeaf = 2
 		}
-		return dtree.Train("m_"+spec.Name, "pred", ts, dtree.Options{MaxDepth: 10, MinLeaf: minLeaf})
+		return dtree.TrainColumns("m_"+spec.Name, "pred", cs, dtree.Options{MaxDepth: 10, MinLeaf: minLeaf})
 	case KindNaiveBayes:
 		// Like MLC++ pipelines, select features before naive Bayes: keep
 		// the leading attributes. Classes whose signal lies outside the
 		// selected features collapse toward the prior and may never be
 		// predicted — their envelopes become NULL and plan as constant
 		// scans, a case the paper explicitly reports.
-		return nbayes.Train("m_"+spec.Name, "pred", projectInputs(ts, nbayesDims), nbayes.Options{})
+		return nbayes.TrainColumns("m_"+spec.Name, "pred", projectInputs(cs, nbayesDims), nbayes.Options{})
 	case KindClustering:
 		// The paper's clustering substrate (Analysis Server) is
 		// EM-based model clustering; the mixture components' differing
 		// variances give compact per-cluster assignment regions, unlike
 		// sharp k-means Voronoi splits of a single dense blob.
-		return cluster.TrainGMM("m_"+spec.Name, "pred", clusterInputs(ts), cluster.Options{K: spec.Clusters, Seed: 42, MaxIters: 15})
+		return cluster.TrainGMMColumns("m_"+spec.Name, "pred", clusterInputs(cs), cluster.Options{K: spec.Clusters, Seed: 42, MaxIters: 15})
 	case KindKMeans:
-		return cluster.TrainKMeans("m_"+spec.Name, "pred", clusterInputs(ts), cluster.Options{K: spec.Clusters, Seed: 42})
+		return cluster.TrainKMeansColumns("m_"+spec.Name, "pred", clusterInputs(cs), cluster.Options{K: spec.Clusters, Seed: 42})
 	case KindRules:
-		return rules.Train("m_"+spec.Name, "pred", ts, rules.Options{})
+		return rules.TrainColumns("m_"+spec.Name, "pred", cs, rules.Options{})
 	default:
 		return nil, fmt.Errorf("workload: unknown model kind %q", kind)
 	}
@@ -195,28 +195,20 @@ const clusterDims = 5
 const nbayesDims = 8
 
 // clusterInputs projects a train set onto its leading attributes.
-func clusterInputs(ts *mining.TrainSet) *mining.TrainSet {
-	return projectInputs(ts, clusterDims)
+func clusterInputs(cs *mining.Columns) *mining.Columns {
+	return projectInputs(cs, clusterDims)
 }
 
-// projectInputs projects a train set onto its n leading attributes.
-func projectInputs(ts *mining.TrainSet, n int) *mining.TrainSet {
-	if n >= ts.Schema.Len() {
-		return ts
+// projectInputs projects a train set onto its n leading attributes,
+// sharing its columns and labels.
+func projectInputs(cs *mining.Columns, n int) *mining.Columns {
+	if n >= len(cs.Cols) {
+		return cs
 	}
-	cols := make([]value.Column, n)
-	for i := 0; i < n; i++ {
-		cols[i] = ts.Schema.Col(i)
-	}
-	out := &mining.TrainSet{
-		Schema: value.MustSchema(cols...),
-		Labels: ts.Labels,
-		Rows:   make([]value.Tuple, len(ts.Rows)),
-	}
-	for i, r := range ts.Rows {
-		out.Rows[i] = r[:n]
-	}
-	return out
+	out := *cs
+	out.Schema = value.MustSchema(cs.Schema.Columns[:n]...)
+	out.Cols = cs.Cols[:n]
+	return &out
 }
 
 // Run executes the experiment for one (data set, model kind) pair.

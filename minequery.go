@@ -62,7 +62,8 @@ type (
 	Kind = value.Kind
 	// Model is a trained discrete predictive model.
 	Model = mining.Model
-	// TrainSet is the training input for model inducers.
+	// TrainSet is the literal, row-major training input a caller builds
+	// for an inducer's Train; inducers train over its columns.
 	TrainSet = mining.TrainSet
 	// Expr is a predicate expression (envelopes are Exprs).
 	Expr = expr.Expr
@@ -382,15 +383,15 @@ type ModelInfo struct {
 	Version int64
 }
 
-// buildTrainSetWhere extracts (inputs, labels) from a relational view
-// of a stored table: rows failing where (when non-nil) are excluded
-// from training.
-func (e *Engine) buildTrainSetWhere(table string, inputCols []string, labelCol string, where expr.Expr) (*mining.TrainSet, error) {
-	var s trainSetSink
+// buildTrainColumns extracts (inputs, labels) from a relational view of
+// a stored table as train columns: rows failing where (when non-nil) are
+// excluded from training.
+func (e *Engine) buildTrainColumns(table string, inputCols []string, labelCol string, where expr.Expr) (*mining.Columns, error) {
+	var s columnSink
 	if err := e.drainTrainView(table, inputCols, labelCol, where, &s); err != nil {
 		return nil, err
 	}
-	return &s.ts, nil
+	return s.cs, nil
 }
 
 // drainTrainView runs the relational view training reads — table's
@@ -431,30 +432,28 @@ func (r trainRows) label(row value.Tuple) value.Value {
 	return row[r.labelAt]
 }
 
-// trainSetSink keeps a view's rows as a TrainSet, sized from the table's
-// row count: each row's inputs copied once, into one backing per batch,
-// and its label once, into Labels.
-type trainSetSink struct {
+// columnSink keeps a view's rows as train columns, sized from the
+// table's row count: each input goes into its attribute's column and each
+// label becomes a class id, so no row is kept as a tuple.
+type columnSink struct {
 	trainRows
-	ts mining.TrainSet
+	schema *value.Schema
+	rows   int
+	cs     *mining.Columns
 }
 
-func (s *trainSetSink) open(schema *value.Schema, labelAt int, tableRows int64) {
+func (s *columnSink) open(schema *value.Schema, labelAt int, tableRows int64) {
 	s.trainRows = trainRows{n: schema.Len(), labelAt: labelAt}
-	s.ts = mining.TrainSet{Schema: schema,
-		Rows: make([]value.Tuple, 0, tableRows), Labels: make([]value.Value, 0, tableRows)}
+	s.schema, s.rows = schema, int(tableRows)
 }
 
-func (s *trainSetSink) Begin() { s.ts.Rows, s.ts.Labels = s.ts.Rows[:0], s.ts.Labels[:0] }
+func (s *columnSink) Begin() { s.cs = mining.NewColumns(s.schema, s.rows) }
 
-func (s *trainSetSink) Batch(b exec.Batch) error {
-	backing := make(value.Tuple, len(b)*s.n)
+func (s *columnSink) Batch(b exec.Batch) error {
 	for _, row := range b {
-		in := backing[:s.n:s.n]
-		backing = backing[s.n:]
-		copy(in, row)
-		s.ts.Rows = append(s.ts.Rows, in)
-		s.ts.Labels = append(s.ts.Labels, s.label(row))
+		if err := s.cs.Append(row, s.label(row)); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -11,9 +11,11 @@ import (
 	"strings"
 	"testing"
 
+	"minequery/internal/exec"
 	"minequery/internal/expr"
 	"minequery/internal/mining/nbayes"
 	"minequery/internal/sqlparse"
+	"minequery/internal/value"
 )
 
 // raceEnabled is set by race_test.go; allocation counts skip under it.
@@ -56,28 +58,32 @@ func TestBuildTrainSetWhere(t *testing.T) {
 		{"label among the inputs", []string{"a", "LABEL"}, "label"},
 		{"no label", []string{"a", "id"}, ""},
 	} {
-		ts, err := eng.buildTrainSetWhere("t", tc.inputs, tc.label, where)
+		cs, err := eng.buildTrainColumns("t", tc.inputs, tc.label, where)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if err := ts.Validate(); err != nil || len(ts.Rows) != 200 {
-			t.Fatalf("%s: %d rows, validate: %v", tc.name, len(ts.Rows), err)
+		if cs.Len() != 200 || len(cs.Cols) != len(tc.inputs) {
+			t.Fatalf("%s: %d rows of %d columns", tc.name, cs.Len(), len(cs.Cols))
 		}
-		for i, row := range ts.Rows {
+		for i := 0; i < cs.Len(); i++ {
 			id := int64(100 + i)
 			wantLabel := Str([]string{"x", "y"}[id%2])
 			if tc.label == "" {
 				wantLabel = Null()
 			}
-			if len(row) != len(tc.inputs) || row[0].AsInt() != id%7 || ts.Labels[i] != wantLabel {
-				t.Fatalf("%s: row %d = %v label %v, want a=%d label %v", tc.name, i, row, ts.Labels[i], id%7, wantLabel)
+			a, label := cs.Cols[0].Value(i), cs.Classes[cs.Labels[i]]
+			if a != Int(id%7) || label != wantLabel {
+				t.Fatalf("%s: row %d: a=%v label %v, want a=%d label %v", tc.name, i, a, label, id%7, wantLabel)
+			}
+			if tc.label != "" && len(tc.inputs) > 1 && cs.Cols[1].Value(i) != label {
+				t.Fatalf("%s: row %d: the label as an input reads %v, as a class %v", tc.name, i, cs.Cols[1].Value(i), label)
 			}
 		}
 	}
-	if _, err := eng.buildTrainSetWhere("t", []string{"a"}, "nope", nil); err == nil || !strings.Contains(err.Error(), "no label column") {
+	if _, err := eng.buildTrainColumns("t", []string{"a"}, "nope", nil); err == nil || !strings.Contains(err.Error(), "no label column") {
 		t.Errorf("unknown label column: err = %v", err)
 	}
-	if _, err := eng.buildTrainSetWhere("t", []string{"nope"}, "label", nil); err == nil || !strings.Contains(err.Error(), `no column "nope"`) {
+	if _, err := eng.buildTrainColumns("t", []string{"nope"}, "label", nil); err == nil || !strings.Contains(err.Error(), `no column "nope"`) {
 		t.Errorf("unknown input column: err = %v", err)
 	}
 }
@@ -110,7 +116,7 @@ func TestAllocTrainSetReadsOnlyItsColumns(t *testing.T) {
 	const rows = 2000
 	eng := trainSetFixture(t, rows)
 	build := func() {
-		if ts, err := eng.buildTrainSetWhere("t", []string{"a"}, "label", nil); err != nil || len(ts.Rows) != rows {
+		if cs, err := eng.buildTrainColumns("t", []string{"a"}, "label", nil); err != nil || cs.Len() != rows {
 			t.Fatalf("%v", err)
 		}
 	}
@@ -121,6 +127,48 @@ func TestAllocTrainSetReadsOnlyItsColumns(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > rows*512/2 {
 		t.Fatalf("building a train set over (a, label) allocated %d B; the notes alone are %d B", got, rows*512)
+	}
+}
+
+// discardTrain drains a training view and keeps nothing.
+type discardTrain struct{ exec.RowSink }
+
+func (discardTrain) open(*value.Schema, int, int64) {}
+
+// TestAllocTreeTrainSetIsColumnar: a tree's train set costs what its
+// columns hold — over (one INT input, a TEXT label), a float64 and a
+// class id a row — and no tuple, no Value and no label per row. The
+// view drains once into the column sink and once into exec.Discard, on
+// one P with GC off, and the column sink may allocate at most 16 B a row
+// more.
+func TestAllocTreeTrainSetIsColumnar(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const rows = 20000
+	eng := trainSetFixture(t, rows)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	drain := func(sink trainSink) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := eng.drainTrainView("t", []string{"a"}, "label", nil, sink); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	drain(discardTrain{exec.Discard}) // warms the scan's pools
+	discarded := drain(discardTrain{exec.Discard})
+	var s columnSink
+	kept := drain(&s)
+	if s.cs.Len() != rows {
+		t.Fatalf("the column sink kept %d rows, want %d", s.cs.Len(), rows)
+	}
+	perRow := (float64(kept) - float64(discarded)) / rows
+	t.Logf("kept %d B, discarded %d B: %.2f B a row", kept, discarded, perRow)
+	if perRow > 16 {
+		t.Fatalf("keeping the train set allocated %d B over discarding it, %d B: %.1f B a row (at most 16)", kept, discarded, perRow)
 	}
 }
 
@@ -233,11 +281,11 @@ func TestNaiveBayesStreamMatchesTrainSet(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ts, err := eng.buildTrainSetWhere("t", feats, def.label, def.where)
+			cs, err := eng.buildTrainColumns("t", feats, def.label, def.where)
 			if err != nil {
 				t.Fatalf("seed %d view %d: %v", seed, vi, err)
 			}
-			want, wantErr := nbayes.Train(name, v.label, ts, nbayes.Options{})
+			want, wantErr := nbayes.TrainColumns(name, v.label, cs, nbayes.Options{})
 
 			_, err = eng.Exec(context.Background(), sql)
 			if wantErr != nil {
@@ -264,10 +312,10 @@ func TestNaiveBayesStreamMatchesTrainSet(t *testing.T) {
 			if def.where != nil {
 				continue
 			}
-			if ts, err = eng.buildTrainSetWhere("t", v.inputs, v.label, nil); err != nil {
+			if cs, err = eng.buildTrainColumns("t", v.inputs, v.label, nil); err != nil {
 				t.Fatal(err)
 			}
-			want, wantErr = nbayes.Train(name+"_api", v.label, ts, nbayes.Options{})
+			want, wantErr = nbayes.TrainColumns(name+"_api", v.label, cs, nbayes.Options{})
 			_, err = eng.TrainNaiveBayes(name+"_api", v.label, "t", v.inputs, v.label, nbayes.Options{})
 			if wantErr != nil {
 				wantMsg := fmt.Sprintf("minequery: train %s_api (nbayes): %v", name, wantErr)
