@@ -226,15 +226,15 @@ func projectToData(e expr.Expr, pc PredCols, maxDisjuncts int) expr.Expr {
 			switch x := cond.(type) {
 			case expr.Cmp:
 				if isData(x.Col) {
-					keep = append(keep, x)
+					keep = append(keep, cond)
 				}
 			case expr.In:
 				if isData(x.Col) {
-					keep = append(keep, x)
+					keep = append(keep, cond)
 				}
 			case expr.ColCmp:
 				if isData(x.ColA) && isData(x.ColB) {
-					keep = append(keep, x)
+					keep = append(keep, cond)
 				}
 			default:
 				keep = append(keep, cond)

@@ -37,148 +37,235 @@ func (d DNF) Expr() Expr {
 // atoms and distributing AND over OR. maxDisjuncts caps the expansion
 // (<=0 means unlimited); if the cap would be exceeded, ok is false and
 // the returned DNF is not meaningful.
+//
+// The result is the one NewAnd and NewOr would give for e's negation
+// normal form: a subtree that collapses to a constant (an OR with a TRUE
+// kid, an AND with a FALSE one) collapses before it is distributed, and
+// never counts against the budget.
 func ToDNF(e Expr, maxDisjuncts int) (d DNF, ok bool) {
-	n := toNNF(e, false)
-	lists, ok := distribute(n, maxDisjuncts)
-	if !ok {
+	w := distribute(e, maxDisjuncts, false)
+	if w.over {
 		return DNF{}, false
 	}
-	d = DNF{Disjuncts: make([]Conjunct, 0, len(lists))}
-	for _, l := range lists {
-		d.Disjuncts = append(d.Disjuncts, Conjunct{Conds: l})
+	if w.out == nil {
+		w.out = []Conjunct{} // FALSE
 	}
-	return d, true
+	return DNF{Disjuncts: w.out}, true
 }
 
-// toNNF pushes negations down to the atoms. neg tracks whether we are
-// under an odd number of NOTs. IN under negation is expanded into a
-// conjunction of <> conditions so all atoms are Cmp or In.
-func toNNF(e Expr, neg bool) Expr {
+// distribute walks e into its disjunctive normal form, simplifying each
+// conjunct as it is found when simplify.
+func distribute(e Expr, max int, simplify bool) distribution {
+	var cur [8]Expr
+	var rest [8]pending
+	w := distribution{max: max, simplify: simplify}
+	w.conj(e, false, cur[:0], rest[:0])
+	return w
+}
+
+// fold is what a subtree's negation normal form collapses to.
+type fold uint8
+
+const (
+	foldOpen fold = iota
+	foldTrue
+	foldFalse
+)
+
+// folded reports what e (NOT e when neg) collapses to when its negation
+// normal form is built through NewAnd and NewOr: an AND with a FALSE kid
+// is FALSE and one whose kids are all TRUE is TRUE, an OR the other way
+// round, and NOT (c IN ()) is the empty AND.
+func folded(e Expr, neg bool) fold {
 	switch x := e.(type) {
 	case TrueExpr:
 		if neg {
-			return FalseExpr{}
+			return foldFalse
 		}
-		return x
+		return foldTrue
 	case FalseExpr:
 		if neg {
-			return TrueExpr{}
+			return foldTrue
 		}
-		return x
-	case Cmp:
-		if neg {
-			return Cmp{Col: x.Col, Op: x.Op.Negate(), Val: x.Val}
-		}
-		return x
-	case ColCmp:
-		if neg {
-			return ColCmp{ColA: x.ColA, Op: x.Op.Negate(), ColB: x.ColB}
-		}
-		return x
+		return foldFalse
 	case In:
-		if !neg {
-			return x
+		if neg && len(x.Vals) == 0 {
+			return foldTrue
 		}
-		kids := make([]Expr, len(x.Vals))
-		for i, v := range x.Vals {
-			kids[i] = Cmp{Col: x.Col, Op: OpNe, Val: v}
-		}
-		return NewAnd(kids...)
 	case Not:
-		return toNNF(x.Kid, !neg)
+		return folded(x.Kid, !neg)
 	case And:
-		kids := make([]Expr, len(x.Kids))
-		for i, k := range x.Kids {
-			kids[i] = toNNF(k, neg)
-		}
-		if neg {
-			return NewOr(kids...)
-		}
-		return NewAnd(kids...)
+		return foldKids(x.Kids, neg, !neg)
 	case Or:
-		kids := make([]Expr, len(x.Kids))
-		for i, k := range x.Kids {
-			kids[i] = toNNF(k, neg)
-		}
-		if neg {
-			return NewAnd(kids...)
-		}
-		return NewOr(kids...)
+		return foldKids(x.Kids, neg, neg)
 	}
-	return e
+	return foldOpen
 }
 
-// distribute returns the DNF of an NNF expression as a list of conjunct
-// condition lists.
-func distribute(e Expr, max int) ([][]Expr, bool) {
-	switch x := e.(type) {
-	case TrueExpr:
-		return [][]Expr{{}}, true
-	case FalseExpr:
-		return nil, true
-	case Cmp, In, ColCmp:
-		return [][]Expr{{e}}, true
-	case Or:
-		var out [][]Expr
-		for _, k := range x.Kids {
-			sub, ok := distribute(k, max)
-			if !ok {
-				return nil, false
-			}
-			out = append(out, sub...)
-			if max > 0 && len(out) > max {
-				return nil, false
-			}
-		}
-		return out, true
-	case And:
-		out := [][]Expr{{}}
-		for _, k := range x.Kids {
-			sub, ok := distribute(k, max)
-			if !ok {
-				return nil, false
-			}
-			var next [][]Expr
-			for _, a := range out {
-				for _, b := range sub {
-					merged := make([]Expr, 0, len(a)+len(b))
-					merged = append(merged, a...)
-					merged = append(merged, b...)
-					next = append(next, merged)
-					if max > 0 && len(next) > max {
-						return nil, false
-					}
-				}
-			}
-			out = next
-		}
-		return out, true
+// foldKids folds kids, each negated when neg, joined by AND when conj and
+// by OR otherwise.
+func foldKids(kids []Expr, neg, conj bool) fold {
+	absorbing, identity := foldTrue, foldFalse
+	if conj {
+		absorbing, identity = foldFalse, foldTrue
 	}
-	// Unknown node (should not happen after toNNF): treat as opaque atom.
-	return [][]Expr{{e}}, true
+	all := identity
+	for _, k := range kids {
+		switch folded(k, neg) {
+		case absorbing:
+			return absorbing
+		case foldOpen:
+			all = foldOpen
+		}
+	}
+	return all
+}
+
+// distribution builds a DNF depth first: each OR on the way is a choice,
+// and a conjunct is emitted once no conjunction is pending, so the
+// conjuncts come out in the order distributing AND over OR lists them.
+// A step is handed cur, the atoms of the conjunct being built, and rest,
+// what is still to be conjoined to it (innermost last); it may write
+// past their ends, and leaves what is within them as it found it.
+type distribution struct {
+	max int
+	n   int // conjuncts emitted
+	// simplify keeps each conjunct through SimplifyConjunct, dropping
+	// the contradictory ones, and marks tautology at the first that
+	// simplifies to no conditions: the conjuncts are never copied.
+	simplify  bool
+	out       []Conjunct
+	over      bool // the budget is exceeded
+	tautology bool
+}
+
+// pending is the kids of an AND still to be conjoined, each negated
+// when neg.
+type pending struct {
+	kids []Expr
+	neg  bool
+}
+
+// conj conjoins e, negated when neg, to cur, then what rest holds.
+func (w *distribution) conj(e Expr, neg bool, cur []Expr, rest []pending) {
+	if w.over {
+		return
+	}
+	switch folded(e, neg) {
+	case foldTrue:
+		w.cont(cur, rest)
+		return
+	case foldFalse:
+		return
+	}
+	var kids []Expr
+	var conj bool
+	switch x := e.(type) {
+	case Not:
+		w.conj(x.Kid, !neg, cur, rest)
+		return
+	case And:
+		kids, conj = x.Kids, !neg
+	case Or:
+		kids, conj = x.Kids, neg
+	default:
+		w.cont(appendAtom(cur, e, neg), rest)
+		return
+	}
+	if !conj {
+		for _, k := range kids {
+			w.conj(k, neg, cur, rest)
+		}
+		return
+	}
+	w.conj(kids[0], neg, cur, append(rest, pending{kids: kids[1:], neg: neg}))
+}
+
+// cont conjoins what rest holds to cur, and emits cur once nothing is
+// pending.
+func (w *distribution) cont(cur []Expr, rest []pending) {
+	n := len(rest)
+	if n == 0 {
+		w.emit(cur)
+		return
+	}
+	top := rest[n-1]
+	if len(top.kids) == 0 {
+		w.cont(cur, rest[:n-1])
+		rest[n-1] = top
+		return
+	}
+	rest[n-1].kids = top.kids[1:]
+	w.conj(top.kids[0], top.neg, cur, rest)
+	rest[n-1] = top
+}
+
+// emit adds the conjunct cur holds.
+func (w *distribution) emit(cur []Expr) {
+	if w.max > 0 && w.n == w.max {
+		w.over = true
+		return
+	}
+	w.n++
+	if !w.simplify {
+		conds := make([]Expr, len(cur))
+		copy(conds, cur)
+		w.out = append(w.out, Conjunct{Conds: conds})
+		return
+	}
+	if w.tautology {
+		return
+	}
+	if conds, sat := SimplifyConjunct(cur); !sat {
+		return
+	} else if len(conds) == 0 {
+		w.tautology = true
+	} else {
+		w.out = append(w.out, Conjunct{Conds: conds})
+	}
+}
+
+// appendAtom appends atom e, or its negation when neg, to dst. A negated
+// IN is the conjunction of a <> per value; an atom that is not negated
+// is appended as the interface value it came in.
+func appendAtom(dst []Expr, e Expr, neg bool) []Expr {
+	if !neg {
+		return append(dst, e)
+	}
+	switch x := e.(type) {
+	case Cmp:
+		return append(dst, Cmp{Col: x.Col, Op: x.Op.Negate(), Val: x.Val})
+	case ColCmp:
+		return append(dst, ColCmp{ColA: x.ColA, Op: x.Op.Negate(), ColB: x.ColB})
+	case In:
+		for _, v := range x.Vals {
+			dst = append(dst, Cmp{Col: x.Col, Op: OpNe, Val: v})
+		}
+		return dst
+	}
+	// An unknown node is kept as an opaque atom.
+	return append(dst, e)
 }
 
 // colState accumulates all constraints on one column within a conjunct.
+// Its = / IN constraints and <> values stay in the conjunct, found again
+// by position and column when the column is emitted.
 type colState struct {
-	hasEq bool
-	eq    []value.Value // intersection of = / IN constraints
-	rng   interval.Interval
-	ne    []value.Value
+	col  string
+	eqAt int // the conjunct's first = or IN on col, or -1
+	rng  interval.Interval
 }
 
-func (cs *colState) intersectEq(vals []value.Value) {
-	if !cs.hasEq {
-		cs.hasEq = true
-		cs.eq = append([]value.Value(nil), vals...)
-		return
-	}
-	var keep []value.Value
-	for _, v := range cs.eq {
-		if hasValue(vals, v) {
-			keep = append(keep, v)
+// stateOf returns the index of col's state in cols, adding one if col
+// is new; cols keeps the order of first mention, which is also the order
+// the states emit in.
+func stateOf(cols []colState, col string) ([]colState, int) {
+	for i := range cols {
+		if cols[i].col == col {
+			return cols, i
 		}
 	}
-	cs.eq = keep
+	return append(cols, colState{col: col, eqAt: -1}), len(cols)
 }
 
 func hasValue(vals []value.Value, v value.Value) bool {
@@ -195,31 +282,27 @@ func hasValue(vals []value.Value, v value.Value) bool {
 // filtered, duplicates removed. The second result is false if the
 // conjunct is contradictory (always false).
 func SimplifyConjunct(conds []Expr) ([]Expr, bool) {
-	states := map[string]*colState{}
-	order := []string{}
-	var opaque []Expr
-	get := func(col string) *colState {
-		if st, ok := states[col]; ok {
-			return st
-		}
-		st := &colState{}
-		states[col] = st
-		order = append(order, col)
-		return st
-	}
-	for _, c := range conds {
+	// A conjunct names few columns, so their states sit in a slice
+	// searched in order.
+	var buf [8]colState
+	cols := buf[:0]
+	for i, c := range conds {
 		switch x := c.(type) {
 		case Cmp:
 			if x.Val.IsNull() {
 				// Comparisons with NULL are always false.
 				return nil, false
 			}
-			st := get(x.Col)
+			var at int
+			cols, at = stateOf(cols, x.Col)
+			st := &cols[at]
 			switch x.Op {
 			case OpEq:
-				st.intersectEq([]value.Value{x.Val})
+				if st.eqAt < 0 {
+					st.eqAt = i
+				}
 			case OpNe:
-				st.ne = append(st.ne, x.Val)
+				// Found again in conds when the column emits.
 			default:
 				iv, _ := x.Interval()
 				st.rng = st.rng.Intersect(iv)
@@ -228,65 +311,137 @@ func SimplifyConjunct(conds []Expr) ([]Expr, bool) {
 			if len(x.Vals) == 0 {
 				return nil, false
 			}
-			get(x.Col).intersectEq(x.Vals)
-		case TrueExpr:
+			var at int
+			if cols, at = stateOf(cols, x.Col); cols[at].eqAt < 0 {
+				cols[at].eqAt = i
+			}
 		case FalseExpr:
 			return nil, false
-		default:
-			opaque = append(opaque, c)
 		}
 	}
-	var out []Expr
-	for _, col := range order {
-		st := states[col]
-		cs, ok := st.emit(col)
-		if !ok {
+	out := make([]Expr, 0, len(conds))
+	for i := range cols {
+		var ok bool
+		if out, ok = cols[i].emit(out, conds); !ok {
 			return nil, false
 		}
-		out = append(out, cs...)
 	}
-	out = append(out, opaque...)
+	for _, c := range conds {
+		switch c.(type) {
+		case Cmp, In, TrueExpr:
+		default:
+			out = append(out, c)
+		}
+	}
+	if len(out) == 0 {
+		return nil, true
+	}
 	return out, true
 }
 
-// emit produces the canonical conditions for one column's state.
-func (cs *colState) emit(col string) ([]Expr, bool) {
-	if cs.hasEq {
-		var keep []value.Value
-		for _, v := range cs.eq {
-			if cs.rng.Contains(v) && !hasValue(cs.ne, v) {
-				keep = append(keep, v)
+// emit appends the canonical conditions for one column's state to out;
+// ok is false when they contradict each other.
+func (cs *colState) emit(out []Expr, conds []Expr) (_ []Expr, ok bool) {
+	if cs.eqAt >= 0 {
+		// The = / IN constraints intersect to the values of the first
+		// that every later one lists; of those, the ones in the range
+		// and named by no <> survive.
+		first := conds[cs.eqAt]
+		n, at := 0, 0
+		for i := range eqLen(first) {
+			if cs.admits(eqVal(first, i), conds) {
+				n, at = n+1, i
 			}
 		}
-		keep = interval.NewCuts(keep)
-		switch len(keep) {
+		switch n {
 		case 0:
 			return nil, false
 		case 1:
-			return []Expr{Cmp{Col: col, Op: OpEq, Val: keep[0]}}, true
-		default:
-			return []Expr{In{Col: col, Vals: keep}}, true
+			return appendCmp(out, Cmp{Col: cs.col, Op: OpEq, Val: eqVal(first, at)}, conds), true
 		}
+		keep := make([]value.Value, 0, n)
+		for i := range eqLen(first) {
+			if v := eqVal(first, i); cs.admits(v, conds) {
+				keep = append(keep, v)
+			}
+		}
+		if keep = interval.NewCuts(keep); len(keep) == 1 {
+			return appendCmp(out, Cmp{Col: cs.col, Op: OpEq, Val: keep[0]}, conds), true
+		}
+		return append(out, In{Col: cs.col, Vals: keep}), true
 	}
 	if cs.rng.Empty() {
 		return nil, false
 	}
 	if cs.rng.IsPoint() {
 		v, _, _ := cs.rng.Lo()
-		if hasValue(cs.ne, v) {
+		if cs.excluded(v, conds) {
 			return nil, false
 		}
-		return []Expr{Cmp{Col: col, Op: OpEq, Val: v}}, true
+		return appendCmp(out, Cmp{Col: cs.col, Op: OpEq, Val: v}, conds), true
 	}
-	out := RangeConds(col, cs.rng)
-	for _, n := range interval.NewCuts(cs.ne) {
-		// Keep only <> values that are inside the range; others are
-		// implied by the range itself.
+	out = appendRangeConds(out, cs.col, cs.rng, conds)
+	// Keep only <> values that are inside the range; others are implied
+	// by the range itself.
+	var buf [4]value.Value
+	ne := buf[:0]
+	for _, c := range conds {
+		if x, ok := c.(Cmp); ok && x.Op == OpNe && x.Col == cs.col {
+			ne = append(ne, x.Val)
+		}
+	}
+	for _, n := range interval.NewCuts(ne) {
 		if cs.rng.Contains(n) {
-			out = append(out, Cmp{Col: col, Op: OpNe, Val: n})
+			out = appendCmp(out, Cmp{Col: cs.col, Op: OpNe, Val: n}, conds)
 		}
 	}
 	return out, true
+}
+
+// admits reports whether v, a value of the column's first = or IN, is in
+// every later one, in the range, and named by no <>.
+func (cs *colState) admits(v value.Value, conds []Expr) bool {
+	if !cs.rng.Contains(v) || cs.excluded(v, conds) {
+		return false
+	}
+	for _, c := range conds[cs.eqAt+1:] {
+		switch x := c.(type) {
+		case Cmp:
+			if x.Op == OpEq && x.Col == cs.col && !value.Equal(v, x.Val) {
+				return false
+			}
+		case In:
+			if x.Col == cs.col && !hasValue(x.Vals, v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// excluded reports whether a <> on the column names v.
+func (cs *colState) excluded(v value.Value, conds []Expr) bool {
+	for _, c := range conds {
+		if x, ok := c.(Cmp); ok && x.Op == OpNe && x.Col == cs.col && value.Equal(v, x.Val) {
+			return true
+		}
+	}
+	return false
+}
+
+// eqLen and eqVal read the values an = (one) or an IN (its list) allows.
+func eqLen(c Expr) int {
+	if x, ok := c.(In); ok {
+		return len(x.Vals)
+	}
+	return 1
+}
+
+func eqVal(c Expr, i int) value.Value {
+	if x, ok := c.(In); ok {
+		return x.Vals[i]
+	}
+	return c.(Cmp).Val
 }
 
 // Simplify normalizes e: converts to DNF (bounded by maxDisjuncts, <=0
@@ -295,73 +450,99 @@ func (cs *colState) emit(col string) ([]Expr, bool) {
 // If DNF conversion exceeds the budget, e is returned unchanged with
 // ok=false.
 func Simplify(e Expr, maxDisjuncts int) (Expr, bool) {
-	d, ok := ToDNF(e, maxDisjuncts)
-	if !ok {
+	w := distribute(e, maxDisjuncts, true)
+	switch {
+	case w.over:
 		return e, false
+	case w.tautology:
+		return TrueExpr{}, true
 	}
-	var kept []Conjunct
-	for _, c := range d.Disjuncts {
-		conds, sat := SimplifyConjunct(c.Conds)
-		if !sat {
-			continue
-		}
-		if len(conds) == 0 {
-			return TrueExpr{}, true
-		}
-		kept = append(kept, Conjunct{Conds: conds})
+	kept := absorb(w.out)
+	// The conjuncts hold atoms only, and their slices are this call's
+	// own: they become the AND nodes' kids as they are, as NewAnd and
+	// NewOr would have copied them.
+	switch len(kept) {
+	case 0:
+		return FalseExpr{}, true
+	case 1:
+		return kept[0].and(), true
 	}
-	kept = absorb(kept)
-	return DNF{Disjuncts: kept}.Expr(), true
+	kids := make([]Expr, len(kept))
+	for i, c := range kept {
+		kids[i] = c.and()
+	}
+	return Or{Kids: kids}, true
+}
+
+// and is the conjunct as one node, its atom when it has one.
+func (c Conjunct) and() Expr {
+	if len(c.Conds) == 1 {
+		return c.Conds[0]
+	}
+	return And{Kids: c.Conds}
 }
 
 // absorb removes duplicate disjuncts and disjuncts subsumed by a more
 // general one (if disjunct A's atom set is a subset of B's, then B
-// implies A and B can be dropped).
+// implies A and B can be dropped). Atoms are compared with Same.
 func absorb(disjuncts []Conjunct) []Conjunct {
-	sets := make([]map[string]bool, len(disjuncts))
-	for i, d := range disjuncts {
-		s := map[string]bool{}
-		for _, c := range d.Conds {
-			s[c.String()] = true
-		}
-		sets[i] = s
+	// size[i] counts disjunct i's distinct atoms; -1 marks it redundant.
+	var buf [16]int
+	size := buf[:0]
+	for _, d := range disjuncts {
+		size = append(size, distinct(d.Conds))
 	}
-	redundant := make([]bool, len(disjuncts))
 	for i := range disjuncts {
-		if redundant[i] {
+		if size[i] < 0 {
 			continue
 		}
 		for j := range disjuncts {
-			if i == j || redundant[j] {
+			if i == j || size[j] < 0 || size[i] > size[j] || !subset(disjuncts[i].Conds, disjuncts[j].Conds) {
 				continue
 			}
-			if isSubset(sets[i], sets[j]) {
-				// i is weaker (or equal): j is redundant. Break equal-set
-				// ties by keeping the earlier disjunct.
-				if len(sets[i]) == len(sets[j]) && j < i {
-					continue
-				}
-				redundant[j] = true
+			// i is weaker (or equal): j is redundant. Break equal-set
+			// ties by keeping the earlier disjunct.
+			if size[i] == size[j] && j < i {
+				continue
 			}
+			size[j] = -1
 		}
 	}
-	var out []Conjunct
+	out := disjuncts[:0]
 	for i, d := range disjuncts {
-		if !redundant[i] {
+		if size[i] >= 0 {
 			out = append(out, d)
 		}
 	}
 	return out
 }
 
-func isSubset(a, b map[string]bool) bool {
-	if len(a) > len(b) {
-		return false
+// distinct counts the atoms of conds no earlier one is Same as.
+func distinct(conds []Expr) int {
+	n := 0
+	for i, c := range conds {
+		if !contains(conds[:i], c) {
+			n++
+		}
 	}
-	for k := range a {
-		if !b[k] {
+	return n
+}
+
+// subset reports whether every atom of a is Same as one of b.
+func subset(a, b []Expr) bool {
+	for _, c := range a {
+		if !contains(b, c) {
 			return false
 		}
 	}
 	return true
+}
+
+func contains(conds []Expr, c Expr) bool {
+	for _, d := range conds {
+		if Same(c, d) {
+			return true
+		}
+	}
+	return false
 }

@@ -169,22 +169,38 @@ func (c Cmp) Interval() (iv interval.Interval, ok bool) {
 // RangeConds renders iv as conditions on col: its lower bound, then its
 // upper, each only where iv is bounded.
 func RangeConds(col string, iv interval.Interval) []Expr {
-	out := make([]Expr, 0, 2)
+	return appendRangeConds(make([]Expr, 0, 2), col, iv, nil)
+}
+
+// appendRangeConds appends RangeConds(col, iv) to dst, each condition as
+// the atom of atoms equal to it if there is one.
+func appendRangeConds(dst []Expr, col string, iv interval.Interval, atoms []Expr) []Expr {
 	if v, inc, ok := iv.Lo(); ok {
 		op := OpGt
 		if inc {
 			op = OpGe
 		}
-		out = append(out, Cmp{Col: col, Op: op, Val: v})
+		dst = appendCmp(dst, Cmp{Col: col, Op: op, Val: v}, atoms)
 	}
 	if v, inc, ok := iv.Hi(); ok {
 		op := OpLt
 		if inc {
 			op = OpLe
 		}
-		out = append(out, Cmp{Col: col, Op: op, Val: v})
+		dst = appendCmp(dst, Cmp{Col: col, Op: op, Val: v}, atoms)
 	}
-	return out
+	return dst
+}
+
+// appendCmp appends c to dst, as the atom of atoms equal to it if there
+// is one rather than boxed anew.
+func appendCmp(dst []Expr, c Cmp, atoms []Expr) []Expr {
+	for _, a := range atoms {
+		if x, ok := a.(Cmp); ok && x == c {
+			return append(dst, a)
+		}
+	}
+	return append(dst, c)
 }
 
 // Eval implements Expr.
@@ -276,23 +292,32 @@ func joinKids(kids []Expr, sep string) string {
 // NewAnd builds a conjunction, flattening nested Ands and collapsing
 // trivial cases (empty -> TRUE, single child -> child, any FALSE -> FALSE).
 func NewAnd(kids ...Expr) Expr {
-	var flat []Expr
+	n, one := 0, Expr(TrueExpr{})
 	for _, k := range kids {
 		switch kk := k.(type) {
 		case TrueExpr:
 		case FalseExpr:
 			return FalseExpr{}
 		case And:
+			if len(kk.Kids) > 0 {
+				n, one = n+len(kk.Kids), kk.Kids[0]
+			}
+		default:
+			n, one = n+1, k
+		}
+	}
+	if n <= 1 {
+		return one
+	}
+	flat := make([]Expr, 0, n)
+	for _, k := range kids {
+		switch kk := k.(type) {
+		case TrueExpr:
+		case And:
 			flat = append(flat, kk.Kids...)
 		default:
 			flat = append(flat, k)
 		}
-	}
-	switch len(flat) {
-	case 0:
-		return TrueExpr{}
-	case 1:
-		return flat[0]
 	}
 	return And{Kids: flat}
 }
@@ -300,58 +325,92 @@ func NewAnd(kids ...Expr) Expr {
 // NewOr builds a disjunction, flattening nested Ors and collapsing
 // trivial cases (empty -> FALSE, single child -> child, any TRUE -> TRUE).
 func NewOr(kids ...Expr) Expr {
-	var flat []Expr
+	n, one := 0, Expr(FalseExpr{})
 	for _, k := range kids {
 		switch kk := k.(type) {
 		case FalseExpr:
 		case TrueExpr:
 			return TrueExpr{}
 		case Or:
+			if len(kk.Kids) > 0 {
+				n, one = n+len(kk.Kids), kk.Kids[0]
+			}
+		default:
+			n, one = n+1, k
+		}
+	}
+	if n <= 1 {
+		return one
+	}
+	flat := make([]Expr, 0, n)
+	for _, k := range kids {
+		switch kk := k.(type) {
+		case FalseExpr:
+		case Or:
 			flat = append(flat, kk.Kids...)
 		default:
 			flat = append(flat, k)
 		}
 	}
-	switch len(flat) {
-	case 0:
-		return FalseExpr{}
-	case 1:
-		return flat[0]
-	}
 	return Or{Kids: flat}
 }
 
 // MapColumns returns e with every column reference rewritten through f;
-// structure, operators, and literals are preserved.
+// structure, operators, and literals are preserved. A subtree whose
+// columns f leaves as they are is returned as it is, not copied.
 func MapColumns(e Expr, f func(string) string) Expr {
+	e, _ = mapColumns(e, f)
+	return e
+}
+
+// mapColumns is MapColumns, reporting whether any column changed.
+func mapColumns(e Expr, f func(string) string) (Expr, bool) {
 	switch x := e.(type) {
 	case Cmp:
-		x.Col = f(x.Col)
-		return x
+		if c := f(x.Col); c != x.Col {
+			x.Col = c
+			return x, true
+		}
 	case In:
-		x.Col = f(x.Col)
-		return x
+		if c := f(x.Col); c != x.Col {
+			x.Col = c
+			return x, true
+		}
 	case ColCmp:
-		x.ColA = f(x.ColA)
-		x.ColB = f(x.ColB)
-		return x
+		if a, b := f(x.ColA), f(x.ColB); a != x.ColA || b != x.ColB {
+			x.ColA, x.ColB = a, b
+			return x, true
+		}
 	case And:
-		kids := make([]Expr, len(x.Kids))
-		for i, k := range x.Kids {
-			kids[i] = MapColumns(k, f)
+		if kids, changed := mapKids(x.Kids, f); changed {
+			return And{Kids: kids}, true
 		}
-		return And{Kids: kids}
 	case Or:
-		kids := make([]Expr, len(x.Kids))
-		for i, k := range x.Kids {
-			kids[i] = MapColumns(k, f)
+		if kids, changed := mapKids(x.Kids, f); changed {
+			return Or{Kids: kids}, true
 		}
-		return Or{Kids: kids}
 	case Not:
-		return Not{Kid: MapColumns(x.Kid, f)}
-	default:
-		return e
+		if kid, changed := mapColumns(x.Kid, f); changed {
+			return Not{Kid: kid}, true
+		}
 	}
+	return e, false
+}
+
+// mapKids maps each of kids, copying them only once one changes.
+func mapKids(kids []Expr, f func(string) string) ([]Expr, bool) {
+	var out []Expr
+	for i, k := range kids {
+		m, changed := mapColumns(k, f)
+		if changed && out == nil {
+			out = make([]Expr, len(kids))
+			copy(out, kids[:i])
+		}
+		if out != nil {
+			out[i] = m
+		}
+	}
+	return out, out != nil
 }
 
 // Columns returns the sorted set of column names referenced by e.

@@ -75,18 +75,50 @@ func equalFold(a, b string) bool {
 // checks that adding NOT(q) to p yields a contradiction. Only Cmp and In
 // atoms participate; anything else makes the result false (unknown).
 func Implies(p []Expr, q Expr) bool {
-	negated := toNNF(Not{Kid: q}, false)
-	// NOT(IN) expands to a conjunction of <>; NOT(Cmp) is a single Cmp.
-	var extra []Expr
-	switch n := negated.(type) {
-	case And:
-		extra = n.Kids
-	default:
-		extra = []Expr{negated}
-	}
-	all := make([]Expr, 0, len(p)+len(extra))
-	all = append(all, p...)
-	all = append(all, extra...)
-	_, sat := SimplifyConjunct(all)
+	all := make([]Expr, len(p), len(p)+1)
+	copy(all, p)
+	_, sat := SimplifyConjunct(appendConjuncts(all, q, true))
 	return !sat
+}
+
+// appendConjuncts appends to dst what SimplifyConjunct can reason about
+// in the negation normal form of e (of NOT e when neg): the atoms it
+// conjoins at its top, or FALSE when it collapses to FALSE. NOT (c IN
+// (...)) is a <> per value. A disjunction is opaque to SimplifyConjunct
+// and left out, unless all its kids but one collapse to FALSE.
+func appendConjuncts(dst []Expr, e Expr, neg bool) []Expr {
+	switch folded(e, neg) {
+	case foldTrue:
+		return dst
+	case foldFalse:
+		return append(dst, FalseExpr{})
+	}
+	var kids []Expr
+	var conj bool
+	switch x := e.(type) {
+	case Not:
+		return appendConjuncts(dst, x.Kid, !neg)
+	case And:
+		kids, conj = x.Kids, !neg
+	case Or:
+		kids, conj = x.Kids, neg
+	default:
+		return appendAtom(dst, e, neg)
+	}
+	if conj {
+		for _, k := range kids {
+			dst = appendConjuncts(dst, k, neg)
+		}
+		return dst
+	}
+	var only Expr
+	for _, k := range kids {
+		if folded(k, neg) != foldFalse {
+			if only != nil {
+				return dst
+			}
+			only = k
+		}
+	}
+	return appendConjuncts(dst, only, neg)
 }

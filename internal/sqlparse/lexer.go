@@ -28,97 +28,55 @@ type token struct {
 	pos  int
 }
 
+// lexer hands out src's tokens one at a time. Keywords are returned as
+// tokIdent; the parser matches them case-insensitively.
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
+	src string
+	pos int
+	err error // the first lex error; from it on, every token is EOF
 }
 
-// lex splits src into tokens. Keywords are returned as tokIdent; the
-// parser matches them case-insensitively.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src, toks: make([]token, 0, countTokens(src))}
-	for {
-		l.skipSpace()
-		if l.pos >= len(l.src) {
-			l.toks = append(l.toks, token{kind: tokEOF, pos: l.pos})
-			return l.toks, nil
-		}
-		start := l.pos
-		// Decode a full rune for dispatch: a multi-byte letter must start
-		// an identifier as a whole, never be split at its first byte. An
-		// invalid byte decodes as RuneError (width 1) and falls through to
-		// the unexpected-character error below.
-		c, w := utf8.DecodeRuneInString(l.src[l.pos:])
-		switch {
-		case isIdentStart(c) && (c != utf8.RuneError || w > 1):
-			for l.pos < len(l.src) {
-				r, rw := utf8.DecodeRuneInString(l.src[l.pos:])
-				if !isIdentPart(r) || (r == utf8.RuneError && rw == 1) {
-					break
-				}
-				l.pos += rw
-			}
-			l.toks = append(l.toks, token{kind: tokIdent, text: l.src[start:l.pos], pos: start})
-		case c >= '0' && c <= '9' || c == '.' && l.peekDigit(1):
-			l.lexNumber(start)
-		case c == '-' && l.peekDigit(1):
-			l.pos++
-			l.lexNumber(start)
-		case c == '\'':
-			if err := l.lexString(start); err != nil {
-				return nil, err
-			}
-		default:
-			sym, n := l.matchSymbol()
-			if n == 0 {
-				return nil, fmt.Errorf("sqlparse: unexpected character %q at offset %d", c, l.pos)
-			}
-			l.pos += n
-			l.toks = append(l.toks, token{kind: tokSymbol, text: sym, pos: start})
-		}
+// next returns the next token, or EOF at the end of src or once a lex
+// error has been found (l.err holds it).
+func (l *lexer) next() token {
+	if l.err != nil {
+		return token{kind: tokEOF, pos: l.pos}
 	}
-}
-
-// countTokens estimates, in one pass over the bytes, how many tokens lex
-// finds in src, to size its slice: it counts the bytes that start one —
-// a symbol byte, the quote opening a literal, any other byte after a
-// space, a symbol or a literal — and the EOF token. Quoted text is
-// skipped, so one long literal or identifier counts once. Two-byte
-// symbols and the dot of a number count twice; tokens that abut with
-// nothing between them (x-1) and Unicode spaces count short, and append
-// absorbs those.
-func countTokens(src string) int {
-	n := 1
-	inQuote, sep := false, true
-	for i := 0; i < len(src); i++ {
-		c := src[i]
-		if c == '\'' {
-			// A quote right after a closing one is a doubled quote inside
-			// the same literal.
-			if !inQuote && (i == 0 || src[i-1] != '\'') {
-				n++
-			}
-			inQuote, sep = !inQuote, true
-			continue
-		}
-		if inQuote {
-			continue
-		}
-		switch c {
-		case ' ', '\t', '\n', '\r', '\f', '\v':
-			sep = true
-		case '<', '>', '=', '!', '(', ')', ',', '.', '*', '[', ']':
-			n++
-			sep = true
-		default:
-			if sep {
-				n++
-			}
-			sep = false
-		}
+	l.skipSpace()
+	if l.pos >= len(l.src) {
+		return token{kind: tokEOF, pos: l.pos}
 	}
-	return n
+	start := l.pos
+	// Decode a full rune for dispatch: a multi-byte letter must start
+	// an identifier as a whole, never be split at its first byte. An
+	// invalid byte decodes as RuneError (width 1) and falls through to
+	// the unexpected-character error below.
+	c, w := utf8.DecodeRuneInString(l.src[l.pos:])
+	switch {
+	case isIdentStart(c) && (c != utf8.RuneError || w > 1):
+		for l.pos < len(l.src) {
+			r, rw := utf8.DecodeRuneInString(l.src[l.pos:])
+			if !isIdentPart(r) || (r == utf8.RuneError && rw == 1) {
+				break
+			}
+			l.pos += rw
+		}
+		return token{kind: tokIdent, text: l.src[start:l.pos], pos: start}
+	case c >= '0' && c <= '9' || c == '.' && l.peekDigit(1):
+		return l.lexNumber(start)
+	case c == '-' && l.peekDigit(1):
+		l.pos++
+		return l.lexNumber(start)
+	case c == '\'':
+		return l.lexString(start)
+	}
+	sym, n := l.matchSymbol()
+	if n == 0 {
+		l.err = fmt.Errorf("sqlparse: unexpected character %q at offset %d", c, l.pos)
+		return token{kind: tokEOF, pos: l.pos}
+	}
+	l.pos += n
+	return token{kind: tokSymbol, text: sym, pos: start}
 }
 
 func (l *lexer) skipSpace() {
@@ -136,7 +94,7 @@ func (l *lexer) peekDigit(ahead int) bool {
 	return p < len(l.src) && l.src[p] >= '0' && l.src[p] <= '9'
 }
 
-func (l *lexer) lexNumber(start int) {
+func (l *lexer) lexNumber(start int) token {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		if c >= '0' && c <= '9' || c == '.' || c == 'e' || c == 'E' {
@@ -152,14 +110,22 @@ func (l *lexer) lexNumber(start int) {
 		}
 		break
 	}
-	l.toks = append(l.toks, token{kind: tokNumber, text: l.src[start:l.pos], pos: start})
+	return token{kind: tokNumber, text: l.src[start:l.pos], pos: start}
 }
 
-func (l *lexer) lexString(start int) error {
+// lexString reads a quoted literal. Its text is a piece of src unless
+// it doubles a quote, which only a copy can undo.
+func (l *lexer) lexString(start int) token {
 	l.pos++ // opening quote
+	rest := l.src[l.pos:]
+	end := strings.IndexByte(rest, '\'')
+	if end >= 0 && (end+1 == len(rest) || rest[end+1] != '\'') {
+		l.pos += end + 1
+		return token{kind: tokString, text: rest[:end], pos: start}
+	}
 	var b strings.Builder
-	// The text up to the next quote is the literal's, or its first piece.
-	b.Grow(max(strings.IndexByte(l.src[l.pos:], '\''), 0))
+	// The text up to the first quote is the literal's first piece.
+	b.Grow(max(end, 0))
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		if c == '\'' {
@@ -169,13 +135,13 @@ func (l *lexer) lexString(start int) error {
 				continue
 			}
 			l.pos++
-			l.toks = append(l.toks, token{kind: tokString, text: b.String(), pos: start})
-			return nil
+			return token{kind: tokString, text: b.String(), pos: start}
 		}
 		b.WriteByte(c)
 		l.pos++
 	}
-	return fmt.Errorf("sqlparse: unterminated string literal at offset %d", start)
+	l.err = fmt.Errorf("sqlparse: unterminated string literal at offset %d", start)
+	return token{kind: tokEOF, pos: l.pos}
 }
 
 var symbols = []string{"<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", ".", "*", "[", "]"}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"minequery/internal/expr"
 	"minequery/internal/qerr"
@@ -83,11 +84,16 @@ func Parse(src string) (*Query, error) {
 }
 
 func parse(src string) (*Query, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
+	p := newParser(src)
+	q, err := p.parseQuery()
+	if lexErr := p.lexErr(); lexErr != nil {
+		return nil, lexErr
 	}
-	p := &parser{toks: toks}
+	return q, err
+}
+
+// parseQuery parses a whole SELECT statement.
+func (p *parser) parseQuery() (*Query, error) {
 	q, err := p.parseSelect()
 	if err != nil {
 		return nil, err
@@ -142,19 +148,41 @@ func (q *Query) resolveRefs() error {
 	return firstErr
 }
 
+// parser reads the tokens of one statement as the lexer finds them,
+// two ahead: the current one and the one after it.
 type parser struct {
-	toks []token
-	pos  int
+	lx  lexer
+	tok [2]token
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
+func newParser(src string) *parser {
+	p := &parser{lx: lexer{src: src}}
+	p.tok[0] = p.lx.next()
+	p.tok[1] = p.lx.next()
+	return p
+}
+
+func (p *parser) peek() token { return p.tok[0] }
+
+// peek2 is the token after the current one.
+func (p *parser) peek2() token { return p.tok[1] }
 
 func (p *parser) next() token {
-	t := p.toks[p.pos]
+	t := p.tok[0]
 	if t.kind != tokEOF {
-		p.pos++
+		p.tok[0] = p.tok[1]
+		p.tok[1] = p.lx.next()
 	}
 	return t
+}
+
+// lexErr lexes the rest of the text and returns its first lex error, if
+// any. A lex error anywhere outranks whatever the parser made of the
+// tokens before it, so every result is checked against it.
+func (p *parser) lexErr() error {
+	for p.lx.next().kind != tokEOF {
+	}
+	return p.lx.err
 }
 
 func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
@@ -168,7 +196,7 @@ func (p *parser) errf(format string, args ...any) error {
 func (p *parser) acceptKeyword(kw string) bool {
 	t := p.peek()
 	if t.kind == tokIdent && strings.EqualFold(t.text, kw) {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
@@ -184,7 +212,7 @@ func (p *parser) expectKeyword(kw string) error {
 func (p *parser) acceptSymbol(sym string) bool {
 	t := p.peek()
 	if t.kind == tokSymbol && t.text == sym {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
@@ -213,12 +241,13 @@ func (p *parser) ident() (string, error) {
 	if t.kind != tokIdent {
 		return "", p.errf("expected identifier, found %q", t.text)
 	}
-	p.pos++
+	p.next()
 	return t.text, nil
 }
 
 // columnRef reads ident[.ident], returning the dotted form.
 func (p *parser) columnRef() (string, error) {
+	start := p.peek().pos
 	first, err := p.ident()
 	if err != nil {
 		return "", err
@@ -228,19 +257,54 @@ func (p *parser) columnRef() (string, error) {
 		if err != nil {
 			return "", err
 		}
+		// Written without brackets or spaces, the dotted form is a piece
+		// of the text.
+		if end := start + len(first) + 1 + len(second); end <= len(p.lx.src) {
+			if ref := p.lx.src[start:end]; ref[:len(first)] == first && ref[len(first)] == '.' && ref[len(first)+1:] == second {
+				return ref, nil
+			}
+		}
 		return first + "." + second, nil
 	}
 	return first, nil
 }
 
-var reservedAfterFrom = map[string]bool{
-	"prediction": true, "where": true, "limit": true, "on": true, "and": true,
-	"group": true,
-}
+var reservedAfterFrom = []string{"prediction", "where", "limit", "on", "and", "group"}
 
 // aggFuncs are the aggregate function names the select list accepts.
-var aggFuncs = map[string]bool{
-	"count": true, "sum": true, "min": true, "max": true, "avg": true,
+var aggFuncs = []string{"count", "sum", "min", "max", "avg"}
+
+// keyword returns the one of kws that text lowercases to, or "". It
+// builds no lowered copy of ASCII text.
+func keyword(text string, kws []string) string {
+	for i := 0; i < len(text); i++ {
+		if text[i] >= utf8.RuneSelf {
+			lower := strings.ToLower(text)
+			for _, kw := range kws {
+				if lower == kw {
+					return kw
+				}
+			}
+			return ""
+		}
+	}
+next:
+	for _, kw := range kws {
+		if len(kw) != len(text) {
+			continue
+		}
+		for i := 0; i < len(text); i++ {
+			c := text[i]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if c != kw[i] {
+				continue next
+			}
+		}
+		return kw
+	}
+	return ""
 }
 
 func (p *parser) parseSelect() (*Query, error) {
@@ -279,9 +343,9 @@ func (p *parser) parseSelect() (*Query, error) {
 			return nil, err
 		}
 		q.Alias = a
-	} else if t := p.peek(); t.kind == tokIdent && !reservedAfterFrom[strings.ToLower(t.text)] {
+	} else if t := p.peek(); t.kind == tokIdent && keyword(t.text, reservedAfterFrom) == "" {
 		q.Alias = t.text
-		p.pos++
+		p.next()
 	}
 	for p.acceptKeyword("prediction") {
 		if err := p.expectKeyword("join"); err != nil {
@@ -291,7 +355,7 @@ func (p *parser) parseSelect() (*Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		q.Joins = append(q.Joins, *j)
+		q.Joins = append(q.Joins, j)
 	}
 	if p.acceptKeyword("where") {
 		w, err := p.parseOr()
@@ -334,28 +398,27 @@ func (p *parser) parseSelect() (*Query, error) {
 // reference. An aggregate name is only treated as one when immediately
 // followed by "(" — "count" stays usable as a column name.
 func (p *parser) parseSelectItem() (SelectItem, error) {
-	if t := p.peek(); t.kind == tokIdent && aggFuncs[strings.ToLower(t.text)] {
-		if nt := p.toks[p.pos+1]; nt.kind == tokSymbol && nt.text == "(" {
-			fn := strings.ToLower(t.text)
-			p.pos += 2
-			it := SelectItem{Agg: fn}
-			if p.acceptSymbol("*") {
-				if fn != "count" {
-					return SelectItem{}, p.errf("%s(*) is not supported, only COUNT(*)", strings.ToUpper(fn))
-				}
-				it.Star = true
-			} else {
-				col, err := p.columnRef()
-				if err != nil {
-					return SelectItem{}, err
-				}
-				it.Col = col
+	t, nt := p.peek(), p.peek2()
+	if fn := keyword(t.text, aggFuncs); t.kind == tokIdent && fn != "" && nt.kind == tokSymbol && nt.text == "(" {
+		p.next()
+		p.next()
+		it := SelectItem{Agg: fn}
+		if p.acceptSymbol("*") {
+			if fn != "count" {
+				return SelectItem{}, p.errf("%s(*) is not supported, only COUNT(*)", strings.ToUpper(fn))
 			}
-			if err := p.expectSymbol(")"); err != nil {
+			it.Star = true
+		} else {
+			col, err := p.columnRef()
+			if err != nil {
 				return SelectItem{}, err
 			}
-			return it, nil
+			it.Col = col
 		}
+		if err := p.expectSymbol(")"); err != nil {
+			return SelectItem{}, err
+		}
+		return it, nil
 	}
 	col, err := p.columnRef()
 	if err != nil {
@@ -364,42 +427,42 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 	return SelectItem{Col: col}, nil
 }
 
-func (p *parser) parsePredictionJoin() (*PredictionJoin, error) {
+func (p *parser) parsePredictionJoin() (PredictionJoin, error) {
 	model, err := p.ident()
 	if err != nil {
-		return nil, err
+		return PredictionJoin{}, err
 	}
-	j := &PredictionJoin{Model: model, Alias: model}
+	j := PredictionJoin{Model: model, Alias: model}
 	if p.acceptKeyword("as") {
 		a, err := p.ident()
 		if err != nil {
-			return nil, err
+			return PredictionJoin{}, err
 		}
 		j.Alias = a
-	} else if t := p.peek(); t.kind == tokIdent && !reservedAfterFrom[strings.ToLower(t.text)] {
+	} else if t := p.peek(); t.kind == tokIdent && keyword(t.text, reservedAfterFrom) == "" {
 		j.Alias = t.text
-		p.pos++
+		p.next()
 	}
 	if err := p.expectKeyword("on"); err != nil {
-		return nil, err
+		return PredictionJoin{}, err
 	}
 	for {
 		left, err := p.columnRef()
 		if err != nil {
-			return nil, err
+			return PredictionJoin{}, err
 		}
 		if err := p.expectSymbol("="); err != nil {
-			return nil, err
+			return PredictionJoin{}, err
 		}
 		right, err := p.columnRef()
 		if err != nil {
-			return nil, err
+			return PredictionJoin{}, err
 		}
 		// By convention the model side is the one qualified with the
 		// join alias (or model name); accept either order.
-		pair, err := orientOnPair(j, left, right)
+		pair, err := orientOnPair(&j, left, right)
 		if err != nil {
-			return nil, err
+			return PredictionJoin{}, err
 		}
 		j.On = append(j.On, pair)
 		if !p.acceptKeyword("and") {
@@ -486,6 +549,11 @@ func (p *parser) parseUnary() (expr.Expr, error) {
 	return p.parseAtom()
 }
 
+var (
+	boolWords    = []string{"true", "false"}
+	literalWords = []string{"true", "false", "null"}
+)
+
 var cmpOps = map[string]expr.CmpOp{
 	"=": expr.OpEq, "<>": expr.OpNe, "!=": expr.OpNe,
 	"<": expr.OpLt, "<=": expr.OpLe, ">": expr.OpGt, ">=": expr.OpGe,
@@ -493,12 +561,12 @@ var cmpOps = map[string]expr.CmpOp{
 
 func (p *parser) parseAtom() (expr.Expr, error) {
 	if t := p.peek(); t.kind == tokIdent {
-		switch strings.ToLower(t.text) {
+		switch keyword(t.text, boolWords) {
 		case "true":
-			p.pos++
+			p.next()
 			return expr.TrueExpr{}, nil
 		case "false":
-			p.pos++
+			p.next()
 			return expr.FalseExpr{}, nil
 		}
 	}
@@ -577,7 +645,7 @@ func (p *parser) literal() (value.Value, error) {
 		}
 		return value.Float(f), nil
 	case tokIdent:
-		switch strings.ToLower(t.text) {
+		switch keyword(t.text, literalWords) {
 		case "true":
 			return value.Bool(true), nil
 		case "false":

@@ -91,6 +91,9 @@ var ModelFamilies = map[string]string{
 	"gmm":    "Gaussian mixture",
 }
 
+// stmtVerbs are the verbs of the statements ParseStatement parses.
+var stmtVerbs = []string{"select", "insert", "update", "delete", "create"}
+
 // unsupportedVerbs are statement verbs we recognize but do not
 // implement; they fail typed with qerr.ErrUnsupportedQuery instead of a
 // generic parse error so clients can tell "wrong dialect" from
@@ -106,21 +109,24 @@ var unsupportedVerbs = map[string]bool{
 // wraps qerr.ErrParse; well-formed statements the engine does not
 // support wrap qerr.ErrUnsupportedQuery.
 func ParseStatement(src string) (*Statement, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", qerr.ErrParse, err)
+	p := newParser(src)
+	st, err := p.parseStatement()
+	if lexErr := p.lexErr(); lexErr != nil {
+		return nil, fmt.Errorf("%w: %v", qerr.ErrParse, lexErr)
 	}
-	p := &parser{toks: toks}
+	return st, err
+}
+
+func (p *parser) parseStatement() (*Statement, error) {
 	t := p.peek()
 	if t.kind != tokIdent {
 		return nil, fmt.Errorf("%w: sqlparse: expected a statement, found %q", qerr.ErrParse, t.text)
 	}
-	verb := strings.ToLower(t.text)
-	switch verb {
+	switch keyword(t.text, stmtVerbs) {
 	case "select":
-		q, err := Parse(src)
+		q, err := p.parseQuery()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %v", qerr.ErrParse, err)
 		}
 		return &Statement{Kind: StmtSelect, Select: q}, nil
 	case "insert":
@@ -134,12 +140,11 @@ func ParseStatement(src string) (*Statement, error) {
 		return wrapStmt(&Statement{Kind: StmtDelete, Delete: st}, err)
 	case "create":
 		return p.parseCreate()
-	default:
-		if unsupportedVerbs[verb] {
-			return nil, fmt.Errorf("%w: statement %q is not supported", qerr.ErrUnsupportedQuery, strings.ToUpper(verb))
-		}
-		return nil, fmt.Errorf("%w: sqlparse: expected a statement, found %q", qerr.ErrParse, t.text)
 	}
+	if verb := strings.ToLower(t.text); unsupportedVerbs[verb] {
+		return nil, fmt.Errorf("%w: statement %q is not supported", qerr.ErrUnsupportedQuery, strings.ToUpper(verb))
+	}
+	return nil, fmt.Errorf("%w: sqlparse: expected a statement, found %q", qerr.ErrParse, t.text)
 }
 
 func wrapStmt(st *Statement, err error) (*Statement, error) {

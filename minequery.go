@@ -1138,7 +1138,7 @@ func needsPostFilter(rw *core.Rewrite) bool {
 	if _, isTrue := rw.FullPred.(expr.TrueExpr); isTrue {
 		return false
 	}
-	return rw.FullPred.String() != rw.DataPred.String()
+	return !expr.Same(rw.FullPred, rw.DataPred)
 }
 
 // Explain returns the physical plan and rewrite notes for a query

@@ -253,3 +253,30 @@ func TestPreparedPlanTextConcurrent(t *testing.T) {
 		t.Fatal("25 requests and no plan text kept")
 	}
 }
+
+// TestAllocNeedsPostFilterRendersNothing: deciding whether a plan needs
+// the post-filter compares the full and data-only predicates by
+// structure, rendering neither.
+func TestAllocNeedsPostFilterRendersNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	e := seedEngine(t, 2000)
+	trainNB(t, e)
+	for sql, want := range map[string]bool{
+		`SELECT id FROM customers PREDICTION JOIN segmodel AS m ON m.age = customers.age AND m.income = customers.income
+			WHERE m.segment = 'budget' AND age >= 30`: true,
+		`SELECT id FROM customers WHERE age >= 30 AND income < 50`: false,
+	} {
+		p, err := e.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := needsPostFilter(p.rewrite); got != want {
+			t.Fatalf("needsPostFilter = %v, want %v: full %s, data %s", got, want, p.rewrite.FullPred, p.rewrite.DataPred)
+		}
+		if n := testing.AllocsPerRun(100, func() { needsPostFilter(p.rewrite) }); n != 0 {
+			t.Errorf("needsPostFilter on %s allocates %v times", p.rewrite.FullPred, n)
+		}
+	}
+}
