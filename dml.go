@@ -38,6 +38,7 @@ import (
 	"minequery/internal/plan"
 	"minequery/internal/qerr"
 	"minequery/internal/sqlparse"
+	"minequery/internal/storage"
 	"minequery/internal/value"
 	"minequery/internal/wal"
 )
@@ -112,70 +113,84 @@ func (e *Engine) Exec(ctx context.Context, sql string) (*ExecResult, error) {
 	switch st.Kind {
 	case sqlparse.StmtSelect:
 		return nil, fmt.Errorf("minequery: %w: SELECT statements run through Query, not Exec", qerr.ErrUnsupportedQuery)
-	case sqlparse.StmtInsert:
-		return e.execInsert(st.Insert)
-	case sqlparse.StmtUpdate:
-		return e.execUpdate(ctx, st.Update)
-	case sqlparse.StmtDelete:
-		return e.execDelete(ctx, st.Delete)
 	case sqlparse.StmtCreateModel:
 		return e.execCreateModel(st.CreateModel, sql)
 	}
-	return nil, fmt.Errorf("minequery: %w: unhandled statement kind", qerr.ErrUnsupportedQuery)
-}
-
-func (e *Engine) execInsert(st *sqlparse.InsertStmt) (*ExecResult, error) {
-	t, ok := e.cat.Table(st.Table)
-	if !ok {
-		return nil, fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, st.Table)
-	}
-	rows, err := resolveInsertRows(t, st)
+	d, err := e.resolveDML(st)
 	if err != nil {
 		return nil, err
-	}
-	// Each row is encoded once, for the log: apply stores these bytes.
-	muts := make([]wal.Mutation, len(rows))
-	for i, r := range rows {
-		muts[i] = wal.Mutation{Op: wal.OpInsert, Rec: value.EncodeTuple(nil, r)}
 	}
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	if err := e.walAppend(wal.Record{Kind: wal.RecordDML, Table: t.Name, Muts: muts}); err != nil {
-		return nil, err
+	switch st.Kind {
+	case sqlparse.StmtInsert:
+		return e.commitDML(&d, d.muts, nil, d.rows)
+	case sqlparse.StmtUpdate:
+		return e.execUpdate(ctx, &d)
 	}
-	n, err := e.applyDML(t, muts, nil)
-	if err != nil {
-		return nil, err
+	return e.execDelete(ctx, &d)
+}
+
+// resolvedDML is an INSERT, UPDATE or DELETE resolved against its table.
+// Exec runs it and EXPLAIN renders it, so EXPLAIN describes only a
+// statement Exec accepts.
+type resolvedDML struct {
+	op      string // "insert", "update" or "delete"
+	t       *catalog.Table
+	rows    []value.Tuple         // INSERT: the normalized rows
+	muts    []wal.Mutation        // INSERT: the rows' records, to log and store
+	where   expr.Expr             // UPDATE and DELETE: nil matches every row
+	sets    []sqlparse.Assignment // UPDATE
+	setOrds []int                 // UPDATE: each SET column's ordinal
+}
+
+// resolveDML resolves a write statement: its table, its WHERE, its SET
+// columns and its INSERT rows.
+func (e *Engine) resolveDML(st *sqlparse.Statement) (resolvedDML, error) {
+	var d resolvedDML
+	var table string
+	switch st.Kind {
+	case sqlparse.StmtInsert:
+		d.op, table = "insert", st.Insert.Table
+	case sqlparse.StmtUpdate:
+		d.op, table, d.where, d.sets = "update", st.Update.Table, st.Update.Where, st.Update.Sets
+	case sqlparse.StmtDelete:
+		d.op, table, d.where = "delete", st.Delete.Table, st.Delete.Where
+	default:
+		return d, fmt.Errorf("minequery: %w: unhandled statement kind", qerr.ErrUnsupportedQuery)
 	}
-	res := &ExecResult{Statement: "insert", Table: t.Name, RowsAffected: n}
-	e.metrics.Load().dml("insert", n)
-	e.notifyStanding(t, rows)
-	// The rows are durably logged and applied at this point. A retrain
-	// failure from noteWrites must therefore surface WITH the populated
-	// result, not instead of it: Epoch and Retrained are filled in either
-	// way, and the error wraps ErrRetrainFailed so callers can tell
-	// "committed, retrain pending" from a failed statement.
-	res.Retrained, err = e.noteWrites(t.Name, n)
-	res.Epoch = e.cat.Epoch()
-	if err != nil {
-		return res, err
+	t, ok := e.cat.Table(table)
+	if !ok {
+		return d, fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, table)
 	}
-	return res, nil
+	d.t = t
+	var err error
+	if d.op == "insert" {
+		d.rows, d.muts, err = resolveInsertRows(t, st.Insert)
+		return d, err
+	}
+	if err = validateWhere(t, d.where, "DML predicate"); err != nil {
+		return d, err
+	}
+	cols := make([]string, len(d.sets))
+	for i, a := range d.sets {
+		cols[i] = a.Col
+	}
+	d.setOrds, err = columnOrdinals(t, cols, "UPDATE")
+	return d, err
 }
 
 // resolveInsertRows maps a statement's value lists to full-arity,
-// normalized tuples. With an explicit column list, unnamed columns are
-// NULL; without one, each row must carry the full schema arity.
-func resolveInsertRows(t *catalog.Table, st *sqlparse.InsertStmt) ([]value.Tuple, error) {
-	ords := make([]int, len(st.Columns))
-	for i, c := range st.Columns {
-		o := t.Schema.Ordinal(c)
-		if o < 0 {
-			return nil, fmt.Errorf("minequery: %w: unknown column %q in INSERT into %s", qerr.ErrUnsupportedQuery, c, t.Name)
-		}
-		ords[i] = o
+// normalized tuples, and each to the insert its record is logged and
+// stored as. With an explicit column list, unnamed columns are NULL;
+// without one, each row must carry the full schema arity.
+func resolveInsertRows(t *catalog.Table, st *sqlparse.InsertStmt) ([]value.Tuple, []wal.Mutation, error) {
+	ords, err := columnOrdinals(t, st.Columns, "INSERT into")
+	if err != nil {
+		return nil, nil, err
 	}
 	out := make([]value.Tuple, len(st.Rows))
+	muts := make([]wal.Mutation, len(st.Rows))
 	for ri, vals := range st.Rows {
 		var row value.Tuple
 		if st.Columns == nil {
@@ -189,55 +204,75 @@ func resolveInsertRows(t *catalog.Table, st *sqlparse.InsertStmt) ([]value.Tuple
 				row[ords[i]] = v
 			}
 		}
-		norm, err := t.NormalizeRow(row)
+		norm, rec, err := storedRecord(t, row)
 		if err != nil {
-			return nil, fmt.Errorf("minequery: row %d: %w", ri, err)
+			return nil, nil, fmt.Errorf("minequery: row %d: %w", ri, err)
 		}
-		out[ri] = norm
+		out[ri], muts[ri] = norm, wal.Mutation{Op: wal.OpInsert, Rec: rec}
 	}
-	return out, nil
+	return out, muts, nil
 }
 
-// validateDMLWhere checks that a DML predicate references only the
-// table's data columns — mining predicates (predicted columns) have no
-// meaning on the write side.
-func validateDMLWhere(t *catalog.Table, where expr.Expr) error {
+// storedRecord normalizes row and encodes it into the record the log
+// holds and the heap stores. It refuses a row no heap page holds: once
+// logged, it would stop the apply, and every replay, halfway.
+func storedRecord(t *catalog.Table, row value.Tuple) (value.Tuple, []byte, error) {
+	norm, err := t.NormalizeRow(row)
+	if err != nil {
+		return nil, nil, err
+	}
+	rec := value.EncodeTuple(nil, norm)
+	if len(rec) > storage.MaxRecordSize {
+		return nil, nil, fmt.Errorf("%w: a row of %s encodes to %d bytes, over the %d a page holds",
+			qerr.ErrUnsupportedQuery, t.Name, len(rec), storage.MaxRecordSize)
+	}
+	return norm, rec, nil
+}
+
+// columnOrdinals maps the columns a statement names to their ordinals
+// in t, refusing a column t lacks and a column named twice. stmt names
+// the statement in the error: "INSERT into" or "UPDATE".
+func columnOrdinals(t *catalog.Table, cols []string, stmt string) ([]int, error) {
+	ords := make([]int, len(cols))
+	for i, c := range cols {
+		o := t.Schema.Ordinal(c)
+		if o < 0 {
+			return nil, fmt.Errorf("minequery: %w: unknown column %q in %s %s", qerr.ErrUnsupportedQuery, c, stmt, t.Name)
+		}
+		if slices.Contains(ords[:i], o) {
+			return nil, fmt.Errorf("minequery: %w: column %q named twice in %s %s", qerr.ErrUnsupportedQuery, c, stmt, t.Name)
+		}
+		ords[i] = o
+	}
+	return ords, nil
+}
+
+// validateWhere checks that a write statement's predicate — a DML
+// WHERE or a training view's — references only the table's data
+// columns: mining predicates (predicted columns) have no meaning on the
+// write side. what names the predicate in the error.
+func validateWhere(t *catalog.Table, where expr.Expr, what string) error {
 	for _, c := range expr.Columns(where) {
 		if t.Schema.Ordinal(c) < 0 {
-			return fmt.Errorf("minequery: %w: unknown column %q in DML predicate on %s (predicates on the write path see data columns only)",
-				qerr.ErrUnsupportedQuery, c, t.Name)
+			return fmt.Errorf("minequery: %w: unknown column %q in %s on %s (predicates on the write path see data columns only)",
+				qerr.ErrUnsupportedQuery, c, what, t.Name)
 		}
 	}
 	return nil
 }
 
-func (e *Engine) execUpdate(ctx context.Context, st *sqlparse.UpdateStmt) (*ExecResult, error) {
-	t, ok := e.cat.Table(st.Table)
-	if !ok {
-		return nil, fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, st.Table)
-	}
-	if err := validateDMLWhere(t, st.Where); err != nil {
-		return nil, err
-	}
-	setOrds := make([]int, len(st.Sets))
-	for i, a := range st.Sets {
-		o := t.Schema.Ordinal(a.Col)
-		if o < 0 {
-			return nil, fmt.Errorf("minequery: %w: unknown column %q in UPDATE %s", qerr.ErrUnsupportedQuery, a.Col, t.Name)
-		}
-		setOrds[i] = o
-	}
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	rids, rows, err := exec.CollectMatches(ctx, t, st.Where, nil, e.execOpts)
+// execUpdate reads an UPDATE's victims and commits their new images.
+// Caller holds writeMu.
+func (e *Engine) execUpdate(ctx context.Context, d *resolvedDML) (*ExecResult, error) {
+	rids, rows, err := exec.CollectMatches(ctx, d.t, d.where, nil, e.execOpts)
 	if err != nil {
-		return nil, fmt.Errorf("minequery: update %s: %w", t.Name, err)
+		return nil, fmt.Errorf("minequery: update %s: %w", d.t.Name, err)
 	}
 	// Each victim's row is decoded afresh, so the SET is applied to it in
 	// place. A table with indexes keeps a copy of it first, the pre-image
 	// apply takes the old index keys from.
 	var old []value.Tuple
-	if len(t.Indexes()) > 0 {
+	if len(d.t.Indexes()) > 0 {
 		old = make([]value.Tuple, len(rows))
 	}
 	muts := make([]wal.Mutation, len(rids))
@@ -245,80 +280,62 @@ func (e *Engine) execUpdate(ctx context.Context, st *sqlparse.UpdateStmt) (*Exec
 		if old != nil {
 			old[i] = row.Clone()
 		}
-		for j, a := range st.Sets {
-			row[setOrds[j]] = a.Val
+		for j, a := range d.sets {
+			row[d.setOrds[j]] = a.Val
 		}
-		norm, err := t.NormalizeRow(row)
+		norm, rec, err := storedRecord(d.t, row)
 		if err != nil {
-			return nil, fmt.Errorf("minequery: update %s at %s: %w", t.Name, rids[i], err)
+			return nil, fmt.Errorf("minequery: update %s at %s: %w", d.t.Name, rids[i], err)
 		}
-		muts[i] = wal.Mutation{Op: wal.OpUpdate, RID: rids[i], Rec: value.EncodeTuple(nil, norm)}
+		muts[i] = wal.Mutation{Op: wal.OpUpdate, RID: rids[i], Rec: rec}
 		rows[i] = norm
 	}
-	res := &ExecResult{Statement: "update", Table: t.Name}
-	if len(muts) > 0 {
-		if err := e.walAppend(wal.Record{Kind: wal.RecordDML, Table: t.Name, Muts: muts}); err != nil {
-			return nil, err
-		}
-		if res.RowsAffected, err = e.applyDML(t, muts, old); err != nil {
-			return nil, err
-		}
-	}
-	e.metrics.Load().dml("update", res.RowsAffected)
-	e.notifyStanding(t, rows)
-	// Committed rows with a failed retrain: return the populated result
-	// alongside the ErrRetrainFailed-wrapped error (see execInsert).
-	res.Retrained, err = e.noteWrites(t.Name, res.RowsAffected)
-	res.Epoch = e.cat.Epoch()
-	if err != nil {
-		return res, err
-	}
-	return res, nil
+	return e.commitDML(d, muts, old, rows)
 }
 
-func (e *Engine) execDelete(ctx context.Context, st *sqlparse.DeleteStmt) (*ExecResult, error) {
-	t, ok := e.cat.Table(st.Table)
-	if !ok {
-		return nil, fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, st.Table)
-	}
-	if err := validateDMLWhere(t, st.Where); err != nil {
-		return nil, err
-	}
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
+// execDelete reads a DELETE's victims and commits their removal.
+// Caller holds writeMu.
+func (e *Engine) execDelete(ctx context.Context, d *resolvedDML) (*ExecResult, error) {
 	// A DELETE reads no column of its victims, unless the table has
 	// indexes: apply takes their old keys from each victim's pre-image,
 	// read here, before the log holds the statement.
 	need := []bool{}
-	if len(t.Indexes()) > 0 {
+	if len(d.t.Indexes()) > 0 {
 		need = nil
 	}
-	rids, old, err := exec.CollectMatches(ctx, t, st.Where, need, e.execOpts)
+	rids, old, err := exec.CollectMatches(ctx, d.t, d.where, need, e.execOpts)
 	if err != nil {
-		return nil, fmt.Errorf("minequery: delete %s: %w", t.Name, err)
+		return nil, fmt.Errorf("minequery: delete %s: %w", d.t.Name, err)
 	}
 	muts := make([]wal.Mutation, len(rids))
 	for i, rid := range rids {
 		muts[i] = wal.Mutation{Op: wal.OpDelete, RID: rid}
 	}
-	res := &ExecResult{Statement: "delete", Table: t.Name}
+	return e.commitDML(d, muts, old, nil)
+}
+
+// commitDML is the one commit of an INSERT, UPDATE or DELETE. Caller
+// holds writeMu. It logs muts (if any), applies them with the victims'
+// pre-images old, hands images (the rows an INSERT or UPDATE stored) to
+// the standing queries and credits the rows to the retrain trigger.
+// The rows are committed before the retrain, so a retrain's
+// ErrRetrainFailed comes with the filled result, not instead of it.
+func (e *Engine) commitDML(d *resolvedDML, muts []wal.Mutation, old, images []value.Tuple) (*ExecResult, error) {
+	res := &ExecResult{Statement: d.op, Table: d.t.Name}
+	var err error
 	if len(muts) > 0 {
-		if err := e.walAppend(wal.Record{Kind: wal.RecordDML, Table: t.Name, Muts: muts}); err != nil {
+		if err = e.walAppend(wal.Record{Kind: wal.RecordDML, Table: d.t.Name, Muts: muts}); err != nil {
 			return nil, err
 		}
-		if res.RowsAffected, err = e.applyDML(t, muts, old); err != nil {
+		if res.RowsAffected, err = e.applyDML(d.t, muts, old); err != nil {
 			return nil, err
 		}
 	}
-	e.metrics.Load().dml("delete", res.RowsAffected)
-	// Committed rows with a failed retrain: return the populated result
-	// alongside the ErrRetrainFailed-wrapped error (see execInsert).
-	res.Retrained, err = e.noteWrites(t.Name, res.RowsAffected)
+	e.metrics.Load().dml(d.op, res.RowsAffected)
+	e.notifyStanding(d.t, images)
+	res.Retrained, err = e.noteWrites(d.t.Name, res.RowsAffected)
 	res.Epoch = e.cat.Epoch()
-	if err != nil {
-		return res, err
-	}
-	return res, nil
+	return res, err
 }
 
 // applyDML applies logged mutations to live state. Caller holds
@@ -419,8 +436,12 @@ func (e *Engine) retrainTable(table string) ([]string, error) {
 }
 
 // resolveDefFeatures expands a definition's training view to its
-// feature columns, checking that they and the label are in t.
+// feature columns, checking that they, the label and the view's WHERE
+// columns are in t.
 func resolveDefFeatures(t *catalog.Table, d *modelDef) ([]string, error) {
+	if err := validateWhere(t, d.where, "training view predicate"); err != nil {
+		return nil, err
+	}
 	if d.label != "" && t.Schema.Ordinal(d.label) < 0 {
 		return nil, fmt.Errorf("minequery: %w: label column %q not in %s (required for family %s)",
 			qerr.ErrUnsupportedQuery, d.label, t.Name, d.family)
@@ -567,54 +588,35 @@ func (e *Engine) execCreateModel(st *sqlparse.CreateModelStmt, sql string) (*Exe
 }
 
 // explainStatement renders a write statement's plan without executing
-// it. UPDATE/DELETE always drive a full serial scan on the read side
-// (the victim set must be exact, so no mining-envelope rewrites apply);
-// the plan shows that honestly.
+// it: what the statement resolves to, as Exec would run it.
 func (e *Engine) explainStatement(st *sqlparse.Statement) (string, error) {
-	var root plan.Node
-	switch st.Kind {
-	case sqlparse.StmtInsert:
-		if _, ok := e.cat.Table(st.Insert.Table); !ok {
-			return "", fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, st.Insert.Table)
-		}
-		root = &plan.Mutation{Op: "insert", Table: st.Insert.Table, Rows: len(st.Insert.Rows)}
-	case sqlparse.StmtUpdate:
-		t, ok := e.cat.Table(st.Update.Table)
-		if !ok {
-			return "", fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, st.Update.Table)
-		}
-		if err := validateDMLWhere(t, st.Update.Where); err != nil {
-			return "", err
-		}
-		root = &plan.Mutation{Op: "update", Table: t.Name, Child: dmlScanPlan(t.Name, st.Update.Where)}
-	case sqlparse.StmtDelete:
-		t, ok := e.cat.Table(st.Delete.Table)
-		if !ok {
-			return "", fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, st.Delete.Table)
-		}
-		if err := validateDMLWhere(t, st.Delete.Where); err != nil {
-			return "", err
-		}
-		root = &plan.Mutation{Op: "delete", Table: t.Name, Child: dmlScanPlan(t.Name, st.Delete.Where)}
-	case sqlparse.StmtCreateModel:
-		d := newModelDef(st.CreateModel, "")
-		t, ok := e.cat.Table(d.table)
-		if !ok {
-			return "", fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, d.table)
-		}
-		feats, err := resolveDefFeatures(t, d)
+	if st.Kind != sqlparse.StmtCreateModel {
+		d, err := e.resolveDML(st)
 		if err != nil {
 			return "", err
 		}
-		view, _, _, err := trainView(t, feats, d.label, d.where)
-		if err != nil {
-			return "", err
+		// An UPDATE or DELETE drives a full serial scan: the victim set
+		// must be exact, so no mining-envelope rewrite applies.
+		m := &plan.Mutation{Op: d.op, Table: d.t.Name, Rows: len(d.rows)}
+		if d.op != "insert" {
+			m.Child = scanPlan(d.t.Name, d.where)
 		}
-		root = createModelNode{d: d, view: view}
-	default:
-		return "", fmt.Errorf("minequery: %w: cannot explain statement", qerr.ErrUnsupportedQuery)
+		return plan.Explain(m), nil
 	}
-	return plan.Explain(root), nil
+	d := newModelDef(st.CreateModel, "")
+	t, ok := e.cat.Table(d.table)
+	if !ok {
+		return "", fmt.Errorf("minequery: %w %q", qerr.ErrUnknownTable, d.table)
+	}
+	feats, err := resolveDefFeatures(t, d)
+	if err != nil {
+		return "", err
+	}
+	view, _, _, err := trainView(t, feats, d.label, d.where)
+	if err != nil {
+		return "", err
+	}
+	return plan.Explain(createModelNode{d: d, view: view}), nil
 }
 
 // createModelNode roots EXPLAIN CREATE MODEL: the model over the view
@@ -630,7 +632,8 @@ func (n createModelNode) Describe() string {
 	return fmt.Sprintf("CreateModel(%s family=%s predict=%s over %s)", n.d.name, n.d.family, n.d.predict, n.d.table)
 }
 
-func dmlScanPlan(table string, where expr.Expr) plan.Node {
+// scanPlan is a full scan of table, filtered by where when there is one.
+func scanPlan(table string, where expr.Expr) plan.Node {
 	var n plan.Node = &plan.SeqScan{Table: table}
 	if where != nil {
 		n = &plan.Filter{Child: n, Pred: where}

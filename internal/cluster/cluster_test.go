@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"minequery"
 	"minequery/internal/expr"
 	"minequery/internal/value"
+	"minequery/internal/wire"
 )
 
 func mustRangeMap(t *testing.T, bounds []int64, n int) *Map {
@@ -231,5 +233,34 @@ func TestOutlineCacheBounded(t *testing.T) {
 	}
 	if _, ok := c.outlines["select k from t where k = 0"]; ok {
 		t.Fatal("the oldest outline survived 299 newer ones")
+	}
+}
+
+// TestPreparedStatementsBounded: the coordinator's prepared-statement
+// table keeps the maxOutlines newest statements, and an evicted id
+// answers not_found.
+func TestPreparedStatementsBounded(t *testing.T) {
+	planner := minequery.New()
+	if err := planner.CreateTable("t", minequery.MustSchema(minequery.Column{Name: "k", Kind: minequery.KindInt})); err != nil {
+		t.Fatal(err)
+	}
+	c := New(planner, mustRangeMap(t, []int64{5}, 2), Config{})
+	ctx := context.Background()
+	var first string
+	for i := 0; i <= maxOutlines; i++ {
+		p, err := c.Prepare(ctx, fmt.Sprintf("SELECT k FROM t WHERE k = %d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = p.StatementID
+		}
+	}
+	if n := len(c.Statements()); n != maxOutlines || len(c.byNorm) != maxOutlines {
+		t.Fatalf("%d prepares left %d statements (%d by text), want %d", maxOutlines+1, n, len(c.byNorm), maxOutlines)
+	}
+	var re *RemoteError
+	if _, err := c.Execute(ctx, Request{StatementID: first}); !errors.As(err, &re) || re.Code != wire.CodeNotFound {
+		t.Fatalf("evicted statement %s: %v, want not_found", first, err)
 	}
 }

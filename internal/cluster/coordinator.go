@@ -85,8 +85,9 @@ type coordStmt struct {
 	shardIDs map[int]string
 }
 
-// maxOutlines bounds the outline cache, evicted oldest first: the size
-// of a node's statement registry.
+// maxOutlines bounds the outline cache and the prepared-statement
+// table, each evicted oldest first: the size of a node's statement
+// registry.
 const maxOutlines = 256
 
 // outlineEntry caches a planner outline against the planner epoch.
@@ -771,6 +772,12 @@ func (c *Coordinator) Prepare(ctx context.Context, sql string) (*wire.PreparedIn
 	st := &coordStmt{id: fmt.Sprintf("cq%d", c.nextStmt), sql: sql, norm: o.Norm, shardIDs: map[int]string{}}
 	c.stmts[st.id] = st
 	c.byNorm[o.Norm] = st
+	// Ids are issued in order and leave only here, so the oldest is the
+	// one maxOutlines ids back; an evicted id answers not_found.
+	if old, ok := c.stmts[fmt.Sprintf("cq%d", c.nextStmt-maxOutlines)]; ok {
+		delete(c.stmts, old.id)
+		delete(c.byNorm, old.norm)
+	}
 	c.mu.Unlock()
 
 	var wg sync.WaitGroup

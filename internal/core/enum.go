@@ -110,14 +110,3 @@ func containsInt(s []int, x int) bool {
 	}
 	return false
 }
-
-// RegionCells sums the number of grid cells covered by the regions
-// (counting overlaps once is not needed for the tightness metric; the
-// merge step keeps regions non-overlapping in practice).
-func RegionCells(regions []*region) int {
-	n := 0
-	for _, r := range regions {
-		n += r.cells()
-	}
-	return n
-}

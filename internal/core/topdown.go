@@ -37,7 +37,7 @@ func (h *regionHeap) Pop() interface{} {
 // Options tunes envelope derivation.
 type Options struct {
 	// MaxExpansions bounds the number of tree nodes the top-down
-	// algorithm expands (Algorithm 1's Threshold input). Default 512.
+	// algorithm expands (Algorithm 1's Threshold input). Default 2048.
 	MaxExpansions int
 	// Bounds picks the bound test (default BoundsRatio; BoundsSimple is
 	// the paper's first formulation, kept for ablation).
@@ -48,7 +48,7 @@ type Options struct {
 	// MaxDisjuncts caps the emitted envelope's disjunct count
 	// (Section 4.2 thresholding). When the merged region set is larger,
 	// regions are greedily coalesced into their bounding boxes. Default
-	// 32; <=0 means unlimited.
+	// 64; <=0 means unlimited.
 	MaxDisjuncts int
 	// DisableShrink turns off the Shrink step (for ablation only).
 	DisableShrink bool

@@ -183,12 +183,3 @@ func (v Value) SortKey(dst []byte) []byte {
 	}
 	return dst
 }
-
-// TupleSortKey appends the concatenated order-preserving keys of all
-// values in t.
-func TupleSortKey(dst []byte, t Tuple) []byte {
-	for _, v := range t {
-		dst = v.SortKey(dst)
-	}
-	return dst
-}

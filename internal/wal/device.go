@@ -10,19 +10,11 @@
 package wal
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"sync"
 )
-
-// ErrDeviceFailed is returned by a device after it has been failed
-// (explicitly by a test, or permanently by an I/O error). Once a device
-// fails, the Log on top of it goes sticky-broken: every later append
-// reports the original failure rather than silently diverging the log
-// from the live state.
-var ErrDeviceFailed = errors.New("wal: device failed")
 
 // Device is the durability boundary under the log. Write appends bytes
 // to the tail (buffered — not durable until Sync returns nil). Contents
@@ -51,7 +43,6 @@ type MemDevice struct {
 	chunks  [][]byte // each of capacity memChunk; all but the last full
 	size    int      // bytes held
 	durable int      // bytes before the last Sync
-	failed  bool
 }
 
 // memChunk is the capacity of one MemDevice chunk.
@@ -102,9 +93,6 @@ func (d *MemDevice) prefix(n int) []byte {
 func (d *MemDevice) Contents() ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.failed {
-		return nil, ErrDeviceFailed
-	}
 	return d.prefix(d.size), nil
 }
 
@@ -112,9 +100,6 @@ func (d *MemDevice) Contents() ([]byte, error) {
 func (d *MemDevice) Write(p []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.failed {
-		return ErrDeviceFailed
-	}
 	d.append(p)
 	return nil
 }
@@ -123,9 +108,6 @@ func (d *MemDevice) Write(p []byte) error {
 func (d *MemDevice) Sync() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.failed {
-		return ErrDeviceFailed
-	}
 	d.durable = d.size
 	return nil
 }
@@ -136,9 +118,6 @@ func (d *MemDevice) Sync() error {
 func (d *MemDevice) Truncate(n int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.failed {
-		return ErrDeviceFailed
-	}
 	n = max(n, 0)
 	if n >= d.size {
 		return nil
@@ -151,15 +130,6 @@ func (d *MemDevice) Truncate(n int) error {
 	}
 	d.size, d.durable = n, min(d.durable, n)
 	return nil
-}
-
-// Fail marks the device failed; every later operation returns
-// ErrDeviceFailed. Used by crash tests to stop the doomed process's
-// device from accepting writes after the injected kill.
-func (d *MemDevice) Fail() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.failed = true
 }
 
 // PendingLen reports how many un-synced bytes the device holds.

@@ -516,11 +516,7 @@ func trainView(t *catalog.Table, inputCols []string, labelCol string, where expr
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	var root plan.Node = &plan.SeqScan{Table: t.Name}
-	if where != nil {
-		root = &plan.Filter{Child: root, Pred: where}
-	}
-	return &plan.Project{Child: root, Cols: project}, schema, labelAt, nil
+	return &plan.Project{Child: scanPlan(t.Name, where), Cols: project}, schema, labelAt, nil
 }
 
 // registerDerived installs a model whose envelopes were already derived.
