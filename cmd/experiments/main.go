@@ -150,16 +150,15 @@ func scanSweep(rows int) {
 		dops = append(dops, n)
 	}
 	for _, dop := range dops {
-		before := table.Heap.Stats()
+		col := exec.NewCollector()
 		start := time.Now()
-		out, _, err := exec.RunOpts(cat, root, exec.Options{DOP: dop})
+		out, _, err := exec.RunOpts(cat, root, exec.Options{DOP: dop, Collector: col})
 		elapsed := time.Since(start)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		after := table.Heap.Stats()
-		fmt.Printf("%6d %12d %12d %10v\n", dop, len(out), after.SeqPageReads-before.SeqPageReads, elapsed.Round(time.Microsecond))
+		fmt.Printf("%6d %12d %12d %10v\n", dop, len(out), col.IO.SeqPageReads.Load(), elapsed.Round(time.Microsecond))
 	}
 	fmt.Println()
 }
@@ -218,13 +217,13 @@ func partitionBench(rows int) {
 		{"num = 100 (point)", expr.Cmp{Col: "num", Op: expr.OpEq, Val: value.Int(100)}},
 	}
 	pages := func(root plan.Node) (int64, int) {
-		before := table.Heap.Stats()
-		out, _, err := exec.RunOpts(cat, root, exec.Options{DOP: 1})
+		col := exec.NewCollector()
+		out, _, err := exec.RunOpts(cat, root, exec.Options{DOP: 1, Collector: col})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		return table.Heap.Stats().SeqPageReads - before.SeqPageReads, len(out)
+		return col.IO.SeqPageReads.Load(), len(out)
 	}
 	fmt.Printf("%-26s %10s %14s %16s %10s\n", "predicate", "parts", "pages(pruned)", "pages(unpruned)", "saved")
 	cfg := opt.DefaultConfig()

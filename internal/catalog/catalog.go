@@ -345,10 +345,10 @@ func (t *Table) Fetch(rid storage.RID) (value.Tuple, bool, error) {
 }
 
 // FetchInto is Fetch with per-query I/O accounting attributed to c
-// (when non-nil) alongside the heap's global counters, decoding the
-// columns need marks (nil for all; the row then has NarrowSchema(need))
-// into dst (value.DecodeTupleInto: reallocated only when they do not
-// fit cap(dst)).
+// (when non-nil; Fetch counts nothing), decoding the columns need marks
+// (nil for all; the row then has NarrowSchema(need)) into dst
+// (value.DecodeTupleInto: reallocated only when they do not fit
+// cap(dst)).
 func (t *Table) FetchInto(c *storage.Counters, rid storage.RID, dst value.Tuple, need []bool) (value.Tuple, bool, error) {
 	rec, ok, err := t.Heap.GetInto(c, rid)
 	if err != nil {

@@ -93,7 +93,7 @@ func TestInsertRecordStoresLoggedBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	stored := func(rid storage.RID) []byte {
-		rec, ok, err := tb.Heap.Get(rid)
+		rec, ok, err := tb.Heap.GetInto(nil, rid)
 		if err != nil || !ok {
 			t.Fatalf("get %s: ok %v, err %v", rid, ok, err)
 		}

@@ -153,12 +153,14 @@ func (t *Table) PartitionSizes(parts []int) (pages int, rows int64) {
 	return pages, rows
 }
 
-// PartitionPageRanges returns the global page range [lo, hi) of each of
-// the requested partitions, in partition order, dropping empty ranges.
-// parts == nil means all partitions. For an ordinary table it returns
-// the single range covering the whole heap. The ranges are a
-// point-in-time snapshot of the page directory — the executor lays out
-// morsels from them, so morsels never straddle a partition boundary.
+// PartitionPageRanges returns the page addresses [lo, hi) of each of the
+// requested partitions (storage.PartitionedHeap.PartitionPageRange), in
+// partition order, dropping empty ranges. parts == nil means all
+// partitions. For an ordinary table it returns the single range covering
+// the whole heap. Each range holds the pages its partition has now, and
+// a write anywhere leaves it addressing the same pages — the executor
+// cuts its scans and morsels from them once, at build, so morsels never
+// straddle a partition boundary.
 func (t *Table) PartitionPageRanges(parts []int) [][2]int {
 	ph := t.partHeap()
 	if ph == nil {

@@ -195,14 +195,14 @@ func TestPartitionPageRanges(t *testing.T) {
 	if len(all) != 3 { // partition 1 is empty, dropped
 		t.Fatalf("ranges = %v, want 3 non-empty", all)
 	}
+	// Each range starts at its partition's base, the page address a RID
+	// of the partition's first page carries.
 	total := 0
-	prevHi := 0
-	for _, r := range all {
-		if r[0] != prevHi {
-			t.Errorf("ranges not contiguous from 0: %v", all)
+	for i, p := range []int{0, 2, 3} {
+		if base := int(storage.PartRID(p, storage.RID{}).Page); all[i][0] != base {
+			t.Errorf("partition %d range %v does not start at its base %d", p, all[i], base)
 		}
-		prevHi = r[1]
-		total += r[1] - r[0]
+		total += all[i][1] - all[i][0]
 	}
 	if total != tbl.Heap.PageCount() {
 		t.Errorf("ranges cover %d pages, heap has %d", total, tbl.Heap.PageCount())
@@ -216,7 +216,7 @@ func TestPartitionPageRanges(t *testing.T) {
 	// partitions.
 	n := 0
 	for _, r := range some {
-		tbl.Heap.ScanPages(r[0], r[1], func(rid storage.RID, _ []byte) bool {
+		tbl.Heap.ScanPagesInto(nil, r[0], r[1], nil, func(rid storage.RID, _ []byte) bool {
 			p, _ := storage.SplitRID(rid)
 			if p != 0 && p != 3 {
 				t.Fatalf("subset scan delivered partition %d", p)

@@ -404,7 +404,7 @@ func copyRows(b Batch) {
 // batchSeqScan streams a table heap page by page, decoding rows into
 // batches on demand (no up-front materialization). The pages come from
 // a list of page ranges — the whole heap for ordinary tables, the
-// surviving partitions' global ranges for pruned partitioned scans, one
+// surviving partitions' page ranges for pruned partitioned scans, one
 // morsel for a worker's leaf. Every batch is decoded into the scan's
 // batchStore, so a pooled scan allocates nothing per row, per page or per
 // batch once the pools are warm. A batch is whole pages, as many as fit

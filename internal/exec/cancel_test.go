@@ -232,7 +232,8 @@ func TestCancelStopsWorkers(t *testing.T) {
 	cat, tb := cancelFixture(t, 150000)
 	pages := tb.Heap.PageCount()
 	ctx, cancel := context.WithCancel(context.Background())
-	it, err := BuildBatchCtx(ctx, cat, &plan.SeqScan{Table: "big"}, Options{DOP: 2, MorselPages: 1, BatchSize: 64})
+	col := NewCollector()
+	it, err := BuildBatchCtx(ctx, cat, &plan.SeqScan{Table: "big"}, Options{DOP: 2, MorselPages: 1, BatchSize: 64, Collector: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestCancelStopsWorkers(t *testing.T) {
 	}
 	// Give stragglers a moment to observe cancellation, then snapshot.
 	time.Sleep(20 * time.Millisecond)
-	read := tb.Heap.Stats().SeqPageReads
+	read := col.IO.SeqPageReads.Load()
 	if read >= int64(pages) {
 		t.Errorf("workers read %d of %d pages after cancellation; expected an early stop", read, pages)
 	}
@@ -290,7 +291,14 @@ func park(release <-chan struct{}) {
 //     most the group it is in at the close.
 func TestCancelFlagStopsDecodingWithinOneBatch(t *testing.T) {
 	const workers, batchSize = 4, 4
-	scanOf := func(it BatchIterator) *orderedScan { return it.(*batchLimit).child.(*orderedScan) }
+	// A collector wraps every operator in an instrumented shim.
+	bare := func(it BatchIterator) BatchIterator {
+		if in, ok := it.(*instrumented); ok {
+			return in.child
+		}
+		return it
+	}
+	scanOf := func(it BatchIterator) *orderedScan { return bare(bare(it).(*batchLimit).child).(*orderedScan) }
 	firstBatch := func(t *testing.T, it BatchIterator) {
 		t.Helper()
 		if _, done, err := it.NextBatch(); done || err != nil {
@@ -298,7 +306,7 @@ func TestCancelFlagStopsDecodingWithinOneBatch(t *testing.T) {
 		}
 	}
 	t.Run("heap", func(t *testing.T) {
-		cat, tb := cancelFixture(t, 30000)
+		cat, _ := cancelFixture(t, 30000)
 		var reads atomic.Int64
 		held, closed := make(chan struct{}, workers), make(chan struct{})
 		cat.SetFaults(fault.NewInjector(1, fault.Rule{Site: fault.SitePageReadSeq, EveryN: 1, Delay: time.Nanosecond}).
@@ -313,7 +321,8 @@ func TestCancelFlagStopsDecodingWithinOneBatch(t *testing.T) {
 			}}))
 		defer cat.SetFaults(nil)
 		root := &plan.Limit{N: 1, Child: &plan.SeqScan{Table: "big"}}
-		it, err := BuildBatchCtx(context.Background(), cat, root, Options{DOP: workers, MorselPages: 1, BatchSize: batchSize})
+		col := NewCollector()
+		it, err := BuildBatchCtx(context.Background(), cat, root, Options{DOP: workers, MorselPages: 1, BatchSize: batchSize, Collector: col})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,10 +335,10 @@ func TestCancelFlagStopsDecodingWithinOneBatch(t *testing.T) {
 			}
 		}
 		it.Close()
-		atClose := tb.Heap.Stats().TupleReads
+		atClose := col.IO.TupleReads.Load()
 		close(closed)
 		scanOf(it).pool.wg.Wait()
-		if extra := tb.Heap.Stats().TupleReads - atClose; extra > workers*batchSize {
+		if extra := col.IO.TupleReads.Load() - atClose; extra > workers*batchSize {
 			t.Errorf("workers decoded %d tuples after Close, want at most %d (one batch each)", extra, workers*batchSize)
 		}
 	})

@@ -1,10 +1,10 @@
 // Per-operator runtime collection: when a Collector is attached to the
 // execution Options, every batch operator is wrapped with a lightweight
 // shim that counts rows, batches, and wall time per plan node, scan
-// leaves attribute their page/tuple I/O to the query's own Counters
-// (instead of only the heap's global ones), and morsel-scan workers
-// report per-worker time at DOP>1. The numbers feed EXPLAIN ANALYZE,
-// the engine's metrics series, and the server's slow-query log.
+// leaves count their page/tuple I/O into the query's own Counters (the
+// only place a read is counted), and morsel-scan workers report
+// per-worker time at DOP>1. The numbers feed EXPLAIN ANALYZE, the
+// engine's metrics series, and the server's slow-query log.
 package exec
 
 import (
@@ -50,10 +50,9 @@ type WorkerStats struct {
 // one per execution with NewCollector and attach it via Options; a nil
 // Collector (the zero Options) runs the uninstrumented operators.
 type Collector struct {
-	// IO is the query's own storage accounting: scan leaves add their
-	// page and tuple reads here as well as to the heap's global
-	// counters, so overlapping queries never pollute each other's
-	// ExecStats.
+	// IO is the query's storage account, and the only one: scan leaves
+	// add their page and tuple reads here and nowhere else, so
+	// overlapping queries never pollute each other's ExecStats.
 	IO storage.Counters
 
 	// Retries counts transient storage/seek failures absorbed by the

@@ -65,8 +65,10 @@ func CollectMatches(ctx context.Context, t *catalog.Table, pred expr.Expr, need 
 		}
 		return true
 	})
-	if _, err := pages.read(0, t.Heap.PageCount()); err != nil {
-		return nil, nil, fmt.Errorf("exec: dml: %w", err)
+	for _, r := range t.PartitionPageRanges(nil) {
+		if _, err := pages.read(r[0], r[1]); err != nil {
+			return nil, nil, fmt.Errorf("exec: dml: %w", err)
+		}
 	}
 	var rows []value.Tuple
 	if keepRows {

@@ -15,6 +15,7 @@ import (
 	"minequery/internal/interval"
 	"minequery/internal/plan"
 	"minequery/internal/stats"
+	"minequery/internal/storage"
 	"minequery/internal/value"
 )
 
@@ -57,6 +58,16 @@ func DefaultConfig() Config {
 		MaxInExpansion: 128,
 		DOP:            1,
 	}
+}
+
+// Cost prices what an execution read with the model's weights: its
+// sequential and random page reads and its tuple reads. It is the one
+// place reads become cost units — the engine's ExecStats.CostUnits and
+// the experiments' running-cost comparison both call it.
+func (cfg Config) Cost(io storage.IOStats) float64 {
+	return float64(io.SeqPageReads)*cfg.SeqPageCost +
+		float64(io.RandPageReads)*cfg.RandomPageCost +
+		float64(io.TupleReads)*cfg.RowCPUCost
 }
 
 // Result reports the chosen plan and the estimates behind the choice.

@@ -158,8 +158,7 @@ type ColumnStore struct {
 // most groupRows rows (<=0 means ColGroupRows). kinds gives the schema
 // column kinds. Partitioned heaps are built partition by partition so
 // groups carry their partition tag. Build reads through the heap's
-// ordinary Scan path, so it is accounted as sequential page reads on
-// the heap's global counters.
+// ordinary Scan path and counts nothing: it is no query's read.
 //
 // What the store keeps is only what the sealed groups hold: every record
 // is decoded into one reused tuple and buffered in one reused group

@@ -76,7 +76,7 @@ func TestConcurrentScanInsertDelete(t *testing.T) {
 							return false
 						}
 					}
-					_, _, gerr := h.Get(rid)
+					_, _, gerr := h.GetInto(nil, rid)
 					return gerr == nil
 				})
 				if err != nil {

@@ -1,13 +1,15 @@
 // Package storage implements the minequery table heap: slotted pages of
 // encoded rows addressed by record identifiers (RIDs). The heap is an
-// in-memory paged store, but all access goes through page granularity and
-// is counted, so the executor's cost accounting (sequential page reads vs
-// random record fetches) matches the access-path behaviour the paper's
-// experiments depend on.
+// in-memory paged store, but all access goes through page granularity,
+// and every read adds its pages and tuples to the Counters its caller
+// passes — the executing query's own — so the executor's cost accounting
+// (sequential page reads vs random record fetches) matches the
+// access-path behaviour the paper's experiments depend on. The heap
+// keeps no counters of its own; a caller that counts nothing passes nil.
 //
 // Reads are safe to issue from many goroutines at once (the morsel-driven
 // parallel scan in internal/exec relies on this): the page directory is
-// guarded by an RWMutex and all I/O counters are atomic. Writers (Insert,
+// guarded by an RWMutex and Counters are atomic. Writers (Insert,
 // Delete) may interleave freely with in-flight scans: each scan takes a
 // point-in-time snapshot of a page's slot directory under the read lock
 // and then delivers record bytes lock-free — record payloads are
@@ -51,42 +53,23 @@ func (r RID) Less(o RID) bool {
 	return r.Slot < o.Slot
 }
 
-// IOStats is a point-in-time snapshot of a heap's access counters.
-// Sequential reads are pages touched by full scans; random reads are
+// IOStats is a point-in-time snapshot of a Counters: what one execution
+// read. Sequential reads are pages touched by scans; random reads are
 // pages touched by RID-based fetches (index lookups).
 type IOStats struct {
 	SeqPageReads  int64
 	RandPageReads int64
-	PageWrites    int64
 	// TupleReads counts records materialized (decoded) from the heap,
 	// whether via scan or RID fetch; the executor's per-row CPU cost.
 	TupleReads int64
 }
 
-// ioCounters is the live, atomically-updated form of IOStats. Parallel
-// scan workers bump these concurrently, so they must not be read or
-// written as plain fields.
-type ioCounters struct {
-	seqPageReads  atomic.Int64
-	randPageReads atomic.Int64
-	pageWrites    atomic.Int64
-	tupleReads    atomic.Int64
-}
-
-func (c *ioCounters) snapshot() IOStats {
-	return IOStats{
-		SeqPageReads:  c.seqPageReads.Load(),
-		RandPageReads: c.randPageReads.Load(),
-		PageWrites:    c.pageWrites.Load(),
-		TupleReads:    c.tupleReads.Load(),
-	}
-}
-
-// Counters is a caller-owned I/O accounting sink. The counted accessor
-// variants (ScanPagesInto, GetInto) add to one alongside the heap's own
-// global counters, giving each query its own attribution even when many
-// queries overlap on the same heap. All fields are atomic: morsel-scan
-// workers of one query update a shared Counters concurrently.
+// Counters is a caller-owned I/O account, the only one there is: the
+// reads (ScanPagesInto, GetInto) add their pages and tuples to the one
+// they are passed, so each query counts exactly what it read even when
+// many queries overlap on the same heap. All fields are atomic:
+// morsel-scan workers of one query update a shared Counters
+// concurrently.
 type Counters struct {
 	SeqPageReads  atomic.Int64
 	RandPageReads atomic.Int64
@@ -178,7 +161,6 @@ type Heap struct {
 	mu    sync.RWMutex
 	pages []*page
 	live  atomic.Int64
-	stats ioCounters
 
 	// faults, when set, is consulted once per page read (sequential and
 	// random sites separately) and may inject latency or a typed error.
@@ -193,17 +175,6 @@ func (h *Heap) SetFaults(in *fault.Injector) { h.faults.Store(in) }
 
 // NewHeap returns an empty heap.
 func NewHeap() *Heap { return &Heap{} }
-
-// Stats returns a snapshot of the heap's I/O counters.
-func (h *Heap) Stats() IOStats { return h.stats.snapshot() }
-
-// ResetStats zeroes all I/O counters.
-func (h *Heap) ResetStats() {
-	h.stats.seqPageReads.Store(0)
-	h.stats.randPageReads.Store(0)
-	h.stats.pageWrites.Store(0)
-	h.stats.tupleReads.Store(0)
-}
 
 // MaxRecordSize is the largest record a heap accepts (must fit a page).
 const MaxRecordSize = PageSize - pageHeaderSize - slotSize
@@ -221,30 +192,15 @@ func (h *Heap) Insert(rec []byte) (RID, error) {
 	slot := h.pages[pi].insert(rec)
 	h.mu.Unlock()
 	h.live.Add(1)
-	h.stats.pageWrites.Add(1)
 	return RID{Page: uint32(pi), Slot: uint16(slot)}, nil
 }
 
-// pageAt returns the page at index pi, or nil.
-func (h *Heap) pageAt(pi int) *page {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	if pi < 0 || pi >= len(h.pages) {
-		return nil
-	}
-	return h.pages[pi]
-}
-
-// Get fetches the record at rid as a random page access. The returned
-// slice aliases page memory and must not be retained across writes. A
-// non-nil error is an injected (or, in a future disk-backed heap, real)
-// page-read failure; the record result is meaningless when err != nil.
-func (h *Heap) Get(rid RID) ([]byte, bool, error) {
-	return h.GetInto(nil, rid)
-}
-
-// GetInto is Get with per-query accounting: the random page read and
-// tuple read are additionally attributed to c (when non-nil).
+// GetInto fetches the record at rid as a random page access, adding the
+// page read, and the tuple read when the record is live, to c (when
+// non-nil). The returned slice aliases page memory and must not be
+// retained across writes. A non-nil error is an injected (or, in a
+// future disk-backed heap, real) page-read failure; the record result
+// is meaningless when err != nil.
 func (h *Heap) GetInto(c *Counters, rid RID) ([]byte, bool, error) {
 	if err := h.faults.Load().Hit(fault.SitePageReadRand); err != nil {
 		return nil, false, fmt.Errorf("storage: random read page %d: %w", rid.Page, err)
@@ -263,13 +219,9 @@ func (h *Heap) GetInto(c *Counters, rid RID) ([]byte, bool, error) {
 	if !exists {
 		return nil, false, nil
 	}
-	h.stats.randPageReads.Add(1)
 	if c != nil {
 		c.RandPageReads.Add(1)
-	}
-	if ok {
-		h.stats.tupleReads.Add(1)
-		if c != nil {
+		if ok {
 			c.TupleReads.Add(1)
 		}
 	}
@@ -286,33 +238,28 @@ func (h *Heap) Delete(rid RID) bool {
 	}
 	if h.pages[rid.Page].delete(int(rid.Slot)) {
 		h.live.Add(-1)
-		h.stats.pageWrites.Add(1)
 		return true
 	}
 	return false
 }
 
-// Scan visits every live record in heap order as a sequential read. The
-// callback receives the RID and record bytes; returning false stops the
-// scan early. A non-nil error is a page-read failure surfaced mid-scan;
-// records visited before it were delivered normally.
+// Scan visits every live record in heap order as a sequential read,
+// counting nothing. The callback receives the RID and record bytes;
+// returning false stops the scan early. A non-nil error is a page-read
+// failure surfaced mid-scan; records visited before it were delivered
+// normally.
 func (h *Heap) Scan(fn func(RID, []byte) bool) error {
-	return h.ScanPages(0, h.PageCount(), fn)
+	return h.ScanPagesInto(nil, 0, h.PageCount(), nil, fn)
 }
 
-// ScanPages visits the live records of pages [lo, hi) in heap order as
-// sequential reads — one morsel of a (possibly parallel) scan. Bounds
-// are clamped to the allocated page range; returning false from the
-// callback stops this morsel early. ScanPages is safe to call from many
-// goroutines at once over disjoint (or even overlapping) ranges.
-func (h *Heap) ScanPages(lo, hi int, fn func(RID, []byte) bool) error {
-	return h.ScanPagesInto(nil, lo, hi, nil, fn)
-}
-
-// ScanPagesInto is ScanPages with per-query accounting: page and tuple
-// reads are additionally attributed to c (when non-nil). Errors fire at
-// page granularity, before any record on the failing page is delivered,
-// so a caller that retries the page never double-delivers rows.
+// ScanPagesInto visits the live records of pages [lo, hi) in heap order
+// as sequential reads — one morsel of a (possibly parallel) scan — and
+// adds its page and tuple reads to c (when non-nil). Bounds are clamped
+// to the allocated page range; returning false from the callback stops
+// this morsel early. It is safe to call from many goroutines at once
+// over disjoint (or even overlapping) ranges. Errors fire at page
+// granularity, before any record on the failing page is delivered, so a
+// caller that retries the page never double-delivers rows.
 //
 // Each page's slot directory is snapshotted under the read lock, then
 // records are delivered lock-free: the scan observes every page at one
@@ -356,7 +303,6 @@ func (h *Heap) ScanPagesInto(c *Counters, lo, hi int, fit func(live int) bool, f
 		if err := h.faults.Load().Hit(fault.SitePageReadSeq); err != nil {
 			return fmt.Errorf("storage: sequential read page %d: %w", pi, err)
 		}
-		h.stats.seqPageReads.Add(1)
 		if c != nil {
 			c.SeqPageReads.Add(1)
 		}
@@ -367,7 +313,6 @@ func (h *Heap) ScanPagesInto(c *Counters, lo, hi int, fit func(live int) bool, f
 				continue // deleted
 			}
 			rec := p.data[off : off+length]
-			h.stats.tupleReads.Add(1)
 			if c != nil {
 				c.TupleReads.Add(1)
 			}

@@ -23,7 +23,7 @@ func TestInsertGetRoundTrip(t *testing.T) {
 		t.Fatalf("Len = %d, want 5000", h.Len())
 	}
 	for rid, want := range recs {
-		got, ok, _ := h.Get(rid)
+		got, ok, _ := h.GetInto(nil, rid)
 		if !ok || !bytes.Equal(got, want) {
 			t.Fatalf("Get(%v) = %q, %v; want %q", rid, got, ok, want)
 		}
@@ -32,11 +32,11 @@ func TestInsertGetRoundTrip(t *testing.T) {
 
 func TestGetMissing(t *testing.T) {
 	h := NewHeap()
-	if _, ok, _ := h.Get(RID{Page: 5, Slot: 0}); ok {
+	if _, ok, _ := h.GetInto(nil, RID{Page: 5, Slot: 0}); ok {
 		t.Error("Get on empty heap should fail")
 	}
 	rid, _ := h.Insert([]byte("x"))
-	if _, ok, _ := h.Get(RID{Page: rid.Page, Slot: rid.Slot + 10}); ok {
+	if _, ok, _ := h.GetInto(nil, RID{Page: rid.Page, Slot: rid.Slot + 10}); ok {
 		t.Error("Get of out-of-range slot should fail")
 	}
 }
@@ -101,7 +101,7 @@ func TestDelete(t *testing.T) {
 	if h.Len() != 1 {
 		t.Errorf("Len after delete = %d, want 1", h.Len())
 	}
-	if _, ok, _ := h.Get(r1); ok {
+	if _, ok, _ := h.GetInto(nil, r1); ok {
 		t.Error("deleted record should not be fetchable")
 	}
 	var n int
@@ -134,17 +134,19 @@ func TestIOStatsCounting(t *testing.T) {
 	if h.PageCount() < 2 {
 		t.Fatalf("expected multiple pages, got %d", h.PageCount())
 	}
-	h.ResetStats()
-	h.Scan(func(RID, []byte) bool { return true })
-	if int(h.Stats().SeqPageReads) != h.PageCount() {
-		t.Errorf("scan should read every page once: %d vs %d", h.Stats().SeqPageReads, h.PageCount())
+	var scan Counters
+	if err := h.ScanPagesInto(&scan, 0, h.PageCount(), nil, func(RID, []byte) bool { return true }); err != nil {
+		t.Fatal(err)
 	}
-	h.ResetStats()
+	if st := scan.Snapshot(); int(st.SeqPageReads) != h.PageCount() || st.TupleReads != 1000 || st.RandPageReads != 0 {
+		t.Errorf("scan should read every page and tuple once: %+v over %d pages", st, h.PageCount())
+	}
+	var fetch Counters
 	for _, r := range rids[:10] {
-		h.Get(r)
+		h.GetInto(&fetch, r)
 	}
-	if h.Stats().RandPageReads != 10 {
-		t.Errorf("10 Gets should count 10 random reads, got %d", h.Stats().RandPageReads)
+	if st := fetch.Snapshot(); st.RandPageReads != 10 || st.TupleReads != 10 || st.SeqPageReads != 0 {
+		t.Errorf("10 fetches should count 10 random reads and 10 tuples, got %+v", st)
 	}
 }
 
@@ -166,7 +168,7 @@ func TestRandomizedHeapAgainstModel(t *testing.T) {
 		} else {
 			rid := order[r.Intn(len(order))]
 			want := model[rid]
-			got, ok, _ := h.Get(rid)
+			got, ok, _ := h.GetInto(nil, rid)
 			if want == nil {
 				if ok {
 					t.Fatalf("deleted record %v still readable", rid)
@@ -219,7 +221,7 @@ func TestScanPastNilPage(t *testing.T) {
 	h.mu.Unlock()
 
 	var seen []RID
-	if err := h.ScanPages(0, h.PageCount(), func(r RID, _ []byte) bool {
+	if err := h.ScanPagesInto(nil, 0, h.PageCount(), nil, func(r RID, _ []byte) bool {
 		seen = append(seen, r)
 		return true
 	}); err != nil {

@@ -1,11 +1,15 @@
 // Range-partitioned table storage: a PartitionedHeap is a fixed set of
-// ordinary heaps, one per partition, sharing one RID space and one
-// global page-index space. The partition index lives in the high bits of
-// RID.Page, so indexes, RID fetches, and deletes work across partitions
-// without any schema change; page indexes are globalized by stacking the
-// partitions in order, so the executor's page-range morsels address a
-// partitioned table exactly like a single heap — and a pruned scan is
-// just a scan over a subset of the global ranges.
+// ordinary heaps, one per partition, sharing one RID space and one page
+// address space. The partition index lives in the high bits of RID.Page,
+// so indexes, RID fetches, and deletes work across partitions without
+// any schema change; a page is addressed the same way, partition in the
+// top bits and its local index below, so page p of partition k has the
+// address its records' RIDs carry. The executor's page-range morsels
+// address a partitioned table exactly like a single heap — and a pruned
+// scan is just a scan over a subset of the partitions' ranges. An
+// address never moves: a partition growing mid-scan opens pages at the
+// end of its own span, never under a range another partition's pages
+// were cut into.
 //
 // The boundary semantics (which rows route to which partition) are the
 // catalog's business: storage only routes by an explicit partition
@@ -23,27 +27,22 @@ import (
 // through it, so partitioned and unpartitioned tables run through the
 // same scan, fetch, and accounting paths.
 type Store interface {
-	// Get fetches the record at rid as a random page access.
-	Get(rid RID) ([]byte, bool, error)
-	// GetInto is Get with per-query accounting attributed to c.
+	// GetInto fetches the record at rid as a random page access,
+	// counted into c (nil counts nothing).
 	GetInto(c *Counters, rid RID) ([]byte, bool, error)
 	// Delete marks the record at rid deleted.
 	Delete(rid RID) bool
-	// Scan visits every live record in heap order as sequential reads.
+	// Scan visits every live record in heap order as sequential reads,
+	// counting nothing.
 	Scan(fn func(RID, []byte) bool) error
-	// ScanPages visits the live records of global pages [lo, hi).
-	ScanPages(lo, hi int, fn func(RID, []byte) bool) error
-	// ScanPagesInto is ScanPages with per-query accounting, and a fit
-	// that may refuse a page before it is read (see Heap.ScanPagesInto).
+	// ScanPagesInto visits the live records of the pages addressed
+	// [lo, hi), counted into c, with a fit that may refuse a page
+	// before it is read (see Heap.ScanPagesInto).
 	ScanPagesInto(c *Counters, lo, hi int, fit func(live int) bool, fn func(RID, []byte) bool) error
 	// Len returns the number of live records.
 	Len() int64
-	// PageCount returns the number of allocated pages (global).
+	// PageCount returns the number of allocated pages, all partitions'.
 	PageCount() int
-	// Stats returns a snapshot of the store's I/O counters.
-	Stats() IOStats
-	// ResetStats zeroes all I/O counters.
-	ResetStats()
 	// SetFaults installs (or removes) a fault injector on page reads.
 	SetFaults(in *fault.Injector)
 }
@@ -61,18 +60,22 @@ const MaxPartitions = 1 << ridPartBits
 // index, leaving 2^24 pages (~128 GiB) per partition.
 const ridPartBits = 8
 
-const ridPageMask = (1 << (32 - ridPartBits)) - 1
+// ridPageBits is how many low bits of RID.Page, and of a partitioned
+// heap's page address, hold the partition-local page index.
+const ridPageBits = 32 - ridPartBits
+
+const ridPageMask = (1 << ridPageBits) - 1
 
 // PartRID returns rid (local to partition part) re-addressed into the
 // shared RID space of a PartitionedHeap.
 func PartRID(part int, rid RID) RID {
-	return RID{Page: uint32(part)<<(32-ridPartBits) | rid.Page, Slot: rid.Slot}
+	return RID{Page: uint32(part)<<ridPageBits | rid.Page, Slot: rid.Slot}
 }
 
 // SplitRID decomposes a PartitionedHeap RID into its partition index and
 // the partition-local RID.
 func SplitRID(rid RID) (part int, local RID) {
-	return int(rid.Page >> (32 - ridPartBits)), RID{Page: rid.Page & ridPageMask, Slot: rid.Slot}
+	return int(rid.Page >> ridPageBits), RID{Page: rid.Page & ridPageMask, Slot: rid.Slot}
 }
 
 // PartitionedHeap stores one table as a fixed, ordered set of heaps.
@@ -126,9 +129,6 @@ func (ph *PartitionedHeap) InsertPart(part int, rec []byte) (RID, error) {
 	return PartRID(part, rid), nil
 }
 
-// Get implements Store.
-func (ph *PartitionedHeap) Get(rid RID) ([]byte, bool, error) { return ph.GetInto(nil, rid) }
-
 // GetInto implements Store.
 func (ph *PartitionedHeap) GetInto(c *Counters, rid RID) ([]byte, bool, error) {
 	part, local := SplitRID(rid)
@@ -152,24 +152,18 @@ func (ph *PartitionedHeap) Delete(rid RID) bool {
 // Scan implements Store: partitions are visited in order, so heap order
 // is (partition, page, slot).
 func (ph *PartitionedHeap) Scan(fn func(RID, []byte) bool) error {
-	return ph.ScanPagesInto(nil, 0, ph.PageCount(), nil, fn)
+	return ph.ScanPagesInto(nil, 0, len(ph.parts)<<ridPageBits, nil, fn)
 }
 
-// ScanPages implements Store.
-func (ph *PartitionedHeap) ScanPages(lo, hi int, fn func(RID, []byte) bool) error {
-	return ph.ScanPagesInto(nil, lo, hi, nil, fn)
-}
-
-// ScanPagesInto implements Store over the global page-index space: page
-// counts are snapshotted once per call, the requested range is split at
-// partition boundaries, and each piece delegates to its partition's
-// heap with RIDs re-addressed into the shared space. As with Heap,
-// interleaving writers with an in-flight scan is not supported; a range
-// computed against an older snapshot clamps, it never fails.
+// ScanPagesInto implements Store over the partitions' page addresses:
+// the range is split at partition spans, starting at the partition lo
+// names, and each piece delegates to its partition's heap, which clamps
+// it to the pages it has, with RIDs re-addressed into the shared space.
+// The addresses of a partition's pages do not depend on any other
+// partition, so a range cut before a write to any of them reads the
+// same pages after it.
 func (ph *PartitionedHeap) ScanPagesInto(c *Counters, lo, hi int, fit func(live int) bool, fn func(RID, []byte) bool) error {
-	if lo < 0 {
-		lo = 0
-	}
+	lo = max(lo, 0)
 	stop := false
 	partFit := fit
 	if fit != nil {
@@ -178,26 +172,10 @@ func (ph *PartitionedHeap) ScanPagesInto(c *Counters, lo, hi int, fit func(live 
 			return !stop
 		}
 	}
-	off := 0
-	for p, h := range ph.parts {
-		n := h.PageCount()
-		plo, phi := lo-off, hi-off
-		off += n
-		if phi <= 0 {
-			break // range ends before this partition
-		}
-		if plo >= n {
-			continue // range starts after this partition
-		}
-		if plo < 0 {
-			plo = 0
-		}
-		if phi > n {
-			phi = n
-		}
-		part := p
-		err := h.ScanPagesInto(c, plo, phi, partFit, func(rid RID, rec []byte) bool {
-			if !fn(PartRID(part, rid), rec) {
+	for p := lo >> ridPageBits; p < len(ph.parts) && p<<ridPageBits < hi; p++ {
+		base := p << ridPageBits
+		err := ph.parts[p].ScanPagesInto(c, max(lo-base, 0), hi-base, partFit, func(rid RID, rec []byte) bool {
+			if !fn(PartRID(p, rid), rec) {
 				stop = true
 				return false
 			}
@@ -213,20 +191,16 @@ func (ph *PartitionedHeap) ScanPagesInto(c *Counters, lo, hi int, fit func(live 
 	return nil
 }
 
-// PartitionPageRange returns partition p's page range in the global
-// page-index space, [lo, hi). The range is a point-in-time snapshot:
-// earlier partitions growing concurrently would shift it, which — like
-// all writer/scan interleaving — is unsupported.
+// PartitionPageRange returns the addresses of partition p's pages,
+// [lo, hi): its span's base and as many pages as it has now. Pages the
+// partition opens later lie past hi; no other partition's growth moves
+// the range. Out of range, p has an empty range.
 func (ph *PartitionedHeap) PartitionPageRange(p int) (lo, hi int) {
-	off := 0
-	for i, h := range ph.parts {
-		n := h.PageCount()
-		if i == p {
-			return off, off + n
-		}
-		off += n
+	lo = p << ridPageBits
+	if h := ph.Partition(p); h != nil {
+		return lo, lo + h.PageCount()
 	}
-	return off, off
+	return lo, lo
 }
 
 // Len implements Store.
@@ -245,26 +219,6 @@ func (ph *PartitionedHeap) PageCount() int {
 		n += h.PageCount()
 	}
 	return n
-}
-
-// Stats implements Store: the sum of the per-partition counters.
-func (ph *PartitionedHeap) Stats() IOStats {
-	var s IOStats
-	for _, h := range ph.parts {
-		st := h.Stats()
-		s.SeqPageReads += st.SeqPageReads
-		s.RandPageReads += st.RandPageReads
-		s.PageWrites += st.PageWrites
-		s.TupleReads += st.TupleReads
-	}
-	return s
-}
-
-// ResetStats implements Store.
-func (ph *PartitionedHeap) ResetStats() {
-	for _, h := range ph.parts {
-		h.ResetStats()
-	}
 }
 
 // SetFaults implements Store: one injector governs every partition.

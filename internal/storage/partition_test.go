@@ -72,7 +72,7 @@ func TestPartitionedHeapRoundTrip(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", ph.Len(), len(recs))
 	}
 	for rid, want := range recs {
-		got, ok, _ := ph.Get(rid)
+		got, ok, _ := ph.GetInto(nil, rid)
 		if !ok || !bytes.Equal(got, want) {
 			t.Fatalf("Get(%v) = %q, %v; want %q", rid, got, ok, want)
 		}
@@ -118,10 +118,10 @@ func TestPartitionedHeapRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPartitionedScanPagesRanges pins the global page-index space: every
-// partition's PartitionPageRange slice of the global scan yields exactly
-// that partition's records, and sub-ranges straddling partition
-// boundaries split correctly.
+// TestPartitionedScanPagesRanges pins the page address space: every
+// partition's PartitionPageRange starts at its partition's base and
+// yields exactly that partition's records, and a range over the whole
+// address span splits at partition boundaries correctly.
 func TestPartitionedScanPagesRanges(t *testing.T) {
 	ph, err := NewPartitionedHeap(3)
 	if err != nil {
@@ -136,17 +136,17 @@ func TestPartitionedScanPagesRanges(t *testing.T) {
 			}
 		}
 	}
-	total := ph.PageCount()
-	if want := ph.Partition(0).PageCount() + ph.Partition(2).PageCount(); total != want {
-		t.Fatalf("PageCount = %d, want %d", total, want)
+	if want := ph.Partition(0).PageCount() + ph.Partition(2).PageCount(); ph.PageCount() != want {
+		t.Fatalf("PageCount = %d, want %d", ph.PageCount(), want)
 	}
+	span := 3 << ridPageBits // every partition's addresses
 	for part := 0; part < 3; part++ {
 		lo, hi := ph.PartitionPageRange(part)
-		if hi-lo != ph.Partition(part).PageCount() {
-			t.Fatalf("partition %d range [%d,%d) width != local page count %d", part, lo, hi, ph.Partition(part).PageCount())
+		if lo != part<<ridPageBits || hi-lo != ph.Partition(part).PageCount() {
+			t.Fatalf("partition %d range [%d,%d), want [%d,+%d)", part, lo, hi, part<<ridPageBits, ph.Partition(part).PageCount())
 		}
 		n := 0
-		err := ph.ScanPages(lo, hi, func(rid RID, _ []byte) bool {
+		err := ph.ScanPagesInto(nil, lo, hi, nil, func(rid RID, _ []byte) bool {
 			if p, _ := SplitRID(rid); p != part {
 				t.Fatalf("range [%d,%d) of partition %d delivered RID %v from partition %d", lo, hi, part, rid, p)
 			}
@@ -162,7 +162,7 @@ func TestPartitionedScanPagesRanges(t *testing.T) {
 	}
 	// A range spanning all partitions equals the full scan.
 	n := 0
-	if err := ph.ScanPages(0, total, func(RID, []byte) bool { n++; return true }); err != nil {
+	if err := ph.ScanPagesInto(nil, 0, span, nil, func(RID, []byte) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != counts[0]+counts[2] {
@@ -170,13 +170,13 @@ func TestPartitionedScanPagesRanges(t *testing.T) {
 	}
 	// Early stop must propagate across partition boundaries.
 	n = 0
-	ph.ScanPages(0, total, func(RID, []byte) bool { n++; return n < 7 })
+	ph.ScanPagesInto(nil, 0, span, nil, func(RID, []byte) bool { n++; return n < 7 })
 	if n != 7 {
 		t.Fatalf("early stop visited %d records, want 7", n)
 	}
 	// Clamping: out-of-range bounds are clamped, not an error.
 	n = 0
-	if err := ph.ScanPages(-3, total+10, func(RID, []byte) bool { n++; return true }); err != nil {
+	if err := ph.ScanPagesInto(nil, -3, span+10, nil, func(RID, []byte) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != counts[0]+counts[2] {
@@ -195,13 +195,12 @@ func TestPartitionedHeapStats(t *testing.T) {
 		rid, _ := ph.InsertPart(i%2, rec)
 		rids = append(rids, rid)
 	}
-	ph.ResetStats()
 	var c Counters
-	if err := ph.ScanPagesInto(&c, 0, ph.PageCount(), nil, func(RID, []byte) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	if got := ph.Stats().SeqPageReads; int(got) != ph.PageCount() {
-		t.Errorf("global SeqPageReads = %d, want %d", got, ph.PageCount())
+	for p := 0; p < ph.NumPartitions(); p++ {
+		lo, hi := ph.PartitionPageRange(p)
+		if err := ph.ScanPagesInto(&c, lo, hi, nil, func(RID, []byte) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := c.SeqPageReads.Load(); int(got) != ph.PageCount() {
 		t.Errorf("per-query SeqPageReads = %d, want %d", got, ph.PageCount())
@@ -209,9 +208,9 @@ func TestPartitionedHeapStats(t *testing.T) {
 	if got := c.TupleReads.Load(); got != 8 {
 		t.Errorf("per-query TupleReads = %d, want 8", got)
 	}
-	ph.ResetStats()
-	ph.GetInto(&c, rids[3])
-	if got := ph.Stats().RandPageReads; got != 1 {
-		t.Errorf("RandPageReads = %d, want 1", got)
+	var fetch Counters
+	ph.GetInto(&fetch, rids[3])
+	if st := fetch.Snapshot(); st.RandPageReads != 1 || st.TupleReads != 1 {
+		t.Errorf("one fetch counted %+v, want 1 random read and 1 tuple", st)
 	}
 }

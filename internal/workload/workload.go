@@ -338,12 +338,12 @@ func Run(spec *dataset.Spec, kind ModelKind, cfg Config) (*Result, error) {
 func measure(cat *catalog.Catalog, table *catalog.Table, env expr.Expr, cfg opt.Config) (*QueryResult, error) {
 	// Envelope query: SELECT * FROM T WHERE <env>.
 	r := opt.ChooseAccessPath(table, env, cfg)
-	envCost, envTime, err := runAndCost(cat, table, r.Plan, cfg)
+	envCost, envTime, err := runAndCost(cat, r.Plan, cfg)
 	if err != nil {
 		return nil, err
 	}
 	// Baseline: SELECT * FROM T.
-	scanCost, scanTime, err := runAndCost(cat, table, &plan.SeqScan{Table: table.Name}, cfg)
+	scanCost, scanTime, err := runAndCost(cat, &plan.SeqScan{Table: table.Name}, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -368,18 +368,14 @@ func (f eachBatch) Batch(b exec.Batch) error {
 	return nil
 }
 
-func runAndCost(cat *catalog.Catalog, table *catalog.Table, root plan.Node, cfg opt.Config) (float64, time.Duration, error) {
-	before := table.Heap.Stats()
+// runAndCost runs root once and prices what it read with cfg's weights.
+func runAndCost(cat *catalog.Catalog, root plan.Node, cfg opt.Config) (float64, time.Duration, error) {
+	col := exec.NewCollector()
 	start := time.Now()
-	if _, err := exec.Drain(context.Background(), cat, root, exec.Options{DOP: cfg.DOP}, exec.Discard); err != nil {
+	if _, err := exec.Drain(context.Background(), cat, root, exec.Options{DOP: cfg.DOP, Collector: col}, exec.Discard); err != nil {
 		return 0, 0, err
 	}
-	elapsed := time.Since(start)
-	after := table.Heap.Stats()
-	cost := float64(after.SeqPageReads-before.SeqPageReads)*cfg.SeqPageCost +
-		float64(after.RandPageReads-before.RandPageReads)*cfg.RandomPageCost +
-		float64(after.TupleReads-before.TupleReads)*cfg.RowCPUCost
-	return cost, elapsed, nil
+	return cfg.Cost(col.IO.Snapshot()), time.Since(start), nil
 }
 
 func countDisjuncts(e expr.Expr) int {

@@ -950,10 +950,8 @@ func (p *Prepared) runPlanOnce(ctx context.Context, root plan.Node, execOpts exe
 		SeqPageReads:  io.SeqPageReads,
 		RandPageReads: io.RandPageReads,
 		TupleReads:    io.TupleReads,
+		CostUnits:     e.optCfg.Cost(io),
 	}
-	st.CostUnits = float64(st.SeqPageReads)*e.optCfg.SeqPageCost +
-		float64(st.RandPageReads)*e.optCfg.RandomPageCost +
-		float64(st.TupleReads)*e.optCfg.RowCPUCost
 	fin := finalAggOf(root)
 	cols := make([]ColumnMeta, schema.Len())
 	for i := range cols {
