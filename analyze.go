@@ -148,7 +148,7 @@ func buildAnalyzeReport(r *Result) *AnalyzeReport {
 	walk = func(n plan.Node, depth int) {
 		op := col.Op(n)
 		oa := OpActuals{
-			Op:      n.Describe(),
+			Op:      plan.Describe(n),
 			Depth:   depth,
 			EstRows: estimateRows(n, a.rowCount, r.EstSelectivity),
 			Rows:    op.Rows.Load(),

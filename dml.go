@@ -628,8 +628,16 @@ type createModelNode struct {
 
 func (n createModelNode) Children() []plan.Node { return []plan.Node{n.view} }
 
-func (n createModelNode) Describe() string {
-	return fmt.Sprintf("CreateModel(%s family=%s predict=%s over %s)", n.d.name, n.d.family, n.d.predict, n.d.table)
+func (n createModelNode) AppendDescribe(dst []byte) []byte {
+	dst = append(dst, "CreateModel("...)
+	dst = append(dst, n.d.name...)
+	dst = append(dst, " family="...)
+	dst = append(dst, n.d.family...)
+	dst = append(dst, " predict="...)
+	dst = append(dst, n.d.predict...)
+	dst = append(dst, " over "...)
+	dst = append(dst, n.d.table...)
+	return append(dst, ')')
 }
 
 // scanPlan is a full scan of table, filtered by where when there is one.

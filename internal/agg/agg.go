@@ -93,10 +93,24 @@ func (it Item) Name() string {
 	if it.Func == None {
 		return it.Col
 	}
-	if it.Star {
-		return it.Func.String() + "(*)"
+	var buf [32]byte
+	return string(it.AppendName(buf[:0]))
+}
+
+// AppendName appends the item's Name to dst: the column, or the
+// function over the column or *.
+func (it Item) AppendName(dst []byte) []byte {
+	if it.Func == None {
+		return append(dst, it.Col...)
 	}
-	return it.Func.String() + "(" + it.Col + ")"
+	dst = append(dst, it.Func.String()...)
+	dst = append(dst, '(')
+	if it.Star {
+		dst = append(dst, '*')
+	} else {
+		dst = append(dst, it.Col...)
+	}
+	return append(dst, ')')
 }
 
 // ColSpec is one group-by column resolved against an input schema.

@@ -420,7 +420,8 @@ func fingerprint(m mining.Model, envelopes map[string]expr.Expr) string {
 // and the model version it was computed at. ok is false if no envelope
 // is cached for the class.
 func (me *ModelEntry) Envelope(class value.Value) (e expr.Expr, version int64, ok bool) {
-	e, ok = me.envelopes[class.String()]
+	var buf [64]byte
+	e, ok = me.envelopes[string(class.Append(buf[:0]))]
 	return e, me.Version, ok
 }
 

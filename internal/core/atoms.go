@@ -21,6 +21,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"minequery/internal/catalog"
@@ -249,7 +250,9 @@ func classSetKey(shape string, me *catalog.ModelEntry, classes []value.Value) st
 // valueKey encodes a class label unambiguously (kind-tagged, so
 // Int(1) and Str("1") never collide).
 func valueKey(v value.Value) string {
-	return fmt.Sprintf("%d:%s", v.Kind(), v.String())
+	var buf [64]byte
+	b := strconv.AppendInt(buf[:0], int64(v.Kind()), 10)
+	return string(v.Append(append(b, ':')))
 }
 
 func hasClass(me *catalog.ModelEntry, class value.Value) bool {

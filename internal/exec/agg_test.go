@@ -298,7 +298,7 @@ func TestAggCollectorStats(t *testing.T) {
 				var b strings.Builder
 				for n := part.Child; n != nil; {
 					st := col.Op(n)
-					fmt.Fprintf(&b, "%s rows=%d batches=%d env=%d resid=%d\n", n.Describe(),
+					fmt.Fprintf(&b, "%s rows=%d batches=%d env=%d resid=%d\n", plan.Describe(n),
 						st.Rows.Load(), st.Batches.Load(), st.EnvRejected.Load(), st.ResidRejected.Load())
 					if kids := n.Children(); len(kids) == 1 {
 						n = kids[0]

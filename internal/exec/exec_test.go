@@ -363,7 +363,7 @@ func TestBuildErrors(t *testing.T) {
 	}
 	for _, n := range cases {
 		if _, err := BuildBatch(c, n, Options{}); err == nil {
-			t.Errorf("BuildBatch(%s) should fail", n.Describe())
+			t.Errorf("BuildBatch(%s) should fail", plan.Describe(n))
 		}
 	}
 }

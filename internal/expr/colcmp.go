@@ -1,10 +1,6 @@
 package expr
 
-import (
-	"fmt"
-
-	"minequery/internal/value"
-)
+import "minequery/internal/value"
 
 // ColCmp compares two columns of the same tuple, e.g. the paper's
 // Section 4.1 predicate M1.Prediction_column = T.Data_column (after the
@@ -34,5 +30,15 @@ func (c ColCmp) Eval(s *value.Schema, t value.Tuple) bool {
 
 // String implements Expr.
 func (c ColCmp) String() string {
-	return fmt.Sprintf("%s %s %s", c.ColA, c.Op, c.ColB)
+	var buf [64]byte
+	return string(c.Append(buf[:0]))
+}
+
+// Append appends c's String form, `colA op colB`, to dst.
+func (c ColCmp) Append(dst []byte) []byte {
+	dst = append(dst, c.ColA...)
+	dst = append(dst, ' ')
+	dst = append(dst, c.Op.String()...)
+	dst = append(dst, ' ')
+	return append(dst, c.ColB...)
 }

@@ -6,9 +6,7 @@
 package expr
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"minequery/internal/interval"
 	"minequery/internal/value"
@@ -90,7 +88,10 @@ func (op CmpOp) Negate() CmpOp {
 type Expr interface {
 	// Eval evaluates the predicate against t positionally aligned with s.
 	Eval(s *value.Schema, t value.Tuple) bool
-	// String renders the predicate in the SQL dialect.
+	// String renders the predicate as display text: EXPLAIN output,
+	// plan text and rewrite notes, which goldens pin. It is not SQL:
+	// string literals render Go-quoted (Value.String), which the
+	// dialect's lexer does not read back.
 	String() string
 }
 
@@ -254,39 +255,140 @@ func (FalseExpr) String() string { return "FALSE" }
 
 // String implements Expr.
 func (c Cmp) String() string {
-	return fmt.Sprintf("%s %s %s", c.Col, c.Op, c.Val)
+	var buf [64]byte
+	return string(c.Append(buf[:0]))
 }
 
 // String implements Expr.
 func (in In) String() string {
-	parts := make([]string, len(in.Vals))
-	for i, v := range in.Vals {
-		parts[i] = v.String()
-	}
-	return fmt.Sprintf("%s IN (%s)", in.Col, strings.Join(parts, ", "))
+	var buf [64]byte
+	return string(in.Append(buf[:0]))
 }
 
 // String implements Expr.
-func (a And) String() string { return joinKids(a.Kids, " AND ") }
+func (a And) String() string {
+	var buf [128]byte
+	return string(a.Append(buf[:0]))
+}
 
 // String implements Expr.
-func (o Or) String() string { return joinKids(o.Kids, " OR ") }
+func (o Or) String() string {
+	var buf [128]byte
+	return string(o.Append(buf[:0]))
+}
 
 // String implements Expr.
-func (n Not) String() string { return "NOT (" + n.Kid.String() + ")" }
+func (n Not) String() string {
+	var buf [64]byte
+	return string(n.Append(buf[:0]))
+}
 
-func joinKids(kids []Expr, sep string) string {
-	if len(kids) == 0 {
-		if sep == " AND " {
-			return "TRUE"
+// Append appends e's String form to dst.
+func Append(dst []byte, e Expr) []byte {
+	switch x := e.(type) {
+	case And:
+		return x.Append(dst)
+	case Or:
+		return x.Append(dst)
+	case Not:
+		return x.Append(dst)
+	}
+	return appendLeaf(dst, e)
+}
+
+// Append appends TRUE to dst.
+func (TrueExpr) Append(dst []byte) []byte { return append(dst, "TRUE"...) }
+
+// Append appends FALSE to dst.
+func (FalseExpr) Append(dst []byte) []byte { return append(dst, "FALSE"...) }
+
+// Append appends c's String form, `col op val`, to dst.
+func (c Cmp) Append(dst []byte) []byte {
+	dst = append(dst, c.Col...)
+	dst = append(dst, ' ')
+	dst = append(dst, c.Op.String()...)
+	dst = append(dst, ' ')
+	return c.Val.Append(dst)
+}
+
+// Append appends in's String form, `col IN (v1, ..., vn)`, to dst.
+func (in In) Append(dst []byte) []byte {
+	dst = append(dst, in.Col...)
+	dst = append(dst, " IN ("...)
+	for i, v := range in.Vals {
+		if i > 0 {
+			dst = append(dst, ", "...)
 		}
-		return "FALSE"
+		dst = v.Append(dst)
 	}
-	parts := make([]string, len(kids))
+	return append(dst, ')')
+}
+
+// Append appends a's String form to dst: each kid in parentheses, joined
+// by AND, or TRUE when there are none.
+func (a And) Append(dst []byte) []byte { return appendKids(dst, a.Kids, " AND ", "TRUE") }
+
+// Append appends o's String form to dst: each kid in parentheses, joined
+// by OR, or FALSE when there are none.
+func (o Or) Append(dst []byte) []byte { return appendKids(dst, o.Kids, " OR ", "FALSE") }
+
+// Append appends n's String form, `NOT (kid)`, to dst.
+func (n Not) Append(dst []byte) []byte {
+	return appendKids(append(dst, "NOT "...), []Expr{n.Kid}, "", "")
+}
+
+// appendKids appends kids joined by sep, each in parentheses, or none
+// when there are no kids. It is the only renderer that recurses, and it
+// calls only itself, unwrapping a chain of NOTs in a loop: escape
+// analysis tags a self-recursive function's dst as flowing to its
+// result, but a cycle through two functions as flowing to the heap,
+// which would move every String's stack scratch there, and it moves a
+// slice literal passed to a recursive call there too.
+func appendKids(dst []byte, kids []Expr, sep, none string) []byte {
+	if len(kids) == 0 {
+		return append(dst, none...)
+	}
 	for i, k := range kids {
-		parts[i] = "(" + k.String() + ")"
+		if i > 0 {
+			dst = append(dst, sep...)
+		}
+		dst = append(dst, '(')
+		nots := 0
+		for n, ok := k.(Not); ok; n, ok = k.(Not) {
+			dst = append(dst, "NOT ("...)
+			k, nots = n.Kid, nots+1
+		}
+		switch x := k.(type) {
+		case And:
+			dst = appendKids(dst, x.Kids, " AND ", "TRUE")
+		case Or:
+			dst = appendKids(dst, x.Kids, " OR ", "FALSE")
+		default:
+			dst = appendLeaf(dst, k)
+		}
+		for ; nots >= 0; nots-- {
+			dst = append(dst, ')')
+		}
 	}
-	return strings.Join(parts, sep)
+	return dst
+}
+
+// appendLeaf appends a node with no kids; a node type from outside this
+// package renders through its own String.
+func appendLeaf(dst []byte, e Expr) []byte {
+	switch x := e.(type) {
+	case Cmp:
+		return x.Append(dst)
+	case In:
+		return x.Append(dst)
+	case ColCmp:
+		return x.Append(dst)
+	case TrueExpr:
+		return x.Append(dst)
+	case FalseExpr:
+		return x.Append(dst)
+	}
+	return append(dst, e.String()...)
 }
 
 // NewAnd builds a conjunction, flattening nested Ands and collapsing

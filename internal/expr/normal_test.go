@@ -31,13 +31,19 @@ var raceEnabled bool
 // the ones already made, so a tree repeats them.
 type treeGen struct {
 	r     *rand.Rand
+	vals  []value.Value // the literals drawn; oracleValues when nil
 	atoms []Expr
 	nodes []Expr // every subtree made, for the Same checks
 }
 
-func (g *treeGen) val() value.Value { return oracleValues[g.r.Intn(len(oracleValues))] }
-func (g *treeGen) col() string      { return oracleCols[g.r.Intn(len(oracleCols))] }
-func (g *treeGen) op() CmpOp        { return CmpOp(g.r.Intn(6)) }
+func (g *treeGen) val() value.Value {
+	if g.vals != nil {
+		return g.vals[g.r.Intn(len(g.vals))]
+	}
+	return oracleValues[g.r.Intn(len(oracleValues))]
+}
+func (g *treeGen) col() string { return oracleCols[g.r.Intn(len(oracleCols))] }
+func (g *treeGen) op() CmpOp   { return CmpOp(g.r.Intn(6)) }
 
 func (g *treeGen) atom() Expr {
 	if len(g.atoms) > 0 && g.r.Intn(3) == 0 {

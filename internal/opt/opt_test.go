@@ -198,7 +198,7 @@ func TestCompositePrefixSeek(t *testing.T) {
 	_, _, hasLo := seek.Range.Lo()
 	_, _, hasHi := seek.Range.Hi()
 	if len(seek.EqVals) != 1 || !hasLo || !hasHi {
-		t.Errorf("seek should have 1 eq val and both range bounds: %s", seek.Describe())
+		t.Errorf("seek should have 1 eq val and both range bounds: %s", plan.Describe(seek))
 	}
 }
 

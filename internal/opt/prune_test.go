@@ -187,8 +187,8 @@ func TestChooseAccessPathPrunes(t *testing.T) {
 		if ss.PartsTotal != 4 || !reflect.DeepEqual(ss.Partitions, []int{0}) {
 			t.Errorf("plan leaf: total=%d parts=%v", ss.PartsTotal, ss.Partitions)
 		}
-		if !strings.Contains(ss.Describe(), "partitions: 3/4 pruned") {
-			t.Errorf("Describe = %q, want partitions: 3/4 pruned", ss.Describe())
+		if !strings.Contains(plan.Describe(ss), "partitions: 3/4 pruned") {
+			t.Errorf("Describe = %q, want partitions: 3/4 pruned", plan.Describe(ss))
 		}
 	}
 	// The pruned scan must cost less than the unpruned one.

@@ -5,21 +5,24 @@
 package plan
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
+	"unsafe"
 
 	"minequery/internal/agg"
 	"minequery/internal/expr"
 	"minequery/internal/interval"
+	"minequery/internal/recycle"
 	"minequery/internal/value"
 )
 
 // Node is one physical plan operator.
 type Node interface {
-	// Children returns the operator's inputs.
+	// Children returns the operator's inputs. The slice may alias the
+	// operator's fields: callers read it and never write it.
 	Children() []Node
-	// Describe renders the operator (one line, without children).
-	Describe() string
+	// AppendDescribe appends the operator's one-line description,
+	// without its children, to dst.
+	AppendDescribe(dst []byte) []byte
 }
 
 // SeqScan reads every row of a table — or, for a partitioned table with
@@ -142,134 +145,216 @@ type HashAgg struct {
 	Aggs []agg.Item
 }
 
-// Children implements Node.
+// Children implements Node. A one-input operator returns its Child
+// field as a slice of one, allocating nothing.
 func (*SeqScan) Children() []Node    { return nil }
 func (*IndexSeek) Children() []Node  { return nil }
 func (*IndexUnion) Children() []Node { return nil }
 func (*ConstScan) Children() []Node  { return nil }
-func (f *Filter) Children() []Node   { return []Node{f.Child} }
-func (p *Project) Children() []Node  { return []Node{p.Child} }
-func (p *Predict) Children() []Node  { return []Node{p.Child} }
-func (l *Limit) Children() []Node    { return []Node{l.Child} }
-func (h *HashAgg) Children() []Node  { return []Node{h.Child} }
+func (f *Filter) Children() []Node   { return unsafe.Slice(&f.Child, 1) }
+func (p *Project) Children() []Node  { return unsafe.Slice(&p.Child, 1) }
+func (p *Predict) Children() []Node  { return unsafe.Slice(&p.Child, 1) }
+func (l *Limit) Children() []Node    { return unsafe.Slice(&l.Child, 1) }
+func (h *HashAgg) Children() []Node  { return unsafe.Slice(&h.Child, 1) }
 func (m *Mutation) Children() []Node {
 	if m.Child == nil {
 		return nil
 	}
-	return []Node{m.Child}
+	return unsafe.Slice(&m.Child, 1)
 }
 
-// Describe implements Node.
-func (s *SeqScan) Describe() string {
-	name := s.Table
+// AppendDescribe implements Node.
+func (s *SeqScan) AppendDescribe(dst []byte) []byte {
+	dst = append(dst, "SeqScan("...)
+	dst = append(dst, s.Table...)
 	if s.Columnar {
-		name += " columnar"
+		dst = append(dst, " columnar"...)
 	}
 	if s.PartsTotal > 0 && s.Partitions != nil {
-		return fmt.Sprintf("SeqScan(%s partitions: %d/%d pruned)",
-			name, s.PartsTotal-len(s.Partitions), s.PartsTotal)
+		dst = append(dst, " partitions: "...)
+		dst = strconv.AppendInt(dst, int64(s.PartsTotal-len(s.Partitions)), 10)
+		dst = append(dst, '/')
+		dst = strconv.AppendInt(dst, int64(s.PartsTotal), 10)
+		dst = append(dst, " pruned"...)
 	}
-	return "SeqScan(" + name + ")"
+	return append(dst, ')')
 }
 
-// Describe implements Node.
-func (s *IndexSeek) Describe() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "IndexSeek(%s.%s", s.Table, s.Index)
+// AppendDescribe implements Node.
+func (s *IndexSeek) AppendDescribe(dst []byte) []byte {
+	dst = append(dst, "IndexSeek("...)
+	dst = append(dst, s.Table...)
+	dst = append(dst, '.')
+	dst = append(dst, s.Index...)
 	for _, v := range s.EqVals {
-		fmt.Fprintf(&b, " =%s", v)
+		dst = append(dst, " ="...)
+		dst = v.Append(dst)
 	}
-	if conds := expr.RangeConds("", s.Range); len(conds) > 0 {
-		b.WriteString(" range")
-		for _, c := range conds {
-			cmp := c.(expr.Cmp)
-			fmt.Fprintf(&b, " %s%s", cmp.Op, cmp.Val)
-		}
+	lo, loInc, hasLo := s.Range.Lo()
+	hi, hiInc, hasHi := s.Range.Hi()
+	if hasLo || hasHi {
+		dst = append(dst, " range"...)
 	}
-	b.WriteString(")")
-	return b.String()
+	if hasLo {
+		dst = appendBound(dst, expr.OpGt, expr.OpGe, loInc, lo)
+	}
+	if hasHi {
+		dst = appendBound(dst, expr.OpLt, expr.OpLe, hiInc, hi)
+	}
+	return append(dst, ')')
 }
 
-// Describe implements Node.
-func (u *IndexUnion) Describe() string {
-	parts := make([]string, len(u.Seeks))
+// appendBound appends one range bound as ` opV`: op, or incOp when the
+// bound is inclusive.
+func appendBound(dst []byte, op, incOp expr.CmpOp, inc bool, v value.Value) []byte {
+	if inc {
+		op = incOp
+	}
+	dst = append(dst, ' ')
+	dst = append(dst, op.String()...)
+	return v.Append(dst)
+}
+
+// AppendDescribe implements Node.
+func (u *IndexUnion) AppendDescribe(dst []byte) []byte {
+	dst = append(dst, "IndexUnion["...)
 	for i, s := range u.Seeks {
-		parts[i] = s.Describe()
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = s.AppendDescribe(dst)
 	}
-	return "IndexUnion[" + strings.Join(parts, ", ") + "]"
+	return append(dst, ']')
 }
 
-// Describe implements Node.
-func (c *ConstScan) Describe() string { return "ConstantScan(" + c.Table + ")" }
+// AppendDescribe implements Node.
+func (c *ConstScan) AppendDescribe(dst []byte) []byte {
+	dst = append(dst, "ConstantScan("...)
+	dst = append(dst, c.Table...)
+	return append(dst, ')')
+}
 
-// Describe implements Node.
-func (f *Filter) Describe() string { return "Filter(" + f.Pred.String() + ")" }
+// AppendDescribe implements Node.
+func (f *Filter) AppendDescribe(dst []byte) []byte {
+	dst = append(dst, "Filter("...)
+	dst = expr.Append(dst, f.Pred)
+	return append(dst, ')')
+}
 
-// Describe implements Node.
-func (p *Project) Describe() string {
+// AppendDescribe implements Node.
+func (p *Project) AppendDescribe(dst []byte) []byte {
+	dst = append(dst, "Project("...)
 	if len(p.Cols) == 0 {
-		return "Project(*)"
+		dst = append(dst, '*')
 	}
-	return "Project(" + strings.Join(p.Cols, ", ") + ")"
+	dst = appendList(dst, p.Cols)
+	return append(dst, ')')
 }
 
-// Describe implements Node.
-func (p *Predict) Describe() string {
-	return fmt.Sprintf("PredictionJoin(%s AS %s, v%d)", p.Model, p.As, p.Version)
+// appendList appends names joined by ", ".
+func appendList(dst []byte, names []string) []byte {
+	for i, n := range names {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, n...)
+	}
+	return dst
 }
 
-// Describe implements Node.
-func (l *Limit) Describe() string { return fmt.Sprintf("Limit(%d)", l.N) }
+// AppendDescribe implements Node.
+func (p *Predict) AppendDescribe(dst []byte) []byte {
+	dst = append(dst, "PredictionJoin("...)
+	dst = append(dst, p.Model...)
+	dst = append(dst, " AS "...)
+	dst = append(dst, p.As...)
+	dst = append(dst, ", v"...)
+	dst = strconv.AppendInt(dst, p.Version, 10)
+	return append(dst, ')')
+}
 
-// Describe implements Node.
-func (h *HashAgg) Describe() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "HashAgg(%s", h.Phase)
+// AppendDescribe implements Node.
+func (l *Limit) AppendDescribe(dst []byte) []byte {
+	dst = append(dst, "Limit("...)
+	dst = strconv.AppendInt(dst, l.N, 10)
+	return append(dst, ')')
+}
+
+// AppendDescribe implements Node.
+func (h *HashAgg) AppendDescribe(dst []byte) []byte {
+	dst = append(dst, "HashAgg("...)
+	dst = append(dst, h.Phase.String()...)
 	if len(h.GroupBy) > 0 {
-		b.WriteString(" groups=[")
-		b.WriteString(strings.Join(h.GroupBy, ", "))
-		b.WriteString("]")
+		dst = append(dst, " groups=["...)
+		dst = appendList(dst, h.GroupBy)
+		dst = append(dst, ']')
 	}
-	b.WriteString(" aggs=[")
+	dst = append(dst, " aggs=["...)
 	for i, it := range h.Aggs {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(it.Name())
+		dst = it.AppendName(dst)
 	}
-	b.WriteString("])")
-	return b.String()
+	return append(dst, "])"...)
 }
 
-// Describe implements Node.
-func (m *Mutation) Describe() string {
+// AppendDescribe implements Node.
+func (m *Mutation) AppendDescribe(dst []byte) []byte {
 	switch m.Op {
 	case "insert":
-		return fmt.Sprintf("Insert(%s, %d rows)", m.Table, m.Rows)
+		dst = append(dst, "Insert("...)
+		dst = append(dst, m.Table...)
+		dst = append(dst, ", "...)
+		dst = strconv.AppendInt(dst, int64(m.Rows), 10)
+		return append(dst, " rows)"...)
 	case "update":
-		return fmt.Sprintf("Update(%s)", m.Table)
+		dst = append(dst, "Update("...)
 	case "delete":
-		return fmt.Sprintf("Delete(%s)", m.Table)
+		dst = append(dst, "Delete("...)
+	default:
+		dst = append(dst, "Mutation("...)
+		dst = append(dst, m.Op...)
+		dst = append(dst, ", "...)
 	}
-	return fmt.Sprintf("Mutation(%s, %s)", m.Op, m.Table)
+	dst = append(dst, m.Table...)
+	return append(dst, ')')
 }
 
-// Explain renders the plan tree with indentation.
+// scratch holds the buffer plan text renders into before it is copied
+// out as one string.
+var scratch recycle.Pool[[]byte]
+
+// render returns the text appendTo writes, allocating only the string.
+func render(n Node, appendTo func(dst []byte, n Node) []byte) string {
+	b := scratch.Get()
+	*b = appendTo((*b)[:0], n)
+	s := string(*b)
+	scratch.Put(b)
+	return s
+}
+
+// Describe renders n's one-line description, without its children.
+func Describe(n Node) string {
+	return render(n, func(dst []byte, n Node) []byte { return n.AppendDescribe(dst) })
+}
+
+// Explain renders the plan tree, one operator a line, each child
+// indented two spaces under its parent.
 func Explain(n Node) string {
-	var b strings.Builder
-	explain(&b, n, 0)
-	return b.String()
+	return render(n, func(dst []byte, n Node) []byte { return appendIndented(dst, n, 0) })
 }
 
-func explain(b *strings.Builder, n Node, depth int) {
+func appendIndented(dst []byte, n Node, depth int) []byte {
 	for i := 0; i < depth; i++ {
-		b.WriteString("  ")
+		dst = append(dst, "  "...)
 	}
-	b.WriteString(n.Describe())
-	b.WriteByte('\n')
+	dst = n.AppendDescribe(dst)
+	dst = append(dst, '\n')
 	for _, c := range n.Children() {
-		explain(b, c, depth+1)
+		dst = appendIndented(dst, c, depth+1)
 	}
+	return dst
 }
 
 // AccessPath classifies how a plan touches its base table.
@@ -339,25 +424,22 @@ func Changed(n Node) bool {
 }
 
 // Signature is a canonical one-line rendering of the plan shape used to
-// compare plans across optimizations.
-func Signature(n Node) string {
-	var b strings.Builder
-	sig(&b, n)
-	return b.String()
-}
+// compare plans across optimizations: each operator's description, its
+// children in braces, separated by semicolons.
+func Signature(n Node) string { return render(n, appendSig) }
 
-func sig(b *strings.Builder, n Node) {
-	b.WriteString(n.Describe())
+func appendSig(dst []byte, n Node) []byte {
+	dst = n.AppendDescribe(dst)
 	kids := n.Children()
 	if len(kids) == 0 {
-		return
+		return dst
 	}
-	b.WriteByte('{')
+	dst = append(dst, '{')
 	for i, k := range kids {
 		if i > 0 {
-			b.WriteByte(';')
+			dst = append(dst, ';')
 		}
-		sig(b, k)
+		dst = appendSig(dst, k)
 	}
-	b.WriteByte('}')
+	return append(dst, '}')
 }

@@ -52,7 +52,7 @@ func TestPathOfAndChanged(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := PathOf(c.n); got != c.want {
-			t.Errorf("PathOf(%s) = %s, want %s", c.n.Describe(), got, c.want)
+			t.Errorf("PathOf(%s) = %s, want %s", Describe(c.n), got, c.want)
 		}
 	}
 	if Changed(&SeqScan{Table: "t"}) {
@@ -69,21 +69,21 @@ func TestDescribeRendering(t *testing.T) {
 		EqVals: []value.Value{value.Int(1)},
 		Range:  interval.Above(value.Int(5), true).Intersect(interval.Below(value.Int(9), false)),
 	}
-	d := seek.Describe()
+	d := Describe(seek)
 	for _, want := range []string{"t.ix", "=1", ">=5", "<9"} {
 		if !strings.Contains(d, want) {
 			t.Errorf("Describe %q missing %q", d, want)
 		}
 	}
 	u := &IndexUnion{Table: "t", Seeks: []*IndexSeek{seek, seek}}
-	if !strings.Contains(u.Describe(), ", ") {
+	if !strings.Contains(Describe(u), ", ") {
 		t.Error("union should list seeks")
 	}
 	p := &Predict{Model: "m", As: "m.cls", Version: 3}
-	if !strings.Contains(p.Describe(), "v3") {
+	if !strings.Contains(Describe(p), "v3") {
 		t.Error("predict should show pinned version")
 	}
-	if (&Project{}).Describe() != "Project(*)" {
+	if Describe(&Project{}) != "Project(*)" {
 		t.Error("empty project should render as *")
 	}
 	for _, a := range []AccessPath{AccessSeqScan, AccessIndex, AccessIndexUnion, AccessConstant} {

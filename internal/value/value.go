@@ -218,22 +218,31 @@ func putU64(b []byte, v uint64) {
 	}
 }
 
-// String renders the value for display and for the SQL dialect.
+// String renders the value as display text: EXPLAIN output, plan text
+// and rewrite notes, which goldens pin. It is not SQL: a string renders
+// Go-quoted ("x", via strconv.Quote), and the dialect's lexer reads
+// only single-quoted literals, so the text does not parse back.
 func (v Value) String() string {
+	var buf [64]byte
+	return string(v.Append(buf[:0]))
+}
+
+// Append appends the value's String form to dst.
+func (v Value) Append(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "NULL"
+		return append(dst, "NULL"...)
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(dst, v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.AsFloat(), 'g', -1, 64)
 	case KindString:
-		return strconv.Quote(v.s)
+		return strconv.AppendQuote(dst, v.s)
 	case KindBool:
 		if v.i != 0 {
-			return "TRUE"
+			return append(dst, "TRUE"...)
 		}
-		return "FALSE"
+		return append(dst, "FALSE"...)
 	}
-	return "?"
+	return append(dst, '?')
 }

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"unsafe"
+
+	"minequery/internal/plan"
 )
 
 // TestAnalyzeReportCarriesFallback: the fields executePlan and
@@ -277,6 +279,26 @@ func TestAllocNeedsPostFilterRendersNothing(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(100, func() { needsPostFilter(p.rewrite) }); n != 0 {
 			t.Errorf("needsPostFilter on %s allocates %v times", p.rewrite.FullPred, n)
+		}
+	}
+}
+
+// TestDescribeCreateModelMatchesOracle: EXPLAIN CREATE MODEL's root
+// renders as the fmt form it was first written in, whatever the names
+// hold.
+func TestDescribeCreateModelMatchesOracle(t *testing.T) {
+	for _, d := range []modelDef{
+		{name: "risk_tree", family: "dtree", predict: "segment", table: "customers"},
+		{name: "", family: "", predict: "", table: ""},
+		{name: `M "q"`, family: "nbayes", predict: "m.risk\n", table: "値 t"},
+	} {
+		n := createModelNode{d: &d, view: &plan.SeqScan{Table: d.table}}
+		want := fmt.Sprintf("CreateModel(%s family=%s predict=%s over %s)", d.name, d.family, d.predict, d.table)
+		if got := plan.Describe(n); got != want {
+			t.Errorf("Describe = %q, oracle %q", got, want)
+		}
+		if got := plan.Explain(n); got != want+"\n  SeqScan("+d.table+")\n" {
+			t.Errorf("Explain = %q", got)
 		}
 	}
 }
