@@ -24,6 +24,7 @@ import (
 
 	"minequery"
 	"minequery/internal/cluster"
+	"minequery/internal/standing"
 	"minequery/internal/wire"
 )
 
@@ -92,7 +93,7 @@ func TestNonFiniteResultAnswersInternal(t *testing.T) {
 	}
 
 	// A notification's row goes through the same encoder.
-	if _, err := notificationsBody([]minequery.Notification{{Row: minequery.Tuple{minequery.Float(math.Inf(1))}}}); err == nil {
+	if _, err := notificationsBody([]minequery.Notification{{Image: &standing.Image{Row: minequery.Tuple{minequery.Float(math.Inf(1))}}}}); err == nil {
 		t.Fatal("a notification of +Inf encoded")
 	} else if code, _ := classify(err); code != wire.CodeInternal {
 		t.Fatalf("a notification of +Inf is %q, want %q", code, wire.CodeInternal)

@@ -21,14 +21,15 @@ import (
 var raceEnabled bool
 
 // perMatchBytes is what one more match of a row may cost through
-// EvalBatch and Poll: its 48-byte Notification in Poll's slice, with
-// slack for size-class rounding (48.2 B measured). A match of a
-// two-column select list cost 162.6 B when a Notification was 88 bytes
-// and each match built its own projected row.
-const perMatchBytes = 56
+// EvalBatch and Poll: its 24-byte Notification in Poll's slice, with
+// slack for size-class rounding (24.56 B measured). It cost 48.2 B when
+// a Notification was 48 bytes and carried its Row and Epoch itself, and
+// 162.6 B when it was 88 bytes and each match built its own projected
+// row.
+const perMatchBytes = 32
 
 // TestAllocEvalBatchPerMatch: k subscriptions with one select list that
-// all match a row share that row's projection, so a match costs only its
+// all match a row share that row's Image, so a match costs only its
 // Notification.
 func TestAllocEvalBatchPerMatch(t *testing.T) {
 	if raceEnabled {
@@ -70,13 +71,15 @@ func TestAllocEvalBatchPerMatch(t *testing.T) {
 	}
 }
 
-// TestNotificationLayout: a Notification is 48 bytes, and its fields
-// read and encode as they did when the Source fields were its own.
+// TestNotificationLayout: a Notification is 24 bytes, and its fields
+// read and encode as they did when the Source and Image fields were its
+// own.
 func TestNotificationLayout(t *testing.T) {
-	if size := unsafe.Sizeof(Notification{}); size != 48 {
-		t.Fatalf("a Notification is %d bytes, want 48", size)
+	if size := unsafe.Sizeof(Notification{}); size != 24 {
+		t.Fatalf("a Notification is %d bytes, want 24", size)
 	}
-	n := Notification{Seq: 1, Source: &Source{SubID: 2, Table: "events", Columns: []string{"id"}}, Row: value.Tuple{value.Int(9)}, Epoch: 3}
+	n := Notification{Seq: 1, Source: &Source{SubID: 2, Table: "events", Columns: []string{"id"}},
+		Image: &Image{Row: value.Tuple{value.Int(9)}, Epoch: 3}}
 	got, err := json.Marshal(n)
 	if err != nil {
 		t.Fatal(err)
@@ -84,14 +87,14 @@ func TestNotificationLayout(t *testing.T) {
 	if want := `{"seq":1,"subscription_id":2,"table":"events","columns":["id"],"epoch":3}`; string(got) != want {
 		t.Fatalf("json %s, want %s", got, want)
 	}
-	if n.SubID != 2 || n.Table != "events" || n.Columns[0] != "id" {
-		t.Fatalf("promoted fields read %d %q %v", n.SubID, n.Table, n.Columns)
+	if n.SubID != 2 || n.Table != "events" || n.Columns[0] != "id" || n.Row[0].AsInt() != 9 || n.Epoch != 3 {
+		t.Fatalf("promoted fields read %d %q %v %v %d", n.SubID, n.Table, n.Columns, n.Row, n.Epoch)
 	}
 }
 
 // TestProjectionSharedAcrossJoinOrders: a select list is one projection
 // slot whatever position its model's join has, so `SELECT id, m.cls`
-// under one join and under two shares one slot, and one Row, and both
+// under one join and under two shares one slot, and one Image, and both
 // carry dt's prediction; `SELECT id, g.grp` carries nb's.
 func TestProjectionSharedAcrossJoinOrders(t *testing.T) {
 	cat := newTestCatalog(t)
@@ -140,8 +143,8 @@ func TestProjectionSharedAcrossJoinOrders(t *testing.T) {
 			t.Errorf("subscription %d row %s, want %s", n.SubID, got, want[n.SubID])
 		}
 	}
-	if &ns[0].Row[0] != &ns[1].Row[0] {
-		t.Error("two notifications of one row under one select list hold two Rows")
+	if ns[0].Image != ns[1].Image {
+		t.Error("two notifications of one row under one select list hold two Images")
 	}
 }
 

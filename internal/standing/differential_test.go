@@ -62,72 +62,103 @@ func buildSweepCatalogIn(t *testing.T, seed int64, numDom int) (*catalog.Catalog
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(seed))
-	// Shared training material over the data columns.
+	d := drawSweepData(r, sweepShape{numDom: numDom, span: numDom, highPct: 85, catCut: "c4", lowPct: 50})
+	models := make([]sweepModel, len(sweepFamilies))
+	for i := range sweepFamilies {
+		models[i] = registerSweepModel(t, cat, i, d)
+	}
+	return cat, models
+}
+
+// sweepShape fixes how drawSweepData labels its rows: num is drawn from
+// [0, span), cls is "high" from highPct percent of numDom up, grp is "b"
+// from category catCut up, and seg is "y" below lowPct percent of
+// numDom.
+type sweepShape struct {
+	numDom, span    int
+	highPct, lowPct int
+	catCut          string
+}
+
+// sweepData is one draw of the models' shared training material over
+// the data columns.
+type sweepData struct {
+	num, cat, both *mining.TrainSet
+}
+
+// drawSweepData draws 500 training rows shaped by sh.
+func drawSweepData(r *rand.Rand, sh sweepShape) sweepData {
 	mkTS := func(cols ...value.Column) *mining.TrainSet {
 		return &mining.TrainSet{Schema: value.MustSchema(cols...)}
 	}
 	catCol := value.Column{Name: "cat", Kind: value.KindString}
 	numCol := value.Column{Name: "num", Kind: value.KindInt}
-
-	tsNum, tsCat, tsBoth := mkTS(numCol), mkTS(catCol), mkTS(catCol, numCol)
+	d := sweepData{num: mkTS(numCol), cat: mkTS(catCol), both: mkTS(catCol, numCol)}
 	for i := 0; i < 500; i++ {
 		c := fmt.Sprintf("c%d", r.Intn(8))
-		n := int64(r.Intn(numDom))
+		n := int64(r.Intn(sh.span))
 		cls, grp, seg := "low", "a", "x"
-		if n >= int64(numDom*85/100) {
+		if n >= int64(sh.numDom*sh.highPct/100) {
 			cls = "high"
 		}
-		if c >= "c4" {
+		if c >= sh.catCut {
 			grp = "b"
 		}
-		if n < int64(numDom/2) {
+		if n < int64(sh.numDom*sh.lowPct/100) {
 			seg = "y"
 		}
-		tsNum.Rows = append(tsNum.Rows, value.Tuple{value.Int(n)})
-		tsNum.Labels = append(tsNum.Labels, value.Str(cls))
-		tsCat.Rows = append(tsCat.Rows, value.Tuple{value.Str(c)})
-		tsCat.Labels = append(tsCat.Labels, value.Str(grp))
-		tsBoth.Rows = append(tsBoth.Rows, value.Tuple{value.Str(c), value.Int(n)})
-		tsBoth.Labels = append(tsBoth.Labels, value.Str(seg))
+		d.num.Rows = append(d.num.Rows, value.Tuple{value.Int(n)})
+		d.num.Labels = append(d.num.Labels, value.Str(cls))
+		d.cat.Rows = append(d.cat.Rows, value.Tuple{value.Str(c)})
+		d.cat.Labels = append(d.cat.Labels, value.Str(grp))
+		d.both.Rows = append(d.both.Rows, value.Tuple{value.Str(c), value.Int(n)})
+		d.both.Labels = append(d.both.Labels, value.Str(seg))
 	}
+	return d
+}
 
-	var models []sweepModel
-	reg := func(m mining.Model, err error, alias string, onCols ...string) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("train %s: %v", alias, err)
-		}
-		der, derr := core.UpperEnvelopes(m, core.DefaultOptions())
-		if derr != nil {
-			t.Fatalf("derive %s: %v", alias, derr)
-		}
-		cat.RegisterModel(m, der.Envelopes)
-		models = append(models, sweepModel{
-			name: m.Name(), alias: alias, predCol: m.PredictColumn(),
-			onCols: onCols, classes: m.Classes(),
-		})
+// sweepFamilies are the sweep's models, one per family: the alias and
+// ON columns the generator joins each on, and how it trains.
+var sweepFamilies = []struct {
+	alias  string
+	onCols []string
+	train  func(d sweepData) (mining.Model, error)
+}{
+	{"m_dt", []string{"num"}, func(d sweepData) (mining.Model, error) {
+		return dtree.Train("dt", "cls", d.num, dtree.Options{})
+	}},
+	{"m_nb", []string{"cat"}, func(d sweepData) (mining.Model, error) {
+		return nbayes.Train("nb", "grp", d.cat, nbayes.Options{})
+	}},
+	{"m_rl", []string{"cat", "num"}, func(d sweepData) (mining.Model, error) {
+		return rules.Train("rl", "seg", d.both, rules.Options{})
+	}},
+	{"m_km", []string{"num"}, func(d sweepData) (mining.Model, error) {
+		return cluster.TrainKMeans("km", "cluster", d.num, cluster.Options{K: 3, Seed: 7})
+	}},
+	{"m_gm", []string{"num"}, func(d sweepData) (mining.Model, error) {
+		return cluster.TrainGMM("gm", "component", d.num, cluster.Options{K: 2, Seed: 7})
+	}},
+}
+
+// registerSweepModel trains family i on d, derives its envelopes and
+// registers it, replacing any model of the same name.
+func registerSweepModel(t *testing.T, cat *catalog.Catalog, i int, d sweepData) sweepModel {
+	t.Helper()
+	f := sweepFamilies[i]
+	m, err := f.train(d)
+	if err != nil {
+		t.Fatalf("train %s: %v", f.alias, err)
 	}
-	{
-		m, err := dtree.Train("dt", "cls", tsNum, dtree.Options{})
-		reg(m, err, "m_dt", "num")
+	der, err := core.UpperEnvelopes(m, core.DefaultOptions())
+	if err != nil {
+		t.Fatalf("derive %s: %v", f.alias, err)
 	}
-	{
-		m, err := nbayes.Train("nb", "grp", tsCat, nbayes.Options{})
-		reg(m, err, "m_nb", "cat")
+	cat.RegisterModel(m, der.Envelopes)
+	return sweepModel{
+		name: m.Name(), alias: f.alias, predCol: m.PredictColumn(),
+		onCols: f.onCols, classes: m.Classes(),
 	}
-	{
-		m, err := rules.Train("rl", "seg", tsBoth, rules.Options{})
-		reg(m, err, "m_rl", "cat", "num")
-	}
-	{
-		m, err := cluster.TrainKMeans("km", "cluster", tsNum, cluster.Options{K: 3, Seed: 7})
-		reg(m, err, "m_km", "num")
-	}
-	{
-		m, err := cluster.TrainGMM("gm", "component", tsNum, cluster.Options{K: 2, Seed: 7})
-		reg(m, err, "m_gm", "num")
-	}
-	return cat, models
 }
 
 func sweepLiteral(v value.Value) string {
@@ -326,6 +357,114 @@ func TestDifferentialStandingSweep(t *testing.T) {
 	}
 	t.Logf("%d iterations matched the oracle exactly; model calls: shared %d vs naive %d (%.1fx fewer)",
 		iterations, sharedCalls, naiveCalls, float64(naiveCalls)/float64(max64(sharedCalls, 1)))
+}
+
+// TestDifferentialStandingSweepRetrain is the sweep across retrains: one
+// long-lived Set, wired to the catalog's invalidations as the engine
+// wires it, sees 200 seeded batches. Between batches a random model is
+// retrained on shifted data, so its envelopes and predictions change,
+// and a few subscriptions come and go. Every batch's notifications must
+// be byte-identical to the naive oracle's, rebuilt over the live
+// subscriptions and the current models; each must carry its batch's
+// epoch, and Seq must strictly increase across the whole run. It holds
+// a recompile to reusing only what no retrain can change.
+func TestDifferentialStandingSweepRetrain(t *testing.T) {
+	const seed = 20261017
+	iterations := 200
+	if testing.Short() {
+		iterations = 40
+	}
+	cat, models := buildSweepCatalog(t, seed)
+	r := rand.New(rand.NewSource(seed))
+	s := NewSet(cat, Options{Queue: 1 << 14})
+	cat.OnInvalidate(func(catalog.InvalidationEvent) { s.Invalidate() })
+	type liveSub struct {
+		id  int64
+		sql string
+	}
+	var live []liveSub
+	subscribe := func(iter int) {
+		sql := genSubscription(r, models)
+		id, err := s.Subscribe(sql)
+		if err != nil {
+			t.Fatalf("iter %d: subscribe %q: %v", iter, sql, err)
+		}
+		live = append(live, liveSub{id, sql})
+	}
+	for i := 0; i < 8; i++ {
+		subscribe(-1)
+	}
+	nextID, lastSeq, retrains := int64(0), int64(0), 0
+	for iter := 0; iter < iterations; iter++ {
+		if iter > 0 && r.Intn(3) == 0 {
+			i := r.Intn(len(sweepFamilies))
+			d := drawSweepData(r, sweepShape{
+				numDom: sweepNumDomain, span: sweepNumDomain/2 + r.Intn(sweepNumDomain/2+1),
+				highPct: 30 + r.Intn(65), catCut: fmt.Sprintf("c%d", 1+r.Intn(7)), lowPct: 10 + r.Intn(80),
+			})
+			models[i] = registerSweepModel(t, cat, i, d)
+			retrains++
+		}
+		for n := r.Intn(3); n > 0 && len(live) > 1; n-- {
+			j := r.Intn(len(live))
+			if err := s.Unsubscribe(live[j].id); err != nil {
+				t.Fatalf("iter %d: %v", iter, err)
+			}
+			live = append(live[:j], live[j+1:]...)
+		}
+		for n := r.Intn(3); n > 0; n-- {
+			subscribe(iter)
+		}
+		naive := newNaiveMatcher(cat)
+		for _, ls := range live {
+			if err := naive.Register(ls.id, ls.sql); err != nil {
+				t.Fatalf("iter %d: naive register %q: %v", iter, ls.sql, err)
+			}
+		}
+
+		rows := make([]value.Tuple, 30)
+		for i := range rows {
+			nextID++
+			rows[i] = value.Tuple{
+				value.Int(nextID),
+				value.Str(fmt.Sprintf("c%d", r.Intn(8))),
+				value.Int(int64(r.Intn(sweepNumDomain))),
+			}
+		}
+		epoch := cat.Epoch()
+		s.EvalBatch("t", rows, epoch)
+
+		var want []string
+		for _, row := range rows {
+			for _, m := range naive.Matches("t", row) {
+				want = append(want, notifKey(m.SubID, m.Columns, m.Row))
+			}
+		}
+		ns := drain(t, s, 1<<14)
+		got := make([]string, len(ns))
+		for i, n := range ns {
+			got[i] = notifKey(n.SubID, n.Columns, n.Row)
+			if n.Epoch != epoch {
+				t.Fatalf("iter %d notification %d: epoch %d, want the batch's %d", iter, i, n.Epoch, epoch)
+			}
+			if n.Seq <= lastSeq {
+				t.Fatalf("iter %d notification %d: seq %d after %d", iter, i, n.Seq, lastSeq)
+			}
+			lastSeq = n.Seq
+		}
+		if len(got) != len(want) {
+			t.Fatalf("iter %d: %d notifications, oracle %d\nseed=%d", iter, len(got), len(want), seed)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("iter %d notification %d diverges\n got: %s\nwant: %s\nseed=%d",
+					iter, i, got[i], want[i], seed)
+			}
+		}
+	}
+	st := s.Stats()
+	t.Logf("%d batches matched the oracle exactly across %d retrains and %d recompiles; %d matches",
+		iterations, retrains, st.Recompiles, st.Matches)
 }
 
 // TestDifferentialStandingSweepLargeSet is the sweep in the regime of

@@ -286,6 +286,62 @@ func TestRecompileOnInvalidate(t *testing.T) {
 	}
 }
 
+// TestRecompileReusesModelFreeSubscriptions: across a retrain, a
+// subscription without prediction joins keeps its compiled form, so its
+// notifications point at the same Source as before, while a joined
+// subscription compiles again and carries the new model's predictions
+// under a new Source. The published set's compiled subscription is
+// copied, never changed.
+func TestRecompileReusesModelFreeSubscriptions(t *testing.T) {
+	cat := newTestCatalog(t)
+	trainThreshold(t, cat, "dt", 50)
+	s := NewSet(cat, Options{})
+	idData, err := s.Subscribe("SELECT id, num FROM events WHERE num >= 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idJoin, err := s.Subscribe("SELECT id, m.cls FROM events PREDICTION JOIN dt AS m ON m.num = events.num WHERE num >= 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bySub := func(epoch int64) map[int64]Notification {
+		t.Helper()
+		out := map[int64]Notification{}
+		for _, n := range drain(t, s, 10) {
+			if n.Epoch != epoch {
+				t.Fatalf("subscription %d: epoch %d, want %d", n.SubID, n.Epoch, epoch)
+			}
+			out[n.SubID] = n
+		}
+		if len(out) != 2 {
+			t.Fatalf("epoch %d: notifications for %d subscriptions, want 2", epoch, len(out))
+		}
+		return out
+	}
+	s.EvalBatch("events", []value.Tuple{eventRow(1, 70, "a")}, 1)
+	before, ct := bySub(1), s.snapshot("events")
+
+	trainThreshold(t, cat, "dt", 90)
+	s.Invalidate()
+	s.EvalBatch("events", []value.Tuple{eventRow(2, 70, "a")}, 2)
+	after := bySub(2)
+	if s.Recompiles() != 2 {
+		t.Fatalf("recompiles = %d, want 2", s.Recompiles())
+	}
+	if after[idData].Source != before[idData].Source {
+		t.Error("the data-only subscription compiled again across a retrain")
+	}
+	if after[idJoin].Source == before[idJoin].Source {
+		t.Error("the joined subscription kept its Source across a retrain")
+	}
+	if got, want := before[idJoin].Row[1].AsString()+"/"+after[idJoin].Row[1].AsString(), "high/low"; got != want {
+		t.Errorf("joined predictions %s across the retrain, want %s", got, want)
+	}
+	if s.snapshot("events").subs[0] == ct.subs[0] {
+		t.Error("the recompile published the old set's compiled subscription instead of a copy")
+	}
+}
+
 func TestBrokenSubscriptionDisabledNotFatal(t *testing.T) {
 	cat := newTestCatalog(t)
 	trainThreshold(t, cat, "dt", 50)

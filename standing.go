@@ -56,11 +56,12 @@ func (e *Engine) Unsubscribe(id int64) error {
 // per-subscription in Subscriptions) rather than ever blocking the
 // write path.
 //
-// A Notification's Source (subscription id, table, column names) and
-// its Row are shared and read-only: every notification of a
-// subscription points at one Source, and the notifications of one
-// committed row under the same select list hold one Row. Copy either
-// before changing it.
+// A Notification is 24 bytes: its Seq and two shared, read-only
+// pointers, never nil. Every notification of a subscription points at
+// one Source (subscription id, table, column names), and the
+// notifications of one committed row under the same select list point
+// at one Image (the projected Row and the Epoch it was evaluated at).
+// Copy either before changing it.
 func (e *Engine) Notifications(ctx context.Context, max int) ([]Notification, error) {
 	return e.standing.Poll(ctx, max)
 }
