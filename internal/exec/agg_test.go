@@ -355,7 +355,7 @@ func TestWorkerPipelineReadsThroughUnitLeaf(t *testing.T) {
 	ctx, opts := context.Background(), Options{DOP: 4, MorselPages: 1}.fill()
 	leaf := newBatchSeqScan(ctx, tb, leafCols(c, tb, part, nil), opts, false)
 	leaf.seek([][2]int{{0, 1}})
-	it, err := buildBatchNode(ctx, c, part, filter, opts, &unitLeaf{node: scan, it: leaf})
+	it, err := buildUnder(ctx, c, part, filter, opts, &unitLeaf{node: scan, it: leaf})
 	if err != nil {
 		t.Fatal(err)
 	}

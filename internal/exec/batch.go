@@ -101,10 +101,11 @@ type Options struct {
 // onRetry returns the retry observer feeding the collector's retry
 // counter, or nil without a collector.
 func (o Options) onRetry() func(error) {
-	if o.Collector == nil {
+	col := o.Collector // captured alone: the closure does not copy o
+	if col == nil {
 		return nil
 	}
-	return func(error) { o.Collector.Retries.Add(1) }
+	return func(error) { col.Retries.Add(1) }
 }
 
 func (o Options) fill() Options {
@@ -139,13 +140,33 @@ func BuildBatch(c *catalog.Catalog, n plan.Node, opts Options) (BatchIterator, e
 // the scan leaves: a cancelled or timed-out ctx makes NextBatch return
 // ctx's error (wrapped, so errors.Is matches context.Canceled /
 // context.DeadlineExceeded), and morsel-scan workers stop claiming and
-// decoding work promptly instead of finishing the table.
+// decoding work promptly instead of finishing the table. The plan is
+// bound for this one execution (bind).
 func BuildBatchCtx(ctx context.Context, c *catalog.Catalog, n plan.Node, opts Options) (BatchIterator, error) {
-	opts = opts.fill()
+	b, err := bind(c, n, opts.Collector)
+	if err != nil {
+		return nil, err
+	}
+	return b.start(ctx, opts)
+}
+
+// open builds b's tree for one execution under opts, from the Bound the
+// live catalog says it runs (live).
+func (b *Bound) open(ctx context.Context, opts Options) (BatchIterator, error) {
+	b, err := b.live(opts.Collector)
+	if err != nil {
+		return nil, err
+	}
+	return b.start(ctx, opts)
+}
+
+// start builds b's tree for one execution under opts.
+func (b *Bound) start(ctx context.Context, opts Options) (BatchIterator, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return buildBatchNode(ctx, c, n, n, opts, nil)
+	opts.Collector.attach(b)
+	return b.build(ctx, 0, opts.fill(), nil)
 }
 
 // unitLeaf is a scan leaf built before the plan above it: an aggregate
@@ -157,90 +178,76 @@ type unitLeaf struct {
 	it   BatchIterator
 }
 
-// buildBatchNode builds one plan node (recursing for children) and, when
-// a Collector is attached, wraps it with the per-node accounting shim.
-// root is the plan n belongs to: a leaf reads from it which columns
-// anything above it uses (decodeMask) and how many values the prediction
-// joins above it append to a row (predictRoom), and every operator checks
-// that its child holds what it reads (notDecoded). leaf, when non-nil,
-// stands in for its node.
-func buildBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.Node, opts Options, leaf *unitLeaf) (BatchIterator, error) {
-	it, err := buildBareBatchNode(ctx, c, root, n, opts, leaf)
+// build instantiates the operator at ordinal i for one execution,
+// recursing for its child, and, when a Collector is attached, wraps it
+// with the per-node accounting shim. Everything it reads of the plan and
+// the catalog was resolved by bind; what it makes is the execution's
+// own. leaf, when non-nil, stands in for its node.
+func (b *Bound) build(ctx context.Context, i int, opts Options, leaf *unitLeaf) (BatchIterator, error) {
+	it, err := b.buildBare(ctx, i, opts, leaf)
 	if err != nil {
 		return nil, err
 	}
 	if col := opts.Collector; col != nil {
-		it = &instrumented{child: it, st: col.Op(n)}
+		it = &instrumented{child: it, st: col.slot(i)}
 	}
 	return it, nil
 }
 
-func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.Node, opts Options, leaf *unitLeaf) (BatchIterator, error) {
-	if leaf != nil && n == leaf.node {
+func (b *Bound) buildBare(ctx context.Context, i int, opts Options, leaf *unitLeaf) (BatchIterator, error) {
+	bn := &b.nodes[i]
+	if leaf != nil && bn.node == leaf.node {
 		return leaf.it, nil
 	}
-	switch x := n.(type) {
+	switch x := bn.node.(type) {
 	case *plan.SeqScan:
-		t, ok := c.Table(x.Table)
-		if !ok {
-			return nil, fmt.Errorf("exec: no table %q", x.Table)
-		}
-		cols := leafCols(c, t, root, opts.Collector)
-		if u := newScanUnits(t, x, nil, cols, opts); u.cut() {
+		if u := b.scanUnits(i, -1, opts); u.cut() {
 			return newOrderedScan(ctx, u), nil
 		}
-		s := newBatchSeqScan(ctx, t, cols, opts, false)
-		s.seek(t.PartitionPageRanges(x.Partitions))
+		s := newBatchSeqScan(ctx, b.table, b.cols, opts, false)
+		s.seek(b.table.PartitionPageRanges(x.Partitions))
 		return s, nil
 	case *plan.Filter:
 		// A unit leaf stands for the one scan under an aggregate worker's
 		// pipeline, whatever the sidecar's freshness now: never fuse past it.
-		if scan, isScan := x.Child.(*plan.SeqScan); isScan && scan.Columnar && leaf == nil {
-			if t, ok := c.Table(scan.Table); ok {
-				// Fuse filter and scan into one vectorized operator so the
-				// predicate runs over selection vectors, not tuples. Falls
-				// through to the row operators when the sidecar is stale or
-				// the predicate shape is unsupported.
-				if u := newScanUnits(t, scan, x, leafCols(c, t, root, opts.Collector), opts); u.filter == x {
-					return newOrderedScan(ctx, u), nil
-				}
+		if bn.prog != nil && leaf == nil {
+			// Fuse filter and scan into one vectorized operator so the
+			// predicate runs over selection vectors, not tuples. Falls
+			// through to the row operators when the sidecar is stale.
+			if core := newVecCore(b, i+1, i, opts); core != nil {
+				return newOrderedScan(ctx, fusedUnits(b, i, core)), nil
 			}
 		}
-		child, err := buildBatchNode(ctx, c, root, x.Child, opts, leaf)
+		child, err := b.build(ctx, i+1, opts, leaf)
 		if err != nil {
 			return nil, err
 		}
 		f := &batchFilter{child: child, pred: x.Pred}
 		if col := opts.Collector; col != nil {
-			if base := col.envBaseline(n); base != nil {
-				f.st, f.base = col.Op(n), base
-			}
-		}
-		for _, pred := range []expr.Expr{f.pred, f.base} {
-			if err := predNotDecoded(child.Schema(), n, pred); err != nil {
-				child.Close()
-				return nil, err
+			if base := col.envBaseline(x); base != nil {
+				f.st, f.base = col.slot(i), base
 			}
 		}
 		return f, nil
 	case *plan.Project:
-		child, err := buildBatchNode(ctx, c, root, x.Child, opts, leaf)
-		if err != nil {
-			return nil, err
+		child, err := b.build(ctx, i+1, opts, leaf)
+		if err != nil || bn.ords == nil {
+			return child, err
 		}
-		return newBatchProject(child, x)
+		return &batchProject{child: child, ords: bn.ords, schema: bn.schema, vals: make(value.Tuple, len(bn.ords))}, nil
 	case *plan.Predict:
-		child, err := buildBatchNode(ctx, c, root, x.Child, opts, leaf)
+		child, err := b.build(ctx, i+1, opts, leaf)
 		if err != nil {
 			return nil, err
 		}
-		me, err := lookupModel(c, x)
-		if err != nil {
-			return nil, err
-		}
-		return newBatchPredict(child, x, me)
+		return &batchPredict{
+			child:   child,
+			binding: mining.Binding{Model: bn.model.Model, Ordinals: bn.ords},
+			schema:  bn.schema,
+			buf:     make(value.Tuple, len(bn.ords)),
+		}, nil
 	case *plan.Limit:
-		child, err := buildBatchNode(ctx, c, root, x.Child, opts, leaf)
+		child, err := b.build(ctx, i+1, opts, leaf)
 		if err != nil {
 			return nil, err
 		}
@@ -249,40 +256,28 @@ func buildBareBatchNode(ctx context.Context, c *catalog.Catalog, root, n plan.No
 		if x.Phase != plan.AggFinal {
 			return nil, fmt.Errorf("exec: HashAgg(partial) cannot be built standalone; it is owned by its Final")
 		}
-		return newBatchFinalAgg(ctx, c, x, opts)
+		return newBatchFinalAgg(ctx, b, i, opts)
 	case *plan.ConstScan:
-		t, ok := c.Table(x.Table)
-		if !ok {
-			return nil, fmt.Errorf("exec: no table %q", x.Table)
-		}
-		return &constScan{schema: t.Schema}, nil
+		return &constScan{schema: bn.schema}, nil
 	case *plan.IndexSeek:
-		t, ok := c.Table(x.Table)
-		if !ok {
-			return nil, fmt.Errorf("exec: no table %q", x.Table)
-		}
 		// Index access paths materialize their RID lists here, at build
 		// time; don't start that work for a dead query.
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		rids, err := seekRIDs(ctx, t, x, opts)
+		rids, err := seekRIDs(ctx, b.table, x, opts)
 		if err != nil {
 			return nil, err
 		}
-		return newRIDFetch(ctx, t, rids, leafCols(c, t, root, opts.Collector), opts), nil
+		return newRIDFetch(ctx, b.table, rids, b.cols, opts), nil
 	case *plan.IndexUnion:
-		t, ok := c.Table(x.Table)
-		if !ok {
-			return nil, fmt.Errorf("exec: no table %q", x.Table)
-		}
-		rids, err := unionRIDs(ctx, t, x, opts)
+		rids, err := unionRIDs(ctx, b.table, x, opts)
 		if err != nil {
 			return nil, err
 		}
-		return newRIDFetch(ctx, t, rids, leafCols(c, t, root, opts.Collector), opts), nil
+		return newRIDFetch(ctx, b.table, rids, b.cols, opts), nil
 	}
-	return nil, fmt.Errorf("exec: unknown plan node %T", n)
+	return nil, fmt.Errorf("exec: unknown plan node %T", bn.node)
 }
 
 // ctxErr wraps a context error so callers can both errors.Is-match the
@@ -319,8 +314,24 @@ type RowSink interface {
 // produces to sink, returning the schema of the rows delivered. It is
 // the only loop that takes rows off a plan's root. Execution stops (and
 // the ctx error is returned) as soon as cancellation is observed, which
-// is at worst one batch after it fires.
+// is at worst one batch after it fires. n is bound for this attempt
+// alone; a plan run again is bound once (Bind) and run with Bound.Drain.
 func Drain(ctx context.Context, c *catalog.Catalog, n plan.Node, opts Options, sink RowSink) (*value.Schema, error) {
+	return drainInto(ctx, sink, func(ctx context.Context) (BatchIterator, error) {
+		return BuildBatchCtx(ctx, c, n, opts)
+	})
+}
+
+// Drain is exec.Drain for an execution of b.
+func (b *Bound) Drain(ctx context.Context, opts Options, sink RowSink) (*value.Schema, error) {
+	return drainInto(ctx, sink, func(ctx context.Context) (BatchIterator, error) {
+		return b.open(ctx, opts)
+	})
+}
+
+// drainInto begins an attempt on sink and drains the plan build makes
+// into it.
+func drainInto(ctx context.Context, sink RowSink, build func(context.Context) (BatchIterator, error)) (*value.Schema, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -328,7 +339,7 @@ func Drain(ctx context.Context, c *catalog.Catalog, n plan.Node, opts Options, s
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	it, err := BuildBatchCtx(ctx, c, n, opts)
+	it, err := build(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -554,18 +565,6 @@ type batchProject struct {
 	vals   value.Tuple // the row being narrowed's projected values
 }
 
-func newBatchProject(child BatchIterator, x *plan.Project) (BatchIterator, error) {
-	if len(x.Cols) == 0 {
-		return child, nil
-	}
-	ords, schema, err := projectOrds(child.Schema(), x, x.Cols)
-	if err != nil {
-		child.Close()
-		return nil, err
-	}
-	return &batchProject{child: child, ords: ords, schema: schema, vals: make(value.Tuple, len(ords))}, nil
-}
-
 func (p *batchProject) Schema() *value.Schema { return p.schema }
 
 func (p *batchProject) NextBatch() (Batch, bool, error) {
@@ -596,28 +595,6 @@ type batchPredict struct {
 	binding mining.Binding
 	schema  *value.Schema
 	buf     value.Tuple
-}
-
-// newBatchPredict binds pr's model to the child's schema, which gains
-// the predicted column.
-func newBatchPredict(child BatchIterator, pr *plan.Predict, me *catalog.ModelEntry) (BatchIterator, error) {
-	in := child.Schema()
-	b, ok := mining.Bind(me.Model, in)
-	if !ok {
-		child.Close()
-		return nil, notDecoded(in, pr, me.Model.InputColumns()...)
-	}
-	schema, err := value.NewSchema(append(append([]value.Column(nil), in.Columns...), value.Column{Name: pr.As, Kind: me.PredictionKind()})...)
-	if err != nil {
-		child.Close()
-		return nil, fmt.Errorf("exec: prediction join: %w", err)
-	}
-	return &batchPredict{
-		child:   child,
-		binding: b,
-		schema:  schema,
-		buf:     make(value.Tuple, len(b.Ordinals)),
-	}, nil
 }
 
 func (p *batchPredict) Schema() *value.Schema { return p.schema }

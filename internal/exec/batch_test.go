@@ -133,11 +133,24 @@ func TestSeqScanBatchWithinBatchSize(t *testing.T) {
 	}
 }
 
+// buildUnder binds n with its leaf's rows shaped for root — a plan n is
+// part of, or one it is not, to hand an operator a leaf that lacks what
+// it reads — and builds it for one execution, leaf standing in for its
+// node when non-nil.
+func buildUnder(ctx context.Context, c *catalog.Catalog, root, n plan.Node, opts Options, leaf *unitLeaf) (BatchIterator, error) {
+	b, err := bindUnder(c, n, root, opts.Collector)
+	if err != nil {
+		return nil, err
+	}
+	opts.Collector.attach(b)
+	return b.build(ctx, 0, opts.fill(), leaf)
+}
+
 // buildScan builds the leaf a plan gets for a SeqScan of table t.
 func buildScan(t *testing.T, c *catalog.Catalog, opts Options) BatchIterator {
 	t.Helper()
 	scan := &plan.SeqScan{Table: "t"}
-	it, err := buildBatchNode(context.Background(), c, scan, scan, opts.fill(), nil)
+	it, err := buildUnder(context.Background(), c, scan, scan, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

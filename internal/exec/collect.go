@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"minequery/internal/exec/vec"
 	"minequery/internal/expr"
 	"minequery/internal/plan"
 	"minequery/internal/storage"
@@ -65,55 +66,62 @@ type Collector struct {
 	// into the final aggregate.
 	AggMerges atomic.Int64
 
+	// bound is the tree the execution runs, set as it starts (attach),
+	// and ops its nodes' stats, by ordinal.
+	bound *Bound
+	ops   []OpStats
+
 	mu      sync.Mutex
-	ops     map[plan.Node]*OpStats
 	workers []*WorkerStats
-	envBase map[plan.Node]expr.Expr
-	vecInfo map[plan.Node]*VecScanInfo
+	bases   []envBaseline
+	vecInfo []*VecScanInfo // by ordinal, made at the first report
 }
 
-// VecTermActual is one top-level predicate term's measured counters from
-// a columnar scan: candidate rows it ran a loop over (Evaluated), rows in
-// groups whose dictionaries answered it without one (Skipped), and rows
-// that passed (Evaluated + Skipped - Passed were rejected by this term).
-type VecTermActual struct {
-	Index     int
-	Term      string
-	Evaluated int64
-	Skipped   int64
-	Passed    int64
+// envBaseline is one Filter's attribution predicate (SetEnvelopeBaseline).
+type envBaseline struct {
+	node plan.Node
+	pred expr.Expr
 }
 
 // VecScanInfo reports a columnar scan leaf's actuals: how many column
 // groups it processed and, for a fused filter, the adaptive term
-// ordering outcome. Its presence for a scan node is what marks the
+// ordering outcome (vec.Report: the combiner, the frozen order, the
+// per-term counters). Its presence for a scan node is what marks the
 // execution as having actually run columnar (the plan flag alone is only
 // a hint).
 type VecScanInfo struct {
 	Groups int64
-	// Combiner is "AND" or "OR" for a multi-term predicate, "" otherwise.
-	Combiner string
-	// Order is the frozen evaluation order as original term indices.
-	Order []int
-	// Terms lists per-term counters in original index order.
-	Terms []VecTermActual
+	vec.Report
 }
 
 // NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{ops: map[plan.Node]*OpStats{}, envBase: map[plan.Node]expr.Expr{}}
+func NewCollector() *Collector { return &Collector{} }
+
+// attach gives the collector a slot per node of b's tree, at the start
+// of an execution of b. A collector serves the executions of one tree:
+// attached again for the same tree — re-bound, or run once more — it
+// keeps counting into the same slots.
+func (c *Collector) attach(b *Bound) {
+	if c == nil {
+		return
+	}
+	if c.bound == nil || c.bound.nodes[0].node != b.nodes[0].node {
+		c.ops = make([]OpStats, len(b.nodes))
+		c.vecInfo = nil
+	}
+	c.bound = b
 }
 
-// Op returns (creating on first use) the stats slot for a plan node.
+// slot is the stats of the node at ordinal i.
+func (c *Collector) slot(i int) *OpStats { return &c.ops[i] }
+
+// Op returns the stats slot for a plan node: zero for a node the
+// execution did not run.
 func (c *Collector) Op(n plan.Node) *OpStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st, ok := c.ops[n]
-	if !ok {
-		st = &OpStats{}
-		c.ops[n] = st
+	if i := c.bound.ord(n); i >= 0 {
+		return &c.ops[i]
 	}
-	return st
+	return new(OpStats)
 }
 
 // SetEnvelopeBaseline enables rejection attribution for a Filter node:
@@ -121,28 +129,55 @@ func (c *Collector) Op(n plan.Node) *OpStats {
 // augmentation. Rejected rows that base accepts are counted as pruned
 // by the envelope; rows base also rejects are residual rejections.
 // Attribution costs one extra predicate evaluation per rejected row, so
-// it is only enabled for EXPLAIN ANALYZE runs.
+// it is only enabled for EXPLAIN ANALYZE runs. It is set before the
+// execution starts, whose plan is then bound afresh: the scan decodes
+// base's columns too.
 func (c *Collector) SetEnvelopeBaseline(n plan.Node, base expr.Expr) {
 	c.mu.Lock()
-	c.envBase[n] = base
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	for i := range c.bases {
+		if c.bases[i].node == n {
+			c.bases[i].pred = base
+			return
+		}
+	}
+	c.bases = append(c.bases, envBaseline{n, base})
 }
 
 // envBaseline returns the attribution predicate for a filter node, or
 // nil when attribution is off.
 func (c *Collector) envBaseline(n plan.Node) expr.Expr {
+	if c == nil {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.envBase[n]
+	for _, b := range c.bases {
+		if b.node == n {
+			return b.pred
+		}
+	}
+	return nil
 }
 
-// setVecInfo records a columnar scan leaf's actuals.
-func (c *Collector) setVecInfo(n plan.Node, info *VecScanInfo) {
+// attributes reports whether an execution under c re-checks any
+// envelope baseline.
+func (c *Collector) attributes() bool {
+	if c == nil {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.bases) > 0
+}
+
+// setVecInfo records the actuals of the columnar scan leaf at ordinal i.
+func (c *Collector) setVecInfo(i int, info *VecScanInfo) {
 	c.mu.Lock()
 	if c.vecInfo == nil {
-		c.vecInfo = map[plan.Node]*VecScanInfo{}
+		c.vecInfo = make([]*VecScanInfo, len(c.ops))
 	}
-	c.vecInfo[n] = info
+	c.vecInfo[i] = info
 	c.mu.Unlock()
 }
 
@@ -151,7 +186,10 @@ func (c *Collector) setVecInfo(n plan.Node, info *VecScanInfo) {
 func (c *Collector) VecInfo(n plan.Node) *VecScanInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.vecInfo[n]
+	if i := c.bound.ord(n); i >= 0 && c.vecInfo != nil {
+		return c.vecInfo[i]
+	}
+	return nil
 }
 
 // newWorker registers one morsel-scan worker.

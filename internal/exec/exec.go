@@ -18,10 +18,8 @@ import (
 
 	"minequery/internal/btree"
 	"minequery/internal/catalog"
-	"minequery/internal/expr"
 	"minequery/internal/fault"
 	"minequery/internal/plan"
-	"minequery/internal/qerr"
 	"minequery/internal/recycle"
 	"minequery/internal/storage"
 	"minequery/internal/value"
@@ -261,168 +259,6 @@ func putBatch(b *Batch) {
 	batchPool.Put(b)
 }
 
-// scanCols is the shape of the rows a scan leaf builds for the plan
-// above it: the columns it decodes (need, decodeMask's; nil for all),
-// their schema — the table's narrowed to them, in table order — and the
-// capacity of each row (slot: those columns plus predictRoom). The
-// operators above resolve every column by name through their child's
-// Schema, so a narrowed row needs no ordinal remapping anywhere.
-type scanCols struct {
-	need   []bool
-	schema *value.Schema
-	slot   int
-}
-
-// leafCols is the scanCols of a leaf over t in the plan root.
-func leafCols(c *catalog.Catalog, t *catalog.Table, root plan.Node, col *Collector) scanCols {
-	need := decodeMask(c, root, col)
-	schema := t.NarrowSchema(need)
-	return scanCols{need: need, schema: schema, slot: schema.Len() + predictRoom(root)}
-}
-
-// decodeMask reports which columns of its scan a plan reads — what the
-// heap scans and index fetches decode (value.DecodeTupleInto's need) and
-// the columnar scan reconstructs: root is walked down to the leaf
-// collecting the columns of every Filter (and of the baseline predicate
-// EXPLAIN ANALYZE re-checks its rejects against), every Predict's model
-// inputs, the Project list and the HashAgg spec. Names the table does
-// not have are columns a Predict adds above the scan. nil means every
-// column: the plan hands whole rows to its caller (no Project or HashAgg
-// above the scan), or it does not end in a scan of a table the catalog
-// knows. An operator that reads a column the mask missed fails the build
-// (notDecoded), never a row.
-func decodeMask(c *catalog.Catalog, root plan.Node, col *Collector) []bool {
-	all := true
-	var names []string
-	for n := root; ; {
-		switch x := n.(type) {
-		case *plan.Limit:
-			n = x.Child
-		case *plan.Project:
-			if len(x.Cols) > 0 {
-				all, names = false, append(names[:0], x.Cols...)
-			}
-			n = x.Child
-		case *plan.HashAgg:
-			all, names = false, append(names[:0], x.GroupBy...)
-			for _, it := range x.Aggs {
-				if !it.Star {
-					names = append(names, it.Col)
-				}
-			}
-			n = x.Child
-		case *plan.Filter:
-			if !all {
-				names = append(names, expr.Columns(x.Pred)...)
-				if col != nil {
-					if base := col.envBaseline(x); base != nil {
-						names = append(names, expr.Columns(base)...)
-					}
-				}
-			}
-			n = x.Child
-		case *plan.Predict:
-			if !all {
-				me, ok := c.Model(x.Model)
-				if !ok {
-					return nil
-				}
-				names = append(names, me.Model.InputColumns()...)
-			}
-			n = x.Child
-		case *plan.SeqScan, *plan.IndexSeek, *plan.IndexUnion:
-			t, ok := c.Table(scanTable(x))
-			if all || !ok {
-				return nil
-			}
-			return columnMask(t.Schema, names)
-		default:
-			return nil
-		}
-	}
-}
-
-// scanTable names the table the leaf under n reads, or "" when n's
-// single-child chain ends in no scan.
-func scanTable(n plan.Node) string {
-	for {
-		switch x := n.(type) {
-		case *plan.SeqScan:
-			return x.Table
-		case *plan.IndexSeek:
-			return x.Table
-		case *plan.IndexUnion:
-			return x.Table
-		case *plan.ConstScan:
-			return x.Table
-		}
-		kids := n.Children()
-		if len(kids) != 1 {
-			return ""
-		}
-		n = kids[0]
-	}
-}
-
-// notDecoded is the build error of the operator n when it reads col and
-// its input, in, does not hold it: the scan under n did not decode it.
-// A row would otherwise read the column as absent — a filter dropping
-// it, silently.
-func notDecoded(in *value.Schema, n plan.Node, cols ...string) error {
-	for _, col := range cols {
-		if in.Ordinal(col) < 0 {
-			return fmt.Errorf("exec: column %q not decoded by scan of %s", col, scanTable(n))
-		}
-	}
-	return nil
-}
-
-// predNotDecoded is notDecoded for the columns of a predicate.
-func predNotDecoded(in *value.Schema, n plan.Node, pred expr.Expr) error {
-	if col := expr.Unresolved(pred, in); col != "" {
-		return notDecoded(in, n, col)
-	}
-	return nil
-}
-
-// predictRoom is how many values the operators above a leaf append to
-// each of its rows in place: one per Predict between root and the leaf,
-// not counting those above a Project or HashAgg, which get that
-// operator's rows — cut to their own length, so moved by append —
-// instead. Every leaf gives its tuples that much spare capacity
-// (batchPredict).
-func predictRoom(root plan.Node) int {
-	room := 0
-	for n := root; ; {
-		switch x := n.(type) {
-		case *plan.Predict:
-			room++
-		case *plan.Project:
-			if len(x.Cols) > 0 {
-				room = 0
-			}
-		case *plan.HashAgg:
-			room = 0
-		}
-		kids := n.Children()
-		if len(kids) != 1 {
-			return room
-		}
-		n = kids[0]
-	}
-}
-
-// columnMask marks the ordinals of the named columns that s has.
-func columnMask(s *value.Schema, names []string) []bool {
-	need := make([]bool, s.Len())
-	for _, name := range names {
-		if o := s.Ordinal(name); o >= 0 {
-			need[o] = true
-		}
-	}
-	return need
-}
-
 // constScan produces nothing.
 type constScan struct{ schema *value.Schema }
 
@@ -631,39 +467,4 @@ func (r *ridFetch) NextBatch() (Batch, bool, error) {
 func (r *ridFetch) Close() {
 	r.rids, r.slot, r.tup = nil, nil, nil
 	r.store.release()
-}
-
-// projectOrds resolves the projection n's columns against the input
-// schema.
-func projectOrds(in *value.Schema, n plan.Node, cols []string) ([]int, *value.Schema, error) {
-	ords := make([]int, len(cols))
-	outCols := make([]value.Column, len(cols))
-	for i, c := range cols {
-		o := in.Ordinal(c)
-		if o < 0 {
-			return nil, nil, notDecoded(in, n, c)
-		}
-		ords[i] = o
-		outCols[i] = in.Col(o)
-	}
-	schema, err := value.NewSchema(outCols...)
-	if err != nil {
-		return nil, nil, fmt.Errorf("exec: project: %w", err)
-	}
-	return ords, schema, nil
-}
-
-// lookupModel resolves a prediction join's model and enforces the plan's
-// version pin: a plan optimized against one model version must not run
-// against another (its envelopes were derived from the old model).
-func lookupModel(c *catalog.Catalog, pr *plan.Predict) (*catalog.ModelEntry, error) {
-	me, ok := c.Model(pr.Model)
-	if !ok {
-		return nil, fmt.Errorf("exec: no model %q", pr.Model)
-	}
-	if pr.Version != 0 && me.Version != pr.Version {
-		return nil, fmt.Errorf("exec: %w: model %q is v%d, plan was optimized at v%d",
-			qerr.ErrPlanInvalidated, pr.Model, me.Version, pr.Version)
-	}
-	return me, nil
 }

@@ -518,7 +518,7 @@ func TestDecodeMaskColumnar(t *testing.T) {
 	for _, dop := range dops {
 		// The operator built for the filter as a node of root: what the
 		// Project is handed.
-		leaf, err := buildBatchNode(context.Background(), c, root, filter, Options{DOP: dop, BatchSize: 64}.fill(), nil)
+		leaf, err := buildUnder(context.Background(), c, root, filter, Options{DOP: dop, BatchSize: 64}.fill(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -736,7 +736,7 @@ func TestDecodeMaskColumns(t *testing.T) {
 			wantSchema = "id cat num"
 		}
 		for _, dop := range []int{1, 4} {
-			it, err := buildBatchNode(context.Background(), c, tc.root, leaf, Options{DOP: dop, Collector: tc.col}.fill(), nil)
+			it, err := buildUnder(context.Background(), c, tc.root, leaf, Options{DOP: dop, Collector: tc.col}.fill(), nil)
 			if err != nil {
 				t.Fatalf("%s: build leaf: %v", tc.name, err)
 			}
@@ -781,14 +781,14 @@ func TestNotDecodedColumnFailsBuild(t *testing.T) {
 			if part, ok := n.(*plan.HashAgg); ok {
 				// A partial runs under its final; build it the way the final
 				// does, with the mask of the wrong root.
-				_, err := newPartialAgg(context.Background(), c, &plan.HashAgg{Phase: plan.AggPartial,
+				_, err := RunPartialAgg(context.Background(), c, &plan.HashAgg{Phase: plan.AggPartial,
 					Child: tc.root, GroupBy: part.GroupBy, Aggs: part.Aggs}, Options{DOP: dop, Collector: tc.col}.fill())
 				if err == nil || err.Error() != want {
 					t.Errorf("%s dop=%d: err = %v, want %q", tc.name, dop, err, want)
 				}
 				continue
 			}
-			it, err := buildBatchNode(context.Background(), c, tc.root, n, Options{DOP: dop, Collector: tc.col}.fill(), nil)
+			it, err := buildUnder(context.Background(), c, tc.root, n, Options{DOP: dop, Collector: tc.col}.fill(), nil)
 			if err == nil {
 				it.Close()
 			}
@@ -830,7 +830,7 @@ func TestScanAllocFollowsMask(t *testing.T) {
 	scan := &plan.SeqScan{Table: "w"}
 	leafBytes := func(root plan.Node) uint64 {
 		return coldAllocatedBy(t, func() {
-			it, err := buildBatchNode(context.Background(), c, root, scan, Options{DOP: 1, BatchSize: 1024}.fill(), nil)
+			it, err := buildUnder(context.Background(), c, root, scan, Options{DOP: 1, BatchSize: 1024}.fill(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

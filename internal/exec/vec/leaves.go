@@ -22,7 +22,8 @@ import (
 
 // leaf supplies the no-op freeze and static cost shared by all leaf
 // operators. Costs are relative per-row weights used only to break
-// near-ties in the adaptive ordering.
+// near-ties in the adaptive ordering. A leaf holds no adaptive state:
+// every execution shares it (instance returns the node itself).
 type leaf struct{ c float64 }
 
 func (leaf) freeze()         {}
@@ -249,6 +250,8 @@ type notNullNode struct {
 	ord int
 }
 
+func (n *notNullNode) instance() node { return n }
+
 func (n *notNullNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
 	return notNull(&g.Cols[n.ord], sel, sc)
 }
@@ -260,6 +263,8 @@ type cmpNode struct {
 	op  expr.CmpOp
 	v   value.Value
 }
+
+func (n *cmpNode) instance() node { return n }
 
 func (n *cmpNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
 	col := &g.Cols[n.ord]
@@ -284,6 +289,8 @@ type inNode struct {
 	vals []value.Value
 }
 
+func (n *inNode) instance() node { return n }
+
 func (n *inNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
 	col := &g.Cols[n.ord]
 	s := codeSel{col: col, sc: sc}
@@ -298,6 +305,8 @@ type colCmpNode struct {
 	a, b int
 	op   expr.CmpOp
 }
+
+func (n *colCmpNode) instance() node { return n }
 
 func (n *colCmpNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
 	sc.work++

@@ -44,6 +44,10 @@ type node interface {
 	filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32
 	freeze()
 	cost() float64
+	// instance returns the node for one execution: the node itself when
+	// it holds no adaptive state, else a copy with unmeasured counters
+	// and no frozen order that shares the compiled kids it can.
+	instance() node
 }
 
 // Scratch is one evaluator's working memory: the selection buffers its
@@ -162,15 +166,30 @@ type Report struct {
 	Terms []TermStat
 }
 
-// Pred is a compiled, adaptively-ordered predicate over column groups.
-// The lifecycle is: Compile → FilterGroup over the warmup groups
-// (single-threaded) → Freeze → FilterGroup from any number of
-// goroutines, each with its own Scratch. A Scratch is not tied to the
-// Pred it last served: it may come from, and go on to, any other.
-type Pred struct {
+// Program is a compiled predicate: its leaves, the histogram-seeded
+// selectivity of every term and the top-level terms' renderings. It is
+// immutable, made once per plan and shared by all of its executions;
+// each execution measures and orders the terms in a Pred of its own
+// (New).
+type Program struct {
 	root     node
 	terms    []string // top-level term renderings for Report
 	combiner string
+}
+
+// New returns one execution's adaptively-ordered predicate over p: every
+// term unmeasured, no order frozen. It allocates the combiners' counters
+// and nothing else; the leaves stay p's.
+func (p *Program) New() *Pred { return &Pred{Program: p, root: p.root.instance()} }
+
+// Pred is one execution of a Program over column groups. The lifecycle
+// is: New → FilterGroup over the warmup groups (single-threaded) →
+// Freeze → FilterGroup from any number of goroutines, each with its own
+// Scratch. A Scratch is not tied to the Pred it last served: it may come
+// from, and go on to, any other.
+type Pred struct {
+	*Program
+	root node // the Program's root with this execution's counters
 }
 
 // FilterGroup returns the row indices of g satisfying the predicate, in
@@ -192,7 +211,7 @@ func (p *Pred) FilterGroup(g *storage.ColGroup, sc *Scratch) []int32 {
 func (p *Pred) Freeze() { p.root.freeze() }
 
 // Report returns the chosen term order and per-term counters for the
-// top-level combiner.
+// top-level combiner, in slices of its own.
 func (p *Pred) Report() Report {
 	r := Report{Combiner: p.combiner}
 	var order []int
@@ -329,6 +348,35 @@ func (n *andNode) cost() float64 {
 	return c
 }
 
+func (n *andNode) instance() node {
+	kids, stats := instances(n.kids, n.stats)
+	return &andNode{kids: kids, stats: stats}
+}
+
+// instances returns a combiner's kids and counters for one execution:
+// the kids' instances — the compiled slice itself when none has state —
+// and counters that keep only the seeds.
+func instances(kids []node, seeds []termStats) ([]node, []termStats) {
+	stats := make([]termStats, len(seeds))
+	for i := range seeds {
+		stats[i].seedSel = seeds[i].seedSel
+	}
+	var own []node // kids copied, from the first kid with state on
+	for i, k := range kids {
+		ki := k.instance()
+		if ki != k && own == nil {
+			own = append([]node(nil), kids...)
+		}
+		if own != nil {
+			own[i] = ki
+		}
+	}
+	if own == nil {
+		return kids, stats
+	}
+	return own, stats
+}
+
 // orNode is an adaptively-ordered disjunction: once frozen, terms run
 // highest acceptance-per-cost first, each over only the rows no earlier
 // term accepted (per-batch short-circuiting).
@@ -401,6 +449,11 @@ func (n *orNode) cost() float64 {
 	return c
 }
 
+func (n *orNode) instance() node {
+	kids, stats := instances(n.kids, n.stats)
+	return &orNode{kids: kids, stats: stats}
+}
+
 // notNode inverts its child by ordered set difference, which matches
 // expr.Not's plain-negation semantics exactly (a NULL comparison is
 // false, so its negation is true).
@@ -415,6 +468,12 @@ func (n *notNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 
 
 func (n *notNode) freeze()       { n.kid.freeze() }
 func (n *notNode) cost() float64 { return n.kid.cost() + 0.1 }
+func (n *notNode) instance() node {
+	if kid := n.kid.instance(); kid != n.kid {
+		return &notNode{kid: kid}
+	}
+	return n
+}
 
 // trueNode passes every candidate row.
 type trueNode struct{}
@@ -422,8 +481,9 @@ type trueNode struct{}
 func (trueNode) filter(_ *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
 	return append(sc.get(len(sel)), sel...)
 }
-func (trueNode) freeze()       {}
-func (trueNode) cost() float64 { return 0.1 }
+func (trueNode) freeze()          {}
+func (trueNode) cost() float64    { return 0.1 }
+func (n trueNode) instance() node { return n }
 
 // falseNode rejects every candidate row.
 type falseNode struct{}
@@ -431,8 +491,9 @@ type falseNode struct{}
 func (falseNode) filter(_ *storage.ColGroup, _ []int32, sc *Scratch) []int32 {
 	return sc.get(0)
 }
-func (falseNode) freeze()       {}
-func (falseNode) cost() float64 { return 0.1 }
+func (falseNode) freeze()          {}
+func (falseNode) cost() float64    { return 0.1 }
+func (n falseNode) instance() node { return n }
 
 // intersect returns a ∩ b for ascending slices, in a fresh buffer.
 func intersect(sc *Scratch, a, b []int32) []int32 {
@@ -522,12 +583,12 @@ func seedSelectivity(ts *stats.TableStats, e expr.Expr) float64 {
 // when non-nil, seeds the initial term-selectivity estimates from the
 // table's histograms. ok is false when e contains a construct the
 // vectorized evaluator does not support; callers then run the row path.
-func Compile(e expr.Expr, s *value.Schema, ts *stats.TableStats) (*Pred, bool) {
+func Compile(e expr.Expr, s *value.Schema, ts *stats.TableStats) (*Program, bool) {
 	root, ok := compileNode(e, s, ts)
 	if !ok {
 		return nil, false
 	}
-	p := &Pred{root: root}
+	p := &Program{root: root}
 	// compileNode collapses single-kid combiners into their child, so the
 	// report's term list must be read from the same unwrapped expression
 	// the root node was actually built from.

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"minequery/internal/catalog"
@@ -417,10 +418,11 @@ func TestVecMatchesRowOracle(t *testing.T) {
 		if it%2 == 1 {
 			ts = nil // half the runs without histogram seeding
 		}
-		p, ok := vec.Compile(pred, fx.table.Schema, ts)
+		prog, ok := vec.Compile(pred, fx.table.Schema, ts)
 		if !ok {
 			t.Fatalf("iter %d: compile refused supported predicate %s", it, pred)
 		}
+		p := prog.New()
 		sc := vec.NewScratch()
 		for gi, g := range fx.cs.Groups {
 			if gi == warm {
@@ -477,10 +479,11 @@ func TestVecScratchReuse(t *testing.T) {
 		}},
 		expr.In{Col: "seg", Vals: []value.Value{value.Str("vip"), value.Str("budget")}},
 	}}
-	p, ok := vec.Compile(pred, fx.table.Schema, nil)
+	prog, ok := vec.Compile(pred, fx.table.Schema, nil)
 	if !ok {
 		t.Fatal("compile refused predicate")
 	}
+	p := prog.New()
 	sc := vec.NewScratch()
 	g := fx.cs.Groups[0]
 	first := append([]int32(nil), p.FilterGroup(g, sc)...)
@@ -494,6 +497,51 @@ func TestVecScratchReuse(t *testing.T) {
 	want := oracleSel(fx, 0, pred)
 	if !selEqual(first, want) {
 		t.Fatalf("selection disagrees with oracle: got %d want %d rows", len(first), len(want))
+	}
+}
+
+// TestProgramExecutionsAreIndependent: one compiled Program serves many
+// executions, each measuring and ordering its terms in a Pred of its
+// own. Two executions over the same groups select and report alike, and
+// neither's counters or frozen order move when the other runs — also
+// when the nested combiners under a NOT carry state.
+func TestProgramExecutionsAreIndependent(t *testing.T) {
+	fx := buildFixture(t, 5, 3*storage.ColGroupRows)
+	pred := expr.Or{Kids: []expr.Expr{
+		expr.Cmp{Col: "age", Op: expr.OpLe, Val: value.Int(2)},
+		expr.Not{Kid: expr.And{Kids: []expr.Expr{
+			expr.Cmp{Col: "income", Op: expr.OpGe, Val: value.Int(3)},
+			expr.Cmp{Col: "city", Op: expr.OpNe, Val: value.Str("c1")},
+		}}},
+		expr.In{Col: "seg", Vals: []value.Value{value.Str("vip")}},
+	}}
+	prog, ok := vec.Compile(pred, fx.table.Schema, nil)
+	if !ok {
+		t.Fatal("compile refused predicate")
+	}
+	run := func(p *vec.Pred) (string, vec.Report) {
+		sc := vec.NewScratch()
+		defer sc.Release()
+		var sels strings.Builder
+		for gi, g := range fx.cs.Groups {
+			if gi == 1 {
+				p.Freeze()
+			}
+			fmt.Fprintln(&sels, p.FilterGroup(g, sc))
+		}
+		return sels.String(), p.Report()
+	}
+	first := prog.New()
+	sel1, rep1 := run(first)
+	sel2, rep2 := run(prog.New())
+	if sel1 != sel2 || fmt.Sprint(rep1) != fmt.Sprint(rep2) {
+		t.Fatalf("two executions of one program differ:\n%v\n%v", rep1, rep2)
+	}
+	if got := first.Report(); fmt.Sprint(got) != fmt.Sprint(rep1) {
+		t.Fatalf("the second execution moved the first's counters:\n%v\nwas\n%v", got, rep1)
+	}
+	if rep1.Terms[0].Evaluated+rep1.Terms[0].Skipped == 0 {
+		t.Fatal("no term was asked about; the test is vacuous")
 	}
 }
 
@@ -533,10 +581,11 @@ func TestVecScratchRecycled(t *testing.T) {
 		fx.envelopes[0],
 	}
 	compile := func(e expr.Expr, freeze bool) *vec.Pred {
-		p, ok := vec.Compile(e, fx.table.Schema, nil)
+		prog, ok := vec.Compile(e, fx.table.Schema, nil)
 		if !ok {
 			t.Fatalf("compile refused %s", e)
 		}
+		p := prog.New()
 		if freeze {
 			p.Freeze()
 		}
@@ -607,10 +656,11 @@ func TestAllocFilterGroupSteadyState(t *testing.T) {
 		}})
 	}
 	for _, frozen := range []bool{false, true} {
-		p, ok := vec.Compile(expr.Or{Kids: terms}, fx.table.Schema, nil)
+		prog, ok := vec.Compile(expr.Or{Kids: terms}, fx.table.Schema, nil)
 		if !ok {
 			t.Fatal("compile refused predicate")
 		}
+		p := prog.New()
 		if frozen {
 			p.Freeze()
 		}

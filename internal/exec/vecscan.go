@@ -43,7 +43,7 @@ const warmupGroups = 2
 type vecCore struct {
 	table  *catalog.Table
 	groups []*storage.ColGroup // the scan's groups: the surviving partitions', in heap order
-	pred   *vec.Pred           // nil for an unfiltered scan
+	pred   *vec.Pred           // this execution's, of the Bound's program; nil for an unfiltered scan
 	opts   Options
 	io     *storage.Counters
 	// scanSt is the scan leaf's stats slot when the operator also plays
@@ -59,7 +59,7 @@ type vecCore struct {
 
 	// ords (the ordinals decodeMask marks, in table order) and slot (the
 	// capacity of a reconstructed tuple: those columns plus predictRoom)
-	// shape the rows a groupScan reconstructs.
+	// shape the rows a groupScan reconstructs; both are the Bound's.
 	ords []int
 	slot int
 
@@ -115,32 +115,24 @@ func (c *vecCore) selectGroup(g *storage.ColGroup, sc *vec.Scratch) ([]int32, in
 	return sel, n
 }
 
-// newVecCore resolves a columnar-flagged scan (and the filter fused
-// onto it, or nil) against the table's sidecar, to reconstruct rows of
-// the shape cols. It returns nil — routing the caller to the row path —
-// when the sidecar is stale or missing, or when the predicate has a
-// shape the vectorized evaluator refuses.
-func newVecCore(t *catalog.Table, x *plan.SeqScan, filter *plan.Filter, cols scanCols, opts Options) *vecCore {
+// newVecCore is one execution's columnar core over the scan at ordinal
+// si of b, with the Filter at ordinal fi fused onto it (-1 for none; its
+// predicate must be one vec compiled, prog). It returns nil — routing the
+// caller to the row path — when the table's sidecar is stale or missing.
+func newVecCore(b *Bound, si, fi int, opts Options) *vecCore {
+	bs := &b.nodes[si]
+	t := b.table
 	cs := t.ColumnStore()
 	if cs == nil {
 		return nil
 	}
-	c := &vecCore{table: t, opts: opts, io: ioOf(opts.Collector), groups: cs.Groups, slot: cols.slot}
-	for ci := 0; ci < t.Schema.Len(); ci++ {
-		if cols.need == nil || cols.need[ci] {
-			c.ords = append(c.ords, ci)
-		}
+	c := &vecCore{table: t, opts: opts, io: ioOf(opts.Collector), groups: cs.Groups, ords: bs.ords, slot: b.cols.slot}
+	if fi >= 0 {
+		c.pred = b.nodes[fi].prog.New()
 	}
-	if filter != nil {
-		vp, ok := vec.Compile(filter.Pred, t.Schema, t.Stats())
-		if !ok {
-			return nil
-		}
-		c.pred = vp
-	}
-	if x.Partitions != nil {
-		keep := make(map[int]bool, len(x.Partitions))
-		for _, p := range x.Partitions {
+	if parts := bs.node.(*plan.SeqScan).Partitions; parts != nil {
+		keep := make(map[int]bool, len(parts))
+		for _, p := range parts {
 			keep[p] = true
 		}
 		c.groups = nil
@@ -150,10 +142,10 @@ func newVecCore(t *catalog.Table, x *plan.SeqScan, filter *plan.Filter, cols sca
 			}
 		}
 	}
-	if col := opts.Collector; col != nil && filter != nil {
-		c.scanSt = col.Op(x)
-		if base := col.envBaseline(filter); base != nil {
-			c.filtSt, c.base, c.baseCols = col.Op(filter), base, columnMask(t.Schema, expr.Columns(base))
+	if col := opts.Collector; col != nil && fi >= 0 {
+		c.scanSt = col.slot(si)
+		if base := col.envBaseline(b.nodes[fi].node); base != nil {
+			c.filtSt, c.base, c.baseCols = col.slot(fi), base, columnMask(t.Schema, expr.Columns(base))
 		}
 	}
 	return c
@@ -253,17 +245,7 @@ func (s *groupScan) Close() {
 func (c *vecCore) info() *VecScanInfo {
 	info := &VecScanInfo{Groups: c.processed.Load()}
 	if c.pred != nil {
-		r := c.pred.Report()
-		info.Combiner = r.Combiner
-		info.Order = append([]int(nil), r.Order...)
-		if len(r.Terms) > 0 {
-			info.Terms = make([]VecTermActual, 0, len(r.Terms))
-		}
-		for _, t := range r.Terms {
-			info.Terms = append(info.Terms, VecTermActual{
-				Index: t.Index, Term: t.Term, Evaluated: t.Evaluated, Skipped: t.Skipped, Passed: t.Passed,
-			})
-		}
+		info.Report = c.pred.Report()
 	}
 	return info
 }

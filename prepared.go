@@ -43,41 +43,62 @@ type Prepared struct {
 	fallback plan.Node
 	optRes   opt.Result
 	epoch    int64
-	// rootText and fallbackText hold the two trees' Explain text once
-	// it is asked for a second time.
-	rootText, fallbackText planText
+	// rootKept and fallbackKept hold what each of the two trees derives
+	// for an execution, once it is asked for a second time.
+	rootKept, fallbackKept treeKept
 }
 
-// planText is one immutable plan tree's Explain text, rendered afresh
-// on the tree's first request and kept from its second on: a statement
-// that runs once retains nothing, one that runs again renders no more.
-type planText struct {
+// treeKept is what an execution derives from one immutable plan tree and
+// nothing else: its Explain text and its exec.Bound.
+type treeKept struct {
+	text  kept[string]
+	bound kept[exec.Bound]
+}
+
+// kept is one value derived from an immutable plan tree, made afresh on
+// the tree's first request and kept from its second on: a statement that
+// runs once retains nothing, one that runs again derives no more.
+type kept[T any] struct {
 	requests atomic.Int32
-	text     atomic.Pointer[string]
+	v        atomic.Pointer[T]
 }
 
-// of returns root's Explain text; root is always the tree this slot
-// belongs to.
-func (pt *planText) of(root plan.Node) string {
-	if s := pt.text.Load(); s != nil {
-		return *s
+// get returns the kept value, or what derive returns: kept when this is
+// the second request or a later one.
+func (k *kept[T]) get(derive func() (*T, error)) (*T, error) {
+	if v := k.v.Load(); v != nil {
+		return v, nil
 	}
-	s := plan.Explain(root)
-	if pt.requests.Add(1) < 2 {
-		return s
+	v, err := derive()
+	if err != nil || k.requests.Add(1) < 2 {
+		return v, err
 	}
-	// Concurrent second requests agree on one kept string.
-	pt.text.CompareAndSwap(nil, &s)
-	return *pt.text.Load()
+	// Concurrent second requests agree on one kept value.
+	k.v.CompareAndSwap(nil, v)
+	return k.v.Load(), nil
 }
 
-// planTextOf returns the Explain text of one of the statement's trees:
-// its root or its fallback.
-func (p *Prepared) planTextOf(root plan.Node) string {
+// keptOf returns what is kept for one of the statement's trees: its root
+// or its fallback.
+func (p *Prepared) keptOf(root plan.Node) *treeKept {
 	if root == p.fallback {
-		return p.fallbackText.of(root)
+		return &p.fallbackKept
 	}
-	return p.rootText.of(root)
+	return &p.rootKept
+}
+
+// planTextOf returns the Explain text of one of the statement's trees.
+func (p *Prepared) planTextOf(root plan.Node) string {
+	s, _ := p.keptOf(root).text.get(func() (*string, error) {
+		s := plan.Explain(root)
+		return &s, nil
+	})
+	return *s
+}
+
+// boundOf returns the exec.Bound of one of the statement's trees.
+func (p *Prepared) boundOf(root plan.Node) (*exec.Bound, error) {
+	return p.keptOf(root).bound.get(func() (*exec.Bound, error) { return exec.Bind(p.eng.cat, root) })
 }
 
 // Prepare parses, rewrites, and optimizes a SELECT once, returning a
@@ -153,7 +174,7 @@ func (e *Engine) front(sql string, q *sqlparse.Query, baseline bool) (*Prepared,
 func (p *Prepared) SQL() string { return p.sql }
 
 // Plan returns the cached physical plan in Explain form.
-func (p *Prepared) Plan() string { return p.rootText.of(p.root) }
+func (p *Prepared) Plan() string { return p.planTextOf(p.root) }
 
 // AccessPath reports how the cached plan reads the base table.
 func (p *Prepared) AccessPath() string { return plan.PathOf(p.root).String() }

@@ -173,9 +173,11 @@ func renderFixture(t *testing.T) *Prepared {
 
 // TestAllocExecuteRendersOnRead: a streamed execution renders no report
 // and, once its statement has run twice, no plan text. The bound is
-// what such an execution allocates (3,936 B, on one P with GC off, Go
-// 1.24 on x86-64) with a little slack; rendering the report and the
-// plan text on every execution, as the engine once did, took 8,840 B.
+// what such an execution allocates (2,304 B, on one P with GC off, Go
+// 1.24 on x86-64) with a little slack: 3,936 B before a prepared tree
+// kept its exec.Bound (TestAllocPreparedBindsOnce); rendering the report
+// and the plan text on every execution, as the engine once did, took
+// 8,840 B.
 func TestAllocExecuteRendersOnRead(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -186,7 +188,7 @@ func TestAllocExecuteRendersOnRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.rootText.text.Load() != nil {
+	if p.rootKept.text.v.Load() != nil {
 		t.Fatal("a statement executed once kept its plan text")
 	}
 	var plans [2]string
@@ -217,8 +219,8 @@ func TestAllocExecuteRendersOnRead(t *testing.T) {
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
 	t.Logf("%d B per execution", least)
-	if least > 4400 {
-		t.Fatalf("an execution allocates %d B, at most 4400: something renders text nobody read", least)
+	if least > 2768 {
+		t.Fatalf("an execution allocates %d B, at most 2768: something renders text nobody read", least)
 	}
 }
 
@@ -251,7 +253,7 @@ func TestPreparedPlanTextConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if kept := p.rootText.text.Load(); kept == nil || *kept != want {
+	if kept := p.rootKept.text.v.Load(); kept == nil || *kept != want {
 		t.Fatal("25 requests and no plan text kept")
 	}
 }
