@@ -221,7 +221,7 @@ func storedRecord(t *catalog.Table, row value.Tuple) (value.Tuple, []byte, error
 	if err != nil {
 		return nil, nil, err
 	}
-	rec := value.EncodeTuple(nil, norm)
+	rec := value.EncodeTuple(make([]byte, 0, value.EncodedLen(norm)), norm)
 	if len(rec) > storage.MaxRecordSize {
 		return nil, nil, fmt.Errorf("%w: a row of %s encodes to %d bytes, over the %d a page holds",
 			qerr.ErrUnsupportedQuery, t.Name, len(rec), storage.MaxRecordSize)

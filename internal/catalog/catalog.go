@@ -245,7 +245,7 @@ func (t *Table) Insert(row value.Tuple) (storage.RID, error) {
 	if err != nil {
 		return storage.RID{}, err
 	}
-	return t.insertRecord(row, value.EncodeTuple(nil, row))
+	return t.insertRecord(row, value.EncodeTuple(make([]byte, 0, value.EncodedLen(row)), row))
 }
 
 // InsertRecord appends the row rec encodes (value.EncodeTuple bytes, as a
@@ -279,7 +279,7 @@ func (t *Table) decodeRecord(rec []byte, scratch value.Tuple) (value.Tuple, []by
 		return nil, nil, err
 	}
 	if widened {
-		rec = value.EncodeTuple(nil, norm)
+		rec = value.EncodeTuple(make([]byte, 0, value.EncodedLen(norm)), norm)
 	}
 	return norm, rec, nil
 }

@@ -16,6 +16,13 @@
 // immutable once published (Insert only appends into untouched space,
 // Delete only zeroes the slot entry), so a scan sees each page as it was
 // when the scan reached it, never a torn record.
+//
+// A page object is swapped as well as appended to: a non-tail page whose
+// deleted records passed half of its record bytes is compacted — its live
+// records copied, under their slot numbers, into a right-sized page that
+// replaces it in the directory (see compacted). The old object is never
+// written again, so a scan that snapshotted it and a GetInto alias into
+// it stay valid, and every RID stays what it was.
 package storage
 
 import (
@@ -86,14 +93,54 @@ func (c *Counters) Snapshot() IOStats {
 }
 
 // page is one slotted page. Slots grow from the front after the header;
-// record bytes grow from the back.
+// record bytes grow from the back. Only the tail page's data is
+// PageSize long; a compacted page holds just what it keeps.
 type page struct {
 	data []byte
-	free int // offset of first free byte from the back (records end here)
+	free int // offset of the first record byte: records fill data[free:]
+	// dead counts the bytes of deleted records still in data; queued says
+	// the page is on its heap's compaction queue.
+	dead   int
+	queued bool
 }
 
 func newPage() *page {
 	return &page{data: make([]byte, PageSize), free: PageSize}
+}
+
+// emptyPage is what a page compacts to when it has no live record: one
+// shared zero-slot page, never written, so a dead page allocates nothing.
+var emptyPage = &page{data: make([]byte, pageHeaderSize), free: pageHeaderSize}
+
+// mostlyDead reports whether p's deleted records are over half of its
+// record bytes: the compaction rule.
+func (p *page) mostlyDead() bool { return 2*p.dead > len(p.data)-p.free }
+
+// compacted returns a page holding p's live records under their slot
+// numbers: the header, the directory up to the last live slot, and the
+// live bytes, in a buffer of exactly that size. Trailing dead slots are
+// trimmed; a page with no live record compacts to emptyPage.
+func (p *page) compacted() *page {
+	last, live := -1, 0
+	for s := range p.slotCount() {
+		if _, n := p.slotAt(s); n != 0 {
+			last, live = s, live+n
+		}
+	}
+	if last < 0 {
+		return emptyPage
+	}
+	dirEnd := pageHeaderSize + (last+1)*slotSize
+	q := &page{data: make([]byte, dirEnd+live), free: dirEnd + live}
+	q.setSlotCount(last + 1)
+	for s := 0; s <= last; s++ {
+		if off, n := p.slotAt(s); n != 0 {
+			q.free -= n
+			copy(q.data[q.free:], p.data[off:off+n])
+			q.setSlot(s, q.free, n)
+		}
+	}
+	return q
 }
 
 func (p *page) slotCount() int {
@@ -153,6 +200,7 @@ func (p *page) delete(slot int) bool {
 		return false
 	}
 	p.setSlot(slot, off, 0)
+	p.dead += length
 	return true
 }
 
@@ -161,6 +209,11 @@ type Heap struct {
 	mu    sync.RWMutex
 	pages []*page
 	live  atomic.Int64
+	// queue holds the indexes of pages that became mostly dead, each
+	// once, in the order they did; compactions counts pages compacted.
+	// Both are guarded by mu.
+	queue       []int
+	compactions int64
 
 	// faults, when set, is consulted once per page read (sequential and
 	// random sites separately) and may inject latency or a typed error.
@@ -179,7 +232,10 @@ func NewHeap() *Heap { return &Heap{} }
 // MaxRecordSize is the largest record a heap accepts (must fit a page).
 const MaxRecordSize = PageSize - pageHeaderSize - slotSize
 
-// Insert appends a record and returns its RID.
+// Insert appends a record to the tail page and returns its RID. When the
+// record opens a new tail page, every queued page, all of them now
+// behind the tail, is compacted under the same lock: the heap never
+// grows while a page it no longer appends to is mostly dead.
 func (h *Heap) Insert(rec []byte) (RID, error) {
 	if len(rec) > MaxRecordSize {
 		return RID{}, fmt.Errorf("storage: record of %d bytes exceeds page capacity", len(rec))
@@ -187,6 +243,7 @@ func (h *Heap) Insert(rec []byte) (RID, error) {
 	h.mu.Lock()
 	if len(h.pages) == 0 || !h.pages[len(h.pages)-1].canFit(len(rec)) {
 		h.pages = append(h.pages, newPage())
+		h.compactQueued()
 	}
 	pi := len(h.pages) - 1
 	slot := h.pages[pi].insert(rec)
@@ -229,18 +286,42 @@ func (h *Heap) GetInto(c *Counters, rid RID) ([]byte, bool, error) {
 }
 
 // Delete marks the record at rid deleted. It reports whether a live
-// record was removed.
+// record was removed. The first time a page's dead bytes pass half of
+// its record bytes, the page is queued for the next Insert to compact.
 func (h *Heap) Delete(rid RID) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if int(rid.Page) >= len(h.pages) {
 		return false
 	}
-	if h.pages[rid.Page].delete(int(rid.Slot)) {
-		h.live.Add(-1)
-		return true
+	p := h.pages[rid.Page]
+	if !p.delete(int(rid.Slot)) {
+		return false
 	}
-	return false
+	h.live.Add(-1)
+	if !p.queued && p.mostlyDead() {
+		p.queued = true
+		h.queue = append(h.queue, int(rid.Page))
+	}
+	return true
+}
+
+// compactQueued swaps each queued page for its compacted copy. Caller
+// holds mu for writing and has just opened a new tail, so no queued page
+// takes inserts any more. A page queued while it was the tail may have
+// taken enough inserts since to be no longer mostly dead: it is left as
+// it is, to be queued again if deletes tip it over later.
+func (h *Heap) compactQueued() {
+	for _, pi := range h.queue {
+		p := h.pages[pi]
+		if !p.mostlyDead() {
+			p.queued = false
+			continue
+		}
+		h.pages[pi] = p.compacted()
+		h.compactions++
+	}
+	h.queue = h.queue[:0]
 }
 
 // Scan visits every live record in heap order as a sequential read,
@@ -264,7 +345,10 @@ func (h *Heap) Scan(fn func(RID, []byte) bool) error {
 // Each page's slot directory is snapshotted under the read lock, then
 // records are delivered lock-free: the scan observes every page at one
 // instant even while writers interleave, and the payload bytes behind a
-// snapshotted slot are immutable. fit, when non-nil, is shown the number
+// snapshotted slot are immutable — a page compacted after its snapshot
+// is delivered from the object snapshotted, which is never written again.
+// A compacted page still counts as one page read, an empty one included:
+// its address is still in the range. fit, when non-nil, is shown the number
 // of live records in each page's snapshot — exactly what the page will
 // deliver — before the page is read; returning false ends the scan
 // there, that page neither read nor counted.
@@ -286,8 +370,9 @@ func (h *Heap) ScanPagesInto(c *Counters, lo, hi int, fit func(live int) bool, f
 			p = h.pages[pi]
 		}
 		if p == nil {
-			// Pages are never deallocated, so a nil page mid-range is a
-			// clamp artifact (the range was computed against a different
+			// Page addresses are never freed (a compacted page keeps its
+			// address, and one with nothing live is the shared empty
+			// page), so a nil page mid-range is a clamp artifact (the range was computed against a different
 			// directory snapshot), not end-of-heap: skip it and keep
 			// visiting the rest of the morsel rather than silently
 			// truncating [pi+1, hi).
@@ -337,6 +422,48 @@ func liveSlots(dir []byte) int {
 
 // Len returns the number of live records.
 func (h *Heap) Len() int64 { return h.live.Load() }
+
+// Space is what a store's pages hold.
+type Space struct {
+	// Pages counts page addresses, compacted pages included: a page
+	// address is never freed.
+	Pages int
+	// Bytes is the size of the page buffers held. A compacted page holds
+	// only its directory and live records, and an empty one nothing.
+	Bytes int64
+	// Compactions counts pages compacted since the store was made.
+	Compactions int64
+}
+
+// SpaceOf returns what s's pages hold, all partitions'.
+func SpaceOf(s Store) Space {
+	switch s := s.(type) {
+	case *Heap:
+		return s.space()
+	case *PartitionedHeap:
+		var sp Space
+		for _, h := range s.parts {
+			hs := h.space()
+			sp.Pages += hs.Pages
+			sp.Bytes += hs.Bytes
+			sp.Compactions += hs.Compactions
+		}
+		return sp
+	}
+	return Space{}
+}
+
+func (h *Heap) space() Space {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	sp := Space{Pages: len(h.pages), Compactions: h.compactions}
+	for _, p := range h.pages {
+		if p != emptyPage {
+			sp.Bytes += int64(len(p.data))
+		}
+	}
+	return sp
+}
 
 // PageCount returns the number of allocated pages.
 func (h *Heap) PageCount() int {

@@ -87,6 +87,38 @@ func decodeValue(b []byte, keep bool) (Value, int, error) {
 	return v, used, nil
 }
 
+// encodedLen returns the length of v's encoding: len(v.Encode(nil)).
+func (v Value) encodedLen() int {
+	switch v.kind {
+	case KindInt, KindFloat:
+		return 9
+	case KindBool:
+		return 2
+	case KindString:
+		return 1 + uvarintLen(uint64(len(v.s))) + len(v.s)
+	}
+	return 1
+}
+
+// uvarintLen returns how many bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+// EncodedLen returns the length of t's encoding, len(EncodeTuple(nil,
+// t)): a buffer of that capacity takes the encoding in one allocation.
+func EncodedLen(t Tuple) int {
+	n := uvarintLen(uint64(len(t)))
+	for _, v := range t {
+		n += v.encodedLen()
+	}
+	return n
+}
+
 // EncodeTuple appends the binary encoding of t to dst.
 func EncodeTuple(dst []byte, t Tuple) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(t)))

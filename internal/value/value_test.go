@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -416,5 +417,52 @@ func TestQuickStringSortKey(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestQuickEncodedLen: EncodedLen is the length EncodeTuple writes, for
+// every kind — NULL, BOOL, INT, FLOAT and TEXT, up to lengths whose
+// uvarint takes two and three bytes — and any arity.
+func TestQuickEncodedLen(t *testing.T) {
+	f := func(i int64, fl float64, b bool, s string, long uint16, picks []uint8) bool {
+		pool := []Value{Null(), Bool(b), Int(i), Float(fl), Str(s),
+			Str(strings.Repeat("x", 127)), Str(strings.Repeat("y", 128+int(long)%16384)), Str(strings.Repeat("z", 16384))}
+		var tup Tuple
+		for _, k := range picks {
+			tup = append(tup, pool[int(k)%len(pool)])
+		}
+		return EncodedLen(tup) == len(EncodeTuple(nil, tup))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	for n := range 300 { // arities whose uvarint takes one and two bytes
+		tup := make(Tuple, n)
+		for j := range tup {
+			tup[j] = Null()
+		}
+		if got, want := EncodedLen(tup), len(EncodeTuple(nil, tup)); got != want {
+			t.Fatalf("arity %d: EncodedLen %d, encoding %d bytes", n, got, want)
+		}
+	}
+}
+
+// TestAllocEncodeTupleOnce: a buffer presized with EncodedLen takes a
+// row's encoding in one allocation; growing from nil takes one per
+// doubling (8, 16, 32 and 64 bytes for this 42-byte row).
+func TestAllocEncodeTupleOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	row := Tuple{Int(20417), Str("c11"), Int(8630), Int(0), Str("high"), Str("b")}
+	var sink []byte
+	got := testing.AllocsPerRun(200, func() {
+		sink = EncodeTuple(make([]byte, 0, EncodedLen(row)), row)
+	})
+	if got != 1 {
+		t.Errorf("%v allocations to encode a row into a presized buffer, want 1", got)
+	}
+	if len(sink) != cap(sink) {
+		t.Errorf("the encoding fills %d of %d bytes: EncodedLen is not exact", len(sink), cap(sink))
 	}
 }

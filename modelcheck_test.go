@@ -30,6 +30,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,7 +72,8 @@ func TestModelCheck(t *testing.T) {
 	// Vacuity guards, when every run ran: a path no run took, nothing checked.
 	for _, k := range strings.Split("index path|columnar execution|columnar after a sidecar rebuild|"+
 		"pruned partition|fallback|stale plan|retrain|ungrouped aggregate|NaN in an answer|-0.0 in an answer|"+
-		"notification|standing recompile|recovered acked|recovered acked+pending|torn tail|second crash cycle", "|") {
+		"notification|standing recompile|recovered acked|recovered acked+pending|torn tail|second crash cycle|"+
+		"compaction under a scan|compaction under an index seek", "|") {
 		if runs == 2*seeds && total[k] == 0 {
 			t.Errorf("no run exercised %q: the generator or the engine drifted", k)
 		}
@@ -81,12 +83,12 @@ func TestModelCheck(t *testing.T) {
 
 // A mix weighs stepOnce's kinds, in its order: SELECT, aggregate, DML,
 // CREATE MODEL, subscribe, unsubscribe, DOP flip, EnableColumnar,
-// Analyze, arm a WAL kill. A kind whose precondition fails falls through
-// to the next.
-type mix [10]int
+// Analyze, arm a WAL kill, a read under a compaction. A kind whose
+// precondition fails falls through to the next.
+type mix [11]int
 
 var (
-	everything = mix{30, 18, 24, 4, 6, 3, 4, 4, 4, 3}
+	everything = mix{30, 18, 24, 4, 6, 3, 4, 4, 4, 3, 4}
 	reads      = mix{30, 0, 0, 0, 0, 0, 4}
 	aggregates = mix{0, 30, 0, 0, 0, 0, 4}
 	writes     = mix{10, 6, 24, 0, 0, 0, 4, 0, 4}
@@ -638,16 +640,11 @@ func (c *check) dml() stmt {
 	w := pred{"id > 8 AND " + spare.sql, func(e mq.Tuple) bool { return e[cID].AsInt() > 8 && spare.ok(e) }}
 	switch {
 	case k < 5:
-		rows, vals := make([]mq.Tuple, 1+c.r.Intn(4)), []string{}
+		rows := make([]mq.Tuple, 1+c.r.Intn(4))
 		for i := range rows {
 			rows[i] = c.newRow(false)
-			vals = append(vals, fmt.Sprintf("(%s, %s, %s, %s, %s)", sqlOf(rows[i][0]), sqlOf(rows[i][1]), sqlOf(rows[i][2]), sqlOf(rows[i][3]), sqlOf(rows[i][4])))
 		}
-		cols := []string{" (id, cat, num, x, lbl)", ""}[c.r.Intn(2)]
-		return stmt{sql: "INSERT INTO t" + cols + " VALUES " + strings.Join(vals, ", "), apply: func(r *ref) (int64, []mq.Tuple, error) {
-			r.insert(rows...)
-			return int64(len(rows)), rows, nil
-		}}
+		return c.insertOf(rows)
 	case k < 8:
 		set, sets := map[int]mq.Value{}, []string{}
 		for _, o := range []int{cNum, cX, cLbl, cCat} {
@@ -672,6 +669,19 @@ func (c *check) dml() stmt {
 	w = pred{"cat = " + sqlOf(cat) + " AND " + inner.sql, func(e mq.Tuple) bool { return e[cCat] == cat && inner.ok(e) }}
 	return stmt{sql: "DELETE FROM t WHERE " + w.sql, apply: func(r *ref) (int64, []mq.Tuple, error) {
 		return int64(len(r.take(w))), nil, nil
+	}}
+}
+
+// insertOf is an INSERT of rows, naming its columns or not.
+func (c *check) insertOf(rows []mq.Tuple) stmt {
+	vals := make([]string, len(rows))
+	for i, w := range rows {
+		vals[i] = fmt.Sprintf("(%s, %s, %s, %s, %s)", sqlOf(w[0]), sqlOf(w[1]), sqlOf(w[2]), sqlOf(w[3]), sqlOf(w[4]))
+	}
+	cols := []string{" (id, cat, num, x, lbl)", ""}[c.r.Intn(2)]
+	return stmt{sql: "INSERT INTO t" + cols + " VALUES " + strings.Join(vals, ", "), apply: func(r *ref) (int64, []mq.Tuple, error) {
+		r.insert(rows...)
+		return int64(len(rows)), rows, nil
 	}}
 }
 
@@ -924,7 +934,7 @@ func (c *check) stepOnce() {
 			w[i] += w[i-1]
 		}
 	}
-	switch k := c.r.Intn(w[9]); {
+	switch k := c.r.Intn(w[10]); {
 	case k < w[0]:
 		c.read(c.query(false, false))
 	case k < w[1]:
@@ -959,8 +969,10 @@ func (c *check) stepOnce() {
 		c.ref.epoch++
 		c.ref.rebuilt = c.ref.rebuilt || (c.ref.columnar && !c.ref.fresh)
 		c.ref.fresh = c.ref.columnar
-	default:
+	case k < w[9] || c.armed: // an armed WAL kill stays the only injector
 		c.arm()
+	default:
+		c.readUnderCompaction()
 	}
 }
 
@@ -991,24 +1003,122 @@ func (c *check) write(st stmt) {
 		c.crash(st)
 		return
 	}
+	notes, ok := c.agree(st, res, err)
+	if !ok {
+		return
+	}
+	c.settle(notes, recompiles)
+}
+
+// agree applies st to the reference and compares what the engine's Exec
+// of it returned: the error, rows affected and retrains. It returns the
+// notifications the reference raised, and false for a CREATE MODEL that
+// trains on neither side.
+func (c *check) agree(st stmt, res *mq.ExecResult, err error) ([]string, bool) {
 	n, notes, retrained, ferr, retrainErr := c.ref.exec(st)
 	switch {
 	case ferr != nil && err == nil:
 		c.fatalf("%s succeeded; the reference's training failed: %v", st.sql, ferr)
 	case ferr != nil:
-		return
+		return nil, false
 	case retrainErr != nil && !errors.Is(err, mq.ErrRetrainFailed), retrainErr == nil && err != nil:
 		c.fatalf("%s: %v; the reference's retrain failed with %v", st.sql, err, retrainErr)
 	case !st.model && (res.RowsAffected != n || !slices.Equal(res.Retrained, retrained)):
 		c.fatalf("%s: %d rows affected, %v retrained; the reference %d, %v", st.sql, res.RowsAffected, res.Retrained, n, retrained)
 	}
 	c.cov["retrain"] += len(retrained)
+	return notes, true
+}
+
+// settle takes the notifications writes raised, counts the standing
+// recompiles since recompiles, and compares the table and the models.
+func (c *check) settle(notes []string, recompiles int64) {
 	c.cov["standing recompile"] += int(c.eng.StandingStats().Recompiles - recompiles)
 	c.drain(notes)
 	if d := differ(c.state(), c.refState(), false, -1); d != "" {
 		c.fatalf("the table and the models: %s", d)
 	}
 }
+
+// readUnderCompaction runs a read at DOP 1 whose first page read — a
+// scan's, or an index seek's row fetch — commits a neutral pair of
+// writes: an INSERT of more rows than a page holds, all alike but for
+// their ids so they land in one partition and open a new tail page
+// there, which compacts the pages earlier writes left mostly dead; then
+// a DELETE of exactly those rows. The read must answer as it would have
+// before the pair, from pages swapped under it, and the pair must agree
+// with the reference like any write.
+func (c *check) readUnderCompaction() {
+	q := c.query(false, false)
+	rows := []mq.Tuple{c.newRow(false)}
+	for len(rows) < 200 {
+		c.nextID++
+		w := slices.Clone(rows[0])
+		w[cID] = mq.Int(c.nextID)
+		rows = append(rows, w)
+	}
+	lo, hi := rows[0][cID].AsInt(), c.nextID
+	gone := pred{fmt.Sprintf("id >= %d AND id <= %d", lo, hi), func(w mq.Tuple) bool {
+		return w[cID].AsInt() >= lo && w[cID].AsInt() <= hi
+	}}
+	pair := []stmt{c.insertOf(rows), {sql: "DELETE FROM t WHERE " + gone.sql, apply: func(r *ref) (int64, []mq.Tuple, error) {
+		return int64(len(r.take(gone))), nil, nil
+	}}}
+	recompiles := c.eng.StandingStats().Recompiles
+	var (
+		res         [2]*mq.ExecResult
+		errs        [2]error
+		under       string
+		compactions int64
+		fired       atomic.Bool
+		inj         *mq.FaultInjector
+	)
+	inj = mq.NewFaultInjector(c.seed,
+		mq.FaultRule{Site: mq.FaultSitePageReadSeq, EveryN: 1, Delay: time.Nanosecond},
+		mq.FaultRule{Site: mq.FaultSitePageReadRand, EveryN: 1, Delay: time.Nanosecond},
+	).WithClock(pageHook{mq.NewFakeClock(), func() {
+		if fired.Swap(true) {
+			return // a later page, or one the pair itself reads
+		}
+		under = []string{"a scan", "an index seek"}[b2i(inj.Hits(mq.FaultSitePageReadRand) > 0)]
+		compactions = mq.TableSpace(c.eng, "t").Compactions
+		for i, st := range pair {
+			res[i], errs[i] = c.eng.Exec(ctx, st.sql)
+		}
+		compactions = mq.TableSpace(c.eng, "t").Compactions - compactions
+	}})
+	c.logf("%s [DOP 1; at its first page read, INSERT of ids %d..%d, then %s]", q.sql, lo, hi, pair[1].sql)
+	want := keysOf(q.match(c.ref, c.ref.rows())...)
+	c.eng.SetFaults(inj)
+	got, err := c.eng.Query(ctx, q.sql, mq.WithDOP(1))
+	c.eng.SetFaults(nil)
+	if err != nil {
+		c.fatalf("%s under writes: %v", q.sql, err)
+	}
+	if d := differ(keysOf(got.Rows...), want, q.grouped, q.limit); d != "" {
+		c.fatalf("%s with pages compacted under %s (path %s, storage %s): %s", q.sql, under, got.AccessPath, got.StorageFormat, d)
+	}
+	if !fired.Load() {
+		return // a columnar read, or one that read no page
+	}
+	var notes []string
+	for i, st := range pair {
+		n, _ := c.agree(st, res[i], errs[i])
+		notes = append(notes, n...)
+	}
+	c.settle(notes, recompiles)
+	c.cov["compaction under "+under] += b2i(compactions > 0)
+}
+
+// pageHook is a fault clock whose injected latency runs a callback on
+// the reading goroutine: a Delay rule at a page-read site calls it once
+// per page read, before any record of the page is delivered.
+type pageHook struct {
+	mq.Clock
+	sleep func()
+}
+
+func (c pageHook) Sleep(time.Duration) { c.sleep() }
 
 // state is the engine's table and models; refState the reference's.
 func (c *check) state() []string {
@@ -1072,10 +1182,16 @@ func (c *check) crash(st stmt) {
 		c.cov["torn tail"] += b2i(keep < p)
 	}
 	c.logf("crash, keeping %d of %d unsynced bytes", keep, p)
+	space := mq.TableSpace(c.eng, "t")
 	c.boot(c.dev.CrashImage(keep))
 	got := c.state()
 	if d := differ(got, c.refState(), false, -1); d == "" {
 		c.cov["recovered acked"]++
+		// Replay is the same mutation sequence, so it compacts the same
+		// pages at the same points.
+		if rec := mq.TableSpace(c.eng, "t"); rec != space {
+			c.fatalf("the recovered heap holds %+v, the engine it replays %+v", rec, space)
+		}
 	} else if c.ref.exec(st); differ(got, c.refState(), false, -1) == "" {
 		c.cov["recovered acked+pending"]++
 	} else {
