@@ -132,21 +132,23 @@ func (t *Table) PartitionStats() []*stats.TableStats {
 	return t.partStats
 }
 
-// PartitionSizes returns the allocated pages and live rows across the
-// given partitions (nil = all; for ordinary tables, the whole heap).
-// The optimizer costs a pruned scan from these instead of whole-table
-// totals.
+// PartitionSizes returns the pages holding a live record and the live
+// rows across the given partitions (nil = all; for ordinary tables, the
+// whole heap). The optimizer costs a pruned scan from these instead of
+// whole-table totals, and from pages of data rather than of write
+// history: a page address is never freed, so PageCount grows with
+// every page the table ever opened.
 func (t *Table) PartitionSizes(parts []int) (pages int, rows int64) {
 	ph := t.partHeap()
 	if ph == nil {
-		return t.Heap.PageCount(), t.Heap.Len()
+		return t.Heap.LivePageCount(), t.Heap.Len()
 	}
 	if parts == nil {
-		return ph.PageCount(), ph.Len()
+		return ph.LivePageCount(), ph.Len()
 	}
 	for _, p := range parts {
 		if h := ph.Partition(p); h != nil {
-			pages += h.PageCount()
+			pages += h.LivePageCount()
 			rows += h.Len()
 		}
 	}

@@ -10,8 +10,11 @@ import (
 	"testing"
 	"unsafe"
 
+	"minequery/internal/catalog"
 	"minequery/internal/core"
+	"minequery/internal/expr"
 	"minequery/internal/mining"
+	"minequery/internal/mining/dtree"
 	"minequery/internal/mining/nbayes"
 	"minequery/internal/value"
 )
@@ -129,9 +132,10 @@ func TestProjectionSharedAcrossJoinOrders(t *testing.T) {
 	}
 	s.EvalBatch("events", []value.Tuple{eventRow(7, 80, "c")}, 1)
 	ct := s.snapshot("events")
-	if len(ct.projs) != 2 || ct.subs[0].proj != ct.subs[1].proj || ct.subs[2].proj == ct.subs[0].proj {
+	subs := compiledSubs(ct)
+	if len(ct.projs) != 2 || subs[0].proj != subs[1].proj || subs[2].proj == subs[0].proj {
 		t.Fatalf("projection slots %v for subscriptions in slots %d, %d, %d; want the first two shared",
-			ct.projs, ct.subs[0].proj, ct.subs[1].proj, ct.subs[2].proj)
+			ct.projs, subs[0].proj, subs[1].proj, subs[2].proj)
 	}
 	ns := drain(t, s, 10)
 	if len(ns) != 3 {
@@ -160,10 +164,10 @@ func indexBytes(ix *intervalIndex) int {
 
 // TestFootprintIntervalIndex: on a set shaped like a write stream's —
 // mostly narrow ranges with distinct constants on one column, some
-// mining predicates with a range, some with a category — the index
-// grows linearly with the set: at most 96 bytes a subscription at 1,000
-// and at 10,000 (73.8 KB and 521.5 KB measured). A bitset per segment
-// would take 190 KB and 9.8 MB.
+// mining predicates with a range, some with a category — the two
+// parts' indexes together grow linearly with the set: at most 96 bytes
+// a subscription at 1,000 and at 10,000. A bitset per segment would
+// take 190 KB and 9.8 MB.
 func TestFootprintIntervalIndex(t *testing.T) {
 	cat := newTestCatalog(t)
 	trainThreshold(t, cat, "dt", 50)
@@ -185,11 +189,135 @@ func TestFootprintIntervalIndex(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ix := s.snapshot("events").index
-		bytes := indexBytes(ix)
-		t.Logf("%d subscriptions: %d indexed columns, %d bytes", n, len(ix.cols), bytes)
-		if len(ix.cols) != 2 || bytes > 96*n {
-			t.Fatalf("%d subscriptions: %d indexed columns in %d bytes, want 2 in at most %d", n, len(ix.cols), bytes, 96*n)
+		ct := s.snapshot("events")
+		bytes, cols := 0, map[int]bool{}
+		for _, p := range []*part{ct.free, ct.joined} {
+			bytes += indexBytes(p.index)
+			for _, c := range p.index.cols {
+				cols[c.ord] = true
+			}
 		}
+		t.Logf("%d subscriptions: %d indexed columns, %d bytes in both parts", n, len(cols), bytes)
+		if len(cols) != 2 || bytes > 96*n {
+			t.Fatalf("%d subscriptions: %d indexed columns in %d bytes, want 2 in at most %d", n, len(cols), bytes, 96*n)
+		}
+	}
+}
+
+// recompileSlack bounds how much more a recompile may allocate with
+// 2,000 model-free subscriptions registered than with 100, the joined
+// ones fixed: what grows with the registered set is the model part's
+// bitsets, one word per 64 subscriptions in its index's full set, in
+// each indexed column's free set and in its rank array.
+const recompileSlack = 1024
+
+// TestAllocRecompileFollowsJoinedSubs: a recompile after Invalidate
+// compiles and indexes the joined subscriptions alone, so with the same
+// 60 joined subscriptions it allocates the same, within recompileSlack,
+// whether 100 or 2,000 model-free subscriptions are registered.
+func TestAllocRecompileFollowsJoinedSubs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cat := newTestCatalog(t)
+	trainThreshold(t, cat, "dt", 50)
+	measure := func(free int) uint64 {
+		s := NewSet(cat, Options{})
+		r := rand.New(rand.NewSource(5))
+		for i := 0; i < free+60; i++ {
+			sql := fmt.Sprintf("SELECT id FROM events WHERE num >= %d AND num <= %d", i*10, i*10+5+r.Intn(20))
+			if i%(free/60+1) == 0 && i/(free/60+1) < 60 {
+				sql = fmt.Sprintf("SELECT id FROM events PREDICTION JOIN dt AS m ON m.num = events.num WHERE m.cls = 'high' AND num >= %d", 50+r.Intn(50))
+			}
+			if _, err := s.Subscribe(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ct := s.snapshot("events"); len(ct.joined.subs) != 60 || len(ct.free.subs) != free {
+			t.Fatalf("%d joined and %d model-free subscriptions, want 60 and %d", len(ct.joined.subs), len(ct.free.subs), free)
+		}
+		least := ^uint64(0)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			s.Invalidate()
+			runtime.ReadMemStats(&before)
+			s.snapshot("events")
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := measure(100), measure(2000)
+	t.Logf("a recompile allocates %d B beside 100 model-free subscriptions and %d B beside 2,000", small, large)
+	if large > small+recompileSlack {
+		t.Fatalf("a recompile allocates %d B beside 2,000 model-free subscriptions, %d B beside 100: want at most %d B more",
+			large, small, recompileSlack)
+	}
+}
+
+// BenchmarkRecompileAfterRetrain times the recompile a retrain causes on
+// a set shaped like a write stream's: 1,000 subscriptions, 30% joining
+// a model, the rest narrow ranges. Each iteration registers the other of
+// two trained versions of the model and recompiles.
+func BenchmarkRecompileAfterRetrain(b *testing.B) {
+	cat := catalog.New()
+	if _, err := cat.CreateTable("events", value.MustSchema(
+		value.Column{Name: "id", Kind: value.KindInt},
+		value.Column{Name: "num", Kind: value.KindInt},
+		value.Column{Name: "cat", Kind: value.KindString},
+	)); err != nil {
+		b.Fatal(err)
+	}
+	type version struct {
+		m    mining.Model
+		envs map[string]expr.Expr
+	}
+	var versions [2]version
+	for i, thr := range []int64{50, 90} {
+		ts := &mining.TrainSet{Schema: value.MustSchema(value.Column{Name: "num", Kind: value.KindInt})}
+		for v := int64(0); v < 100; v++ {
+			ts.Rows = append(ts.Rows, value.Tuple{value.Int(v)})
+			ts.Labels = append(ts.Labels, value.Str(map[bool]string{true: "high", false: "low"}[v >= thr]))
+		}
+		m, err := dtree.Train("dt", "cls", ts, dtree.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		der, err := core.UpperEnvelopes(m, core.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		versions[i] = version{m, der.Envelopes}
+	}
+	cat.RegisterModel(versions[0].m, versions[0].envs)
+	s := NewSet(cat, Options{})
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 1000; i++ {
+		var sql string
+		switch p := r.Intn(10); {
+		case p < 2:
+			sql = fmt.Sprintf("SELECT id FROM events PREDICTION JOIN dt AS m ON m.num = events.num WHERE m.cls = 'high' AND num >= %d", 9000+r.Intn(1000))
+		case p < 3:
+			sql = fmt.Sprintf("SELECT id FROM events PREDICTION JOIN dt AS m ON m.num = events.num WHERE m.cls = 'low' AND cat = 'c%d'", r.Intn(16))
+		default:
+			lo := r.Intn(9900)
+			sql = fmt.Sprintf("SELECT id FROM events WHERE num >= %d AND num <= %d", lo, lo+20+r.Intn(60))
+		}
+		if _, err := s.Subscribe(sql); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s.snapshot("events")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := versions[(i+1)%2]
+		b.StopTimer()
+		cat.RegisterModel(v.m, v.envs)
+		s.Invalidate()
+		b.StartTimer()
+		s.snapshot("events")
 	}
 }

@@ -20,9 +20,16 @@ package standing
 // Its select list is interned across the table's subscriptions as a
 // projection slot, and what every notification of it shares (id, table,
 // column names) is built once, as its Source.
+//
+// A table's set compiles in two parts (see part). The model-free part
+// is compiled when the subscriptions change and kept across catalog
+// invalidations; the model part is compiled on every recompile, and
+// its projection slots continue the model-free part's, so a select list
+// is one slot, and a row one Image under it, whichever part matches.
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -32,13 +39,17 @@ import (
 	"minequery/internal/expr"
 	"minequery/internal/mining"
 	"minequery/internal/qerr"
+	"minequery/internal/sqlparse"
 	"minequery/internal/value"
 )
 
 // compiledSub is one subscription compiled against the shared table
 // structure.
 type compiledSub struct {
-	src   *rawSub
+	src *rawSub
+	// bit is the subscription's position in the table's registration
+	// order: its bit in a row's candidate set.
+	bit   int
 	guard expr.Expr
 	where expr.Expr
 	// schema is the post-prediction schema: the table's schema itself for
@@ -54,23 +65,76 @@ type compiledSub struct {
 	source *Source
 }
 
-// compiledTable is the shared structure for one table: the compiled
-// subscriptions, the deduplicated model bindings, select lists and
-// interned envelope regions they share, and the interval index over
-// their guards.
+// part is one of a table's two compiled parts: the subscriptions
+// without prediction joins, or those with, and the interval index over
+// their guards. Each subscription keeps its bit, its position in the
+// table's registration order, so the two parts' candidate bitsets OR
+// into one. The model-free part is built when the table's subscriptions
+// change and is then shared, never mutated, by every compiledTable
+// until they change again.
+type part struct {
+	subs  []*compiledSub // in registration order
+	index *intervalIndex
+	// rank[w] counts the part's subscriptions on bits below word w, so a
+	// bit finds its subscription without a table-wide array.
+	rank []int32
+	// projs and projIdx are the projection slots interned while the part
+	// compiled: the model part's start with the model-free part's.
+	projs   [][]int
+	projIdx map[uint64]int
+}
+
+// has reports whether bit i is one of the part's subscriptions.
+func (p *part) has(i int) bool { return p.index.full[i/64]&(1<<(i%64)) != 0 }
+
+// sub returns the part's subscription on bit i, which it has.
+func (p *part) sub(i int) *compiledSub {
+	w := i / 64
+	return p.subs[int(p.rank[w])+bits.OnesCount64(p.index.full[w]&(1<<(i%64)-1))]
+}
+
+// compiledTable is the shared structure for one table: its two parts,
+// and the deduplicated model bindings, select lists and interned
+// envelope regions the model part shares with the model-free one.
 type compiledTable struct {
-	name    string // catalog-case table name
-	schema  *value.Schema
-	subs    []*compiledSub
+	name   string // catalog-case table name
+	schema *value.Schema
+	free   *part // the model-free part
+	joined *part // the model part
+	// words is the length of a candidate bitset: one bit per registered
+	// subscription.
+	words   int
 	models  []mining.Binding
 	regions map[string]expr.Expr
 	// projs are the projection slots: per select list, each column's
 	// table ordinal, or the table's width plus the model slot of a
 	// predicted column.
 	projs [][]int
-	index *intervalIndex
-	// width is the widest post-prediction schema among subs.
+	// width is the widest post-prediction schema among the subscriptions.
 	width int
+}
+
+// sub returns the subscription on candidate bit i.
+func (ct *compiledTable) sub(i int) *compiledSub {
+	if ct.free.has(i) {
+		return ct.free.sub(i)
+	}
+	return ct.joined.sub(i)
+}
+
+// candidates fills out (len == words) with the bitset of subscriptions
+// that may match row: the OR of both parts' candidates. scratch (len ==
+// 2×words) is overwritten.
+func (ct *compiledTable) candidates(row value.Tuple, out, scratch []uint64) {
+	ct.free.index.candidates(row, out, scratch[:ct.words])
+	if len(ct.joined.subs) == 0 {
+		return
+	}
+	other := scratch[ct.words:]
+	ct.joined.index.candidates(row, other, scratch[:ct.words])
+	for w := range out {
+		out[w] |= other[w]
+	}
 }
 
 // match reports whether the subscription's WHERE holds on the current
@@ -164,29 +228,84 @@ func (rc *rowCtx) project(p int) *Image {
 	return img
 }
 
-// tableBuilder accumulates the shared structure while subscriptions
-// compile against one table.
+// tableBuilder accumulates one part of the shared structure while
+// subscriptions compile against one table.
 type tableBuilder struct {
 	*compiledTable
 	cat      *catalog.Catalog
 	cache    core.EnvelopeCache
 	modelIdx map[string]int
-	// projIdx finds a projection slot by its spec's hash.
+	// projIdx finds a projection slot by its spec's hash; free, when the
+	// model part compiles, is the model-free part whose slots come first.
 	projIdx map[uint64]int
+	free    *part
+	// forms interns a subscription's prediction columns and
+	// post-prediction schema by its join signature, sig's scratch: both
+	// read only the joins and the catalog.
+	forms map[string]joinForm
+	sig   []byte
 }
 
-func newTableBuilder(cat *catalog.Catalog, table string, cache core.EnvelopeCache) (*tableBuilder, error) {
+// joinForm is what a join list compiles to: the prediction columns and
+// the post-prediction schema, or the error resolving them.
+type joinForm struct {
+	pc     core.PredCols
+	schema *value.Schema
+	err    error
+}
+
+// newTableBuilder starts a part of the named table's structure. free is
+// nil for the model-free part, and that part for the model part.
+func newTableBuilder(cat *catalog.Catalog, table string, cache core.EnvelopeCache, free *part) (*tableBuilder, error) {
 	t, ok := cat.Table(table)
 	if !ok {
 		return nil, fmt.Errorf("standing: %w %q", qerr.ErrUnknownTable, table)
 	}
-	return &tableBuilder{
+	b := &tableBuilder{
 		compiledTable: &compiledTable{name: t.Name, schema: t.Schema, regions: map[string]expr.Expr{}, width: t.Schema.Len()},
 		cat:           cat,
 		cache:         cache,
 		modelIdx:      map[string]int{},
 		projIdx:       map[uint64]int{},
-	}, nil
+		free:          free,
+		forms:         map[string]joinForm{},
+	}
+	if free != nil {
+		b.projs = slices.Clip(free.projs)
+	}
+	return b, nil
+}
+
+// compilePart compiles, each on its position in subs (the table's
+// registration order), the subscriptions with prediction joins when
+// joined is true and those without otherwise, and indexes them. A
+// subscription that no longer compiles (a dropped model, say) carries
+// the error and is left out; the rest keep working.
+func (b *tableBuilder) compilePart(subs []*rawSub, joined bool) *part {
+	b.words = (len(subs) + 63) / 64
+	p := &part{rank: make([]int32, b.words)}
+	for i, sub := range subs {
+		if (len(sub.q.Joins) > 0) != joined {
+			continue
+		}
+		cs, err := b.compileSub(sub)
+		if err != nil {
+			sub.err = err.Error()
+			continue
+		}
+		sub.err, cs.bit = "", i
+		p.subs = append(p.subs, cs)
+		if w := i/64 + 1; w < b.words {
+			p.rank[w]++
+		}
+		b.width = max(b.width, cs.schema.Len())
+	}
+	for w := 1; w < b.words; w++ {
+		p.rank[w] += p.rank[w-1]
+	}
+	p.index = buildIndex(b.schema, p.subs, b.words)
+	p.projs, p.projIdx = b.projs, b.projIdx
+	return p
 }
 
 // modelSlot interns the binding of the named model to the table
@@ -217,6 +336,11 @@ func (b *tableBuilder) projSlot(spec []int) int {
 	h := uint64(len(spec))
 	for _, o := range spec {
 		h = h*1_000_003 ^ uint64(o)
+	}
+	if b.free != nil {
+		if p, ok := b.free.projIdx[h]; ok && slices.Equal(b.projs[p], spec) {
+			return p
+		}
 	}
 	p, ok := b.projIdx[h]
 	if ok && slices.Equal(b.projs[p], spec) {
@@ -296,21 +420,36 @@ func (b *tableBuilder) guard(e expr.Expr, pc core.PredCols) expr.Expr {
 	return expr.TrueExpr{}
 }
 
+// joinForm returns the prediction columns and post-prediction schema of
+// q's join list, resolved once per signature (alias and model pairs).
+func (b *tableBuilder) joinForm(q *sqlparse.Query) joinForm {
+	b.sig = b.sig[:0]
+	for _, j := range q.Joins {
+		b.sig = append(append(append(append(b.sig, j.Alias...), 0), j.Model...), 0)
+	}
+	if f, ok := b.forms[string(b.sig)]; ok {
+		return f
+	}
+	f := joinForm{schema: b.schema}
+	f.pc, f.err = core.ResolvePredCols(q, b.cat)
+	if f.err == nil && len(q.Joins) > 0 {
+		f.schema, f.err = core.PostPredictSchema(q, b.cat, b.schema)
+	}
+	b.forms[string(b.sig)] = f
+	return f
+}
+
 // compileSub compiles one subscription against the shared structure.
-// It does NOT append to b.subs — the caller decides (Subscribe compiles
-// for validation only; recompileLocked keeps the result).
+// It does NOT append to a part — the caller decides (Subscribe compiles
+// for validation only; compilePart keeps the result).
 func (b *tableBuilder) compileSub(sub *rawSub) (*compiledSub, error) {
 	q := sub.q
-	pc, err := core.ResolvePredCols(q, b.cat)
-	if err != nil {
-		return nil, err
+	form := b.joinForm(q)
+	if form.err != nil {
+		return nil, form.err
 	}
-	cs := &compiledSub{src: sub, where: q.Where, schema: b.schema}
-	if len(q.Joins) > 0 {
-		if cs.schema, err = core.PostPredictSchema(q, b.cat, b.schema); err != nil {
-			return nil, err
-		}
-	}
+	pc := form.pc
+	cs := &compiledSub{src: sub, where: q.Where, schema: form.schema}
 	// Every join is bound, whether or not anything reads its prediction,
 	// as the query path's Predict operators bind every join.
 	for _, j := range q.Joins {
@@ -356,18 +495,4 @@ func (b *tableBuilder) compileSub(sub *rawSub) (*compiledSub, error) {
 	cs.spec, cs.proj = spec, b.projSlot(spec)
 	cs.source = &Source{SubID: sub.id, Table: b.name, Columns: cols}
 	return cs, nil
-}
-
-// reuseOrCompile compiles sub for recompileLocked. A subscription
-// without prediction joins depends on its table alone, which no catalog
-// event changes, so once it has compiled it is copied instead, and only
-// its projection slot is interned again. It is copied, not changed,
-// since the published set may still be evaluating it.
-func (b *tableBuilder) reuseOrCompile(sub *rawSub) (*compiledSub, error) {
-	if sub.last == nil || len(sub.q.Joins) > 0 {
-		return b.compileSub(sub)
-	}
-	cs := *sub.last
-	cs.proj = b.projSlot(cs.spec)
-	return &cs, nil
 }

@@ -20,6 +20,7 @@ import (
 	"minequery/internal/catalog"
 	"minequery/internal/core"
 	"minequery/internal/expr"
+	"minequery/internal/interval"
 	"minequery/internal/mining"
 	"minequery/internal/mining/cluster"
 	"minequery/internal/mining/dtree"
@@ -514,20 +515,23 @@ func TestDifferentialStandingSweepLargeSet(t *testing.T) {
 			rows[i] = value.Tuple{value.Int(nextID), value.Str(fmt.Sprintf("c%d", r.Intn(8))), num}
 		}
 		s.EvalBatch("t", rows, int64(iter))
-		ord := s.snapshot("t").schema.Ordinal("num")
-		busiest := 0
-		for _, c := range s.snapshot("t").index.cols {
-			if c.ord == ord {
-				busiest = len(c.cuts)
+		ct := s.snapshot("t")
+		ord := ct.schema.Ordinal("num")
+		var numCuts []value.Value
+		for _, p := range []*part{ct.free, ct.joined} {
+			for _, c := range p.index.cols {
+				if c.ord == ord {
+					numCuts = append(numCuts, c.cuts...)
+				}
 			}
 		}
+		busiest := len(interval.NewCuts(numCuts))
 		if busiest <= 256 {
-			t.Fatalf("iter %d: num carries %d cuts, want more than 256", iter, busiest)
+			t.Fatalf("iter %d: num carries %d distinct cuts across the parts, want more than 256", iter, busiest)
 		}
 
-		ct := s.snapshot("t")
 		guards := map[int64]expr.Expr{}
-		for _, cs := range ct.subs {
+		for _, cs := range compiledSubs(ct) {
 			guards[cs.src.id] = cs.guard
 		}
 		var want []string

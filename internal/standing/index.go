@@ -1,12 +1,14 @@
 package standing
 
-// The (column, interval) subscription index. The distinct constants
-// that the registered set's guards compare each data column against
-// become that column's interval.Cuts — the cuts that prune partitions
-// and shards — however many there are. A row's value falls in one
-// segment of them (Stab), and a subscription is a candidate for the row
-// only when, on every indexed column, its guard can hold in that
-// segment.
+// The (column, interval) subscription index, one per part of a table's
+// set (see part). The distinct constants that the part's guards compare
+// each data column against become that column's interval.Cuts — the
+// cuts that prune partitions and shards — however many there are. A
+// row's value falls in one segment of them (Stab), and a subscription
+// is a candidate for the row only when, on every indexed column, its
+// guard can hold in that segment. Each part's index numbers its
+// subscriptions by their bits in the table's registration order, so a
+// row's candidates are the OR of the two parts' bitsets.
 //
 // Which segments a guard can hold in is the pruning walk's answer
 // (opt.PruneSpec), asked over the subscription's own cuts rather than
@@ -61,18 +63,17 @@ type indexedCol struct {
 // run is a subscription's kept segments lo..hi on one column.
 type run struct{ sub, lo, hi int32 }
 
-// buildIndex constructs the interval index over the builder's compiled
-// subscriptions.
-func (b *tableBuilder) buildIndex() {
-	n := len(b.subs)
-	ix := &intervalIndex{words: (n + 63) / 64}
+// buildIndex constructs the interval index over one part's compiled
+// subscriptions, in bitsets of the given number of words.
+func buildIndex(schema *value.Schema, subs []*compiledSub, words int) *intervalIndex {
+	ix := &intervalIndex{words: words}
 	ix.full = make([]uint64, ix.words)
-	for i := 0; i < n; i++ {
-		ix.full[i/64] |= 1 << (i % 64)
+	for _, cs := range subs {
+		ix.full[cs.bit/64] |= 1 << (cs.bit % 64)
 	}
-	perCol := make([]int, b.schema.Len())
-	for _, cs := range b.subs {
-		eachConstant(cs.guard, b.schema, func(ord int, _ value.Value) { perCol[ord]++ })
+	perCol := make([]int, schema.Len())
+	for _, cs := range subs {
+		eachConstant(cs.guard, schema, func(ord int, _ value.Value) { perCol[ord]++ })
 	}
 	var own []value.Value
 	var runs []run
@@ -81,20 +82,21 @@ func (b *tableBuilder) buildIndex() {
 			continue
 		}
 		vals := make([]value.Value, 0, count)
-		for _, cs := range b.subs {
-			eachConstant(cs.guard, b.schema, func(o int, v value.Value) {
+		for _, cs := range subs {
+			eachConstant(cs.guard, schema, func(o int, v value.Value) {
 				if o == ord {
 					vals = append(vals, v)
 				}
 			})
 		}
 		cuts := interval.NewCuts(vals)
-		name := b.schema.Col(ord).Name
+		name := schema.Col(ord).Name
 		free := make([]uint64, ix.words)
 		runs = runs[:0]
-		for i, cs := range b.subs {
+		for _, cs := range subs {
+			i := cs.bit
 			own = own[:0]
-			eachConstant(cs.guard, b.schema, func(o int, v value.Value) {
+			eachConstant(cs.guard, schema, func(o int, v value.Value) {
 				if o == ord {
 					own = append(own, v)
 					if k := cuts.Stab(v); k < len(cuts) {
@@ -140,7 +142,7 @@ func (b *tableBuilder) buildIndex() {
 		c.start, c.subs = segmentTree(cuts.Segments(), runs)
 		ix.cols = append(ix.cols, c)
 	}
-	b.index = ix
+	return ix
 }
 
 // ownFirst returns the global segment own segment j starts at: the one

@@ -13,11 +13,11 @@ import (
 	"minequery/internal/value"
 )
 
-// segmentOracle is the index the linear one replaced, without its cap:
-// per column, the global cuts of every guard's constants and, per
-// segment, the bitset of subscriptions whose guard PruneSpec keeps
-// there. Its size is segments × subscriptions, so it is a test oracle
-// only.
+// segmentOracle is the index the linear one replaced, without its cap,
+// over one part: per column, the part's cuts of every guard's constants
+// and, per segment, the bitset of subscriptions whose guard PruneSpec
+// keeps there. Its size is segments × subscriptions, so it is a test
+// oracle only.
 type segmentOracle struct {
 	full []uint64
 	cols []oracleCol
@@ -29,27 +29,25 @@ type oracleCol struct {
 	segs [][]uint64
 }
 
-func newSegmentOracle(ct *compiledTable) *segmentOracle {
-	n := len(ct.subs)
-	words := (n + 63) / 64
-	o := &segmentOracle{full: make([]uint64, words)}
-	for i := 0; i < n; i++ {
-		o.full[i/64] |= 1 << (i % 64)
+func newSegmentOracle(ct *compiledTable, p *part) *segmentOracle {
+	o := &segmentOracle{full: make([]uint64, ct.words)}
+	for _, cs := range p.subs {
+		o.full[cs.bit/64] |= 1 << (cs.bit % 64)
 	}
 	consts := map[int][]value.Value{}
-	for _, cs := range ct.subs {
+	for _, cs := range p.subs {
 		eachConstant(cs.guard, ct.schema, func(ord int, v value.Value) { consts[ord] = append(consts[ord], v) })
 	}
 	for ord, vals := range consts {
 		cuts := interval.NewCuts(vals)
 		segs := make([][]uint64, cuts.Segments())
 		for s := range segs {
-			segs[s] = make([]uint64, words)
+			segs[s] = make([]uint64, ct.words)
 		}
-		for i, cs := range ct.subs {
+		for _, cs := range p.subs {
 			for s, ok := range opt.PruneSpec(ct.schema.Col(ord).Name, cuts, cs.guard) {
 				if ok {
-					segs[s][i/64] |= 1 << (i % 64)
+					segs[s][cs.bit/64] |= 1 << (cs.bit % 64)
 				}
 			}
 		}
@@ -127,10 +125,11 @@ func genIndexPredicate(r *rand.Rand, models []sweepModel, depth int) string {
 }
 
 // TestIntervalIndexMatchesSegmentOracle: over random guard sets that
-// put more than 300 distinct constants on num, a row's candidates are
-// exactly the uncapped per-segment oracle's, for rows whose num is
-// NULL, NaN, ±Inf, −0, out of every range, on a constant or between
-// two.
+// put more than 300 distinct constants on num, a row's candidates in
+// each part's index are exactly the uncapped per-segment oracle's over
+// that part's cuts, and the table's candidates are the OR of the two,
+// for rows whose num is NULL, NaN, ±Inf, −0, out of every range, on a
+// constant or between two.
 func TestIntervalIndexMatchesSegmentOracle(t *testing.T) {
 	const seed = 20261017
 	cat, models := buildSweepCatalog(t, seed)
@@ -160,13 +159,17 @@ func TestIntervalIndexMatchesSegmentOracle(t *testing.T) {
 			}
 		}
 		ct := s.snapshot("t")
-		oracle := newSegmentOracle(ct)
+		parts := []*part{ct.free, ct.joined}
+		oracles := []*segmentOracle{newSegmentOracle(ct, ct.free), newSegmentOracle(ct, ct.joined)}
 		numOrd := ct.schema.Ordinal("num")
-		for _, c := range oracle.cols {
-			if c.ord == numOrd {
-				nums = append(nums, c.cuts...)
+		for _, o := range oracles {
+			for _, c := range o.cols {
+				if c.ord == numOrd {
+					nums = append(nums, c.cuts...)
+				}
 			}
 		}
+		nums = interval.NewCuts(nums)
 		if len(nums) <= 300 {
 			t.Fatalf("iter %d: %d distinct constants on num, want more than 300", iter, len(nums))
 		}
@@ -177,7 +180,8 @@ func TestIntervalIndexMatchesSegmentOracle(t *testing.T) {
 		for _, v := range nums {
 			probes = append(probes, v, value.Float(v.AsFloat()+0.25), value.Float(v.AsFloat()-0.25))
 		}
-		got := make([]uint64, 2*ct.index.words)
+		words := ct.words
+		got := make([]uint64, 3*words)
 		for _, num := range probes {
 			row := value.Tuple{value.Int(int64(r.Intn(120) - 10)), value.Str(fmt.Sprintf("c%d", r.Intn(9))), num}
 			switch r.Intn(10) {
@@ -186,9 +190,20 @@ func TestIntervalIndexMatchesSegmentOracle(t *testing.T) {
 			case 1:
 				row[1] = value.Null()
 			}
-			ct.index.candidates(row, got[:ct.index.words], got[ct.index.words:])
-			if want := oracle.candidates(row); !slices.Equal(got[:ct.index.words], want) {
-				t.Fatalf("iter %d row %v: candidates %x, oracle %x", iter, row, got[:ct.index.words], want)
+			union := make([]uint64, words)
+			for k, p := range parts {
+				p.index.candidates(row, got[:words], got[words:2*words])
+				want := oracles[k].candidates(row)
+				if !slices.Equal(got[:words], want) {
+					t.Fatalf("iter %d part %d row %v: candidates %x, oracle %x", iter, k, row, got[:words], want)
+				}
+				for w := range union {
+					union[w] |= want[w]
+				}
+			}
+			ct.candidates(row, got[:words], got[words:])
+			if !slices.Equal(got[:words], union) {
+				t.Fatalf("iter %d row %v: table candidates %x, OR of the oracles %x", iter, row, got[:words], union)
 			}
 		}
 	}

@@ -14,17 +14,34 @@
 // fingerprint-derived keys) and each NOT subtree by TRUE. Guard false
 // implies WHERE false.
 //
+// Each table's set is compiled in two parts. The model-free part holds
+// the subscriptions without PREDICTION JOINs: their compiled forms,
+// Sources and projection slots and their own interval index. It is
+// built by the first recompile after the table's subscriptions change
+// (Subscribe or Unsubscribe) and then kept, shared and never mutated,
+// across every catalog invalidation, since a table outlives every
+// catalog event. The model part holds the joined
+// subscriptions and is compiled and indexed again on every
+// invalidation. Both number a subscription by its registration order
+// within the table, in one bitset, and a row's candidates are the OR of
+// the two parts' candidates, so a row's notifications come in
+// registration order whichever part matched.
+//
 // The set shares work in two layers, mirroring the paper's amortization
 // argument for continuously re-evaluated mining predicates:
 //
 //   - Subscriptions are indexed by (column, interval), every column the
-//     guards compare with a constant, however many constants: the
-//     distinct constants cut the column into segments, each subscription
-//     keeps the segments its guard can hold in (opt.PruneSpec, the
-//     partition pruning walk, asked over the subscription's own cuts),
-//     kept as runs in a static segment tree whose size is linear in the
-//     set, and a row stabs each column to skip the subscriptions whose
-//     guard it cannot satisfy (see index.go).
+//     guards compare with a constant, however many constants: in each
+//     part, the distinct constants cut the column into segments, each
+//     subscription keeps the segments its guard can hold in
+//     (opt.PruneSpec, the partition pruning walk, asked over the
+//     subscription's own cuts), kept as runs in a static segment tree
+//     whose size is linear in the part, and a row stabs each column to
+//     skip the subscriptions whose guard it cannot satisfy (see
+//     index.go). Each part's cuts are coarser than the whole set's
+//     would be, so a row can reach a few more candidates than one
+//     set-wide index would give it (standing.evals_per_row can rise a
+//     little); which rows match does not change.
 //   - Model predictions are memoized per (row, model), and a candidate's
 //     models are called only once its whole guard holds: a row touching
 //     twenty subscriptions on the same model costs one Predict call, and
@@ -39,17 +56,17 @@
 // blocks the write path: when the queue is full the notification is
 // dropped and counted, per subscription and in total. Catalog
 // invalidations (retrains, index and statistics events) mark the
-// compiled set stale, epoch-style, and the next batch recompiles
-// against the current catalog. A recompile reuses what no catalog event
-// can change: a subscription without PREDICTION JOINs keeps its compiled
-// form, Source included, since a table outlives every catalog event.
+// compiled set stale, epoch-style, and the next batch recompiles the
+// model parts against the current catalog.
 package standing
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -159,10 +176,15 @@ type rawSub struct {
 
 	// err is the last compile error (guarded by Set.mu).
 	err string
-	// last is the subscription's compiled form in the published set
-	// (guarded by Set.mu). A recompile copies it instead of compiling
-	// again when the subscription reads no model.
-	last *compiledSub
+}
+
+// tableSubs is one table's registered subscriptions, in registration
+// order (their bits), and its model-free part: kept across catalog
+// invalidations, dropped when the subscriptions change and built again
+// by the next recompile.
+type tableSubs struct {
+	subs []*rawSub
+	free *part
 }
 
 // Set is the shared standing-query structure. Subscribe/Unsubscribe may
@@ -172,12 +194,12 @@ type rawSub struct {
 type Set struct {
 	cat *catalog.Catalog
 
-	mu    sync.Mutex
-	cache core.EnvelopeCache
-	subs  map[int64]*rawSub
-	order []int64 // registration order, for deterministic compilation
-	dirty bool
-	comp  map[string]*compiledTable // by lower table name
+	mu     sync.Mutex
+	cache  core.EnvelopeCache
+	subs   map[int64]*rawSub
+	tables map[string]*tableSubs // by lower table name
+	dirty  bool
+	comp   map[string]*compiledTable // by lower table name
 
 	nextID atomic.Int64
 	seq    atomic.Int64
@@ -197,10 +219,11 @@ func NewSet(cat *catalog.Catalog, opts Options) *Set {
 		opts.Queue = 1024
 	}
 	return &Set{
-		cat:   cat,
-		subs:  make(map[int64]*rawSub),
-		comp:  make(map[string]*compiledTable),
-		queue: make(chan Notification, opts.Queue),
+		cat:    cat,
+		subs:   make(map[int64]*rawSub),
+		tables: make(map[string]*tableSubs),
+		comp:   make(map[string]*compiledTable),
+		queue:  make(chan Notification, opts.Queue),
 	}
 }
 
@@ -234,7 +257,7 @@ func (s *Set) Subscribe(sql string) (int64, error) {
 	// model, or column) surface to the caller instead of poisoning the
 	// shared set later.
 	sub := &rawSub{sql: sql, q: q}
-	ct, err := newTableBuilder(s.cat, q.Table, s.cache)
+	ct, err := newTableBuilder(s.cat, q.Table, s.cache, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -244,7 +267,13 @@ func (s *Set) Subscribe(sql string) (int64, error) {
 	sub.id = s.nextID.Add(1)
 	sub.table = ct.name
 	s.subs[sub.id] = sub
-	s.order = append(s.order, sub.id)
+	key := strings.ToLower(sub.table)
+	ts := s.tables[key]
+	if ts == nil {
+		ts = &tableSubs{}
+		s.tables[key] = ts
+	}
+	ts.subs, ts.free = append(ts.subs, sub), nil
 	s.dirty = true
 	return sub.id, nil
 }
@@ -253,15 +282,17 @@ func (s *Set) Subscribe(sql string) (int64, error) {
 func (s *Set) Unsubscribe(id int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.subs[id]; !ok {
+	sub, ok := s.subs[id]
+	if !ok {
 		return fmt.Errorf("standing: %w %d", ErrUnknownSubscription, id)
 	}
 	delete(s.subs, id)
-	for i, v := range s.order {
-		if v == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
+	key := strings.ToLower(sub.table)
+	ts := s.tables[key]
+	ts.subs = slices.DeleteFunc(ts.subs, func(x *rawSub) bool { return x == sub })
+	ts.free = nil
+	if len(ts.subs) == 0 {
+		delete(s.tables, key)
 	}
 	s.dirty = true
 	return nil
@@ -313,9 +344,8 @@ func (s *Set) Recompiles() int64 { return s.recompiles.Load() }
 func (s *Set) Subscriptions() []SubscriptionInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]SubscriptionInfo, 0, len(s.order))
-	for _, id := range s.order {
-		sub := s.subs[id]
+	out := make([]SubscriptionInfo, 0, len(s.subs))
+	for _, sub := range s.subs {
 		out = append(out, SubscriptionInfo{
 			ID:      sub.id,
 			SQL:     sub.sql,
@@ -325,6 +355,8 @@ func (s *Set) Subscriptions() []SubscriptionInfo {
 			Err:     sub.err,
 		})
 	}
+	// Ids are handed out under s.mu, so they are registration order.
+	slices.SortFunc(out, func(a, b SubscriptionInfo) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -340,49 +372,48 @@ func (s *Set) snapshot(table string) *compiledTable {
 }
 
 // recompileLocked rebuilds the shared structure from the registered
-// subscriptions against the current catalog. Caller holds s.mu.
-// Subscriptions that no longer compile (e.g. a dropped model) are
-// disabled and carry the error; the rest keep working. The index is
-// rebuilt over the whole set, even when every subscription is reused.
+// subscriptions against the current catalog. Caller holds s.mu. A
+// table's model-free part is reused as it is unless its subscriptions
+// changed; its model part is compiled and indexed again.
 func (s *Set) recompileLocked() {
 	s.dirty = false
 	s.recompiles.Add(1)
-	byTable := make(map[string][]*rawSub)
-	var tables []string
-	for _, id := range s.order {
-		sub := s.subs[id]
-		key := strings.ToLower(sub.table)
-		if len(byTable[key]) == 0 {
-			tables = append(tables, key)
-		}
-		byTable[key] = append(byTable[key], sub)
-	}
-	s.comp = make(map[string]*compiledTable, len(tables))
-	for _, key := range tables {
-		subs := byTable[key]
-		b, err := newTableBuilder(s.cat, subs[0].table, s.cache)
+	s.comp = make(map[string]*compiledTable, len(s.tables))
+	for key, ts := range s.tables {
+		ct, err := ts.compile(s.cat, s.cache)
 		if err != nil {
-			for _, sub := range subs {
-				sub.err, sub.last = err.Error(), nil
+			for _, sub := range ts.subs {
+				sub.err = err.Error()
 			}
 			continue
 		}
-		for _, sub := range subs {
-			cs, err := b.reuseOrCompile(sub)
-			if err != nil {
-				sub.err, sub.last = err.Error(), nil
-				continue
-			}
-			sub.err, sub.last = "", cs
-			b.subs = append(b.subs, cs)
-			b.width = max(b.width, cs.schema.Len())
+		if ct != nil {
+			s.comp[key] = ct
 		}
-		if len(b.subs) == 0 {
-			continue
-		}
-		b.buildIndex()
-		s.comp[key] = b.compiledTable
 	}
+}
+
+// compile compiles the table's subscriptions against the current
+// catalog, building its model-free part first if it has none. It
+// returns nil when no subscription compiled.
+func (ts *tableSubs) compile(cat *catalog.Catalog, cache core.EnvelopeCache) (*compiledTable, error) {
+	if ts.free == nil {
+		b, err := newTableBuilder(cat, ts.subs[0].table, cache, nil)
+		if err != nil {
+			return nil, err
+		}
+		ts.free = b.compilePart(ts.subs, false)
+	}
+	b, err := newTableBuilder(cat, ts.subs[0].table, cache, ts.free)
+	if err != nil {
+		return nil, err
+	}
+	ct := b.compiledTable
+	ct.free, ct.joined = ts.free, b.compilePart(ts.subs, true)
+	if len(ct.free.subs)+len(ct.joined.subs) == 0 {
+		return nil, nil
+	}
+	return ct, nil
 }
 
 // EvalBatch classifies one committed batch of new row images against
@@ -399,18 +430,17 @@ func (s *Set) EvalBatch(table string, rows []value.Tuple, epoch int64) {
 		return
 	}
 	rc := newRowCtx(ct, epoch, &s.modelCalls)
-	words := ct.index.words
-	cand := make([]uint64, 2*words)
-	cand, scratch := cand[:words], cand[words:]
+	cand := make([]uint64, 3*ct.words)
+	cand, scratch := cand[:ct.words], cand[ct.words:]
 	evals := 0
 	for _, row := range rows {
 		rc.reset(row)
-		ct.index.candidates(row, cand, scratch)
+		ct.candidates(row, cand, scratch)
 		for w, word := range cand {
 			for word != 0 {
 				i := w*64 + bits.TrailingZeros64(word)
 				word &= word - 1
-				cs := ct.subs[i]
+				cs := ct.sub(i)
 				evals++
 				if !cs.match(rc) {
 					continue

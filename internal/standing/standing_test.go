@@ -4,7 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -60,6 +64,14 @@ func trainThreshold(t *testing.T, cat *catalog.Catalog, name string, thr int64) 
 // eventRow builds one events tuple.
 func eventRow(id, num int64, cat string) value.Tuple {
 	return value.Tuple{value.Int(id), value.Int(num), value.Str(cat)}
+}
+
+// compiledSubs returns a compiled table's subscriptions from both
+// parts, in registration order.
+func compiledSubs(ct *compiledTable) []*compiledSub {
+	out := append(slices.Clone(ct.free.subs), ct.joined.subs...)
+	slices.SortFunc(out, func(a, b *compiledSub) int { return a.bit - b.bit })
+	return out
 }
 
 // drain empties the queue without blocking.
@@ -290,8 +302,8 @@ func TestRecompileOnInvalidate(t *testing.T) {
 // subscription without prediction joins keeps its compiled form, so its
 // notifications point at the same Source as before, while a joined
 // subscription compiles again and carries the new model's predictions
-// under a new Source. The published set's compiled subscription is
-// copied, never changed.
+// under a new Source. The model-free part is the same object before and
+// after, and the recompile changes nothing the old snapshot holds.
 func TestRecompileReusesModelFreeSubscriptions(t *testing.T) {
 	cat := newTestCatalog(t)
 	trainThreshold(t, cat, "dt", 50)
@@ -320,6 +332,11 @@ func TestRecompileReusesModelFreeSubscriptions(t *testing.T) {
 	}
 	s.EvalBatch("events", []value.Tuple{eventRow(1, 70, "a")}, 1)
 	before, ct := bySub(1), s.snapshot("events")
+	subs := compiledSubs(ct)
+	kept := make([]compiledSub, len(subs))
+	for i, cs := range subs {
+		kept[i] = *cs
+	}
 
 	trainThreshold(t, cat, "dt", 90)
 	s.Invalidate()
@@ -337,8 +354,144 @@ func TestRecompileReusesModelFreeSubscriptions(t *testing.T) {
 	if got, want := before[idJoin].Row[1].AsString()+"/"+after[idJoin].Row[1].AsString(), "high/low"; got != want {
 		t.Errorf("joined predictions %s across the retrain, want %s", got, want)
 	}
-	if s.snapshot("events").subs[0] == ct.subs[0] {
-		t.Error("the recompile published the old set's compiled subscription instead of a copy")
+	if s.snapshot("events").free != ct.free {
+		t.Error("the retrain rebuilt the model-free part")
+	}
+	for i, cs := range subs {
+		if !reflect.DeepEqual(*cs, kept[i]) {
+			t.Errorf("the recompile changed the old snapshot's compiled subscription %d: %+v, was %+v", i, *cs, kept[i])
+		}
+	}
+}
+
+// TestRecompileKeepsModelFreePart: the model-free part is one object
+// across any number of catalog invalidations, and a new one after a
+// Subscribe and after an Unsubscribe; every recompile still delivers
+// each subscription's match, in registration order.
+func TestRecompileKeepsModelFreePart(t *testing.T) {
+	cat := newTestCatalog(t)
+	trainThreshold(t, cat, "dt", 50)
+	s := NewSet(cat, Options{})
+	var ids []int64
+	subscribe := func(sql string) {
+		t.Helper()
+		id, err := s.Subscribe(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	subscribe("SELECT id FROM events WHERE num >= 10")
+	subscribe("SELECT id FROM events PREDICTION JOIN dt AS m ON m.num = events.num WHERE m.cls = 'high'")
+	subscribe("SELECT id, cat FROM events WHERE cat = 'a'")
+	matched := func(want []int64) {
+		t.Helper()
+		s.EvalBatch("events", []value.Tuple{eventRow(1, 70, "a")}, 1)
+		var got []int64
+		for _, n := range drain(t, s, 10) {
+			got = append(got, n.SubID)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("matched subscriptions %v, want %v", got, want)
+		}
+	}
+	matched(ids)
+	free := s.snapshot("events").free
+	for k := 0; k < 5; k++ {
+		s.Invalidate()
+		matched(ids)
+		if ct := s.snapshot("events"); ct.free != free {
+			t.Fatalf("invalidation %d rebuilt the model-free part", k+1)
+		}
+	}
+	if got := s.Recompiles(); got != 6 {
+		t.Fatalf("recompiles = %d, want 6", got)
+	}
+	subscribe("SELECT id FROM events WHERE id = 1")
+	matched(ids)
+	after := s.snapshot("events").free
+	if after == free || len(after.subs) != 3 {
+		t.Fatalf("after a Subscribe the model-free part is the old one (%t) or holds %d subscriptions, want a new one of 3",
+			after == free, len(after.subs))
+	}
+	if err := s.Unsubscribe(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	ids = ids[1:]
+	matched(ids)
+	if last := s.snapshot("events").free; last == after || len(last.subs) != 2 {
+		t.Fatalf("after an Unsubscribe the model-free part is the old one (%t) or holds %d subscriptions, want a new one of 2",
+			last == after, len(last.subs))
+	}
+}
+
+// TestRecompileRacesEvalAndSubscribe runs EvalBatch on two goroutines,
+// Invalidate and Subscribe at once, so a recompile in one EvalBatch
+// overlaps the other's evaluation: under the race detector, a recompile
+// that changed anything a published snapshot shares shows as a race.
+// Every row still matches the model-free subscription registered first.
+func TestRecompileRacesEvalAndSubscribe(t *testing.T) {
+	cat := newTestCatalog(t)
+	trainThreshold(t, cat, "dt", 50)
+	s := NewSet(cat, Options{Queue: 16})
+	always, err := s.Subscribe("SELECT id FROM events WHERE num >= 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds, evaluators = 200, 2
+	done := make(chan struct{})
+	var writers, evals sync.WaitGroup
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				s.Invalidate()
+				runtime.Gosched()
+			}
+		}
+	}()
+	go func() {
+		defer writers.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			sql := fmt.Sprintf("SELECT id FROM events WHERE num >= %d", i)
+			if i%2 == 1 {
+				sql = fmt.Sprintf("SELECT id, m.cls FROM events PREDICTION JOIN dt AS m ON m.num = events.num WHERE num <= %d", i)
+			}
+			if i%8 != 7 {
+				if _, err := s.Subscribe(sql); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			runtime.Gosched()
+		}
+	}()
+	evals.Add(evaluators)
+	for g := 0; g < evaluators; g++ {
+		go func() {
+			defer evals.Done()
+			for i := 0; i < rounds; i++ {
+				s.EvalBatch("events", []value.Tuple{eventRow(int64(i), int64(i%100), "a")}, 1)
+				runtime.Gosched()
+			}
+		}()
+	}
+	evals.Wait()
+	close(done)
+	writers.Wait()
+	for _, info := range s.Subscriptions() {
+		if info.ID == always && info.Matches != rounds*evaluators {
+			t.Fatalf("the first subscription matched %d of %d rows", info.Matches, rounds*evaluators)
+		}
 	}
 }
 
@@ -458,8 +611,8 @@ func TestRegionInternedAcrossAliases(t *testing.T) {
 		}
 	}
 	ct := s.snapshot("events")
-	if len(ct.subs) != 5 || len(ct.models) != 1 {
-		t.Fatalf("compiled %d subscriptions over %d models, want 5 over 1", len(ct.subs), len(ct.models))
+	if n := len(compiledSubs(ct)); n != 5 || len(ct.models) != 1 {
+		t.Fatalf("compiled %d subscriptions over %d models, want 5 over 1", n, len(ct.models))
 	}
 	// eq{high}, md:cat and ne:low — the last selects the same rows as
 	// the first but is a different shape, so a different key.

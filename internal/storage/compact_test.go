@@ -453,3 +453,45 @@ func TestFootprintHeapAfterChurn(t *testing.T) {
 		})
 	}
 }
+
+// TestLivePageCountExact: through random inserts and deletes, with pages
+// compacting as tails open, a store's LivePageCount is exactly the
+// number of pages a scan delivers a record from, while PageCount keeps
+// every address it ever opened.
+func TestLivePageCountExact(t *testing.T) {
+	for _, c := range churnStores(t) {
+		t.Run(c.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(11))
+			var live []RID
+			for i := range 6000 {
+				rid, err := c.insert(i, churnRecord(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, rid)
+				if len(live) > 0 && r.Intn(5) > 0 {
+					k := r.Intn(min(len(live), 400))
+					if !c.s.Delete(live[k]) {
+						t.Fatalf("delete %v: no live record", live[k])
+					}
+					live = append(live[:k], live[k+1:]...)
+				}
+				if i%500 != 499 {
+					continue
+				}
+				pages := map[uint32]bool{}
+				if err := c.s.Scan(func(rid RID, _ []byte) bool {
+					pages[rid.Page] = true
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if got := c.s.LivePageCount(); got != len(pages) {
+					t.Fatalf("after %d inserts: LivePageCount %d, a scan reads records from %d pages (%d addresses)",
+						i+1, got, len(pages), c.s.PageCount())
+				}
+			}
+			t.Logf("%d live records on %d live pages of %d addresses", len(live), c.s.LivePageCount(), c.s.PageCount())
+		})
+	}
+}

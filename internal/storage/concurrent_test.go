@@ -26,13 +26,17 @@ func TestConcurrentScanInsertDelete(t *testing.T) {
 	const writers = 4
 	const perWriter = 2000
 	var seq atomic.Uint64
-	var rids sync.Map // RID -> struct{}
+	// live[w] is writer w's records still in the heap: each writer deletes
+	// only its own, so no two delete the same record.
+	var live [writers][]RID
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			mine := live[w][:0]
+			defer func() { live[w] = mine }()
 			for i := 0; i < perWriter; i++ {
 				s := seq.Add(1)
 				rid, err := h.Insert(mk(s))
@@ -40,14 +44,14 @@ func TestConcurrentScanInsertDelete(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				rids.Store(rid, struct{}{})
+				mine = append(mine, rid)
 				if i%7 == 0 {
-					// Delete an arbitrary earlier record.
-					rids.Range(func(k, _ any) bool {
-						h.Delete(k.(RID))
-						rids.Delete(k)
-						return false
-					})
+					// Delete this writer's oldest live record.
+					if !h.Delete(mine[0]) {
+						t.Errorf("delete %v: no live record", mine[0])
+						return
+					}
+					mine = mine[1:]
 				}
 			}
 		}()
@@ -89,12 +93,24 @@ func TestConcurrentScanInsertDelete(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	readers.Wait()
-	// A final serial scan sees exactly the live records.
-	var n int64
-	if err := h.Scan(func(RID, []byte) bool { n++; return true }); err != nil {
+	// A final serial scan sees exactly the writers' live records.
+	want := map[RID]bool{}
+	for _, mine := range live {
+		for _, rid := range mine {
+			want[rid] = true
+		}
+	}
+	seen := 0
+	if err := h.Scan(func(rid RID, _ []byte) bool {
+		if !want[rid] {
+			t.Errorf("final scan saw %v, which no writer holds live", rid)
+		}
+		seen++
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if n != h.Len() {
-		t.Fatalf("final scan saw %d records, live count %d", n, h.Len())
+	if seen != len(want) || int64(seen) != h.Len() {
+		t.Fatalf("final scan saw %d records, writers hold %d live, live count %d", seen, len(want), h.Len())
 	}
 }

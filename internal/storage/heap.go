@@ -99,9 +99,11 @@ type page struct {
 	data []byte
 	free int // offset of the first record byte: records fill data[free:]
 	// dead counts the bytes of deleted records still in data; queued says
-	// the page is on its heap's compaction queue.
+	// the page is on its heap's compaction queue; live counts its live
+	// records.
 	dead   int
 	queued bool
+	live   int
 }
 
 func newPage() *page {
@@ -131,7 +133,7 @@ func (p *page) compacted() *page {
 		return emptyPage
 	}
 	dirEnd := pageHeaderSize + (last+1)*slotSize
-	q := &page{data: make([]byte, dirEnd+live), free: dirEnd + live}
+	q := &page{data: make([]byte, dirEnd+live), free: dirEnd + live, live: p.live}
 	q.setSlotCount(last + 1)
 	for s := 0; s <= last; s++ {
 		if off, n := p.slotAt(s); n != 0 {
@@ -177,6 +179,7 @@ func (p *page) insert(rec []byte) int {
 	copy(p.data[p.free:], rec)
 	p.setSlot(n, p.free, len(rec))
 	p.setSlotCount(n + 1)
+	p.live++
 	return n
 }
 
@@ -201,6 +204,7 @@ func (p *page) delete(slot int) bool {
 	}
 	p.setSlot(slot, off, 0)
 	p.dead += length
+	p.live--
 	return true
 }
 
@@ -210,10 +214,12 @@ type Heap struct {
 	pages []*page
 	live  atomic.Int64
 	// queue holds the indexes of pages that became mostly dead, each
-	// once, in the order they did; compactions counts pages compacted.
-	// Both are guarded by mu.
+	// once, in the order they did; compactions counts pages compacted;
+	// livePages counts the pages holding a live record. All are guarded
+	// by mu.
 	queue       []int
 	compactions int64
+	livePages   int
 
 	// faults, when set, is consulted once per page read (sequential and
 	// random sites separately) and may inject latency or a typed error.
@@ -246,6 +252,9 @@ func (h *Heap) Insert(rec []byte) (RID, error) {
 		h.compactQueued()
 	}
 	pi := len(h.pages) - 1
+	if h.pages[pi].live == 0 {
+		h.livePages++
+	}
 	slot := h.pages[pi].insert(rec)
 	h.mu.Unlock()
 	h.live.Add(1)
@@ -299,6 +308,9 @@ func (h *Heap) Delete(rid RID) bool {
 		return false
 	}
 	h.live.Add(-1)
+	if p.live == 0 {
+		h.livePages--
+	}
 	if !p.queued && p.mostlyDead() {
 		p.queued = true
 		h.queue = append(h.queue, int(rid.Page))
@@ -465,9 +477,19 @@ func (h *Heap) space() Space {
 	return sp
 }
 
-// PageCount returns the number of allocated pages.
+// PageCount returns the number of allocated pages: the address range a
+// scan covers.
 func (h *Heap) PageCount() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return len(h.pages)
+}
+
+// LivePageCount returns the number of pages holding a live record: the
+// pages a scan reads records from. It is kept exact by Insert and Delete;
+// compaction moves a page's records and so changes it not at all.
+func (h *Heap) LivePageCount() int {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.livePages
 }

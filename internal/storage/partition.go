@@ -43,6 +43,9 @@ type Store interface {
 	Len() int64
 	// PageCount returns the number of allocated pages, all partitions'.
 	PageCount() int
+	// LivePageCount returns the number of pages holding a live record,
+	// all partitions'.
+	LivePageCount() int
 	// SetFaults installs (or removes) a fault injector on page reads.
 	SetFaults(in *fault.Injector)
 }
@@ -217,6 +220,15 @@ func (ph *PartitionedHeap) PageCount() int {
 	n := 0
 	for _, h := range ph.parts {
 		n += h.PageCount()
+	}
+	return n
+}
+
+// LivePageCount implements Store.
+func (ph *PartitionedHeap) LivePageCount() int {
+	n := 0
+	for _, h := range ph.parts {
+		n += h.LivePageCount()
 	}
 	return n
 }
