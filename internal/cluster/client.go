@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"minequery/internal/qerr"
@@ -68,9 +69,16 @@ func (c *Client) ExecStatement(ctx context.Context, addr, sql string, timeoutMS 
 	return do[wire.ExecResponse](ctx, c, http.MethodPost, addr+"/v1/exec", wire.ExecRequest{SQL: sql, TimeoutMS: timeoutMS})
 }
 
-// Info fetches a shard's catalog summary via /v1/shard-info.
-func (c *Client) Info(ctx context.Context, addr string) (*wire.ShardInfoResponse, error) {
-	return do[wire.ShardInfoResponse](ctx, c, http.MethodGet, addr+"/v1/shard-info", nil)
+// Info fetches a shard's catalog summary via /v1/shard-info. With
+// epoch >= 0 — the epoch the caller cached the shard's models at, and
+// digest their wire.ModelsDigest — a shard still at that epoch with
+// those models answers the epoch alone.
+func (c *Client) Info(ctx context.Context, addr string, epoch int64, digest string) (*wire.ShardInfoResponse, error) {
+	url := addr + "/v1/shard-info"
+	if epoch >= 0 {
+		url += "?epoch=" + strconv.FormatInt(epoch, 10) + "&models=" + digest
+	}
+	return do[wire.ShardInfoResponse](ctx, c, http.MethodGet, url, nil)
 }
 
 // Prepare registers a statement on a shard via /v1/prepare. The shard

@@ -72,6 +72,8 @@ type shardState struct {
 	// models maps lowercased model name to the shard's registration
 	// info; nil when unknown or invalidated by an epoch change.
 	models map[string]wire.ModelInfo
+	// digest is the wire.ModelsDigest of the answer models came from.
+	digest string
 }
 
 // coordStmt is one coordinator-prepared statement: the SQL plus the
@@ -258,20 +260,35 @@ func (c *Coordinator) rangeOf(i int) string {
 	return fmt.Sprintf("[%s, %s)", lo, hi)
 }
 
-// SyncShard refreshes the coordinator's view of shard i's catalog.
+// SyncShard refreshes the coordinator's view of shard i's catalog. When
+// it holds the shard's models, it sends the epoch it cached them at and
+// their digest; a shard still at that epoch with those models answers
+// the epoch alone, and the models are kept. The shard reads its epoch
+// before its models, so a full answer never pairs an epoch with models
+// older than it (DESIGN §13).
 func (c *Coordinator) SyncShard(ctx context.Context, i int) error {
+	c.mu.Lock()
+	cached := c.states[i]
+	c.mu.Unlock()
+	since := int64(-1)
+	if cached.models != nil {
+		since = cached.epoch
+	}
 	sctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
 	defer cancel()
-	info, err := c.client.Info(sctx, c.shards.Shards[i].Addr)
+	info, err := c.client.Info(sctx, c.shards.Shards[i].Addr, since, cached.digest)
 	if err != nil {
 		return &ShardError{Shard: i, Addr: c.shards.Shards[i].Addr, Err: err}
+	}
+	if since >= 0 && info.Epoch == since && info.Models == nil {
+		return nil
 	}
 	models := make(map[string]wire.ModelInfo, len(info.Models))
 	for _, m := range info.Models {
 		models[strings.ToLower(m.Name)] = m
 	}
 	c.mu.Lock()
-	c.states[i] = shardState{epoch: info.Epoch, models: models}
+	c.states[i] = shardState{epoch: info.Epoch, models: models, digest: wire.ModelsDigest(info.Models)}
 	c.mu.Unlock()
 	return nil
 }

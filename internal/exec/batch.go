@@ -265,7 +265,7 @@ func (b *Bound) buildBare(ctx context.Context, i int, opts Options, leaf *unitLe
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		rids, err := seekRIDs(ctx, b.table, x, opts)
+		rids, err := seekRIDs(ctx, b.table, x, opts, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -10,10 +10,11 @@ package exec
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"minequery/internal/btree"
@@ -275,12 +276,13 @@ var errStopSeek = errors.New("seek prefix exhausted")
 // microseconds, rare enough to stay off the per-entry hot path.
 const seekCtxStride = 1024
 
-// seekRIDs evaluates one index seek, returning matching RIDs. The seek
-// is an idempotent read, so a transiently failing one (injected via
-// fault.SiteIndexSeek) is retried whole under the options' policy; ctx
-// is checked every seekCtxStride entries so deadlines interrupt seeks
-// over large key ranges mid-flight.
-func seekRIDs(ctx context.Context, t *catalog.Table, s *plan.IndexSeek, opts Options) ([]storage.RID, error) {
+// seekRIDs evaluates one index seek, appending the matching RIDs to dst
+// in index order. The seek is an idempotent read, so a transiently
+// failing one (injected via fault.SiteIndexSeek) is retried whole under
+// the options' policy, from dst's original length; ctx is checked every
+// seekCtxStride entries so deadlines interrupt seeks over large key
+// ranges mid-flight.
+func seekRIDs(ctx context.Context, t *catalog.Table, s *plan.IndexSeek, opts Options, dst []storage.RID) ([]storage.RID, error) {
 	ix := findIndexByName(t, s.Index)
 	if ix == nil {
 		return nil, fmt.Errorf("exec: no index %q on %s", s.Index, s.Table)
@@ -311,12 +313,12 @@ func seekRIDs(ctx context.Context, t *catalog.Table, s *plan.IndexSeek, opts Opt
 	case len(prefix) > 0:
 		hi = append(append([]byte(nil), prefix...), 0xFF)
 	}
-	var rids []storage.RID
+	rids, start := dst, len(dst)
 	attempt := func() error {
 		if err := opts.Faults.Hit(fault.SiteIndexSeek); err != nil {
 			return fmt.Errorf("exec: seek %s.%s: %w", s.Table, s.Index, err)
 		}
-		rids = rids[:0]
+		rids = rids[:start]
 		visited := 0
 		err := ix.Tree.AscendRangeErr(lo, hi, true, true, func(e btree.Entry) error {
 			if len(prefix) > 0 && !bytes.HasPrefix(e.Key, prefix) {
@@ -356,11 +358,11 @@ func findIndexByName(t *catalog.Table, name string) *catalog.Index {
 // reads.
 const ridFetchCtxStride = 64
 
-// unionRIDs evaluates every arm of an index union and returns the
-// deduplicated RIDs in heap order, which keeps the random I/O of the
-// fetch monotone.
+// unionRIDs evaluates every arm of an index union into one slice and
+// returns the deduplicated RIDs in heap order, which keeps the random
+// I/O of the fetch monotone: sorted once, a RID two arms matched sits
+// beside its twin and compacts away.
 func unionRIDs(ctx context.Context, t *catalog.Table, x *plan.IndexUnion, opts Options) ([]storage.RID, error) {
-	seen := make(map[storage.RID]bool)
 	var rids []storage.RID
 	for _, s := range x.Seeks {
 		// A deadline can expire mid-union: stop between arms rather
@@ -368,19 +370,18 @@ func unionRIDs(ctx context.Context, t *catalog.Table, x *plan.IndexUnion, opts O
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		sub, err := seekRIDs(ctx, t, s, opts)
-		if err != nil {
+		var err error
+		if rids, err = seekRIDs(ctx, t, s, opts, rids); err != nil {
 			return nil, err
 		}
-		for _, r := range sub {
-			if !seen[r] {
-				seen[r] = true
-				rids = append(rids, r)
-			}
-		}
 	}
-	sort.Slice(rids, func(i, j int) bool { return rids[i].Less(rids[j]) })
-	return rids, nil
+	slices.SortFunc(rids, func(a, b storage.RID) int {
+		if c := cmp.Compare(a.Page, b.Page); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Slot, b.Slot)
+	})
+	return slices.Compact(rids), nil
 }
 
 // ridFetch fetches rows for a RID list, a batch of live rows at a time,

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -120,6 +121,10 @@ type Server struct {
 	cancelled     atomic.Int64
 	invalidations atomic.Int64
 	degraded      atomic.Int64 // queries served on the degraded plan
+
+	// lastInfo is the last full shard-info answer's epoch and models
+	// digest, which an epoch-only answer confirms (shard.go).
+	lastInfo atomic.Pointer[infoDigest]
 
 	// execHook, when set, runs after admission but before execution —
 	// a test seam for holding a worker slot at a known point.
@@ -281,14 +286,62 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	}
 }
 
+// decodeBody decodes a request's first JSON value into v, refusing
+// unknown fields; what follows the value is not read. The json.Decoder
+// and its buffer come from a pool: each is built once over a bodySource
+// that every request re-points at its own body. A decoder goes back only
+// after a successful decode whose buffered remainder is white space, so
+// the next request finds nothing of this one in front of its own bytes;
+// after a failed decode (whose decoder keeps its error) or trailing
+// bytes it is dropped.
 func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	bd := bodyDecoders.Get()
+	if bd.dec == nil {
+		bd.dec = json.NewDecoder(&bd.src)
+		bd.dec.DisallowUnknownFields()
+	}
+	bd.src.Reader = r.Body
+	err := bd.dec.Decode(v)
+	bd.src.Reader = nil
+	if err != nil {
 		return errBadRequest("decode request: " + err.Error())
+	}
+	if onlySpace(bd.dec) {
+		bodyDecoders.Put(bd)
 	}
 	return nil
 }
+
+// bodyDecoder is a request decoder and the reader it was built over.
+type bodyDecoder struct {
+	src bodySource
+	dec *json.Decoder
+}
+
+// bodySource is the reader a pooled decoder reads: the current request's
+// body.
+type bodySource struct{ io.Reader }
+
+// onlySpace reports whether what dec has read past its last value is
+// nothing but JSON white space.
+func onlySpace(dec *json.Decoder) bool {
+	rest := dec.Buffered()
+	var b [64]byte
+	for {
+		n, err := rest.Read(b[:])
+		for _, c := range b[:n] {
+			if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+				return false
+			}
+		}
+		if err != nil {
+			return true
+		}
+	}
+}
+
+// bodyDecoders recycles request decoders.
+var bodyDecoders recycle.Pool[bodyDecoder]
 
 func wireStats(st minequery.ExecStats) wire.ExecStats {
 	return wire.ExecStats{

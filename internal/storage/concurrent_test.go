@@ -11,7 +11,10 @@ import (
 // with sequential scans and random fetches. Under -race this pins the
 // snapshot-scan locking; the assertions pin record integrity — a scan
 // must never observe a torn record, only complete payloads that were
-// inserted at some point.
+// inserted at some point. Readers are paced: after each pass a reader
+// waits until the writers have made passEvery more operations, so its
+// passes interleave with the writes for the whole writer phase instead
+// of holding them off.
 func TestConcurrentScanInsertDelete(t *testing.T) {
 	h := NewHeap()
 	// Record payload: 8-byte sequence number repeated to fill, so a torn
@@ -25,11 +28,25 @@ func TestConcurrentScanInsertDelete(t *testing.T) {
 	}
 	const writers = 4
 	const perWriter = 2000
+	const passEvery = 128 // writer operations between a reader's passes
 	var seq atomic.Uint64
+	// ops counts the writers' inserts and deletes; progress wakes the
+	// readers waiting on it at every multiple of passEvery and when the
+	// writers are done.
+	var ops atomic.Int64
+	var writersDone atomic.Bool
+	var progressMu sync.Mutex
+	progress := sync.NewCond(&progressMu)
+	wrote := func() {
+		if ops.Add(1)%passEvery == 0 {
+			progressMu.Lock()
+			progress.Broadcast()
+			progressMu.Unlock()
+		}
+	}
 	// live[w] is writer w's records still in the heap: each writer deletes
 	// only its own, so no two delete the same record.
 	var live [writers][]RID
-	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -45,6 +62,7 @@ func TestConcurrentScanInsertDelete(t *testing.T) {
 					return
 				}
 				mine = append(mine, rid)
+				wrote()
 				if i%7 == 0 {
 					// Delete this writer's oldest live record.
 					if !h.Delete(mine[0]) {
@@ -52,22 +70,22 @@ func TestConcurrentScanInsertDelete(t *testing.T) {
 						return
 					}
 					mine = mine[1:]
+					wrote()
 				}
 			}
 		}()
 	}
-	// Readers: full scans + random gets until writers finish.
+	// Readers: full scans + random gets until writers finish, a pass
+	// every passEvery writer operations.
 	var readers sync.WaitGroup
+	var passes atomic.Int64
 	for r := 0; r < 3; r++ {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for !writersDone.Load() {
+				next := ops.Load() + passEvery
+				passes.Add(1)
 				err := h.Scan(func(rid RID, rec []byte) bool {
 					if len(rec) != 64 {
 						t.Errorf("scan %v: bad record length %d", rid, len(rec))
@@ -87,12 +105,21 @@ func TestConcurrentScanInsertDelete(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				progressMu.Lock()
+				for ops.Load() < next && !writersDone.Load() {
+					progress.Wait()
+				}
+				progressMu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	close(stop)
+	progressMu.Lock()
+	writersDone.Store(true)
+	progress.Broadcast()
+	progressMu.Unlock()
 	readers.Wait()
+	t.Logf("%d reader passes over %d writer operations", passes.Load(), ops.Load())
 	// A final serial scan sees exactly the writers' live records.
 	want := map[RID]bool{}
 	for _, mine := range live {

@@ -6,8 +6,9 @@
 // client-side call. Both ends build and decode the same struct, so a
 // field added here reaches every reader — there is no mirror to forget.
 //
-// The package holds declarations, the one row encoder (AppendRow) and
-// the one row merge (ConcatRows) (stdlib + internal/agg +
+// The package holds declarations, the one row encoder (AppendRow), the
+// one row merge (ConcatRows) and the one catalog digest (ModelsDigest)
+// (stdlib + internal/agg +
 // internal/value + internal/recycle): handlers live in internal/server,
 // fan-out in internal/cluster. Rows cross every hop as bytes: a RowSet
 // is the encoded array and its row count, never decoded cells. Tags
@@ -20,6 +21,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"math"
 	"strconv"
 
@@ -424,11 +427,31 @@ type ModelInfo struct {
 
 // ShardInfoResponse is a node's catalog summary: what a coordinator
 // needs to prove its envelope-driven shard pruning still sound against
-// the node's models, nothing more.
+// the node's models, nothing more. Asked with ?epoch=N&models=D — the
+// epoch the coordinator cached the models at and their ModelsDigest — a
+// node still at N whose last full answer at N had digest D answers Epoch
+// alone, Tables and Models nil. A node reads its epoch before its
+// models, so a full answer pairs an epoch with models at least as new
+// as it, never older.
 type ShardInfoResponse struct {
 	Epoch  int64       `json:"epoch"`
 	Tables []string    `json:"tables"`
 	Models []ModelInfo `json:"models"`
+}
+
+// ModelsDigest is FNV-64a over each model's name and fingerprint, in
+// the order given, in hex. An epoch numbers one process's catalog
+// changes, so a node restarted with other models can come back at an
+// epoch a coordinator cached; the digest tells the two apart.
+func ModelsDigest(models []ModelInfo) string {
+	h := fnv.New64a()
+	for _, m := range models {
+		for _, s := range [2]string{m.Name, m.Fingerprint} {
+			_, _ = io.WriteString(h, s) // a hash.Hash never fails a write
+			_, _ = h.Write([]byte{0})   // ("ab","c") and ("a","bc") differ
+		}
+	}
+	return strconv.FormatUint(h.Sum64(), 16)
 }
 
 // ---- coordinator answers ----

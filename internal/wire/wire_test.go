@@ -310,3 +310,26 @@ func TestCallReusesConnection(t *testing.T) {
 		t.Fatalf("two sequential calls opened %d connections, want 1", n)
 	}
 }
+
+// TestModelsDigest: the digest follows each model's name and
+// fingerprint, their order and the boundary between the two, and nothing
+// else a ModelInfo carries.
+func TestModelsDigest(t *testing.T) {
+	base := []ModelInfo{{Name: "a", Fingerprint: "01", Version: 1}, {Name: "b", Fingerprint: "02"}}
+	d := ModelsDigest(base)
+	same := []ModelInfo{{Name: "a", Fingerprint: "01", Version: 7, Classes: []string{"x"}}, {Name: "b", Fingerprint: "02"}}
+	if got := ModelsDigest(same); got != d {
+		t.Fatalf("a version or class list changed the digest: %s vs %s", got, d)
+	}
+	for name, other := range map[string][]ModelInfo{
+		"fingerprint": {{Name: "a", Fingerprint: "01"}, {Name: "b", Fingerprint: "03"}},
+		"order":       {{Name: "b", Fingerprint: "02"}, {Name: "a", Fingerprint: "01"}},
+		"boundary":    {{Name: "a0", Fingerprint: "1"}, {Name: "b", Fingerprint: "02"}},
+		"one fewer":   {{Name: "a", Fingerprint: "01"}},
+		"none":        nil,
+	} {
+		if ModelsDigest(other) == d {
+			t.Errorf("%s: the digest did not change", name)
+		}
+	}
+}
