@@ -216,7 +216,7 @@ func TestPartitionPageRanges(t *testing.T) {
 	// partitions.
 	n := 0
 	for _, r := range some {
-		tbl.Heap.ScanPagesInto(nil, r[0], r[1], nil, func(rid storage.RID, _ []byte) bool {
+		tbl.Heap.ScanPagesInto(nil, r[0], r[1], 0, nil, func(rid storage.RID, _ []byte) bool {
 			p, _ := storage.SplitRID(rid)
 			if p != 0 && p != 3 {
 				t.Fatalf("subset scan delivered partition %d", p)

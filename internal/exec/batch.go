@@ -418,21 +418,21 @@ func copyRows(b Batch) {
 // surviving partitions' page ranges for pruned partitioned scans, one
 // morsel for a worker's leaf. Every batch is decoded into the scan's
 // batchStore, so a pooled scan allocates nothing per row, per page or per
-// batch once the pools are warm. A batch is whole pages, as many as fit
-// in BatchSize rows (one at least), read by one call to the scan's
-// pageReader, which stops at the page that does not fit.
+// batch once the pools are warm. A batch is BatchSize rows at most, read
+// by one call to the scan's pageReader: whole pages, as many as fit, and
+// a page that holds more than BatchSize rows alone is cut into batches
+// of BatchSize rows, each resuming at the slot after the last.
 type batchSeqScan struct {
-	table    *catalog.Table
-	opts     Options
-	schema   *value.Schema
-	morsels  [][2]int // the units point picks from, for a worker's leaf
-	ranges   [][2]int
-	ri       int // current range
-	nextPage int // next page within ranges[ri]
-	pages    *pageReader
-	store    batchStore
-	read     int64 // rows returned since the last seek
-	err      error
+	table   *catalog.Table
+	opts    Options
+	schema  *value.Schema
+	morsels [][2]int // the units point picks from, for a worker's leaf
+	ranges  [][2]int
+	ri      int         // current range
+	pages   *pageReader // where the scan stands within ranges[ri]
+	store   batchStore
+	read    int64 // rows returned since the last seek
+	err     error
 }
 
 // newBatchSeqScan builds a heap scan leaf over nothing yet: seek or point
@@ -448,7 +448,7 @@ func newBatchSeqScan(ctx context.Context, t *catalog.Table, cols scanCols, opts 
 func (s *batchSeqScan) seek(ranges [][2]int) {
 	s.ranges, s.ri, s.read = ranges, 0, 0
 	if len(ranges) > 0 {
-		s.nextPage = ranges[0][0]
+		s.pages.seek(ranges[0][0])
 	}
 }
 
@@ -466,9 +466,12 @@ func (s *batchSeqScan) fit(live int) bool {
 	return n == 0 || n < s.opts.BatchSize && n+live <= s.opts.BatchSize
 }
 
+// collect takes a row into the batch, and stops the read once the batch
+// is full: only a page fit admitted into an empty batch fills it
+// mid-page, and the next batch resumes that page.
 func (s *batchSeqScan) collect(_ storage.RID, _ []byte, tup value.Tuple) bool {
 	*s.store.rows = append(*s.store.rows, tup)
-	return true
+	return len(*s.store.rows) < s.opts.BatchSize
 }
 
 func (s *batchSeqScan) NextBatch() (Batch, bool, error) {
@@ -483,18 +486,18 @@ func (s *batchSeqScan) NextBatch() (Batch, bool, error) {
 		return nil, true, nil // exhausted, or closed and its storage given back
 	}
 	s.store.reset(s.opts.BatchSize)
-	// Whole pages only, so the scan position stays a page number; a page
-	// fit refuses is the next batch's first.
+	// A page fit refuses is the next batch's first, and a page the batch
+	// filled up in goes on in the next at the slot it stopped at.
 	for s.ri < len(s.ranges) {
 		end := s.ranges[s.ri][1]
-		if s.nextPage, s.err = s.pages.read(s.nextPage, end); s.err != nil {
+		if s.err = s.pages.read(end); s.err != nil {
 			return nil, false, s.err
 		}
-		if s.nextPage < end {
+		if s.pages.page < end {
 			break
 		}
 		if s.ri++; s.ri < len(s.ranges) {
-			s.nextPage = s.ranges[s.ri][0]
+			s.pages.seek(s.ranges[s.ri][0])
 		}
 	}
 	b := *s.store.rows

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"context"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"minequery/internal/catalog"
@@ -241,5 +243,112 @@ func TestParallelScanCloseWithoutDrain(t *testing.T) {
 			t.Fatalf("iter %d: first batch: done=%v err=%v", i, done, err)
 		}
 		it.Close() // abandon mid-scan; workers must wind down without leaking
+	}
+}
+
+// batchSizes is a RowSink that keeps the size of every batch and a copy
+// of every row.
+type batchSizes struct {
+	sizes []int
+	rows  []value.Tuple
+}
+
+func (s *batchSizes) Begin() { s.sizes, s.rows = s.sizes[:0], s.rows[:0] }
+
+func (s *batchSizes) Batch(b Batch) error {
+	s.sizes = append(s.sizes, len(b))
+	for _, t := range b {
+		s.rows = append(s.rows, append(value.Tuple(nil), t...))
+	}
+	return nil
+}
+
+// TestSeqScanBatchNeverExceedsBatchSize: on a one-INT-column table, a
+// heap page holds several batches' worth of rows, and the scan cuts it
+// into batches of BatchSize rows at most, each resuming the page where
+// the last stopped, at DOP 1 and 4: every live row is delivered once, in
+// heap order. A prepared plan's second run allocates no more than its
+// first: nothing grows past the batch the store was sized for.
+func TestSeqScanBatchNeverExceedsBatchSize(t *testing.T) {
+	c := catalog.New()
+	tb, err := c.CreateTable("n", value.MustSchema(value.Column{Name: "v", Kind: value.KindInt}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5000; i++ {
+		rid, err := tb.Insert(value.Tuple{value.Int(int64(i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%7 == 3 { // dead slots inside the pages, some at a batch's cut
+			if _, err := tb.Delete(rid); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var want []value.Tuple
+	live := map[uint32]int{}
+	if err := tb.Heap.Scan(func(rid storage.RID, rec []byte) bool {
+		row, err := value.DecodeTuple(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, live[rid.Page] = append(want, row), live[rid.Page]+1
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if live[0] <= DefaultBatchSize || len(live) < 3 {
+		t.Fatalf("the fixture's first page holds %d live rows, of %d pages; the test needs more than %d, on several pages",
+			live[0], len(live), DefaultBatchSize)
+	}
+	root := &plan.SeqScan{Table: "n"}
+	for _, dop := range []int{1, 4} {
+		b, err := Bind(c, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sink batchSizes
+		if _, err := b.Drain(context.Background(), Options{DOP: dop}, &sink); err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range sink.sizes {
+			if n > DefaultBatchSize {
+				t.Fatalf("dop %d: batch %d holds %d rows, BatchSize is %d", dop, i, n, DefaultBatchSize)
+			}
+		}
+		if len(sink.rows) != len(want) {
+			t.Fatalf("dop %d: %d rows delivered, the heap holds %d", dop, len(sink.rows), len(want))
+		}
+		for i, row := range sink.rows {
+			if !row.Equal(want[i]) {
+				t.Fatalf("dop %d: row %d = %v, heap order has %v", dop, i, row, want[i])
+			}
+		}
+		if raceEnabled {
+			continue
+		}
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			b, err := Bind(c, root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var runs [2]uint64
+			for i := range runs {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if _, err := b.Drain(context.Background(), Options{DOP: dop}, Discard); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				runs[i] = after.TotalAlloc - before.TotalAlloc
+			}
+			t.Logf("dop %d: %d B the first run, %d B the second", dop, runs[0], runs[1])
+			if runs[1] > runs[0] {
+				t.Errorf("dop %d: a prepared scan's second run allocates %d B, its first %d B", dop, runs[1], runs[0])
+			}
+		}()
 	}
 }

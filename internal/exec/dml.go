@@ -66,7 +66,8 @@ func CollectMatches(ctx context.Context, t *catalog.Table, pred expr.Expr, need 
 		return true
 	})
 	for _, r := range t.PartitionPageRanges(nil) {
-		if _, err := pages.read(r[0], r[1]); err != nil {
+		pages.seek(r[0])
+		if err := pages.read(r[1]); err != nil {
 			return nil, nil, fmt.Errorf("exec: dml: %w", err)
 		}
 	}

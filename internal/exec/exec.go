@@ -34,7 +34,10 @@ import (
 // of an arena. need says which columns to decode (columnMask; nil for
 // all), and the tuples hold those alone. fit, when non-nil, may refuse a
 // page before it is read (storage.Heap.ScanPagesInto), which ends the
-// read like fn returning false: early, with a nil error.
+// read like fn returning false: early, with a nil error. The reader
+// stands where the read ended, a page and a slot — the page fit refused,
+// or the slot after the last row fn took — and the next read goes on
+// from there.
 //
 // A reader is built once per scan and its callbacks with it, so a read
 // allocates nothing, however many pages it covers. It reads one page per
@@ -51,12 +54,16 @@ type pageReader struct {
 	opts    Options
 	onRetry func(error)
 
-	// attempt reads page through the storage callbacks built with the
-	// reader, which note how the read of it ended: halted, or err — a
-	// corrupt record, or the context done.
+	// attempt reads page from slot on through the storage callbacks
+	// built with the reader, which move slot past every row delivered
+	// and note how the read of the page ended: halted, or err — a
+	// corrupt record, or the context done. slot is an int32 beside
+	// halted, in the padding a bool leaves: a reader is allocated with
+	// every scan leaf, and a wider one takes the next size class.
 	attempt   func() error
 	page      int
 	halted    bool
+	slot      int32
 	err       error
 	delivered int
 }
@@ -77,6 +84,7 @@ func newPageReader(ctx context.Context, t *catalog.Table, opts Options, need []b
 			r.err = fmt.Errorf("exec: scan %s: corrupt row at %s: %w", t.Name, rid, err)
 			return false
 		}
+		r.slot = int32(rid.Slot) + 1
 		r.halted = !fn(rid, rec, tup)
 		if r.delivered++; r.delivered%r.opts.BatchSize == 0 && !r.halted {
 			r.err = ctxErr(r.ctx)
@@ -85,29 +93,32 @@ func newPageReader(ctx context.Context, t *catalog.Table, opts Options, need []b
 		return !r.halted
 	}
 	io := ioOf(opts.Collector)
-	r.attempt = func() error { return t.Heap.ScanPagesInto(io, r.page, r.page+1, pageFit, deliver) }
+	r.attempt = func() error { return t.Heap.ScanPagesInto(io, r.page, r.page+1, int(r.slot), pageFit, deliver) }
 	return r
 }
 
-// read reads pages [lo, hi) and returns the page it stopped at: the one
-// fit refused or fn stopped in, or hi.
-func (r *pageReader) read(lo, hi int) (int, error) {
+// seek points the reader at the first slot of page.
+func (r *pageReader) seek(page int) { r.page, r.slot = page, 0 }
+
+// read reads on from where the reader stands, up to page hi, and stops
+// where fit refuses a page, where fn stops, or at hi.
+func (r *pageReader) read(hi int) error {
 	r.halted = false
-	for r.page = lo; r.page < hi; r.page++ {
+	for ; r.page < hi; r.page, r.slot = r.page+1, 0 {
 		if err := ctxErr(r.ctx); err != nil {
-			return r.page, err
+			return err
 		}
 		if err := fault.Retry(r.ctx, r.opts.Clock, r.opts.Retry, r.attempt, r.onRetry); err != nil {
-			return r.page, fmt.Errorf("exec: scan %s: %w", r.table.Name, err)
+			return fmt.Errorf("exec: scan %s: %w", r.table.Name, err)
 		}
 		if r.err != nil {
-			return r.page, r.err
+			return r.err
 		}
 		if r.halted {
-			return r.page, nil
+			return nil
 		}
 	}
-	return hi, nil
+	return nil
 }
 
 // arenaChunkLen is the values in one chunk of a pooled arena: a chunk
@@ -216,9 +227,8 @@ func newBatchStore(width, arenaRows, sliceRows int, handOff bool) batchStore {
 	return batchStore{arena: pooledArena(width, arenaRows), rows: pooledBatch(sliceRows)}
 }
 
-// reset starts the next batch, of n rows at most (more only for a page
-// that holds more): over the last one's storage, or in fresh storage
-// sized to n when the last was handed off.
+// reset starts the next batch, of n rows at most: over the last one's
+// storage, or in fresh storage sized to n when the last was handed off.
 func (s *batchStore) reset(n int) {
 	if s.handOff {
 		s.arena = privateArena(s.arena.width, n)

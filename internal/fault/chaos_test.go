@@ -281,21 +281,31 @@ func TestChaosPrunedPartitionScan(t *testing.T) {
 	), "num", bounds); err != nil {
 		t.Fatal(err)
 	}
-	r := rand.New(rand.NewSource(7))
-	batch := make([]minequery.Tuple, 0, 4000)
-	for i := 0; i < 4000; i++ {
-		batch = append(batch, minequery.Tuple{
-			minequery.Int(int64(i)), minequery.Int(int64(r.Intn(140))),
-		})
-	}
-	if err := eng.InsertBatch("t", batch); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Analyze("t"); err != nil {
-		t.Fatal(err)
-	}
 	const sql = "SELECT * FROM t WHERE num >= 100 AND num <= 119"
 	ctx := context.Background()
+	// Fill until the surviving partition spans 3 pages, however wide a
+	// stored row is: the absorbed page fault is the scan's second page
+	// read, and must land inside the pruned scan.
+	r := rand.New(rand.NewSource(7))
+	for n, pages := int64(0), int64(0); pages < 3; {
+		batch := make([]minequery.Tuple, 0, 1000)
+		for ; len(batch) < cap(batch); n++ {
+			batch = append(batch, minequery.Tuple{
+				minequery.Int(n), minequery.Int(int64(r.Intn(140))),
+			})
+		}
+		if err := eng.InsertBatch("t", batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Analyze("t"); err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Query(ctx, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages = res.Stats.SeqPageReads
+	}
 	base, err := eng.Query(ctx, sql, minequery.WithForcedPath("seqscan"))
 	if err != nil {
 		t.Fatal(err)

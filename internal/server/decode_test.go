@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -168,5 +169,47 @@ func TestAllocDecodeBody(t *testing.T) {
 	decode() // builds the pooled decoder
 	if n := testing.AllocsPerRun(100, decode); n != 1 {
 		t.Fatalf("a statement_id request makes %v allocations, want 1 (its string)", n)
+	}
+}
+
+// bodyWriter is an http.ResponseWriter that keeps the status and the
+// body in storage it reuses.
+type bodyWriter struct {
+	header http.Header
+	status int
+	body   bytes.Buffer
+}
+
+func (w *bodyWriter) Header() http.Header { return w.header }
+
+func (w *bodyWriter) WriteHeader(status int) { w.status = status }
+
+func (w *bodyWriter) Write(b []byte) (int, error) { return w.body.Write(b) }
+
+// TestAllocWriteJSON: answering an epoch-only shard-info probe allocates
+// the answer boxed as an interface and nothing else, on one P with the
+// collector off: the buffer and the encoder come from the pool, and the
+// Content-Type header is set without building its value.
+func TestAllocWriteJSON(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector, whose sync.Pool drops what it is given")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	w := &bodyWriter{header: http.Header{}}
+	w.body.Grow(256)
+	write := func() {
+		w.body.Reset()
+		writeJSON(w, http.StatusOK, wire.ShardInfoResponse{Epoch: 7})
+	}
+	write() // builds the pooled encoder
+	if got, want := w.body.String(), "{\"epoch\":7,\"tables\":null,\"models\":null}\n"; w.status != http.StatusOK || got != want {
+		t.Fatalf("writeJSON answered %d %q, want 200 %q", w.status, got, want)
+	}
+	if got := w.header.Get("Content-Type"); got != "application/json" {
+		t.Fatalf("Content-Type = %q, want application/json", got)
+	}
+	if n := testing.AllocsPerRun(100, write); n > 1 {
+		t.Fatalf("an epoch-only shard-info answer makes %v allocations, want at most 1 (the answer as an interface)", n)
 	}
 }

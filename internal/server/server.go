@@ -249,24 +249,40 @@ type statsResponse struct {
 	Breaker            breakerStats   `json:"breaker"`
 }
 
-// bodies recycles response buffers. A body is encoded whole before the
-// status line is committed, so a value encoding/json refuses answers an
-// error envelope and never a 200 with nothing after it.
-var bodies recycle.Pool[bytes.Buffer]
+// bodies recycles response buffers, each with the json.Encoder built
+// over it. A body is encoded whole before the status line is committed,
+// so a value encoding/json refuses answers an error envelope and never a
+// 200 with nothing after it.
+var bodies recycle.Pool[responseBody]
+
+// responseBody is a response buffer and the encoder that writes into it.
+// A bytes.Buffer never fails a write, so the encoder never keeps an
+// error: one a value refused leaves it as it was.
+type responseBody struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// jsonContentType is every JSON answer's Content-Type header value,
+// shared so that setting it allocates nothing.
+var jsonContentType = []string{"application/json"}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := bodies.Get()
-	defer bodies.Put(buf)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	b := bodies.Get()
+	defer bodies.Put(b)
+	if b.enc == nil {
+		b.enc = json.NewEncoder(&b.buf)
+	}
+	b.buf.Reset()
+	if err := b.enc.Encode(v); err != nil {
 		// A non-finite float is the only value our bodies can hold that
 		// JSON cannot; the envelope itself always encodes.
 		writeEnvelope(w, errInternal("encode response: "+err.Error()))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes()) // a client that went away has no one to tell
+	_, _ = w.Write(b.buf.Bytes()) // a client that went away has no one to tell
 }
 
 // writeEnvelope answers err as the wire error envelope and returns the

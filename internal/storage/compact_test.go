@@ -267,7 +267,7 @@ func TestHeapCompactUnderScan(t *testing.T) {
 			got := map[RID][]byte{}
 			for i := range c.heaps {
 				lo := int(PartRID(i, RID{}).Page)
-				err := c.s.ScanPagesInto(nil, lo, lo+1, nil, func(rid RID, rec []byte) bool {
+				err := c.s.ScanPagesInto(nil, lo, lo+1, 0, nil, func(rid RID, rec []byte) bool {
 					if !compacted {
 						for j := range c.heaps {
 							if _, err := c.insert(j, make([]byte, MaxRecordSize)); err != nil {

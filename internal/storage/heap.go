@@ -342,7 +342,7 @@ func (h *Heap) compactQueued() {
 // failure surfaced mid-scan; records visited before it were delivered
 // normally.
 func (h *Heap) Scan(fn func(RID, []byte) bool) error {
-	return h.ScanPagesInto(nil, 0, h.PageCount(), nil, fn)
+	return h.ScanPagesInto(nil, 0, h.PageCount(), 0, nil, fn)
 }
 
 // ScanPagesInto visits the live records of pages [lo, hi) in heap order
@@ -364,9 +364,16 @@ func (h *Heap) Scan(fn func(RID, []byte) bool) error {
 // of live records in each page's snapshot — exactly what the page will
 // deliver — before the page is read; returning false ends the scan
 // there, that page neither read nor counted.
-func (h *Heap) ScanPagesInto(c *Counters, lo, hi int, fit func(live int) bool, fn func(RID, []byte) bool) error {
+//
+// from is the first slot visited on page lo. A scan entered past slot 0
+// resumes a page an earlier call stopped in: the page's read was counted
+// (and could fail) then, so it is neither counted nor faulted again, and
+// fit is shown only its live records from that slot on. Slot numbers
+// never move, compaction included, so a resumed page delivers no record
+// twice; its rest is snapshotted when it resumes, like a page of its own.
+func (h *Heap) ScanPagesInto(c *Counters, lo, hi, from int, fit func(live int) bool, fn func(RID, []byte) bool) error {
 	if lo < 0 {
-		lo = 0
+		lo, from = 0, 0
 	}
 	if n := h.PageCount(); hi > n {
 		hi = n
@@ -392,18 +399,24 @@ func (h *Heap) ScanPagesInto(c *Counters, lo, hi int, fit func(live int) bool, f
 			continue
 		}
 		n := p.slotCount()
-		copy(dir[:], p.data[pageHeaderSize:pageHeaderSize+n*slotSize])
+		resumed, first := pi == lo && from > 0, 0
+		if resumed {
+			first = min(from, n)
+		}
+		copy(dir[first*slotSize:], p.data[pageHeaderSize+first*slotSize:pageHeaderSize+n*slotSize])
 		h.mu.RUnlock()
-		if fit != nil && !fit(liveSlots(dir[:n*slotSize])) {
+		if fit != nil && !fit(liveSlots(dir[first*slotSize:n*slotSize])) {
 			return nil
 		}
-		if err := h.faults.Load().Hit(fault.SitePageReadSeq); err != nil {
-			return fmt.Errorf("storage: sequential read page %d: %w", pi, err)
+		if !resumed {
+			if err := h.faults.Load().Hit(fault.SitePageReadSeq); err != nil {
+				return fmt.Errorf("storage: sequential read page %d: %w", pi, err)
+			}
+			if c != nil {
+				c.SeqPageReads.Add(1)
+			}
 		}
-		if c != nil {
-			c.SeqPageReads.Add(1)
-		}
-		for s := 0; s < n; s++ {
+		for s := first; s < n; s++ {
 			off := int(binary.LittleEndian.Uint16(dir[s*slotSize:]))
 			length := int(binary.LittleEndian.Uint16(dir[s*slotSize+2:]))
 			if length == 0 {

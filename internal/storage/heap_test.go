@@ -2,10 +2,13 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"minequery/internal/fault"
 )
 
 func TestInsertGetRoundTrip(t *testing.T) {
@@ -135,7 +138,7 @@ func TestIOStatsCounting(t *testing.T) {
 		t.Fatalf("expected multiple pages, got %d", h.PageCount())
 	}
 	var scan Counters
-	if err := h.ScanPagesInto(&scan, 0, h.PageCount(), nil, func(RID, []byte) bool { return true }); err != nil {
+	if err := h.ScanPagesInto(&scan, 0, h.PageCount(), 0, nil, func(RID, []byte) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	if st := scan.Snapshot(); int(st.SeqPageReads) != h.PageCount() || st.TupleReads != 1000 || st.RandPageReads != 0 {
@@ -221,7 +224,7 @@ func TestScanPastNilPage(t *testing.T) {
 	h.mu.Unlock()
 
 	var seen []RID
-	if err := h.ScanPagesInto(nil, 0, h.PageCount(), nil, func(r RID, _ []byte) bool {
+	if err := h.ScanPagesInto(nil, 0, h.PageCount(), 0, nil, func(r RID, _ []byte) bool {
 		seen = append(seen, r)
 		return true
 	}); err != nil {
@@ -276,7 +279,7 @@ func TestScanPagesIntoFit(t *testing.T) {
 	var c Counters
 	var offered []int
 	delivered := 0
-	err := h.ScanPagesInto(&c, 0, h.PageCount(), func(live int) bool {
+	err := h.ScanPagesInto(&c, 0, h.PageCount(), 0, func(live int) bool {
 		offered = append(offered, live)
 		return delivered+live <= perPage[0]+perPage[1]
 	}, func(RID, []byte) bool {
@@ -297,6 +300,48 @@ func TestScanPagesIntoFit(t *testing.T) {
 	}
 	if got := c.TupleReads.Load(); got != int64(delivered) {
 		t.Errorf("%d tuples counted, %d delivered", got, delivered)
+	}
+}
+
+// TestScanPagesIntoResume: a scan entered past slot 0 of its first page
+// goes on where an earlier call stopped in that page. fit is offered the
+// page's live records from that slot on, the records before it are not
+// delivered again, and the page is neither counted nor faulted again;
+// the pages after it are read as usual.
+func TestScanPagesIntoResume(t *testing.T) {
+	h := NewHeap()
+	rec := make([]byte, 1000) // 8 records a page
+	for h.PageCount() < 3 {
+		if _, err := h.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.Delete(RID{Page: 1, Slot: 5})
+	inj := fault.NewInjector(1, fault.Rule{Site: fault.SitePageReadSeq, EveryN: 1, Err: fault.ErrInjected})
+	h.SetFaults(inj)
+	var c Counters
+	var offered []int
+	var got []RID
+	err := h.ScanPagesInto(&c, 1, 2, 3, func(live int) bool {
+		offered = append(offered, live)
+		return true
+	}, func(rid RID, _ []byte) bool {
+		got = append(got, rid)
+		return true
+	})
+	if err != nil {
+		t.Fatalf("resuming page 1 at slot 3: %v", err)
+	}
+	want := []RID{{Page: 1, Slot: 3}, {Page: 1, Slot: 4}, {Page: 1, Slot: 6}, {Page: 1, Slot: 7}}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(offered, []int{4}) {
+		t.Errorf("resumed page 1 at slot 3: fit offered %v, delivered %v; want [4], %v", offered, got, want)
+	}
+	if n := inj.Hits(fault.SitePageReadSeq); n != 0 || c.SeqPageReads.Load() != 0 || c.TupleReads.Load() != 4 {
+		t.Errorf("a resumed page hit the fault site %d times and counted %d pages, %d tuples; want 0, 0, 4",
+			n, c.SeqPageReads.Load(), c.TupleReads.Load())
+	}
+	if err := h.ScanPagesInto(&c, 1, 3, 3, nil, func(RID, []byte) bool { return true }); !errors.Is(err, fault.ErrInjected) {
+		t.Errorf("the page after a resumed one must be read, and faulted, as usual; err = %v", err)
 	}
 }
 
@@ -326,7 +371,7 @@ func TestScanPagesIntoAllocs(t *testing.T) {
 	count := func(RID, []byte) bool { seen++; return true }
 	got := testing.AllocsPerRun(20, func() {
 		for p := 0; p < pages; p++ {
-			if err := h.ScanPagesInto(&c, p, p+1, nil, count); err != nil {
+			if err := h.ScanPagesInto(&c, p, p+1, 0, nil, count); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -36,9 +36,10 @@ type Store interface {
 	// counting nothing.
 	Scan(fn func(RID, []byte) bool) error
 	// ScanPagesInto visits the live records of the pages addressed
-	// [lo, hi), counted into c, with a fit that may refuse a page
-	// before it is read (see Heap.ScanPagesInto).
-	ScanPagesInto(c *Counters, lo, hi int, fit func(live int) bool, fn func(RID, []byte) bool) error
+	// [lo, hi), page lo from its slot from on, counted into c, with a
+	// fit that may refuse a page before it is read (see
+	// Heap.ScanPagesInto).
+	ScanPagesInto(c *Counters, lo, hi, from int, fit func(live int) bool, fn func(RID, []byte) bool) error
 	// Len returns the number of live records.
 	Len() int64
 	// PageCount returns the number of allocated pages, all partitions'.
@@ -155,7 +156,7 @@ func (ph *PartitionedHeap) Delete(rid RID) bool {
 // Scan implements Store: partitions are visited in order, so heap order
 // is (partition, page, slot).
 func (ph *PartitionedHeap) Scan(fn func(RID, []byte) bool) error {
-	return ph.ScanPagesInto(nil, 0, len(ph.parts)<<ridPageBits, nil, fn)
+	return ph.ScanPagesInto(nil, 0, len(ph.parts)<<ridPageBits, 0, nil, fn)
 }
 
 // ScanPagesInto implements Store over the partitions' page addresses:
@@ -165,8 +166,10 @@ func (ph *PartitionedHeap) Scan(fn func(RID, []byte) bool) error {
 // The addresses of a partition's pages do not depend on any other
 // partition, so a range cut before a write to any of them reads the
 // same pages after it.
-func (ph *PartitionedHeap) ScanPagesInto(c *Counters, lo, hi int, fit func(live int) bool, fn func(RID, []byte) bool) error {
-	lo = max(lo, 0)
+func (ph *PartitionedHeap) ScanPagesInto(c *Counters, lo, hi, from int, fit func(live int) bool, fn func(RID, []byte) bool) error {
+	if lo < 0 {
+		lo, from = 0, 0
+	}
 	stop := false
 	partFit := fit
 	if fit != nil {
@@ -177,7 +180,10 @@ func (ph *PartitionedHeap) ScanPagesInto(c *Counters, lo, hi int, fit func(live 
 	}
 	for p := lo >> ridPageBits; p < len(ph.parts) && p<<ridPageBits < hi; p++ {
 		base := p << ridPageBits
-		err := ph.parts[p].ScanPagesInto(c, max(lo-base, 0), hi-base, partFit, func(rid RID, rec []byte) bool {
+		if lo < base {
+			from = 0 // lo was in an earlier partition
+		}
+		err := ph.parts[p].ScanPagesInto(c, max(lo-base, 0), hi-base, from, partFit, func(rid RID, rec []byte) bool {
 			if !fn(PartRID(p, rid), rec) {
 				stop = true
 				return false

@@ -146,7 +146,7 @@ func TestPartitionedScanPagesRanges(t *testing.T) {
 			t.Fatalf("partition %d range [%d,%d), want [%d,+%d)", part, lo, hi, part<<ridPageBits, ph.Partition(part).PageCount())
 		}
 		n := 0
-		err := ph.ScanPagesInto(nil, lo, hi, nil, func(rid RID, _ []byte) bool {
+		err := ph.ScanPagesInto(nil, lo, hi, 0, nil, func(rid RID, _ []byte) bool {
 			if p, _ := SplitRID(rid); p != part {
 				t.Fatalf("range [%d,%d) of partition %d delivered RID %v from partition %d", lo, hi, part, rid, p)
 			}
@@ -162,7 +162,7 @@ func TestPartitionedScanPagesRanges(t *testing.T) {
 	}
 	// A range spanning all partitions equals the full scan.
 	n := 0
-	if err := ph.ScanPagesInto(nil, 0, span, nil, func(RID, []byte) bool { n++; return true }); err != nil {
+	if err := ph.ScanPagesInto(nil, 0, span, 0, nil, func(RID, []byte) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != counts[0]+counts[2] {
@@ -170,13 +170,13 @@ func TestPartitionedScanPagesRanges(t *testing.T) {
 	}
 	// Early stop must propagate across partition boundaries.
 	n = 0
-	ph.ScanPagesInto(nil, 0, span, nil, func(RID, []byte) bool { n++; return n < 7 })
+	ph.ScanPagesInto(nil, 0, span, 0, nil, func(RID, []byte) bool { n++; return n < 7 })
 	if n != 7 {
 		t.Fatalf("early stop visited %d records, want 7", n)
 	}
 	// Clamping: out-of-range bounds are clamped, not an error.
 	n = 0
-	if err := ph.ScanPagesInto(nil, -3, span+10, nil, func(RID, []byte) bool { n++; return true }); err != nil {
+	if err := ph.ScanPagesInto(nil, -3, span+10, 0, nil, func(RID, []byte) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != counts[0]+counts[2] {
@@ -198,7 +198,7 @@ func TestPartitionedHeapStats(t *testing.T) {
 	var c Counters
 	for p := 0; p < ph.NumPartitions(); p++ {
 		lo, hi := ph.PartitionPageRange(p)
-		if err := ph.ScanPagesInto(&c, lo, hi, nil, func(RID, []byte) bool { return true }); err != nil {
+		if err := ph.ScanPagesInto(&c, lo, hi, 0, nil, func(RID, []byte) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
 	}

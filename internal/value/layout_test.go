@@ -2,6 +2,7 @@ package value
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"testing"
@@ -17,9 +18,13 @@ func TestValueLayout(t *testing.T) {
 }
 
 // TestValueFormsUnchanged pins the bytes WAL records, B+-tree keys and
-// statistics sketches store, and the rendering the SQL dialect prints,
-// to what the 40-byte layout (a separate float64 field) produced: the
-// payload word holding a FLOAT's bits moves none of them.
+// statistics sketches store, and the rendering the SQL dialect prints.
+// Keys, hashes and renderings are what the 40-byte layout (a separate
+// float64 field) produced: the payload word holding a FLOAT's bits moves
+// none of them. Record bytes are too, but for an INT, which is written
+// as tag 5 and a zigzag varint; the fixed-width tag-1 form every earlier
+// record holds is pinned below as a decode fixture, and decodes to the
+// same value.
 func TestValueFormsUnchanged(t *testing.T) {
 	for _, c := range []struct {
 		name            string
@@ -29,9 +34,14 @@ func TestValueFormsUnchanged(t *testing.T) {
 		str             string
 	}{
 		{"null", Null(), "00", "00", 0xaf63bd4c8601b7df, "NULL"},
-		{"int", Int(42), "012a00000000000000", "01c045000000000000", 0x51b63adc8f335331, "42"},
-		{"int min", Int(math.MinInt64), "010000000000000080", "013c1fffffffffffff", 0x5079afdc8e25f8e5, "-9223372036854775808"},
-		{"int max", Int(math.MaxInt64), "01ffffffffffffff7f", "01c3e0000000000000", 0x507a2fdc8e26d265, "9223372036854775807"},
+		{"int", Int(42), "0554", "01c045000000000000", 0x51b63adc8f335331, "42"},
+		{"int 0", Int(0), "0500", "018000000000000000", 0x529a2cdc8ff533ac, "0"},
+		{"int -1", Int(-1), "0501", "01400fffffffffffff", 0x50b023dc8e544d71, "-1"},
+		{"int 63", Int(63), "057e", "01c04f800000000000", 0xa65fd6df03222f3b, "63"},
+		{"int -64", Int(-64), "057f", "013fafffffffffffff", 0x51f7ccdc8f6be23c, "-64"},
+		{"int 64", Int(64), "058001", "01c050000000000000", 0x51f74cdc8f6b08bc, "64"},
+		{"int min", Int(math.MinInt64), "05ffffffffffffffffff01", "013c1fffffffffffff", 0x5079afdc8e25f8e5, "-9223372036854775808"},
+		{"int max", Int(math.MaxInt64), "05feffffffffffffffff01", "01c3e0000000000000", 0x507a2fdc8e26d265, "9223372036854775807"},
 		{"float", Float(2.5), "020000000000000440", "01c004000000000000", 0x528c54dc8fe93a48, "2.5"},
 		{"float 0", Float(0), "020000000000000000", "018000000000000000", 0x529a2cdc8ff533ac, "0"},
 		{"float -0", Float(math.Copysign(0, -1)), "020000000000000080", "018000000000000000", 0x529a2cdc8ff533ac, "-0"},
@@ -60,6 +70,22 @@ func TestValueFormsUnchanged(t *testing.T) {
 			t.Errorf("%s: String = %s, want %s", c.name, got, c.str)
 		}
 	}
+	for _, c := range []struct {
+		legacy string
+		v      Value
+	}{
+		{"012a00000000000000", Int(42)},
+		{"010000000000000000", Int(0)},
+		{"01ffffffffffffffff", Int(-1)},
+		{"010000000000000080", Int(math.MinInt64)},
+		{"01ffffffffffffff7f", Int(math.MaxInt64)},
+	} {
+		b, _ := hex.DecodeString(c.legacy)
+		got, n, err := DecodeValue(b)
+		if err != nil || n != len(b) || got != c.v {
+			t.Errorf("legacy INT %s: DecodeValue = %v (%v), %d, %v; want %v, %d", c.legacy, got, got.Kind(), n, err, c.v, len(b))
+		}
+	}
 }
 
 // fuzzValue builds a Value of any kind from a kind byte, a payload word
@@ -83,6 +109,7 @@ func fuzzValue(kind byte, payload uint64, s string) Value {
 // Compare, nor splits, or hashes apart, values Compare ties.
 func FuzzValueCodec(f *testing.F) {
 	bits := math.Float64bits
+	word := func(x int64) uint64 { return uint64(x) }
 	for _, seed := range []struct {
 		k1 byte
 		p1 uint64
@@ -99,6 +126,10 @@ func FuzzValueCodec(f *testing.F) {
 		{2, 1, "", 2, bits(math.Inf(1)), ""},
 		{1, 1<<53 + 1, "", 2, bits(1 << 53), ""},
 		{1, 1 << 63, "", 1, 1<<63 - 1, ""},
+		{1, word(-64), "", 1, 63, ""}, // the widest one-byte varints
+		{1, word(-65), "", 1, 64, ""},
+		{1, 1 << 31, "", 1, word(-(1 << 31)), ""},
+		{1, word(math.MinInt64), "", 1, math.MaxInt64, ""},
 		{3, 0, "a\x00b", 3, 0, "a"},
 		{3, 0, "", 3, 0, "日本€"},
 		{4, 1, "", 4, 0, ""},
@@ -112,6 +143,9 @@ func FuzzValueCodec(f *testing.F) {
 			got, n, err := DecodeValue(enc)
 			if err != nil || n != len(enc) {
 				t.Fatalf("decode of %v: %v, %d of %d bytes", v, err, n, len(enc))
+			}
+			if v.encodedLen() != len(enc) {
+				t.Fatalf("encodedLen(%v) = %d, encoding is %d bytes", v, v.encodedLen(), len(enc))
 			}
 			same := got.Kind() == v.Kind()
 			switch v.Kind() {
@@ -142,6 +176,55 @@ func FuzzValueCodec(f *testing.F) {
 		k := bytes.Compare(a.SortKey(nil), b.SortKey(nil))
 		if (c == 0 && k != 0) || c*k < 0 {
 			t.Fatalf("Compare(%v, %v) = %d but their sort keys compare %d", a, b, c, k)
+		}
+	})
+}
+
+// legacyTuple encodes t as records were written before the compact INT:
+// every INT as tag 1 and 8 bytes little-endian, every other value as
+// Encode writes it.
+func legacyTuple(t Tuple) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(t)))
+	for _, v := range t {
+		if v.Kind() == KindInt {
+			b = binary.LittleEndian.AppendUint64(append(b, byte(KindInt)), uint64(v.AsInt()))
+			continue
+		}
+		b = v.Encode(b)
+	}
+	return b
+}
+
+// FuzzDecodeTuple: DecodeTuple never panics on arbitrary bytes; a tuple
+// it accepts re-encodes, in EncodedLen bytes, to a record that decodes
+// to the same tuple bit for bit; and the same tuple with every INT in
+// the legacy fixed-width form decodes to it too.
+func FuzzDecodeTuple(f *testing.F) {
+	f.Add(EncodeTuple(nil, Tuple{Int(7), Str("c3"), Float(2.5), Null(), Bool(true)}))
+	f.Add(EncodeTuple(nil, Tuple{Int(math.MinInt64), Int(math.MaxInt64), Int(-64), Int(63), Int(1 << 31)}))
+	f.Add(legacyTuple(Tuple{Int(-1), Str(""), Float(0), Int(1 << 40), Bool(false)}))
+	f.Add([]byte{1, tagIntVarint, 0x80})
+	f.Add(append([]byte{1, tagIntVarint}, bytes.Repeat([]byte{0xff}, 11)...))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tup, err := DecodeTuple(b)
+		if err != nil {
+			return
+		}
+		enc := EncodeTuple(nil, tup)
+		if n := EncodedLen(tup); n != len(enc) {
+			t.Fatalf("EncodedLen(%v) = %d, encoding is %d bytes", tup, n, len(enc))
+		}
+		for _, rec := range [][]byte{enc, legacyTuple(tup)} {
+			got, err := DecodeTuple(rec)
+			if err != nil || len(got) != len(tup) {
+				t.Fatalf("%x (from %v): DecodeTuple = %v, %v", rec, tup, got, err)
+			}
+			for i := range got {
+				if got[i] != tup[i] { // == compares a FLOAT's bits
+					t.Fatalf("%x: field %d = %v (%v), want %v (%v)", rec, i, got[i], got[i].Kind(), tup[i], tup[i].Kind())
+				}
+			}
 		}
 	})
 }

@@ -25,10 +25,18 @@ var (
 	}}
 )
 
+// legacyDML is pinnedDML's frame as logs held it before an INT was
+// written as a zigzag varint (value tag 5): every INT a tag 1 and 8
+// bytes little-endian.
+const legacyDML = "540000004f6cc0a301066576656e747303011a0501070000000000000003026333020000000000000440000401022c01000011000302000000ffff200501ffffffffffffffff03000200000000000000000100000000000100000400"
+
 // TestFrameBytesPinned: the log format does not move. A DDL record and a
 // DML record holding an insert, a delete and an update encode to the
-// bytes every earlier log holds; a change here is a change to the format
-// on disk, and to the rows the heap stores (they are the same bytes).
+// bytes pinned here; a change here is a change to the format on disk,
+// and to the rows the heap stores (they are the same bytes). The DML
+// frame's rows hold their INTs as zigzag varints; the same frame as
+// earlier logs hold it, with fixed-width INTs (legacyDML), still decodes
+// to the same record, row for row.
 func TestFrameBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		what string
@@ -36,7 +44,7 @@ func TestFrameBytesPinned(t *testing.T) {
 		want string
 	}{
 		{"DDL", pinnedDDL, "40000000f63a595e02435245415445204d4f44454c206d204f4e207420505245444943542063205553494e472064747265652041532053454c45435420612c20632046524f4d2074"},
-		{"DML", pinnedDML, "540000004f6cc0a301066576656e747303011a0501070000000000000003026333020000000000000440000401022c01000011000302000000ffff200501ffffffffffffffff03000200000000000000000100000000000100000400"},
+		{"DML", pinnedDML, "440000006e5ea8e001066576656e747303011305050e03026333020000000000000440000401022c01000011000302000000ffff170505010300020000000000000000058080808080400400"},
 	} {
 		frame := encodeFrame(tc.rec)
 		if got := hex.EncodeToString(frame); got != tc.want {
@@ -48,6 +56,25 @@ func TestFrameBytesPinned(t *testing.T) {
 		got, n, ok := decodeFrame(frame)
 		if !ok || n != len(frame) || !reflect.DeepEqual(got, tc.rec) {
 			t.Errorf("%s: decodeFrame = %+v, %d, %v; want %+v, %d, true", tc.what, got, n, ok, tc.rec, len(frame))
+		}
+	}
+	frame, _ := hex.DecodeString(legacyDML)
+	got, n, ok := decodeFrame(frame)
+	if !ok || n != len(frame) || got.Kind != pinnedDML.Kind || got.Table != pinnedDML.Table || len(got.Muts) != len(pinnedDML.Muts) {
+		t.Fatalf("legacy DML: decodeFrame = %+v, %d, %v; want %+v, %d, true", got, n, ok, pinnedDML, len(frame))
+	}
+	for i, m := range got.Muts {
+		want := pinnedDML.Muts[i]
+		if m.Op != want.Op || m.RID != want.RID {
+			t.Errorf("legacy DML mutation %d = %v %v, want %v %v", i, m.Op, m.RID, want.Op, want.RID)
+		}
+		if want.Rec == nil {
+			continue
+		}
+		row, err := value.DecodeTuple(m.Rec)
+		wantRow, _ := value.DecodeTuple(want.Rec)
+		if err != nil || !reflect.DeepEqual(row, wantRow) {
+			t.Errorf("legacy DML mutation %d: row %v, %v; want %v", i, row, err, wantRow)
 		}
 	}
 }
@@ -71,6 +98,9 @@ func TestAllocEncodeFrameOnce(t *testing.T) {
 func FuzzWALFrame(f *testing.F) {
 	f.Add(encodeFrame(pinnedDDL))
 	f.Add(encodeFrame(pinnedDML))
+	if legacy, err := hex.DecodeString(legacyDML); err == nil {
+		f.Add(legacy)
+	}
 	f.Add(encodeFrame(Record{Kind: RecordDML, Table: "t"}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, frameHeader+4))

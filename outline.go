@@ -142,7 +142,8 @@ type ModelSummary struct {
 	Fingerprint string
 	// PredictColumn is the predicted output column.
 	PredictColumn string
-	// Classes enumerates the class labels, rendered as strings.
+	// Classes enumerates the class labels: a TEXT label as it is, any
+	// other as the SQL dialect prints it.
 	Classes []string
 }
 
@@ -154,7 +155,11 @@ func (e *Engine) ModelSummaries() []ModelSummary {
 		classes := me.Model.Classes()
 		cs := make([]string, len(classes))
 		for i, c := range classes {
-			cs[i] = c.String()
+			if c.Kind() == KindString {
+				cs[i] = c.AsString()
+			} else {
+				cs[i] = c.String()
+			}
 		}
 		out = append(out, ModelSummary{
 			Name:          strings.ToLower(me.Model.Name()),

@@ -16,18 +16,20 @@ import (
 	"time"
 )
 
-// partScanRows is each partition's row count in partScanFixture.
-const partScanRows = 400
+// partScanPages is how many pages partScanFixture fills in each
+// partition.
+const partScanPages = 12
 
 // partScanPad pads every row of t, so that a partition's rows, and an
 // INSERT's, fill whole pages.
 var partScanPad = strings.Repeat("p", 200)
 
 // partScanFixture returns an engine holding t(id, num, pad), partitioned
-// on num at 100, with partScanRows rows in each partition: ids
-// [0, partScanRows) have num 1, the rest num 101. The padding spreads a
-// partition over 12 pages.
-func partScanFixture(t *testing.T) *Engine {
+// on num at 100, and n, the rows in each partition: ids [0, n) have num
+// 1, ids [n, 2n) num 101. The first partition is filled a row at a time
+// until it spans partScanPages pages, so the fixture spans them however
+// wide a stored row is; the padding keeps n in the hundreds.
+func partScanFixture(t *testing.T) (*Engine, int64) {
 	t.Helper()
 	eng := New()
 	schema := MustSchema(
@@ -38,18 +40,20 @@ func partScanFixture(t *testing.T) *Engine {
 	if err := eng.CreatePartitionedTable("t", schema, "num", []Value{Int(100)}); err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]Tuple, 0, 2*partScanRows)
-	for i := 0; i < 2*partScanRows; i++ {
-		num := int64(1)
-		if i >= partScanRows {
-			num = 101
+	n := int64(0)
+	for ; TableSpace(eng, "t").Pages < partScanPages; n++ {
+		if err := eng.InsertBatch("t", []Tuple{{Int(n), Int(1), Str(partScanPad)}}); err != nil {
+			t.Fatal(err)
 		}
-		rows = append(rows, Tuple{Int(int64(i)), Int(num), Str(partScanPad)})
+	}
+	rows := make([]Tuple, 0, n)
+	for id := n; id < 2*n; id++ {
+		rows = append(rows, Tuple{Int(id), Int(101), Str(partScanPad)})
 	}
 	if err := eng.InsertBatch("t", rows); err != nil {
 		t.Fatal(err)
 	}
-	return eng
+	return eng, n
 }
 
 // insertSQL is an INSERT of n rows into t from id first on, all with num.
@@ -108,18 +112,18 @@ func (c pageHook) Sleep(time.Duration) { c.sleep() }
 // TestPartitionScanSeesEachRowOnce commits an INSERT that opens pages in
 // the first partition after a full scan's 14th page read — two pages
 // into the second partition — and checks that the scan returns each of
-// the 800 rows that were there before it began exactly once, serially
+// the rows that were there before it began exactly once, serially
 // and on morsels.
 func TestPartitionScanSeesEachRowOnce(t *testing.T) {
 	for _, dop := range []int{1, 4} {
 		t.Run(fmt.Sprintf("dop=%d", dop), func(t *testing.T) {
-			eng := partScanFixture(t)
+			eng, n := partScanFixture(t)
 			full, err := eng.Query(context.Background(), "SELECT id FROM t")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if full.Stats.SeqPageReads != 24 {
-				t.Fatalf("the fixture spans %d pages, the test needs 12 a partition", full.Stats.SeqPageReads)
+			if full.Stats.SeqPageReads != 2*partScanPages {
+				t.Fatalf("the fixture spans %d pages, the test needs %d a partition", full.Stats.SeqPageReads, partScanPages)
 			}
 			var reads atomic.Int64
 			var insertErr error
@@ -140,7 +144,7 @@ func TestPartitionScanSeesEachRowOnce(t *testing.T) {
 			if reads.Load() < 14 {
 				t.Fatalf("the scan read %d pages; the INSERT never ran", reads.Load())
 			}
-			checkEachOnce(t, "SELECT id FROM t", res, []idSpan{{0, 2 * partScanRows}}, idSpan{10000, 10060})
+			checkEachOnce(t, "SELECT id FROM t", res, []idSpan{{0, 2 * n}}, idSpan{10000, 10060})
 		})
 	}
 }
@@ -151,7 +155,7 @@ func TestPartitionScanSeesEachRowOnce(t *testing.T) {
 // began exactly once, and no row twice.
 func TestPartitionScanConcurrentWriters(t *testing.T) {
 	const rounds, perInsert, inserts = 10, 40, 100
-	eng := partScanFixture(t)
+	eng, n := partScanFixture(t)
 	// committed is how many INSERTs have returned; INSERT k writes ids
 	// [base(k), base(k)+perInsert), to the first partition when k is
 	// even and to the last when it is odd.
@@ -188,7 +192,7 @@ func TestPartitionScanConcurrentWriters(t *testing.T) {
 			}
 			// An INSERT in flight may show, or not.
 			checkEachOnce(t, fmt.Sprintf("round %d, dop %d", round, dop), res,
-				[]idSpan{{0, 2 * partScanRows}, {base(0), base(before)}}, idSpan{base(before), base(committed.Load() + 1)})
+				[]idSpan{{0, 2 * n}, {base(0), base(before)}}, idSpan{base(before), base(committed.Load() + 1)})
 		}
 	}
 }
