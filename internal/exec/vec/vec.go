@@ -19,9 +19,10 @@
 // Semantics contract: for every expression the compiler accepts,
 // filtering a selection is EXACTLY row-wise expr.Eval — including SQL
 // NULL-comparison behaviour (NULL operands make comparisons false),
-// cross-kind comparisons, and NOT over NULL (which Eval defines as
-// plain negation). The property tests in this package enforce the
-// contract against the row-at-a-time oracle.
+// cross-kind comparisons, and NOT, which both compile as its negation
+// normal form, so a NULL fails a comparison and its negation alike. The
+// property tests in this package enforce the contract against the
+// row-at-a-time oracle.
 package vec
 
 import (
@@ -214,6 +215,11 @@ func (p *Pred) Freeze() { p.root.freeze() }
 // top-level combiner, in slices of its own.
 func (p *Pred) Report() Report {
 	r := Report{Combiner: p.combiner}
+	if p.combiner == "" {
+		// A single term: no ordering decision to report, whatever its
+		// root compiled to (a NOT over an AND compiles to an OR).
+		return r
+	}
 	var order []int
 	var stats []termStats
 	switch x := p.root.(type) {
@@ -221,8 +227,6 @@ func (p *Pred) Report() Report {
 		order, stats = x.order, x.stats
 	case *orNode:
 		order, stats = x.order, x.stats
-	default:
-		// Single-term predicate: no ordering decision to report.
 	}
 	r.Order = append([]int(nil), order...)
 	if len(stats) > 0 {
@@ -454,27 +458,6 @@ func (n *orNode) instance() node {
 	return &orNode{kids: kids, stats: stats}
 }
 
-// notNode inverts its child by ordered set difference, which matches
-// expr.Not's plain-negation semantics exactly (a NULL comparison is
-// false, so its negation is true).
-type notNode struct{ kid node }
-
-func (n *notNode) filter(g *storage.ColGroup, sel []int32, sc *Scratch) []int32 {
-	out := n.kid.filter(g, sel, sc)
-	res := diff(sc, sel, out)
-	sc.put(out)
-	return res
-}
-
-func (n *notNode) freeze()       { n.kid.freeze() }
-func (n *notNode) cost() float64 { return n.kid.cost() + 0.1 }
-func (n *notNode) instance() node {
-	if kid := n.kid.instance(); kid != n.kid {
-		return &notNode{kid: kid}
-	}
-	return n
-}
-
 // trueNode passes every candidate row.
 type trueNode struct{}
 
@@ -584,7 +567,7 @@ func seedSelectivity(ts *stats.TableStats, e expr.Expr) float64 {
 // table's histograms. ok is false when e contains a construct the
 // vectorized evaluator does not support; callers then run the row path.
 func Compile(e expr.Expr, s *value.Schema, ts *stats.TableStats) (*Program, bool) {
-	root, ok := compileNode(e, s, ts)
+	root, ok := compileNode(e, false, s, ts)
 	if !ok {
 		return nil, false
 	}
@@ -635,61 +618,78 @@ func unwrapSingle(e expr.Expr) expr.Expr {
 	}
 }
 
-func compileNode(e expr.Expr, s *value.Schema, ts *stats.TableStats) (node, bool) {
+// compileNode compiles e, or NOT e when neg as its negation normal form:
+// each atom negated (a negated IN is a <> per value), AND and OR swapped,
+// and a NOT cancelled, the form expr.Not.Eval evaluates.
+func compileNode(e expr.Expr, neg bool, s *value.Schema, ts *stats.TableStats) (node, bool) {
 	switch x := e.(type) {
 	case expr.TrueExpr:
-		return trueNode{}, true
+		return constNode(!neg), true
 	case expr.FalseExpr:
-		return falseNode{}, true
+		return constNode(neg), true
 	case expr.Cmp:
+		if neg {
+			x.Op = x.Op.Negate()
+		}
 		return compileCmp(x, s), true
-	case expr.In:
-		return compileIn(x, s), true
 	case expr.ColCmp:
+		if neg {
+			x.Op = x.Op.Negate()
+		}
 		return compileColCmp(x, s), true
+	case expr.In:
+		if !neg {
+			return compileIn(x, s), true
+		}
+		ne := make([]expr.Expr, len(x.Vals))
+		for i, v := range x.Vals {
+			ne[i] = expr.Cmp{Col: x.Col, Op: expr.OpNe, Val: v}
+		}
+		return compileCombiner(ne, true, false, s, ts)
 	case expr.And:
-		if len(x.Kids) == 0 {
-			return trueNode{}, true
-		}
-		if len(x.Kids) == 1 {
-			return compileNode(x.Kids[0], s, ts)
-		}
-		n := &andNode{stats: make([]termStats, len(x.Kids))}
-		for i, k := range x.Kids {
-			kid, ok := compileNode(k, s, ts)
-			if !ok {
-				return nil, false
-			}
-			n.kids = append(n.kids, kid)
-			n.stats[i].seedSel = seedSelectivity(ts, k)
-		}
-		return n, true
+		return compileCombiner(x.Kids, !neg, neg, s, ts)
 	case expr.Or:
-		if len(x.Kids) == 0 {
-			return falseNode{}, true
-		}
-		if len(x.Kids) == 1 {
-			return compileNode(x.Kids[0], s, ts)
-		}
-		n := &orNode{stats: make([]termStats, len(x.Kids))}
-		for i, k := range x.Kids {
-			kid, ok := compileNode(k, s, ts)
-			if !ok {
-				return nil, false
-			}
-			n.kids = append(n.kids, kid)
-			n.stats[i].seedSel = seedSelectivity(ts, k)
-		}
-		return n, true
+		return compileCombiner(x.Kids, neg, neg, s, ts)
 	case expr.Not:
-		kid, ok := compileNode(x.Kid, s, ts)
-		if !ok {
-			return nil, false
-		}
-		return &notNode{kid: kid}, true
+		return compileNode(x.Kid, !neg, s, ts)
 	default:
 		// Unknown expression implementation: refuse, the caller falls
 		// back to the row-at-a-time path.
 		return nil, false
 	}
+}
+
+// compileCombiner compiles kids, each negated when neg, joined by AND
+// when conj and by OR otherwise; an empty AND is TRUE, an empty OR FALSE.
+func compileCombiner(kids []expr.Expr, conj, neg bool, s *value.Schema, ts *stats.TableStats) (node, bool) {
+	switch len(kids) {
+	case 0:
+		return constNode(conj), true
+	case 1:
+		return compileNode(kids[0], neg, s, ts)
+	}
+	nodes, st := make([]node, len(kids)), make([]termStats, len(kids))
+	for i, k := range kids {
+		kid, ok := compileNode(k, neg, s, ts)
+		if !ok {
+			return nil, false
+		}
+		nodes[i], st[i].seedSel = kid, seedSelectivity(ts, k)
+		if neg {
+			st[i].seedSel = 1 - st[i].seedSel
+		}
+	}
+	if conj {
+		return &andNode{kids: nodes, stats: st}, true
+	}
+	return &orNode{kids: nodes, stats: st}, true
+}
+
+// constNode is the node that passes every row when holds and none
+// otherwise.
+func constNode(holds bool) node {
+	if holds {
+		return trueNode{}
+	}
+	return falseNode{}
 }

@@ -6,6 +6,7 @@
 package expr
 
 import (
+	"slices"
 	"sort"
 
 	"minequery/internal/interval"
@@ -84,7 +85,9 @@ func (op CmpOp) Negate() CmpOp {
 }
 
 // Expr is a boolean predicate over a tuple. Eval uses SQL three-valued
-// logic collapsed to bool: comparisons involving NULL are false.
+// logic collapsed to bool: comparisons involving NULL are false, and a
+// NOT holds where its negation normal form does (the form ToDNF builds),
+// so a NULL fails both `a <= 3` and `NOT (a <= 3)`.
 type Expr interface {
 	// Eval evaluates the predicate against t positionally aligned with s.
 	Eval(s *value.Schema, t value.Tuple) bool
@@ -242,9 +245,31 @@ func (o Or) Eval(s *value.Schema, t value.Tuple) bool {
 	return false
 }
 
-// Eval implements Expr.
-func (n Not) Eval(s *value.Schema, t value.Tuple) bool {
-	return !n.Kid.Eval(s, t)
+// Eval implements Expr: the kid's negation normal form is evaluated.
+func (n Not) Eval(s *value.Schema, t value.Tuple) bool { return evalNeg(n.Kid, s, t) }
+
+// evalNeg evaluates NOT e by appendAtom's rule: each atom is negated (a
+// negated IN is a <> per value) and evaluated by its own Eval, AND and
+// OR swap, and a NOT cancels.
+func evalNeg(e Expr, s *value.Schema, t value.Tuple) bool {
+	switch x := e.(type) {
+	case Cmp:
+		x.Op = x.Op.Negate()
+		return x.Eval(s, t)
+	case ColCmp:
+		x.Op = x.Op.Negate()
+		return x.Eval(s, t)
+	case In:
+		return !slices.ContainsFunc(x.Vals, func(v value.Value) bool { return !(Cmp{x.Col, OpNe, v}).Eval(s, t) })
+	case And:
+		return slices.ContainsFunc(x.Kids, func(k Expr) bool { return evalNeg(k, s, t) })
+	case Or:
+		return !slices.ContainsFunc(x.Kids, func(k Expr) bool { return !evalNeg(k, s, t) })
+	case Not:
+		return x.Kid.Eval(s, t)
+	}
+	// TRUE and FALSE, and a node from outside this package.
+	return !e.Eval(s, t)
 }
 
 // String implements Expr.

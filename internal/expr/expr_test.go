@@ -2,6 +2,8 @@ package expr
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"minequery/internal/value"
@@ -53,6 +55,46 @@ func TestNullSemantics(t *testing.T) {
 	}
 	if (In{"a", []value.Value{value.Int(1)}}).Eval(testSchema, nt) {
 		t.Error("NULL IN (1) must be false")
+	}
+	// A NOT holds where its negation normal form does: a NULL fails a
+	// comparison and its negation alike.
+	one := []value.Value{value.Int(1)}
+	for _, e := range []Expr{
+		Not{Cmp{"a", OpEq, value.Int(1)}},
+		Not{In{"a", one}},
+		Not{Or{[]Expr{Cmp{"a", OpNe, value.Int(1)}, Cmp{"b", OpEq, value.Int(1)}}}},
+		Not{In{"a", []value.Value{value.Int(1), value.Null()}}},
+	} {
+		if e.Eval(testSchema, nt) {
+			t.Errorf("%s on a NULL a must be false", e)
+		}
+	}
+	// NOT (a IN ()) folds to the empty AND, which every row passes.
+	if e := (Not{In{"a", nil}}); !e.Eval(testSchema, nt) {
+		t.Errorf("%s on a NULL a must be true", e)
+	}
+}
+
+// TestAllocEvalNot: a NOT is evaluated by walking its kid, without
+// building the negated atoms on the heap.
+func TestAllocEvalNot(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the program's behalf")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	p, q := Cmp{"a", OpLe, value.Int(3)}, Cmp{"c", OpEq, value.Str("p")}
+	in := In{"b", []value.Value{value.Int(1), value.Int(2), value.Int(7)}}
+	row := tup(5, 7, "q")
+	for _, e := range []Expr{
+		Not{And{[]Expr{p, q, in}}},
+		Not{Or{[]Expr{p, q, Not{in}}}},
+		Not{in},
+		Not{p},
+	} {
+		if n := testing.AllocsPerRun(100, func() { e.Eval(testSchema, row) }); n != 0 {
+			t.Errorf("%s: %v allocations, want 0", e, n)
+		}
 	}
 }
 
@@ -173,8 +215,16 @@ func randomExpr(r *rand.Rand, depth int) Expr {
 	}
 }
 
+// randomTuple draws a row for randomExpr, each column NULL one time in
+// eight.
 func randomTuple(r *rand.Rand) value.Tuple {
-	return tup(int64(r.Intn(10)), int64(r.Intn(10)), []string{"p", "q", "r"}[r.Intn(3)])
+	t := tup(int64(r.Intn(10)), int64(r.Intn(10)), []string{"p", "q", "r"}[r.Intn(3)])
+	for i := range t {
+		if r.Intn(8) == 0 {
+			t[i] = value.Null()
+		}
+	}
+	return t
 }
 
 func TestDNFPreservesSemantics(t *testing.T) {
