@@ -3,10 +3,12 @@ package core
 // Section 4.1, once: which WHERE-tree atoms over a prediction column
 // have an upper envelope u_f (f ⇒ u_f, over data columns only), how it
 // is assembled from the catalog's per-class envelopes U_c, and what it
-// is memoized under. The query rewriter ANDs u_f onto f and the
-// standing compiler puts u_f in place of f in a subscription's guard;
-// both ask PredCols.Envelope. Soundness and the key scheme: DESIGN §4b
-// item 9.
+// is memoized under. The query rewriter ANDs u_f onto f. PredCols.Weaken
+// is the one weakening of a WHERE to the data columns: the rewriter's
+// data predicate drops f, whose u_f is already ANDed on, and a standing
+// subscription's guard puts u_f in place of f. Both take u_f from
+// AtomEnvelope.Cached, under the key below. Soundness and the key
+// scheme: DESIGN §4b item 9.
 //
 //	atom              u_f                                 key: shape|fingerprint|sorted labels
 //	pred = c          U_c                                 eq|fp|c
@@ -102,6 +104,71 @@ func (a AtomEnvelope) Render(n Note) string {
 		return a.cols[0] + " = " + a.cols[1] + n.Text
 	}
 	return a.cols[n.Subject] + n.Text
+}
+
+// Cached returns the envelope and the notes of its derivation: the
+// cache's entry under Key when it holds one, else built and put there.
+// A nil cache builds every time. The rewriter and the standing compiler
+// both come through here, so an entry either of them fills serves the
+// other.
+func (a AtomEnvelope) Cached(cache EnvelopeCache) CachedEnvelope {
+	if cache != nil {
+		if ce, ok := cache.Get(a.Key); ok {
+			return ce
+		}
+	}
+	var ce CachedEnvelope
+	ce.Pred = a.Build(&ce.Notes)
+	if cache != nil {
+		cache.Put(a.Key, ce)
+	}
+	return ce
+}
+
+// Weaken weakens e to schema's columns, the base table's: the result
+// holds on every row e holds on, so it can stand in for e before the
+// prediction joins run. A subtree over schema's columns only stays as
+// it is. AND, OR and NOT weaken their kids in e's order under a
+// polarity each NOT flips, so a NOT weakens as its negation normal form
+// does. A mining atom becomes region of its envelope, or TRUE when
+// region is nil or the rule table has none, and TRUE when negated,
+// since no rule bounds a negated one.
+func (pc PredCols) Weaken(e expr.Expr, schema *value.Schema, region func(AtomEnvelope) expr.Expr) expr.Expr {
+	return pc.weaken(e, schema, region, false)
+}
+
+func (pc PredCols) weaken(e expr.Expr, schema *value.Schema, region func(AtomEnvelope) expr.Expr, neg bool) expr.Expr {
+	if expr.Unresolved(e, schema) == "" {
+		if neg {
+			return expr.Not{Kid: e}
+		}
+		return e
+	}
+	var kids []expr.Expr
+	conj := false
+	switch x := e.(type) {
+	case expr.Not:
+		return pc.weaken(x.Kid, schema, region, !neg)
+	case expr.And:
+		kids, conj = x.Kids, !neg
+	case expr.Or:
+		kids, conj = x.Kids, neg
+	default:
+		if !neg && region != nil {
+			if env, ok := pc.Envelope(e); ok {
+				return region(env)
+			}
+		}
+		return expr.TrueExpr{}
+	}
+	out := make([]expr.Expr, len(kids))
+	for i, k := range kids {
+		out[i] = pc.weaken(k, schema, region, neg)
+	}
+	if conj {
+		return expr.NewAnd(out...)
+	}
+	return expr.NewOr(out...)
 }
 
 // Envelope looks atom up in the rule table. ok is false for anything

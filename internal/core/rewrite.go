@@ -53,13 +53,13 @@ type Rewrite struct {
 }
 
 // validateColumns rejects references that name neither a base column of
-// the query's table nor a predicted column. A predicate over an unknown
-// name would otherwise evaluate to false on every row — a silently
-// empty result instead of an error.
-func validateColumns(q *sqlparse.Query, cat *catalog.Catalog, pc PredCols) error {
+// the query's table nor a predicted column, and returns the table. A
+// predicate over an unknown name would otherwise evaluate to false on
+// every row — a silently empty result instead of an error.
+func validateColumns(q *sqlparse.Query, cat *catalog.Catalog, pc PredCols) (*catalog.Table, error) {
 	t, ok := cat.Table(q.Table)
 	if !ok {
-		return fmt.Errorf("core: %w %q", qerr.ErrUnknownTable, q.Table)
+		return nil, fmt.Errorf("core: %w %q", qerr.ErrUnknownTable, q.Table)
 	}
 	check := func(col string) error {
 		if t.Schema.Ordinal(col) >= 0 {
@@ -72,7 +72,7 @@ func validateColumns(q *sqlparse.Query, cat *catalog.Catalog, pc PredCols) error
 	}
 	for _, c := range q.Select {
 		if err := check(c); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	// Aggregate select items and GROUP BY columns name inputs too;
@@ -82,20 +82,20 @@ func validateColumns(q *sqlparse.Query, cat *catalog.Catalog, pc PredCols) error
 			continue
 		}
 		if err := check(it.Col); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	for _, c := range q.GroupBy {
 		if err := check(c); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	for _, c := range expr.Columns(q.Where) {
 		if err := check(c); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return t, nil
 }
 
 // RewriteQuery applies the Section 4.2 optimization pipeline to a
@@ -132,7 +132,8 @@ func rewrite(q *sqlparse.Query, cat *catalog.Catalog, maxDisjuncts int, cache En
 	if err != nil {
 		return nil, err
 	}
-	if err := validateColumns(q, cat, pc); err != nil {
+	t, err := validateColumns(q, cat, pc)
+	if err != nil {
 		return nil, err
 	}
 	rw := &Rewrite{ModelVersions: map[string]int64{}, cache: cache}
@@ -152,12 +153,18 @@ func rewrite(q *sqlparse.Query, cat *catalog.Catalog, maxDisjuncts int, cache En
 			rw.FullPred = s
 		}
 	}
-	rw.DataPred = projectToData(rw.FullPred, pc, maxDisjuncts)
+	rw.DataPred = pc.Weaken(rw.FullPred, t.Schema, nil)
+	if s, ok := expr.Simplify(rw.DataPred, maxDisjuncts); ok {
+		rw.DataPred = s
+	}
 	return rw, nil
 }
 
 // augment walks the predicate tree, ANDing its envelope onto every
-// mining atom the rule table has one for.
+// mining atom the rule table has one for. An envelope's notes are
+// stored free of column spelling and rendered against this statement's
+// atom, so cached and uncached rewrites of the same query read alike
+// whichever statement filled the entry.
 func (rw *Rewrite) augment(e expr.Expr, pc PredCols) expr.Expr {
 	switch x := e.(type) {
 	case expr.And:
@@ -170,7 +177,11 @@ func (rw *Rewrite) augment(e expr.Expr, pc PredCols) expr.Expr {
 		return x
 	}
 	if env, ok := pc.Envelope(e); ok {
-		return expr.NewAnd(e, rw.memoized(env))
+		ce := env.Cached(rw.cache)
+		for _, n := range ce.Notes {
+			rw.Notes = append(rw.Notes, env.Render(n))
+		}
+		return expr.NewAnd(e, ce.Pred)
 	}
 	return e
 }
@@ -179,72 +190,6 @@ func (rw *Rewrite) augmentAll(es []expr.Expr, pc PredCols) []expr.Expr {
 	out := make([]expr.Expr, len(es))
 	for i, e := range es {
 		out[i] = rw.augment(e, pc)
-	}
-	return out
-}
-
-// memoized returns the atom's envelope, from the cache when it holds
-// one. Notes are stored free of column spelling and rendered against
-// this statement's atom on a hit and a miss alike, so cached and
-// uncached rewrites of the same query are indistinguishable to callers
-// whichever statement filled the entry.
-func (rw *Rewrite) memoized(env AtomEnvelope) expr.Expr {
-	var ce CachedEnvelope
-	hit := false
-	if rw.cache != nil {
-		ce, hit = rw.cache.Get(env.Key)
-	}
-	if !hit {
-		ce.Pred = env.Build(&ce.Notes)
-		if rw.cache != nil {
-			rw.cache.Put(env.Key, ce)
-		}
-	}
-	for _, n := range ce.Notes {
-		rw.Notes = append(rw.Notes, env.Render(n))
-	}
-	return ce.Pred
-}
-
-// projectToData weakens the predicate to base-table columns: in each
-// DNF disjunct, atoms referencing prediction columns are dropped
-// (weakening a conjunction is sound). The result selects a superset of
-// the query's rows and is safe to drive access-path selection.
-func projectToData(e expr.Expr, pc PredCols, maxDisjuncts int) expr.Expr {
-	d, ok := expr.ToDNF(e, maxDisjuncts)
-	if !ok {
-		return expr.TrueExpr{}
-	}
-	isData := func(col string) bool {
-		_, isPred := pc.Model(col)
-		return !isPred
-	}
-	var disjuncts []expr.Expr
-	for _, c := range d.Disjuncts {
-		var keep []expr.Expr
-		for _, cond := range c.Conds {
-			switch x := cond.(type) {
-			case expr.Cmp:
-				if isData(x.Col) {
-					keep = append(keep, cond)
-				}
-			case expr.In:
-				if isData(x.Col) {
-					keep = append(keep, cond)
-				}
-			case expr.ColCmp:
-				if isData(x.ColA) && isData(x.ColB) {
-					keep = append(keep, cond)
-				}
-			default:
-				keep = append(keep, cond)
-			}
-		}
-		disjuncts = append(disjuncts, expr.NewAnd(keep...))
-	}
-	out := expr.NewOr(disjuncts...)
-	if s, ok := expr.Simplify(out, maxDisjuncts); ok {
-		return s
 	}
 	return out
 }

@@ -22,7 +22,7 @@ type rewriteFixture struct {
 	tree   mining.Model
 }
 
-func newRewriteFixture(t *testing.T) *rewriteFixture {
+func newRewriteFixture(t testing.TB) *rewriteFixture {
 	t.Helper()
 	cat := catalog.New()
 	schema := value.MustSchema(
@@ -66,7 +66,7 @@ func newRewriteFixture(t *testing.T) *rewriteFixture {
 	return &rewriteFixture{cat: cat, schema: schema, nb: nb, tree: tree}
 }
 
-func mustTrainNB(t *testing.T, name, predCol string, ts *mining.TrainSet) mining.Model {
+func mustTrainNB(t testing.TB, name, predCol string, ts *mining.TrainSet) mining.Model {
 	t.Helper()
 	m, err := trainNBHelper(name, predCol, ts)
 	if err != nil {
@@ -76,7 +76,7 @@ func mustTrainNB(t *testing.T, name, predCol string, ts *mining.TrainSet) mining
 }
 
 // figure1Model2 builds a small tree over (age, income).
-func figure1Model2(t *testing.T) mining.Model {
+func figure1Model2(t testing.TB) mining.Model {
 	t.Helper()
 	r := rand.New(rand.NewSource(8))
 	mschema := value.MustSchema(

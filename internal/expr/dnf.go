@@ -398,10 +398,11 @@ func (cs *colState) emit(out []Expr, conds []Expr) (_ []Expr, ok bool) {
 	return out, true
 }
 
-// admits reports whether v, a value of the column's first = or IN, is in
-// every later one, in the range, and named by no <>.
+// admits reports whether v, a value of the column's first = or IN, is
+// not NULL, is in every later one, in the range, and named by no <>. A
+// NULL in an IN list matches no row, as a comparison with NULL does.
 func (cs *colState) admits(v value.Value, conds []Expr) bool {
-	if !cs.rng.Contains(v) || cs.excluded(v, conds) {
+	if v.IsNull() || !cs.rng.Contains(v) || cs.excluded(v, conds) {
 		return false
 	}
 	for _, c := range conds[cs.eqAt+1:] {

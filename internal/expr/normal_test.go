@@ -248,6 +248,11 @@ func checkNormalForms(t *testing.T, e Expr, atoms []Expr) {
 		if gotOK != wantOK || !reflect.DeepEqual(gotE, wantE) {
 			t.Fatalf("Simplify(%s, %d) = %s %v, oracle %s %v", e, max, gotE, gotOK, wantE, wantOK)
 		}
+		// The rewriter hands its simplified predicates on, and each reader
+		// that simplifies again must get them back as they are.
+		if again, ok := Simplify(gotE, max); gotOK && (!ok || !Same(again, gotE)) {
+			t.Fatalf("Simplify(Simplify(%s, %d)) = %s %v, not %s", e, max, again, ok, gotE)
+		}
 	}
 	d, _ := oracleToDNF(e, 64)
 	for _, c := range append(d.Disjuncts, Conjunct{Conds: atoms}) {

@@ -207,7 +207,7 @@ func (cs *oracleColState) emit(col string) ([]Expr, bool) {
 	if cs.hasEq {
 		var keep []value.Value
 		for _, v := range cs.eq {
-			if cs.rng.Contains(v) && !hasValue(cs.ne, v) {
+			if !v.IsNull() && cs.rng.Contains(v) && !hasValue(cs.ne, v) {
 				keep = append(keep, v)
 			}
 		}

@@ -3,14 +3,14 @@ package standing
 // Compilation of subscriptions into the shared structure. A
 // subscription compiles to three parts:
 //
-//   - its guard, the pure-data sound weakening of its WHERE: each mining
-//     atom becomes the envelope region the query rewriter's Section 4.1
-//     rule table gives it (core.PredCols.Envelope, asked, not restated),
-//     interned across the table's subscriptions under the rewriter's
-//     fingerprint-derived key, and each NOT subtree becomes TRUE. The
-//     guard is the interval index's only input, and it gates the model
-//     calls: guard false implies WHERE false, so a row the guard rejects
-//     costs no prediction;
+//   - its guard, core.PredCols.Weaken of its WHERE, the weakening the
+//     query rewriter's data predicate comes from: data subtrees stay,
+//     NOTs included, a mining atom becomes the envelope region the
+//     Section 4.1 rule table gives it, interned across the table's
+//     subscriptions under the rewriter's key, and a negated mining atom
+//     becomes TRUE. The guard is the interval index's only input, and it
+//     gates the model calls: guard false implies WHERE false, so a row
+//     the guard rejects costs no prediction;
 //   - its own WHERE, evaluated by expr.Eval exactly as the query path's
 //     post-prediction filter evaluates it;
 //   - its post-prediction schema, core.PostPredictSchema: the table's
@@ -353,71 +353,17 @@ func (b *tableBuilder) projSlot(spec []int) int {
 	return len(b.projs) - 1
 }
 
-// region is the envelope region standing in for one mining atom in a
-// guard, interned under the rule table's fingerprint-derived key: TRUE
-// for an atom the table has no envelope for. The key is namespaced
-// apart from the query rewriter's entries so the two paths can share
-// one cache without mixing notes, while staying equally immune to
-// retrains (the fingerprint is in the key).
-func (b *tableBuilder) region(atom expr.Expr, pc core.PredCols) expr.Expr {
-	env, ok := pc.Envelope(atom)
-	if !ok {
-		return expr.TrueExpr{}
-	}
-	key := "standing|" + env.Key
-	if pred, ok := b.regions[key]; ok {
+// region is the envelope region standing in for a mining atom in a
+// guard, interned across the table's subscriptions under the rule
+// table's key and taken from the envelope cache through the rewriter's
+// own door, so a guard and a query over one class set share one entry.
+func (b *tableBuilder) region(env core.AtomEnvelope) expr.Expr {
+	if pred, ok := b.regions[env.Key]; ok {
 		return pred
 	}
-	var pred expr.Expr
-	if b.cache != nil {
-		if ce, ok := b.cache.Get(key); ok {
-			pred = ce.Pred
-		}
-	}
-	if pred == nil {
-		pred = env.Build(nil)
-		if b.cache != nil {
-			b.cache.Put(key, core.CachedEnvelope{Pred: pred})
-		}
-	}
-	b.regions[key] = pred
+	pred := env.Cached(b.cache).Pred
+	b.regions[env.Key] = pred
 	return pred
-}
-
-// guard weakens e to the table's data columns: a data atom stays
-// itself, a mining atom becomes its region, and a NOT subtree, like an
-// atom of any other kind, becomes TRUE. Weakening a conjunct is sound,
-// and the pruning walk would ignore a NOT anyway.
-func (b *tableBuilder) guard(e expr.Expr, pc core.PredCols) expr.Expr {
-	switch x := e.(type) {
-	case expr.TrueExpr, expr.FalseExpr:
-		return e
-	case expr.And:
-		// Pure-data conjuncts go first: every candidate evaluates its
-		// regions itself, and a cheaper data atom rejects most candidates
-		// before them.
-		var data, rest []expr.Expr
-		for _, k := range x.Kids {
-			if g := b.guard(k, pc); expr.Unresolved(k, b.schema) == "" {
-				data = append(data, g)
-			} else {
-				rest = append(rest, g)
-			}
-		}
-		return expr.NewAnd(append(data, rest...)...)
-	case expr.Or:
-		kids := make([]expr.Expr, len(x.Kids))
-		for i, k := range x.Kids {
-			kids[i] = b.guard(k, pc)
-		}
-		return expr.NewOr(kids...)
-	case expr.Cmp, expr.In, expr.ColCmp:
-		if expr.Unresolved(e, b.schema) == "" {
-			return e
-		}
-		return b.region(e, pc)
-	}
-	return expr.TrueExpr{}
 }
 
 // joinForm returns the prediction columns and post-prediction schema of
@@ -448,7 +394,6 @@ func (b *tableBuilder) compileSub(sub *rawSub) (*compiledSub, error) {
 	if form.err != nil {
 		return nil, form.err
 	}
-	pc := form.pc
 	cs := &compiledSub{src: sub, where: q.Where, schema: form.schema}
 	// Every join is bound, whether or not anything reads its prediction,
 	// as the query path's Predict operators bind every join.
@@ -491,7 +436,7 @@ func (b *tableBuilder) compileSub(sub *rawSub) (*compiledSub, error) {
 	if c := expr.Unresolved(q.Where, cs.schema); c != "" {
 		return nil, unknown(c)
 	}
-	cs.guard = b.guard(q.Where, pc)
+	cs.guard = form.pc.Weaken(q.Where, b.schema, b.region)
 	cs.spec, cs.proj = spec, b.projSlot(spec)
 	cs.source = &Source{SubID: sub.id, Table: b.name, Columns: cols}
 	return cs, nil

@@ -9,10 +9,11 @@
 // prediction per PREDICTION JOIN, holds, which is how the query path's
 // post-prediction filter decides it. Its guard plays the upper
 // envelope's part in the paper's f ∧ u_f: the WHERE weakened to the
-// data columns, each mining atom replaced by its envelope region
-// (interned across the set under the query rewriter's
-// fingerprint-derived keys) and each NOT subtree by TRUE. Guard false
-// implies WHERE false.
+// data columns by core.PredCols.Weaken, the walk the query rewriter's
+// data predicate comes from, so each mining atom becomes its envelope
+// region (interned across the set under the rewriter's
+// fingerprint-derived key) and a negated one TRUE, while data atoms
+// stay, under a NOT too. Guard false implies WHERE false.
 //
 // Each table's set is compiled in two parts. The model-free part holds
 // the subscriptions without PREDICTION JOINs: their compiled forms,
@@ -229,7 +230,8 @@ func NewSet(cat *catalog.Catalog, opts Options) *Set {
 
 // SetCache installs (or removes, with nil) the cache memoizing
 // envelope-region assembly across recompiles. It may be the query
-// path's cache: keys are namespaced and fingerprint-derived.
+// path's cache: a region is the rewriter's entry under the rewriter's
+// fingerprint-derived key, notes included.
 func (s *Set) SetCache(c core.EnvelopeCache) {
 	s.mu.Lock()
 	s.cache = c

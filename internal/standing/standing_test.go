@@ -17,6 +17,7 @@ import (
 	"minequery/internal/mining"
 	"minequery/internal/mining/dtree"
 	"minequery/internal/qerr"
+	"minequery/internal/sqlparse"
 	"minequery/internal/value"
 )
 
@@ -587,6 +588,92 @@ func TestModelCallSharingAndEnvelopeGating(t *testing.T) {
 	after := s.Stats()
 	if calls, matches := after.ModelCalls-st.ModelCalls, after.Matches-st.Matches; calls != 0 || matches != 0 {
 		t.Fatalf("guard-rejected row: %d model calls and %d matches, want 0 and 0", calls, matches)
+	}
+}
+
+// TestGuardKeepsDataNot: a NOT over data columns stays in the guard, so
+// a row it rejects costs no model call, while the rows that match are
+// the WHERE's. The 'low' region alone admits every row below 50.
+func TestGuardKeepsDataNot(t *testing.T) {
+	cat := newTestCatalog(t)
+	trainThreshold(t, cat, "dt", 50)
+	s := NewSet(cat, Options{})
+	id, err := s.Subscribe("SELECT * FROM events PREDICTION JOIN dt AS m ON m.num = events.num WHERE NOT (num < 5) AND m.cls = 'low'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.EvalBatch("events", []value.Tuple{eventRow(1, 3, "a")}, 1)
+	if st := s.Stats(); st.ModelCalls != 0 || st.Matches != 0 {
+		t.Fatalf("row with num < 5: %d model calls and %d matches, want 0 and 0", st.ModelCalls, st.Matches)
+	}
+	s.EvalBatch("events", []value.Tuple{eventRow(2, 20, "a"), eventRow(3, 4, "a"), eventRow(4, 70, "a")}, 1)
+	if st := s.Stats(); st.ModelCalls != 1 {
+		t.Fatalf("model calls = %d, want 1 (num 20 only)", st.ModelCalls)
+	}
+	var got []int64
+	for _, n := range drain(t, s, 100) {
+		if n.SubID != id {
+			t.Fatalf("notification for subscription %d, want %d", n.SubID, id)
+		}
+		got = append(got, n.Row[0].AsInt())
+	}
+	if !slices.Equal(got, []int64{2}) {
+		t.Fatalf("matched rows %v, want [2]", got)
+	}
+}
+
+// countingCache is an envelope cache that counts its hits and misses.
+type countingCache struct {
+	m            map[string]core.CachedEnvelope
+	hits, misses int
+}
+
+func (c *countingCache) Get(key string) (core.CachedEnvelope, bool) {
+	ce, ok := c.m[key]
+	if ok {
+		c.hits++
+	} else {
+		c.misses++
+	}
+	return ce, ok
+}
+
+func (c *countingCache) Put(key string, ce core.CachedEnvelope) { c.m[key] = ce }
+
+// TestGuardAndQueryShareCacheEntry: a subscription's region and a
+// query's envelope over the same class are one cache entry, whichever
+// fills it: the subscription misses, the query then hits, and its notes
+// read as an uncached rewrite's.
+func TestGuardAndQueryShareCacheEntry(t *testing.T) {
+	cat := newTestCatalog(t)
+	trainThreshold(t, cat, "dt", 50)
+	cache := &countingCache{m: map[string]core.CachedEnvelope{}}
+	s := NewSet(cat, Options{})
+	s.SetCache(cache)
+	const sql = "SELECT * FROM events PREDICTION JOIN dt AS m ON m.num = events.num WHERE m.cls = 'high'"
+	if _, err := s.Subscribe(sql); err != nil {
+		t.Fatal(err)
+	}
+	if cache.misses != 1 || cache.hits != 0 {
+		t.Fatalf("after Subscribe: %d misses and %d hits, want 1 and 0", cache.misses, cache.hits)
+	}
+	q, err := sqlparse.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := core.RewriteQueryCached(q, cat, 0, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cache.misses != 1 || cache.hits != 1 {
+		t.Fatalf("after the query: %d misses and %d hits, want 1 and 1", cache.misses, cache.hits)
+	}
+	cold, err := core.RewriteQuery(q, cat, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(cached.Notes, cold.Notes) || len(cold.Notes) == 0 {
+		t.Fatalf("notes through the shared entry %q, uncached %q", cached.Notes, cold.Notes)
 	}
 }
 

@@ -247,9 +247,9 @@ func (e *Engine) SetDOP(dop int) {
 // must be safe for concurrent use if the engine is shared.
 func (e *Engine) SetEnvelopeCache(c EnvelopeCache) {
 	e.envCache = c
-	// The standing-query compiler shares the cache: its region keys are
-	// namespaced ("standing|" prefix) and fingerprint-derived, so query
-	// and standing entries coexist without ever serving each other.
+	// The standing-query compiler shares the cache: a guard's region is
+	// the rewriter's entry for the same atom shape, model fingerprint and
+	// class set, so a subscription and a query serve each other.
 	e.standing.SetCache(c)
 }
 

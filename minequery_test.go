@@ -2,7 +2,9 @@ package minequery
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -97,6 +99,53 @@ func TestQueryMatchesBaseline(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("row multiset mismatch at %s (%+d)", k, v)
 		}
+	}
+}
+
+// TestOverBudgetKeepsDataFilter: a WHERE whose augmented normal form
+// passes the disjunct budget (2^9 disjuncts against 256) still gives
+// the scan its data atoms, envelope and query's own, as a filter right
+// on the scan, and returns the baseline's rows.
+func TestOverBudgetKeepsDataFilter(t *testing.T) {
+	e := seedEngine(t, 20000)
+	trainNB(t, e)
+	where := "m.segment = 'vip'"
+	for k := range 9 {
+		where += fmt.Sprintf(" AND (visits <> %d OR id <> %d)", k, k)
+	}
+	sql := "SELECT id FROM customers PREDICTION JOIN segmodel AS m ON m.age = customers.age AND m.income = customers.income WHERE " + where
+	explain, err := e.Explain(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(explain, "\n")
+	scan := slices.IndexFunc(lines, func(l string) bool { return strings.Contains(l, "SeqScan(customers)") })
+	if scan < 1 {
+		t.Fatalf("no scan under a node:\n%s", explain)
+	}
+	if above := strings.TrimSpace(lines[scan-1]); !strings.HasPrefix(above, "Filter(") ||
+		!strings.Contains(above, "(visits <> 8) OR (id <> 8)") || strings.Contains(above, "m.segment") {
+		t.Fatalf("no data filter on the scan:\n%s", explain)
+	}
+	optimized, err := e.Query(context.Background(), sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline, err := e.Query(context.Background(), sql, WithBaseline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := make([]string, 0, len(optimized.Rows)), make([]string, 0, len(baseline.Rows))
+	for _, r := range optimized.Rows {
+		got = append(got, r.String())
+	}
+	for _, r := range baseline.Rows {
+		want = append(want, r.String())
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("optimized %d rows, baseline %d rows", len(got), len(want))
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"minequery/internal/agg"
 	"minequery/internal/core"
-	"minequery/internal/expr"
 	"minequery/internal/qerr"
 	"minequery/internal/sqlparse"
 )
@@ -85,19 +84,9 @@ func (e *Engine) Outline(sql string) (*PlanOutline, error) {
 			return nil, fmt.Errorf("minequery: %w: %v", qerr.ErrUnsupportedQuery, err)
 		}
 	}
-	// Mirror the optimizer's pruning input exactly: the data predicate
-	// simplified within the disjunct budget (see opt.ChooseAccessPath).
-	pred := rw.DataPred
-	if simplified, ok := expr.Simplify(pred, e.optCfg.MaxDisjuncts); ok {
-		pred = simplified
-	}
 	baseRw, err := core.BaselineRewrite(q, e.cat, e.optCfg.MaxDisjuncts)
 	if err != nil {
 		return nil, err
-	}
-	basePred := baseRw.DataPred
-	if simplified, ok := expr.Simplify(basePred, e.optCfg.MaxDisjuncts); ok {
-		basePred = simplified
 	}
 
 	models := make([]ModelRef, 0, len(q.Joins))
@@ -121,8 +110,8 @@ func (e *Engine) Outline(sql string) (*PlanOutline, error) {
 	return &PlanOutline{
 		Table:        q.Table,
 		Norm:         norm,
-		DataPred:     pred,
-		BaselinePred: basePred,
+		DataPred:     rw.DataPred,
+		BaselinePred: baseRw.DataPred,
 		Limit:        q.Limit,
 		Agg:          aggSpec,
 		Models:       models,
