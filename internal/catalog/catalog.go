@@ -144,14 +144,21 @@ func (t *Table) Stats() *stats.TableStats {
 func (t *Table) Analyze() (*stats.TableStats, error) {
 	buildOver := func(h storage.Store) (*stats.TableStats, error) {
 		var err error
-		ts := stats.Build(t.Schema, func(emit func(value.Tuple)) {
+		var tup value.Tuple
+		ts := stats.Build(t.Schema, h.Len(), func(emit func(value.Tuple)) {
 			scanErr := h.Scan(func(rid storage.RID, rec []byte) bool {
-				var tup value.Tuple
-				if tup, err = value.DecodeTuple(rec); err != nil {
+				// One tuple serves every row: the builder keeps no row.
+				// A record of the wrong shape for the schema is as
+				// corrupt as one that does not decode.
+				var row value.Tuple
+				if tup, err = value.DecodeTupleInto(tup, rec, nil); err == nil {
+					row, _, err = t.normalize(tup)
+				}
+				if err != nil {
 					err = fmt.Errorf("corrupt row at %s: %w", rid, err)
 					return false
 				}
-				emit(tup)
+				emit(row)
 				return true
 			})
 			if err == nil {

@@ -1,0 +1,236 @@
+package stats
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strconv"
+	"testing"
+
+	"minequery/internal/value"
+)
+
+// oracleBuilder is the column builder as it was before spilling went
+// typed: every non-NULL Value is kept, and a spilled column's histogram
+// comes from sorting those Values with value.Compare. Build must give
+// the statistics it gives.
+type oracleBuilder struct {
+	exact    map[uint64][]ValueCount
+	overflow []value.Value
+	distinct int
+	count    int64
+	nulls    int64
+	min, max value.Value
+	spilled  bool
+}
+
+func (b *oracleBuilder) add(v value.Value) {
+	if v.IsNull() {
+		b.nulls++
+		return
+	}
+	b.count++
+	if b.count == 1 {
+		b.min, b.max = v, v
+	} else {
+		if value.Compare(v, b.min) < 0 {
+			b.min = v
+		}
+		if value.Compare(v, b.max) > 0 {
+			b.max = v
+		}
+	}
+	b.overflow = append(b.overflow, v)
+	if b.spilled {
+		return
+	}
+	h := v.Hash()
+	chain := b.exact[h]
+	for i := range chain {
+		if value.Equal(chain[i].Val, v) {
+			chain[i].Count++
+			return
+		}
+	}
+	b.exact[h] = append(chain, ValueCount{Val: v, Count: 1})
+	b.distinct++
+	if b.distinct > MaxExactDistinct {
+		b.spilled = true
+	}
+}
+
+func (b *oracleBuilder) finish() *ColumnStats {
+	cs := &ColumnStats{Count: b.count, NullCount: b.nulls, Min: b.min, Max: b.max}
+	if !b.spilled {
+		for _, chain := range b.exact {
+			cs.Exact = append(cs.Exact, chain...)
+		}
+		sort.Slice(cs.Exact, func(i, j int) bool {
+			return value.Compare(cs.Exact[i].Val, cs.Exact[j].Val) < 0
+		})
+		cs.Distinct = int64(len(cs.Exact))
+		return cs
+	}
+	vals := b.overflow
+	sort.Slice(vals, func(i, j int) bool { return value.Compare(vals[i], vals[j]) < 0 })
+	for i := range vals {
+		if i == 0 || !value.Equal(vals[i], vals[i-1]) {
+			cs.Distinct++
+		}
+	}
+	per := (len(vals) + NumBuckets - 1) / NumBuckets
+	for start := 0; start < len(vals); start += per {
+		end := min(start+per, len(vals))
+		bk := Bucket{Lo: vals[start], Hi: vals[end-1], Count: int64(end - start)}
+		for i := start; i < end; i++ {
+			if i == start || !value.Equal(vals[i], vals[i-1]) {
+				bk.Distinct++
+			}
+		}
+		cs.Hist = append(cs.Hist, bk)
+	}
+	return cs
+}
+
+func oracleBuild(schema *value.Schema, rows []value.Tuple) *TableStats {
+	builders := make([]*oracleBuilder, schema.Len())
+	for i := range builders {
+		builders[i] = &oracleBuilder{exact: make(map[uint64][]ValueCount)}
+	}
+	for _, t := range rows {
+		for i := range builders {
+			builders[i].add(t[i])
+		}
+	}
+	ts := &TableStats{RowCount: int64(len(rows)), Cols: make(map[string]*ColumnStats, schema.Len())}
+	for i, b := range builders {
+		ts.Cols[normalize(schema.Col(i).Name)] = b.finish()
+	}
+	return ts
+}
+
+// fuzzSchema has a column of every kind a table stores.
+var fuzzSchema = value.MustSchema(
+	value.Column{Name: "i", Kind: value.KindInt},
+	value.Column{Name: "f", Kind: value.KindFloat},
+	value.Column{Name: "s", Kind: value.KindString},
+	value.Column{Name: "b", Kind: value.KindBool},
+)
+
+// The values a column mixes in among its ordinary ones: the extremes of
+// each kind, and for FLOAT the pairs value.Compare ties (±0, NaNs of
+// different payloads).
+var specials = [][]value.Value{
+	{value.Int(math.MinInt64), value.Int(math.MaxInt64), value.Int(0), value.Int(-1)},
+	{value.Float(math.NaN()), value.Float(math.Float64frombits(0x7ff8000000000abc)),
+		value.Float(math.Copysign(0, -1)), value.Float(0),
+		value.Float(math.Inf(1)), value.Float(math.Inf(-1))},
+	{value.Str(""), value.Str("\x00"), value.Str("a")},
+	{value.Bool(false), value.Bool(true)},
+}
+
+// fuzzRows deals rows rows over fuzzSchema. Row k holds the (k mod
+// distinct)-th ordinary value of each column, the rows are shuffled by
+// seed, and then a cell is NULL with probability nullPct/100 and, when
+// mix is set, one of the column's specials with probability 1/8. With
+// no NULLs and no specials, a column of rows >= distinct holds exactly
+// distinct values (BOOL two).
+func fuzzRows(seed int64, rows, distinct int, nullPct int, mix bool) []value.Tuple {
+	r := rand.New(rand.NewSource(seed))
+	step := int64(1 + r.Intn(1<<20)) // INT spacing: dense ranges and sparse ones
+	out := make([]value.Tuple, rows)
+	for k := range out {
+		x := k % distinct
+		out[k] = value.Tuple{
+			value.Int(int64(x)*step - step*int64(distinct)/2),
+			value.Float(float64(x)*0.5 - 3),
+			value.Str("v" + strconv.Itoa(x)),
+			value.Bool(x%2 == 1),
+		}
+	}
+	r.Shuffle(rows, func(i, j int) { out[i], out[j] = out[j], out[i] })
+	for _, t := range out {
+		for c := range t {
+			switch {
+			case r.Intn(100) < nullPct:
+				t[c] = value.Null()
+			case mix && r.Intn(8) == 0:
+				t[c] = specials[c][r.Intn(len(specials[c]))]
+			}
+		}
+	}
+	return out
+}
+
+// checkMatchesOracle builds rows with Build and with the oracle and
+// requires every column's statistics to be the same, with one exception:
+// a FLOAT bucket bound may be another member of a pair value.Compare
+// ties (±0, NaN payloads), since which member a sort puts at a bucket's
+// edge is the sort's choice. Counts and distinct counts are exact. It
+// returns Build's statistics.
+func checkMatchesOracle(t *testing.T, rows []value.Tuple) *TableStats {
+	t.Helper()
+	got := Build(fuzzSchema, int64(len(rows)), func(emit func(value.Tuple)) {
+		for _, r := range rows {
+			emit(r)
+		}
+	})
+	want := oracleBuild(fuzzSchema, rows)
+	if got.RowCount != want.RowCount || len(got.Cols) != len(want.Cols) {
+		t.Fatalf("RowCount %d with %d columns, oracle %d with %d", got.RowCount, len(got.Cols), want.RowCount, len(want.Cols))
+	}
+	for i := 0; i < fuzzSchema.Len(); i++ {
+		col := fuzzSchema.Col(i)
+		g, w := *got.Cols[col.Name], *want.Cols[col.Name]
+		if col.Kind == value.KindFloat && len(g.Hist) == len(w.Hist) {
+			g.Hist = append([]Bucket(nil), g.Hist...)
+			for j := range g.Hist {
+				gb, wb := &g.Hist[j], w.Hist[j]
+				if !value.Equal(gb.Lo, wb.Lo) || !value.Equal(gb.Hi, wb.Hi) {
+					t.Fatalf("%s: bucket %d spans [%v, %v], oracle [%v, %v]", col.Name, j, gb.Lo, gb.Hi, wb.Lo, wb.Hi)
+				}
+				gb.Lo, gb.Hi = wb.Lo, wb.Hi
+			}
+		}
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: statistics differ from the oracle's:\n got %+v\nwant %+v", col.Name, g, w)
+		}
+	}
+	return got
+}
+
+// FuzzBuildMatchesOracle: statistics built from typed spill slices are
+// the statistics the Value-sorting builder gives, over NULLs, NaNs, ±0,
+// infinities, the integer extremes, the empty string and BOOL, on
+// either side of the exact-count bound.
+func FuzzBuildMatchesOracle(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint16(1), uint8(0), false)                     // an empty table
+	f.Add(int64(2), uint16(600), uint16(40), uint8(100), false)                // every column all NULL
+	f.Add(int64(3), uint16(1024), uint16(MaxExactDistinct), uint8(0), false)   // exactly 512 distinct: exact
+	f.Add(int64(4), uint16(1024), uint16(MaxExactDistinct+1), uint8(0), false) // 513: spills
+	f.Add(int64(5), uint16(513), uint16(513), uint8(0), false)                 // the 513th arrives last or anywhere
+	f.Add(int64(6), uint16(3000), uint16(900), uint8(10), true)                // specials among NULLs, spilled
+	f.Add(int64(7), uint16(700), uint16(30), uint8(5), true)                   // specials, exact
+	f.Add(int64(8), uint16(2000), uint16(2000), uint8(0), true)                // all distinct with specials
+	f.Fuzz(func(t *testing.T, seed int64, rows, distinct uint16, nullPct uint8, mix bool) {
+		n := int(rows) % 4000
+		d := max(1, int(distinct)%2001)
+		checkMatchesOracle(t, fuzzRows(seed, n, d, int(nullPct)%101, mix))
+	})
+}
+
+// TestBuildSpillBoundary: the fuzz seeds at the exact-count bound land on
+// either side of it — 512 distinct values stay exact, 513 spill into the
+// typed slice — and match the oracle there.
+func TestBuildSpillBoundary(t *testing.T) {
+	for _, d := range []int{MaxExactDistinct, MaxExactDistinct + 1} {
+		ts := checkMatchesOracle(t, fuzzRows(int64(d), 2*d, d, 0, false))
+		for _, name := range []string{"i", "f", "s"} {
+			cs := ts.Col(name)
+			if spilled := cs.Exact == nil; spilled != (d > MaxExactDistinct) || cs.Distinct != int64(d) {
+				t.Errorf("%d distinct: %s spilled=%v with %d distinct", d, name, spilled, cs.Distinct)
+			}
+		}
+	}
+}

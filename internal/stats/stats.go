@@ -4,9 +4,17 @@
 // optimizer uses these estimates for access-path selection — the paper's
 // premise is that upper-envelope predicates only pay off when their
 // estimated selectivity is low enough to make an index attractive.
+//
+// A build keeps nothing per row for a column that stays exact. A column
+// that passes MaxExactDistinct distinct values spills into a slice of its
+// schema kind ([]int64 for INT and BOOL, []float64, []string), and its
+// histogram comes from sorting that slice with the kind's own order, not
+// from comparing Values.
 package stats
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"minequery/internal/expr"
@@ -54,19 +62,28 @@ type TableStats struct {
 	Cols     map[string]*ColumnStats
 }
 
-// builder accumulates one column during a build pass.
+// builder accumulates one column during a build pass. While the column
+// holds at most MaxExactDistinct distinct values it keeps their exact
+// counts and nothing else. The value past that bound spills the counts
+// into a slice of the column's kind — ints for INT and BOOL (0/1), floats,
+// strs — each value repeated as often as it was counted, and from then on
+// every value is appended to that slice raw; finish sorts it into the
+// histogram.
 type builder struct {
-	exact    map[uint64][]ValueCount // hash -> values (collision chain)
-	overflow []value.Value           // all values, kept for histogram if exact overflows
+	kind     value.Kind
+	rows     int64                   // rows the build expects: the spill slice's capacity
+	exact    map[uint64][]ValueCount // hash -> values (collision chain); nil once spilled
 	distinct int
 	count    int64
 	nulls    int64
 	min, max value.Value
-	spilled  bool
+	ints     []int64
+	floats   []float64
+	strs     []string
 }
 
-func newBuilder() *builder {
-	return &builder{exact: make(map[uint64][]ValueCount)}
+func newBuilder(kind value.Kind, rows int64) *builder {
+	return &builder{kind: kind, rows: rows, exact: make(map[uint64][]ValueCount)}
 }
 
 func (b *builder) add(v value.Value) {
@@ -85,8 +102,8 @@ func (b *builder) add(v value.Value) {
 			b.max = v
 		}
 	}
-	b.overflow = append(b.overflow, v)
-	if b.spilled {
+	if b.exact == nil {
+		b.spill(v)
 		return
 	}
 	h := v.Hash()
@@ -100,13 +117,55 @@ func (b *builder) add(v value.Value) {
 	b.exact[h] = append(chain, ValueCount{Val: v, Count: 1})
 	b.distinct++
 	if b.distinct > MaxExactDistinct {
-		b.spilled = true
+		b.expand()
+	}
+}
+
+// expand abandons the exact counts: every value counted so far goes into
+// the spill slice, sized for the rows the build expects (or the values
+// seen, should the store have grown since it was counted).
+func (b *builder) expand() {
+	n := max(b.rows, b.count)
+	switch b.kind {
+	case value.KindFloat:
+		b.floats = make([]float64, 0, n)
+	case value.KindString:
+		b.strs = make([]string, 0, n)
+	default:
+		b.ints = make([]int64, 0, n)
+	}
+	for _, chain := range b.exact {
+		for _, vc := range chain {
+			for i := int64(0); i < vc.Count; i++ {
+				b.spill(vc.Val)
+			}
+		}
+	}
+	b.exact = nil
+}
+
+// spill appends v to the slice of the column's kind (an INT widens into a
+// FLOAT column).
+func (b *builder) spill(v value.Value) {
+	switch b.kind {
+	case value.KindInt:
+		b.ints = append(b.ints, v.AsInt())
+	case value.KindBool:
+		var x int64
+		if v.AsBool() {
+			x = 1
+		}
+		b.ints = append(b.ints, x)
+	case value.KindFloat:
+		b.floats = append(b.floats, v.AsFloat())
+	case value.KindString:
+		b.strs = append(b.strs, v.AsString())
 	}
 }
 
 func (b *builder) finish() *ColumnStats {
 	cs := &ColumnStats{Count: b.count, NullCount: b.nulls, Min: b.min, Max: b.max}
-	if !b.spilled {
+	if b.exact != nil {
 		for _, chain := range b.exact {
 			cs.Exact = append(cs.Exact, chain...)
 		}
@@ -116,50 +175,64 @@ func (b *builder) finish() *ColumnStats {
 		cs.Distinct = int64(len(cs.Exact))
 		return cs
 	}
-	// Equi-depth histogram over all collected values.
-	vals := b.overflow
-	sort.Slice(vals, func(i, j int) bool { return value.Compare(vals[i], vals[j]) < 0 })
-	distinct := int64(0)
-	for i := range vals {
-		if i == 0 || !value.Equal(vals[i], vals[i-1]) {
-			distinct++
-		}
-	}
-	cs.Distinct = distinct
-	per := (len(vals) + NumBuckets - 1) / NumBuckets
-	for start := 0; start < len(vals); start += per {
-		end := start + per
-		if end > len(vals) {
-			end = len(vals)
-		}
-		bk := Bucket{Lo: vals[start], Hi: vals[end-1], Count: int64(end - start)}
-		d := int64(0)
-		for i := start; i < end; i++ {
-			if i == start || !value.Equal(vals[i], vals[i-1]) {
-				d++
-			}
-		}
-		bk.Distinct = d
-		cs.Hist = append(cs.Hist, bk)
+	switch b.kind {
+	case value.KindInt:
+		histogram(cs, b.ints, value.Int)
+	case value.KindBool:
+		histogram(cs, b.ints, func(x int64) value.Value { return value.Bool(x != 0) })
+	case value.KindFloat:
+		histogram(cs, b.floats, value.Float)
+	case value.KindString:
+		histogram(cs, b.strs, value.Str)
 	}
 	return cs
 }
 
+// histogram sorts a spilled column's values and sets cs's equi-depth
+// buckets and distinct count. Within one kind cmp.Compare orders and ties
+// values as value.Compare does: a NaN below every number and equal to
+// every NaN, -0.0 equal to 0.0. A bucket bound is one member of such a
+// tie, as it was of the Values the column held.
+func histogram[T cmp.Ordered](cs *ColumnStats, vals []T, box func(T) value.Value) {
+	slices.Sort(vals)
+	per := (len(vals) + NumBuckets - 1) / NumBuckets
+	cs.Hist = make([]Bucket, 0, (len(vals)+per-1)/per)
+	for start := 0; start < len(vals); start += per {
+		end := min(start+per, len(vals))
+		bk := Bucket{Lo: box(vals[start]), Hi: box(vals[end-1]), Count: int64(end - start)}
+		for i := start; i < end; i++ {
+			fresh := i == 0 || cmp.Compare(vals[i], vals[i-1]) != 0
+			if fresh {
+				cs.Distinct++
+			}
+			if fresh || i == start {
+				bk.Distinct++
+			}
+		}
+		cs.Hist = append(cs.Hist, bk)
+	}
+}
+
 // Build computes table statistics from a row source. scan must call the
-// callback once per row.
-func Build(schema *value.Schema, scan func(func(value.Tuple))) *TableStats {
+// callback once per row; the tuple it is given is valid only during that
+// call (the builder copies what it keeps), so a scan may decode every row
+// into one reused tuple. Every non-NULL value must be of its column's
+// kind, or an INT in a FLOAT column. rows is the number of rows the scan
+// is expected to deliver (a store's live count), the capacity a column
+// that spills to a histogram reserves; 0 when unknown.
+func Build(schema *value.Schema, rows int64, scan func(func(value.Tuple))) *TableStats {
 	builders := make([]*builder, schema.Len())
 	for i := range builders {
-		builders[i] = newBuilder()
+		builders[i] = newBuilder(schema.Col(i).Kind, rows)
 	}
-	var rows int64
+	var n int64
 	scan(func(t value.Tuple) {
-		rows++
+		n++
 		for i := range builders {
 			builders[i].add(t[i])
 		}
 	})
-	ts := &TableStats{RowCount: rows, Cols: make(map[string]*ColumnStats, schema.Len())}
+	ts := &TableStats{RowCount: n, Cols: make(map[string]*ColumnStats, schema.Len())}
 	for i, b := range builders {
 		ts.Cols[normalize(schema.Col(i).Name)] = b.finish()
 	}

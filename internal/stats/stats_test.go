@@ -44,7 +44,7 @@ func buildTable(n int, seed int64) (*TableStats, []value.Tuple) {
 			value.Float(r.Float64() * 10000), // high cardinality -> histogram
 		}
 	}
-	ts := Build(schema, func(emit func(value.Tuple)) {
+	ts := Build(schema, int64(n), func(emit func(value.Tuple)) {
 		for _, t := range rows {
 			emit(t)
 		}
@@ -176,7 +176,7 @@ func TestUnknownColumnDefault(t *testing.T) {
 }
 
 func TestEmptyTable(t *testing.T) {
-	ts := Build(schema, func(func(value.Tuple)) {})
+	ts := Build(schema, 0, func(func(value.Tuple)) {})
 	if ts.RowCount != 0 {
 		t.Fatal("empty table should have zero rows")
 	}
@@ -283,13 +283,13 @@ func buildPartitioned(t *testing.T, n int, seed int64, bounds []int64) (*TableSt
 	parts := make([]*TableStats, len(partRows))
 	for i, pr := range partRows {
 		pr := pr
-		parts[i] = Build(schema, func(emit func(value.Tuple)) {
+		parts[i] = Build(schema, int64(len(pr)), func(emit func(value.Tuple)) {
 			for _, t := range pr {
 				emit(t)
 			}
 		})
 	}
-	whole := Build(schema, func(emit func(value.Tuple)) {
+	whole := Build(schema, int64(len(rows)), func(emit func(value.Tuple)) {
 		for _, t := range rows {
 			emit(t)
 		}
@@ -348,7 +348,7 @@ func TestMergeEdgeCases(t *testing.T) {
 	if m := Merge(nil); m.RowCount != 0 {
 		t.Error("empty merge should be empty stats")
 	}
-	empty := Build(schema, func(func(value.Tuple)) {})
+	empty := Build(schema, 0, func(func(value.Tuple)) {})
 	one, _ := buildTable(1000, 10)
 	m := Merge([]*TableStats{empty, one, nil, empty})
 	if m.RowCount != one.RowCount {

@@ -223,6 +223,7 @@ type groupBuilder struct {
 	n     int
 	cols  []colBuffer
 	codes []uint16 // seal's working codes, before they are cut to width
+	slots []uint16 // sealCounting's table, one slot per value of a range
 }
 
 // colBuffer is one column of the group being built: which rows are NULL,
@@ -296,7 +297,7 @@ func (b *groupBuilder) seal(part int) *ColGroup {
 		codes := b.codes[:b.n]
 		switch kind {
 		case value.KindInt, value.KindBool:
-			v.ints = sealDict(v, col.ints, codes, func(a, b rowValue[int64]) int { return cmp.Compare(a.v, b.v) })
+			v.ints = b.sealInts(v, col.ints, codes)
 		case value.KindFloat:
 			v.floats = sealDict(v, col.floats, codes, func(a, b rowValue[float64]) int { return compareFloatBits(a.v, b.v) })
 		case value.KindString:
@@ -307,6 +308,59 @@ func (b *groupBuilder) seal(part int) *ColGroup {
 	}
 	b.n = 0
 	return g
+}
+
+// sealInts seals an INT or BOOL column. When the group's values span
+// fewer than 2 × its row count integers, they are coded by counting
+// (sealCounting), which needs no comparison; otherwise by sealDict's
+// sort. Both give the same dictionary and codes.
+func (b *groupBuilder) sealInts(v *ColVec, vals []rowValue[int64], codes []uint16) []int64 {
+	if len(vals) == 0 {
+		return nil
+	}
+	lo, hi := vals[0].v, vals[0].v
+	for _, e := range vals[1:] {
+		lo, hi = min(lo, e.v), max(hi, e.v)
+	}
+	// hi-lo wraps past MaxInt64, but as a uint64 it is the exact width:
+	// a group spanning MinInt64..MaxInt64 is 2^64-1 wide, not negative.
+	if span := uint64(hi) - uint64(lo); span < 2*uint64(b.n) {
+		if cap(b.slots) <= int(span) {
+			b.slots = make([]uint16, span+1, 2*b.n)
+		}
+		return sealCounting(v, vals, lo, b.slots[:span+1], codes)
+	}
+	return sealDict(v, vals, codes, func(a, b rowValue[int64]) int { return cmp.Compare(a.v, b.v) })
+}
+
+// sealCounting is sealDict for integers lo and up that fit slots, one
+// slot per integer of the range: it marks the values present, numbers
+// the marks in order — their numbers are the codes, the marked integers
+// the dictionary — and reads each row's code from its value's slot.
+// slots is working space, zero on entry and left zero.
+func sealCounting(v *ColVec, vals []rowValue[int64], lo int64, slots []uint16, codes []uint16) []int64 {
+	distinct := 0
+	for _, e := range vals {
+		s := &slots[uint64(e.v)-uint64(lo)]
+		if *s == 0 {
+			*s = 1
+			distinct++
+		}
+	}
+	dict := make([]int64, 0, distinct)
+	for i, s := range slots {
+		if s != 0 {
+			slots[i] = uint16(len(dict))
+			dict = append(dict, lo+int64(i))
+		}
+	}
+	clear(codes) // a NULL row's code
+	for _, e := range vals {
+		codes[e.row] = slots[uint64(e.v)-uint64(lo)]
+	}
+	clear(slots)
+	setCodes(v, codes, len(dict))
+	return dict
 }
 
 // compareFloatBits is the dictionary order of a FLOAT column:
@@ -341,7 +395,14 @@ func sealDict[T any](v *ColVec, vals []rowValue[T], codes []uint16, order func(a
 	for _, e := range vals {
 		dict[codes[e.row]] = e.v
 	}
-	if len(dict) <= 1<<8 {
+	setCodes(v, codes, len(dict))
+	return dict
+}
+
+// setCodes stores codes as v's, cut to the narrowest width that holds
+// positions in a dictionary of n entries.
+func setCodes(v *ColVec, codes []uint16, n int) {
+	if n <= 1<<8 {
 		v.codes8 = make([]uint8, len(codes))
 		for i, c := range codes {
 			v.codes8[i] = uint8(c)
@@ -350,5 +411,4 @@ func sealDict[T any](v *ColVec, vals []rowValue[T], codes []uint16, order func(a
 		v.codes16 = make([]uint16, len(codes))
 		copy(v.codes16, codes)
 	}
-	return dict
 }
