@@ -145,13 +145,16 @@ func (t *Table) Analyze() (*stats.TableStats, error) {
 	buildOver := func(h storage.Store) (*stats.TableStats, error) {
 		var err error
 		var tup value.Tuple
+		var strs value.StringTable
 		ts := stats.Build(t.Schema, h.Len(), func(emit func(value.Tuple)) {
 			scanErr := h.Scan(func(rid storage.RID, rec []byte) bool {
-				// One tuple serves every row: the builder keeps no row.
-				// A record of the wrong shape for the schema is as
-				// corrupt as one that does not decode.
+				// One tuple serves every row: the builder keeps no row,
+				// and a TEXT value is decoded into a string of its own
+				// once per distinct string, not once per row. A record of
+				// the wrong shape for the schema is as corrupt as one
+				// that does not decode.
 				var row value.Tuple
-				if tup, err = value.DecodeTupleInto(tup, rec, nil); err == nil {
+				if tup, err = strs.DecodeTupleInto(tup, rec, nil); err == nil {
 					row, _, err = t.normalize(tup)
 				}
 				if err != nil {

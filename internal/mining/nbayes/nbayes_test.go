@@ -339,55 +339,98 @@ func trainByRendering(ts *mining.TrainSet, laplace float64) *Model {
 	return m
 }
 
-// TestTrainMatchesRenderKeyedCounts: interning members and classes by ==
-// before rendering trains the model counting by rendering did, over the
-// values where == and rendering part ways — INT 2 and FLOAT 2 (one
-// member, the last seen standing for it), -0 and 0 (two), NaN payloads
-// (one), and NULL. Members Compare ties (-0 and 0) may sit in either
-// order, the render-keyed loop's map order having never fixed it, so
-// each attribute's members are matched by rendering.
+// TestTrainMatchesRenderKeyedCounts: interning members and classes by
+// kind before rendering trains the model counting by rendering did, over
+// the values where the two part ways — INT 2 and FLOAT 2 (one member,
+// the last seen standing for it), -0 and 0 (two), NaN payloads (one),
+// and NULL — and over INTs, FLOATs and TEXTs interleaved, the TEXT
+// holding an INT's rendering ("2" beside 2 and 2.0). Members Compare ties
+// (-0 and 0) may sit in either order, the render-keyed loop's map order
+// having never fixed it, so each attribute's members are matched by
+// rendering.
 func TestTrainMatchesRenderKeyedCounts(t *testing.T) {
 	nan2 := math.Float64frombits(0x7ff8000000000bad)
-	pools := [][]value.Value{
-		{value.Int(2), value.Float(2), value.Float(0), value.Float(math.Copysign(0, -1)), value.Float(math.NaN()), value.Float(nan2), value.Null(), value.Int(-1)},
-		{value.Str("2"), value.Int(2), value.Float(2.5), value.Bool(true), value.Str("TRUE"), value.Null(), value.Str("")},
-		{value.Str("a"), value.Int(2), value.Float(2), value.Float(0), value.Float(math.Copysign(0, -1)), value.Float(math.NaN()), value.Float(nan2), value.Null()},
+	cases := []struct {
+		what  string
+		pools [][]value.Value // two attributes' values, then the labels
+	}{
+		{"±0, NaN payloads, INT and FLOAT 2", [][]value.Value{
+			{value.Int(2), value.Float(2), value.Float(0), value.Float(math.Copysign(0, -1)), value.Float(math.NaN()), value.Float(nan2), value.Null(), value.Int(-1)},
+			{value.Str("2"), value.Int(2), value.Float(2.5), value.Bool(true), value.Str("TRUE"), value.Null(), value.Str("")},
+			{value.Str("a"), value.Int(2), value.Float(2), value.Float(0), value.Float(math.Copysign(0, -1)), value.Float(math.NaN()), value.Float(nan2), value.Null()},
+		}},
+		{"INT, FLOAT and TEXT of one rendering interleaved", [][]value.Value{
+			{value.Int(2), value.Str("2"), value.Float(2), value.Int(0), value.Str("0"), value.Float(0), value.Int(-1), value.Str("-1"), value.Float(-1), value.Null()},
+			{value.Str("2"), value.Int(2), value.Str(`"2"`), value.Float(2), value.Str("TRUE"), value.Bool(true), value.Str("1e+21"), value.Float(1e21), value.Int(1e18)},
+			{value.Int(1), value.Str("1"), value.Float(1), value.Str("x"), value.Int(2), value.Float(2), value.Str("2")},
+		}},
 	}
 	schema := value.MustSchema(value.Column{Name: "x", Kind: value.KindFloat}, value.Column{Name: "y", Kind: value.KindString})
-	for seed := int64(0); seed < 20; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		ts := &mining.TrainSet{Schema: schema}
-		for i := 0; i < 10+r.Intn(200); i++ {
-			ts.Rows = append(ts.Rows, value.Tuple{pools[0][r.Intn(len(pools[0]))], pools[1][r.Intn(len(pools[1]))]})
-			ts.Labels = append(ts.Labels, pools[2][r.Intn(len(pools[2]))])
-		}
-		got, err := Train("nb", "cls", ts, Options{})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		// == on Values compares a FLOAT's bits: slices.Equal is identity.
-		want := trainByRendering(ts, 1)
-		if !slices.Equal(got.classes, want.classes) || !slices.Equal(got.Priors, want.Priors) {
-			t.Fatalf("seed %d: classes %v priors %v, want %v %v", seed, got.classes, got.Priors, want.classes, want.Priors)
-		}
-		for d := range want.Domains {
-			if !slices.Equal(got.Floor[d], want.Floor[d]) {
-				t.Fatalf("seed %d attribute %d: floor %v, want %v", seed, d, got.Floor[d], want.Floor[d])
+	for _, c := range cases {
+		pools := c.pools
+		for seed := int64(0); seed < 20; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			ts := &mining.TrainSet{Schema: schema}
+			for i := 0; i < 10+r.Intn(200); i++ {
+				ts.Rows = append(ts.Rows, value.Tuple{pools[0][r.Intn(len(pools[0]))], pools[1][r.Intn(len(pools[1]))]})
+				ts.Labels = append(ts.Labels, pools[2][r.Intn(len(pools[2]))])
 			}
-			if !slices.IsSortedFunc(got.Domains[d], value.Compare) || len(got.Domains[d]) != len(want.Domains[d]) {
-				t.Fatalf("seed %d attribute %d: domain %v, want %v sorted by Compare", seed, d, got.Domains[d], want.Domains[d])
+			got, err := Train("nb", "cls", ts, Options{})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", c.what, seed, err)
 			}
-			byText := map[string]int{}
-			for l, v := range want.Domains[d] {
-				byText[v.String()] = l
+			// == on Values compares a FLOAT's bits: slices.Equal is identity.
+			want := trainByRendering(ts, 1)
+			if !slices.Equal(got.classes, want.classes) || !slices.Equal(got.Priors, want.Priors) {
+				t.Fatalf("%s seed %d: classes %v priors %v, want %v %v", c.what, seed, got.classes, got.Priors, want.classes, want.Priors)
 			}
-			for l, v := range got.Domains[d] {
-				wl, ok := byText[v.String()]
-				if !ok || v != want.Domains[d][wl] || !slices.Equal(got.Cond[d][l], want.Cond[d][wl]) {
-					t.Fatalf("seed %d attribute %d: member %v (%v) cond %v, want %v (%v) cond %v",
-						seed, d, v, v.Kind(), got.Cond[d][l], want.Domains[d][wl], want.Domains[d][wl].Kind(), want.Cond[d][wl])
+			for d := range want.Domains {
+				if !slices.Equal(got.Floor[d], want.Floor[d]) {
+					t.Fatalf("%s seed %d attribute %d: floor %v, want %v", c.what, seed, d, got.Floor[d], want.Floor[d])
+				}
+				if !slices.IsSortedFunc(got.Domains[d], value.Compare) || len(got.Domains[d]) != len(want.Domains[d]) {
+					t.Fatalf("%s seed %d attribute %d: domain %v, want %v sorted by Compare", c.what, seed, d, got.Domains[d], want.Domains[d])
+				}
+				byText := map[string]int{}
+				for l, v := range want.Domains[d] {
+					byText[v.String()] = l
+				}
+				for l, v := range got.Domains[d] {
+					wl, ok := byText[v.String()]
+					if !ok || v != want.Domains[d][wl] || !slices.Equal(got.Cond[d][l], want.Cond[d][wl]) {
+						t.Fatalf("%s seed %d attribute %d: member %v (%v) cond %v, want %v (%v) cond %v",
+							c.what, seed, d, v, v.Kind(), got.Cond[d][l], want.Domains[d][wl], want.Domains[d][wl].Kind(), want.Cond[d][wl])
+					}
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkTrainNaiveBayesWide counts 160k rows shaped like the
+// benchmark's wide table's training rows — visits (20 INT values) and
+// tier (5) predicting a 3-valued TEXT segment — and fits the model, as
+// the engine's training scan does row by row.
+func BenchmarkTrainNaiveBayesWide(b *testing.B) {
+	const n = 160000
+	r := rand.New(rand.NewSource(7))
+	segments := []string{"regular", "vip", "budget"}
+	rows := make([]value.Tuple, n)
+	labels := make([]value.Value, n)
+	for i := range rows {
+		rows[i] = value.Tuple{value.Int(int64(r.Intn(20))), value.Int(int64(r.Intn(5)))}
+		// A scan decodes every label into a string of its own.
+		labels[i] = value.Str(string([]byte(segments[r.Intn(3)])))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := NewCounts(2)
+		for j, row := range rows {
+			c.Add(row, labels[j])
+		}
+		if _, err := c.Model("wide", "segment", []string{"visits", "tier"}, Options{}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -266,10 +266,13 @@ func (c *Column) members() Members {
 // equals the number of ids handed out before it is the first of its id.
 // The zero Interner is ready to use.
 //
-// A value met before is recognized by == without being rendered, so each
-// distinct value is rendered once: == implies the same rendering, a
-// FLOAT's == comparing its bits.
+// A value met before is recognized without being rendered, so each
+// distinct value is rendered once: an INT by its integer, a TEXT by its
+// string, any other value by == (a FLOAT's == comparing its bits). Each
+// of those implies the same rendering.
 type Interner struct {
+	ints   map[int64]int
+	strs   map[string]int
 	exact  map[value.Value]int
 	byText map[string]int
 	texts  []string // texts[id]: the rendering of id
@@ -277,20 +280,52 @@ type Interner struct {
 
 // ID returns v's id.
 func (in *Interner) ID(v value.Value) int {
+	switch v.Kind() {
+	case value.KindInt:
+		if id, ok := in.ints[v.AsInt()]; ok {
+			return id
+		}
+		if in.ints == nil {
+			in.ints = map[int64]int{}
+		}
+		id := in.render(v)
+		in.ints[v.AsInt()] = id
+		return id
+	case value.KindString:
+		if id, ok := in.strs[v.AsString()]; ok {
+			return id
+		}
+		if in.strs == nil {
+			in.strs = map[string]int{}
+		}
+		id := in.render(v)
+		in.strs[v.AsString()] = id
+		return id
+	}
 	if id, ok := in.exact[v]; ok {
 		return id
 	}
 	if in.exact == nil {
-		in.exact, in.byText = map[value.Value]int{}, map[string]int{}
+		in.exact = map[value.Value]int{}
 	}
+	id := in.render(v)
+	in.exact[v] = id
+	return id
+}
+
+// render returns the id of v's rendering, handing out the next one when
+// it is new.
+func (in *Interner) render(v value.Value) int {
 	text := v.String()
 	id, ok := in.byText[text]
 	if !ok {
+		if in.byText == nil {
+			in.byText = map[string]int{}
+		}
 		id = len(in.texts)
 		in.byText[text] = id
 		in.texts = append(in.texts, text)
 	}
-	in.exact[v] = id
 	return id
 }
 

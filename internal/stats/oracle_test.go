@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -213,6 +214,10 @@ func FuzzBuildMatchesOracle(f *testing.F) {
 	f.Add(int64(6), uint16(3000), uint16(900), uint8(10), true)                // specials among NULLs, spilled
 	f.Add(int64(7), uint16(700), uint16(30), uint8(5), true)                   // specials, exact
 	f.Add(int64(8), uint16(2000), uint16(2000), uint8(0), true)                // all distinct with specials
+	f.Add(int64(325213), uint16(3000), uint16(900), uint8(0), false)           // 900 INTs one apart: spilled and counted
+	f.Add(int64(390781), uint16(3000), uint16(1400), uint8(3), false)          // 1,400 INTs two apart among NULLs: counted
+	f.Add(int64(325213), uint16(3000), uint16(900), uint8(2), true)            // the same with NaN payloads, ±0 and the INT extremes
+	f.Add(int64(9), uint16(1500), uint16(40), uint8(0), true)                  // NaN payloads and ±0 among few values: exact
 	f.Fuzz(func(t *testing.T, seed int64, rows, distinct uint16, nullPct uint8, mix bool) {
 		n := int(rows) % 4000
 		d := max(1, int(distinct)%2001)
@@ -231,6 +236,64 @@ func TestBuildSpillBoundary(t *testing.T) {
 			if spilled := cs.Exact == nil; spilled != (d > MaxExactDistinct) || cs.Distinct != int64(d) {
 				t.Errorf("%d distinct: %s spilled=%v with %d distinct", d, name, spilled, cs.Distinct)
 			}
+		}
+	}
+}
+
+// TestBuildCountingHistogramMatchesSort: a spilled INT column whose values
+// span fewer than twice its length integers is sorted by counting, any
+// other by comparison, and either way the statistics are the oracle's —
+// on a dense column, a sparse one, one spanning MinInt64..MaxInt64 (whose
+// width overflows int64), a dense one at the top of the range, and a
+// BOOL column beside them.
+func TestBuildCountingHistogramMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(54))
+	const n = 3000
+	dealt := func(at func(k int) int64) []int64 {
+		vals := make([]int64, n)
+		for k := range vals {
+			vals[k] = at(k)
+		}
+		r.Shuffle(n, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+		return vals
+	}
+	cases := []struct {
+		what    string
+		vals    []int64
+		counted bool
+	}{
+		{"dense", dealt(func(k int) int64 { return int64(k%1500) - 700 }), true},
+		{"dense, spanning just under twice its length", dealt(func(k int) int64 { return int64(k%1000) * (2*n - 1) / 999 }), true},
+		{"spanning twice its length", dealt(func(k int) int64 { return int64(k%1000) * 2 * n / 999 }), false},
+		{"sparse", dealt(func(k int) int64 { return int64(k%1500) * 1000003 }), false},
+		{"MinInt64..MaxInt64", dealt(func(k int) int64 {
+			switch k {
+			case 0:
+				return math.MinInt64
+			case 1:
+				return math.MaxInt64
+			}
+			return int64(k % 1000)
+		}), false},
+		{"top of the range", dealt(func(k int) int64 { return math.MaxInt64 - int64(k%1000) }), true},
+		{"bottom of the range", dealt(func(k int) int64 { return math.MinInt64 + int64(k%1000) }), true},
+	}
+	for _, c := range cases {
+		sorted, vals := slices.Clone(c.vals), slices.Clone(c.vals)
+		slices.Sort(sorted)
+		if counted := sortInts(vals); counted != c.counted || !slices.Equal(vals, sorted) {
+			t.Fatalf("%s: counted=%v (want %v), sorted as the comparison sort: %v", c.what, counted, c.counted, slices.Equal(vals, sorted))
+		}
+		rows := make([]value.Tuple, n)
+		for k, x := range c.vals {
+			rows[k] = value.Tuple{value.Int(x), value.Float(float64(k % 7)), value.Str("v" + strconv.Itoa(k%5)), value.Bool(r.Intn(2) == 0)}
+			if r.Intn(10) == 0 {
+				rows[k][3] = value.Null()
+			}
+		}
+		ts := checkMatchesOracle(t, rows)
+		if ts.Col("i").Exact != nil || ts.Col("b").Exact == nil {
+			t.Fatalf("%s: the INT column stayed exact or the BOOL column spilled", c.what)
 		}
 	}
 }

@@ -5,15 +5,17 @@
 // premise is that upper-envelope predicates only pay off when their
 // estimated selectivity is low enough to make an index attractive.
 //
-// A build keeps nothing per row for a column that stays exact. A column
-// that passes MaxExactDistinct distinct values spills into a slice of its
-// schema kind ([]int64 for INT and BOOL, []float64, []string), and its
-// histogram comes from sorting that slice with the kind's own order, not
-// from comparing Values.
+// A build keeps nothing per row for a column that stays exact, and counts
+// its values in a map of the column's kind, not by hashing Values. A
+// column that passes MaxExactDistinct distinct values spills into a slice
+// of its schema kind ([]int64 for INT and BOOL, []float64, []string), and
+// its histogram comes from sorting that slice with the kind's own order,
+// not from comparing Values — an INT column of a narrow span by counting.
 package stats
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sort"
 
@@ -64,26 +66,41 @@ type TableStats struct {
 
 // builder accumulates one column during a build pass. While the column
 // holds at most MaxExactDistinct distinct values it keeps their exact
-// counts and nothing else. The value past that bound spills the counts
-// into a slice of the column's kind — ints for INT and BOOL (0/1), floats,
-// strs — each value repeated as often as it was counted, and from then on
-// every value is appended to that slice raw; finish sorts it into the
-// histogram.
+// counts and nothing else: exact holds each distinct value as first seen,
+// with its count, and one map of the column's kind finds its entry — by
+// the integer for INT and BOOL (0/1), by the canonical float bits for
+// FLOAT (-0 counts as 0, every NaN as one NaN, the values value.Compare
+// ties), by the string for TEXT. The value past that bound spills the
+// counts into a slice of the column's kind — ints, floats, strs — each
+// value repeated as often as it was counted, and from then on every value
+// is appended to that slice raw; finish sorts it into the histogram.
 type builder struct {
 	kind     value.Kind
-	rows     int64                   // rows the build expects: the spill slice's capacity
-	exact    map[uint64][]ValueCount // hash -> values (collision chain); nil once spilled
-	distinct int
+	rows     int64        // rows the build expects: the spill slice's capacity
+	exact    []ValueCount // first-seen values and their counts, until spilled
+	intIdx   map[int64]int32
+	floatIdx map[uint64]int32
+	strIdx   map[string]int32
+	spilled  bool
 	count    int64
 	nulls    int64
-	min, max value.Value
+	min, max value.Value // set once spilled; exact's own bounds until then
 	ints     []int64
 	floats   []float64
 	strs     []string
 }
 
 func newBuilder(kind value.Kind, rows int64) *builder {
-	return &builder{kind: kind, rows: rows, exact: make(map[uint64][]ValueCount)}
+	b := &builder{kind: kind, rows: rows}
+	switch kind {
+	case value.KindFloat:
+		b.floatIdx = make(map[uint64]int32)
+	case value.KindString:
+		b.strIdx = make(map[string]int32)
+	default:
+		b.intIdx = make(map[int64]int32)
+	}
+	return b
 }
 
 func (b *builder) add(v value.Value) {
@@ -92,38 +109,61 @@ func (b *builder) add(v value.Value) {
 		return
 	}
 	b.count++
-	if b.count == 1 {
-		b.min, b.max = v, v
-	} else {
-		if value.Compare(v, b.min) < 0 {
-			b.min = v
-		}
-		if value.Compare(v, b.max) > 0 {
-			b.max = v
-		}
-	}
-	if b.exact == nil {
+	if b.spilled {
 		b.spill(v)
 		return
 	}
-	h := v.Hash()
-	chain := b.exact[h]
-	for i := range chain {
-		if value.Equal(chain[i].Val, v) {
-			chain[i].Count++
-			return
-		}
+	switch b.kind {
+	case value.KindFloat:
+		countIn(b, b.floatIdx, floatKey(v.AsFloat()), v)
+	case value.KindString:
+		countIn(b, b.strIdx, v.AsString(), v)
+	default:
+		countIn(b, b.intIdx, intOf(v), v)
 	}
-	b.exact[h] = append(chain, ValueCount{Val: v, Count: 1})
-	b.distinct++
-	if b.distinct > MaxExactDistinct {
+}
+
+// countIn counts v, whose key in idx is k.
+func countIn[K comparable](b *builder, idx map[K]int32, k K, v value.Value) {
+	if i, ok := idx[k]; ok {
+		b.exact[i].Count++
+		return
+	}
+	idx[k] = int32(len(b.exact))
+	b.exact = append(b.exact, ValueCount{Val: v, Count: 1})
+	if len(b.exact) > MaxExactDistinct {
 		b.expand()
 	}
 }
 
+// intOf is the integer an INT or BOOL column keeps of v: the INT, or a
+// BOOL's 0/1.
+func intOf(v value.Value) int64 {
+	if v.Kind() == value.KindBool {
+		if v.AsBool() {
+			return 1
+		}
+		return 0
+	}
+	return v.AsInt()
+}
+
+// floatKey is f's bits with the floats value.Compare ties made one:
+// -0 is 0, and every NaN is one NaN.
+func floatKey(f float64) uint64 {
+	switch {
+	case f == 0:
+		return 0
+	case f != f:
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(f)
+}
+
 // expand abandons the exact counts: every value counted so far goes into
 // the spill slice, sized for the rows the build expects (or the values
-// seen, should the store have grown since it was counted).
+// seen, should the store have grown since it was counted). The column's
+// bounds so far are exact's.
 func (b *builder) expand() {
 	n := max(b.rows, b.count)
 	switch b.kind {
@@ -134,67 +174,114 @@ func (b *builder) expand() {
 	default:
 		b.ints = make([]int64, 0, n)
 	}
-	for _, chain := range b.exact {
-		for _, vc := range chain {
-			for i := int64(0); i < vc.Count; i++ {
-				b.spill(vc.Val)
-			}
+	b.min, b.max = exactBounds(b.exact)
+	b.spilled = true
+	for _, vc := range b.exact {
+		for i := int64(0); i < vc.Count; i++ {
+			b.spill(vc.Val)
 		}
 	}
-	b.exact = nil
+	b.exact, b.intIdx, b.floatIdx, b.strIdx = nil, nil, nil, nil
+}
+
+// exactBounds returns the least and the greatest of distinct values in
+// the order they were first seen, each the first seen of the values
+// value.Compare ties with it.
+func exactBounds(vcs []ValueCount) (lo, hi value.Value) {
+	for i, vc := range vcs {
+		if i == 0 || value.Compare(vc.Val, lo) < 0 {
+			lo = vc.Val
+		}
+		if i == 0 || value.Compare(vc.Val, hi) > 0 {
+			hi = vc.Val
+		}
+	}
+	return lo, hi
 }
 
 // spill appends v to the slice of the column's kind (an INT widens into a
-// FLOAT column).
+// FLOAT column). A FLOAT column keeps its bounds as it goes: of the
+// values its order ties, the first seen. The other kinds' bounds are the
+// ends of their sorted slice, where only identical values tie.
 func (b *builder) spill(v value.Value) {
 	switch b.kind {
-	case value.KindInt:
-		b.ints = append(b.ints, v.AsInt())
-	case value.KindBool:
-		var x int64
-		if v.AsBool() {
-			x = 1
-		}
-		b.ints = append(b.ints, x)
 	case value.KindFloat:
-		b.floats = append(b.floats, v.AsFloat())
+		f := v.AsFloat()
+		if cmp.Compare(f, b.min.AsFloat()) < 0 {
+			b.min = v
+		}
+		if cmp.Compare(f, b.max.AsFloat()) > 0 {
+			b.max = v
+		}
+		b.floats = append(b.floats, f)
 	case value.KindString:
 		b.strs = append(b.strs, v.AsString())
+	default:
+		b.ints = append(b.ints, intOf(v))
 	}
 }
 
 func (b *builder) finish() *ColumnStats {
-	cs := &ColumnStats{Count: b.count, NullCount: b.nulls, Min: b.min, Max: b.max}
-	if b.exact != nil {
-		for _, chain := range b.exact {
-			cs.Exact = append(cs.Exact, chain...)
+	cs := &ColumnStats{Count: b.count, NullCount: b.nulls}
+	if !b.spilled {
+		cs.Exact = b.exact
+		slices.SortFunc(cs.Exact, func(x, y ValueCount) int { return value.Compare(x.Val, y.Val) })
+		if n := len(cs.Exact); n > 0 {
+			cs.Min, cs.Max = cs.Exact[0].Val, cs.Exact[n-1].Val
 		}
-		sort.Slice(cs.Exact, func(i, j int) bool {
-			return value.Compare(cs.Exact[i].Val, cs.Exact[j].Val) < 0
-		})
 		cs.Distinct = int64(len(cs.Exact))
 		return cs
 	}
 	switch b.kind {
-	case value.KindInt:
+	case value.KindInt: // a BOOL column never spills
+		sortInts(b.ints)
+		cs.Min, cs.Max = value.Int(b.ints[0]), value.Int(b.ints[len(b.ints)-1])
 		histogram(cs, b.ints, value.Int)
-	case value.KindBool:
-		histogram(cs, b.ints, func(x int64) value.Value { return value.Bool(x != 0) })
 	case value.KindFloat:
+		slices.Sort(b.floats)
+		cs.Min, cs.Max = b.min, b.max
 		histogram(cs, b.floats, value.Float)
 	case value.KindString:
+		slices.Sort(b.strs)
+		cs.Min, cs.Max = value.Str(b.strs[0]), value.Str(b.strs[len(b.strs)-1])
 		histogram(cs, b.strs, value.Str)
 	}
 	return cs
 }
 
-// histogram sorts a spilled column's values and sets cs's equi-depth
-// buckets and distinct count. Within one kind cmp.Compare orders and ties
-// values as value.Compare does: a NaN below every number and equal to
-// every NaN, -0.0 equal to 0.0. A bucket bound is one member of such a
+// sortInts sorts a spilled INT column and reports whether it counted.
+// When its values span fewer than 2 × its length integers it counts
+// them, one slot per integer of the span, and writes them back in order,
+// which needs no comparison; otherwise it sorts them.
+func sortInts(vals []int64) (counted bool) {
+	lo, hi := slices.Min(vals), slices.Max(vals)
+	// hi-lo wraps past MaxInt64, but as a uint64 it is the exact width:
+	// a column spanning MinInt64..MaxInt64 is 2^64-1 wide, not negative.
+	span := uint64(hi) - uint64(lo)
+	if span >= 2*uint64(len(vals)) {
+		slices.Sort(vals)
+		return false
+	}
+	counts := make([]int32, span+1)
+	for _, x := range vals {
+		counts[uint64(x)-uint64(lo)]++
+	}
+	i := 0
+	for off, c := range counts {
+		for x := lo + int64(off); c > 0; c-- {
+			vals[i] = x
+			i++
+		}
+	}
+	return true
+}
+
+// histogram sets cs's equi-depth buckets and distinct count from a
+// spilled column's sorted values. Within one kind cmp.Compare orders and
+// ties values as value.Compare does: a NaN below every number and equal
+// to every NaN, -0.0 equal to 0.0. A bucket bound is one member of such a
 // tie, as it was of the Values the column held.
 func histogram[T cmp.Ordered](cs *ColumnStats, vals []T, box func(T) value.Value) {
-	slices.Sort(vals)
 	per := (len(vals) + NumBuckets - 1) / NumBuckets
 	cs.Hist = make([]Bucket, 0, (len(vals)+per-1)/per)
 	for start := 0; start < len(vals); start += per {

@@ -163,6 +163,8 @@ type ColumnStore struct {
 // What the store keeps is only what the sealed groups hold: every record
 // is decoded into one reused tuple and buffered in one reused group
 // builder, and of a group's strings only the distinct ones survive it.
+// TEXT fields are decoded through one value.StringTable, so a string the
+// build has met before costs no allocation.
 func BuildColumnStore(s Store, kinds []value.Kind, groupRows int) (*ColumnStore, error) {
 	if groupRows <= 0 {
 		groupRows = ColGroupRows
@@ -178,10 +180,11 @@ func BuildColumnStore(s Store, kinds []value.Kind, groupRows int) (*ColumnStore,
 	cs := &ColumnStore{}
 	b := &groupBuilder{kinds: kinds, cols: make([]colBuffer, len(kinds))}
 	var tup value.Tuple
+	var strs value.StringTable
 	appendFrom := func(h Store, part int) error {
 		var buildErr error
 		scanErr := h.Scan(func(_ RID, rec []byte) bool {
-			if tup, buildErr = value.DecodeTupleInto(tup, rec, nil); buildErr != nil {
+			if tup, buildErr = strs.DecodeTupleInto(tup, rec, nil); buildErr != nil {
 				return false
 			}
 			if buildErr = b.add(tup); buildErr != nil {
@@ -311,7 +314,7 @@ func (b *groupBuilder) seal(part int) *ColGroup {
 }
 
 // sealInts seals an INT or BOOL column. When the group's values span
-// fewer than 2 × its row count integers, they are coded by counting
+// fewer than countingSpan × its row count integers, they are coded by counting
 // (sealCounting), which needs no comparison; otherwise by sealDict's
 // sort. Both give the same dictionary and codes.
 func (b *groupBuilder) sealInts(v *ColVec, vals []rowValue[int64], codes []uint16) []int64 {
@@ -324,14 +327,19 @@ func (b *groupBuilder) sealInts(v *ColVec, vals []rowValue[int64], codes []uint1
 	}
 	// hi-lo wraps past MaxInt64, but as a uint64 it is the exact width:
 	// a group spanning MinInt64..MaxInt64 is 2^64-1 wide, not negative.
-	if span := uint64(hi) - uint64(lo); span < 2*uint64(b.n) {
+	if span := uint64(hi) - uint64(lo); span < countingSpan*uint64(b.n) {
 		if cap(b.slots) <= int(span) {
-			b.slots = make([]uint16, span+1, 2*b.n)
+			b.slots = make([]uint16, span+1, countingSpan*b.n)
 		}
 		return sealCounting(v, vals, lo, b.slots[:span+1], codes)
 	}
 	return sealDict(v, vals, codes, func(a, b rowValue[int64]) int { return cmp.Compare(a.v, b.v) })
 }
+
+// countingSpan bounds the span, in multiples of a group's row count, of
+// an INT column sealInts codes by counting: one pass over that many slots
+// costs less than sorting the group.
+const countingSpan = 8
 
 // sealCounting is sealDict for integers lo and up that fit slots, one
 // slot per integer of the range: it marks the values present, numbers

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -429,5 +431,50 @@ func TestFootprintColumnStore(t *testing.T) {
 	t.Logf("%d rows in %d groups: %.1f bytes per row", cs.NumRows, len(cs.Groups), perRow)
 	if perRow > 40 {
 		t.Errorf("the sealed store keeps %.1f bytes per row, want at most 40", perRow)
+	}
+}
+
+// TestAllocBuildColumnStoreText: a build makes a string once per distinct
+// TEXT value it decodes, not once per row: what it allocates besides is
+// per group. Four times the rows with the same strings cost a few
+// allocations a group more; four times the strings over the same rows
+// cost about one more a string.
+func TestAllocBuildColumnStoreText(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	// heap holds n rows of an INT and a TEXT of d strings.
+	heap := func(n, d int) *Heap {
+		h := NewHeap()
+		var rec []byte
+		for i := 0; i < n; i++ {
+			rec = value.EncodeTuple(rec[:0], value.Tuple{value.Int(int64(i % 50)), value.Str("segment-" + strconv.Itoa(i%d))})
+			if _, err := h.Insert(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return h
+	}
+	kinds := []value.Kind{value.KindInt, value.KindString}
+	built := func(h *Heap) uint64 {
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := BuildColumnStore(h, kinds, 0); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 8 * ColGroupRows
+	few, manyRows, manyStrings := built(heap(n, 500)), built(heap(4*n, 500)), built(heap(n, 2000))
+	t.Logf("a build makes %d allocations over %d rows of 500 strings, %d over %d rows, %d over %d rows of 2,000 strings", few, n, manyRows, 4*n, manyStrings, n)
+	if perRow := float64(int64(manyRows)-int64(few)) / (3 * n); perRow > 0.01 {
+		t.Errorf("a build allocates %.3f times more per extra row, at most 0.01", perRow)
+	}
+	if extra := int64(manyStrings) - int64(few); extra < 1500 || extra > 2*1500 {
+		t.Errorf("1,500 more strings took %d more allocations, want one or two a string", extra)
 	}
 }

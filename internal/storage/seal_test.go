@@ -61,7 +61,8 @@ func sealBy(g intGroup, seal func(v *ColVec, vals []rowValue[int64], codes []uin
 // order, the same codes in the same width, exactly sized — on dense
 // groups, groups right at and past the range bound, ranges whose width
 // overflows int64, a single value, BOOL and NULLs. sealInts takes the
-// counting path exactly when the range is below twice the row count.
+// counting path exactly when the range is below countingSpan times the
+// row count.
 func TestSealCountingMatchesSort(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	const n = ColGroupRows
@@ -69,8 +70,9 @@ func TestSealCountingMatchesSort(t *testing.T) {
 		randomGroup(r, "dense", n, -40, 99, 0),
 		randomGroup(r, "dense with NULLs", n, 1000, 600, 3),
 		randomGroup(r, "more than 256 values", n, 7, 3000, 0),
-		randomGroup(r, "range just below the bound", n, -5, 2*n-1, 5),
-		randomGroup(r, "range at the bound", n, -5, 2*n, 5),
+		randomGroup(r, "range just below the bound", n, -5, countingSpan*n-1, 5),
+		randomGroup(r, "range at the bound", n, -5, countingSpan*n, 5),
+		randomGroup(r, "range just past the bound", n, -5, countingSpan*n+1, 5),
 		randomGroup(r, "sparse", n, 0, 1<<40, 0),
 		randomGroup(r, "MinInt64..MaxInt64", n, math.MinInt64, math.MaxUint64, 4),
 		randomGroup(r, "wider than MaxInt64", n, math.MinInt64+5, math.MaxUint64-10, 0),
@@ -103,10 +105,10 @@ func TestSealCountingMatchesSort(t *testing.T) {
 			lo, hi = min(lo, e.v), max(hi, e.v)
 		}
 		span := uint64(hi) - uint64(lo)
-		if counted := cap(b.slots) > 0; counted != (span < 2*uint64(g.n)) {
+		if counted := cap(b.slots) > 0; counted != (span < countingSpan*uint64(g.n)) {
 			t.Errorf("%s: a range of %d over %d rows counted=%v", g.what, span, g.n, counted)
 		}
-		if span >= 2*uint64(g.n) {
+		if span >= countingSpan*uint64(g.n) {
 			continue
 		}
 		slots := make([]uint16, span+1)

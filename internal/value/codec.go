@@ -63,7 +63,7 @@ func appendValues(dst []byte, vs []Value) []byte {
 // of bytes consumed.
 func DecodeValue(b []byte) (Value, int, error) {
 	var one [1]Value
-	t, rest, err := decodeFields(one[:0], b, 1, nil)
+	t, rest, err := decodeFields(one[:0], b, 1, nil, nil)
 	if err != nil {
 		return Value{}, 0, err
 	}
@@ -75,8 +75,9 @@ func DecodeValue(b []byte) (Value, int, error) {
 // values appended; the others are validated and measured the same way
 // but not built (no string is allocated). It is the one decoder, and a
 // tuple is decoded in one call to it, not one per field: a scan decodes
-// every field of every row it reads.
-func decodeFields(dst Tuple, b []byte, n uint64, need []bool) (Tuple, []byte, error) {
+// every field of every row it reads. st, when non-nil, is the intern
+// table a TEXT field's string is taken from.
+func decodeFields(dst Tuple, b []byte, n uint64, need []bool, st *StringTable) (Tuple, []byte, error) {
 	for i := uint64(0); i < n; i++ {
 		if len(b) == 0 {
 			return nil, nil, fmt.Errorf("value: decode field %d: empty buffer", i)
@@ -118,7 +119,11 @@ func decodeFields(dst Tuple, b []byte, n uint64, need []bool) (Tuple, []byte, er
 				return nil, nil, fmt.Errorf("value: decode field %d: TEXT: short buffer", i)
 			}
 			used = 1 + sz + int(m)
-			if keep {
+			switch {
+			case !keep:
+			case st != nil:
+				v = Str(st.intern(rest[sz : sz+int(m)]))
+			default:
 				v = Str(string(rest[sz : sz+int(m)]))
 			}
 		default:
@@ -196,6 +201,49 @@ func DecodeTuple(b []byte) (Tuple, error) {
 // validated exactly like the rest — a corrupt record fails whichever
 // field it is corrupt in — but not built.
 func DecodeTupleInto(dst Tuple, b []byte, need []bool) (Tuple, error) {
+	return decodeTuple(dst, b, need, nil)
+}
+
+// maxInterned is the number of distinct strings a StringTable keeps.
+const maxInterned = 1 << 12
+
+// StringTable interns the TEXT values a pass over a store decodes: a
+// field whose bytes the table holds is given the string it holds, and a
+// new one is copied once and kept, until the table holds maxInterned
+// strings; past that, a new string is copied every time it is decoded, as
+// DecodeTupleInto does. A pass that keeps a column's distinct values, or
+// only counts them, then allocates per distinct string rather than per
+// row. A string is always a copy: none aliases the record it came from.
+//
+// The zero StringTable is ready to use. It is one pass's, not safe for
+// concurrent use, and keeps what it interned alive while it lives.
+type StringTable struct {
+	strs map[string]string
+}
+
+// DecodeTupleInto is value.DecodeTupleInto with each TEXT field's string
+// taken from st.
+func (st *StringTable) DecodeTupleInto(dst Tuple, b []byte, need []bool) (Tuple, error) {
+	return decodeTuple(dst, b, need, st)
+}
+
+// intern returns b as a string: the table's when it holds b.
+func (st *StringTable) intern(b []byte) string {
+	if s, ok := st.strs[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(st.strs) < maxInterned {
+		if st.strs == nil {
+			st.strs = make(map[string]string)
+		}
+		st.strs[s] = s
+	}
+	return s
+}
+
+// decodeTuple is DecodeTupleInto, interning TEXT in st when it is non-nil.
+func decodeTuple(dst Tuple, b []byte, need []bool, st *StringTable) (Tuple, error) {
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 {
 		return nil, fmt.Errorf("value: decode tuple: bad arity")
@@ -207,7 +255,7 @@ func DecodeTupleInto(dst Tuple, b []byte, need []bool) (Tuple, error) {
 	if need == nil && uint64(cap(dst)) < n {
 		dst = make(Tuple, 0, n)
 	}
-	dst, _, err := decodeFields(dst[:0], b, n, need)
+	dst, _, err := decodeFields(dst[:0], b, n, need, st)
 	if err != nil {
 		return nil, fmt.Errorf("value: decode tuple: %w", err)
 	}
