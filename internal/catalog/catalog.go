@@ -58,10 +58,9 @@ type Table struct {
 	// diverge (see ColumnStore).
 	writeVer atomic.Int64
 
-	mu        sync.RWMutex
-	indexes   []*Index
-	stats     *stats.TableStats
-	partStats []*stats.TableStats
+	mu      sync.RWMutex
+	indexes []*Index
+	stats   *stats.TableStats
 
 	// Columnar sidecar state (see colstore.go): colEnabled is the
 	// opt-in flag, colStore the derived column groups, colVer the
@@ -135,68 +134,40 @@ func (t *Table) Stats() *stats.TableStats {
 	return t.stats
 }
 
-// Analyze recomputes table statistics from the heap. On a page-read
-// failure, or a record that does not decode, the partial statistics are
-// discarded and the previous ones kept, so the optimizer never costs
-// plans from a truncated sample. Partitioned tables are analyzed
-// partition by partition: the per-partition statistics are retained (see
-// PartitionStats) and their merge becomes the table-level statistics.
+// Analyze recomputes table statistics from the heap in one build over
+// all its rows; a partitioned table's heap scans its partitions in
+// order, so its statistics are those of an ordinary table holding the
+// same rows. On a page-read failure, or a record that does not decode,
+// the partial statistics are discarded and the previous ones kept, so
+// the optimizer never costs plans from a truncated sample.
 func (t *Table) Analyze() (*stats.TableStats, error) {
-	buildOver := func(h storage.Store) (*stats.TableStats, error) {
-		var err error
-		var tup value.Tuple
-		var strs value.StringTable
-		ts := stats.Build(t.Schema, h.Len(), func(emit func(value.Tuple)) {
-			scanErr := h.Scan(func(rid storage.RID, rec []byte) bool {
-				// One tuple serves every row: the builder keeps no row,
-				// and a TEXT value is decoded into a string of its own
-				// once per distinct string, not once per row. A record of
-				// the wrong shape for the schema is as corrupt as one
-				// that does not decode.
-				var row value.Tuple
-				if tup, err = strs.DecodeTupleInto(tup, rec, nil); err == nil {
-					row, _, err = t.normalize(tup)
-				}
-				if err != nil {
-					err = fmt.Errorf("corrupt row at %s: %w", rid, err)
-					return false
-				}
-				emit(row)
-				return true
-			})
-			if err == nil {
-				err = scanErr
+	var err error
+	var tup value.Tuple
+	var strs value.StringTable
+	ts := stats.Build(t.Schema, t.Heap.Len(), func(emit func(value.Tuple)) {
+		scanErr := t.Heap.Scan(func(rid storage.RID, rec []byte) bool {
+			// One tuple serves every row: the builder keeps no row, and
+			// a TEXT value is decoded into a string of its own once per
+			// distinct string, not once per row. A record of the wrong
+			// shape for the schema is as corrupt as one that does not
+			// decode.
+			var row value.Tuple
+			if tup, err = strs.DecodeTupleInto(tup, rec, nil); err == nil {
+				row, _, err = t.normalize(tup)
 			}
-		})
-		if err != nil {
-			return nil, fmt.Errorf("catalog: analyze %s: %w", t.Name, err)
-		}
-		return ts, nil
-	}
-	if ph := t.partHeap(); ph != nil {
-		per := make([]*stats.TableStats, ph.NumPartitions())
-		for p := range per {
-			ts, err := buildOver(ph.Partition(p))
 			if err != nil {
-				return nil, err
+				err = fmt.Errorf("corrupt row at %s: %w", rid, err)
+				return false
 			}
-			per[p] = ts
+			emit(row)
+			return true
+		})
+		if err == nil {
+			err = scanErr
 		}
-		merged := stats.Merge(per)
-		t.mu.Lock()
-		t.stats = merged
-		t.partStats = per
-		t.mu.Unlock()
-		if t.ColumnarEnabled() {
-			if err := t.rebuildColumnStore(); err != nil {
-				return nil, err
-			}
-		}
-		return merged, nil
-	}
-	ts, err := buildOver(t.Heap)
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("catalog: analyze %s: %w", t.Name, err)
 	}
 	t.mu.Lock()
 	t.stats = ts

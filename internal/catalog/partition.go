@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"minequery/internal/interval"
-	"minequery/internal/stats"
 	"minequery/internal/storage"
 	"minequery/internal/value"
 )
@@ -121,15 +120,6 @@ func (t *Table) NumPartitions() int {
 		return 1
 	}
 	return t.Part.NumPartitions()
-}
-
-// PartitionStats returns the per-partition statistics from the most
-// recent Analyze (nil for ordinary tables or before the first Analyze).
-// Index i corresponds to partition i.
-func (t *Table) PartitionStats() []*stats.TableStats {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.partStats
 }
 
 // PartitionSizes returns the pages holding a live record and the live

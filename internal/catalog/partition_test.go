@@ -143,16 +143,12 @@ func TestPartitionedInsertRoutingAndAnalyze(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ts.RowCount != int64(len(rows)) {
-		t.Errorf("merged RowCount = %d, want %d", ts.RowCount, len(rows))
+		t.Errorf("RowCount = %d, want %d", ts.RowCount, len(rows))
 	}
-	per := tbl.PartitionStats()
-	if len(per) != 3 {
-		t.Fatalf("PartitionStats len = %d", len(per))
-	}
-	wantPerPart := []int64{2, 2, 2}
-	for p, ps := range per {
-		if ps.RowCount != wantPerPart[p] {
-			t.Errorf("partition %d RowCount = %d, want %d", p, ps.RowCount, wantPerPart[p])
+	ph := tbl.Heap.(*storage.PartitionedHeap)
+	for p := range ph.NumPartitions() {
+		if n := ph.Partition(p).Len(); n != 2 {
+			t.Errorf("partition %d holds %d rows, want 2", p, n)
 		}
 	}
 

@@ -1,8 +1,7 @@
 // Package expr defines predicate expressions over tuples: the propositional
 // AND/OR/NOT combinations of simple selection conditions that the paper's
-// upper envelopes are constrained to be, plus the normalization,
-// simplification, and transitivity machinery that Section 4.2's
-// optimization pipeline relies on.
+// upper envelopes are constrained to be, plus the normalization and
+// simplification that Section 4.2's optimization pipeline relies on.
 package expr
 
 import (

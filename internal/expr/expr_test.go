@@ -333,39 +333,52 @@ func TestSimplifyTautology(t *testing.T) {
 	_ = s
 }
 
+// TestImpliedDomain: Simplify narrows a column to the finite domain its
+// disjuncts imply — the transitivity of Section 4.1, which the rewriter
+// gets by simplifying the envelope-augmented predicate — or to FALSE when
+// they imply none.
 func TestImpliedDomain(t *testing.T) {
-	e := NewOr(
-		NewAnd(Cmp{"c", OpEq, value.Str("old")}, Cmp{"a", OpGt, value.Int(0)}),
-		In{"c", []value.Value{value.Str("mid"), value.Str("old")}},
-	)
-	vals, ok := ImpliedDomain(e, "c")
-	if !ok {
-		t.Fatal("domain should be finite")
+	c := func(v string) Expr { return Cmp{"c", OpEq, value.Str(v)} }
+	in := func(vs ...string) Expr {
+		vals := make([]value.Value, len(vs))
+		for i, v := range vs {
+			vals[i] = value.Str(v)
+		}
+		return In{"c", vals}
 	}
-	if len(vals) != 2 {
-		t.Fatalf("got %d values, want 2: %v", len(vals), vals)
-	}
-	// Unconstrained disjunct -> not finite.
-	e2 := NewOr(Cmp{"c", OpEq, value.Str("old")}, Cmp{"a", OpGt, value.Int(0)})
-	if _, ok := ImpliedDomain(e2, "c"); ok {
-		t.Error("domain should not be finite when a disjunct is unconstrained")
-	}
-	// FALSE -> empty finite domain.
-	vals3, ok := ImpliedDomain(FalseExpr{}, "c")
-	if !ok || len(vals3) != 0 {
-		t.Error("FALSE should imply the empty domain")
+	for _, tc := range []struct {
+		e    Expr
+		want string
+	}{
+		{NewAnd(NewOr(c("new"), in("mid", "old")), Cmp{"c", OpGe, value.Str("n")}), `(c = "new") OR (c = "old")`},
+		{NewAnd(NewOr(c("old"), c("mid")), NewOr(c("mid"), c("new"))), `c = "mid"`},
+		{NewAnd(in("mid", "old"), Cmp{"c", OpNe, value.Str("mid")}), `c = "old"`},
+		{NewAnd(c("old"), c("new")), "FALSE"},
+		{NewAnd(in("mid", "old"), Cmp{"c", OpLt, value.Str("m")}), "FALSE"},
+		{FalseExpr{}, "FALSE"},
+	} {
+		got, ok := Simplify(tc.e, 0)
+		if !ok || got.String() != tc.want {
+			t.Errorf("Simplify(%s) = %s %v, want %s", tc.e, got, ok, tc.want)
+		}
 	}
 }
 
+// TestImplies: a conjunct p implies an atom q exactly when p AND NOT q
+// simplifies to unsatisfiable.
 func TestImplies(t *testing.T) {
+	implies := func(p []Expr, q Expr) bool {
+		_, sat := SimplifyConjunct(appendAtom(append([]Expr(nil), p...), q, true))
+		return !sat
+	}
 	p := []Expr{Cmp{"a", OpGe, value.Int(5)}, Cmp{"a", OpLe, value.Int(7)}}
-	if !Implies(p, Cmp{"a", OpGt, value.Int(3)}) {
+	if !implies(p, Cmp{"a", OpGt, value.Int(3)}) {
 		t.Error("5<=a<=7 should imply a>3")
 	}
-	if Implies(p, Cmp{"a", OpGt, value.Int(6)}) {
+	if implies(p, Cmp{"a", OpGt, value.Int(6)}) {
 		t.Error("5<=a<=7 should not imply a>6")
 	}
-	if !Implies([]Expr{Cmp{"c", OpEq, value.Str("p")}}, In{"c", []value.Value{value.Str("p"), value.Str("q")}}) {
+	if !implies([]Expr{Cmp{"c", OpEq, value.Str("p")}}, In{"c", []value.Value{value.Str("p"), value.Str("q")}}) {
 		t.Error("c=p should imply c IN (p,q)")
 	}
 }

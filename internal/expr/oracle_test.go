@@ -9,8 +9,8 @@ import (
 // structural ones are checked against: an NNF tree built through
 // NewAnd/NewOr, a distribution that merges copies, per-column state in a
 // map, and absorption over sets keyed by rendered atoms. Every exported
-// result (ToDNF, Simplify, SimplifyConjunct, Implies, ImpliedDomain) must
-// equal its oracle twin node for node.
+// result (ToDNF, Simplify, SimplifyConjunct) must equal its oracle twin
+// node for node.
 
 func oracleToDNF(e Expr, maxDisjuncts int) (d DNF, ok bool) {
 	n := oracleToNNF(e, false)
@@ -309,58 +309,6 @@ func oracleIsSubset(a, b map[string]bool) bool {
 		}
 	}
 	return true
-}
-
-func oracleImplies(p []Expr, q Expr) bool {
-	negated := oracleToNNF(Not{Kid: q}, false)
-	var extra []Expr
-	switch n := negated.(type) {
-	case And:
-		extra = n.Kids
-	default:
-		extra = []Expr{negated}
-	}
-	all := make([]Expr, 0, len(p)+len(extra))
-	all = append(all, p...)
-	all = append(all, extra...)
-	_, sat := oracleSimplifyConjunct(all)
-	return !sat
-}
-
-func oracleImpliedDomain(e Expr, col string) ([]value.Value, bool) {
-	d, ok := oracleToDNF(e, 256)
-	if !ok {
-		return nil, false
-	}
-	if len(d.Disjuncts) == 0 {
-		return nil, true
-	}
-	var union []value.Value
-	for _, c := range d.Disjuncts {
-		conds, sat := oracleSimplifyConjunct(c.Conds)
-		if !sat {
-			continue
-		}
-		found := false
-		for _, cond := range conds {
-			switch x := cond.(type) {
-			case Cmp:
-				if x.Op == OpEq && equalFold(x.Col, col) {
-					union = append(union, x.Val)
-					found = true
-				}
-			case In:
-				if equalFold(x.Col, col) {
-					union = append(union, x.Vals...)
-					found = true
-				}
-			}
-		}
-		if !found {
-			return nil, false
-		}
-	}
-	return interval.NewCuts(union), true
 }
 
 func oracleNewAnd(kids ...Expr) Expr {

@@ -149,18 +149,24 @@ func ChooseAccessPath(t *catalog.Table, pred expr.Expr, cfg Config) Result {
 		r.PartsTotal, r.PartsPruned, r.Partitions = total, pruned, parts
 		return r
 	}
-
-	if !simplifyOK {
+	sel := ts.Selectivity(simplified)
+	// seqRes is the filtered sequential scan, chosen whenever no index
+	// path is sound or cheaper; indexCost is what the index path would
+	// have cost.
+	seqRes := func(indexCost float64) Result {
 		return res(Result{
-			Plan:           withFilter(seqScan(), pred),
+			Plan:           withFilter(seqScan(), simplified),
 			Path:           plan.AccessSeqScan,
-			ScanPlan:       fullScan(pred),
-			EstSelectivity: ts.Selectivity(pred),
+			ScanPlan:       fullScan(simplified),
+			EstSelectivity: sel,
 			ScanCost:       scanCost,
-			IndexCost:      inf,
+			IndexCost:      indexCost,
 		})
 	}
-	sel := ts.Selectivity(simplified)
+
+	if !simplifyOK {
+		return seqRes(inf)
+	}
 
 	if _, isFalse := simplified.(expr.FalseExpr); isFalse {
 		return res(Result{
@@ -198,14 +204,7 @@ func ChooseAccessPath(t *catalog.Table, pred expr.Expr, cfg Config) Result {
 
 	d, ok := expr.ToDNF(simplified, cfg.MaxDisjuncts)
 	if !ok || len(d.Disjuncts) == 0 {
-		return res(Result{
-			Plan:           withFilter(seqScan(), simplified),
-			Path:           plan.AccessSeqScan,
-			ScanPlan:       fullScan(simplified),
-			EstSelectivity: sel,
-			ScanCost:       scanCost,
-			IndexCost:      inf,
-		})
+		return seqRes(inf)
 	}
 
 	// Find the best seek set per disjunct; all disjuncts must be
@@ -224,14 +223,7 @@ func ChooseAccessPath(t *catalog.Table, pred expr.Expr, cfg Config) Result {
 		indexRows += cand.estRows
 	}
 	if !covered || len(seeks) == 0 {
-		return res(Result{
-			Plan:           withFilter(seqScan(), simplified),
-			Path:           plan.AccessSeqScan,
-			ScanPlan:       fullScan(simplified),
-			EstSelectivity: sel,
-			ScanCost:       scanCost,
-			IndexCost:      inf,
-		})
+		return seqRes(inf)
 	}
 	if indexRows > rowCount {
 		indexRows = rowCount
@@ -243,14 +235,7 @@ func ChooseAccessPath(t *catalog.Table, pred expr.Expr, cfg Config) Result {
 	indexCost := indexRows*cfg.RandomPageCost + float64(len(seeks))*seekProbeCost + indexRows*cfg.RowCPUCost
 
 	if indexCost >= scanCost {
-		return res(Result{
-			Plan:           withFilter(seqScan(), simplified),
-			Path:           plan.AccessSeqScan,
-			ScanPlan:       fullScan(simplified),
-			EstSelectivity: sel,
-			ScanCost:       scanCost,
-			IndexCost:      indexCost,
-		})
+		return seqRes(indexCost)
 	}
 	var access plan.Node
 	var path plan.AccessPath

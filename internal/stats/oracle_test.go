@@ -22,7 +22,6 @@ type oracleBuilder struct {
 	distinct int
 	count    int64
 	nulls    int64
-	min, max value.Value
 	spilled  bool
 }
 
@@ -32,16 +31,6 @@ func (b *oracleBuilder) add(v value.Value) {
 		return
 	}
 	b.count++
-	if b.count == 1 {
-		b.min, b.max = v, v
-	} else {
-		if value.Compare(v, b.min) < 0 {
-			b.min = v
-		}
-		if value.Compare(v, b.max) > 0 {
-			b.max = v
-		}
-	}
 	b.overflow = append(b.overflow, v)
 	if b.spilled {
 		return
@@ -62,7 +51,7 @@ func (b *oracleBuilder) add(v value.Value) {
 }
 
 func (b *oracleBuilder) finish() *ColumnStats {
-	cs := &ColumnStats{Count: b.count, NullCount: b.nulls, Min: b.min, Max: b.max}
+	cs := &ColumnStats{Count: b.count, NullCount: b.nulls}
 	if !b.spilled {
 		for _, chain := range b.exact {
 			cs.Exact = append(cs.Exact, chain...)
@@ -83,13 +72,7 @@ func (b *oracleBuilder) finish() *ColumnStats {
 	per := (len(vals) + NumBuckets - 1) / NumBuckets
 	for start := 0; start < len(vals); start += per {
 		end := min(start+per, len(vals))
-		bk := Bucket{Lo: vals[start], Hi: vals[end-1], Count: int64(end - start)}
-		for i := start; i < end; i++ {
-			if i == start || !value.Equal(vals[i], vals[i-1]) {
-				bk.Distinct++
-			}
-		}
-		cs.Hist = append(cs.Hist, bk)
+		cs.Hist = append(cs.Hist, Bucket{Lo: vals[start], Hi: vals[end-1], Count: int64(end - start)})
 	}
 	return cs
 }

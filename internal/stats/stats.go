@@ -39,9 +39,8 @@ type ValueCount struct {
 
 // Bucket is one equi-depth histogram bucket covering [Lo, Hi].
 type Bucket struct {
-	Lo, Hi   value.Value
-	Count    int64
-	Distinct int64
+	Lo, Hi value.Value
+	Count  int64
 }
 
 // ColumnStats summarizes one column.
@@ -54,8 +53,6 @@ type ColumnStats struct {
 	Exact []ValueCount
 	// Hist is the equi-depth histogram, built only when Exact is nil.
 	Hist []Bucket
-	Min  value.Value
-	Max  value.Value
 }
 
 // TableStats summarizes a table.
@@ -84,7 +81,6 @@ type builder struct {
 	spilled  bool
 	count    int64
 	nulls    int64
-	min, max value.Value // set once spilled; exact's own bounds until then
 	ints     []int64
 	floats   []float64
 	strs     []string
@@ -162,8 +158,7 @@ func floatKey(f float64) uint64 {
 
 // expand abandons the exact counts: every value counted so far goes into
 // the spill slice, sized for the rows the build expects (or the values
-// seen, should the store have grown since it was counted). The column's
-// bounds so far are exact's.
+// seen, should the store have grown since it was counted).
 func (b *builder) expand() {
 	n := max(b.rows, b.count)
 	switch b.kind {
@@ -174,7 +169,6 @@ func (b *builder) expand() {
 	default:
 		b.ints = make([]int64, 0, n)
 	}
-	b.min, b.max = exactBounds(b.exact)
 	b.spilled = true
 	for _, vc := range b.exact {
 		for i := int64(0); i < vc.Count; i++ {
@@ -184,36 +178,12 @@ func (b *builder) expand() {
 	b.exact, b.intIdx, b.floatIdx, b.strIdx = nil, nil, nil, nil
 }
 
-// exactBounds returns the least and the greatest of distinct values in
-// the order they were first seen, each the first seen of the values
-// value.Compare ties with it.
-func exactBounds(vcs []ValueCount) (lo, hi value.Value) {
-	for i, vc := range vcs {
-		if i == 0 || value.Compare(vc.Val, lo) < 0 {
-			lo = vc.Val
-		}
-		if i == 0 || value.Compare(vc.Val, hi) > 0 {
-			hi = vc.Val
-		}
-	}
-	return lo, hi
-}
-
 // spill appends v to the slice of the column's kind (an INT widens into a
-// FLOAT column). A FLOAT column keeps its bounds as it goes: of the
-// values its order ties, the first seen. The other kinds' bounds are the
-// ends of their sorted slice, where only identical values tie.
+// FLOAT column).
 func (b *builder) spill(v value.Value) {
 	switch b.kind {
 	case value.KindFloat:
-		f := v.AsFloat()
-		if cmp.Compare(f, b.min.AsFloat()) < 0 {
-			b.min = v
-		}
-		if cmp.Compare(f, b.max.AsFloat()) > 0 {
-			b.max = v
-		}
-		b.floats = append(b.floats, f)
+		b.floats = append(b.floats, v.AsFloat())
 	case value.KindString:
 		b.strs = append(b.strs, v.AsString())
 	default:
@@ -226,24 +196,18 @@ func (b *builder) finish() *ColumnStats {
 	if !b.spilled {
 		cs.Exact = b.exact
 		slices.SortFunc(cs.Exact, func(x, y ValueCount) int { return value.Compare(x.Val, y.Val) })
-		if n := len(cs.Exact); n > 0 {
-			cs.Min, cs.Max = cs.Exact[0].Val, cs.Exact[n-1].Val
-		}
 		cs.Distinct = int64(len(cs.Exact))
 		return cs
 	}
 	switch b.kind {
 	case value.KindInt: // a BOOL column never spills
 		sortInts(b.ints)
-		cs.Min, cs.Max = value.Int(b.ints[0]), value.Int(b.ints[len(b.ints)-1])
 		histogram(cs, b.ints, value.Int)
 	case value.KindFloat:
 		slices.Sort(b.floats)
-		cs.Min, cs.Max = b.min, b.max
 		histogram(cs, b.floats, value.Float)
 	case value.KindString:
 		slices.Sort(b.strs)
-		cs.Min, cs.Max = value.Str(b.strs[0]), value.Str(b.strs[len(b.strs)-1])
 		histogram(cs, b.strs, value.Str)
 	}
 	return cs
@@ -286,17 +250,12 @@ func histogram[T cmp.Ordered](cs *ColumnStats, vals []T, box func(T) value.Value
 	cs.Hist = make([]Bucket, 0, (len(vals)+per-1)/per)
 	for start := 0; start < len(vals); start += per {
 		end := min(start+per, len(vals))
-		bk := Bucket{Lo: box(vals[start]), Hi: box(vals[end-1]), Count: int64(end - start)}
-		for i := start; i < end; i++ {
-			fresh := i == 0 || cmp.Compare(vals[i], vals[i-1]) != 0
-			if fresh {
-				cs.Distinct++
-			}
-			if fresh || i == start {
-				bk.Distinct++
-			}
+		cs.Hist = append(cs.Hist, Bucket{Lo: box(vals[start]), Hi: box(vals[end-1]), Count: int64(end - start)})
+	}
+	for i := range vals {
+		if i == 0 || cmp.Compare(vals[i], vals[i-1]) != 0 {
+			cs.Distinct++
 		}
-		cs.Hist = append(cs.Hist, bk)
 	}
 }
 
@@ -487,6 +446,32 @@ func (ts *TableStats) Selectivity(e expr.Expr) float64 {
 		return clamp(1 - ts.Selectivity(x.Kid))
 	}
 	return defaultSel
+}
+
+// DedupeValues returns vals with duplicates (by value.Equal) removed,
+// preserving first-occurrence order. IN-list estimation sums per-value
+// contributions, so a literal like IN (1, 1, 1) must collapse to one
+// value first. It is not interval.NewCuts, which sorts: Selectivity sums
+// float fractions in this order, and another order could move a cost
+// estimate in its last digit.
+func DedupeValues(vals []value.Value) []value.Value {
+	if len(vals) < 2 {
+		return vals
+	}
+	out := make([]value.Value, 0, len(vals))
+	for _, v := range vals {
+		dup := false
+		for _, u := range out {
+			if value.Equal(u, v) {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // andSelectivity estimates a conjunction, intersecting range conditions

@@ -102,8 +102,8 @@ func TestBuildBasics(t *testing.T) {
 	if histTotal != wide.Count {
 		t.Errorf("histogram total %d != count %d", histTotal, wide.Count)
 	}
-	if value.Compare(wide.Min, wide.Max) >= 0 {
-		t.Error("min should be < max")
+	if lo, hi := wide.Hist[0].Lo, wide.Hist[len(wide.Hist)-1].Hi; value.Compare(lo, hi) >= 0 {
+		t.Errorf("histogram spans [%v, %v]", lo, hi)
 	}
 }
 
@@ -211,7 +211,7 @@ func TestSelectivityAlwaysInRange(t *testing.T) {
 // for a singleton is the "straddle" branch with an inverted range (e.g.
 // x > 10 AND x < 5), which previously counted the entire bucket.
 func TestInterpSingletonBucket(t *testing.T) {
-	bk := Bucket{Lo: value.Int(7), Hi: value.Int(7), Count: 10, Distinct: 1}
+	bk := Bucket{Lo: value.Int(7), Hi: value.Int(7), Count: 10}
 	if f := interp(value.Int(6), value.Int(8), bk); f != 1 {
 		t.Errorf("containing range: interp = %f, want 1", f)
 	}
@@ -229,11 +229,9 @@ func TestInterpSingletonBucket(t *testing.T) {
 		Count:    100,
 		Distinct: 2,
 		Hist: []Bucket{
-			{Lo: value.Int(7), Hi: value.Int(7), Count: 60, Distinct: 1},
-			{Lo: value.Int(20), Hi: value.Int(30), Count: 40, Distinct: 11},
+			{Lo: value.Int(7), Hi: value.Int(7), Count: 60},
+			{Lo: value.Int(20), Hi: value.Int(30), Count: 40},
 		},
-		Min: value.Int(7),
-		Max: value.Int(30),
 	}
 	ts := &TableStats{RowCount: 100, Cols: map[string]*ColumnStats{"x": cs}}
 	e := expr.NewAnd(
@@ -261,112 +259,5 @@ func TestInDedupe(t *testing.T) {
 	got := DedupeValues([]value.Value{value.Int(1), value.Int(1), value.Int(2), value.Int(1)})
 	if len(got) != 2 || !value.Equal(got[0], value.Int(1)) || !value.Equal(got[1], value.Int(2)) {
 		t.Errorf("DedupeValues = %v", got)
-	}
-}
-
-// buildPartitioned splits the buildTable row set by num ranges and
-// builds per-partition stats, returning both the merged stats and a
-// single-build reference over the same rows.
-func buildPartitioned(t *testing.T, n int, seed int64, bounds []int64) (*TableStats, *TableStats, []value.Tuple) {
-	t.Helper()
-	_, rows := buildTable(n, seed)
-	partRows := make([][]value.Tuple, len(bounds)+1)
-	for _, row := range rows {
-		p := 0
-		if !row[1].IsNull() {
-			for p < len(bounds) && row[1].AsInt() >= bounds[p] {
-				p++
-			}
-		}
-		partRows[p] = append(partRows[p], row)
-	}
-	parts := make([]*TableStats, len(partRows))
-	for i, pr := range partRows {
-		pr := pr
-		parts[i] = Build(schema, int64(len(pr)), func(emit func(value.Tuple)) {
-			for _, t := range pr {
-				emit(t)
-			}
-		})
-	}
-	whole := Build(schema, int64(len(rows)), func(emit func(value.Tuple)) {
-		for _, t := range rows {
-			emit(t)
-		}
-	})
-	return Merge(parts), whole, rows
-}
-
-func TestMergeMatchesWholeTableBuild(t *testing.T) {
-	merged, whole, rows := buildPartitioned(t, 20000, 9, []int64{5, 10, 15})
-	if merged.RowCount != whole.RowCount {
-		t.Fatalf("merged RowCount = %d, want %d", merged.RowCount, whole.RowCount)
-	}
-	for _, name := range []string{"cat", "num", "wide"} {
-		mc, wc := merged.Col(name), whole.Col(name)
-		if mc.Count != wc.Count || mc.NullCount != wc.NullCount {
-			t.Errorf("%s: merged count %d/%d, whole %d/%d", name, mc.Count, mc.NullCount, wc.Count, wc.NullCount)
-		}
-		if !value.Equal(mc.Min, wc.Min) || !value.Equal(mc.Max, wc.Max) {
-			t.Errorf("%s: merged min/max %v/%v, whole %v/%v", name, mc.Min, mc.Max, wc.Min, wc.Max)
-		}
-	}
-	// Low-cardinality columns stay exact across the merge, so estimates
-	// are identical to a whole-table build.
-	if merged.Col("cat").Exact == nil {
-		t.Error("cat should remain exact after merge")
-	}
-	cases := []expr.Expr{
-		expr.Cmp{Col: "cat", Op: expr.OpEq, Val: value.Str("d")},
-		expr.Cmp{Col: "num", Op: expr.OpLt, Val: value.Int(5)},
-		expr.In{Col: "cat", Vals: []value.Value{value.Str("c"), value.Str("d")}},
-	}
-	for _, e := range cases {
-		if got, want := merged.Selectivity(e), whole.Selectivity(e); math.Abs(got-want) > 1e-12 {
-			t.Errorf("%s: merged estimate %f, whole-table %f", e, got, want)
-		}
-	}
-	// Histogram columns merge to concatenated buckets; estimates stay
-	// close to ground truth even with overlapping buckets.
-	wideCases := []expr.Expr{
-		expr.Cmp{Col: "wide", Op: expr.OpLt, Val: value.Float(2500)},
-		expr.Cmp{Col: "wide", Op: expr.OpGt, Val: value.Float(9000)},
-	}
-	for _, e := range wideCases {
-		within(t, e.String(), merged.Selectivity(e), trueFraction(rows, e), 0.03)
-	}
-	var total int64
-	for _, bk := range merged.Col("wide").Hist {
-		total += bk.Count
-	}
-	if total != merged.Col("wide").Count {
-		t.Errorf("merged histogram total %d != count %d", total, merged.Col("wide").Count)
-	}
-}
-
-func TestMergeEdgeCases(t *testing.T) {
-	if m := Merge(nil); m.RowCount != 0 {
-		t.Error("empty merge should be empty stats")
-	}
-	empty := Build(schema, 0, func(func(value.Tuple)) {})
-	one, _ := buildTable(1000, 10)
-	m := Merge([]*TableStats{empty, one, nil, empty})
-	if m.RowCount != one.RowCount {
-		t.Errorf("merge with empty partitions: RowCount = %d, want %d", m.RowCount, one.RowCount)
-	}
-	if got := m.Col("cat").Count; got != one.Col("cat").Count {
-		t.Errorf("cat count = %d, want %d", got, one.Col("cat").Count)
-	}
-	if !value.Equal(m.Col("num").Min, one.Col("num").Min) {
-		t.Error("min must ignore empty partitions")
-	}
-	// Selectivity stays in range over the merged form.
-	for _, e := range []expr.Expr{
-		expr.Cmp{Col: "wide", Op: expr.OpLt, Val: value.Float(5000)},
-		expr.Cmp{Col: "cat", Op: expr.OpEq, Val: value.Str("a")},
-	} {
-		if s := m.Selectivity(e); s < 0 || s > 1 || math.IsNaN(s) {
-			t.Errorf("selectivity out of range for %s: %f", e, s)
-		}
 	}
 }

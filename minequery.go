@@ -1074,13 +1074,11 @@ func (e *Engine) buildPlan(q *sqlparse.Query, t *catalog.Table, rw *core.Rewrite
 	res = opt.ChooseAccessPath(t, rw.DataPred, e.optCfg)
 	access := res.Plan
 	if forceSeq {
-		var seq plan.Node = &plan.SeqScan{Table: t.Name}
-		if _, isTrue := rw.DataPred.(expr.TrueExpr); !isTrue {
-			seq = &plan.Filter{Child: seq, Pred: rw.DataPred}
-		}
-		access = seq
-		// The forced scan reads every partition, so the Result (and the
+		// ScanPlan filters by DataPred as Simplify leaves it, and the
+		// rewriter's DataPred is already a Simplify fixed point. The
+		// forced scan reads every partition, so the Result (and the
 		// pruning metrics) must not claim the optimizer's skips.
+		access = res.ScanPlan
 		res.PartsPruned = 0
 		res.Partitions = nil
 	}
