@@ -10,6 +10,7 @@ package cluster_test
 // superaccumulator representation is what makes the identity hold.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -17,6 +18,7 @@ import (
 	"strings"
 	"testing"
 
+	"minequery"
 	"minequery/internal/cluster"
 )
 
@@ -226,4 +228,81 @@ func TestDifferentialAggregateCoordinatorVsUnion(t *testing.T) {
 		t.Fatalf("sweep drifted: %d grouped, %d pruned of %d", grouped, pruned, iterations)
 	}
 	t.Logf("aggregate sweep: %d iterations (%d grouped, %d with >=1 shard pruned), all byte-identical to the union node", iterations, grouped, pruned)
+}
+
+// TestCoordinatorAggregateNullGroupMerges: a model that reads a NULL
+// input predicts NULL, so GROUP BY m.seg gets a NULL group. Rows with a
+// NULL age, at every income and at a NULL one, sit on every shard and on
+// the union node. The tree reads age only at income 7 and income on
+// every path, so the shards of income 7 and of a NULL income each send
+// a partial NULL group, and the coordinator must merge them into one
+// group, byte-identical to the union node's answer, at DOP 0 and 4.
+func TestCoordinatorAggregateNullGroupMerges(t *testing.T) {
+	tc := newTestCluster(t, 3, []int64{3, 6}, 2500, cluster.Config{})
+	var all []minequery.Tuple
+	for i := int64(-1); i < 8; i++ {
+		income := minequery.Null()
+		if i >= 0 {
+			income = minequery.Int(i)
+		}
+		row := minequery.Tuple{minequery.Int(900000 + i), minequery.Null(),
+			income, minequery.Int(i), minequery.Str("regular")}
+		all = append(all, row)
+		s := tc.shards.ShardFor(row[2])
+		if err := tc.engines[s].Insert("customers", row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tc.union.InsertBatch("customers", all); err != nil {
+		t.Fatal(err)
+	}
+	ch := bootCoordHTTP(t, tc)
+
+	const sql = "SELECT m.seg, count(*) FROM customers" +
+		" PREDICTION JOIN seg_tree AS m ON m.age = customers.age AND m.income = customers.income" +
+		" GROUP BY m.seg"
+	nullGroups := func(rows json.RawMessage) (n int) {
+		var groups [][]any
+		if err := json.Unmarshal(rows, &groups); err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range groups {
+			if g[0] == nil {
+				n++
+			}
+		}
+		return n
+	}
+	withNull := 0
+	for _, eng := range tc.engines {
+		res, err := eng.Query(context.Background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res.Rows {
+			if r[0].IsNull() {
+				withNull++
+			}
+		}
+	}
+	if withNull < 2 {
+		t.Fatalf("%d shards answer a NULL group, want at least 2 to merge", withNull)
+	}
+	for _, dop := range []int{0, 4} {
+		p := execBoth(t, ch.URL, tc.unionHTTP.URL, sql, dop)
+		if n := nullGroups(p.Rows); n != 1 {
+			t.Fatalf("dop %d: %d NULL groups, want 1: %s", dop, n, p.Rows)
+		}
+		req := map[string]any{"sql": sql}
+		if dop > 0 {
+			req["dop"] = dop
+		}
+		st, raw := postJSON(t, ch.URL, "/v1/execute", req)
+		if st != http.StatusOK {
+			t.Fatalf("dop %d: coord exec: %d %s", dop, st, raw)
+		}
+		if merges := aggMergesOf(t, raw); merges != int64(p.Shards.Queried) || p.Shards.Queried != 3 {
+			t.Fatalf("dop %d: agg_partial_merges=%d over %d queried shards, want 3 and 3", dop, merges, p.Shards.Queried)
+		}
+	}
 }

@@ -102,12 +102,16 @@ func randAttrValue(r *rand.Rand, kind value.Kind, discrete bool) value.Value {
 // domain (including attribute combinations never seen together in
 // training — exactly the cases the grid algorithms must cover); numeric
 // families probe a wider range than training to exercise the envelope's
-// unbounded edge regions.
+// unbounded edge regions. One attribute in 8 is NULL: a model that reads
+// it predicts NULL, and one whose path does not read it predicts a class
+// its envelope must admit.
 func randProbe(r *rand.Rand, s *value.Schema, discrete bool) value.Tuple {
 	t := make(value.Tuple, s.Len())
 	for i := 0; i < s.Len(); i++ {
 		kind := s.Col(i).Kind
-		if discrete {
+		if r.Intn(8) == 0 {
+			t[i] = value.Null()
+		} else if discrete {
 			t[i] = value.Int(int64(r.Intn(5)))
 		} else if kind == value.KindFloat {
 			t[i] = value.Float(r.NormFloat64() * 15)
@@ -144,6 +148,9 @@ func TestEnvelopeSoundnessProperty(t *testing.T) {
 				for p := 0; p < probes; p++ {
 					x := randProbe(r, ts.Schema, fam.discrete)
 					c := m.Predict(x)
+					if c.IsNull() {
+						continue // matches no class, so no envelope need admit it
+					}
 					env := der.Envelopes[c.String()]
 					if env == nil {
 						t.Fatalf("seed %d: predicted class %s has no envelope", seed, c)

@@ -89,6 +89,34 @@ func TestKMeansPredictReturnsClusterID(t *testing.T) {
 	}
 }
 
+// TestNullInputPredictsNull: k-means and GMM read every input, so a
+// NULL one predicts NULL instead of being read as 0.
+func TestNullInputPredictsNull(t *testing.T) {
+	km, err := FromCentroids("km", "cluster", []string{"x", "y"}, [][]float64{{0, 0}, {10, 10}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := FromGaussians("g", "cluster", []string{"x", "y"}, []float64{0.5, 0.5},
+		[][]float64{{0, 0}, {10, 10}}, [][]float64{{1, 1}, {1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []mining.Model{km, g} {
+		for _, in := range []value.Tuple{
+			{value.Null(), value.Float(0)},
+			{value.Float(10), value.Null()},
+			{value.Null(), value.Null()},
+		} {
+			if got := m.Predict(in); !got.IsNull() {
+				t.Errorf("%s.Predict%v = %v, want NULL", m.Name(), in, got)
+			}
+		}
+		if got := m.Predict(value.Tuple{value.Float(9), value.Float(11)}); got.IsNull() || got.AsInt() != 1 {
+			t.Errorf("%s.Predict(9, 11) = %v, want 1", m.Name(), got)
+		}
+	}
+}
+
 func TestWeightedAssignment(t *testing.T) {
 	// Two centroids equidistant in raw space; weights break the tie.
 	m, err := FromCentroids("w", "cluster", []string{"x"},

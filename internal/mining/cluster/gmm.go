@@ -194,13 +194,15 @@ func (g *GMM) InputColumns() []string { return g.cols }
 // Classes implements mining.Model.
 func (g *GMM) Classes() []value.Value { return g.classes }
 
-// Predict implements mining.Model.
+// Predict implements mining.Model. It reads every input, so a NULL
+// input predicts NULL.
 func (g *GMM) Predict(in value.Tuple) value.Value {
+	if mining.AnyNull(in) {
+		return value.Null()
+	}
 	x := make([]float64, len(in))
 	for d, v := range in {
-		if !v.IsNull() {
-			x[d] = v.AsFloat()
-		}
+		x[d] = v.AsFloat()
 	}
 	return g.classes[g.Assign(x)]
 }

@@ -295,13 +295,15 @@ func (m *KMeans) Assign(x []float64) int {
 	return best
 }
 
-// Predict implements mining.Model.
+// Predict implements mining.Model. It reads every input, so a NULL
+// input predicts NULL.
 func (m *KMeans) Predict(in value.Tuple) value.Value {
+	if mining.AnyNull(in) {
+		return value.Null()
+	}
 	x := make([]float64, len(in))
 	for d, v := range in {
-		if !v.IsNull() {
-			x[d] = v.AsFloat()
-		}
+		x[d] = v.AsFloat()
 	}
 	return m.classes[m.Assign(x)]
 }

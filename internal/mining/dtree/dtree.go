@@ -389,10 +389,15 @@ func (m *Model) InputColumns() []string { return m.cols }
 // Classes implements mining.Model.
 func (m *Model) Classes() []value.Value { return m.classes }
 
-// Predict implements mining.Model by walking the tree.
+// Predict implements mining.Model by walking the tree. A path that
+// reaches a split on a NULL attribute predicts NULL; a NULL the path
+// never tests does not change its leaf.
 func (m *Model) Predict(in value.Tuple) value.Value {
 	n := m.Root
 	for !n.Leaf {
+		if in[n.AttrIdx].IsNull() {
+			return value.Null()
+		}
 		if n.Test(in) {
 			n = n.True
 		} else {

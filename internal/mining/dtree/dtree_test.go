@@ -214,13 +214,19 @@ func TestTrainErrors(t *testing.T) {
 	}
 }
 
+// TestNullRoutesToFalseBranch: a path that reaches a split on a NULL
+// attribute predicts NULL, as SQL's function of a NULL is; a NULL in an
+// attribute the path never tests leaves its leaf's class.
 func TestNullRoutesToFalseBranch(t *testing.T) {
 	n := &Node{Attr: "x", AttrIdx: 0, Kind: SplitNumeric, Threshold: 5,
 		True:  &Node{Leaf: true, Class: value.Str("t")},
 		False: &Node{Leaf: true, Class: value.Str("f")}}
 	m := &Model{Root: n, classes: []value.Value{value.Str("f"), value.Str("t")}}
-	if got := m.Predict(value.Tuple{value.Null()}); got.AsString() != "f" {
-		t.Errorf("NULL should route to the false branch, got %s", got)
+	if got := m.Predict(value.Tuple{value.Null(), value.Int(1)}); !got.IsNull() {
+		t.Errorf("NULL at the split should predict NULL, got %s", got)
+	}
+	if got := m.Predict(value.Tuple{value.Int(3), value.Null()}); got.IsNull() || got.AsString() != "t" {
+		t.Errorf("NULL in an untested attribute should keep the leaf's class t, got %s", got)
 	}
 }
 

@@ -33,8 +33,23 @@ type Model interface {
 	// being available from model metadata.
 	Classes() []value.Value
 	// Predict returns the predicted class for one input tuple, aligned
-	// positionally with InputColumns.
+	// positionally with InputColumns. A prediction that reads a NULL
+	// input is NULL, as SQL's function of a NULL is: it matches no class,
+	// so no envelope has to admit a NULL. A family that reads every input
+	// (naive Bayes, clustering) predicts NULL whenever one is NULL; a tree
+	// or rule list only when the path it takes reads one.
 	Predict(in value.Tuple) value.Value
+}
+
+// AnyNull reports whether some value of in is NULL, which makes the
+// prediction of a model that reads every input NULL.
+func AnyNull(in value.Tuple) bool {
+	for _, v := range in {
+		if v.IsNull() {
+			return true
+		}
+	}
+	return false
 }
 
 // Binding resolves a model's input columns against a relation schema,

@@ -246,17 +246,19 @@ func (m *Model) MemberIndex(d int, v value.Value) int {
 
 // Predict implements mining.Model: argmax_k Pr(c_k) Π_d Pr(x_d|c_k),
 // computed in the log domain, with ties resolved toward the class with
-// the larger prior (the paper's tie rule).
+// the larger prior (the paper's tie rule). It reads every input, so a
+// NULL input predicts NULL.
 func (m *Model) Predict(in value.Tuple) value.Value {
+	if mining.AnyNull(in) {
+		return value.Null()
+	}
 	best, bestScore := -1, math.Inf(-1)
 	for k := range m.classes {
 		s := math.Log(m.Priors[k])
 		for d := range m.Domains {
 			p := m.Floor[d][k]
-			if !in[d].IsNull() {
-				if l := m.MemberIndex(d, in[d]); l >= 0 {
-					p = m.Cond[d][l][k]
-				}
+			if l := m.MemberIndex(d, in[d]); l >= 0 {
+				p = m.Cond[d][l][k]
 			}
 			s += math.Log(p)
 		}

@@ -211,10 +211,10 @@ func TestUnseenMemberUsesFloor(t *testing.T) {
 	if got.IsNull() {
 		t.Error("prediction with unseen member should still produce a class")
 	}
-	// NULL attribute handled via floor as well.
+	// Naive Bayes reads every input, so a NULL one predicts NULL.
 	got = m.Predict(value.Tuple{value.Null(), value.Str("large")})
-	if got.IsNull() {
-		t.Error("prediction with NULL attribute should still produce a class")
+	if !got.IsNull() {
+		t.Errorf("prediction with NULL attribute should be NULL, got %s", got)
 	}
 }
 

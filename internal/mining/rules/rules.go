@@ -17,8 +17,9 @@ import (
 	"minequery/internal/value"
 )
 
-// Rule is one if-then rule: body (a conjunction of atomic conditions)
-// and a head class.
+// Rule is one if-then rule: body (a conjunction of atomic conditions,
+// each an expr.Cmp of an input column with a non-NULL literal, as
+// training builds them) and a head class.
 type Rule struct {
 	Body  []expr.Expr
 	Class value.Value
@@ -293,21 +294,23 @@ func (m *Model) Classes() []value.Value { return m.classes }
 // rule evaluation).
 func (m *Model) Schema() *value.Schema { return m.schema }
 
-// Predict implements mining.Model with first-match semantics.
+// Predict implements mining.Model with first-match semantics: a rule's
+// atoms are read in order, a false one ends its body and the next rule
+// is tried, and one that reads a NULL input predicts NULL.
 func (m *Model) Predict(in value.Tuple) value.Value {
+next:
 	for _, r := range m.Rules {
-		if matches(r.Body, m.schema, in) {
-			return r.Class
+		for _, a := range r.Body {
+			c := a.(expr.Cmp)
+			v := in[m.schema.Ordinal(c.Col)]
+			if v.IsNull() {
+				return value.Null()
+			}
+			if !c.Op.Holds(value.Compare(v, c.Val)) {
+				continue next
+			}
 		}
+		return r.Class
 	}
 	return m.Default
-}
-
-func matches(body []expr.Expr, s *value.Schema, in value.Tuple) bool {
-	for _, c := range body {
-		if !c.Eval(s, in) {
-			return false
-		}
-	}
-	return true
 }

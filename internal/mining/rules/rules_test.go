@@ -87,6 +87,36 @@ func TestFirstMatchResolution(t *testing.T) {
 	}
 }
 
+// TestNullInputPredictsNull: a rule's atoms are read in order. A false
+// atom before a NULL one ends that body and the next rule decides; an
+// atom that reads a NULL predicts NULL, default class included.
+func TestNullInputPredictsNull(t *testing.T) {
+	schema := value.MustSchema(
+		value.Column{Name: "x", Kind: value.KindInt},
+		value.Column{Name: "y", Kind: value.KindInt})
+	m := &Model{
+		schema:  schema,
+		cols:    []string{"x", "y"},
+		classes: []value.Value{value.Str("a"), value.Str("b"), value.Str("c")},
+		Default: value.Str("c"),
+		Rules: []Rule{
+			{Body: []expr.Expr{
+				expr.Cmp{Col: "x", Op: expr.OpLe, Val: value.Int(10)},
+				expr.Cmp{Col: "y", Op: expr.OpLe, Val: value.Int(10)}}, Class: value.Str("a")},
+			{Body: []expr.Expr{expr.Cmp{Col: "x", Op: expr.OpGt, Val: value.Int(10)}}, Class: value.Str("b")},
+		},
+	}
+	if got := m.Predict(value.Tuple{value.Int(20), value.Null()}); got.IsNull() || got.AsString() != "b" {
+		t.Errorf("a false atom before the NULL should move on to the next rule, b: got %s", got)
+	}
+	if got := m.Predict(value.Tuple{value.Null(), value.Int(5)}); !got.IsNull() {
+		t.Errorf("a NULL read first should predict NULL: got %s", got)
+	}
+	if got := m.Predict(value.Tuple{value.Int(5), value.Null()}); !got.IsNull() {
+		t.Errorf("a NULL read after a true atom should predict NULL: got %s", got)
+	}
+}
+
 func TestRulesUseBoundedConds(t *testing.T) {
 	ts := loanSet(2000, 0.05, 2)
 	m, err := Train("loan", "d", ts, Options{MaxConds: 2})

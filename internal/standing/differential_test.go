@@ -19,7 +19,6 @@ import (
 
 	"minequery/internal/catalog"
 	"minequery/internal/core"
-	"minequery/internal/expr"
 	"minequery/internal/interval"
 	"minequery/internal/mining"
 	"minequery/internal/mining/cluster"
@@ -472,16 +471,10 @@ func TestDifferentialStandingSweepRetrain(t *testing.T) {
 // a busy write stream: sets of 300-600 subscriptions over a num domain
 // wide enough that their guards put well over 256 distinct constants on
 // num, and batches in which some rows carry a NULL num. Notifications
-// must be byte-identical to the naive oracle's, in the same order.
-//
-// One known defect of the envelopes, not of the index, is carved out,
-// on NULL-num rows only: an envelope region does not admit a NULL model
-// input, though the model predicts a class for it, so a guard drops
-// such a match. The oracle drops a NULL-num row's match only where the
-// subscription's guard rejects the row, and the test logs how many it
-// dropped; every other match of a NULL row, which the index files in
-// segment 0, must be delivered. The carve-out goes when envelopes
-// admit NULL inputs.
+// must be byte-identical to the naive oracle's, in the same order. A
+// model that reads a NULL num predicts NULL, which matches no class, so
+// a guard never drops a NULL row's match: the index files the row in
+// segment 0 and delivers every match the oracle finds.
 func TestDifferentialStandingSweepLargeSet(t *testing.T) {
 	const seed, numDom = 20261017, 5000
 	iterations := 8
@@ -490,7 +483,7 @@ func TestDifferentialStandingSweepLargeSet(t *testing.T) {
 	}
 	cat, models := buildSweepCatalogIn(t, seed, numDom)
 	r := rand.New(rand.NewSource(seed))
-	nextID, lostToEnvelope := int64(0), 0
+	nextID := int64(0)
 	for iter := 0; iter < iterations; iter++ {
 		s := NewSet(cat, Options{Queue: 1 << 16})
 		naive := newNaiveMatcher(cat)
@@ -530,17 +523,9 @@ func TestDifferentialStandingSweepLargeSet(t *testing.T) {
 			t.Fatalf("iter %d: num carries %d distinct cuts across the parts, want more than 256", iter, busiest)
 		}
 
-		guards := map[int64]expr.Expr{}
-		for _, cs := range compiledSubs(ct) {
-			guards[cs.src.id] = cs.guard
-		}
 		var want []string
 		for _, row := range rows {
 			for _, m := range naive.Matches("t", row) {
-				if row[ord].IsNull() && !guards[m.SubID].Eval(ct.schema, row) {
-					lostToEnvelope++
-					continue
-				}
 				want = append(want, notifKey(m.SubID, m.Columns, m.Row))
 			}
 		}
@@ -562,7 +547,6 @@ func TestDifferentialStandingSweepLargeSet(t *testing.T) {
 		t.Logf("iter %d: %d subscriptions, %d cuts on num, %d matches, %.1f evals per row",
 			iter, nSubs, busiest, st.Matches, float64(st.Evals)/float64(len(rows)))
 	}
-	t.Logf("%d matches of NULL-num rows lost to envelopes that do not admit a NULL input", lostToEnvelope)
 }
 
 func max64(a, b int64) int64 {

@@ -17,7 +17,7 @@ import (
 // comes from sorting those Values with value.Compare. Build must give
 // the statistics it gives.
 type oracleBuilder struct {
-	exact    map[uint64][]ValueCount
+	exact    map[string][]ValueCount
 	overflow []value.Value
 	distinct int
 	count    int64
@@ -35,7 +35,7 @@ func (b *oracleBuilder) add(v value.Value) {
 	if b.spilled {
 		return
 	}
-	h := v.Hash()
+	h := string(v.SortKey(nil))
 	chain := b.exact[h]
 	for i := range chain {
 		if value.Equal(chain[i].Val, v) {
@@ -80,7 +80,7 @@ func (b *oracleBuilder) finish() *ColumnStats {
 func oracleBuild(schema *value.Schema, rows []value.Tuple) *TableStats {
 	builders := make([]*oracleBuilder, schema.Len())
 	for i := range builders {
-		builders[i] = &oracleBuilder{exact: make(map[uint64][]ValueCount)}
+		builders[i] = &oracleBuilder{exact: make(map[string][]ValueCount)}
 	}
 	for _, t := range rows {
 		for i := range builders {

@@ -19,7 +19,7 @@ func TestValueLayout(t *testing.T) {
 
 // TestValueFormsUnchanged pins the bytes WAL records, B+-tree keys and
 // statistics sketches store, and the rendering the SQL dialect prints.
-// Keys, hashes and renderings are what the 40-byte layout (a separate
+// Keys and renderings are what the 40-byte layout (a separate
 // float64 field) produced: the payload word holding a FLOAT's bits moves
 // none of them. Record bytes are too, but for an INT, which is written
 // as tag 5 and a zigzag varint; the fixed-width tag-1 form every earlier
@@ -30,41 +30,37 @@ func TestValueFormsUnchanged(t *testing.T) {
 		name            string
 		v               Value
 		encode, sortKey string
-		hash            uint64
 		str             string
 	}{
-		{"null", Null(), "00", "00", 0xaf63bd4c8601b7df, "NULL"},
-		{"int", Int(42), "0554", "01c045000000000000", 0x51b63adc8f335331, "42"},
-		{"int 0", Int(0), "0500", "018000000000000000", 0x529a2cdc8ff533ac, "0"},
-		{"int -1", Int(-1), "0501", "01400fffffffffffff", 0x50b023dc8e544d71, "-1"},
-		{"int 63", Int(63), "057e", "01c04f800000000000", 0xa65fd6df03222f3b, "63"},
-		{"int -64", Int(-64), "057f", "013fafffffffffffff", 0x51f7ccdc8f6be23c, "-64"},
-		{"int 64", Int(64), "058001", "01c050000000000000", 0x51f74cdc8f6b08bc, "64"},
-		{"int min", Int(math.MinInt64), "05ffffffffffffffffff01", "013c1fffffffffffff", 0x5079afdc8e25f8e5, "-9223372036854775808"},
-		{"int max", Int(math.MaxInt64), "05feffffffffffffffff01", "01c3e0000000000000", 0x507a2fdc8e26d265, "9223372036854775807"},
-		{"float", Float(2.5), "020000000000000440", "01c004000000000000", 0x528c54dc8fe93a48, "2.5"},
-		{"float 0", Float(0), "020000000000000000", "018000000000000000", 0x529a2cdc8ff533ac, "0"},
-		{"float -0", Float(math.Copysign(0, -1)), "020000000000000080", "018000000000000000", 0x529a2cdc8ff533ac, "-0"},
-		{"float NaN payload", Float(math.Float64frombits(0x7ff8000000000bad)), "02ad0b00000000f87f", "010000000000000000", 0x74df74e59db00748, "NaN"},
-		{"float negative NaN", Float(math.Float64frombits(0xfff8000000000001)), "02010000000000f8ff", "010000000000000000", 0x74df74e59db00748, "NaN"},
-		{"float +Inf", Float(math.Inf(1)), "02000000000000f07f", "01fff0000000000000", 0x50b063dc8e54ba31, "+Inf"},
-		{"float -Inf", Float(math.Inf(-1)), "02000000000000f0ff", "01000fffffffffffff", 0x50afe3dc8e53e0b1, "-Inf"},
-		{"float smallest subnormal", Float(math.SmallestNonzeroFloat64), "020100000000000000", "018000000000000001", 0x7194f3e59ae47dcd, "5e-324"},
-		{"text", Str("abc"), "0303616263", "036162630000", 0x34186a89cedc1e56, `"abc"`},
-		{"text empty", Str(""), "0300", "030000", 0xaf63be4c8601b992, `""`},
-		{"text NUL", Str("a\x00b"), "0303610062", "036100ff620000", 0x35575b89cfeaa8cb, `"a\x00b"`},
-		{"text multi-byte", Str("日本€"), "0309e697a5e69cace282ac", "03e697a5e69cace282ac0000", 0x8de7fd8bf090ae1a, `"日本€"`},
-		{"bool true", Bool(true), "0401", "0201", 0x0824ef07b4dfe196, "TRUE"},
-		{"bool false", Bool(false), "0400", "0200", 0x0824f007b4dfe349, "FALSE"},
+		{"null", Null(), "00", "00", "NULL"},
+		{"int", Int(42), "0554", "01c045000000000000", "42"},
+		{"int 0", Int(0), "0500", "018000000000000000", "0"},
+		{"int -1", Int(-1), "0501", "01400fffffffffffff", "-1"},
+		{"int 63", Int(63), "057e", "01c04f800000000000", "63"},
+		{"int -64", Int(-64), "057f", "013fafffffffffffff", "-64"},
+		{"int 64", Int(64), "058001", "01c050000000000000", "64"},
+		{"int min", Int(math.MinInt64), "05ffffffffffffffffff01", "013c1fffffffffffff", "-9223372036854775808"},
+		{"int max", Int(math.MaxInt64), "05feffffffffffffffff01", "01c3e0000000000000", "9223372036854775807"},
+		{"float", Float(2.5), "020000000000000440", "01c004000000000000", "2.5"},
+		{"float 0", Float(0), "020000000000000000", "018000000000000000", "0"},
+		{"float -0", Float(math.Copysign(0, -1)), "020000000000000080", "018000000000000000", "-0"},
+		{"float NaN payload", Float(math.Float64frombits(0x7ff8000000000bad)), "02ad0b00000000f87f", "010000000000000000", "NaN"},
+		{"float negative NaN", Float(math.Float64frombits(0xfff8000000000001)), "02010000000000f8ff", "010000000000000000", "NaN"},
+		{"float +Inf", Float(math.Inf(1)), "02000000000000f07f", "01fff0000000000000", "+Inf"},
+		{"float -Inf", Float(math.Inf(-1)), "02000000000000f0ff", "01000fffffffffffff", "-Inf"},
+		{"float smallest subnormal", Float(math.SmallestNonzeroFloat64), "020100000000000000", "018000000000000001", "5e-324"},
+		{"text", Str("abc"), "0303616263", "036162630000", `"abc"`},
+		{"text empty", Str(""), "0300", "030000", `""`},
+		{"text NUL", Str("a\x00b"), "0303610062", "036100ff620000", `"a\x00b"`},
+		{"text multi-byte", Str("日本€"), "0309e697a5e69cace282ac", "03e697a5e69cace282ac0000", `"日本€"`},
+		{"bool true", Bool(true), "0401", "0201", "TRUE"},
+		{"bool false", Bool(false), "0400", "0200", "FALSE"},
 	} {
 		if got := hex.EncodeToString(c.v.Encode(nil)); got != c.encode {
 			t.Errorf("%s: Encode = %s, want %s", c.name, got, c.encode)
 		}
 		if got := hex.EncodeToString(c.v.SortKey(nil)); got != c.sortKey {
 			t.Errorf("%s: SortKey = %s, want %s", c.name, got, c.sortKey)
-		}
-		if got := c.v.Hash(); got != c.hash {
-			t.Errorf("%s: Hash = %#016x, want %#016x", c.name, got, c.hash)
 		}
 		if got := c.v.String(); got != c.str {
 			t.Errorf("%s: String = %s, want %s", c.name, got, c.str)
@@ -163,9 +159,6 @@ func FuzzValueCodec(f *testing.F) {
 			}
 		}
 		c := Compare(a, b)
-		if c == 0 && a.Hash() != b.Hash() {
-			t.Fatalf("Compare(%v, %v) = 0 but they hash apart", a, b)
-		}
 		// SortKey keys one index column, which holds one kind (NULL
 		// aside), or numbers of both kinds; across other kinds it orders
 		// by its own tags.

@@ -92,16 +92,6 @@ func (t Tuple) Equal(o Tuple) bool {
 	return true
 }
 
-// Hash combines the hashes of all values in the tuple.
-func (t Tuple) Hash() uint64 {
-	var h uint64 = 1469598103934665603
-	for _, v := range t {
-		h ^= v.Hash()
-		h *= 1099511628211
-	}
-	return h
-}
-
 // String renders the tuple as "(v1, v2, ...)".
 func (t Tuple) String() string {
 	parts := make([]string, len(t))

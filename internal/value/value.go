@@ -11,7 +11,6 @@ package value
 import (
 	"cmp"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 )
@@ -179,27 +178,6 @@ func Compare(a, b Value) int {
 // Equal reports whether a and b are the same value under Compare.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
-// Hash returns a stable hash of the value, consistent with Equal for
-// same-kind values and for INT/FLOAT values that compare equal.
-func (v Value) Hash() uint64 {
-	h := fnv.New64a()
-	switch v.kind {
-	case KindNull:
-		h.Write([]byte{0})
-	case KindInt, KindFloat:
-		var buf [9]byte
-		buf[0] = 1 // one tag for both kinds, so 2 == 2.0 hash alike
-		putU64(buf[1:], math.Float64bits(canonFloat(v.AsFloat())))
-		h.Write(buf[:])
-	case KindString:
-		h.Write([]byte{3})
-		h.Write([]byte(v.s))
-	case KindBool:
-		h.Write([]byte{4, byte(v.i)})
-	}
-	return h.Sum64()
-}
-
 // canonFloat maps the floats Compare ties to one of them: -0.0 to 0.0,
 // and every NaN payload to math.NaN().
 func canonFloat(f float64) float64 {
@@ -210,12 +188,6 @@ func canonFloat(f float64) float64 {
 		return math.NaN()
 	}
 	return f
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }
 
 // String renders the value as display text: EXPLAIN output, plan text
