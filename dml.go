@@ -668,7 +668,7 @@ func (e *Engine) createModelLocked(d *modelDef, logged bool) (*ModelInfo, error)
 	if err != nil {
 		return nil, err
 	}
-	der, err := core.UpperEnvelopes(m, e.envOpts)
+	der, err := core.UpperEnvelopes(m, core.Options{})
 	if err != nil {
 		return nil, err
 	}

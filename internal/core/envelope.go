@@ -26,6 +26,10 @@ type Derivation struct {
 	Elapsed time.Duration
 }
 
+// clusterBins is the number of interval members per dimension of a
+// clustering model's grid.
+const clusterBins = 16
+
 // UpperEnvelopes derives the per-class upper envelopes for any
 // supported model family, dispatching on the concrete type:
 //
@@ -58,7 +62,7 @@ func UpperEnvelopes(m mining.Model, opts Options) (*Derivation, error) {
 			out.Envelopes[c.String()] = GridEnvelope(g, k, opts)
 		}
 	case *cluster.KMeans:
-		g := GridFromKMeans(x, opts.ClusterBins)
+		g := GridFromKMeans(x, clusterBins)
 		if err := g.Validate(); err != nil {
 			return nil, err
 		}
@@ -66,7 +70,7 @@ func UpperEnvelopes(m mining.Model, opts Options) (*Derivation, error) {
 			out.Envelopes[c.String()] = GridEnvelope(g, k, opts)
 		}
 	case *cluster.GMM:
-		g := GridFromGMM(x, opts.ClusterBins)
+		g := GridFromGMM(x, clusterBins)
 		if err := g.Validate(); err != nil {
 			return nil, err
 		}

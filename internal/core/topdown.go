@@ -42,9 +42,6 @@ type Options struct {
 	// Bounds picks the bound test (default BoundsRatio; BoundsSimple is
 	// the paper's first formulation, kept for ablation).
 	Bounds BoundsKind
-	// ClusterBins is the number of interval members per dimension for
-	// clustering grids (default 16).
-	ClusterBins int
 	// MaxDisjuncts caps the emitted envelope's disjunct count
 	// (Section 4.2 thresholding). When the merged region set is larger,
 	// regions are greedily coalesced into their bounding boxes. Default
@@ -58,9 +55,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.MaxExpansions <= 0 {
 		o.MaxExpansions = 2048
-	}
-	if o.ClusterBins <= 0 {
-		o.ClusterBins = 16
 	}
 	if o.MaxDisjuncts == 0 {
 		o.MaxDisjuncts = 64

@@ -21,7 +21,6 @@ import (
 // bound.
 type envCache struct {
 	mu    sync.Mutex
-	max   int
 	m     map[string]minequery.CachedEnvelope
 	order []string // insertion order, for FIFO eviction
 
@@ -31,11 +30,11 @@ type envCache struct {
 	purges    atomic.Int64
 }
 
-func newEnvCache(max int) *envCache {
-	if max <= 0 {
-		max = 1024
-	}
-	return &envCache{max: max, m: make(map[string]minequery.CachedEnvelope)}
+// envCacheEntries bounds the cache; the oldest entry is evicted first.
+const envCacheEntries = 1024
+
+func newEnvCache() *envCache {
+	return &envCache{m: make(map[string]minequery.CachedEnvelope)}
 }
 
 func (c *envCache) Get(key string) (minequery.CachedEnvelope, bool) {
@@ -57,7 +56,7 @@ func (c *envCache) Put(key string, ce minequery.CachedEnvelope) {
 		c.m[key] = ce
 		return
 	}
-	for len(c.m) >= c.max && len(c.order) > 0 {
+	for len(c.m) >= envCacheEntries && len(c.order) > 0 {
 		victim := c.order[0]
 		c.order = c.order[1:]
 		delete(c.m, victim)

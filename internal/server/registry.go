@@ -51,7 +51,6 @@ type registry struct {
 	byKey map[string]*stmtEntry
 	byID  map[string]*stmtEntry
 	order []string // keys in insertion order, for FIFO eviction
-	max   int
 
 	hits       atomic.Int64 // prepare/execute served from a cached valid plan
 	misses     atomic.Int64 // first-time preparations
@@ -59,15 +58,14 @@ type registry struct {
 	evictions  atomic.Int64
 }
 
-func newRegistry(eng *minequery.Engine, max int) *registry {
-	if max <= 0 {
-		max = 256
-	}
+// maxStatements bounds the registry; the oldest entry is evicted first.
+const maxStatements = 256
+
+func newRegistry(eng *minequery.Engine) *registry {
 	return &registry{
 		eng:   eng,
 		byKey: map[string]*stmtEntry{},
 		byID:  map[string]*stmtEntry{},
-		max:   max,
 	}
 }
 
@@ -112,7 +110,7 @@ func (r *registry) lookup(sql string, force bool) (*stmtEntry, bool, error) {
 	if ent, ok := r.byKey[key]; ok {
 		return ent, true, nil
 	}
-	for len(r.byKey) >= r.max && len(r.order) > 0 {
+	for len(r.byKey) >= maxStatements && len(r.order) > 0 {
 		victim := r.order[0]
 		r.order = r.order[1:]
 		if old, ok := r.byKey[victim]; ok {

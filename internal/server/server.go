@@ -32,12 +32,6 @@ type Config struct {
 	// DefaultTimeout is the per-query deadline when neither the session
 	// nor the request sets one (default 30s).
 	DefaultTimeout time.Duration
-	// MaxStatements bounds the prepared-statement registry (default 256,
-	// FIFO eviction).
-	MaxStatements int
-	// EnvelopeCacheSize bounds the shared envelope cache (default 1024
-	// entries, FIFO eviction).
-	EnvelopeCacheSize int
 	// SlowQueryThreshold is the duration at or above which a completed
 	// query is recorded in the slow-query log served at /v1/slowlog
 	// (default 250ms; negative disables recording).
@@ -72,12 +66,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.MaxStatements <= 0 {
-		c.MaxStatements = 256
-	}
-	if c.EnvelopeCacheSize <= 0 {
-		c.EnvelopeCacheSize = 1024
 	}
 	if c.SlowQueryThreshold == 0 {
 		c.SlowQueryThreshold = 250 * time.Millisecond
@@ -143,8 +131,8 @@ func New(eng *minequery.Engine, cfg Config) *Server {
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
 		adm:      newAdmission(cfg.Workers, cfg.QueueDepth),
-		reg:      newRegistry(eng, cfg.MaxStatements),
-		env:      newEnvCache(cfg.EnvelopeCacheSize),
+		reg:      newRegistry(eng),
+		env:      newEnvCache(),
 		sessions: newSessionStore(),
 		slow:     newSlowLog(cfg.SlowLogSize),
 		breaker:  fault.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),

@@ -52,12 +52,6 @@ type Config struct {
 	// TestRows is the test-table size (the paper used >1M; the default
 	// 40000 preserves selectivities at a laptop-friendly scale).
 	TestRows int
-	// MaxIndexes bounds the tuner's physical design.
-	MaxIndexes int
-	// Optimizer is the cost model.
-	Optimizer opt.Config
-	// Envelopes tunes derivation.
-	Envelopes core.Options
 	// DOP is the scan degree of parallelism for query execution and
 	// costing (<=0: serial), so the paper's experiments can be rerun at
 	// DOP 1 vs N.
@@ -66,12 +60,7 @@ type Config struct {
 
 // DefaultConfig returns the standard experiment configuration.
 func DefaultConfig() Config {
-	return Config{
-		TestRows:   40000,
-		MaxIndexes: 16,
-		Optimizer:  opt.DefaultConfig(),
-		Envelopes:  core.DefaultOptions(),
-	}
+	return Config{TestRows: 40000}
 }
 
 // QueryResult records one class's envelope-query measurement.
@@ -188,11 +177,14 @@ func train(spec *dataset.Spec, kind ModelKind) (mining.Model, error) {
 // consume: like a practitioner selecting features before clustering,
 // the experiment clusters on the leading attributes. Beyond a handful
 // of dimensions, axis-aligned envelopes of cluster assignment regions
-// degrade for any derivation algorithm (see DESIGN.md).
+// degrade for any derivation algorithm (DESIGN.md §4b item 7).
 const clusterDims = 5
 
 // nbayesDims caps naive Bayes input width (feature selection).
 const nbayesDims = 8
+
+// maxIndexes bounds the tuner's physical design.
+const maxIndexes = 16
 
 // clusterInputs projects a train set onto its leading attributes.
 func clusterInputs(cs *mining.Columns) *mining.Columns {
@@ -216,8 +208,9 @@ func Run(spec *dataset.Spec, kind ModelKind, cfg Config) (*Result, error) {
 	if cfg.TestRows <= 0 {
 		cfg.TestRows = DefaultConfig().TestRows
 	}
+	optCfg := opt.DefaultConfig()
 	if cfg.DOP > 0 {
-		cfg.Optimizer.DOP = cfg.DOP
+		optCfg.DOP = cfg.DOP
 	}
 	cat := catalog.New()
 	table, err := cat.CreateTable(spec.Name, spec.Schema())
@@ -241,7 +234,7 @@ func Run(spec *dataset.Spec, kind ModelKind, cfg Config) (*Result, error) {
 	}
 	trainTime := time.Since(trainStart)
 
-	der, err := core.UpperEnvelopes(model, cfg.Envelopes)
+	der, err := core.UpperEnvelopes(model, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +254,7 @@ func Run(spec *dataset.Spec, kind ModelKind, cfg Config) (*Result, error) {
 			preds = append(preds, env)
 		}
 	}
-	cands := tuner.Recommend(table, preds, cfg.MaxIndexes)
+	cands := tuner.Recommend(table, preds, maxIndexes)
 	names, err := tuner.Apply(cat, spec.Name, cands)
 	if err != nil {
 		return nil, err
@@ -300,7 +293,7 @@ func Run(spec *dataset.Spec, kind ModelKind, cfg Config) (*Result, error) {
 		if !ok {
 			continue
 		}
-		q, err := measure(cat, table, env, cfg.Optimizer)
+		q, err := measure(cat, table, env, optCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -319,7 +312,7 @@ func Run(spec *dataset.Spec, kind ModelKind, cfg Config) (*Result, error) {
 	optStart := time.Now()
 	for _, c := range classes {
 		if env, ok := der.Envelopes[c.String()]; ok {
-			opt.ChooseAccessPath(table, env, cfg.Optimizer)
+			opt.ChooseAccessPath(table, env, optCfg)
 		}
 	}
 	res.OptimizeTime = time.Since(optStart)

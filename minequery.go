@@ -120,8 +120,6 @@ type (
 	RuleOptions = rules.Options
 	// ClusterOptions tunes k-means and GMM training.
 	ClusterOptions = cluster.Options
-	// EnvelopeOptions tunes upper-envelope derivation.
-	EnvelopeOptions = core.Options
 )
 
 // Engine is an embedded minequery database. Queries may run from many
@@ -134,7 +132,6 @@ type (
 type Engine struct {
 	cat      *catalog.Catalog
 	optCfg   opt.Config
-	envOpts  core.Options
 	execOpts exec.Options
 	envCache core.EnvelopeCache
 
@@ -169,20 +166,16 @@ type Engine struct {
 	standing *standing.Set
 }
 
-// Config tunes an Engine.
+// Config tunes an Engine. The cost model and the envelope derivation
+// are the engine's own: it plans with opt.DefaultConfig, whose DOP only
+// SetDOP moves, and derives envelopes with core's defaults. SetFaults
+// installs a fault injector.
 type Config struct {
-	// Optimizer is the cost model (zero value: opt defaults).
-	Optimizer opt.Config
-	// Envelopes tunes envelope derivation (zero value: core defaults).
-	Envelopes core.Options
 	// Exec tunes batch execution: scan parallelism (DOP), batch size,
 	// morsel size, retries. Zero value: exec defaults (one scan worker
 	// per CPU). Parallel scans reassemble morsels in heap order, so
 	// results are identical at any DOP.
 	Exec exec.Options
-	// Faults, when non-nil, installs a fault injector at construction
-	// (equivalent to calling SetFaults immediately after).
-	Faults *FaultInjector
 	// StandingQueue is the standing-query notification queue capacity.
 	// When matches outrun the Notifications consumer, the overflow is
 	// dropped and counted rather than blocking the write path. Zero
@@ -195,13 +188,6 @@ func New() *Engine { return NewWithConfig(Config{}) }
 
 // NewWithConfig returns an empty engine with explicit configuration.
 func NewWithConfig(cfg Config) *Engine {
-	if cfg.Optimizer == (opt.Config{}) {
-		cfg.Optimizer = opt.DefaultConfig()
-	}
-	zero := core.Options{}
-	if cfg.Envelopes == zero {
-		cfg.Envelopes = core.DefaultOptions()
-	}
 	if cfg.Exec == (exec.Options{}) {
 		cfg.Exec = exec.DefaultOptions()
 	}
@@ -212,7 +198,7 @@ func NewWithConfig(cfg Config) *Engine {
 		cfg.Exec.Retry = DefaultRetryPolicy()
 	}
 	e := &Engine{
-		cat: catalog.New(), optCfg: cfg.Optimizer, envOpts: cfg.Envelopes, execOpts: cfg.Exec,
+		cat: catalog.New(), optCfg: opt.DefaultConfig(), execOpts: cfg.Exec,
 		modelDefs:   make(map[string]*modelDef),
 		writesSince: make(map[string]int64),
 	}
@@ -222,9 +208,6 @@ func NewWithConfig(cfg Config) *Engine {
 	// predictions; drops break subscriptions); recompile lazily on the
 	// next committed batch, exactly like prepared-plan staleness.
 	e.cat.OnInvalidate(func(catalog.InvalidationEvent) { e.standing.Invalidate() })
-	if cfg.Faults != nil {
-		e.SetFaults(cfg.Faults)
-	}
 	return e
 }
 
@@ -590,7 +573,7 @@ func (e *Engine) RegisterModel(m Model) (*ModelInfo, error) {
 	if err := e.refuseUnlogged("RegisterModel", "register models before EnableWAL"); err != nil {
 		return nil, err
 	}
-	der, err := core.UpperEnvelopes(m, e.envOpts)
+	der, err := core.UpperEnvelopes(m, core.Options{})
 	if err != nil {
 		return nil, err
 	}
