@@ -1,6 +1,7 @@
 package minequery
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -20,8 +21,9 @@ const designDocMaxBytes = 69500
 
 // TestDesignDocCurrent holds DESIGN.md to the code it describes: its
 // size stays bounded, every backticked `pkg.Name` it writes names a
-// declaration of an in-repo package, and every "DESIGN §N" citation
-// elsewhere names one of its headings.
+// declaration of an in-repo package, every "DESIGN §N" citation
+// elsewhere names one of its headings, and every test name it or
+// README.md writes, or a test's doc comment opens with, is declared.
 func TestDesignDocCurrent(t *testing.T) {
 	doc, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -32,7 +34,7 @@ func TestDesignDocCurrent(t *testing.T) {
 			t.Errorf("DESIGN.md is %d bytes, over the %d-byte bound", len(doc), designDocMaxBytes)
 		}
 	})
-	pkgs, cites := scanRepo(t)
+	pkgs, cites, misdocs := scanRepo(t)
 	t.Run("names", func(t *testing.T) {
 		for _, name := range designDocNames(string(doc)) {
 			parts := strings.Split(name, ".")
@@ -49,6 +51,33 @@ func TestDesignDocCurrent(t *testing.T) {
 					t.Errorf("DESIGN.md names `%s`: package %s has no method or field %s", name, parts[0], sel)
 				}
 			}
+		}
+	})
+	t.Run("tests", func(t *testing.T) {
+		declared := func(name string, prefix bool) bool {
+			for _, p := range pkgs {
+				for top := range p.top {
+					if top == name || prefix && strings.HasPrefix(top, name) {
+						return true
+					}
+				}
+			}
+			return false
+		}
+		for _, file := range []string{"DESIGN.md", "README.md"} {
+			b, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, span := range codeSpan.FindAllString(string(b), -1) {
+				m := bareTestName.FindStringSubmatch(strings.Trim(span, "`"))
+				if m != nil && !declared(m[1], m[2] == "*") {
+					t.Errorf("%s names %s, which no package declares", file, span)
+				}
+			}
+		}
+		for _, m := range misdocs {
+			t.Error(m)
 		}
 	})
 	t.Run("citations", func(t *testing.T) {
@@ -83,12 +112,14 @@ func addCitations(out []designCitation, where, text string) []designCitation {
 
 // scanRepo parses every Go file in the repository, test files included
 // (an external test package counts as its package), and returns what
-// each package name declares and the citations of DESIGN.md in
-// README.md, ROADMAP.md and Go comments. CHANGES.md is history and
-// keeps the section numbers of its day.
-func scanRepo(t *testing.T) (map[string]*docPackage, []designCitation) {
+// each package name declares, the citations of DESIGN.md in README.md,
+// ROADMAP.md and Go comments, and the test functions whose doc comment
+// opens with another test's name. CHANGES.md is history and keeps the
+// section numbers of its day.
+func scanRepo(t *testing.T) (map[string]*docPackage, []designCitation, []string) {
 	t.Helper()
 	var cites []designCitation
+	var misdocs []string
 	for _, name := range []string{"README.md", "ROADMAP.md"} {
 		b, err := os.ReadFile(name)
 		if err != nil {
@@ -134,8 +165,14 @@ func scanRepo(t *testing.T) (map[string]*docPackage, []designCitation) {
 			case *ast.FuncDecl:
 				if d.Recv != nil {
 					p.members[d.Name.Name] = true
-				} else {
-					p.top[d.Name.Name] = true
+					continue
+				}
+				p.top[d.Name.Name] = true
+				if d.Doc == nil || !testName.MatchString(d.Name.Name) {
+					continue
+				}
+				if opens := testName.FindString(d.Doc.Text()); opens != "" && opens != d.Name.Name {
+					misdocs = append(misdocs, fmt.Sprintf("%s: the doc comment of %s opens with %s", fset.Position(d.Name.Pos()), d.Name.Name, opens))
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
@@ -156,7 +193,7 @@ func scanRepo(t *testing.T) (map[string]*docPackage, []designCitation) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pkgs, cites
+	return pkgs, cites, misdocs
 }
 
 // addMembers records the named fields and methods a type declares.
@@ -181,6 +218,12 @@ var (
 	codeSpan   = regexp.MustCompile("`[^`\n]+`")
 	dottedName = regexp.MustCompile(`(^|[^A-Za-z0-9_./])([a-z][a-z0-9]*(?:\.[A-Za-z_][A-Za-z0-9_]*)+)`)
 	heading    = regexp.MustCompile(`(?m)^#{2,3} (\d+[a-z]?(?:\.\d+)?)[. ]`)
+	// testName matches a test, fuzz or benchmark function's name at the
+	// start of a text; bareTestName a code span that is one such name,
+	// package-qualified or not, with a subtest path or a trailing * that
+	// stands for every name it prefixes.
+	testName     = regexp.MustCompile(`^(?:Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*`)
+	bareTestName = regexp.MustCompile(`^(?:[a-z][a-z0-9]*\.)?((?:Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*)(\*?)(?:/\S*)?$`)
 )
 
 // designDocNames returns the dotted names written in code spans. A

@@ -216,22 +216,22 @@ func TestOutlineCacheBounded(t *testing.T) {
 	sql := func(i int) string { return fmt.Sprintf("SELECT k FROM t WHERE k = %d", i) }
 	var newest *minequery.PlanOutline
 	for i := 0; i < 300; i++ {
-		o, err := c.outline(sql(i))
+		_, o, _, err := c.lookup(sql(i), false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		newest = o
 	}
-	if n := len(c.outlines); n > maxOutlines || len(c.outOrder) != n {
-		t.Fatalf("300 statements left %d outlines (%d in eviction order), want at most %d", n, len(c.outOrder), maxOutlines)
+	if n := len(c.stmts); n > maxOutlines || len(c.order) != n {
+		t.Fatalf("300 statements left %d outlines (%d in eviction order), want at most %d", n, len(c.order), maxOutlines)
 	}
-	if o, err := c.outline(sql(299)); err != nil || o != newest {
+	if _, o, _, err := c.lookup(sql(299), false); err != nil || o != newest {
 		t.Fatalf("the newest statement missed the cache: %p, %v", o, err)
 	}
-	if _, ok := c.outlines[newest.Norm]; !ok {
+	if _, ok := c.stmts[newest.Norm]; !ok {
 		t.Fatal("the newest outline is not cached")
 	}
-	if _, ok := c.outlines["select k from t where k = 0"]; ok {
+	if _, ok := c.stmts["select k from t where k = 0"]; ok {
 		t.Fatal("the oldest outline survived 299 newer ones")
 	}
 }
@@ -256,8 +256,8 @@ func TestPreparedStatementsBounded(t *testing.T) {
 			first = p.StatementID
 		}
 	}
-	if n := len(c.Statements()); n != maxOutlines || len(c.byNorm) != maxOutlines {
-		t.Fatalf("%d prepares left %d statements (%d by text), want %d", maxOutlines+1, n, len(c.byNorm), maxOutlines)
+	if n := len(c.Statements()); n != maxOutlines || len(c.stmts) != maxOutlines {
+		t.Fatalf("%d prepares left %d statements (%d by text), want %d", maxOutlines+1, n, len(c.stmts), maxOutlines)
 	}
 	var re *RemoteError
 	if _, err := c.Execute(ctx, Request{StatementID: first}); !errors.As(err, &re) || re.Code != wire.CodeNotFound {

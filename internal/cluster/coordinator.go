@@ -14,7 +14,6 @@ import (
 	"minequery"
 	"minequery/internal/agg"
 	"minequery/internal/fault"
-	"minequery/internal/qerr"
 	"minequery/internal/sqlparse"
 	"minequery/internal/wire"
 )
@@ -76,27 +75,21 @@ type shardState struct {
 	digest string
 }
 
-// coordStmt is one coordinator-prepared statement: the SQL plus the
-// per-shard statement ids it propagated to.
+// coordStmt is one entry of the coordinator's statement table: a
+// normalized text and its outline, and, once prepared, the statement's
+// id and how many shards answered its /v1/prepare. Every field is
+// guarded by the coordinator mu.
 type coordStmt struct {
-	id   string
-	sql  string
-	norm string
-	// shardIDs maps shard index -> remote statement id ("" until that
-	// shard has been prepared). Guarded by the coordinator mu.
-	shardIDs map[int]string
-}
-
-// maxOutlines bounds the outline cache and the prepared-statement
-// table, each evicted oldest first: the size of a node's statement
-// registry.
-const maxOutlines = 256
-
-// outlineEntry caches a planner outline against the planner epoch.
-type outlineEntry struct {
+	norm    string
 	outline *minequery.PlanOutline
-	epoch   int64
+	id      string // "" until Prepare issues one
+	shards  int
 }
+
+// maxOutlines bounds the statement table, evicted oldest first: the
+// size of a node's statement registry. Ad-hoc and prepared statements
+// share it, so an evicted id answers not_found.
+const maxOutlines = 256
 
 // Counters is a snapshot of the coordinator's lifetime counters; they
 // back the minequery_shard_* metric series.
@@ -171,10 +164,9 @@ type Coordinator struct {
 
 	mu       sync.Mutex
 	states   []shardState
-	outlines map[string]*outlineEntry
-	outOrder []string // outline keys in insertion order, for FIFO eviction
-	stmts    map[string]*coordStmt
-	byNorm   map[string]*coordStmt
+	stmts    map[string]*coordStmt // by normalized text
+	order    []string              // stmts keys in insertion order, for FIFO eviction
+	byID     map[string]*coordStmt // the prepared entries of stmts
 	nextStmt int
 
 	queries, planned, pruned, queried atomic.Int64
@@ -192,15 +184,14 @@ func New(planner *minequery.Engine, m *Map, cfg Config) *Coordinator {
 		states[i].epoch = -1
 	}
 	return &Coordinator{
-		planner:  planner,
-		shards:   m,
-		client:   NewClient(cfg.HTTP),
-		breaker:  fault.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		cfg:      cfg,
-		states:   states,
-		outlines: map[string]*outlineEntry{},
-		stmts:    map[string]*coordStmt{},
-		byNorm:   map[string]*coordStmt{},
+		planner: planner,
+		shards:  m,
+		client:  NewClient(cfg.HTTP),
+		breaker: fault.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		cfg:     cfg,
+		states:  states,
+		stmts:   map[string]*coordStmt{},
+		byID:    map[string]*coordStmt{},
 	}
 }
 
@@ -314,37 +305,47 @@ func (c *Coordinator) Sync(ctx context.Context) error {
 	return nil
 }
 
-// outline plans sql once against the planner, caching by normalized
-// text until the planner's catalog epoch moves. The cache keeps the
-// maxOutlines newest statements, so ad-hoc traffic cannot grow it
+// lookup returns sql's entry in the statement table with an outline
+// planned at the planner's current catalog epoch, planning it when the
+// text is new or the epoch moved. With prepare it issues the entry an
+// id if it has none; cached reports that it had one. The table keeps
+// the maxOutlines newest texts, so ad-hoc traffic cannot grow it
 // without bound.
-func (c *Coordinator) outline(sql string) (*minequery.PlanOutline, error) {
+func (c *Coordinator) lookup(sql string, prepare bool) (st *coordStmt, o *minequery.PlanOutline, cached bool, err error) {
 	norm, err := sqlparse.Normalize(sql)
 	if err != nil {
-		return nil, err
+		return nil, nil, false, err
 	}
 	epoch := c.planner.CatalogEpoch()
 	c.mu.Lock()
-	if ent, ok := c.outlines[norm]; ok && ent.epoch == epoch {
+	st = c.stmts[norm]
+	if st == nil || st.outline.Epoch != epoch {
 		c.mu.Unlock()
-		return ent.outline, nil
-	}
-	c.mu.Unlock()
-	o, err := c.planner.Outline(sql)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if _, ok := c.outlines[norm]; !ok {
-		for len(c.outlines) >= maxOutlines && len(c.outOrder) > 0 {
-			delete(c.outlines, c.outOrder[0])
-			c.outOrder = c.outOrder[1:]
+		if o, err = c.planner.Outline(sql); err != nil {
+			return nil, nil, false, err
 		}
-		c.outOrder = append(c.outOrder, norm)
+		c.mu.Lock()
+		if st = c.stmts[norm]; st == nil {
+			for len(c.stmts) >= maxOutlines && len(c.order) > 0 {
+				old := c.stmts[c.order[0]]
+				delete(c.stmts, old.norm)
+				delete(c.byID, old.id)
+				c.order = c.order[1:]
+			}
+			st = &coordStmt{norm: norm}
+			c.stmts[norm] = st
+			c.order = append(c.order, norm)
+		}
+		st.outline = o
 	}
-	c.outlines[norm] = &outlineEntry{outline: o, epoch: o.Epoch}
-	c.mu.Unlock()
-	return o, nil
+	defer c.mu.Unlock()
+	cached = st.id != ""
+	if prepare && !cached {
+		c.nextStmt++
+		st.id = fmt.Sprintf("cq%d", c.nextStmt)
+		c.byID[st.id] = st
+	}
+	return st, st.outline, cached, nil
 }
 
 // pruneDecision classifies every shard for one query.
@@ -427,18 +428,19 @@ func (c *Coordinator) Execute(ctx context.Context, req Request) (*Result, error)
 	if (req.SQL == "") == (req.StatementID == "") {
 		return nil, errors.New("cluster: exactly one of SQL or StatementID is required")
 	}
-	var stmt *coordStmt
 	sql := req.SQL
 	if req.StatementID != "" {
 		c.mu.Lock()
-		stmt = c.stmts[req.StatementID]
+		st := c.byID[req.StatementID]
+		if st != nil {
+			sql = st.norm
+		}
 		c.mu.Unlock()
-		if stmt == nil {
+		if st == nil {
 			return nil, &RemoteError{Status: http.StatusNotFound, Code: wire.CodeNotFound, Message: "no statement " + req.StatementID}
 		}
-		sql = stmt.sql
 	}
-	o, err := c.outline(sql)
+	_, o, _, err := c.lookup(sql, false)
 	if err != nil {
 		return nil, err
 	}
@@ -456,7 +458,7 @@ func (c *Coordinator) Execute(ctx context.Context, req Request) (*Result, error)
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				outcomes[i] = c.execOnShard(ctx, i, o, stmt, req)
+				outcomes[i] = c.execOnShard(ctx, i, o, req)
 			}(i)
 		case d.envPruned[i] && len(o.Models) > 0:
 			// Validate the envelope-driven skip in parallel with the
@@ -477,7 +479,7 @@ func (c *Coordinator) Execute(ctx context.Context, req Request) (*Result, error)
 				// predict rows the planner's envelope excluded. Query it;
 				// its local plan is sound against its local model.
 				c.replans.Add(1)
-				outcomes[i] = c.execOnShard(ctx, i, o, stmt, req)
+				outcomes[i] = c.execOnShard(ctx, i, o, req)
 				d.query[i], d.envPruned[i] = true, false
 			}(i)
 		default:
@@ -486,17 +488,14 @@ func (c *Coordinator) Execute(ctx context.Context, req Request) (*Result, error)
 	}
 	wg.Wait()
 
-	return c.merge(o, d, outcomes, stmt)
+	return c.merge(o, d, outcomes, req.StatementID)
 }
 
 // merge assembles the final Result from per-shard outcomes, enforcing
 // the failure policy.
-func (c *Coordinator) merge(o *minequery.PlanOutline, d pruneDecision, outcomes []shardOutcome, stmt *coordStmt) (*Result, error) {
+func (c *Coordinator) merge(o *minequery.PlanOutline, d pruneDecision, outcomes []shardOutcome, statementID string) (*Result, error) {
 	n := c.shards.NumShards()
-	res := &Result{Epoch: o.Epoch}
-	if stmt != nil {
-		res.StatementID = stmt.id
-	}
+	res := &Result{Epoch: o.Epoch, StatementID: statementID}
 	res.ShardStats.Planned = n
 
 	// Aggregate statements gather un-finalized per-shard states into one
@@ -627,8 +626,10 @@ func WireSchema(cols []minequery.ColumnMeta) []wire.ColumnMeta {
 
 // execOnShard runs one statement on shard i to a terminal outcome:
 // breaker admission, bounded transient retries, and bounded
-// epoch-mismatch / stale-plan recovery rounds.
-func (c *Coordinator) execOnShard(ctx context.Context, i int, o *minequery.PlanOutline, stmt *coordStmt, req Request) shardOutcome {
+// epoch-mismatch / stale-plan recovery rounds. The shard gets the
+// statement's normalized text, which its registry finds with one map
+// lookup or plans afresh.
+func (c *Coordinator) execOnShard(ctx context.Context, i int, o *minequery.PlanOutline, req Request) shardOutcome {
 	addr := c.shards.Shards[i].Addr
 	shed, probe := c.breaker.Allow(addr)
 	if shed {
@@ -641,17 +642,7 @@ func (c *Coordinator) execOnShard(ctx context.Context, i int, o *minequery.PlanO
 	var resp *wire.ShardExecResponse
 	var lastErr error
 	for round := 0; round <= maxReplans; round++ {
-		ereq := wire.ShardExecRequest{TimeoutMS: c.cfg.ShardTimeout.Milliseconds(), DOP: req.DOP, AggPartial: o.Agg != nil}
-		if stmt != nil {
-			ereq.StatementID = c.shardStmtID(ctx, i, stmt)
-			if ereq.StatementID == "" {
-				// The shard was unreachable at prepare time and still is.
-				lastErr = fmt.Errorf("%w: statement not preparable on shard", qerr.ErrTransient)
-				break
-			}
-		} else {
-			ereq.SQL = o.Norm
-		}
+		ereq := wire.ShardExecRequest{SQL: o.Norm, TimeoutMS: c.cfg.ShardTimeout.Milliseconds(), DOP: req.DOP, AggPartial: o.Agg != nil}
 		if guarded && round < maxReplans {
 			c.mu.Lock()
 			ep := c.states[i].epoch
@@ -695,14 +686,6 @@ func (c *Coordinator) execOnShard(ctx context.Context, i int, o *minequery.PlanO
 				// more round gives it a fresh epoch to plan at.
 				c.replans.Add(1)
 				continue
-			case wire.CodeNotFound:
-				if stmt != nil {
-					// The remote statement id vanished (shard restarted or
-					// evicted it): re-propagate the statement and retry.
-					c.replans.Add(1)
-					c.forgetShardStmt(i, stmt)
-					continue
-				}
 			}
 		}
 		break
@@ -741,91 +724,42 @@ func (c *Coordinator) observeEpoch(i int, epoch int64) {
 	c.mu.Unlock()
 }
 
-// shardStmtID returns the remote statement id for stmt on shard i,
-// propagating the statement there first if needed ("" when the shard
-// cannot be reached).
-func (c *Coordinator) shardStmtID(ctx context.Context, i int, stmt *coordStmt) string {
-	c.mu.Lock()
-	id := stmt.shardIDs[i]
-	c.mu.Unlock()
-	if id != "" {
-		return id
-	}
-	sctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
-	defer cancel()
-	pr, err := c.client.Prepare(sctx, c.shards.Shards[i].Addr, stmt.sql)
-	if err != nil {
-		return ""
-	}
-	c.mu.Lock()
-	stmt.shardIDs[i] = pr.StatementID
-	c.mu.Unlock()
-	return pr.StatementID
-}
-
-// forgetShardStmt drops shard i's cached statement id so the next
-// round re-propagates it.
-func (c *Coordinator) forgetShardStmt(i int, stmt *coordStmt) {
-	c.mu.Lock()
-	delete(stmt.shardIDs, i)
-	c.mu.Unlock()
-}
-
-// Prepare plans a statement once on the coordinator and propagates it
-// to every reachable shard. The fleet shares plans by normalized
-// statement text: each shard's registry dedupes on it, so N
-// coordinators preparing the same query converge on one plan per node.
+// Prepare plans a statement once on the coordinator, issues it an id,
+// and plans its text on every reachable shard. The fleet shares plans
+// by normalized text: each shard's registry dedupes on it, so N
+// coordinators preparing the same query converge on one plan per node,
+// and a shard that missed this call plans the text when it is executed.
 func (c *Coordinator) Prepare(ctx context.Context, sql string) (*wire.PreparedInfo, error) {
-	o, err := c.outline(sql)
+	st, o, cached, err := c.lookup(sql, true)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	if st, ok := c.byNorm[o.Norm]; ok {
-		c.mu.Unlock()
-		return &wire.PreparedInfo{StatementID: st.id, Cached: true, Norm: o.Norm, ShardsPrepared: c.countPrepared(st)}, nil
-	}
-	c.nextStmt++
-	st := &coordStmt{id: fmt.Sprintf("cq%d", c.nextStmt), sql: sql, norm: o.Norm, shardIDs: map[int]string{}}
-	c.stmts[st.id] = st
-	c.byNorm[o.Norm] = st
-	// Ids are issued in order and leave only here, so the oldest is the
-	// one maxOutlines ids back; an evicted id answers not_found.
-	if old, ok := c.stmts[fmt.Sprintf("cq%d", c.nextStmt-maxOutlines)]; ok {
-		delete(c.stmts, old.id)
-		delete(c.byNorm, old.norm)
-	}
-	c.mu.Unlock()
-
+	var answered atomic.Int64
 	var wg sync.WaitGroup
 	for i := range c.shards.Shards {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c.shardStmtID(ctx, i, st)
+			sctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
+			defer cancel()
+			if _, err := c.client.Prepare(sctx, c.shards.Shards[i].Addr, o.Norm); err == nil {
+				answered.Add(1)
+			}
 		}(i)
 	}
 	wg.Wait()
-	return &wire.PreparedInfo{StatementID: st.id, Norm: o.Norm, ShardsPrepared: c.countPrepared(st)}, nil
-}
-
-func (c *Coordinator) countPrepared(st *coordStmt) int {
+	n := int(answered.Load())
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, id := range st.shardIDs {
-		if id != "" {
-			n++
-		}
-	}
-	return n
+	st.shards = n
+	c.mu.Unlock()
+	return &wire.PreparedInfo{StatementID: st.id, Cached: cached, Norm: o.Norm, ShardsPrepared: n}, nil
 }
 
 // ExplainAnalyze profiles the statement across the fleet: the prune
 // decision, the shards line, and each queried shard's own per-operator
 // report stitched in shard order.
 func (c *Coordinator) ExplainAnalyze(ctx context.Context, sql string) (string, error) {
-	o, err := c.outline(sql)
+	_, o, _, err := c.lookup(sql, false)
 	if err != nil {
 		return "", err
 	}
@@ -884,16 +818,12 @@ func (c *Coordinator) ExplainAnalyze(ctx context.Context, sql string) (string, e
 // Statements lists the coordinator's prepared statements sorted by id.
 func (c *Coordinator) Statements() []wire.PreparedInfo {
 	c.mu.Lock()
-	stmts := make([]*coordStmt, 0, len(c.stmts))
-	for _, st := range c.stmts {
-		stmts = append(stmts, st)
+	out := make([]wire.PreparedInfo, 0, len(c.byID))
+	for _, st := range c.byID {
+		out = append(out, wire.PreparedInfo{StatementID: st.id, Norm: st.norm, ShardsPrepared: st.shards})
 	}
 	c.mu.Unlock()
-	sort.Slice(stmts, func(a, b int) bool { return stmts[a].id < stmts[b].id })
-	out := make([]wire.PreparedInfo, len(stmts))
-	for i, st := range stmts {
-		out[i] = wire.PreparedInfo{StatementID: st.id, Norm: st.norm, ShardsPrepared: c.countPrepared(st)}
-	}
+	sort.Slice(out, func(a, b int) bool { return out[a].StatementID < out[b].StatementID })
 	return out
 }
 

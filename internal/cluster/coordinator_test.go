@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"minequery"
@@ -250,6 +252,130 @@ func TestCoordinatorPreparedStatements(t *testing.T) {
 	}
 	if cp.StatementID != prep.StatementID {
 		t.Fatalf("response statement id %q, want %q", cp.StatementID, prep.StatementID)
+	}
+}
+
+// TestCoordinatorStatementOutlivesShardEviction: a coordinator-prepared
+// statement reaches a shard as its text, so a shard whose registry has
+// evicted the plan builds it again on the call, with no recovery round.
+func TestCoordinatorStatementOutlivesShardEviction(t *testing.T) {
+	tc := newTestCluster(t, 3, []int64{3, 6}, 1000, cluster.Config{})
+	ctx := context.Background()
+	prep, err := tc.coord.Prepare(ctx, vipQuery)
+	if err != nil || prep.ShardsPrepared != 3 {
+		t.Fatalf("prepare: %+v, %v", prep, err)
+	}
+	// 300 distinct texts straight to each shard push the prepared plan out
+	// of its 256-entry registry.
+	for _, hs := range tc.https {
+		for i := 0; i < 300; i++ {
+			sql := fmt.Sprintf("SELECT id FROM customers WHERE id = %d", i)
+			if st, raw := postJSON(t, hs.URL, "/v1/execute", map[string]any{"sql": sql}); st != http.StatusOK {
+				t.Fatalf("ad-hoc %q: %d %s", sql, st, raw)
+			}
+		}
+	}
+	before := tc.coord.Counters().Replans
+	res, err := tc.coord.Execute(ctx, cluster.Request{StatementID: prep.StatementID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, uraw := postJSON(t, tc.unionHTTP.URL, "/v1/execute", map[string]any{"sql": vipQuery})
+	if up := decodePayload(t, uraw); !bytes.Equal(res.Rows.Encoded, up.Rows) {
+		t.Fatalf("prepared execution diverges from union:\ncoord: %.300s\nunion: %.300s", res.Rows.Encoded, up.Rows)
+	}
+	if n := tc.coord.Counters().Replans - before; n != 0 {
+		t.Fatalf("%d replan rounds after the shards evicted the plan, want 0", n)
+	}
+}
+
+// TestStatementTableConcurrent: Prepare, execute by id and ad-hoc
+// Execute of more texts than the coordinator's statement table holds,
+// all at once. An id runs its own statement's text or answers
+// not_found, the table never lists more than its bound, and an id whose
+// text was pushed out answers not_found.
+func TestStatementTableConcurrent(t *testing.T) {
+	tc := newTestCluster(t, 2, []int64{4}, 400, cluster.Config{})
+	ctx := context.Background()
+	const n = cluster.MaxOutlines + 44
+	prepared := func(i int) string { return fmt.Sprintf("SELECT id FROM customers WHERE id = %d", i) }
+	adhoc := func(i int) string { return fmt.Sprintf("SELECT id FROM customers WHERE id = %d AND age >= 0", i) }
+	check := func(what string, i int, res *cluster.Result, err error, evictable bool) {
+		var re *cluster.RemoteError
+		switch {
+		case err != nil && evictable && errors.As(err, &re) && re.Code == wire.CodeNotFound:
+		case err != nil:
+			t.Errorf("%s %d: %v", what, i, err)
+		case string(res.Rows.Encoded) != fmt.Sprintf("[[%d]]", i):
+			t.Errorf("%s %d answered %s", what, i, res.Rows.Encoded)
+		}
+	}
+	const workers = 4
+	ids := make([]string, n)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				p, err := tc.coord.Prepare(ctx, prepared(i))
+				if err != nil {
+					t.Errorf("prepare %d: %v", i, err)
+					return
+				}
+				ids[i] = p.StatementID
+				for _, j := range []int{i, i - workers} {
+					if j >= 0 {
+						res, err := tc.coord.Execute(ctx, cluster.Request{StatementID: ids[j]})
+						check("statement", j, res, err, true)
+					}
+				}
+			}
+		}(w)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				res, err := tc.coord.Execute(ctx, cluster.Request{SQL: adhoc(i)})
+				check("ad-hoc", i, res, err, false)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		for {
+			if l := len(tc.coord.Statements()); l > cluster.MaxOutlines {
+				t.Errorf("Statements() listed %d, over the bound %d", l, cluster.MaxOutlines)
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	<-watched
+	if t.Failed() {
+		return
+	}
+	// MaxOutlines newer texts push every prepared one out. Their ranges
+	// are empty, so no shard is called.
+	for i := 0; i < cluster.MaxOutlines; i++ {
+		if _, err := tc.coord.Execute(ctx, cluster.Request{SQL: fmt.Sprintf("SELECT id FROM customers WHERE income < 1 AND income > 5 AND id = %d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l := len(tc.coord.Statements()); l != 0 {
+		t.Fatalf("%d statements listed after %d newer texts, want 0", l, cluster.MaxOutlines)
+	}
+	for i, id := range ids {
+		var re *cluster.RemoteError
+		if _, err := tc.coord.Execute(ctx, cluster.Request{StatementID: id}); !errors.As(err, &re) || re.Code != wire.CodeNotFound {
+			t.Fatalf("evicted statement %s (%d): %v, want not_found", id, i, err)
+		}
 	}
 }
 

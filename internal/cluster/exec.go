@@ -71,15 +71,15 @@ func (c *Coordinator) execInsert(ctx context.Context, st *sqlparse.InsertStmt) (
 	}
 
 	res := &wire.StatementResult{Statement: "insert", Table: strings.ToLower(st.Table)}
-	shardIDs := make([]int, 0, len(byShard))
+	targets := make([]int, 0, len(byShard))
 	for sh := range byShard {
-		shardIDs = append(shardIDs, sh)
+		targets = append(targets, sh)
 	}
-	sort.Ints(shardIDs)
-	resps := make([]*wire.ExecResponse, len(shardIDs))
-	errs := make([]error, len(shardIDs))
+	sort.Ints(targets)
+	resps := make([]*wire.ExecResponse, len(targets))
+	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
-	for idx, sh := range shardIDs {
+	for idx, sh := range targets {
 		wg.Add(1)
 		go func(idx, sh int) {
 			defer wg.Done()
@@ -88,7 +88,7 @@ func (c *Coordinator) execInsert(ctx context.Context, st *sqlparse.InsertStmt) (
 		}(idx, sh)
 	}
 	wg.Wait()
-	return c.mergeWrites(res, shardIDs, resps, errs)
+	return c.mergeWrites(res, targets, resps, errs)
 }
 
 // insertKeyPosition locates the shard key's position within one VALUES
@@ -141,12 +141,12 @@ func (c *Coordinator) broadcast(ctx context.Context, sql string, st *sqlparse.St
 		res.Statement, res.Table = "create model", strings.ToLower(st.CreateModel.Table)
 	}
 	n := c.shards.NumShards()
-	shardIDs := make([]int, n)
+	targets := make([]int, n)
 	resps := make([]*wire.ExecResponse, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		shardIDs[i] = i
+		targets[i] = i
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -154,7 +154,7 @@ func (c *Coordinator) broadcast(ctx context.Context, sql string, st *sqlparse.St
 		}(i)
 	}
 	wg.Wait()
-	return c.mergeWrites(res, shardIDs, resps, errs)
+	return c.mergeWrites(res, targets, resps, errs)
 }
 
 // execStatementOnShard runs one write on shard i with the same breaker
@@ -188,11 +188,11 @@ func (c *Coordinator) execStatementOnShard(ctx context.Context, i int, sql strin
 
 // mergeWrites folds per-shard write outcomes, failing on the first
 // error but naming every shard that already applied the statement.
-func (c *Coordinator) mergeWrites(res *wire.StatementResult, shardIDs []int, resps []*wire.ExecResponse, errs []error) (*wire.StatementResult, error) {
+func (c *Coordinator) mergeWrites(res *wire.StatementResult, targets []int, resps []*wire.ExecResponse, errs []error) (*wire.StatementResult, error) {
 	retrained := map[string]bool{}
 	var applied []int
 	var firstErr error
-	for idx, sh := range shardIDs {
+	for idx, sh := range targets {
 		if errs[idx] != nil {
 			if firstErr == nil {
 				firstErr = errs[idx]

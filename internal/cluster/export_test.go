@@ -10,3 +10,6 @@ func (c *Coordinator) CachedModel(i int, name string) (epoch int64, mi wire.Mode
 	mi, ok = c.states[i].models[name]
 	return c.states[i].epoch, mi, ok
 }
+
+// MaxOutlines is the statement table's bound.
+const MaxOutlines = maxOutlines

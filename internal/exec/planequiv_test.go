@@ -153,7 +153,7 @@ func TestPlanEquivalencePartitioned(t *testing.T) {
 	}
 }
 
-// TestPlanEquivalenceDOPInvariantChoice pins that raising the DOP makes
+// TestPlanEquivalenceDOPCosting pins that raising the DOP makes
 // scans relatively cheaper: whatever the optimizer chooses, both the
 // DOP-1 and DOP-N choices stay row-equivalent to a forced scan.
 func TestPlanEquivalenceDOPCosting(t *testing.T) {

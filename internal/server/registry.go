@@ -134,34 +134,29 @@ func (r *registry) byStatementID(id string) (*stmtEntry, bool) {
 	return ent, ok
 }
 
-// prepare ensures the entry holds a valid plan, building or rebuilding
-// it as needed. cached reports whether a previously built, still-valid
-// plan was reused (the /v1/prepare response's "cached" field and the
-// hit counter's definition).
-func (r *registry) prepare(sql string, force bool) (ent *stmtEntry, cached bool, err error) {
-	ent, _, err = r.lookup(sql, force)
-	if err != nil {
-		return nil, false, err
-	}
+// plan returns the entry's plan, building it when it is missing or
+// stale, and counts the hit, the miss (no plan existed yet, whoever
+// created the entry) or the re-prepare. reused reports whether the plan
+// was built by an earlier call: the /v1/prepare response's "cached"
+// field and the hit counter's definition.
+func (r *registry) plan(ent *stmtEntry) (p *minequery.Prepared, reused bool, err error) {
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
 	if ent.prepared != nil && ent.prepared.Valid() {
 		r.hits.Add(1)
-		return ent, true, nil
+		return ent.prepared, true, nil
 	}
-	p, err := r.eng.Prepare(ent.sql, planHints(ent.force)...)
+	p, err = r.eng.Prepare(ent.sql, planHints(ent.force)...)
 	if err != nil {
 		return nil, false, err
 	}
 	if ent.prepared != nil {
 		r.reprepares.Add(1)
 	} else {
-		// First build for this entry — whether we created it or a
-		// concurrent caller did, no plan existed yet, so it's a miss.
 		r.misses.Add(1)
 	}
 	ent.prepared = p
-	return ent, false, nil
+	return p, false, nil
 }
 
 // maxExecuteRetries bounds the re-prepare loop: each retry means the
@@ -176,34 +171,12 @@ const maxExecuteRetries = 5
 // rows go to sink; a re-prepared plan's execution is a new attempt.
 func (r *registry) execute(ctx context.Context, ent *stmtEntry, sink minequery.RowSink, execOpts []minequery.QueryOption) (res *minequery.Result, planReused bool, err error) {
 	for attempt := 0; attempt <= maxExecuteRetries; attempt++ {
-		ent.mu.Lock()
-		p := ent.prepared
-		if p == nil || !p.Valid() {
-			np, perr := r.eng.Prepare(ent.sql, planHints(ent.force)...)
-			if perr != nil {
-				ent.mu.Unlock()
-				return nil, false, perr
-			}
-			if p != nil {
-				r.reprepares.Add(1)
-			} else {
-				r.misses.Add(1)
-			}
-			ent.prepared = np
-			p = np
-			reused := false
-			ent.mu.Unlock()
-			res, err = p.ExecuteInto(ctx, sink, execOpts...)
-			if err == nil {
-				return res, reused, nil
-			}
-		} else {
-			r.hits.Add(1)
-			ent.mu.Unlock()
-			res, err = p.ExecuteInto(ctx, sink, execOpts...)
-			if err == nil {
-				return res, true, nil
-			}
+		p, reused, perr := r.plan(ent)
+		if perr != nil {
+			return nil, false, perr
+		}
+		if res, err = p.ExecuteInto(ctx, sink, execOpts...); err == nil {
+			return res, reused, nil
 		}
 		if !errors.Is(err, minequery.ErrStalePlan) {
 			return nil, false, err

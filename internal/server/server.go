@@ -458,19 +458,21 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	ent, cached, err := s.reg.prepare(req.SQL, settings.ForcePath == "seqscan")
+	ent, _, err := s.reg.lookup(req.SQL, settings.ForcePath == "seqscan")
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	ent.mu.Lock()
-	planStr, path := ent.prepared.Plan(), ent.prepared.AccessPath()
-	ent.mu.Unlock()
+	p, cached, err := s.reg.plan(ent)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, wire.PrepareResponse{
 		StatementID: ent.id,
 		Cached:      cached,
-		Plan:        planStr,
-		AccessPath:  path,
+		Plan:        p.Plan(),
+		AccessPath:  p.AccessPath(),
 	})
 }
 
@@ -573,20 +575,20 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleShardExec is the endpoint a cluster coordinator drives:
-// /v1/execute minus sessions plus an optional catalog epoch guard and
-// partial-aggregate mode.
+// /v1/execute by text alone, minus sessions, plus an optional catalog
+// epoch guard and partial-aggregate mode.
 func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 	var req wire.ShardExecRequest
 	rows := rowEncoders.Get()
 	defer rowEncoders.Put(rows)
 	s.serve(w, r, &req, func() (string, int64, error) {
-		return "", req.TimeoutMS, exactlyOne(req.SQL, req.StatementID)
+		return "", req.TimeoutMS, requireSQL(req.SQL)
 	}, func(ctx context.Context, _ sessionSettings) (any, error) {
 		opts := settingsExecOpts(sessionSettings{DOP: req.DOP})
 		if req.AggPartial {
 			opts = append(opts, minequery.WithPartialAggs())
 		}
-		return s.execute(ctx, req.SQL, req.StatementID, false, req.ExpectedEpoch, opts, rows)
+		return s.execute(ctx, req.SQL, "", false, req.ExpectedEpoch, opts, rows)
 	})
 }
 

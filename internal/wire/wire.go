@@ -60,12 +60,11 @@ type ExecuteRequest struct {
 }
 
 // ShardExecRequest is the body of POST /v1/shard-exec, the endpoint a
-// coordinator drives: /v1/execute minus sessions plus an epoch guard
-// and partial-aggregate mode.
+// coordinator drives: /v1/execute by text alone, minus sessions, plus an
+// epoch guard and partial-aggregate mode.
 type ShardExecRequest struct {
-	// SQL and StatementID: exactly one must be set.
-	SQL         string `json:"sql,omitempty"`
-	StatementID string `json:"statement_id,omitempty"`
+	// SQL is the statement's text, normalized by the coordinator.
+	SQL string `json:"sql,omitempty"`
 	// ExpectedEpoch, when non-nil, guards the execution: the shard
 	// rejects with CodeEpochMismatch before running if its catalog epoch
 	// differs, signalling the coordinator to resync this shard's model
@@ -496,8 +495,9 @@ type PreparedInfo struct {
 	StatementID string `json:"statement_id"`
 	Cached      bool   `json:"cached"`
 	Norm        string `json:"norm"`
-	// ShardsPrepared counts nodes holding the plan after this call;
-	// unreachable nodes are propagated to lazily at execute time.
+	// ShardsPrepared counts the shards that answered the /v1/prepare of
+	// the statement's text; a shard that did not plans the text when it
+	// is executed there.
 	ShardsPrepared int `json:"shards_prepared"`
 }
 

@@ -65,7 +65,7 @@ func bodies() []body {
 		{"prepare_response", PrepareResponse{StatementID: "q7", Cached: true, Plan: "SeqScan(customers)", AccessPath: "seqscan"}, PrepareResponse{}},
 		{"execute_request", ExecuteRequest{SQL: "select id from customers", StatementID: "q7", SessionID: "s1", TimeoutMS: 10000, DOP: 4}, ExecuteRequest{}},
 		{"execute_response", exe, ExecuteResponse{}},
-		{"shard_exec_request", ShardExecRequest{SQL: "select id from customers", StatementID: "q7", ExpectedEpoch: &ep, TimeoutMS: 10000, DOP: 4, AggPartial: true}, ShardExecRequest{}},
+		{"shard_exec_request", ShardExecRequest{SQL: "select id from customers", ExpectedEpoch: &ep, TimeoutMS: 10000, DOP: 4, AggPartial: true}, ShardExecRequest{}},
 		{"shard_exec_response", ShardExecResponse{ExecuteResponse: exe, Epoch: 42, AggPartial: partial}, ShardExecResponse{}},
 		{"explain_analyze_request", ExplainAnalyzeRequest{SQL: "select id from customers", TimeoutMS: 10000}, ExplainAnalyzeRequest{}},
 		{"explain_analyze_response", ExplainAnalyzeResponse{

@@ -70,9 +70,6 @@ func (e *Engine) EnableWAL(dev wal.Device) (int, error) {
 	return len(rep.Records), nil
 }
 
-// WALEnabled reports whether a write-ahead log is attached.
-func (e *Engine) WALEnabled() bool { return e.wlog.Load() != nil }
-
 // replayRecord re-applies one recovered record. Caller holds writeMu
 // with e.replaying set (so the apply path does not re-log).
 func (e *Engine) replayRecord(rec *wal.Record) error {
