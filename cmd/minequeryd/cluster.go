@@ -1,13 +1,9 @@
 package main
 
-// Cluster modes for minequeryd: `-coord` turns the process into a
+// Cluster flags for minequeryd: `-coord` turns the process into a
 // coordinator fanning out over `-shard-addrs`, and `-demo-shard i/n`
-// seeds a shard daemon holding slice i of the demo rows. The demo
-// models are always trained on the full demo row stream (staged on a
-// training table) regardless of which slice a node stores, so every
-// node in a demo fleet carries identical model fingerprints — the
-// invariant the coordinator's envelope-driven shard pruning validates
-// at runtime.
+// seeds a shard daemon holding slice i of the demo rows (internal/demo).
+// Both build their shard map from the same flags.
 
 import (
 	"fmt"
@@ -71,82 +67,4 @@ func parseShardSlice(s string) (int, int, error) {
 		return 0, 0, fmt.Errorf("-demo-shard %d/%d out of range", i, n)
 	}
 	return i, n, nil
-}
-
-// demoSchema is the demo customers table shape.
-func demoSchema() *minequery.Schema {
-	return minequery.MustSchema(
-		minequery.Column{Name: "id", Kind: minequery.KindInt},
-		minequery.Column{Name: "age", Kind: minequery.KindInt},
-		minequery.Column{Name: "income", Kind: minequery.KindInt},
-		minequery.Column{Name: "visits", Kind: minequery.KindInt},
-		minequery.Column{Name: "segment", Kind: minequery.KindString},
-	)
-}
-
-// trainDemoModels stages the full demo rows on a training table and
-// trains the demo models from it, so every node — shard or planner —
-// derives identical models and envelope fingerprints.
-func trainDemoModels(eng *minequery.Engine, all []minequery.Tuple) error {
-	if err := eng.CreateTable("training", minequery.MustSchema(
-		minequery.Column{Name: "age", Kind: minequery.KindInt},
-		minequery.Column{Name: "income", Kind: minequery.KindInt},
-		minequery.Column{Name: "segment", Kind: minequery.KindString},
-	)); err != nil {
-		return err
-	}
-	stage := make([]minequery.Tuple, len(all))
-	for i, row := range all {
-		stage[i] = minequery.Tuple{row[1], row[2], row[4]}
-	}
-	if err := eng.InsertBatch("training", stage); err != nil {
-		return err
-	}
-	if _, err := eng.TrainDecisionTree("risk_tree", "risk", "training",
-		[]string{"age", "income"}, "segment", minequery.TreeOptions{}); err != nil {
-		return err
-	}
-	if _, err := eng.TrainNaiveBayes("seg_bayes", "segment", "training",
-		[]string{"age", "income"}, "segment", minequery.BayesOptions{}); err != nil {
-		return err
-	}
-	return nil
-}
-
-// seedDemoShard seeds slice i of an n-way demo fleet: the rows the
-// shard map routes to shard i, plus fleet-identical models.
-func seedDemoShard(eng *minequery.Engine, m *cluster.Map, shard, rows int) error {
-	all := demoRowStream(rows)
-	if err := eng.CreateTable("customers", demoSchema()); err != nil {
-		return err
-	}
-	mine := make([]minequery.Tuple, 0, rows/m.NumShards()+1)
-	for _, row := range all {
-		if m.ShardFor(row[2]) == shard {
-			mine = append(mine, row)
-		}
-	}
-	if err := eng.InsertBatch("customers", mine); err != nil {
-		return err
-	}
-	if err := trainDemoModels(eng, all); err != nil {
-		return err
-	}
-	if err := eng.CreateIndex("ix_income", "customers", "income"); err != nil {
-		return err
-	}
-	return eng.Analyze("customers")
-}
-
-// buildCoordPlanner builds the coordinator's planning engine for the
-// demo fleet: schema and models, no rows.
-func buildCoordPlanner(rows int) (*minequery.Engine, error) {
-	eng := minequery.New()
-	if err := eng.CreateTable("customers", demoSchema()); err != nil {
-		return nil, err
-	}
-	if err := trainDemoModels(eng, demoRowStream(rows)); err != nil {
-		return nil, err
-	}
-	return eng, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"minequery"
+	"minequery/internal/demo"
 	"minequery/internal/server"
 	"minequery/internal/wire"
 )
@@ -24,7 +25,7 @@ func TestDemoShardInfoLabelsAreClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := minequery.New()
-	if err := seedDemoShard(eng, m, 0, 2000); err != nil {
+	if err := demo.SeedShard(eng, m, 0, 2000); err != nil {
 		t.Fatal(err)
 	}
 	hs := httptest.NewServer(server.New(eng, server.Config{}).Handler())

@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"net/http"
 	"os"
 	"os/signal"
@@ -21,6 +20,7 @@ import (
 
 	"minequery"
 	"minequery/internal/cluster"
+	"minequery/internal/demo"
 	"minequery/internal/server"
 )
 
@@ -31,7 +31,7 @@ func main() {
 		queue     = flag.Int("queue", 32, "max queries queued waiting for a worker (-1: no queue)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "default per-query timeout")
 		drain     = flag.Duration("drain", 10*time.Second, "max time to drain in-flight queries on shutdown")
-		demo      = flag.Bool("demo", false, "seed a demo database (customers table + risk_tree/seg_bayes models)")
+		demoDB    = flag.Bool("demo", false, "seed a demo database (customers table + risk_tree/seg_bayes models)")
 		demoRows  = flag.Int("demo-rows", 30000, "row count for -demo")
 		brkThr    = flag.Int("breaker-threshold", 3, "consecutive index-path failures tripping a table's circuit breaker (-1: disable)")
 		brkCool   = flag.Duration("breaker-cooldown", 5*time.Second, "how long a tripped breaker stays open before probing")
@@ -51,8 +51,8 @@ func main() {
 	flag.Parse()
 
 	if *coord {
-		runCoordinator(*addr, *shardTable, *shardColumn, *shardMode, *shardBounds,
-			parseAddrs(*shardAddrs), *demoRows, *timeout, *drain, *brkThr, *brkCool, *partial)
+		serve(*addr, *drain, newCoordinator(*shardTable, *shardColumn, *shardMode, *shardBounds,
+			parseAddrs(*shardAddrs), *demoRows, *timeout, *brkThr, *brkCool, *partial))
 		return
 	}
 
@@ -72,12 +72,12 @@ func main() {
 		if err != nil {
 			log.Fatalf("minequeryd: shard map: %v", err)
 		}
-		if err := seedDemoShard(eng, m, i, *demoRows); err != nil {
+		if err := demo.SeedShard(eng, m, i, *demoRows); err != nil {
 			log.Fatalf("minequeryd: seed demo shard: %v", err)
 		}
 		log.Printf("minequeryd: demo shard %d/%d ready (%s sharding on %s)", i, n, *shardMode, *shardColumn)
-	case *demo:
-		if err := seedDemo(eng, *demoRows); err != nil {
+	case *demoDB:
+		if err := demo.Seed(eng, *demoRows); err != nil {
 			log.Fatalf("minequeryd: seed demo: %v", err)
 		}
 		log.Printf("minequeryd: demo database ready (%d rows, models risk_tree, seg_bayes)", *demoRows)
@@ -102,44 +102,20 @@ func main() {
 		log.Printf("minequeryd: WAL %s attached (%d records replayed)", *walPath, n)
 	}
 
-	q := *queue
-	if q < 0 {
-		q = 0
-	}
-	srv := server.New(eng, server.Config{
+	serve(*addr, *drain, server.New(eng, server.Config{
 		Workers:          *workers,
-		QueueDepth:       q,
+		QueueDepth:       *queue,
 		DefaultTimeout:   *timeout,
 		BreakerThreshold: *brkThr,
 		BreakerCooldown:  *brkCool,
-	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		<-ctx.Done()
-		log.Printf("minequeryd: shutting down, draining for up to %s", *drain)
-		dctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := srv.Shutdown(dctx); err != nil {
-			log.Printf("minequeryd: drain: %v", err)
-		}
-		_ = httpSrv.Shutdown(dctx)
-	}()
-
-	log.Printf("minequeryd: listening on %s", *addr)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		log.Fatalf("minequeryd: %v", err)
-	}
-	log.Printf("minequeryd: stopped")
+	}))
 }
 
-// runCoordinator serves coordinator mode: a planning engine with the
+// newCoordinator builds coordinator mode: a planning engine with the
 // demo schema and models (no rows), a shard map over the fleet, and
 // the coordinator HTTP surface.
-func runCoordinator(addr, table, column, mode, boundsCSV string, addrs []string,
-	demoRows int, timeout, drain time.Duration, brkThr int, brkCool time.Duration, partial bool) {
+func newCoordinator(table, column, mode, boundsCSV string, addrs []string,
+	demoRows int, timeout time.Duration, brkThr int, brkCool time.Duration, partial bool) *server.CoordServer {
 	if len(addrs) == 0 {
 		log.Fatal("minequeryd: -coord needs -shard-addrs")
 	}
@@ -147,7 +123,7 @@ func runCoordinator(addr, table, column, mode, boundsCSV string, addrs []string,
 	if err != nil {
 		log.Fatalf("minequeryd: shard map: %v", err)
 	}
-	planner, err := buildCoordPlanner(demoRows)
+	planner, err := demo.Planner(demoRows)
 	if err != nil {
 		log.Fatalf("minequeryd: coordinator planner: %v", err)
 	}
@@ -162,90 +138,38 @@ func runCoordinator(addr, table, column, mode, boundsCSV string, addrs []string,
 		log.Printf("minequeryd: initial shard sync: %v (will retry lazily)", err)
 	}
 	scancel()
-	cs := server.NewCoord(co, timeout)
-	httpSrv := &http.Server{Addr: addr, Handler: cs.Handler()}
+	log.Printf("minequeryd: coordinator over %d shards (%s on %s)", m.NumShards(), mode, column)
+	return server.NewCoord(co, timeout)
+}
 
+// serve listens on addr until SIGINT or SIGTERM, then stops admitting
+// work and drains what is in flight for up to drain. It returns once the
+// drain and the listener's shutdown have, since ListenAndServe returns
+// as soon as that shutdown begins.
+func serve(addr string, drain time.Duration, srv interface {
+	Handler() http.Handler
+	Shutdown(context.Context) error
+}) {
+	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		<-ctx.Done()
-		log.Printf("minequeryd: coordinator shutting down, draining for up to %s", drain)
+		log.Printf("minequeryd: shutting down, draining for up to %s", drain)
 		dctx, cancel := context.WithTimeout(context.Background(), drain)
 		defer cancel()
-		if err := cs.Shutdown(dctx); err != nil {
+		if err := srv.Shutdown(dctx); err != nil {
 			log.Printf("minequeryd: drain: %v", err)
 		}
 		_ = httpSrv.Shutdown(dctx)
 	}()
 
-	log.Printf("minequeryd: coordinator over %d shards (%s on %s) listening on %s",
-		m.NumShards(), mode, column, addr)
+	log.Printf("minequeryd: listening on %s", addr)
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatalf("minequeryd: %v", err)
 	}
+	<-drained
 	log.Printf("minequeryd: stopped")
-}
-
-// demoRowStream generates the deterministic demo row stream; shard
-// mode slices it with the shard map, so the union of all shards is
-// exactly the single-node demo database.
-func demoRowStream(n int) []minequery.Tuple {
-	r := rand.New(rand.NewSource(7))
-	rows := make([]minequery.Tuple, 0, n)
-	for i := 0; i < n; i++ {
-		age := int64(r.Intn(10))
-		income := int64(r.Intn(8))
-		seg := "regular"
-		switch {
-		case age == 0 && income == 7:
-			seg = "vip"
-		case income <= 1:
-			seg = "budget"
-		}
-		rows = append(rows, minequery.Tuple{
-			minequery.Int(int64(i)), minequery.Int(age), minequery.Int(income),
-			minequery.Int(int64(r.Intn(50))), minequery.Str(seg),
-		})
-	}
-	return rows
-}
-
-// seedDemo loads the same demo database as mqshell: a customers table
-// with a rare "vip" segment, two trained models, and two indexes.
-func seedDemo(eng *minequery.Engine, n int) error {
-	if err := eng.CreateTable("customers", minequery.MustSchema(
-		minequery.Column{Name: "id", Kind: minequery.KindInt},
-		minequery.Column{Name: "age", Kind: minequery.KindInt},
-		minequery.Column{Name: "income", Kind: minequery.KindInt},
-		minequery.Column{Name: "visits", Kind: minequery.KindInt},
-		minequery.Column{Name: "segment", Kind: minequery.KindString},
-	)); err != nil {
-		return err
-	}
-	if err := eng.InsertBatch("customers", demoRowStream(n)); err != nil {
-		return err
-	}
-	if err := eng.Analyze("customers"); err != nil {
-		return err
-	}
-	if _, err := eng.TrainDecisionTree("risk_tree", "risk", "customers",
-		[]string{"age", "income"}, "segment", minequery.TreeOptions{}); err != nil {
-		return err
-	}
-	if _, err := eng.TrainNaiveBayes("seg_bayes", "segment", "customers",
-		[]string{"age", "income"}, "segment", minequery.BayesOptions{}); err != nil {
-		return err
-	}
-	if err := eng.CreateIndex("ix_age_income", "customers", "age", "income"); err != nil {
-		return err
-	}
-	if err := eng.CreateIndex("ix_income", "customers", "income"); err != nil {
-		return err
-	}
-	// Opt the demo table into the column-group sidecar so sequential
-	// scans exercise the vectorized path (and its metrics) out of the box.
-	if err := eng.EnableColumnar("customers"); err != nil {
-		return err
-	}
-	return eng.Analyze("customers")
 }

@@ -25,12 +25,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"strings"
 	"time"
 
 	"minequery"
+	"minequery/internal/demo"
 )
 
 func main() {
@@ -58,13 +58,13 @@ func main() {
 		return
 	}
 
-	eng, err := demoEngine()
-	if err != nil {
+	eng := minequery.New()
+	if err := demo.Seed(eng, 30000); err != nil {
 		fmt.Fprintln(os.Stderr, "setup:", err)
 		os.Exit(1)
 	}
 	fmt.Println("minequery shell — demo database loaded (table: customers; models: risk_tree, seg_bayes)")
-	fmt.Println(`try: SELECT * FROM customers PREDICTION JOIN risk_tree AS m ON m.age = customers.age AND m.income = customers.income WHERE m.risk = 'high' LIMIT 5`)
+	fmt.Println(`try: SELECT * FROM customers PREDICTION JOIN risk_tree AS m ON m.age = customers.age AND m.income = customers.income WHERE m.risk = 'vip' LIMIT 5`)
 	sc := bufio.NewScanner(os.Stdin)
 	fmt.Print("mq> ")
 	for sc.Scan() {
@@ -194,61 +194,4 @@ func printExecResult(res *minequery.ExecResult) {
 	if len(res.Retrained) > 0 {
 		fmt.Printf("-- retrained: %s\n", strings.Join(res.Retrained, ", "))
 	}
-}
-
-// demoEngine builds the shell's demo database.
-func demoEngine() (*minequery.Engine, error) {
-	eng := minequery.New()
-	if err := eng.CreateTable("customers", minequery.MustSchema(
-		minequery.Column{Name: "id", Kind: minequery.KindInt},
-		minequery.Column{Name: "age", Kind: minequery.KindInt},
-		minequery.Column{Name: "income", Kind: minequery.KindInt},
-		minequery.Column{Name: "visits", Kind: minequery.KindInt},
-		minequery.Column{Name: "segment", Kind: minequery.KindString},
-	)); err != nil {
-		return nil, err
-	}
-	r := rand.New(rand.NewSource(7))
-	rows := make([]minequery.Tuple, 0, 30000)
-	for i := 0; i < 30000; i++ {
-		age := int64(r.Intn(10))
-		income := int64(r.Intn(8))
-		seg := "regular"
-		switch {
-		case age == 0 && income == 7:
-			seg = "vip"
-		case income <= 1:
-			seg = "budget"
-		}
-		rows = append(rows, minequery.Tuple{
-			minequery.Int(int64(i)), minequery.Int(age), minequery.Int(income),
-			minequery.Int(int64(r.Intn(50))), minequery.Str(seg),
-		})
-	}
-	if err := eng.InsertBatch("customers", rows); err != nil {
-		return nil, err
-	}
-	if err := eng.Analyze("customers"); err != nil {
-		return nil, err
-	}
-	if _, err := eng.TrainDecisionTree("risk_tree", "risk", "customers",
-		[]string{"age", "income"}, "segment", minequery.TreeOptions{}); err != nil {
-		return nil, err
-	}
-	if _, err := eng.TrainNaiveBayes("seg_bayes", "segment", "customers",
-		[]string{"age", "income"}, "segment", minequery.BayesOptions{}); err != nil {
-		return nil, err
-	}
-	if err := eng.CreateIndex("ix_age_income", "customers", "age", "income"); err != nil {
-		return nil, err
-	}
-	if err := eng.CreateIndex("ix_income", "customers", "income"); err != nil {
-		return nil, err
-	}
-	// Match the daemon's demo: columnar sidecar on, so .explain shows
-	// the vectorized scan path.
-	if err := eng.EnableColumnar("customers"); err != nil {
-		return nil, err
-	}
-	return eng, eng.Analyze("customers")
 }

@@ -237,8 +237,9 @@ func TestOutlineCacheBounded(t *testing.T) {
 }
 
 // TestPreparedStatementsBounded: the coordinator's prepared-statement
-// table keeps the maxOutlines newest statements, and an evicted id
-// answers not_found.
+// table keeps the maxOutlines newest statements, lists them in the order
+// their ids were issued (cq9 before cq10), and an evicted id answers
+// not_found.
 func TestPreparedStatementsBounded(t *testing.T) {
 	planner := minequery.New()
 	if err := planner.CreateTable("t", minequery.MustSchema(minequery.Column{Name: "k", Kind: minequery.KindInt})); err != nil {
@@ -256,8 +257,14 @@ func TestPreparedStatementsBounded(t *testing.T) {
 			first = p.StatementID
 		}
 	}
-	if n := len(c.Statements()); n != maxOutlines || len(c.stmts) != maxOutlines {
+	listed := c.Statements()
+	if n := len(listed); n != maxOutlines || len(c.stmts) != maxOutlines {
 		t.Fatalf("%d prepares left %d statements (%d by text), want %d", maxOutlines+1, n, len(c.stmts), maxOutlines)
+	}
+	for i, p := range listed {
+		if want := fmt.Sprintf("cq%d", i+2); p.StatementID != want {
+			t.Fatalf("statement %d listed as %s, want %s: ids are listed in the order they were issued", i, p.StatementID, want)
+		}
 	}
 	var re *RemoteError
 	if _, err := c.Execute(ctx, Request{StatementID: first}); !errors.As(err, &re) || re.Code != wire.CodeNotFound {

@@ -83,6 +83,7 @@ type coordStmt struct {
 	norm    string
 	outline *minequery.PlanOutline
 	id      string // "" until Prepare issues one
+	seq     int    // the number in id, which Statements lists by
 	shards  int
 }
 
@@ -342,7 +343,8 @@ func (c *Coordinator) lookup(sql string, prepare bool) (st *coordStmt, o *minequ
 	cached = st.id != ""
 	if prepare && !cached {
 		c.nextStmt++
-		st.id = fmt.Sprintf("cq%d", c.nextStmt)
+		st.seq = c.nextStmt
+		st.id = fmt.Sprintf("cq%d", st.seq)
 		c.byID[st.id] = st
 	}
 	return st, st.outline, cached, nil
@@ -815,15 +817,20 @@ func (c *Coordinator) ExplainAnalyze(ctx context.Context, sql string) (string, e
 	return b.String(), nil
 }
 
-// Statements lists the coordinator's prepared statements sorted by id.
+// Statements lists the coordinator's prepared statements in the order
+// their ids were issued.
 func (c *Coordinator) Statements() []wire.PreparedInfo {
 	c.mu.Lock()
-	out := make([]wire.PreparedInfo, 0, len(c.byID))
+	sts := make([]*coordStmt, 0, len(c.byID))
 	for _, st := range c.byID {
-		out = append(out, wire.PreparedInfo{StatementID: st.id, Norm: st.norm, ShardsPrepared: st.shards})
+		sts = append(sts, st)
+	}
+	sort.Slice(sts, func(a, b int) bool { return sts[a].seq < sts[b].seq })
+	out := make([]wire.PreparedInfo, len(sts))
+	for i, st := range sts {
+		out[i] = wire.PreparedInfo{StatementID: st.id, Norm: st.norm, ShardsPrepared: st.shards}
 	}
 	c.mu.Unlock()
-	sort.Slice(out, func(a, b int) bool { return out[a].StatementID < out[b].StatementID })
 	return out
 }
 

@@ -1,13 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"minequery"
+	"minequery/internal/cluster"
 	"minequery/internal/wire"
 )
 
@@ -199,4 +203,140 @@ func TestShutdownDeadlineExpires(t *testing.T) {
 	}
 	close(gate)
 	<-done
+}
+
+// testCoord starts a coordinator over the one shard at shardURL, its
+// planner a testEngine, and returns it with its URL.
+func testCoord(t *testing.T, shardURL string) (*CoordServer, string) {
+	t.Helper()
+	m, err := cluster.NewRangeMap("customers", "income", nil, []string{shardURL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := NewCoord(cluster.New(testEngine(t, 1000), m, cluster.Config{}), 0)
+	ts := httptest.NewServer(cs.Handler())
+	t.Cleanup(ts.Close)
+	return cs, ts.URL
+}
+
+// TestCoordShutdownDrains: a coordinator's Shutdown lets the fan-out in
+// flight finish, refuses new statements with the typed shutting-down
+// error, flips healthz to draining, and keeps its status endpoints
+// answering.
+func TestCoordShutdownDrains(t *testing.T) {
+	_, shardURL, gate, entered := gateServer(t, testEngine(t, 1000), Config{})
+	cs, url := testCoord(t, shardURL)
+	const q = `SELECT id FROM customers WHERE age = 3`
+
+	type outcome struct {
+		st  int
+		raw []byte
+	}
+	inflight := make(chan outcome, 1)
+	go func() {
+		st, raw := call(t, "POST", url+"/v1/execute", wire.ExecuteRequest{SQL: q})
+		inflight <- outcome{st, raw}
+	}()
+	<-entered // the fan-out is held at its shard
+
+	shutdownErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shutdownErr <- cs.Shutdown(ctx)
+	}()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st, raw := call(t, "GET", url+"/healthz", nil)
+		if st == http.StatusServiceUnavailable {
+			if got := decode[map[string]string](t, raw)["status"]; got != "draining" {
+				t.Fatalf("healthz during drain: %s, want status draining", raw)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("healthz never reported draining")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	st, raw := call(t, "POST", url+"/v1/execute", wire.ExecuteRequest{SQL: q})
+	if st != http.StatusServiceUnavailable || errCode(t, raw) != wire.CodeShuttingDown {
+		t.Fatalf("execute during drain: %d %s, want 503 %s", st, raw, wire.CodeShuttingDown)
+	}
+	for _, path := range []string{"/v1/cluster", "/v1/stats"} {
+		if st, raw := call(t, "GET", url+path, nil); st != http.StatusOK {
+			t.Fatalf("%s during drain: %d %s, want 200", path, st, raw)
+		}
+	}
+	select {
+	case err := <-shutdownErr:
+		t.Fatalf("Shutdown returned %v while a fan-out was still in flight", err)
+	default:
+	}
+
+	close(gate)
+	if out := <-inflight; out.st != http.StatusOK {
+		t.Fatalf("in-flight fan-out during drain: %d %s, want 200", out.st, out.raw)
+	}
+	if err := <-shutdownErr; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// TestDrainGuardsEndpoints pins which endpoints a drain refuses: on both
+// surfaces every endpoint that takes work answers 503 shutting_down, and
+// the scrape and status endpoints keep answering (healthz with its own
+// 503 draining).
+func TestDrainGuardsEndpoints(t *testing.T) {
+	s, ts := testServer(t, testEngine(t, 1000), Config{})
+	cs, curl := testCoord(t, ts.URL)
+	for _, surface := range []struct {
+		name          string
+		url           string
+		shutdown      func(context.Context) error
+		guarded, bare []string
+	}{
+		{"node", ts.URL, s.Shutdown, []string{
+			"POST /v1/session",
+			"DELETE /v1/session/s1",
+			"POST /v1/session/s1/settings",
+			"POST /v1/prepare",
+			"POST /v1/execute",
+			"POST /v1/exec",
+			"POST /v1/explain-analyze",
+			"POST /v1/subscribe",
+			"DELETE /v1/subscribe/1",
+			"GET /v1/subscriptions",
+			"GET /v1/notifications",
+			"POST /v1/shard-exec",
+			"GET /v1/shard-info",
+		}, []string{"GET /v1/slowlog", "GET /v1/stats", "GET /metrics", "GET /healthz"}},
+		{"coordinator", curl, cs.Shutdown, []string{
+			"POST /v1/execute",
+			"POST /v1/exec",
+			"POST /v1/prepare",
+			"POST /v1/explain-analyze",
+		}, []string{"GET /v1/cluster", "GET /v1/stats", "GET /metrics", "GET /healthz"}},
+	} {
+		if err := surface.shutdown(context.Background()); err != nil {
+			t.Fatalf("%s: Shutdown with nothing in flight: %v", surface.name, err)
+		}
+		for _, ep := range surface.guarded {
+			method, path, _ := strings.Cut(ep, " ")
+			if st, raw := call(t, method, surface.url+path, nil); st != http.StatusServiceUnavailable || errCode(t, raw) != wire.CodeShuttingDown {
+				t.Errorf("%s %s during drain: %d %s, want 503 %s", surface.name, ep, st, raw, wire.CodeShuttingDown)
+			}
+		}
+		for _, ep := range surface.bare {
+			method, path, _ := strings.Cut(ep, " ")
+			want := http.StatusOK
+			if path == "/healthz" {
+				want = http.StatusServiceUnavailable
+			}
+			if st, raw := call(t, method, surface.url+path, nil); st != want || bytes.Contains(raw, []byte(wire.CodeShuttingDown)) {
+				t.Errorf("%s %s during drain: %d %s, want %d", surface.name, ep, st, raw, want)
+			}
+		}
+	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"net/http"
-	"sync"
 	"time"
 
 	"minequery"
@@ -23,13 +22,7 @@ type CoordServer struct {
 	metrics *minequery.MetricsRegistry
 	timeout time.Duration
 	started time.Time
-
-	mu      sync.Mutex
-	closing bool
-	wg      sync.WaitGroup
-
-	// queries/errors mirror the single-node counters at the request
-	// level (the coordinator's own counters count shard slots).
+	drain   // the guard NewCoord registers, Shutdown and /healthz (drain.go)
 }
 
 // NewCoord wires the coordinator HTTP surface. defaultTimeout bounds a
@@ -45,10 +38,11 @@ func NewCoord(coord *cluster.Coordinator, defaultTimeout time.Duration) *CoordSe
 		started: time.Now(),
 	}
 	cs.metrics = cs.buildMetrics()
-	cs.mux.HandleFunc("POST /v1/execute", cs.handleExecute)
-	cs.mux.HandleFunc("POST /v1/exec", cs.handleExec)
-	cs.mux.HandleFunc("POST /v1/prepare", cs.handlePrepare)
-	cs.mux.HandleFunc("POST /v1/explain-analyze", cs.handleExplainAnalyze)
+	g := cs.guard
+	cs.mux.HandleFunc("POST /v1/execute", g(cs.handleExecute))
+	cs.mux.HandleFunc("POST /v1/exec", g(cs.handleExec))
+	cs.mux.HandleFunc("POST /v1/prepare", g(cs.handlePrepare))
+	cs.mux.HandleFunc("POST /v1/explain-analyze", g(cs.handleExplainAnalyze))
 	cs.mux.HandleFunc("GET /v1/cluster", cs.handleCluster)
 	cs.mux.HandleFunc("GET /v1/stats", cs.handleStats)
 	cs.mux.HandleFunc("GET /metrics", cs.handleMetrics)
@@ -58,34 +52,6 @@ func NewCoord(coord *cluster.Coordinator, defaultTimeout time.Duration) *CoordSe
 
 // Handler returns the HTTP entry point.
 func (cs *CoordServer) Handler() http.Handler { return cs.mux }
-
-// Shutdown stops admitting requests and drains in-flight fan-outs.
-func (cs *CoordServer) Shutdown(ctx context.Context) error {
-	cs.mu.Lock()
-	cs.closing = true
-	cs.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		cs.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (cs *CoordServer) beginRequest() (func(), error) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.closing {
-		return nil, errShuttingDown
-	}
-	cs.wg.Add(1)
-	return cs.wg.Done, nil
-}
 
 // coordStatsResponse is GET /v1/stats in coordinator mode; no in-repo
 // client decodes it, so it stays beside its only producer.
@@ -98,19 +64,13 @@ type coordStatsResponse struct {
 
 // ---- handlers ----
 
-// serve is the coordinator's request prologue: drain guard, decode into
-// req, the endpoint's own check (which also names the session and the
+// serve is the coordinator's request prologue: decode into req, the
+// endpoint's own check (which also names the session and the
 // request's timeout_ms), the no-sessions rule, and the deadline
 // bounding the whole fan-out. run's value is the 200 body.
 func (cs *CoordServer) serve(w http.ResponseWriter, r *http.Request, req any,
 	check func() (sessionID string, timeoutMS int64, err error),
 	run func(context.Context) (any, error)) {
-	done, err := cs.beginRequest()
-	if err != nil {
-		writeEnvelope(w, err)
-		return
-	}
-	defer done()
 	if err := decodeBody(r, req); err != nil {
 		writeEnvelope(w, err)
 		return
@@ -220,17 +180,6 @@ func (cs *CoordServer) handleStats(w http.ResponseWriter, r *http.Request) {
 		BreakerOpen: cs.coord.BreakerOpen(),
 		Trips:       cs.coord.BreakerTrips(),
 	})
-}
-
-func (cs *CoordServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	cs.mu.Lock()
-	closing := cs.closing
-	cs.mu.Unlock()
-	if closing {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleMetrics serves the minequery_shard_* series; like the

@@ -94,8 +94,8 @@ func (s *Server) buildMetrics() *minequery.MetricsRegistry {
 }
 
 // handleMetrics serves the registry in Prometheus text exposition
-// format. It deliberately skips beginRequest: scrapes should keep
-// working while the server drains, and they never touch the engine.
+// format. New registers it without the drain guard: scrapes should
+// keep working while the server drains, and they never touch the engine.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.metrics.WritePrometheus(w)

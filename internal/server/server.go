@@ -5,11 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -99,10 +97,7 @@ type Server struct {
 	breaker  *fault.BreakerSet // per-table circuits (breaker.go)
 	metrics  *minequery.MetricsRegistry
 	started  time.Time
-
-	mu      sync.Mutex
-	closing bool
-	wg      sync.WaitGroup
+	drain    // the guard New registers, Shutdown and /healthz (drain.go)
 
 	queries       atomic.Int64
 	timeouts      atomic.Int64
@@ -149,19 +144,20 @@ func New(eng *minequery.Engine, cfg Config) *Server {
 			s.env.Purge()
 		}
 	})
-	s.mux.HandleFunc("POST /v1/session", s.handleSessionCreate)
-	s.mux.HandleFunc("DELETE /v1/session/{id}", s.handleSessionDelete)
-	s.mux.HandleFunc("POST /v1/session/{id}/settings", s.handleSessionSettings)
-	s.mux.HandleFunc("POST /v1/prepare", s.handlePrepare)
-	s.mux.HandleFunc("POST /v1/execute", s.handleExecute)
-	s.mux.HandleFunc("POST /v1/exec", s.handleExec)
-	s.mux.HandleFunc("POST /v1/explain-analyze", s.handleExplainAnalyze)
-	s.mux.HandleFunc("POST /v1/subscribe", s.handleSubscribe)
-	s.mux.HandleFunc("DELETE /v1/subscribe/{id}", s.handleUnsubscribe)
-	s.mux.HandleFunc("GET /v1/subscriptions", s.handleSubscriptions)
-	s.mux.HandleFunc("GET /v1/notifications", s.handleNotifications)
-	s.mux.HandleFunc("POST /v1/shard-exec", s.handleShardExec)
-	s.mux.HandleFunc("GET /v1/shard-info", s.handleShardInfo)
+	g := s.guard
+	s.mux.HandleFunc("POST /v1/session", g(s.handleSessionCreate))
+	s.mux.HandleFunc("DELETE /v1/session/{id}", g(s.handleSessionDelete))
+	s.mux.HandleFunc("POST /v1/session/{id}/settings", g(s.handleSessionSettings))
+	s.mux.HandleFunc("POST /v1/prepare", g(s.handlePrepare))
+	s.mux.HandleFunc("POST /v1/execute", g(s.handleExecute))
+	s.mux.HandleFunc("POST /v1/exec", g(s.handleExec))
+	s.mux.HandleFunc("POST /v1/explain-analyze", g(s.handleExplainAnalyze))
+	s.mux.HandleFunc("POST /v1/subscribe", g(s.handleSubscribe))
+	s.mux.HandleFunc("DELETE /v1/subscribe/{id}", g(s.handleUnsubscribe))
+	s.mux.HandleFunc("GET /v1/subscriptions", g(s.handleSubscriptions))
+	s.mux.HandleFunc("GET /v1/notifications", g(s.handleNotifications))
+	s.mux.HandleFunc("POST /v1/shard-exec", g(s.handleShardExec))
+	s.mux.HandleFunc("GET /v1/shard-info", g(s.handleShardInfo))
 	s.mux.HandleFunc("GET /v1/slowlog", s.handleSlowlog)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -171,38 +167,6 @@ func New(eng *minequery.Engine, cfg Config) *Server {
 
 // Handler returns the HTTP entry point.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Shutdown stops admitting new requests and waits for in-flight ones
-// to drain, or for ctx to expire. Safe to call more than once.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.closing = true
-	s.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("server: shutdown drain: %w", ctx.Err())
-	}
-}
-
-// beginRequest registers an in-flight request against the drain group,
-// refusing once shutdown has begun. Callers must call the returned
-// func when done.
-func (s *Server) beginRequest() (func(), error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closing {
-		return nil, errShuttingDown
-	}
-	s.wg.Add(1)
-	return s.wg.Done, nil
-}
 
 // ---- bodies only this package knows (everything a client of ours
 // decodes is declared in internal/wire) ----
@@ -360,23 +324,11 @@ func wireStats(st minequery.ExecStats) wire.ExecStats {
 // ---- handlers ----
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	done, err := s.beginRequest()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer done()
 	sess := s.sessions.create()
 	writeJSON(w, http.StatusOK, sessionResponse{SessionID: sess.id})
 }
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	done, err := s.beginRequest()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer done()
 	if !s.sessions.drop(r.PathValue("id")) {
 		s.writeError(w, errNotFound("no session "+r.PathValue("id")))
 		return
@@ -385,12 +337,6 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionSettings(w http.ResponseWriter, r *http.Request) {
-	done, err := s.beginRequest()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer done()
 	sess, ok := s.sessions.get(r.PathValue("id"))
 	if !ok {
 		s.writeError(w, errNotFound("no session "+r.PathValue("id")))
@@ -438,12 +384,6 @@ func (s *Server) resolveSettings(sessionID string) (sessionSettings, error) {
 }
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	done, err := s.beginRequest()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer done()
 	var req wire.PrepareRequest
 	if err := decodeBody(r, &req); err != nil {
 		s.writeError(w, err)
@@ -491,21 +431,14 @@ func exactlyOne(sql, statementID string) error {
 }
 
 // serve is the one prologue of the statement endpoints (/v1/execute,
-// /v1/shard-exec, /v1/exec, /v1/explain-analyze): drain guard, decode
-// into req, the endpoint's own check (which also names the session and
-// the request's timeout_ms), the deadline — request over session over
-// server default — an admission slot held until the answer is written,
-// the test hook and the admission fault site. run's value is the 200
-// body.
+// /v1/shard-exec, /v1/exec, /v1/explain-analyze): decode into req, the
+// endpoint's own check (which also names the session and the request's
+// timeout_ms), the deadline — request over session over server default
+// — an admission slot held until the answer is written, the test hook
+// and the admission fault site. run's value is the 200 body.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, req any,
 	check func() (sessionID string, timeoutMS int64, err error),
 	run func(context.Context, sessionSettings) (any, error)) {
-	done, err := s.beginRequest()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer done()
 	if err := decodeBody(r, req); err != nil {
 		s.writeError(w, err)
 		return
@@ -872,15 +805,4 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		EnvelopeCache:      s.env.stats(),
 		Breaker:            s.breakerStatus(),
 	})
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	closing := s.closing
-	s.mu.Unlock()
-	if closing {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -24,12 +24,6 @@ import (
 // refetch, but never with older ones, which a probe at the newer epoch
 // would confirm until the next change.
 func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
-	done, err := s.beginRequest()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer done()
 	epoch := s.eng.CatalogEpoch()
 	if q, ok := queryParam(r.URL.RawQuery, "epoch"); ok {
 		cached, err := strconv.ParseInt(q, 10, 64)

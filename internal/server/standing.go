@@ -64,12 +64,6 @@ type subscriptionsResponse struct {
 }
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	done, err := s.beginRequest()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer done()
 	var req subscribeRequest
 	if err := decodeBody(r, &req); err != nil {
 		s.writeError(w, err)
@@ -95,12 +89,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
-	done, err := s.beginRequest()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer done()
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
 		s.writeError(w, errBadRequest("subscription id must be an integer"))
@@ -114,12 +102,6 @@ func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubscriptions(w http.ResponseWriter, r *http.Request) {
-	done, err := s.beginRequest()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer done()
 	st := s.eng.StandingStats()
 	subs := s.eng.Subscriptions()
 	if subs == nil {
@@ -143,12 +125,6 @@ func (s *Server) handleSubscriptions(w http.ResponseWriter, r *http.Request) {
 // and returns up to max (default 100) in one batch. An empty batch with
 // a 200 means the wait timed out — poll again; it is not an error.
 func (s *Server) handleNotifications(w http.ResponseWriter, r *http.Request) {
-	done, err := s.beginRequest()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer done()
 	wait, err := pollWait(r.URL.Query().Get("timeout_ms"))
 	if err != nil {
 		s.writeError(w, err)
