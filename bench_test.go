@@ -229,32 +229,6 @@ func ablationGrid(b *testing.B) *core.Grid {
 	return core.GridFromNaiveBayes(m)
 }
 
-// BenchmarkTopDownVsEnumeration contrasts Algorithm 1 against the
-// exponential enumeration baseline (§3.2.2's complexity claim), on the
-// 8-attribute Diabetes grid (~5M cells — the regime where the paper's
-// "naive algorithm took more than 24 hours" observation starts to bite;
-// the top-down algorithm never visits individual cells).
-func BenchmarkTopDownVsEnumeration(b *testing.B) {
-	spec := dataset.ByName("Diabetes")
-	m, err := nbayes.TrainColumns("m", "p", spec.TrainColumns(), nbayes.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := core.GridFromNaiveBayes(m)
-	b.Run("topdown", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.TopDownEnvelope(g, 0, core.Options{MaxExpansions: 512}, nil)
-		}
-	})
-	b.Run("enumeration", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.EnumerationEnvelope(g, 0, 10_000_000); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkK2ExactBounds contrasts the paper's simple bounds with the
 // Lemma 3.2 ratio bounds on a two-class model.
 func BenchmarkK2ExactBounds(b *testing.B) {

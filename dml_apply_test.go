@@ -55,7 +55,7 @@ func tableState(t *testing.T, e *Engine) (heap, viaIndex []string) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ix := tb.FindIndex("v")
+	ix := tb.Indexes()[0] // ix_v, the table's one index
 	ix.Tree.AscendRange(nil, nil, true, true, func(en btree.Entry) bool {
 		row, ok, err := tb.Fetch(en.RID)
 		if err != nil || !ok || !bytes.Equal(ix.KeyFor(row), en.Key) {

@@ -71,18 +71,6 @@ func (t *Tree) Len() int {
 	return t.size
 }
 
-// Height returns the tree height (1 for a single leaf).
-func (t *Tree) Height() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	h, n := 1, t.root
-	for !n.leaf {
-		h++
-		n = n.children[0]
-	}
-	return h
-}
-
 func (t *Tree) maxLeaf() int { return t.degree - 1 }
 
 // Insert adds an entry. Duplicate (key, RID) pairs are stored once.
@@ -252,25 +240,4 @@ func (t *Tree) AscendRangeErr(lo, hi []byte, loInc, hiInc bool, fn func(Entry) e
 		return err == nil
 	})
 	return err
-}
-
-// AscendEqual visits all entries whose key equals key.
-func (t *Tree) AscendEqual(key []byte, fn func(Entry) bool) int {
-	return t.AscendRange(key, key, true, true, fn)
-}
-
-// Min returns the smallest entry, if any.
-func (t *Tree) Min() (Entry, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	for ; n != nil; n = n.next {
-		if len(n.entries) > 0 {
-			return n.entries[0], true
-		}
-	}
-	return Entry{}, false
 }

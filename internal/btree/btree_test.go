@@ -13,6 +13,18 @@ import (
 
 func key(s string) []byte { return []byte(s) }
 
+// Height returns the tree height (1 for a single leaf).
+func (t *Tree) Height() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	h, n := 1, t.root
+	for !n.leaf {
+		h++
+		n = n.children[0]
+	}
+	return h
+}
+
 func rid(i int) storage.RID {
 	return storage.RID{Page: uint32(i / 100), Slot: uint16(i % 100)}
 }
@@ -52,7 +64,7 @@ func TestInsertAndFullScan(t *testing.T) {
 
 func TestDuplicateKeyVisibility(t *testing.T) {
 	// Many entries under few distinct keys force leaf splits inside runs
-	// of equal keys; every RID must remain reachable by AscendEqual.
+	// of equal keys; every RID must remain reachable by an equality range.
 	tr := New(4) // tiny fanout maximizes splits
 	const perKey, keys = 500, 5
 	for k := 0; k < keys; k++ {
@@ -62,12 +74,13 @@ func TestDuplicateKeyVisibility(t *testing.T) {
 	}
 	for k := 0; k < keys; k++ {
 		var got []Entry
-		tr.AscendEqual(key(fmt.Sprintf("dup%d", k)), func(e Entry) bool {
+		dup := key(fmt.Sprintf("dup%d", k))
+		tr.AscendRange(dup, dup, true, true, func(e Entry) bool {
 			got = append(got, e)
 			return true
 		})
 		if len(got) != perKey {
-			t.Fatalf("key dup%d: AscendEqual saw %d entries, want %d", k, len(got), perKey)
+			t.Fatalf("key dup%d: the equality range saw %d entries, want %d", k, len(got), perKey)
 		}
 	}
 }
@@ -167,19 +180,27 @@ func TestDelete(t *testing.T) {
 	}
 }
 
+// TestMin: an ascending scan over the whole tree yields the smallest
+// key first, past emptied leaves, and nothing from an empty tree.
 func TestMin(t *testing.T) {
+	first := func(tr *Tree) (e Entry, ok bool) {
+		tr.AscendRange(nil, nil, true, true, func(x Entry) bool {
+			e, ok = x, true
+			return false
+		})
+		return e, ok
+	}
 	tr := New(8)
-	if _, ok := tr.Min(); ok {
-		t.Error("Min of empty tree should report false")
+	if _, ok := first(tr); ok {
+		t.Error("a scan of an empty tree yielded an entry")
 	}
 	tr.Insert(key("m"), rid(1))
 	tr.Insert(key("a"), rid(2))
 	tr.Insert(key("z"), rid(3))
-	e, ok := tr.Min()
+	e, ok := first(tr)
 	if !ok || string(e.Key) != "a" {
-		t.Errorf("Min = %q, %v", e.Key, ok)
+		t.Errorf("first = %q, %v", e.Key, ok)
 	}
-	// Min must skip emptied leaves.
 	tr2 := New(4)
 	for i := 0; i < 20; i++ {
 		tr2.Insert(key(fmt.Sprintf("%02d", i)), rid(i))
@@ -187,9 +208,9 @@ func TestMin(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr2.Delete(key(fmt.Sprintf("%02d", i)), rid(i))
 	}
-	e2, ok := tr2.Min()
+	e2, ok := first(tr2)
 	if !ok || string(e2.Key) != "10" {
-		t.Errorf("Min after deletes = %q, %v; want 10", e2.Key, ok)
+		t.Errorf("first after deletes = %q, %v; want 10", e2.Key, ok)
 	}
 }
 

@@ -345,27 +345,6 @@ func (t *Table) FetchInto(c *storage.Counters, rid storage.RID, dst value.Tuple,
 	return tup, true, nil
 }
 
-// FindIndex returns the index with the given leading columns (exact
-// prefix match on names, case-insensitive), or nil.
-func (t *Table) FindIndex(leading ...string) *Index {
-	for _, ix := range t.Indexes() {
-		if len(ix.Columns) < len(leading) {
-			continue
-		}
-		match := true
-		for i, c := range leading {
-			if !strings.EqualFold(ix.Columns[i], c) {
-				match = false
-				break
-			}
-		}
-		if match {
-			return ix
-		}
-	}
-	return nil
-}
-
 // ModelEntry is a registered mining model plus its envelope cache.
 type ModelEntry struct {
 	Model   mining.Model

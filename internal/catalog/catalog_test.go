@@ -219,11 +219,8 @@ func TestIndexMaintenance(t *testing.T) {
 	if _, err := c.CreateIndex("ix3", "missing", "cat"); err == nil {
 		t.Error("index on missing table should fail")
 	}
-	if tb.FindIndex("CAT") != ix {
-		t.Error("FindIndex by leading column failed")
-	}
-	if tb.FindIndex("score") != nil {
-		t.Error("FindIndex should miss")
+	if ixs := tb.Indexes(); len(ixs) != 1 || ixs[0] != ix {
+		t.Errorf("Indexes = %v, want [ix_cat]", ixs)
 	}
 	if err := c.DropIndexes("t"); err != nil {
 		t.Fatal(err)

@@ -148,7 +148,11 @@ func TestRulesEnvelopeSoundness(t *testing.T) {
 		ts.Rows = append(ts.Rows, value.Tuple{value.Float(inc), value.Float(debt)})
 		ts.Labels = append(ts.Labels, value.Str(label))
 	}
-	m, err := rules.Train("loan", "d", ts, rules.Options{})
+	cs, err := ts.Columns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := rules.TrainColumns("loan", "d", cs, rules.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

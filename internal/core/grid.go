@@ -428,30 +428,3 @@ func GridFromGMM(m *cluster.GMM, bins int) *Grid {
 	}
 	return g
 }
-
-// CellScore returns class k's exact score at a discrete cell given by
-// member indices (valid when all dims have point scores, i.e. naive
-// Bayes grids).
-func (g *Grid) CellScore(ls []int, k int) float64 {
-	s := g.Base[k]
-	for d, l := range ls {
-		s += g.Dims[d].ScoreHi[l][k]
-	}
-	return s
-}
-
-// CellWinner returns the predicted class index at a discrete cell,
-// applying tie-breaking.
-func (g *Grid) CellWinner(ls []int) int {
-	best, bestS := -1, math.Inf(-1)
-	for k := range g.Classes {
-		s := g.CellScore(ls, k)
-		switch {
-		case best < 0 || s > bestS:
-			best, bestS = k, s
-		case s == bestS && g.TiePrior != nil && g.TiePrior[k] > g.TiePrior[best]:
-			best = k
-		}
-	}
-	return best
-}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"minequery/internal/mining"
@@ -190,6 +191,120 @@ func TestIntervalMembersTile(t *testing.T) {
 			t.Error("members must tile the line")
 		}
 	}
+}
+
+// TestEqualWidthBins checks refineCuts' equal-width refinement: with no
+// base cuts, [0, 100] at 6 members is cut every 25, and each value
+// lands in the member its rendered range admits.
+func TestEqualWidthBins(t *testing.T) {
+	cuts := refineCuts(nil, 0, 100, 6)
+	if want := []float64{0, 25, 50, 75, 100}; !slices.Equal(cuts, want) {
+		t.Fatalf("cuts = %v, want %v", cuts, want)
+	}
+	dim := &Dim{Col: "x", Members: intervalMembers(cuts)}
+	for _, c := range []struct {
+		x    float64
+		want int
+	}{
+		{-5, 0}, {0, 1}, {24.9, 1}, {25, 2}, {49, 2}, {50, 3}, {74, 3}, {75, 4}, {100, 5}, {1e9, 5},
+	} {
+		if got := memberHolding(t, dim, c.x); got != c.want {
+			t.Errorf("%g is in member %d, want %d", c.x, got, c.want)
+		}
+	}
+}
+
+// TestEqualWidthErrors checks that a degenerate range, lo >= hi, adds
+// no cuts: the base cuts come back sorted and deduplicated, and with no
+// base cuts one member spans the line.
+func TestEqualWidthErrors(t *testing.T) {
+	for _, c := range []struct {
+		base   []float64
+		lo, hi float64
+		want   []float64
+	}{
+		{[]float64{3, 1, 3}, 5, 5, []float64{1, 3}},
+		{[]float64{3, 1, 3}, 10, 5, []float64{1, 3}},
+		{nil, 10, 5, nil},
+	} {
+		got := refineCuts(c.base, c.lo, c.hi, 8)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("refineCuts(%v, %g, %g) = %v, want %v", c.base, c.lo, c.hi, got, c.want)
+		}
+	}
+	if ms := intervalMembers(nil); len(ms) != 1 || !math.IsInf(ms[0].Lo, -1) || !math.IsInf(ms[0].Hi, 1) {
+		t.Errorf("members of no cuts = %+v, want one (-inf, +inf)", ms)
+	}
+}
+
+// TestBounds checks the outer members: (-inf, c) and [c, +inf), each
+// rendered with its one finite bound only.
+func TestBounds(t *testing.T) {
+	dim := &Dim{Col: "x", Members: intervalMembers([]float64{5})}
+	for i, want := range []string{"x < 5", "x >= 5"} {
+		if got := intervalRun(dim, i, i).String(); got != want {
+			t.Errorf("member %d renders %q, want %q", i, got, want)
+		}
+	}
+	for _, c := range []struct {
+		x    float64
+		want int
+	}{{math.Inf(-1), 0}, {-1e300, 0}, {4.999, 0}, {5, 1}, {1e300, 1}, {math.Inf(1), 1}} {
+		if got := memberHolding(t, dim, c.x); got != c.want {
+			t.Errorf("%g is in member %d, want %d", c.x, got, c.want)
+		}
+	}
+}
+
+// TestBoundsConsistentWithBin checks on random values that the one
+// member whose rendered range admits x is the one whose [Lo, Hi) holds
+// it.
+func TestBoundsConsistentWithBin(t *testing.T) {
+	dim := &Dim{Col: "x", Members: intervalMembers(refineCuts(nil, -3, 7, 7))}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		x := r.Float64()*20 - 10
+		m := dim.Members[memberHolding(t, dim, x)]
+		if !(m.Lo <= x && x < m.Hi) {
+			t.Fatalf("x=%g landed in member [%g, %g)", x, m.Lo, m.Hi)
+		}
+	}
+}
+
+// TestBoundaryBelongsToRightBin checks that a cut value falls in the
+// member on its right.
+func TestBoundaryBelongsToRightBin(t *testing.T) {
+	dim := &Dim{Col: "x", Members: intervalMembers([]float64{10, 20})}
+	for _, c := range []struct {
+		x    float64
+		want int
+	}{{9.999, 0}, {10, 1}, {20, 2}} {
+		if got := memberHolding(t, dim, c.x); got != c.want {
+			t.Errorf("%g is in member %d, want %d", c.x, got, c.want)
+		}
+	}
+}
+
+// memberHolding returns the one member of an interval dimension whose
+// rendered range admits x.
+func memberHolding(t *testing.T, dim *Dim, x float64) int {
+	t.Helper()
+	schema := value.MustSchema(value.Column{Name: dim.Col, Kind: value.KindFloat})
+	row := value.Tuple{value.Float(x)}
+	found := -1
+	for i := range dim.Members {
+		if !intervalRun(dim, i, i).Eval(schema, row) {
+			continue
+		}
+		if found >= 0 {
+			t.Fatalf("%g is in members %d and %d", x, found, i)
+		}
+		found = i
+	}
+	if found < 0 {
+		t.Fatalf("%g is in no member", x)
+	}
+	return found
 }
 
 // randomNB trains a random naive Bayes model for property tests.

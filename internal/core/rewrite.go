@@ -98,16 +98,11 @@ func validateColumns(q *sqlparse.Query, cat *catalog.Catalog, pc PredCols) (*cat
 	return t, nil
 }
 
-// RewriteQuery applies the Section 4.2 optimization pipeline to a
-// parsed query. maxDisjuncts caps normalization work (<=0: default 64).
-func RewriteQuery(q *sqlparse.Query, cat *catalog.Catalog, maxDisjuncts int) (*Rewrite, error) {
-	return rewrite(q, cat, maxDisjuncts, nil, true)
-}
-
-// RewriteQueryCached is RewriteQuery with an optional envelope cache:
-// class-set envelope assembly is memoized under fingerprint-derived
-// keys, so repeated queries against the same models skip re-derivation.
-// A nil cache disables memoization.
+// RewriteQueryCached applies the Section 4.2 optimization pipeline to
+// a parsed query. maxDisjuncts caps normalization work (<=0: default
+// 64). Class-set envelope assembly is memoized in cache under
+// fingerprint-derived keys, so repeated queries against the same models
+// skip re-derivation; a nil cache disables memoization.
 func RewriteQueryCached(q *sqlparse.Query, cat *catalog.Catalog, maxDisjuncts int, cache EnvelopeCache) (*Rewrite, error) {
 	return rewrite(q, cat, maxDisjuncts, cache, true)
 }

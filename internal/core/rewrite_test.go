@@ -106,7 +106,7 @@ func (f *rewriteFixture) rewrite(t *testing.T, sql string) (*sqlparse.Query, *Re
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, err := RewriteQuery(q, f.cat, 0)
+	rw, err := RewriteQueryCached(q, f.cat, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestRewriteMissingModelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RewriteQuery(q, f.cat, 0); err == nil {
+	if _, err := RewriteQueryCached(q, f.cat, 0, nil); err == nil {
 		t.Error("missing model should error")
 	}
 }
@@ -352,7 +352,7 @@ func TestRewriteCachedMatchesUncached(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := RewriteQuery(q, f.cat, 0)
+		cold, err := RewriteQueryCached(q, f.cat, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +410,7 @@ func TestUnknownColumnRejected(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: parse: %v", src, err)
 		}
-		if _, err := RewriteQuery(q, fx.cat, 0); err == nil || !strings.Contains(err.Error(), "unknown column") {
+		if _, err := RewriteQueryCached(q, fx.cat, 0, nil); err == nil || !strings.Contains(err.Error(), "unknown column") {
 			t.Errorf("%s: err = %v, want unknown column", src, err)
 		}
 		if _, err := BaselineRewrite(q, fx.cat, 0); err == nil || !strings.Contains(err.Error(), "unknown column") {
@@ -422,7 +422,7 @@ func TestUnknownColumnRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RewriteQuery(q, fx.cat, 0); err != nil {
+	if _, err := RewriteQueryCached(q, fx.cat, 0, nil); err != nil {
 		t.Errorf("valid query rejected: %v", err)
 	}
 }

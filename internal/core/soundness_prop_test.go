@@ -23,32 +23,33 @@ import (
 // envelopes the Section 4 rewrites build from them (IN disjunctions and
 // <>-style complements).
 
-// propFamily names one model family under test and how to train it.
+// propFamily names one model family under test and how to train it,
+// over a train set or its columns.
 type propFamily struct {
 	name string
 	// discrete restricts generated attribute values to a small integer
 	// domain (the grid for naive Bayes is built from observed values, so
 	// its envelopes only promise soundness over the trained domain).
 	discrete bool
-	train    func(ts *mining.TrainSet, seed int64) (mining.Model, error)
+	train    func(ts *mining.TrainSet, cs *mining.Columns, seed int64) (mining.Model, error)
 }
 
 func propFamilies() []propFamily {
 	return []propFamily{
-		{"dtree", false, func(ts *mining.TrainSet, _ int64) (mining.Model, error) {
-			return dtree.Train("m", "p", ts, dtree.Options{})
+		{"dtree", false, func(_ *mining.TrainSet, cs *mining.Columns, _ int64) (mining.Model, error) {
+			return dtree.TrainColumns("m", "p", cs, dtree.Options{})
 		}},
-		{"rules", true, func(ts *mining.TrainSet, _ int64) (mining.Model, error) {
-			return rules.Train("m", "p", ts, rules.Options{})
+		{"rules", true, func(_ *mining.TrainSet, cs *mining.Columns, _ int64) (mining.Model, error) {
+			return rules.TrainColumns("m", "p", cs, rules.Options{})
 		}},
-		{"nbayes", true, func(ts *mining.TrainSet, _ int64) (mining.Model, error) {
+		{"nbayes", true, func(ts *mining.TrainSet, _ *mining.Columns, _ int64) (mining.Model, error) {
 			return nbayes.Train("m", "p", ts, nbayes.Options{})
 		}},
-		{"kmeans", false, func(ts *mining.TrainSet, seed int64) (mining.Model, error) {
-			return cluster.TrainKMeans("m", "p", ts, cluster.Options{K: 3, Seed: seed})
+		{"kmeans", false, func(_ *mining.TrainSet, cs *mining.Columns, seed int64) (mining.Model, error) {
+			return cluster.TrainKMeansColumns("m", "p", cs, cluster.Options{K: 3, Seed: seed})
 		}},
-		{"gmm", false, func(ts *mining.TrainSet, seed int64) (mining.Model, error) {
-			return cluster.TrainGMM("m", "p", ts, cluster.Options{K: 3, Seed: seed})
+		{"gmm", false, func(_ *mining.TrainSet, cs *mining.Columns, seed int64) (mining.Model, error) {
+			return cluster.TrainGMMColumns("m", "p", cs, cluster.Options{K: 3, Seed: seed})
 		}},
 	}
 }
@@ -131,7 +132,11 @@ func TestEnvelopeSoundnessProperty(t *testing.T) {
 			for seed := int64(0); seed < seeds; seed++ {
 				r := rand.New(rand.NewSource(1000*seed + 7))
 				ts := randTrainSet(r, fam.discrete)
-				m, err := fam.train(ts, seed)
+				cs, err := ts.Columns()
+				if err != nil {
+					t.Fatalf("seed %d: columns: %v", seed, err)
+				}
+				m, err := fam.train(ts, cs, seed)
 				if err != nil {
 					t.Fatalf("seed %d: train: %v", seed, err)
 				}

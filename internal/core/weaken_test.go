@@ -106,7 +106,7 @@ func FuzzWeakenMatchesDNF(f *testing.F) {
 		}
 		q := *from
 		q.Where = (&whereDecoder{data: data}).tree(4)
-		rw, err := RewriteQuery(&q, fx.cat, weakenBudget)
+		rw, err := RewriteQueryCached(&q, fx.cat, weakenBudget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

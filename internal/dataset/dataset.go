@@ -324,15 +324,6 @@ func (s *Spec) TestRows(n int, emit func(value.Tuple)) {
 	})
 }
 
-// AttrNames lists the attribute column names.
-func (s *Spec) AttrNames() []string {
-	out := make([]string, len(s.Attrs))
-	for i, a := range s.Attrs {
-		out[i] = a.Name
-	}
-	return out
-}
-
 // attrs builds n attributes named a0..a(n-1) with the given domain
 // cards cycling over cards.
 func attrs(n int, cards ...int) []Attr {

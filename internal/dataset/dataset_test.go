@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"testing"
 
 	"minequery/internal/value"
@@ -145,10 +146,13 @@ func TestLabelsCorrelateWithAttributes(t *testing.T) {
 	}
 }
 
+// TestAttrNames: a generated spec's attributes are named a0, a1, … in
+// order.
 func TestAttrNames(t *testing.T) {
 	s := ByName("Diabetes")
-	names := s.AttrNames()
-	if len(names) != len(s.Attrs) || names[0] != "a0" {
-		t.Errorf("AttrNames = %v", names)
+	for i, a := range s.Attrs {
+		if want := fmt.Sprintf("a%d", i); a.Name != want {
+			t.Errorf("attribute %d is named %q, want %q", i, a.Name, want)
+		}
 	}
 }

@@ -235,14 +235,18 @@ func TestRunPartialAggWire(t *testing.T) {
 		Pred:  expr.Cmp{Col: "num", Op: expr.OpGe, Val: value.Int(50)},
 	}, Phase: plan.AggPartial, GroupBy: groupBy, Aggs: items}
 
-	tabLo, err := RunPartialAgg(nil, cc, lo, Options{DOP: 4})
-	if err != nil {
-		t.Fatal(err)
+	partial := func(part *plan.HashAgg, opts Options) *agg.Table {
+		b, err := Bind(cc, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := b.RunPartialAgg(context.Background(), part, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
 	}
-	tabHi, err := RunPartialAgg(nil, cc, hi, Options{DOP: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tabLo, tabHi := partial(lo, Options{DOP: 4}), partial(hi, Options{DOP: 1})
 	merged := agg.NewTable(tabLo.Spec)
 	if err := merged.MergeWire(tabLo.EncodeWire()); err != nil {
 		t.Fatal(err)

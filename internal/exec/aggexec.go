@@ -29,7 +29,6 @@ import (
 	"sync"
 
 	"minequery/internal/agg"
-	"minequery/internal/catalog"
 	"minequery/internal/plan"
 	"minequery/internal/value"
 )
@@ -201,19 +200,9 @@ func (a *partialAgg) close() {
 	a.workers = nil
 }
 
-// RunPartialAgg executes just the Partial half of a split aggregation
-// and returns the merged partial state — what a shard sends back for
-// the coordinator to merge. part is bound for this execution alone.
-func RunPartialAgg(ctx context.Context, c *catalog.Catalog, part *plan.HashAgg, opts Options) (*agg.Table, error) {
-	b, err := bind(c, part, opts.Collector)
-	if err != nil {
-		return nil, err
-	}
-	return b.runPartial(ctx, 0, opts)
-}
-
-// RunPartialAgg is exec.RunPartialAgg for an execution of b, whose tree
-// holds part.
+// RunPartialAgg executes just the Partial half, part, of a split
+// aggregation in b's tree and returns the merged partial state — what a
+// shard sends back for the coordinator to merge.
 func (b *Bound) RunPartialAgg(ctx context.Context, part *plan.HashAgg, opts Options) (*agg.Table, error) {
 	b, err := b.live(opts.Collector)
 	if err != nil {

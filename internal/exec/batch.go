@@ -131,13 +131,9 @@ func DefaultOptions() Options {
 	}
 }
 
-// BuildBatch compiles a physical plan into a batch-iterator tree.
-func BuildBatch(c *catalog.Catalog, n plan.Node, opts Options) (BatchIterator, error) {
-	return BuildBatchCtx(context.Background(), c, n, opts)
-}
-
-// BuildBatchCtx is BuildBatch with a cancellation context threaded into
-// the scan leaves: a cancelled or timed-out ctx makes NextBatch return
+// BuildBatchCtx compiles a physical plan into a batch-iterator tree,
+// with a cancellation context threaded into the scan leaves: a
+// cancelled or timed-out ctx makes NextBatch return
 // ctx's error (wrapped, so errors.Is matches context.Canceled /
 // context.DeadlineExceeded), and morsel-scan workers stop claiming and
 // decoding work promptly instead of finishing the table. The plan is

@@ -72,19 +72,19 @@ func TestBatchRunMatchesTupleRun(t *testing.T) {
 	for _, p := range plans {
 		want, wantSchema, err := refRun(c, p)
 		if err != nil {
-			t.Fatalf("%s: reference run: %v", plan.Signature(p), err)
+			t.Fatalf("%s: reference run: %v", plan.Explain(p), err)
 		}
 		for _, dop := range []int{1, 4} {
 			got, gotSchema, err := RunOpts(c, p, Options{DOP: dop, BatchSize: 64})
 			if err != nil {
-				t.Fatalf("%s dop=%d: batch run: %v", plan.Signature(p), dop, err)
+				t.Fatalf("%s dop=%d: batch run: %v", plan.Explain(p), dop, err)
 			}
 			if gotSchema.String() != wantSchema.String() {
-				t.Fatalf("%s dop=%d: schema %v, want %v", plan.Signature(p), dop, gotSchema, wantSchema)
+				t.Fatalf("%s dop=%d: schema %v, want %v", plan.Explain(p), dop, gotSchema, wantSchema)
 			}
 			if !sameOrderedRows(got, want) {
 				t.Fatalf("%s dop=%d: %d rows, want %d (or order differs)",
-					plan.Signature(p), dop, len(got), len(want))
+					plan.Explain(p), dop, len(got), len(want))
 			}
 		}
 	}
@@ -226,7 +226,7 @@ func TestBatchFilterSkipsEmptyBatches(t *testing.T) {
 	// batches and report done, never an empty batch.
 	p := &plan.Filter{Child: &plan.SeqScan{Table: "t"},
 		Pred: expr.Cmp{Col: "num", Op: expr.OpGe, Val: value.Int(1000)}}
-	it, err := BuildBatch(c, p, Options{DOP: 2, BatchSize: 32})
+	it, err := BuildBatchCtx(context.Background(), c, p, Options{DOP: 2, BatchSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,12 +58,12 @@ func TestBoundRunChecksModelVersion(t *testing.T) {
 			for i := 0; i < 2; i++ {
 				got, err := run(b, root)
 				if err != nil {
-					t.Fatalf("%s run %d: %v", plan.Signature(root), i+1, err)
+					t.Fatalf("%s run %d: %v", plan.Explain(root), i+1, err)
 				}
 				if i == 0 {
 					first = got
 				} else if got != first {
-					t.Fatalf("%s: the second run of a Bound differs from the first", plan.Signature(root))
+					t.Fatalf("%s: the second run of a Bound differs from the first", plan.Explain(root))
 				}
 			}
 			if version == 0 {
@@ -76,12 +76,12 @@ func TestBoundRunChecksModelVersion(t *testing.T) {
 	c.RegisterModel(catModel{}, nil) // retrain bumps the version
 	for _, x := range pinned {
 		if _, err := run(x.b, x.root); !errors.Is(err, qerr.ErrPlanInvalidated) {
-			t.Errorf("%s: err = %v, want ErrPlanInvalidated for a Bound pinned to a stale model version", plan.Signature(x.root), err)
+			t.Errorf("%s: err = %v, want ErrPlanInvalidated for a Bound pinned to a stale model version", plan.Explain(x.root), err)
 		}
 	}
 	for _, x := range unpinned {
 		if got, err := run(x.b, x.root); err != nil || got != x.want {
-			t.Errorf("%s: an unpinned Bound after a retrain: err = %v, rows changed = %v", plan.Signature(x.root), err, got != x.want)
+			t.Errorf("%s: an unpinned Bound after a retrain: err = %v, rows changed = %v", plan.Explain(x.root), err, got != x.want)
 		}
 	}
 }

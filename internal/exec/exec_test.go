@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -57,7 +58,7 @@ func runPlan(t *testing.T, c *catalog.Catalog, n plan.Node) []value.Tuple {
 	t.Helper()
 	rows, _, err := RunOpts(c, n, Options{})
 	if err != nil {
-		t.Fatalf("run %s: %v", plan.Signature(n), err)
+		t.Fatalf("run %s: %v", plan.Explain(n), err)
 	}
 	return rows
 }
@@ -67,7 +68,7 @@ func refRows(t *testing.T, c *catalog.Catalog, n plan.Node) []value.Tuple {
 	t.Helper()
 	rows, _, err := refRun(c, n)
 	if err != nil {
-		t.Fatalf("reference %s: %v", plan.Signature(n), err)
+		t.Fatalf("reference %s: %v", plan.Explain(n), err)
 	}
 	return rows
 }
@@ -195,7 +196,7 @@ func TestIndexUnionDeduplicates(t *testing.T) {
 func TestRIDFetchSkipsDeletedRows(t *testing.T) {
 	const rows, batchSize = 2000, 32
 	c, tb := testDB(t, rows)
-	it, err := BuildBatch(c, &plan.IndexSeek{Table: "t", Index: "ix_num"}, Options{BatchSize: batchSize})
+	it, err := BuildBatchCtx(context.Background(), c, &plan.IndexSeek{Table: "t", Index: "ix_num"}, Options{BatchSize: batchSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestProjectAndLimit(t *testing.T) {
 		Child: &plan.Project{Child: &plan.SeqScan{Table: "t"}, Cols: []string{"cat", "id"}},
 		N:     7,
 	}
-	it, err := BuildBatch(c, p, Options{})
+	it, err := BuildBatchCtx(context.Background(), c, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestProjectAndLimit(t *testing.T) {
 
 func TestProjectMissingColumn(t *testing.T) {
 	c, _ := testDB(t, 10)
-	_, err := BuildBatch(c, &plan.Project{Child: &plan.SeqScan{Table: "t"}, Cols: []string{"nope"}}, Options{})
+	_, err := BuildBatchCtx(context.Background(), c, &plan.Project{Child: &plan.SeqScan{Table: "t"}, Cols: []string{"nope"}}, Options{})
 	if err == nil {
 		t.Error("projecting a missing column should fail")
 	}
@@ -334,13 +335,13 @@ func TestPredictVersionInvalidation(t *testing.T) {
 	plans := []plan.Node{p, aggPlan(p, []string{"m.cls"}, []agg.Item{{Func: agg.None, Col: "m.cls"}, {Func: agg.Count, Star: true}})}
 	for _, n := range plans {
 		if _, _, err := RunOpts(c, n, Options{}); err != nil {
-			t.Fatalf("%s: current-version plan should run: %v", plan.Signature(n), err)
+			t.Fatalf("%s: current-version plan should run: %v", plan.Explain(n), err)
 		}
 	}
 	c.RegisterModel(catModel{}, nil) // retrain bumps version
 	for _, n := range plans {
 		if _, _, err := RunOpts(c, n, Options{}); !errors.Is(err, qerr.ErrPlanInvalidated) {
-			t.Errorf("%s: err = %v, want ErrPlanInvalidated for a plan pinned to a stale model version", plan.Signature(n), err)
+			t.Errorf("%s: err = %v, want ErrPlanInvalidated for a plan pinned to a stale model version", plan.Explain(n), err)
 		}
 	}
 }
@@ -362,8 +363,8 @@ func TestBuildErrors(t *testing.T) {
 		&plan.Predict{Child: &plan.SeqScan{Table: "missing"}, Model: "m", As: "x"},
 	}
 	for _, n := range cases {
-		if _, err := BuildBatch(c, n, Options{}); err == nil {
-			t.Errorf("BuildBatch(%s) should fail", plan.Describe(n))
+		if _, err := BuildBatchCtx(context.Background(), c, n, Options{}); err == nil {
+			t.Errorf("BuildBatchCtx(%s) should fail", plan.Describe(n))
 		}
 	}
 }
@@ -371,7 +372,7 @@ func TestBuildErrors(t *testing.T) {
 func TestPredictUnboundModel(t *testing.T) {
 	c, _ := testDB(t, 10)
 	c.RegisterModel(wrongColsModel{}, nil)
-	_, err := BuildBatch(c, &plan.Predict{Child: &plan.SeqScan{Table: "t"}, Model: "wrong", As: "x"}, Options{})
+	_, err := BuildBatchCtx(context.Background(), c, &plan.Predict{Child: &plan.SeqScan{Table: "t"}, Model: "wrong", As: "x"}, Options{})
 	if err == nil {
 		t.Error("model with unbound input columns should fail to build")
 	}

@@ -43,9 +43,9 @@ var poison = value.Str("\x00scribbled")
 // calling NextBatch again.
 func runScribbled(t *testing.T, c *catalog.Catalog, n plan.Node, opts Options) []value.Tuple {
 	t.Helper()
-	it, err := BuildBatch(c, n, opts)
+	it, err := BuildBatchCtx(context.Background(), c, n, opts)
 	if err != nil {
-		t.Fatalf("build %s: %v", plan.Signature(n), err)
+		t.Fatalf("build %s: %v", plan.Explain(n), err)
 	}
 	defer it.Close()
 	poisoned := value.Tuple{poison}
@@ -53,7 +53,7 @@ func runScribbled(t *testing.T, c *catalog.Catalog, n plan.Node, opts Options) [
 	for {
 		b, done, err := it.NextBatch()
 		if err != nil {
-			t.Fatalf("run %s: %v", plan.Signature(n), err)
+			t.Fatalf("run %s: %v", plan.Explain(n), err)
 		}
 		if done {
 			return out
@@ -79,17 +79,17 @@ func checkAliased(t *testing.T, c *catalog.Catalog, n plan.Node, opts Options) [
 	t.Helper()
 	got, _, err := RunOpts(c, n, opts)
 	if err != nil {
-		t.Fatalf("run %s: %v", plan.Signature(n), err)
+		t.Fatalf("run %s: %v", plan.Explain(n), err)
 	}
 	scribbled := runScribbled(t, c, n, opts)
 	if !sameOrderedRows(scribbled, got) {
 		t.Fatalf("%s dop=%d: scribbling over served batches changed the answer (%d rows, RunOpts %d)",
-			plan.Signature(n), opts.DOP, len(scribbled), len(got))
+			plan.Explain(n), opts.DOP, len(scribbled), len(got))
 	}
 	for _, row := range got {
 		for _, v := range row {
 			if value.Equal(v, poison) {
-				t.Fatalf("%s dop=%d: a served row was handed out again: %v", plan.Signature(n), opts.DOP, row)
+				t.Fatalf("%s dop=%d: a served row was handed out again: %v", plan.Explain(n), opts.DOP, row)
 			}
 		}
 	}
@@ -134,7 +134,7 @@ func TestAliasSweepOperators(t *testing.T) {
 		want := refRows(t, c, p)
 		for _, dop := range []int{1, 4} {
 			if got := checkAliased(t, c, p, Options{DOP: dop, BatchSize: 64}); !sameOrderedRows(got, want) {
-				t.Fatalf("%s dop=%d: %d rows, oracle %d (or order differs)", plan.Signature(p), dop, len(got), len(want))
+				t.Fatalf("%s dop=%d: %d rows, oracle %d (or order differs)", plan.Explain(p), dop, len(got), len(want))
 			}
 		}
 	}
@@ -143,7 +143,7 @@ func TestAliasSweepOperators(t *testing.T) {
 	viaIndex := &plan.Filter{Child: predict(&plan.IndexSeek{Table: "t", Index: "ix_num"}), Pred: low}
 	want := refRows(t, c, &plan.Filter{Child: predict(scan()), Pred: low})
 	if got := checkAliased(t, c, viaIndex, Options{BatchSize: 64}); !sameRows(got, want) {
-		t.Fatalf("%s: %d rows, oracle %d", plan.Signature(viaIndex), len(got), len(want))
+		t.Fatalf("%s: %d rows, oracle %d", plan.Explain(viaIndex), len(got), len(want))
 	}
 
 	// Prediction joins widen a leaf's rows where they lie: the scribbling
@@ -187,7 +187,7 @@ func TestAliasSweepOperators(t *testing.T) {
 		for _, dop := range []int{1, 4} {
 			got := checkAliased(t, cc, tc.p, Options{DOP: dop, BatchSize: 64})
 			if ok := sameOrderedRows(got, want); !ok && (tc.ordered || !sameRows(got, want)) {
-				t.Fatalf("%s dop=%d: %d rows, oracle %d (or content differs)", plan.Signature(tc.p), dop, len(got), len(want))
+				t.Fatalf("%s dop=%d: %d rows, oracle %d (or content differs)", plan.Explain(tc.p), dop, len(got), len(want))
 			}
 		}
 	}
@@ -500,11 +500,11 @@ func TestDecodeMaskColumnar(t *testing.T) {
 	} {
 		want := refRows(t, c, p)
 		if len(want) == 0 {
-			t.Fatalf("%s: the oracle returns nothing; the fixture is degenerate", plan.Signature(p))
+			t.Fatalf("%s: the oracle returns nothing; the fixture is degenerate", plan.Explain(p))
 		}
 		for _, dop := range dops {
 			if got := checkAliased(t, c, p, Options{DOP: dop, BatchSize: 64}); !sameOrderedRows(got, want) {
-				t.Fatalf("%s dop=%d: %d rows, oracle %d (or content differs)", plan.Signature(p), dop, len(got), len(want))
+				t.Fatalf("%s dop=%d: %d rows, oracle %d (or content differs)", plan.Explain(p), dop, len(got), len(want))
 			}
 		}
 	}
@@ -627,14 +627,14 @@ func TestColumnarScratchConcurrent(t *testing.T) {
 	}
 	for _, q := range queries {
 		if len(q.want) == 0 {
-			t.Fatalf("%s: the row path returns nothing; the fixture is degenerate", plan.Signature(q.root))
+			t.Fatalf("%s: the row path returns nothing; the fixture is degenerate", plan.Explain(q.root))
 		}
 		if q.scan == nil {
 			continue
 		}
 		var err error
 		if _, q.info, err = run(q, 1); err != nil || q.info == nil {
-			t.Fatalf("%s: err %v, columnar actuals %v", plan.Signature(q.root), err, q.info)
+			t.Fatalf("%s: err %v, columnar actuals %v", plan.Explain(q.root), err, q.info)
 		}
 	}
 
@@ -649,15 +649,15 @@ func TestColumnarScratchConcurrent(t *testing.T) {
 					dop := []int{1, 4}[(g+round+i)%2]
 					got, info, err := run(q, dop)
 					if err != nil {
-						t.Errorf("%s dop=%d: %v", plan.Signature(q.root), dop, err)
+						t.Errorf("%s dop=%d: %v", plan.Explain(q.root), dop, err)
 						return
 					}
 					if ok := sameOrderedRows(got, q.want); !ok && (q.ordered || !sameRows(got, append([]value.Tuple(nil), q.want...))) {
-						t.Errorf("%s dop=%d: %d rows, the row path %d (or content differs)", plan.Signature(q.root), dop, len(got), len(q.want))
+						t.Errorf("%s dop=%d: %d rows, the row path %d (or content differs)", plan.Explain(q.root), dop, len(got), len(q.want))
 						return
 					}
 					if q.scan != nil && !reflect.DeepEqual(info, q.info) {
-						t.Errorf("%s dop=%d: columnar actuals %+v, a lone serial run %+v", plan.Signature(q.root), dop, info, q.info)
+						t.Errorf("%s dop=%d: columnar actuals %+v, a lone serial run %+v", plan.Explain(q.root), dop, info, q.info)
 						return
 					}
 				}
@@ -781,8 +781,11 @@ func TestNotDecodedColumnFailsBuild(t *testing.T) {
 			if part, ok := n.(*plan.HashAgg); ok {
 				// A partial runs under its final; build it the way the final
 				// does, with the mask of the wrong root.
-				_, err := RunPartialAgg(context.Background(), c, &plan.HashAgg{Phase: plan.AggPartial,
-					Child: tc.root, GroupBy: part.GroupBy, Aggs: part.Aggs}, Options{DOP: dop, Collector: tc.col}.fill())
+				partial := &plan.HashAgg{Phase: plan.AggPartial, Child: tc.root, GroupBy: part.GroupBy, Aggs: part.Aggs}
+				b, err := Bind(c, partial)
+				if err == nil {
+					_, err = b.RunPartialAgg(context.Background(), partial, Options{DOP: dop, Collector: tc.col}.fill())
+				}
 				if err == nil || err.Error() != want {
 					t.Errorf("%s dop=%d: err = %v, want %q", tc.name, dop, err, want)
 				}
@@ -882,11 +885,11 @@ func TestDecodeMaskOperatorsSeeWhatTheyRead(t *testing.T) {
 	} {
 		want := refRows(t, c, p)
 		if len(want) == 0 {
-			t.Fatalf("%s: the oracle returns nothing; the fixture is degenerate", plan.Signature(p))
+			t.Fatalf("%s: the oracle returns nothing; the fixture is degenerate", plan.Explain(p))
 		}
 		for _, dop := range []int{1, 4} {
 			if got := checkAliased(t, c, p, Options{DOP: dop, BatchSize: 64}); !sameOrderedRows(got, want) {
-				t.Fatalf("%s dop=%d: %d rows, oracle %d (or content differs)", plan.Signature(p), dop, len(got), len(want))
+				t.Fatalf("%s dop=%d: %d rows, oracle %d (or content differs)", plan.Explain(p), dop, len(got), len(want))
 			}
 		}
 	}
@@ -954,11 +957,11 @@ func TestDecodeMaskCorruptSkippedColumn(t *testing.T) {
 	for _, p := range []plan.Node{project, count} {
 		for _, dop := range []int{1, 4} {
 			if need := decodeMask(c, p, nil); need == nil || need[1] {
-				t.Fatalf("%s: cat is decoded (%v); the test is vacuous", plan.Signature(p), need)
+				t.Fatalf("%s: cat is decoded (%v); the test is vacuous", plan.Explain(p), need)
 			}
 			_, _, err := RunOpts(c, p, Options{DOP: dop, MorselPages: 1})
 			if err == nil || !strings.Contains(err.Error(), want) {
-				t.Errorf("%s dop=%d: err = %v, want %q", plan.Signature(p), dop, err, want)
+				t.Errorf("%s dop=%d: err = %v, want %q", plan.Explain(p), dop, err, want)
 			}
 		}
 	}

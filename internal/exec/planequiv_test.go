@@ -39,7 +39,7 @@ func equivCheck(t *testing.T, c *catalogAndTable, pred expr.Expr, cfg opt.Config
 		got := checkAliased(t, c.cat, res.Plan, Options{DOP: dop, BatchSize: 64})
 		if !sameRows(got, want) {
 			t.Fatalf("plan %s at dop=%d returned %d rows, forced scan %d",
-				plan.Signature(res.Plan), dop, len(got), len(want))
+				plan.Explain(res.Plan), dop, len(got), len(want))
 		}
 	}
 	return res.Path
@@ -323,7 +323,7 @@ func TestPlanEquivalenceMiningPredicate(t *testing.T) {
 			got := checkAliased(t, cc, optimized, Options{DOP: dop, BatchSize: 64})
 			if !sameRows(got, want) {
 				t.Fatalf("class %s dop=%d: envelope plan %s returned %d rows, want %d",
-					cls, dop, plan.Signature(res.Plan), len(got), len(want))
+					cls, dop, plan.Explain(res.Plan), len(got), len(want))
 			}
 		}
 	}

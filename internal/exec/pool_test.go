@@ -101,7 +101,7 @@ func storageCases(t *testing.T) []storageCase {
 // buildCase builds the case's plan, checking that it runs its kind.
 func buildCase(t *testing.T, tc storageCase) BatchIterator {
 	t.Helper()
-	it, err := BuildBatch(tc.c, tc.root, tc.opts)
+	it, err := BuildBatchCtx(context.Background(), tc.c, tc.root, tc.opts)
 	if err != nil {
 		t.Fatalf("%s: %v", tc.kind, err)
 	}
@@ -229,7 +229,7 @@ func TestAliasScanStorageReleasedOnce(t *testing.T) {
 	} {
 		runtime.GC()
 		runtime.GC() // the pools hold nothing
-		it, err := BuildBatch(c, tc.scan, tc.opts)
+		it, err := BuildBatchCtx(context.Background(), c, tc.scan, tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -147,6 +147,10 @@ func buildFixture(t *testing.T, seed int64, rows int) *fixture {
 	if len(heap) != 0 {
 		t.Fatalf("%d heap rows beyond the last column group", len(heap))
 	}
+	tcols, err := ts.Columns()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var models []mining.Model
 	if m, err := dtree.Train("dt", "seg", ts, dtree.Options{}); err == nil {
 		models = append(models, m)
@@ -158,17 +162,17 @@ func buildFixture(t *testing.T, seed int64, rows int) *fixture {
 	} else {
 		t.Fatalf("nbayes: %v", err)
 	}
-	if m, err := rules.Train("rl", "seg", ts, rules.Options{}); err == nil {
+	if m, err := rules.TrainColumns("rl", "seg", tcols, rules.Options{}); err == nil {
 		models = append(models, m)
 	} else {
 		t.Fatalf("rules: %v", err)
 	}
-	if m, err := cluster.TrainKMeans("km", "cluster", ts, cluster.Options{K: 3, Seed: seed}); err == nil {
+	if m, err := cluster.TrainKMeansColumns("km", "cluster", tcols, cluster.Options{K: 3, Seed: seed}); err == nil {
 		models = append(models, m)
 	} else {
 		t.Fatalf("kmeans: %v", err)
 	}
-	if m, err := cluster.TrainGMM("gm", "component", ts, cluster.Options{K: 2, Seed: seed}); err == nil {
+	if m, err := cluster.TrainGMMColumns("gm", "component", tcols, cluster.Options{K: 2, Seed: seed}); err == nil {
 		models = append(models, m)
 	} else {
 		t.Fatalf("gmm: %v", err)

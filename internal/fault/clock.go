@@ -11,8 +11,6 @@ import (
 // tests use a FakeClock so backoff schedules are asserted exactly, with
 // no time.Sleep in the test body and no flaky timing margins.
 type Clock interface {
-	// Now returns the current time.
-	Now() time.Time
 	// Sleep blocks for d (uninterruptible; used for injected latency).
 	Sleep(d time.Duration)
 	// SleepCtx blocks for d or until ctx is done, returning ctx.Err()
@@ -23,7 +21,6 @@ type Clock interface {
 // realClock is the wall clock.
 type realClock struct{}
 
-func (realClock) Now() time.Time        { return time.Now() }
 func (realClock) Sleep(d time.Duration) { time.Sleep(d) }
 
 func (realClock) SleepCtx(ctx context.Context, d time.Duration) error {
@@ -65,13 +62,6 @@ type fakeWaiter struct {
 // epoch (determinism: two fake clocks always agree).
 func NewFakeClock() *FakeClock {
 	return &FakeClock{now: time.Unix(1_700_000_000, 0)}
-}
-
-// Now returns the fake current time.
-func (c *FakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
 }
 
 // Sleep blocks until Advance moves the clock by at least d.

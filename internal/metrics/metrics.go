@@ -34,20 +34,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a metric that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // DefaultLatencyBuckets spans 100µs to 10s, the range of interest for
 // query latency: sub-millisecond index seeks through multi-second
 // parallel scans.
@@ -146,10 +132,8 @@ type family struct {
 	typ  string // "counter" | "gauge" | "histogram"
 
 	counter      *Counter
-	gauge        *Gauge
 	gaugeFn      func() float64
 	counterFn    func() float64
-	histogram    *Histogram
 	counterVec   *CounterVec
 	histogramVec *HistogramVec
 }
@@ -208,13 +192,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// Gauge registers and returns a gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(&family{name: name, help: help, typ: "gauge", gauge: g})
-	return g
-}
-
 // GaugeFunc registers a gauge whose value is read by calling fn at
 // scrape time — the bridge for stats structs that already exist.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
@@ -226,17 +203,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 // Prometheus counter.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(&family{name: name, help: help, typ: "counter", counterFn: fn})
-}
-
-// Histogram registers and returns a histogram with the given bucket
-// upper bounds (nil: DefaultLatencyBuckets).
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	if bounds == nil {
-		bounds = DefaultLatencyBuckets
-	}
-	h := newHistogram(bounds)
-	r.register(&family{name: name, help: help, typ: "histogram", histogram: h})
-	return h
 }
 
 // CounterVec registers and returns a counter family split by one label.
@@ -279,14 +245,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch {
 		case f.counter != nil:
 			fmt.Fprintf(&b, "%s %d\n", f.name, f.counter.Value())
-		case f.gauge != nil:
-			fmt.Fprintf(&b, "%s %d\n", f.name, f.gauge.Value())
 		case f.gaugeFn != nil:
 			fmt.Fprintf(&b, "%s %s\n", f.name, formatFloat(f.gaugeFn()))
 		case f.counterFn != nil:
 			fmt.Fprintf(&b, "%s %s\n", f.name, formatFloat(f.counterFn()))
-		case f.histogram != nil:
-			writeHistogram(&b, f.name, "", "", f.histogram)
 		case f.counterVec != nil:
 			v := f.counterVec
 			v.mu.Lock()
@@ -324,25 +286,17 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// writeHistogram renders one histogram's cumulative buckets plus _sum
-// and _count, optionally carrying a vec label.
+// writeHistogram renders one vec child's cumulative buckets plus _sum
+// and _count.
 func writeHistogram(b *strings.Builder, name, label, labelValue string, h *Histogram) {
-	extra := ""
-	if label != "" {
-		extra = fmt.Sprintf("%s=%q,", label, labelValue)
-	}
 	var cum int64
 	for i, bound := range h.bounds {
 		cum += h.buckets[i].Load()
-		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", name, extra, formatFloat(bound), cum)
+		fmt.Fprintf(b, "%s_bucket{%s=%q,le=%q} %d\n", name, label, labelValue, formatFloat(bound), cum)
 	}
-	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, extra, h.Count())
-	suffix := ""
-	if label != "" {
-		suffix = fmt.Sprintf("{%s=%q}", label, labelValue)
-	}
-	fmt.Fprintf(b, "%s_sum%s %s\n", name, suffix, formatFloat(h.Sum()))
-	fmt.Fprintf(b, "%s_count%s %d\n", name, suffix, h.Count())
+	fmt.Fprintf(b, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, label, labelValue, h.Count())
+	fmt.Fprintf(b, "%s_sum{%s=%q} %s\n", name, label, labelValue, formatFloat(h.Sum()))
+	fmt.Fprintf(b, "%s_count{%s=%q} %d\n", name, label, labelValue, h.Count())
 }
 
 func formatFloat(v float64) string {

@@ -19,9 +19,7 @@ func TestExpositionBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_ops_total", "Operations.")
 	c.Add(3)
-	g := r.Gauge("test_depth", "Queue depth.")
-	g.Set(7)
-	g.Add(-2)
+	r.GaugeFunc("test_depth", "Queue depth.", func() float64 { return 5 })
 	r.GaugeFunc("test_live", "Live things.", func() float64 { return 4.5 })
 	r.CounterFunc("test_seen_total", "Things seen.", func() float64 { return 9 })
 
@@ -47,17 +45,17 @@ func TestExpositionBasics(t *testing.T) {
 
 func TestHistogramCumulativeBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_lat_seconds", "Latency.", []float64{0.1, 1, 10})
+	h := r.HistogramVec("test_lat_seconds", "Latency.", "op", []float64{0.1, 1, 10}).With("get")
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
 	out := scrape(t, r)
 	for _, want := range []string{
-		`test_lat_seconds_bucket{le="0.1"} 1`,
-		`test_lat_seconds_bucket{le="1"} 3`,
-		`test_lat_seconds_bucket{le="10"} 4`,
-		`test_lat_seconds_bucket{le="+Inf"} 5`,
-		`test_lat_seconds_count 5`,
+		`test_lat_seconds_bucket{op="get",le="0.1"} 1`,
+		`test_lat_seconds_bucket{op="get",le="1"} 3`,
+		`test_lat_seconds_bucket{op="get",le="10"} 4`,
+		`test_lat_seconds_bucket{op="get",le="+Inf"} 5`,
+		`test_lat_seconds_count{op="get"} 5`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -128,7 +126,7 @@ func TestRegistryPanics(t *testing.T) {
 func TestConcurrentObserve(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("conc_total", "c")
-	h := r.Histogram("conc_seconds", "h", []float64{1})
+	h := r.HistogramVec("conc_seconds", "h", "x", []float64{1}).With("a")
 	v := r.CounterVec("conc_by_x_total", "v", "x")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {

@@ -10,7 +10,7 @@ import (
 )
 
 // blobs generates n points around k well-separated centers.
-func blobs(n, k int, seed int64) (*mining.TrainSet, [][]float64) {
+func blobs(n, k int, seed int64) (*mining.Columns, [][]float64) {
 	r := rand.New(rand.NewSource(seed))
 	schema := value.MustSchema(
 		value.Column{Name: "x", Kind: value.KindFloat},
@@ -20,21 +20,20 @@ func blobs(n, k int, seed int64) (*mining.TrainSet, [][]float64) {
 	for i := range centers {
 		centers[i] = []float64{float64(i * 20), float64((i % 2) * 30)}
 	}
-	ts := &mining.TrainSet{Schema: schema}
+	cs := mining.NewColumns(schema, n)
 	for i := 0; i < n; i++ {
 		c := centers[r.Intn(k)]
-		ts.Rows = append(ts.Rows, value.Tuple{
-			value.Float(c[0] + r.NormFloat64()),
-			value.Float(c[1] + r.NormFloat64()),
-		})
-		ts.Labels = append(ts.Labels, value.Null()) // unsupervised
+		p := value.Tuple{value.Float(c[0] + r.NormFloat64()), value.Float(c[1] + r.NormFloat64())}
+		if err := cs.Append(p, value.Null()); err != nil { // unsupervised
+			panic(err)
+		}
 	}
-	return ts, centers
+	return cs, centers
 }
 
 func TestKMeansFindsBlobCenters(t *testing.T) {
-	ts, centers := blobs(3000, 4, 1)
-	m, err := TrainKMeans("km", "cluster", ts, Options{K: 4, Seed: 7})
+	cs, centers := blobs(3000, 4, 1)
+	m, err := TrainKMeansColumns("km", "cluster", cs, Options{K: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +55,8 @@ func TestKMeansFindsBlobCenters(t *testing.T) {
 }
 
 func TestKMeansAssignmentIsNearestCentroid(t *testing.T) {
-	ts, _ := blobs(1000, 3, 2)
-	m, err := TrainKMeans("km", "cluster", ts, Options{K: 3, Seed: 3})
+	cs, _ := blobs(1000, 3, 2)
+	m, err := TrainKMeansColumns("km", "cluster", cs, Options{K: 3, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +77,8 @@ func TestKMeansAssignmentIsNearestCentroid(t *testing.T) {
 }
 
 func TestKMeansPredictReturnsClusterID(t *testing.T) {
-	ts, _ := blobs(500, 2, 5)
-	m, _ := TrainKMeans("km", "cluster", ts, Options{K: 2, Seed: 5})
+	cs, _ := blobs(500, 2, 5)
+	m, _ := TrainKMeansColumns("km", "cluster", cs, Options{K: 2, Seed: 5})
 	got := m.Predict(value.Tuple{value.Float(0), value.Float(0)})
 	if got.Kind() != value.KindInt || got.AsInt() < 0 || got.AsInt() >= 2 {
 		t.Errorf("Predict = %v", got)
@@ -155,22 +154,21 @@ func TestFromCentroidsValidation(t *testing.T) {
 }
 
 func TestKMeansErrors(t *testing.T) {
-	ts, _ := blobs(10, 2, 6)
-	if _, err := TrainKMeans("m", "c", ts, Options{K: 0}); err == nil {
+	cs, _ := blobs(10, 2, 6)
+	if _, err := TrainKMeansColumns("m", "c", cs, Options{K: 0}); err == nil {
 		t.Error("K=0 should error")
 	}
-	if _, err := TrainKMeans("m", "c", ts, Options{K: 100}); err == nil {
+	if _, err := TrainKMeansColumns("m", "c", cs, Options{K: 100}); err == nil {
 		t.Error("K > n should error")
 	}
-	if _, err := TrainKMeans("m", "c", &mining.TrainSet{}, Options{K: 2}); err == nil {
+	if _, err := TrainKMeansColumns("m", "c", mining.NewColumns(cs.Schema, 0), Options{K: 2}); err == nil {
 		t.Error("empty set should error")
 	}
-	bad := &mining.TrainSet{
-		Schema: value.MustSchema(value.Column{Name: "s", Kind: value.KindString}),
-		Rows:   []value.Tuple{{value.Str("a")}},
-		Labels: []value.Value{value.Null()},
+	bad := mining.NewColumns(value.MustSchema(value.Column{Name: "s", Kind: value.KindString}), 1)
+	if err := bad.Append(value.Tuple{value.Str("a")}, value.Null()); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := TrainKMeans("m", "c", bad, Options{K: 1}); err == nil {
+	if _, err := TrainKMeansColumns("m", "c", bad, Options{K: 1}); err == nil {
 		t.Error("non-numeric attribute should error")
 	}
 }
@@ -188,8 +186,8 @@ func TestCentroidCuts(t *testing.T) {
 }
 
 func TestGMMSeparatesBlobs(t *testing.T) {
-	ts, _ := blobs(3000, 3, 7)
-	g, err := TrainGMM("g", "cluster", ts, Options{K: 3, Seed: 9, MaxIters: 30})
+	cs, _ := blobs(3000, 3, 7)
+	g, err := TrainGMMColumns("g", "cluster", cs, Options{K: 3, Seed: 9, MaxIters: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

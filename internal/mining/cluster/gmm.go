@@ -31,16 +31,6 @@ type GMM struct {
 // near-zero variances produce unusably extreme score bounds.
 const minVar = 0.25
 
-// TrainGMM fits a Gaussian mixture over a literal train set, converted
-// to its columns.
-func TrainGMM(name, predCol string, ts *mining.TrainSet, opts Options) (*GMM, error) {
-	cs, err := ts.Columns()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	return TrainGMMColumns(name, predCol, cs, opts)
-}
-
 // TrainGMMColumns fits a diagonal-covariance Gaussian mixture by EM,
 // initialized from a k-means run.
 func TrainGMMColumns(name, predCol string, cs *mining.Columns, opts Options) (*GMM, error) {

@@ -84,16 +84,6 @@ func clusterClasses(k int) []value.Value {
 	return out
 }
 
-// TrainKMeans fits k-means over a literal train set, converted to its
-// columns.
-func TrainKMeans(name, predCol string, ts *mining.TrainSet, opts Options) (*KMeans, error) {
-	cs, err := ts.Columns()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	return TrainKMeansColumns(name, predCol, cs, opts)
-}
-
 // TrainKMeansColumns fits k-means with Lloyd's algorithm. Labels in the
 // train set are ignored (clustering is unsupervised).
 func TrainKMeansColumns(name, predCol string, cs *mining.Columns, opts Options) (*KMeans, error) {

@@ -423,16 +423,3 @@ func depth(n *Node) int {
 	}
 	return dt + 1
 }
-
-// LeafCount returns the number of leaves.
-func (m *Model) LeafCount() int { return leaves(m.Root) }
-
-func leaves(n *Node) int {
-	if n == nil {
-		return 0
-	}
-	if n.Leaf {
-		return 1
-	}
-	return leaves(n.True) + leaves(n.False)
-}

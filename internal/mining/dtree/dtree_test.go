@@ -8,6 +8,19 @@ import (
 	"minequery/internal/value"
 )
 
+// LeafCount returns the number of leaves.
+func (m *Model) LeafCount() int { return leaves(m.Root) }
+
+func leaves(n *Node) int {
+	if n == nil {
+		return 0
+	}
+	if n.Leaf {
+		return 1
+	}
+	return leaves(n.True) + leaves(n.False)
+}
+
 // bpTrainSet synthesizes data matching the paper's Figure 1 tree:
 // classes determined by lower BP, age, overweight, upper BP.
 func bpTrainSet(n int, seed int64) *mining.TrainSet {

@@ -271,13 +271,3 @@ func (m *Model) Predict(in value.Tuple) value.Value {
 	}
 	return m.classes[best]
 }
-
-// JointProb returns Pr(c_k) Π_d Pr(x_d = member l_d | c_k) for the
-// member-index vector ls (used by tests and the enumeration baseline).
-func (m *Model) JointProb(ls []int, k int) float64 {
-	p := m.Priors[k]
-	for d, l := range ls {
-		p *= m.Cond[d][l][k]
-	}
-	return p
-}

@@ -12,6 +12,16 @@ import (
 	"minequery/internal/value"
 )
 
+// JointProb returns Pr(c_k) Π_d Pr(x_d = member l_d | c_k) for the
+// member-index vector ls (the oracle Predict is checked against).
+func (m *Model) JointProb(ls []int, k int) float64 {
+	p := m.Priors[k]
+	for d, l := range ls {
+		p *= m.Cond[d][l][k]
+	}
+	return p
+}
+
 // paperModel builds the exact classifier of the paper's Table 1:
 // 3 classes, d0 with 4 members, d1 with 3 members.
 func paperModel(t *testing.T) *Model {

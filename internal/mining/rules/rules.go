@@ -61,16 +61,6 @@ func (o *Options) fill() {
 	}
 }
 
-// Train learns an ordered rule list over a literal train set, converted
-// to its columns.
-func Train(name, predCol string, ts *mining.TrainSet, opts Options) (*Model, error) {
-	cs, err := ts.Columns()
-	if err != nil {
-		return nil, fmt.Errorf("rules: %w", err)
-	}
-	return TrainColumns(name, predCol, cs, opts)
-}
-
 // TrainColumns learns an ordered rule list by sequential covering:
 // classes are processed from rarest to most common; the most common
 // class becomes the default.

@@ -41,12 +41,23 @@ func loanSet(n int, noise float64, seed int64) *mining.TrainSet {
 	return ts
 }
 
-func TestTrainLearnsRules(t *testing.T) {
-	ts := loanSet(4000, 0, 1)
-	m, err := Train("loan", "decision", ts, Options{})
+// train fits a rule list over ts's columns.
+func train(t *testing.T, name, predCol string, ts *mining.TrainSet, opts Options) *Model {
+	t.Helper()
+	cs, err := ts.Columns()
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, err := TrainColumns(name, predCol, cs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func TestTrainLearnsRules(t *testing.T) {
+	ts := loanSet(4000, 0, 1)
+	m := train(t, "loan", "decision", ts, Options{})
 	if len(m.Rules) == 0 {
 		t.Fatal("no rules learned")
 	}
@@ -119,10 +130,7 @@ func TestNullInputPredictsNull(t *testing.T) {
 
 func TestRulesUseBoundedConds(t *testing.T) {
 	ts := loanSet(2000, 0.05, 2)
-	m, err := Train("loan", "d", ts, Options{MaxConds: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := train(t, "loan", "d", ts, Options{MaxConds: 2})
 	for _, r := range m.Rules {
 		if len(r.Body) > 2 {
 			t.Errorf("rule has %d conditions, bound is 2", len(r.Body))
@@ -132,10 +140,7 @@ func TestRulesUseBoundedConds(t *testing.T) {
 
 func TestNoisyDataStillTrains(t *testing.T) {
 	ts := loanSet(1500, 0.25, 3)
-	m, err := Train("loan", "d", ts, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := train(t, "loan", "d", ts, Options{})
 	// Every prediction must be one of the training classes.
 	valid := map[string]bool{}
 	for _, c := range m.Classes() {
@@ -150,7 +155,8 @@ func TestNoisyDataStillTrains(t *testing.T) {
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train("m", "c", &mining.TrainSet{}, Options{}); err == nil {
+	empty := mining.NewColumns(value.MustSchema(value.Column{Name: "x", Kind: value.KindInt}), 0)
+	if _, err := TrainColumns("m", "c", empty, Options{}); err == nil {
 		t.Error("empty train set should error")
 	}
 }
@@ -162,10 +168,7 @@ func TestSingleClassYieldsDefaultOnly(t *testing.T) {
 		ts.Rows = append(ts.Rows, value.Tuple{value.Int(int64(i))})
 		ts.Labels = append(ts.Labels, value.Str("only"))
 	}
-	m, err := Train("m", "c", ts, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := train(t, "m", "c", ts, Options{})
 	if len(m.Rules) != 0 || m.Default.AsString() != "only" {
 		t.Errorf("single-class training should produce empty rule list, got %d rules", len(m.Rules))
 	}
@@ -173,7 +176,7 @@ func TestSingleClassYieldsDefaultOnly(t *testing.T) {
 
 func TestMetadata(t *testing.T) {
 	ts := loanSet(300, 0, 4)
-	m, _ := Train("loan", "decision", ts, Options{})
+	m := train(t, "loan", "decision", ts, Options{})
 	if m.Name() != "loan" || m.PredictColumn() != "decision" {
 		t.Error("metadata broken")
 	}

@@ -125,28 +125,6 @@ func oracleExplainTo(b *strings.Builder, n Node, depth int) {
 	}
 }
 
-func oracleSignature(n Node) string {
-	var b strings.Builder
-	oracleSig(&b, n)
-	return b.String()
-}
-
-func oracleSig(b *strings.Builder, n Node) {
-	b.WriteString(oracleDescribe(n))
-	kids := n.Children()
-	if len(kids) == 0 {
-		return
-	}
-	b.WriteByte('{')
-	for i, k := range kids {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		oracleSig(b, k)
-	}
-	b.WriteByte('}')
-}
-
 var raceEnabled bool
 
 // planValues are the literals generated seeks and filters use: both
@@ -275,15 +253,12 @@ func checkExplain(t *testing.T, n Node) {
 	if got, want := Explain(n), oracleExplain(n); got != want {
 		t.Fatalf("Explain:\n%s\noracle:\n%s", got, want)
 	}
-	if got, want := Signature(n), oracleSignature(n); got != want {
-		t.Fatalf("Signature = %q, oracle %q", got, want)
-	}
 	if got, want := Describe(n), oracleDescribe(n); got != want {
 		t.Fatalf("Describe = %q, oracle %q", got, want)
 	}
 }
 
-// TestExplainMatchesOracle checks Explain, Signature and Describe
+// TestExplainMatchesOracle checks Explain and Describe
 // against the oracle on the shapes the engine plans, then on random
 // trees over every operator.
 func TestExplainMatchesOracle(t *testing.T) {

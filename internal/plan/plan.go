@@ -422,24 +422,3 @@ func PathOf(n Node) AccessPath {
 func Changed(n Node) bool {
 	return PathOf(n) != AccessSeqScan
 }
-
-// Signature is a canonical one-line rendering of the plan shape used to
-// compare plans across optimizations: each operator's description, its
-// children in braces, separated by semicolons.
-func Signature(n Node) string { return render(n, appendSig) }
-
-func appendSig(dst []byte, n Node) []byte {
-	dst = n.AppendDescribe(dst)
-	kids := n.Children()
-	if len(kids) == 0 {
-		return dst
-	}
-	dst = append(dst, '{')
-	for i, k := range kids {
-		if i > 0 {
-			dst = append(dst, ';')
-		}
-		dst = appendSig(dst, k)
-	}
-	return append(dst, '}')
-}

@@ -93,14 +93,16 @@ func TestDescribeRendering(t *testing.T) {
 	}
 }
 
+// TestSignatureDistinguishesPlans: Explain tells plan shapes apart and
+// renders one shape the same way every time.
 func TestSignatureDistinguishesPlans(t *testing.T) {
-	a := Signature(&SeqScan{Table: "t"})
-	b := Signature(samplePlan())
-	c := Signature(&Filter{Child: &SeqScan{Table: "t"}, Pred: expr.TrueExpr{}})
+	a := Explain(&SeqScan{Table: "t"})
+	b := Explain(samplePlan())
+	c := Explain(&Filter{Child: &SeqScan{Table: "t"}, Pred: expr.TrueExpr{}})
 	if a == b || b == c || a == c {
-		t.Error("signatures should differ across plan shapes")
+		t.Error("renderings should differ across plan shapes")
 	}
-	if Signature(samplePlan()) != Signature(samplePlan()) {
-		t.Error("signatures must be deterministic")
+	if Explain(samplePlan()) != Explain(samplePlan()) {
+		t.Error("renderings must be deterministic")
 	}
 }

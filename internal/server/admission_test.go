@@ -205,6 +205,56 @@ func TestShutdownDeadlineExpires(t *testing.T) {
 	<-done
 }
 
+// TestShutdownEndsParkedPoll: a drain ends a parked long poll with a
+// 200 and an empty batch, so Shutdown returns inside its deadline
+// instead of waiting out the poll.
+func TestShutdownEndsParkedPoll(t *testing.T) {
+	s := New(testEngine(t, 1000), Config{})
+	parked := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.Handler().ServeHTTP(w, r.WithContext(&firstDone{Context: r.Context(), signal: parked}))
+	}))
+	t.Cleanup(ts.Close)
+
+	type outcome struct {
+		st  int
+		raw []byte
+	}
+	poll := make(chan outcome, 1)
+	go func() {
+		st, raw := call(t, "GET", ts.URL+"/v1/notifications?timeout_ms=30000", nil)
+		poll <- outcome{st, raw}
+	}()
+	<-parked
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with a parked poll: %v", err)
+	}
+	out := <-poll
+	if out.st != http.StatusOK {
+		t.Fatalf("parked poll: %d %s, want 200", out.st, out.raw)
+	}
+	if got := decode[notificationsWire](t, out.raw); got.Count != 0 || got.Notifications == nil || len(got.Notifications) != 0 {
+		t.Fatalf("parked poll returned %s, want an empty batch", out.raw)
+	}
+}
+
+// firstDone is a request context that closes signal at its first Done
+// call. handleNotifications makes that call as it derives the poll's
+// deadline, after the drain guard has admitted the request.
+type firstDone struct {
+	context.Context
+	once   sync.Once
+	signal chan struct{}
+}
+
+func (c *firstDone) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.signal) })
+	return c.Context.Done()
+}
+
 // testCoord starts a coordinator over the one shard at shardURL, its
 // planner a testEngine, and returns it with its URL.
 func testCoord(t *testing.T, shardURL string) (*CoordServer, string) {

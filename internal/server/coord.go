@@ -36,6 +36,7 @@ func NewCoord(coord *cluster.Coordinator, defaultTimeout time.Duration) *CoordSe
 		mux:     http.NewServeMux(),
 		timeout: defaultTimeout,
 		started: time.Now(),
+		drain:   drain{stop: make(chan struct{})},
 	}
 	cs.metrics = cs.buildMetrics()
 	g := cs.guard

@@ -16,6 +16,9 @@ type drain struct {
 	mu      sync.Mutex
 	closing bool
 	wg      sync.WaitGroup
+	// stop is closed when Shutdown begins: a guarded handler that waits
+	// for the client rather than for work, a long poll, ends its wait.
+	stop chan struct{}
 }
 
 // guard admits a request into the drain group, or answers
@@ -39,7 +42,10 @@ func (d *drain) guard(h http.HandlerFunc) http.HandlerFunc {
 // to drain, or for ctx to expire. Safe to call more than once.
 func (d *drain) Shutdown(ctx context.Context) error {
 	d.mu.Lock()
-	d.closing = true
+	if !d.closing {
+		d.closing = true
+		close(d.stop)
+	}
 	d.mu.Unlock()
 	done := make(chan struct{})
 	go func() {

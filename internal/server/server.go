@@ -132,6 +132,7 @@ func New(eng *minequery.Engine, cfg Config) *Server {
 		slow:     newSlowLog(cfg.SlowLogSize),
 		breaker:  fault.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		started:  time.Now(),
+		drain:    drain{stop: make(chan struct{})},
 	}
 	s.metrics = s.buildMetrics()
 	eng.SetEnvelopeCache(s.env)

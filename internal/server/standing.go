@@ -123,7 +123,8 @@ func (s *Server) handleSubscriptions(w http.ResponseWriter, r *http.Request) {
 // handleNotifications long-polls the delivery queue: it waits up to
 // timeout_ms (default 10s, capped at 60s) for at least one notification
 // and returns up to max (default 100) in one batch. An empty batch with
-// a 200 means the wait timed out — poll again; it is not an error.
+// a 200 means the wait timed out or a drain began — poll again; it is
+// not an error.
 func (s *Server) handleNotifications(w http.ResponseWriter, r *http.Request) {
 	wait, err := pollWait(r.URL.Query().Get("timeout_ms"))
 	if err != nil {
@@ -141,13 +142,20 @@ func (s *Server) handleNotifications(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), wait)
 	defer cancel()
+	go func() {
+		select {
+		case <-s.stop:
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
 	ns, err := s.eng.Notifications(ctx, max)
 	if err != nil {
-		// The poll deadline lapsing with nothing queued is the normal idle
-		// outcome of a long poll, not a query timeout: answer 200 with an
-		// empty batch so clients just re-poll. A client disconnect still
-		// surfaces as cancelled.
-		if ctx.Err() == context.DeadlineExceeded && r.Context().Err() == nil {
+		// The poll deadline lapsing, or a drain beginning, with nothing
+		// queued is the normal idle outcome of a long poll, not a query
+		// timeout: answer 200 with an empty batch so clients just re-poll.
+		// A client disconnect still surfaces as cancelled.
+		if ctx.Err() != nil && r.Context().Err() == nil {
 			writeJSON(w, http.StatusOK, notificationsResponse{Notifications: []notificationBody{}})
 			return
 		}

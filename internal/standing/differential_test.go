@@ -83,17 +83,20 @@ type sweepShape struct {
 // sweepData is one draw of the models' shared training material over
 // the data columns.
 type sweepData struct {
-	num, cat, both *mining.TrainSet
+	num, cat, both *mining.Columns
 }
 
 // drawSweepData draws 500 training rows shaped by sh.
 func drawSweepData(r *rand.Rand, sh sweepShape) sweepData {
-	mkTS := func(cols ...value.Column) *mining.TrainSet {
-		return &mining.TrainSet{Schema: value.MustSchema(cols...)}
+	mk := func(cols ...value.Column) *mining.Columns { return mining.NewColumns(value.MustSchema(cols...), 500) }
+	add := func(cs *mining.Columns, row value.Tuple, label string) {
+		if err := cs.Append(row, value.Str(label)); err != nil {
+			panic(err)
+		}
 	}
 	catCol := value.Column{Name: "cat", Kind: value.KindString}
 	numCol := value.Column{Name: "num", Kind: value.KindInt}
-	d := sweepData{num: mkTS(numCol), cat: mkTS(catCol), both: mkTS(catCol, numCol)}
+	d := sweepData{num: mk(numCol), cat: mk(catCol), both: mk(catCol, numCol)}
 	for i := 0; i < 500; i++ {
 		c := fmt.Sprintf("c%d", r.Intn(8))
 		n := int64(r.Intn(sh.span))
@@ -107,12 +110,9 @@ func drawSweepData(r *rand.Rand, sh sweepShape) sweepData {
 		if n < int64(sh.numDom*sh.lowPct/100) {
 			seg = "y"
 		}
-		d.num.Rows = append(d.num.Rows, value.Tuple{value.Int(n)})
-		d.num.Labels = append(d.num.Labels, value.Str(cls))
-		d.cat.Rows = append(d.cat.Rows, value.Tuple{value.Str(c)})
-		d.cat.Labels = append(d.cat.Labels, value.Str(grp))
-		d.both.Rows = append(d.both.Rows, value.Tuple{value.Str(c), value.Int(n)})
-		d.both.Labels = append(d.both.Labels, value.Str(seg))
+		add(d.num, value.Tuple{value.Int(n)}, cls)
+		add(d.cat, value.Tuple{value.Str(c)}, grp)
+		add(d.both, value.Tuple{value.Str(c), value.Int(n)}, seg)
 	}
 	return d
 }
@@ -125,19 +125,19 @@ var sweepFamilies = []struct {
 	train  func(d sweepData) (mining.Model, error)
 }{
 	{"m_dt", []string{"num"}, func(d sweepData) (mining.Model, error) {
-		return dtree.Train("dt", "cls", d.num, dtree.Options{})
+		return dtree.TrainColumns("dt", "cls", d.num, dtree.Options{})
 	}},
 	{"m_nb", []string{"cat"}, func(d sweepData) (mining.Model, error) {
-		return nbayes.Train("nb", "grp", d.cat, nbayes.Options{})
+		return nbayes.TrainColumns("nb", "grp", d.cat, nbayes.Options{})
 	}},
 	{"m_rl", []string{"cat", "num"}, func(d sweepData) (mining.Model, error) {
-		return rules.Train("rl", "seg", d.both, rules.Options{})
+		return rules.TrainColumns("rl", "seg", d.both, rules.Options{})
 	}},
 	{"m_km", []string{"num"}, func(d sweepData) (mining.Model, error) {
-		return cluster.TrainKMeans("km", "cluster", d.num, cluster.Options{K: 3, Seed: 7})
+		return cluster.TrainKMeansColumns("km", "cluster", d.num, cluster.Options{K: 3, Seed: 7})
 	}},
 	{"m_gm", []string{"num"}, func(d sweepData) (mining.Model, error) {
-		return cluster.TrainGMM("gm", "component", d.num, cluster.Options{K: 2, Seed: 7})
+		return cluster.TrainGMMColumns("gm", "component", d.num, cluster.Options{K: 2, Seed: 7})
 	}},
 }
 

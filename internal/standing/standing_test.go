@@ -668,7 +668,7 @@ func TestGuardAndQueryShareCacheEntry(t *testing.T) {
 	if cache.misses != 1 || cache.hits != 1 {
 		t.Fatalf("after the query: %d misses and %d hits, want 1 and 1", cache.misses, cache.hits)
 	}
-	cold, err := core.RewriteQuery(q, cat, 0)
+	cold, err := core.RewriteQueryCached(q, cat, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

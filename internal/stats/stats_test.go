@@ -142,6 +142,70 @@ func TestHistogramRangeSelectivity(t *testing.T) {
 	}
 }
 
+// TestEqualDepthBalance checks the equi-depth histogram of a skewed
+// column: every bucket but the last holds ceil(n/64) values, the last
+// the rest, and the buckets ascend without overlap.
+func TestEqualDepthBalance(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	const n = 10000
+	rows := make([]value.Tuple, n)
+	for i := range rows {
+		rows[i] = value.Tuple{value.Null(), value.Null(), value.Float(math.Exp(r.NormFloat64()))}
+	}
+	cs := Build(schema, n, func(emit func(value.Tuple)) {
+		for _, t := range rows {
+			emit(t)
+		}
+	}).Col("wide")
+	if cs.Exact != nil || cs.Distinct != n {
+		t.Fatalf("exact = %d values, distinct = %d; want a histogram over %d distinct values", len(cs.Exact), cs.Distinct, n)
+	}
+	per := int64((n + NumBuckets - 1) / NumBuckets)
+	var total int64
+	for i, bk := range cs.Hist {
+		total += bk.Count
+		if i < len(cs.Hist)-1 && bk.Count != per || bk.Count > per {
+			t.Errorf("bucket %d holds %d values, want %d", i, bk.Count, per)
+		}
+		if value.Compare(bk.Lo, bk.Hi) > 0 || i > 0 && value.Compare(cs.Hist[i-1].Hi, bk.Lo) >= 0 {
+			t.Errorf("bucket %d [%v, %v] is out of order", i, bk.Lo, bk.Hi)
+		}
+	}
+	if total != n {
+		t.Errorf("buckets hold %d values, want %d", total, n)
+	}
+}
+
+// TestEqualDepthDegenerate checks that all-equal values count as one
+// distinct value, whether the column keeps exact counts or a histogram.
+func TestEqualDepthDegenerate(t *testing.T) {
+	rows := make([]value.Tuple, 1000)
+	for i := range rows {
+		rows[i] = value.Tuple{value.Str("a"), value.Int(5), value.Float(5)}
+	}
+	ts := Build(schema, int64(len(rows)), func(emit func(value.Tuple)) {
+		for _, t := range rows {
+			emit(t)
+		}
+	})
+	for _, col := range []string{"cat", "num", "wide"} {
+		cs := ts.Col(col)
+		if cs.Distinct != 1 || len(cs.Exact) != 1 || cs.Exact[0].Count != 1000 {
+			t.Errorf("%s: distinct = %d, exact = %v; want one value counted 1000 times", col, cs.Distinct, cs.Exact)
+		}
+	}
+	var cs ColumnStats
+	histogram(&cs, []float64{5, 5, 5, 5}, value.Float)
+	if cs.Distinct != 1 {
+		t.Errorf("histogram of all-equal values: distinct = %d, want 1", cs.Distinct)
+	}
+	for i, bk := range cs.Hist {
+		if value.Compare(bk.Lo, value.Float(5)) != 0 || value.Compare(bk.Hi, value.Float(5)) != 0 {
+			t.Errorf("bucket %d = [%v, %v], want [5, 5]", i, bk.Lo, bk.Hi)
+		}
+	}
+}
+
 func TestBooleanCombinators(t *testing.T) {
 	ts, rows := buildTable(20000, 4)
 	and := expr.NewAnd(

@@ -59,17 +59,6 @@ func appendValues(dst []byte, vs []Value) []byte {
 	return dst
 }
 
-// DecodeValue reads one value from b, returning the value and the number
-// of bytes consumed.
-func DecodeValue(b []byte) (Value, int, error) {
-	var one [1]Value
-	t, rest, err := decodeFields(one[:0], b, 1, nil, nil)
-	if err != nil {
-		return Value{}, 0, err
-	}
-	return t[0], len(b) - len(rest), nil
-}
-
 // decodeFields appends the n values at the head of b to dst and returns
 // dst and the bytes after them. need, when non-nil, marks by ordinal the
 // values appended; the others are validated and measured the same way

@@ -10,6 +10,17 @@ import (
 	"testing/quick"
 )
 
+// DecodeValue reads one value from b, returning the value and the number
+// of bytes consumed.
+func DecodeValue(b []byte) (Value, int, error) {
+	var one [1]Value
+	t, rest, err := decodeFields(one[:0], b, 1, nil, nil)
+	if err != nil {
+		return Value{}, 0, err
+	}
+	return t[0], len(b) - len(rest), nil
+}
+
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
 		KindNull: "NULL", KindInt: "INT", KindFloat: "FLOAT",

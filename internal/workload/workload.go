@@ -127,18 +127,6 @@ func (r *Result) PlanChangedFraction() float64 {
 	return float64(n) / float64(len(r.Queries))
 }
 
-// AvgReduction averages the per-query cost reductions.
-func (r *Result) AvgReduction() float64 {
-	if len(r.Queries) == 0 {
-		return 0
-	}
-	var s float64
-	for _, q := range r.Queries {
-		s += q.Reduction()
-	}
-	return s / float64(len(r.Queries))
-}
-
 // train fits the requested model family on the spec's training set.
 func train(spec *dataset.Spec, kind ModelKind) (mining.Model, error) {
 	cs := spec.TrainColumns()

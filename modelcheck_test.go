@@ -270,17 +270,21 @@ func (r *ref) fit(name string, md *refModel) (m mining.Model, fp string, err err
 			ts.Rows, ts.Labels = append(ts.Rows, project(w, md.feats)), append(ts.Labels, label)
 		}
 	}
+	cs, err := ts.Columns()
+	if err != nil {
+		return nil, "", err
+	}
 	switch md.family {
 	case "dtree":
-		m, err = dtree.Train(name, md.predict, ts, dtree.Options{})
+		m, err = dtree.TrainColumns(name, md.predict, cs, dtree.Options{})
 	case "nbayes":
 		m, err = nbayes.Train(name, md.predict, ts, nbayes.Options{})
 	case "rules":
-		m, err = rules.Train(name, md.predict, ts, rules.Options{})
+		m, err = rules.TrainColumns(name, md.predict, cs, rules.Options{})
 	case "kmeans":
-		m, err = cluster.TrainKMeans(name, md.predict, ts, cluster.Options{K: 3, Seed: 1})
+		m, err = cluster.TrainKMeansColumns(name, md.predict, cs, cluster.Options{K: 3, Seed: 1})
 	default:
-		m, err = cluster.TrainGMM(name, md.predict, ts, cluster.Options{K: 3, Seed: 1})
+		m, err = cluster.TrainGMMColumns(name, md.predict, cs, cluster.Options{K: 3, Seed: 1})
 	}
 	if err != nil {
 		return nil, "", err
