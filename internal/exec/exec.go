@@ -287,7 +287,8 @@ var errStopSeek = errors.New("seek prefix exhausted")
 const seekCtxStride = 1024
 
 // seekRIDs evaluates one index seek, appending the matching RIDs to dst
-// in index order. The seek is an idempotent read, so a transiently
+// in index order: those of the entries in the seek's bounds that its key
+// filter admits. The seek is an idempotent read, so a transiently
 // failing one (injected via fault.SiteIndexSeek) is retried whole under
 // the options' policy, from dst's original length; ctx is checked every
 // seekCtxStride entries so deadlines interrupt seeks over large key
@@ -300,6 +301,10 @@ func seekRIDs(ctx context.Context, t *catalog.Table, s *plan.IndexSeek, opts Opt
 	if len(s.EqVals) > len(ix.Columns) {
 		return nil, fmt.Errorf("exec: seek on %s.%s uses %d equality values, index has %d columns",
 			s.Table, s.Index, len(s.EqVals), len(ix.Columns))
+	}
+	keep, err := newKeyFilter(s, len(ix.Columns))
+	if err != nil {
+		return nil, err
 	}
 	var prefix []byte
 	for _, v := range s.EqVals {
@@ -340,7 +345,9 @@ func seekRIDs(ctx context.Context, t *catalog.Table, s *plan.IndexSeek, opts Opt
 					return cerr
 				}
 			}
-			rids = append(rids, e.RID)
+			if keep.admits(e.Key) {
+				rids = append(rids, e.RID)
+			}
 			return nil
 		})
 		if err == errStopSeek {
@@ -352,6 +359,72 @@ func seekRIDs(ctx context.Context, t *catalog.Table, s *plan.IndexSeek, opts Opt
 		return nil, err
 	}
 	return rids, nil
+}
+
+// keyBound is one KeyCond of a seek, its bounds encoded as SortKeys: lo
+// and hi are nil where the range is open.
+type keyBound struct {
+	pos    int
+	lo, hi []byte
+}
+
+// keyFilter is an IndexSeek's KeyFilter, encoded once per seek, in key
+// column order. An index key is its columns' SortKeys end to end, each
+// self-delimiting, so admits walks them and compares bytes: nothing is
+// decoded or allocated per entry.
+type keyFilter []keyBound
+
+func newKeyFilter(s *plan.IndexSeek, cols int) (keyFilter, error) {
+	if len(s.KeyFilter) == 0 {
+		return nil, nil
+	}
+	f := make(keyFilter, len(s.KeyFilter))
+	for i, k := range s.KeyFilter {
+		if k.Pos < len(s.EqVals) || k.Pos >= cols || (i > 0 && k.Pos <= f[i-1].pos) {
+			return nil, fmt.Errorf("exec: seek on %s.%s filters key column %d out of order", s.Table, s.Index, k.Pos)
+		}
+		f[i].pos = k.Pos
+		if v, _, ok := k.Range.Lo(); ok {
+			f[i].lo = v.SortKey(nil)
+		}
+		if v, _, ok := k.Range.Hi(); ok {
+			f[i].hi = v.SortKey(nil)
+		}
+	}
+	return f, nil
+}
+
+// admits reports whether the entry key may satisfy every bound. A NULL
+// column satisfies no comparison, so it fails. Otherwise a column fails
+// a bound only when it sorts strictly outside it: SortKey may tie values
+// Compare orders (INTs past 2^53), so a tie is kept, as is a column of
+// another SortKey tag than the bound, whose byte order need not be
+// Compare's (TEXT and BOOL tags sort the other way round).
+// A key admits cannot parse is kept: the filter only ever overscans.
+func (f keyFilter) admits(key []byte) bool {
+	pos := 0
+	for _, b := range f {
+		for ; pos < b.pos; pos++ {
+			n := value.SortKeyLen(key)
+			if n < 0 {
+				return true
+			}
+			key = key[n:]
+		}
+		n := value.SortKeyLen(key)
+		if n < 0 {
+			return true
+		}
+		col := key[:n]
+		if col[0] == 0x00 {
+			return false
+		}
+		if b.lo != nil && col[0] == b.lo[0] && bytes.Compare(col, b.lo) < 0 ||
+			b.hi != nil && col[0] == b.hi[0] && bytes.Compare(col, b.hi) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func findIndexByName(t *catalog.Table, name string) *catalog.Index {

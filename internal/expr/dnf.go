@@ -380,7 +380,7 @@ func (cs *colState) emit(out []Expr, conds []Expr) (_ []Expr, ok bool) {
 		}
 		return appendCmp(out, Cmp{Col: cs.col, Op: OpEq, Val: v}, conds), true
 	}
-	out = appendRangeConds(out, cs.col, cs.rng, conds)
+	out = AppendRangeConds(out, cs.col, cs.rng, conds)
 	// Keep only <> values that are inside the range; others are implied
 	// by the range itself.
 	var buf [4]value.Value

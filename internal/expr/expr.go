@@ -148,8 +148,8 @@ func (c Cmp) Eval(s *value.Schema, t value.Tuple) bool {
 
 // Interval returns the values of c.Col that satisfy c, when they form
 // one: ok is false for <> (two intervals) and for a NULL literal (no
-// row satisfies it). It is the one op → bound switch; RangeConds is the
-// way back.
+// row satisfies it). It is the one op → bound switch; AppendRangeConds is
+// the way back.
 func (c Cmp) Interval() (iv interval.Interval, ok bool) {
 	if c.Val.IsNull() {
 		return iv, false
@@ -169,15 +169,10 @@ func (c Cmp) Interval() (iv interval.Interval, ok bool) {
 	return iv, false
 }
 
-// RangeConds renders iv as conditions on col: its lower bound, then its
-// upper, each only where iv is bounded.
-func RangeConds(col string, iv interval.Interval) []Expr {
-	return appendRangeConds(make([]Expr, 0, 2), col, iv, nil)
-}
-
-// appendRangeConds appends RangeConds(col, iv) to dst, each condition as
-// the atom of atoms equal to it if there is one.
-func appendRangeConds(dst []Expr, col string, iv interval.Interval, atoms []Expr) []Expr {
+// AppendRangeConds appends iv as conditions on col to dst: its lower
+// bound, then its upper, each only where iv is bounded, and each as the
+// atom of atoms equal to it if there is one.
+func AppendRangeConds(dst []Expr, col string, iv interval.Interval, atoms []Expr) []Expr {
 	if v, inc, ok := iv.Lo(); ok {
 		op := OpGt
 		if inc {

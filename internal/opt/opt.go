@@ -9,6 +9,8 @@ package opt
 
 import (
 	"math"
+	"slices"
+	"strings"
 
 	"minequery/internal/catalog"
 	"minequery/internal/expr"
@@ -211,18 +213,16 @@ func ChooseAccessPath(t *catalog.Table, pred expr.Expr, cfg Config) Result {
 	// index-accessible for an index plan to be sound.
 	var seeks []*plan.IndexSeek
 	indexRows := 0.0
-	covered := true
+	ixs := t.Indexes()
 	for _, c := range d.Disjuncts {
-		c = rangeToIn(ts, intBounds(t, c), cfg)
-		cand := bestSeeks(t, ts, c, cfg)
-		if cand == nil {
-			covered = false
-			break
+		var rows float64
+		var ok bool
+		if seeks, rows, ok = bestSeeks(seeks, t, ts, ixs, rangeToIn(t, intBounds(t, c), cfg), cfg); !ok {
+			return seqRes(inf)
 		}
-		seeks = append(seeks, cand.seeks...)
-		indexRows += cand.estRows
+		indexRows += rows
 	}
-	if !covered || len(seeks) == 0 {
+	if len(seeks) == 0 {
 		return seqRes(inf)
 	}
 	if indexRows > rowCount {
@@ -237,6 +237,9 @@ func ChooseAccessPath(t *catalog.Table, pred expr.Expr, cfg Config) Result {
 	if indexCost >= scanCost {
 		return seqRes(indexCost)
 	}
+	// Two disjuncts can ask for the same seek; it is walked once. The
+	// estimate above still counts it twice.
+	seeks = dedupSeeks(seeks)
 	var access plan.Node
 	var path plan.AccessPath
 	if len(seeks) == 1 {
@@ -278,11 +281,11 @@ func withFilter(n plan.Node, pred expr.Expr) plan.Node {
 // intBounds tightens fractional range bounds over INT columns: for an
 // integer x, "x >= 1.9" is "x >= 2" and "x < 2.6" is "x <= 2". Sound by
 // the column's declared type; it turns the float cut points of
-// clustering envelopes into integer ranges the IN-expansion can use.
+// clustering envelopes into integer ranges the IN-expansion can use. It
+// copies c's conditions only when it tightens one of them.
 func intBounds(t *catalog.Table, c expr.Conjunct) expr.Conjunct {
-	out := make([]expr.Expr, len(c.Conds))
+	var out []expr.Expr
 	for i, cond := range c.Conds {
-		out[i] = cond
 		cmp, ok := cond.(expr.Cmp)
 		if !ok || cmp.Val.Kind() != value.KindFloat {
 			continue
@@ -292,27 +295,38 @@ func intBounds(t *catalog.Table, c expr.Conjunct) expr.Conjunct {
 			continue
 		}
 		f := cmp.Val.AsFloat()
+		var tight expr.Cmp
 		switch cmp.Op {
 		case expr.OpGe:
-			out[i] = expr.Cmp{Col: cmp.Col, Op: expr.OpGe, Val: value.Int(int64(math.Ceil(f)))}
+			tight = expr.Cmp{Col: cmp.Col, Op: expr.OpGe, Val: value.Int(int64(math.Ceil(f)))}
 		case expr.OpGt:
-			out[i] = expr.Cmp{Col: cmp.Col, Op: expr.OpGe, Val: value.Int(int64(math.Floor(f)) + 1)}
+			tight = expr.Cmp{Col: cmp.Col, Op: expr.OpGe, Val: value.Int(int64(math.Floor(f)) + 1)}
 		case expr.OpLe:
-			out[i] = expr.Cmp{Col: cmp.Col, Op: expr.OpLe, Val: value.Int(int64(math.Floor(f)))}
+			tight = expr.Cmp{Col: cmp.Col, Op: expr.OpLe, Val: value.Int(int64(math.Floor(f)))}
 		case expr.OpLt:
-			out[i] = expr.Cmp{Col: cmp.Col, Op: expr.OpLe, Val: value.Int(int64(math.Ceil(f)) - 1)}
+			tight = expr.Cmp{Col: cmp.Col, Op: expr.OpLe, Val: value.Int(int64(math.Ceil(f)) - 1)}
+		default:
+			continue
 		}
+		if out == nil {
+			out = slices.Clone(c.Conds)
+		}
+		out[i] = tight
+	}
+	if out == nil {
+		return c
 	}
 	return expr.Conjunct{Conds: out}
 }
 
-// rangeToIn rewrites closed integer ranges into IN conditions: a range
-// like 2 <= col <= 4 over INT values becomes col IN (2,3,4), which the
+// rangeToIn rewrites closed integer ranges over INT columns into IN
+// conditions: 2 <= col <= 4 becomes col IN (2,3,4), which the
 // composite-index matcher can use as an equality prefix. The expansion
 // enumerates the integers in the range itself — no statistics involved —
-// so it is sound regardless of data changes. Open and non-integer
-// ranges are left alone.
-func rangeToIn(ts *stats.TableStats, c expr.Conjunct, cfg Config) expr.Conjunct {
+// so it is sound regardless of data changes; on a FLOAT column it would
+// drop 2.5, so only the column's declared type lets it happen. Other
+// ranges are left alone, as the conditions the conjunct boxed them in.
+func rangeToIn(t *catalog.Table, c expr.Conjunct, cfg Config) expr.Conjunct {
 	simplified, sat := expr.SimplifyConjunct(c.Conds)
 	if !sat {
 		return c
@@ -321,29 +335,31 @@ func rangeToIn(ts *stats.TableStats, c expr.Conjunct, cfg Config) expr.Conjunct 
 		col string
 		iv  interval.Interval
 	}
-	ranges := map[string]*colRange{}
-	var order []string
-	var passthrough []expr.Expr
+	var buf [4]colRange
+	ranges := buf[:0]
+	out := make([]expr.Expr, 0, len(simplified))
 	for _, cond := range simplified {
 		cmp, ok := cond.(expr.Cmp)
 		iv, bounded := cmp.Interval()
 		if !ok || !bounded || cmp.Op == expr.OpEq {
-			passthrough = append(passthrough, cond)
+			out = append(out, cond)
 			continue
 		}
-		key := norm(cmp.Col)
-		r := ranges[key]
-		if r == nil {
-			r = &colRange{col: cmp.Col}
-			ranges[key] = r
-			order = append(order, key)
+		i := 0
+		for i < len(ranges) && !strings.EqualFold(ranges[i].col, cmp.Col) {
+			i++
 		}
-		r.iv = r.iv.Intersect(iv)
+		if i == len(ranges) {
+			ranges = append(ranges, colRange{col: cmp.Col})
+		}
+		ranges[i].iv = ranges[i].iv.Intersect(iv)
 	}
-	out := append([]expr.Expr(nil), passthrough...)
-	for _, key := range order {
-		r := ranges[key]
-		vals, ok := enumerateIntRange(r.iv, cfg.MaxInExpansion)
+	for _, r := range ranges {
+		var vals []value.Value
+		ok := false
+		if o := t.Schema.Ordinal(r.col); o >= 0 && t.Schema.Col(o).Kind == value.KindInt {
+			vals, ok = enumerateIntRange(r.iv, cfg.MaxInExpansion)
+		}
 		switch {
 		case ok && len(vals) == 0:
 			out = append(out, expr.FalseExpr{})
@@ -352,10 +368,9 @@ func rangeToIn(ts *stats.TableStats, c expr.Conjunct, cfg Config) expr.Conjunct 
 		case ok:
 			out = append(out, expr.In{Col: r.col, Vals: vals})
 		default:
-			out = append(out, expr.RangeConds(r.col, r.iv)...)
+			out = expr.AppendRangeConds(out, r.col, r.iv, simplified)
 		}
 	}
-	_ = ts
 	return expr.Conjunct{Conds: out}
 }
 
@@ -390,129 +405,248 @@ func enumerateIntRange(iv interval.Interval, max int) ([]value.Value, bool) {
 	return out, true
 }
 
-// candidate is the seek set serving one disjunct through one index.
-type candidate struct {
-	seeks   []*plan.IndexSeek
-	estRows float64
+// colConds is what one conjunct says about one column that a seek can
+// use: its last equality, its last IN list within the expansion budget,
+// and the intersection of its range conditions.
+type colConds struct {
+	col                  string
+	eq                   value.Value
+	in                   []value.Value
+	rng                  interval.Interval
+	hasEq, hasIn, hasRng bool
 }
 
-// bestSeeks finds the cheapest index application for one conjunct, or
-// nil if no index is usable.
-func bestSeeks(t *catalog.Table, ts *stats.TableStats, c expr.Conjunct, cfg Config) *candidate {
-	// Bucket the conjunct's conditions per column.
-	eq := map[string]value.Value{}
-	in := map[string][]value.Value{}
-	rng := map[string]interval.Interval{}
-	var consumedExpr = map[string][]expr.Expr{}
-	for _, cond := range c.Conds {
-		switch x := cond.(type) {
-		case expr.Cmp:
-			col := norm(x.Col)
-			switch x.Op {
-			case expr.OpEq:
-				eq[col] = x.Val
-				consumedExpr[col] = append(consumedExpr[col], x)
-			case expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe:
-				iv, _ := x.Interval()
-				rng[col] = rng[col].Intersect(iv)
-				consumedExpr[col] = append(consumedExpr[col], x)
-			}
-		case expr.In:
-			col := norm(x.Col)
-			if len(x.Vals) <= cfg.MaxInExpansion {
-				in[col] = x.Vals
-				consumedExpr[col] = append(consumedExpr[col], x)
-			}
-		}
+// sargable reports whether cond is a condition a seek can use — an =,
+// <, <=, > or >= comparison, or an IN list within the expansion budget —
+// and names its column.
+func sargable(cond expr.Expr, cfg Config) (col string, ok bool) {
+	switch x := cond.(type) {
+	case expr.Cmp:
+		return x.Col, x.Op != expr.OpNe
+	case expr.In:
+		return x.Col, len(x.Vals) <= cfg.MaxInExpansion
 	}
+	return "", false
+}
 
-	var best *candidate
-	bestCost := inf
-	for _, ix := range t.Indexes() {
-		cand := matchIndex(t, ts, ix, eq, in, rng, consumedExpr, cfg)
-		if cand == nil {
+// bucket appends to cols, per column in the order conds first name it,
+// what conds' sargable conditions say about it.
+func bucket(cols []colConds, conds []expr.Expr, cfg Config) []colConds {
+	for _, cond := range conds {
+		col, ok := sargable(cond, cfg)
+		if !ok {
 			continue
 		}
-		cost := cand.estRows*cfg.RandomPageCost + float64(len(cand.seeks))*seekProbeCost
-		if cost < bestCost {
-			best, bestCost = cand, cost
+		i := colIndex(cols, col)
+		if i < 0 {
+			i, cols = len(cols), append(cols, colConds{col: col})
+		}
+		cc := &cols[i]
+		switch x := cond.(type) {
+		case expr.Cmp:
+			if x.Op == expr.OpEq {
+				cc.eq, cc.hasEq = x.Val, true
+				break
+			}
+			iv, _ := x.Interval()
+			cc.rng, cc.hasRng = cc.rng.Intersect(iv), true
+		case expr.In:
+			cc.in, cc.hasIn = x.Vals, true
 		}
 	}
-	return best
+	return cols
+}
+
+// colIndex is the position of col's entry in cols, or -1.
+func colIndex(cols []colConds, col string) int {
+	for i := range cols {
+		if strings.EqualFold(cols[i].col, col) {
+			return i
+		}
+	}
+	return -1
+}
+
+// keyRange is the interval holding every value that satisfies cc's
+// range, its equality and its IN list — from its least value to its
+// greatest, since rangeToIn has turned a closed INT range into one; ok is
+// false when it is unbounded.
+func (cc colConds) keyRange() (iv interval.Interval, ok bool) {
+	iv = cc.rng
+	if cc.hasEq {
+		iv = iv.Intersect(interval.Point(cc.eq))
+	}
+	if cc.hasIn {
+		var lo, hi value.Value // NULL matches no row: it bounds nothing
+		for _, v := range cc.in {
+			if !v.IsNull() && (lo.IsNull() || value.Compare(v, lo) < 0) {
+				lo = v
+			}
+			if !v.IsNull() && (hi.IsNull() || value.Compare(v, hi) > 0) {
+				hi = v
+			}
+		}
+		iv = iv.Intersect(interval.Above(lo, true)).Intersect(interval.Below(hi, true))
+	}
+	_, _, hasLo := iv.Lo()
+	_, _, hasHi := iv.Hi()
+	return iv, hasLo || hasHi
+}
+
+// bestSeeks finds the cheapest application of one of ixs to one
+// conjunct and appends its seeks to dst, with the rows they are
+// estimated to fetch; ok is false if no index is usable.
+func bestSeeks(dst []*plan.IndexSeek, t *catalog.Table, ts *stats.TableStats, ixs []*catalog.Index,
+	c expr.Conjunct, cfg Config) (_ []*plan.IndexSeek, estRows float64, ok bool) {
+	var buf [8]colConds
+	cols := bucket(buf[:0], c.Conds, cfg)
+	var best match
+	bestCost := inf
+	for _, ix := range ixs {
+		m, ok := matchIndex(t, ts, ix, cols, c.Conds, cfg)
+		if !ok {
+			continue
+		}
+		if cost := m.estRows*cfg.RandomPageCost + float64(m.seeks)*seekProbeCost; cost < bestCost {
+			best, bestCost = m, cost
+		}
+	}
+	if best.ix == nil {
+		return dst, 0, false
+	}
+	return best.build(dst, t, cols), best.estRows, true
+}
+
+// match is one index's application to one conjunct: the leading index
+// columns that bound its seeks, and what they are estimated to fetch.
+type match struct {
+	ix *catalog.Index
+	// bound is how many leading columns bound the seeks: an equality (or
+	// small IN) prefix, then the range column when ranged.
+	bound   int
+	ranged  bool
+	seeks   int // the product of the prefix's IN list lengths
+	estRows float64
 }
 
 // matchIndex matches a conjunct's per-column conditions against one
 // index's column order: an equality (or small IN) prefix, optionally
-// followed by one range column.
+// followed by one range column. ok is false when the first index column
+// has no condition.
 func matchIndex(t *catalog.Table, ts *stats.TableStats, ix *catalog.Index,
-	eq map[string]value.Value, in map[string][]value.Value,
-	rng map[string]interval.Interval, consumed map[string][]expr.Expr, cfg Config) *candidate {
+	cols []colConds, conds []expr.Expr, cfg Config) (m match, ok bool) {
 
-	type prefixAlt struct {
-		vals []value.Value
-	}
-	alts := []prefixAlt{{}}
-	var sargable []expr.Expr
-	var seekRange interval.Interval
-	matchedAny := false
-
+	m = match{ix: ix, seeks: 1}
 	for _, col := range ix.Columns {
-		cn := norm(col)
-		if v, ok := eq[cn]; ok {
-			for i := range alts {
-				alts[i].vals = append(alts[i].vals, v)
-			}
-			sargable = append(sargable, consumed[cn]...)
-			matchedAny = true
+		i := colIndex(cols, col)
+		if i < 0 {
+			break
+		}
+		cc := &cols[i]
+		if cc.hasEq {
+			m.bound++
 			continue
 		}
-		if vals, ok := in[cn]; ok && len(alts)*len(vals) <= cfg.MaxInExpansion {
+		if cc.hasIn && m.seeks*len(cc.in) <= cfg.MaxInExpansion {
 			// IN consumes the column as equality alternatives; the
 			// prefix continues through it while total seek fan-out stays
 			// within budget.
-			var next []prefixAlt
-			for _, a := range alts {
-				for _, v := range vals {
-					nv := make([]value.Value, len(a.vals), len(a.vals)+1)
-					copy(nv, a.vals)
-					next = append(next, prefixAlt{vals: append(nv, v)})
-				}
-			}
-			alts = next
-			sargable = append(sargable, consumed[cn]...)
-			matchedAny = true
+			m.seeks *= len(cc.in)
+			m.bound++
 			continue
 		}
-		if iv, ok := rng[cn]; ok {
-			seekRange = iv
-			sargable = append(sargable, consumed[cn]...)
-			matchedAny = true
+		if cc.hasRng {
+			m.bound++
+			m.ranged = true
 		}
 		break // first non-equality column ends the prefix
 	}
-	if !matchedAny {
-		return nil
+	if m.bound == 0 {
+		return m, false
 	}
-	seeks := make([]*plan.IndexSeek, 0, len(alts))
-	for _, a := range alts {
-		seeks = append(seeks, &plan.IndexSeek{
-			Table:  t.Name,
-			Index:  ix.Name,
-			EqVals: a.vals,
-			Range:  seekRange,
-		})
-	}
-	selPart := ts.Selectivity(expr.NewAnd(sargable...))
-	rows := selPart * float64(t.Heap.Len())
-	return &candidate{seeks: seeks, estRows: rows}
-}
-
-func norm(s string) string {
-	b := []byte(s)
-	for i := range b {
-		if 'A' <= b[i] && b[i] <= 'Z' {
-			b[i] += 'a' - 'A'
+	// The estimate is of the conditions on the bounding columns, in
+	// index order and, per column, in the conjunct's.
+	var buf [8]expr.Expr
+	sarg := buf[:0]
+	for _, col := range ix.Columns[:m.bound] {
+		for _, cond := range conds {
+			if name, ok := sargable(cond, cfg); ok && strings.EqualFold(name, col) {
+				sarg = append(sarg, cond)
+			}
 		}
 	}
-	return string(b)
+	m.estRows = ts.Selectivity(expr.NewAnd(sarg...)) * float64(t.Heap.Len())
+	return m, true
+}
+
+// build appends m's seeks to dst: one per combination of the prefix's IN
+// values, the first column's varying slowest. They share one key filter:
+// the conditions on the index columns after their bounds.
+func (m match) build(dst []*plan.IndexSeek, t *catalog.Table, cols []colConds) []*plan.IndexSeek {
+	prefix := m.bound
+	var rng interval.Interval
+	if m.ranged {
+		prefix--
+		rng = cols[colIndex(cols, m.ix.Columns[prefix])].rng
+	}
+	var keys []plan.KeyCond
+	for pos := m.bound; pos < len(m.ix.Columns); pos++ {
+		i := colIndex(cols, m.ix.Columns[pos])
+		if i < 0 {
+			continue
+		}
+		if iv, ok := cols[i].keyRange(); ok {
+			keys = append(keys, plan.KeyCond{Col: m.ix.Columns[pos], Pos: pos, Range: iv})
+		}
+	}
+	var pbuf [8]int
+	pre := pbuf[:0] // the prefix columns' places in cols
+	for _, col := range m.ix.Columns[:prefix] {
+		pre = append(pre, colIndex(cols, col))
+	}
+	seeks := make([]plan.IndexSeek, m.seeks)
+	vals := make([]value.Value, m.seeks*prefix)
+	for k := range seeks {
+		var eq []value.Value
+		if prefix > 0 {
+			eq = vals[k*prefix : (k+1)*prefix : (k+1)*prefix]
+		}
+		rest := k
+		for j := prefix - 1; j >= 0; j-- {
+			if cc := &cols[pre[j]]; cc.hasEq {
+				eq[j] = cc.eq
+			} else {
+				eq[j] = cc.in[rest%len(cc.in)]
+				rest /= len(cc.in)
+			}
+		}
+		seeks[k] = plan.IndexSeek{Table: t.Name, Index: m.ix.Name, EqVals: eq, Range: rng, KeyFilter: keys}
+		dst = append(dst, &seeks[k])
+	}
+	return dst
+}
+
+// dedupSeeksMax bounds the union whose seeks are compared pairwise for
+// repeats. Past it the comparisons would cost more than walking a
+// repeated seek again; the executor dedups the RIDs either way.
+const dedupSeeksMax = 256
+
+// dedupSeeks drops every seek identical to an earlier one, in place.
+func dedupSeeks(seeks []*plan.IndexSeek) []*plan.IndexSeek {
+	if len(seeks) > dedupSeeksMax {
+		return seeks
+	}
+	out := seeks[:0]
+	for _, s := range seeks {
+		if !slices.ContainsFunc(out, func(o *plan.IndexSeek) bool { return sameSeek(o, s) }) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// sameSeek reports whether a and b are the same seek, value for value.
+func sameSeek(a, b *plan.IndexSeek) bool {
+	return a.Table == b.Table && a.Index == b.Index && a.Range == b.Range &&
+		slices.Equal(a.EqVals, b.EqVals) && slices.Equal(a.KeyFilter, b.KeyFilter)
 }

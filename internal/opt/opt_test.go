@@ -3,7 +3,11 @@ package opt
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"minequery/internal/catalog"
@@ -307,5 +311,242 @@ func TestNoStatsStillPlans(t *testing.T) {
 	}
 	if len(rows) != 1 {
 		t.Fatalf("got %d rows, want 1", len(rows))
+	}
+}
+
+// matcherDB is a table of INT, FLOAT and TEXT columns, some named in
+// upper case, under composite indexes that share and reorder them.
+func matcherDB(t *testing.T) (*catalog.Catalog, *catalog.Table) {
+	t.Helper()
+	c := catalog.New()
+	tb, err := c.CreateTable("m", value.MustSchema(
+		value.Column{Name: "a", Kind: value.KindInt},
+		value.Column{Name: "B", Kind: value.KindInt},
+		value.Column{Name: "c", Kind: value.KindFloat},
+		value.Column{Name: "d", Kind: value.KindString},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		tb.Insert(value.Tuple{value.Int(int64(r.Intn(20))), value.Int(int64(r.Intn(50))),
+			value.Float(float64(r.Intn(40)) / 4), value.Str(fmt.Sprintf("s%d", r.Intn(10)))})
+	}
+	for _, ix := range [][]string{{"a", "b", "c"}, {"B"}, {"d", "A"}, {"c", "d", "a"}} {
+		if _, err := c.CreateIndex("ix_"+fmt.Sprint(ix), "m", ix...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tb.Analyze()
+	return c, tb
+}
+
+// randConjunct draws conditions over cols: every comparison operator,
+// INT, fractional FLOAT, TEXT and NULL literals, IN lists from empty to
+// past a small expansion budget.
+func randConjunct(r *rand.Rand, cols []string) expr.Conjunct {
+	val := func() value.Value {
+		switch r.Intn(8) {
+		case 0:
+			return value.Float(float64(r.Intn(80))/4 - 1)
+		case 1:
+			return value.Str(fmt.Sprintf("s%d", r.Intn(12)))
+		case 2:
+			if r.Intn(4) == 0 {
+				return value.Null()
+			}
+		}
+		return value.Int(int64(r.Intn(24) - 2))
+	}
+	var c expr.Conjunct
+	for range 1 + r.Intn(5) {
+		col := cols[r.Intn(len(cols))]
+		if r.Intn(4) == 0 {
+			vals := make([]value.Value, r.Intn(7))
+			for i := range vals {
+				vals[i] = val()
+			}
+			c.Conds = append(c.Conds, expr.In{Col: col, Vals: vals})
+			continue
+		}
+		c.Conds = append(c.Conds, expr.Cmp{Col: col, Op: expr.CmpOp(r.Intn(6)), Val: val()})
+	}
+	return c
+}
+
+func renderConds(conds []expr.Expr) string {
+	var b []byte
+	for _, c := range conds {
+		b = append(expr.Append(b, c), "; "...)
+	}
+	return string(b)
+}
+
+// TestMatcherMatchesOracle: the slice-based matcher rewrites every
+// conjunct as the map-based oracle does, and picks the same seeks with
+// the same estimate; only the key filter is new.
+func TestMatcherMatchesOracle(t *testing.T) {
+	_, tb := matcherDB(t)
+	ts, ixs := tb.Stats(), tb.Indexes()
+	r := rand.New(rand.NewSource(11))
+	seen := map[string]int{}
+	for i := 0; i < 20000; i++ {
+		cfg := DefaultConfig()
+		cfg.MaxInExpansion = []int{0, 2, 4, 128}[r.Intn(4)]
+		c := randConjunct(r, []string{"a", "A", "b", "B", "c", "d", "e"})
+		ib, want := intBounds(tb, c), oracleIntBounds(tb, c)
+		if got, want := renderConds(ib.Conds), renderConds(want.Conds); got != want {
+			t.Fatalf("intBounds(%s) = %s, oracle %s", renderConds(c.Conds), got, want)
+		}
+		ri, wantRI := rangeToIn(tb, ib, cfg), oracleRangeToIn(tb, ib, cfg)
+		if got, want := renderConds(ri.Conds), renderConds(wantRI.Conds); got != want {
+			t.Fatalf("rangeToIn(%s) = %s, oracle %s", renderConds(ib.Conds), got, want)
+		}
+		seeks, estRows, ok := bestSeeks(nil, tb, ts, ixs, ri, cfg)
+		old := oracleBestSeeks(tb, ts, ri, cfg)
+		if ok != (old != nil) {
+			t.Fatalf("bestSeeks(%s): ok %v, oracle found %v", renderConds(ri.Conds), ok, old != nil)
+		}
+		if !ok {
+			seen["no index"]++
+			continue
+		}
+		if estRows != old.estRows || len(seeks) != len(old.seeks) {
+			t.Fatalf("bestSeeks(%s): %d seeks estimated at %v rows, oracle %d at %v",
+				renderConds(ri.Conds), len(seeks), estRows, len(old.seeks), old.estRows)
+		}
+		for j, s := range seeks {
+			o := old.seeks[j]
+			if s.Table != o.Table || s.Index != o.Index || s.Range != o.Range || !slices.Equal(s.EqVals, o.EqVals) {
+				t.Fatalf("bestSeeks(%s): seek %d is %s, oracle %s", renderConds(ri.Conds), j, plan.Describe(s), plan.Describe(o))
+			}
+		}
+		seen[fmt.Sprintf("%d seeks, key filter %v", min(len(seeks), 2), len(seeks) > 0 && len(seeks[0].KeyFilter) > 0)]++
+	}
+	t.Logf("shapes: %v", seen)
+}
+
+// TestKeyFilterPlansMatchScan: whatever key filters the optimizer puts
+// on its seeks, the plan returns exactly the rows a filtered scan does.
+func TestKeyFilterPlansMatchScan(t *testing.T) {
+	c, tb := matcherDB(t)
+	r := rand.New(rand.NewSource(12))
+	filtered := 0
+	for range 1500 {
+		kids := make([]expr.Expr, 1+r.Intn(3))
+		for i := range kids {
+			kids[i] = randConjunct(r, []string{"a", "A", "b", "B", "c", "d"}).Expr()
+		}
+		pred := expr.NewOr(kids...)
+		res := ChooseAccessPath(tb, pred, DefaultConfig())
+		if strings.Contains(plan.Explain(res.Plan), " key(") {
+			filtered++
+		}
+		got, _, err := exec.RunOpts(c, res.Plan, exec.Options{})
+		if err != nil {
+			t.Fatalf("pred %s: %v", pred, err)
+		}
+		if want := scanFilter(t, tb, pred); !sameRows(got, want) {
+			t.Fatalf("pred %s (%s): got %d rows, want %d\n%s", pred, res.Path, len(got), len(want), plan.Explain(res.Plan))
+		}
+	}
+	if filtered < 100 {
+		t.Fatalf("only %d plans filter index keys", filtered)
+	}
+}
+
+// raceEnabled is set by race_test.go.
+var raceEnabled bool
+
+// gridDB is an 80 × 80 grid of (age, income) under one composite
+// index, with an unindexed visits column beside it.
+func gridDB(t *testing.T) (*catalog.Catalog, *catalog.Table) {
+	t.Helper()
+	c := catalog.New()
+	tb, err := c.CreateTable("g", value.MustSchema(
+		value.Column{Name: "age", Kind: value.KindInt},
+		value.Column{Name: "income", Kind: value.KindInt},
+		value.Column{Name: "visits", Kind: value.KindInt},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 6400 {
+		tb.Insert(value.Tuple{value.Int(int64(i % 80)), value.Int(int64(i / 80)), value.Int(int64(i % 50))})
+	}
+	if _, err := c.CreateIndex("ix_age_income", "g", "age", "income"); err != nil {
+		t.Fatal(err)
+	}
+	tb.Analyze()
+	return c, tb
+}
+
+// TestPointUnionWalksOnce: the naive Bayes point shape — an envelope of
+// two disjuncts on an unindexed column, under a point of the indexed
+// grid — asks for the same seek twice, and the plan walks it once.
+func TestPointUnionWalksOnce(t *testing.T) {
+	c, tb := gridDB(t)
+	pred := expr.NewAnd(
+		expr.Cmp{Col: "age", Op: expr.OpEq, Val: value.Int(42)},
+		expr.Cmp{Col: "income", Op: expr.OpEq, Val: value.Int(65)},
+		expr.NewOr(
+			expr.Cmp{Col: "visits", Op: expr.OpLe, Val: value.Int(3)},
+			expr.Cmp{Col: "visits", Op: expr.OpGe, Val: value.Int(40)},
+		),
+	)
+	res := ChooseAccessPath(tb, pred, DefaultConfig())
+	if res.Path != plan.AccessIndex || plan.Describe(res.Plan.Children()[0]) != "IndexSeek(g.ix_age_income =42 =65)" {
+		t.Fatalf("the point shape plans %s:\n%s", res.Path, plan.Explain(res.Plan))
+	}
+	got, _, err := exec.RunOpts(c, res.Plan, exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := scanFilter(t, tb, pred); !sameRows(got, want) {
+		t.Fatalf("got %d rows, want %d", len(got), len(want))
+	}
+}
+
+// boxes is an envelope-shaped predicate of n disjuncts: per disjunct, a
+// range on age, a fractional bound on income that tightens to an INT one,
+// and a condition on an unindexed column.
+func boxes(n int) expr.Expr {
+	kids := make([]expr.Expr, n)
+	for i := range kids {
+		kids[i] = expr.NewAnd(
+			expr.Cmp{Col: "age", Op: expr.OpLe, Val: value.Int(int64(2 * i))},
+			expr.Cmp{Col: "age", Op: expr.OpGt, Val: value.Float(float64(2*i) - 1.5)},
+			expr.Cmp{Col: "income", Op: expr.OpGt, Val: value.Float(74.5 - float64(i))},
+			expr.Cmp{Col: "visits", Op: expr.OpNe, Val: value.Int(int64(i))},
+		)
+	}
+	return expr.NewOr(kids...)
+}
+
+// TestAllocChooseAccessPath bounds what planning one more disjunct of
+// an envelope allocates, normalization and estimation included: its
+// conditions are matched to the index in slices, not maps, and only the
+// winning index's seeks are built. A map-based matcher took 52.
+func TestAllocChooseAccessPath(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the program's behalf")
+	}
+	const allocsPerDisjunct = 30
+	_, tb := gridDB(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(n int) float64 {
+		pred := boxes(n)
+		if res := ChooseAccessPath(tb, pred, DefaultConfig()); res.Path != plan.AccessIndexUnion {
+			t.Fatalf("%d boxes plan %s:\n%s", n, res.Path, plan.Explain(res.Plan))
+		}
+		return testing.AllocsPerRun(50, func() { ChooseAccessPath(tb, pred, DefaultConfig()) })
+	}
+	two, eight := allocs(2), allocs(8)
+	perDisjunct := (eight - two) / 6
+	t.Logf("%v allocations for 2 disjuncts, %v for 8: %.1f per disjunct", two, eight, perDisjunct)
+	if perDisjunct > allocsPerDisjunct {
+		t.Fatalf("planning allocates %.1f times per disjunct (at most %d)", perDisjunct, allocsPerDisjunct)
 	}
 }

@@ -127,3 +127,15 @@ func allParts(n int) []bool {
 	}
 	return keep
 }
+
+// norm lowercases the ASCII letters of a column name, as the leaves of
+// PruneWalk receive it.
+func norm(s string) string {
+	b := []byte(s)
+	for i := range b {
+		if 'A' <= b[i] && b[i] <= 'Z' {
+			b[i] += 'a' - 'A'
+		}
+	}
+	return string(b)
+}

@@ -39,12 +39,31 @@ func oracleDescribe(n Node) string {
 		for _, v := range x.EqVals {
 			fmt.Fprintf(&b, " =%s", v)
 		}
-		if conds := expr.RangeConds("", x.Range); len(conds) > 0 {
+		if conds := expr.AppendRangeConds(nil, "", x.Range, nil); len(conds) > 0 {
 			b.WriteString(" range")
 			for _, c := range conds {
 				cmp := c.(expr.Cmp)
 				fmt.Fprintf(&b, " %s%s", cmp.Op, cmp.Val)
 			}
+		}
+		for i, k := range x.KeyFilter {
+			sep := ", "
+			if i == 0 {
+				sep = " key("
+			}
+			b.WriteString(sep + k.Col)
+			conds := expr.AppendRangeConds(nil, "", k.Range, nil)
+			if len(conds) == 2 && conds[0].(expr.Cmp).Op == expr.OpGe && conds[1].(expr.Cmp).Op == expr.OpLe &&
+				value.Equal(conds[0].(expr.Cmp).Val, conds[1].(expr.Cmp).Val) {
+				conds = []expr.Expr{expr.Cmp{Op: expr.OpEq, Val: conds[0].(expr.Cmp).Val}}
+			}
+			for _, c := range conds {
+				cmp := c.(expr.Cmp)
+				fmt.Fprintf(&b, " %s%s", cmp.Op, cmp.Val)
+			}
+		}
+		if len(x.KeyFilter) > 0 {
+			b.WriteString(")")
 		}
 		b.WriteString(")")
 		return b.String()
@@ -149,7 +168,7 @@ func (g *planGen) names(most int) []string {
 }
 
 // seek is an equality-prefix seek, a half-open or closed range seek, or
-// both.
+// both, with a key filter on none, some or all of the columns after.
 func (g *planGen) seek() *IndexSeek {
 	s := &IndexSeek{Table: "customers", Index: "ix_age_income"}
 	for range g.r.Intn(3) {
@@ -162,6 +181,20 @@ func (g *planGen) seek() *IndexSeek {
 		s.Range = interval.Below(g.val(), g.r.Intn(2) == 0)
 	case 2:
 		s.Range = interval.Above(value.Int(-5), g.r.Intn(2) == 0).Intersect(interval.Below(value.Float(9.5), g.r.Intn(2) == 0))
+	}
+	for pos := len(s.EqVals) + 1; pos < 4 && g.r.Intn(2) == 0; pos++ {
+		k := KeyCond{Col: []string{"income", "segment", "id"}[pos-1], Pos: pos}
+		switch g.r.Intn(4) {
+		case 0:
+			k.Range = interval.Point(g.val())
+		case 1:
+			k.Range = interval.Above(g.val(), g.r.Intn(2) == 0)
+		case 2:
+			k.Range = interval.Below(g.val(), g.r.Intn(2) == 0)
+		default:
+			k.Range = interval.Above(value.Int(2), true).Intersect(interval.Below(value.Int(9), g.r.Intn(2) == 0))
+		}
+		s.KeyFilter = append(s.KeyFilter, k)
 	}
 	return s
 }
@@ -264,12 +297,15 @@ func checkExplain(t *testing.T, n Node) {
 func TestExplainMatchesOracle(t *testing.T) {
 	eq := &IndexSeek{Table: "customers", Index: "ix_age_income", EqVals: []value.Value{value.Int(8), value.Str("x")}}
 	half := &IndexSeek{Table: "customers", Index: "ix_income", Range: interval.Above(value.Int(3), true)}
+	box := &IndexSeek{Table: "customers", Index: "ix_age_income", Range: interval.Below(value.Int(3), true),
+		KeyFilter: []KeyCond{{Col: "income", Pos: 1, Range: interval.Above(value.Int(75), true)}}}
 	count := []agg.Item{{Func: agg.Count, Star: true}, {Func: agg.None, Col: "segment"}, {Func: agg.Avg, Col: "income"}}
 	for _, n := range []Node{
 		&SeqScan{Table: "customers", Columnar: true, PartsTotal: 16, Partitions: []int{3}},
 		&SeqScan{Table: "customers", PartsTotal: 4},
 		&IndexUnion{Table: "customers", Seeks: []*IndexSeek{eq, half}},
 		&IndexUnion{Table: "customers"},
+		box,
 		&HashAgg{Phase: AggFinal, GroupBy: []string{"segment"}, Aggs: count,
 			Child: &HashAgg{Phase: AggPartial, GroupBy: []string{"segment"}, Aggs: count, Child: &SeqScan{Table: "customers"}}},
 		&HashAgg{Phase: AggFinal, Aggs: count[:1], Child: &ConstScan{Table: "customers"}},

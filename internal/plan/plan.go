@@ -53,6 +53,19 @@ type IndexSeek struct {
 	// Range bounds the next index column after the equality prefix; the
 	// zero Interval is unbounded.
 	Range interval.Interval
+	// KeyFilter bounds index columns after the prefix and range: an
+	// entry whose key lies outside it is skipped before its row is
+	// fetched. Like the seek's bounds it may keep a row its predicate
+	// rejects, never drop one it accepts.
+	KeyFilter []KeyCond
+}
+
+// KeyCond bounds one key column of an index seek's key filter.
+type KeyCond struct {
+	// Col names the column; Pos is its place in the index key.
+	Col   string
+	Pos   int
+	Range interval.Interval
 }
 
 // IndexUnion fetches the union of several index seeks (for OR
@@ -190,18 +203,39 @@ func (s *IndexSeek) AppendDescribe(dst []byte) []byte {
 		dst = append(dst, " ="...)
 		dst = v.Append(dst)
 	}
-	lo, loInc, hasLo := s.Range.Lo()
-	hi, hiInc, hasHi := s.Range.Hi()
+	_, _, hasLo := s.Range.Lo()
+	_, _, hasHi := s.Range.Hi()
 	if hasLo || hasHi {
-		dst = append(dst, " range"...)
+		dst = appendRange(append(dst, " range"...), s.Range)
 	}
-	if hasLo {
-		dst = appendBound(dst, expr.OpGt, expr.OpGe, loInc, lo)
+	for i, k := range s.KeyFilter {
+		if i == 0 {
+			dst = append(dst, " key("...)
+		} else {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, k.Col...)
+		if v, _, _ := k.Range.Lo(); k.Range.IsPoint() {
+			dst = v.Append(append(dst, " ="...))
+		} else {
+			dst = appendRange(dst, k.Range)
+		}
 	}
-	if hasHi {
-		dst = appendBound(dst, expr.OpLt, expr.OpLe, hiInc, hi)
+	if len(s.KeyFilter) > 0 {
+		dst = append(dst, ')')
 	}
 	return append(dst, ')')
+}
+
+// appendRange appends iv's bounds, lower then upper, each as ` opV`.
+func appendRange(dst []byte, iv interval.Interval) []byte {
+	if lo, inc, ok := iv.Lo(); ok {
+		dst = appendBound(dst, expr.OpGt, expr.OpGe, inc, lo)
+	}
+	if hi, inc, ok := iv.Hi(); ok {
+		dst = appendBound(dst, expr.OpLt, expr.OpLe, inc, hi)
+	}
+	return dst
 }
 
 // appendBound appends one range bound as ` opV`: op, or incOp when the

@@ -295,3 +295,34 @@ func (v Value) SortKey(dst []byte) []byte {
 	}
 	return dst
 }
+
+// SortKeyLen is the length of the SortKey that key begins with, or -1 if
+// key does not begin with a whole one. A composite index key is its
+// columns' SortKeys end to end; this is how a reader finds each column.
+func SortKeyLen(key []byte) int {
+	if len(key) == 0 {
+		return -1
+	}
+	n := -1
+	switch key[0] {
+	case 0x00: // NULL
+		n = 1
+	case 0x01: // INT or FLOAT: 8 bytes of float bits
+		n = 9
+	case 0x02: // BOOL
+		n = 2
+	case 0x03: // TEXT: 0x00 escaped as 0x00 0xFF, ended by 0x00 0x00
+		for i := 1; i+1 < len(key); i++ {
+			if key[i] == 0x00 {
+				if key[i+1] == 0x00 {
+					return i + 2
+				}
+				i++
+			}
+		}
+	}
+	if n > len(key) {
+		return -1
+	}
+	return n
+}

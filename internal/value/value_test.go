@@ -359,6 +359,30 @@ func TestSortKeyStringPrefixAndNulByte(t *testing.T) {
 	}
 }
 
+// TestSortKeyLen: a reader of a composite key finds each column's
+// SortKey whole, whatever its kind, so nothing compares one column's
+// bound with bytes of its neighbour; a truncated key has no length.
+func TestSortKeyLen(t *testing.T) {
+	vals := []Value{
+		Null(), Float(math.NaN()), Float(math.Copysign(0, -1)), Int(0), Float(math.Inf(-1)), Int(1<<53 + 1),
+		Str(""), Str("\x00"), Str("a\x00"), Str("a\x00b"), Str("\x00\x00\xff"), Bool(false), Bool(true),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			key := b.SortKey(a.SortKey(nil))
+			n := SortKeyLen(key)
+			if n != len(a.SortKey(nil)) || SortKeyLen(key[n:]) != len(key)-n {
+				t.Fatalf("key of (%v, %v) parsed as %d + %d bytes of %d", a, b, n, SortKeyLen(key[n:]), len(key))
+			}
+		}
+	}
+	for _, key := range [][]byte{nil, {0x03, 'a', 0x00}, {0x01, 0}, {0x02}, {0x04}} {
+		if n := SortKeyLen(key); n != -1 {
+			t.Fatalf("SortKeyLen(%x) = %d, want -1", key, n)
+		}
+	}
+}
+
 func sign(x int) int {
 	switch {
 	case x < 0:

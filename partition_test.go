@@ -224,29 +224,42 @@ func TestCreatePartitionedTableValidation(t *testing.T) {
 // TestIndexSeekMatchesScanOverOddFloats: floats have one order, so an
 // index on a FLOAT column answers exactly as the forced sequential scan
 // does once it stores a −0.0 (0 to both), and again once it also stores
-// a NaN (below every number, equal to none of them).
+// a NaN (below every number, equal to none of them). The same holds when
+// the FLOAT column trails a composite index and is read by the seek's key
+// filter, with a NULL stored beside the NaN and the −0.0.
 func TestIndexSeekMatchesScanOverOddFloats(t *testing.T) {
 	eng := New()
-	if err := eng.CreateTable("f", MustSchema(Column{Name: "id", Kind: KindInt}, Column{Name: "x", Kind: KindFloat})); err != nil {
-		t.Fatal(err)
-	}
-	rows := make([]Tuple, 20000)
-	for i := range rows {
-		rows[i] = Tuple{Int(int64(i)), Float(float64(i % 1000))}
-	}
-	rows[0][1] = Float(math.Copysign(0, -1))
-	if err := eng.InsertBatch("f", rows); err != nil {
-		t.Fatal(err)
+	for _, tb := range []string{"f", "g"} {
+		if err := eng.CreateTable(tb, MustSchema(Column{Name: "id", Kind: KindInt}, Column{Name: "k", Kind: KindInt}, Column{Name: "x", Kind: KindFloat})); err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]Tuple, 20000)
+		for i := range rows {
+			rows[i] = Tuple{Int(int64(i)), Int(int64(i % 100)), Float(float64(i % 1000))}
+			if tb == "g" {
+				rows[i][2] = Float(float64(i / 100 % 5))
+			}
+		}
+		rows[0][2] = Float(math.Copysign(0, -1))
+		rows[1][2] = Float(math.Copysign(0, -1))
+		if err := eng.InsertBatch(tb, rows); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := eng.CreateIndex("ix_x", "f", "x"); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Analyze("f"); err != nil {
+	if err := eng.CreateIndex("ix_k_x", "g", "k", "x"); err != nil {
 		t.Fatal(err)
 	}
-	check := func(wheres ...string) {
+	for _, tb := range []string{"f", "g"} {
+		if err := eng.Analyze(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(table string, wheres ...string) {
 		for _, where := range wheres {
-			sql := "SELECT id FROM f WHERE " + where
+			sql := "SELECT id FROM " + table + " WHERE " + where
 			idx, err := eng.Query(context.Background(), sql)
 			if err != nil {
 				t.Fatal(err)
@@ -258,16 +271,62 @@ func TestIndexSeekMatchesScanOverOddFloats(t *testing.T) {
 			if !strings.HasPrefix(idx.AccessPath, "index") {
 				t.Fatalf("WHERE %s ran %s; the test needs the index path", where, idx.AccessPath)
 			}
+			if table == "g" && !strings.Contains(idx.Plan, " key(x ") {
+				t.Fatalf("WHERE %s reads x outside the key filter:\n%s", where, idx.Plan)
+			}
 			if got, want := idsOf(idx), idsOf(seq); got != want {
 				t.Errorf("WHERE %s: the index returns %s, the scan %s", where, got, want)
 			}
 		}
 	}
-	check("x = 0", "x >= 0 AND x <= 0.5")
-	if err := eng.Insert("f", Tuple{Int(20000), Float(math.NaN())}); err != nil {
+	// On g the key filter reads x after a range on k.
+	boxes := []string{"k <= 1 AND x = 0", "k <= 1 AND x >= 0 AND x <= 0.5", "k <= 1 AND x <= 0", "k <= 1 AND x > -1", "k <= 1 AND x < 1"}
+	check("f", "x = 0", "x >= 0 AND x <= 0.5")
+	check("g", boxes...)
+	for _, tb := range []string{"f", "g"} {
+		if err := eng.InsertBatch(tb, []Tuple{{Int(20000), Int(0), Float(math.NaN())}, {Int(20001), Int(1), Null()}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("f", "x = 5", "x = 0", "x >= 0 AND x <= 0.5")
+	check("g", boxes...)
+}
+
+// TestIntRangeOverFloatColumn: a closed range with INT bounds over a
+// FLOAT column is not a list of integers. Enumerated into equality
+// seeks, x > 6 AND x <= 9 would drop every x.5 in it.
+func TestIntRangeOverFloatColumn(t *testing.T) {
+	eng := New()
+	if err := eng.CreateTable("f", MustSchema(Column{Name: "id", Kind: KindInt}, Column{Name: "x", Kind: KindFloat})); err != nil {
 		t.Fatal(err)
 	}
-	check("x = 5", "x = 0", "x >= 0 AND x <= 0.5")
+	rows := make([]Tuple, 20000)
+	for i := range rows {
+		rows[i] = Tuple{Int(int64(i)), Float(float64(i%2000) / 2)}
+	}
+	if err := eng.InsertBatch("f", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.CreateIndex("ix_x", "f", "x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Analyze("f"); err != nil {
+		t.Fatal(err)
+	}
+	for _, where := range []string{"x > 6 AND x <= 9", "x >= 6 AND x <= 7"} {
+		sql := "SELECT id FROM f WHERE " + where
+		idx, err := eng.Query(context.Background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := eng.Query(context.Background(), sql, WithForcedPath("seqscan"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := idsOf(idx), idsOf(seq); got != want {
+			t.Errorf("WHERE %s: the index returns %s, the scan %s\n%s", where, got, want, idx.Plan)
+		}
+	}
 }
 
 // idsOf renders a result's first column — the rows' ids — as a sorted

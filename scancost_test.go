@@ -115,3 +115,40 @@ func TestScanCostFollowsLivePages(t *testing.T) {
 			cycles, churned, bound, want)
 	}
 }
+
+// TestBoxSeekReadsOnlyItsBox: a seek on a composite index fetches the
+// rows of its box and no others. On an 80 × 80 grid of (age, income),
+// `age <= 3 AND income >= 75` seeks the range on age and filters each
+// index entry on income before the fetch, so it reads the 20 rows that
+// match, not the 320 of the age range.
+func TestBoxSeekReadsOnlyItsBox(t *testing.T) {
+	eng := mq.New()
+	if err := eng.CreateTable("customers", mq.MustSchema(mq.Column{Name: "id", Kind: mq.KindInt},
+		mq.Column{Name: "age", Kind: mq.KindInt}, mq.Column{Name: "income", Kind: mq.KindInt})); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]mq.Tuple, 0, 6400)
+	for i := range 6400 {
+		rows = append(rows, mq.Tuple{mq.Int(int64(i)), mq.Int(int64(i % 80)), mq.Int(int64(i / 80))})
+	}
+	if err := eng.InsertBatch("customers", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.CreateIndex("ix_age_income", "customers", "age", "income"); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Analyze("customers"); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT id FROM customers WHERE age <= 3 AND income >= 75"
+	res, err := eng.Query(context.Background(), sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.AccessPath != "index" || !strings.Contains(res.Plan, "IndexSeek(customers.ix_age_income range <=3 key(income >=75))") {
+		t.Fatalf("%s planned %s:\n%s", sql, res.AccessPath, res.Plan)
+	}
+	if res.RowCount != 20 || res.Stats.TupleReads != int64(res.RowCount) {
+		t.Errorf("%s returns %d rows and reads %d tuples: want 20 of each", sql, res.RowCount, res.Stats.TupleReads)
+	}
+}
